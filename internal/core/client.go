@@ -27,10 +27,12 @@ type ClientStream struct {
 
 // SetElementObserver registers fn to be invoked synchronously from Drain's
 // consumption loop with each result element as it reaches the client
-// manager, before Drain returns the full slice. It is how the scheduler
-// streams a session's results incrementally (Session.Results, the network
-// serving layer) without waiting for the terminal state. It must be set
-// before Drain; fn must not call back into the stream.
+// manager. The observer takes the elements over: Drain then keeps no copy
+// and returns a nil slice (as do Values and One), so a session's rows live
+// once, in the observer's buffer. It is how the scheduler streams a
+// session's results incrementally (Session.Results, the network serving
+// layer) without waiting for the terminal state. It must be set before
+// Drain; fn must not call back into the stream.
 func (s *ClientStream) SetElementObserver(fn func(sqep.Element)) { s.obs = fn }
 
 // QueryID returns the id of the query this stream consumes ("q1", ...).
@@ -107,9 +109,9 @@ func (e *Engine) ClientPlan(build Subquery) (*ClientStream, error) {
 
 // Drain starts every stream process of this stream's query, consumes the
 // result stream to completion, waits for the query's RPs to terminate, and
-// releases their node leases. It returns the result elements. Drain is
-// idempotent, and touches only its own query: concurrent queries' processes
-// and reservations are invisible to it.
+// releases their node leases. It returns the result elements (none when an
+// element observer took them). Drain is idempotent, and touches only its own
+// query: concurrent queries' processes and reservations are invisible to it.
 func (s *ClientStream) Drain() ([]sqep.Element, error) {
 	if s.drained {
 		return s.elements, s.err
@@ -143,10 +145,11 @@ func (s *ClientStream) Drain() ([]sqep.Element, error) {
 			if !ok {
 				break
 			}
-			s.elements = append(s.elements, el)
 			s.makespan = vtime.MaxTime(s.makespan, el.At)
 			if s.obs != nil {
 				s.obs(el)
+			} else {
+				s.elements = append(s.elements, el)
 			}
 		}
 	}

@@ -315,3 +315,122 @@ func TestSubscribeViaBuilderOnly(t *testing.T) {
 		t.Error("wiring to a started RP should fail")
 	}
 }
+
+// TestElementObserverTakesTheElements pins the single-copy contract: with an
+// observer installed Drain hands every element to it and keeps none, so a
+// scheduler session's rows live once, in its result buffer.
+func TestElementObserverTakesTheElements(t *testing.T) {
+	e, err := NewEngine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	a, err := e.SP(func(*PlanBuilder) (sqep.Operator, error) {
+		return sqep.NewIota(1, 3), nil
+	}, hw.BackEnd, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := e.Extract(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seen []sqep.Element
+	cs.SetElementObserver(func(el sqep.Element) { seen = append(seen, el) })
+	els, err := cs.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if els != nil || len(cs.Values()) != 0 {
+		t.Errorf("Drain kept %d elements (Values %d) next to the observer's copy", len(els), len(cs.Values()))
+	}
+	if len(seen) != 3 || seen[2].Value != int64(3) {
+		t.Errorf("observer saw %v, want the three elements", seen)
+	}
+	if cs.Makespan() != seen[2].At {
+		t.Errorf("makespan %v, want the last element's instant %v", cs.Makespan(), seen[2].At)
+	}
+}
+
+// TestForgetQueryFoldsWithoutLoss runs two queries through BuildAs and
+// forgets the first: its edges and query-scoped metrics go, the totals they
+// contributed to stay, and every resource's owners still sum to its busy time.
+func TestForgetQueryFoldsWithoutLoss(t *testing.T) {
+	e, err := NewEngine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	var ids []string
+	for i := 0; i < 2; i++ {
+		q, err := e.BeginQuery()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cs *ClientStream
+		if err := e.BuildAs(q, func() error {
+			a, err := e.SP(func(*PlanBuilder) (sqep.Operator, error) {
+				return sqep.NewIota(1, 4), nil
+			}, hw.BackEnd, nil)
+			if err != nil {
+				return err
+			}
+			cs, err = e.Extract(a)
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cs.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, q.ID())
+	}
+	before := e.MetricsSnapshot()
+	nic, err := e.Env().Node(hw.BackEnd, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nic.NIC.BusyTimeBy(ids[0]) == 0 {
+		t.Fatalf("%s charged nothing to be0.nic; the test needs an owner to fold", ids[0])
+	}
+
+	e.ForgetQuery(ids[0])
+	e.ForgetQuery(ids[0]) // idempotent
+
+	for _, ed := range e.Edges() {
+		if ed.Query == ids[0] {
+			t.Errorf("edge of forgotten %s survives: %+v", ids[0], ed)
+		}
+	}
+	if n := len(e.Edges()); n != 1 {
+		t.Errorf("%d edges left, want %s's one", n, ids[1])
+	}
+	after := e.MetricsSnapshot()
+	if got := after.ForQuery(ids[0]); len(got.Counters)+len(got.Gauges)+len(got.Histograms) != 0 {
+		t.Errorf("metrics of forgotten %s survive: %v", ids[0], got.CounterNames())
+	}
+	if got := after.ForQuery(ids[1]); len(got.Counters) == 0 {
+		t.Errorf("forgetting %s took %s's metrics", ids[0], ids[1])
+	}
+	for _, prefix := range []string{"rp.elements_out.", "rp.bytes_out.", "recv.frames."} {
+		if got, want := after.SumCounters(prefix), before.SumCounters(prefix); got != want || want == 0 {
+			t.Errorf("Σ %s* = %d after the fold, %d before", prefix, got, want)
+		}
+	}
+	for _, r := range e.Env().Resources() {
+		var sum vtime.Duration
+		owners := r.OwnerBusy()
+		for _, d := range owners {
+			sum += d
+		}
+		if sum != r.BusyTime() {
+			t.Errorf("%s: owners sum to %v, busy %v", r.Name(), sum, r.BusyTime())
+		}
+		if _, ok := owners[ids[0]]; ok {
+			t.Errorf("%s still lists forgotten owner %s", r.Name(), ids[0])
+		}
+	}
+	if nic.NIC.BusyTimeBy(vtime.RetiredOwner) == 0 {
+		t.Error("be0.nic has no retired aggregate after the fold")
+	}
+}

@@ -15,6 +15,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -103,7 +104,7 @@ type Engine struct {
 	cur       *queryCtx            // current build target (nil outside builds)
 	qSeq      int                  // query id allocator; never rewound
 	sched     QueryScheduler       // attached multi-tenant scheduler, or nil
-	edges     []Edge
+	edges     []queryEdges         // wired connections, grouped per query in first-wiring order
 	closed    bool
 	hbStop    chan struct{}
 	hbStopped sync.WaitGroup
@@ -123,6 +124,13 @@ type Edge struct {
 	ToCluster   hw.ClusterName
 	ToNode      int
 	Carrier     string // "mpi" or "tcp"
+}
+
+// queryEdges is one query's wired connections, in wiring order. Grouping by
+// query makes forgetting a query a single removal.
+type queryEdges struct {
+	qid   string
+	edges []Edge
 }
 
 // Option configures NewEngine.
@@ -492,7 +500,8 @@ func (e *Engine) Reset() error {
 		e.sup.reset()
 	}
 	e.mu.Lock()
-	e.edges = nil
+	clear(e.edges)
+	e.edges = e.edges[:0]
 	e.mu.Unlock()
 	return nil
 }
@@ -655,18 +664,51 @@ func (e *Engine) failStaleRP(cc *coord.Coordinator, id string) {
 	e.notifyNodeDied(cc.Cluster(), node)
 }
 
-// Edges returns the carrier connections wired since the last Reset — the
-// query's physical communication topology.
+// Edges returns the carrier connections wired since the last Reset, minus
+// those of queries forgotten since (ForgetQuery) — the physical
+// communication topology, query by query in first-wiring order.
 func (e *Engine) Edges() []Edge {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return append([]Edge(nil), e.edges...)
+	var out []Edge
+	for _, g := range e.edges {
+		out = append(out, g.edges...)
+	}
+	return out
 }
 
 func (e *Engine) recordEdge(ed Edge) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.edges = append(e.edges, ed)
+	// A query wires its connections while it builds, so its group is the
+	// last one (or close to it, under concurrent dynamic wiring).
+	for i := len(e.edges) - 1; i >= 0; i-- {
+		if e.edges[i].qid == ed.Query {
+			e.edges[i].edges = append(e.edges[i].edges, ed)
+			return
+		}
+	}
+	e.edges = append(e.edges, queryEdges{qid: ed.Query, edges: []Edge{ed}})
+}
+
+// ForgetQuery drops what the engine still remembers of a finished query
+// once nobody may ask about it by id any more (the scheduler calls it when a
+// session leaves its finished window): the query's edges are dropped, its
+// metrics are folded into the per-prefix retired aggregates
+// (metrics.Registry.RetireQuery) and its per-device busy time into
+// vtime.RetiredOwner. Totals — counter sums by prefix, every resource's
+// Σ owners == BusyTime — are unchanged; what the engine holds per query ever
+// served is not. Forgetting an unknown or already forgotten id is a no-op.
+func (e *Engine) ForgetQuery(qid string) {
+	e.mu.Lock()
+	if i := slices.IndexFunc(e.edges, func(g queryEdges) bool { return g.qid == qid }); i >= 0 {
+		e.edges = slices.Delete(e.edges, i, i+1) // zeroes the vacated slot
+	}
+	e.mu.Unlock()
+	e.reg.RetireQuery(qid)
+	for _, r := range e.env.Resources() {
+		r.FoldOwner(qid)
+	}
 }
 
 // PlacementPlanner is the optional admission-time placement hook (see

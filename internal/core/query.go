@@ -232,6 +232,9 @@ func (e *Engine) BuildCancelSignal() (<-chan struct{}, func() error) {
 func (e *Engine) BuildAs(q *Query, build func() error) error {
 	e.buildMu.Lock()
 	defer e.buildMu.Unlock()
+	// Queries built through BuildAs are the ones a scheduler later forgets
+	// (ForgetQuery): index their metrics from the first one on.
+	e.reg.TrackQuery(q.qc.id)
 	e.mu.Lock()
 	prev := e.cur
 	e.cur = q.qc

@@ -69,13 +69,13 @@ type Env struct {
 
 	psetSize int
 
-	mu      sync.Mutex
-	inbound map[string]inboundStream
-}
-
-type inboundStream struct {
-	beNode int
-	ioNode int
+	// Contention multiplicities of the open back-end→BlueGene streams, kept
+	// as counts so reading one costs the same however many streams the
+	// epoch has opened.
+	mu         sync.Mutex
+	beStreams  []int // streams per back-end node
+	ioStreams  []int // streams per I/O node
+	distinctBe int   // back-end nodes with at least one stream
 }
 
 // Option configures NewLOFAR.
@@ -151,10 +151,11 @@ func NewLOFAR(opts ...Option) (*Env, error) {
 		return nil, fmt.Errorf("hw: torus size %d not divisible by pset size %d", n, cfg.psetSize)
 	}
 	env := &Env{
-		Cost:     cfg.cost,
-		Torus:    tor,
-		psetSize: cfg.psetSize,
-		inbound:  make(map[string]inboundStream),
+		Cost:      cfg.cost,
+		Torus:     tor,
+		psetSize:  cfg.psetSize,
+		beStreams: make([]int, cfg.beNodes),
+		ioStreams: make([]int, n/cfg.psetSize),
 	}
 	for i := 0; i < n; i++ {
 		env.bg = append(env.bg, &Node{
@@ -266,48 +267,39 @@ func (e *Env) NodesInPset(p int) ([]int, error) {
 	return ids, nil
 }
 
-// RegisterInbound records an open back-end→BlueGene stream so the carriers
-// can model the partition-wide coordination penalty (distinct back-end
-// peers) and per-I/O-node stream switching. The id must be unique per
-// stream; call UnregisterInbound when the stream terminates.
-func (e *Env) RegisterInbound(id string, beNode, ioNode int) {
+// RegisterInbound records an open stream from back-end node beNode into the
+// BlueGene through I/O node ioNode, so the carriers can model the
+// partition-wide coordination penalty (distinct back-end peers) and
+// per-I/O-node stream switching. A registration lasts until Reset: the
+// virtual-time penalties must not depend on the wall-clock order in which
+// producers happen to finish.
+func (e *Env) RegisterInbound(beNode, ioNode int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.inbound[id] = inboundStream{beNode: beNode, ioNode: ioNode}
+	if e.beStreams[beNode] == 0 {
+		e.distinctBe++
+	}
+	e.beStreams[beNode]++
+	e.ioStreams[ioNode]++
 }
 
-// UnregisterInbound removes a previously registered inbound stream. It is a
-// no-op for unknown ids.
-func (e *Env) UnregisterInbound(id string) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	delete(e.inbound, id)
-}
-
-// DistinctBeNodes reports how many distinct back-end nodes currently have
-// open inbound streams into the BG partition.
+// DistinctBeNodes reports how many distinct back-end nodes have opened
+// inbound streams into the BG partition since the last Reset.
 func (e *Env) DistinctBeNodes() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	seen := make(map[int]struct{}, len(e.inbound))
-	for _, s := range e.inbound {
-		seen[s.beNode] = struct{}{}
-	}
-	return len(seen)
+	return e.distinctBe
 }
 
-// StreamsOnIO reports how many open inbound streams I/O node p is
-// forwarding.
+// StreamsOnIO reports how many inbound streams opened since the last Reset
+// I/O node p forwards (0 for an unknown I/O node).
 func (e *Env) StreamsOnIO(p int) int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	n := 0
-	for _, s := range e.inbound {
-		if s.ioNode == p {
-			n++
-		}
+	if p < 0 || p >= len(e.ioStreams) {
+		return 0
 	}
-	return n
+	return e.ioStreams[p]
 }
 
 // SetFairSlice bounds single reservations on the environment's shared
@@ -352,7 +344,7 @@ func (e *Env) Resources() []*vtime.Resource {
 }
 
 // Reset returns every resource in the environment to virtual time zero and
-// clears the inbound-stream registry. Use between experiment repetitions.
+// clears the inbound-stream counts. Use between experiment repetitions.
 func (e *Env) Reset() {
 	for _, n := range e.bg {
 		n.CPU.Reset()
@@ -372,5 +364,7 @@ func (e *Env) Reset() {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.inbound = make(map[string]inboundStream)
+	clear(e.beStreams)
+	clear(e.ioStreams)
+	e.distinctBe = 0
 }

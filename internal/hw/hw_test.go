@@ -2,6 +2,7 @@ package hw
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -125,9 +126,15 @@ func TestInboundRegistry(t *testing.T) {
 	if got := env.DistinctBeNodes(); got != 0 {
 		t.Errorf("initial distinct be nodes = %d, want 0", got)
 	}
-	env.RegisterInbound("s1", 1, 0)
-	env.RegisterInbound("s2", 1, 0)
-	env.RegisterInbound("s3", 2, 1)
+	if got := env.StreamsOnIO(0); got != 0 {
+		t.Errorf("initial streams on io0 = %d, want 0", got)
+	}
+	env.RegisterInbound(1, 0)
+	if got := env.StreamsOnIO(0); got != 1 {
+		t.Errorf("streams on io0 = %d, want 1", got)
+	}
+	env.RegisterInbound(1, 0) // a re-registered node is one distinct peer
+	env.RegisterInbound(2, 1)
 	if got := env.DistinctBeNodes(); got != 2 {
 		t.Errorf("distinct be nodes = %d, want 2", got)
 	}
@@ -137,14 +144,49 @@ func TestInboundRegistry(t *testing.T) {
 	if got := env.StreamsOnIO(1); got != 1 {
 		t.Errorf("streams on io1 = %d, want 1", got)
 	}
-	env.UnregisterInbound("s2")
-	if got := env.StreamsOnIO(0); got != 1 {
-		t.Errorf("after unregister, streams on io0 = %d, want 1", got)
+	if got := env.StreamsOnIO(-1) + env.StreamsOnIO(env.PsetCount()); got != 0 {
+		t.Errorf("streams on unknown io nodes = %d, want 0", got)
 	}
-	env.UnregisterInbound("unknown") // no-op
 	env.Reset()
-	if got := env.DistinctBeNodes(); got != 0 {
-		t.Errorf("after reset, distinct be nodes = %d, want 0", got)
+	if got := env.DistinctBeNodes() + env.StreamsOnIO(0) + env.StreamsOnIO(1); got != 0 {
+		t.Errorf("after reset, multiplicities sum to %d, want 0", got)
+	}
+}
+
+// TestInboundCountersMatchRecount drives random RegisterInbound/Reset
+// sequences and checks the O(1) counters against a brute-force recount of
+// the registration log after every step.
+func TestInboundCountersMatchRecount(t *testing.T) {
+	env := defaultEnv(t)
+	nBE, nIO := env.ClusterSize(BackEnd), env.PsetCount()
+	type reg struct{ be, io int }
+	r := rand.New(rand.NewSource(14))
+	var log []reg
+	for step := 0; step < 5000; step++ {
+		if r.Intn(200) == 0 {
+			env.Reset()
+			log = log[:0]
+		} else {
+			// Skewed draws keep some I/O nodes at 0 and 1 streams while
+			// others saturate, and re-register the same back-end node often.
+			g := reg{be: r.Intn(1 + r.Intn(nBE)), io: r.Intn(1 + r.Intn(nIO))}
+			env.RegisterInbound(g.be, g.io)
+			log = append(log, g)
+		}
+		peers := make(map[int]bool)
+		onIO := make([]int, nIO)
+		for _, g := range log {
+			peers[g.be] = true
+			onIO[g.io]++
+		}
+		if got := env.DistinctBeNodes(); got != len(peers) {
+			t.Fatalf("step %d: DistinctBeNodes = %d, recount %d", step, got, len(peers))
+		}
+		for p, want := range onIO {
+			if got := env.StreamsOnIO(p); got != want {
+				t.Fatalf("step %d: StreamsOnIO(%d) = %d, recount %d", step, p, got, want)
+			}
+		}
 	}
 }
 

@@ -162,6 +162,26 @@ func (h *Histogram) Count() int64 {
 	return h.count.Load()
 }
 
+// merge adds o's observations into h. o must be quiescent.
+func (h *Histogram) merge(o *Histogram) {
+	n := o.count.Load()
+	if n == 0 {
+		return
+	}
+	h.minInit.Do(func() { h.min.Store(math.MaxInt64) })
+	h.count.Add(n)
+	h.sum.Add(o.sum.Load())
+	for i := range h.buckets {
+		h.buckets[i].Add(o.buckets[i].Load())
+	}
+	if lo := o.min.Load(); lo < h.min.Load() {
+		h.min.Store(lo)
+	}
+	if hi := o.max.Load(); hi > h.max.Load() {
+		h.max.Store(hi)
+	}
+}
+
 // snapshot folds the histogram into its serializable form.
 func (h *Histogram) snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{Count: h.count.Load(), SumNs: h.sum.Load()}
@@ -188,19 +208,115 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 // the pointer. A nil *Registry is valid: its lookups return nil handles,
 // which record nothing.
 type Registry struct {
-	mu       sync.Mutex
+	mu sync.Mutex
+	// shared holds every name that is not scoped to a tracked query.
+	shared metricSet
+	// tracked holds, per query id passed to TrackQuery, the metrics scoped
+	// to that query. Keeping them apart makes RetireQuery cost that query's
+	// keys, and lets the whole set go at once instead of churning the
+	// shared maps. Nil until the first TrackQuery: every RP owns a private
+	// registry that never tracks.
+	tracked map[string]*metricSet
+}
+
+// metricSet is one namespace of metrics by kind.
+type metricSet struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
+func newMetricSet() metricSet {
+	return metricSet{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 	}
+}
+
+// NewRegistry returns an empty registry.
+func NewRegistry() *Registry {
+	return &Registry{shared: newMetricSet()}
+}
+
+// retiredSuffix replaces the identity part of a retired query's metric
+// names: RetireQuery folds "rp.elements_out.q7/rp-bg-2" into
+// "rp.elements_out.retired".
+const retiredSuffix = "retired"
+
+// TrackQuery sets the metrics created under query id qid apart, which is
+// what lets RetireQuery find them. Call it before the query's first metric
+// is created; tracking an already tracked id changes nothing.
+func (r *Registry) TrackQuery(qid string) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.tracked == nil {
+		r.tracked = make(map[string]*metricSet)
+	}
+	if r.tracked[qid] == nil {
+		set := newMetricSet()
+		r.tracked[qid] = &set
+	}
+}
+
+// setLocked returns the set name lives in: the tracked query's it is scoped
+// to, else the shared one. r.mu must be held.
+func (r *Registry) setLocked(name string) *metricSet {
+	if len(r.tracked) > 0 {
+		start, end := scopeSegment(name, func(id string) bool { return r.tracked[id] != nil })
+		if start >= 0 {
+			return r.tracked[name[start:end]]
+		}
+	}
+	return &r.shared
+}
+
+// RetireQuery removes every metric scoped to the tracked query qid and folds
+// its value into the key of the same prefix that ends in retiredSuffix:
+// counters and histograms are added, gauges keep the maximum. Sums over a
+// name prefix (Snapshot.SumCounters) therefore never lose a retired query's
+// contribution, while the registry's size stays bounded by the queries not
+// yet retired. The query must be quiescent: handles cached by its processes
+// are detached, so a later update through them is lost. Retiring an
+// untracked (or already retired) id is a no-op.
+func (r *Registry) RetireQuery(qid string) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	set := r.tracked[qid]
+	if set == nil {
+		return
+	}
+	delete(r.tracked, qid)
+	// Every name in the set carries qid as its scope segment.
+	retired := func(name string) string {
+		start, _ := scopeSegment(name, func(id string) bool { return id == qid })
+		return name[:start] + retiredSuffix
+	}
+	for name, c := range set.counters {
+		lookup(r.shared.counters, retired(name)).Add(c.Value())
+	}
+	for name, g := range set.gauges {
+		lookup(r.shared.gauges, retired(name)).SetMax(g.Value())
+	}
+	for name, h := range set.hists {
+		lookup(r.shared.hists, retired(name)).merge(h)
+	}
+}
+
+// lookup returns m[name], creating the metric if needed.
+func lookup[M any](m map[string]*M, name string) *M {
+	v, ok := m[name]
+	if !ok {
+		v = new(M)
+		m[name] = v
+	}
+	return v
 }
 
 // Counter returns the named counter, creating it if needed (nil on a nil
@@ -211,12 +327,7 @@ func (r *Registry) Counter(name string) *Counter {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
+	return lookup(r.setLocked(name).counters, name)
 }
 
 // Gauge returns the named gauge, creating it if needed (nil on a nil
@@ -227,12 +338,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	return lookup(r.setLocked(name).gauges, name)
 }
 
 // Histogram returns the named histogram, creating it if needed (nil on a
@@ -243,12 +349,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		h = &Histogram{}
-		r.hists[name] = h
-	}
-	return h
+	return lookup(r.setLocked(name).hists, name)
 }
 
 // Bucket is one non-empty histogram bucket: Count observations below
@@ -295,30 +396,27 @@ func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return s
 	}
+	// Values are read under the lock: each is one atomic load (a histogram,
+	// one per bucket), and it spares a copy of the handle maps.
 	r.mu.Lock()
-	counters := make(map[string]*Counter, len(r.counters))
-	for k, v := range r.counters {
-		counters[k] = v
-	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for k, v := range r.gauges {
-		gauges[k] = v
-	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for k, v := range r.hists {
-		hists[k] = v
-	}
-	r.mu.Unlock()
-	for k, v := range counters {
-		s.Counters[k] = v.Value()
-	}
-	for k, v := range gauges {
-		s.Gauges[k] = v.Value()
-	}
-	for k, v := range hists {
-		s.Histograms[k] = v.snapshot()
+	defer r.mu.Unlock()
+	r.shared.snapshotInto(&s)
+	for _, set := range r.tracked {
+		set.snapshotInto(&s)
 	}
 	return s
+}
+
+func (m *metricSet) snapshotInto(s *Snapshot) {
+	for k, v := range m.counters {
+		s.Counters[k] = v.Value()
+	}
+	for k, v := range m.gauges {
+		s.Gauges[k] = v.Value()
+	}
+	for k, v := range m.hists {
+		s.Histograms[k] = v.snapshot()
+	}
 }
 
 // Deterministic returns the snapshot minus wall-clock-dependent metrics
@@ -357,23 +455,33 @@ func QueryScoped(name, qid string) bool {
 	if qid == "" {
 		return false
 	}
-	// A path segment: the id must start the identity part, i.e. follow a
-	// '.' separator (or start the name). Check every occurrence — an
-	// earlier non-segment hit ("x.freq1.q1/client" for "q1") must not mask
-	// a genuine one.
-	seg := qid + "/"
+	start, _ := scopeSegment(name, func(id string) bool { return id == qid })
+	return start >= 0
+}
+
+// scopeSegment finds the query-id segment of a metric name: the first
+// segment accepted by isID that either heads a path-qualified identity
+// (it follows a '.' separator, or starts the name, and a '/' follows it) or
+// is the name's dotted suffix. Every '/' is tried — an earlier non-segment
+// hit ("x.freq1/merge.q1/client" for "q1") must not mask a genuine one. It
+// returns the segment's bounds, or -1, -1.
+func scopeSegment(name string, isID func(string) bool) (start, end int) {
 	for off := 0; ; {
-		i := strings.Index(name[off:], seg)
-		if i < 0 {
+		j := strings.IndexByte(name[off:], '/')
+		if j < 0 {
 			break
 		}
-		i += off
-		if i == 0 || name[i-1] == '.' {
-			return true
+		j += off
+		i := strings.LastIndexByte(name[:j], '.') + 1
+		if isID(name[i:j]) {
+			return i, j
 		}
-		off = i + 1
+		off = j + 1
 	}
-	return strings.HasSuffix(name, "."+qid)
+	if i := strings.LastIndexByte(name, '.') + 1; i > 0 && isID(name[i:]) {
+		return i, len(name)
+	}
+	return -1, -1
 }
 
 // ForQuery filters the snapshot down to one query's metrics: every counter,

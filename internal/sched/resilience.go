@@ -20,6 +20,7 @@ package sched
 import (
 	"fmt"
 
+	"scsq/internal/core"
 	"scsq/internal/vtime"
 )
 
@@ -61,8 +62,12 @@ func (s *Scheduler) sweep() {
 	if vnow == 0 {
 		return
 	}
-	var expired []*Query // claimed waiting sessions past their queue deadline
-	var overrun []*Query // running sessions whose run deadline just fired
+	type overrunning struct {
+		cq          *core.Query // read under q.mu: finalize clears the field
+		runDeadline vtime.Time
+	}
+	var expired []*Query      // claimed waiting sessions past their queue deadline
+	var overrun []overrunning // running sessions whose run deadline just fired
 	s.mu.Lock()
 	// Pending queue: claim expired sessions by removing them — exactly the
 	// claim-by-removal protocol admission and Cancel use, so each session
@@ -102,7 +107,7 @@ func (s *Scheduler) sweep() {
 		if (q.state == Admitted || q.state == Running) &&
 			q.runDeadline > 0 && vnow >= q.runDeadline && !q.expireReq {
 			q.expireReq = true
-			overrun = append(overrun, q)
+			overrun = append(overrun, overrunning{q.cq, q.runDeadline})
 		}
 		q.mu.Unlock()
 	}
@@ -111,11 +116,11 @@ func (s *Scheduler) sweep() {
 		s.finishQueued(q, Expired,
 			fmt.Errorf("%w: queue deadline %v (clock %v)", ErrDeadlineExceeded, q.queueDeadline, vnow), s.mExpired)
 	}
-	for _, q := range overrun {
+	for _, o := range overrun {
 		// Through the engine's cancel/poison path: the stream's Drain
 		// unwinds and releases the leases exactly once; run() observes
 		// expireReq and finalizes the session Expired.
-		q.cq.Cancel(fmt.Errorf("%w: run deadline %v (clock %v)", ErrDeadlineExceeded, q.runDeadline, vnow))
+		o.cq.Cancel(fmt.Errorf("%w: run deadline %v (clock %v)", ErrDeadlineExceeded, o.runDeadline, vnow))
 	}
 }
 

@@ -15,11 +15,19 @@
 // not on wall-clock interleaving — that is the engine's virtual-time
 // contract, which the scheduler preserves by never injecting wall time into
 // any decision.
+//
+// Bounded history: the session table holds the live sessions plus the last
+// finishedWindow finished ones. A finished session keeps only its terminal
+// row, error, makespan and result buffer — the SP graph goes at finalization
+// — and when it leaves the window the engine folds what it still remembers
+// of it (core.Engine.ForgetQuery). A handle the caller still holds keeps
+// working; the id stops resolving.
 package sched
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -87,7 +95,8 @@ var (
 	// ErrQueueFull is returned by Submit when the admission queue is at
 	// capacity.
 	ErrQueueFull = errors.New("sched: admission queue full")
-	// ErrUnknownQuery is returned for ids no session was ever created under.
+	// ErrUnknownQuery is returned for ids the session table does not hold:
+	// never created, or finished long enough ago to have left the window.
 	ErrUnknownQuery = errors.New("sched: unknown query")
 	// ErrQueryFinished is returned by Cancel on a session already in a final
 	// state.
@@ -229,6 +238,11 @@ func WithRunTTL(d vtime.Duration) SubmitOption {
 	return func(c *submitCfg) { c.runTTL = d }
 }
 
+// finishedWindow is how many finished sessions the session table keeps, in
+// finalization order, for ps(), sys_sessions and monitor('@qid'); the oldest
+// leaves as the next one finishes.
+const finishedWindow = 256
+
 // Scheduler multiplexes SCSQL query sessions onto one engine.
 type Scheduler struct {
 	eng *core.Engine
@@ -253,14 +267,16 @@ type Scheduler struct {
 	// serialized engine-wide by core.BuildAs.
 	admitMu sync.Mutex
 
-	mu      sync.Mutex
-	closed  bool
-	seq     int
-	queries map[string]*Query
-	order   []*Query // submission order, for List
-	pending []*Query // admission queue: priority desc, then submission asc
-	parked  []*Query // transient-unsatisfiable sessions waiting out a backoff
-	running int
+	mu       sync.Mutex
+	closed   bool
+	seq      int
+	queries  map[string]*Query // live sessions and the finished window, by id
+	order    []*Query          // the same sessions in submission order, for List
+	finished []*Query          // the finished window, oldest first
+	pending  []*Query          // admission queue: priority desc, then submission asc
+	parked   []*Query          // transient-unsatisfiable sessions waiting out a backoff
+	running  int
+	live     int // sessions in the table not yet finalized
 
 	mSubmitted, mAdmitted, mCompleted *metrics.Counter
 	mFailed, mCancelled, mRejected    *metrics.Counter
@@ -318,11 +334,10 @@ func (s *Scheduler) Catalog() *scsql.Catalog { return s.ev.Catalog() }
 // Query is one scheduled session.
 type Query struct {
 	s    *Scheduler
+	id   string
 	seq  int
 	prio int
 	src  string
-	stmt *scsql.Statement
-	cq   *core.Query
 
 	// TTLs are fixed at Submit; the absolute deadlines they induce are
 	// anchored on the scheduler's virtual clock (queue deadline at
@@ -339,23 +354,27 @@ type Query struct {
 	enterV        vtime.Time // virtual instant the current state was entered
 	retries       int        // transient-admission retries consumed
 	nextRetryV    vtime.Time // parked until the clock reaches this instant
-	stream        *core.ClientStream
-	elements      []sqep.Element
-	err           error
-	makespan      vtime.Time
-	submitted     time.Time
-	admitWait     time.Duration
-	done          chan struct{}
+	// stmt, cq and stream reach the session's plan and SP graph; finalize
+	// drops all three.
+	stmt      *scsql.Statement
+	cq        *core.Query
+	stream    *core.ClientStream
+	err       error
+	makespan  vtime.Time
+	submitted time.Time
+	admitWait time.Duration
+	done      chan struct{}
 
-	// res buffers result elements as the drain delivers them, for the
-	// incremental Results iterators (see results.go). Lazily built.
+	// res buffers result elements as the drain delivers them — the session's
+	// only copy — for Wait and the incremental Results iterators (see
+	// results.go). Lazily built.
 	resOnce sync.Once
 	res     *resultsState
 }
 
 // ID returns the engine-assigned session id ("q1", "q2", ...). It tags the
 // session's RPs, leases, vtime charges and metrics.
-func (q *Query) ID() string { return q.cq.ID() }
+func (q *Query) ID() string { return q.id }
 
 // Statement returns the submitted SCSQL source.
 func (q *Query) Statement() string { return q.src }
@@ -378,9 +397,7 @@ func (q *Query) Done() <-chan struct{} { return q.done }
 // sessions cancelled before running).
 func (q *Query) Wait() ([]sqep.Element, error) {
 	<-q.done
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.elements, q.err
+	return q.results().buf, q.Err()
 }
 
 // Err returns the session's terminal error, nil while live or Done.
@@ -451,6 +468,7 @@ func (s *Scheduler) Submit(src string, opts ...SubmitOption) (*Query, error) {
 	}
 	q := &Query{
 		s:         s,
+		id:        cq.ID(),
 		prio:      cfg.priority,
 		src:       src,
 		stmt:      stmt,
@@ -469,15 +487,14 @@ func (s *Scheduler) Submit(src string, opts ...SubmitOption) (*Query, error) {
 		if err != nil {
 			return nil, err
 		}
-		q.state = Done
-		q.endResults()
-		close(q.done)
 		s.mu.Lock()
 		s.seq++
 		q.seq = s.seq
-		s.queries[q.ID()] = q
+		s.queries[q.id] = q
 		s.order = append(s.order, q)
+		s.live++
 		s.mu.Unlock()
+		s.finalize(q, Done, nil)
 		s.mSubmitted.Inc()
 		s.mCompleted.Inc()
 		return q, nil
@@ -511,8 +528,9 @@ func (s *Scheduler) Submit(src string, opts ...SubmitOption) (*Query, error) {
 	}
 	s.seq++
 	q.seq = s.seq
-	s.queries[q.ID()] = q
+	s.queries[q.id] = q
 	s.order = append(s.order, q)
+	s.live++
 	if q.queueTTL > 0 {
 		q.queueDeadline = s.alarms.Now().Add(q.queueTTL)
 	}
@@ -713,13 +731,44 @@ func (s *Scheduler) build(q *Query) error {
 // must hold the session's claim — it is no longer in the admission queue.
 func (s *Scheduler) finishQueued(q *Query, st State, err error, c *metrics.Counter) {
 	q.cq.Retire()
+	s.finalize(q, st, err)
+	c.Inc()
+}
+
+// finalize publishes q's terminal state — exactly once per session, by
+// whoever holds its claim — and moves it from the live sessions into the
+// finished window. The session lets go of its statement, engine identity and
+// stream (the whole SP graph); what a held handle can still ask for (state,
+// error, makespan, results) stays. The session that thereby leaves the
+// window is forgotten by id, here and in the engine.
+func (s *Scheduler) finalize(q *Query, st State, err error) {
 	q.mu.Lock()
 	q.state = st
 	q.err = err
+	q.stmt, q.cq, q.stream = nil, nil, nil
 	q.mu.Unlock()
+
+	var evicted *Query
+	s.mu.Lock()
+	s.live--
+	s.finished = append(s.finished, q)
+	if len(s.finished) > finishedWindow {
+		evicted = s.finished[0]
+		// slices.Delete zeroes the vacated slot, so neither array pins the
+		// evicted session.
+		s.finished = slices.Delete(s.finished, 0, 1)
+		i := slices.Index(s.order, evicted)
+		s.order = slices.Delete(s.order, i, i+1)
+		delete(s.queries, evicted.id)
+	}
+	s.mu.Unlock()
+	if evicted != nil {
+		s.eng.ForgetQuery(evicted.id)
+	}
+	// Waiters wake last: whoever Wait releases sees the session already
+	// counted out of Active and the table already trimmed.
 	q.endResults()
 	close(q.done)
-	c.Inc()
 }
 
 // run drains q's stream to completion and finalizes the session, then
@@ -733,35 +782,28 @@ func (s *Scheduler) run(q *Query) {
 	q.mu.Unlock()
 
 	stream.SetElementObserver(q.pushResult)
-	els, err := stream.Drain()
+	_, err := stream.Drain()
 
 	q.mu.Lock()
-	q.elements = els
 	q.makespan = stream.Makespan()
 	cancelled := q.cancelReq
 	expired := q.expireReq
+	q.mu.Unlock()
+	st := Done
 	switch {
 	case expired && err != nil:
 		// The run deadline fired and tore the stream down through the
 		// cancel/poison path; a user cancel racing the same window yields to
 		// the deadline (both causes are in err's chain regardless).
-		q.state = Expired
-		q.err = err
+		st = Expired
 	case cancelled && err != nil:
-		q.state = Cancelled
-		q.err = err
+		st = Cancelled
 	case err != nil:
-		q.state = Failed
-		q.err = err
-	default:
-		q.state = Done
+		st = Failed
 	}
-	st := q.state
-	q.mu.Unlock()
-	q.endResults()
-	close(q.done)
+	s.eng.Metrics().Gauge("sched.nodes." + q.id).Set(0)
+	s.finalize(q, st, err)
 
-	s.eng.Metrics().Gauge("sched.nodes." + q.ID()).Set(0)
 	switch st {
 	case Done:
 		s.mCompleted.Inc()
@@ -803,14 +845,7 @@ func (s *Scheduler) Cancel(id string) error {
 		q.mu.Unlock()
 		s.mu.Unlock()
 		if removed {
-			q.cq.Retire()
-			q.mu.Lock()
-			q.state = Cancelled
-			q.err = ErrCancelled
-			q.mu.Unlock()
-			q.endResults()
-			close(q.done)
-			s.mCancelled.Inc()
+			s.finishQueued(q, Cancelled, ErrCancelled, s.mCancelled)
 			s.admit()
 		}
 		// Not in the queue: the admission loop has claimed it (mid-build)
@@ -818,9 +853,10 @@ func (s *Scheduler) Cancel(id string) error {
 		return nil
 	case Admitted, Running:
 		q.cancelReq = true
+		cq := q.cq // finalize clears the field; cancelling a finished query is a no-op
 		q.mu.Unlock()
 		s.mu.Unlock()
-		q.cq.Cancel(nil)
+		cq.Cancel(nil)
 		return nil
 	default:
 		q.mu.Unlock()
@@ -858,7 +894,8 @@ type Info struct {
 	Retries int
 }
 
-// List returns every session in submission order.
+// List returns the live sessions and the finished window, in submission
+// order.
 func (s *Scheduler) List() []Info {
 	vnow := s.alarms.Now()
 	s.mu.Lock()
@@ -868,7 +905,7 @@ func (s *Scheduler) List() []Info {
 	for _, q := range qs {
 		q.mu.Lock()
 		in := Info{
-			ID:            q.ID(),
+			ID:            q.id,
 			State:         q.state,
 			Priority:      q.prio,
 			Statement:     q.src,
@@ -891,18 +928,13 @@ func (s *Scheduler) List() []Info {
 	return out
 }
 
-// Active reports how many sessions are not in a final state.
+// Active reports how many sessions are not in a final state. It reads a
+// count kept at submission and finalization, so a Reset guard costs the
+// same whatever the engine has served.
 func (s *Scheduler) Active() int {
 	s.mu.Lock()
-	qs := append([]*Query(nil), s.order...)
-	s.mu.Unlock()
-	n := 0
-	for _, q := range qs {
-		if !q.State().Final() {
-			n++
-		}
-	}
-	return n
+	defer s.mu.Unlock()
+	return s.live
 }
 
 // QueryStatuses implements core.QueryScheduler for SCSQL's ps().

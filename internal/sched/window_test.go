@@ -1,0 +1,213 @@
+package sched
+
+import (
+	"errors"
+	"runtime"
+	"testing"
+
+	"scsq/internal/catalog"
+	"scsq/internal/hw"
+	"scsq/internal/scsql"
+	"scsq/internal/vtime"
+)
+
+// trivial is a client-only statement: three rows, no stream process.
+const trivial = `select i from integer i where i in iota(1,3);`
+
+// TestFinishedWindowEvicts submits more sessions than the finished window
+// holds and pins what eviction means: the table is the live sessions plus
+// the last finishedWindow finished ones in submission order, an evicted id
+// no longer resolves (Get and Cancel say ErrUnknownQuery), a held handle of
+// an evicted session still delivers its results, and a live
+// streamof(sys_sessions()) subscriber survives the evictions — a live-delta
+// stream reports a removal by the row's absence from its next poll.
+func TestFinishedWindowEvicts(t *testing.T) {
+	e := newTestEngine(t)
+	s := New(e, nil)
+	defer s.Close()
+
+	live, err := s.Submit(`select streamof(sys_sessions());`)
+	if err != nil {
+		t.Fatalf("submit live stream: %v", err)
+	}
+	liveRows := live.Results()
+	if _, ok, err := liveRows.Next(); !ok || err != nil {
+		t.Fatalf("live stream's opening snapshot: ok=%v err=%v", ok, err)
+	}
+
+	const total = finishedWindow + 50
+	held := make([]*Query, 0, total)
+	for i := 0; i < total; i++ {
+		q, err := s.Submit(trivial)
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		if _, err := q.Wait(); err != nil {
+			t.Fatalf("wait %d: %v", i, err)
+		}
+		held = append(held, q)
+	}
+	first, window := held[0], held[total-finishedWindow:]
+
+	infos := s.List()
+	if len(infos) != finishedWindow+1 {
+		t.Fatalf("List has %d rows, want the live stream + %d finished", len(infos), finishedWindow)
+	}
+	if infos[0].ID != live.ID() || infos[0].State.Final() {
+		t.Errorf("first row = %+v, want the live stream %s (submitted first, never evicted)", infos[0], live.ID())
+	}
+	for i, q := range window {
+		if infos[i+1].ID != q.ID() {
+			t.Fatalf("row %d is %s, want %s: submission order broken", i+1, infos[i+1].ID, q.ID())
+		}
+	}
+	if n := s.Active(); n != 1 {
+		t.Errorf("Active = %d, want the live stream only", n)
+	}
+
+	if _, err := s.Get(first.ID()); !errors.Is(err, ErrUnknownQuery) {
+		t.Errorf("Get(evicted) = %v, want ErrUnknownQuery", err)
+	}
+	if err := s.Cancel(first.ID()); !errors.Is(err, ErrUnknownQuery) {
+		t.Errorf("Cancel(evicted id) = %v, want ErrUnknownQuery", err)
+	}
+	if err := first.Cancel(); !errors.Is(err, ErrUnknownQuery) {
+		t.Errorf("evicted handle's Cancel = %v, want ErrUnknownQuery", err)
+	}
+	if got, err := s.Get(window[0].ID()); err != nil || got != window[0] {
+		t.Errorf("Get(oldest in window) = %v, %v", got, err)
+	}
+
+	// The held handle of the evicted session still answers.
+	els, err := first.Wait()
+	if err != nil || len(els) != 3 || els[2].Value != int64(3) {
+		t.Errorf("evicted handle's Wait = %v, %v; want its three rows", els, err)
+	}
+	it := first.Results()
+	for i := 0; i < 3; i++ {
+		if el, ok, err := it.Next(); !ok || err != nil || el.Value != int64(i+1) {
+			t.Fatalf("fresh iterator, row %d: %v ok=%v err=%v", i, el.Value, ok, err)
+		}
+	}
+	if _, ok, err := it.Next(); ok || err != nil {
+		t.Errorf("fresh iterator did not end cleanly: ok=%v err=%v", ok, err)
+	}
+	if first.State() != Done || first.Nodes() != 0 {
+		t.Errorf("evicted handle: state %v, %d nodes", first.State(), first.Nodes())
+	}
+
+	// One beat: the live stream polls once and emits the rows that are new
+	// since its opening snapshot. Those are the window's sessions; the fifty
+	// evicted ones came and went between polls and leave no row behind.
+	evicted := make(map[string]bool)
+	for _, q := range held[:total-finishedWindow] {
+		evicted[q.ID()] = true
+	}
+	s.ObserveVTime(vtime.Time(vtime.Millisecond))
+	last := held[total-1].ID()
+	for {
+		el, ok, err := liveRows.Next()
+		if !ok || err != nil {
+			t.Fatalf("live stream ended before reporting %s: ok=%v err=%v", last, ok, err)
+		}
+		id, _ := el.Value.(catalog.Tuple).Field("id")
+		if evicted[id.(string)] {
+			t.Errorf("live stream reported evicted session %v", id)
+		}
+		if id == last {
+			break
+		}
+	}
+	if err := live.Cancel(); err != nil {
+		t.Fatalf("cancel live stream: %v", err)
+	}
+	if _, err := live.Wait(); !errors.Is(err, ErrCancelled) {
+		t.Fatalf("live stream ended with %v, want ErrCancelled", err)
+	}
+}
+
+// TestServedEngineStaysBounded is the never-Reset contract of a served
+// engine: after the finished window has filled, everything the engine and
+// the scheduler hold per session is the same size at session 500 and at
+// session 1500, and nothing the evicted sessions counted is lost.
+func TestServedEngineStaysBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("1500 sessions")
+	}
+	e := newTestEngine(t)
+	s := New(e, nil)
+	defer s.Close()
+	src, err := scsql.InboundQuery(6, 8, 1000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feNIC, err := e.Env().Node(hw.FrontEnd, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	type footprint struct {
+		edges, keys, nicOwners, sessions int
+	}
+	measure := func() (footprint, float64) {
+		snap := e.MetricsSnapshot()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return footprint{
+			edges:     len(e.Edges()),
+			keys:      len(snap.Counters) + len(snap.Gauges) + len(snap.Histograms),
+			nicOwners: len(feNIC.NIC.OwnerBusy()),
+			sessions:  len(s.List()),
+		}, float64(m.HeapAlloc) / 1e6
+	}
+
+	var perSession int64
+	var at500 footprint
+	var heap500 float64
+	for i := 1; i <= 1500; i++ {
+		q, err := s.Submit(src)
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		els, err := q.Wait()
+		if err != nil || len(els) != 1 || els[0].Value != int64(8) {
+			t.Fatalf("session %d: %v, %v; want the count 8", i, els, err)
+		}
+		switch i {
+		case 1:
+			perSession = e.MetricsSnapshot().SumCounters("rp.elements_out.")
+		case 500:
+			at500, heap500 = measure()
+		}
+	}
+	at1500, heap1500 := measure()
+	if at1500 != at500 {
+		t.Errorf("footprint grew with history:\n  after  500 sessions %+v\n  after 1500 sessions %+v", at500, at1500)
+	}
+	if at500.sessions != finishedWindow {
+		t.Errorf("session table holds %d rows, want the window's %d", at500.sessions, finishedWindow)
+	}
+	// The exact counts above are the contract; the live heap backs them up
+	// for whatever they do not see.
+	t.Logf("footprint %+v; live heap %.1f MB after 500 sessions, %.1f MB after 1500", at1500, heap500, heap1500)
+	if heap1500 > 1.10*heap500 {
+		t.Errorf("live heap %.1f MB after 1500 sessions, %.1f MB after 500", heap1500, heap500)
+	}
+	snap := e.MetricsSnapshot()
+	if got := snap.SumCounters("rp.elements_out."); perSession == 0 || got != 1500*perSession {
+		t.Errorf("Σ rp.elements_out.* = %d, want 1500 × %d: the fold lost counts", got, perSession)
+	}
+	if got := snap.Counters["sched.completed"]; got != 1500 {
+		t.Errorf("sched.completed = %d, want 1500", got)
+	}
+	for _, r := range e.Env().Resources() {
+		var sum vtime.Duration
+		for _, d := range r.OwnerBusy() {
+			sum += d
+		}
+		if sum != r.BusyTime() {
+			t.Errorf("%s: owners sum to %v, busy %v", r.Name(), sum, r.BusyTime())
+		}
+	}
+}

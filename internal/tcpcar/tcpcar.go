@@ -19,7 +19,6 @@ package tcpcar
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"scsq/internal/carrier"
 	"scsq/internal/chaos"
@@ -30,10 +29,9 @@ import (
 
 // Fabric charges TCP transfers against a hardware environment.
 type Fabric struct {
-	env    *hw.Env
-	inj    *chaos.Injector
-	reg    *metrics.Registry
-	nextID atomic.Int64
+	env *hw.Env
+	inj *chaos.Injector
+	reg *metrics.Registry
 }
 
 // NewFabric returns a fabric over env.
@@ -68,7 +66,6 @@ type Conn struct {
 	fabric   *Fabric
 	src, dst Endpoint
 	inbox    carrier.Inbox
-	streamID string // registered inbound stream, "" if not BG-inbound
 
 	// Endpoint resources are resolved once at Dial so the per-frame hot
 	// path charges them without repeated environment lookups.
@@ -96,7 +93,8 @@ var _ carrier.Conn = (*Conn)(nil)
 
 // Dial opens a TCP connection from src to dst delivering into inbox.
 // Inbound BlueGene connections are registered with the environment so the
-// coordination penalties can be modeled; Close unregisters them.
+// coordination penalties can be modeled; the registration outlives Close
+// (see Conn.Close).
 func (f *Fabric) Dial(src, dst Endpoint, inbox carrier.Inbox) (*Conn, error) {
 	if !src.Cluster.Valid() || !dst.Cluster.Valid() {
 		return nil, fmt.Errorf("tcpcar: invalid endpoint clusters %q -> %q", src.Cluster, dst.Cluster)
@@ -132,8 +130,7 @@ func (f *Fabric) Dial(src, dst Endpoint, inbox carrier.Inbox) (*Conn, error) {
 		// Front-end connections (e.g. control results) do not model the
 		// back-end coordination penalty, but still consume I/O-node capacity.
 		if src.Cluster == hw.BackEnd {
-			c.streamID = fmt.Sprintf("in-%d-%s-%s", f.nextID.Add(1), src, dst)
-			f.env.RegisterInbound(c.streamID, src.Node, ion.ID)
+			f.env.RegisterInbound(src.Node, ion.ID)
 		}
 	}
 	if src.Cluster == hw.BlueGene {

@@ -111,7 +111,7 @@ func (f *Fabric) Dial(src, dst tcpcar.Endpoint, inbox carrier.Inbox) (*Conn, err
 		return nil, fmt.Errorf("udpcar: %w", err)
 	}
 	id := f.nextID.Add(1)
-	f.env.RegisterInbound(fmt.Sprintf("udp-%d-%s-%s", id, src, dst), src.Node, ion.ID)
+	f.env.RegisterInbound(src.Node, ion.ID)
 	c := &Conn{
 		fabric: f, id: id, src: src, dst: dst, inbox: inbox,
 		srcNode: srcNode, ion: ion,

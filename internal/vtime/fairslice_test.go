@@ -38,6 +38,20 @@ func TestUseAsOwnerAccounting(t *testing.T) {
 	if sum != r.BusyTime() {
 		t.Errorf("owner totals sum to %v, want BusyTime %v", sum, r.BusyTime())
 	}
+
+	// Folding moves finished owners into the retired aggregate: the table
+	// shrinks, the total does not, and folding again changes nothing.
+	r.FoldOwner("q1")
+	r.FoldOwner("q2")
+	r.FoldOwner("q2")
+	r.FoldOwner("q3") // never charged
+	want = map[string]Duration{RetiredOwner: 32, AnonymousOwner: 3}
+	if got := r.OwnerBusy(); !reflect.DeepEqual(got, want) {
+		t.Errorf("OwnerBusy after folding = %v, want %v", got, want)
+	}
+	if r.BusyTime() != 35 {
+		t.Errorf("BusyTime after folding = %v, want 35", r.BusyTime())
+	}
 }
 
 func TestFairSliceChunksAroundOtherTenants(t *testing.T) {

@@ -19,8 +19,10 @@
 // given owner (a query id); Use and the zero-value Txn charge the reserved
 // anonymous aggregate AnonymousOwner (""). BusyTimeBy and OwnerBusy report
 // per-owner totals including the anonymous aggregate, and the sum over all
-// owners — anonymous included — always equals BusyTime. Reset clears the
-// accounting along with the schedule.
+// owners — anonymous included — always equals BusyTime. FoldOwner moves a
+// finished owner's total into the RetiredOwner aggregate, which keeps that
+// sum intact while bounding the owner table. Reset clears the accounting
+// along with the schedule.
 package vtime
 
 import (
@@ -118,6 +120,10 @@ type Resource struct {
 // AnonymousOwner is the reserved owner key under which anonymous Use calls
 // are accounted in BusyTimeBy and OwnerBusy.
 const AnonymousOwner = ""
+
+// RetiredOwner is the reserved owner key that accumulates the busy time of
+// owners folded away by FoldOwner. Query ids never collide with it.
+const RetiredOwner = "retired"
 
 type interval struct {
 	start, end Time
@@ -374,6 +380,19 @@ func (r *Resource) OwnerBusy() map[string]Duration {
 		out[k] = v
 	}
 	return out
+}
+
+// FoldOwner moves owner's busy time into the RetiredOwner aggregate and
+// forgets the owner, so the owner table of a long-lived resource stays
+// bounded by the owners still of interest while the per-owner values keep
+// summing to BusyTime. Folding an unknown owner is a no-op.
+func (r *Resource) FoldOwner(owner string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if d, ok := r.usedBy[owner]; ok {
+		delete(r.usedBy, owner)
+		r.usedBy[RetiredOwner] += d
+	}
 }
 
 // Reset returns the resource to the free-at-zero state. Used between

@@ -341,8 +341,8 @@ func (e *Engine) Close() error {
 // query's streams are still draining — cancel or wait the live sessions
 // first.
 func (e *Engine) Reset() error {
-	if e.sched.Active() > 0 {
-		return fmt.Errorf("%w: %d scheduler session(s) live", ErrQueriesActive, e.sched.Active())
+	if n := e.sched.Active(); n > 0 {
+		return fmt.Errorf("%w: %d scheduler session(s) live", ErrQueriesActive, n)
 	}
 	return e.core.Reset()
 }
@@ -734,7 +734,10 @@ type SessionInfo struct {
 	Retries int
 }
 
-// Sessions lists every session of this engine in submission order.
+// Sessions lists this engine's live sessions and its most recently finished
+// ones (the scheduler keeps a fixed-size window of those) in submission
+// order. A Session handle outlives its row: Wait, Results and Makespan keep
+// answering after the id has left the table.
 func (e *Engine) Sessions() []SessionInfo {
 	infos := e.sched.List()
 	out := make([]SessionInfo, len(infos))
