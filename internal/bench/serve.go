@@ -236,6 +236,16 @@ func RunServe(cfg ServeConfig) (ServeReport, error) {
 		return ServeReport{}, fmt.Errorf("%d session errors, first: %w", len(runErrs), runErrs[0])
 	}
 
+	// Phase 4: the same audit on a long session, where rows travel many to
+	// a socket write, plus the server's own per-frame count read back over
+	// the wire.
+	lost, extra, err := auditLongSession(addr.String(), obs)
+	if err != nil {
+		return ServeReport{}, err
+	}
+	dropped.Add(lost)
+	duped.Add(extra)
+
 	report.Sessions = int(done.Load())
 	report.Dropped = dropped.Load()
 	report.Duplicated = duped.Load()
@@ -251,6 +261,66 @@ func RunServe(cfg ServeConfig) (ServeReport, error) {
 	report.TTFBP50Ns = percentileDur(ttfbs, 0.50).Nanoseconds()
 	report.TTFBP99Ns = percentileDur(ttfbs, 0.99).Nanoseconds()
 	return report, nil
+}
+
+// longSessionRows is the row count of the long-session audit: enough for
+// several outbound chunks.
+const longSessionRows = 2000
+
+// auditLongSession streams longSessionRows rows over a connection of its
+// own and returns the client-side accounting violations (rows received vs
+// Done.Rows). It then reads that connection's sys_conns row through obs and
+// requires the server's counters to be exact per frame, however many frames
+// shared a socket write: frames_out = rows + 3 (Accepted, Submitted, Done)
+// and rows_out = rows. The counters are credited after each write returns,
+// so the last frame's credit may trail its arrival; the snapshot is retried
+// until the count is reached, and fails at once if it is ever exceeded.
+func auditLongSession(addr string, obs *client.Client) (lost, extra int64, err error) {
+	c, err := client.Dial(addr, client.Options{})
+	if err != nil {
+		return 0, 0, err
+	}
+	defer c.Close()
+	h, err := c.Submit(fmt.Sprintf(`select i from integer i where i in iota(1,%d);`, longSessionRows), 0)
+	if err != nil {
+		return 0, 0, err
+	}
+	var got int64
+	var fin *client.Done
+	for {
+		_, ok, d := h.Recv()
+		if !ok {
+			fin = d
+			break
+		}
+		got++
+	}
+	if fin == nil || fin.Err != "" || fin.Rows != longSessionRows {
+		return 0, 0, fmt.Errorf("long session: ended %+v after %d rows, want %d", fin, got, longSessionRows)
+	}
+	lost, extra = max(fin.Rows-got, 0), max(got-fin.Rows, 0)
+
+	wantFrames := fin.Rows + 3
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		rows, err := obs.Snap("sys_conns", "")
+		if err != nil {
+			return 0, 0, err
+		}
+		var rowsOut, framesOut int64 = -1, -1
+		for _, r := range rows {
+			if id, _ := r[0].(string); id == c.ConnID && len(r) == len(server.SysConnsSchema) {
+				rowsOut, _ = r[5].(int64)
+				framesOut, _ = r[7].(int64)
+			}
+		}
+		if framesOut == wantFrames && rowsOut == fin.Rows {
+			return lost, extra, nil
+		}
+		if framesOut > wantFrames || rowsOut > fin.Rows || time.Now().After(deadline) {
+			return 0, 0, fmt.Errorf("long session: sys_conns has frames_out %d, rows_out %d for %s; want exactly %d and %d",
+				framesOut, rowsOut, c.ConnID, wantFrames, fin.Rows)
+		}
+	}
 }
 
 // percentileDur reads the p-quantile from an ascending sample slice.

@@ -102,6 +102,7 @@ func (e *Engine) ClientPlan(build Subquery) (*ClientStream, error) {
 			Files:   e.files,
 			Sources: e.sources,
 			Owner:   qc.id,
+			Cancel:  qc,
 		},
 		recv: root,
 	}, nil

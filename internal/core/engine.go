@@ -832,6 +832,7 @@ func (e *Engine) buildProc(sp *SP, node int) (*rp.RP, bool, error) {
 		Files:   e.files,
 		Sources: e.sources,
 		Owner:   sp.qc.id,
+		Cancel:  sp.qc,
 	}
 	var (
 		op        sqep.Operator

@@ -52,14 +52,15 @@ type queryCtx struct {
 	cancelCh chan struct{}
 }
 
-// cancelSignal exposes the cancel channel and the planted cause for
-// operators that need an out-of-band cancellation signal.
-func (qc *queryCtx) cancelSignal() (<-chan struct{}, func() error) {
-	return qc.cancelCh, func() error {
-		qc.mu.Lock()
-		defer qc.mu.Unlock()
-		return qc.cause
-	}
+// Done and Cause make a queryCtx the sqep.CancelSignal of its operators:
+// the cancel channel and the planted cause, for operators that need an
+// out-of-band cancellation signal.
+func (qc *queryCtx) Done() <-chan struct{} { return qc.cancelCh }
+
+func (qc *queryCtx) Cause() error {
+	qc.mu.Lock()
+	defer qc.mu.Unlock()
+	return qc.cause
 }
 
 func (qc *queryCtx) addSP(sp *SP) {
@@ -220,7 +221,7 @@ func (e *Engine) BuildCancelSignal() (<-chan struct{}, func() error) {
 	if qc == nil {
 		return nil, nil
 	}
-	return qc.cancelSignal()
+	return qc.Done(), qc.Cause
 }
 
 // BuildAs runs build with q as the engine's build target: every SP and

@@ -10,7 +10,8 @@ import (
 // FuzzDecodeRoundTrip asserts two properties over arbitrary input bytes:
 // Decode must never panic (crafted length prefixes, unknown tags, truncated
 // payloads), and any value it does produce must re-encode and decode to the
-// same value. DecodeBorrowed must agree with Decode on every input.
+// same value. DecodeBorrowed must agree with Decode on every input, and so
+// must Skip: same accept/reject, same bytes consumed.
 func FuzzDecodeRoundTrip(f *testing.F) {
 	seedValues := []any{
 		nil, int64(-1), 3.14, true, "hello, 世界",
@@ -36,6 +37,9 @@ func FuzzDecodeRoundTrip(f *testing.F) {
 		vb, nb, errb := DecodeBorrowed(data)
 		if (err == nil) != (errb == nil) {
 			t.Fatalf("Decode err=%v but DecodeBorrowed err=%v", err, errb)
+		}
+		if ns, errs := Skip(data); (err == nil) != (errs == nil) || ns != n {
+			t.Fatalf("Decode = (%d, %v) but Skip = (%d, %v)", n, err, ns, errs)
 		}
 		if err != nil {
 			return
@@ -91,6 +95,9 @@ func TestDecodeArbitraryBytesNeverPanics(t *testing.T) {
 			}
 		}
 		v, n, err := Decode(data)
+		if ns, errs := Skip(data); (err == nil) != (errs == nil) || ns != n {
+			t.Fatalf("%x: Decode = (%d, %v) but Skip = (%d, %v)", data, n, err, ns, errs)
+		}
 		if err != nil {
 			continue
 		}

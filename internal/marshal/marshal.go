@@ -116,9 +116,9 @@ func Append(buf []byte, v any) ([]byte, error) {
 	case nil:
 		return append(buf, TagNull), nil
 	case int:
-		return appendInt(buf, int64(x)), nil
+		return AppendInt(buf, int64(x)), nil
 	case int64:
-		return appendInt(buf, x), nil
+		return AppendInt(buf, x), nil
 	case float64:
 		buf = append(buf, TagFloat)
 		return binary.LittleEndian.AppendUint64(buf, math.Float64bits(x)), nil
@@ -129,21 +129,14 @@ func Append(buf []byte, v any) ([]byte, error) {
 		}
 		return append(buf, TagBool, b), nil
 	case string:
-		if int64(len(x)) > maxElems {
-			return nil, fmt.Errorf("%w: string of %d bytes", ErrTooLarge, len(x))
-		}
-		buf = append(buf, TagString)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(x)))
-		return append(buf, x...), nil
+		return AppendString(buf, x)
 	case []float64:
 		return AppendArray(buf, x)
 	case []any:
-		if int64(len(x)) > maxElems {
-			return nil, fmt.Errorf("%w: bag of %d elements", ErrTooLarge, len(x))
-		}
-		buf = append(buf, TagBag)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(x)))
 		var err error
+		if buf, err = AppendBagHeader(buf, len(x)); err != nil {
+			return nil, err
+		}
 		for _, e := range x {
 			if buf, err = Append(buf, e); err != nil {
 				return nil, err
@@ -176,9 +169,34 @@ func AppendArray(buf []byte, x []float64) ([]byte, error) {
 	return buf, nil
 }
 
-func appendInt(buf []byte, x int64) []byte {
+// AppendBagHeader opens a bag of n elements on buf: the tag and the element
+// count, after which the caller appends exactly n values. It lets an encoder
+// that already knows a bag's shape (a protocol message, a catalog tuple)
+// write it in place instead of building a []any for Append.
+func AppendBagHeader(buf []byte, n int) ([]byte, error) {
+	if int64(n) > maxElems {
+		return nil, fmt.Errorf("%w: bag of %d elements", ErrTooLarge, n)
+	}
+	buf = append(buf, TagBag)
+	return binary.LittleEndian.AppendUint32(buf, uint32(n)), nil
+}
+
+// AppendInt encodes an integer onto buf. Like AppendString and AppendArray
+// it is Append for a value whose type the caller knows, without the
+// interface conversion.
+func AppendInt(buf []byte, x int64) []byte {
 	buf = append(buf, TagInt)
 	return binary.LittleEndian.AppendUint64(buf, uint64(x))
+}
+
+// AppendString encodes a string onto buf.
+func AppendString(buf []byte, x string) ([]byte, error) {
+	if int64(len(x)) > maxElems {
+		return nil, fmt.Errorf("%w: string of %d bytes", ErrTooLarge, len(x))
+	}
+	buf = append(buf, TagString)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(x)))
+	return append(buf, x...), nil
 }
 
 // Decode decodes one value from the front of buf, returning the value and
@@ -198,7 +216,18 @@ func DecodeBorrowed(buf []byte) (any, int, error) {
 	return decode(buf, true)
 }
 
+// decode checks the whole value with Skip before it materializes anything:
+// a bag's count sizes its slice, so without the check a short input of
+// nested bags that each claim 2³¹ elements costs its length squared in
+// allocations before the truncation is found.
 func decode(buf []byte, borrow bool) (any, int, error) {
+	if _, err := Skip(buf); err != nil {
+		return nil, 0, err
+	}
+	return materialize(buf, borrow)
+}
+
+func materialize(buf []byte, borrow bool) (any, int, error) {
 	if len(buf) == 0 {
 		return nil, 0, ErrTruncated
 	}
@@ -254,7 +283,7 @@ func decode(buf []byte, borrow bool) (any, int, error) {
 		}
 		bag := make([]any, 0, capHint)
 		for i := 0; i < n; i++ {
-			v, used, err := decode(buf[off:], borrow)
+			v, used, err := materialize(buf[off:], borrow)
 			if err != nil {
 				return nil, 0, err
 			}
@@ -265,6 +294,87 @@ func decode(buf []byte, borrow bool) (any, int, error) {
 	default:
 		return nil, 0, fmt.Errorf("%w: 0x%02x", ErrUnknownTag, buf[0])
 	}
+}
+
+// Skip checks one encoded value at the front of buf without materializing
+// it and returns the number of bytes it occupies. It accepts exactly the
+// inputs Decode accepts and consumes the same bytes, so a caller can step
+// over a value it does not need at no allocation.
+func Skip(buf []byte) (int, error) {
+	if len(buf) == 0 {
+		return 0, ErrTruncated
+	}
+	n := 0
+	switch buf[0] {
+	case TagNull:
+		return 1, nil
+	case TagInt, TagFloat:
+		n = 9
+	case TagBool:
+		n = 2
+	case TagString, TagArray, TagBag:
+		if len(buf) < 5 {
+			return 0, ErrTruncated
+		}
+		count := int(binary.LittleEndian.Uint32(buf[1:5]))
+		switch buf[0] {
+		case TagString:
+			n = 5 + count
+		case TagArray:
+			n = 5 + 8*count
+		default:
+			off := 5
+			for i := 0; i < count; i++ {
+				used, err := Skip(buf[off:])
+				if err != nil {
+					return 0, err
+				}
+				off += used
+			}
+			return off, nil
+		}
+	default:
+		return 0, fmt.Errorf("%w: 0x%02x", ErrUnknownTag, buf[0])
+	}
+	if len(buf) < n {
+		return 0, ErrTruncated
+	}
+	return n, nil
+}
+
+// BagHeader, AsInt and AsString are the reading halves of AppendBagHeader,
+// AppendInt and AppendString: with Skip they let a decoder that knows a
+// message's shape walk it field by field and materialize only the fields it
+// wants. Each reports ok = false, and nothing else, when the value at the
+// front of buf is of another type or cut short.
+
+// BagHeader returns the element count of the bag at the front of buf and
+// the offset of its first element.
+func BagHeader(buf []byte) (n, off int, ok bool) {
+	if len(buf) < 5 || buf[0] != TagBag {
+		return 0, 0, false
+	}
+	return int(binary.LittleEndian.Uint32(buf[1:5])), 5, true
+}
+
+// AsInt returns the integer at the front of buf.
+func AsInt(buf []byte) (x int64, ok bool) {
+	if len(buf) < 9 || buf[0] != TagInt {
+		return 0, false
+	}
+	return int64(binary.LittleEndian.Uint64(buf[1:9])), true
+}
+
+// AsString returns a copy of the string at the front of buf.
+func AsString(buf []byte) (s string, ok bool) {
+	if len(buf) < 5 || buf[0] != TagString {
+		return "", false
+	}
+	n := int(binary.LittleEndian.Uint32(buf[1:5]))
+	if len(buf) < 5+n {
+		return "", false
+	}
+	return string(buf[5 : 5+n]), true
 }
 
 // decodeArray materializes (or borrows) n float64 elements from their raw

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -291,5 +292,65 @@ func normalize(v any) any {
 		return out
 	default:
 		return v
+	}
+}
+
+// TestTypedFieldReaders checks the reading halves of the typed appenders:
+// each reads exactly its own type and nothing from a value cut short.
+func TestTypedFieldReaders(t *testing.T) {
+	bag, err := Append(nil, []any{int64(-7), "héllo", 2.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, off, ok := BagHeader(bag)
+	if !ok || n != 3 || off != 5 {
+		t.Fatalf("BagHeader = %d, %d, %v", n, off, ok)
+	}
+	if x, ok := AsInt(bag[off:]); !ok || x != -7 {
+		t.Fatalf("AsInt = %d, %v", x, ok)
+	}
+	if _, ok := AsString(bag[off:]); ok {
+		t.Fatal("AsString read an int")
+	}
+	used, err := Skip(bag[off:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	str := bag[off+used:]
+	if s, ok := AsString(str); !ok || s != "héllo" {
+		t.Fatalf("AsString = %q, %v", s, ok)
+	}
+	if _, ok := AsInt(str); ok {
+		t.Fatal("AsInt read a string")
+	}
+	if _, ok := AsString(str[:7]); ok {
+		t.Fatal("AsString read a string cut short")
+	}
+	if _, _, ok := BagHeader(str); ok {
+		t.Fatal("BagHeader read a string")
+	}
+	if _, _, ok := BagHeader(bag[:4]); ok {
+		t.Fatal("BagHeader read a header cut short")
+	}
+}
+
+// TestDecodeRejectsNestedBagBombCheaply: 250 kB of nested bag headers that
+// each claim 2³¹ elements is truncated input and must be found out at the
+// cost of one pass — materializing first sized a slice by the claim at
+// every level, 50 000 levels deep.
+func TestDecodeRejectsNestedBagBombCheaply(t *testing.T) {
+	var bomb []byte
+	for i := 0; i < 50_000; i++ {
+		bomb = append(bomb, TagBag, 0xff, 0xff, 0xff, 0x7f)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := Decode(bomb)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrTruncated) {
+		t.Fatalf("err = %v, want ErrTruncated", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("rejecting a %d-byte input allocated %d bytes", len(bomb), got)
 	}
 }

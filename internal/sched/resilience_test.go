@@ -18,20 +18,33 @@ import (
 // closed, then ends its stream. It pins a session in Running for exactly as
 // long as the test wants, making deadline and shedding scenarios
 // deterministic: the gated hog cannot complete before the test releases it.
+// A cancel (user or deadline) has to reach it through the query's cancel
+// signal: a source has no inbox to poison, so a gate that waited on its
+// channel alone would hold the cancelled session's Drain until release.
 type gateOp struct {
-	ch    <-chan struct{}
-	fired bool
+	ch     <-chan struct{}
+	cancel sqep.CancelSignal
+	fired  bool
 }
 
-func (g *gateOp) Open(*sqep.Ctx) error { return nil }
+func (g *gateOp) Open(ctx *sqep.Ctx) error {
+	g.cancel = ctx.Cancel
+	return nil
+}
+
 func (g *gateOp) Next() (sqep.Element, bool, error) {
 	if g.fired {
 		return sqep.Element{}, false, nil
 	}
-	<-g.ch
 	g.fired = true
-	return sqep.Element{}, false, nil
+	select {
+	case <-g.ch:
+		return sqep.Element{}, false, nil
+	case <-g.cancel.Done():
+		return sqep.Element{}, false, g.cancel.Cause()
+	}
 }
+
 func (g *gateOp) Close() error { return nil }
 
 // gatedEngine is tinyEngine (2-node BG partition) plus a 'gate' source whose

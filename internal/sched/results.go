@@ -61,8 +61,8 @@ func (q *Query) endResults() {
 // Iterators are independent — each starts from the first element — and one
 // iterator must not be shared between goroutines.
 type ResultIter struct {
-	q    *Query
-	next int
+	q   *Query
+	pos int
 }
 
 // Results returns a new incremental iterator over the session's result
@@ -77,19 +77,43 @@ func (q *Query) Results() *ResultIter {
 // terminal state. ok is false at the end of the stream, in which case err
 // is the session's terminal error (nil for Done).
 func (it *ResultIter) Next() (sqep.Element, bool, error) {
+	els, ok, err := it.next(1)
+	if !ok {
+		return sqep.Element{}, false, err
+	}
+	return els[0], true, nil
+}
+
+// NextBatch blocks like Next and then returns every element buffered past
+// the iterator's position — at least one — under one lock. The batch is a
+// read-only view of the session's append-only result buffer, valid for as
+// long as the caller likes; when it is exhausted the next call would block,
+// which is the serving layer's cue to flush.
+func (it *ResultIter) NextBatch() ([]sqep.Element, bool, error) {
+	return it.next(-1)
+}
+
+// next returns up to limit buffered elements (all of them when limit is
+// negative), blocking while there is none and the stream has not ended.
+func (it *ResultIter) next(limit int) ([]sqep.Element, bool, error) {
 	r := it.q.results()
 	r.mu.Lock()
-	for {
-		if it.next < len(r.buf) {
-			el := r.buf[it.next]
-			it.next++
-			r.mu.Unlock()
-			return el, true, nil
-		}
+	for it.pos == len(r.buf) {
 		if r.end {
 			r.mu.Unlock()
-			return sqep.Element{}, false, it.q.Err()
+			return nil, false, it.q.Err()
 		}
 		r.cond.Wait()
 	}
+	end := len(r.buf)
+	if limit >= 0 && it.pos+limit < end {
+		end = it.pos + limit
+	}
+	// The buffer only ever grows by append, which never writes below its
+	// length, so elements below end are immutable from here on; the capped
+	// slice keeps a caller's append off the live tail.
+	els := r.buf[it.pos:end:end]
+	r.mu.Unlock()
+	it.pos = end
+	return els, true, nil
 }

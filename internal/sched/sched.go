@@ -802,8 +802,8 @@ func (s *Scheduler) run(q *Query) {
 		st = Failed
 	}
 	s.eng.Metrics().Gauge("sched.nodes." + q.id).Set(0)
-	s.finalize(q, st, err)
-
+	// Count before finalize wakes the waiters: whoever Wait releases reads
+	// the outcome counters with this session in them.
 	switch st {
 	case Done:
 		s.mCompleted.Inc()
@@ -814,6 +814,7 @@ func (s *Scheduler) run(q *Query) {
 	case Expired:
 		s.mExpired.Inc()
 	}
+	s.finalize(q, st, err)
 	s.mu.Lock()
 	s.running--
 	s.gRunning.Set(int64(s.running))

@@ -6,6 +6,7 @@
 package client
 
 import (
+	"bytes"
 	"crypto/tls"
 	"errors"
 	"fmt"
@@ -119,9 +120,6 @@ func Dial(addr string, opts Options) (*Client, error) {
 	if opts.DialTimeout <= 0 {
 		opts.DialTimeout = 10 * time.Second
 	}
-	if opts.RecvBuffer <= 0 {
-		opts.RecvBuffer = 256
-	}
 	var nc net.Conn
 	var err error
 	if opts.TLS != nil {
@@ -132,8 +130,22 @@ func Dial(addr string, opts Options) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := wire.WriteFrame(nc, wire.MsgHello, wire.MustBag(int64(wire.ProtoVersion), opts.Token)); err != nil {
+	c, err := handshake(nc, opts)
+	if err != nil {
 		nc.Close()
+		return nil, err
+	}
+	return c, nil
+}
+
+// handshake runs the Hello exchange over an established transport and
+// starts the reader. opts.DialTimeout bounds the wait for the server's
+// answer. On error the caller closes nc.
+func handshake(nc net.Conn, opts Options) (*Client, error) {
+	if opts.RecvBuffer <= 0 {
+		opts.RecvBuffer = 256
+	}
+	if err := wire.WriteFrame(nc, wire.MsgHello, wire.MustBag(int64(wire.ProtoVersion), opts.Token)); err != nil {
 		return nil, err
 	}
 	r := wire.NewReader(nc, opts.MaxFrame)
@@ -141,7 +153,6 @@ func Dial(addr string, opts Options) (*Client, error) {
 	f, err := r.Next()
 	nc.SetReadDeadline(time.Time{})
 	if err != nil {
-		nc.Close()
 		return nil, fmt.Errorf("%w: %v", ErrRejected, err)
 	}
 	c := &Client{
@@ -149,6 +160,7 @@ func Dial(addr string, opts Options) (*Client, error) {
 		sessions:   make(map[int64]*SessionHandle),
 		waiters:    make(map[int64]chan result),
 		readerDone: make(chan struct{}),
+		recvBuf:    opts.RecvBuffer,
 		Draining:   make(chan struct{}),
 		pongs:      make(chan int64, 8),
 	}
@@ -156,7 +168,6 @@ func Dial(addr string, opts Options) (*Client, error) {
 	case wire.MsgAccepted:
 		fields, err := wire.DecodeBag(f.Payload, 3)
 		if err != nil {
-			nc.Close()
 			return nil, err
 		}
 		c.ServerName, _ = wire.Str(fields, 1)
@@ -167,13 +178,10 @@ func Dial(addr string, opts Options) (*Client, error) {
 		if err == nil {
 			msg, _ = wire.Str(fields, 1)
 		}
-		nc.Close()
 		return nil, fmt.Errorf("%w: %s", ErrRejected, msg)
 	default:
-		nc.Close()
 		return nil, fmt.Errorf("%w: unexpected frame %#x", ErrRejected, f.Type)
 	}
-	c.recvBuf = opts.RecvBuffer
 	go c.readLoop(r)
 	return c, nil
 }
@@ -550,12 +558,15 @@ func (c *Client) readLoop(r *wire.Reader) {
 }
 
 // deliver hands a one-shot reply to its waiter (dropped if none: a late
-// reply to an abandoned request).
+// reply to an abandoned request). The waiter reads the frame after the
+// reader has moved on, so it gets a copy of the payload, which otherwise
+// lives in the reader's buffer only until the next frame.
 func (c *Client) deliver(tag int64, res result) {
 	c.mu.Lock()
 	ch := c.waiters[tag]
 	c.mu.Unlock()
 	if ch != nil {
+		res.frame.Payload = bytes.Clone(res.frame.Payload)
 		select {
 		case ch <- res:
 		default:
@@ -568,23 +579,17 @@ func (c *Client) deliver(tag int64, res result) {
 // be gone — but never for a live one: the reader blocks, which
 // backpressures the TCP stream and, transitively, the server's pump.
 func (c *Client) dispatchRow(f wire.Frame) {
-	fields, err := wire.DecodeBag(f.Payload, 4)
+	wr, err := wire.DecodeRow(f.Payload)
 	if err != nil {
 		return
 	}
-	tag, err := wire.Int(fields, 0)
-	if err != nil {
-		return
-	}
-	atNs, _ := wire.Int(fields, 1)
-	src, _ := wire.Str(fields, 2)
 	c.mu.Lock()
-	h := c.sessions[tag]
+	h := c.sessions[wr.Tag]
 	c.mu.Unlock()
 	if h == nil {
 		return
 	}
-	row := Row{At: time.Duration(atNs), Source: src, Value: fields[3]}
+	row := Row{At: time.Duration(wr.AtNs), Source: wr.Source, Value: wr.Value}
 	h.mu.Lock()
 	cancelled := h.cancelled
 	h.mu.Unlock()

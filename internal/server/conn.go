@@ -35,10 +35,41 @@ func (s connState) String() string {
 	}
 }
 
-// outFrame is one queued outbound frame.
-type outFrame struct {
-	typ     byte
-	payload []byte
+// chunk is one queued unit of outbound bytes: whole frames, back to back,
+// that the writer puts on the socket with a single Write. A control frame
+// travels in a chunk of its own; a session's pump packs the rows of one
+// ready batch into a chunk. Its life is pump (or send) → out queue → writer
+// → pool; whoever holds it owns it, and nobody touches it after handing it
+// on.
+type chunk struct {
+	buf    []byte
+	frames int64 // frames in buf, credited to the counters once written
+	rows   int64 // how many of them are Row frames
+}
+
+const (
+	// chunkFlush is the size past which a pump hands its chunk to the
+	// writer without waiting for the batch to end: it bounds what one
+	// session can hold back and what WriteQueue chunks can pin.
+	chunkFlush = 16 << 10
+	// maxPooledChunk keeps a buffer grown by one large row (a 300 kB array)
+	// out of the pool, where it would be pinned behind 40-byte frames.
+	maxPooledChunk = 64 << 10
+)
+
+// chunkPool recycles chunks across all connections. New chunks start with
+// no buffer and grow by append, so a connection that only ever sends a few
+// small frames never pays for a chunkFlush-sized one.
+var chunkPool = sync.Pool{New: func() any { return new(chunk) }}
+
+func getChunk() *chunk { return chunkPool.Get().(*chunk) }
+
+func putChunk(ch *chunk) {
+	if cap(ch.buf) > maxPooledChunk {
+		return
+	}
+	*ch = chunk{buf: ch.buf[:0]}
+	chunkPool.Put(ch)
 }
 
 // conn is one client connection: a reader goroutine decoding and
@@ -56,7 +87,7 @@ type conn struct {
 	id  int64
 	nc  net.Conn
 
-	out    chan outFrame
+	out    chan *chunk
 	dead   chan struct{}
 	wrDone chan struct{} // closed when writeLoop returns (queue flushed)
 
@@ -88,7 +119,7 @@ func newConn(s *Server, id int64, nc net.Conn) *conn {
 		srv:      s,
 		id:       id,
 		nc:       nc,
-		out:      make(chan outFrame, s.cfg.WriteQueue),
+		out:      make(chan *chunk, s.cfg.WriteQueue),
 		dead:     make(chan struct{}),
 		wrDone:   make(chan struct{}),
 		sessions: make(map[int64]*connSession),
@@ -123,24 +154,40 @@ func (c *conn) liveSessions() int {
 	return n
 }
 
-// send queues one outbound frame, blocking when the queue is full — the
-// backpressure path — and reports false once the connection is dead.
-func (c *conn) send(typ byte, payload []byte) bool {
+// sendChunk hands a chunk to the writer, blocking when the queue is full —
+// the backpressure path — and reports false once the connection is dead.
+// Either way the caller has given the chunk up.
+func (c *conn) sendChunk(ch *chunk) bool {
 	select {
-	case c.out <- outFrame{typ, payload}:
+	case c.out <- ch:
 		return true
 	case <-c.dead:
+		putChunk(ch)
 		return false
 	}
+}
+
+// frameChunk wraps one control frame in a chunk.
+func frameChunk(typ byte, payload []byte) *chunk {
+	ch := getChunk()
+	ch.buf = wire.AppendFrame(ch.buf, typ, payload)
+	ch.frames = 1
+	return ch
+}
+
+// send queues one control frame; see sendChunk.
+func (c *conn) send(typ byte, payload []byte) bool {
+	return c.sendChunk(frameChunk(typ, payload))
 }
 
 // trySend queues a frame only if there is room — used for advisory frames
 // (Draining) that must never block the server's control flow.
 func (c *conn) trySend(typ byte, payload []byte) {
+	ch := frameChunk(typ, payload)
 	select {
-	case c.out <- outFrame{typ, payload}:
-	case <-c.dead:
+	case c.out <- ch:
 	default:
+		putChunk(ch)
 	}
 }
 
@@ -149,7 +196,20 @@ func (c *conn) sendErr(tag int64, err error) {
 	c.send(wire.MsgError, wire.MustBag(tag, err.Error()))
 }
 
-// writeLoop flushes queued frames to the transport until the connection
+// writeChunk puts one chunk on the transport with a single Write and, only
+// once that succeeded, credits the counters with the frames it carried.
+func (c *conn) writeChunk(ch *chunk) error {
+	_, err := c.nc.Write(ch.buf)
+	if err == nil {
+		c.nFramesOut.Add(ch.frames)
+		c.nRowsOut.Add(ch.rows)
+		c.srv.mFramesOut.Add(ch.frames)
+	}
+	putChunk(ch)
+	return err
+}
+
+// writeLoop flushes queued chunks to the transport until the connection
 // dies. A write error tears the connection down: the peer is gone. The
 // teardown runs in its own goroutine because close() waits on wrDone —
 // calling it from here would deadlock the flush handshake.
@@ -157,8 +217,8 @@ func (c *conn) writeLoop() {
 	defer close(c.wrDone)
 	for {
 		select {
-		case f := <-c.out:
-			if err := wire.WriteFrame(c.nc, f.typ, f.payload); err != nil {
+		case ch := <-c.out:
+			if err := c.writeChunk(ch); err != nil {
 				// Track the teardown goroutine in the server's WaitGroup:
 				// otherwise Drain's wg.Wait() can return while this close is
 				// still running and a stale sys_conns row survives the drain.
@@ -169,19 +229,15 @@ func (c *conn) writeLoop() {
 				}()
 				return
 			}
-			c.nFramesOut.Add(1)
-			c.srv.mFramesOut.Inc()
 		case <-c.dead:
 			// Flush what is already queued so a Goodbye/Done race still
 			// delivers terminal frames, then stop.
 			for {
 				select {
-				case f := <-c.out:
-					if wire.WriteFrame(c.nc, f.typ, f.payload) != nil {
+				case ch := <-c.out:
+					if c.writeChunk(ch) != nil {
 						return
 					}
-					c.nFramesOut.Add(1)
-					c.srv.mFramesOut.Inc()
 				default:
 					return
 				}
@@ -345,14 +401,19 @@ func (c *conn) handleSubmit(payload []byte) bool {
 }
 
 // pump streams one session's result elements to the client as Row frames,
-// closing with a Done frame carrying the terminal state. It observes the
-// submit-to-first-row latency into the rt. TTFB histogram.
+// closing with a Done frame carrying the terminal state. It takes every
+// element the session has ready in one batch, encodes the rows back to back
+// into a chunk, and hands the chunk to the writer when the batch is
+// exhausted — the iterator would block next — or the chunk passes
+// chunkFlush. A row therefore never waits for a later one: the first row of
+// a session leaves as soon as it exists. It observes the submit-to-first-row
+// latency into the rt. TTFB histogram.
 func (c *conn) pump(cs *connSession, submitted time.Time) {
 	it := cs.sess.Results()
 	first := true
 	var rows int64
 	for {
-		el, ok, err := it.Next()
+		batch, ok, err := it.NextBatch()
 		if !ok {
 			state := cs.sess.State().String()
 			msg := ""
@@ -375,22 +436,31 @@ func (c *conn) pump(cs *connSession, submitted time.Time) {
 			first = false
 			c.srv.hTTFB.Observe(vtime.Duration(time.Since(submitted)))
 		}
-		payload, encErr := wire.EncodeBag(cs.tag, el.At.Nanoseconds(), el.Source, wire.WireValue(el.Value))
-		if encErr != nil {
-			// WireValue guarantees encodability; a failure here is a
-			// programming error, reported in-band rather than panicking
-			// the server.
-			c.sendErr(cs.tag, encErr)
-			continue
+		ch := getChunk()
+		for i := 0; i < batch.Len(); i++ {
+			el := batch.At(i)
+			var encErr error
+			ch.buf, encErr = wire.AppendRow(ch.buf, cs.tag, el.At.Nanoseconds(), el.Source, el.Value)
+			if encErr != nil {
+				// Only a value past the format's u32 length fields gets
+				// here; reported in-band, in stream order, rather than
+				// panicking the server.
+				ch.buf = wire.AppendFrame(ch.buf, wire.MsgError, wire.MustBag(cs.tag, encErr.Error()))
+				ch.frames++
+				continue
+			}
+			rows++
+			ch.rows++
+			ch.frames++
+			if len(ch.buf) >= chunkFlush && i+1 < batch.Len() {
+				c.sendChunk(ch)
+				ch = getChunk()
+			}
 		}
-		rows++
-		c.nRowsOut.Add(1)
-		if !c.send(wire.MsgRow, payload) {
-			// Connection died mid-stream: the close path cancels the
-			// session; keep draining the iterator so the pump observes
-			// the terminal state and exits.
-			continue
-		}
+		// A hand-off fails when the connection died mid-stream: the close
+		// path cancels the session; keep draining the iterator so the pump
+		// observes the terminal state and exits.
+		c.sendChunk(ch)
 	}
 }
 

@@ -52,8 +52,9 @@ type Config struct {
 	MaxConns int
 	// MaxFrame bounds a single protocol frame. 0 means wire.DefaultMaxFrame.
 	MaxFrame int
-	// WriteQueue is the per-connection outbound frame buffer. Result pumps
-	// block when it fills — backpressure toward the session, not the
+	// WriteQueue is the length of the per-connection outbound queue, in
+	// chunks: a control frame, or up to 16 KiB of a session's rows. Result
+	// pumps block when it fills — backpressure toward the session, not the
 	// engine. 0 means DefaultWriteQueue.
 	WriteQueue int
 	// HandshakeTimeout bounds how long a fresh connection may take to

@@ -1,8 +1,10 @@
 package server_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"runtime"
@@ -12,6 +14,7 @@ import (
 	"time"
 
 	"scsq"
+	"scsq/internal/race"
 	"scsq/internal/scsql"
 	"scsq/internal/server"
 	"scsq/internal/server/client"
@@ -601,5 +604,181 @@ func TestCancelByIDScopedToConnection(t *testing.T) {
 	}
 	if done.State != "cancelled" {
 		t.Fatalf("victim session finished %+v, want cancelled by its owner", done)
+	}
+}
+
+// rawConn is a client that speaks the protocol by hand, for tests that
+// look at the bytes.
+func rawConn(t *testing.T, addr string) net.Conn {
+	t.Helper()
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { nc.Close() })
+	nc.SetDeadline(time.Now().Add(20 * time.Second))
+	if err := wire.WriteFrame(nc, wire.MsgHello, wire.MustBag(int64(wire.ProtoVersion), "")); err != nil {
+		t.Fatal(err)
+	}
+	return nc
+}
+
+// TestOutboundByteStreamGolden pins the wire format of the serving fast
+// path: everything the server writes for a fixed conversation — handshake,
+// a 600-row integer session (more than one chunk), a session of catalog
+// tuples — must equal, byte for byte, the frames the generic codec
+// (WireValue, EncodeBag, AppendFrame) builds from the same elements. Rows
+// are batched into socket writes, never into frames.
+func TestOutboundByteStreamGolden(t *testing.T) {
+	eng, _, addr := newServer(t, server.Config{})
+	stmts := []string{
+		`select i from integer i where i in iota(1,600);`,
+		`select n from stream n where n in sys_nodes() and n.cluster = 'fe';`,
+	}
+	nc := rawConn(t, addr)
+	expect := func(what string, want []byte) {
+		t.Helper()
+		got := make([]byte, len(want))
+		if _, err := io.ReadFull(nc, got); err != nil {
+			t.Fatalf("%s: reading %d outbound bytes: %v", what, len(want), err)
+		}
+		if !bytes.Equal(got, want) {
+			at := 0
+			for got[at] == want[at] {
+				at++
+			}
+			t.Fatalf("%s: outbound stream differs from the reference at byte %d of %d", what, at, len(want))
+		}
+	}
+	expect("handshake", wire.AppendFrame(nil, wire.MsgAccepted,
+		wire.MustBag(int64(wire.ProtoVersion), "scsq-server/1", "c1")))
+	for i, stmt := range stmts {
+		tag := int64(40 + i)
+		if err := wire.WriteFrame(nc, wire.MsgSubmit, wire.MustBag(tag, stmt, int64(0))); err != nil {
+			t.Fatal(err)
+		}
+		// Sessions alternate wire, reference: q1, q2, q3, q4.
+		expect(stmt, wire.AppendFrame(nil, wire.MsgSubmitted, wire.MustBag(tag, fmt.Sprintf("q%d", 2*i+1))))
+		// The reference: the same statement in process. Neither statement
+		// spawns a stream process, so elements and makespan repeat exactly.
+		ref, err := eng.Submit(stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		els, err := ref.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(els) < 2 {
+			t.Fatalf("%s: %d reference elements", stmt, len(els))
+		}
+		var want []byte
+		for _, el := range els {
+			want = wire.AppendFrame(want, wire.MsgRow,
+				wire.MustBag(tag, el.At.Nanoseconds(), el.Source, wire.WireValue(el.Value)))
+		}
+		expect(stmt, wire.AppendFrame(want, wire.MsgDone,
+			wire.MustBag(tag, "done", "", ref.Makespan().Nanoseconds(), int64(len(els)))))
+	}
+	// Nothing follows the last Done.
+	nc.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
+	if n, err := nc.Read(make([]byte, 1)); n != 0 || err == nil {
+		t.Fatalf("the server wrote past the last Done frame")
+	}
+}
+
+// TestRowDeliveredWithoutWaitingForNext: batching must not trade first-row
+// latency for throughput. A live stream emits one row (this connection's
+// sys_conns entry) and then stalls on the virtual clock, which nothing
+// advances here; the row must arrive all the same, while the session runs.
+func TestRowDeliveredWithoutWaitingForNext(t *testing.T) {
+	eng, _, addr := newServer(t, server.Config{})
+	cli, err := client.Dial(addr, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	h, err := cli.Submit(`select streamof(sys_conns());`, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan client.Row, 2)
+	go func() {
+		for {
+			row, ok, _ := h.Recv()
+			if !ok {
+				close(got)
+				return
+			}
+			got <- row
+		}
+	}()
+	select {
+	case row, ok := <-got:
+		if tup, _ := row.Value.([]any); !ok || len(tup) == 0 || tup[0] != cli.ConnID {
+			t.Fatalf("first row = %#v (stream open: %v), want this connection's sys_conns tuple", row.Value, ok)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the only row of a stalled session never arrived: it is waiting for a second one")
+	}
+	q, err := eng.Scheduler().Get(h.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := q.State(); st.Final() {
+		t.Fatalf("session is %v: the stream did not stall, so the test proved nothing", st)
+	}
+	select {
+	case row, ok := <-got:
+		t.Fatalf("a second row (%#v, open %v) arrived from a stalled stream", row.Value, ok)
+	case <-time.After(50 * time.Millisecond):
+	}
+	if err := h.Cancel(); err != nil {
+		t.Fatal(err)
+	}
+	for range got {
+	}
+}
+
+// TestRowPathAllocations is the end-to-end allocation guard of the serving
+// fast path: a 2 000-row session over loopback — engine, pump, writer,
+// client reader, Recv — stays within 3 allocations per row (the engine boxes
+// each value once, the client once more; the parent spent 14.6).
+func TestRowPathAllocations(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	_, _, addr := newServer(t, server.Config{})
+	cli, err := client.Dial(addr, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	const rows = 2000
+	session := func() {
+		h, err := cli.Submit(fmt.Sprintf(`select i from integer i where i in iota(1,%d);`, rows), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, sum := 0, int64(0)
+		for {
+			row, ok, fin := h.Recv()
+			if !ok {
+				if fin == nil || fin.State != "done" || fin.Rows != rows || n != rows || sum != rows*(rows+1)/2 {
+					t.Fatalf("session ended %+v after %d rows summing to %d", fin, n, sum)
+				}
+				return
+			}
+			v, _ := row.Value.(int64)
+			n, sum = n+1, sum+v
+		}
+	}
+	session() // warm: pooled chunks, reader buffers, parser tables
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	session()
+	runtime.ReadMemStats(&after)
+	if perRow := float64(after.Mallocs-before.Mallocs) / rows; perRow > 3 {
+		t.Fatalf("%.2f allocations per row end to end, want at most 3", perRow)
 	}
 }

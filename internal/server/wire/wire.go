@@ -23,6 +23,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -117,7 +118,9 @@ var (
 	ErrNotHello = errors.New("wire: connection must open with Hello")
 )
 
-// Frame is one decoded protocol frame.
+// Frame is one decoded protocol frame. A frame returned by Reader.Next
+// aliases the reader's buffer: Payload is valid until the next call of Next
+// on the same reader, and whoever keeps it longer copies it first.
 type Frame struct {
 	Type    byte
 	Payload []byte
@@ -139,11 +142,19 @@ func WriteFrame(w io.Writer, typ byte, payload []byte) error {
 	return err
 }
 
-// Reader decodes frames from a byte stream, enforcing the frame cap.
+// maxKeptFrame is the largest frame buffer a Reader keeps between frames.
+// A bigger frame (an array row, a catalog snapshot) gets a buffer of its
+// own that the next call of Next lets go, so an idle connection pins at
+// most this much, not the frame cap.
+const maxKeptFrame = 64 << 10
+
+// Reader decodes frames from a byte stream, enforcing the frame cap. It
+// reads ahead: the stream must not be read past the Reader.
 type Reader struct {
-	r   io.Reader
+	br  *bufio.Reader
 	max uint32
 	hdr [4]byte
+	buf []byte // the current frame; reused by the next one
 }
 
 // NewReader returns a frame reader over r. maxFrame bounds the length
@@ -152,13 +163,17 @@ func NewReader(r io.Reader, maxFrame int) *Reader {
 	if maxFrame <= 0 {
 		maxFrame = DefaultMaxFrame
 	}
-	return &Reader{r: r, max: uint32(maxFrame)}
+	return &Reader{br: bufio.NewReader(r), max: uint32(maxFrame)}
 }
 
-// Next reads one frame. io.EOF at a frame boundary means the peer closed
+// Next reads one frame into the reader's buffer, overwriting the previous
+// one (see Frame). io.EOF at a frame boundary means the peer closed
 // cleanly; a partial frame yields io.ErrUnexpectedEOF.
 func (r *Reader) Next() (Frame, error) {
-	if _, err := io.ReadFull(r.r, r.hdr[:]); err != nil {
+	if cap(r.buf) > maxKeptFrame {
+		r.buf = nil
+	}
+	if _, err := io.ReadFull(r.br, r.hdr[:]); err != nil {
 		return Frame{}, err
 	}
 	n := binary.LittleEndian.Uint32(r.hdr[:])
@@ -168,8 +183,12 @@ func (r *Reader) Next() (Frame, error) {
 	if n > r.max {
 		return Frame{}, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, n, r.max)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r.r, body); err != nil {
+	if cap(r.buf) < int(n) {
+		// Double, so a run of slowly growing frames costs few buffers.
+		r.buf = make([]byte, max(int(n), min(2*cap(r.buf), maxKeptFrame)))
+	}
+	body := r.buf[:n]
+	if _, err := io.ReadFull(r.br, body); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}

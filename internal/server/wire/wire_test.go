@@ -101,6 +101,57 @@ func TestEmptyFrameRejected(t *testing.T) {
 	}
 }
 
+// TestReaderPayloadAliasesUntilNext pins the Reader's buffer contract: a
+// frame's payload is the reader's own buffer, intact until the next call of
+// Next and overwritten by it, so whoever keeps a payload copies it.
+func TestReaderPayloadAliasesUntilNext(t *testing.T) {
+	first, second := MustBag(int64(1), "first"), MustBag(int64(2), "other")
+	stream := AppendFrame(AppendFrame(nil, MsgOK, first), MsgOK, second)
+	r := NewReader(bytes.NewReader(stream), 0)
+	f1, err := r.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(f1.Payload, first) {
+		t.Fatalf("first payload = %x, want %x", f1.Payload, first)
+	}
+	kept := bytes.Clone(f1.Payload)
+	f2, err := r.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(f2.Payload, second) || !bytes.Equal(kept, first) {
+		t.Fatalf("second payload = %x, copy of the first = %x", f2.Payload, kept)
+	}
+	if !bytes.Equal(f1.Payload, second) {
+		t.Fatalf("the first frame's payload survived Next (%x): the reader no longer reuses its buffer, "+
+			"and the per-frame allocation this contract buys is back", f1.Payload)
+	}
+}
+
+// TestReaderDropsOversizedBuffer: one large frame must not pin its buffer
+// for the life of an otherwise idle connection.
+func TestReaderDropsOversizedBuffer(t *testing.T) {
+	small := MustBag(int64(1))
+	big := make([]byte, 300_000)
+	stream := AppendFrame(nil, MsgRow, small)
+	stream = AppendFrame(stream, MsgRow, big)
+	stream = AppendFrame(stream, MsgRow, small)
+	r := NewReader(bytes.NewReader(stream), 0)
+	for i, want := range []int{len(small), len(big), len(small)} {
+		f, err := r.Next()
+		if err != nil || len(f.Payload) != want {
+			t.Fatalf("frame %d: %d payload bytes, err %v; want %d", i, len(f.Payload), err, want)
+		}
+		if i == 1 && cap(r.buf) <= maxKeptFrame {
+			t.Fatalf("large frame read into a %d-byte buffer", cap(r.buf))
+		}
+	}
+	if cap(r.buf) > maxKeptFrame {
+		t.Fatalf("reader still holds a %d-byte buffer after a small frame, want at most %d", cap(r.buf), maxKeptFrame)
+	}
+}
+
 func TestDecodeBagRejectsGarbage(t *testing.T) {
 	cases := [][]byte{
 		nil,                             // empty payload
@@ -164,14 +215,23 @@ func TestWireValue(t *testing.T) {
 	}
 }
 
+// fuzzSeedFrames is the seed corpus the frame and row fuzz targets share.
+func fuzzSeedFrames() [][]byte {
+	return [][]byte{
+		AppendFrame(nil, MsgHello, MustBag(int64(ProtoVersion), "")),
+		AppendFrame(nil, MsgRow, MustBag(int64(0), int64(123), "q1/client", []any{1.5})),
+		{0, 0, 0, 0},
+		{0xff, 0xff, 0xff, 0xff, 0x01},
+	}
+}
+
 // FuzzFrameRoundTrip feeds arbitrary bytes through the frame reader: it
 // must never panic, and whenever it decodes a frame, re-encoding must
 // reproduce the consumed bytes exactly.
 func FuzzFrameRoundTrip(f *testing.F) {
-	f.Add(AppendFrame(nil, MsgHello, MustBag(int64(ProtoVersion), "")))
-	f.Add(AppendFrame(nil, MsgRow, MustBag(int64(0), int64(123), "q1/client", []any{1.5})))
-	f.Add([]byte{0, 0, 0, 0})
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x01})
+	for _, frame := range fuzzSeedFrames() {
+		f.Add(frame)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := NewReader(bytes.NewReader(data), 1<<16)
 		off := 0

@@ -59,6 +59,19 @@ type Ctx struct {
 	// Owner is the query id CPU charges are attributed to in the per-owner
 	// busy accounting of shared resources ("" = anonymous).
 	Owner string
+	// Cancel is the owning query's cancel signal; nil when there is no
+	// query to cancel (unit tests).
+	Cancel CancelSignal
+}
+
+// CancelSignal tells an operator that its query was cancelled. A source
+// that blocks outside the stream graph, where the inbox poisoning of a
+// cancel cannot reach it, selects on Done and ends its stream with Cause().
+type CancelSignal interface {
+	// Done returns a channel that closes when the query is cancelled.
+	Done() <-chan struct{}
+	// Cause returns the planted reason once Done has closed.
+	Cause() error
 }
 
 // Charge charges the context CPU for service time starting no earlier than

@@ -454,11 +454,7 @@ func (s *Stream) Drain() ([]Element, error) {
 	if s.elements == nil {
 		s.elements = make([]Element, 0, len(els))
 		for _, el := range els {
-			s.elements = append(s.elements, Element{
-				Value:  el.Value,
-				At:     el.At.Sub(0).Std(),
-				Source: el.Src,
-			})
+			s.elements = append(s.elements, publicElement(el))
 		}
 	}
 	return s.elements, nil
@@ -668,11 +664,37 @@ func (r *ResultIter) Next() (Element, bool, error) {
 	if !ok || err != nil {
 		return Element{}, false, err
 	}
+	return publicElement(el), true, nil
+}
+
+// NextBatch blocks like Next and then returns every element the session
+// has already produced past the iterator's position — at least one — at
+// the cost of one Next. When the batch is exhausted the next call would
+// block: a consumer that forwards elements (the serving layer) flushes
+// there, so batching never delays a row.
+func (r *ResultIter) NextBatch() (Batch, bool, error) {
+	els, ok, err := r.it.NextBatch()
+	return Batch{els}, ok, err
+}
+
+// Batch is a read-only run of consecutive result elements, a view of the
+// session's result buffer: it costs no copy and stays valid indefinitely.
+type Batch struct {
+	els []sqep.Element
+}
+
+// Len returns the number of elements in the batch.
+func (b Batch) Len() int { return len(b.els) }
+
+// At returns the i-th element of the batch.
+func (b Batch) At(i int) Element { return publicElement(b.els[i]) }
+
+func publicElement(el sqep.Element) Element {
 	return Element{
 		Value:  el.Value,
 		At:     el.At.Sub(0).Std(),
 		Source: el.Src,
-	}, true, nil
+	}
 }
 
 // Cancel cancels the session: queued sessions leave the admission queue;
