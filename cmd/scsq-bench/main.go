@@ -10,8 +10,6 @@
 //	scsq-bench -fig ablation          # naive vs topology-aware node selection
 //	scsq-bench -fig udp               # extension: inbound streaming over lossy UDP
 //	scsq-bench -fig mt                # extension: multi-tenant contention sweep
-//	scsq-bench -fig vkernel           # virtual-time kernel: batched commits, SP spawn → BENCH_vkernel.json
-//	scsq-bench -fig vkernel -tiny     # seconds-scale smoke sizing (CI)
 //	scsq-bench -fig soak              # seeded chaos soak, all resilience features → BENCH_soak.json
 //	scsq-bench -fig soak -tiny        # single-seed soak (CI)
 //	scsq-bench -fig sysq              # system catalog: snapshot/query latency + non-perturbation gate → BENCH_sysq.json
@@ -50,9 +48,8 @@ func main() {
 
 func run() error {
 	var (
-		fig        = flag.String("fig", "all", "figure to regenerate: 6, 8, 15, ablation, udp, mt, vkernel, soak, sysq, serve, place or all")
-		tiny       = flag.Bool("tiny", false, "smoke sizing for -fig vkernel (seconds-scale), -fig soak (single seed), -fig sysq, -fig serve (50 conns) and -fig place (256-node torus)")
-		vkernelOut = flag.String("vkernel-out", "BENCH_vkernel.json", "file the -fig vkernel report is written to")
+		fig        = flag.String("fig", "all", "figure to regenerate: 6, 8, 15, ablation, udp, mt, soak, sysq, serve, place or all")
+		tiny       = flag.Bool("tiny", false, "smoke sizing for -fig soak (single seed), -fig sysq, -fig serve (50 conns) and -fig place (256-node torus)")
 		soakOut    = flag.String("soak-out", "BENCH_soak.json", "file the -fig soak report is written to")
 		sysqOut    = flag.String("sysq-out", "BENCH_sysq.json", "file the -fig sysq report is written to")
 		serveOut   = flag.String("serve-out", "BENCH_serve.json", "file the -fig serve report is written to")
@@ -180,32 +177,6 @@ func run() error {
 		} else if err := bench.WriteMultiTenant(out, rows); err != nil {
 			return err
 		}
-		fmt.Fprintln(out)
-	}
-	if want("vkernel") {
-		cfg := bench.DefaultVKernel()
-		if *tiny {
-			cfg = bench.TinyVKernel()
-		}
-		report, err := bench.RunVKernel(cfg)
-		if err != nil {
-			return err
-		}
-		if err := bench.WriteVKernel(out, cfg, report); err != nil {
-			return err
-		}
-		f, err := os.Create(*vkernelOut)
-		if err != nil {
-			return err
-		}
-		if err := bench.WritePerfJSON(f, report); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote %s\n", *vkernelOut)
 		fmt.Fprintln(out)
 	}
 	if want("soak") {

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"bytes"
+	"os"
 	"strings"
 	"testing"
 )
@@ -18,6 +20,32 @@ func figure6Rows(t *testing.T) []Figure6Row {
 		t.Fatalf("figure 6: %v", err)
 	}
 	return rows
+}
+
+// TestFigure6Golden compares Figure 6 byte for byte against the committed
+// output of `scsq-bench -fig 6 -repeats 1 -csv`. The figure has one producer
+// and one consumer per point, so its virtual schedule does not depend on the
+// host scheduler: any difference is a change to the cost model or to the
+// order of charges.
+func TestFigure6Golden(t *testing.T) {
+	want, err := os.ReadFile("testdata/figure6.csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultFigure6()
+	cfg.Repeats = 1
+	rows, err := RunFigure6(cfg)
+	if err != nil {
+		t.Fatalf("figure 6: %v", err)
+	}
+	var got bytes.Buffer
+	if err := CSVFigure6(&got, rows); err != nil {
+		t.Fatal(err)
+	}
+	got.WriteByte('\n') // the CLI separates figures with a blank line
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("Figure 6 differs from testdata/figure6.csv\ngot:\n%s\nwant:\n%s", got.Bytes(), want)
+	}
 }
 
 func TestFigure6Shape(t *testing.T) {

@@ -4,9 +4,12 @@
 // charges the simulated hardware for the transfer, yielding the virtual
 // delivery time of each frame.
 //
-// Two carrier implementations exist, matching the paper: internal/mpicar
-// (native MPI inside the BlueGene, with single- or double-buffered drivers)
-// and internal/tcpcar (TCP between clusters).
+// Every connection is a Link over a Route (link.go): an ordered list of
+// (resource, service time, label) stages, charged by the one loop in
+// Link.Send. The carriers matching the paper — internal/mpicar (native MPI
+// inside the BlueGene, with single- or double-buffered drivers),
+// internal/tcpcar (TCP between clusters) and internal/udpcar — build the
+// routes from the cost model.
 package carrier
 
 import (

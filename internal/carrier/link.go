@@ -1,0 +1,255 @@
+package carrier
+
+import (
+	"fmt"
+	"slices"
+	"strconv"
+	"sync"
+	"sync/atomic"
+
+	"scsq/internal/hw"
+	"scsq/internal/metrics"
+	"scsq/internal/vtime"
+)
+
+// NodeRef names one compute node of the environment.
+type NodeRef struct {
+	Cluster hw.ClusterName
+	Node    int
+}
+
+func (n NodeRef) String() string { return string(n.Cluster) + ":" + strconv.Itoa(n.Node) }
+
+// Stage is one serialised device on a connection's path.
+type Stage struct {
+	Resource *vtime.Resource
+	// Service is the device's service time for a frame of the given payload
+	// size. It is evaluated when the frame reaches the stage, so a stage
+	// that depends on contention multiplicities reads them there.
+	Service func(bytes int) vtime.Duration
+	// Label names the stage as a hop of traced frames ("nic be:1",
+	// "iofwd io:0"; hw formats them once per environment). A stage with an
+	// empty label leaves no hop.
+	Label string
+}
+
+// Route describes the path of one connection: every frame crosses Stages in
+// order, each stage starting when the previous one released the frame.
+// Stages[0] is the sender-side device — its end is the instant the send
+// buffer becomes reusable, and it is the only stage a lost frame pays.
+type Route struct {
+	// Kind is the carrier ("mpi", "tcp", "udp"): the prefix of the link
+	// label and the suffix of the link.deliver_vt.* histogram.
+	Kind     string
+	Src, Dst NodeRef
+	Stages   []Stage
+	// ViaTCP marks deliveries as having crossed the TCP/UDP stack (see
+	// Delivered.ViaTCP).
+	ViaTCP bool
+}
+
+// Verdict is the fault decision about one frame send. The zero value with
+// CorruptByte -1 is "no fault".
+type Verdict struct {
+	// Err, if non-nil, fails the send without delivering the frame. It
+	// wraps a typed carrier error (ErrPeerReset, ErrNodeDown).
+	Err error
+	// Drop silently loses the frame: the sender is charged and told the
+	// send succeeded, but the receiver never sees it.
+	Drop bool
+	// Delay is extra delivery latency added to the frame's arrival time.
+	Delay vtime.Duration
+	// CorruptByte, if >= 0, is the payload index whose byte the link must
+	// flip before delivery.
+	CorruptByte int
+}
+
+// Faults decides the fate of every frame a link sends. chaos.Injector is the
+// implementation; the interface exists because chaos imports this package.
+type Faults interface {
+	OnSend(src, dst NodeRef, seq uint64, ready vtime.Time, payloadLen int, last bool) Verdict
+}
+
+// Link is an open connection over a Route. Its Send is the one place a
+// frame is charged to the simulated hardware, whatever the carrier.
+type Link struct {
+	route  Route
+	label  string
+	inbox  Inbox
+	faults Faults
+
+	// Lose, if set, is consulted for every non-final frame with its sequence
+	// number and loses the frame when it reports true (UDP's seeded datagram
+	// loss). Set it before the first Send.
+	Lose func(seq uint64) bool
+	// Sink, if set, receives charged frames instead of the inbox (a real
+	// socket). It owns the frame it is handed. Set it before the first Send.
+	Sink func(Delivered) error
+
+	// Metric handles are resolved once at NewLink: the per-frame path is
+	// atomic adds (nil-safe no-ops without a registry).
+	mFrames  *metrics.Counter
+	mBytes   *metrics.Counter
+	mDrops   *metrics.Counter
+	hDeliver *metrics.Histogram
+
+	abort     chan struct{}
+	abortOnce sync.Once
+
+	dropped atomic.Int64
+
+	mu     sync.Mutex
+	seq    uint64
+	closed bool
+}
+
+// NewLink opens a connection over r that delivers into inbox. faults is
+// consulted on every send (pass the fabric's *chaos.Injector; a nil one
+// injects nothing); reg, if non-nil, records the per-link frame/byte/drop
+// counters and the carrier's delivery-latency histogram.
+func NewLink(r Route, inbox Inbox, faults Faults, reg *metrics.Registry) *Link {
+	l := &Link{
+		route:  r,
+		label:  r.Kind + ":" + r.Src.String() + "->" + r.Dst.String(),
+		inbox:  inbox,
+		faults: faults,
+		abort:  make(chan struct{}),
+	}
+	if reg != nil {
+		l.mFrames = reg.Counter("link.frames." + l.label)
+		l.mBytes = reg.Counter("link.bytes." + l.label)
+		l.mDrops = reg.Counter("link.drops." + l.label)
+		l.hDeliver = reg.Histogram("link.deliver_vt." + r.Kind)
+	}
+	return l
+}
+
+// Kind returns the carrier of the link ("mpi", "tcp", "udp").
+func (l *Link) Kind() string { return l.route.Kind }
+
+// Label returns the link's name, "<kind>:<src>-><dst>" — the key of its
+// link.* metrics, which sender drivers reuse for their send.* metrics.
+func (l *Link) Label() string { return l.label }
+
+// Send implements Conn: it takes the fault verdict, charges the frame to
+// every stage of the route in order, stamps the hops of a traced frame and
+// hands it to the receiver. The returned instant is when the sender-side
+// stage released the frame.
+func (l *Link) Send(fr Frame) (vtime.Time, error) {
+	l.mu.Lock()
+	closed := l.closed
+	seq := l.seq
+	if !closed {
+		l.seq++
+	}
+	l.mu.Unlock()
+	// Once Send is called the link owns the frame, success or failure:
+	// every error path recycles a pooled payload, so senders never touch it
+	// again (a retry re-pools a fresh copy).
+	if closed {
+		Recycle(&fr)
+		return 0, ErrClosed
+	}
+	select {
+	case <-l.abort:
+		Recycle(&fr)
+		return 0, l.aborted()
+	default:
+	}
+	s := len(fr.Payload)
+	v := l.faults.OnSend(l.route.Src, l.route.Dst, seq, fr.Ready, s, fr.Last)
+	if v.Err != nil {
+		Recycle(&fr)
+		return 0, v.Err
+	}
+	if v.CorruptByte >= 0 {
+		fr.Payload[v.CorruptByte] ^= 0xff
+	}
+	lost := v.Drop || (l.Lose != nil && !fr.Last && l.Lose(seq))
+
+	owner := QueryOf(fr.Source)
+	traced := fr.TraceID != 0 && !lost
+	if traced {
+		fr.Hops = slices.Grow(fr.Hops, len(l.route.Stages))
+	}
+	var senderFree vtime.Time
+	t := fr.Ready
+	for i := range l.route.Stages {
+		st := &l.route.Stages[i]
+		_, t = st.Resource.UseAs(owner, t, st.Service(s))
+		if i == 0 {
+			senderFree = t
+			if lost {
+				// The frame left the sender but never reaches a receiver
+				// driver; its pooled payload goes back to the pool here.
+				l.dropped.Add(1)
+				l.mDrops.Inc()
+				Recycle(&fr)
+				return senderFree, nil
+			}
+		}
+		if i == len(l.route.Stages)-1 {
+			// Injected latency lands on the last stage, so the final hop of
+			// a traced frame is stamped with its arrival time.
+			t = t.Add(v.Delay)
+		}
+		if traced && st.Label != "" {
+			fr.Hops = append(fr.Hops, Hop{Name: st.Label, At: t})
+		}
+	}
+
+	// Sizes are captured before the hand-off: the receiver owns the frame
+	// afterwards.
+	ready := fr.Ready
+	if err := l.deliver(Delivered{Frame: fr, At: t, ViaTCP: l.route.ViaTCP}); err != nil {
+		return senderFree, err
+	}
+	l.mFrames.Inc()
+	l.mBytes.Add(int64(s))
+	l.hDeliver.Observe(t.Sub(ready))
+	return senderFree, nil
+}
+
+// deliver hands a charged frame to the sink or the receiving inbox, unless
+// the link is aborted (a torn stream must not wedge its producer on flow
+// control).
+func (l *Link) deliver(d Delivered) error {
+	if l.Sink != nil {
+		return l.Sink(d)
+	}
+	select {
+	case l.inbox <- d:
+		return nil
+	case <-l.abort:
+		Recycle(&d.Frame)
+		return l.aborted()
+	}
+}
+
+func (l *Link) aborted() error {
+	return fmt.Errorf("carrier: %s aborted: %w", l.label, ErrClosed)
+}
+
+// Abort unblocks a Send stalled on flow control and fails subsequent
+// deliveries; the connection is torn without cooperation from the consumer.
+func (l *Link) Abort() {
+	l.abortOnce.Do(func() { close(l.abort) })
+}
+
+// Close implements Conn. Whatever the carrier registered at Dial for
+// contention modeling outlives it: virtual-time penalties must not depend on
+// the wall-clock order in which producers happen to finish.
+func (l *Link) Close() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.closed = true
+	return nil
+}
+
+// Stats reports how many frames Send accepted and how many of those were
+// lost on the way (injected drops and datagram loss).
+func (l *Link) Stats() (sent, dropped int64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return int64(l.seq), l.dropped.Load()
+}

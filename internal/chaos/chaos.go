@@ -31,28 +31,12 @@ import (
 )
 
 // NodeRef names one compute node of the environment.
-type NodeRef struct {
-	Cluster hw.ClusterName
-	Node    int
-}
+type NodeRef = carrier.NodeRef
 
-func (n NodeRef) String() string { return fmt.Sprintf("%s:%d", n.Cluster, n.Node) }
+// Verdict is the injector's decision about one frame send.
+type Verdict = carrier.Verdict
 
-// Verdict is the injector's decision about one frame send. The zero value
-// is "no fault".
-type Verdict struct {
-	// Err, if non-nil, fails the send without delivering the frame. It
-	// wraps a typed carrier error (ErrPeerReset, ErrNodeDown).
-	Err error
-	// Drop silently loses the frame: the sender is charged and told the
-	// send succeeded, but the receiver never sees it.
-	Drop bool
-	// Delay is extra delivery latency added to the frame's arrival time.
-	Delay vtime.Duration
-	// CorruptByte, if >= 0, is the payload index whose byte the carrier
-	// must flip before delivery.
-	CorruptByte int
-}
+var _ carrier.Faults = (*Injector)(nil)
 
 // Injector is a deterministic fault source. A nil *Injector is valid and
 // injects nothing, so carriers consult it unconditionally. All methods are
@@ -136,13 +120,13 @@ func DelayRate(p float64, maxDelay vtime.Duration) Option {
 // its n-th outbound frame. With one RP per BlueGene node this kills the
 // resident RP at a deterministic point of its stream.
 func CrashAfterSends(cluster hw.ClusterName, node, n int) Option {
-	return func(i *Injector) { i.crashAfterSends[NodeRef{cluster, node}] = n }
+	return func(i *Injector) { i.crashAfterSends[NodeRef{Cluster: cluster, Node: node}] = n }
 }
 
 // CrashAtVTime schedules node (cluster, node) to crash at the first frame
 // it touches whose ready time is at or after t.
 func CrashAtVTime(cluster hw.ClusterName, node int, t vtime.Time) Option {
-	return func(i *Injector) { i.crashAtV[NodeRef{cluster, node}] = t }
+	return func(i *Injector) { i.crashAtV[NodeRef{Cluster: cluster, Node: node}] = t }
 }
 
 // New returns an injector seeded with seed. The seed fully determines every
@@ -199,7 +183,7 @@ func (i *Injector) KillNode(cluster hw.ClusterName, node int) {
 	if i == nil {
 		return
 	}
-	ref := NodeRef{cluster, node}
+	ref := NodeRef{Cluster: cluster, Node: node}
 	i.mu.Lock()
 	already := i.dead[ref]
 	if !already {
@@ -225,7 +209,7 @@ func (i *Injector) Revive(cluster hw.ClusterName, node int) {
 	if i == nil {
 		return
 	}
-	ref := NodeRef{cluster, node}
+	ref := NodeRef{Cluster: cluster, Node: node}
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	delete(i.dead, ref)
@@ -241,7 +225,7 @@ func (i *Injector) NodeDead(cluster hw.ClusterName, node int) bool {
 	}
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	return i.dead[NodeRef{cluster, node}]
+	return i.dead[NodeRef{Cluster: cluster, Node: node}]
 }
 
 // DeadNodes returns the crashed nodes, for reporting.

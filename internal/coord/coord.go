@@ -8,8 +8,7 @@
 // directly: subqueries destined for the BlueGene are registered with feCC,
 // and bgCC retrieves them by polling — reproduced here by BGPoller. A
 // submission doorbell wakes the poll early so placement does not pay the
-// poll interval; Coordinator.SetBGWake(false) restores the paper's literal
-// tick-only polling.
+// poll interval.
 package coord
 
 import (
@@ -83,10 +82,8 @@ type Coordinator struct {
 	// bgBell is the poller's doorbell: rung (non-blocking, capacity one) on
 	// every submission so the polling loop wakes immediately instead of
 	// sleeping out its tick — the difference between a ~poll-interval SP
-	// spawn latency and a ~free one. bgBellOff disables ringing to model the
-	// paper's pure polling (benchmark baseline).
-	bgBell    chan struct{}
-	bgBellOff bool
+	// spawn latency and a ~free one.
+	bgBell chan struct{}
 }
 
 // New builds the coordinator for cluster c.
@@ -221,25 +218,14 @@ func (c *Coordinator) SubmitBGPlacementFor(owner string, seq *cndb.Sequence) (<-
 	req := &PlaceRequest{Owner: owner, Seq: seq, Reply: make(chan PlaceResult, 1)}
 	select {
 	case c.bgQueue <- req:
-		if !c.bgBellOff {
-			select {
-			case c.bgBell <- struct{}{}:
-			default: // bell already rung; one wake drains the whole queue
-			}
+		select {
+		case c.bgBell <- struct{}{}:
+		default: // bell already rung; one wake drains the whole queue
 		}
 		return req.Reply, nil
 	default:
 		return nil, ErrBGQueueFull
 	}
-}
-
-// SetBGWake enables or disables the submission doorbell. Disabled, the
-// poller answers requests only on its tick — the paper's literal polling
-// behavior, kept as the measurable baseline.
-func (c *Coordinator) SetBGWake(enabled bool) {
-	c.bgMu.Lock()
-	defer c.bgMu.Unlock()
-	c.bgBellOff = !enabled
 }
 
 // closeBGQueue rejects future submissions; requests already queued are still

@@ -188,9 +188,7 @@ func TestPollerDefaultInterval(t *testing.T) {
 }
 
 // TestBGDoorbellWakesPollerEarly submits against an absurdly long poll
-// interval: only the doorbell can answer within the deadline. With the
-// doorbell disabled the request must still be pending until Shutdown's
-// final drain answers it.
+// interval: only the doorbell can answer within the deadline.
 func TestBGDoorbellWakesPollerEarly(t *testing.T) {
 	env := testEnv(t)
 	feCC := newCoord(t, env, hw.FrontEnd)
@@ -212,26 +210,4 @@ func TestBGDoorbellWakesPollerEarly(t *testing.T) {
 		t.Fatal("doorbell did not wake the poller")
 	}
 	poller.Shutdown()
-
-	// Doorbell off: the tick (an hour away) is the only wake-up, so the
-	// reply stays pending until the final drain.
-	feCC2 := newCoord(t, env, hw.FrontEnd)
-	feCC2.SetBGWake(false)
-	poller2, err := NewBGPoller(feCC2, bgCC, time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reply2, err := feCC2.SubmitBGPlacement(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-reply2:
-		t.Fatal("tick-only poller answered before its tick")
-	case <-time.After(20 * time.Millisecond):
-	}
-	poller2.Shutdown()
-	if res := <-reply2; res.Err != nil {
-		t.Fatalf("final drain placement error: %v", res.Err)
-	}
 }

@@ -57,7 +57,6 @@ type Engine struct {
 	mpiBufBytes int
 	buffering   carrier.Buffering
 	window      int
-	horizon     vtime.Duration
 	kernelBatch int // receiver frames per virtual-time kernel commit
 	clientNode  int // front-end node hosting the client manager
 
@@ -143,7 +142,6 @@ type engineConfig struct {
 	mpiBufBytes  int
 	buffering    carrier.Buffering
 	window       int
-	horizon      vtime.Duration
 	pollInterval time.Duration
 	realTCP      bool
 	udpLoss      float64
@@ -156,7 +154,6 @@ type engineConfig struct {
 	hbTau        time.Duration
 	tracer       *metrics.Tracer
 	kernelBatch  int
-	bgWake       bool
 }
 
 type optionFunc func(*engineConfig)
@@ -257,35 +254,27 @@ func WithHeartbeat(p coord.HeartbeatPolicy, tau time.Duration) Option {
 	})
 }
 
-// WithPacerHorizon sets the conservative-pacing window: no RP of a query
-// runs more than this far ahead of its slowest peer in virtual time. Zero
-// disables pacing (fast but wall-clock-scheduling sensitive).
-func WithPacerHorizon(d vtime.Duration) Option {
-	return optionFunc(func(c *engineConfig) { c.horizon = d })
-}
-
 // WithBGPollInterval sets how often bgCC polls feCC for new subqueries.
 func WithBGPollInterval(d time.Duration) Option {
 	return optionFunc(func(c *engineConfig) { c.pollInterval = d })
 }
+
+// pacerHorizon is the conservative-pacing window: no RP of a query runs more
+// than this far ahead of its slowest peer in virtual time.
+const pacerHorizon = vtime.Millisecond
 
 // DefaultKernelBatch is the default receiver-side kernel batch: up to this
 // many frames already queued in an inbox are drained together and their
 // de-marshal reservations committed on the node CPU in one critical section.
 const DefaultKernelBatch = 16
 
-// WithKernelBatch bounds the receivers' batched reservation commits. Values
+// withKernelBatch bounds the receivers' batched reservation commits. Values
 // of one or less commit per frame (the serial kernel). Batching changes lock
-// traffic only, never virtual schedules.
-func WithKernelBatch(n int) Option {
+// traffic only, never virtual schedules — which the kernel identity tests
+// prove against the serial kernel through this seam; it is not a tuning
+// knob.
+func withKernelBatch(n int) Option {
 	return optionFunc(func(c *engineConfig) { c.kernelBatch = n })
-}
-
-// WithBGWake enables or disables the BG placement doorbell (default on).
-// Disabled, a BlueGene placement waits out bgCC's poll tick — the paper's
-// literal polling, kept as the measurable spawn-latency baseline.
-func WithBGWake(enabled bool) Option {
-	return optionFunc(func(c *engineConfig) { c.bgWake = enabled })
 }
 
 // WithTracer enables frame-level tracing: sender drivers assign each frame
@@ -305,11 +294,9 @@ func NewEngine(opts ...Option) (*Engine, error) {
 		mpiBufBytes:  64 * 1024,
 		buffering:    carrier.DoubleBuffered,
 		window:       4,
-		horizon:      vtime.Millisecond,
 		pollInterval: 200 * time.Microsecond,
 		retry:        carrier.DefaultRetryPolicy,
 		kernelBatch:  DefaultKernelBatch,
-		bgWake:       true,
 	}
 	for _, o := range opts {
 		o.apply(&cfg)
@@ -341,7 +328,6 @@ func NewEngine(opts ...Option) (*Engine, error) {
 		mpiBufBytes: cfg.mpiBufBytes,
 		buffering:   cfg.buffering,
 		window:      cfg.window,
-		horizon:     cfg.horizon,
 		kernelBatch: cfg.kernelBatch,
 		planCache:   make(map[string]sqep.Operator),
 		queries:     make(map[string]*queryCtx),
@@ -372,9 +358,6 @@ func NewEngine(opts ...Option) (*Engine, error) {
 		}
 		cc.SetMetrics(e.reg)
 		e.coords[c] = cc
-	}
-	if !cfg.bgWake {
-		e.coords[hw.FrontEnd].SetBGWake(false)
 	}
 	poller, err := coord.NewBGPoller(e.coords[hw.FrontEnd], e.coords[hw.BlueGene], cfg.pollInterval)
 	if err != nil {
@@ -1216,21 +1199,41 @@ func (e *Engine) wireProducer(p *SP, proc *rp.RP, pn int, w wiring) error {
 	if err != nil {
 		return err
 	}
-	var (
-		conn carrier.Conn
-		scfg rp.SenderConfig
-	)
-	if p.cluster == hw.BlueGene && w.cc == hw.BlueGene {
-		conn, err = carrier.DialRetry(e.retry, func() (carrier.Conn, error) {
-			c, derr := e.mpi.Dial(pn, w.cn, e.buffering, w.inbox)
-			if derr != nil {
-				return nil, derr
+	// Every carrier's connection is (or, over a real socket, wraps) a
+	// carrier.Link; the link dialed last names the stream.
+	var link *carrier.Link
+	intraBG := p.cluster == hw.BlueGene && w.cc == hw.BlueGene
+	conn, err := carrier.DialRetry(e.retry, func() (carrier.Conn, error) {
+		src := tcpcar.Endpoint{Cluster: p.cluster, Node: pn}
+		dst := tcpcar.Endpoint{Cluster: w.cc, Node: w.cn}
+		var derr error
+		switch {
+		case intraBG:
+			link, derr = e.mpi.Dial(pn, w.cn, e.buffering, w.inbox)
+		case e.udp != nil && p.cluster == hw.BackEnd && w.cc == hw.BlueGene:
+			link, derr = e.udp.Dial(src, dst, w.inbox)
+		case e.netTCP != nil:
+			nc, nerr := e.netTCP.Dial(src, dst, w.inbox)
+			if nerr != nil {
+				return nil, nerr
 			}
-			return c, nil
-		})
-		if err != nil {
-			return err
+			link = nc.Link()
+			return nc, nil
+		default:
+			link, derr = e.tcp.Dial(src, dst, w.inbox)
 		}
+		if derr != nil {
+			return nil, derr
+		}
+		return link, nil
+	})
+	if err != nil {
+		return err
+	}
+	// The MPI driver buffers by the engine's discipline; across clusters the
+	// TCP stack buffers and every element is flushed.
+	var scfg rp.SenderConfig
+	if intraBG {
 		scfg = rp.SenderConfig{
 			BufBytes:       e.mpiBufBytes,
 			Mode:           e.buffering,
@@ -1239,54 +1242,20 @@ func (e *Engine) wireProducer(p *SP, proc *rp.RP, pn int, w wiring) error {
 			CPU:            prodNode.CPU,
 		}
 	} else {
-		src := tcpcar.Endpoint{Cluster: p.cluster, Node: pn}
-		dst := tcpcar.Endpoint{Cluster: w.cc, Node: w.cn}
-		conn, err = carrier.DialRetry(e.retry, func() (carrier.Conn, error) {
-			switch {
-			case e.udp != nil && p.cluster == hw.BackEnd && w.cc == hw.BlueGene:
-				c, derr := e.udp.Dial(src, dst, w.inbox)
-				if derr != nil {
-					return nil, derr
-				}
-				return c, nil
-			case e.netTCP != nil:
-				c, derr := e.netTCP.Dial(src, dst, w.inbox)
-				if derr != nil {
-					return nil, derr
-				}
-				return c, nil
-			default:
-				c, derr := e.tcp.Dial(src, dst, w.inbox)
-				if derr != nil {
-					return nil, derr
-				}
-				return c, nil
-			}
-		})
-		if err != nil {
-			return err
-		}
 		scfg = rp.SenderConfig{
 			BufBytes:        1 << 20,
-			Mode:            carrier.DoubleBuffered, // the TCP stack buffers
+			Mode:            carrier.DoubleBuffered,
 			FlushPerElement: true,
 			MarshalPerByte:  e.marshalRate(p.cluster),
 			CPU:             prodNode.CPU,
 		}
 	}
-	kind := "tcp"
-	switch {
-	case p.cluster == hw.BlueGene && w.cc == hw.BlueGene:
-		kind = "mpi"
-	case e.udp != nil && p.cluster == hw.BackEnd && w.cc == hw.BlueGene:
-		kind = "udp"
-	}
 	scfg.Retry = e.retry
 	scfg.Metrics = e.reg
 	scfg.Tracer = e.tracer
-	// The label matches the one the carrier caches at Dial, so sender-side
-	// send.* metrics and carrier-side link.* metrics key identically.
-	scfg.Link = fmt.Sprintf("%s:%s:%d->%s:%d", kind, p.cluster, pn, w.cc, w.cn)
+	// Sender-side send.* metrics and carrier-side link.* metrics key
+	// identically.
+	scfg.Link = link.Label()
 	if err := proc.Subscribe(conn, scfg); err != nil {
 		return err
 	}
@@ -1298,7 +1267,7 @@ func (e *Engine) wireProducer(p *SP, proc *rp.RP, pn int, w wiring) error {
 		FromNode:    pn,
 		ToCluster:   w.cc,
 		ToNode:      w.cn,
-		Carrier:     kind,
+		Carrier:     link.Kind(),
 	})
 	p.addWiring(w)
 	return nil

@@ -201,7 +201,7 @@ func (e *Engine) newQueryLocked() *queryCtx {
 	qc := &queryCtx{
 		eng:      e,
 		id:       fmt.Sprintf("q%d", e.qSeq),
-		pacer:    vtime.NewPacer(e.horizon),
+		pacer:    vtime.NewPacer(pacerHorizon),
 		cancelCh: make(chan struct{}),
 	}
 	e.queries[qc.id] = qc
@@ -263,7 +263,7 @@ func (e *Engine) rollbackQuery(qc *queryCtx, cause error) {
 	qc.nextID = 0
 	// Fresh pacing group: agents registered by the rolled-back processes
 	// never advance, and would gate a future attempt's sources forever.
-	qc.pacer = vtime.NewPacer(e.horizon)
+	qc.pacer = vtime.NewPacer(pacerHorizon)
 	qc.mu.Unlock()
 	for _, sp := range sps {
 		if p := sp.proc(); p != nil {

@@ -46,6 +46,12 @@ type Node struct {
 	CPU     *vtime.Resource
 	Coproc  *vtime.Resource // BlueGene only
 	NIC     *vtime.Resource // fe/be only
+
+	// Hop names the node's communication device as a waypoint of traced
+	// frames ("coproc bg:3", "nic be:1"); FwdHop names a BlueGene
+	// co-processor forwarding on behalf of other nodes ("fwd bg:3"). They
+	// are formatted once here so that dialing and tracing format nothing.
+	Hop, FwdHop string
 }
 
 // IONode is a BlueGene I/O node: it forwards TCP traffic between the
@@ -55,6 +61,10 @@ type IONode struct {
 	ID        int
 	Forwarder *vtime.Resource
 	Tree      *vtime.Resource
+
+	// FwdHop and TreeHop name the two devices in frame traces
+	// ("iofwd io:0", "tree io:0").
+	FwdHop, TreeHop string
 }
 
 // Env is a simulated LOFAR hardware environment.
@@ -158,37 +168,38 @@ func NewLOFAR(opts ...Option) (*Env, error) {
 		ioStreams: make([]int, n/cfg.psetSize),
 	}
 	for i := 0; i < n; i++ {
-		env.bg = append(env.bg, &Node{
-			Cluster: BlueGene,
-			ID:      i,
-			CPU:     vtime.NewResource(fmt.Sprintf("bg%d.cpu", i)),
-			Coproc:  vtime.NewResource(fmt.Sprintf("bg%d.coproc", i)),
-		})
+		env.bg = append(env.bg, newNode(BlueGene, i))
 	}
 	for i := 0; i < n/cfg.psetSize; i++ {
 		env.io = append(env.io, &IONode{
 			ID:        i,
 			Forwarder: vtime.NewResource(fmt.Sprintf("io%d.fwd", i)),
 			Tree:      vtime.NewResource(fmt.Sprintf("io%d.tree", i)),
+			FwdHop:    fmt.Sprintf("iofwd io:%d", i),
+			TreeHop:   fmt.Sprintf("tree io:%d", i),
 		})
 	}
 	for i := 0; i < cfg.beNodes; i++ {
-		env.be = append(env.be, &Node{
-			Cluster: BackEnd,
-			ID:      i,
-			CPU:     vtime.NewResource(fmt.Sprintf("be%d.cpu", i)),
-			NIC:     vtime.NewResource(fmt.Sprintf("be%d.nic", i)),
-		})
+		env.be = append(env.be, newNode(BackEnd, i))
 	}
 	for i := 0; i < cfg.feNodes; i++ {
-		env.fe = append(env.fe, &Node{
-			Cluster: FrontEnd,
-			ID:      i,
-			CPU:     vtime.NewResource(fmt.Sprintf("fe%d.cpu", i)),
-			NIC:     vtime.NewResource(fmt.Sprintf("fe%d.nic", i)),
-		})
+		env.fe = append(env.fe, newNode(FrontEnd, i))
 	}
 	return env, nil
+}
+
+// newNode builds node id of cluster c with its resources ("bg3.coproc",
+// "be1.nic") and hop labels.
+func newNode(c ClusterName, id int) *Node {
+	n := &Node{Cluster: c, ID: id, CPU: vtime.NewResource(fmt.Sprintf("%s%d.cpu", c, id))}
+	if c == BlueGene {
+		n.Coproc = vtime.NewResource(fmt.Sprintf("bg%d.coproc", id))
+		n.Hop, n.FwdHop = fmt.Sprintf("coproc bg:%d", id), fmt.Sprintf("fwd bg:%d", id)
+	} else {
+		n.NIC = vtime.NewResource(fmt.Sprintf("%s%d.nic", c, id))
+		n.Hop = fmt.Sprintf("nic %s:%d", c, id)
+	}
+	return n
 }
 
 // ClusterSize returns the number of compute nodes in cluster c (0 for an

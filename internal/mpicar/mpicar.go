@@ -11,7 +11,9 @@
 // co-processor. The receiving co-processor is single-threaded and pays a
 // switching penalty whenever consecutive frames arrive from different
 // producers — the mechanism behind the paper's stream-merging results
-// (Figure 8).
+// (Figure 8). Those devices are the stages of the carrier.Route that Dial
+// builds; charging, fault injection, tracing and link metrics are
+// carrier.Link's.
 package mpicar
 
 import (
@@ -81,42 +83,13 @@ func (f *Fabric) Reset() {
 }
 
 // Conn is an open MPI connection between two BG compute nodes.
-type Conn struct {
-	fabric *Fabric
-	mode   carrier.Buffering
-	src    int
-	dst    int
-	inbox  carrier.Inbox
-
-	// Node resources are resolved once at Dial so the per-frame hot path
-	// charges them without repeated environment lookups.
-	srcNode *hw.Node
-	dstNode *hw.Node
-	fwdHops []*hw.Node // intermediate nodes of the dimension-ordered route
-
-	srcRef, dstRef chaos.NodeRef
-	abort          chan struct{}
-	abortOnce      sync.Once
-
-	// Metric handles and hop names are resolved once at Dial: the per-frame
-	// hot path is atomic adds (nil-safe no-ops without a registry), and hop
-	// labels are only attached to traced frames.
-	mFrames  *metrics.Counter
-	mBytes   *metrics.Counter
-	mDrops   *metrics.Counter
-	hDeliver *metrics.Histogram
-	hopNames []string // names of the forwarding co-processors, then the destination's
-
-	mu     sync.Mutex
-	seq    uint64
-	closed bool
-}
-
-var _ carrier.Conn = (*Conn)(nil)
+type Conn = carrier.Link
 
 // Dial opens an MPI connection from BG compute node src to dst, delivering
 // frames into inbox. mode selects single or double buffering of the MPI
-// driver.
+// driver. The route is the sender's co-processor, the co-processor of every
+// intermediate node of the dimension-ordered torus route, and the
+// receiver's.
 func (f *Fabric) Dial(src, dst int, mode carrier.Buffering, inbox carrier.Inbox) (*Conn, error) {
 	if mode != carrier.SingleBuffered && mode != carrier.DoubleBuffered {
 		return nil, fmt.Errorf("mpicar: invalid buffering mode %d", mode)
@@ -124,12 +97,13 @@ func (f *Fabric) Dial(src, dst int, mode carrier.Buffering, inbox carrier.Inbox)
 	if src == dst {
 		return nil, fmt.Errorf("mpicar: src and dst are the same node %d (CNK runs one process per node)", src)
 	}
-	srcRef := chaos.NodeRef{Cluster: hw.BlueGene, Node: src}
-	dstRef := chaos.NodeRef{Cluster: hw.BlueGene, Node: dst}
+	srcRef := carrier.NodeRef{Cluster: hw.BlueGene, Node: src}
+	dstRef := carrier.NodeRef{Cluster: hw.BlueGene, Node: dst}
 	if err := f.inj.Dial(srcRef, dstRef); err != nil {
 		return nil, fmt.Errorf("mpicar: %w", err)
 	}
-	route, err := f.env.Torus.Route(src, dst)
+	// hops lists the intermediate nodes followed by the destination.
+	hops, err := f.env.Torus.Route(src, dst)
 	if err != nil {
 		return nil, fmt.Errorf("mpicar: %w", err)
 	}
@@ -141,147 +115,53 @@ func (f *Fabric) Dial(src, dst int, mode carrier.Buffering, inbox carrier.Inbox)
 	if err != nil {
 		return nil, fmt.Errorf("mpicar: %w", err)
 	}
-	// route lists the intermediate nodes followed by the destination.
-	fwdHops := make([]*hw.Node, 0, max(0, len(route)-1))
-	hopNames := make([]string, 0, len(route))
-	for _, mid := range route[:max(0, len(route)-1)] {
+	m := &f.env.Cost
+	// Sender co-processor: k packets, plus the double-buffer bookkeeping.
+	send := func(s int) vtime.Duration {
+		k := m.Packets(s)
+		svc := scaleDur(vtime.Duration(k)*m.PacketCost, m.CacheFactor(s))
+		if mode == carrier.DoubleBuffered {
+			svc += m.DoubleBufSync
+			// The ping-pong of the double buffers stalls on buffers that
+			// fill an odd number of torus packets (the "bumps" of Figure 6).
+			if k > 1 && k%2 == 1 {
+				svc += m.OddPacketStall
+			}
+		}
+		return svc
+	}
+	// Intermediate co-processors forward the packets in order.
+	forward := func(s int) vtime.Duration { return packets(m, s, m.FwdFactor) }
+	// Receiver co-processor, with the merge switching penalty: the
+	// single-threaded co-processor switches between its p producers at the
+	// expected alternation rate (p-1)/p.
+	receive := func(s int) vtime.Duration {
+		svc := packets(m, s, m.RecvFactor)
+		if p := f.producerCount(dst); p > 1 {
+			svc += scaleDur(m.CoprocSwitchCost, float64(p-1)/float64(p))
+		}
+		return svc
+	}
+	// The frame starts on the sender's co-processor, which is therefore not
+	// a hop and carries no trace label.
+	stages := make([]carrier.Stage, 0, len(hops)+1)
+	stages = append(stages, carrier.Stage{Resource: srcNode.Coproc, Service: send})
+	for _, mid := range hops[:len(hops)-1] {
 		node, err := f.env.Node(hw.BlueGene, mid)
 		if err != nil {
 			return nil, fmt.Errorf("mpicar: %w", err)
 		}
-		fwdHops = append(fwdHops, node)
-		hopNames = append(hopNames, fmt.Sprintf("fwd bg:%d", mid))
+		stages = append(stages, carrier.Stage{Resource: node.Coproc, Service: forward, Label: node.FwdHop})
 	}
-	hopNames = append(hopNames, fmt.Sprintf("coproc bg:%d", dst))
+	stages = append(stages, carrier.Stage{Resource: dstNode.Coproc, Service: receive, Label: dstNode.Hop})
 	f.addProducer(dst)
-	c := &Conn{
-		fabric:   f,
-		mode:     mode,
-		src:      src,
-		dst:      dst,
-		inbox:    inbox,
-		srcNode:  srcNode,
-		dstNode:  dstNode,
-		fwdHops:  fwdHops,
-		srcRef:   srcRef,
-		dstRef:   dstRef,
-		hopNames: hopNames,
-		abort:    make(chan struct{}),
-	}
-	if f.reg != nil {
-		link := fmt.Sprintf("mpi:bg:%d->bg:%d", src, dst)
-		c.mFrames = f.reg.Counter("link.frames." + link)
-		c.mBytes = f.reg.Counter("link.bytes." + link)
-		c.mDrops = f.reg.Counter("link.drops." + link)
-		c.hDeliver = f.reg.Histogram("link.deliver_vt.mpi")
-	}
-	return c, nil
+	return carrier.NewLink(carrier.Route{Kind: "mpi", Src: srcRef, Dst: dstRef, Stages: stages}, inbox, f.inj, f.reg), nil
 }
 
-// Send implements carrier.Conn. It charges the torus transfer and delivers
-// the frame; the returned instant is when the sender's co-processor is done
-// with the buffer.
-func (c *Conn) Send(fr carrier.Frame) (vtime.Time, error) {
-	c.mu.Lock()
-	closed := c.closed
-	seq := c.seq
-	c.seq++
-	c.mu.Unlock()
-	// Once Send is called the carrier owns the frame, success or failure:
-	// every error path recycles a pooled payload, so senders never touch it
-	// again (a retry re-pools a fresh copy).
-	if closed {
-		carrier.Recycle(&fr)
-		return 0, carrier.ErrClosed
-	}
-	select {
-	case <-c.abort:
-		carrier.Recycle(&fr)
-		return 0, fmt.Errorf("mpicar: %d->%d aborted: %w", c.src, c.dst, carrier.ErrClosed)
-	default:
-	}
-	v := c.fabric.inj.OnSend(c.srcRef, c.dstRef, seq, fr.Ready, len(fr.Payload), fr.Last)
-	if v.Err != nil {
-		carrier.Recycle(&fr)
-		return 0, fmt.Errorf("mpicar: %w", v.Err)
-	}
-
-	m := c.fabric.env.Cost
-	s := len(fr.Payload)
-	k := m.Packets(s)
-	cf := m.CacheFactor(s)
-	owner := carrier.QueryOf(fr.Source)
-
-	// Sender co-processor: k packets, plus the double-buffer bookkeeping.
-	sendSvc := scaleDur(vtime.Duration(k)*m.PacketCost, cf)
-	if c.mode == carrier.DoubleBuffered {
-		sendSvc += m.DoubleBufSync
-		// The ping-pong of the double buffers stalls on buffers that fill
-		// an odd number of torus packets (the "bumps" of Figure 6).
-		if k > 1 && k%2 == 1 {
-			sendSvc += m.OddPacketStall
-		}
-	}
-	_, senderFree := c.srcNode.Coproc.UseAs(owner, fr.Ready, sendSvc)
-	if v.Drop {
-		// The frame left the sender but never reaches a receiver driver;
-		// its pooled payload goes back to the pool here.
-		c.mDrops.Inc()
-		carrier.Recycle(&fr)
-		return senderFree, nil
-	}
-	if v.CorruptByte >= 0 {
-		fr.Payload[v.CorruptByte] ^= 0xff
-	}
-
-	// Intermediate co-processors forward the packets in order.
-	t := senderFree
-	for i, node := range c.fwdHops {
-		fwdSvc := scaleDur(scaleDur(vtime.Duration(k)*m.PacketCost, m.FwdFactor), cf)
-		_, t = node.Coproc.UseAs(owner, t, fwdSvc)
-		if fr.TraceID != 0 {
-			fr.Hops = append(fr.Hops, carrier.Hop{Name: c.hopNames[i], At: t})
-		}
-	}
-
-	// Receiver co-processor, with the merge switching penalty: the
-	// single-threaded co-processor switches between its p producers at the
-	// expected alternation rate (p-1)/p.
-	recvSvc := scaleDur(scaleDur(vtime.Duration(k)*m.PacketCost, m.RecvFactor), cf)
-	if p := c.fabric.producerCount(c.dst); p > 1 {
-		recvSvc += scaleDur(m.CoprocSwitchCost, float64(p-1)/float64(p))
-	}
-	_, arrived := c.dstNode.Coproc.UseAs(owner, t, recvSvc)
-	arrived = arrived.Add(v.Delay)
-	if fr.TraceID != 0 {
-		fr.Hops = append(fr.Hops, carrier.Hop{Name: c.hopNames[len(c.hopNames)-1], At: arrived})
-	}
-
-	ready := fr.Ready
-	select {
-	case c.inbox <- carrier.Delivered{Frame: fr, At: arrived}:
-	case <-c.abort:
-		carrier.Recycle(&fr)
-		return senderFree, fmt.Errorf("mpicar: %d->%d aborted: %w", c.src, c.dst, carrier.ErrClosed)
-	}
-	c.mFrames.Inc()
-	c.mBytes.Add(int64(s))
-	c.hDeliver.Observe(arrived.Sub(ready))
-	return senderFree, nil
-}
-
-// Abort unblocks a Send stalled on flow control and fails subsequent
-// deliveries; the connection is torn without cooperation from the consumer.
-func (c *Conn) Abort() {
-	c.abortOnce.Do(func() { close(c.abort) })
-}
-
-// Close implements carrier.Conn.
-func (c *Conn) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.closed = true
-	return nil
+// packets is the co-processor time for the k torus packets of an s-byte
+// frame, each costing factor × PacketCost, under cache pressure.
+func packets(m *hw.CostModel, s int, factor float64) vtime.Duration {
+	return scaleDur(scaleDur(vtime.Duration(m.Packets(s))*m.PacketCost, factor), m.CacheFactor(s))
 }
 
 func scaleDur(d vtime.Duration, f float64) vtime.Duration {

@@ -182,14 +182,18 @@ func returnCredit(credits chan struct{}) {
 	}
 }
 
-// NetConn is a stream connection whose frames travel over a real socket.
+// NetConn is a stream connection whose frames travel over a real socket: its
+// link charges the route like any TCP connection and then, instead of
+// delivering into an inbox, writes the frame with its computed arrival time
+// to the socket.
 type NetConn struct {
-	charge  *Conn // the in-process conn computes all virtual-time charges
+	link    *Conn
 	sock    net.Conn
 	w       *bufio.Writer
 	credits chan struct{}
 
 	mu     sync.Mutex
+	wrote  bool // the current Send put its frame on the wire
 	closed bool
 }
 
@@ -198,10 +202,7 @@ var _ carrier.Conn = (*NetConn)(nil)
 // Dial opens a stream connection from src to dst whose frames cross a real
 // loopback socket into inbox.
 func (f *NetFabric) Dial(src, dst Endpoint, inbox carrier.Inbox) (*NetConn, error) {
-	// An internal inbox absorbs the charging conn's deliveries; the real
-	// delivery happens when the frame arrives over the socket.
-	side := make(carrier.Inbox, 1)
-	charge, err := f.inner.Dial(src, dst, side)
+	link, err := f.inner.Dial(src, dst, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -216,38 +217,48 @@ func (f *NetFabric) Dial(src, dst Endpoint, inbox carrier.Inbox) (*NetConn, erro
 		sock.Close()
 		return nil, err
 	}
-	return &NetConn{charge: charge, sock: sock, w: w, credits: ch.credits}, nil
+	c := &NetConn{link: link, sock: sock, w: w, credits: ch.credits}
+	link.Sink = c.write
+	return c, nil
 }
 
-// Send implements carrier.Conn: it charges the hardware model, then ships
-// the frame and its computed arrival time over the socket.
+// Link returns the charged link under the socket; it names the connection.
+func (c *NetConn) Link() *Conn { return c.link }
+
+// Send implements carrier.Conn: the link charges the hardware model, then
+// write ships the frame and its computed arrival time over the socket.
 func (c *NetConn) Send(fr carrier.Frame) (vtime.Time, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
+		carrier.Recycle(&fr)
 		return 0, carrier.ErrClosed
 	}
 	<-c.credits // flow control: at most a window's worth of frames in flight
-	senderFree, err := c.charge.Send(fr)
-	if err != nil {
-		return 0, err // the charging conn owns (and recycled) the payload
+	c.wrote = false
+	senderFree, err := c.link.Send(fr)
+	if !c.wrote {
+		// A failed or lost frame never reaches the read side, which would
+		// have returned its credit.
+		returnCredit(c.credits)
 	}
-	d := <-c.chargeInbox() // the charging conn delivered synchronously
-	if err := writeFrame(c.w, d); err != nil {
-		carrier.Recycle(&d.Frame)
-		return 0, fmt.Errorf("tcpcar: send: %w", err)
-	}
-	if err := c.w.Flush(); err != nil {
-		carrier.Recycle(&d.Frame)
-		return 0, fmt.Errorf("tcpcar: flush: %w", err)
-	}
-	// The payload bytes are on the wire; a pooled buffer goes back now —
-	// the read side re-materializes the frame into its own pooled buffer.
-	carrier.Recycle(&d.Frame)
-	return senderFree, nil
+	return senderFree, err
 }
 
-func (c *NetConn) chargeInbox() carrier.Inbox { return c.charge.inbox }
+// write is the link's sink; it runs inside Send, under c.mu.
+func (c *NetConn) write(d carrier.Delivered) error {
+	c.wrote = true
+	// Once the payload bytes are on the wire a pooled buffer goes back —
+	// the read side re-materializes the frame into its own pooled buffer.
+	defer carrier.Recycle(&d.Frame)
+	if err := writeFrame(c.w, d); err != nil {
+		return fmt.Errorf("tcpcar: send: %w", err)
+	}
+	if err := c.w.Flush(); err != nil {
+		return fmt.Errorf("tcpcar: flush: %w", err)
+	}
+	return nil
+}
 
 // Abort tears the socket: a Send stalled on credits unblocks (the read side
 // closes the credit channel on the torn connection) and subsequent Sends
@@ -262,7 +273,7 @@ func (c *NetConn) Close() error {
 		return nil
 	}
 	c.closed = true
-	_ = c.charge.Close()
+	_ = c.link.Close()
 	return c.sock.Close()
 }
 

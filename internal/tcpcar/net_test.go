@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+	"time"
 
 	"scsq/internal/carrier"
+	"scsq/internal/chaos"
 	"scsq/internal/hw"
+	"scsq/internal/metrics"
 )
 
 func TestFrameProtocolRoundTrip(t *testing.T) {
@@ -177,5 +180,61 @@ func TestNetFabricCloseIdempotent(t *testing.T) {
 func TestNewNetFabricValidation(t *testing.T) {
 	if _, err := NewNetFabric(nil); err == nil {
 		t.Error("nil inner fabric should fail")
+	}
+}
+
+// TestNetConnSurvivesDroppedFrame is the regression test for a wedge: a
+// chaos-dropped frame is charged but never written to the socket, so the
+// read side never returns its flow-control credit. Send used to block on
+// that hand-off forever, holding the connection's lock (so Close blocked
+// too).
+func TestNetConnSurvivesDroppedFrame(t *testing.T) {
+	env, err := hw.NewLOFAR()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.NewRegistry()
+	inner := NewFabric(env)
+	inner.SetInjector(chaos.New(1, chaos.DropRate(1)))
+	inner.SetMetrics(reg)
+	nf, err := NewNetFabric(inner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nf.Close()
+	inbox := make(carrier.Inbox, 1)
+	conn, err := nf.Dial(be(1), bg(0), inbox)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := conn.Send(carrier.Frame{Source: "a", Payload: make([]byte, 100)})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("a dropped frame is a successful send, got %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Send of a dropped frame never returned")
+	}
+	if got := len(conn.credits); got != 1 {
+		t.Errorf("%d flow-control credits after a dropped frame, want 1", got)
+	}
+	if got := reg.Counter("link.drops.tcp:be:1->bg:0").Value(); got != 1 {
+		t.Errorf("link.drops = %d, want 1", got)
+	}
+	// The connection is still usable: Last frames are exempt from drops.
+	if _, err := conn.Send(carrier.Frame{Source: "a", Last: true}); err != nil {
+		t.Fatal(err)
+	}
+	if d := <-inbox; !d.Last {
+		t.Errorf("delivered %+v, want the Last frame", d)
+	}
+	if err := conn.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
