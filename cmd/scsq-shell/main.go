@@ -23,8 +23,10 @@
 // "\stats [pattern]" prints sys_metrics rows, filtered by a SQL-LIKE
 // pattern ('%' anywhere; a plain string is a prefix); a session id
 // ("\stats q3" or "\stats @q3") scopes the dump to that query's metrics
-// (in-process mode only). The registry accumulates across statements, so
-// \stats after a query reports that query's totals. "\ps" prints
+// (in-process mode only; a statement run by the shell itself is retired by
+// the Reset that follows it, which folds its per-RP keys into "…retired").
+// Keys that name no query (link.*, sched.*) and totals by prefix survive
+// across statements, so \stats after a query reports that query's traffic. "\ps" prints
 // sys_sessions (the scheduler's session table), "\d [table]" lists catalog
 // tables or one table's schema, and "\cancel <qid>" cancels a session —
 // queries submitted through the SCSQL surface run as scheduler sessions

@@ -112,8 +112,9 @@ func TestShellStatsMeta(t *testing.T) {
 	}
 	sb.Reset()
 
-	// The registry accumulates across the per-statement Reset, so stats
-	// issued after a query report that query's counters.
+	// link.* keys name no query, so they survive the per-statement Reset
+	// (which folds the statement's own per-RP keys into "…retired"): stats
+	// issued after a query report that query's traffic.
 	err = sh.runSource(`
 select extract(a) from sp a where a=sp(iota(1,3), 'be');
 \stats link.`)

@@ -83,17 +83,26 @@ func observedFigure6Run(cfg SysqConfig, bufBytes int, observe bool) (vtime.Time,
 	s := sched.New(e, nil)
 	ev := scsql.NewEvaluator(e, s.Catalog())
 
+	// The measured query is built before the subscriber starts draining: the
+	// two implicit statements share one build target, so a subscriber already
+	// draining would start the measured query's SPs half-wired.
+	t0 := time.Now()
+	res, err := ev.Exec(scsql.Figure5Query(cfg.ArrayBytes, cfg.ArrayCount))
+	if err != nil {
+		return 0, 0, err
+	}
+
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	if observe {
-		res, err := ev.Exec(`select streamof(sys_metrics('rp.%'));`)
+		sub, err := ev.Exec(`select streamof(sys_metrics('rp.%'));`)
 		if err != nil {
 			return 0, 0, err
 		}
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			_, _ = res.Stream.Drain() // ends when Close closes the tick source
+			_, _ = sub.Stream.Drain() // ends when Close closes the tick source
 		}()
 		go func() {
 			defer wg.Done()
@@ -111,11 +120,6 @@ func observedFigure6Run(cfg SysqConfig, bufBytes int, observe bool) (vtime.Time,
 		}()
 	}
 
-	t0 := time.Now()
-	res, err := ev.Exec(scsql.Figure5Query(cfg.ArrayBytes, cfg.ArrayCount))
-	if err != nil {
-		return 0, 0, err
-	}
 	if _, err := res.Stream.Drain(); err != nil {
 		return 0, 0, err
 	}

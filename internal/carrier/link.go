@@ -131,6 +131,10 @@ func (l *Link) Kind() string { return l.route.Kind }
 // link.* metrics, which sender drivers reuse for their send.* metrics.
 func (l *Link) Label() string { return l.label }
 
+// Stages returns the route's stages: every device a frame of this link is
+// charged on, in order.
+func (l *Link) Stages() []Stage { return l.route.Stages }
+
 // Send implements Conn: it takes the fault verdict, charges the frame to
 // every stage of the route in order, stamps the hops of a traced frame and
 // hands it to the receiver. The returned instant is when the sender-side

@@ -51,7 +51,7 @@ func mergeUnderChaos(t *testing.T, inj *chaos.Injector, budget, nGens, size, cou
 		t.Fatalf("extract: %v", err)
 	}
 	v, err := cs.One()
-	return v, err, e.sup.Restarts(a[0].ID()), a[0].Node()
+	return v, err, e.sup.Restarts(a[0]), a[0].Node()
 }
 
 // TestKillNodeMidMergeRecovers is the acceptance scenario: a seeded crash

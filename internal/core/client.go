@@ -71,25 +71,12 @@ func (e *Engine) ClientPlan(build Subquery) (*ClientStream, error) {
 		return nil, err
 	}
 	// The plan joins the current build target (SPs already built ahead of
-	// this call, or an explicit BuildAs bracket); absent one it opens a
-	// fresh implicit query. SPs built inside the plan body attach to the
-	// same query, so e.cur stays set until the build returns.
+	// this call, or an explicit BuildAs bracket); absent one it opens a fresh
+	// implicit query, which stays the build target until it finishes.
 	qc := e.buildTarget(false)
-	e.mu.Lock()
-	hadCur := e.cur != nil
-	if !hadCur {
-		e.cur = qc
-	}
-	e.mu.Unlock()
+	qc.charge(node.CPU)
 	b := &PlanBuilder{eng: e, cluster: hw.FrontEnd, node: e.clientNode, spID: qc.id + "/client"}
 	root, err := build(b)
-	e.mu.Lock()
-	if !hadCur && e.cur == qc {
-		// An implicit build ends with its plan; an explicit BuildAs bracket
-		// clears the target itself.
-		e.cur = nil
-	}
-	e.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
@@ -110,9 +97,11 @@ func (e *Engine) ClientPlan(build Subquery) (*ClientStream, error) {
 
 // Drain starts every stream process of this stream's query, consumes the
 // result stream to completion, waits for the query's RPs to terminate, and
-// releases their node leases. It returns the result elements (none when an
-// element observer took them). Drain is idempotent, and touches only its own
-// query: concurrent queries' processes and reservations are invisible to it.
+// releases their node leases; the query's edges, metrics and busy time stay
+// queryable until it is retired (Query.Retire, Engine.Reset). It returns the
+// result elements (none when an element observer took them). Drain is
+// idempotent, and touches only its own query: concurrent queries' processes
+// and reservations are invisible to it.
 func (s *ClientStream) Drain() ([]sqep.Element, error) {
 	if s.drained {
 		return s.elements, s.err
@@ -160,8 +149,7 @@ func (s *ClientStream) Drain() ([]sqep.Element, error) {
 
 	// Quiesce: RPs may have dynamically started new RPs while running
 	// (paper §2.2), so wait rounds until no new process appears in this
-	// query. Releasing goes through the query's lease, so the cndb lease
-	// table empties exactly when the query's last RP resolves.
+	// query; finish then releases the query's leases, all at once.
 	waited := make(map[string]bool, len(sps))
 	for {
 		for _, sp := range sps {
@@ -174,8 +162,6 @@ func (s *ClientStream) Drain() ([]sqep.Element, error) {
 			if err := sp.WaitResolved(); err != nil {
 				errs = append(errs, err)
 			}
-			e.coords[sp.cluster].ReleaseFor(qc.id, sp.Node())
-			e.coords[sp.cluster].Unregister(sp.id)
 		}
 		var fresh []*SP
 		for _, sp := range qc.snapshot() {
@@ -188,8 +174,7 @@ func (s *ClientStream) Drain() ([]sqep.Element, error) {
 		}
 		sps = fresh
 	}
-	qc.markFinished()
-	e.removeQuery(qc.id)
+	qc.finish()
 
 	s.err = errors.Join(errs...)
 	return s.elements, s.err

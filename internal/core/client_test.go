@@ -353,7 +353,7 @@ func TestElementObserverTakesTheElements(t *testing.T) {
 }
 
 // TestForgetQueryFoldsWithoutLoss runs two queries through BuildAs and
-// forgets the first: its edges and query-scoped metrics go, the totals they
+// retires the first: its edges and query-scoped metrics go, the totals they
 // contributed to stay, and every resource's owners still sum to its busy time.
 func TestForgetQueryFoldsWithoutLoss(t *testing.T) {
 	e, err := NewEngine()
@@ -361,7 +361,10 @@ func TestForgetQueryFoldsWithoutLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	var ids []string
+	var (
+		ids []string
+		qs  []*Query
+	)
 	for i := 0; i < 2; i++ {
 		q, err := e.BeginQuery()
 		if err != nil {
@@ -384,6 +387,7 @@ func TestForgetQueryFoldsWithoutLoss(t *testing.T) {
 			t.Fatal(err)
 		}
 		ids = append(ids, q.ID())
+		qs = append(qs, q)
 	}
 	before := e.MetricsSnapshot()
 	nic, err := e.Env().Node(hw.BackEnd, 0)
@@ -394,8 +398,8 @@ func TestForgetQueryFoldsWithoutLoss(t *testing.T) {
 		t.Fatalf("%s charged nothing to be0.nic; the test needs an owner to fold", ids[0])
 	}
 
-	e.ForgetQuery(ids[0])
-	e.ForgetQuery(ids[0]) // idempotent
+	qs[0].Retire()
+	qs[0].Retire() // idempotent
 
 	for _, ed := range e.Edges() {
 		if ed.Query == ids[0] {

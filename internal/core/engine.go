@@ -15,6 +15,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 	"time"
@@ -36,8 +37,9 @@ import (
 
 // Engine is a SCSQ instance over a (simulated) hardware environment. The
 // engine is multi-tenant: each query gets its own queryCtx — owning its
-// stream processes, its pacing group, and its node-reservation leases — so
-// several continuous queries can build, run, and cancel concurrently. The
+// stream processes, its pacing group, its node-reservation leases, and what
+// it leaves behind (edges, metric keys, busy time) — so several continuous
+// queries can build, run, cancel, and be retired concurrently. The
 // classic single-query surface (build with SP/SPV, consume with
 // Extract/MergeExtract + Drain, Reset between runs) still works unchanged:
 // it operates on an implicitly created query. Multi-query sessions go
@@ -60,9 +62,6 @@ type Engine struct {
 	kernelBatch int // receiver frames per virtual-time kernel commit
 	clientNode  int // front-end node hosting the client manager
 
-	// rpPool recycles retired running processes across Reset and supervised
-	// re-placement, so spawning an SP reuses a prior incarnation's structures.
-	rpPool rp.Pool
 	// planCache holds pristine operator-tree templates keyed by plan shape
 	// (see planshape.go): shape-identical input-free subqueries share one
 	// template, and a supervised re-placement clones it instead of
@@ -76,10 +75,11 @@ type Engine struct {
 	hb    coord.HeartbeatPolicy // zero Interval disables the monitor
 	hbTau time.Duration         // wall-clock cadence of the stale sweep
 
-	// reg is the engine's telemetry registry — always present, accumulating
-	// across Reset so a finished query's counters remain queryable (e.g. by
-	// a follow-up monitor() statement). tracer is nil unless WithTracer
-	// enables frame-level tracing.
+	// reg is the engine's telemetry registry — always present. A finished
+	// query's keys remain queryable (e.g. by a follow-up monitor() statement)
+	// until the query is retired, which folds them into per-prefix
+	// "…retired" totals. tracer is nil unless WithTracer enables frame-level
+	// tracing.
 	reg    *metrics.Registry
 	tracer *metrics.Tracer
 
@@ -99,11 +99,10 @@ type Engine struct {
 	planner   PlacementPlanner
 
 	mu        sync.Mutex
-	queries   map[string]*queryCtx // live query contexts by id
+	queries   map[string]*queryCtx // every query scope not yet retired, by id
 	cur       *queryCtx            // current build target (nil outside builds)
 	qSeq      int                  // query id allocator; never rewound
 	sched     QueryScheduler       // attached multi-tenant scheduler, or nil
-	edges     []queryEdges         // wired connections, grouped per query in first-wiring order
 	closed    bool
 	hbStop    chan struct{}
 	hbStopped sync.WaitGroup
@@ -122,14 +121,10 @@ type Edge struct {
 	FromNode    int
 	ToCluster   hw.ClusterName
 	ToNode      int
-	Carrier     string // "mpi" or "tcp"
-}
-
-// queryEdges is one query's wired connections, in wiring order. Grouping by
-// query makes forgetting a query a single removal.
-type queryEdges struct {
-	qid   string
-	edges []Edge
+	Carrier     string // "mpi", "tcp" or "udp"
+	// Label is the connection's carrier.Link label, the key of its link.*
+	// metrics.
+	Label string
 }
 
 // Option configures NewEngine.
@@ -343,7 +338,7 @@ func NewEngine(opts ...Option) (*Engine, error) {
 	e.mpi.SetMetrics(e.reg)
 	e.tcp.SetMetrics(e.reg)
 	if cfg.supervise {
-		e.sup = &Supervisor{eng: e, budget: cfg.budget, restarts: make(map[string]int)}
+		e.sup = &Supervisor{eng: e, budget: cfg.budget}
 	}
 	if e.inj != nil {
 		e.mpi.SetInjector(e.inj)
@@ -398,8 +393,10 @@ func NewEngine(opts ...Option) (*Engine, error) {
 func (e *Engine) Env() *hw.Env { return e.env }
 
 // Metrics returns the engine's telemetry registry. It is always non-nil and
-// accumulates for the engine's lifetime (Reset does not clear it, so a
-// finished query's counters remain queryable).
+// lives as long as the engine: a query's own keys ("rp.elements_out.q7/…")
+// are queryable until the query is retired (Query.Retire, Reset), after
+// which their values survive only in the totals by prefix
+// ("rp.elements_out.retired").
 func (e *Engine) Metrics() *metrics.Registry { return e.reg }
 
 // Tracer returns the frame-level tracer installed with WithTracer, or nil.
@@ -444,9 +441,10 @@ func (e *Engine) Close() error {
 	return nil
 }
 
-// Reset releases any leftover SP allocations and rewinds every virtual
-// resource, preparing the engine for an independent query run. While any
-// query's streams are still draining it refuses with ErrQueriesActive —
+// Reset retires every query scope — leftover SP allocations are released,
+// edges dropped, metric keys and busy time folded — and rewinds every
+// virtual resource, preparing the engine for an independent query run. While
+// any query's streams are still draining it refuses with ErrQueriesActive —
 // resetting under an active stream would leave RP goroutines blocked on
 // dead inboxes. Built-but-never-started queries are torn down as before.
 func (e *Engine) Reset() error {
@@ -458,34 +456,18 @@ func (e *Engine) Reset() error {
 		e.mu.Unlock()
 		return ErrQueriesActive
 	}
-	qcs := make([]*queryCtx, 0, len(e.queries))
-	for _, qc := range e.queries {
-		qcs = append(qcs, qc)
-	}
-	e.queries = make(map[string]*queryCtx)
+	qcs := slices.Collect(maps.Values(e.queries))
+	clear(e.queries)
 	e.cur = nil
 	e.mu.Unlock()
 	for _, qc := range qcs {
-		for _, s := range qc.snapshot() {
-			e.coords[s.cluster].ReleaseFor(qc.id, s.Node())
-			e.coords[s.cluster].Unregister(s.id)
-			// Retired processes go back to the pool; live ones (there are
-			// none past the active check, but Put verifies) are refused.
-			e.rpPool.Put(s.proc())
-		}
+		qc.retire()
 	}
 	for _, cc := range e.coords {
 		cc.DB().Reset()
 	}
 	e.env.Reset()
 	e.mpi.Reset()
-	if e.sup != nil {
-		e.sup.reset()
-	}
-	e.mu.Lock()
-	clear(e.edges)
-	e.edges = e.edges[:0]
-	e.mu.Unlock()
 	return nil
 }
 
@@ -647,51 +629,20 @@ func (e *Engine) failStaleRP(cc *coord.Coordinator, id string) {
 	e.notifyNodeDied(cc.Cluster(), node)
 }
 
-// Edges returns the carrier connections wired since the last Reset, minus
-// those of queries forgotten since (ForgetQuery) — the physical
-// communication topology, query by query in first-wiring order.
+// Edges returns the carrier connections of every query not yet retired —
+// the physical communication topology, query by query in id order, each
+// query's edges in wiring order.
 func (e *Engine) Edges() []Edge {
 	e.mu.Lock()
-	defer e.mu.Unlock()
+	qcs := slices.SortedFunc(maps.Values(e.queries), func(a, b *queryCtx) int { return a.seq - b.seq })
+	e.mu.Unlock()
 	var out []Edge
-	for _, g := range e.edges {
-		out = append(out, g.edges...)
+	for _, qc := range qcs {
+		qc.mu.Lock()
+		out = append(out, qc.edges...)
+		qc.mu.Unlock()
 	}
 	return out
-}
-
-func (e *Engine) recordEdge(ed Edge) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	// A query wires its connections while it builds, so its group is the
-	// last one (or close to it, under concurrent dynamic wiring).
-	for i := len(e.edges) - 1; i >= 0; i-- {
-		if e.edges[i].qid == ed.Query {
-			e.edges[i].edges = append(e.edges[i].edges, ed)
-			return
-		}
-	}
-	e.edges = append(e.edges, queryEdges{qid: ed.Query, edges: []Edge{ed}})
-}
-
-// ForgetQuery drops what the engine still remembers of a finished query
-// once nobody may ask about it by id any more (the scheduler calls it when a
-// session leaves its finished window): the query's edges are dropped, its
-// metrics are folded into the per-prefix retired aggregates
-// (metrics.Registry.RetireQuery) and its per-device busy time into
-// vtime.RetiredOwner. Totals — counter sums by prefix, every resource's
-// Σ owners == BusyTime — are unchanged; what the engine holds per query ever
-// served is not. Forgetting an unknown or already forgotten id is a no-op.
-func (e *Engine) ForgetQuery(qid string) {
-	e.mu.Lock()
-	if i := slices.IndexFunc(e.edges, func(g queryEdges) bool { return g.qid == qid }); i >= 0 {
-		e.edges = slices.Delete(e.edges, i, i+1) // zeroes the vacated slot
-	}
-	e.mu.Unlock()
-	e.reg.RetireQuery(qid)
-	for _, r := range e.env.Resources() {
-		r.FoldOwner(qid)
-	}
 }
 
 // PlacementPlanner is the optional admission-time placement hook (see
@@ -809,6 +760,7 @@ func (e *Engine) buildProc(sp *SP, node int) (*rp.RP, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
+	sp.qc.charge(hwNode.CPU)
 	ctx := sqep.Ctx{
 		CPU:     hwNode.CPU,
 		Cost:    e.env.Cost,
@@ -840,7 +792,7 @@ func (e *Engine) buildProc(sp *SP, node int) (*rp.RP, bool, error) {
 			sp.setTemplate(e.cachePlanTemplate(op))
 		}
 	}
-	proc := e.rpPool.Get(sp.id, sp.cluster, node, ctx, func(*sqep.Ctx) (sqep.Operator, error) { return op, nil })
+	proc := rp.New(sp.id, sp.cluster, node, ctx, func(*sqep.Ctx) (sqep.Operator, error) { return op, nil })
 	proc.SetMetrics(e.reg)
 	// Only free-running source RPs register as pacing agents: a reactive
 	// RP's timing derives from its (already paced) inputs, and pacing it
@@ -971,11 +923,12 @@ type SP struct {
 	seq         *cndb.Sequence
 	recoverable bool
 
-	mu      sync.Mutex
-	rp      *rp.RP
-	node    int
-	started bool
-	wirings []wiring
+	mu       sync.Mutex
+	rp       *rp.RP
+	node     int
+	started  bool
+	restarts int // supervised re-placements attempted
+	wirings  []wiring
 	// tmpl is the shared pristine plan template for this SP's shape (nil if
 	// uncachable): a re-placement clones it instead of re-compiling sub.
 	tmpl sqep.Operator
@@ -1142,15 +1095,10 @@ func (b *PlanBuilder) Merge(ps []*SP) (sqep.Operator, error) {
 	return b.eng.connectAs(ps, b.cluster, b.node, b.spID)
 }
 
-// connect wires producers to a consumer node over the appropriate carriers
-// (MPI inside the BlueGene, TCP across clusters) and returns the receiving
-// operator. All producers share one inbox, which is how merge() interleaves
-// their frames by arrival.
-func (e *Engine) connect(producers []*SP, cc hw.ClusterName, cn int) (sqep.Operator, error) {
-	return e.connectAs(producers, cc, cn, "client")
-}
-
-// connectAs is connect with the consumer's identity for edge recording.
+// connectAs wires producers to the consumer (identified for edge recording)
+// at node (cc, cn) over the appropriate carriers (MPI inside the BlueGene,
+// TCP across clusters) and returns the receiving operator. All producers
+// share one inbox, which is how merge() interleaves their frames by arrival.
 func (e *Engine) connectAs(producers []*SP, cc hw.ClusterName, cn int, consumer string) (sqep.Operator, error) {
 	inbox := make(carrier.Inbox, e.window)
 	consNode, err := e.env.Node(cc, cn)
@@ -1259,7 +1207,7 @@ func (e *Engine) wireProducer(p *SP, proc *rp.RP, pn int, w wiring) error {
 	if err := proc.Subscribe(conn, scfg); err != nil {
 		return err
 	}
-	e.recordEdge(Edge{
+	p.qc.wired(link, Edge{
 		Query:       p.qc.id,
 		Producer:    p.id,
 		Consumer:    w.consumer,
@@ -1268,6 +1216,7 @@ func (e *Engine) wireProducer(p *SP, proc *rp.RP, pn int, w wiring) error {
 		ToCluster:   w.cc,
 		ToNode:      w.cn,
 		Carrier:     link.Kind(),
+		Label:       link.Label(),
 	})
 	p.addWiring(w)
 	return nil

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sync"
 
+	"scsq/internal/carrier"
+	"scsq/internal/metrics"
 	"scsq/internal/vtime"
 )
 
@@ -25,22 +27,35 @@ var ErrQueryCancelled = errors.New("core: query cancelled")
 // torn-down engine.
 var ErrStaleQuery = errors.New("core: query identity retired (engine Reset or Closed since build)")
 
-// queryCtx is the engine-side identity of one query: the unit of SP/RP
-// ownership, pacing, vtime attribution, and reservation leasing. Every SP
-// the engine builds belongs to exactly one queryCtx; Cancel, Drain, and
-// crash supervision operate on that query's processes and leases only.
+// queryCtx is the engine-side scope of one query: the unit of SP/RP
+// ownership, pacing, vtime attribution, and reservation leasing, and the
+// owner of what the query leaves behind — its wired edges, its metric keys,
+// the devices it charged. Every SP the engine builds belongs to exactly one
+// queryCtx; Cancel, Drain, and crash supervision operate on that query's
+// processes and leases only. Whichever exit a query takes, its scope leaves
+// in two idempotent steps: finish (the processes are gone, the facts stay
+// queryable) and retire (nothing of the query is left).
 type queryCtx struct {
 	eng *Engine
 	id  string // "q1", "q2", ... — the owner tag of leases, metrics, charges
+	seq int    // allocation order, which orders Engine.Edges
 
 	// pacer is the query's own conservative-pacing group: the source RPs of
 	// one query gate on each other's virtual progress, never on another
 	// tenant's, so one slow query cannot stall a co-resident one.
 	pacer *vtime.Pacer
 
-	mu        sync.Mutex
-	sps       []*SP
-	nextID    int // per-query RP counter, so ids don't depend on admission order
+	// metrics holds the registry keys created under the query's id.
+	metrics *metrics.Scope
+
+	mu     sync.Mutex
+	sps    []*SP
+	nextID int // per-query RP counter, so ids don't depend on admission order
+	edges  []Edge
+	// charged lists the devices that may carry busy time under the query's
+	// id: the CPUs of its nodes and every stage of the routes it dialed.
+	// Repeats are harmless (folding an owner twice is a no-op).
+	charged   []*vtime.Resource
 	started   bool
 	finished  bool
 	cancelled bool
@@ -82,16 +97,76 @@ func (qc *queryCtx) newRPID(cluster string) string {
 	return fmt.Sprintf("%s/rp-%s-%d", qc.id, cluster, qc.nextID)
 }
 
-func (qc *queryCtx) markStarted() {
+// charge records a device the query's operators will be charged on.
+func (qc *queryCtx) charge(r *vtime.Resource) {
 	qc.mu.Lock()
 	defer qc.mu.Unlock()
-	qc.started = true
+	qc.charged = append(qc.charged, r)
 }
 
-func (qc *queryCtx) markFinished() {
+// wired records a dialed connection of the query: its edge, and every stage
+// of its route as a device the query's frames are charged on.
+func (qc *queryCtx) wired(link *carrier.Link, ed Edge) {
 	qc.mu.Lock()
 	defer qc.mu.Unlock()
+	qc.edges = append(qc.edges, ed)
+	for _, st := range link.Stages() {
+		qc.charged = append(qc.charged, st.Resource)
+	}
+}
+
+// finish is the one end-of-query release — a drained or cancelled stream, a
+// rolled-back build and retire all come through here: every SP's node lease
+// and coordinator registration go, and the SP graph with them, so a second
+// call finds nothing to release. Edges, metrics and busy time stay queryable
+// until retire. The processes must have resolved or never started.
+func (qc *queryCtx) finish() {
+	e := qc.eng
+	e.mu.Lock()
+	if e.cur == qc {
+		e.cur = nil // an implicit build's target until here
+	}
+	e.mu.Unlock()
+	qc.mu.Lock()
+	sps := qc.sps
+	qc.sps = nil
+	if qc.started {
+		// Not so a rolled-back build: it never started, and its identity
+		// stays open for the next attempt.
+		qc.finished = true
+	}
+	qc.mu.Unlock()
+	for _, sp := range sps {
+		cc := e.coords[sp.cluster]
+		cc.ReleaseFor(qc.id, sp.Node())
+		cc.Unregister(sp.id)
+	}
+}
+
+// retire removes the query from the engine: finish, then its edges are
+// dropped, its metric keys folded into the per-prefix retired aggregates
+// (metrics.Scope.Fold), its busy time on the devices it charged into
+// vtime.RetiredOwner, and its id stops resolving. Totals — counter sums by
+// prefix, every resource's Σ owners == BusyTime — are unchanged, and the
+// cost is what the query touched, not what the machine has. Retiring twice
+// is a no-op: every step finds nothing left to do.
+func (qc *queryCtx) retire() {
+	qc.finish()
+	qc.mu.Lock()
 	qc.finished = true
+	charged := qc.charged
+	qc.charged, qc.edges = nil, nil
+	qc.mu.Unlock()
+	qc.metrics.Fold()
+	for _, r := range charged {
+		r.FoldOwner(qc.id)
+	}
+	e := qc.eng
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.queries[qc.id] == qc {
+		delete(e.queries, qc.id)
+	}
 }
 
 // active reports a query whose streams may still be moving: started by a
@@ -137,8 +212,8 @@ func (qc *queryCtx) cancel(cause error) {
 
 // Query is the exported per-query handle: the scheduler's lever on the
 // ownership machinery. It is created by BeginQuery, populated by building
-// SPs and a client plan inside BuildAs, and torn down by the stream's Drain
-// (or rolled back by a failed BuildAs).
+// SPs and a client plan inside BuildAs, finished by the stream's Drain (or
+// rolled back by a failed BuildAs), and removed by Retire.
 type Query struct {
 	qc *queryCtx
 }
@@ -166,17 +241,8 @@ func (q *Query) Cancelled() (bool, error) {
 	return q.qc.cancelled, q.qc.cause
 }
 
-// SPIDs returns the ids of the query's stream processes, in build order.
-func (q *Query) SPIDs() []string {
-	sps := q.qc.snapshot()
-	ids := make([]string, len(sps))
-	for i, sp := range sps {
-		ids[i] = sp.id
-	}
-	return ids
-}
-
-// SPCount returns how many stream processes the query built.
+// SPCount returns how many stream processes the query holds (none once it
+// finished).
 func (q *Query) SPCount() int {
 	q.qc.mu.Lock()
 	defer q.qc.mu.Unlock()
@@ -201,9 +267,14 @@ func (e *Engine) newQueryLocked() *queryCtx {
 	qc := &queryCtx{
 		eng:      e,
 		id:       fmt.Sprintf("q%d", e.qSeq),
+		seq:      e.qSeq,
 		pacer:    vtime.NewPacer(pacerHorizon),
 		cancelCh: make(chan struct{}),
+		// A two-process query charges about a dozen devices: room for those
+		// up front spares the small scope four regrowths.
+		charged: make([]*vtime.Resource, 0, 16),
 	}
+	qc.metrics = e.reg.OpenScope(qc.id)
 	e.queries[qc.id] = qc
 	return qc
 }
@@ -228,14 +299,11 @@ func (e *Engine) BuildCancelSignal() (<-chan struct{}, func() error) {
 // client plan created inside belongs to q. Builds are serialized across the
 // engine (placement must see a consistent node pool), which is what makes
 // admission deterministic. On error the query's partial placements are
-// rolled back — its nodes released, its leases dropped, its identity
-// retired — so a failed admission attempt leaves no residue.
+// rolled back — its nodes released, its leases dropped — so a failed
+// admission attempt holds nothing.
 func (e *Engine) BuildAs(q *Query, build func() error) error {
 	e.buildMu.Lock()
 	defer e.buildMu.Unlock()
-	// Queries built through BuildAs are the ones a scheduler later forgets
-	// (ForgetQuery): index their metrics from the first one on.
-	e.reg.TrackQuery(q.qc.id)
 	e.mu.Lock()
 	prev := e.cur
 	e.cur = q.qc
@@ -257,30 +325,25 @@ func (e *Engine) BuildAs(q *Query, build func() error) error {
 // a queued query when capacity frees up). The identity itself stays
 // registered; Retire discards it for good.
 func (e *Engine) rollbackQuery(qc *queryCtx, cause error) {
+	for _, sp := range qc.snapshot() {
+		sp.proc().Fail(fmt.Errorf("core: build rolled back: %w", cause))
+	}
+	qc.finish()
 	qc.mu.Lock()
-	sps := qc.sps
-	qc.sps = nil
 	qc.nextID = 0
 	// Fresh pacing group: agents registered by the rolled-back processes
 	// never advance, and would gate a future attempt's sources forever.
 	qc.pacer = vtime.NewPacer(pacerHorizon)
 	qc.mu.Unlock()
-	for _, sp := range sps {
-		if p := sp.proc(); p != nil {
-			p.Fail(fmt.Errorf("core: build rolled back: %w", cause))
-		}
-		e.coords[sp.cluster].ReleaseFor(qc.id, sp.Node())
-		e.coords[sp.cluster].Unregister(sp.id)
-	}
 }
 
-// Retire discards a query identity that never ran (a rejected or
-// cancelled-while-queued admission). Queries that ran are retired by their
-// stream's Drain.
-func (q *Query) Retire() {
-	q.qc.markFinished()
-	q.qc.eng.removeQuery(q.qc.id)
-}
+// Retire removes a query that is not running from the engine: one that
+// never ran (a rejected or cancelled-while-queued admission), or a finished
+// one nobody may ask about by id any more (a session leaving the scheduler's
+// finished window). Its leases and registrations are released, its edges
+// dropped, its metrics and per-device busy time folded into the retired
+// aggregates. Retiring twice is a no-op.
+func (q *Query) Retire() { q.qc.retire() }
 
 // LeaseCount sums the node reservations the query holds across all cluster
 // CNDBs — zero once the query drained or was cancelled.
@@ -290,15 +353,6 @@ func (e *Engine) LeaseCount(qid string) int {
 		n += cc.DB().LeaseCount(qid)
 	}
 	return n
-}
-
-func (e *Engine) removeQuery(id string) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	delete(e.queries, id)
-	if e.cur != nil && e.cur.id == id {
-		e.cur = nil
-	}
 }
 
 // buildTarget resolves the queryCtx new SPs attach to: the explicit build
@@ -311,20 +365,14 @@ func (e *Engine) removeQuery(id string) {
 // session observing it, not part of its graph.
 func (e *Engine) buildTarget(joinLive bool) *queryCtx {
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.cur != nil {
-		qc := e.cur
-		e.mu.Unlock()
-		return qc
+		return e.cur
 	}
-	qcs := make([]*queryCtx, 0, len(e.queries))
-	for _, qc := range e.queries {
-		qcs = append(qcs, qc)
-	}
-	e.mu.Unlock()
 	if joinLive {
 		var liveQC *queryCtx
 		n := 0
-		for _, qc := range qcs {
+		for _, qc := range e.queries {
 			if qc.active() {
 				liveQC = qc
 				n++
@@ -337,11 +385,7 @@ func (e *Engine) buildTarget(joinLive bool) *queryCtx {
 			return liveQC
 		}
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.cur == nil {
-		e.cur = e.newQueryLocked()
-	}
+	e.cur = e.newQueryLocked()
 	return e.cur
 }
 
@@ -349,13 +393,9 @@ func (e *Engine) buildTarget(joinLive bool) *queryCtx {
 // crash handling needs (a node failure hits all tenants resident on it).
 func (e *Engine) allSPs() []*SP {
 	e.mu.Lock()
-	qcs := make([]*queryCtx, 0, len(e.queries))
-	for _, qc := range e.queries {
-		qcs = append(qcs, qc)
-	}
-	e.mu.Unlock()
+	defer e.mu.Unlock()
 	var out []*SP
-	for _, qc := range qcs {
+	for _, qc := range e.queries {
 		out = append(out, qc.snapshot()...)
 	}
 	return out
@@ -385,7 +425,9 @@ func (e *Engine) beginDrain(qc *queryCtx) error {
 	if e.closed || e.queries[qc.id] != qc {
 		return ErrStaleQuery
 	}
-	qc.markStarted()
+	qc.mu.Lock()
+	qc.started = true
+	qc.mu.Unlock()
 	return nil
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"scsq/internal/carrier"
 )
@@ -25,9 +24,6 @@ import (
 type Supervisor struct {
 	eng    *Engine
 	budget int // replacements allowed per SP
-
-	mu       sync.Mutex
-	restarts map[string]int
 }
 
 // ErrRestartBudget reports that an SP failed more times than the
@@ -38,17 +34,13 @@ var ErrRestartBudget = errors.New("core: supervision restart budget exhausted")
 // consumes inputs that its failed incarnation already drained).
 var ErrUnrecoverable = errors.New("core: SP not recoverable")
 
-// Restarts reports how many times the SP has been re-placed.
-func (s *Supervisor) Restarts(id string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.restarts[id]
-}
-
-func (s *Supervisor) reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.restarts = make(map[string]int)
+// Restarts reports how many times the SP has been re-placed (counting the
+// attempt that exhausted the budget). The count lives on the SP handle, so
+// it goes when the query's SP graph does.
+func (s *Supervisor) Restarts(sp *SP) int {
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	return sp.restarts
 }
 
 // onRPExit runs in the dying RP's exit window: after its pacer agent
@@ -69,10 +61,10 @@ func (s *Supervisor) onRPExit(sp *SP, cause error) {
 		s.poisonDownstream(sp, fmt.Errorf("%w: %s: %v", ErrUnrecoverable, sp.id, cause))
 		return
 	}
-	s.mu.Lock()
-	s.restarts[sp.id]++
-	used := s.restarts[sp.id]
-	s.mu.Unlock()
+	sp.mu.Lock()
+	sp.restarts++
+	used := sp.restarts
+	sp.mu.Unlock()
 	if used > s.budget {
 		s.eng.reg.Counter("supervisor.budget_exhausted").Inc()
 		s.poisonDownstream(sp, fmt.Errorf("%w (%d restarts): %s: %v", ErrRestartBudget, s.budget, sp.id, cause))

@@ -10,7 +10,6 @@ package core
 // sys_sessions into the same registry when it attaches (internal/sched).
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 
@@ -94,7 +93,7 @@ func (e *Engine) sysNodesTable() *catalog.Table {
 
 // sysLinksTable reports every wired producer→consumer edge with its carrier
 // traffic counters, joined by the link label the carriers bind metrics
-// under (kind:fromCluster:fromNode->toCluster:toNode).
+// under (Edge.Label).
 func (e *Engine) sysLinksTable() *catalog.Table {
 	t := &catalog.Table{
 		Name: "sys_links",
@@ -118,11 +117,10 @@ func (e *Engine) sysLinksTable() *catalog.Table {
 		snap := e.reg.Snapshot() // atomics only
 		rows := make([]catalog.Tuple, 0, len(edges))
 		for _, ed := range edges {
-			label := fmt.Sprintf("%s:%s:%d->%s:%d", ed.Carrier, ed.FromCluster, ed.FromNode, ed.ToCluster, ed.ToNode)
 			rows = append(rows, t.Row(ed.Carrier, ed.Query, ed.Producer, ed.Consumer,
 				string(ed.FromCluster), int64(ed.FromNode), string(ed.ToCluster), int64(ed.ToNode),
-				snap.Counters["link.frames."+label], snap.Counters["link.bytes."+label],
-				snap.Counters["link.drops."+label]))
+				snap.Counters["link.frames."+ed.Label], snap.Counters["link.bytes."+ed.Label],
+				snap.Counters["link.drops."+ed.Label]))
 		}
 		return rows, nil
 	}

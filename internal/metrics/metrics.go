@@ -209,114 +209,126 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 // which record nothing.
 type Registry struct {
 	mu sync.Mutex
-	// shared holds every name that is not scoped to a tracked query.
+	// shared holds every name that is not scoped to an open query scope.
 	shared metricSet
-	// tracked holds, per query id passed to TrackQuery, the metrics scoped
-	// to that query. Keeping them apart makes RetireQuery cost that query's
-	// keys, and lets the whole set go at once instead of churning the
-	// shared maps. Nil until the first TrackQuery: every RP owns a private
-	// registry that never tracks.
-	tracked map[string]*metricSet
+	// scopes holds the open query scopes by query id. Nil until the first
+	// OpenScope: every RP owns a private registry that never opens one.
+	scopes map[string]*Scope
 }
 
-// metricSet is one namespace of metrics by kind.
-type metricSet struct {
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
-}
+// metricSet is one namespace of metrics: under a name, at most one metric
+// of each kind.
+type metricSet map[string]metric
 
-func newMetricSet() metricSet {
-	return metricSet{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
-	}
+type metric struct {
+	c *Counter
+	g *Gauge
+	h *Histogram
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{shared: newMetricSet()}
+	return &Registry{shared: make(metricSet)}
 }
 
-// retiredSuffix replaces the identity part of a retired query's metric
-// names: RetireQuery folds "rp.elements_out.q7/rp-bg-2" into
-// "rp.elements_out.retired".
+// Scope is one query's share of a registry: the metrics created, since
+// OpenScope, under names whose query segment (see scopeSegment) is the
+// query's id. Keeping them apart makes Fold cost that query's keys, and lets
+// the whole set go at once instead of churning the shared map. A nil *Scope
+// is valid and folds nothing.
+type Scope struct {
+	reg *Registry
+	qid string
+	set metricSet // nil until the query's first metric
+}
+
+// retiredSuffix replaces the identity part of a folded query's metric names:
+// Fold adds "rp.elements_out.q7/rp-bg-2" into "rp.elements_out.retired".
 const retiredSuffix = "retired"
 
-// TrackQuery sets the metrics created under query id qid apart, which is
-// what lets RetireQuery find them. Call it before the query's first metric
-// is created; tracking an already tracked id changes nothing.
-func (r *Registry) TrackQuery(qid string) {
+// OpenScope sets the metrics created under query id qid apart from now on.
+// Call it before the query's first metric is created. A nil registry returns
+// a nil scope.
+func (r *Registry) OpenScope(qid string) *Scope {
 	if r == nil {
-		return
+		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.tracked == nil {
-		r.tracked = make(map[string]*metricSet)
+	if r.scopes == nil {
+		r.scopes = make(map[string]*Scope)
 	}
-	if r.tracked[qid] == nil {
-		set := newMetricSet()
-		r.tracked[qid] = &set
-	}
+	s := &Scope{reg: r, qid: qid}
+	r.scopes[qid] = s
+	return s
 }
 
-// setLocked returns the set name lives in: the tracked query's it is scoped
-// to, else the shared one. r.mu must be held.
-func (r *Registry) setLocked(name string) *metricSet {
-	if len(r.tracked) > 0 {
-		start, end := scopeSegment(name, func(id string) bool { return r.tracked[id] != nil })
-		if start >= 0 {
-			return r.tracked[name[start:end]]
+// setLocked returns the set name lives in: the open scope's its query
+// segment names, else the shared one. r.mu must be held.
+func (r *Registry) setLocked(name string) metricSet {
+	start, end := scopeSegment(name, func(id string) bool { return r.scopes[id] != nil })
+	if start < 0 {
+		return r.shared
+	}
+	s := r.scopes[name[start:end]]
+	if s.set == nil {
+		// A two-process query creates 16 keys: room for those up front
+		// spares the small scope the regrowths.
+		s.set = make(metricSet, 16)
+	}
+	return s.set
+}
+
+// Fold closes the scope: every metric in it is removed and its value folded
+// into the shared key of the same prefix that ends in retiredSuffix —
+// counters and histograms are added, gauges keep the maximum. Sums over a
+// name prefix (Snapshot.SumCounters) therefore never lose a folded query's
+// contribution, while the registry's size stays bounded by the scopes still
+// open. The query must be quiescent: handles cached by its processes are
+// detached, so a later update through them is lost. Folding again is a no-op.
+func (s *Scope) Fold() {
+	if s == nil {
+		return
+	}
+	r := s.reg
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.scopes[s.qid] == s {
+		delete(r.scopes, s.qid)
+	}
+	// The retired key is built in place: a lookup by string(key) does not
+	// allocate, and only the first fold under a prefix stores the key.
+	var buf [64]byte
+	key := buf[:0]
+	for name, m := range s.set {
+		// Every name in the set carries the scope's id as its query segment.
+		start, _ := scopeSegment(name, func(id string) bool { return id == s.qid })
+		key = append(append(key[:0], name[:start]...), retiredSuffix...)
+		had := r.shared[string(key)]
+		into := had
+		if m.c != nil {
+			if into.c == nil {
+				into.c = new(Counter)
+			}
+			into.c.Add(m.c.Value())
+		}
+		if m.g != nil {
+			if into.g == nil {
+				into.g = new(Gauge)
+			}
+			into.g.SetMax(m.g.Value())
+		}
+		if m.h != nil {
+			if into.h == nil {
+				into.h = new(Histogram)
+			}
+			into.h.merge(m.h)
+		}
+		if into != had {
+			r.shared[string(key)] = into
 		}
 	}
-	return &r.shared
-}
-
-// RetireQuery removes every metric scoped to the tracked query qid and folds
-// its value into the key of the same prefix that ends in retiredSuffix:
-// counters and histograms are added, gauges keep the maximum. Sums over a
-// name prefix (Snapshot.SumCounters) therefore never lose a retired query's
-// contribution, while the registry's size stays bounded by the queries not
-// yet retired. The query must be quiescent: handles cached by its processes
-// are detached, so a later update through them is lost. Retiring an
-// untracked (or already retired) id is a no-op.
-func (r *Registry) RetireQuery(qid string) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	set := r.tracked[qid]
-	if set == nil {
-		return
-	}
-	delete(r.tracked, qid)
-	// Every name in the set carries qid as its scope segment.
-	retired := func(name string) string {
-		start, _ := scopeSegment(name, func(id string) bool { return id == qid })
-		return name[:start] + retiredSuffix
-	}
-	for name, c := range set.counters {
-		lookup(r.shared.counters, retired(name)).Add(c.Value())
-	}
-	for name, g := range set.gauges {
-		lookup(r.shared.gauges, retired(name)).SetMax(g.Value())
-	}
-	for name, h := range set.hists {
-		lookup(r.shared.hists, retired(name)).merge(h)
-	}
-}
-
-// lookup returns m[name], creating the metric if needed.
-func lookup[M any](m map[string]*M, name string) *M {
-	v, ok := m[name]
-	if !ok {
-		v = new(M)
-		m[name] = v
-	}
-	return v
+	s.set = nil
 }
 
 // Counter returns the named counter, creating it if needed (nil on a nil
@@ -327,7 +339,13 @@ func (r *Registry) Counter(name string) *Counter {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return lookup(r.setLocked(name).counters, name)
+	set := r.setLocked(name)
+	m := set[name]
+	if m.c == nil {
+		m.c = new(Counter)
+		set[name] = m
+	}
+	return m.c
 }
 
 // Gauge returns the named gauge, creating it if needed (nil on a nil
@@ -338,7 +356,13 @@ func (r *Registry) Gauge(name string) *Gauge {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return lookup(r.setLocked(name).gauges, name)
+	set := r.setLocked(name)
+	m := set[name]
+	if m.g == nil {
+		m.g = new(Gauge)
+		set[name] = m
+	}
+	return m.g
 }
 
 // Histogram returns the named histogram, creating it if needed (nil on a
@@ -349,7 +373,13 @@ func (r *Registry) Histogram(name string) *Histogram {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return lookup(r.setLocked(name).hists, name)
+	set := r.setLocked(name)
+	m := set[name]
+	if m.h == nil {
+		m.h = new(Histogram)
+		set[name] = m
+	}
+	return m.h
 }
 
 // Bucket is one non-empty histogram bucket: Count observations below
@@ -401,21 +431,23 @@ func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.shared.snapshotInto(&s)
-	for _, set := range r.tracked {
-		set.snapshotInto(&s)
+	for _, sc := range r.scopes {
+		sc.set.snapshotInto(&s)
 	}
 	return s
 }
 
-func (m *metricSet) snapshotInto(s *Snapshot) {
-	for k, v := range m.counters {
-		s.Counters[k] = v.Value()
-	}
-	for k, v := range m.gauges {
-		s.Gauges[k] = v.Value()
-	}
-	for k, v := range m.hists {
-		s.Histograms[k] = v.snapshot()
+func (set metricSet) snapshotInto(s *Snapshot) {
+	for k, m := range set {
+		if m.c != nil {
+			s.Counters[k] = m.c.Value()
+		}
+		if m.g != nil {
+			s.Gauges[k] = m.g.Value()
+		}
+		if m.h != nil {
+			s.Histograms[k] = m.h.snapshot()
+		}
 	}
 }
 
@@ -423,23 +455,28 @@ func (m *metricSet) snapshotInto(s *Snapshot) {
 // (names prefixed "rt."). Two same-seed runs produce identical
 // deterministic views; the full snapshot may differ in rt.* entries.
 func (s Snapshot) Deterministic() Snapshot {
+	return s.filter(func(name string) bool { return !strings.HasPrefix(name, RTPrefix) })
+}
+
+// filter returns the metrics of s whose names keep accepts.
+func (s Snapshot) filter(keep func(name string) bool) Snapshot {
 	out := Snapshot{
-		Counters:   make(map[string]int64, len(s.Counters)),
-		Gauges:     make(map[string]int64, len(s.Gauges)),
-		Histograms: make(map[string]HistogramSnapshot, len(s.Histograms)),
+		Counters:   make(map[string]int64),
+		Gauges:     make(map[string]int64),
+		Histograms: make(map[string]HistogramSnapshot),
 	}
 	for k, v := range s.Counters {
-		if !strings.HasPrefix(k, RTPrefix) {
+		if keep(k) {
 			out.Counters[k] = v
 		}
 	}
 	for k, v := range s.Gauges {
-		if !strings.HasPrefix(k, RTPrefix) {
+		if keep(k) {
 			out.Gauges[k] = v
 		}
 	}
 	for k, v := range s.Histograms {
-		if !strings.HasPrefix(k, RTPrefix) {
+		if keep(k) {
 			out.Histograms[k] = v
 		}
 	}
@@ -489,27 +526,7 @@ func scopeSegment(name string, isID func(string) bool) (start, end int) {
 // is what lets monitor() and the shell's \stats inspect a single tenant of
 // a multi-query engine.
 func (s Snapshot) ForQuery(qid string) Snapshot {
-	out := Snapshot{
-		Counters:   make(map[string]int64),
-		Gauges:     make(map[string]int64),
-		Histograms: make(map[string]HistogramSnapshot),
-	}
-	for k, v := range s.Counters {
-		if QueryScoped(k, qid) {
-			out.Counters[k] = v
-		}
-	}
-	for k, v := range s.Gauges {
-		if QueryScoped(k, qid) {
-			out.Gauges[k] = v
-		}
-	}
-	for k, v := range s.Histograms {
-		if QueryScoped(k, qid) {
-			out.Histograms[k] = v
-		}
-	}
-	return out
+	return s.filter(func(name string) bool { return QueryScoped(name, qid) })
 }
 
 // SumCounters sums every counter whose name starts with prefix — e.g.

@@ -51,21 +51,21 @@ func TestSnapshotForQuery(t *testing.T) {
 	}
 }
 
-// TestRetireQueryFolds pins the fold: a retired query's counters and
-// histograms are added into the same-prefix "retired" key, its gauges keep
-// the maximum, prefix sums are unchanged, q1 never takes q12 with it, and
-// retiring twice changes nothing.
+// TestRetireQueryFolds pins the fold: a folded query's counters and histograms are
+// added into the same-prefix "retired" key, its gauges keep the maximum,
+// prefix sums are unchanged, q1 never takes q12 with it, and folding twice
+// changes nothing.
 func TestRetireQueryFolds(t *testing.T) {
 	reg := NewRegistry()
+	scopes := make(map[string]*Scope)
 	for _, qid := range []string{"q1", "q12", "q2"} {
-		reg.TrackQuery(qid)
+		scopes[qid] = reg.OpenScope(qid)
 	}
-	reg.TrackQuery("q1") // tracking twice keeps the index
 	reg.Counter("rp.elements_out.q1/rp-bg-1").Add(7)
 	reg.Counter("rp.elements_out.q1/rp-bg-2").Add(5)
 	reg.Counter("rp.elements_out.q12/rp-bg-1").Add(11)
 	reg.Counter("rp.elements_out.q2/rp-bg-1").Add(9)
-	reg.Counter("rp.elements_out.q0/rp-bg-1").Add(1) // untracked: not indexed
+	reg.Counter("rp.elements_out.q0/rp-bg-1").Add(1) // no open scope: not remembered
 	reg.Counter("sched.submitted").Add(3)
 	reg.Gauge("sched.nodes.q1").Set(4)
 	reg.Gauge("sched.nodes.q2").Set(6)
@@ -75,13 +75,12 @@ func TestRetireQueryFolds(t *testing.T) {
 	reg.Histogram("recv.demarshal_vt.q2/client").Observe(3)
 
 	before := reg.Snapshot()
-	reg.RetireQuery("q1")
+	scopes["q1"].Fold()
 	once := reg.Snapshot()
-	reg.RetireQuery("q1")
-	reg.RetireQuery("q7") // never tracked
+	scopes["q1"].Fold()
 	snap := reg.Snapshot()
 	if !reflect.DeepEqual(once, snap) {
-		t.Errorf("retiring again changed the registry:\n%v\n%v", once, snap)
+		t.Errorf("folding again changed the registry:\n%v\n%v", once, snap)
 	}
 
 	if got := snap.ForQuery("q1"); len(got.Counters)+len(got.Gauges)+len(got.Histograms) != 0 {
@@ -108,7 +107,7 @@ func TestRetireQueryFolds(t *testing.T) {
 	}
 
 	// A second retirement folds into the same keys; gauges keep the maximum.
-	reg.RetireQuery("q2")
+	scopes["q2"].Fold()
 	snap = reg.Snapshot()
 	if got := snap.Counters["rp.elements_out.retired"]; got != 21 {
 		t.Errorf("rp.elements_out.retired = %d, want 21", got)
@@ -120,10 +119,16 @@ func TestRetireQueryFolds(t *testing.T) {
 		t.Errorf("recv.demarshal_vt.retired = %+v, want q2's observation folded in", h)
 	}
 	if _, ok := snap.Counters["rp.elements_out.q0/rp-bg-1"]; !ok {
-		t.Error("an untracked query's counter was removed")
+		t.Error("an unscoped query's counter was removed")
+	}
+
+	// A metric created under a folded scope's id is an ordinary shared key.
+	reg.Counter("rp.elements_out.q1/rp-bg-9").Inc()
+	scopes["q1"].Fold()
+	if got := reg.Snapshot().Counters["rp.elements_out.q1/rp-bg-9"]; got != 1 {
+		t.Errorf("a key created after the fold was folded: %d", got)
 	}
 
 	var nilReg *Registry
-	nilReg.TrackQuery("q1")
-	nilReg.RetireQuery("q1")
+	nilReg.OpenScope("q1").Fold()
 }

@@ -19,9 +19,9 @@
 // Bounded history: the session table holds the live sessions plus the last
 // finishedWindow finished ones. A finished session keeps only its terminal
 // row, error, makespan and result buffer — the SP graph goes at finalization
-// — and when it leaves the window the engine folds what it still remembers
-// of it (core.Engine.ForgetQuery). A handle the caller still holds keeps
-// working; the id stops resolving.
+// — and when it leaves the window its engine scope is retired
+// (core.Query.Retire). A handle the caller still holds keeps working; the id
+// stops resolving.
 package sched
 
 import (
@@ -354,8 +354,9 @@ type Query struct {
 	enterV        vtime.Time // virtual instant the current state was entered
 	retries       int        // transient-admission retries consumed
 	nextRetryV    vtime.Time // parked until the clock reaches this instant
-	// stmt, cq and stream reach the session's plan and SP graph; finalize
-	// drops all three.
+	// stmt and stream reach the session's plan and SP graph; finalize drops
+	// both. cq is the session's engine scope, retired when the session leaves
+	// the finished window.
 	stmt      *scsql.Statement
 	cq        *core.Query
 	stream    *core.ClientStream
@@ -737,15 +738,15 @@ func (s *Scheduler) finishQueued(q *Query, st State, err error, c *metrics.Count
 
 // finalize publishes q's terminal state — exactly once per session, by
 // whoever holds its claim — and moves it from the live sessions into the
-// finished window. The session lets go of its statement, engine identity and
-// stream (the whole SP graph); what a held handle can still ask for (state,
-// error, makespan, results) stays. The session that thereby leaves the
-// window is forgotten by id, here and in the engine.
+// finished window. The session lets go of its statement and stream (the whole
+// SP graph); what a held handle can still ask for (state, error, makespan,
+// results) stays. The session that thereby leaves the window is forgotten by
+// id here, and its engine scope retired.
 func (s *Scheduler) finalize(q *Query, st State, err error) {
 	q.mu.Lock()
 	q.state = st
 	q.err = err
-	q.stmt, q.cq, q.stream = nil, nil, nil
+	q.stmt, q.stream = nil, nil
 	q.mu.Unlock()
 
 	var evicted *Query
@@ -763,7 +764,7 @@ func (s *Scheduler) finalize(q *Query, st State, err error) {
 	}
 	s.mu.Unlock()
 	if evicted != nil {
-		s.eng.ForgetQuery(evicted.id)
+		evicted.cq.Retire()
 	}
 	// Waiters wake last: whoever Wait releases sees the session already
 	// counted out of Active and the table already trimmed.
@@ -854,10 +855,9 @@ func (s *Scheduler) Cancel(id string) error {
 		return nil
 	case Admitted, Running:
 		q.cancelReq = true
-		cq := q.cq // finalize clears the field; cancelling a finished query is a no-op
 		q.mu.Unlock()
 		s.mu.Unlock()
-		cq.Cancel(nil)
+		q.cq.Cancel(nil)
 		return nil
 	default:
 		q.mu.Unlock()

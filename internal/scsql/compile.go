@@ -269,9 +269,10 @@ func (ev *Evaluator) compileCall(call *Call, env *scope, b *core.PlanBuilder) (s
 // metric: {"counter", name, value}, {"gauge", name, value}, or
 // {"histogram", name, count, sum_ns, min_ns, max_ns}. Rows sort by kind
 // then name, so output order is deterministic. The snapshot is captured
-// when the plan opens (not at compile time), and the registry accumulates
-// across engine resets, so a monitor() statement issued after a query
-// reports that query's final counters. The optional string argument is a
+// when the plan opens (not at compile time), and the keys that name no query
+// (link.*, sched.*) and the totals by prefix survive engine resets, so a
+// monitor() statement issued after a query reports that query's traffic (its
+// per-RP keys are folded into "…retired" when a Reset retires it). The optional string argument is a
 // SQL-LIKE pattern over the metric name — '%' matches anywhere
 // (monitor('%bytes%')), and a pattern without '%' keeps its historic
 // prefix meaning, so monitor('sched.%') and monitor('sched.') are the

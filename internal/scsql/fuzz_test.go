@@ -2,10 +2,63 @@ package scsql
 
 import (
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// FuzzParse is the fuzz target of the one parser that reads untrusted text
+// (scsq-server parses what any client sends). Over arbitrary input: no
+// panic and no runaway recursion; exactly one of a statement and an error;
+// and the bytes allocated stay within a constant per input byte, so a frame
+// of the wire's maximum size cannot cost more than a fixed multiple of
+// itself. The seeds are the paper's queries as corpus.go generates them, the
+// sys_* statements of this package's tests, and the deep nestings that
+// overflowed the stack before the parser bounded them.
+func FuzzParse(f *testing.F) {
+	f.Add(Figure5Query(3_000_000, 100))
+	f.Add(MergeQuery(1, 2, 300_000, 10))
+	for q := 1; q <= 6; q++ {
+		src, err := InboundQuery(q, 4, 300_000, 10)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(src)
+	}
+	f.Add(GrepQuery("needle", 4))
+	for _, src := range []string{
+		`select count(sys_nodes());`,
+		`select sys_links();`,
+		`select sys_metrics('%bytes%');`,
+		`select streamof(sys_metrics('rp.%'));`,
+		`select limit(streamof(sys_metrics('rp.%')), 3);`,
+		`select n.node from stream n where n in sys_nodes() and n.cluster = 'bg' and n.x = 0;`,
+		`create function two(integer n) -> stream as select extract(a) from sp a where a=sp(iota(1,n), 'be');`,
+		"select " + strings.Repeat("(", 4*maxNesting),
+		"select " + strings.Repeat("{", 4*maxNesting),
+		"select " + strings.Repeat("- ", 4*maxNesting) + "1;",
+		"select " + strings.Repeat("sp((select ", 4*maxNesting),
+	} {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		stmt, err := Parse(src) // must not panic
+		runtime.ReadMemStats(&after)
+		if (stmt == nil) == (err == nil) {
+			t.Fatalf("Parse(%q) = %v, %v: want exactly one of a statement and an error", src, stmt, err)
+		}
+		// One token per byte at worst, in a slice that doubles as it grows
+		// (measured: 244 B per byte on 8 MiB of '('); the floor covers what a
+		// concurrent runtime goroutine may allocate meanwhile.
+		const perByte, floor = 512, 64 << 10
+		if got := after.TotalAlloc - before.TotalAlloc; got > perByte*uint64(len(src))+floor {
+			t.Fatalf("Parse allocated %d bytes for %d bytes of input", got, len(src))
+		}
+	})
+}
 
 // TestParserNeverPanics feeds the lexer and parser random garbage and
 // mutated fragments of real queries; they must return errors, never panic.

@@ -41,7 +41,7 @@ func TestMonitorStreamsRegistry(t *testing.T) {
 	if got, want := execOne(t, ev, Figure5Query(30_000, 7)), int64(7); got != want {
 		t.Fatalf("count = %v, want %v", got, want)
 	}
-	e.Reset() // the registry accumulates across resets
+	e.Reset() // link.* keys name no query: they survive the Reset that retires it
 
 	rows := drainAll(t, ev, `select monitor('link.bytes.');`)
 	if len(rows) == 0 {

@@ -42,9 +42,17 @@ func ParseAll(src string) ([]*Statement, error) {
 }
 
 type parser struct {
-	toks []Token
-	pos  int
+	toks  []Token
+	pos   int
+	depth int // unaryExpr calls on the stack
 }
+
+// maxNesting bounds how deep expressions and subqueries may nest. The
+// parser (and the compiler after it) recurses once per level, and statements
+// arrive from the network: without a bound a few hundred kilobytes of '('
+// overflow the stack, which no recover can catch. The paper's deepest query
+// nests six levels.
+const maxNesting = 256
 
 func (p *parser) peek() Token { return p.toks[p.pos] }
 
@@ -355,7 +363,15 @@ func (p *parser) mulExpr() (Expr, error) {
 	}
 }
 
+// unaryExpr is on every recursive path of the grammar — a parenthesis, a
+// call argument, a bag element, a subquery's expressions and a '-' operand
+// all come back through it — so it is where nesting depth is counted.
 func (p *parser) unaryExpr() (Expr, error) {
+	p.depth++
+	defer func() { p.depth-- }()
+	if p.depth > maxNesting {
+		return nil, errorfAt(p.peek().Pos, "nested deeper than %d levels", maxNesting)
+	}
 	if t := p.peek(); t.Kind == TokMinus {
 		p.next()
 		x, err := p.unaryExpr()

@@ -354,9 +354,12 @@ type MetricsSnapshot = metrics.Snapshot
 
 // MetricsSnapshot captures the engine's telemetry registry: per-link frame
 // and byte counters, virtual-time latency histograms, retry and fault
-// counts. The registry accumulates across Reset, so a snapshot taken after
-// a drained query reports that query's totals. The same data is queryable
-// in SCSQL via monitor().
+// counts. A drained query's own keys ("rp.elements_out.q7/rp-bg-2") stay in
+// the snapshot until the query is retired — by Reset, or when its session
+// leaves the finished window — which folds them into the key of the same
+// prefix ending in "retired": totals by prefix (SumCounters) and the keys
+// that name no query ("link.*", "sched.*") survive Reset, per-RP keys do
+// not. The same data is queryable in SCSQL via monitor().
 func (e *Engine) MetricsSnapshot() MetricsSnapshot {
 	return e.core.MetricsSnapshot()
 }
