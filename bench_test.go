@@ -1,7 +1,7 @@
 package scsq_test
 
 import (
-	"fmt"
+	"strings"
 	"testing"
 
 	"scsq"
@@ -11,81 +11,29 @@ import (
 	"scsq/internal/torus"
 )
 
-// The Benchmark* functions below regenerate the paper's figures through the
-// same harness as cmd/scsq-bench, reporting bandwidth as a custom "Mbps"
-// metric (one benchmark per figure, one sub-benchmark per curve point). The
-// absolute numbers come from the calibrated virtual-time hardware model;
-// what matters is the shape (see EXPERIMENTS.md).
-
-// BenchmarkFigure6P2P reproduces Figure 6: intra-BG point-to-point
-// streaming bandwidth versus MPI buffer size, single vs double buffering.
-func BenchmarkFigure6P2P(b *testing.B) {
-	cfg := bench.DefaultFigure6()
-	cfg.Repeats = 1
-	for _, buf := range cfg.BufSizes {
-		b.Run(fmt.Sprintf("buf=%d", buf), func(b *testing.B) {
-			one := cfg
-			one.BufSizes = []int{buf}
-			var single, double float64
-			for i := 0; i < b.N; i++ {
-				rows, err := bench.RunFigure6(one)
-				if err != nil {
-					b.Fatal(err)
-				}
-				single = rows[0].Single.MeanMbps
-				double = rows[0].Double.MeanMbps
-			}
-			b.ReportMetric(single, "single-Mbps")
-			b.ReportMetric(double, "double-Mbps")
-		})
-	}
-}
-
-// BenchmarkFigure8Merge reproduces Figure 8: stream-merging bandwidth under
-// the sequential and balanced node selections of Figure 7.
-func BenchmarkFigure8Merge(b *testing.B) {
-	cfg := bench.DefaultFigure8()
-	cfg.Repeats = 1
-	for _, buf := range cfg.BufSizes {
-		b.Run(fmt.Sprintf("buf=%d", buf), func(b *testing.B) {
-			one := cfg
-			one.BufSizes = []int{buf}
-			var row bench.Figure8Row
-			for i := 0; i < b.N; i++ {
-				rows, err := bench.RunFigure8(one)
-				if err != nil {
-					b.Fatal(err)
-				}
-				row = rows[0]
-			}
-			b.ReportMetric(row.SequentialDouble.MeanMbps, "seq-Mbps")
-			b.ReportMetric(row.BalancedDouble.MeanMbps, "bal-Mbps")
-		})
-	}
-}
-
-// BenchmarkFigure15Inbound reproduces Figure 15: BG inbound streaming
-// bandwidth for Queries 1-6 versus the number of parallel back-end streams.
-func BenchmarkFigure15Inbound(b *testing.B) {
-	cfg := bench.DefaultFigure15()
-	cfg.Repeats = 1
-	for _, q := range cfg.Queries {
-		for _, n := range cfg.NValues {
-			b.Run(fmt.Sprintf("query=%d/n=%d", q, n), func(b *testing.B) {
-				one := cfg
-				one.Queries = []int{q}
-				one.NValues = []int{n}
-				var mbps float64
-				for i := 0; i < b.N; i++ {
-					rows, err := bench.RunFigure15(one)
-					if err != nil {
-						b.Fatal(err)
-					}
-					mbps = rows[0].Total.MeanMbps
-				}
-				b.ReportMetric(mbps, "Mbps")
-			})
+// BenchmarkPaperFigures regenerates the paper's Figures 6, 8 and 15 through
+// the same registry as cmd/scsq-bench, one sub-benchmark per figure, and
+// reports every point of the figure as a custom metric named
+// "<x>/<series>-<unit>". The absolute numbers come from the calibrated
+// virtual-time hardware model; what matters is the shape (see
+// EXPERIMENTS.md).
+func BenchmarkPaperFigures(b *testing.B) {
+	for _, name := range []string{"6", "8", "15"} {
+		figs, err := bench.Select(name)
+		if err != nil {
+			b.Fatal(err)
 		}
+		b.Run("fig="+name, func(b *testing.B) {
+			var pts []bench.Point
+			for i := 0; i < b.N; i++ {
+				if pts, err = figs[0].Run(bench.Sizing{Repeats: 1}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for _, p := range pts {
+				b.ReportMetric(p.Value, strings.ReplaceAll(p.X+"/"+p.Series, " ", "")+"-"+p.Unit)
+			}
+		})
 	}
 }
 

@@ -17,8 +17,10 @@ package main
 import (
 	"crypto/subtle"
 	"crypto/tls"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -29,26 +31,32 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
+	if err := run(os.Args[1:], os.Stdout, sig); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "scsq-server:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run serves until a signal arrives on sig, then drains.
+func run(args []string, out io.Writer, sig <-chan os.Signal) error {
+	fs := flag.NewFlagSet("scsq-server", flag.ContinueOnError)
 	var (
-		addr     = flag.String("addr", "127.0.0.1:9292", "listen address")
-		maxConns = flag.Int("max-conns", server.DefaultMaxConns, "max concurrent connections; excess is shed on accept")
-		maxFrame = flag.Int("max-frame", 0, "max wire frame bytes (0 = 8 MiB default)")
-		idle     = flag.Duration("idle", 0, "per-connection idle read deadline (0 = none)")
-		grace    = flag.Duration("drain-grace", 5*time.Second, "how long live sessions may finish on SIGTERM before cancellation")
-		token    = flag.String("auth-token", "", "require clients to present this token in the handshake")
-		tlsCert  = flag.String("tls-cert", "", "TLS certificate file (with -tls-key enables TLS)")
-		tlsKey   = flag.String("tls-key", "", "TLS private key file")
-		mpiBuf   = flag.Int("mpibuf", 64*1024, "MPI driver send-buffer size in bytes")
-		realNet  = flag.Bool("realtcp", false, "carry cross-cluster streams over real loopback sockets")
+		addr     = fs.String("addr", "127.0.0.1:9292", "listen address")
+		maxConns = fs.Int("max-conns", server.DefaultMaxConns, "max concurrent connections; excess is shed on accept")
+		maxFrame = fs.Int("max-frame", 0, "max wire frame bytes (0 = 8 MiB default)")
+		idle     = fs.Duration("idle", 0, "per-connection idle read deadline (0 = none)")
+		grace    = fs.Duration("drain-grace", 5*time.Second, "how long live sessions may finish on SIGTERM before cancellation")
+		token    = fs.String("auth-token", "", "require clients to present this token in the handshake")
+		tlsCert  = fs.String("tls-cert", "", "TLS certificate file (with -tls-key enables TLS)")
+		tlsKey   = fs.String("tls-key", "", "TLS private key file")
+		mpiBuf   = fs.Int("mpibuf", 64*1024, "MPI driver send-buffer size in bytes")
+		realNet  = fs.Bool("realtcp", false, "carry cross-cluster streams over real loopback sockets")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	opts := []scsq.Option{scsq.WithMPIBufferBytes(*mpiBuf)}
 	if *realNet {
@@ -88,16 +96,14 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("scsq-server: listening on %s (max %d conns, tls=%v, auth=%v)\n",
+	fmt.Fprintf(out, "scsq-server: listening on %s (max %d conns, tls=%v, auth=%v)\n",
 		bound, *maxConns, cfg.TLS != nil, cfg.Auth != nil)
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
 	got := <-sig
-	fmt.Printf("scsq-server: %v — draining (grace %v)\n", got, *grace)
+	fmt.Fprintf(out, "scsq-server: %v — draining (grace %v)\n", got, *grace)
 	if err := srv.Drain(*grace); err != nil {
 		return err
 	}
-	fmt.Println("scsq-server: drained, bye")
+	fmt.Fprintln(out, "scsq-server: drained, bye")
 	return nil
 }

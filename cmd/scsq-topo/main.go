@@ -11,8 +11,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -22,21 +24,24 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "scsq-topo:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("scsq-topo", flag.ContinueOnError)
 	var (
-		dimX  = flag.Int("x", 4, "torus X dimension")
-		dimY  = flag.Int("y", 4, "torus Y dimension")
-		dimZ  = flag.Int("z", 2, "torus Z dimension")
-		pset  = flag.Int("pset", 8, "compute nodes per I/O node")
-		route = flag.String("route", "", "probe a route, e.g. -route 2,0")
+		dimX  = fs.Int("x", 4, "torus X dimension")
+		dimY  = fs.Int("y", 4, "torus Y dimension")
+		dimZ  = fs.Int("z", 2, "torus Z dimension")
+		pset  = fs.Int("pset", 8, "compute nodes per I/O node")
+		route = fs.String("route", "", "probe a route, e.g. -route 2,0")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	env, err := hw.NewLOFAR(
 		hw.WithTorusDims(*dimX, *dimY, *dimZ),
@@ -47,20 +52,20 @@ func run() error {
 	}
 
 	if *route != "" {
-		return probeRoute(env, *route)
+		return probeRoute(out, env, *route)
 	}
-	return inventory(env)
+	return inventory(out, env)
 }
 
 // inventory prints the hardware inventory by querying the engine's own
 // sys_nodes() catalog table — the same relation `select ... from stream n
 // where n in sys_nodes()` exposes in SCSQL — so the tool and the query
 // language can never disagree about the topology.
-func inventory(env *hw.Env) error {
+func inventory(out io.Writer, env *hw.Env) error {
 	x, y, z := env.Torus.Dims()
-	fmt.Printf("BlueGene partition: %d×%d×%d torus, %d compute nodes, %d psets of %d (+1 I/O node each)\n",
+	fmt.Fprintf(out, "BlueGene partition: %d×%d×%d torus, %d compute nodes, %d psets of %d (+1 I/O node each)\n",
 		x, y, z, env.Torus.Size(), env.PsetCount(), env.PsetSize())
-	fmt.Printf("Linux clusters: %d back-end nodes, %d front-end nodes (GbE)\n\n",
+	fmt.Fprintf(out, "Linux clusters: %d back-end nodes, %d front-end nodes (GbE)\n\n",
 		env.ClusterSize(hw.BackEnd), env.ClusterSize(hw.FrontEnd))
 
 	eng, err := core.NewEngine(core.WithEnv(env))
@@ -78,7 +83,7 @@ func inventory(env *hw.Env) error {
 	}
 
 	// sys_nodes rows arrive cluster by cluster; group the bg rows by pset.
-	fmt.Println("pset map (compute node -> I/O node), from sys_nodes():")
+	fmt.Fprintln(out, "pset map (compute node -> I/O node), from sys_nodes():")
 	psets := make([][]string, env.PsetCount())
 	for _, r := range rows {
 		cluster, _ := r.Field("cluster")
@@ -94,19 +99,19 @@ func inventory(env *hw.Env) error {
 		psets[p] = append(psets[p], fmt.Sprintf("%d(%d,%d,%d)", node, cx, cy, cz))
 	}
 	for p, cells := range psets {
-		fmt.Printf("  pset %d / io%d: %s\n", p, p, strings.Join(cells, " "))
+		fmt.Fprintf(out, "  pset %d / io%d: %s\n", p, p, strings.Join(cells, " "))
 	}
 
-	fmt.Println("\ncost model (calibrated, see DESIGN.md §3):")
+	fmt.Fprintln(out, "\ncost model (calibrated, see DESIGN.md §3):")
 	m := env.Cost
-	fmt.Printf("  torus packet %d B, packet cost %v, recv factor %.2f, switch cost %v\n",
+	fmt.Fprintf(out, "  torus packet %d B, packet cost %v, recv factor %.2f, switch cost %v\n",
 		m.TorusPacketBytes, m.PacketCost.Std(), m.RecvFactor, m.CoprocSwitchCost.Std())
-	fmt.Printf("  be NIC %.1f ns/B, io forwarder %.1f ns/B, io switch %v, ciod peer %v\n",
+	fmt.Fprintf(out, "  be NIC %.1f ns/B, io forwarder %.1f ns/B, io switch %v, ciod peer %v\n",
 		m.BeNICByte, m.IOByte, m.IOSwitchCost.Std(), m.CiodPeerCost.Std())
 	return nil
 }
 
-func probeRoute(env *hw.Env, spec string) error {
+func probeRoute(out io.Writer, env *hw.Env, spec string) error {
 	parts := strings.Split(spec, ",")
 	if len(parts) != 2 {
 		return fmt.Errorf("route spec must be src,dst — got %q", spec)
@@ -131,20 +136,20 @@ func probeRoute(env *hw.Env, spec string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("route %d%s", src, srcC)
+	fmt.Fprintf(out, "route %d%s", src, srcC)
 	for _, id := range path {
 		c, err := env.Torus.CoordOf(id)
 		if err != nil {
 			return err
 		}
-		fmt.Printf(" -> %d%s", id, c)
+		fmt.Fprintf(out, " -> %d%s", id, c)
 	}
-	fmt.Printf("\nhops: %d", len(path))
+	fmt.Fprintf(out, "\nhops: %d", len(path))
 	if len(mids) > 0 {
-		fmt.Printf(", forwarded by co-processor(s) of node(s) %v — slower when those nodes are busy", mids)
+		fmt.Fprintf(out, ", forwarded by co-processor(s) of node(s) %v — slower when those nodes are busy", mids)
 	} else {
-		fmt.Printf(", direct neighbors — no forwarding co-processors involved")
+		fmt.Fprintf(out, ", direct neighbors — no forwarding co-processors involved")
 	}
-	fmt.Println()
+	fmt.Fprintln(out)
 	return nil
 }

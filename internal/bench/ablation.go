@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"strconv"
 
 	"scsq/internal/cndb"
 	"scsq/internal/core"
@@ -9,86 +10,59 @@ import (
 	"scsq/internal/sqep"
 )
 
-// AblationConfig parameterizes the node-selection ablation: k producers
-// stream large arrays to one merging consumer inside the BlueGene, placed
-// either by the paper's naive next-available algorithm or by the
-// topology-aware selector (cndb.TopologySelector) that encodes the paper's
-// measured placement rules.
-type AblationConfig struct {
-	Producers  []int
-	BufBytes   int
-	ArrayBytes int
-	ArrayCount int
-	Repeats    int
-}
-
-// DefaultAblation is a laptop-scale ablation configuration.
-func DefaultAblation() AblationConfig {
-	return AblationConfig{
-		Producers:  []int{2, 3, 4},
-		BufBytes:   100_000,
-		ArrayBytes: 300_000,
-		ArrayCount: 20,
-		Repeats:    5,
-	}
-}
-
-// AblationRow is one producer-count point.
-type AblationRow struct {
-	Producers int
-	Naive     Sample
-	Topology  Sample
-	// GainPct is the topology-aware selector's bandwidth advantage.
-	GainPct float64
-}
-
-// RunSelectorAblation measures the merging bandwidth under the naive and
-// the topology-aware node selections.
-func RunSelectorAblation(cfg AblationConfig) ([]AblationRow, error) {
-	if err := validateWorkload(cfg.ArrayBytes, cfg.ArrayCount, cfg.Repeats); err != nil {
+// ablation is the node-selection ablation: k producers stream large arrays
+// to one merging consumer inside the BlueGene, placed either by the paper's
+// naive next-available algorithm or by the topology-aware selector
+// (cndb.TopologySelector) that encodes the paper's measured placement rules.
+// The "gain" series is the topology-aware selector's bandwidth advantage.
+func ablation(producers []int, bufBytes int, w workload) ([]Point, error) {
+	if err := w.validate(); err != nil {
 		return nil, err
 	}
-	if cfg.BufBytes <= 0 {
-		return nil, fmt.Errorf("bench: buffer size must be positive, got %d", cfg.BufBytes)
+	if bufBytes <= 0 {
+		return nil, fmt.Errorf("bench: buffer size must be positive, got %d", bufBytes)
 	}
 	// One engine serves every repetition: the selector is a pure function of
 	// the (reset) node database, so only the virtual clocks need rewinding
 	// between runs.
-	eng, err := core.NewEngine(core.WithMPIBufferBytes(cfg.BufBytes))
+	eng, err := core.NewEngine(core.WithMPIBufferBytes(bufBytes))
 	if err != nil {
 		return nil, err
 	}
 	defer eng.Close()
-	var rows []AblationRow
-	for _, k := range cfg.Producers {
-		row := AblationRow{Producers: k}
-		for _, topo := range []bool{false, true} {
+	var pts []Point
+	for _, k := range producers {
+		x := strconv.Itoa(k)
+		var byTopo [2]Point
+		for i, series := range []string{"naive", "topology"} {
 			var runs []float64
-			for r := 0; r < cfg.Repeats; r++ {
-				mbps, err := runMergeWithSelector(eng, cfg, k, topo)
+			for r := 0; r < w.Repeats; r++ {
+				mbps, err := runMergeWithSelector(eng, w, k, i == 1)
 				if err != nil {
-					return nil, fmt.Errorf("ablation k=%d topo=%v: %w", k, topo, err)
+					return nil, fmt.Errorf("ablation k=%d %s: %w", k, series, err)
 				}
 				runs = append(runs, mbps)
 			}
-			if topo {
-				row.Topology = summarize(runs)
-			} else {
-				row.Naive = summarize(runs)
-			}
+			byTopo[i] = summarize(x, series, "Mbps", runs)
 		}
-		if row.Naive.MeanMbps > 0 {
-			row.GainPct = (row.Topology.MeanMbps/row.Naive.MeanMbps - 1) * 100
-		}
-		rows = append(rows, row)
+		pts = append(pts, byTopo[0], byTopo[1], gainPct(x, byTopo[0], byTopo[1]))
 	}
-	return rows, nil
+	return pts, nil
+}
+
+// gainPct is the "gain" point: by how many percent over exceeds base.
+func gainPct(x string, base, over Point) Point {
+	gain := 0.0
+	if base.Value > 0 {
+		gain = (over.Value/base.Value - 1) * 100
+	}
+	return reading(x, "gain", "%", gain)
 }
 
 // runMergeWithSelector builds the k-producer merge programmatically so the
 // producer placement can come from either selector, then resets the engine
 // for the next run.
-func runMergeWithSelector(eng *core.Engine, cfg AblationConfig, k int, topologyAware bool) (float64, error) {
+func runMergeWithSelector(eng *core.Engine, w workload, k int, topologyAware bool) (float64, error) {
 	const consumerNode = 0
 	consumerSeq, err := cndb.NewSequence(consumerNode)
 	if err != nil {
@@ -119,7 +93,7 @@ func runMergeWithSelector(eng *core.Engine, cfg AblationConfig, k int, topologyA
 	subs := make([]core.Subquery, k)
 	for i := range subs {
 		subs[i] = func(*core.PlanBuilder) (sqep.Operator, error) {
-			return sqep.NewGenArray(cfg.ArrayBytes, cfg.ArrayCount), nil
+			return sqep.NewGenArray(w.ArrayBytes, w.ArrayCount), nil
 		}
 	}
 	producers, err := eng.SPV(subs, hw.BlueGene, producerSeq)
@@ -143,31 +117,9 @@ func runMergeWithSelector(eng *core.Engine, cfg AblationConfig, k int, topologyA
 	if _, err := cs.One(); err != nil {
 		return 0, err
 	}
-	payload := int64(k) * int64(cfg.ArrayBytes) * int64(cfg.ArrayCount)
-	mbps := float64(payload) * 8 / cs.Makespan().Sub(0).Seconds() / 1e6
+	rate := mbps(w.payload(k), cs.Makespan())
 	if err := eng.Reset(); err != nil {
 		return 0, fmt.Errorf("bench: reset: %w", err)
 	}
-	return mbps, nil
-}
-
-// WriteAblation renders the ablation table.
-func WriteAblation(w writer, rows []AblationRow) error {
-	if _, err := fmt.Fprintf(w, "Node-selection ablation — %s\n", "k-producer BG merge, naive vs topology-aware placement (Mbps)"); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%-10s %18s %18s %10s\n", "producers", "naive", "topology", "gain"); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		if _, err := fmt.Fprintf(w, "%-10d %18s %18s %+9.1f%%\n", r.Producers, r.Naive, r.Topology, r.GainPct); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// writer is the io.Writer subset used by the table renderers.
-type writer interface {
-	Write(p []byte) (int, error)
+	return rate, nil
 }

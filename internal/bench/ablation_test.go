@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"strings"
 	"testing"
 
 	"scsq/internal/cndb"
@@ -9,41 +8,28 @@ import (
 )
 
 func TestSelectorAblationTopologyWins(t *testing.T) {
-	cfg := DefaultAblation()
-	cfg.Producers = []int{2, 3}
-	cfg.Repeats = 2
-	rows, err := RunSelectorAblation(cfg)
+	pts, err := ablation([]int{2, 3}, 100_000, workload{300_000, 20, 2})
 	if err != nil {
 		t.Fatalf("ablation: %v", err)
 	}
-	for _, r := range rows {
+	for _, k := range []int{2, 3} {
+		naive, topo := value(t, pts, k, "naive"), value(t, pts, k, "topology")
 		// The topology-aware selector never loses (within noise), and for
 		// two producers it recovers most of the Figure 8 balanced gain.
-		if r.Topology.MeanMbps < 0.97*r.Naive.MeanMbps {
-			t.Errorf("k=%d: topology-aware (%v) lost to naive (%v)", r.Producers, r.Topology, r.Naive)
+		if topo.Value < 0.97*naive.Value {
+			t.Errorf("k=%d: topology-aware (%v) lost to naive (%v)", k, topo, naive)
 		}
-		if r.Producers == 2 && r.GainPct < 25 {
-			t.Errorf("k=2: gain %.1f%%, want ≥ 25%% (the balanced-selection advantage)", r.GainPct)
+		if gain := value(t, pts, k, "gain").Value; k == 2 && gain < 25 {
+			t.Errorf("k=2: gain %.1f%%, want ≥ 25%% (the balanced-selection advantage)", gain)
 		}
-	}
-	var sb strings.Builder
-	if err := WriteAblation(&sb, rows); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "topology") {
-		t.Errorf("table missing header: %s", sb.String())
 	}
 }
 
 func TestSelectorAblationValidation(t *testing.T) {
-	cfg := DefaultAblation()
-	cfg.BufBytes = 0
-	if _, err := RunSelectorAblation(cfg); err == nil {
+	if _, err := ablation([]int{2}, 0, workload{300_000, 20, 5}); err == nil {
 		t.Error("zero buffer should fail")
 	}
-	cfg = DefaultAblation()
-	cfg.Repeats = -1
-	if _, err := RunSelectorAblation(cfg); err == nil {
+	if _, err := ablation([]int{2}, 100_000, workload{300_000, 20, -1}); err == nil {
 		t.Error("negative repeats should fail")
 	}
 }

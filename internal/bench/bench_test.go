@@ -2,7 +2,9 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
 	"os"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -11,15 +13,31 @@ import (
 // DESIGN.md §5: who wins, by roughly what factor, and where the crossovers
 // fall — not absolute numbers.
 
-func figure6Rows(t *testing.T) []Figure6Row {
+// value returns the point of series at x, failing the test when the figure
+// has none.
+func value(t *testing.T, pts []Point, x any, series string) Point {
 	t.Helper()
-	cfg := DefaultFigure6()
-	cfg.Repeats = 2
-	rows, err := RunFigure6(cfg)
-	if err != nil {
-		t.Fatalf("figure 6: %v", err)
+	for _, p := range pts {
+		if p.X == fmt.Sprint(x) && p.Series == series {
+			return p
+		}
 	}
-	return rows
+	t.Fatalf("no point (%v, %s) among %d points", x, series, len(pts))
+	return Point{}
+}
+
+// runFigure runs the registry entry name at the given repeat count.
+func runFigure(t *testing.T, name string, repeats int) []Point {
+	t.Helper()
+	figs, err := Select(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts, err := figs[0].Run(Sizing{Repeats: repeats})
+	if err != nil {
+		t.Fatalf("figure %s: %v", name, err)
+	}
+	return pts
 }
 
 // TestFigure6Golden compares Figure 6 byte for byte against the committed
@@ -32,33 +50,26 @@ func TestFigure6Golden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultFigure6()
-	cfg.Repeats = 1
-	rows, err := RunFigure6(cfg)
-	if err != nil {
-		t.Fatalf("figure 6: %v", err)
-	}
 	var got bytes.Buffer
-	if err := CSVFigure6(&got, rows); err != nil {
+	got.WriteString(CSVHeader + "\n")
+	if err := WriteCSV(&got, Result{Figure: "6", Points: runFigure(t, "6", 1)}); err != nil {
 		t.Fatal(err)
 	}
-	got.WriteByte('\n') // the CLI separates figures with a blank line
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Errorf("Figure 6 differs from testdata/figure6.csv\ngot:\n%s\nwant:\n%s", got.Bytes(), want)
 	}
 }
 
 func TestFigure6Shape(t *testing.T) {
-	rows := figure6Rows(t)
-	byBuf := make(map[int]Figure6Row, len(rows))
-	var bestSingle, bestDouble int
-	for _, r := range rows {
-		byBuf[r.BufBytes] = r
-		if r.Single.MeanMbps > byBuf[bestSingle].Single.MeanMbps {
-			bestSingle = r.BufBytes
+	pts := runFigure(t, "6", 2)
+	at := func(buf int, series string) Point { return value(t, pts, buf, series) }
+	bestSingle, bestDouble := bufSizes[0], bufSizes[0]
+	for _, buf := range bufSizes {
+		if at(buf, "single").Value > at(bestSingle, "single").Value {
+			bestSingle = buf
 		}
-		if r.Double.MeanMbps > byBuf[bestDouble].Double.MeanMbps {
-			bestDouble = r.BufBytes
+		if at(buf, "double").Value > at(bestDouble, "double").Value {
+			bestDouble = buf
 		}
 	}
 
@@ -71,14 +82,14 @@ func TestFigure6Shape(t *testing.T) {
 		t.Errorf("double-buffer optimum at %d B, want 1000 B", bestDouble)
 	}
 	// Degradation below 1 KB (the smallest torus message) ...
-	if !(byBuf[100].Single.MeanMbps < byBuf[1000].Single.MeanMbps/2) {
+	if !(at(100, "single").Value < at(1000, "single").Value/2) {
 		t.Errorf("100 B buffers should be far below the 1 KB optimum: %v vs %v",
-			byBuf[100].Single, byBuf[1000].Single)
+			at(100, "single"), at(1000, "single"))
 	}
 	// ... and drop-off above it (cache misses): monotone decline.
-	prev := byBuf[1000].Single.MeanMbps
+	prev := at(1000, "single").Value
 	for _, buf := range []int{3000, 10_000, 30_000, 100_000, 300_000, 1_000_000} {
-		cur := byBuf[buf].Single.MeanMbps
+		cur := at(buf, "single").Value
 		if cur >= prev {
 			t.Errorf("single-buffer bandwidth should decline above 1 KB: %d B gives %.1f ≥ %.1f", buf, cur, prev)
 		}
@@ -86,31 +97,21 @@ func TestFigure6Shape(t *testing.T) {
 	}
 	// "Double buffering pays off for large buffers."
 	for _, buf := range []int{30_000, 100_000, 300_000, 1_000_000} {
-		r := byBuf[buf]
-		if r.Double.MeanMbps <= r.Single.MeanMbps {
-			t.Errorf("double buffering should win at %d B: double %v vs single %v", buf, r.Double, r.Single)
+		if single, double := at(buf, "single"), at(buf, "double"); double.Value <= single.Value {
+			t.Errorf("double buffering should win at %d B: double %v vs single %v", buf, double, single)
 		}
 	}
 }
 
 func TestFigure8Shape(t *testing.T) {
-	cfg := DefaultFigure8()
-	cfg.Repeats = 2
-	rows, err := RunFigure8(cfg)
-	if err != nil {
-		t.Fatalf("figure 8: %v", err)
-	}
-	byBuf := make(map[int]Figure8Row, len(rows))
-	for _, r := range rows {
-		byBuf[r.BufBytes] = r
-	}
+	pts := runFigure(t, "8", 2)
+	at := func(buf int, series string) float64 { return value(t, pts, buf, series).Value }
 
 	// "The streaming bandwidth depends highly on the compute nodes to which
 	// the RPs are allocated": the balanced selection wins clearly for large
 	// buffers (the paper reports up to 60%).
 	for _, buf := range []int{100_000, 300_000, 1_000_000} {
-		r := byBuf[buf]
-		gain := r.BalancedDouble.MeanMbps / r.SequentialDouble.MeanMbps
+		gain := at(buf, "bal/double") / at(buf, "seq/double")
 		if gain < 1.25 {
 			t.Errorf("balanced should beat sequential by ≥25%% at %d B, got %.0f%%", buf, (gain-1)*100)
 		}
@@ -121,22 +122,17 @@ func TestFigure8Shape(t *testing.T) {
 	// At small buffers the switching penalty dominates and the topologies
 	// converge.
 	for _, buf := range []int{100, 300, 1000} {
-		r := byBuf[buf]
-		ratio := r.BalancedSingle.MeanMbps / r.SequentialSingle.MeanMbps
+		ratio := at(buf, "bal/single") / at(buf, "seq/single")
 		if ratio < 0.9 || ratio > 1.1 {
 			t.Errorf("topologies should converge at %d B, got ratio %.2f", buf, ratio)
 		}
 	}
 	// "Buffers smaller than 10K are much slower for stream merging than for
 	// point-to-point communication."
-	p2p := figure6Rows(t)
-	p2pByBuf := make(map[int]Figure6Row, len(p2p))
-	for _, r := range p2p {
-		p2pByBuf[r.BufBytes] = r
-	}
+	p2p := runFigure(t, "6", 2)
 	for _, buf := range []int{100, 300, 1000} {
-		merge := byBuf[buf].BalancedSingle.MeanMbps
-		point := p2pByBuf[buf].Single.MeanMbps
+		merge := at(buf, "bal/single")
+		point := value(t, p2p, buf, "single").Value
 		if !(merge < 0.6*point) {
 			t.Errorf("merging at %d B should be much slower than point-to-point: %.1f vs %.1f Mbps", buf, merge, point)
 		}
@@ -144,8 +140,7 @@ func TestFigure8Shape(t *testing.T) {
 	// "The benefit of double buffering is less significant than that of
 	// point-to-point communication": bounded gain.
 	for _, buf := range []int{100_000, 1_000_000} {
-		r := byBuf[buf]
-		gain := r.BalancedDouble.MeanMbps / r.BalancedSingle.MeanMbps
+		gain := at(buf, "bal/double") / at(buf, "bal/single")
 		if gain > 1.25 {
 			t.Errorf("double-buffering gain for merging at %d B too large: %.0f%%", buf, (gain-1)*100)
 		}
@@ -153,17 +148,8 @@ func TestFigure8Shape(t *testing.T) {
 }
 
 func TestFigure15Shape(t *testing.T) {
-	cfg := DefaultFigure15()
-	cfg.Repeats = 2
-	rows, err := RunFigure15(cfg)
-	if err != nil {
-		t.Fatalf("figure 15: %v", err)
-	}
-	at := make(map[[2]int]float64, len(rows))
-	for _, r := range rows {
-		at[[2]int{r.Query, r.N}] = r.Total.MeanMbps
-	}
-	q := func(query, n int) float64 { return at[[2]int{query, n}] }
+	pts := runFigure(t, "15", 2)
+	q := func(query, n int) float64 { return value(t, pts, n, "Query "+strconv.Itoa(query)).Value }
 
 	// (1) Queries 1-4 (single I/O node) are significantly below Queries 5-6.
 	for n := 2; n <= 8; n++ {
@@ -218,39 +204,76 @@ func TestFigure15Shape(t *testing.T) {
 }
 
 func TestInboundQueryRejectsUnknown(t *testing.T) {
-	cfg := DefaultFigure15()
-	cfg.Queries = []int{7}
-	cfg.Repeats = 1
-	if _, err := RunFigure15(cfg); err == nil || !strings.Contains(err.Error(), "no such inbound query") {
+	if _, err := figure15([]int{7}, []int{1}, workload{100_000, 60, 1}); err == nil || !strings.Contains(err.Error(), "no such inbound query") {
 		t.Fatalf("expected unknown-query error, got %v", err)
 	}
 }
 
 func TestConfigValidation(t *testing.T) {
-	bad := DefaultFigure6()
-	bad.Repeats = 0
-	if _, err := RunFigure6(bad); err == nil {
+	if _, err := figure6(bufSizes, workload{300_000, 20, 0}); err == nil {
 		t.Error("repeats=0 should be rejected")
 	}
-	bad8 := DefaultFigure8()
-	bad8.ArrayBytes = -1
-	if _, err := RunFigure8(bad8); err == nil {
+	if _, err := figure8(bufSizes, workload{-1, 20, 5}); err == nil {
 		t.Error("negative array size should be rejected")
+	}
+	// -repeats 0 reaches every figure that honours Repeats as an error.
+	for _, name := range []string{"6", "8", "15", "ablation", "udp", "mt", "sysq"} {
+		figs, err := Select(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := figs[0].Run(Sizing{Tiny: true}); err == nil {
+			t.Errorf("figure %s accepted repeats=0", name)
+		}
+	}
+}
+
+func TestSelect(t *testing.T) {
+	all, err := Select("all")
+	if err != nil || len(all) != len(Figures) {
+		t.Fatalf("Select(all) = %d figures, %v; want %d", len(all), err, len(Figures))
+	}
+	seen := map[string]bool{}
+	for _, f := range Figures {
+		if f.Name == "" || f.Name == "all" || f.Title == "" || f.Run == nil || seen[f.Name] {
+			t.Errorf("registry entry %q is incomplete or duplicated", f.Name)
+		}
+		seen[f.Name] = true
+		one, err := Select(f.Name)
+		if err != nil || len(one) != 1 || one[0].Name != f.Name {
+			t.Errorf("Select(%s) = %v, %v", f.Name, one, err)
+		}
+	}
+	_, err = Select("bogus")
+	if err == nil {
+		t.Fatal("unknown figure accepted")
+	}
+	for _, name := range Names() {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not list figure %s", err, name)
+		}
 	}
 }
 
 func TestSummarize(t *testing.T) {
-	s := summarize([]float64{100, 200, 300})
-	if s.MeanMbps != 200 {
-		t.Errorf("mean = %v, want 200", s.MeanMbps)
+	s := summarize("x", "s", "Mbps", []float64{100, 200, 300})
+	if s.Value != 200 {
+		t.Errorf("mean = %v, want 200", s.Value)
 	}
-	if s.Runs != 3 {
-		t.Errorf("runs = %d, want 3", s.Runs)
+	if s.N != 3 {
+		t.Errorf("runs = %d, want 3", s.N)
 	}
-	if s.StdevMbps < 81 || s.StdevMbps > 82 {
-		t.Errorf("stdev = %v, want ≈81.6", s.StdevMbps)
+	if s.Stdev < 81 || s.Stdev > 82 {
+		t.Errorf("stdev = %v, want ≈81.6", s.Stdev)
 	}
-	if zero := summarize(nil); zero.Runs != 0 || zero.MeanMbps != 0 {
+	if zero := summarize("x", "s", "Mbps", nil); zero.N != 0 || zero.Value != 0 {
 		t.Errorf("empty summarize = %+v, want zero", zero)
+	}
+	// The median ignores one-sided outliers; even counts take the middle pair.
+	if m := median("x", "s", "ns", []float64{5, 1, 900}); m.Value != 5 || m.N != 3 || m.Stdev == 0 {
+		t.Errorf("median of 3 = %+v, want value 5 with spread", m)
+	}
+	if m := median("x", "s", "ns", []float64{4, 2, 8, 6}); m.Value != 5 {
+		t.Errorf("median of 4 = %v, want 5", m.Value)
 	}
 }

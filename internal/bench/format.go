@@ -1,138 +1,136 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"os"
+	"runtime"
 	"strings"
+	"unicode/utf8"
 )
 
-// WriteFigure6 renders the Figure 6 table.
-func WriteFigure6(w io.Writer, rows []Figure6Row) error {
-	if _, err := fmt.Fprintf(w, "Figure 6 — intra-BG point-to-point streaming bandwidth (Mbps)\n"); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%-10s %18s %18s\n", "buf(B)", "single", "double"); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		if _, err := fmt.Fprintf(w, "%-10d %18s %18s\n", r.BufBytes, r.Single, r.Double); err != nil {
-			return err
+// WriteTable renders one figure as a text table pivoted on its points: one
+// row per x, one column per series (both in order of first appearance), "-"
+// where a series has no point at an x.
+func WriteTable(w io.Writer, title string, pts []Point) error {
+	var xs, series []string
+	cells := make(map[[2]string]string, len(pts))
+	units := make(map[string]string)
+	seenX := make(map[string]bool)
+	for _, p := range pts {
+		if _, ok := units[p.Series]; !ok {
+			units[p.Series] = p.Unit
+			series = append(series, p.Series)
 		}
-	}
-	return nil
-}
-
-// WriteFigure8 renders the Figure 8 table.
-func WriteFigure8(w io.Writer, rows []Figure8Row) error {
-	if _, err := fmt.Fprintf(w, "Figure 8 — stream merging: total input bandwidth at node c (Mbps)\n"); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%-10s %18s %18s %18s %18s\n",
-		"buf(B)", "seq/single", "seq/double", "bal/single", "bal/double"); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		if _, err := fmt.Fprintf(w, "%-10d %18s %18s %18s %18s\n",
-			r.BufBytes, r.SequentialSingle, r.SequentialDouble, r.BalancedSingle, r.BalancedDouble); err != nil {
-			return err
+		if !seenX[p.X] {
+			seenX[p.X] = true
+			xs = append(xs, p.X)
 		}
+		cells[[2]string{p.X, p.Series}] = p.String()
 	}
-	return nil
-}
-
-// WriteFigure15 renders the Figure 15 table: one row per n, one column per
-// query.
-func WriteFigure15(w io.Writer, rows []Figure15Row) error {
-	byQuery := make(map[int]map[int]Sample)
-	var (
-		queries []int
-		ns      []int
-	)
-	seenQ := make(map[int]bool)
-	seenN := make(map[int]bool)
-	for _, r := range rows {
-		if byQuery[r.Query] == nil {
-			byQuery[r.Query] = make(map[int]Sample)
-		}
-		byQuery[r.Query][r.N] = r.Total
-		if !seenQ[r.Query] {
-			seenQ[r.Query] = true
-			queries = append(queries, r.Query)
-		}
-		if !seenN[r.N] {
-			seenN[r.N] = true
-			ns = append(ns, r.N)
-		}
+	table := make([][]string, 0, len(xs)+1)
+	header := []string{"x"}
+	for _, s := range series {
+		header = append(header, fmt.Sprintf("%s (%s)", s, units[s]))
 	}
-	sort.Ints(queries)
-	sort.Ints(ns)
-
-	if _, err := fmt.Fprintf(w, "Figure 15 — BG inbound streaming bandwidth (Mbps)\n"); err != nil {
-		return err
-	}
-	header := []string{fmt.Sprintf("%-4s", "n")}
-	for _, q := range queries {
-		header = append(header, fmt.Sprintf("%16s", fmt.Sprintf("Query %d", q)))
-	}
-	if _, err := fmt.Fprintln(w, strings.Join(header, " ")); err != nil {
-		return err
-	}
-	for _, n := range ns {
-		cells := []string{fmt.Sprintf("%-4d", n)}
-		for _, q := range queries {
-			s, ok := byQuery[q][n]
+	table = append(table, header)
+	for _, x := range xs {
+		row := []string{x}
+		for _, s := range series {
+			cell, ok := cells[[2]string{x, s}]
 			if !ok {
-				cells = append(cells, fmt.Sprintf("%16s", "-"))
-				continue
+				cell = "-"
 			}
-			cells = append(cells, fmt.Sprintf("%16.1f", s.MeanMbps))
+			row = append(row, cell)
 		}
-		if _, err := fmt.Fprintln(w, strings.Join(cells, " ")); err != nil {
-			return err
+		table = append(table, row)
+	}
+	widths := make([]int, len(header))
+	for _, row := range table {
+		for i, cell := range row {
+			widths[i] = max(widths[i], utf8.RuneCountInString(cell))
 		}
 	}
-	return nil
+	var sb strings.Builder
+	sb.WriteString(title + "\n")
+	for _, row := range table {
+		fmt.Fprintf(&sb, "%-*s", widths[0], row[0])
+		for i, cell := range row[1:] {
+			fmt.Fprintf(&sb, "  %*s", widths[i+1], cell)
+		}
+		sb.WriteByte('\n')
+	}
+	_, err := io.WriteString(w, sb.String())
+	return err
 }
 
-// CSVFigure6 renders Figure 6 as CSV.
-func CSVFigure6(w io.Writer, rows []Figure6Row) error {
-	if _, err := fmt.Fprintln(w, "buf_bytes,single_mbps,single_stdev,double_mbps,double_stdev"); err != nil {
-		return err
+// CSVHeader is the one header of the long-form CSV; WriteCSV emits rows
+// only, so any number of figures share it.
+const CSVHeader = "figure,x,series,unit,value,stdev,n"
+
+// WriteCSV renders one figure's points as long-form CSV rows under
+// CSVHeader.
+func WriteCSV(w io.Writer, r Result) error {
+	var sb strings.Builder
+	for _, p := range r.Points {
+		fmt.Fprintf(&sb, "%s,%s,%s,%s,%.3f,%.3f,%d\n", r.Figure, p.X, p.Series, p.Unit, p.Value, p.Stdev, p.N)
 	}
-	for _, r := range rows {
-		if _, err := fmt.Fprintf(w, "%d,%.3f,%.3f,%.3f,%.3f\n",
-			r.BufBytes, r.Single.MeanMbps, r.Single.StdevMbps, r.Double.MeanMbps, r.Double.StdevMbps); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := io.WriteString(w, sb.String())
+	return err
 }
 
-// CSVFigure8 renders Figure 8 as CSV.
-func CSVFigure8(w io.Writer, rows []Figure8Row) error {
-	if _, err := fmt.Fprintln(w, "buf_bytes,seq_single_mbps,seq_double_mbps,bal_single_mbps,bal_double_mbps"); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		if _, err := fmt.Fprintf(w, "%d,%.3f,%.3f,%.3f,%.3f\n",
-			r.BufBytes, r.SequentialSingle.MeanMbps, r.SequentialDouble.MeanMbps,
-			r.BalancedSingle.MeanMbps, r.BalancedDouble.MeanMbps); err != nil {
-			return err
-		}
-	}
-	return nil
+// Result is one figure's outcome inside a Report.
+type Result struct {
+	Figure    string  `json:"figure"`
+	ElapsedMs float64 `json:"elapsed_ms"`
+	Points    []Point `json:"points"`
 }
 
-// CSVFigure15 renders Figure 15 as CSV.
-func CSVFigure15(w io.Writer, rows []Figure15Row) error {
-	if _, err := fmt.Fprintln(w, "query,n,mbps,stdev"); err != nil {
-		return err
+// Report is the one JSON document of the harness (`scsq-bench -out`, the
+// committed BENCH_*.json): the host the numbers were taken on — speedup
+// ratios on a single-core container mean something different than on a
+// 32-way box — and every figure that ran.
+type Report struct {
+	GoVersion  string   `json:"go_version"`
+	GOOS       string   `json:"goos"`
+	GOARCH     string   `json:"goarch"`
+	GOMAXPROCS int      `json:"gomaxprocs"`
+	CPUModel   string   `json:"cpu_model,omitempty"`
+	Figures    []Result `json:"figures"`
+}
+
+// NewReport returns a report with the host envelope filled in.
+func NewReport() Report {
+	return Report{
+		GoVersion:  runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		CPUModel:   cpuModel(),
 	}
-	for _, r := range rows {
-		if _, err := fmt.Fprintf(w, "%d,%d,%.3f,%.3f\n", r.Query, r.N, r.Total.MeanMbps, r.Total.StdevMbps); err != nil {
-			return err
+}
+
+// cpuModel best-effort reads the CPU model name from /proc/cpuinfo (Linux).
+// Empty when unavailable; the field is informational only.
+func cpuModel() string {
+	data, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return ""
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if name, ok := strings.CutPrefix(line, "model name"); ok {
+			if _, val, ok := strings.Cut(name, ":"); ok {
+				return strings.TrimSpace(val)
+			}
 		}
 	}
-	return nil
+	return ""
+}
+
+// WriteJSON emits the report as indented JSON.
+func WriteJSON(w io.Writer, r Report) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(r)
 }

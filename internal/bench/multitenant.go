@@ -2,132 +2,72 @@ package bench
 
 import (
 	"fmt"
-	"io"
+	"strconv"
 	"time"
 
 	"scsq/internal/core"
+	"scsq/internal/place"
 	"scsq/internal/sched"
 	"scsq/internal/scsql"
 	"scsq/internal/vtime"
 )
 
-// MultiTenantConfig parameterizes the multi-tenant contention experiment: k
-// concurrent instances of Query 1 (n back-end streams each) submitted to
-// the query scheduler on one engine, against a serialized baseline of the
-// same k queries run back to back.
-type MultiTenantConfig struct {
-	// Tenants lists the concurrency degrees k to measure.
-	Tenants []int
-	// Streams is each query's parallel back-end stream count (Query 1's n).
-	Streams int
-	// ArrayBytes and ArrayCount shape each stream's workload.
-	ArrayBytes int
-	ArrayCount int
-	// Repeats is the per-point repetition count.
-	Repeats int
-	// FairSlice, when positive, bounds single reservations on shared
-	// transport devices (see sched.WithFairSlice). Zero leaves the
-	// single-tenant placement discipline untouched.
-	FairSlice vtime.Duration
-}
-
-// DefaultMultiTenant is a laptop-scale configuration of the contention
-// sweep.
-func DefaultMultiTenant() MultiTenantConfig {
-	return MultiTenantConfig{
-		Tenants:    []int{1, 2, 3, 4},
-		Streams:    2,
-		ArrayBytes: 300_000,
-		ArrayCount: 20,
-		Repeats:    5,
+// multiTenant is the multi-tenant contention experiment: for each k in
+// tenants, k concurrent instances of Query 1 (streams back-end streams each)
+// submitted to the query scheduler on one engine, against a serialized
+// baseline of the same k queries run back to back (the k=1 measurement of
+// the same repeat). Series: "aggregate" is k payloads over the makespan of
+// the concurrent batch, "per-query" the mean per-tenant bandwidth,
+// "serialized" the baseline, "adm-wait" the mean wall-clock admission
+// latency. Virtual-time determinism makes repeats agree exactly at k=1; the
+// repetition mirrors the paper's five-run methodology (and exercises
+// scheduling independence).
+func multiTenant(tenants []int, streams int, w workload) ([]Point, error) {
+	if err := w.validate(); err != nil {
+		return nil, err
 	}
-}
-
-// MultiTenantRow is one concurrency point of the contention table.
-type MultiTenantRow struct {
-	// Tenants is the number of concurrent Query-1 instances.
-	Tenants int
-	// Aggregate is the system throughput: k payloads over the makespan of
-	// the concurrent batch (the latest tenant completion).
-	Aggregate Sample
-	// PerQuery is the mean per-tenant bandwidth (each tenant's payload over
-	// its own makespan).
-	PerQuery Sample
-	// Serialized is the baseline: k payloads over k times the single-query
-	// makespan — what running the same queries back to back would yield.
-	Serialized Sample
-	// AdmissionWait is the mean wall-clock admission latency across tenants
-	// and repeats.
-	AdmissionWait time.Duration
-}
-
-// RunMultiTenant measures aggregate and per-query bandwidth of k concurrent
-// Query-1 instances for each k in cfg.Tenants. All k instances are
-// submitted to one scheduler on one engine; the serialized baseline reuses
-// the k=1 measurement of the same repeat. Virtual-time determinism makes
-// repeats agree exactly; the repetition mirrors the paper's five-run
-// methodology (and exercises scheduling independence).
-func RunMultiTenant(cfg MultiTenantConfig) ([]MultiTenantRow, error) {
-	src, err := scsql.InboundQuery(1, cfg.Streams, cfg.ArrayBytes, cfg.ArrayCount)
+	src, err := scsql.InboundQuery(1, streams, w.ArrayBytes, w.ArrayCount)
 	if err != nil {
 		return nil, err
 	}
-	perQueryPayload := int64(cfg.Streams) * int64(cfg.ArrayBytes) * int64(cfg.ArrayCount)
-
 	// One engine serves the whole sweep: each runTenants batch gets a fresh
 	// scheduler, and Engine.Reset rewinds the virtual clocks between
-	// batches. The fair-slice setting survives Reset, so it is applied once
-	// per scheduler and stays constant across the sweep.
+	// batches.
 	eng, err := core.NewEngine()
 	if err != nil {
 		return nil, err
 	}
 	defer eng.Close()
 
-	var rows []MultiTenantRow
-	for _, k := range cfg.Tenants {
+	var pts []Point
+	for _, k := range tenants {
 		if k <= 0 {
 			return nil, fmt.Errorf("bench: tenant count must be positive, got %d", k)
 		}
 		var aggregate, perQuery, serialized []float64
-		var waitSum time.Duration
-		var waitN int64
-		for rep := 0; rep < cfg.Repeats; rep++ {
-			// Single-tenant reference for this repeat.
-			t1, err := runTenants(eng, src, 1, cfg.FairSlice)
+		var wait time.Duration
+		for rep := 0; rep < w.Repeats; rep++ {
+			t1, _, err := runTenants(eng, src, 1, nil)
 			if err != nil {
 				return nil, err
 			}
-			batch, err := runTenants(eng, src, k, cfg.FairSlice)
+			batch, _, err := runTenants(eng, src, k, nil)
 			if err != nil {
 				return nil, err
 			}
-			tmax := vtime.Time(0)
-			var perSum float64
-			for _, t := range batch.makespans {
-				if t > tmax {
-					tmax = t
-				}
-				perSum += mbps(perQueryPayload, t)
-			}
-			aggregate = append(aggregate, mbps(int64(k)*perQueryPayload, tmax))
-			perQuery = append(perQuery, perSum/float64(k))
-			serialized = append(serialized, mbps(int64(k)*perQueryPayload, vtime.Time(int64(k))*t1.makespans[0]))
-			waitSum += batch.admissionWait
-			waitN += int64(k)
+			agg, per := batch.rates(w.payload(streams))
+			aggregate, perQuery = append(aggregate, agg), append(perQuery, per)
+			serialized = append(serialized, mbps(int64(k)*w.payload(streams), vtime.Time(int64(k))*t1.makespans[0]))
+			wait += batch.admissionWait
 		}
-		row := MultiTenantRow{
-			Tenants:    k,
-			Aggregate:  summarize(aggregate),
-			PerQuery:   summarize(perQuery),
-			Serialized: summarize(serialized),
-		}
-		if waitN > 0 {
-			row.AdmissionWait = waitSum / time.Duration(waitN)
-		}
-		rows = append(rows, row)
+		x := strconv.Itoa(k)
+		pts = append(pts,
+			summarize(x, "aggregate", "Mbps", aggregate),
+			summarize(x, "per-query", "Mbps", perQuery),
+			summarize(x, "serialized", "Mbps", serialized),
+			reading(x, "adm-wait", "us", float64((wait/time.Duration(k*w.Repeats)).Microseconds())))
 	}
-	return rows, nil
+	return pts, nil
 }
 
 type tenantBatch struct {
@@ -135,13 +75,25 @@ type tenantBatch struct {
 	admissionWait time.Duration
 }
 
-// runTenants submits k instances of src to a fresh scheduler on the shared
-// engine, waits for all of them, and resets the engine for the next batch.
-func runTenants(eng *core.Engine, src string, k int, fairSlice vtime.Duration) (tenantBatch, error) {
-	var opts []sched.Option
-	if fairSlice > 0 {
-		opts = append(opts, sched.WithFairSlice(fairSlice))
+// rates reduces the batch to (aggregate, mean per-query) Mbps: all payloads
+// over the latest tenant completion, and each tenant's payload over its own
+// makespan.
+func (b tenantBatch) rates(perQueryPayload int64) (aggregate, perQuery float64) {
+	tmax := vtime.Time(0)
+	var perSum float64
+	for _, t := range b.makespans {
+		tmax = max(tmax, t)
+		perSum += mbps(perQueryPayload, t)
 	}
+	k := len(b.makespans)
+	return mbps(int64(k)*perQueryPayload, tmax), perSum / float64(k)
+}
+
+// runTenants submits k instances of src to a fresh scheduler (with the
+// given options) on the shared engine, waits for all of them, captures the
+// placement planner's decisions if one is configured, and resets the engine
+// for the next batch.
+func runTenants(eng *core.Engine, src string, k int, opts []sched.Option) (tenantBatch, []place.Decision, error) {
 	s := sched.New(eng, nil, opts...)
 	defer s.Close()
 
@@ -149,27 +101,31 @@ func runTenants(eng *core.Engine, src string, k int, fairSlice vtime.Duration) (
 	for i := 0; i < k; i++ {
 		q, err := s.Submit(src)
 		if err != nil {
-			return tenantBatch{}, fmt.Errorf("bench: submit tenant %d: %w", i+1, err)
+			return tenantBatch{}, nil, fmt.Errorf("bench: submit tenant %d: %w", i+1, err)
 		}
 		qs = append(qs, q)
 	}
 	var batch tenantBatch
 	for i, q := range qs {
 		if _, err := q.Wait(); err != nil {
-			return tenantBatch{}, fmt.Errorf("bench: tenant %d (%s): %w", i+1, q.ID(), err)
+			return tenantBatch{}, nil, fmt.Errorf("bench: tenant %d (%s): %w", i+1, q.ID(), err)
 		}
 		mk := q.Makespan()
 		if mk <= 0 {
-			return tenantBatch{}, fmt.Errorf("bench: tenant %d finished with non-positive makespan %v", i+1, mk)
+			return tenantBatch{}, nil, fmt.Errorf("bench: tenant %d finished with non-positive makespan %v", i+1, mk)
 		}
 		batch.makespans = append(batch.makespans, mk)
 		batch.admissionWait += q.AdmissionWait()
 	}
+	var ds []place.Decision
+	if p := s.Planner(); p != nil {
+		ds = p.Decisions()
+	}
 	s.Close()
 	if err := eng.Reset(); err != nil {
-		return tenantBatch{}, fmt.Errorf("bench: reset: %w", err)
+		return tenantBatch{}, nil, fmt.Errorf("bench: reset: %w", err)
 	}
-	return batch, nil
+	return batch, ds, nil
 }
 
 // mbps converts a payload volume over a virtual duration into Mbit/s.
@@ -179,39 +135,4 @@ func mbps(payloadBytes int64, t vtime.Time) float64 {
 		return 0
 	}
 	return float64(payloadBytes) * 8 / seconds / 1e6
-}
-
-// WriteMultiTenant renders the multi-tenant contention table.
-func WriteMultiTenant(w io.Writer, rows []MultiTenantRow) error {
-	if _, err := fmt.Fprintf(w, "Multi-tenant contention — k concurrent Query-1 instances (Mbps)\n"); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%-8s %18s %18s %18s %14s\n",
-		"tenants", "aggregate", "per-query", "serialized", "adm-wait"); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		if _, err := fmt.Fprintf(w, "%-8d %18s %18s %18s %14s\n",
-			r.Tenants, r.Aggregate, r.PerQuery, r.Serialized, r.AdmissionWait.Round(time.Microsecond)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// CSVMultiTenant writes the contention table as CSV.
-func CSVMultiTenant(w io.Writer, rows []MultiTenantRow) error {
-	if _, err := fmt.Fprintln(w, "tenants,aggregate_mbps,aggregate_stdev,per_query_mbps,per_query_stdev,serialized_mbps,serialized_stdev,admission_wait_us"); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		if _, err := fmt.Fprintf(w, "%d,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%d\n",
-			r.Tenants, r.Aggregate.MeanMbps, r.Aggregate.StdevMbps,
-			r.PerQuery.MeanMbps, r.PerQuery.StdevMbps,
-			r.Serialized.MeanMbps, r.Serialized.StdevMbps,
-			r.AdmissionWait.Microseconds()); err != nil {
-			return err
-		}
-	}
-	return nil
 }

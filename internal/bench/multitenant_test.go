@@ -1,66 +1,38 @@
 package bench
 
-import (
-	"bytes"
-	"strings"
-	"testing"
-)
-
-// smallMultiTenant keeps the contention sweep test-sized.
-func smallMultiTenant() MultiTenantConfig {
-	return MultiTenantConfig{
-		Tenants:    []int{1, 2},
-		Streams:    2,
-		ArrayBytes: 60_000,
-		ArrayCount: 10,
-		Repeats:    2,
-	}
-}
+import "testing"
 
 func TestMultiTenantShape(t *testing.T) {
-	rows, err := RunMultiTenant(smallMultiTenant())
+	// A test-sized contention sweep.
+	pts, err := multiTenant([]int{1, 2}, 2, workload{60_000, 10, 2})
 	if err != nil {
-		t.Fatalf("RunMultiTenant: %v", err)
+		t.Fatalf("multiTenant: %v", err)
 	}
-	if len(rows) != 2 {
-		t.Fatalf("got %d rows, want 2", len(rows))
+	if len(pts) != 8 {
+		t.Fatalf("got %d points, want 8 (4 series at k=1, 2)", len(pts))
 	}
-	for _, r := range rows {
-		if r.Aggregate.MeanMbps <= 0 || r.PerQuery.MeanMbps <= 0 || r.Serialized.MeanMbps <= 0 {
-			t.Fatalf("k=%d: non-positive bandwidth in %+v", r.Tenants, r)
+	for _, k := range []int{1, 2} {
+		for _, series := range []string{"aggregate", "per-query", "serialized"} {
+			if p := value(t, pts, k, series); p.Value <= 0 || p.N != 2 {
+				t.Fatalf("k=%d: %s = %+v, want positive bandwidth over 2 runs", k, series, p)
+			}
 		}
-		if r.Aggregate.Runs != 2 {
-			t.Fatalf("k=%d: runs = %d, want 2", r.Tenants, r.Aggregate.Runs)
+		if p := value(t, pts, k, "adm-wait"); p.Value < 0 || p.Unit != "us" {
+			t.Fatalf("k=%d: admission wait %+v", k, p)
 		}
 	}
 	// A lone tenant is fully deterministic in virtual time, and its
 	// "concurrent" batch is by definition the serialized baseline.
-	k1 := rows[0]
-	if k1.Aggregate.StdevMbps != 0 {
-		t.Fatalf("k=1 aggregate stdev = %v, want 0 (deterministic repeats)", k1.Aggregate.StdevMbps)
+	agg1, ser1 := value(t, pts, 1, "aggregate"), value(t, pts, 1, "serialized")
+	if agg1.Stdev != 0 {
+		t.Fatalf("k=1 aggregate stdev = %v, want 0 (deterministic repeats)", agg1.Stdev)
 	}
-	if k1.Aggregate.MeanMbps != k1.Serialized.MeanMbps {
-		t.Fatalf("k=1 aggregate %v != serialized %v", k1.Aggregate.MeanMbps, k1.Serialized.MeanMbps)
+	if agg1.Value != ser1.Value {
+		t.Fatalf("k=1 aggregate %v != serialized %v", agg1.Value, ser1.Value)
 	}
 	// The acceptance criterion: two concurrent Query-1 instances deliver
 	// strictly more aggregate bandwidth than running them back to back.
-	k2 := rows[1]
-	if k2.Aggregate.MeanMbps <= k2.Serialized.MeanMbps {
-		t.Fatalf("k=2 aggregate %.3f Mbps not strictly above serialized %.3f Mbps",
-			k2.Aggregate.MeanMbps, k2.Serialized.MeanMbps)
-	}
-
-	var tbl, csv bytes.Buffer
-	if err := WriteMultiTenant(&tbl, rows); err != nil {
-		t.Fatalf("WriteMultiTenant: %v", err)
-	}
-	if !strings.Contains(tbl.String(), "tenants") || !strings.Contains(tbl.String(), "serialized") {
-		t.Fatalf("table missing headers:\n%s", tbl.String())
-	}
-	if err := CSVMultiTenant(&csv, rows); err != nil {
-		t.Fatalf("CSVMultiTenant: %v", err)
-	}
-	if got := strings.Count(csv.String(), "\n"); got != 3 {
-		t.Fatalf("csv has %d lines, want 3 (header + 2 rows):\n%s", got, csv.String())
+	if agg2, ser2 := value(t, pts, 2, "aggregate"), value(t, pts, 2, "serialized"); agg2.Value <= ser2.Value {
+		t.Fatalf("k=2 aggregate %.3f Mbps not strictly above serialized %.3f Mbps", agg2.Value, ser2.Value)
 	}
 }

@@ -1,98 +1,43 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"time"
+	"strconv"
 
 	"scsq/internal/core"
 	"scsq/internal/hw"
 	"scsq/internal/place"
 	"scsq/internal/sched"
 	"scsq/internal/scsql"
-	"scsq/internal/vtime"
 )
 
-// PlaceConfig parameterizes the placement-planner experiment: k concurrent
-// Query-1 instances on a LOFAR-scale torus, placed once by the historic
-// greedy sequence walk and once by the cost-model planner
-// (internal/place), on the same engine.
-type PlaceConfig struct {
-	// TorusX/Y/Z shape the BlueGene torus (the paper's LOFAR machine is
-	// 16x16x24 = 6144 compute nodes).
-	TorusX, TorusY, TorusZ int
-	// Tenants lists the concurrency degrees k to measure.
-	Tenants []int
-	// Streams is each query's parallel back-end stream count (Query 1's n).
-	Streams int
-	// ArrayBytes and ArrayCount shape each stream's workload.
-	ArrayBytes int
-	ArrayCount int
-	// Repeats is the per-point repetition count.
-	Repeats int
-	// Objective selects the planner objective (aggregate throughput by
-	// default).
-	Objective place.Objective
-}
-
-// DefaultPlace is the full-scale planner-vs-greedy sweep on the 6144-node
-// torus.
-func DefaultPlace() PlaceConfig {
-	return PlaceConfig{
-		TorusX: 16, TorusY: 16, TorusZ: 24,
-		Tenants:    []int{2, 8, 16},
-		Streams:    2,
-		ArrayBytes: 300_000,
-		ArrayCount: 20,
-		Repeats:    3,
+// runPlace is the placement-planner experiment: k concurrent Query-1
+// instances (2 back-end streams each) on a LOFAR-scale torus, placed once by
+// the historic greedy sequence walk and once by the cost-model planner
+// (internal/place, aggregate-throughput objective). The full sizing is the
+// paper's 16x16x24 = 6144 compute nodes at k = 2, 8, 16, three repeats;
+// Tiny is a 256-node torus and one concurrency point, exercising the same
+// code path in seconds.
+func runPlace(s Sizing) ([]Point, error) {
+	if s.Tiny {
+		return placeSweep([3]int{8, 8, 4}, []int{2}, workload{60_000, 5, 2})
 	}
+	return placeSweep([3]int{16, 16, 24}, []int{2, 8, 16}, workload{300_000, 20, 3})
 }
 
-// TinyPlace is a CI-scale variant: a 256-node torus and one concurrency
-// point, exercising the same code path in seconds.
-func TinyPlace() PlaceConfig {
-	return PlaceConfig{
-		TorusX: 8, TorusY: 8, TorusZ: 4,
-		Tenants:    []int{2},
-		Streams:    2,
-		ArrayBytes: 60_000,
-		ArrayCount: 5,
-		Repeats:    2,
-	}
-}
-
-// PlaceRow is one concurrency point of the planner-vs-greedy table.
-type PlaceRow struct {
-	// Tenants is the number of concurrent Query-1 instances.
-	Tenants int
-	// Greedy is the aggregate throughput under the historic sequence walk.
-	Greedy Sample
-	// Planned is the aggregate throughput under the cost-model planner.
-	Planned Sample
-	// GreedyPerQuery and PlannedPerQuery are the mean per-tenant bandwidths.
-	GreedyPerQuery  Sample
-	PlannedPerQuery Sample
-	// GainPct is the planner's aggregate gain over greedy in percent.
-	GainPct float64
-	// Decisions and Fallbacks count the planner's placement decisions and
-	// how many of them fell back to the raw sequence order (last repeat).
-	Decisions int
-	Fallbacks int
-}
-
-// RunPlace measures aggregate bandwidth of k concurrent Query-1 instances
-// under greedy and planned placement for each k in cfg.Tenants. Both
-// batches run on the same engine (Engine.Reset between batches), so the
-// only varied input is the placement discipline.
-func RunPlace(cfg PlaceConfig) ([]PlaceRow, error) {
-	src, err := scsql.InboundQuery(1, cfg.Streams, cfg.ArrayBytes, cfg.ArrayCount)
+// placeSweep measures aggregate ("greedy", "planned", "gain") and mean
+// per-tenant ("greedy/query", "planned/query") bandwidth for each k in
+// tenants, plus the planner's placement decisions and how many of them fell
+// back to the raw sequence order (last repeat). Both batches run on the same
+// engine (Engine.Reset between batches), so the only varied input is the
+// placement discipline.
+func placeSweep(torus [3]int, tenants []int, w workload) ([]Point, error) {
+	const streams = 2
+	src, err := scsql.InboundQuery(1, streams, w.ArrayBytes, w.ArrayCount)
 	if err != nil {
 		return nil, err
 	}
-	perQueryPayload := int64(cfg.Streams) * int64(cfg.ArrayBytes) * int64(cfg.ArrayCount)
-
-	env, err := hw.NewLOFAR(hw.WithTorusDims(cfg.TorusX, cfg.TorusY, cfg.TorusZ))
+	env, err := hw.NewLOFAR(hw.WithTorusDims(torus[0], torus[1], torus[2]))
 	if err != nil {
 		return nil, err
 	}
@@ -101,149 +46,39 @@ func RunPlace(cfg PlaceConfig) ([]PlaceRow, error) {
 		return nil, err
 	}
 	defer eng.Close()
+	planned := []sched.Option{sched.WithPlacementPlanner(place.Config{})}
 
-	var rows []PlaceRow
-	for _, k := range cfg.Tenants {
-		if k <= 0 {
-			return nil, fmt.Errorf("bench: tenant count must be positive, got %d", k)
-		}
-		var greedy, planned, greedyPer, plannedPer []float64
+	var pts []Point
+	for _, k := range tenants {
+		var aggG, aggP, perG, perP []float64
 		var decisions, fallbacks int
-		for rep := 0; rep < cfg.Repeats; rep++ {
-			g, _, err := runPlacedTenants(eng, src, k, nil)
+		for rep := 0; rep < w.Repeats; rep++ {
+			g, _, err := runTenants(eng, src, k, nil)
 			if err != nil {
-				return nil, fmt.Errorf("bench: greedy k=%d: %w", k, err)
+				return nil, fmt.Errorf("greedy k=%d: %w", k, err)
 			}
-			p, pl, err := runPlacedTenants(eng, src, k,
-				[]sched.Option{sched.WithPlacementPlanner(place.Config{Objective: cfg.Objective})})
+			p, ds, err := runTenants(eng, src, k, planned)
 			if err != nil {
-				return nil, fmt.Errorf("bench: planned k=%d: %w", k, err)
+				return nil, fmt.Errorf("planned k=%d: %w", k, err)
 			}
-			ga, gp := batchRates(g, k, perQueryPayload)
-			pa, pp := batchRates(p, k, perQueryPayload)
-			greedy, greedyPer = append(greedy, ga), append(greedyPer, gp)
-			planned, plannedPer = append(planned, pa), append(plannedPer, pp)
-			decisions, fallbacks = 0, 0
-			for _, d := range pl {
-				decisions++
+			ga, gp := g.rates(w.payload(streams))
+			pa, pp := p.rates(w.payload(streams))
+			aggG, perG = append(aggG, ga), append(perG, gp)
+			aggP, perP = append(aggP, pa), append(perP, pp)
+			decisions, fallbacks = len(ds), 0
+			for _, d := range ds {
 				if d.Fallback {
 					fallbacks++
 				}
 			}
 		}
-		row := PlaceRow{
-			Tenants:         k,
-			Greedy:          summarize(greedy),
-			Planned:         summarize(planned),
-			GreedyPerQuery:  summarize(greedyPer),
-			PlannedPerQuery: summarize(plannedPer),
-			Decisions:       decisions,
-			Fallbacks:       fallbacks,
-		}
-		if row.Greedy.MeanMbps > 0 {
-			row.GainPct = (row.Planned.MeanMbps/row.Greedy.MeanMbps - 1) * 100
-		}
-		rows = append(rows, row)
+		x := strconv.Itoa(k)
+		greedy, plan := summarize(x, "greedy", "Mbps", aggG), summarize(x, "planned", "Mbps", aggP)
+		pts = append(pts, greedy, plan, gainPct(x, greedy, plan),
+			summarize(x, "greedy/query", "Mbps", perG),
+			summarize(x, "planned/query", "Mbps", perP),
+			reading(x, "decisions", "count", float64(decisions)),
+			reading(x, "fallbacks", "count", float64(fallbacks)))
 	}
-	return rows, nil
-}
-
-// batchRates reduces a tenant batch to (aggregate, mean per-query) Mbps.
-func batchRates(b tenantBatch, k int, perQueryPayload int64) (aggregate, perQuery float64) {
-	tmax := vtime.Time(0)
-	var perSum float64
-	for _, t := range b.makespans {
-		if t > tmax {
-			tmax = t
-		}
-		perSum += mbps(perQueryPayload, t)
-	}
-	return mbps(int64(k)*perQueryPayload, tmax), perSum / float64(k)
-}
-
-// runPlacedTenants submits k instances of src to a fresh scheduler (with
-// the given options) on the shared engine, waits for all of them, captures
-// the planner's decisions, and resets the engine for the next batch.
-func runPlacedTenants(eng *core.Engine, src string, k int, opts []sched.Option) (tenantBatch, []place.Decision, error) {
-	s := sched.New(eng, nil, opts...)
-	defer s.Close()
-
-	qs := make([]*sched.Query, 0, k)
-	for i := 0; i < k; i++ {
-		q, err := s.Submit(src)
-		if err != nil {
-			return tenantBatch{}, nil, fmt.Errorf("submit tenant %d: %w", i+1, err)
-		}
-		qs = append(qs, q)
-	}
-	var batch tenantBatch
-	for i, q := range qs {
-		if _, err := q.Wait(); err != nil {
-			return tenantBatch{}, nil, fmt.Errorf("tenant %d (%s): %w", i+1, q.ID(), err)
-		}
-		mk := q.Makespan()
-		if mk <= 0 {
-			return tenantBatch{}, nil, fmt.Errorf("tenant %d finished with non-positive makespan %v", i+1, mk)
-		}
-		batch.makespans = append(batch.makespans, mk)
-		batch.admissionWait += q.AdmissionWait()
-	}
-	var ds []place.Decision
-	if p := s.Planner(); p != nil {
-		ds = p.Decisions()
-	}
-	s.Close()
-	if err := eng.Reset(); err != nil {
-		return tenantBatch{}, nil, fmt.Errorf("reset: %w", err)
-	}
-	return batch, ds, nil
-}
-
-// WritePlace renders the planner-vs-greedy table.
-func WritePlace(w io.Writer, cfg PlaceConfig, rows []PlaceRow) error {
-	nodes := cfg.TorusX * cfg.TorusY * cfg.TorusZ
-	if _, err := fmt.Fprintf(w, "Cost-model placement — k concurrent Query-1 instances on a %dx%dx%d torus (%d nodes, Mbps)\n",
-		cfg.TorusX, cfg.TorusY, cfg.TorusZ, nodes); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%-8s %18s %18s %9s %16s %16s %6s\n",
-		"tenants", "greedy", "planned", "gain", "greedy/query", "planned/query", "fb"); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		if _, err := fmt.Fprintf(w, "%-8d %18s %18s %8.1f%% %16.2f %16.2f %3d/%d\n",
-			r.Tenants, r.Greedy, r.Planned, r.GainPct,
-			r.GreedyPerQuery.MeanMbps, r.PlannedPerQuery.MeanMbps,
-			r.Fallbacks, r.Decisions); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// PlaceReport is the JSON artifact for the placement gate.
-type PlaceReport struct {
-	PerfReport
-	Torus     [3]int     `json:"torus"`
-	Objective string     `json:"objective"`
-	Rows      []PlaceRow `json:"rows"`
-	Elapsed   string     `json:"elapsed"`
-}
-
-// NewPlaceReport assembles the JSON artifact.
-func NewPlaceReport(cfg PlaceConfig, rows []PlaceRow, elapsed time.Duration) PlaceReport {
-	return PlaceReport{
-		PerfReport: NewPerfReport(),
-		Torus:      [3]int{cfg.TorusX, cfg.TorusY, cfg.TorusZ},
-		Objective:  cfg.Objective.String(),
-		Rows:       rows,
-		Elapsed:    elapsed.String(),
-	}
-}
-
-// WritePlaceJSON emits the report as indented JSON (BENCH_place.json).
-func WritePlaceJSON(w io.Writer, r PlaceReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+	return pts, nil
 }

@@ -1,11 +1,9 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"runtime"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,82 +13,37 @@ import (
 	"scsq/internal/server/client"
 )
 
-// ServeConfig parameterizes the serving-layer figure: N concurrent client
-// connections over the real TCP stack against one scsq-server, each
-// submitting PerConn catalog statements and streaming the results back.
-// The figure doubles as the frame-accounting acceptance gate: every
-// session's client-side row count must equal the server's Done.Rows count
-// (zero dropped, zero duplicated frames).
-type ServeConfig struct {
-	// Conns is how many concurrent client connections to sustain.
-	Conns int
-	// PerConn is how many statements each connection submits sequentially.
-	PerConn int
-}
-
-// DefaultServe is the acceptance sizing: 1000 concurrent connections.
-func DefaultServe() ServeConfig { return ServeConfig{Conns: 1000, PerConn: 3} }
-
-// TinyServe is the CI smoke sizing: 50 connections.
-func TinyServe() ServeConfig { return ServeConfig{Conns: 50, PerConn: 2} }
-
-// ServeReport is the BENCH_serve.json document.
-type ServeReport struct {
-	GoVersion  string `json:"go_version"`
-	GOOS       string `json:"goos"`
-	GOARCH     string `json:"goarch"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	CPUModel   string `json:"cpu_model,omitempty"`
-
-	Conns   int `json:"conns"`
-	PerConn int `json:"per_conn"`
-
-	// PeakConns is the live connection count observed through the wire —
-	// both a sys_conns snapshot and a streamof(sys_conns()) session run
-	// while every connection is open; both must see Conns+1 (the observer
-	// connection included).
-	PeakConns int `json:"peak_conns"`
-
-	// Sessions counts completed statement sessions; Dropped and Duplicated
-	// count result-frame accounting violations (client rows vs server
-	// Done.Rows) and must both be zero.
-	Sessions   int   `json:"sessions"`
-	Dropped    int64 `json:"dropped_frames"`
-	Duplicated int64 `json:"duplicated_frames"`
-
-	SessionsPerSec float64 `json:"sessions_per_sec"`
-	// TTFB percentiles are wall-clock submit-to-first-row latencies
-	// measured client-side across all sessions.
-	TTFBP50Ns int64   `json:"ttfb_p50_ns"`
-	TTFBP99Ns int64   `json:"ttfb_p99_ns"`
-	WallMs    float64 `json:"wall_ms"`
-}
-
-// RunServe builds one engine + server pair, sustains cfg.Conns concurrent
-// client connections against it, verifies the live connection count through
-// the server's own sys_conns table (snapshot and live stream, both over the
-// wire), then drives cfg.PerConn statements per connection and audits every
-// session's frame accounting. Any accounting violation, lost frame, or
-// failed session is an error — the figure is also an assertion.
-func RunServe(cfg ServeConfig) (ServeReport, error) {
-	report := ServeReport{
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		CPUModel:   cpuModel(),
-		Conns:      cfg.Conns,
-		PerConn:    cfg.PerConn,
+// runServe is the serving-layer figure at its acceptance sizing — 1000
+// concurrent connections, 3 statements each — or, under Tiny, the CI smoke
+// sizing of 50 connections, 2 statements each.
+func runServe(s Sizing) ([]Point, error) {
+	if s.Tiny {
+		return serve(50, 2)
 	}
+	return serve(1000, 3)
+}
+
+// serve builds one engine + server pair, sustains conns concurrent client
+// connections against it over the real TCP stack, verifies the live
+// connection count through the server's own sys_conns table (snapshot and
+// live stream, both over the wire; both must see conns+1, the observer
+// connection included), then drives perConn catalog statements per
+// connection and audits every session's frame accounting: the client-side
+// row count must equal the server's Done.Rows count. Any accounting
+// violation, lost frame, or failed session is an error — the figure is also
+// an assertion — so the "dropped" and "duplicated" series can only read
+// zero. The ttfb series are wall-clock submit-to-first-row latencies
+// measured client-side across all sessions.
+func serve(conns, perConn int) ([]Point, error) {
 	eng, err := scsq.New(scsq.WithAdmissionQueueCap(0))
 	if err != nil {
-		return ServeReport{}, err
+		return nil, err
 	}
 	defer eng.Close()
-	srv := server.New(eng, server.Config{MaxConns: cfg.Conns + 8})
+	srv := server.New(eng, server.Config{MaxConns: conns + 8})
 	addr, err := srv.Listen()
 	if err != nil {
-		return ServeReport{}, err
+		return nil, err
 	}
 	defer srv.Close()
 
@@ -98,14 +51,14 @@ func RunServe(cfg ServeConfig) (ServeReport, error) {
 	// catalog table while the fleet connects.
 	obs, err := client.Dial(addr.String(), client.Options{})
 	if err != nil {
-		return ServeReport{}, err
+		return nil, err
 	}
 	defer obs.Close()
 
 	// Phase 1: connect the whole fleet and hold it open.
-	clients := make([]*client.Client, cfg.Conns)
+	clients := make([]*client.Client, conns)
 	var dialWG sync.WaitGroup
-	dialErr := make(chan error, cfg.Conns)
+	dialErr := make(chan error, conns)
 	for i := range clients {
 		dialWG.Add(1)
 		go func(i int) {
@@ -121,7 +74,7 @@ func RunServe(cfg ServeConfig) (ServeReport, error) {
 	dialWG.Wait()
 	close(dialErr)
 	for err := range dialErr {
-		return ServeReport{}, err
+		return nil, err
 	}
 	defer func() {
 		for _, c := range clients {
@@ -134,34 +87,34 @@ func RunServe(cfg ServeConfig) (ServeReport, error) {
 	// Phase 2: the wire must reflect the live connection count — once via
 	// a sys_conns snapshot, once via a streamof(sys_conns()) session whose
 	// initial emission enumerates every open connection.
-	want := cfg.Conns + 1 // fleet + observer
+	want := conns + 1 // fleet + observer
 	rows, err := obs.Snap("sys_conns", "")
 	if err != nil {
-		return ServeReport{}, err
+		return nil, err
 	}
 	if len(rows) != want {
-		return ServeReport{}, fmt.Errorf("sys_conns snapshot: %d rows, want %d live conns", len(rows), want)
+		return nil, fmt.Errorf("sys_conns snapshot: %d rows, want %d live conns", len(rows), want)
 	}
-	report.PeakConns = len(rows)
+	peak := len(rows)
 	h, err := obs.Submit(`select streamof(sys_conns());`, 0)
 	if err != nil {
-		return ServeReport{}, err
+		return nil, err
 	}
 	seen := map[string]bool{}
 	for len(seen) < want {
 		row, ok, fin := h.Recv()
 		if !ok {
-			return ServeReport{}, fmt.Errorf("streamof(sys_conns()) ended after %d/%d conns (fin %+v)", len(seen), want, fin)
+			return nil, fmt.Errorf("streamof(sys_conns()) ended after %d/%d conns (fin %+v)", len(seen), want, fin)
 		}
 		tup, ok := row.Value.([]any)
 		if !ok || len(tup) == 0 {
-			return ServeReport{}, fmt.Errorf("streamof(sys_conns()) row %T, want tuple", row.Value)
+			return nil, fmt.Errorf("streamof(sys_conns()) row %T, want tuple", row.Value)
 		}
 		id, _ := tup[0].(string)
 		seen[id] = true
 	}
 	if err := h.Cancel(); err != nil {
-		return ServeReport{}, err
+		return nil, err
 	}
 	h.Wait()
 
@@ -183,7 +136,7 @@ func RunServe(cfg ServeConfig) (ServeReport, error) {
 		loadWG.Add(1)
 		go func(i int, c *client.Client) {
 			defer loadWG.Done()
-			for j := 0; j < cfg.PerConn; j++ {
+			for j := 0; j < perConn; j++ {
 				t0 := time.Now()
 				h, err := c.Submit(stmt, 0)
 				if err != nil {
@@ -233,7 +186,7 @@ func RunServe(cfg ServeConfig) (ServeReport, error) {
 	loadWG.Wait()
 	wall := time.Since(start)
 	if len(runErrs) > 0 {
-		return ServeReport{}, fmt.Errorf("%d session errors, first: %w", len(runErrs), runErrs[0])
+		return nil, fmt.Errorf("%d session errors, first: %w", len(runErrs), runErrs[0])
 	}
 
 	// Phase 4: the same audit on a long session, where rows travel many to
@@ -241,26 +194,30 @@ func RunServe(cfg ServeConfig) (ServeReport, error) {
 	// the wire.
 	lost, extra, err := auditLongSession(addr.String(), obs)
 	if err != nil {
-		return ServeReport{}, err
+		return nil, err
 	}
 	dropped.Add(lost)
 	duped.Add(extra)
 
-	report.Sessions = int(done.Load())
-	report.Dropped = dropped.Load()
-	report.Duplicated = duped.Load()
-	if want := cfg.Conns * cfg.PerConn; report.Sessions != want {
-		return ServeReport{}, fmt.Errorf("completed %d sessions, want %d", report.Sessions, want)
+	sessions := int(done.Load())
+	if want := conns * perConn; sessions != want {
+		return nil, fmt.Errorf("completed %d sessions, want %d", sessions, want)
 	}
-	if report.Dropped != 0 || report.Duplicated != 0 {
-		return ServeReport{}, fmt.Errorf("frame accounting: %d dropped, %d duplicated", report.Dropped, report.Duplicated)
+	if dropped.Load() != 0 || duped.Load() != 0 {
+		return nil, fmt.Errorf("frame accounting: %d dropped, %d duplicated", dropped.Load(), duped.Load())
 	}
-	report.SessionsPerSec = float64(report.Sessions) / wall.Seconds()
-	report.WallMs = float64(wall.Microseconds()) / 1e3
 	sort.Slice(ttfbs, func(a, b int) bool { return ttfbs[a] < ttfbs[b] })
-	report.TTFBP50Ns = percentileDur(ttfbs, 0.50).Nanoseconds()
-	report.TTFBP99Ns = percentileDur(ttfbs, 0.99).Nanoseconds()
-	return report, nil
+	x := strconv.Itoa(conns)
+	return []Point{
+		reading(x, "peak", "conns", float64(peak)),
+		reading(x, "sessions", "count", float64(sessions)),
+		reading(x, "dropped", "frames", float64(dropped.Load())),
+		reading(x, "duplicated", "frames", float64(duped.Load())),
+		reading(x, "rate", "sessions/s", float64(sessions)/wall.Seconds()),
+		reading(x, "ttfb-p50", "us", float64(percentileDur(ttfbs, 0.50).Microseconds())),
+		reading(x, "ttfb-p99", "us", float64(percentileDur(ttfbs, 0.99).Microseconds())),
+		reading(x, "wall", "ms", float64(wall.Microseconds())/1e3),
+	}, nil
 }
 
 // longSessionRows is the row count of the long-session audit: enough for
@@ -330,28 +287,4 @@ func percentileDur(sorted []time.Duration, p float64) time.Duration {
 	}
 	idx := int(p * float64(len(sorted)-1))
 	return sorted[idx]
-}
-
-// WriteServeJSON emits the report as indented JSON (BENCH_serve.json).
-func WriteServeJSON(w io.Writer, r ServeReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
-// WriteServe renders the report as a text table.
-func WriteServe(w io.Writer, r ServeReport) error {
-	host := fmt.Sprintf("%s %s/%s gomaxprocs=%d", r.GoVersion, r.GOOS, r.GOARCH, r.GOMAXPROCS)
-	if r.CPUModel != "" {
-		host += " cpu=" + r.CPUModel
-	}
-	if _, err := fmt.Fprintf(w, "Serving layer: %d concurrent conns × %d sessions over TCP (%s)\n",
-		r.Conns, r.PerConn, host); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%8s %9s %9s %8s %7s %12s %12s %12s %9s\n%8d %9d %9d %8d %7d %10.0f/s %9d µs %9d µs %7.1f ms\n",
-		"conns", "peak", "sessions", "dropped", "duped", "rate", "ttfbP50", "ttfbP99", "wall",
-		r.Conns, r.PeakConns, r.Sessions, r.Dropped, r.Duplicated,
-		r.SessionsPerSec, r.TTFBP50Ns/1000, r.TTFBP99Ns/1000, r.WallMs)
-	return err
 }

@@ -1,45 +1,30 @@
 package bench
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestRunServeTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("serve bench skipped in -short")
 	}
-	cfg := TinyServe()
-	report, err := RunServe(cfg)
+	const conns, perConn = 50, 2 // the Tiny sizing
+	pts, err := runServe(Sizing{Tiny: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report.PeakConns != cfg.Conns+1 {
-		t.Errorf("peak conns %d, want %d", report.PeakConns, cfg.Conns+1)
+	at := func(series string) float64 { return value(t, pts, conns, series).Value }
+	if at("peak") != conns+1 {
+		t.Errorf("peak conns %v, want %d", at("peak"), conns+1)
 	}
-	if want := cfg.Conns * cfg.PerConn; report.Sessions != want {
-		t.Errorf("sessions %d, want %d", report.Sessions, want)
+	if at("sessions") != conns*perConn {
+		t.Errorf("sessions %v, want %d", at("sessions"), conns*perConn)
 	}
-	if report.Dropped != 0 || report.Duplicated != 0 {
-		t.Errorf("frame accounting: %d dropped, %d duplicated", report.Dropped, report.Duplicated)
+	if at("dropped") != 0 || at("duplicated") != 0 {
+		t.Errorf("frame accounting: %v dropped, %v duplicated", at("dropped"), at("duplicated"))
 	}
-	if report.TTFBP99Ns < report.TTFBP50Ns {
-		t.Errorf("ttfb p99 %d < p50 %d", report.TTFBP99Ns, report.TTFBP50Ns)
+	if at("ttfb-p99") < at("ttfb-p50") {
+		t.Errorf("ttfb p99 %v < p50 %v", at("ttfb-p99"), at("ttfb-p50"))
 	}
-	var sb strings.Builder
-	if err := WriteServe(&sb, report); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "Serving layer") {
-		t.Errorf("text table:\n%s", sb.String())
-	}
-	sb.Reset()
-	if err := WriteServeJSON(&sb, report); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`"conns"`, `"dropped_frames"`, `"ttfb_p99_ns"`, `"gomaxprocs"`} {
-		if !strings.Contains(sb.String(), want) {
-			t.Errorf("JSON missing %s:\n%s", want, sb.String())
-		}
+	if at("rate") <= 0 || at("wall") <= 0 {
+		t.Errorf("rate %v sessions/s over %v ms", at("rate"), at("wall"))
 	}
 }

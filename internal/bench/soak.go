@@ -1,118 +1,42 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"runtime"
+	"strconv"
 
 	"scsq/internal/soak"
 )
 
-// SoakConfig parameterizes the seeded chaos-soak figure: one full soak run
-// per seed, every resilience feature armed (deadlines, shedding, retryable
-// admission, crash/revive chaos, supervised replay probe).
-type SoakConfig struct {
-	Seeds []int64
-}
-
-// DefaultSoak runs the acceptance seed plus two independent ones.
-func DefaultSoak() SoakConfig { return SoakConfig{Seeds: []int64{42, 7, 11}} }
-
-// TinySoak is the CI sizing: a single seed.
-func TinySoak() SoakConfig { return SoakConfig{Seeds: []int64{42}} }
-
-// SoakRow is one seed's soak outcome.
-type SoakRow struct {
-	Seed      int64 `json:"seed"`
-	Sessions  int   `json:"sessions"`
-	Done      int   `json:"done"`
-	Failed    int   `json:"failed"`
-	Cancelled int   `json:"cancelled"`
-	Expired   int   `json:"expired"`
-	Shed      int   `json:"shed"`
-	Rejected  int   `json:"rejected"`
-	Retries   int64 `json:"retries"`
-
-	QueueWaitP50Ns int64   `json:"queue_wait_p50_ns"`
-	QueueWaitP99Ns int64   `json:"queue_wait_p99_ns"`
-	WallMs         float64 `json:"wall_ms"`
-}
-
-// SoakReport is the BENCH_soak.json document.
-type SoakReport struct {
-	GoVersion  string    `json:"go_version"`
-	GOOS       string    `json:"goos"`
-	GOARCH     string    `json:"goarch"`
-	GOMAXPROCS int       `json:"gomaxprocs"`
-	CPUModel   string    `json:"cpu_model,omitempty"`
-	Rows       []SoakRow `json:"rows"`
-}
-
-// RunSoak executes one full soak per seed. A run that violates a terminal
-// invariant (leaked lease, leaked goroutine, accounting drift, inexact
-// replay) is an error, not a row: the figure doubles as an assertion.
-func RunSoak(cfg SoakConfig) (SoakReport, error) {
-	report := SoakReport{
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		CPUModel:   cpuModel(),
+// runSoak is the seeded chaos-soak figure: one full soak run per seed, every
+// resilience feature armed (deadlines, shedding, retryable admission,
+// crash/revive chaos, supervised replay probe). The full sizing runs the
+// acceptance seed plus two independent ones; Tiny runs the acceptance seed
+// alone. A run that violates a terminal invariant (leaked lease, leaked
+// goroutine, accounting drift, inexact replay) is an error, not a row: the
+// figure doubles as an assertion.
+func runSoak(s Sizing) ([]Point, error) {
+	seeds := []int64{42, 7, 11}
+	if s.Tiny {
+		seeds = seeds[:1]
 	}
-	for _, seed := range cfg.Seeds {
+	var pts []Point
+	for _, seed := range seeds {
 		res, err := soak.Run(soak.DefaultConfig(seed))
 		if err != nil {
-			return SoakReport{}, fmt.Errorf("soak seed %d: %w", seed, err)
+			return nil, fmt.Errorf("soak seed %d: %w", seed, err)
 		}
 		if err := res.Check(); err != nil {
-			return SoakReport{}, fmt.Errorf("soak seed %d invariants: %w", seed, err)
+			return nil, fmt.Errorf("soak seed %d invariants: %w", seed, err)
 		}
-		report.Rows = append(report.Rows, SoakRow{
-			Seed:           seed,
-			Sessions:       res.Sessions,
-			Done:           res.Tally.Done,
-			Failed:         res.Tally.Failed,
-			Cancelled:      res.Tally.Cancelled,
-			Expired:        res.Tally.Expired,
-			Shed:           res.Tally.Shed,
-			Rejected:       res.Tally.Rejected,
-			Retries:        res.Retries,
-			QueueWaitP50Ns: res.QueueWaitP50.Nanoseconds(),
-			QueueWaitP99Ns: res.QueueWaitP99.Nanoseconds(),
-			WallMs:         float64(res.Wall.Microseconds()) / 1e3,
-		})
+		x := strconv.FormatInt(seed, 10)
+		n := func(series string, v int) Point { return reading(x, series, "count", float64(v)) }
+		pts = append(pts,
+			n("sessions", res.Sessions), n("done", res.Tally.Done), n("failed", res.Tally.Failed),
+			n("cancelled", res.Tally.Cancelled), n("expired", res.Tally.Expired), n("shed", res.Tally.Shed),
+			n("rejected", res.Tally.Rejected), n("retries", int(res.Retries)),
+			reading(x, "wait-p50", "us", float64(res.QueueWaitP50.Microseconds())),
+			reading(x, "wait-p99", "us", float64(res.QueueWaitP99.Microseconds())),
+			reading(x, "wall", "ms", float64(res.Wall.Microseconds())/1e3))
 	}
-	return report, nil
-}
-
-// WriteSoakJSON emits the report as indented JSON (BENCH_soak.json).
-func WriteSoakJSON(w io.Writer, r SoakReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
-// WriteSoak renders the report as a text table.
-func WriteSoak(w io.Writer, r SoakReport) error {
-	host := fmt.Sprintf("%s %s/%s gomaxprocs=%d", r.GoVersion, r.GOOS, r.GOARCH, r.GOMAXPROCS)
-	if r.CPUModel != "" {
-		host += " cpu=" + r.CPUModel
-	}
-	if _, err := fmt.Fprintf(w, "Chaos soak: seeded schedules, all resilience features armed (%s)\n", host); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%6s %9s %6s %7s %10s %8s %6s %9s %8s %12s %12s %9s\n",
-		"seed", "sessions", "done", "failed", "cancelled", "expired", "shed", "rejected", "retries", "waitP50", "waitP99", "wall"); err != nil {
-		return err
-	}
-	for _, row := range r.Rows {
-		if _, err := fmt.Fprintf(w, "%6d %9d %6d %7d %10d %8d %6d %9d %8d %9d µs %9d µs %6.1f ms\n",
-			row.Seed, row.Sessions, row.Done, row.Failed, row.Cancelled, row.Expired,
-			row.Shed, row.Rejected, row.Retries,
-			row.QueueWaitP50Ns/1000, row.QueueWaitP99Ns/1000, row.WallMs); err != nil {
-			return err
-		}
-	}
-	return nil
+	return pts, nil
 }

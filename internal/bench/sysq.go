@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
@@ -23,46 +22,27 @@ import (
 //     dashboard pays per poll.
 //  3. Non-perturbation gate: the Figure 6 point-to-point query across the
 //     MPI buffer sweep, bare versus with a live streamof(sys_metrics())
-//     subscriber being ticked concurrently. The virtual makespans must be
-//     bit-identical at every point — RunSysq fails otherwise — so the
-//     report's bare/observed wall-clock pairs quantify pure host-side
-//     overhead, never simulated interference.
-//
-// Results use the PerfReport JSON format and land in BENCH_sysq.json.
+//     subscriber being ticked concurrently, Repeats pairs per point with
+//     the side that runs first alternating. The virtual makespans must be
+//     bit-identical in every pair — the figure fails otherwise — so the
+//     bare/observed wall-clock medians quantify pure host-side overhead,
+//     never simulated interference.
 
-// SysqConfig parameterizes the system-catalog figure.
-type SysqConfig struct {
-	// SnapIters is the per-table Snap() iteration count.
-	SnapIters int
-	// QueryIters is the per-table full-SCSQL-query iteration count.
-	QueryIters int
-	// BufSizes is the MPI buffer sweep of the non-perturbation gate.
-	BufSizes []int
-	// ArrayBytes and ArrayCount shape the gate's Figure 6 workload.
-	ArrayBytes int
-	ArrayCount int
+// sysqConfig sizes the system-catalog figure.
+type sysqConfig struct {
+	snapIters  int   // per-table Snap() iterations
+	queryIters int   // per-table full-SCSQL-query iterations
+	bufSizes   []int // MPI buffer sweep of the non-perturbation gate
+	w          workload
 }
 
-// DefaultSysq is the full figure as recorded in BENCH_sysq.json.
-func DefaultSysq() SysqConfig {
-	return SysqConfig{
-		SnapIters:  2_000,
-		QueryIters: 200,
-		BufSizes:   []int{1000, 30_000, 1_000_000},
-		ArrayBytes: 300_000,
-		ArrayCount: 20,
+// runSysq runs the figure as committed in BENCH_sysq.json, or a
+// seconds-scale smoke under Tiny.
+func runSysq(s Sizing) ([]Point, error) {
+	if s.Tiny {
+		return sysq(sysqConfig{200, 20, []int{30_000}, workload{100_000, 5, s.Repeats}})
 	}
-}
-
-// TinySysq is a seconds-scale smoke configuration for CI.
-func TinySysq() SysqConfig {
-	return SysqConfig{
-		SnapIters:  200,
-		QueryIters: 20,
-		BufSizes:   []int{30_000},
-		ArrayBytes: 100_000,
-		ArrayCount: 5,
-	}
+	return sysq(sysqConfig{2_000, 200, []int{1000, 30_000, 1_000_000}, workload{300_000, 20, s.Repeats}})
 }
 
 // sysqTables is the measurement order of the latency sections.
@@ -75,7 +55,7 @@ var sysqTables = []string{"sys_sessions", "sys_nodes", "sys_links", "sys_rps", "
 // the live catalog subscriber whose non-perturbation the gate proves. The
 // engine is fresh per run because a live streamof drain holds a query
 // context open, which Reset correctly refuses.
-func observedFigure6Run(cfg SysqConfig, bufBytes int, observe bool) (vtime.Time, time.Duration, error) {
+func observedFigure6Run(w workload, bufBytes int, observe bool) (vtime.Time, time.Duration, error) {
 	e, err := core.NewEngine(core.WithMPIBufferBytes(bufBytes))
 	if err != nil {
 		return 0, 0, err
@@ -87,7 +67,7 @@ func observedFigure6Run(cfg SysqConfig, bufBytes int, observe bool) (vtime.Time,
 	// two implicit statements share one build target, so a subscriber already
 	// draining would start the measured query's SPs half-wired.
 	t0 := time.Now()
-	res, err := ev.Exec(scsql.Figure5Query(cfg.ArrayBytes, cfg.ArrayCount))
+	res, err := ev.Exec(scsql.Figure5Query(w.ArrayBytes, w.ArrayCount))
 	if err != nil {
 		return 0, 0, err
 	}
@@ -137,127 +117,102 @@ func observedFigure6Run(cfg SysqConfig, bufBytes int, observe bool) (vtime.Time,
 	return makespan, wall, nil
 }
 
-// RunSysq measures the system-catalog figure and returns the
-// BENCH_sysq.json report. It fails if an active catalog subscriber shifts
-// any virtual makespan of the Figure 6 sweep by a single tick.
-func RunSysq(cfg SysqConfig) (PerfReport, error) {
-	report := NewPerfReport()
-
+// sysq measures the system-catalog figure. It fails if an active catalog
+// subscriber shifts any virtual makespan of the Figure 6 sweep by a single
+// tick.
+func sysq(cfg sysqConfig) ([]Point, error) {
+	if err := cfg.w.validate(); err != nil {
+		return nil, err
+	}
 	// A populated engine for the latency sections: one multi-tenant-visible
 	// workload so every table has real rows (sessions, edges, RP stats,
 	// link counters).
 	e, err := core.NewEngine()
 	if err != nil {
-		return PerfReport{}, err
+		return nil, err
 	}
+	defer e.Close()
 	s := sched.New(e, nil)
+	defer s.Close()
 	ev := scsql.NewEvaluator(e, s.Catalog())
-	q, err := s.Submit(scsql.Figure5Query(cfg.ArrayBytes, cfg.ArrayCount))
+	q, err := s.Submit(scsql.Figure5Query(cfg.w.ArrayBytes, cfg.w.ArrayCount))
 	if err != nil {
-		return PerfReport{}, err
+		return nil, err
 	}
 	if _, err := q.Wait(); err != nil {
-		return PerfReport{}, err
+		return nil, err
 	}
 
-	// 1. Raw snapshot latency per table.
+	// 1. Raw snapshot latency per table, before the catalog queries below add
+	// their own sessions to the tables.
+	var pts []Point
 	for _, name := range sysqTables {
 		tab, ok := e.SystemCatalog().Lookup(name)
 		if !ok {
-			return PerfReport{}, fmt.Errorf("bench: sys table %s not registered", name)
+			return nil, fmt.Errorf("bench: sys table %s not registered", name)
 		}
 		rows := 0
 		t0 := time.Now()
-		for i := 0; i < cfg.SnapIters; i++ {
+		for i := 0; i < cfg.snapIters; i++ {
 			rs, err := tab.Snap("")
 			if err != nil {
-				return PerfReport{}, fmt.Errorf("bench: %s snap: %w", name, err)
+				return nil, fmt.Errorf("bench: %s snap: %w", name, err)
 			}
 			rows = len(rs)
 		}
-		report.Results = append(report.Results, PerfResult{
-			Name:       fmt.Sprintf("syscat/snap/%s/rows=%d", name, rows),
-			Iterations: cfg.SnapIters,
-			NsPerOp:    float64(time.Since(t0).Nanoseconds()) / float64(cfg.SnapIters),
-		})
+		pts = append(pts, reading(name, "rows", "count", float64(rows)),
+			perOp(name, "snap", time.Since(t0), cfg.snapIters))
 	}
 
 	// 2. Full catalog-query latency through the evaluator.
 	for _, name := range sysqTables {
 		src := fmt.Sprintf("select count(%s());", name)
 		t0 := time.Now()
-		for i := 0; i < cfg.QueryIters; i++ {
+		for i := 0; i < cfg.queryIters; i++ {
 			res, err := ev.Exec(src)
 			if err != nil {
-				return PerfReport{}, fmt.Errorf("bench: %s query: %w", name, err)
+				return nil, fmt.Errorf("bench: %s query: %w", name, err)
 			}
 			if _, err := res.Stream.Drain(); err != nil {
-				return PerfReport{}, fmt.Errorf("bench: %s drain: %w", name, err)
+				return nil, fmt.Errorf("bench: %s drain: %w", name, err)
 			}
 		}
-		report.Results = append(report.Results, PerfResult{
-			Name:       fmt.Sprintf("syscat/query/%s", name),
-			Iterations: cfg.QueryIters,
-			NsPerOp:    float64(time.Since(t0).Nanoseconds()) / float64(cfg.QueryIters),
-		})
+		pts = append(pts, perOp(name, "query", time.Since(t0), cfg.queryIters))
 	}
 	if err := s.Close(); err != nil {
-		return PerfReport{}, err
+		return nil, err
 	}
 	if err := e.Close(); err != nil {
-		return PerfReport{}, err
+		return nil, err
 	}
 
 	// 3. The non-perturbation gate over the Figure 6 sweep.
-	for _, buf := range cfg.BufSizes {
-		bareMk, bareWall, err := observedFigure6Run(cfg, buf, false)
-		if err != nil {
-			return PerfReport{}, fmt.Errorf("bench: sysq bare buf=%d: %w", buf, err)
+	for _, buf := range cfg.bufSizes {
+		var wall [2][]float64 // bare, observed
+		for rep := 0; rep < cfg.w.Repeats; rep++ {
+			var mk [2]vtime.Time
+			for i := 0; i < 2; i++ {
+				side := (rep + i) % 2 // alternate which side runs first
+				m, d, err := observedFigure6Run(cfg.w, buf, side == 1)
+				if err != nil {
+					return nil, fmt.Errorf("bench: sysq buf=%d observed=%v: %w", buf, side == 1, err)
+				}
+				mk[side], wall[side] = m, append(wall[side], float64(d.Microseconds())/1e3)
+			}
+			if mk[0] != mk[1] {
+				return nil, fmt.Errorf(
+					"bench: catalog subscriber perturbed the schedule at buf=%d: bare makespan %v, observed %v",
+					buf, mk[0], mk[1])
+			}
 		}
-		obsMk, obsWall, err := observedFigure6Run(cfg, buf, true)
-		if err != nil {
-			return PerfReport{}, fmt.Errorf("bench: sysq observed buf=%d: %w", buf, err)
-		}
-		if bareMk != obsMk {
-			return PerfReport{}, fmt.Errorf(
-				"bench: catalog subscriber perturbed the schedule at buf=%d: bare makespan %v, observed %v",
-				buf, bareMk, obsMk)
-		}
-		report.Results = append(report.Results, PerfResult{
-			Name:       fmt.Sprintf("syscat/fig6/bare/buf=%d", buf),
-			Iterations: 1,
-			NsPerOp:    float64(bareWall.Nanoseconds()),
-		})
-		report.Results = append(report.Results, PerfResult{
-			Name:       fmt.Sprintf("syscat/fig6/observed/buf=%d", buf),
-			Iterations: 1,
-			NsPerOp:    float64(obsWall.Nanoseconds()),
-		})
+		x := fmt.Sprintf("buf=%d", buf)
+		pts = append(pts, median(x, "bare", "ms", wall[0]), median(x, "observed", "ms", wall[1]))
 	}
-	return report, nil
+	return pts, nil
 }
 
-// WriteSysq renders the system-catalog figure as a text table, followed by
-// the non-perturbation verdict.
-func WriteSysq(w io.Writer, cfg SysqConfig, r PerfReport) error {
-	if err := writePerfTable(w, "System catalog benchmarks", r); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w,
-		"non-perturbation gate: virtual makespans bit-identical with a live streamof(sys_metrics) subscriber at %d buffer size(s)\n",
-		len(cfg.BufSizes))
-	return err
-}
-
-// CSVSysq renders the figure machine-readable for the CI artifact.
-func CSVSysq(w io.Writer, r PerfReport) error {
-	if _, err := fmt.Fprintln(w, "name,iterations,ns_per_op"); err != nil {
-		return err
-	}
-	for _, res := range r.Results {
-		if _, err := fmt.Fprintf(w, "%s,%d,%.1f\n", res.Name, res.Iterations, res.NsPerOp); err != nil {
-			return err
-		}
-	}
-	return nil
+// perOp is a latency point: the mean wall time of iters operations timed
+// as one batch, so it carries no spread.
+func perOp(x, series string, total time.Duration, iters int) Point {
+	return Point{X: x, Series: series, Unit: "ns/op", Value: float64(total.Nanoseconds()) / float64(iters), N: iters}
 }

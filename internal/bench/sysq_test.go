@@ -1,60 +1,34 @@
 package bench
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // TestSysqShape runs the tiny system-catalog figure end to end: every
-// latency section reports, and the non-perturbation gate inside RunSysq
-// (bit-identical Figure 6 makespans with an active catalog subscriber)
-// must hold or RunSysq errors.
+// latency section reports, and the non-perturbation gate inside the figure
+// (bit-identical Figure 6 makespans with an active catalog subscriber, on
+// every one of the Repeats pairs) must hold or the run errors.
 func TestSysqShape(t *testing.T) {
-	cfg := TinySysq()
-	report, err := RunSysq(cfg)
+	pts, err := runSysq(Sizing{Tiny: true, Repeats: 3})
 	if err != nil {
-		t.Fatalf("RunSysq: %v", err)
+		t.Fatalf("sysq: %v", err)
 	}
-	wantNames := []string{
-		"syscat/snap/sys_sessions",
-		"syscat/snap/sys_nodes",
-		"syscat/snap/sys_links",
-		"syscat/snap/sys_rps",
-		"syscat/snap/sys_metrics",
-		"syscat/query/sys_sessions",
-		"syscat/fig6/bare/buf=30000",
-		"syscat/fig6/observed/buf=30000",
-	}
-	for _, want := range wantNames {
-		found := false
-		for _, res := range report.Results {
-			if strings.HasPrefix(res.Name, want) {
-				found = true
-				if res.NsPerOp <= 0 {
-					t.Errorf("%s reports non-positive ns/op %v", res.Name, res.NsPerOp)
-				}
+	for _, table := range []string{"sys_sessions", "sys_nodes", "sys_links", "sys_rps", "sys_metrics"} {
+		for _, series := range []string{"snap", "query"} {
+			if p := value(t, pts, table, series); p.Value <= 0 || p.Unit != "ns/op" || p.N <= 1 {
+				t.Errorf("%s %s reports %+v, want positive ns/op over many iterations", table, series, p)
 			}
 		}
-		if !found {
-			t.Errorf("report has no result %s", want)
+		if p := value(t, pts, table, "rows"); p.Value < 0 {
+			t.Errorf("%s has %v rows", table, p.Value)
 		}
 	}
-	if report.GOMAXPROCS <= 0 || report.GoVersion == "" {
-		t.Fatalf("report header incomplete: %+v", report)
+	if value(t, pts, "sys_nodes", "rows").Value == 0 {
+		t.Error("sys_nodes snapshot is empty on a populated engine")
 	}
-
-	var sb strings.Builder
-	if err := WriteSysq(&sb, cfg, report); err != nil {
-		t.Fatalf("WriteSysq: %v", err)
-	}
-	if !strings.Contains(sb.String(), "non-perturbation gate") {
-		t.Fatalf("WriteSysq output missing the gate verdict:\n%s", sb.String())
-	}
-	sb.Reset()
-	if err := CSVSysq(&sb, report); err != nil {
-		t.Fatalf("CSVSysq: %v", err)
-	}
-	if !strings.HasPrefix(sb.String(), "name,iterations,ns_per_op\n") {
-		t.Fatalf("CSV header wrong:\n%s", sb.String())
+	// The bare/observed pair is a median over Repeats alternating pairs, not
+	// one timing per side.
+	for _, series := range []string{"bare", "observed"} {
+		if p := value(t, pts, "buf=30000", series); p.Value <= 0 || p.N != 3 || p.Stdev <= 0 || p.Unit != "ms" {
+			t.Errorf("%s wall time %+v, want a positive median over 3 runs with spread", series, p)
+		}
 	}
 }

@@ -22,13 +22,10 @@ type TelemetryConfig struct {
 }
 
 // DefaultTelemetry is the 64 KiB double-buffered point of Figure 6 — the
-// paper's SCSQ default — at the laptop-scale workload.
-func DefaultTelemetry() TelemetryConfig {
-	return TelemetryConfig{
-		BufBytes:   64 << 10,
-		ArrayBytes: 300_000,
-		ArrayCount: 20,
-	}
+// paper's SCSQ default — at Figure 6's workload for the sizing.
+func DefaultTelemetry(s Sizing) TelemetryConfig {
+	w := s.workload(300_000, 20)
+	return TelemetryConfig{BufBytes: 64 << 10, ArrayBytes: w.ArrayBytes, ArrayCount: w.ArrayCount}
 }
 
 // TelemetryReport is the outcome of one instrumented run: the measured
@@ -61,7 +58,7 @@ func RunTelemetry(cfg TelemetryConfig) (*TelemetryReport, error) {
 	if cfg.BufBytes <= 0 {
 		return nil, fmt.Errorf("bench: MPI buffer size must be positive, got %d", cfg.BufBytes)
 	}
-	if err := validateWorkload(cfg.ArrayBytes, cfg.ArrayCount, 1); err != nil {
+	if err := (workload{cfg.ArrayBytes, cfg.ArrayCount, 1}).validate(); err != nil {
 		return nil, err
 	}
 	tracer := metrics.NewTracer(cfg.TraceLimit)

@@ -11,7 +11,7 @@ import (
 // the bandwidth is consistent with the makespan, and the emitted trace is
 // loadable Chrome-trace JSON with events on the virtual timeline.
 func TestRunTelemetry(t *testing.T) {
-	cfg := DefaultTelemetry()
+	cfg := DefaultTelemetry(Sizing{})
 	cfg.ArrayBytes, cfg.ArrayCount = 30_000, 5
 	report, err := RunTelemetry(cfg)
 	if err != nil {
@@ -84,23 +84,23 @@ func TestRunTelemetry(t *testing.T) {
 // makespan of the plain Figure 6 harness on the same configuration.
 func TestTelemetryMatchesUninstrumentedBandwidth(t *testing.T) {
 	const size, count = 30_000, 5
-	cfg := DefaultTelemetry()
+	cfg := DefaultTelemetry(Sizing{})
 	cfg.ArrayBytes, cfg.ArrayCount = size, count
 	report, err := RunTelemetry(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	f6 := Figure6Config{BufSizes: []int{cfg.BufBytes}, ArrayBytes: size, ArrayCount: count, Repeats: 2}
-	rows, err := RunFigure6(f6)
+	pts, err := figure6([]int{cfg.BufBytes}, workload{size, count, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	double := value(t, pts, cfg.BufBytes, "double")
 	// Figure 6 reports raw-array bandwidth; rescale the telemetry number to
 	// the same payload definition to compare the underlying makespan.
 	rawMbps := float64(size*count) * 8 / report.Makespan.Sub(0).Seconds() / 1e6
-	if got := rows[0].Double.MeanMbps; got != rawMbps || rows[0].Double.StdevMbps != 0 {
-		t.Fatalf("instrumented run bandwidth %v != plain harness %v (stdev %v)", rawMbps, got, rows[0].Double.StdevMbps)
+	if double.Value != rawMbps || double.Stdev != 0 {
+		t.Fatalf("instrumented run bandwidth %v != plain harness %v (stdev %v)", rawMbps, double.Value, double.Stdev)
 	}
 }
 

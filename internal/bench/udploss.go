@@ -2,116 +2,77 @@ package bench
 
 import (
 	"fmt"
+	"strconv"
 
 	"scsq/internal/core"
 	"scsq/internal/hw"
 	"scsq/internal/scsql"
 )
 
-// UDPLossConfig parameterizes the UDP-inbound extension experiment: the
-// paper's I/O nodes offer TCP or UDP (§2.1); this experiment streams the
-// Query-1 workload over the best-effort UDP service at several loss rates
-// and reports how much of the stream arrives and at what bandwidth.
-type UDPLossConfig struct {
-	LossRates  []float64
-	N          int
-	ArrayBytes int
-	ArrayCount int
-	Repeats    int
-}
-
-// DefaultUDPLoss is the laptop-scale UDP experiment.
-func DefaultUDPLoss() UDPLossConfig {
-	return UDPLossConfig{
-		LossRates:  []float64{0, 0.01, 0.05, 0.1, 0.2},
-		N:          4,
-		ArrayBytes: 100_000,
-		ArrayCount: 60,
-		Repeats:    5,
-	}
-}
-
-// UDPLossRow is one loss-rate point.
-type UDPLossRow struct {
-	LossRate float64
-	// DeliveredFrac is the fraction of sent arrays the BlueGene counted.
-	DeliveredFrac float64
-	// Goodput is the bandwidth of the arrays that arrived.
-	Goodput Sample
-}
-
-// RunUDPLoss measures the inbound Query-1 topology over lossy UDP.
-func RunUDPLoss(cfg UDPLossConfig) ([]UDPLossRow, error) {
-	if err := validateWorkload(cfg.ArrayBytes, cfg.ArrayCount, cfg.Repeats); err != nil {
+// udpLoss is the UDP-inbound extension experiment: the paper's I/O nodes
+// offer TCP or UDP (§2.1); this experiment streams the Query-1 workload (n
+// back-end streams) over the best-effort UDP service at several loss rates
+// and reports how much of the stream arrives ("delivered", the share of sent
+// arrays the BlueGene counted) and at what bandwidth ("goodput", of the
+// arrays that arrived).
+func udpLoss(lossRates []float64, n int, w workload) ([]Point, error) {
+	if err := w.validate(); err != nil {
 		return nil, err
 	}
-	if cfg.N <= 0 {
-		return nil, fmt.Errorf("bench: stream count must be positive, got %d", cfg.N)
+	if n <= 0 {
+		return nil, fmt.Errorf("bench: stream count must be positive, got %d", n)
 	}
-	src, err := scsql.InboundQuery(1, cfg.N, cfg.ArrayBytes, cfg.ArrayCount)
+	src, err := scsql.InboundQuery(1, n, w.ArrayBytes, w.ArrayCount)
 	if err != nil {
 		return nil, err
 	}
-	cost := hw.DefaultCostModel().ScaleInboundFixed(float64(cfg.ArrayBytes) / PaperArrayBytes)
-	sent := int64(cfg.N) * int64(cfg.ArrayCount)
+	cost := inboundCost(w)
+	sent := int64(n) * int64(w.ArrayCount)
 
-	var rows []UDPLossRow
-	for _, rate := range cfg.LossRates {
+	var pts []Point
+	for _, rate := range lossRates {
 		var (
-			mbps      []float64
-			delivered int64
+			runs      []float64
+			delivered int64 // deterministic loss: identical across repeats
 		)
-		for r := 0; r < cfg.Repeats; r++ {
-			env, err := hw.NewLOFAR(hw.WithCostModel(cost))
+		for r := 0; r < w.Repeats; r++ {
+			arrays, goodput, err := udpLossRun(src, cost, rate, w.ArrayBytes)
 			if err != nil {
-				return nil, err
-			}
-			eng, err := core.NewEngine(core.WithEnv(env), core.WithUDPInbound(rate))
-			if err != nil {
-				return nil, err
-			}
-			ev := scsql.NewEvaluator(eng, nil)
-			res, err := ev.Exec(src)
-			if err != nil {
-				eng.Close()
 				return nil, fmt.Errorf("udploss rate=%v: %w", rate, err)
 			}
-			v, err := res.Stream.One()
-			if err != nil {
-				eng.Close()
-				return nil, fmt.Errorf("udploss rate=%v: %w", rate, err)
-			}
-			count, ok := v.(int64)
-			if !ok {
-				eng.Close()
-				return nil, fmt.Errorf("udploss rate=%v: count is %T", rate, v)
-			}
-			delivered = count // deterministic loss: identical across repeats
-			seconds := res.Stream.Makespan().Sub(0).Seconds()
-			mbps = append(mbps, float64(count)*float64(cfg.ArrayBytes)*8/seconds/1e6)
-			eng.Close()
+			delivered, runs = arrays, append(runs, goodput)
 		}
-		rows = append(rows, UDPLossRow{
-			LossRate:      rate,
-			DeliveredFrac: float64(delivered) / float64(sent),
-			Goodput:       summarize(mbps),
-		})
+		x := strconv.FormatFloat(rate, 'f', 2, 64)
+		pts = append(pts,
+			reading(x, "delivered", "%", float64(delivered)/float64(sent)*100),
+			summarize(x, "goodput", "Mbps", runs))
 	}
-	return rows, nil
+	return pts, nil
 }
 
-// WriteUDPLoss renders the UDP-loss table.
-func WriteUDPLoss(w writer, rows []UDPLossRow) error {
-	if _, err := fmt.Fprintln(w, "UDP inbound (extension) — Query 1 topology over the I/O nodes' UDP service"); err != nil {
-		return err
+// udpLossRun runs the query once on a fresh engine and returns the
+// delivered array count and the goodput in Mbps.
+func udpLossRun(src string, cost hw.CostModel, rate float64, arrayBytes int) (int64, float64, error) {
+	env, err := hw.NewLOFAR(hw.WithCostModel(cost))
+	if err != nil {
+		return 0, 0, err
 	}
-	if _, err := fmt.Fprintf(w, "%-10s %12s %18s\n", "loss", "delivered", "goodput"); err != nil {
-		return err
+	eng, err := core.NewEngine(core.WithEnv(env), core.WithUDPInbound(rate))
+	if err != nil {
+		return 0, 0, err
 	}
-	for _, r := range rows {
-		if _, err := fmt.Fprintf(w, "%-10.2f %11.1f%% %18s\n", r.LossRate, r.DeliveredFrac*100, r.Goodput); err != nil {
-			return err
-		}
+	defer eng.Close()
+	res, err := scsql.NewEvaluator(eng, nil).Exec(src)
+	if err != nil {
+		return 0, 0, err
 	}
-	return nil
+	v, err := res.Stream.One()
+	if err != nil {
+		return 0, 0, err
+	}
+	delivered, ok := v.(int64)
+	if !ok {
+		return 0, 0, fmt.Errorf("count is %T", v)
+	}
+	return delivered, mbps(delivered*int64(arrayBytes), res.Stream.Makespan()), nil
 }

@@ -1,59 +1,44 @@
 package bench
 
 import (
-	"strings"
+	"fmt"
 	"testing"
 )
 
 func TestUDPLossShape(t *testing.T) {
-	cfg := DefaultUDPLoss()
-	cfg.LossRates = []float64{0, 0.1, 0.3}
-	cfg.Repeats = 1
-	rows, err := RunUDPLoss(cfg)
+	pts, err := udpLoss([]float64{0, 0.1, 0.3}, 4, workload{100_000, 60, 1})
 	if err != nil {
 		t.Fatalf("udploss: %v", err)
 	}
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d, want 3", len(rows))
+	if len(pts) != 6 {
+		t.Fatalf("points = %d, want 6 (delivered and goodput at 3 rates)", len(pts))
 	}
-	if rows[0].DeliveredFrac != 1 {
-		t.Errorf("lossless delivery = %.3f, want 1", rows[0].DeliveredFrac)
+	delivered := func(rate string) float64 { return value(t, pts, rate, "delivered").Value / 100 }
+	if got := delivered("0.00"); got != 1 {
+		t.Errorf("lossless delivery = %.3f, want 1", got)
 	}
 	// Delivery decreases with the loss rate and tracks it roughly.
-	prev := rows[0].DeliveredFrac
-	for i := 1; i < len(rows); i++ {
-		if rows[i].DeliveredFrac >= prev {
-			t.Errorf("delivery must fall with loss: %.3f then %.3f", prev, rows[i].DeliveredFrac)
+	prev := delivered("0.00")
+	for _, rate := range []float64{0.1, 0.3} {
+		got := delivered(fmt.Sprintf("%.2f", rate))
+		if got >= prev {
+			t.Errorf("delivery must fall with loss: %.3f then %.3f", prev, got)
 		}
-		want := 1 - rows[i].LossRate
-		if diff := rows[i].DeliveredFrac - want; diff > 0.12 || diff < -0.12 {
-			t.Errorf("delivery %.3f far from expected %.3f at loss %.2f", rows[i].DeliveredFrac, want, rows[i].LossRate)
+		if diff := got - (1 - rate); diff > 0.12 || diff < -0.12 {
+			t.Errorf("delivery %.3f far from expected %.3f at loss %.2f", got, 1-rate, rate)
 		}
-		prev = rows[i].DeliveredFrac
-	}
-	var sb strings.Builder
-	if err := WriteUDPLoss(&sb, rows); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "delivered") {
-		t.Errorf("table:\n%s", sb.String())
+		prev = got
 	}
 }
 
 func TestUDPLossValidation(t *testing.T) {
-	cfg := DefaultUDPLoss()
-	cfg.N = 0
-	if _, err := RunUDPLoss(cfg); err == nil {
+	if _, err := udpLoss([]float64{0}, 0, workload{100_000, 60, 5}); err == nil {
 		t.Error("zero streams should fail")
 	}
-	cfg = DefaultUDPLoss()
-	cfg.Repeats = 0
-	if _, err := RunUDPLoss(cfg); err == nil {
+	if _, err := udpLoss([]float64{0}, 4, workload{100_000, 60, 0}); err == nil {
 		t.Error("zero repeats should fail")
 	}
-	cfg = DefaultUDPLoss()
-	cfg.LossRates = []float64{2}
-	if _, err := RunUDPLoss(cfg); err == nil {
+	if _, err := udpLoss([]float64{2}, 4, workload{100_000, 60, 5}); err == nil {
 		t.Error("invalid loss rate should fail")
 	}
 }

@@ -62,13 +62,6 @@ type Engine struct {
 	kernelBatch int // receiver frames per virtual-time kernel commit
 	clientNode  int // front-end node hosting the client manager
 
-	// planCache holds pristine operator-tree templates keyed by plan shape
-	// (see planshape.go): shape-identical input-free subqueries share one
-	// template, and a supervised re-placement clones it instead of
-	// re-compiling. Templates are stateless, so the cache survives Reset.
-	planMu    sync.Mutex
-	planCache map[string]sqep.Operator
-
 	inj   *chaos.Injector // nil without WithChaos
 	sup   *Supervisor     // nil without WithSupervision
 	retry carrier.RetryPolicy
@@ -324,7 +317,6 @@ func NewEngine(opts ...Option) (*Engine, error) {
 		buffering:   cfg.buffering,
 		window:      cfg.window,
 		kernelBatch: cfg.kernelBatch,
-		planCache:   make(map[string]sqep.Operator),
 		queries:     make(map[string]*queryCtx),
 		inj:         cfg.inj,
 		retry:       cfg.retry,
@@ -769,29 +761,12 @@ func (e *Engine) buildProc(sp *SP, node int) (*rp.RP, bool, error) {
 		Owner:   sp.qc.id,
 		Cancel:  sp.qc,
 	}
-	var (
-		op        sqep.Operator
-		hasInputs bool
-	)
-	if tmpl := sp.template(); tmpl != nil {
-		// Re-placement fast path: the subquery compiled to a cacheable
-		// (input-free) plan before, so clone the pristine template instead
-		// of re-compiling it.
-		if cl, ok := clonePlan(tmpl); ok {
-			op = cl
-		}
+	b := &PlanBuilder{eng: e, cluster: sp.cluster, node: node, spID: sp.id}
+	op, err := sp.sub(b)
+	if err != nil {
+		return nil, false, err
 	}
-	if op == nil {
-		b := &PlanBuilder{eng: e, cluster: sp.cluster, node: node, spID: sp.id}
-		op, err = sp.sub(b)
-		if err != nil {
-			return nil, false, err
-		}
-		hasInputs = b.hasInputs
-		if !hasInputs {
-			sp.setTemplate(e.cachePlanTemplate(op))
-		}
-	}
+	hasInputs := b.hasInputs
 	proc := rp.New(sp.id, sp.cluster, node, ctx, func(*sqep.Ctx) (sqep.Operator, error) { return op, nil })
 	proc.SetMetrics(e.reg)
 	// Only free-running source RPs register as pacing agents: a reactive
@@ -814,27 +789,6 @@ func (e *Engine) buildProc(sp *SP, node int) (*rp.RP, bool, error) {
 		}
 	}
 	return proc, hasInputs, nil
-}
-
-// cachePlanTemplate fingerprints a freshly built input-free plan and returns
-// the shared pristine template for its shape, adding one if absent. Nil for
-// uncachable plans (closures, channels, non-zero unexported state).
-func (e *Engine) cachePlanTemplate(op sqep.Operator) sqep.Operator {
-	fp, ok := planFingerprint(op)
-	if !ok {
-		return nil
-	}
-	e.planMu.Lock()
-	defer e.planMu.Unlock()
-	if tmpl, hit := e.planCache[fp]; hit {
-		return tmpl
-	}
-	tmpl, cloned := clonePlan(op)
-	if !cloned {
-		return nil
-	}
-	e.planCache[fp] = tmpl
-	return tmpl
 }
 
 // SPV assigns each subquery of the set to a new stream process in cluster
@@ -929,9 +883,6 @@ type SP struct {
 	started  bool
 	restarts int // supervised re-placements attempted
 	wirings  []wiring
-	// tmpl is the shared pristine plan template for this SP's shape (nil if
-	// uncachable): a re-placement clones it instead of re-compiling sub.
-	tmpl sqep.Operator
 }
 
 // wiring records one outgoing subscription of an SP — enough to re-dial it
@@ -964,18 +915,6 @@ func (s *SP) proc() *rp.RP {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.rp
-}
-
-func (s *SP) template() sqep.Operator {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.tmpl
-}
-
-func (s *SP) setTemplate(op sqep.Operator) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.tmpl = op
 }
 
 func (s *SP) addWiring(w wiring) {
