@@ -9,9 +9,11 @@ import (
 // Frame-buffer pool shared by the sender drivers (internal/rp) and the
 // carriers. The engine's hot path ships every payload byte through exactly
 // one frame buffer: the sender driver copies marshaled bytes out of its
-// pending buffer into a pooled payload, the carrier delivers the frame, and
-// the receiver driver returns the payload to the pool once the bytes have
-// been materialized. Pooling turns the per-flush make([]byte, BufBytes) —
+// pending buffer — from a read cursor, so a flush costs its frame and not the
+// unflushed tail behind it — into a pooled payload, the carrier delivers the
+// frame, and the receiver driver returns the payload to the pool once its
+// last value has been decoded (or at once, when the bytes continue a partial
+// object in the reassembly buffer). Pooling turns the per-flush make([]byte, BufBytes) —
 // ~30k allocations per paper-scale experiment point — into a recycled
 // buffer, which is the "allocation-free byte path" of the data plane.
 //

@@ -2,6 +2,7 @@ package marshal
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -10,8 +11,10 @@ import (
 // FuzzDecodeRoundTrip asserts two properties over arbitrary input bytes:
 // Decode must never panic (crafted length prefixes, unknown tags, truncated
 // payloads), and any value it does produce must re-encode and decode to the
-// same value. DecodeBorrowed must agree with Decode on every input, and so
-// must Skip: same accept/reject, same bytes consumed.
+// same value. Skip must agree with Decode on every input (same accept/reject,
+// same bytes consumed), and so must DecodeInto, whose result additionally
+// never shares memory with the input and lives in the caller's array: one
+// that is too short is replaced, a longer one keeps its capacity.
 func FuzzDecodeRoundTrip(f *testing.F) {
 	seedValues := []any{
 		nil, int64(-1), 3.14, true, "hello, 世界",
@@ -34,9 +37,8 @@ func FuzzDecodeRoundTrip(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, n, err := Decode(data) // must not panic
-		vb, nb, errb := DecodeBorrowed(data)
-		if (err == nil) != (errb == nil) {
-			t.Fatalf("Decode err=%v but DecodeBorrowed err=%v", err, errb)
+		for _, have := range []int{0, 1, 4096} {
+			checkDecodeInto(t, data, have, v, n, err)
 		}
 		if ns, errs := Skip(data); (err == nil) != (errs == nil) || ns != n {
 			t.Fatalf("Decode = (%d, %v) but Skip = (%d, %v)", n, err, ns, errs)
@@ -44,23 +46,13 @@ func FuzzDecodeRoundTrip(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if n != nb {
-			t.Fatalf("Decode consumed %d bytes, DecodeBorrowed %d", n, nb)
-		}
 		if n <= 0 || n > len(data) {
 			t.Fatalf("Decode consumed %d of %d bytes", n, len(data))
 		}
-		// Re-encode both; NaN-safe comparison via the encoded bytes.
+		// NaN-safe comparison via the encoded bytes.
 		enc, err := Append(nil, v)
 		if err != nil {
 			t.Fatalf("re-encode of decoded value %v: %v", v, err)
-		}
-		encB, err := Append(nil, vb)
-		if err != nil {
-			t.Fatalf("re-encode of borrowed value %v: %v", vb, err)
-		}
-		if !bytes.Equal(enc, encB) {
-			t.Fatalf("Decode and DecodeBorrowed disagree: %x vs %x", enc, encB)
 		}
 		v2, n2, err := Decode(enc)
 		if err != nil {
@@ -77,6 +69,43 @@ func FuzzDecodeRoundTrip(f *testing.F) {
 			t.Fatalf("round trip not stable: %x vs %x", enc, enc2)
 		}
 	})
+}
+
+// checkDecodeInto holds DecodeInto, handed an array of have elements, to
+// Decode's verdict (v, n, err) on data.
+func checkDecodeInto(t *testing.T, data []byte, have int, v any, n int, err error) {
+	t.Helper()
+	arr := make([]float64, have)
+	before := arr
+	in := bytes.Clone(data)
+	vi, ni, erri := DecodeInto(in, &arr)
+	if ni != n || fmt.Sprint(erri) != fmt.Sprint(err) {
+		t.Fatalf("have=%d: Decode = (%d, %v) but DecodeInto = (%d, %v)", have, n, err, ni, erri)
+	}
+	if err != nil {
+		return
+	}
+	// Scribbling over the input must not reach the decoded value.
+	for i := range in {
+		in[i] ^= 0xff
+	}
+	enc, _ := Append(nil, v)
+	encI, errI := Append(nil, vi)
+	if errI != nil || !bytes.Equal(enc, encI) {
+		t.Fatalf("have=%d: Decode and DecodeInto disagree: %x vs %x (%v)", have, enc, encI, errI)
+	}
+	got, isArr := vi.([]float64)
+	if !isArr {
+		return
+	}
+	if grown := len(got) > have; grown && cap(arr) != len(got) {
+		t.Fatalf("have=%d: array of %d grown to cap %d, want exactly its length", have, len(got), cap(arr))
+	} else if !grown && (cap(arr) != have || (have > 0 && &arr[:1][0] != &before[0])) {
+		t.Fatalf("have=%d: array of %d replaced the caller's storage", have, len(got))
+	}
+	if len(arr) != len(got) || (len(got) > 0 && &got[0] != &arr[0]) {
+		t.Fatalf("have=%d: result does not live in the caller's array", have)
+	}
 }
 
 // TestDecodeArbitraryBytesNeverPanics is a deterministic mini fuzz pass

@@ -18,9 +18,8 @@
 // Numerical arrays — the dominant payload in the paper's experiments — are
 // encoded as raw IEEE-754 bits so marshaling cost is a single copy: on
 // little-endian hosts the encoder and decoder move the raw bits with one
-// bulk copy instead of a per-element load/store loop. DecodeBorrowed goes
-// one step further and returns arrays that alias the input buffer, for
-// callers that control the buffer's lifetime.
+// bulk copy instead of a per-element load/store loop. DecodeInto goes one
+// step further and moves a top-level array into storage the caller reuses.
 package marshal
 
 import (
@@ -201,33 +200,41 @@ func AppendString(buf []byte, x string) ([]byte, error) {
 
 // Decode decodes one value from the front of buf, returning the value and
 // the number of bytes consumed. Decoded values never alias buf.
+//
+// It checks the whole value with Skip before it materializes anything: a
+// bag's count sizes its slice, so without the check a short input of nested
+// bags that each claim 2³¹ elements costs its length squared in allocations
+// before the truncation is found.
 func Decode(buf []byte) (any, int, error) {
-	return decode(buf, false)
-}
-
-// DecodeBorrowed decodes like Decode but, where the host's memory layout
-// allows it, returns []float64 values that alias buf instead of copying
-// them out. A borrowed value is only valid while buf is neither modified
-// nor recycled; callers that hand buffers back to a pool (see
-// internal/carrier) must materialize with Decode instead. Values for which
-// aliasing is impossible (misaligned payload, big-endian host, scalars,
-// strings) are materialized exactly as by Decode.
-func DecodeBorrowed(buf []byte) (any, int, error) {
-	return decode(buf, true)
-}
-
-// decode checks the whole value with Skip before it materializes anything:
-// a bag's count sizes its slice, so without the check a short input of
-// nested bags that each claim 2³¹ elements costs its length squared in
-// allocations before the truncation is found.
-func decode(buf []byte, borrow bool) (any, int, error) {
 	if _, err := Skip(buf); err != nil {
 		return nil, 0, err
 	}
-	return materialize(buf, borrow)
+	return materialize(buf)
 }
 
-func materialize(buf []byte, borrow bool) (any, int, error) {
+// DecodeInto decodes like Decode, except that a top-level array is copied
+// into *arr instead of a fresh slice: *arr is replaced by one of exactly the
+// value's length when it is nil or too short, and otherwise keeps its
+// capacity. The returned array is valid until the caller next passes arr;
+// it never aliases buf. Every other value is materialized by Decode.
+func DecodeInto(buf []byte, arr *[]float64) (any, int, error) {
+	if len(buf) == 0 || buf[0] != TagArray {
+		return Decode(buf)
+	}
+	size, err := Skip(buf)
+	if err != nil {
+		return nil, 0, err
+	}
+	if n := (size - 5) / 8; *arr == nil || cap(*arr) < n {
+		*arr = make([]float64, n)
+	} else {
+		*arr = (*arr)[:n]
+	}
+	fillArray(*arr, buf[5:size])
+	return *arr, size, nil
+}
+
+func materialize(buf []byte) (any, int, error) {
 	if len(buf) == 0 {
 		return nil, 0, ErrTruncated
 	}
@@ -266,7 +273,9 @@ func materialize(buf []byte, borrow bool) (any, int, error) {
 		if len(buf) < 5+8*n {
 			return nil, 0, ErrTruncated
 		}
-		return decodeArray(buf[5:5+8*n], n, borrow), 5 + 8*n, nil
+		arr := make([]float64, n)
+		fillArray(arr, buf[5:5+8*n])
+		return arr, 5 + 8*n, nil
 	case TagBag:
 		if len(buf) < 5 {
 			return nil, 0, ErrTruncated
@@ -283,7 +292,7 @@ func materialize(buf []byte, borrow bool) (any, int, error) {
 		}
 		bag := make([]any, 0, capHint)
 		for i := 0; i < n; i++ {
-			v, used, err := materialize(buf[off:], borrow)
+			v, used, err := materialize(buf[off:])
 			if err != nil {
 				return nil, 0, err
 			}
@@ -377,25 +386,19 @@ func AsString(buf []byte) (s string, ok bool) {
 	return string(buf[5 : 5+n]), true
 }
 
-// decodeArray materializes (or borrows) n float64 elements from their raw
-// little-endian wire bytes.
-func decodeArray(raw []byte, n int, borrow bool) []float64 {
-	if n == 0 {
-		return []float64{}
+// fillArray copies len(dst) float64 elements out of their raw little-endian
+// wire bytes.
+func fillArray(dst []float64, raw []byte) {
+	if len(dst) == 0 {
+		return
 	}
 	if hostLittleEndian {
-		if borrow && uintptr(unsafe.Pointer(&raw[0]))%unsafe.Alignof(float64(0)) == 0 {
-			return unsafe.Slice((*float64)(unsafe.Pointer(&raw[0])), n)
-		}
-		arr := make([]float64, n)
-		copy(float64Bytes(arr), raw)
-		return arr
+		copy(float64Bytes(dst), raw)
+		return
 	}
-	arr := make([]float64, n)
-	for i := range arr {
-		arr[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 	}
-	return arr
 }
 
 // DecodeAll decodes every value in buf, which must contain a whole number

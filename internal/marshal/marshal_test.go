@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"testing"
 	"testing/quick"
-	"unsafe"
 )
 
 func roundTrip(t *testing.T, v any) any {
@@ -163,59 +162,6 @@ func TestTooLargeGuard(t *testing.T) {
 	// At the limit still fine.
 	if _, err := Append(nil, []float64{1, 2, 3, 4}); err != nil {
 		t.Errorf("Append at the limit: %v", err)
-	}
-}
-
-// TestDecodeBorrowedAliases checks that borrow-decoding returns arrays
-// aliasing the input buffer when the payload is aligned, and that the
-// values always match the materializing decoder either way.
-func TestDecodeBorrowedAliases(t *testing.T) {
-	arr := []float64{1, 2, 3, 4}
-	// Lay the encoding out at offsets 0..7 within an aligned backing array
-	// so both the aligned and the misaligned payload paths are hit.
-	for off := 0; off < 8; off++ {
-		backing := make([]byte, off, off+64)
-		buf, err := Append(backing, arr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		enc := buf[off:]
-		v, n, err := DecodeBorrowed(enc)
-		if err != nil {
-			t.Fatalf("off=%d: %v", off, err)
-		}
-		if size, _ := Size(arr); n != size {
-			t.Fatalf("off=%d: consumed %d, want %d", off, n, size)
-		}
-		got, ok := v.([]float64)
-		if !ok || !reflect.DeepEqual(got, arr) {
-			t.Fatalf("off=%d: decoded %v, want %v", off, v, arr)
-		}
-		// Mutating the buffer must be visible through a borrowed array
-		// (and only then): that is the aliasing contract.
-		enc[5] ^= 0xff
-		aliased := got[0] != arr[0]
-		enc[5] ^= 0xff
-		// The decoder borrows exactly when the host is little-endian and the
-		// payload (after the 1-byte tag + 4-byte length) is 8-byte aligned.
-		wantAlias := hostLittleEndian &&
-			uintptr(unsafe.Pointer(&enc[5]))%unsafe.Alignof(float64(0)) == 0
-		if aliased != wantAlias {
-			t.Errorf("off=%d: aliased=%v, want %v", off, aliased, wantAlias)
-		}
-	}
-	// Borrowed decode inside bags follows the same rule; just check values.
-	bag := []any{[]float64{9, 8}, "s", int64(1)}
-	enc, err := Append(nil, bag)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, _, err := DecodeBorrowed(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(v, bag) {
-		t.Errorf("borrowed bag = %v, want %v", v, bag)
 	}
 }
 

@@ -71,7 +71,10 @@ type senderDriver struct {
 	source string
 	owner  string // query id the CPU charges attribute to, parsed once
 
+	// pending holds marshaled bytes not yet flushed; frames are copied out
+	// of pending[head:], so a flush costs its frame, not the tail behind it.
 	pending   []byte
+	head      int
 	pendReady vtime.Time
 	// history of sender-device completion times for the last two flushed
 	// buffers; single buffering gates marshaling on the last one, double
@@ -130,6 +133,10 @@ func (d *senderDriver) bufferFreeAt() vtime.Time {
 
 // push marshals el into the pending buffer, flushing full frames.
 func (d *senderDriver) push(el sqep.Element) error {
+	// Compact the unflushed tail (shorter than one buffer) so the backing
+	// array is reused rather than grown past the flushed head.
+	d.pending = d.pending[:copy(d.pending, d.pending[d.head:])]
+	d.head = 0
 	var err error
 	before := len(d.pending)
 	d.pending, err = marshal.Append(d.pending, el.Value)
@@ -159,7 +166,12 @@ func (d *senderDriver) push(el sqep.Element) error {
 	if d.cfg.FlushPerElement {
 		return d.flushFrame(len(d.pending), false)
 	}
-	for len(d.pending) >= d.cfg.BufBytes {
+	return d.flushFull()
+}
+
+// flushFull flushes every full buffer sitting in pending.
+func (d *senderDriver) flushFull() error {
+	for len(d.pending)-d.head >= d.cfg.BufBytes {
 		if err := d.flushFrame(d.cfg.BufBytes, false); err != nil {
 			return err
 		}
@@ -169,13 +181,10 @@ func (d *senderDriver) push(el sqep.Element) error {
 
 // finish flushes the remaining bytes and the end-of-stream frame.
 func (d *senderDriver) finish() error {
-	for len(d.pending) >= d.cfg.BufBytes {
-		if err := d.flushFrame(d.cfg.BufBytes, false); err != nil {
-			return err
-		}
+	if err := d.flushFull(); err != nil {
+		return err
 	}
-	n := len(d.pending)
-	return d.flushFrame(n, true) // possibly empty last frame
+	return d.flushFrame(len(d.pending)-d.head, true) // possibly empty last frame
 }
 
 func (d *senderDriver) flushFrame(n int, last bool) error {
@@ -196,7 +205,7 @@ func (d *senderDriver) flushFrame(n int, last bool) error {
 		var payload []byte
 		if n > 0 {
 			payload = carrier.GetBuf(n)
-			copy(payload, d.pending[:n])
+			copy(payload, d.pending[d.head:d.head+n])
 		}
 		fr := carrier.Frame{
 			Source:  d.source,
@@ -228,12 +237,7 @@ func (d *senderDriver) flushFrame(n int, last bool) error {
 	if traceID != 0 {
 		d.cfg.Tracer.Span(d.cfg.Link, "send", "flush", traceID, d.pendReady, free, int64(n))
 	}
-	// Shift the unflushed tail to the front of pending instead of
-	// re-slicing: pending = pending[n:] would retain the flushed head of
-	// the backing array for the stream's lifetime and force the next
-	// element's append to grow a fresh array every flush.
-	rest := copy(d.pending, d.pending[n:])
-	d.pending = d.pending[:rest]
+	d.head += n
 
 	d.hist[0], d.hist[1] = d.hist[1], free
 	d.framesOut++
@@ -344,14 +348,23 @@ type Receiver struct {
 	txn   *vtime.Txn
 	owner string
 	cpuAt vtime.Time
-	// batch holds the frames drained for the current kernel commit.
+	// batch holds the frames drained for the current kernel commit, priced
+	// and committed; Next decodes them one value at a time. batch[cur] is the
+	// frame being decoded: data is its byte stream (the payload, or the
+	// producer's non-empty reassembly buffer with the payload appended) and
+	// off the decode cursor; data is nil until the frame's first value is
+	// asked for.
 	batch []pendingFrame
-	// queue is a ring buffer of decoded elements awaiting Next: qhead is
-	// the index of the oldest element, qlen the number queued. len(queue)
-	// is always a power of two so the wrap is a mask.
-	queue     []sqep.Element
-	qhead     int
-	qlen      int
+	cur   int
+	data  []byte
+	off   int
+	// deferred is the Down or closed-inbox error that cut the current batch
+	// short; it surfaces once the frames staged before it are consumed.
+	deferred error
+	// reuse is set by a consumer that does not retain elements: top-level
+	// arrays are then materialized into arr, which the next one overwrites.
+	reuse     bool
+	arr       []float64
 	lastsSeen int
 	done      bool
 
@@ -398,7 +411,7 @@ func NewReceiver(inbox carrier.Inbox, cfg ReceiverConfig) *Receiver {
 func (r *Receiver) Open(*sqep.Ctx) error { return nil }
 
 // pendingFrame is one drained, priced frame awaiting its batch's kernel
-// commit and decode.
+// commit and then its turn to be decoded.
 type pendingFrame struct {
 	fr      carrier.Delivered
 	payload []byte // fr.Payload minus any already-ingested prefix
@@ -408,91 +421,75 @@ type pendingFrame struct {
 	done    vtime.Time
 }
 
+// ReuseValues implements sqep.ValueReuser: the consumer is done with each
+// element before it asks for the next, so arrays need not be fresh.
+func (r *Receiver) ReuseValues() { r.reuse = true }
+
 // Next implements sqep.Operator. It blocks until an element is available or
 // the stream ends (all producers sent their Last frame).
 func (r *Receiver) Next() (sqep.Element, bool, error) {
 	for {
-		if r.qlen > 0 {
-			return r.popQueue(), true, nil
+		for r.cur < len(r.batch) {
+			el, ok, err := r.decodeNext()
+			if err != nil {
+				r.dropStaged()
+				return sqep.Element{}, false, err
+			}
+			if ok {
+				return el, true, nil
+			}
+		}
+		if err := r.deferred; err != nil {
+			r.deferred = nil
+			return sqep.Element{}, false, err
 		}
 		if r.done {
 			return sqep.Element{}, false, nil
 		}
-		if err := r.fillAndIngest(); err != nil {
+		if err := r.fill(); err != nil {
 			return sqep.Element{}, false, err
 		}
 	}
 }
 
-// fillAndIngest blocks for one frame, drains up to BatchFrames-1 further
-// frames already queued in the inbox, and ingests them as one batch. A Down
-// frame or closed inbox truncates the drain: the frames before it are still
-// ingested, then the error is reported.
-func (r *Receiver) fillAndIngest() error {
+// fill blocks for one frame, drains up to BatchFrames-1 further frames
+// already queued in the inbox, and commits them as one batch. A Down frame or
+// closed inbox truncates the drain: the frames before it are still staged,
+// and the error is deferred until they have been decoded.
+func (r *Receiver) fill() error {
 	r.gDepth.SetMax(int64(len(r.inbox)))
 	fr, ok := <-r.inbox
 	if !ok {
-		return fmt.Errorf("rp: inbox closed before end of stream")
+		return errInboxClosed
 	}
 	maxBatch := r.cfg.BatchFrames
 	if maxBatch < 1 {
 		maxBatch = 1
 	}
-	var deferred error
 	for {
 		// Stop the drain at any final frame: pulling past a stream's end
 		// would ingest frames the serial loop never reads once done is set.
 		last := fr.Last
-		if err := r.preprocess(fr); err != nil {
-			deferred = err
+		if r.deferred = r.preprocess(fr); r.deferred != nil || last || len(r.batch) >= maxBatch {
 			break
 		}
-		if last || len(r.batch) >= maxBatch {
-			break
-		}
-		more := false
 		select {
-		case fr2, ok2 := <-r.inbox:
-			if ok2 {
-				fr, more = fr2, true
-			} else {
-				deferred = fmt.Errorf("rp: inbox closed before end of stream")
+		case fr, ok = <-r.inbox:
+			if !ok {
+				r.deferred = errInboxClosed
 			}
 		default:
+			ok = false
 		}
-		if !more {
+		if !ok {
 			break
 		}
 	}
-	if err := r.ingestBatch(); err != nil {
-		return err
-	}
-	return deferred
+	r.ingestBatch()
+	return nil
 }
 
-// pushQueue appends an element to the ring buffer, growing it as needed.
-func (r *Receiver) pushQueue(el sqep.Element) {
-	if r.qlen == len(r.queue) {
-		grown := make([]sqep.Element, max(16, 2*len(r.queue)))
-		for i := 0; i < r.qlen; i++ {
-			grown[i] = r.queue[(r.qhead+i)&(len(r.queue)-1)]
-		}
-		r.queue = grown
-		r.qhead = 0
-	}
-	r.queue[(r.qhead+r.qlen)&(len(r.queue)-1)] = el
-	r.qlen++
-}
-
-// popQueue removes and returns the oldest queued element. The vacated slot
-// is zeroed so the decoded value does not outlive its consumption.
-func (r *Receiver) popQueue() sqep.Element {
-	el := r.queue[r.qhead]
-	r.queue[r.qhead] = sqep.Element{}
-	r.qhead = (r.qhead + 1) & (len(r.queue) - 1)
-	r.qlen--
-	return el
-}
+var errInboxClosed = errors.New("rp: inbox closed before end of stream")
 
 // preprocess validates, de-duplicates, and prices one frame, staging it in
 // the current batch. Duplicate replayed frames are recycled here without
@@ -550,10 +547,10 @@ func (r *Receiver) preprocess(fr carrier.Delivered) error {
 }
 
 // ingestBatch commits the staged frames' de-marshal reservations on the node
-// CPU in one critical section, then decodes each frame in arrival order.
-func (r *Receiver) ingestBatch() error {
+// CPU in one critical section; Next decodes them in arrival order.
+func (r *Receiver) ingestBatch() {
 	if len(r.batch) == 0 {
-		return nil
+		return
 	}
 	if r.txn != nil {
 		prev := r.txn.Tail()
@@ -583,25 +580,14 @@ func (r *Receiver) ingestBatch() error {
 			r.cpuAt = r.batch[i].done
 		}
 	}
-	var err error
 	for i := range r.batch {
-		if err == nil {
-			err = r.finishFrame(&r.batch[i])
-		} else {
-			// Frames after a failed decode were already charged; recycle
-			// their payloads on the way out.
-			carrier.Recycle(&r.batch[i].fr.Frame)
-		}
-		r.batch[i] = pendingFrame{}
+		r.observe(&r.batch[i])
 	}
-	r.batch = r.batch[:0]
-	return err
 }
 
-// finishFrame observes one committed frame's de-marshal span and decodes any
-// completed objects.
-func (r *Receiver) finishFrame(p *pendingFrame) error {
-	fr, payload, ready, done := p.fr, p.payload, p.ready, p.done
+// observe records one committed frame's de-marshal span.
+func (r *Receiver) observe(p *pendingFrame) {
+	fr, ready, done := &p.fr, p.ready, p.done
 	r.hDemarshal.Observe(done.Sub(ready))
 
 	if t := r.cfg.Tracer; t != nil && fr.TraceID != 0 {
@@ -617,51 +603,85 @@ func (r *Receiver) finishFrame(p *pendingFrame) error {
 		for _, h := range fr.Hops[1:] {
 			t.Instant(proc, "hops", h.Name, fr.TraceID, h.At)
 		}
-		t.Span(proc, "demarshal "+r.cfg.Consumer, "demarshal", fr.TraceID, ready, done, int64(len(payload)))
+		t.Span(proc, "demarshal "+r.cfg.Consumer, "demarshal", fr.TraceID, ready, done, int64(len(p.payload)))
 	}
+}
 
-	if len(payload) > 0 {
-		// Fast path: with no partial object pending from this producer,
-		// decode straight out of the frame payload and copy only the
-		// undecoded remainder (if any) into the reassembly buffer. Decode
-		// materializes every value, so the payload can be recycled below.
-		pend := r.bufs[fr.Source]
-		data := payload
-		if len(pend) > 0 {
-			pend = append(pend, payload...)
-			data = pend
-		}
-		off := 0
-		for off < len(data) {
-			v, n, err := marshal.Decode(data[off:])
-			if err == marshal.ErrTruncated {
-				break
-			}
-			if err != nil {
-				return err
-			}
-			off += n
-			r.pushQueue(sqep.Element{Value: v, At: done, Src: fr.Source})
-		}
-		rest := data[off:]
-		if len(pend) > 0 {
-			// data aliases pend: slide the remainder to the front so the
-			// backing array is reused instead of growing every frame.
-			r.bufs[fr.Source] = pend[:copy(pend, rest)]
-		} else if len(rest) > 0 {
-			// Copy out of the (possibly pooled) payload before it is
-			// recycled, reusing the stale reassembly capacity.
-			r.bufs[fr.Source] = append(r.bufs[fr.Source][:0], rest...)
+// decodeNext returns the next value of the current staged frame, stamped
+// with the end of that frame's de-marshal. Once the frame holds no further
+// complete value (ok is false) — or as soon as its last byte is decoded — the
+// undecoded remainder moves to the producer's reassembly buffer, the payload
+// is recycled, a Last frame is counted, and the next staged frame is current.
+func (r *Receiver) decodeNext() (el sqep.Element, ok bool, err error) {
+	p := &r.batch[r.cur]
+	src := p.fr.Source
+	if r.data == nil {
+		// With no partial object pending from this producer, decode straight
+		// out of the frame payload; otherwise the payload continues the
+		// reassembly buffer and can go back to the pool at once.
+		r.data = p.payload
+		if buf := r.bufs[src]; len(buf) > 0 {
+			r.data = append(buf, p.payload...)
+			carrier.Recycle(&p.fr.Frame)
 		}
 	}
-	carrier.Recycle(&fr.Frame)
-	if fr.Last {
-		if n := len(r.bufs[fr.Source]); n > 0 {
-			return fmt.Errorf("rp: stream from %q ended with %d undecoded bytes", fr.Source, n)
+	if r.off < len(r.data) {
+		var v any
+		var n int
+		if r.reuse {
+			v, n, err = marshal.DecodeInto(r.data[r.off:], &r.arr)
+		} else {
+			v, n, err = marshal.Decode(r.data[r.off:])
+		}
+		switch {
+		case err == nil:
+			r.off += n
+			el, ok = sqep.Element{Value: v, At: p.done, Src: src}, true
+			if r.off < len(r.data) {
+				return el, true, nil
+			}
+		case err != marshal.ErrTruncated:
+			return sqep.Element{}, false, err
+		}
+	}
+	rest := r.data[r.off:]
+	if len(r.bufs[src]) > 0 {
+		// data is the reassembly buffer: slide the remainder to the front so
+		// the backing array is reused instead of growing every frame.
+		r.bufs[src] = r.data[:copy(r.data, rest)]
+	} else if len(rest) > 0 {
+		// Copy out of the (possibly pooled) payload before it is recycled,
+		// reusing the stale reassembly capacity.
+		r.bufs[src] = append(r.bufs[src][:0], rest...)
+	}
+	last := p.fr.Last
+	r.popStaged()
+	if last {
+		if len(rest) > 0 {
+			return sqep.Element{}, false, fmt.Errorf("rp: stream from %q ended with %d undecoded bytes", src, len(rest))
 		}
 		r.countLast()
 	}
-	return nil
+	return el, ok, nil
+}
+
+// popStaged recycles the current staged frame and makes the next one
+// current.
+func (r *Receiver) popStaged() {
+	carrier.Recycle(&r.batch[r.cur].fr.Frame)
+	r.batch[r.cur] = pendingFrame{}
+	r.data, r.off = nil, 0
+	if r.cur++; r.cur == len(r.batch) {
+		r.batch, r.cur = r.batch[:0], 0
+	}
+}
+
+// dropStaged recycles every staged frame undecoded: their de-marshal was
+// already charged, their payloads still go back to the pool exactly once.
+func (r *Receiver) dropStaged() {
+	for r.cur < len(r.batch) {
+		r.popStaged()
+	}
 }
 
 // countLast records one producer's end of stream.
@@ -675,6 +695,7 @@ func (r *Receiver) countLast() {
 // Close implements sqep.Operator. It drains the inbox so blocked senders
 // can finish when a consumer stops early.
 func (r *Receiver) Close() error {
+	r.dropStaged()
 	if r.done {
 		return nil
 	}

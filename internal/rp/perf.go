@@ -6,10 +6,10 @@ import (
 )
 
 // PushElements drives a fresh sender driver with n copies of el over conn
-// and terminates the stream. It exists so benchmarks and the perf harness
-// (cmd/scsq-bench -perf) can exercise the marshal → flush → carrier path
-// without assembling a full engine; production code wires sender drivers
-// through RP.Subscribe.
+// and terminates the stream. It exists so benchmark/'s rp.push_* and
+// rp.recv_* probes can exercise the marshal → flush → carrier path without
+// assembling a full engine; production code wires sender drivers through
+// RP.Subscribe.
 func PushElements(source string, conn carrier.Conn, cfg SenderConfig, el sqep.Element, n int) (frames, bytes int64, err error) {
 	d, err := newSenderDriver(source, conn, cfg)
 	if err != nil {

@@ -1,0 +1,452 @@
+package rp
+
+import (
+	"errors"
+	"reflect"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"scsq/internal/carrier"
+	"scsq/internal/hw"
+	"scsq/internal/marshal"
+	"scsq/internal/race"
+	"scsq/internal/sqep"
+	"scsq/internal/vtime"
+)
+
+// producerFrames runs arrays through a sender driver and returns the frames
+// it emitted (pooled payloads, Last frame included).
+func producerFrames(t testing.TB, src string, bufBytes int, arrays [][]float64) []carrier.Delivered {
+	t.Helper()
+	inbox := make(carrier.Inbox, 1024)
+	d, err := newSenderDriver(src, &loopConn{inbox: inbox, perByte: 1}, SenderConfig{BufBytes: bufBytes, Mode: carrier.SingleBuffered})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, arr := range arrays {
+		if err := d.push(sqep.Element{Value: arr, At: vtime.Time(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.finish(); err != nil {
+		t.Fatal(err)
+	}
+	close(inbox)
+	var frames []carrier.Delivered
+	for fr := range inbox {
+		frames = append(frames, fr)
+	}
+	return frames
+}
+
+// lifetimeShapes are the frame layouts of the element-lifetime tests: build
+// returns a filled inbox, its producer count and each producer's arrays.
+var lifetimeShapes = []struct {
+	name  string
+	build func(t testing.TB) (carrier.Inbox, int, map[string][][]float64)
+}{
+	{"several arrays in one frame", func(t testing.TB) (carrier.Inbox, int, map[string][][]float64) {
+		arrays := [][]float64{goldenArray(6, 1), goldenArray(6, 2), goldenArray(3, 3), goldenArray(6, 4)}
+		frames := producerFrames(t, "a", 1<<16, arrays)
+		if len(frames) != 1 {
+			t.Fatalf("%d frames, want the whole stream in one", len(frames))
+		}
+		return inboxOf(frames), 1, map[string][][]float64{"a": arrays}
+	}},
+	{"one array split over 300 frames", func(t testing.TB) (carrier.Inbox, int, map[string][][]float64) {
+		arrays := [][]float64{goldenArray(37500, 1), goldenArray(4, 2)}
+		frames := producerFrames(t, "a", 1000, arrays)
+		if len(frames) < 300 {
+			t.Fatalf("%d frames, want ≥ 300", len(frames))
+		}
+		return inboxOf(frames), 1, map[string][][]float64{"a": arrays}
+	}},
+	{"four producers interleaved", func(t testing.TB) (carrier.Inbox, int, map[string][][]float64) {
+		want := map[string][][]float64{}
+		var perSrc [][]carrier.Delivered
+		for p, src := range []string{"a", "b", "c", "d"} {
+			for i := 0; i < 5; i++ {
+				want[src] = append(want[src], goldenArray(10+p, 10*p+i))
+			}
+			// 85–109 B arrays in 64 B buffers: every array straddles frames.
+			perSrc = append(perSrc, producerFrames(t, src, 64, want[src]))
+		}
+		var frames []carrier.Delivered
+		for i := 0; len(perSrc) > 0; i++ {
+			k := i % len(perSrc)
+			frames = append(frames, perSrc[k][0])
+			if perSrc[k] = perSrc[k][1:]; len(perSrc[k]) == 0 {
+				perSrc = append(perSrc[:k], perSrc[k+1:]...)
+			}
+		}
+		return inboxOf(frames), 4, want
+	}},
+}
+
+func inboxOf(frames []carrier.Delivered) carrier.Inbox {
+	inbox := make(carrier.Inbox, len(frames))
+	for _, fr := range frames {
+		inbox <- fr
+	}
+	return inbox
+}
+
+// TestReceiverLifetimeRetainingConsumer: a consumer that never allowed reuse
+// keeps every value it pulled; after the stream has ended (and every frame
+// went back to the pool) the arrays are distinct and unmodified.
+func TestReceiverLifetimeRetainingConsumer(t *testing.T) {
+	for _, s := range lifetimeShapes {
+		for _, batch := range []int{1, 16} {
+			inbox, producers, want := s.build(t)
+			els, err := sqep.Drain(NewReceiver(inbox, ReceiverConfig{Producers: producers, BatchFrames: batch}))
+			if err != nil {
+				t.Fatalf("%s: %v", s.name, err)
+			}
+			got := map[string][][]float64{}
+			seen := map[*float64]bool{}
+			for _, el := range els {
+				arr := el.Value.([]float64)
+				if seen[&arr[0]] {
+					t.Fatalf("%s: two retained arrays share storage", s.name)
+				}
+				seen[&arr[0]] = true
+				got[el.Src] = append(got[el.Src], arr)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s batch=%d: retained arrays differ from what was sent", s.name, batch)
+			}
+		}
+	}
+}
+
+// TestReceiverLifetimeRadixCombineQueues: radixcombine parks one producer's
+// arrays until their partners arrive and never allows reuse, so it must
+// compute what it computes over elements that are nobody else's.
+func TestReceiverLifetimeRadixCombineQueues(t *testing.T) {
+	odd := [][]float64{goldenArray(8, 1), goldenArray(8, 2), goldenArray(8, 3)}
+	even := [][]float64{goldenArray(8, 4), goldenArray(8, 5), goldenArray(8, 6)}
+	// All of odd's arrays arrive in one frame before any of even's.
+	frames := append(producerFrames(t, "odd", 1<<16, odd), producerFrames(t, "even", 1<<16, even)...)
+	var fresh []sqep.Element
+	for i := range odd {
+		fresh = append(fresh, sqep.Element{Value: odd[i], Src: "odd"}, sqep.Element{Value: even[i], Src: "even"})
+	}
+	run := func(in sqep.Operator) []any {
+		op := sqep.NewRadixCombine(in, "odd", "even")
+		if err := op.Open(&sqep.Ctx{}); err != nil {
+			t.Fatal(err)
+		}
+		els, err := sqep.Drain(op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var vals []any
+		for _, el := range els {
+			vals = append(vals, el.Value)
+		}
+		return vals
+	}
+	got := run(NewReceiver(inboxOf(frames), ReceiverConfig{Producers: 2, BatchFrames: 16}))
+	if want := run(&sqep.Slice{Elements: fresh}); len(got) != 3 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("radixcombine over a receiver = %v, want %v", got, want)
+	}
+}
+
+// TestReceiverLifetimeRelay: an RP whose plan is a bare receiver allows
+// reuse — each element is marshaled to every subscriber before the next is
+// pulled — and must forward exactly what a retaining consumer would have seen.
+func TestReceiverLifetimeRelay(t *testing.T) {
+	for _, s := range lifetimeShapes {
+		inbox, producers, _ := s.build(t)
+		want, err := sqep.Drain(NewReceiver(inbox, ReceiverConfig{Producers: producers, BatchFrames: 16}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		inbox, _, _ = s.build(t)
+		up := NewReceiver(inbox, ReceiverConfig{Producers: producers, BatchFrames: 16})
+		relay := New("relay", hw.BlueGene, 0, testCtx(t), func(*sqep.Ctx) (sqep.Operator, error) { return up, nil })
+		out := make(carrier.Inbox, 1024)
+		if err := relay.Subscribe(&loopConn{inbox: out}, SenderConfig{BufBytes: 1000, Mode: carrier.DoubleBuffered}); err != nil {
+			t.Fatal(err)
+		}
+		if err := relay.Start(); err != nil {
+			t.Fatal(err)
+		}
+		if err := relay.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := sqep.Drain(NewReceiver(out, ReceiverConfig{Producers: 1, BatchFrames: 16}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !up.reuse || len(got) != len(want) {
+			t.Fatalf("%s: reuse=%t, relayed %d elements, want %d", s.name, up.reuse, len(got), len(want))
+		}
+		for i := range got {
+			if !reflect.DeepEqual(got[i].Value, want[i].Value) {
+				t.Fatalf("%s: relayed element %d differs from what the producers sent", s.name, i)
+			}
+		}
+	}
+}
+
+// TestReceiverLifetimeCountMatchesMaterializing: count() allows reuse, and
+// must see the same number of elements and the same final timestamp as a
+// count over the elements a retaining consumer pulled from the same frames.
+func TestReceiverLifetimeCountMatchesMaterializing(t *testing.T) {
+	count := func(in sqep.Operator) sqep.Element {
+		op := sqep.NewStreamOf(sqep.NewCount(in))
+		if err := op.Open(&sqep.Ctx{}); err != nil {
+			t.Fatal(err)
+		}
+		els, err := sqep.Drain(op)
+		if err != nil || len(els) != 1 {
+			t.Fatalf("count: %v, %v", els, err)
+		}
+		return els[0]
+	}
+	for _, s := range lifetimeShapes {
+		cfg := ReceiverConfig{TCPPerByte: 0.5, MPIPerByte: 0.25, BatchFrames: 16}
+		var inbox carrier.Inbox
+		inbox, cfg.Producers, _ = s.build(t)
+		kept, err := sqep.Drain(NewReceiver(inbox, cfg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		inbox, _, _ = s.build(t)
+		r := NewReceiver(inbox, cfg)
+		got, want := count(r), count(&sqep.Slice{Elements: kept})
+		if got != want {
+			t.Errorf("%s: count over the receiver = %+v, over retained elements %+v", s.name, got, want)
+		}
+		if !r.reuse {
+			t.Errorf("%s: count did not reach the receiver through streamof", s.name)
+		}
+	}
+}
+
+// TestReceiverLifetimeCountAllocates: count(extract) over 40 one-array
+// 300 kB frames allocates one array, not forty — under 1 kB per frame beyond
+// it.
+func TestReceiverLifetimeCountAllocates(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const frames, floats = 40, 37500
+	inbox := countInbox(t, frames, floats)
+	c := sqep.NewCount(NewReceiver(inbox, ReceiverConfig{Producers: 1, BatchFrames: 16}))
+	if err := c.Open(&sqep.Ctx{}); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	el, _, err := c.Next()
+	runtime.ReadMemStats(&after)
+	if err != nil || el.Value != int64(frames) {
+		t.Fatalf("count = %v, %v", el.Value, err)
+	}
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(8*floats+1024*frames); got > limit {
+		t.Fatalf("count over %d frames allocated %d B, want ≤ %d (one array + 1 kB per frame)", frames, got, limit)
+	}
+}
+
+// countInbox returns an inbox holding one stream of n frames, each one array
+// of the given length; the payloads are not pooled, so the same frames can be
+// delivered again.
+func countInbox(t testing.TB, n, floats int) carrier.Inbox {
+	t.Helper()
+	payload, err := marshal.Append(nil, goldenArray(floats, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inbox := make(carrier.Inbox, n)
+	for i := 0; i < n; i++ {
+		inbox <- carrier.Delivered{Frame: carrier.Frame{Source: "p", Payload: payload, Last: i == n-1}, At: vtime.Time(i), ViaTCP: true}
+	}
+	return inbox
+}
+
+// inPool reports how many of the buffers starting at ptrs sit in the frame
+// pool right now. It empties their size classes to look, and puts everything
+// back.
+func inPool(ptrs map[*byte]int) int {
+	classes := map[int]bool{}
+	for _, c := range ptrs {
+		classes[c] = true
+	}
+	found := 0
+	for c := range classes {
+		var held [][]byte
+		for i := 0; i <= 32; i++ { // a class keeps at most 32 free buffers
+			b := carrier.GetBuf(c)
+			if _, ours := ptrs[&b[0]]; ours {
+				found++
+			}
+			held = append(held, b)
+		}
+		for _, b := range held {
+			carrier.PutBuf(b)
+		}
+	}
+	return found
+}
+
+// TestReceiverRecycleExactlyOnce: whatever ends a receiver while frames are
+// staged — the consumer closing, a bad payload, a Down frame, a closed inbox —
+// and whatever the dedup discards, every pooled payload returns to the pool
+// once (PutBuf panics on a second return), and the elements and error the
+// consumer sees are the ones the frames before the fault carry.
+func TestReceiverRecycleExactlyOnce(t *testing.T) {
+	ptrs := map[*byte]int{}
+	pooled := func(off uint64, last bool, values ...any) carrier.Delivered {
+		var enc []byte
+		for _, v := range values {
+			if b, ok := v.([]byte); ok {
+				enc = append(enc, b...) // raw bytes: a corrupt payload
+			} else {
+				enc = append(enc, encInt(t, int64(v.(int)))...)
+			}
+		}
+		buf := carrier.GetBuf(len(enc))
+		copy(buf, enc)
+		ptrs[&buf[0]] = cap(buf)
+		return carrier.Delivered{Frame: carrier.Frame{Source: "p", Payload: buf, Pooled: true, Offset: off, Last: last}}
+	}
+	cases := []struct {
+		name       string
+		frames     func() []carrier.Delivered
+		closeInbox bool
+		pulls      int // Next calls before Close; 0 = until the stream ends or fails
+		want       []int64
+		wantErr    string
+	}{
+		{name: "close mid-batch", pulls: 2, want: []int64{1, 2},
+			frames: func() []carrier.Delivered {
+				return []carrier.Delivered{pooled(0, false, 1, 2, 3), pooled(27, false, 4), pooled(36, false, 5), pooled(45, false, 6), pooled(54, true, 7)}
+			}},
+		{name: "decode error in frame 2 of 5", want: []int64{1}, wantErr: "marshal: unknown tag: 0xff",
+			frames: func() []carrier.Delivered {
+				return []carrier.Delivered{pooled(0, false, 1), pooled(9, false, []byte{0xff, 0, 0}), pooled(12, false, 3), pooled(21, false, 4), pooled(30, true, 5)}
+			}},
+		{name: "down frame after 3 staged frames", want: []int64{1, 2, 3},
+			wantErr: `rp: producer "p" failed: boom: rp: upstream producer down`,
+			frames: func() []carrier.Delivered {
+				down := pooled(27, true, 9)
+				down.Down, down.DownErr = true, "boom"
+				return []carrier.Delivered{pooled(0, false, 1), pooled(9, false, 2), pooled(18, false, 3), down}
+			}},
+		{name: "inbox closed mid-drain", closeInbox: true, want: []int64{1, 2, 3},
+			wantErr: "rp: inbox closed before end of stream",
+			frames: func() []carrier.Delivered {
+				return []carrier.Delivered{pooled(0, false, 1), pooled(9, false, 2), pooled(18, false, 3)}
+			}},
+		{name: "duplicate and partial-overlap replay", want: []int64{1, 2, 3},
+			frames: func() []carrier.Delivered {
+				return []carrier.Delivered{pooled(0, false, 1), pooled(0, false, 1), pooled(0, false, 1, 2), pooled(18, true, 3)}
+			}},
+	}
+	for _, tc := range cases {
+		for _, batch := range []int{1, 16} {
+			clear(ptrs)
+			frames := tc.frames()
+			inbox := inboxOf(frames)
+			if tc.closeInbox {
+				close(inbox)
+			}
+			stop := make(chan struct{})
+			r := NewReceiver(inbox, ReceiverConfig{Producers: 1, TrackOffsets: true, BatchFrames: batch, Stop: stop})
+			var got []int64
+			var err error
+			for n := 0; tc.pulls == 0 || n < tc.pulls; n++ {
+				el, ok, nerr := r.Next()
+				if err = nerr; err != nil || !ok {
+					break
+				}
+				got = append(got, el.Value.(int64))
+			}
+			if cerr := r.Close(); cerr != nil {
+				t.Fatal(cerr)
+			}
+			close(stop)
+			if batch == 1 {
+				// Frames the receiver never pulled are the Close drain's (or
+				// nobody's, once the inbox is closed), not this test's.
+				for len(inbox) > 0 {
+					fr := <-inbox
+					carrier.Recycle(&fr.Frame)
+				}
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("%s batch=%d: elements %v, want %v", tc.name, batch, got, tc.want)
+			}
+			if (err == nil) != (tc.wantErr == "") || (err != nil && err.Error() != tc.wantErr) {
+				t.Errorf("%s batch=%d: error %v, want %q", tc.name, batch, err, tc.wantErr)
+			}
+			if strings.Contains(tc.wantErr, "upstream") && !errors.Is(err, ErrUpstreamDown) {
+				t.Errorf("%s: error %v does not wrap ErrUpstreamDown", tc.name, err)
+			}
+			// The Close drain may still hold a frame it pulled before stop.
+			n := inPool(ptrs)
+			for deadline := time.Now().Add(5 * time.Second); n != len(frames) && time.Now().Before(deadline); n = inPool(ptrs) {
+				time.Sleep(time.Millisecond)
+			}
+			if n != len(frames) {
+				t.Errorf("%s batch=%d: %d of %d pooled payloads are back in the pool", tc.name, batch, n, len(frames))
+			}
+		}
+	}
+}
+
+var benchSink any
+
+// BenchmarkSenderPack packs 300 kB arrays into 1 000 B buffers over a
+// connection that discards them: the cost of a flush must be its frame, not
+// the unflushed tail behind it.
+func BenchmarkSenderPack(b *testing.B) {
+	el := sqep.Element{Value: goldenArray(37500, 1)}
+	d, err := newSenderDriver("p", discardConn{}, SenderConfig{BufBytes: 1000, Mode: carrier.DoubleBuffered, MarshalPerByte: 0.5})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := d.push(el); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(d.framesOut), "ns/frame")
+}
+
+type discardConn struct{}
+
+func (discardConn) Send(f carrier.Frame) (vtime.Time, error) {
+	carrier.Recycle(&f)
+	return f.Ready, nil
+}
+
+func (discardConn) Close() error { return nil }
+
+// BenchmarkReceiverCount counts a stream of 40 one-array 300 kB frames, the
+// receiving half of every bandwidth query of the paper.
+func BenchmarkReceiverCount(b *testing.B) {
+	const frames = 40
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		inbox := countInbox(b, frames, 37500)
+		c := sqep.NewCount(NewReceiver(inbox, ReceiverConfig{Producers: 1, TCPPerByte: 0.5, BatchFrames: 16}))
+		if err := c.Open(&sqep.Ctx{}); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		el, _, err := c.Next()
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink = el.Value
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*frames), "ns/frame")
+}

@@ -292,6 +292,9 @@ func (r *RP) run() {
 		r.terminateSubs()
 		return
 	}
+	// Every subscriber's push marshals — copies — the element before the
+	// next one is pulled, so the plan's root may reuse value storage.
+	sqep.AllowReuse(plan)
 	if err := plan.Open(&r.ctx); err != nil {
 		r.setErr(err)
 		r.terminateSubs()

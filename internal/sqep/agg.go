@@ -26,6 +26,7 @@ func NewCount(input Operator) *Count { return &Count{Input: input} }
 func (c *Count) Open(ctx *Ctx) error {
 	c.ctx = ctx
 	c.done = false
+	AllowReuse(c.Input) // an element is folded and forgotten
 	return c.Input.Open(ctx)
 }
 
@@ -74,6 +75,7 @@ func NewSum(input Operator) *Sum { return &Sum{Input: input} }
 func (s *Sum) Open(ctx *Ctx) error {
 	s.ctx = ctx
 	s.done = false
+	AllowReuse(s.Input) // an element is folded and forgotten
 	return s.Input.Open(ctx)
 }
 
@@ -141,6 +143,9 @@ func NewStreamOf(input Operator) *StreamOf { return &StreamOf{Input: input} }
 
 // Open implements Operator.
 func (s *StreamOf) Open(ctx *Ctx) error { return s.Input.Open(ctx) }
+
+// ReuseValues implements ValueReuser: the identity retains nothing itself.
+func (s *StreamOf) ReuseValues() { AllowReuse(s.Input) }
 
 // Next implements Operator.
 func (s *StreamOf) Next() (Element, bool, error) { return s.Input.Next() }

@@ -38,6 +38,23 @@ type Operator interface {
 	Close() error
 }
 
+// ValueReuser is implemented by operators that can reuse an element's
+// storage when told their consumer does not retain it: after ReuseValues,
+// the Value of an element returned by Next is valid only until the following
+// Next. A consumer that keeps elements — or does not know — never calls it
+// and gets values that are its own.
+type ValueReuser interface {
+	ReuseValues()
+}
+
+// AllowReuse tells op, if it is a ValueReuser, that its consumer is done
+// with each element's Value before it pulls the next one.
+func AllowReuse(op Operator) {
+	if r, ok := op.(ValueReuser); ok {
+		r.ReuseValues()
+	}
+}
+
 // SourceFunc produces the elements of a named external stream source (the
 // paper's receiver() function, which returns a stream of 1D arrays of
 // signal data).
