@@ -1,6 +1,7 @@
 package linearroad
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -171,6 +172,47 @@ func TestSegmentStatsDetectsAccident(t *testing.T) {
 		}
 		if tl.Amount <= 0 || tl.AvgSpeed >= 40 {
 			t.Errorf("implausible toll %+v", tl)
+		}
+	}
+}
+
+// TestSegmentStatsLeavesReportsAlone: stream arrays are shared storage (a
+// receiver reuses what it decodes into), so the toll operator reads its
+// reports and writes only arrays of its own.
+func TestSegmentStatsLeavesReportsAlone(t *testing.T) {
+	cfg := DefaultConfig()
+	gen, err := NewGenerator(cfg, 0, cfg.Segments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := testCtx()
+	if err := gen.Open(ctx); err != nil {
+		t.Fatal(err)
+	}
+	reports, err := sqep.Drain(gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pristine := make([][]float64, len(reports))
+	for i, el := range reports {
+		pristine[i] = slices.Clone(el.Value.([]float64))
+	}
+	stats := NewSegmentStats(&sqep.Slice{Elements: reports}, 8)
+	if err := stats.Open(ctx); err != nil {
+		t.Fatal(err)
+	}
+	tolls, err := sqep.Drain(stats)
+	if err != nil || len(tolls) == 0 {
+		t.Fatalf("%d tolls, %v", len(tolls), err)
+	}
+	for i, el := range reports {
+		if !slices.Equal(el.Value.([]float64), pristine[i]) {
+			t.Fatalf("report %d changed under the toll operator: %v, was %v", i, el.Value, pristine[i])
+		}
+		for _, toll := range tolls {
+			if &toll.Value.([]float64)[0] == &el.Value.([]float64)[0] {
+				t.Fatalf("toll shares storage with report %d", i)
+			}
 		}
 	}
 }

@@ -14,7 +14,9 @@ import (
 // same value. Skip must agree with Decode on every input (same accept/reject,
 // same bytes consumed), and so must DecodeInto, whose result additionally
 // never shares memory with the input and lives in the caller's array: one
-// that is too short is replaced, a longer one keeps its capacity.
+// that is too short is replaced, a longer one keeps its capacity. A decoded
+// array is also cut into windows by CopyArray, each of which must be the
+// bytes AppendArray puts at that offset.
 func FuzzDecodeRoundTrip(f *testing.F) {
 	seedValues := []any{
 		nil, int64(-1), 3.14, true, "hello, 世界",
@@ -68,7 +70,50 @@ func FuzzDecodeRoundTrip(f *testing.F) {
 		if !bytes.Equal(enc, enc2) {
 			t.Fatalf("round trip not stable: %x vs %x", enc, enc2)
 		}
+		if arr, ok := v.([]float64); ok {
+			// The input's own bytes choose the windows.
+			rng := rand.New(rand.NewSource(int64(len(data))<<8 | int64(data[len(data)-1])))
+			for i := 0; i < 8; i++ {
+				checkCopyArray(t, arr, enc, rng.Intn(len(enc)+2), rng.Intn(len(enc)+2))
+			}
+		}
 	})
+}
+
+// checkCopyArray holds the window [off, off+n) CopyArray cuts out of arr's
+// encoding to the same bytes of enc = AppendArray(nil, arr), on this host's
+// path and on the portable one.
+func checkCopyArray(t *testing.T, arr []float64, enc []byte, off, n int) {
+	t.Helper()
+	want := enc[min(off, len(enc)):min(off+n, len(enc))]
+	defer func(le bool) { hostLittleEndian = le }(hostLittleEndian)
+	for _, le := range []bool{hostLittleEndian, false} {
+		hostLittleEndian = le
+		dst := bytes.Repeat([]byte{0xAA}, n+1)
+		got := CopyArray(dst[:n], arr, off)
+		if got != len(want) || !bytes.Equal(dst[:got], want) {
+			t.Fatalf("CopyArray(%d floats, off=%d, len=%d) little-endian=%t: %d bytes %x, want %x", len(arr), off, n, le, got, dst[:got], want)
+		}
+		if !bytes.Equal(dst[got:], bytes.Repeat([]byte{0xAA}, n+1-got)) {
+			t.Fatalf("CopyArray(off=%d, len=%d) wrote past the %d bytes it reported", off, n, got)
+		}
+	}
+}
+
+// TestCopyArrayEveryWindow cuts small arrays at every offset and length,
+// header straddles and the empty array included.
+func TestCopyArrayEveryWindow(t *testing.T) {
+	for _, arr := range [][]float64{{}, {1.5}, {1.5, math.Inf(-1), math.NaN(), -0.0, 1e-300}} {
+		enc, err := AppendArray(nil, arr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for off := 0; off <= len(enc)+1; off++ {
+			for n := 0; n <= len(enc)+1; n++ {
+				checkCopyArray(t, arr, enc, off, n)
+			}
+		}
+	}
 }
 
 // checkDecodeInto holds DecodeInto, handed an array of have elements, to

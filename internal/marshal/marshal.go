@@ -19,7 +19,9 @@
 // encoded as raw IEEE-754 bits so marshaling cost is a single copy: on
 // little-endian hosts the encoder and decoder move the raw bits with one
 // bulk copy instead of a per-element load/store loop. DecodeInto goes one
-// step further and moves a top-level array into storage the caller reuses.
+// step further and moves a top-level array into storage the caller reuses;
+// CopyArray does the same for a sender, cutting any window of an array's
+// encoding straight into a frame.
 package marshal
 
 import (
@@ -166,6 +168,33 @@ func AppendArray(buf []byte, x []float64) ([]byte, error) {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
 	}
 	return buf, nil
+}
+
+// CopyArray copies bytes [off, off+len(dst)) of x's encoding — what
+// AppendArray(nil, x) would produce — into dst and returns how many it
+// copied, fewer than len(dst) only where the encoding ends. It lets a sender
+// cut an array into frames straight from the array, without staging the
+// whole encoding first. The caller has checked len(x) with Size.
+func CopyArray(dst []byte, x []float64, off int) int {
+	n := 0
+	if off < 5 {
+		hdr := [5]byte{TagArray}
+		binary.LittleEndian.PutUint32(hdr[1:], uint32(len(x)))
+		n = copy(dst, hdr[off:])
+		off += n
+	}
+	off -= 5 // now an offset into the element bits
+	if off < 0 || off >= 8*len(x) {
+		return n
+	}
+	if hostLittleEndian {
+		return n + copy(dst[n:], float64Bytes(x)[off:])
+	}
+	for ; n < len(dst) && off < 8*len(x); off++ {
+		dst[n] = byte(math.Float64bits(x[off/8]) >> (8 * (off % 8)))
+		n++
+	}
+	return n
 }
 
 // AppendBagHeader opens a bag of n elements on buf: the tag and the element

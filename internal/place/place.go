@@ -397,8 +397,8 @@ type view struct {
 	psetSize    int
 	tor         *torus.Torus
 	foreignNode []bool // node leased by at least one other owner
-	foreignPset []int // foreign lease count per pset (BG only)
-	ownPset     []int // own lease count per pset (BG only)
+	foreignPset []int  // foreign lease count per pset (BG only)
+	ownPset     []int  // own lease count per pset (BG only)
 	ownNodes    []int
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"strings"
 
 	"scsq/internal/carrier"
@@ -73,8 +74,16 @@ type senderDriver struct {
 
 	// pending holds marshaled bytes not yet flushed; frames are copied out
 	// of pending[head:], so a flush costs its frame, not the tail behind it.
+	// A top-level array is never staged there whole: while push flushes it,
+	// arr is the array and arrOff counts the bytes of its arrSize-byte
+	// encoding already flushed, the unflushed stream being pending[head:]
+	// followed by that encoding from arrOff. Only the array's tail, shorter
+	// than one buffer, is appended to pending before push returns.
 	pending   []byte
 	head      int
+	arr       []float64
+	arrOff    int
+	arrSize   int
 	pendReady vtime.Time
 	// history of sender-device completion times for the last two flushed
 	// buffers; single buffering gates marshaling on the last one, double
@@ -131,19 +140,32 @@ func (d *senderDriver) bufferFreeAt() vtime.Time {
 	return d.hist[1] // previous flush
 }
 
-// push marshals el into the pending buffer, flushing full frames.
+// unflushed is the number of marshaled bytes no frame has carried yet.
+func (d *senderDriver) unflushed() int {
+	return len(d.pending) - d.head + d.arrSize - d.arrOff
+}
+
+// push marshals el behind the pending bytes, flushing full frames.
 func (d *senderDriver) push(el sqep.Element) error {
 	// Compact the unflushed tail (shorter than one buffer) so the backing
 	// array is reused rather than grown past the flushed head.
 	d.pending = d.pending[:copy(d.pending, d.pending[d.head:])]
 	d.head = 0
+	var added int
 	var err error
-	before := len(d.pending)
-	d.pending, err = marshal.Append(d.pending, el.Value)
-	if err != nil {
-		return err
+	if arr, ok := el.Value.([]float64); ok {
+		// Size of the boxed value: boxing arr again would allocate.
+		if added, err = marshal.Size(el.Value); err != nil {
+			return err
+		}
+		d.arr, d.arrOff, d.arrSize = arr, 0, added
+	} else {
+		before := len(d.pending)
+		if d.pending, err = marshal.Append(d.pending, el.Value); err != nil {
+			return err
+		}
+		added = len(d.pending) - before
 	}
-	added := len(d.pending) - before
 
 	// Charge the marshal work on the node CPU, gated by buffer
 	// availability.
@@ -164,14 +186,27 @@ func (d *senderDriver) push(el sqep.Element) error {
 	d.hMarshal.Observe(done.Sub(ready))
 
 	if d.cfg.FlushPerElement {
-		return d.flushFrame(len(d.pending), false)
+		err = d.flushFrame(d.unflushed(), false)
+	} else {
+		err = d.flushFull()
 	}
-	return d.flushFull()
+	if d.arr != nil {
+		// The element is the caller's again once push returns: stage what no
+		// frame took. After a failed flush the stream is over, and its bytes
+		// with it.
+		if tail := d.arrSize - d.arrOff; tail > 0 && err == nil {
+			k := len(d.pending)
+			d.pending = slices.Grow(d.pending, tail)[:k+tail]
+			marshal.CopyArray(d.pending[k:], d.arr, d.arrOff)
+		}
+		d.arr, d.arrOff, d.arrSize = nil, 0, 0
+	}
+	return err
 }
 
-// flushFull flushes every full buffer sitting in pending.
+// flushFull flushes every full buffer of unflushed bytes.
 func (d *senderDriver) flushFull() error {
-	for len(d.pending)-d.head >= d.cfg.BufBytes {
+	for d.unflushed() >= d.cfg.BufBytes {
 		if err := d.flushFrame(d.cfg.BufBytes, false); err != nil {
 			return err
 		}
@@ -191,10 +226,11 @@ func (d *senderDriver) flushFrame(n int, last bool) error {
 	var free vtime.Time
 	// The carrier owns the frame once Send is called — error paths recycle a
 	// pooled payload — so each retry attempt pools a fresh copy of the bytes
-	// still sitting in pending. The frame's Offset is the cumulative payload
-	// bytes successfully flushed before it: a replacement RP replaying its
-	// deterministic stream re-produces the same offsets, which is what lets
-	// a receiver discard the already-ingested prefix exactly once.
+	// still sitting in pending and in the array being flushed. The frame's
+	// Offset is the cumulative payload bytes successfully flushed before it:
+	// a replacement RP replaying its deterministic stream re-produces the
+	// same offsets, which is what lets a receiver discard the
+	// already-ingested prefix exactly once.
 	var traceID uint64
 	if d.cfg.Tracer != nil {
 		traceID = d.traceBase ^ uint64(d.framesOut+1)
@@ -205,7 +241,9 @@ func (d *senderDriver) flushFrame(n int, last bool) error {
 		var payload []byte
 		if n > 0 {
 			payload = carrier.GetBuf(n)
-			copy(payload, d.pending[d.head:d.head+n])
+			if k := copy(payload, d.pending[d.head:]); k < n {
+				marshal.CopyArray(payload[k:], d.arr, d.arrOff)
+			}
 		}
 		fr := carrier.Frame{
 			Source:  d.source,
@@ -237,7 +275,9 @@ func (d *senderDriver) flushFrame(n int, last bool) error {
 	if traceID != 0 {
 		d.cfg.Tracer.Span(d.cfg.Link, "send", "flush", traceID, d.pendReady, free, int64(n))
 	}
-	d.head += n
+	k := min(n, len(d.pending)-d.head)
+	d.head += k
+	d.arrOff += n - k
 
 	d.hist[0], d.hist[1] = d.hist[1], free
 	d.framesOut++
@@ -335,8 +375,10 @@ type Receiver struct {
 
 	// bufs holds per-producer reassembly buffers: objects split across
 	// frames continue within one producer's byte stream even when frames
-	// from several producers interleave (merge). The buffers' backing
-	// arrays are reused across frames.
+	// from several producers interleave (merge). A buffer is leased from the
+	// frame pool at the producer's first split object, moves up one size
+	// class at a time as the object's bytes arrive, and goes back when the
+	// producer's stream ends or the receiver is closed.
 	bufs map[string][]byte
 	// nextOff tracks, per producer, the stream offset one past the last
 	// ingested payload byte (TrackOffsets only).
@@ -363,6 +405,8 @@ type Receiver struct {
 	deferred error
 	// reuse is set by a consumer that does not retain elements: top-level
 	// arrays are then materialized into arr, which the next one overwrites.
+	// arr is leased from the pool at the first array and goes back once the
+	// consumer has been told the stream is over, or closes the receiver.
 	reuse     bool
 	arr       []float64
 	lastsSeen int
@@ -388,7 +432,6 @@ func NewReceiver(inbox carrier.Inbox, cfg ReceiverConfig) *Receiver {
 	r := &Receiver{
 		cfg:     cfg,
 		inbox:   inbox,
-		bufs:    make(map[string][]byte),
 		nextOff: make(map[string]uint64),
 		owner:   carrier.QueryOf(cfg.Consumer),
 	}
@@ -444,6 +487,8 @@ func (r *Receiver) Next() (sqep.Element, bool, error) {
 			return sqep.Element{}, false, err
 		}
 		if r.done {
+			// Asking again ended the last element's lifetime.
+			r.release()
 			return sqep.Element{}, false, nil
 		}
 		if err := r.fill(); err != nil {
@@ -621,18 +666,18 @@ func (r *Receiver) decodeNext() (el sqep.Element, ok bool, err error) {
 		// reassembly buffer and can go back to the pool at once.
 		r.data = p.payload
 		if buf := r.bufs[src]; len(buf) > 0 {
-			r.data = append(buf, p.payload...)
+			r.data = appendLease(buf, p.payload)
+			if cap(r.data) != cap(buf) {
+				// buf went back to the pool: forget it before anything fails.
+				r.bufs[src] = r.data
+			}
 			carrier.Recycle(&p.fr.Frame)
 		}
 	}
 	if r.off < len(r.data) {
 		var v any
 		var n int
-		if r.reuse {
-			v, n, err = marshal.DecodeInto(r.data[r.off:], &r.arr)
-		} else {
-			v, n, err = marshal.Decode(r.data[r.off:])
-		}
+		v, n, err = r.decode(r.data[r.off:])
 		switch {
 		case err == nil:
 			r.off += n
@@ -647,22 +692,75 @@ func (r *Receiver) decodeNext() (el sqep.Element, ok bool, err error) {
 	rest := r.data[r.off:]
 	if len(r.bufs[src]) > 0 {
 		// data is the reassembly buffer: slide the remainder to the front so
-		// the backing array is reused instead of growing every frame.
+		// the lease is reused instead of growing every frame.
 		r.bufs[src] = r.data[:copy(r.data, rest)]
 	} else if len(rest) > 0 {
-		// Copy out of the (possibly pooled) payload before it is recycled,
-		// reusing the stale reassembly capacity.
-		r.bufs[src] = append(r.bufs[src][:0], rest...)
+		// Copy out of the (possibly pooled) payload before it is recycled.
+		if r.bufs == nil {
+			r.bufs = make(map[string][]byte)
+		}
+		r.bufs[src] = appendLease(r.bufs[src], rest)
 	}
 	last := p.fr.Last
 	r.popStaged()
 	if last {
+		r.releaseBuf(src)
 		if len(rest) > 0 {
 			return sqep.Element{}, false, fmt.Errorf("rp: stream from %q ended with %d undecoded bytes", src, len(rest))
 		}
 		r.countLast()
 	}
 	return el, ok, nil
+}
+
+// decode materializes the value at the front of buf. For a consumer that
+// allowed reuse a top-level array lands in the leased arr, which is sized by
+// arrays that are wholly here: a header alone, whatever it claims, leases
+// nothing.
+func (r *Receiver) decode(buf []byte) (any, int, error) {
+	if !r.reuse {
+		return marshal.Decode(buf)
+	}
+	if len(buf) > 0 && buf[0] == marshal.TagArray {
+		if size, err := marshal.Skip(buf); err == nil && cap(r.arr) < (size-5)/8 {
+			carrier.PutFloats(r.arr)
+			r.arr = carrier.GetFloats((size - 5) / 8)
+		}
+	}
+	return marshal.DecodeInto(buf, &r.arr)
+}
+
+// appendLease appends more to the leased buf. A lease too small for it is
+// swapped for one of a larger class — at least the next one, so a stream
+// holds memory in proportion to the bytes it delivered and copies each of
+// them a bounded number of times — and goes back to the pool.
+func appendLease(buf, more []byte) []byte {
+	if cap(buf)-len(buf) < len(more) {
+		grown := carrier.GetBuf(max(len(buf)+len(more), 2*cap(buf)))[:len(buf)]
+		copy(grown, buf)
+		carrier.PutBuf(buf)
+		buf = grown
+	}
+	return append(buf, more...)
+}
+
+// releaseBuf returns src's reassembly buffer, if it has one, to the pool.
+func (r *Receiver) releaseBuf(src string) {
+	if buf, leased := r.bufs[src]; leased {
+		delete(r.bufs, src)
+		carrier.PutBuf(buf)
+	}
+}
+
+// release returns the receiver's leases to the pool. Nothing a consumer can
+// still read lives in them: reassembly bytes never leave the receiver, and
+// arr's last value died when the consumer asked for the next one or closed.
+func (r *Receiver) release() {
+	for src := range r.bufs {
+		r.releaseBuf(src)
+	}
+	carrier.PutFloats(r.arr)
+	r.arr = nil
 }
 
 // popStaged recycles the current staged frame and makes the next one
@@ -696,6 +794,7 @@ func (r *Receiver) countLast() {
 // can finish when a consumer stops early.
 func (r *Receiver) Close() error {
 	r.dropStaged()
+	r.release()
 	if r.done {
 		return nil
 	}

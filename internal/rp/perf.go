@@ -7,9 +7,12 @@ import (
 
 // PushElements drives a fresh sender driver with n copies of el over conn
 // and terminates the stream. It exists so benchmark/'s rp.push_* and
-// rp.recv_* probes can exercise the marshal → flush → carrier path without
-// assembling a full engine; production code wires sender drivers through
-// RP.Subscribe.
+// rp.recv_* probes can exercise the element → frame → carrier path — an
+// array el is cut into pooled payloads straight from its own storage, any
+// other value goes through marshal.Append and the driver's pending buffer —
+// without assembling a full engine; production code wires sender drivers
+// through RP.Subscribe. The receivers those probes build retain their
+// elements and are never closed: their leases go back at end of stream.
 func PushElements(source string, conn carrier.Conn, cfg SenderConfig, el sqep.Element, n int) (frames, bytes int64, err error) {
 	d, err := newSenderDriver(source, conn, cfg)
 	if err != nil {

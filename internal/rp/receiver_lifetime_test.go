@@ -227,28 +227,47 @@ func TestReceiverLifetimeCountMatchesMaterializing(t *testing.T) {
 	}
 }
 
-// TestReceiverLifetimeCountAllocates: count(extract) over 40 one-array
-// 300 kB frames allocates one array, not forty — under 1 kB per frame beyond
-// it.
+// TestReceiverLifetimeCountAllocates: on a warm pool count(extract) allocates
+// nothing array-sized — under 1 kB per frame — whether each 300 kB array
+// arrives whole or cut into 1 000 B buffers: the array it decodes into and
+// the buffer it reassembles in are leased, and a finished stream gave them
+// back.
 func TestReceiverLifetimeCountAllocates(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	const frames, floats = 40, 37500
-	inbox := countInbox(t, frames, floats)
-	c := sqep.NewCount(NewReceiver(inbox, ReceiverConfig{Producers: 1, BatchFrames: 16}))
-	if err := c.Open(&sqep.Ctx{}); err != nil {
-		t.Fatal(err)
+	const floats = 37500
+	shapes := []struct {
+		name   string
+		arrays int
+		inbox  func() carrier.Inbox
+	}{
+		{"one array per frame", 40, func() carrier.Inbox { return countInbox(t, 40, floats) }},
+		{"arrays split over 300 frames", 3, func() carrier.Inbox {
+			arr := goldenArray(floats, 1)
+			return inboxOf(producerFrames(t, "p", 1000, [][]float64{arr, arr, arr}))
+		}},
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	el, _, err := c.Next()
-	runtime.ReadMemStats(&after)
-	if err != nil || el.Value != int64(frames) {
-		t.Fatalf("count = %v, %v", el.Value, err)
-	}
-	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(8*floats+1024*frames); got > limit {
-		t.Fatalf("count over %d frames allocated %d B, want ≤ %d (one array + 1 kB per frame)", frames, got, limit)
+	for _, s := range shapes {
+		for _, pool := range []string{"cold", "warm"} {
+			inbox := s.inbox()
+			frames := uint64(len(inbox))
+			c := sqep.NewCount(NewReceiver(inbox, ReceiverConfig{Producers: 1, BatchFrames: 16}))
+			if err := c.Open(&sqep.Ctx{}); err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			el, _, err := c.Next()
+			runtime.ReadMemStats(&after)
+			if err != nil || el.Value != int64(s.arrays) {
+				t.Fatalf("%s: count = %v, %v", s.name, el.Value, err)
+			}
+			allocated := after.TotalAlloc - before.TotalAlloc
+			if limit := 1024 * frames; pool == "warm" && allocated > limit {
+				t.Errorf("%s: count over %d frames allocated %d B on a warm pool, want ≤ %d (no array, 1 kB per frame)", s.name, frames, allocated, limit)
+			}
+		}
 	}
 }
 
@@ -268,52 +287,61 @@ func countInbox(t testing.TB, n, floats int) carrier.Inbox {
 	return inbox
 }
 
-// inPool reports how many of the buffers starting at ptrs sit in the frame
-// pool right now. It empties their size classes to look, and puts everything
-// back.
-func inPool(ptrs map[*byte]int) int {
+// inPool reports how many of the buffers starting at ptrs (each with its
+// capacity) sit in the pool that get and put front right now. It empties
+// their size classes to look and puts those buffers back — the others it
+// drops, or the fresh ones a short class made up the count with would fill it.
+func inPool[T any](get func(int) []T, put func([]T), ptrs map[*T]int) int {
 	classes := map[int]bool{}
 	for _, c := range ptrs {
 		classes[c] = true
 	}
-	found := 0
+	var found [][]T
 	for c := range classes {
-		var held [][]byte
 		for i := 0; i <= 32; i++ { // a class keeps at most 32 free buffers
-			b := carrier.GetBuf(c)
-			if _, ours := ptrs[&b[0]]; ours {
-				found++
+			if b := get(c); ptrs[&b[0]] > 0 {
+				found = append(found, b)
 			}
-			held = append(held, b)
-		}
-		for _, b := range held {
-			carrier.PutBuf(b)
 		}
 	}
-	return found
+	for _, b := range found {
+		put(b)
+	}
+	return len(found)
 }
 
 // TestReceiverRecycleExactlyOnce: whatever ends a receiver while frames are
 // staged — the consumer closing, a bad payload, a Down frame, a closed inbox —
-// and whatever the dedup discards, every pooled payload returns to the pool
-// once (PutBuf panics on a second return), and the elements and error the
+// and whatever the dedup discards, every pooled payload and every lease of the
+// receiver's own (the reassembly buffer the split array of each case goes
+// through, the array a non-retaining consumer's values live in) returns to its
+// pool once (a second return panics), no lease returns while the value the
+// consumer was last handed can still be read, and the elements and error the
 // consumer sees are the ones the frames before the fault carry.
 func TestReceiverRecycleExactlyOnce(t *testing.T) {
-	ptrs := map[*byte]int{}
+	bufs, arrs := map[*byte]int{}, map[*float64]int{}
+	bufsInPool := func() int { return inPool(carrier.GetBuf, carrier.PutBuf, bufs) }
 	pooled := func(off uint64, last bool, values ...any) carrier.Delivered {
 		var enc []byte
 		for _, v := range values {
 			if b, ok := v.([]byte); ok {
-				enc = append(enc, b...) // raw bytes: a corrupt payload
+				enc = append(enc, b...) // raw bytes: part of a value, or a corrupt payload
 			} else {
 				enc = append(enc, encInt(t, int64(v.(int)))...)
 			}
 		}
 		buf := carrier.GetBuf(len(enc))
 		copy(buf, enc)
-		ptrs[&buf[0]] = cap(buf)
+		bufs[&buf[0]] = cap(buf)
 		return carrier.Delivered{Frame: carrier.Frame{Source: "p", Payload: buf, Pooled: true, Offset: off, Last: last}}
 	}
+	// Every case cuts this 37-byte array, which the consumer sees as 100, in
+	// two.
+	arr, err := marshal.Append(nil, []float64{100, 1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, tail := arr[:20], arr[20:]
 	cases := []struct {
 		name       string
 		frames     func() []carrier.Delivered
@@ -322,34 +350,39 @@ func TestReceiverRecycleExactlyOnce(t *testing.T) {
 		want       []int64
 		wantErr    string
 	}{
-		{name: "close mid-batch", pulls: 2, want: []int64{1, 2},
+		{name: "close mid-batch", pulls: 3, want: []int64{1, 100, 2},
 			frames: func() []carrier.Delivered {
-				return []carrier.Delivered{pooled(0, false, 1, 2, 3), pooled(27, false, 4), pooled(36, false, 5), pooled(45, false, 6), pooled(54, true, 7)}
+				return []carrier.Delivered{pooled(0, false, 1, head), pooled(29, false, tail, 2, 3), pooled(64, false, 4), pooled(73, false, 5), pooled(82, true, 6)}
 			}},
-		{name: "decode error in frame 2 of 5", want: []int64{1}, wantErr: "marshal: unknown tag: 0xff",
+		{name: "decode error in frame 3 of 5", want: []int64{1, 100}, wantErr: "marshal: unknown tag: 0xff",
 			frames: func() []carrier.Delivered {
-				return []carrier.Delivered{pooled(0, false, 1), pooled(9, false, []byte{0xff, 0, 0}), pooled(12, false, 3), pooled(21, false, 4), pooled(30, true, 5)}
+				return []carrier.Delivered{pooled(0, false, 1, head), pooled(29, false, tail), pooled(46, false, []byte{0xff, 0, 0}), pooled(49, false, 3), pooled(58, true, 4)}
 			}},
-		{name: "down frame after 3 staged frames", want: []int64{1, 2, 3},
+		{name: "down frame after 3 staged frames", want: []int64{1, 100, 2},
 			wantErr: `rp: producer "p" failed: boom: rp: upstream producer down`,
 			frames: func() []carrier.Delivered {
-				down := pooled(27, true, 9)
+				down := pooled(55, true, 9)
 				down.Down, down.DownErr = true, "boom"
-				return []carrier.Delivered{pooled(0, false, 1), pooled(9, false, 2), pooled(18, false, 3), down}
+				return []carrier.Delivered{pooled(0, false, 1, head), pooled(29, false, tail), pooled(46, false, 2), down}
 			}},
-		{name: "inbox closed mid-drain", closeInbox: true, want: []int64{1, 2, 3},
+		{name: "inbox closed mid-drain, half an array pending", closeInbox: true, want: []int64{1, 100, 2},
 			wantErr: "rp: inbox closed before end of stream",
 			frames: func() []carrier.Delivered {
-				return []carrier.Delivered{pooled(0, false, 1), pooled(9, false, 2), pooled(18, false, 3)}
+				return []carrier.Delivered{pooled(0, false, 1, head), pooled(29, false, tail, 2), pooled(55, false, head)}
 			}},
-		{name: "duplicate and partial-overlap replay", want: []int64{1, 2, 3},
+		{name: "an array ends the stream", want: []int64{1, 100, 100},
 			frames: func() []carrier.Delivered {
-				return []carrier.Delivered{pooled(0, false, 1), pooled(0, false, 1), pooled(0, false, 1, 2), pooled(18, true, 3)}
+				return []carrier.Delivered{pooled(0, false, 1, head), pooled(29, false, tail, head), pooled(66, true, tail)}
+			}},
+		{name: "duplicate and partial-overlap replay", want: []int64{1, 100, 3},
+			frames: func() []carrier.Delivered {
+				return []carrier.Delivered{pooled(0, false, 1, head), pooled(0, false, 1, head), pooled(0, false, 1, head, tail[:5]), pooled(34, true, tail[5:], 3)}
 			}},
 	}
 	for _, tc := range cases {
 		for _, batch := range []int{1, 16} {
-			clear(ptrs)
+			clear(bufs)
+			clear(arrs)
 			frames := tc.frames()
 			inbox := inboxOf(frames)
 			if tc.closeInbox {
@@ -357,14 +390,36 @@ func TestReceiverRecycleExactlyOnce(t *testing.T) {
 			}
 			stop := make(chan struct{})
 			r := NewReceiver(inbox, ReceiverConfig{Producers: 1, TrackOffsets: true, BatchFrames: batch, Stop: stop})
+			r.ReuseValues()
 			var got []int64
 			var err error
+			reassembled := false
 			for n := 0; tc.pulls == 0 || n < tc.pulls; n++ {
 				el, ok, nerr := r.Next()
+				// What the receiver holds now is what it must give back later
+				// (a lease may well be a payload buffer recycled earlier).
+				for _, b := range r.bufs {
+					bufs[&b[:1][0]] = cap(b)
+					reassembled = true
+				}
+				if cap(r.arr) > 0 {
+					arrs[&r.arr[:1][0]] = cap(r.arr)
+				}
 				if err = nerr; err != nil || !ok {
 					break
 				}
-				got = append(got, el.Value.(int64))
+				switch v := el.Value.(type) {
+				case int64:
+					got = append(got, v)
+				case []float64:
+					if inPool(carrier.GetFloats, carrier.PutFloats, map[*float64]int{&v[0]: cap(v)}) != 0 {
+						t.Errorf("%s batch=%d: the array just returned is already back in the pool", tc.name, batch)
+					}
+					got = append(got, int64(v[0]))
+				}
+			}
+			if len(arrs) == 0 || !reassembled {
+				t.Fatalf("%s batch=%d: the receiver leased %d arrays, a reassembly buffer: %t; want both", tc.name, batch, len(arrs), reassembled)
 			}
 			if cerr := r.Close(); cerr != nil {
 				t.Fatal(cerr)
@@ -388,13 +443,42 @@ func TestReceiverRecycleExactlyOnce(t *testing.T) {
 				t.Errorf("%s: error %v does not wrap ErrUpstreamDown", tc.name, err)
 			}
 			// The Close drain may still hold a frame it pulled before stop.
-			n := inPool(ptrs)
-			for deadline := time.Now().Add(5 * time.Second); n != len(frames) && time.Now().Before(deadline); n = inPool(ptrs) {
+			n := bufsInPool()
+			for deadline := time.Now().Add(5 * time.Second); n != len(bufs) && time.Now().Before(deadline); n = bufsInPool() {
 				time.Sleep(time.Millisecond)
 			}
-			if n != len(frames) {
-				t.Errorf("%s batch=%d: %d of %d pooled payloads are back in the pool", tc.name, batch, n, len(frames))
+			if n != len(bufs) {
+				t.Errorf("%s batch=%d: %d of %d payloads and reassembly buffers are back in the pool", tc.name, batch, n, len(bufs))
 			}
+			if n := inPool(carrier.GetFloats, carrier.PutFloats, arrs); n != len(arrs) {
+				t.Errorf("%s batch=%d: %d of %d leased arrays are back in the pool", tc.name, batch, n, len(arrs))
+			}
+		}
+	}
+}
+
+// TestReceiverHeaderBombAllocatesLittle: an array header may claim 2³²−1
+// elements, but storage follows the bytes that arrived. The stream ends 100
+// bytes later, and with the ordinary complaint.
+func TestReceiverHeaderBombAllocatesLittle(t *testing.T) {
+	payload := append([]byte{marshal.TagArray, 0xff, 0xff, 0xff, 0xff}, make([]byte, 100)...)
+	for _, reuse := range []bool{false, true} {
+		r := NewReceiver(inboxOf([]carrier.Delivered{{Frame: carrier.Frame{Source: "p", Payload: payload, Last: true}}}), ReceiverConfig{Producers: 1})
+		if reuse {
+			r.ReuseValues()
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, ok, err := r.Next()
+		runtime.ReadMemStats(&after)
+		if want := `rp: stream from "p" ended with 105 undecoded bytes`; ok || err == nil || err.Error() != want {
+			t.Fatalf("reuse=%t: Next = %t, %v, want %q", reuse, ok, err, want)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+			t.Errorf("reuse=%t: a 105-byte stream allocated %d B, want < 64 kB", reuse, got)
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -15,6 +15,7 @@ import (
 
 	"scsq/internal/carrier"
 	"scsq/internal/hw"
+	"scsq/internal/marshal"
 	"scsq/internal/metrics"
 	"scsq/internal/sqep"
 	"scsq/internal/vtime"
@@ -323,7 +324,9 @@ func (r *RP) run() {
 		}
 		r.pacer.Wait(el.At)
 		r.mElems.Inc()
-		r.mBytes.Add(int64(sqep.ValueBytes(el.Value)))
+		if n, err := marshal.Size(el.Value); err == nil {
+			r.mBytes.Add(int64(n)) // a value without a size fails the push below
+		}
 		r.mLast.SetMax(int64(el.At))
 		r.mu.Lock()
 		subs := r.subs

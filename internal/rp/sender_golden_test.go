@@ -141,3 +141,36 @@ func TestSenderFrameSequence(t *testing.T) {
 	}
 	t.Fatalf("%d lines, want %d", len(gl), len(wl))
 }
+
+// TestSenderStagesOnlyTheTail: an array's bytes go from the element into the
+// frames; pending only ever holds the end of one that did not fill a buffer —
+// nothing at all when every element is its own frame — and the driver lets go
+// of the element when push returns.
+func TestSenderStagesOnlyTheTail(t *testing.T) {
+	for _, perElement := range []bool{false, true} {
+		d, err := newSenderDriver("p", discardConn{}, SenderConfig{BufBytes: 1000, Mode: carrier.DoubleBuffered, FlushPerElement: perElement})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			if err := d.push(sqep.Element{Value: goldenArray(37500, i)}); err != nil {
+				t.Fatal(err)
+			}
+			if d.arr != nil {
+				t.Fatalf("perElement=%t: the driver still holds the array after push", perElement)
+			}
+		}
+		if perElement && d.pending != nil {
+			t.Errorf("whole-element frames staged %d bytes (cap %d) in pending, want none ever", len(d.pending), cap(d.pending))
+		}
+		if cap(d.pending) >= 2000 {
+			t.Errorf("perElement=%t: pending grew to %d bytes for 1 000-byte buffers", perElement, cap(d.pending))
+		}
+		if err := d.finish(); err != nil {
+			t.Fatal(err)
+		}
+		if want := int64(3 * (5 + 8*37500)); d.bytesOut != want {
+			t.Errorf("perElement=%t: %d bytes flushed, want %d", perElement, d.bytesOut, want)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package sqep
 
 import (
 	"fmt"
+	"sync"
 
 	"scsq/internal/vtime"
 )
@@ -17,10 +18,37 @@ type GenArray struct {
 	ctx     *Ctx
 	emitted int
 	now     vtime.Time
-	// template is generated once; each element reuses it, mirroring the
-	// paper's workload where array content is irrelevant to the
-	// communication measurements.
+	// template is a view of the process-wide one; each element reuses it,
+	// mirroring the paper's workload where array content is irrelevant to
+	// the communication measurements.
 	template []float64
+}
+
+// genTemplate is the array every gen_array emits a prefix of: element i is
+// float64(i % 997) whatever the length. It only ever grows, by replacement,
+// and is never written after it is published — stream arrays are read-only
+// downstream — so views handed out earlier stay valid and correct.
+var genTemplate struct {
+	mu   sync.Mutex
+	vals []float64
+}
+
+// sharedTemplate returns the first n elements of genTemplate, capped so an
+// append cannot reach the elements behind them.
+func sharedTemplate(n int) []float64 {
+	t := &genTemplate
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if len(t.vals) < n {
+		// At least doubling bounds what a run of ever larger sizes leaves
+		// behind to twice the largest.
+		vals := make([]float64, max(n, 2*len(t.vals)))
+		for i := range vals {
+			vals[i] = float64(i % 997)
+		}
+		t.vals = vals
+	}
+	return t.vals[:n:n]
 }
 
 var _ Operator = (*GenArray)(nil)
@@ -45,10 +73,7 @@ func (g *GenArray) Open(ctx *Ctx) error {
 	if n < 1 {
 		n = 1
 	}
-	g.template = make([]float64, n)
-	for i := range g.template {
-		g.template[i] = float64(i % 997)
-	}
+	g.template = sharedTemplate(n)
 	return nil
 }
 

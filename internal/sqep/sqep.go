@@ -114,31 +114,6 @@ type FileTable interface {
 // table.
 var ErrNoFileTable = errors.New("sqep: no file table configured")
 
-// ValueBytes returns the marshaled payload size of a value as used by the
-// cost accounting (approximating the wire size without encoding).
-func ValueBytes(v any) int {
-	switch x := v.(type) {
-	case nil:
-		return 1
-	case int64, int, float64:
-		return 9
-	case bool:
-		return 2
-	case string:
-		return 5 + len(x)
-	case []float64:
-		return 5 + 8*len(x)
-	case []any:
-		n := 5
-		for _, e := range x {
-			n += ValueBytes(e)
-		}
-		return n
-	default:
-		return 16
-	}
-}
-
 // Slice is an operator over a fixed set of elements, used by tests and as a
 // building block for scalar results.
 type Slice struct {

@@ -271,27 +271,6 @@ func TestSourceOperator(t *testing.T) {
 	}
 }
 
-func TestValueBytes(t *testing.T) {
-	tests := []struct {
-		v    any
-		want int
-	}{
-		{nil, 1},
-		{int64(1), 9},
-		{1.0, 9},
-		{true, 2},
-		{"abc", 8},
-		{[]float64{1, 2}, 21},
-		{[]any{int64(1)}, 14},
-		{struct{}{}, 16}, // unknown types get a nominal size
-	}
-	for _, tt := range tests {
-		if got := ValueBytes(tt.v); got != tt.want {
-			t.Errorf("ValueBytes(%v) = %d, want %d", tt.v, got, tt.want)
-		}
-	}
-}
-
 func TestCtxChargeWithoutCPU(t *testing.T) {
 	var ctx Ctx
 	if got := ctx.Charge(100, 50); got != 150 {
