@@ -56,7 +56,7 @@ func (s *TopologySelector) BalancedProducers(consumer, k int) (*Sequence, error)
 		if id == consumer {
 			continue
 		}
-		hops, err := s.env.Torus.Hops(id, consumer)
+		hops, err := s.env.Torus.HopCount(id, consumer)
 		if err != nil {
 			return nil, err
 		}

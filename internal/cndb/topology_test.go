@@ -14,7 +14,7 @@ func TestBalancedProducersPrefersDirectNeighbors(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, id := range seq.IDs() {
-		hops, err := env.Torus.Hops(id, 0)
+		hops, err := env.Torus.HopCount(id, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -318,7 +318,7 @@ func TestSubscribeViaBuilderOnly(t *testing.T) {
 
 // TestElementObserverTakesTheElements pins the single-copy contract: with an
 // observer installed Drain hands every element to it and keeps none, so a
-// scheduler session's rows live once, in its result buffer.
+// scheduler session's rows live once, in its result log.
 func TestElementObserverTakesTheElements(t *testing.T) {
 	e, err := NewEngine()
 	if err != nil {

@@ -400,6 +400,7 @@ type view struct {
 	foreignPset []int  // foreign lease count per pset (BG only)
 	ownPset     []int  // own lease count per pset (BG only)
 	ownNodes    []int
+	route       []int // busyOn's scratch: the route being walked
 }
 
 // snapshot captures the cluster state the plan is a pure function of. The
@@ -515,18 +516,21 @@ func (v *view) nearestOwn(n int) (own, hops int) {
 }
 
 // busyOn counts the foreign-leased co-processors on the route from own to
-// candidate n. This is the only scoring term that materializes a route, so
-// only refine pays for it.
+// candidate n — its intermediates, the destination excluded. This is the
+// only scoring term that walks a route, so only refine pays for it; the
+// route lands in the view's scratch slice, so the walk allocates nothing
+// once the slice has grown to the longest route seen.
 func (v *view) busyOn(own, n int) int {
 	if own < 0 || v.tor == nil {
 		return 0
 	}
-	mids, err := v.tor.Intermediates(own, n)
-	if err != nil {
+	route, err := v.tor.AppendRoute(v.route[:0], own, n)
+	v.route = route
+	if err != nil || len(route) == 0 {
 		return 0
 	}
 	busy := 0
-	for _, mid := range mids {
+	for _, mid := range route[:len(route)-1] {
 		if mid >= 0 && mid < v.size && v.foreignNode[mid] {
 			busy++
 		}

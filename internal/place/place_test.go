@@ -239,3 +239,44 @@ func TestPlannedPlacementsAlwaysAdmissible(t *testing.T) {
 		}
 	}
 }
+
+// busyOn walks routes in the view's scratch slice; it must count exactly the
+// foreign-leased co-processors torus.Intermediates names, and stop
+// allocating once the scratch has grown.
+func TestBusyOnMatchesIntermediates(t *testing.T) {
+	env, dbs, p := harness(t, Config{})
+	bg := dbs[hw.BlueGene]
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 200; i++ {
+		bg.SelectFor("other", mustSeq(t, rng.Intn(bg.Size())))
+	}
+	v := p.snapshot("q1", bg)
+	for i := 0; i < 2000; i++ {
+		own, n := rng.Intn(bg.Size()), rng.Intn(bg.Size())
+		mids, err := env.Torus.Intermediates(own, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 0
+		for _, mid := range mids {
+			if v.foreignNode[mid] {
+				want++
+			}
+		}
+		if got := v.busyOn(own, n); got != want {
+			t.Fatalf("busyOn(%d,%d) = %d, Intermediates count %d", own, n, got, want)
+		}
+	}
+	if a := testing.AllocsPerRun(100, func() { v.busyOn(0, bg.Size()-1) }); a != 0 {
+		t.Errorf("busyOn allocates %v times per route on a warm view, want 0", a)
+	}
+}
+
+func mustSeq(t *testing.T, id int) *cndb.Sequence {
+	t.Helper()
+	seq, err := cndb.NewSequence(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return seq
+}

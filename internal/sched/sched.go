@@ -18,7 +18,7 @@
 //
 // Bounded history: the session table holds the live sessions plus the last
 // finishedWindow finished ones. A finished session keeps only its terminal
-// row, error, makespan and result buffer — the SP graph goes at finalization
+// row, error, makespan and result log — the SP graph goes at finalization
 // — and when it leaves the window its engine scope is retired
 // (core.Query.Retire). A handle the caller still holds keeps working; the id
 // stops resolving.
@@ -366,7 +366,7 @@ type Query struct {
 	admitWait time.Duration
 	done      chan struct{}
 
-	// res buffers result elements as the drain delivers them — the session's
+	// res logs result elements as the drain delivers them — the session's
 	// only copy — for Wait and the incremental Results iterators (see
 	// results.go). Lazily built.
 	resOnce sync.Once
@@ -394,11 +394,12 @@ func (q *Query) State() State {
 func (q *Query) Done() <-chan struct{} { return q.done }
 
 // Wait blocks until the session reaches a final state and returns its
-// result stream's elements and error (nil elements for def statements and
-// sessions cancelled before running).
+// result stream's elements — the result log flattened into a slice of the
+// caller's own — and error (nil elements for def statements and sessions
+// cancelled before running).
 func (q *Query) Wait() ([]sqep.Element, error) {
 	<-q.done
-	return q.results().buf, q.Err()
+	return q.results().flatten(), q.Err()
 }
 
 // Err returns the session's terminal error, nil while live or Done.

@@ -115,13 +115,15 @@ func TestSyntaxErrorSynchronous(t *testing.T) {
 }
 
 func TestAdmissionQueuesThenAdmits(t *testing.T) {
-	e := tinyEngine(t)
+	e, release := gatedEngine(t)
+	defer release()
 	s := New(e, nil)
 	defer s.Close()
 
-	// 500 arrays keep the partition busy long enough that the second
-	// submission deterministically finds it full.
-	a, err := s.Submit(scsql.Figure5Query(30_000, 500))
+	// The gated hog holds the partition until released, so the second
+	// submission finds it full by construction — however fast the data
+	// plane is, a sized query is only probably still running.
+	a, err := s.Submit(gateHogSrc)
 	if err != nil {
 		t.Fatalf("submit a: %v", err)
 	}
@@ -132,6 +134,7 @@ func TestAdmissionQueuesThenAdmits(t *testing.T) {
 	if st := b.State(); st != Queued {
 		t.Fatalf("b state right after submit = %v, want queued", st)
 	}
+	release()
 	if _, err := a.Wait(); err != nil {
 		t.Fatalf("a: %v", err)
 	}
@@ -148,11 +151,12 @@ func TestAdmissionQueuesThenAdmits(t *testing.T) {
 }
 
 func TestPriorityAdmitsFirst(t *testing.T) {
-	e := tinyEngine(t)
+	e, release := gatedEngine(t)
+	defer release()
 	s := New(e, nil)
 	defer s.Close()
 
-	a, err := s.Submit(scsql.Figure5Query(30_000, 500))
+	a, err := s.Submit(gateHogSrc)
 	if err != nil {
 		t.Fatalf("submit a: %v", err)
 	}
@@ -164,6 +168,7 @@ func TestPriorityAdmitsFirst(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit c: %v", err)
 	}
+	release()
 	if _, err := a.Wait(); err != nil {
 		t.Fatalf("a: %v", err)
 	}
@@ -204,11 +209,12 @@ and   a=sp(gen_array(30000,2), 'bg', 0);`
 }
 
 func TestQueueCapRejects(t *testing.T) {
-	e := tinyEngine(t)
+	e, release := gatedEngine(t)
+	defer release()
 	s := New(e, nil, WithQueueCap(1))
 	defer s.Close()
 
-	a, err := s.Submit(scsql.Figure5Query(30_000, 500))
+	a, err := s.Submit(gateHogSrc)
 	if err != nil {
 		t.Fatalf("submit a: %v", err)
 	}
@@ -221,6 +227,7 @@ func TestQueueCapRejects(t *testing.T) {
 	if got := e.MetricsSnapshot().Counters["sched.rejected"]; got != 1 {
 		t.Fatalf("sched.rejected = %d, want 1", got)
 	}
+	release()
 	_, _ = a.Wait()
 }
 
@@ -319,13 +326,15 @@ func TestCancelRacesAdmission(t *testing.T) {
 // TestCancelRunningReleasesLeases is the acceptance scenario: two concurrent
 // Query-1 instances; cancelling one mid-stream releases its node
 // reservations (visible in the session table and the lease table) without
-// perturbing the survivor's result.
+// perturbing the survivor's result. The victim streams 200 000 arrays — 12 GB
+// it cannot finish before the cancel, so it is mid-stream by construction
+// (200 arrays were over before the survivor was submitted one run in four).
 func TestCancelRunningReleasesLeases(t *testing.T) {
 	e := newTestEngine(t)
 	s := New(e, nil)
 	defer s.Close()
 
-	q1src, err := scsql.InboundQuery(1, 2, 30_000, 200)
+	q1src, err := scsql.InboundQuery(1, 2, 30_000, 200_000)
 	if err != nil {
 		t.Fatalf("corpus: %v", err)
 	}

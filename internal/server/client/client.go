@@ -3,6 +3,16 @@
 // load generator, and the server's own tests. One Client multiplexes any
 // number of pipelined sessions over a single connection; a background
 // reader dispatches tagged frames to per-session queues.
+//
+// Result rows move in runs. The reader decodes the consecutive Row frames of
+// one session into a run and hands the run to the session's queue under one
+// lock — when the wire reader holds no whole next frame (the next read may
+// block: the server's own flush rule, so a row never waits for a later one,
+// not even for one whose first bytes are already here), when the tag changes, before any other frame, at Options.RecvBuffer rows,
+// and when it exits. A session is two row slices playing ping-pong: the
+// reader fills one while Recv pops the other without a lock, and they swap
+// when Recv runs dry. The slices are recycled through the Client, so a
+// session on a warm connection allocates no row storage at all.
 package client
 
 import (
@@ -36,8 +46,12 @@ type Options struct {
 	DialTimeout time.Duration
 	// TLS, when set, dials TLS with this config.
 	TLS *tls.Config
-	// RecvBuffer is the per-session inbound row queue (0: 256). The reader
-	// drops a session's rows only after Cancel — never silently.
+	// RecvBuffer bounds the rows queued per session ahead of its consumer
+	// (0: 256) — beyond the batch Recv is already popping from, which is at
+	// most as long. A live session's full queue blocks the reader, which
+	// backpressures the TCP stream and, through it, the server; the reader
+	// drops a session's rows only after Cancel — never silently. It is
+	// also the longest run the reader collects before handing it over.
 	RecvBuffer int
 }
 
@@ -66,9 +80,10 @@ type Done struct {
 	Rows int64
 }
 
-// SessionHandle is the client side of one submitted statement. The rows
-// channel closes when the session ends — after the terminal record landed
-// (server Done frame) or the connection died (nil terminal record).
+// SessionHandle is the client side of one submitted statement. Its row
+// stream ends after the terminal record landed (server Done frame) or the
+// connection died (nil terminal record). Recv and Wait belong to one
+// consumer goroutine; Cancel may come from any.
 type SessionHandle struct {
 	c   *Client
 	tag int64
@@ -76,9 +91,16 @@ type SessionHandle struct {
 	// ID is the server-side session id ("q1", ...), filled by Submit.
 	ID string
 
-	rows chan Row
+	// cur is the consumer's own batch: Recv pops cur[head] without a lock,
+	// zeroing the slot so a consumed value is not pinned, and swaps cur with
+	// pending when it runs out.
+	cur  []Row
+	head int
 
 	mu        sync.Mutex
+	cond      sync.Cond // on mu: the reader waits for room, the consumer for rows
+	pending   []Row     // handed over by the reader, at most recvBuf rows
+	ended     bool      // nothing more will be handed over
 	cancelled bool
 	fin       *Done
 }
@@ -98,6 +120,12 @@ type Client struct {
 
 	readerDone chan struct{}
 	recvBuf    int
+
+	// freeRows recycles the sessions' row slices: a session takes its two
+	// when its first rows arrive and returns them, emptied, when its
+	// consumer reaches the end of the stream.
+	freeMu   sync.Mutex
+	freeRows [][]Row
 
 	// ServerName and ConnID are filled from the Accepted frame.
 	ServerName string
@@ -198,11 +226,8 @@ func (c *Client) Submit(stmt string, priority int) (*SessionHandle, error) {
 	}
 	c.tagSeq++
 	tag := c.tagSeq
-	h := &SessionHandle{
-		c:    c,
-		tag:  tag,
-		rows: make(chan Row, c.recvBuf),
-	}
+	h := &SessionHandle{c: c, tag: tag}
+	h.cond.L = &h.mu
 	ack := make(chan result, 1)
 	c.sessions[tag] = h
 	c.waiters[tag] = ack
@@ -239,28 +264,82 @@ func (c *Client) Submit(stmt string, priority int) (*SessionHandle, error) {
 // of the stream, in which case the terminal Done record is returned — nil
 // only when the connection died before the session's Done frame arrived.
 func (h *SessionHandle) Recv() (Row, bool, *Done) {
-	row, ok := <-h.rows
-	if ok {
-		return row, true, nil
+	if h.head == len(h.cur) && !h.refill() {
+		return Row{}, false, h.fin // final once the stream has ended
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return Row{}, false, h.fin
+	row := h.cur[h.head]
+	h.cur[h.head] = Row{}
+	h.head++
+	return row, true, nil
 }
 
 // Wait drains the session to its terminal record, returning all rows.
 func (h *SessionHandle) Wait() ([]Row, Done, error) {
 	var rows []Row
-	for {
-		row, ok, d := h.Recv()
-		if !ok {
-			if d == nil {
-				return rows, Done{}, fmt.Errorf("%w: session torn down mid-stream", ErrClosed)
-			}
-			return rows, *d, nil
-		}
-		rows = append(rows, row)
+	for h.head < len(h.cur) || h.refill() {
+		rows = append(rows, h.cur[h.head:]...)
+		clear(h.cur[h.head:])
+		h.head = len(h.cur)
 	}
+	if h.fin == nil {
+		return rows, Done{}, fmt.Errorf("%w: session torn down mid-stream", ErrClosed)
+	}
+	return rows, *h.fin, nil
+}
+
+// refill swaps the consumer's exhausted batch with the pending rows,
+// blocking while there are none. It reports false at the end of the stream,
+// when both slices — empty, every slot zeroed — go back to the client.
+func (h *SessionHandle) refill() bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for len(h.pending) == 0 {
+		if h.ended {
+			h.c.putRows(h.cur)
+			h.c.putRows(h.pending)
+			h.cur, h.pending, h.head = nil, nil, 0
+			return false
+		}
+		h.cond.Wait()
+	}
+	h.cur, h.pending, h.head = h.pending, h.cur[:0], 0
+	h.cond.Broadcast() // the reader may be waiting for room
+	return true
+}
+
+// deliver queues a run of rows for the consumer, blocking while a live
+// session's queue is full. Rows of a cancelled session that do not fit are
+// dropped — the consumer may be gone, and the connection's other sessions
+// must keep flowing.
+func (h *SessionHandle) deliver(run []Row) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for len(run) > 0 {
+		room := h.c.recvBuf - len(h.pending)
+		if room <= 0 {
+			if h.cancelled {
+				return
+			}
+			h.cond.Wait()
+			continue
+		}
+		if cap(h.pending) == 0 {
+			h.pending = h.c.getRows()
+		}
+		n := min(room, len(run))
+		h.pending = append(h.pending, run[:n]...)
+		run = run[n:]
+		h.cond.Broadcast()
+	}
+}
+
+// end closes the row stream with the session's terminal record (nil: the
+// connection died first).
+func (h *SessionHandle) end(fin *Done) {
+	h.mu.Lock()
+	h.fin, h.ended = fin, true
+	h.mu.Unlock()
+	h.cond.Broadcast()
 }
 
 // Cancel asks the server to cancel this session. Rows already in flight
@@ -269,6 +348,7 @@ func (h *SessionHandle) Cancel() error {
 	h.mu.Lock()
 	h.cancelled = true
 	h.mu.Unlock()
+	h.cond.Broadcast() // a reader blocked on this session's full queue drops instead
 	return h.c.request(wire.MsgCancel, wire.MustBag(h.tag, ""))
 }
 
@@ -495,9 +575,23 @@ func (c *Client) fail(err error) {
 }
 
 // readLoop dispatches inbound frames until the connection dies, then
-// finalizes every outstanding session and waiter.
+// finalizes every outstanding session and waiter. Row frames are collected
+// into a run — consecutive rows of one session — and handed over by flush
+// (see the package comment for when).
 func (c *Client) readLoop(r *wire.Reader) {
+	var (
+		run  []Row
+		runH *SessionHandle // the run's session; nil between runs
+	)
+	flush := func() {
+		if len(run) > 0 {
+			runH.deliver(run)
+			clear(run)
+			run = run[:0]
+		}
+	}
 	defer func() {
+		flush()
 		c.mu.Lock()
 		c.closed = true
 		if c.err == nil {
@@ -510,7 +604,7 @@ func (c *Client) readLoop(r *wire.Reader) {
 		err := c.err
 		c.mu.Unlock()
 		for _, h := range sessions {
-			close(h.rows)
+			h.end(nil)
 		}
 		for _, ch := range waiters {
 			select {
@@ -521,14 +615,37 @@ func (c *Client) readLoop(r *wire.Reader) {
 		close(c.readerDone)
 	}()
 	for {
+		if !r.FrameBuffered() {
+			flush() // the next read may block: nothing may wait behind it
+		}
 		f, err := r.Next()
 		if err != nil {
 			c.fail(err)
 			return
 		}
+		if f.Type == wire.MsgRow {
+			wr, err := wire.DecodeRow(f.Payload)
+			if err != nil {
+				continue // unreadable: its session simply does not get it
+			}
+			if runH == nil || wr.Tag != runH.tag {
+				flush()
+				c.mu.Lock()
+				runH = c.sessions[wr.Tag]
+				c.mu.Unlock()
+				if runH == nil {
+					continue // nobody's session
+				}
+			}
+			run = append(run, Row{At: time.Duration(wr.AtNs), Source: wr.Source, Value: wr.Value})
+			if len(run) >= c.recvBuf {
+				flush()
+			}
+			continue
+		}
+		flush()    // a session's rows stay ahead of its Done,
+		runH = nil // which retires it
 		switch f.Type {
-		case wire.MsgRow:
-			c.dispatchRow(f)
 		case wire.MsgDone:
 			c.dispatchDone(f)
 		case wire.MsgPong:
@@ -557,6 +674,37 @@ func (c *Client) readLoop(r *wire.Reader) {
 	}
 }
 
+// maxFreeRows bounds the client's free list of row slices: four pipelined
+// sessions' worth.
+const maxFreeRows = 8
+
+// getRows returns an empty recycled row slice, nil when there is none (the
+// first append then sizes one).
+func (c *Client) getRows() []Row {
+	c.freeMu.Lock()
+	defer c.freeMu.Unlock()
+	n := len(c.freeRows)
+	if n == 0 {
+		return nil
+	}
+	rows := c.freeRows[n-1]
+	c.freeRows[n-1] = nil
+	c.freeRows = c.freeRows[:n-1]
+	return rows
+}
+
+// putRows takes back a row slice whose slots are all zero.
+func (c *Client) putRows(rows []Row) {
+	if cap(rows) == 0 {
+		return
+	}
+	c.freeMu.Lock()
+	defer c.freeMu.Unlock()
+	if len(c.freeRows) < maxFreeRows {
+		c.freeRows = append(c.freeRows, rows[:0])
+	}
+}
+
 // deliver hands a one-shot reply to its waiter (dropped if none: a late
 // reply to an abandoned request). The waiter reads the frame after the
 // reader has moved on, so it gets a copy of the payload, which otherwise
@@ -572,35 +720,6 @@ func (c *Client) deliver(tag int64, res result) {
 		default:
 		}
 	}
-}
-
-// dispatchRow routes a Row frame to its session's queue. Rows of a
-// cancelled session are dropped when its queue is full — the consumer may
-// be gone — but never for a live one: the reader blocks, which
-// backpressures the TCP stream and, transitively, the server's pump.
-func (c *Client) dispatchRow(f wire.Frame) {
-	wr, err := wire.DecodeRow(f.Payload)
-	if err != nil {
-		return
-	}
-	c.mu.Lock()
-	h := c.sessions[wr.Tag]
-	c.mu.Unlock()
-	if h == nil {
-		return
-	}
-	row := Row{At: time.Duration(wr.AtNs), Source: wr.Source, Value: wr.Value}
-	h.mu.Lock()
-	cancelled := h.cancelled
-	h.mu.Unlock()
-	if cancelled {
-		select {
-		case h.rows <- row:
-		default: // consumer gone; dropping avoids head-of-line deadlock
-		}
-		return
-	}
-	h.rows <- row
 }
 
 // dispatchDone finalizes a session with its terminal record.
@@ -624,10 +743,7 @@ func (c *Client) dispatchDone(f wire.Frame) {
 	if h == nil {
 		return
 	}
-	h.mu.Lock()
-	h.fin = &Done{State: state, Err: msg, Makespan: time.Duration(makespan), Rows: rows}
-	h.mu.Unlock()
-	close(h.rows)
+	h.end(&Done{State: state, Err: msg, Makespan: time.Duration(makespan), Rows: rows})
 }
 
 // remoteErr converts an Error frame into an error.

@@ -328,3 +328,348 @@ func TestFrameBoundariesIndependentOfReads(t *testing.T) {
 		t.Fatalf("tables = %+v", tabs)
 	}
 }
+
+// --- the run hand-off: when the reader gives a session its rows ---
+
+// submitted scripts the opening of n pipelined sessions and returns their
+// tags; the test's Submit calls must follow in the same order.
+func (p *peer) submitted(n int) []int64 {
+	p.t.Helper()
+	tags := make([]int64, n)
+	for i := range tags {
+		tags[i] = p.expectSubmit()
+		p.write(frame(wire.MsgSubmitted, tags[i], "q"))
+	}
+	return tags
+}
+
+// recvValues reads n rows off h and returns their integer values.
+func recvValues(t *testing.T, h *SessionHandle, n int) []int64 {
+	t.Helper()
+	vals := make([]int64, 0, n)
+	for len(vals) < n {
+		r, ok, fin := h.Recv()
+		if !ok {
+			t.Fatalf("stream ended (%+v) after rows %v, want %d rows", fin, vals, n)
+		}
+		vals = append(vals, r.Value.(int64))
+	}
+	return vals
+}
+
+func wantValues(t *testing.T, what string, got []int64, want ...int64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: rows %v, want %v", what, got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: rows %v, want %v", what, got, want)
+		}
+	}
+}
+
+// queued reports how many rows the reader has handed to h and Recv has not
+// yet taken over.
+func queued(h *SessionHandle) int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.pending)
+}
+
+// TestRunHandedOverWhenReaderIdles: rows that arrived in one read are the
+// consumer's as soon as the reader has nothing more buffered — the peer
+// sends nothing further until the consumer has them, so a run that waited
+// for a later frame would hang here.
+func TestRunHandedOverWhenReaderIdles(t *testing.T) {
+	got := make(chan struct{})
+	c, err := dialPipe(t, Options{}, func(p *peer) {
+		p.write(accepted())
+		tag := p.submitted(1)[0]
+		p.write(cat(row(tag, 1), row(tag, 2), row(tag, 3)))
+		<-got
+		p.write(frame(wire.MsgDone, tag, "done", "", int64(0), int64(3)))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	h, err := c.Submit("select 1;", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantValues(t, "stalled stream", recvValues(t, h, 3), 1, 2, 3)
+	close(got)
+	if _, ok, fin := h.Recv(); ok || fin == nil || fin.Rows != 3 {
+		t.Fatalf("after the rows: ok %v, done %+v", ok, fin)
+	}
+}
+
+// TestRunNotHeldBehindPartialFrame: a read that ends inside a frame — TCP
+// cuts the stream where it likes, and frames straddle the reader's buffer
+// routinely — still hands over the whole rows in front of it: the peer stalls
+// mid-frame until the consumer has them. Cut inside the length prefix and
+// inside the body.
+func TestRunNotHeldBehindPartialFrame(t *testing.T) {
+	for _, cut := range []int{2, 4, 12} {
+		got := make(chan struct{})
+		c, err := dialPipe(t, Options{}, func(p *peer) {
+			p.write(accepted())
+			tag := p.submitted(1)[0]
+			r3 := row(tag, 3)
+			p.write(cat(row(tag, 1), row(tag, 2), r3[:cut]))
+			<-got
+			p.write(cat(r3[cut:], frame(wire.MsgDone, tag, "done", "", int64(0), int64(3))))
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := c.Submit("select 1;", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantValues(t, "in front of the partial frame", recvValues(t, h, 2), 1, 2)
+		close(got)
+		wantValues(t, "the completed frame", recvValues(t, h, 1), 3)
+		if _, ok, fin := h.Recv(); ok || fin == nil || fin.Rows != 3 {
+			t.Fatalf("cut %d: after the rows: ok %v, done %+v", cut, ok, fin)
+		}
+		c.Close()
+	}
+}
+
+// TestRunEndsAtTagSwitch: rows of two pipelined sessions interleaved in one
+// read reach the right session in the order sent, and a Done directly behind
+// a session's rows never overtakes them.
+func TestRunEndsAtTagSwitch(t *testing.T) {
+	c, err := dialPipe(t, Options{}, func(p *peer) {
+		p.write(accepted())
+		tags := p.submitted(2)
+		a, b := tags[0], tags[1]
+		p.write(cat(
+			row(a, 1), row(a, 2), row(b, 10), row(a, 3), row(b, 20), row(b, 30),
+			frame(wire.MsgDone, b, "done", "", int64(7), int64(3)),
+			row(a, 4),
+			frame(wire.MsgDone, a, "done", "", int64(9), int64(4)),
+		))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ha, err := c.Submit("select a;", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hb, err := c.Submit("select b;", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantValues(t, "session b", recvValues(t, hb, 3), 10, 20, 30)
+	if _, ok, fin := hb.Recv(); ok || fin == nil || fin.Makespan != 7 {
+		t.Fatalf("session b's end: ok %v, done %+v", ok, fin)
+	}
+	rows, done, err := ha.Wait()
+	if err != nil || done.Rows != 4 || done.Makespan != 9 {
+		t.Fatalf("session a: done %+v, err %v", done, err)
+	}
+	vals := make([]int64, len(rows))
+	for i, r := range rows {
+		vals[i] = r.Value.(int64)
+	}
+	wantValues(t, "session a", vals, 1, 2, 3, 4)
+}
+
+// TestReaderBlocksAtRecvBuffer is the backpressure contract of a live
+// session: the reader queues RecvBuffer rows ahead of the consumer and then
+// stops reading the connection — the peer's next write does not complete —
+// until Recv makes room. Nothing is dropped or reordered.
+func TestReaderBlocksAtRecvBuffer(t *testing.T) {
+	const n = 7
+	wrote := make(chan struct{})
+	c, err := dialPipe(t, Options{RecvBuffer: 2}, func(p *peer) {
+		p.write(accepted())
+		tag := p.submitted(1)[0]
+		var all []byte
+		for i := int64(1); i <= n; i++ {
+			all = append(all, row(tag, i)...)
+		}
+		p.write(all) // one read on the client's side: more than three runs
+		p.write(frame(wire.MsgDone, tag, "done", "", int64(0), int64(n)))
+		close(wrote)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	h, err := c.Submit("select 1;", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for queued(h) < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case <-wrote:
+		t.Fatal("the peer's write behind a full queue completed: the reader did not block")
+	case <-time.After(50 * time.Millisecond):
+	}
+	if q := queued(h); q != 2 {
+		t.Fatalf("%d rows queued with nobody reading, want RecvBuffer's 2", q)
+	}
+	vals := recvValues(t, h, 1) // takes the two queued rows over: room again
+	for queued(h) < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	if q := queued(h); q != 2 {
+		t.Fatalf("%d rows queued after one Recv, want 2", q)
+	}
+	vals = append(vals, recvValues(t, h, n-1)...)
+	wantValues(t, "through a queue of two", vals, 1, 2, 3, 4, 5, 6, 7)
+	if _, ok, fin := h.Recv(); ok || fin == nil || fin.Rows != n {
+		t.Fatalf("end of stream: ok %v, done %+v", ok, fin)
+	}
+	<-wrote
+}
+
+// TestCancelReleasesBlockedReader: the reader is already waiting on a live
+// session's full queue when the session is cancelled. Cancel must free it —
+// the rows that do not fit are dropped — or the cancel's own acknowledgement
+// could never be read.
+func TestCancelReleasesBlockedReader(t *testing.T) {
+	c, err := dialPipe(t, Options{RecvBuffer: 1}, func(p *peer) {
+		p.write(accepted())
+		tag := p.submitted(1)[0]
+		p.write(cat(row(tag, 1), row(tag, 2), row(tag, 3)))
+		p.expect(wire.MsgCancel)
+		p.write(frame(wire.MsgOK, tag))
+		p.write(frame(wire.MsgDone, tag, "cancelled", "cancelled by user", int64(0), int64(3)))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	h, err := c.Submit("select 1;", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for queued(h) < 1 {
+		time.Sleep(time.Millisecond)
+	}
+	if err := h.Cancel(); err != nil {
+		t.Fatal(err)
+	}
+	rows, done, err := h.Wait()
+	if err != nil || done.State != "cancelled" || len(rows) != 1 || rows[0].Value != int64(1) {
+		t.Fatalf("cancelled session: rows %+v, done %+v, err %v; want the one queued row", rows, done, err)
+	}
+}
+
+// TestPendingRunSurvivesConnectionDeath: the connection dies — torn inside a
+// frame, or on a frame the reader refuses — with complete rows of the same
+// read in front. They are delivered, then the stream ends without a terminal
+// record.
+func TestPendingRunSurvivesConnectionDeath(t *testing.T) {
+	for name, tail := range map[string][]byte{
+		"torn frame":  row(0, 3)[:9],
+		"empty frame": {0, 0, 0, 0},
+	} {
+		c, err := dialPipe(t, Options{}, func(p *peer) {
+			p.write(accepted())
+			tag := p.submitted(1)[0]
+			p.write(cat(row(tag, 1), row(tag, 2), tail))
+			p.nc.Close()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := c.Submit("select 1;", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantValues(t, "before the "+name, recvValues(t, h, 2), 1, 2)
+		if r, ok, fin := h.Recv(); ok || fin != nil {
+			t.Fatalf("%s: after the connection died: row %+v, ok %v, done %+v", name, r, ok, fin)
+		}
+		if _, _, err := h.Wait(); !errors.Is(err, ErrClosed) {
+			t.Fatalf("%s: Wait err = %v, want ErrClosed", name, err)
+		}
+	}
+}
+
+// TestRowSlicesRecycled: a session's two row slices return to the client at
+// the end of its stream — emptied — and the next session takes them, so a
+// warm connection allocates no row storage; a session that never sees a row
+// takes none.
+func TestRowSlicesRecycled(t *testing.T) {
+	c, err := dialPipe(t, Options{}, func(p *peer) {
+		p.write(accepted())
+		for s := 0; s < 3; s++ {
+			tag := p.submitted(1)[0]
+			// Two reads, so the consumer swaps at least once and the
+			// session ends up owning two slices.
+			p.write(cat(row(tag, 1), row(tag, 2)))
+			p.expect(wire.MsgPing)
+			p.write(frame(wire.MsgPong, int64(0)))
+			p.write(cat(row(tag, 3), frame(wire.MsgDone, tag, "done", "", int64(0), int64(3))))
+		}
+		tag := p.submitted(1)[0]
+		p.write(frame(wire.MsgDone, tag, "done", "", int64(0), int64(0)))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	free := func() [][]Row {
+		c.freeMu.Lock()
+		defer c.freeMu.Unlock()
+		return append([][]Row(nil), c.freeRows...)
+	}
+	var first [][]Row
+	for s := 0; s < 3; s++ {
+		h, err := c.Submit("select 1;", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantValues(t, "first read", recvValues(t, h, 2), 1, 2)
+		c.write(wire.MsgPing, wire.MustBag(int64(0))) // lets the peer go on
+		wantValues(t, "second read", recvValues(t, h, 1), 3)
+		if s > 0 && len(free()) != 0 {
+			t.Fatalf("session %d: %d slices still free while it holds two", s, len(free()))
+		}
+		if _, ok, fin := h.Recv(); ok || fin == nil {
+			t.Fatalf("session %d did not end", s)
+		}
+		got := free()
+		if len(got) != 2 {
+			t.Fatalf("after session %d the client holds %d free slices, want its 2", s, len(got))
+		}
+		for _, rows := range got {
+			for _, r := range rows[:cap(rows)] {
+				if r != (Row{}) {
+					t.Fatalf("a recycled slice still pins %+v", r)
+				}
+			}
+		}
+		if s == 0 {
+			first = got
+		} else if !(sameArray(got[0], first[0]) || sameArray(got[0], first[1])) ||
+			!(sameArray(got[1], first[0]) || sameArray(got[1], first[1])) {
+			t.Fatalf("session %d allocated row storage of its own on a warm connection", s)
+		}
+	}
+	h, err := c.Submit("select nothing;", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, fin := h.Recv(); ok || fin == nil {
+		t.Fatal("the empty session did not end")
+	}
+	if len(free()) != 2 || h.cur != nil || queued(h) != 0 || h.pending != nil {
+		t.Fatalf("a session without rows took row storage: %d slices free", len(free()))
+	}
+}
+
+func sameArray(a, b []Row) bool {
+	return cap(a) > 0 && cap(b) > 0 && &a[:1][0] == &b[:1][0]
+}

@@ -401,13 +401,16 @@ func (c *conn) handleSubmit(payload []byte) bool {
 }
 
 // pump streams one session's result elements to the client as Row frames,
-// closing with a Done frame carrying the terminal state. It takes every
-// element the session has ready in one batch, encodes the rows back to back
-// into a chunk, and hands the chunk to the writer when the batch is
-// exhausted — the iterator would block next — or the chunk passes
-// chunkFlush. A row therefore never waits for a later one: the first row of
-// a session leaves as soon as it exists. It observes the submit-to-first-row
-// latency into the rt. TTFB histogram.
+// closing with a Done frame carrying the terminal state. It takes the
+// elements the session has ready in one batch (NextBatch: up to the end of a
+// segment of the result log), encodes the rows back to back into a chunk,
+// and hands the chunk to the writer when the batch is exhausted — the
+// iterator would block next, or crosses into the log's next segment — or the
+// chunk passes chunkFlush. A row therefore never waits for a later one: the
+// first row of a session leaves as soon as it exists, and the log's small
+// first segments put the client to work while a long result is still being
+// produced. It observes the submit-to-first-row latency into the rt. TTFB
+// histogram.
 func (c *conn) pump(cs *connSession, submitted time.Time) {
 	it := cs.sess.Results()
 	first := true
@@ -423,7 +426,7 @@ func (c *conn) pump(cs *connSession, submitted time.Time) {
 			c.send(wire.MsgDone, wire.MustBag(cs.tag, state, msg,
 				cs.sess.Makespan().Nanoseconds(), rows))
 			cs.done.Store(true)
-			// Evict: a finished session must not pin its result buffer for
+			// Evict: a finished session must not pin its result log for
 			// the life of the connection, and its tag becomes reusable.
 			c.mu.Lock()
 			if c.sessions[cs.tag] == cs {

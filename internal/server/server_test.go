@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"os"
 	"runtime"
@@ -742,8 +743,11 @@ func TestRowDeliveredWithoutWaitingForNext(t *testing.T) {
 
 // TestRowPathAllocations is the end-to-end allocation guard of the serving
 // fast path: a 2 000-row session over loopback — engine, pump, writer,
-// client reader, Recv — stays within 3 allocations per row (the engine boxes
-// each value once, the client once more; the parent spent 14.6).
+// client reader, Recv — stays within 3 allocations and 90 bytes per row on a
+// warm connection: the engine boxes each value once (8 B), the result log
+// keeps the element (40 B, never copied), the client boxes the value once
+// more (8 B) into recycled row slices. A log regrown by append or a row queue
+// allocated per Submit each break the bytes bound on their own (146 B/row).
 func TestRowPathAllocations(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -773,12 +777,30 @@ func TestRowPathAllocations(t *testing.T) {
 			n, sum = n+1, sum+v
 		}
 	}
-	session() // warm: pooled chunks, reader buffers, parser tables
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	session()
-	runtime.ReadMemStats(&after)
-	if perRow := float64(after.Mallocs-before.Mallocs) / rows; perRow > 3 {
-		t.Fatalf("%.2f allocations per row end to end, want at most 3", perRow)
+	session() // warm: reader buffers, the client's row slices, parser tables
+	// The count is steady (≈ 1.8) and every measured session must keep it.
+	// The bytes are not: a pump running ahead of the writer grows fresh
+	// chunks by append — up to 180 B/row in one session, none in the next,
+	// because the chunk pool is per-P, emptied by GC and hands small buffers
+	// to big batches. That is the writer's noise and only ever additive,
+	// while a regression of the row path itself shows in every session; so
+	// the bytes bound alone is met by the cheapest of up to 30 sessions.
+	const maxAllocs, maxBytes = 3, 90
+	bestBytes := math.Inf(1)
+	for i := 0; i < 30 && bestBytes > maxBytes; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		session()
+		runtime.ReadMemStats(&after)
+		perRow := float64(after.Mallocs-before.Mallocs) / rows
+		if perRow > maxAllocs {
+			t.Fatalf("%.2f allocations per row end to end, want at most %d", perRow, maxAllocs)
+		}
+		perRowB := float64(after.TotalAlloc-before.TotalAlloc) / rows
+		t.Logf("%.2f allocations, %.1f bytes per row end to end", perRow, perRowB)
+		bestBytes = min(bestBytes, perRowB)
+	}
+	if bestBytes > maxBytes {
+		t.Fatalf("%.1f bytes allocated per row end to end, want at most %d", bestBytes, maxBytes)
 	}
 }

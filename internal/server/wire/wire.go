@@ -197,6 +197,21 @@ func (r *Reader) Next() (Frame, error) {
 	return Frame{Type: body[0], Payload: body[1:]}, nil
 }
 
+// FrameBuffered reports whether a whole frame is already buffered, so that
+// Next returns it without reading from the underlying stream. False means the
+// next call may block until the peer sends more — a reader that batches what
+// it decodes hands its batch on there, so nothing it holds waits for bytes
+// not yet sent. A frame longer than the read-ahead buffer is never whole in
+// it.
+func (r *Reader) FrameBuffered() bool {
+	have := r.br.Buffered()
+	if have < len(r.hdr) {
+		return false
+	}
+	hdr, _ := r.br.Peek(len(r.hdr))
+	return uint64(have-len(r.hdr)) >= uint64(binary.LittleEndian.Uint32(hdr))
+}
+
 // EncodeBag marshals fields as one bag payload. Fields must be
 // marshal-encodable (see WireValue for arbitrary engine values).
 func EncodeBag(fields ...any) ([]byte, error) {

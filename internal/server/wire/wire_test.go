@@ -62,6 +62,33 @@ func TestFramePipelined(t *testing.T) {
 	}
 }
 
+// TestReaderFrameBuffered: FrameBuffered says whether Next can return
+// without touching the stream — true for the whole frames that arrived in
+// the same read, false before the first read and false for a frame whose
+// length prefix or body is still in flight, however many of its bytes are
+// here.
+func TestReaderFrameBuffered(t *testing.T) {
+	one := AppendFrame(nil, MsgPing, MustBag(int64(1)))
+	for _, tail := range []int{0, 3, 4, len(one) - 1} {
+		var buf bytes.Buffer
+		buf.Write(one)
+		buf.Write(one)
+		buf.Write(one[:tail]) // the head of a frame still in flight
+		r := NewReader(&buf, 0)
+		if r.FrameBuffered() {
+			t.Fatalf("tail %d: a frame buffered before the first read", tail)
+		}
+		for i, want := range []bool{true, false} {
+			if _, err := r.Next(); err != nil {
+				t.Fatal(err)
+			}
+			if got := r.FrameBuffered(); got != want {
+				t.Fatalf("tail %d: FrameBuffered after frame %d = %v, want %v", tail, i+1, got, want)
+			}
+		}
+	}
+}
+
 func TestTruncatedFrame(t *testing.T) {
 	full := AppendFrame(nil, MsgSubmit, MustBag(int64(1), "select 1;", int64(0)))
 	for cut := 1; cut < len(full); cut++ {

@@ -74,44 +74,53 @@ func (t *Torus) IDOf(c Coord) int {
 // Route returns the sequence of node ids a message visits travelling from
 // src to dst, excluding src and including dst. Routing is dimension-ordered
 // (X then Y then Z), taking the shorter wraparound direction; ties go to the
-// positive direction. Route(src, src) returns an empty path.
+// negative direction (see shortestStep). Route(src, src) returns an empty
+// path.
 func (t *Torus) Route(src, dst int) ([]int, error) {
+	n, err := t.HopCount(src, dst)
+	if err != nil || n == 0 {
+		return nil, err
+	}
+	return t.AppendRoute(make([]int, 0, n), src, dst)
+}
+
+// AppendRoute appends Route(src, dst) to path and returns the extended
+// slice: a caller that only walks routes (the placement planner counts busy
+// co-processors on them) reuses one scratch slice and allocates nothing.
+func (t *Torus) AppendRoute(path []int, src, dst int) ([]int, error) {
 	from, err := t.CoordOf(src)
 	if err != nil {
-		return nil, err
+		return path, err
 	}
 	to, err := t.CoordOf(dst)
 	if err != nil {
-		return nil, err
+		return path, err
 	}
-	var path []int
-	cur := from
-	advance := func(get func(Coord) int, set func(*Coord, int), dim int) {
-		for get(cur) != get(to) {
-			step := shortestStep(get(cur), get(to), dim)
-			set(&cur, mod(get(cur)+step, dim))
-			path = append(path, t.IDOf(cur))
-		}
-	}
-	advance(func(c Coord) int { return c.X }, func(c *Coord, v int) { c.X = v }, t.dimX)
-	advance(func(c Coord) int { return c.Y }, func(c *Coord, v int) { c.Y = v }, t.dimY)
-	advance(func(c Coord) int { return c.Z }, func(c *Coord, v int) { c.Z = v }, t.dimZ)
+	id := src
+	path, id = ringWalk(path, id, from.X, to.X, t.dimX, 1)
+	path, id = ringWalk(path, id, from.Y, to.Y, t.dimY, t.dimX)
+	path, _ = ringWalk(path, id, from.Z, to.Z, t.dimZ, t.dimX*t.dimY)
 	return path, nil
 }
 
-// Hops returns the number of torus links a message from src to dst crosses.
-func (t *Torus) Hops(src, dst int) (int, error) {
-	p, err := t.Route(src, dst)
-	if err != nil {
-		return 0, err
+// ringWalk moves along one dimension from ring position a to b in the
+// shorter direction, appending the id of every node entered. stride is the
+// id distance between ring neighbours in that dimension; id is the node the
+// walk starts from, and the node it ends on is returned.
+func ringWalk(path []int, id, a, b, size, stride int) ([]int, int) {
+	step := shortestStep(a, b, size)
+	for a != b {
+		next := mod(a+step, size)
+		id += (next - a) * stride
+		a = next
+		path = append(path, id)
 	}
-	return len(p), nil
+	return path, id
 }
 
-// HopCount is Hops without materializing the route: the sum of the
-// per-dimension minimal ring distances, O(1) and allocation-free. Callers
-// that score many node pairs (the placement planner walks every candidate
-// of a 6144-node cluster) must use this instead of Hops.
+// HopCount is the number of torus links a message from src to dst crosses —
+// the length of Route(src, dst) without materializing it: the sum of the
+// per-dimension minimal ring distances, O(1) and allocation-free.
 func (t *Torus) HopCount(src, dst int) (int, error) {
 	from, err := t.CoordOf(src)
 	if err != nil {

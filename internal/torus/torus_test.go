@@ -2,6 +2,7 @@ package torus
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -123,12 +124,12 @@ func TestRouteToSelf(t *testing.T) {
 func TestRouteWrapAround(t *testing.T) {
 	// 0 -> 3 in an X-ring of 4 should take the single wraparound hop.
 	tor := mustNew(t, 4, 1, 1)
-	hops, err := tor.Hops(0, 3)
+	hops, err := tor.HopCount(0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hops != 1 {
-		t.Errorf("Hops(0,3) = %d, want 1 (wraparound)", hops)
+		t.Errorf("HopCount(0,3) = %d, want 1 (wraparound)", hops)
 	}
 }
 
@@ -229,7 +230,7 @@ func TestHopsSymmetricDistance(t *testing.T) {
 	tor := mustNew(t, 4, 4, 2)
 	for src := 0; src < tor.Size(); src++ {
 		for dst := 0; dst < tor.Size(); dst++ {
-			got, err := tor.Hops(src, dst)
+			got, err := tor.HopCount(src, dst)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -243,7 +244,7 @@ func TestHopsSymmetricDistance(t *testing.T) {
 			}
 			want := ringDist(a.X, b.X, 4) + ringDist(a.Y, b.Y, 4) + ringDist(a.Z, b.Z, 2)
 			if got != want {
-				t.Fatalf("Hops(%d,%d) = %d, want %d", src, dst, got, want)
+				t.Fatalf("HopCount(%d,%d) = %d, want %d", src, dst, got, want)
 			}
 		}
 	}
@@ -277,5 +278,68 @@ func TestHopCountMatchesRouteLength(t *testing.T) {
 	}
 	if _, err := (&Torus{dimX: 2, dimY: 2, dimZ: 2}).HopCount(0, 99); err == nil {
 		t.Fatal("HopCount accepted an out-of-range node")
+	}
+}
+
+// referenceRoute is the route definition written the slow, obvious way: one
+// coordinate at a time, re-deciding the direction at every step. Route and
+// AppendRoute must produce exactly its paths.
+func referenceRoute(tor *Torus, src, dst int) []int {
+	cur, _ := tor.CoordOf(src)
+	to, _ := tor.CoordOf(dst)
+	var path []int
+	for cur.X != to.X {
+		cur.X = mod(cur.X+shortestStep(cur.X, to.X, tor.dimX), tor.dimX)
+		path = append(path, tor.IDOf(cur))
+	}
+	for cur.Y != to.Y {
+		cur.Y = mod(cur.Y+shortestStep(cur.Y, to.Y, tor.dimY), tor.dimY)
+		path = append(path, tor.IDOf(cur))
+	}
+	for cur.Z != to.Z {
+		cur.Z = mod(cur.Z+shortestStep(cur.Z, to.Z, tor.dimZ), tor.dimZ)
+		path = append(path, tor.IDOf(cur))
+	}
+	return path
+}
+
+// TestRouteMatchesReference holds Route and AppendRoute to the reference on
+// every pair of several shapes (even dimensions have direction ties), and
+// pins what each allocates: Route one exact-size slice, AppendRoute into a
+// grown scratch slice nothing — the planner walks a route per candidate.
+func TestRouteMatchesReference(t *testing.T) {
+	var scratch []int
+	for _, dims := range [][3]int{{4, 4, 2}, {3, 5, 4}, {2, 2, 2}, {6, 1, 1}, {8, 8, 8}} {
+		tor, err := New(dims[0], dims[1], dims[2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := tor.Size()
+		for src := 0; src < n; src++ {
+			for dst := 0; dst < n; dst++ {
+				want := referenceRoute(tor, src, dst)
+				got, err := tor.Route(src, dst)
+				if err != nil || !slices.Equal(got, want) {
+					t.Fatalf("dims %v: Route(%d,%d) = %v, %v; want %v", dims, src, dst, got, err, want)
+				}
+				if cap(got) != len(want) {
+					t.Fatalf("dims %v: Route(%d,%d) has capacity %d for %d hops", dims, src, dst, cap(got), len(want))
+				}
+				scratch, err = tor.AppendRoute(scratch[:0], src, dst)
+				if err != nil || !slices.Equal(scratch, want) {
+					t.Fatalf("dims %v: AppendRoute(%d,%d) = %v, %v; want %v", dims, src, dst, scratch, err, want)
+				}
+			}
+		}
+	}
+	tor, _ := New(8, 8, 8)
+	if got, err := tor.AppendRoute([]int{7}, 0, 99999); err == nil || !slices.Equal(got, []int{7}) {
+		t.Fatalf("AppendRoute to a node out of range = %v, %v; want the path untouched and an error", got, err)
+	}
+	if a := testing.AllocsPerRun(100, func() { scratch, _ = tor.AppendRoute(scratch[:0], 0, 292) }); a != 0 {
+		t.Errorf("AppendRoute into a grown scratch slice allocates %v times, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { tor.Route(0, 292) }); a != 1 {
+		t.Errorf("Route allocates %v times, want its one exact-size path", a)
 	}
 }

@@ -37,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"time"
 
@@ -632,14 +633,17 @@ func (s *Session) Wait() ([]Element, error) {
 	var out []Element
 	it := s.Results()
 	for {
-		el, ok, err := it.Next()
+		batch, ok, err := it.NextBatch()
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
 			return out, nil
 		}
-		out = append(out, el)
+		out = slices.Grow(out, batch.Len())
+		for i := 0; i < batch.Len(); i++ {
+			out = append(out, batch.At(i))
+		}
 	}
 }
 
@@ -670,18 +674,19 @@ func (r *ResultIter) Next() (Element, bool, error) {
 	return publicElement(el), true, nil
 }
 
-// NextBatch blocks like Next and then returns every element the session
-// has already produced past the iterator's position — at least one — at
-// the cost of one Next. When the batch is exhausted the next call would
-// block: a consumer that forwards elements (the serving layer) flushes
-// there, so batching never delays a row.
+// NextBatch blocks like Next and then returns the elements the session has
+// already produced past the iterator's position — at least one, at most one
+// segment of the result log — at the cost of one Next. When the log is
+// exhausted the next call blocks: a consumer that forwards elements (the
+// serving layer) flushes after every batch, so batching never delays a row.
 func (r *ResultIter) NextBatch() (Batch, bool, error) {
 	els, ok, err := r.it.NextBatch()
 	return Batch{els}, ok, err
 }
 
-// Batch is a read-only run of consecutive result elements, a view of the
-// session's result buffer: it costs no copy and stays valid indefinitely.
+// Batch is a read-only run of consecutive result elements, a view of one
+// segment of the session's result log: it costs no copy and stays valid
+// indefinitely, because the log never moves or rewrites a published element.
 type Batch struct {
 	els []sqep.Element
 }
