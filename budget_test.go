@@ -1,0 +1,97 @@
+package scsq
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// The surface budget is a ratchet: ROADMAP item 6 counts options, wire
+// message types and public engine methods, and each number only goes down.
+// Raising a limit here is a design decision to argue in the PR, not a fix.
+const (
+	maxWithOptions   = 44 // exported With* functions outside _test.go (target ≤ 30)
+	maxWireMessages  = 13 // Msg* constants of internal/server/wire
+	maxEngineMethods = 11 // exported methods of (*scsq.Engine)
+)
+
+func TestSurfaceBudget(t *testing.T) {
+	var withs, msgs, methods []string
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(file string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() || !strings.HasSuffix(file, ".go") || strings.HasSuffix(file, "_test.go") {
+			return nil
+		}
+		src, err := parser.ParseFile(fset, file, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		dir := filepath.ToSlash(filepath.Dir(file))
+		for _, decl := range src.Decls {
+			switch x := decl.(type) {
+			case *ast.FuncDecl:
+				name := x.Name.Name
+				switch {
+				case x.Recv == nil && strings.HasPrefix(name, "With"):
+					withs = append(withs, path.Join("scsq", dir)+"."+name)
+				case x.Recv != nil && dir == "." && x.Name.IsExported() && receiver(x) == "Engine":
+					methods = append(methods, name)
+				}
+			case *ast.GenDecl:
+				if x.Tok != token.CONST || dir != "internal/server/wire" {
+					continue
+				}
+				for _, spec := range x.Specs {
+					for _, id := range spec.(*ast.ValueSpec).Names {
+						if strings.HasPrefix(id.Name, "Msg") {
+							msgs = append(msgs, id.Name)
+						}
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []struct {
+		what  string
+		names []string
+		max   int
+	}{
+		{"exported With* options", withs, maxWithOptions},
+		{"wire message types", msgs, maxWireMessages},
+		{"exported (*scsq.Engine) methods", methods, maxEngineMethods},
+	} {
+		if len(b.names) == 0 {
+			t.Errorf("%s: found none — the budget test no longer sees the code", b.what)
+		}
+		if len(b.names) > b.max {
+			sort.Strings(b.names)
+			t.Errorf("%s: %d > budget %d:\n  %s", b.what, len(b.names), b.max, strings.Join(b.names, "\n  "))
+		}
+	}
+}
+
+// receiver names the type of a method's receiver, pointer or not.
+func receiver(fn *ast.FuncDecl) string {
+	typ := fn.Recv.List[0].Type
+	if star, ok := typ.(*ast.StarExpr); ok {
+		typ = star.X
+	}
+	id, _ := typ.(*ast.Ident)
+	if id == nil {
+		return ""
+	}
+	return id.Name
+}

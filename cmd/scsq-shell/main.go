@@ -9,43 +9,53 @@
 //
 // With -connect the shell speaks the SCSQL wire protocol to an scsq-server
 // instead of embedding an engine: statements run as remote scheduler
-// sessions with results streamed back incrementally, and the same meta
-// commands work against the server's catalog (including sys_conns, the
-// serving layer's own table). Engine-construction flags (-mpibuf, -single,
-// -realtcp) and the local-only -utilization/-explain reports apply only to
-// the in-process mode.
+// sessions with results streamed back incrementally. Engine-construction
+// flags (-mpibuf, -single, -realtcp) and the per-statement -utilization and
+// -explain reports apply only to the in-process mode.
 //
 // Each query prints its result elements, the virtual makespan, and — with
 // -payload — the measured streaming bandwidth.
 //
-// Backslash meta commands inspect the engine between statements, rendered
-// from the system catalog (the same sys_* tables SCSQL queries directly):
-// "\stats [pattern]" prints sys_metrics rows, filtered by a SQL-LIKE
-// pattern ('%' anywhere; a plain string is a prefix); a session id
-// ("\stats q3" or "\stats @q3") scopes the dump to that query's metrics
-// (in-process mode only; a statement run by the shell itself is retired by
-// the Reset that follows it, which folds its per-RP keys into "…retired").
-// Keys that name no query (link.*, sched.*) and totals by prefix survive
-// across statements, so \stats after a query reports that query's traffic. "\ps" prints
-// sys_sessions (the scheduler's session table), "\d [table]" lists catalog
-// tables or one table's schema, and "\cancel <qid>" cancels a session —
-// queries submitted through the SCSQL surface run as scheduler sessions
-// (see ps() and cancel() in SCSQL itself).
+// Backslash meta commands inspect the engine between statements. Each is a
+// statement over the system catalog (the same sys_* tables SCSQL queries
+// directly) that the shell issues and renders, identically in both modes:
+//
+//	\d [table]       select sys_tables();          catalog listing / one schema
+//	\ps              select sys_sessions();        the scheduler's session table
+//	\stats [pattern] select sys_metrics('pattern'); SQL-LIKE ('%' anywhere; a
+//	                 plain string is a prefix), or a session id ("\stats q3",
+//	                 "\stats @q3") for that query's own metrics
+//	\cancel <qid>    cancels a session (over -connect: one of this connection's)
+//
+// and -utilization and -explain are `select sys_resources();` and
+// `select sys_links();` after each statement. Over -connect a reader is itself
+// a session, so \ps lists its own `select sys_sessions();` as running — as
+// SHOW PROCESSLIST lists itself. It is a session that leases no node: the
+// server runs it past the admission queue and while draining, so \ps answers
+// when the system is congested, and it leaves the session table as it ends
+// (in process it is retired as it ends: reading numbers no query). In process, a
+// statement run by the shell is retired by the Reset that follows it, which
+// folds its per-RP metric keys into "…retired"; keys that name no query
+// (link.*, sched.*) and totals by prefix survive, so \stats after a query
+// reports that query's traffic.
 package main
 
 import (
 	"bufio"
+	"cmp"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"regexp"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
 	"scsq"
+	"scsq/internal/catalog"
 	"scsq/internal/server/client"
+	"scsq/internal/server/wire"
 )
 
 func main() {
@@ -113,27 +123,23 @@ func run() error {
 }
 
 // executor abstracts where statements run — the in-process engine or a
-// remote scsq-server — so the REPL and meta commands are mode-agnostic.
+// remote scsq-server. Everything the shell reads it reads by statement, so
+// the REPL and the meta commands are mode-agnostic by construction.
 type executor interface {
 	// Execute runs one SCSQL statement and writes its results to out.
 	Execute(stmt string, out io.Writer) error
-	// Tables lists the system catalog.
-	Tables() ([]tableDesc, error)
-	// Rows snapshots one catalog table: column names plus value rows.
-	Rows(table, pattern string) ([]string, [][]any, error)
+	// query is the shell's own read: one catalog table, by the statement
+	// `select <table>([arg]);`, as its column names and its rows lowered the
+	// way the wire lowers them (a catalog tuple becomes its values) — so both
+	// modes render from the same data. The engine is left as it is: no Reset
+	// follows, and the read itself leaves nothing behind.
+	query(table, arg string) (cols []string, rows [][]any, err error)
 	// Cancel cancels a scheduler session by id.
 	Cancel(id string) error
 }
 
-// tableDesc is one catalog table as the shell renders it.
-type tableDesc struct {
-	Name, Doc, Schema string
-	TakesPattern      bool
-}
-
 type shell struct {
 	exec   executor
-	eng    *scsq.Engine // non-nil in-process only: enables @qid-scoped \stats
 	banner string
 	out    io.Writer
 }
@@ -142,7 +148,6 @@ type shell struct {
 func newLocalShell(eng *scsq.Engine, payload int64, util int, explain bool, out io.Writer) *shell {
 	return &shell{
 		exec: &localExec{eng: eng, payload: payload, util: util, explain: explain},
-		eng:  eng,
 		out:  out,
 	}
 }
@@ -236,15 +241,13 @@ func (l *localExec) Execute(stmt string, out io.Writer) error {
 			res.Stream.BandwidthMbps(l.payload), l.payload)
 	}
 	if l.util > 0 {
-		fmt.Fprintf(out, "-- busiest resources:\n")
-		for _, u := range l.eng.Utilization(res.Stream, l.util) {
-			fmt.Fprintf(out, "--   %-12s %12v %6.1f%%\n", u.Resource, u.Busy, u.Share*100)
+		if err := printUtilization(out, l, res.Stream.Makespan(), l.util); err != nil {
+			return err
 		}
 	}
 	if l.explain {
-		fmt.Fprintf(out, "-- communication topology:\n")
-		for _, ed := range l.eng.Topology() {
-			fmt.Fprintf(out, "--   %-12s (%s) --%s--> %s (%s)\n", ed.Producer, ed.From, ed.Carrier, ed.Consumer, ed.To)
+		if err := printTopology(out, l); err != nil {
+			return err
 		}
 	}
 	if err := l.eng.Reset(); err != nil {
@@ -253,25 +256,25 @@ func (l *localExec) Execute(stmt string, out io.Writer) error {
 	return nil
 }
 
-func (l *localExec) Tables() ([]tableDesc, error) {
-	var out []tableDesc
-	for _, tab := range l.eng.SystemTables() {
-		out = append(out, tableDesc{Name: tab.Name, Doc: tab.Doc, Schema: tab.Schema(), TakesPattern: tab.TakesPattern})
+func (l *localExec) query(table, arg string) ([]string, [][]any, error) {
+	st, err := l.eng.Query(selectStmt(table, arg))
+	if err != nil {
+		return nil, nil, err
 	}
-	return out, nil
-}
-
-func (l *localExec) Rows(table, pattern string) ([]string, [][]any, error) {
+	els, err := st.Drain()
+	if err != nil {
+		return nil, nil, err
+	}
 	var cols []string
-	for _, tab := range l.eng.SystemTables() {
-		if tab.Name == table {
-			for _, c := range tab.Columns {
-				cols = append(cols, c.Name)
-			}
+	rows := make([][]any, len(els))
+	for i, el := range els {
+		tup, ok := el.Value.(catalog.Tuple)
+		if !ok {
+			return nil, nil, fmt.Errorf("%s() row %d is %T, want a tuple", table, i, el.Value)
 		}
+		cols, rows[i] = tup.Schema.Names(), wire.WireValue(tup).([]any)
 	}
-	rows, err := l.eng.SystemRows(table, pattern)
-	return cols, rows, err
+	return cols, rows, nil
 }
 
 func (l *localExec) Cancel(id string) error { return l.eng.CancelSession(id) }
@@ -281,6 +284,9 @@ func (l *localExec) Cancel(id string) error { return l.eng.CancelSession(id) }
 type remoteExec struct {
 	cli     *client.Client
 	payload int64
+	// cols caches the column names of the tables read so far: rows cross the
+	// wire as bare values, so the names come from one sys_tables read.
+	cols map[string][]string
 }
 
 func (r *remoteExec) Execute(stmt string, out io.Writer) error {
@@ -312,45 +318,100 @@ func (r *remoteExec) Execute(stmt string, out io.Writer) error {
 	}
 }
 
-func (r *remoteExec) Tables() ([]tableDesc, error) {
-	tabs, err := r.cli.Tables()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]tableDesc, len(tabs))
-	for i, t := range tabs {
-		var b strings.Builder
-		b.WriteByte('(')
-		for j, c := range t.Columns {
-			if j > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(c[0] + " " + c[1])
-		}
-		b.WriteByte(')')
-		out[i] = tableDesc{Name: t.Name, Doc: t.Doc, Schema: b.String()}
-	}
-	return out, nil
-}
-
-func (r *remoteExec) Rows(table, pattern string) ([]string, [][]any, error) {
-	tabs, err := r.cli.Tables()
+func (r *remoteExec) query(table, arg string) ([]string, [][]any, error) {
+	rows, err := r.read(table, arg)
 	if err != nil {
 		return nil, nil, err
 	}
-	var cols []string
-	for _, t := range tabs {
-		if t.Name == table {
-			for _, c := range t.Columns {
-				cols = append(cols, c[0])
+	if _, known := r.cols[table]; !known {
+		tabs := rows
+		if table != "sys_tables" {
+			if tabs, err = r.read("sys_tables", ""); err != nil {
+				return nil, nil, err
 			}
 		}
+		r.cols = make(map[string][]string, len(tabs))
+		for _, t := range tabs { // name, doc, columns, takes_pattern
+			name, _ := t[0].(string)
+			columns, _ := t[2].(string)
+			sch, err := catalog.ParseSchema(columns)
+			if err != nil {
+				return nil, nil, err
+			}
+			r.cols[name] = sch.Names()
+		}
 	}
-	rows, err := r.cli.Snap(table, pattern)
-	return cols, rows, err
+	return r.cols[table], rows, nil
+}
+
+// read runs one catalog read as a session and returns its rows.
+func (r *remoteExec) read(table, arg string) ([][]any, error) {
+	h, err := r.cli.Submit(selectStmt(table, arg), 0)
+	if err != nil {
+		return nil, err
+	}
+	recs, fin, err := h.Wait()
+	if err != nil {
+		return nil, err
+	}
+	if fin.Err != "" {
+		return nil, fmt.Errorf("session %s %s: %s", h.ID, fin.State, fin.Err)
+	}
+	rows := make([][]any, len(recs))
+	for i, rec := range recs {
+		row, ok := rec.Value.([]any)
+		if !ok {
+			return nil, fmt.Errorf("%s() row %d is %T, want a tuple", table, i, rec.Value)
+		}
+		rows[i] = row
+	}
+	return rows, nil
 }
 
 func (r *remoteExec) Cancel(id string) error { return r.cli.CancelID(id) }
+
+// selectStmt spells the read of one catalog table, quoting its argument.
+func selectStmt(table, arg string) string {
+	if arg != "" {
+		q := "'"
+		if strings.Contains(arg, q) {
+			q = `"`
+		}
+		arg = q + arg + q
+	}
+	return "select " + table + "(" + arg + ");"
+}
+
+// describe renders the catalog's own listing, sys_tables: every table on one
+// line each, or the one named with its schema as the registry spells it.
+func (s *shell) describe(name string) error {
+	_, rows, err := s.exec.query("sys_tables", "")
+	if err != nil {
+		return err
+	}
+	found := false
+	for _, r := range rows { // name, doc, columns, takes_pattern
+		takesPattern := r[3] == int64(1)
+		switch {
+		case name == "" && takesPattern:
+			fmt.Fprintf(s.out, "%-22s %s\n", fmt.Sprint(r[0], "([like])"), r[1])
+		case name == "":
+			fmt.Fprintf(s.out, "%-22s %s\n", fmt.Sprint(r[0], "()"), r[1])
+		case name == r[0]:
+			fmt.Fprintf(s.out, "%s %s\n-- %s\n", r[0], r[2], r[1])
+			if takesPattern {
+				fmt.Fprintf(s.out, "-- takes an optional SQL-LIKE pattern ('%%' anywhere; no '%%' = prefix)\n")
+			}
+		default:
+			continue
+		}
+		found = true
+	}
+	if !found {
+		return fmt.Errorf(`no system table %q (try \d)`, name)
+	}
+	return nil
+}
 
 // meta executes a backslash shell command.
 func (s *shell) meta(cmd string) error {
@@ -358,76 +419,42 @@ func (s *shell) meta(cmd string) error {
 	if len(fields) == 0 {
 		return fmt.Errorf(`empty meta command (try \stats)`)
 	}
+	arg := ""
+	if len(fields) > 1 {
+		arg = fields[1]
+	}
 	switch fields[0] {
 	case "stats":
-		prefix := ""
-		if len(fields) > 1 {
-			prefix = fields[1]
-		}
-		s.printStats(prefix)
-		return nil
+		return s.printStats(arg)
 	case "ps":
-		return s.printTable("sys_sessions", "")
+		return s.printTable("sys_sessions")
 	case "d":
-		if len(fields) > 1 {
-			return s.describeTable(fields[1])
-		}
-		tabs, err := s.exec.Tables()
-		if err != nil {
-			return err
-		}
-		for _, tab := range tabs {
-			name := tab.Name + "()"
-			if tab.TakesPattern {
-				name = tab.Name + "([like])"
-			}
-			fmt.Fprintf(s.out, "%-22s %s\n", name, tab.Doc)
-		}
-		return nil
+		return s.describe(strings.TrimSuffix(strings.ToLower(arg), "()"))
 	case "cancel":
 		if len(fields) != 2 {
 			return fmt.Errorf(`\cancel takes one query id (try \ps)`)
 		}
-		if err := s.exec.Cancel(fields[1]); err != nil {
+		if err := s.exec.Cancel(arg); err != nil {
 			return err
 		}
-		fmt.Fprintf(s.out, "-- cancelled %s\n", fields[1])
+		fmt.Fprintf(s.out, "-- cancelled %s\n", arg)
 		return nil
 	default:
 		return fmt.Errorf(`unknown meta command \%s (try \stats, \ps, \d, \cancel)`, fields[0])
 	}
 }
 
-// describeTable prints one system table's schema from the live registry.
-func (s *shell) describeTable(name string) error {
-	name = strings.TrimSuffix(strings.ToLower(name), "()")
-	tabs, err := s.exec.Tables()
-	if err != nil {
-		return err
-	}
-	for _, tab := range tabs {
-		if tab.Name != name {
-			continue
-		}
-		fmt.Fprintf(s.out, "%s %s\n", tab.Name, tab.Schema)
-		fmt.Fprintf(s.out, "-- %s\n", tab.Doc)
-		if tab.TakesPattern {
-			fmt.Fprintf(s.out, "-- takes an optional SQL-LIKE pattern ('%%' anywhere; no '%%' = prefix)\n")
-		}
-		return nil
-	}
-	return fmt.Errorf(`no system table %q (try \d)`, name)
-}
-
-// printTable renders a system catalog snapshot as name=value rows — the
-// backing of \ps (and the same rows ps() and sys_sessions() stream in
-// SCSQL).
-func (s *shell) printTable(table, pattern string) error {
-	cols, rows, err := s.exec.Rows(table, pattern)
+// printTable renders one catalog table as name=value rows, the names being
+// the table's own columns — the backing of \ps.
+func (s *shell) printTable(table string) error {
+	cols, rows, err := s.exec.query(table, "")
 	if err != nil {
 		return err
 	}
 	for _, row := range rows {
+		if len(row) != len(cols) {
+			return fmt.Errorf("%s() row has %d values, the table %d columns", table, len(row), len(cols))
+		}
 		parts := make([]string, 0, len(row))
 		for i, v := range row {
 			if vs, ok := v.(string); ok {
@@ -443,25 +470,16 @@ func (s *shell) printTable(table, pattern string) error {
 	return nil
 }
 
-// printStats dumps the telemetry registry, sorted by metric name. The
-// ordinary path renders sys_metrics catalog rows (the pattern is SQL-LIKE:
-// '%' anywhere, a plain string is a prefix). A prefix of the form @q3 (or
-// a bare session id like q3) instead scopes the dump to that query's
-// metrics via the snapshot API — the per-session view of a multi-tenant
-// engine, available in-process only.
-func (s *shell) printStats(pattern string) {
-	if qid := queryScope(pattern); qid != "" {
-		if s.eng == nil {
-			fmt.Fprintln(s.out, "error: session-scoped \\stats needs an in-process engine (not -connect)")
-			return
-		}
-		s.printQueryStats(qid)
-		return
+// printStats renders sys_metrics rows. The pattern is the table's own:
+// SQL-LIKE ('%' anywhere, a plain string is a prefix) or '@q3' for the
+// metrics of one query; a bare session id ("q3") is shorthand for the latter.
+func (s *shell) printStats(pattern string) error {
+	if qidRe.MatchString(pattern) {
+		pattern = "@" + pattern
 	}
-	_, rows, err := s.exec.Rows("sys_metrics", pattern)
+	_, rows, err := s.exec.query("sys_metrics", pattern)
 	if err != nil {
-		fmt.Fprintln(s.out, "error:", err)
-		return
+		return err
 	}
 	// sys_metrics columns: kind, name, value, count, sum_ns, min_ns, max_ns.
 	for _, row := range rows {
@@ -485,53 +503,54 @@ func (s *shell) printStats(pattern string) {
 		}
 		fmt.Fprintln(s.out)
 	}
+	return nil
 }
 
-// printQueryStats renders the @qid-scoped snapshot view.
-func (s *shell) printQueryStats(qid string) {
-	snap := s.eng.MetricsSnapshot().ForQuery(qid)
-	shown := 0
-	for _, name := range sortedKeys(snap.Counters) {
-		fmt.Fprintf(s.out, "counter    %-44s %d\n", name, snap.Counters[name])
-		shown++
-	}
-	for _, name := range sortedKeys(snap.Gauges) {
-		fmt.Fprintf(s.out, "gauge      %-44s %d\n", name, snap.Gauges[name])
-		shown++
-	}
-	for _, name := range sortedKeys(snap.Histograms) {
-		h := snap.Histograms[name]
-		fmt.Fprintf(s.out, "histogram  %-44s count=%d mean=%v min=%v max=%v\n",
-			name, h.Count,
-			time.Duration(h.MeanNs()), time.Duration(h.MinNs), time.Duration(h.MaxNs))
-		shown++
-	}
-	if shown == 0 {
-		fmt.Fprintf(s.out, "-- no metrics recorded for session %s\n", qid)
-	}
-}
-
-// queryScope recognizes a \stats argument naming a query session: "@q3"
-// explicitly, or a bare id of the engine's "q<n>" form.
-func queryScope(prefix string) string {
-	if strings.HasPrefix(prefix, "@") {
-		return prefix[1:]
-	}
-	if qidRe.MatchString(prefix) {
-		return prefix
-	}
-	return ""
-}
-
+// qidRe recognizes a bare session id of the engine's "q<n>" form.
 var qidRe = regexp.MustCompile(`^q\d+$`)
 
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// printUtilization reports the top busiest simulated devices from
+// sys_resources — each device's busy time summed over its owners — with
+// their share of the statement's makespan.
+func printUtilization(out io.Writer, ex executor, makespan time.Duration, top int) error {
+	_, rows, err := ex.query("sys_resources", "")
+	if err != nil {
+		return err
 	}
-	sort.Strings(keys)
-	return keys
+	busy := make(map[string]int64)
+	var names []string
+	for _, r := range rows { // resource, owner, busy_ns
+		name := r[0].(string)
+		if _, seen := busy[name]; !seen {
+			names = append(names, name)
+		}
+		busy[name] += r[2].(int64)
+	}
+	slices.SortFunc(names, func(a, b string) int {
+		return cmp.Or(cmp.Compare(busy[b], busy[a]), strings.Compare(a, b))
+	})
+	fmt.Fprintf(out, "-- busiest resources:\n")
+	for _, name := range names[:min(top, len(names))] {
+		share := 0.0
+		if makespan > 0 {
+			share = float64(busy[name]) / float64(makespan)
+		}
+		fmt.Fprintf(out, "--   %-12s %12v %6.1f%%\n", name, time.Duration(busy[name]), share*100)
+	}
+	return nil
+}
+
+// printTopology reports the wired producer→consumer edges from sys_links.
+func printTopology(out io.Writer, ex executor) error {
+	_, rows, err := ex.query("sys_links", "")
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "-- communication topology:\n")
+	for _, r := range rows { // carrier, query, producer, consumer, from_cluster, from_node, to_cluster, to_node, ...
+		fmt.Fprintf(out, "--   %-12s (%s:%d) --%s--> %s (%s:%d)\n", r[2], r[4], r[5], r[0], r[3], r[6], r[7])
+	}
+	return nil
 }
 
 func formatValue(v any) string {

@@ -209,10 +209,8 @@ func TestShellDescribeMeta(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, tab := range eng.SystemTables() {
-		if tab.Name == "sys_nodes" && !strings.Contains(out, "sys_nodes "+tab.Schema()) {
-			t.Errorf("\\d sys_nodes does not print the registry schema:\n%s", out)
-		}
+	if tab, _ := eng.SystemCatalog().Lookup("sys_nodes"); !strings.Contains(out, "sys_nodes "+tab.Schema.String()) {
+		t.Errorf("\\d sys_nodes does not print the registry schema:\n%s", out)
 	}
 	if err := sh.execute(`\d sys_bogus`); err == nil {
 		t.Fatal("\\d of unknown table succeeded")
@@ -270,15 +268,86 @@ func TestShellRemoteMode(t *testing.T) {
 	}
 	sb.Reset()
 
-	// Session-scoped stats are in-process only; remote mode says so.
-	sh.printStats("@q1")
-	if !strings.Contains(sb.String(), "in-process") {
-		t.Errorf("remote @qid \\stats should explain itself:\n%s", sb.String())
+	// One read path: every meta command is a statement over the catalog, so
+	// the in-process shell and the remote one print the same lines for the
+	// same engine — except that a remote reader is itself a session (a local
+	// one runs on the synchronous evaluator), so \ps over the wire also lists
+	// its own sys_sessions() read, running, as SHOW PROCESSLIST would. No
+	// earlier read is there: a reader leaves the session table as it ends.
+	var lb strings.Builder
+	local := newLocalShell(eng, 0, 0, false, &lb)
+	lines := func(out string) []string {
+		var kept []string
+		for _, l := range strings.Split(out, "\n") {
+			if !strings.Contains(l, "state=running priority=0 nodes=0 statement=select sys_sessions();") {
+				kept = append(kept, l)
+			}
+		}
+		return kept
+	}
+	for _, cmd := range []string{`\d`, `\d sys_metrics`, `\ps`, `\stats link.`, `\stats @q1`, `\stats q1`} {
+		lb.Reset()
+		sb.Reset()
+		if err := local.execute(cmd); err != nil {
+			t.Fatalf("local %s: %v", cmd, err)
+		}
+		if err := sh.execute(cmd); err != nil {
+			t.Fatalf("remote %s: %v", cmd, err)
+		}
+		if lb.Len() == 0 || strings.Contains(lb.String(), "no metrics recorded") {
+			t.Errorf("local %s printed nothing to compare:\n%s", cmd, lb.String())
+		}
+		if l, r := lines(lb.String()), lines(sb.String()); !reflect.DeepEqual(l, r) {
+			t.Errorf("%s differs between modes:\n-- in-process:\n%s\n-- over -connect:\n%s", cmd, lb.String(), sb.String())
+		}
+	}
+	sb.Reset()
+	if err := sh.execute(`\ps`); err != nil || !strings.Contains(sb.String(), "state=running priority=0 nodes=0 statement=select sys_sessions();") {
+		t.Errorf("remote \\ps does not list its own read as a running session (err %v):\n%s", err, sb.String())
+	}
+	if n := strings.Count(sb.String(), "statement=select sys_"); n != 1 {
+		t.Errorf("remote \\ps lists %d catalog reads, want its own only:\n%s", n, sb.String())
+	}
+	for _, want := range []string{"sys_metrics([like])", "sys_resources()", "sys_tables()"} {
+		if err := sh.execute(`\d`); err != nil || !strings.Contains(sb.String(), want) {
+			t.Errorf("remote \\d misses %q (err %v):\n%s", want, err, sb.String())
+		}
 	}
 	sb.Reset()
 
 	// Errors surface with the remote session's terminal state.
 	if err := sh.execute(`select extract(a) from sp a where a=sp(gen_array(8, 1), 'bg', 99)`); err == nil {
 		t.Fatal("remote failing statement did not error")
+	}
+}
+
+// TestShellReadsNumberNoQuery: the shell's own reads — the meta commands, and
+// the -utilization and -explain reports inside a statement — are statements,
+// but they leave nothing behind: the user's statements are q1, q2, ... whatever
+// was read in between, and the engine can always be Reset.
+func TestShellReadsNumberNoQuery(t *testing.T) {
+	eng, err := scsq.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	var sb strings.Builder
+	sh := newLocalShell(eng, 0, 2, true, &sb)
+	const stmt = `select extract(b) from sp a, sp b where b=sp(count(extract(a)), 'bg') and a=sp(iota(1,6), 'be')`
+	for _, want := range []string{"q1/rp-be-1", "q2/rp-be-1", "q3/rp-be-1"} {
+		sb.Reset()
+		if err := sh.execute(stmt); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(sb.String(), want) {
+			t.Fatalf("statement did not run as %s:\n%s", want, sb.String())
+		}
+		for i := 0; i < 5; i++ {
+			for _, cmd := range []string{`\ps`, `\d`, `\d sys_links`, `\stats link.`, `\stats @q1`} {
+				if err := sh.execute(cmd); err != nil {
+					t.Fatalf("%s: %v", cmd, err)
+				}
+			}
+		}
 	}
 }

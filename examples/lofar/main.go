@@ -7,9 +7,12 @@
 package main
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"os"
+	"slices"
+	"time"
 
 	"scsq"
 )
@@ -88,9 +91,28 @@ and   pre=sp(receiver('antennas'), 'be');`)
 	}
 	fmt.Printf("\n%d transient events in %d arrays\n", events, len(spectra))
 
+	// The bottleneck analysis is itself a stream query: sys_resources() has
+	// one row per (device, owning query) with the virtual time the device
+	// was busy. Only this query has run, so a device has one row.
+	usage, err := eng.Query(`select sys_resources();`)
+	if err != nil {
+		return err
+	}
+	rows, err := usage.Drain()
+	if err != nil {
+		return err
+	}
+	// A catalog row is a tuple with named fields (r.busy_ns in SCSQL).
+	field := func(el scsq.Element, name string) any {
+		v, _ := el.Value.(interface{ Field(string) (any, bool) }).Field(name)
+		return v
+	}
+	busy := func(el scsq.Element) int64 { return field(el, "busy_ns").(int64) }
+	slices.SortStableFunc(rows, func(a, b scsq.Element) int { return cmp.Compare(busy(b), busy(a)) })
 	fmt.Println("\nbusiest simulated resources:")
-	for _, u := range eng.Utilization(stream, 4) {
-		fmt.Printf("  %-12s %12v %6.1f%%\n", u.Resource, u.Busy, u.Share*100)
+	for _, el := range rows[:min(4, len(rows))] {
+		share := float64(busy(el)) / float64(stream.Makespan())
+		fmt.Printf("  %-12s %12v %6.1f%%\n", field(el, "resource"), time.Duration(busy(el)), share*100)
 	}
 	return nil
 }

@@ -88,7 +88,7 @@ func serve(conns, perConn int) ([]Point, error) {
 	// a sys_conns snapshot, once via a streamof(sys_conns()) session whose
 	// initial emission enumerates every open connection.
 	want := conns + 1 // fleet + observer
-	rows, err := obs.Snap("sys_conns", "")
+	rows, err := sysConns(obs)
 	if err != nil {
 		return nil, err
 	}
@@ -259,13 +259,17 @@ func auditLongSession(addr string, obs *client.Client) (lost, extra int64, err e
 
 	wantFrames := fin.Rows + 3
 	for deadline := time.Now().Add(5 * time.Second); ; {
-		rows, err := obs.Snap("sys_conns", "")
+		rows, err := sysConns(obs)
 		if err != nil {
 			return 0, 0, err
 		}
 		var rowsOut, framesOut int64 = -1, -1
-		for _, r := range rows {
-			if id, _ := r[0].(string); id == c.ConnID && len(r) == len(server.SysConnsSchema) {
+		for _, row := range rows {
+			r, _ := row.Value.([]any)
+			if len(r) != len(server.SysConnsSchema) {
+				continue
+			}
+			if id, _ := r[0].(string); id == c.ConnID {
 				rowsOut, _ = r[5].(int64)
 				framesOut, _ = r[7].(int64)
 			}
@@ -278,6 +282,20 @@ func auditLongSession(addr string, obs *client.Client) (lost, extra int64, err e
 				framesOut, rowsOut, c.ConnID, wantFrames, fin.Rows)
 		}
 	}
+}
+
+// sysConns reads the serving layer's connection table the way any client
+// does: by statement.
+func sysConns(obs *client.Client) ([]client.Row, error) {
+	h, err := obs.Submit(`select sys_conns();`, 0)
+	if err != nil {
+		return nil, err
+	}
+	rows, fin, err := h.Wait()
+	if err == nil && fin.Err != "" {
+		err = fmt.Errorf("sys_conns(): session %s: %s", fin.State, fin.Err)
+	}
+	return rows, err
 }
 
 // percentileDur reads the p-quantile from an ascending sample slice.

@@ -22,7 +22,8 @@ import (
 //     dashboard pays per poll.
 //  3. Non-perturbation gate: the Figure 6 point-to-point query across the
 //     MPI buffer sweep, bare versus with a live streamof(sys_metrics())
-//     subscriber being ticked concurrently, Repeats pairs per point with
+//     subscriber being ticked concurrently — and sys_resources and sys_tables
+//     snapshotted on every tick — Repeats pairs per point with
 //     the side that runs first alternating. The virtual makespans must be
 //     bit-identical in every pair — the figure fails otherwise — so the
 //     bare/observed wall-clock medians quantify pure host-side overhead,
@@ -51,8 +52,10 @@ var sysqTables = []string{"sys_sessions", "sys_nodes", "sys_links", "sys_rps", "
 // observedFigure6Run executes one Figure 6 point on a fresh engine and
 // returns its virtual makespan and wall-clock duration. With observe set, a
 // streamof(sys_metrics('rp.%')) drain runs concurrently, paced by a
-// goroutine ticking the scheduler's virtual policy clock the whole run —
-// the live catalog subscriber whose non-perturbation the gate proves. The
+// goroutine ticking the scheduler's virtual policy clock the whole run and
+// snapshotting sys_resources (every device's owner table, mid-charge) and
+// sys_tables on every tick — the live catalog readers whose non-perturbation
+// the gate proves. The
 // engine is fresh per run because a live streamof drain holds a query
 // context open, which Reset correctly refuses.
 func observedFigure6Run(w workload, bufBytes int, observe bool) (vtime.Time, time.Duration, error) {
@@ -79,6 +82,8 @@ func observedFigure6Run(w workload, bufBytes int, observe bool) (vtime.Time, tim
 		if err != nil {
 			return 0, 0, err
 		}
+		resources, _ := e.SystemCatalog().Lookup("sys_resources")
+		tables, _ := e.SystemCatalog().Lookup("sys_tables")
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
@@ -94,6 +99,8 @@ func observedFigure6Run(w workload, bufBytes int, observe bool) (vtime.Time, tim
 				default:
 					vt = vt.Add(vtime.Millisecond)
 					s.ObserveVTime(vt)
+					_, _ = resources.Snap("")
+					_, _ = tables.Snap("")
 					time.Sleep(50 * time.Microsecond)
 				}
 			}

@@ -1,7 +1,8 @@
 // Package catalog is the queryable system catalog: a registry of virtual
-// system tables (sys_sessions, sys_nodes, sys_links, sys_metrics, sys_rps)
-// with typed, ordered schemas, each backed by a lock-safe snapshot provider
-// registered by the subsystem that owns the data. The paper's thesis — the
+// system tables (sys_sessions, sys_nodes, sys_links, sys_metrics, sys_rps,
+// sys_resources, and sys_tables — the catalog describing itself) with typed,
+// ordered schemas, each backed by a lock-safe snapshot provider registered
+// by the subsystem that owns the data. The paper's thesis — the
 // environment is measured by stream queries — applied to the system itself:
 // SCSQL lowers the tables as first-class relations, so a dashboard, an
 // admission policy or a test is literally a stream query over the system.
@@ -69,6 +70,26 @@ func (s Schema) String() string {
 		parts[i] = c.Name + " " + string(c.Type)
 	}
 	return "(" + strings.Join(parts, ", ") + ")"
+}
+
+// ParseSchema is the inverse of Schema.String: it reads the columns column
+// of a sys_tables row back into a schema, for a reader that received the
+// catalog over the wire and has no *Table to ask.
+func ParseSchema(s string) (Schema, error) {
+	inner, ok := strings.CutPrefix(s, "(")
+	inner, ok2 := strings.CutSuffix(inner, ")")
+	if !ok || !ok2 {
+		return nil, fmt.Errorf("catalog: schema %q is not of the form (name type, ...)", s)
+	}
+	var out Schema
+	for _, col := range strings.Split(inner, ", ") {
+		name, typ, ok := strings.Cut(col, " ")
+		if !ok || name == "" {
+			return nil, fmt.Errorf("catalog: schema %q: column %q is not \"name type\"", s, col)
+		}
+		out = append(out, Column{Name: name, Type: Type(typ)})
+	}
+	return out, nil
 }
 
 // Tuple is one row of a system table: values aligned with the table's
@@ -153,9 +174,35 @@ type Registry struct {
 	tables map[string]*Table
 }
 
-// NewRegistry returns an empty registry.
+// NewRegistry returns a registry holding one table: sys_tables, the listing
+// of the registry itself (so it lists itself), one row per Tables() entry.
+// columns is the table's Schema.String(); takes_pattern is 0/1.
 func NewRegistry() *Registry {
-	return &Registry{tables: make(map[string]*Table)}
+	r := &Registry{tables: make(map[string]*Table)}
+	t := &Table{
+		Name: "sys_tables",
+		Doc:  "the system catalog itself: every registered table with its schema",
+		Schema: Schema{
+			{Name: "name", Type: TString},
+			{Name: "doc", Type: TString},
+			{Name: "columns", Type: TString},
+			{Name: "takes_pattern", Type: TInt},
+		},
+	}
+	t.Snap = func(string) ([]Tuple, error) {
+		tabs := r.Tables()
+		rows := make([]Tuple, len(tabs))
+		for i, tab := range tabs {
+			takes := int64(0)
+			if tab.TakesPattern {
+				takes = 1
+			}
+			rows[i] = t.Row(tab.Name, tab.Doc, tab.Schema.String(), takes)
+		}
+		return rows, nil
+	}
+	r.tables[t.Name] = t
+	return r
 }
 
 // Register installs (or replaces) a table provider. Replacement is

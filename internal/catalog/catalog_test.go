@@ -1,6 +1,9 @@
 package catalog
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestLike(t *testing.T) {
 	cases := []struct {
@@ -117,7 +120,7 @@ func TestRegistryTablesSorted(t *testing.T) {
 		}
 	}
 	got := r.Tables()
-	want := []string{"sys_links", "sys_nodes", "sys_rps"}
+	want := []string{"sys_links", "sys_nodes", "sys_rps", "sys_tables"} // the registry lists itself
 	if len(got) != len(want) {
 		t.Fatalf("Tables() = %d entries, want %d", len(got), len(want))
 	}
@@ -174,5 +177,41 @@ func TestSchemaHelpers(t *testing.T) {
 	n := s.Names()
 	if len(n) != 2 || n[0] != "cluster" || n[1] != "node" {
 		t.Fatalf("Names() = %v", n)
+	}
+	if back, err := ParseSchema(s.String()); err != nil || !slices.Equal(back, s) {
+		t.Fatalf("ParseSchema(%q) = %v, %v; want the schema back", s, back, err)
+	}
+	for _, bad := range []string{"", "cluster string", "(cluster)", "( string)"} {
+		if got, err := ParseSchema(bad); err == nil {
+			t.Errorf("ParseSchema(%q) = %v, want an error", bad, got)
+		}
+	}
+}
+
+// TestSysTablesListsTheRegistry: the catalog describes itself — sys_tables is
+// there from NewRegistry on, lists itself, and follows every Register.
+func TestSysTablesListsTheRegistry(t *testing.T) {
+	r := NewRegistry()
+	self, ok := r.Lookup("sys_tables")
+	if !ok {
+		t.Fatal("a new registry has no sys_tables")
+	}
+	snap := func(string) ([]Tuple, error) { return nil, nil }
+	if err := r.Register(&Table{Name: "sys_demo", Doc: "a demo", TakesPattern: true,
+		Schema: Schema{{"id", TString}, {"n", TInt}}, Snap: snap}); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := self.Snap("")
+	if err != nil || len(rows) != 2 {
+		t.Fatalf("sys_tables: %d rows, err %v; want sys_demo and itself", len(rows), err)
+	}
+	if got := rows[0].Key(); got != "sys_demo\x1fa demo\x1f(id string, n int)\x1f1" {
+		t.Errorf("sys_demo row = %s", rows[0])
+	}
+	if name, _ := rows[1].Field("name"); name != "sys_tables" {
+		t.Errorf("sys_tables does not list itself: %s", rows[1])
+	}
+	if cols, _ := rows[1].Field("columns"); cols != self.Schema.String() {
+		t.Errorf("sys_tables describes itself as %v, its schema is %s", cols, self.Schema)
 	}
 }

@@ -45,7 +45,6 @@ type Injector struct {
 	seed int64
 
 	dialFailFirst int
-	dialFailRate  float64
 	resetRate     float64
 	dropRate      float64
 	corruptRate   float64
@@ -82,12 +81,6 @@ type Option func(*Injector)
 // mechanism the dial-retry path is tested against.
 func FailFirstDials(n int) Option {
 	return func(i *Injector) { i.dialFailFirst = n }
-}
-
-// DialFailRate makes each dial attempt fail with probability p, hashed from
-// the seed and the attempt coordinates.
-func DialFailRate(p float64) Option {
-	return func(i *Injector) { i.dialFailRate = p }
 }
 
 // ResetRate injects mid-stream connection resets (carrier.ErrPeerReset) on
@@ -228,20 +221,6 @@ func (i *Injector) NodeDead(cluster hw.ClusterName, node int) bool {
 	return i.dead[NodeRef{Cluster: cluster, Node: node}]
 }
 
-// DeadNodes returns the crashed nodes, for reporting.
-func (i *Injector) DeadNodes() []NodeRef {
-	if i == nil {
-		return nil
-	}
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	out := make([]NodeRef, 0, len(i.dead))
-	for ref := range i.dead {
-		out = append(out, ref)
-	}
-	return out
-}
-
 // Dial decides the fate of one dial attempt from src to dst. It returns nil
 // (proceed), a wrapped carrier.ErrDialTimeout (transient, retryable), or a
 // wrapped carrier.ErrNodeDown when either endpoint has crashed.
@@ -265,16 +244,12 @@ func (i *Injector) Dial(src, dst NodeRef) error {
 		cDialTimeout.Inc()
 		return fmt.Errorf("chaos: injected dial failure %d for %s->%s: %w", attempt+1, src, dst, carrier.ErrDialTimeout)
 	}
-	if i.dialFailRate > 0 && i.chance(saltDial, key, uint64(attempt)) < i.dialFailRate {
-		cDialTimeout.Inc()
-		return fmt.Errorf("chaos: injected dial failure for %s->%s: %w", src, dst, carrier.ErrDialTimeout)
-	}
 	return nil
 }
 
 // Hash salts keep the per-fault decision streams independent.
 const (
-	saltDial = iota + 1
+	_ = iota + 1 // the retired dial-rate salt: the others keep their streams
 	saltReset
 	saltDrop
 	saltCorrupt

@@ -52,14 +52,6 @@ func (c *Coordinator) Beat(id string, at vtime.Time) {
 	}
 }
 
-// BeatFrontier returns the frontmost beat ever recorded in this cluster. It
-// is monotone: unlike the per-RP beat table, it survives Unregister.
-func (c *Coordinator) BeatFrontier() vtime.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.front
-}
-
 // SetBeatObserver installs fn, invoked (outside the coordinator's mutex)
 // with the new beat frontier whenever a beat advances it. One observer; nil
 // clears it.

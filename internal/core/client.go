@@ -38,10 +38,6 @@ func (s *ClientStream) SetElementObserver(fn func(sqep.Element)) { s.obs = fn }
 // QueryID returns the id of the query this stream consumes ("q1", ...).
 func (s *ClientStream) QueryID() string { return s.qc.id }
 
-// Query returns the per-query handle of the stream's query, usable to
-// cancel it mid-drain.
-func (s *ClientStream) Query() *Query { return &Query{qc: s.qc} }
-
 // Extract returns the client-side stream of process p's output (the
 // top-level extract(p) of a query).
 func (e *Engine) Extract(p *SP) (*ClientStream, error) {
@@ -151,6 +147,7 @@ func (s *ClientStream) Drain() ([]sqep.Element, error) {
 	// (paper §2.2), so wait rounds until no new process appears in this
 	// query; finish then releases the query's leases, all at once.
 	waited := make(map[string]bool, len(sps))
+	ran := len(sps) > 0
 	for {
 		for _, sp := range sps {
 			if waited[sp.id] {
@@ -172,9 +169,21 @@ func (s *ClientStream) Drain() ([]sqep.Element, error) {
 		if len(fresh) == 0 {
 			break
 		}
-		sps = fresh
+		sps, ran = fresh, true
 	}
 	qc.finish()
+	if qc.implicit && !ran {
+		// A pure client plan — a catalog read through Exec — started no
+		// process, wired no edge, and nobody holds its identity: it leaves now
+		// rather than at a Reset that live sessions may refuse a polling
+		// reader for ever, and hands its id back if no query was opened since.
+		qc.retire()
+		e.mu.Lock()
+		if e.qSeq == qc.seq {
+			e.qSeq--
+		}
+		e.mu.Unlock()
+	}
 
 	s.err = errors.Join(errs...)
 	return s.elements, s.err

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"strings"
 	"testing"
-	"time"
 
 	"scsq/internal/hw"
 	"scsq/internal/sqep"
@@ -109,13 +108,13 @@ func TestEngineOptionValidation(t *testing.T) {
 	if _, err := NewEngine(WithMPIBufferBytes(0)); err == nil {
 		t.Error("zero MPI buffer should fail")
 	}
-	if _, err := NewEngine(WithWindowFrames(0)); err == nil {
+	if _, err := NewEngine(withWindowFrames(0)); err == nil {
 		t.Error("zero window should fail")
 	}
 }
 
 func TestEngineAccessors(t *testing.T) {
-	e, err := NewEngine(WithBGPollInterval(time.Millisecond))
+	e, err := NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +274,7 @@ func TestResetRacesDrain(t *testing.T) {
 
 func TestWindowFramesOptionBoundsInFlight(t *testing.T) {
 	// A tiny window still completes (backpressure, not deadlock).
-	e, err := NewEngine(WithWindowFrames(1))
+	e, err := NewEngine(withWindowFrames(1))
 	if err != nil {
 		t.Fatal(err)
 	}

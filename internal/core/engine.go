@@ -94,7 +94,7 @@ type Engine struct {
 	mu        sync.Mutex
 	queries   map[string]*queryCtx // every query scope not yet retired, by id
 	cur       *queryCtx            // current build target (nil outside builds)
-	qSeq      int                  // query id allocator; never rewound
+	qSeq      int                  // query id allocator; Reset never rewinds it (only an unused id returns, see Drain)
 	sched     QueryScheduler       // attached multi-tenant scheduler, or nil
 	closed    bool
 	hbStop    chan struct{}
@@ -124,24 +124,22 @@ type Edge struct {
 type Option interface{ apply(*engineConfig) }
 
 type engineConfig struct {
-	env          *hw.Env
-	files        sqep.FileTable
-	sources      map[string]sqep.SourceFunc
-	mpiBufBytes  int
-	buffering    carrier.Buffering
-	window       int
-	pollInterval time.Duration
-	realTCP      bool
-	udpLoss      float64
-	useUDP       bool
-	inj          *chaos.Injector
-	supervise    bool
-	budget       int
-	retry        carrier.RetryPolicy
-	hb           coord.HeartbeatPolicy
-	hbTau        time.Duration
-	tracer       *metrics.Tracer
-	kernelBatch  int
+	env         *hw.Env
+	files       sqep.FileTable
+	sources     map[string]sqep.SourceFunc
+	mpiBufBytes int
+	buffering   carrier.Buffering
+	window      int
+	realTCP     bool
+	udpLoss     float64
+	useUDP      bool
+	inj         *chaos.Injector
+	supervise   bool
+	budget      int
+	hb          coord.HeartbeatPolicy
+	hbTau       time.Duration
+	tracer      *metrics.Tracer
+	kernelBatch int
 }
 
 type optionFunc func(*engineConfig)
@@ -175,9 +173,10 @@ func WithBuffering(b carrier.Buffering) Option {
 	return optionFunc(func(c *engineConfig) { c.buffering = b })
 }
 
-// WithWindowFrames sets the per-connection flow-control window (frames an
-// inbox buffers before the producer blocks).
-func WithWindowFrames(n int) Option {
+// withWindowFrames sets the per-connection flow-control window (frames an
+// inbox buffers before the producer blocks; default 4). A test seam, like
+// withKernelBatch: the window bounds wall-side buffering only.
+func withWindowFrames(n int) Option {
 	return optionFunc(func(c *engineConfig) { c.window = n })
 }
 
@@ -224,12 +223,6 @@ func WithSupervision(budget int) Option {
 	})
 }
 
-// WithRetryPolicy overrides the bounded retry applied to carrier dials and
-// transient send failures (default carrier.DefaultRetryPolicy).
-func WithRetryPolicy(p carrier.RetryPolicy) Option {
-	return optionFunc(func(c *engineConfig) { c.retry = p })
-}
-
 // WithHeartbeat enables heartbeat failure detection: RPs beat their
 // coordinator every p.Interval of virtual output time, and a monitor sweep
 // (every tau of wall time) kills RPs whose beats lag the frontier by more
@@ -240,11 +233,6 @@ func WithHeartbeat(p coord.HeartbeatPolicy, tau time.Duration) Option {
 		c.hb = p
 		c.hbTau = tau
 	})
-}
-
-// WithBGPollInterval sets how often bgCC polls feCC for new subqueries.
-func WithBGPollInterval(d time.Duration) Option {
-	return optionFunc(func(c *engineConfig) { c.pollInterval = d })
 }
 
 // pacerHorizon is the conservative-pacing window: no RP of a query runs more
@@ -278,13 +266,11 @@ func WithTracer(t *metrics.Tracer) Option {
 // LOFAR environment.
 func NewEngine(opts ...Option) (*Engine, error) {
 	cfg := engineConfig{
-		sources:      make(map[string]sqep.SourceFunc),
-		mpiBufBytes:  64 * 1024,
-		buffering:    carrier.DoubleBuffered,
-		window:       4,
-		pollInterval: 200 * time.Microsecond,
-		retry:        carrier.DefaultRetryPolicy,
-		kernelBatch:  DefaultKernelBatch,
+		sources:     make(map[string]sqep.SourceFunc),
+		mpiBufBytes: 64 * 1024,
+		buffering:   carrier.DoubleBuffered,
+		window:      4,
+		kernelBatch: DefaultKernelBatch,
 	}
 	for _, o := range opts {
 		o.apply(&cfg)
@@ -319,7 +305,7 @@ func NewEngine(opts ...Option) (*Engine, error) {
 		kernelBatch: cfg.kernelBatch,
 		queries:     make(map[string]*queryCtx),
 		inj:         cfg.inj,
-		retry:       cfg.retry,
+		retry:       carrier.DefaultRetryPolicy,
 		hb:          cfg.hb,
 		hbTau:       cfg.hbTau,
 		reg:         metrics.NewRegistry(),
@@ -346,7 +332,9 @@ func NewEngine(opts ...Option) (*Engine, error) {
 		cc.SetMetrics(e.reg)
 		e.coords[c] = cc
 	}
-	poller, err := coord.NewBGPoller(e.coords[hw.FrontEnd], e.coords[hw.BlueGene], cfg.pollInterval)
+	// The poll interval is the poller's default: the doorbell rings on every
+	// BlueGene placement, so the tick is only the fallback.
+	poller, err := coord.NewBGPoller(e.coords[hw.FrontEnd], e.coords[hw.BlueGene], 0)
 	if err != nil {
 		return nil, err
 	}
@@ -377,7 +365,7 @@ func NewEngine(opts ...Option) (*Engine, error) {
 		e.hbStopped.Add(1)
 		go e.heartbeatMonitor()
 	}
-	e.registerSystemTables()
+	e.registerCatalog()
 	return e, nil
 }
 
@@ -897,9 +885,6 @@ type wiring struct {
 // ID returns the SP's unique identity.
 func (s *SP) ID() string { return s.id }
 
-// Cluster returns the cluster the SP runs in.
-func (s *SP) Cluster() hw.ClusterName { return s.cluster }
-
 // Node returns the compute node the SP is currently assigned to (a
 // supervised re-placement moves it).
 func (s *SP) Node() int {
@@ -907,9 +892,6 @@ func (s *SP) Node() int {
 	defer s.mu.Unlock()
 	return s.node
 }
-
-// Stats returns the SP's monitoring counters.
-func (s *SP) Stats() rp.Stats { return s.proc().Stats() }
 
 func (s *SP) proc() *rp.RP {
 	s.mu.Lock()

@@ -39,6 +39,10 @@ type queryCtx struct {
 	eng *Engine
 	id  string // "q1", "q2", ... — the owner tag of leases, metrics, charges
 	seq int    // allocation order, which orders Engine.Edges
+	// implicit marks a query the engine opened by itself for a statement that
+	// names none (Exec, the programmatic SP/Extract/Drain path): nobody holds
+	// a handle on it, so the engine decides when it goes — see Drain.
+	implicit bool
 
 	// pacer is the query's own conservative-pacing group: the source RPs of
 	// one query gate on each other's virtual progress, never on another
@@ -234,13 +238,6 @@ func (q *Query) Cancel(cause error) {
 	q.qc.cancel(cause)
 }
 
-// Cancelled reports whether Cancel was called, and the planted cause.
-func (q *Query) Cancelled() (bool, error) {
-	q.qc.mu.Lock()
-	defer q.qc.mu.Unlock()
-	return q.qc.cancelled, q.qc.cause
-}
-
 // SPCount returns how many stream processes the query holds (none once it
 // finished).
 func (q *Query) SPCount() int {
@@ -386,6 +383,7 @@ func (e *Engine) buildTarget(joinLive bool) *queryCtx {
 		}
 	}
 	e.cur = e.newQueryLocked()
+	e.cur.implicit = true
 	return e.cur
 }
 
@@ -431,41 +429,11 @@ func (e *Engine) beginDrain(qc *queryCtx) error {
 	return nil
 }
 
-// LeasedNodes returns the node ids the query currently leases in cluster c,
-// sorted — the audit surface for release-on-completion and cancel.
-func (e *Engine) LeasedNodes(c string, qid string) []int {
-	for name, cc := range e.coords {
-		if string(name) == c {
-			return cc.DB().LeasedNodes(qid)
-		}
-	}
-	return nil
-}
-
-// QueryStatus is one row of the scheduler's session table, surfaced to
-// SCSQL's ps() through the QueryScheduler interface.
-type QueryStatus struct {
-	ID        string
-	State     string
-	Priority  int
-	Statement string
-	Nodes     int // node reservations currently leased
-
-	// Resilience columns (zero when the feature is off). All three are
-	// virtual-time quantities: the scheduler's policy clock never reads the
-	// wall clock, so the same schedule yields the same ages and deadlines.
-	AgeNs      int64 // virtual nanoseconds spent in the current state
-	DeadlineNs int64 // absolute virtual-time deadline governing the state, 0 = none
-	Retries    int   // transient-admission retries consumed so far
-}
-
 // QueryScheduler is the engine's hook to an attached multi-tenant scheduler
 // (internal/sched implements it). The indirection exists because the
 // scheduler builds on the SCSQL evaluator, which builds on this package: the
 // engine can only know the scheduler by interface.
 type QueryScheduler interface {
-	// QueryStatuses lists the scheduler's sessions in submission order.
-	QueryStatuses() []QueryStatus
 	// CancelQuery cancels the identified session.
 	CancelQuery(id string) error
 }
@@ -489,7 +457,8 @@ type CapacityObserver interface {
 }
 
 // SetQueryScheduler attaches a scheduler to the engine, making it visible
-// to SCSQL's ps() and cancel() functions. If the scheduler implements
+// to SCSQL's cancel() function (its sessions are read through the sys_sessions
+// table it registers). If the scheduler implements
 // VTimeObserver it is additionally wired to every cluster coordinator's beat
 // frontier, so heartbeat traffic drives its virtual policy clock; attaching
 // nil (or a non-observer) unwires the frontier.

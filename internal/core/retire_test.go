@@ -310,3 +310,64 @@ func TestImplicitQueriesGetFreshScopes(t *testing.T) {
 		t.Errorf("%d edges, %d scopes left after Reset", len(e.Edges()), len(e.queries))
 	}
 }
+
+// TestClientOnlyStatementLeavesNothing: a pure client plan — what a catalog
+// read through Exec compiles to — is retired by its own Drain and hands its
+// id back, so an embedder polling the system between (or during) queries
+// accumulates no scope and shifts no query's id; a query with processes keeps
+// its scope until Reset, as before.
+func TestClientOnlyStatementLeavesNothing(t *testing.T) {
+	e, err := NewEngine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	read := func() {
+		t.Helper()
+		cs, err := e.ClientPlan(func(*PlanBuilder) (sqep.Operator, error) {
+			return sqep.NewThunk("read", func() ([]any, error) { return []any{int64(len(e.Edges()))}, nil }), nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cs.One(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		read()
+	}
+	if len(e.queries) != 0 {
+		t.Fatalf("%d scopes left by 50 reads", len(e.queries))
+	}
+	first := figure5(t, e, 1000, 3)
+	if _, err := first.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		read()
+	}
+	second := figure5(t, e, 1000, 3)
+	if first.QueryID() != "q1" || second.QueryID() != "q2" {
+		t.Errorf("queries ran as %s and %s around 100 reads, want q1 and q2", first.QueryID(), second.QueryID())
+	}
+	if _, err := second.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if len(e.queries) != 2 {
+		t.Errorf("%d scopes open, want the two drained queries'", len(e.queries))
+	}
+	// A read that overlaps a later query's id keeps the id it was given.
+	q, err := e.BeginQuery()
+	if err != nil {
+		t.Fatal(err)
+	}
+	read()
+	if q.ID() != "q3" || len(e.queries) != 3 {
+		t.Errorf("BeginQuery gave %s with %d scopes open, want q3 and 3", q.ID(), len(e.queries))
+	}
+	q.Retire()
+	if err := e.Reset(); err != nil {
+		t.Fatal(err)
+	}
+}

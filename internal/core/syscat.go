@@ -1,7 +1,7 @@
 package core
 
 // syscat.go registers the engine-owned system catalog tables: sys_nodes,
-// sys_links, sys_rps and sys_metrics. Each provider captures a consistent
+// sys_links, sys_rps, sys_metrics and sys_resources. Each provider captures a consistent
 // snapshot under at most one subsystem lock at a time (cndb's, the
 // coordinator registry's, the engine edge list's, or the metrics
 // registry's atomics) and never enters the build or drain paths, so a
@@ -10,6 +10,8 @@ package core
 // sys_sessions into the same registry when it attaches (internal/sched).
 
 import (
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -26,7 +28,7 @@ func (e *Engine) SystemCatalog() *catalog.Registry { return e.syscat }
 // BlueGene — the paper's pipeline order.
 var clusterOrder = []hw.ClusterName{hw.FrontEnd, hw.BackEnd, hw.BlueGene}
 
-func (e *Engine) registerSystemTables() {
+func (e *Engine) registerCatalog() {
 	must := func(err error) {
 		if err != nil {
 			panic(err) // static schemas: an error here is a programming bug
@@ -36,6 +38,7 @@ func (e *Engine) registerSystemTables() {
 	must(e.syscat.Register(e.sysLinksTable()))
 	must(e.syscat.Register(e.sysRPsTable()))
 	must(e.syscat.Register(e.sysMetricsTable()))
+	must(e.syscat.Register(e.sysResourcesTable()))
 }
 
 // sysNodesTable joins cndb placement/liveness state with the torus geometry
@@ -178,14 +181,17 @@ func (e *Engine) sysRPsTable() *catalog.Table {
 }
 
 // sysMetricsTable exposes the full metrics registry, one row per metric,
-// filtered by an optional SQL-LIKE pattern over the metric name. Counters
-// and gauges use the value column; histograms use count/sum/min/max.
-// Ordering is kind (counter, gauge, histogram) then name — the same order
-// monitor() has always printed.
+// filtered by an optional SQL-LIKE pattern over the metric name, or — for a
+// pattern of the form '@q3' — scoped to the metrics of query q3 (names
+// carrying a "q3/" path segment or a ".q3" suffix; Snapshot.ForQuery).
+// Counters and gauges use the value column; histograms use
+// count/sum/min/max. Ordering is kind (counter, gauge, histogram) then name.
+// This is the one loop over the registry snapshot: SCSQL's monitor() and the
+// shell's \stats project these rows.
 func (e *Engine) sysMetricsTable() *catalog.Table {
 	t := &catalog.Table{
 		Name:         "sys_metrics",
-		Doc:          "the full metrics registry; optional SQL-LIKE name pattern",
+		Doc:          "the full metrics registry; optional SQL-LIKE name pattern, or '@qid' for one query's",
 		TakesPattern: true,
 		Schema: catalog.Schema{
 			{Name: "kind", Type: catalog.TString},
@@ -198,8 +204,11 @@ func (e *Engine) sysMetricsTable() *catalog.Table {
 		},
 	}
 	t.Snap = func(pattern string) ([]catalog.Tuple, error) {
-		match := catalog.Like(pattern)
 		snap := e.reg.Snapshot()
+		if qid, ok := strings.CutPrefix(pattern, "@"); ok {
+			snap, pattern = snap.ForQuery(qid), ""
+		}
+		match := catalog.Like(pattern)
 		var rows []catalog.Tuple
 		for _, name := range snap.CounterNames() {
 			if match(name) {
@@ -218,6 +227,35 @@ func (e *Engine) sysMetricsTable() *catalog.Table {
 				h := snap.Histograms[name]
 				rows = append(rows, t.Row("histogram", name, int64(0),
 					h.Count, h.SumNs, h.MinNs, h.MaxNs))
+			}
+		}
+		return rows, nil
+	}
+	return t
+}
+
+// sysResourcesTable reports every simulated device's busy time per owner:
+// one row per (resource, owner) that was charged, devices in Env.Resources()
+// order, owners sorted. owner is a query id, vtime.RetiredOwner for the
+// folded time of retired queries, or vtime.AnonymousOwner; a device's rows
+// sum to its BusyTime — the load term a bottleneck analysis compares ("the
+// BlueGene I/O is a bottleneck" is the busiest io*.fwd row).
+func (e *Engine) sysResourcesTable() *catalog.Table {
+	t := &catalog.Table{
+		Name: "sys_resources",
+		Doc:  "simulated devices: virtual busy time per owning query (retired owners folded)",
+		Schema: catalog.Schema{
+			{Name: "resource", Type: catalog.TString},
+			{Name: "owner", Type: catalog.TString},
+			{Name: "busy_ns", Type: catalog.TInt},
+		},
+	}
+	t.Snap = func(string) ([]catalog.Tuple, error) {
+		var rows []catalog.Tuple
+		for _, r := range e.env.Resources() {
+			busy := r.OwnerBusy() // one resource lock at a time
+			for _, owner := range slices.Sorted(maps.Keys(busy)) {
+				rows = append(rows, t.Row(r.Name(), owner, int64(busy[owner])))
 			}
 		}
 		return rows, nil

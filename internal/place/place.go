@@ -35,16 +35,12 @@
 //   - shared Linux clusters: NIC serialization (BeNICByte/FENICByte) per
 //     co-resident RP on the candidate.
 //
-// Two objectives are selectable per engine. AggregateThroughput (the
-// default) greedily minimizes the summed cost of the batch with lookahead:
-// each slot is scored with the previous slots' picks counted as occupied
-// and owned, so a bag placement spreads the way the whole batch wants, not
-// the way slot one wants. MaxStretch instead minimizes the worst sharing
-// degree any session would experience after the placement (the stretch
-// objective of the scheduling literature), breaking ties by aggregate cost.
-// All ties break deterministically toward the lowest node id, keeping plans
-// a pure function of the admission-time snapshot — the determinism contract
-// of DESIGN.md §9.
+// The one objective, AggregateThroughput, greedily minimizes the summed cost
+// of the batch with lookahead: each slot is scored with the previous slots'
+// picks counted as occupied and owned, so a bag placement spreads the way the
+// whole batch wants, not the way slot one wants. All ties break
+// deterministically toward the lowest node id, keeping plans a pure function
+// of the admission-time snapshot — the determinism contract of DESIGN.md §9.
 package place
 
 import (
@@ -58,37 +54,20 @@ import (
 	"scsq/internal/torus"
 )
 
-// Objective selects what the planner optimizes.
+// Objective names what the planner optimizes.
 type Objective int
 
-const (
-	// AggregateThroughput maximizes estimated system throughput: greedy
-	// minimal summed per-byte cost with lookahead across the batch.
-	AggregateThroughput Objective = iota
-	// MaxStretch minimizes the maximum sharing degree (forwarder or NIC
-	// co-residency) any session experiences after the placement.
-	MaxStretch
-)
+// AggregateThroughput maximizes estimated system throughput: greedy minimal
+// summed per-byte cost with lookahead across the whole batch.
+const AggregateThroughput Objective = iota
 
 // String names the objective as sys_placements reports it.
-func (o Objective) String() string {
-	switch o {
-	case MaxStretch:
-		return "maxstretch"
-	default:
-		return "aggregate"
-	}
-}
+func (o Objective) String() string { return "aggregate" }
 
-// Config parameterizes a Planner. The zero value is the default planner:
-// aggregate-throughput objective with full batch lookahead.
+// Config parameterizes a Planner. The zero value is the planner.
 type Config struct {
-	// Objective selects the optimization target.
+	// Objective is the optimization target.
 	Objective Objective
-	// Lookahead bounds how many slots of a batch are planned with state
-	// simulation (earlier picks counted as occupied). 0 means the whole
-	// batch; 1 degrades to pure slot-by-slot greedy.
-	Lookahead int
 }
 
 // Decision records one planning call, as exposed by sys_placements.
@@ -148,24 +127,11 @@ func New(env *hw.Env, dbs map[hw.ClusterName]*cndb.DB, cfg Config) *Planner {
 	return &Planner{env: env, dbs: dbs, cfg: cfg}
 }
 
-// Config returns the planner's configuration.
-func (p *Planner) Config() Config { return p.cfg }
-
 // Decisions returns the retained decision log, oldest first.
 func (p *Planner) Decisions() []Decision {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return append([]Decision(nil), p.decisions...)
-}
-
-// Reset clears the decision log (the engine's Reset does not reach into the
-// planner; the owning scheduler resets it when a fresh measurement batch
-// starts).
-func (p *Planner) Reset() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.seq = 0
-	p.decisions = nil
 }
 
 // record appends one decision under the log cap.
@@ -204,13 +170,7 @@ func (p *Planner) PlanPlacement(owner string, c hw.ClusterName, candidates []int
 		return nil, false
 	}
 
-	simSlots := batch
-	if p.cfg.Lookahead > 0 && p.cfg.Lookahead < simSlots {
-		simSlots = p.cfg.Lookahead
-	}
-	if simSlots > len(admissible) {
-		simSlots = len(admissible)
-	}
+	simSlots := min(batch, len(admissible))
 
 	// Planning must stay cheap in real time: admission interleaving with
 	// already-running sessions is wall-clock-sensitive, and a slow planner
@@ -264,14 +224,7 @@ func (p *Planner) PlanPlacement(owner string, c hw.ClusterName, candidates []int
 		keys[i] = p.scoreKey(v, remaining[i])
 	}
 	sort.Sort(&tailSorter{keys: keys, nodes: remaining})
-	for j, n := range remaining {
-		order = append(order, n)
-		// Slots the simulation did not cover (admissible shorter than the
-		// lookahead window never hits this) still contribute to the score.
-		if simSlots+j < batch {
-			score += keys[j].cost
-		}
-	}
+	order = append(order, remaining...)
 
 	chosen := order
 	if len(chosen) > batch {
@@ -283,11 +236,11 @@ func (p *Planner) PlanPlacement(owner string, c hw.ClusterName, candidates []int
 	return order, true
 }
 
-// scoreKey is one candidate's cached ordering key: (primary, secondary)
-// lexicographic, node id as the caller-supplied final tie break, plus the
-// raw cost for Decision.Score.
+// scoreKey is one candidate's cached ordering key: its estimated per-byte
+// cost (also what Decision.Score sums), node id as the caller-supplied tie
+// break.
 type scoreKey struct {
-	primary, secondary, cost float64
+	cost float64
 }
 
 // tailSorter orders the unplanned tail by cached key without the reflection
@@ -307,22 +260,10 @@ func (s *tailSorter) Swap(a, b int) {
 }
 
 func (k scoreKey) less(o scoreKey, n, on int) bool {
-	if k.primary != o.primary {
-		return k.primary < o.primary
-	}
-	if k.secondary != o.secondary {
-		return k.secondary < o.secondary
+	if k.cost != o.cost {
+		return k.cost < o.cost
 	}
 	return n < on
-}
-
-// scoreKey evaluates one candidate under the view's current simulated state.
-func (p *Planner) scoreKey(v *view, n int) scoreKey {
-	stretch, cost := p.scoreWithCost(v, n)
-	if p.cfg.Objective == MaxStretch {
-		return scoreKey{primary: float64(stretch), secondary: cost, cost: cost}
-	}
-	return scoreKey{primary: cost, cost: cost}
 }
 
 // refineWidth is how many of a slot's best base-scored candidates get the
@@ -345,40 +286,30 @@ func (p *Planner) refine(v *view, n int, base scoreKey) scoreKey {
 		return base
 	}
 	m := p.env.Cost
-	add := float64(m.PacketCost) / float64(m.TorusPacketBytes) * m.FwdFactor * float64(busy)
-	base.cost += add
-	if p.cfg.Objective == MaxStretch {
-		base.secondary += add
-	} else {
-		base.primary += add
-	}
+	base.cost += float64(m.PacketCost) / float64(m.TorusPacketBytes) * m.FwdFactor * float64(busy)
 	return base
 }
 
-// scoreWithCost estimates the placement's sharing degree (stretch) and
-// marginal per-byte cost for candidate n under the view's simulated state.
-func (p *Planner) scoreWithCost(v *view, n int) (stretch int, cost float64) {
+// scoreKey estimates the marginal per-byte cost of candidate n under the
+// view's current simulated state.
+func (p *Planner) scoreKey(v *view, n int) scoreKey {
 	m := p.env.Cost
 	if v.bg {
-		ps := n / v.psetSize
-		foreign := v.foreignPset[ps]
 		// Forwarder sharing: every foreign lease in the pset serializes its
 		// bytes through the same I/O node ciod.
-		cost += m.IOByte * float64(foreign)
-		stretch = foreign + v.ownPset[ps] + 1
+		cost := m.IOByte * float64(v.foreignPset[n/v.psetSize])
 		if len(v.ownNodes) > 0 {
 			_, hops := v.nearestOwn(n)
 			perByteHop := float64(m.PacketCost) / float64(m.TorusPacketBytes)
 			cost += perByteHop * float64(hops)
 		}
-		return stretch, cost
+		return scoreKey{cost}
 	}
 	nic := m.BeNICByte
 	if v.cluster == hw.FrontEnd {
 		nic = m.FENICByte
 	}
-	load := v.rps[n] + v.simOwn[n]
-	return load + 1, nic * float64(load)
+	return scoreKey{nic * float64(v.rps[n]+v.simOwn[n])}
 }
 
 // view is the planner's per-call snapshot of one cluster, plus the
@@ -398,7 +329,6 @@ type view struct {
 	tor         *torus.Torus
 	foreignNode []bool // node leased by at least one other owner
 	foreignPset []int  // foreign lease count per pset (BG only)
-	ownPset     []int  // own lease count per pset (BG only)
 	ownNodes    []int
 	route       []int // busyOn's scratch: the route being walked
 }
@@ -425,7 +355,6 @@ func (p *Planner) snapshot(owner string, db *cndb.DB) *view {
 	if v.bg && v.psetSize > 0 {
 		npsets := (v.size + v.psetSize - 1) / v.psetSize
 		v.foreignPset = make([]int, npsets)
-		v.ownPset = make([]int, npsets)
 	}
 	for _, st := range states {
 		v.dead[st.Node] = st.Dead
@@ -437,9 +366,6 @@ func (p *Planner) snapshot(owner string, db *cndb.DB) *view {
 		}
 		if l.Owner == owner {
 			v.ownNodes = append(v.ownNodes, l.Node)
-			if v.bg {
-				v.ownPset[l.Node/v.psetSize]++
-			}
 			continue
 		}
 		v.foreignNode[l.Node] = true
@@ -489,9 +415,6 @@ func (v *view) take(n int) {
 	v.simOwn[n]++
 	v.ownNodes = append(v.ownNodes, n)
 	sort.Ints(v.ownNodes)
-	if v.bg {
-		v.ownPset[n/v.psetSize]++
-	}
 }
 
 // nearestOwn returns the session's already-placed node closest to candidate

@@ -91,32 +91,6 @@ func TestBatchLookaheadPlansWholeBag(t *testing.T) {
 	}
 }
 
-// MaxStretch minimizes the worst sharing degree: with pset 0 holding one
-// foreign lease and pset 1 holding two, and all other psets dead, the
-// planner must pick the free node of the lighter pset.
-func TestMaxStretchPicksLightestPset(t *testing.T) {
-	_, dbs, p := harness(t, Config{Objective: MaxStretch})
-	bg := dbs[hw.BlueGene]
-	lease(t, bg, "qa", 0)
-	lease(t, bg, "qb", 8)
-	lease(t, bg, "qb", 9)
-	for id := 16; id < 32; id++ {
-		bg.MarkDead(id)
-	}
-	order, ok := p.PlanPlacement("qc", hw.BlueGene, nil, 1)
-	if !ok || len(order) == 0 {
-		t.Fatalf("plan failed")
-	}
-	if got := order[0]; got != 1 {
-		t.Fatalf("maxstretch pick: node %d, want 1 (pset 0, lighter by one lease)", got)
-	}
-	for _, n := range order {
-		if n >= 16 {
-			t.Fatalf("dead node %d in planned order %v", n, order)
-		}
-	}
-}
-
 // The planner only reorders what the sequence allows: out-of-range ids and
 // duplicates are dropped, nothing outside the candidate set appears, and an
 // entirely inadmissible set reports a fallback decision.
@@ -155,7 +129,7 @@ func TestUnknownClusterFallsBack(t *testing.T) {
 }
 
 // Seeded property test: whatever the cluster state, candidate set, batch
-// size, objective and lookahead, every node the planner proposes satisfies
+// size, every node the planner proposes satisfies
 // the sequence's constraints — in range, within the candidate set, alive,
 // unique, and unoccupied on exclusive clusters — and planning is a pure
 // function of the snapshot (same state ⇒ same order).
@@ -164,11 +138,7 @@ func TestPlannedPlacementsAlwaysAdmissible(t *testing.T) {
 	dims := [][3]int{{4, 4, 2}, {4, 4, 4}, {8, 4, 4}}
 	for iter := 0; iter < 150; iter++ {
 		d := dims[rng.Intn(len(dims))]
-		cfg := Config{
-			Objective: Objective(rng.Intn(2)),
-			Lookahead: rng.Intn(4),
-		}
-		_, dbs, p := harness(t, cfg, hw.WithTorusDims(d[0], d[1], d[2]))
+		_, dbs, p := harness(t, Config{}, hw.WithTorusDims(d[0], d[1], d[2]))
 		cluster := hw.BlueGene
 		if rng.Intn(3) == 0 {
 			cluster = hw.BackEnd

@@ -5,7 +5,7 @@ package sched
 // lease acquisition probes the planner's candidate order instead of the raw
 // sequence order, and the sys_placements catalog table exposes the planner's
 // decisions. Like sys_conns, the table registers only when the feature is
-// attached, so planner-less engines keep the golden five-table catalog (and
+// attached, so planner-less engines keep the golden seven-table catalog (and
 // bit-identical schedules: with no planner installed the placement path does
 // not change at all).
 
@@ -20,8 +20,8 @@ import (
 
 // WithPlacementPlanner attaches a cost-model placement planner to the
 // engine for the lifetime of this scheduler: admissions are placed to
-// maximize estimated aggregate throughput (or minimize max-stretch) across
-// live sessions instead of greedily walking the allocation sequence.
+// maximize estimated aggregate throughput across live sessions instead of
+// greedily walking the allocation sequence.
 // Attaching a scheduler without this option removes any previously
 // installed planner, restoring the historic greedy placement.
 func WithPlacementPlanner(cfg place.Config) Option {

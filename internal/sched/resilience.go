@@ -49,9 +49,6 @@ func (s *Scheduler) NodeDied(cluster string, node int) {
 	go s.admit()
 }
 
-// VNow returns the scheduler's current virtual policy time.
-func (s *Scheduler) VNow() vtime.Time { return s.alarms.Now() }
-
 // sweep is the policy pass run at the top of every admission attempt
 // (admitMu held): expire queued and parked sessions past their queue
 // deadline, promote parked sessions whose retry backoff elapsed, and tear

@@ -16,6 +16,10 @@
 // contract, which the scheduler preserves by never injecting wall time into
 // any decision.
 //
+// Catalog reads (scsql.CatalogRead: `select sys_sessions();`, ps(), ...) lease
+// no node and are not admitted at all: Submit runs them at once, so the system
+// stays readable when it is congested, and they leave the table as they end.
+//
 // Bounded history: the session table holds the live sessions plus the last
 // finishedWindow finished ones. A finished session keeps only its terminal
 // row, error, makespan and result log — the SP graph goes at finalization
@@ -142,7 +146,7 @@ func WithQueueCap(n int) Option { return func(s *Scheduler) { s.queueCap = n } }
 
 // WithMaxConcurrent bounds how many sessions may be admitted at once,
 // independent of node availability. Zero (the default) means limited only by
-// the node pool.
+// the node pool. Catalog reads are not admitted and do not count.
 func WithMaxConcurrent(n int) Option { return func(s *Scheduler) { s.maxConc = n } }
 
 // WithFairSlice enables fair-sharing of the environment's shared transport
@@ -338,6 +342,9 @@ type Query struct {
 	seq  int
 	prio int
 	src  string
+	// reader marks a catalog read (scsql.CatalogRead): it leases no node, so
+	// it runs without admission and leaves the session table as it ends.
+	reader bool
 
 	// TTLs are fixed at Submit; the absolute deadlines they induce are
 	// anchored on the scheduler's virtual clock (queue deadline at
@@ -379,9 +386,6 @@ func (q *Query) ID() string { return q.id }
 
 // Statement returns the submitted SCSQL source.
 func (q *Query) Statement() string { return q.src }
-
-// Priority returns the admission priority.
-func (q *Query) Priority() int { return q.prio }
 
 // State returns the session's current lifecycle state.
 func (q *Query) State() State {
@@ -436,8 +440,9 @@ func (q *Query) Nodes() int { return q.s.eng.LeaseCount(q.ID()) }
 
 // Submit parses src and schedules it. Syntax errors are returned
 // synchronously. Function definitions execute immediately (they touch only
-// the catalog) and return a session already in Done. Query statements enter
-// the admission queue and are admitted as soon as their allocation sequences
+// the catalog) and return a session already in Done; catalog reads start
+// immediately (they lease no node). Every other query statement enters
+// the admission queue and is admitted as soon as its allocation sequences
 // can be satisfied, in FIFO-within-priority order.
 func (s *Scheduler) Submit(src string, opts ...SubmitOption) (*Query, error) {
 	stmt, err := scsql.Parse(src)
@@ -448,12 +453,13 @@ func (s *Scheduler) Submit(src string, opts ...SubmitOption) (*Query, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
+	reader := scsql.CatalogRead(stmt, s.eng.SystemCatalog())
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return nil, ErrClosed
 	}
-	if stmt.Query != nil && s.queueCap > 0 && len(s.pending) >= s.queueCap &&
+	if stmt.Query != nil && !reader && s.queueCap > 0 && len(s.pending) >= s.queueCap &&
 		s.shedVictimLocked(cfg.priority) == nil {
 		// Fast-path rejection only when shedding could not possibly make
 		// room; the authoritative decision is re-made in the enqueue critical
@@ -473,6 +479,7 @@ func (s *Scheduler) Submit(src string, opts ...SubmitOption) (*Query, error) {
 		id:        cq.ID(),
 		prio:      cfg.priority,
 		src:       src,
+		reader:    reader,
 		stmt:      stmt,
 		cq:        cq,
 		state:     Queued,
@@ -482,24 +489,15 @@ func (s *Scheduler) Submit(src string, opts ...SubmitOption) (*Query, error) {
 		done:      make(chan struct{}),
 	}
 
+	// A definition touches only the catalog and a catalog read leases no node:
+	// neither has anything to be admitted for, so both run here, whatever the
+	// queue holds.
+	direct := stmt.Def != nil || reader
 	if stmt.Def != nil {
-		// Definitions touch only the catalog: no nodes, no admission.
-		_, err := s.ev.ExecStatement(stmt)
-		cq.Retire()
-		if err != nil {
+		if _, err := s.ev.ExecStatement(stmt); err != nil {
+			cq.Retire()
 			return nil, err
 		}
-		s.mu.Lock()
-		s.seq++
-		q.seq = s.seq
-		s.queries[q.id] = q
-		s.order = append(s.order, q)
-		s.live++
-		s.mu.Unlock()
-		s.finalize(q, Done, nil)
-		s.mSubmitted.Inc()
-		s.mCompleted.Inc()
-		return q, nil
 	}
 
 	s.mu.Lock()
@@ -509,7 +507,7 @@ func (s *Scheduler) Submit(src string, opts ...SubmitOption) (*Query, error) {
 		return nil, ErrClosed
 	}
 	var victim *Query
-	if s.queueCap > 0 && len(s.pending) >= s.queueCap {
+	if !direct && s.queueCap > 0 && len(s.pending) >= s.queueCap {
 		// Re-check in the critical section that enqueues: the early check
 		// above is only a fast path, and concurrent Submits may have filled
 		// the queue while this one was in BeginQuery. A full queue sheds its
@@ -533,6 +531,22 @@ func (s *Scheduler) Submit(src string, opts ...SubmitOption) (*Query, error) {
 	s.queries[q.id] = q
 	s.order = append(s.order, q)
 	s.live++
+	if direct {
+		s.mu.Unlock()
+		s.mSubmitted.Inc()
+		if stmt.Def != nil {
+			cq.Retire()
+			s.mCompleted.Inc()
+			s.finalize(q, Done, nil)
+		} else if err := s.build(q); err != nil {
+			s.finishQueued(q, Failed, err, s.mFailed)
+		} else {
+			// Not counted as running: a reader can neither delay an admission
+			// nor change how an unsatisfiable head is classified.
+			go s.run(q)
+		}
+		return q, nil
+	}
 	if q.queueTTL > 0 {
 		q.queueDeadline = s.alarms.Now().Add(q.queueTTL)
 	}
@@ -741,8 +755,8 @@ func (s *Scheduler) finishQueued(q *Query, st State, err error, c *metrics.Count
 // whoever holds its claim — and moves it from the live sessions into the
 // finished window. The session lets go of its statement and stream (the whole
 // SP graph); what a held handle can still ask for (state, error, makespan,
-// results) stays. The session that thereby leaves the window is forgotten by
-// id here, and its engine scope retired.
+// results) stays. The session that thereby leaves the window — a reader, at
+// once — is forgotten by id here, and its engine scope retired.
 func (s *Scheduler) finalize(q *Query, st State, err error) {
 	q.mu.Lock()
 	q.state = st
@@ -753,12 +767,17 @@ func (s *Scheduler) finalize(q *Query, st State, err error) {
 	var evicted *Query
 	s.mu.Lock()
 	s.live--
-	s.finished = append(s.finished, q)
-	if len(s.finished) > finishedWindow {
+	if q.reader {
+		// A reader takes no place in the window — polling the catalog must
+		// not push the sessions it asks about out of it.
+		evicted = q
+	} else if s.finished = append(s.finished, q); len(s.finished) > finishedWindow {
 		evicted = s.finished[0]
 		// slices.Delete zeroes the vacated slot, so neither array pins the
 		// evicted session.
 		s.finished = slices.Delete(s.finished, 0, 1)
+	}
+	if evicted != nil {
 		i := slices.Index(s.order, evicted)
 		s.order = slices.Delete(s.order, i, i+1)
 		delete(s.queries, evicted.id)
@@ -817,6 +836,9 @@ func (s *Scheduler) run(q *Query) {
 		s.mExpired.Inc()
 	}
 	s.finalize(q, st, err)
+	if q.reader {
+		return // never counted as running, released nothing
+	}
 	s.mu.Lock()
 	s.running--
 	s.gRunning.Set(int64(s.running))
@@ -937,25 +959,6 @@ func (s *Scheduler) Active() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.live
-}
-
-// QueryStatuses implements core.QueryScheduler for SCSQL's ps().
-func (s *Scheduler) QueryStatuses() []core.QueryStatus {
-	infos := s.List()
-	out := make([]core.QueryStatus, len(infos))
-	for i, in := range infos {
-		out[i] = core.QueryStatus{
-			ID:         in.ID,
-			State:      in.State.String(),
-			Priority:   in.Priority,
-			Statement:  in.Statement,
-			Nodes:      in.Nodes,
-			AgeNs:      int64(in.Age),
-			DeadlineNs: int64(in.Deadline),
-			Retries:    in.Retries,
-		}
-	}
-	return out
 }
 
 // CancelQuery implements core.QueryScheduler for SCSQL's cancel(qid).

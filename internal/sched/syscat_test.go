@@ -1,10 +1,14 @@
 package sched
 
 import (
+	"errors"
 	"sync"
 	"testing"
+	"time"
 
+	"scsq/internal/catalog"
 	"scsq/internal/scsql"
+	"scsq/internal/sqep"
 	"scsq/internal/vtime"
 )
 
@@ -138,4 +142,88 @@ func TestSubscribeVTimeCoalesceAndClose(t *testing.T) {
 		t.Fatal("Close did not end the subscription")
 	}
 	s.tickSubscribers() // after Close: must not panic
+}
+
+// TestCatalogReadSkipsAdmission: a statement that only reads the system
+// catalog leases no node, so it answers in exactly the states it is asked
+// about — a head waiting for nodes, the queue at its cap, maxConc sessions
+// running — lists the blocked session, and leaves the session table as it
+// ends. Anything that could hold a node or never end still queues.
+func TestCatalogReadSkipsAdmission(t *testing.T) {
+	e, release := gatedEngine(t)
+	defer release()
+	s := New(e, nil, WithQueueCap(1), WithMaxConcurrent(1))
+	defer s.Close()
+
+	hog, err := s.Submit(gateHogSrc)
+	if err != nil {
+		t.Fatalf("submit hog: %v", err)
+	}
+	blocked, err := s.Submit(scsql.Figure5Query(30_000, 3))
+	if err != nil {
+		t.Fatalf("submit blocked: %v", err)
+	}
+	if st := blocked.State(); st != Queued {
+		t.Fatalf("second session is %v, want queued behind the hog", st)
+	}
+	for _, src := range []string{scsql.Figure5Query(30_000, 2), `select streamof(sys_sessions());`, `select count(iota(1,10));`} {
+		if _, err := s.Submit(src); !errors.Is(err, ErrQueueFull) {
+			t.Fatalf("submit %q into the full queue: %v, want ErrQueueFull", src, err)
+		}
+	}
+
+	read := func(src string) []sqep.Element {
+		t.Helper()
+		r, err := s.Submit(src)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		select {
+		case <-r.Done():
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s still %v after 10 s behind a blocked head", src, r.State())
+		}
+		els, err := r.Wait()
+		if err != nil || r.State() != Done {
+			t.Fatalf("%s: state %v, err %v", src, r.State(), err)
+		}
+		if _, err := s.Get(r.ID()); !errors.Is(err, ErrUnknownQuery) {
+			t.Errorf("%s: finished reader %s still resolves (err %v)", src, r.ID(), err)
+		}
+		return els
+	}
+	states := map[any]any{}
+	for _, el := range read(`select sys_sessions();`) {
+		row := el.Value.(catalog.Tuple)
+		id, _ := row.Field("id")
+		states[id], _ = row.Field("state")
+	}
+	if hs := states[hog.ID()]; len(states) != 3 || (hs != "admitted" && hs != "running") || states[blocked.ID()] != "queued" {
+		t.Errorf("sys_sessions = %v, want %s admitted or running, %s queued and the reader itself", states, hog.ID(), blocked.ID())
+	}
+	if els := read(`select s.id from stream s where s in ps() and s.state = 'queued';`); len(els) != 1 || els[0].Value != blocked.ID() {
+		t.Errorf("queued sessions = %v, want [%s]", els, blocked.ID())
+	}
+	if got := lastValue(t, read(`select count(monitor('sched.'));`)); got == int64(0) {
+		t.Error("monitor('sched.') is empty")
+	}
+	if n := len(s.List()); n != 2 {
+		t.Errorf("session table holds %d rows after the reads, want the hog and the blocked session", n)
+	}
+	snap := e.MetricsSnapshot()
+	if got := snap.Counters["sched.rejected"]; got != 3 {
+		t.Errorf("sched.rejected = %d, want 3: the readers were not to be rejected", got)
+	}
+	if got := snap.Counters["sched.admitted"]; got != 1 {
+		t.Errorf("sched.admitted = %d, want 1: a reader is not admitted", got)
+	}
+
+	release()
+	if _, err := hog.Wait(); err != nil {
+		t.Fatalf("hog: %v", err)
+	}
+	els, err := blocked.Wait()
+	if err != nil || lastValue(t, els) != int64(3) {
+		t.Fatalf("blocked session after the reads: %v, %v; want the count 3", els, err)
+	}
 }

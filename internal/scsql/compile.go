@@ -2,7 +2,6 @@ package scsql
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"scsq/internal/catalog"
@@ -240,7 +239,7 @@ func (ev *Evaluator) compileCall(call *Call, env *scope, b *core.PlanBuilder) (s
 		return ev.compileMonitor(call, env)
 
 	case "ps":
-		return ev.compilePS(call)
+		return ev.compilePS(call, env)
 
 	case "cancel":
 		return ev.compileCancel(call, env)
@@ -264,100 +263,37 @@ func (ev *Evaluator) compileCall(call *Call, env *scope, b *core.PlanBuilder) (s
 	}
 }
 
-// compileMonitor lowers monitor([prefix]) — the engine's telemetry registry
-// exposed as a queryable stream. Each element is a bag describing one
-// metric: {"counter", name, value}, {"gauge", name, value}, or
-// {"histogram", name, count, sum_ns, min_ns, max_ns}. Rows sort by kind
-// then name, so output order is deterministic. The snapshot is captured
-// when the plan opens (not at compile time), and the keys that name no query
-// (link.*, sched.*) and the totals by prefix survive engine resets, so a
-// monitor() statement issued after a query reports that query's traffic (its
-// per-RP keys are folded into "…retired" when a Reset retires it). The optional string argument is a
-// SQL-LIKE pattern over the metric name — '%' matches anywhere
-// (monitor('%bytes%')), and a pattern without '%' keeps its historic
-// prefix meaning, so monitor('sched.%') and monitor('sched.') are the
-// same view. The matcher is catalog.Like, shared with sys_metrics(). The
-// form monitor('@q3') instead keeps the metrics scoped to query q3 (names
-// carrying a "q3/" path segment or a ".q3" suffix) — the per-session view
-// of a multi-tenant engine.
+// compileMonitor lowers monitor([pattern]) — a view of the sys_metrics
+// catalog table that keeps monitor()'s historic element shapes: each row
+// becomes a bag {"counter", name, value}, {"gauge", name, value} or
+// {"histogram", name, count, sum_ns, min_ns, max_ns}, in sys_metrics order
+// (kind, then name). Pattern, '@q3' query scope and snapshot timing (when the
+// plan opens) are the table's own: monitor('sched.%') and monitor('sched.')
+// are the same view, and a monitor() issued after a query reports that
+// query's traffic (its per-RP keys folded into "…retired" once a Reset
+// retired it).
 func (ev *Evaluator) compileMonitor(call *Call, env *scope) (sqep.Operator, error) {
-	prefix := ""
-	switch len(call.Args) {
-	case 0:
-	case 1:
-		v, err := ev.evalScalar(call.Args[0], env)
-		if err != nil {
-			return nil, err
+	t, _ := ev.eng.SystemCatalog().Lookup("sys_metrics") // core registers it at construction
+	return ev.compileSysView(t, call, env, func(r catalog.Tuple) any {
+		if r.Vals[0] == "histogram" {
+			return []any{r.Vals[0], r.Vals[1], r.Vals[3], r.Vals[4], r.Vals[5], r.Vals[6]}
 		}
-		s, ok := v.(string)
-		if !ok {
-			return nil, errorfAt(call.Args[0].ePos(), "monitor() prefix must be a string, got %T", v)
-		}
-		prefix = s
-	default:
-		return nil, errorfAt(call.Pos, "monitor() takes at most 1 argument, got %d", len(call.Args))
-	}
-	qid := ""
-	if strings.HasPrefix(prefix, "@") {
-		qid = prefix[1:]
-		prefix = ""
-	}
-	match := catalog.Like(prefix)
-	eng := ev.eng
-	return sqep.NewThunk("monitor", func() ([]any, error) {
-		snap := eng.MetricsSnapshot()
-		if qid != "" {
-			snap = snap.ForQuery(qid)
-		}
-		var rows []any
-		for _, name := range sortedMetricNames(snap.Counters) {
-			if match(name) {
-				rows = append(rows, []any{"counter", name, snap.Counters[name]})
-			}
-		}
-		for _, name := range sortedMetricNames(snap.Gauges) {
-			if match(name) {
-				rows = append(rows, []any{"gauge", name, snap.Gauges[name]})
-			}
-		}
-		for _, name := range sortedMetricNames(snap.Histograms) {
-			if match(name) {
-				h := snap.Histograms[name]
-				rows = append(rows, []any{"histogram", name, h.Count, h.SumNs, h.MinNs, h.MaxNs})
-			}
-		}
-		return rows, nil
-	}), nil
+		return r.Vals[:3:3]
+	})
 }
 
-// compilePS lowers ps() — a thin view of the sys_sessions catalog table
-// the attached scheduler registers. Each element is a catalog.Tuple {id,
-// state, priority, nodes, statement, deadline_ns, age_ns, retries} in
-// submission order; the three resilience columns are virtual-time
-// quantities (absolute deadline, time in current state,
-// transient-admission retries) and stay zero when the features are off.
-// Requires an engine with a query scheduler attached (scsq.New installs
-// one; a bare evaluator has none — its catalog has no sys_sessions).
-func (ev *Evaluator) compilePS(call *Call) (sqep.Operator, error) {
-	if len(call.Args) != 0 {
-		return nil, errorfAt(call.Pos, "ps() takes no arguments, got %d", len(call.Args))
-	}
-	eng := ev.eng
-	return sqep.NewThunk("ps", func() ([]any, error) {
-		t, ok := eng.SystemCatalog().Lookup("sys_sessions")
-		if !ok || eng.Scheduler() == nil {
+// compilePS lowers ps() — the sys_sessions catalog table the attached
+// scheduler registers, under its historic name. Requires an engine with a
+// query scheduler attached (scsq.New installs one; a bare evaluator has none
+// — its catalog has no sys_sessions, and the stream fails when drained).
+func (ev *Evaluator) compilePS(call *Call, env *scope) (sqep.Operator, error) {
+	t, ok := ev.eng.SystemCatalog().Lookup("sys_sessions")
+	if !ok {
+		return sqep.NewThunk("ps", func() ([]any, error) {
 			return nil, fmt.Errorf("scsql: ps(): no query scheduler attached to this engine")
-		}
-		rows, err := t.Snap("")
-		if err != nil {
-			return nil, err
-		}
-		out := make([]any, len(rows))
-		for i, r := range rows {
-			out[i] = r
-		}
-		return out, nil
-	}), nil
+		}), nil
+	}
+	return ev.compileSysTable(t, call, env)
 }
 
 // compileCancel lowers cancel('q3') — cancelling the identified session of
@@ -386,15 +322,6 @@ func (ev *Evaluator) compileCancel(call *Call, env *scope) (sqep.Operator, error
 		}
 		return []any{[]any{qid, "cancelled"}}, nil
 	}), nil
-}
-
-func sortedMetricNames[V any](m map[string]V) []string {
-	names := make([]string, 0, len(m))
-	for n := range m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // compileRadixCombine lowers radixcombine(merge({odd, even})): the merged

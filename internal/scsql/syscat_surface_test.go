@@ -118,6 +118,71 @@ func TestSysLinksReportEdges(t *testing.T) {
 	}
 }
 
+// TestSysResourcesSumToBusyTime: sys_resources() is every device's owner
+// table — a device's rows sum to its BusyTime while the query is the owner,
+// still do once the query is retired (its time folded into "retired"), and
+// are gone after Reset.
+func TestSysResourcesSumToBusyTime(t *testing.T) {
+	e, _, ev := newSchedEngine(t)
+	q, err := e.BeginQuery()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res *scsql.Result
+	if err := e.BuildAs(q, func() (err error) {
+		res, err = ev.Exec(scsql.Figure5Query(30_000, 4))
+		return err
+	}); err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	if _, err := res.Stream.Drain(); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	check := func(when, wantOwner string) {
+		t.Helper()
+		sums := map[string]int64{}
+		for _, el := range drainRows(t, ev, `select sys_resources();`) {
+			tup := el.Value.(catalog.Tuple)
+			if owner, _ := tup.Field("owner"); owner != wantOwner {
+				t.Errorf("%s: %s is not owned by %q", when, tup, wantOwner)
+			}
+			name, _ := tup.Field("resource")
+			busy, _ := tup.Field("busy_ns")
+			sums[name.(string)] += busy.(int64)
+		}
+		if len(sums) == 0 {
+			t.Errorf("%s: sys_resources() is empty", when)
+		}
+		for _, r := range e.Env().Resources() {
+			if got, want := sums[r.Name()], int64(r.BusyTime()); got != want {
+				t.Errorf("%s: %s rows sum to %d ns, BusyTime is %d", when, r.Name(), got, want)
+			}
+		}
+	}
+	check("after the query", q.ID())
+	// "Which devices did this query keep busy for more than a millisecond?"
+	// is a filter over the table; the sender's co-processor — Figure 5's
+	// bottleneck — is among them. (A filter is free in the model; a select
+	// expression is not, and would charge this reader's own query.)
+	hot := drainRows(t, ev, `select r from stream r where r in sys_resources() and r.owner = '`+q.ID()+`' and r.busy_ns > 1000000;`)
+	found := false
+	for _, el := range hot {
+		name, _ := el.Value.(catalog.Tuple).Field("resource")
+		found = found || name == "bg1.coproc"
+	}
+	if !found {
+		t.Errorf("bg1.coproc is not among the devices %s kept busy > 1 ms: %v", q.ID(), hot)
+	}
+	q.Retire()
+	check("after the query is retired", vtime.RetiredOwner)
+	if err := e.Reset(); err != nil {
+		t.Fatalf("reset: %v", err)
+	}
+	if rows := drainRows(t, ev, `select sys_resources();`); len(rows) != 0 {
+		t.Errorf("sys_resources() after Reset: %v, want no busy time", rows)
+	}
+}
+
 // TestPSIsSysSessionsView pins the thin-view contract: ps() emits exactly
 // the sys_sessions rows.
 func TestPSIsSysSessionsView(t *testing.T) {
@@ -139,6 +204,43 @@ func TestPSIsSysSessionsView(t *testing.T) {
 		b := sys[i].Value.(catalog.Tuple)
 		if a.Key() != b.Key() {
 			t.Fatalf("ps row %d = %s, sys_sessions row = %s", i, a, b)
+		}
+	}
+}
+
+// TestCatalogRead pins which statements run without admission: reads of the
+// registered tables, their views and finite folds of them — nothing that can
+// hold a node, generate load or never end, and nothing it does not know.
+func TestCatalogRead(t *testing.T) {
+	e, s, _ := newSchedEngine(t)
+	if _, err := s.Submit(`create function twice(integer n) -> stream as select extract(a) from sp a where a=sp(iota(1,n), 'be');`); err != nil {
+		t.Fatal(err)
+	}
+	for src, want := range map[string]bool{
+		`select sys_sessions();`:      true,
+		`select SYS_Metrics('@q3');`:  true,
+		`select ps();`:                true,
+		`select monitor('sched.%');`:  true,
+		`select count(sys_nodes());`:  true,
+		`select limit(sys_rps(), 3);`: true,
+		`select n.cluster from stream n where n in sys_nodes() and n.x = 1;`:        true,
+		`select count((select s from stream s where s in ps() and s.nodes > 0));`:   true,
+		`select streamof(sys_sessions());`:                                          false,
+		`select count(iota(1,10));`:                                                 false,
+		`select count(gen_array(8,2));`:                                             false,
+		`select cancel('q1');`:                                                      false,
+		`select twice(3);`:                                                          false,
+		`select sys_bogus();`:                                                       false,
+		`select extract(a) from sp a where a=sp(sys_nodes(), 'be');`:                false,
+		`select n from stream n where n in sys_nodes() and n.x < count(iota(1,9));`: false,
+		`create function f(integer n) -> stream as select sys_nodes();`:             false,
+	} {
+		stmt, err := scsql.Parse(src)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		if got := scsql.CatalogRead(stmt, e.SystemCatalog()); got != want {
+			t.Errorf("CatalogRead(%s) = %v, want %v", src, got, want)
 		}
 	}
 }

@@ -134,9 +134,7 @@ func TestChaosConnectSubmitCancelDisconnect(t *testing.T) {
 	// off the write loop), so no stale sys_conns row may survive it — not
 	// even from a client that disconnected between registration and its
 	// first submit. No polling: the rows must already be gone.
-	if rows, err := eng.SystemRows("sys_conns", ""); err != nil {
-		t.Fatal(err)
-	} else if len(rows) != 0 {
+	if rows := localRows(t, eng, `select sys_conns();`); len(rows) != 0 {
 		t.Fatalf("%d stale sys_conns rows after drain: %v", len(rows), rows)
 	}
 	for i := 0; i < 500 && runtime.NumGoroutine() > baseline; i++ {
@@ -152,7 +150,7 @@ func TestChaosConnectSubmitCancelDisconnect(t *testing.T) {
 // liveAndLeased counts non-final sessions and their held node leases.
 func liveAndLeased(t *testing.T, eng *scsq.Engine) (live, leases int) {
 	t.Helper()
-	for _, in := range eng.Sessions() {
+	for _, in := range eng.Scheduler().List() {
 		if !in.State.Final() {
 			live++
 		}

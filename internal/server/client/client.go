@@ -113,7 +113,7 @@ type Client struct {
 
 	mu       sync.Mutex
 	sessions map[int64]*SessionHandle
-	waiters  map[int64]chan result // tag → one-shot reply (OK/Error/SnapR)
+	waiters  map[int64]chan result // tag → one-shot reply (Submitted/OK/Error)
 	tagSeq   int64
 	err      error
 	closed   bool
@@ -379,99 +379,6 @@ func (c *Client) Ping() error {
 	}
 }
 
-// Table describes one remote sys_* table.
-type Table struct {
-	Name    string
-	Doc     string
-	Columns [][2]string // name, type
-}
-
-// Tables lists the server's system catalog.
-func (c *Client) Tables() ([]Table, error) {
-	ack := c.addWaiter(-2) // tables replies carry no tag; -2 is their slot
-	defer c.removeWaiter(-2)
-	if err := c.write(wire.MsgTables, wire.MustBag()); err != nil {
-		return nil, err
-	}
-	res, err := c.await(ack)
-	if err != nil {
-		return nil, err
-	}
-	if res.frame.Type == wire.MsgError {
-		return nil, remoteErr(res.frame)
-	}
-	fields, err := wire.DecodeBag(res.frame.Payload, 1)
-	if err != nil {
-		return nil, err
-	}
-	n, err := wire.Int(fields, 0)
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(fields)-1) != 3*n {
-		return nil, fmt.Errorf("%w: tables listing has %d fields for %d tables", wire.ErrBadPayload, len(fields)-1, n)
-	}
-	out := make([]Table, 0, n)
-	for i := 0; i < int(n); i++ {
-		name, err1 := wire.Str(fields, 1+3*i)
-		doc, err2 := wire.Str(fields, 2+3*i)
-		colsAny, ok := fields[3+3*i].([]any)
-		if err1 != nil || err2 != nil || !ok {
-			return nil, wire.ErrBadPayload
-		}
-		t := Table{Name: name, Doc: doc}
-		for _, cv := range colsAny {
-			pair, ok := cv.([]any)
-			if !ok || len(pair) != 2 {
-				return nil, wire.ErrBadPayload
-			}
-			cn, _ := pair[0].(string)
-			ct, _ := pair[1].(string)
-			t.Columns = append(t.Columns, [2]string{cn, ct})
-		}
-		out = append(out, t)
-	}
-	return out, nil
-}
-
-// Snap fetches one snapshot of a sys_* table. Rows are wire-lowered
-// ([]any per row).
-func (c *Client) Snap(table, pattern string) ([][]any, error) {
-	c.mu.Lock()
-	c.tagSeq++
-	tag := c.tagSeq
-	c.mu.Unlock()
-	ack := c.addWaiter(tag)
-	defer c.removeWaiter(tag)
-	if err := c.write(wire.MsgSnap, wire.MustBag(tag, table, pattern)); err != nil {
-		return nil, err
-	}
-	res, err := c.await(ack)
-	if err != nil {
-		return nil, err
-	}
-	if res.frame.Type == wire.MsgError {
-		return nil, remoteErr(res.frame)
-	}
-	fields, err := wire.DecodeBag(res.frame.Payload, 2)
-	if err != nil {
-		return nil, err
-	}
-	bag, ok := fields[1].([]any)
-	if !ok {
-		return nil, wire.ErrBadPayload
-	}
-	rows := make([][]any, len(bag))
-	for i, rv := range bag {
-		row, ok := rv.([]any)
-		if !ok {
-			return nil, wire.ErrBadPayload
-		}
-		rows[i] = row
-	}
-	return rows, nil
-}
-
 // Err returns the connection's terminal error (nil while healthy).
 func (c *Client) Err() error {
 	c.mu.Lock()
@@ -658,9 +565,7 @@ func (c *Client) readLoop(r *wire.Reader) {
 			}
 		case wire.MsgDraining:
 			c.drainOnce.Do(func() { close(c.Draining) })
-		case wire.MsgTablesR:
-			c.deliver(-2, result{frame: f})
-		case wire.MsgSubmitted, wire.MsgOK, wire.MsgSnapR, wire.MsgError:
+		case wire.MsgSubmitted, wire.MsgOK, wire.MsgError:
 			fields, err := wire.DecodeBag(f.Payload, 1)
 			if err != nil {
 				continue

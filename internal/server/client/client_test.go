@@ -291,9 +291,9 @@ func TestFrameBoundariesIndependentOfReads(t *testing.T) {
 
 		// A reply parked with its waiter, overwritten in the reader's
 		// buffer before the waiter wakes.
-		p.expect(wire.MsgTables)
+		p.expect(wire.MsgCancel)
 		p.write(cat(
-			frame(wire.MsgTablesR, int64(1), "sys_demo", "a table", []any{[]any{"id", "string"}}),
+			frame(wire.MsgError, int64(-1), "no session q-gone on this connection"),
 			frame(wire.MsgPong, int64(0)), frame(wire.MsgPong, int64(0)), frame(wire.MsgPong, int64(0)),
 		))
 	})
@@ -320,12 +320,8 @@ func TestFrameBoundariesIndependentOfReads(t *testing.T) {
 	if len(rows) != 4 || done.Rows != 4 || done.Makespan != 5 {
 		t.Fatalf("%d rows, done %+v", len(rows), done)
 	}
-	tabs, err := c.Tables()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tabs) != 1 || tabs[0].Name != "sys_demo" || tabs[0].Columns[0] != [2]string{"id", "string"} {
-		t.Fatalf("tables = %+v", tabs)
+	if err := c.CancelID("q-gone"); err == nil || !strings.Contains(err.Error(), "no session q-gone on this connection") {
+		t.Fatalf("cancel error = %v: the parked Error payload was overwritten by the next frames", err)
 	}
 }
 

@@ -111,7 +111,7 @@ type conn struct {
 type connSession struct {
 	tag  int64
 	sess *scsq.Session
-	done atomic.Bool // pump delivered the Done frame
+	done atomic.Bool // the pump is queuing the Done frame: the tag is free again
 }
 
 func newConn(s *Server, id int64, nc net.Conn) *conn {
@@ -128,30 +128,17 @@ func newConn(s *Server, id int64, nc net.Conn) *conn {
 
 // stats snapshots the sys_conns row fields.
 func (c *conn) stats() (id, remote, state string, sessions, submitted, rowsOut, framesIn, framesOut int64) {
-	c.mu.Lock()
-	n := 0
-	for _, cs := range c.sessions {
-		if !cs.done.Load() {
-			n++
-		}
-	}
-	c.mu.Unlock()
 	return fmt.Sprintf("c%d", c.id), c.nc.RemoteAddr().String(),
-		connState(c.state.Load()).String(), int64(n), c.nSubmitted.Load(),
+		connState(c.state.Load()).String(), int64(c.liveSessions()), c.nSubmitted.Load(),
 		c.nRowsOut.Load(), c.nFramesIn.Load(), c.nFramesOut.Load()
 }
 
-// liveSessions counts sessions whose Done frame has not been queued yet.
+// liveSessions counts sessions whose Done frame has not been queued yet:
+// the pump evicts a session only after queuing it.
 func (c *conn) liveSessions() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := 0
-	for _, cs := range c.sessions {
-		if !cs.done.Load() {
-			n++
-		}
-	}
-	return n
+	return len(c.sessions)
 }
 
 // sendChunk hands a chunk to the writer, blocking when the queue is full —
@@ -289,10 +276,6 @@ func (c *conn) readLoop() {
 				nonce, _ := wire.Int(fields, 0)
 				c.send(wire.MsgPong, wire.MustBag(nonce))
 			}
-		case wire.MsgTables:
-			c.handleTables()
-		case wire.MsgSnap:
-			c.handleSnap(f.Payload)
 		case wire.MsgGoodbye:
 			return
 		default:
@@ -355,12 +338,12 @@ func (c *conn) handleSubmit(payload []byte) bool {
 		c.sendErr(-1, wire.ErrBadPayload)
 		return false
 	}
-	if c.srv.isDraining() {
+	if c.srv.isDraining() && !c.srv.catalogRead(stmt) {
 		c.sendErr(tag, ErrDraining)
 		return true
 	}
 	c.mu.Lock()
-	if _, dup := c.sessions[tag]; dup {
+	if cs, dup := c.sessions[tag]; dup && !cs.done.Load() {
 		c.mu.Unlock()
 		c.sendErr(tag, fmt.Errorf("server: tag %d already in flight", tag))
 		return true
@@ -423,11 +406,14 @@ func (c *conn) pump(cs *connSession, submitted time.Time) {
 			if err != nil {
 				msg = err.Error()
 			}
+			// The tag is free before the client can know the session is over
+			// (it may reuse it the moment it reads the Done frame); the
+			// session counts as live until the frame is queued.
+			cs.done.Store(true)
 			c.send(wire.MsgDone, wire.MustBag(cs.tag, state, msg,
 				cs.sess.Makespan().Nanoseconds(), rows))
-			cs.done.Store(true)
 			// Evict: a finished session must not pin its result log for
-			// the life of the connection, and its tag becomes reusable.
+			// the life of the connection.
 			c.mu.Lock()
 			if c.sessions[cs.tag] == cs {
 				delete(c.sessions, cs.tag)
@@ -516,56 +502,6 @@ func (c *conn) handleCancel(payload []byte) {
 		return
 	}
 	c.send(wire.MsgOK, wire.MustBag(tag))
-}
-
-// handleTables answers the catalog listing.
-func (c *conn) handleTables() {
-	tabs := c.srv.eng.SystemTables()
-	fields := []any{int64(len(tabs))}
-	for _, t := range tabs {
-		cols := make([]any, 0, len(t.Columns))
-		for _, col := range t.Columns {
-			cols = append(cols, []any{col.Name, col.Type})
-		}
-		fields = append(fields, t.Name, t.Doc, cols)
-	}
-	payload, err := wire.EncodeBag(fields...)
-	if err != nil {
-		c.sendErr(-1, err)
-		return
-	}
-	c.send(wire.MsgTablesR, payload)
-}
-
-// handleSnap answers a one-shot sys_* table snapshot.
-func (c *conn) handleSnap(payload []byte) {
-	fields, err := wire.DecodeBag(payload, 3)
-	if err != nil {
-		c.sendErr(-1, err)
-		return
-	}
-	tag, err1 := wire.Int(fields, 0)
-	table, err2 := wire.Str(fields, 1)
-	pattern, err3 := wire.Str(fields, 2)
-	if err1 != nil || err2 != nil || err3 != nil {
-		c.sendErr(-1, wire.ErrBadPayload)
-		return
-	}
-	rows, err := c.srv.eng.SystemRows(table, pattern)
-	if err != nil {
-		c.sendErr(tag, err)
-		return
-	}
-	bag := make([]any, len(rows))
-	for i, r := range rows {
-		bag[i] = wire.WireValue(r)
-	}
-	reply, err := wire.EncodeBag(tag, bag)
-	if err != nil {
-		c.sendErr(tag, err)
-		return
-	}
-	c.send(wire.MsgSnapR, reply)
 }
 
 // announceDrain tells the client the server is draining (best-effort).

@@ -28,13 +28,14 @@ import (
 	"scsq"
 	"scsq/internal/catalog"
 	"scsq/internal/metrics"
+	"scsq/internal/scsql"
 	"scsq/internal/server/wire"
 )
 
 // Errors of the serving layer.
 var (
 	// ErrDraining is reported to submits that arrive while the server is
-	// shutting down.
+	// shutting down — reads of the system catalog excepted.
 	ErrDraining = errors.New("server: draining, not accepting new sessions")
 	// ErrClosed is returned by operations on a closed server.
 	ErrClosed = errors.New("server: closed")
@@ -232,7 +233,9 @@ func (s *Server) snapshotConns() []*conn {
 	return out
 }
 
-// Drain gracefully shuts the server down: stop accepting, announce the
+// Drain gracefully shuts the server down: stop accepting connections and
+// statements (a catalog read is still answered, so the drain can be watched
+// over a connection already open), announce the
 // drain to every client, give live sessions up to grace to finish, cancel
 // whatever remains, then close every connection and wait for all server
 // goroutines to exit. Drain is idempotent; concurrent calls wait for the
@@ -294,6 +297,16 @@ func (s *Server) isDraining() bool {
 	return s.draining
 }
 
+// catalogRead reports whether src is a statement a draining server still
+// answers: a read of the system catalog (scsql.CatalogRead), which holds no
+// node, ends by itself and is how an operator watches the drain. Parsed here
+// only while draining; a statement that does not parse is refused with the
+// rest.
+func (s *Server) catalogRead(src string) bool {
+	stmt, err := scsql.Parse(src)
+	return err == nil && scsql.CatalogRead(stmt, s.eng.SystemCatalog())
+}
+
 // liveSessions counts sessions not yet finalized across all connections.
 func (s *Server) liveSessions() int {
 	n := 0
@@ -321,7 +334,7 @@ var SysConnsSchema = catalog.Schema{
 
 // registerSysConns installs the sys_conns provider: one row per open
 // connection. Registered only when a server is attached to the engine, so
-// engines without one keep the golden five-table catalog (and the schema
+// engines without one keep the golden seven-table catalog (and the schema
 // drift guard of internal/scsql).
 func (s *Server) registerSysConns() {
 	t := &catalog.Table{

@@ -238,26 +238,19 @@ func TestSysConnsOverWire(t *testing.T) {
 	}
 	defer cli.Close()
 
-	// The catalog listing includes sys_conns alongside the golden five.
-	tabs, err := cli.Tables()
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The catalog listing includes sys_conns alongside the engine's own.
 	names := map[string]bool{}
-	for _, tab := range tabs {
-		names[tab.Name] = true
+	for _, tab := range remoteRows(t, cli, `select sys_tables();`) {
+		names[tab[0].(string)] = true
 	}
-	for _, want := range []string{"sys_conns", "sys_sessions", "sys_nodes", "sys_links", "sys_rps", "sys_metrics"} {
+	for _, want := range []string{"sys_conns", "sys_sessions", "sys_nodes", "sys_links", "sys_rps", "sys_metrics", "sys_resources", "sys_tables"} {
 		if !names[want] {
 			t.Fatalf("catalog listing %v misses %s", names, want)
 		}
 	}
 
 	// A snapshot over the wire sees this very connection.
-	rows, err := cli.Snap("sys_conns", "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := remoteRows(t, cli, `select sys_conns();`)
 	if len(rows) != 1 {
 		t.Fatalf("sys_conns has %d rows, want 1", len(rows))
 	}
@@ -390,18 +383,10 @@ func TestMidStreamDisconnectReleasesLeases(t *testing.T) {
 		t.Fatalf("session %s still holds %d leases after disconnect", h.ID, n)
 	}
 	// The connection unregisters, so sys_conns drains to empty.
-	for time.Now().Before(deadline) {
-		rows, err := eng.SystemRows("sys_conns", "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rows) == 0 {
-			break
-		}
+	for time.Now().Before(deadline) && len(localRows(t, eng, `select sys_conns();`)) > 0 {
 		time.Sleep(5 * time.Millisecond)
 	}
-	rows, _ := eng.SystemRows("sys_conns", "")
-	if len(rows) != 0 {
+	if rows := localRows(t, eng, `select sys_conns();`); len(rows) != 0 {
 		t.Fatalf("sys_conns still has %d rows after disconnect", len(rows))
 	}
 	_ = srv
@@ -507,15 +492,15 @@ func TestSysConnsSchemaGolden(t *testing.T) {
 }
 
 // TestServerlessCatalogUnchanged proves attaching no server leaves the
-// golden five-table catalog intact (the scsql drift guard depends on it).
+// golden catalog intact (the scsql drift guard depends on it).
 func TestServerlessCatalogUnchanged(t *testing.T) {
 	eng, err := scsq.New()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	for _, tab := range eng.SystemTables() {
-		if tab.Name == "sys_conns" {
+	for _, tab := range localRows(t, eng, `select sys_tables();`) {
+		if tab[0] == "sys_conns" {
 			t.Fatal("sys_conns registered without a server attached")
 		}
 	}

@@ -16,10 +16,13 @@
 //
 // The conversation starts with a handshake — client sends Hello carrying
 // the protocol version (and an optional auth token), server answers Accepted
-// or Error and closes — after which the client pipelines Submit/Cancel/
-// Ping/Tables/Snap freely; the server interleaves per-session Row frames as
-// the simulation produces them, tagging every frame with the client-chosen
-// statement tag, so responses need no ordering relative to one another.
+// or Error and closes — after which the client pipelines Submit/Cancel/Ping
+// freely; the server interleaves per-session Row frames as the simulation
+// produces them, tagging every frame with the client-chosen statement tag, so
+// responses need no ordering relative to one another. There is no message for
+// reading the system catalog: `select sys_tables();` is a statement like any
+// other, and its rows are chunked, credited and cancellable like any other's
+// (the retired types 0x07, 0x08, 0x47 and 0x48 get the unknown-type error).
 package wire
 
 import (
@@ -62,11 +65,6 @@ const (
 	// MsgGoodbye announces an orderly close: []. The server finishes
 	// in-flight writes and closes the connection.
 	MsgGoodbye byte = 0x06
-	// MsgTables asks for the system catalog listing: [].
-	MsgTables byte = 0x07
-	// MsgSnap asks for one snapshot of a sys_* table: [tag int,
-	// table string, pattern string].
-	MsgSnap byte = 0x08
 
 	// MsgAccepted answers a valid Hello: [version int, server string,
 	// session_prefix string].
@@ -84,12 +82,6 @@ const (
 	MsgPong byte = 0x45
 	// MsgOK acknowledges a request with no richer answer (cancel): [tag int].
 	MsgOK byte = 0x46
-	// MsgTablesR answers MsgTables: [n int, then per table: name string,
-	// doc string, columns bag of [name string, type string]].
-	MsgTablesR byte = 0x47
-	// MsgSnapR answers MsgSnap: [tag int, rows bag]. Each row is the
-	// wire form of the catalog tuple.
-	MsgSnapR byte = 0x48
 	// MsgDraining tells the client the server is shutting down: [grace_ns
 	// int]. In-flight sessions keep streaming; new submits are refused.
 	MsgDraining byte = 0x49
@@ -143,7 +135,7 @@ func WriteFrame(w io.Writer, typ byte, payload []byte) error {
 }
 
 // maxKeptFrame is the largest frame buffer a Reader keeps between frames.
-// A bigger frame (an array row, a catalog snapshot) gets a buffer of its
+// A bigger frame (an array row) gets a buffer of its
 // own that the next call of Next lets go, so an idle connection pins at
 // most this much, not the frame cap.
 const maxKeptFrame = 64 << 10

@@ -43,15 +43,9 @@ func (r *Resource) Txn(owner string) *Txn {
 	return &Txn{r: r, owner: owner}
 }
 
-// Owner returns the owner the transaction charges.
-func (t *Txn) Owner() string { return t.owner }
-
 // Tail returns the end of the last committed link — the earliest ready time
 // of the next link.
 func (t *Txn) Tail() Time { return t.tail }
-
-// Pending reports how many links are staged but not yet committed.
-func (t *Txn) Pending() int { return len(t.ext) }
 
 // Reserve stages one link: a reservation of service virtual nanoseconds
 // becoming ready no earlier than ext (external bound) and no earlier than

@@ -137,15 +137,6 @@ func NewResource(name string) *Resource {
 // Name returns the resource's name ("" for the zero value).
 func (r *Resource) Name() string { return r.name }
 
-// SetBackfillHorizon overrides how far behind the ready high-water mark
-// reservations are kept for backfilling. Zero restores the default
-// (DefaultBackfillHorizon); a negative value disables pruning entirely.
-func (r *Resource) SetBackfillHorizon(d Duration) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.horizon = d
-}
-
 // SetFairSlice bounds the length of a single contiguous reservation: a
 // request longer than d is placed as a chain of earliest-fit chunks of at
 // most d each, so frames of concurrent queries interleave on a contended
@@ -332,15 +323,6 @@ func (r *Resource) prune() {
 		r.busy = r.busy[:live]
 		r.head = 0
 	}
-}
-
-// PruneFloor reports the current prune floor: requests becoming ready
-// before it are clamped forward to it, as the gaps behind the floor have
-// been forgotten and are treated as solid busy time.
-func (r *Resource) PruneFloor() Time {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.floor
 }
 
 // FreeAt reports the end of the last reservation (the earliest instant at

@@ -38,7 +38,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"strings"
 	"time"
 
 	"scsq/internal/carrier"
@@ -271,15 +270,9 @@ func WithFairShareSlice(d time.Duration) Option {
 // WithPlacementPlanner.
 type PlacementObjective = place.Objective
 
-// Placement planner objectives.
-const (
-	// PlaceAggregateThroughput maximizes estimated system throughput
-	// (greedy with batch lookahead) — the default.
-	PlaceAggregateThroughput = place.AggregateThroughput
-	// PlaceMaxStretch minimizes the worst contention (forwarder/NIC
-	// sharing degree) any session experiences.
-	PlaceMaxStretch = place.MaxStretch
-)
+// PlaceAggregateThroughput maximizes estimated system throughput (greedy
+// with batch lookahead) — the one planner objective.
+const PlaceAggregateThroughput = place.AggregateThroughput
 
 // WithPlacementPlanner attaches the cost-model placement planner to the
 // engine: instead of greedily walking each query's allocation sequence,
@@ -360,7 +353,7 @@ type MetricsSnapshot = metrics.Snapshot
 // leaves the finished window — which folds them into the key of the same
 // prefix ending in "retired": totals by prefix (SumCounters) and the keys
 // that name no query ("link.*", "sched.*") survive Reset, per-RP keys do
-// not. The same data is queryable in SCSQL via monitor().
+// not. The same data is queryable in SCSQL as sys_metrics() (and monitor()).
 func (e *Engine) MetricsSnapshot() MetricsSnapshot {
 	return e.core.MetricsSnapshot()
 }
@@ -385,7 +378,8 @@ func (e *Engine) Scheduler() *sched.Scheduler { return e.sched }
 
 // SystemCatalog returns the engine's system catalog registry, so module
 // subsystems (the network server's sys_conns table) can register virtual
-// tables of their own. External callers use SystemTables and SystemRows.
+// tables of their own. Everyone else reads the catalog by statement:
+// `select sys_tables();` lists it, `select sys_nodes();` reads a table.
 func (e *Engine) SystemCatalog() *catalog.Registry { return e.core.SystemCatalog() }
 
 // MetricsRegistry returns the engine's live telemetry registry — the
@@ -490,67 +484,6 @@ func (s *Stream) BandwidthMbps(payloadBytes int64) float64 {
 	return float64(payloadBytes) * 8 / mk.Seconds() / 1e6
 }
 
-// ResourceUsage reports one simulated device's busy time over the last
-// query and its share of the query's makespan — the tool behind the
-// paper's bottleneck analyses ("the BlueGene I/O is a bottleneck", "the
-// single-threaded co-processor must handle both streams").
-type ResourceUsage struct {
-	// Resource names the device, e.g. "bg0.coproc", "io1.fwd", "be1.nic".
-	Resource string
-	// Busy is the virtual time the device served work.
-	Busy time.Duration
-	// Share is Busy divided by the query's makespan.
-	Share float64
-}
-
-// TopologyEdge describes one carrier connection of the last query's
-// process graph: which stream process streams to which consumer, over
-// which nodes and carrier. This is the physical communication topology the
-// allocation sequences shaped.
-type TopologyEdge struct {
-	Producer string // producer process id
-	Consumer string // consumer process id, or "client"
-	From     string // producer placement, e.g. "bg:1"
-	To       string // consumer placement, e.g. "bg:0"
-	Carrier  string // "mpi" or "tcp"
-}
-
-// Topology returns the carrier connections wired for the current query (up
-// to the last Reset) — what the paper's Figures 5, 7 and 9-14 draw.
-func (e *Engine) Topology() []TopologyEdge {
-	edges := e.core.Edges()
-	out := make([]TopologyEdge, len(edges))
-	for i, ed := range edges {
-		out[i] = TopologyEdge{
-			Producer: ed.Producer,
-			Consumer: ed.Consumer,
-			From:     fmt.Sprintf("%s:%d", ed.FromCluster, ed.FromNode),
-			To:       fmt.Sprintf("%s:%d", ed.ToCluster, ed.ToNode),
-			Carrier:  ed.Carrier,
-		}
-	}
-	return out
-}
-
-// Utilization returns the busiest simulated resources of the drained query
-// s, sorted descending (at most top entries; top <= 0 returns all). Call
-// between Drain and Reset.
-func (e *Engine) Utilization(s *Stream, top int) []ResourceUsage {
-	report := e.core.Env().UtilizationReport(s.cs.Makespan().Sub(0))
-	if top > 0 && top < len(report) {
-		report = report[:top]
-	}
-	out := make([]ResourceUsage, len(report))
-	for i, u := range report {
-		out[i] = ResourceUsage{
-			Resource: u.Resource,
-			Busy:     u.Busy.Std(),
-			Share:    u.Share,
-		}
-	}
-	return out
-}
-
 // SessionOption configures one Submit.
 type SessionOption = sched.SubmitOption
 
@@ -617,7 +550,8 @@ type Session struct {
 }
 
 // ID returns the session id ("q1", "q2", ...) — the tag of its processes,
-// node leases and metrics, and the argument of cancel() and ps() rows.
+// node leases and metrics, the argument of cancel() and the id column of
+// sys_sessions() rows.
 func (s *Session) ID() string { return s.q.ID() }
 
 // State returns the session's current lifecycle state.
@@ -744,116 +678,5 @@ func (e *Engine) Submit(statement string, opts ...SessionOption) (*Session, erro
 	return &Session{q: q}, nil
 }
 
-// SessionInfo is one row of the scheduler's session table (also available
-// in SCSQL as ps()).
-type SessionInfo struct {
-	ID            string
-	State         SessionState
-	Priority      int
-	Statement     string
-	Nodes         int // node reservations currently held
-	AdmissionWait time.Duration
-
-	// Deadline is the absolute virtual-time deadline governing the current
-	// state (queue TTL while queued, run TTL while running), as an offset
-	// from the virtual epoch; zero means none.
-	Deadline time.Duration
-	// Age is the virtual time spent in the current state so far.
-	Age time.Duration
-	// Retries counts transient-admission retries consumed so far.
-	Retries int
-}
-
-// Sessions lists this engine's live sessions and its most recently finished
-// ones (the scheduler keeps a fixed-size window of those) in submission
-// order. A Session handle outlives its row: Wait, Results and Makespan keep
-// answering after the id has left the table.
-func (e *Engine) Sessions() []SessionInfo {
-	infos := e.sched.List()
-	out := make([]SessionInfo, len(infos))
-	for i, in := range infos {
-		out[i] = SessionInfo{
-			ID:            in.ID,
-			State:         in.State,
-			Priority:      in.Priority,
-			Statement:     in.Statement,
-			Nodes:         in.Nodes,
-			AdmissionWait: in.AdmissionWait,
-			Deadline:      in.Deadline.Sub(0).Std(),
-			Age:           in.Age.Std(),
-			Retries:       in.Retries,
-		}
-	}
-	return out
-}
-
 // CancelSession cancels the identified session (see Session.Cancel).
 func (e *Engine) CancelSession(id string) error { return e.sched.Cancel(id) }
-
-// SystemColumn is one named, typed column of a system catalog table.
-type SystemColumn struct {
-	Name string
-	Type string // "string", "int" or "float"
-}
-
-// SystemTable describes one sys_* virtual table of the system catalog:
-// its name, one-line documentation, column list, and whether it accepts an
-// optional SQL-LIKE pattern argument (sys_metrics('rp.%')).
-type SystemTable struct {
-	Name         string
-	Doc          string
-	Columns      []SystemColumn
-	TakesPattern bool
-}
-
-// Schema renders the table's schema as "(name type, ...)" — the spelling
-// used by DESIGN.md §13 and the shell's \d command.
-func (t SystemTable) Schema() string {
-	parts := make([]string, len(t.Columns))
-	for i, c := range t.Columns {
-		parts[i] = c.Name + " " + c.Type
-	}
-	return "(" + strings.Join(parts, ", ") + ")"
-}
-
-// SystemTables lists the registered system catalog tables, sorted by name.
-// The same tables are queryable in SCSQL as first-class relations:
-// `select count(sys_sessions());`, `select n.node from stream n where n in
-// sys_nodes() and n.cluster = 'bg' and n.x = 0;`, or — live, paced on the
-// virtual-time frontier — `select streamof(sys_metrics('rp.%'));`.
-func (e *Engine) SystemTables() []SystemTable {
-	tabs := e.core.SystemCatalog().Tables()
-	out := make([]SystemTable, len(tabs))
-	for i, tab := range tabs {
-		cols := make([]SystemColumn, len(tab.Schema))
-		for j, c := range tab.Schema {
-			cols[j] = SystemColumn{Name: c.Name, Type: string(c.Type)}
-		}
-		out[i] = SystemTable{Name: tab.Name, Doc: tab.Doc, Columns: cols, TakesPattern: tab.TakesPattern}
-	}
-	return out
-}
-
-// SystemRows snapshots one system catalog table: rows of values aligned
-// with the table's column order, captured under the owning subsystem's
-// locks without charging any virtual time. The pattern argument applies
-// only to tables with TakesPattern (SQL-LIKE, '%' anywhere; a pattern
-// without '%' matches as a prefix); it must be empty otherwise.
-func (e *Engine) SystemRows(table, pattern string) ([][]any, error) {
-	tab, ok := e.core.SystemCatalog().Lookup(table)
-	if !ok {
-		return nil, fmt.Errorf("scsq: no system table %q (try SystemTables)", table)
-	}
-	if pattern != "" && !tab.TakesPattern {
-		return nil, fmt.Errorf("scsq: system table %s takes no pattern", tab.Name)
-	}
-	rows, err := tab.Snap(pattern)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]any, len(rows))
-	for i, r := range rows {
-		out[i] = append([]any(nil), r.Vals...)
-	}
-	return out, nil
-}

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"scsq/internal/catalog"
 )
 
 func newEngine(t *testing.T, opts ...Option) *Engine {
@@ -200,20 +202,43 @@ and   a=sp(gen_array(100000,5), 'bg', 1);`)
 	if _, err := stream.One(); err != nil {
 		t.Fatal(err)
 	}
-	usage := eng.Utilization(stream, 3)
-	if len(usage) == 0 || len(usage) > 3 {
-		t.Fatalf("usage = %v", usage)
+	// Between Drain and Reset, sys_resources() is the query's utilization
+	// report: one row per (device, owner) it charged.
+	usage := sysRows(t, eng, `select sys_resources();`)
+	if len(usage) == 0 {
+		t.Fatal("sys_resources() is empty after a query")
+	}
+	busiest, busy := "", int64(0)
+	for _, r := range usage {
+		if b := r.Vals[2].(int64); b > busy {
+			busiest, busy = r.Vals[0].(string), b
+		}
 	}
 	// The point-to-point sender's co-processor is the busiest device.
-	if usage[0].Resource != "bg1.coproc" {
-		t.Errorf("bottleneck = %q, want bg1.coproc", usage[0].Resource)
+	if busiest != "bg1.coproc" {
+		t.Errorf("bottleneck = %q, want bg1.coproc", busiest)
 	}
-	if usage[0].Share <= 0 || usage[0].Share > 1.01 {
-		t.Errorf("share = %v", usage[0].Share)
+	if share := float64(busy) / float64(stream.Makespan()); share <= 0 || share > 1.01 {
+		t.Errorf("share = %v", share)
 	}
-	if all := eng.Utilization(stream, 0); len(all) < len(usage) {
-		t.Errorf("top=0 should return every busy resource")
+}
+
+// sysRows reads the system catalog the one way there is: by statement.
+func sysRows(t *testing.T, eng *Engine, stmt string) []catalog.Tuple {
+	t.Helper()
+	stream, err := eng.Query(stmt)
+	if err != nil {
+		t.Fatalf("%s: %v", stmt, err)
 	}
+	els, err := stream.Drain()
+	if err != nil {
+		t.Fatalf("%s: %v", stmt, err)
+	}
+	rows := make([]catalog.Tuple, len(els))
+	for i, el := range els {
+		rows[i] = el.Value.(catalog.Tuple)
+	}
+	return rows
 }
 
 func TestRealTCPModePublicAPI(t *testing.T) {
@@ -276,15 +301,18 @@ and   a=sp(gen_array(10000,2), 'bg', 1);`)
 	if _, err := stream.One(); err != nil {
 		t.Fatal(err)
 	}
-	edges := eng.Topology()
+	edges := sysRows(t, eng, `select sys_links();`)
 	if len(edges) != 2 {
 		t.Fatalf("topology edges = %d, want 2", len(edges))
 	}
-	if edges[0].Carrier != "mpi" || edges[0].From != "bg:1" || edges[0].To != "bg:0" {
-		t.Errorf("mpi edge = %+v", edges[0])
+	field := func(r catalog.Tuple, name string) any { v, _ := r.Field(name); return v }
+	if e := edges[0]; field(e, "carrier") != "mpi" ||
+		field(e, "from_cluster") != "bg" || field(e, "from_node") != int64(1) ||
+		field(e, "to_cluster") != "bg" || field(e, "to_node") != int64(0) {
+		t.Errorf("mpi edge = %s", e)
 	}
-	if !strings.HasSuffix(edges[1].Consumer, "/client") {
-		t.Errorf("client edge = %+v", edges[1])
+	if !strings.HasSuffix(field(edges[1], "consumer").(string), "/client") {
+		t.Errorf("client edge = %s", edges[1])
 	}
 }
 
@@ -334,9 +362,8 @@ and   a=sp(gen_array(30000,8), 'bg');`
 	if s1.ID() == s2.ID() {
 		t.Fatalf("sessions share id %s", s1.ID())
 	}
-	infos := eng.Sessions()
-	if len(infos) != 2 {
-		t.Fatalf("Sessions() returned %d rows, want 2", len(infos))
+	if infos := sysRows(t, eng, `select sys_sessions();`); len(infos) != 2 {
+		t.Fatalf("sys_sessions() returned %d rows, want 2", len(infos))
 	}
 	if err := eng.Reset(); err != nil {
 		t.Fatalf("reset after completion: %v", err)
@@ -347,7 +374,7 @@ and   a=sp(gen_array(30000,8), 'bg');`
 // surface: with a capacity-1 admission queue and shedding on, a
 // higher-priority submission evicts the queued session (SessionShed,
 // ErrShed) instead of being refused, and the resilience columns ride along
-// in Sessions().
+// in sys_sessions().
 func TestLoadSheddingPublicAPI(t *testing.T) {
 	eng := newEngine(t,
 		WithAdmissionQueueCap(1),
@@ -386,11 +413,14 @@ and   a=sp(gen_array(30000,5000), 'bg', 0);`
 	} else if got := els[len(els)-1].Value; got != int64(5000) {
 		t.Fatalf("winner count = %v, want 5000", got)
 	}
-	for _, in := range eng.Sessions() {
+	for _, in := range sysRows(t, eng, `select sys_sessions();`) {
 		// A terminal session's deadline column reads zero (deadlines govern
 		// the current state only) — just the state must survive.
-		if in.ID == victim.ID() && in.State != SessionShed {
-			t.Fatalf("Sessions() reports %v for shed session", in.State)
+		if id, _ := in.Field("id"); id != victim.ID() {
+			continue
+		}
+		if st, _ := in.Field("state"); st != SessionShed.String() {
+			t.Fatalf("sys_sessions() reports %v for shed session", st)
 		}
 	}
 }
