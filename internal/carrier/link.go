@@ -5,7 +5,6 @@ import (
 	"slices"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"scsq/internal/hw"
 	"scsq/internal/metrics"
@@ -70,6 +69,14 @@ type Faults interface {
 	OnSend(src, dst NodeRef, seq uint64, ready vtime.Time, payloadLen int, last bool) Verdict
 }
 
+// linkFamily keys a connection's counters by its label, kindFamily a
+// carrier's delivery histogram by its kind. Both are hardware-keyed: every
+// query that dials the same connection counts into the same block.
+var (
+	linkFamily = &metrics.Family{Counters: []string{"link.frames.", "link.bytes.", "link.drops."}}
+	kindFamily = &metrics.Family{Hists: []string{"link.deliver_vt."}}
+)
+
 // Link is an open connection over a Route. Its Send is the one place a
 // frame is charged to the simulated hardware, whatever the carrier.
 type Link struct {
@@ -96,8 +103,6 @@ type Link struct {
 	abort     chan struct{}
 	abortOnce sync.Once
 
-	dropped atomic.Int64
-
 	mu     sync.Mutex
 	seq    uint64
 	closed bool
@@ -108,20 +113,22 @@ type Link struct {
 // injects nothing); reg, if non-nil, records the per-link frame/byte/drop
 // counters and the carrier's delivery-latency histogram.
 func NewLink(r Route, inbox Inbox, faults Faults, reg *metrics.Registry) *Link {
-	l := &Link{
-		route:  r,
-		label:  r.Kind + ":" + r.Src.String() + "->" + r.Dst.String(),
-		inbox:  inbox,
-		faults: faults,
-		abort:  make(chan struct{}),
+	// The label identifies the link's metrics block (names are composed from
+	// it when the registry is read): one concatenation, one allocation a dial.
+	label := r.Kind + ":" + string(r.Src.Cluster) + ":" + strconv.Itoa(r.Src.Node) +
+		"->" + string(r.Dst.Cluster) + ":" + strconv.Itoa(r.Dst.Node)
+	b := reg.Shared(linkFamily, label)
+	return &Link{
+		route:    r,
+		label:    label,
+		inbox:    inbox,
+		faults:   faults,
+		mFrames:  b.Counter(0),
+		mBytes:   b.Counter(1),
+		mDrops:   b.Counter(2),
+		hDeliver: reg.Shared(kindFamily, r.Kind).Histogram(0),
+		abort:    make(chan struct{}),
 	}
-	if reg != nil {
-		l.mFrames = reg.Counter("link.frames." + l.label)
-		l.mBytes = reg.Counter("link.bytes." + l.label)
-		l.mDrops = reg.Counter("link.drops." + l.label)
-		l.hDeliver = reg.Histogram("link.deliver_vt." + r.Kind)
-	}
-	return l
 }
 
 // Kind returns the carrier of the link ("mpi", "tcp", "udp").
@@ -186,7 +193,6 @@ func (l *Link) Send(fr Frame) (vtime.Time, error) {
 			if lost {
 				// The frame left the sender but never reaches a receiver
 				// driver; its pooled payload goes back to the pool here.
-				l.dropped.Add(1)
 				l.mDrops.Inc()
 				Recycle(&fr)
 				return senderFree, nil
@@ -248,12 +254,4 @@ func (l *Link) Close() error {
 	defer l.mu.Unlock()
 	l.closed = true
 	return nil
-}
-
-// Stats reports how many frames Send accepted and how many of those were
-// lost on the way (injected drops and datagram loss).
-func (l *Link) Stats() (sent, dropped int64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return int64(l.seq), l.dropped.Load()
 }

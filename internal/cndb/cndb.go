@@ -77,7 +77,7 @@ type DB struct {
 	rr        int
 }
 
-// Lease is one owner's reservation count on one node, as reported by Leases.
+// Lease is one owner's reservation count on one node, as reported by AppendState.
 type Lease struct {
 	Owner string // query id ("" for anonymous single-query allocations)
 	Node  int
@@ -119,8 +119,9 @@ func (db *DB) Select(seq *Sequence) (int, error) {
 }
 
 // SelectFor is Select with the allocation recorded as a lease held by owner
-// (a query id). Leases are released by ReleaseFor and inspected via Leases;
-// they are how the scheduler proves release-on-completion.
+// (a query id). Leases are released by ReleaseFor and inspected via
+// AppendState and LeaseCount; they are how the scheduler proves
+// release-on-completion.
 func (db *DB) SelectFor(owner string, seq *Sequence) (int, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -227,6 +228,36 @@ type NodeState struct {
 	Owners []string // lease owners, sorted ("" = anonymous)
 }
 
+// NodeLoad is the placement load and liveness of one node that hosts RPs or
+// is marked dead.
+type NodeLoad struct {
+	Node, RPs int
+	Dead      bool
+}
+
+// AppendState appends the cluster's occupancy to the caller's slices, read
+// under one acquisition of the database lock: a NodeLoad for every node that
+// hosts RPs or is dead (a node not mentioned is idle and alive) and a Lease
+// for every reservation, both in no particular order.
+func (db *DB) AppendState(loads []NodeLoad, leases []Lease) ([]NodeLoad, []Lease) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	for id, n := range db.allocated {
+		loads = append(loads, NodeLoad{Node: id, RPs: n, Dead: db.dead[id]})
+	}
+	for id := range db.dead {
+		if db.allocated[id] == 0 {
+			loads = append(loads, NodeLoad{Node: id, Dead: true})
+		}
+	}
+	for owner, m := range db.leases {
+		for id, n := range m {
+			leases = append(leases, Lease{Owner: owner, Node: id, Count: n})
+		}
+	}
+	return loads, leases
+}
+
 // NodeStates returns one row per compute node of the cluster, captured
 // under a single acquisition of the database lock so load, liveness and
 // ownership are mutually consistent.
@@ -248,25 +279,6 @@ func (db *DB) NodeStates() []NodeState {
 	return out
 }
 
-// Leases returns the live lease table sorted by owner, then node id.
-func (db *DB) Leases() []Lease {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	var out []Lease
-	for owner, m := range db.leases {
-		for id, n := range m {
-			out = append(out, Lease{Owner: owner, Node: id, Count: n})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Owner != out[j].Owner {
-			return out[i].Owner < out[j].Owner
-		}
-		return out[i].Node < out[j].Node
-	})
-	return out
-}
-
 // LeaseCount reports how many node reservations the owner currently holds.
 func (db *DB) LeaseCount(owner string) int {
 	db.mu.Lock()
@@ -276,18 +288,6 @@ func (db *DB) LeaseCount(owner string) int {
 		n += c
 	}
 	return n
-}
-
-// LeasedNodes returns the node ids the owner holds leases on, sorted.
-func (db *DB) LeasedNodes(owner string) []int {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	ids := make([]int, 0, len(db.leases[owner]))
-	for id := range db.leases[owner] {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
 }
 
 // AllocatedCount reports how many RPs are currently placed on node id.

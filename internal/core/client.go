@@ -71,7 +71,7 @@ func (e *Engine) ClientPlan(build Subquery) (*ClientStream, error) {
 	// implicit query, which stays the build target until it finishes.
 	qc := e.buildTarget(false)
 	qc.charge(node.CPU)
-	b := &PlanBuilder{eng: e, cluster: hw.FrontEnd, node: e.clientNode, spID: qc.id + "/client"}
+	b := &PlanBuilder{eng: e, qc: qc, cluster: hw.FrontEnd, node: e.clientNode, spID: qc.id + "/client"}
 	root, err := build(b)
 	if err != nil {
 		return nil, err

@@ -40,7 +40,7 @@ func (d *dynSplitter) Open(ctx *sqep.Ctx) error {
 	if d.workers == 1 {
 		merged, err2 = d.eng.ConnectLive(spawned[0], d.cluster, d.node)
 	} else {
-		merged, err2 = d.eng.connectAs(spawned, d.cluster, d.node, "client")
+		merged, err2 = d.eng.connectAs(spawned[0].qc, spawned, d.cluster, d.node, "client")
 	}
 	if err2 != nil {
 		return err2

@@ -749,14 +749,14 @@ func (e *Engine) buildProc(sp *SP, node int) (*rp.RP, bool, error) {
 		Owner:   sp.qc.id,
 		Cancel:  sp.qc,
 	}
-	b := &PlanBuilder{eng: e, cluster: sp.cluster, node: node, spID: sp.id}
+	b := &PlanBuilder{eng: e, qc: sp.qc, cluster: sp.cluster, node: node, spID: sp.id}
 	op, err := sp.sub(b)
 	if err != nil {
 		return nil, false, err
 	}
 	hasInputs := b.hasInputs
 	proc := rp.New(sp.id, sp.cluster, node, ctx, func(*sqep.Ctx) (sqep.Operator, error) { return op, nil })
-	proc.SetMetrics(e.reg)
+	proc.SetMetrics(sp.qc.metrics)
 	// Only free-running source RPs register as pacing agents: a reactive
 	// RP's timing derives from its (already paced) inputs, and pacing it
 	// would deadlock — it publishes no progress until data arrives.
@@ -987,6 +987,7 @@ type Subquery func(b *PlanBuilder) (sqep.Operator, error)
 // PlanBuilder wires a new SP's inputs to its producer SPs.
 type PlanBuilder struct {
 	eng       *Engine
+	qc        *queryCtx // the query of the plan being built
 	cluster   hw.ClusterName
 	node      int
 	spID      string
@@ -1003,7 +1004,7 @@ func (b *PlanBuilder) Node() int { return b.node }
 // (the paper's extract(p)). The stream terminates when p terminates.
 func (b *PlanBuilder) Extract(p *SP) (sqep.Operator, error) {
 	b.hasInputs = true
-	return b.eng.connectAs([]*SP{p}, b.cluster, b.node, b.spID)
+	return b.eng.connectAs(b.qc, []*SP{p}, b.cluster, b.node, b.spID)
 }
 
 // Merge returns an operator combining the outputs of all processes in ps
@@ -1013,14 +1014,15 @@ func (b *PlanBuilder) Merge(ps []*SP) (sqep.Operator, error) {
 		return nil, errors.New("core: merge of empty process bag")
 	}
 	b.hasInputs = true
-	return b.eng.connectAs(ps, b.cluster, b.node, b.spID)
+	return b.eng.connectAs(b.qc, ps, b.cluster, b.node, b.spID)
 }
 
-// connectAs wires producers to the consumer (identified for edge recording)
-// at node (cc, cn) over the appropriate carriers (MPI inside the BlueGene,
-// TCP across clusters) and returns the receiving operator. All producers
-// share one inbox, which is how merge() interleaves their frames by arrival.
-func (e *Engine) connectAs(producers []*SP, cc hw.ClusterName, cn int, consumer string) (sqep.Operator, error) {
+// connectAs wires producers to the consumer (identified for edge recording,
+// and in qc's metrics scope) at node (cc, cn) over the appropriate carriers
+// (MPI inside the BlueGene, TCP across clusters) and returns the receiving
+// operator. All producers share one inbox, which is how merge() interleaves
+// their frames by arrival.
+func (e *Engine) connectAs(qc *queryCtx, producers []*SP, cc hw.ClusterName, cn int, consumer string) (sqep.Operator, error) {
 	inbox := make(carrier.Inbox, e.window)
 	consNode, err := e.env.Node(cc, cn)
 	if err != nil {
@@ -1041,7 +1043,7 @@ func (e *Engine) connectAs(producers []*SP, cc hw.ClusterName, cn int, consumer 
 		// supervision it is what makes a replacement's replay exactly-once.
 		TrackOffsets: true,
 		BatchFrames:  e.kernelBatch,
-		Metrics:      e.reg,
+		Metrics:      qc.metrics,
 		Tracer:       e.tracer,
 		Consumer:     consumer,
 		Stop:         e.stop,
@@ -1148,7 +1150,7 @@ func (e *Engine) wireProducer(p *SP, proc *rp.RP, pn int, w wiring) error {
 // dynamic RP creation. The producer must not have started yet (wire first,
 // then SP.Start); the returned operator plugs into the consumer's SQEP.
 func (e *Engine) ConnectLive(p *SP, cc hw.ClusterName, cn int) (sqep.Operator, error) {
-	return e.connectAs([]*SP{p}, cc, cn, fmt.Sprintf("dynamic@%s:%d", cc, cn))
+	return e.connectAs(p.qc, []*SP{p}, cc, cn, fmt.Sprintf("dynamic@%s:%d", cc, cn))
 }
 
 // marshalRate returns the per-byte marshal cost of a node in cluster c.

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 
 	"scsq/internal/carrier"
@@ -49,7 +50,7 @@ type queryCtx struct {
 	// tenant's, so one slow query cannot stall a co-resident one.
 	pacer *vtime.Pacer
 
-	// metrics holds the registry keys created under the query's id.
+	// metrics holds the metric blocks of the query's processes.
 	metrics *metrics.Scope
 
 	mu     sync.Mutex
@@ -98,7 +99,7 @@ func (qc *queryCtx) newRPID(cluster string) string {
 	qc.mu.Lock()
 	defer qc.mu.Unlock()
 	qc.nextID++
-	return fmt.Sprintf("%s/rp-%s-%d", qc.id, cluster, qc.nextID)
+	return qc.id + "/rp-" + cluster + "-" + strconv.Itoa(qc.nextID)
 }
 
 // charge records a device the query's operators will be charged on.
@@ -225,6 +226,10 @@ type Query struct {
 // ID returns the engine-assigned query id ("q1", "q2", ...).
 func (q *Query) ID() string { return q.qc.id }
 
+// Metrics returns the query's metrics scope: what the engine's processes and
+// the scheduler count per query lives there, and folds when it is retired.
+func (q *Query) Metrics() *metrics.Scope { return q.qc.metrics }
+
 // Cancel fails every stream process of this query with ErrQueryCancelled
 // (wrapped with cause if non-nil). The query's Drain observes the failure,
 // releases its node leases, and returns; concurrent queries are unaffected.
@@ -263,7 +268,7 @@ func (e *Engine) newQueryLocked() *queryCtx {
 	e.qSeq++
 	qc := &queryCtx{
 		eng:      e,
-		id:       fmt.Sprintf("q%d", e.qSeq),
+		id:       string(strconv.AppendInt(append(make([]byte, 0, 24), 'q'), int64(e.qSeq), 10)),
 		seq:      e.qSeq,
 		pacer:    vtime.NewPacer(pacerHorizon),
 		cancelCh: make(chan struct{}),

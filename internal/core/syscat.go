@@ -168,9 +168,9 @@ func (e *Engine) sysRPsTable() *catalog.Table {
 				if i := strings.IndexByte(id, '/'); i > 0 {
 					qid = id[:i]
 				}
-				st := p.Stats()
 				rows = append(rows, t.Row(id, qid, string(p.Cluster()), int64(p.Node()),
-					st.ElementsOut, st.BytesOut, st.FramesOut, int64(st.LastOut),
+					snap.Counters["rp.elements_out."+id], snap.Counters["rp.bytes_out."+id],
+					snap.Counters["rp.frames_out."+id], snap.Gauges["rp.last_out."+id],
 					snap.Counters["recv.frames."+id], snap.Counters["recv.bytes."+id],
 					snap.Gauges[metrics.RTPrefix+"inbox_depth."+id]))
 			}

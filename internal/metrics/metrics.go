@@ -22,8 +22,10 @@
 //
 // All hot-path operations are single atomic instructions; registry lookups
 // happen once per connection or process at wiring time, and the handles are
-// cached. A nil *Registry (and the nil handles it returns) is valid and
-// records nothing, so instrumentation points need no conditionals.
+// cached: a process takes all of its metrics as one Block, by its identity
+// (Family, id) — names exist only in what Snapshot returns. A nil *Registry
+// (and the nil handles it returns) is valid and records nothing, so
+// instrumentation points need no conditionals.
 package metrics
 
 import (
@@ -154,14 +156,6 @@ func (h *Histogram) Observe(d vtime.Duration) {
 	}
 }
 
-// Count returns how many durations were observed.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
 // merge adds o's observations into h. o must be quiescent.
 func (h *Histogram) merge(o *Histogram) {
 	n := o.count.Load()
@@ -203,89 +197,192 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 	return s
 }
 
-// Registry is a named collection of metrics. Handles are created on first
-// use and stable thereafter, so hot paths look a metric up once and cache
-// the pointer. A nil *Registry is valid: its lookups return nil handles,
-// which record nothing.
+// Family is the shape of one kind of process's telemetry — an RP, a receiver,
+// a link: the name prefixes of its counters, gauges and histograms, in slot
+// order. A process's identity is a value, (family, id); its metric names
+// ("rp.elements_out." + "q7/rp-bg-2") are composed only when somebody reads
+// (Snapshot). Families are package variables of the package that owns the
+// names; a Block has room for three counters, one gauge and two histograms.
+type Family struct {
+	Counters, Gauges, Hists []string
+}
+
+// Block holds every metric of one process: one small allocation (plus one per
+// histogram) taken in one registration. It refers to nothing of the process,
+// so a registry that keeps a finished query's blocks readable pins none of its
+// operator trees. A nil *Block hands out nil handles, which record nothing.
+type Block struct {
+	fam  *Family
+	id   string
+	next *Block // the next block of the same Scope
+	c    [3]Counter
+	g    [1]Gauge
+	h    [2]*Histogram
+}
+
+func newBlock(f *Family, id string) *Block {
+	b := &Block{fam: f, id: id}
+	for i := range f.Hists {
+		b.h[i] = new(Histogram)
+	}
+	return b
+}
+
+// Counter returns the handle of the family's i-th counter.
+func (b *Block) Counter(i int) *Counter {
+	if b == nil {
+		return nil
+	}
+	return &b.c[i]
+}
+
+// Gauge returns the handle of the family's i-th gauge.
+func (b *Block) Gauge(i int) *Gauge {
+	if b == nil {
+		return nil
+	}
+	return &b.g[i]
+}
+
+// Histogram returns the handle of the family's i-th histogram.
+func (b *Block) Histogram(i int) *Histogram {
+	if b == nil {
+		return nil
+	}
+	return b.h[i]
+}
+
+// add folds o's values into b, a block of the same family: counters and
+// histograms are added, gauges keep the maximum. o must be quiescent.
+func (b *Block) add(o *Block) {
+	for i := range b.fam.Counters {
+		b.c[i].Add(o.c[i].Value())
+	}
+	for i := range b.fam.Gauges {
+		b.g[i].SetMax(o.g[i].Value())
+	}
+	for i := range b.fam.Hists {
+		b.h[i].merge(o.h[i])
+	}
+}
+
+func (b *Block) snapshotInto(s *Snapshot) {
+	for i, prefix := range b.fam.Counters {
+		s.Counters[prefix+b.id] = b.c[i].Value()
+	}
+	for i, prefix := range b.fam.Gauges {
+		s.Gauges[prefix+b.id] = b.g[i].Value()
+	}
+	for i, prefix := range b.fam.Hists {
+		s.Histograms[prefix+b.id] = b.h[i].snapshot()
+	}
+}
+
+// Registry is a collection of metrics. Handles are created on first use and
+// stable thereafter, so hot paths resolve a metric once and cache the
+// pointer. A nil *Registry is valid: its lookups return nil handles and
+// blocks, which record nothing.
 type Registry struct {
 	mu sync.Mutex
-	// shared holds every name that is not scoped to an open query scope.
-	shared metricSet
-	// scopes holds the open query scopes by query id. Nil until the first
-	// OpenScope: every RP owns a private registry that never opens one.
+	// shared holds the blocks that belong to no query: those keyed by
+	// hardware (a link's, a carrier's), which every query that dials the same
+	// connection shares, each family's retired aggregate, and the metrics
+	// registered by full name.
+	shared map[blockKey]*Block
+	// scopes holds the open query scopes by query id.
 	scopes map[string]*Scope
 }
 
-// metricSet is one namespace of metrics: under a name, at most one metric
-// of each kind.
-type metricSet map[string]metric
-
-type metric struct {
-	c *Counter
-	g *Gauge
-	h *Histogram
+type blockKey struct {
+	fam *Family
+	id  string
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{shared: make(metricSet)}
+	return &Registry{shared: make(map[blockKey]*Block), scopes: make(map[string]*Scope)}
 }
 
-// Scope is one query's share of a registry: the metrics created, since
-// OpenScope, under names whose query segment (see scopeSegment) is the
-// query's id. Keeping them apart makes Fold cost that query's keys, and lets
-// the whole set go at once instead of churning the shared map. A nil *Scope
-// is valid and folds nothing.
+// Shared returns the block of family f keyed by id in the registry's shared
+// set, creating it if needed: the registration of hardware-keyed processes,
+// whose metrics outlive any query. Finding an existing block allocates
+// nothing and builds no name. A nil registry returns a nil block.
+func (r *Registry) Shared(f *Family, id string) *Block {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.sharedLocked(f, id)
+}
+
+func (r *Registry) sharedLocked(f *Family, id string) *Block {
+	k := blockKey{f, id}
+	b := r.shared[k]
+	if b == nil {
+		b = newBlock(f, id)
+		r.shared[k] = b
+	}
+	return b
+}
+
+// Scope is one query's share of a registry: the blocks of the query's
+// processes, chained in one list. Keeping them apart makes Fold cost that
+// query's processes, and lets the whole set go at once. A nil *Scope is
+// valid: it hands out nil blocks and folds nothing.
 type Scope struct {
-	reg *Registry
-	qid string
-	set metricSet // nil until the query's first metric
+	reg  *Registry
+	qid  string
+	head *Block
 }
 
-// retiredSuffix replaces the identity part of a folded query's metric names:
-// Fold adds "rp.elements_out.q7/rp-bg-2" into "rp.elements_out.retired".
+// retiredSuffix is the identity of a family's retired aggregate: Fold adds
+// "rp.elements_out.q7/rp-bg-2" into "rp.elements_out.retired".
 const retiredSuffix = "retired"
 
-// OpenScope sets the metrics created under query id qid apart from now on.
-// Call it before the query's first metric is created. A nil registry returns
-// a nil scope.
+// OpenScope opens the scope of query qid. A nil registry returns a nil scope.
 func (r *Registry) OpenScope(qid string) *Scope {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.scopes == nil {
-		r.scopes = make(map[string]*Scope)
-	}
 	s := &Scope{reg: r, qid: qid}
 	r.scopes[qid] = s
 	return s
 }
 
-// setLocked returns the set name lives in: the open scope's its query
-// segment names, else the shared one. r.mu must be held.
-func (r *Registry) setLocked(name string) metricSet {
-	start, end := scopeSegment(name, func(id string) bool { return r.scopes[id] != nil })
-	if start < 0 {
-		return r.shared
+// Block returns the scope's block of family f under id, creating it if
+// needed — the one registration of a query-scoped process. An id names one
+// process for the life of its query, so a re-placed process, or the retried
+// build of a rolled-back one, counts on where its predecessor stopped. Walking
+// the scope's blocks beats hashing names up to a few hundred processes per
+// query.
+func (s *Scope) Block(f *Family, id string) *Block {
+	if s == nil {
+		return nil
 	}
-	s := r.scopes[name[start:end]]
-	if s.set == nil {
-		// A two-process query creates 16 keys: room for those up front
-		// spares the small scope the regrowths.
-		s.set = make(metricSet, 16)
+	s.reg.mu.Lock()
+	defer s.reg.mu.Unlock()
+	for b := s.head; b != nil; b = b.next {
+		if b.fam == f && b.id == id {
+			return b
+		}
 	}
-	return s.set
+	b := newBlock(f, id)
+	b.next, s.head = s.head, b
+	return b
 }
 
-// Fold closes the scope: every metric in it is removed and its value folded
-// into the shared key of the same prefix that ends in retiredSuffix —
-// counters and histograms are added, gauges keep the maximum. Sums over a
-// name prefix (Snapshot.SumCounters) therefore never lose a folded query's
-// contribution, while the registry's size stays bounded by the scopes still
-// open. The query must be quiescent: handles cached by its processes are
-// detached, so a later update through them is lost. Folding again is a no-op.
+// Fold closes the scope: every block in it is removed and its values folded
+// into the family's shared block of identity retiredSuffix — counters and
+// histograms are added, gauges keep the maximum. Sums over a name prefix
+// (Snapshot.SumCounters) therefore never lose a folded query's contribution,
+// while the registry's size stays bounded by the scopes still open. No name
+// is built or parsed: a block knows its family. The query must be quiescent:
+// handles cached by its processes are detached, so a later update through
+// them is lost, and a block taken afterwards is in no reader's sight. Folding
+// again is a no-op.
 func (s *Scope) Fold() {
 	if s == nil {
 		return
@@ -296,91 +393,32 @@ func (s *Scope) Fold() {
 	if r.scopes[s.qid] == s {
 		delete(r.scopes, s.qid)
 	}
-	// The retired key is built in place: a lookup by string(key) does not
-	// allocate, and only the first fold under a prefix stores the key.
-	var buf [64]byte
-	key := buf[:0]
-	for name, m := range s.set {
-		// Every name in the set carries the scope's id as its query segment.
-		start, _ := scopeSegment(name, func(id string) bool { return id == s.qid })
-		key = append(append(key[:0], name[:start]...), retiredSuffix...)
-		had := r.shared[string(key)]
-		into := had
-		if m.c != nil {
-			if into.c == nil {
-				into.c = new(Counter)
-			}
-			into.c.Add(m.c.Value())
-		}
-		if m.g != nil {
-			if into.g == nil {
-				into.g = new(Gauge)
-			}
-			into.g.SetMax(m.g.Value())
-		}
-		if m.h != nil {
-			if into.h == nil {
-				into.h = new(Histogram)
-			}
-			into.h.merge(m.h)
-		}
-		if into != had {
-			r.shared[string(key)] = into
-		}
+	for b := s.head; b != nil; b = b.next {
+		r.sharedLocked(b.fam, retiredSuffix).add(b)
 	}
-	s.set = nil
+	s.head = nil
 }
+
+// A metric registered by full name is a shared block of one slot whose id is
+// the whole name. Names are for the fixed metrics that live as long as the
+// engine (sched.*, server.*, chaos.*, coord.*, ...); a process takes a Block.
+var (
+	namedCounter = &Family{Counters: []string{""}}
+	namedGauge   = &Family{Gauges: []string{""}}
+	namedHist    = &Family{Hists: []string{""}}
+)
 
 // Counter returns the named counter, creating it if needed (nil on a nil
 // registry).
-func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	set := r.setLocked(name)
-	m := set[name]
-	if m.c == nil {
-		m.c = new(Counter)
-		set[name] = m
-	}
-	return m.c
-}
+func (r *Registry) Counter(name string) *Counter { return r.Shared(namedCounter, name).Counter(0) }
 
 // Gauge returns the named gauge, creating it if needed (nil on a nil
 // registry).
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	set := r.setLocked(name)
-	m := set[name]
-	if m.g == nil {
-		m.g = new(Gauge)
-		set[name] = m
-	}
-	return m.g
-}
+func (r *Registry) Gauge(name string) *Gauge { return r.Shared(namedGauge, name).Gauge(0) }
 
 // Histogram returns the named histogram, creating it if needed (nil on a
 // nil registry).
-func (r *Registry) Histogram(name string) *Histogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	set := r.setLocked(name)
-	m := set[name]
-	if m.h == nil {
-		m.h = new(Histogram)
-		set[name] = m
-	}
-	return m.h
-}
+func (r *Registry) Histogram(name string) *Histogram { return r.Shared(namedHist, name).Histogram(0) }
 
 // Bucket is one non-empty histogram bucket: Count observations below
 // UpperNs (and at or above the previous bucket's bound). UpperNs 0 is the
@@ -399,14 +437,6 @@ type HistogramSnapshot struct {
 	Buckets []Bucket `json:"buckets,omitempty"`
 }
 
-// MeanNs returns the mean observed duration in nanoseconds.
-func (h HistogramSnapshot) MeanNs() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return float64(h.SumNs) / float64(h.Count)
-}
-
 // Snapshot is a point-in-time, JSON-serializable view of a registry.
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters"`
@@ -414,15 +444,19 @@ type Snapshot struct {
 	Histograms map[string]HistogramSnapshot `json:"histograms"`
 }
 
-// Snapshot captures the registry's current state. It is safe to call while
-// writers are recording; each individual metric is read atomically. An
-// empty snapshot is returned for a nil registry.
-func (r *Registry) Snapshot() Snapshot {
-	s := Snapshot{
+func newSnapshot() Snapshot {
+	return Snapshot{
 		Counters:   make(map[string]int64),
 		Gauges:     make(map[string]int64),
 		Histograms: make(map[string]HistogramSnapshot),
 	}
+}
+
+// Snapshot captures the registry's current state. It is safe to call while
+// writers are recording; each individual metric is read atomically. An
+// empty snapshot is returned for a nil registry.
+func (r *Registry) Snapshot() Snapshot {
+	s := newSnapshot()
 	if r == nil {
 		return s
 	}
@@ -430,25 +464,15 @@ func (r *Registry) Snapshot() Snapshot {
 	// one per bucket), and it spares a copy of the handle maps.
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.shared.snapshotInto(&s)
+	for _, b := range r.shared {
+		b.snapshotInto(&s)
+	}
 	for _, sc := range r.scopes {
-		sc.set.snapshotInto(&s)
+		for b := sc.head; b != nil; b = b.next {
+			b.snapshotInto(&s)
+		}
 	}
 	return s
-}
-
-func (set metricSet) snapshotInto(s *Snapshot) {
-	for k, m := range set {
-		if m.c != nil {
-			s.Counters[k] = m.c.Value()
-		}
-		if m.g != nil {
-			s.Gauges[k] = m.g.Value()
-		}
-		if m.h != nil {
-			s.Histograms[k] = m.h.snapshot()
-		}
-	}
 }
 
 // Deterministic returns the snapshot minus wall-clock-dependent metrics
@@ -460,11 +484,7 @@ func (s Snapshot) Deterministic() Snapshot {
 
 // filter returns the metrics of s whose names keep accepts.
 func (s Snapshot) filter(keep func(name string) bool) Snapshot {
-	out := Snapshot{
-		Counters:   make(map[string]int64),
-		Gauges:     make(map[string]int64),
-		Histograms: make(map[string]HistogramSnapshot),
-	}
+	out := newSnapshot()
 	for k, v := range s.Counters {
 		if keep(k) {
 			out.Counters[k] = v
@@ -487,38 +507,28 @@ func (s Snapshot) filter(keep func(name string) bool) Snapshot {
 // The engine embeds query ids into process identities as path segments
 // ("rp.elements_out.q1/rp-bg-2", "recv.bytes.q1/client") and scheduler
 // metrics carry the id as a dotted suffix ("sched.nodes.q1"); both forms
-// match, and "q1" never matches "q12".
+// match, and "q1" never matches "q12". The segment either heads a
+// path-qualified identity (it follows a '.' or starts the name, and a '/'
+// follows it) or is the name's dotted suffix; every '/' is tried — an earlier
+// non-segment hit ("x.freq1/merge.q1/client" for "q1") must not mask a
+// genuine one. This filter over a snapshot is the only place a name is parsed.
 func QueryScoped(name, qid string) bool {
 	if qid == "" {
 		return false
 	}
-	start, _ := scopeSegment(name, func(id string) bool { return id == qid })
-	return start >= 0
-}
-
-// scopeSegment finds the query-id segment of a metric name: the first
-// segment accepted by isID that either heads a path-qualified identity
-// (it follows a '.' separator, or starts the name, and a '/' follows it) or
-// is the name's dotted suffix. Every '/' is tried — an earlier non-segment
-// hit ("x.freq1/merge.q1/client" for "q1") must not mask a genuine one. It
-// returns the segment's bounds, or -1, -1.
-func scopeSegment(name string, isID func(string) bool) (start, end int) {
 	for off := 0; ; {
 		j := strings.IndexByte(name[off:], '/')
 		if j < 0 {
 			break
 		}
 		j += off
-		i := strings.LastIndexByte(name[:j], '.') + 1
-		if isID(name[i:j]) {
-			return i, j
+		if name[strings.LastIndexByte(name[:j], '.')+1:j] == qid {
+			return true
 		}
 		off = j + 1
 	}
-	if i := strings.LastIndexByte(name, '.') + 1; i > 0 && isID(name[i:]) {
-		return i, len(name)
-	}
-	return -1, -1
+	i := strings.LastIndexByte(name, '.') + 1
+	return i > 0 && name[i:] == qid
 }
 
 // ForQuery filters the snapshot down to one query's metrics: every counter,
@@ -554,15 +564,10 @@ func (s Snapshot) GaugeNames() []string {
 
 // HistogramNames returns the histogram names sorted.
 func (s Snapshot) HistogramNames() []string {
-	names := make([]string, 0, len(s.Histograms))
-	for k := range s.Histograms {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
+	return sortedKeys(s.Histograms)
 }
 
-func sortedKeys(m map[string]int64) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	names := make([]string, 0, len(m))
 	for k := range m {
 		names = append(names, k)

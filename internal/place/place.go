@@ -44,8 +44,9 @@
 package place
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -110,15 +111,26 @@ const maxDecisions = 512
 
 // Planner scores candidate nodes for incoming placements against the node
 // sets already leased to live sessions. It is safe for concurrent use: every
-// planning call snapshots the cluster database under its own locks.
+// planning call snapshots the cluster database under its own locks, and the
+// calls take turns at the planner's scratch.
 type Planner struct {
 	env *hw.Env
 	dbs map[hw.ClusterName]*cndb.DB
 	cfg Config
 
-	mu        sync.Mutex
+	mu        sync.Mutex // held for a whole planning call
 	seq       int
 	decisions []Decision
+
+	// A planning call's working storage, kept between calls: they run ten to
+	// a session, under the engine's build lock.
+	view       view
+	loads      []cndb.NodeLoad
+	leases     []cndb.Lease
+	admissible []int
+	seen       []bool
+	keys       []scoreKey
+	cost       []float64
 }
 
 // New builds a planner over the environment and the per-cluster compute
@@ -134,10 +146,8 @@ func (p *Planner) Decisions() []Decision {
 	return append([]Decision(nil), p.decisions...)
 }
 
-// record appends one decision under the log cap.
+// record appends one decision under the log cap. p.mu must be held.
 func (p *Planner) record(d Decision) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.seq++
 	d.ID = p.seq
 	p.decisions = append(p.decisions, d)
@@ -162,8 +172,10 @@ func (p *Planner) PlanPlacement(owner string, c hw.ClusterName, candidates []int
 	if batch < 1 {
 		batch = 1
 	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	v := p.snapshot(owner, db)
-	admissible := v.admissible(candidates)
+	admissible := p.admit(v, candidates)
 	if len(admissible) == 0 {
 		p.record(Decision{Owner: owner, Cluster: string(c), Batch: batch,
 			Objective: p.cfg.Objective, Fallback: true})
@@ -178,10 +190,12 @@ func (p *Planner) PlanPlacement(owner string, c hw.ClusterName, candidates []int
 	// allocation-free (HopCount arithmetic, keys cached outside the sort
 	// comparator); only the refineWidth best candidates of each slot pay the
 	// route walk for the foreign-congestion term.
-	order := make([]int, 0, len(admissible))
+	considered := len(admissible)
+	order := make([]int, 0, considered) // the caller's: the only slice built per call
 	score := 0.0
 	remaining := admissible
-	keys := make([]scoreKey, len(remaining))
+	p.keys = slices.Grow(p.keys[:0], len(remaining))
+	keys := p.keys[:len(remaining)]
 	top := make([]int, 0, refineWidth)
 	for slot := 0; slot < simSlots; slot++ {
 		// One bulk-scoring pass keeping the refineWidth best candidates in a
@@ -215,15 +229,19 @@ func (p *Planner) PlanPlacement(owner string, c hw.ClusterName, candidates []int
 		score += bestKey.cost
 		order = append(order, remaining[best])
 		v.take(remaining[best])
-		remaining = append(remaining[:best:best], remaining[best+1:]...)
+		remaining = slices.Delete(remaining, best, best+1)
 		keys = keys[:len(remaining)]
 	}
 	// Rank the tail under the final simulated state so probing past the
 	// planned picks still prefers the cheapest remaining nodes.
-	for i := range remaining {
-		keys[i] = p.scoreKey(v, remaining[i])
+	cost := resized(p.cost, v.size) // by node id
+	p.cost = cost
+	for _, n := range remaining {
+		cost[n] = p.scoreKey(v, n).cost
 	}
-	sort.Sort(&tailSorter{keys: keys, nodes: remaining})
+	slices.SortFunc(remaining, func(a, b int) int {
+		return cmp.Or(cmp.Compare(cost[a], cost[b]), a-b)
+	})
 	order = append(order, remaining...)
 
 	chosen := order
@@ -232,7 +250,7 @@ func (p *Planner) PlanPlacement(owner string, c hw.ClusterName, candidates []int
 	}
 	p.record(Decision{Owner: owner, Cluster: string(c), Batch: batch,
 		Objective: p.cfg.Objective, Chosen: append([]int(nil), chosen...),
-		Score: score, Considered: len(admissible)})
+		Score: score, Considered: considered})
 	return order, true
 }
 
@@ -241,22 +259,6 @@ func (p *Planner) PlanPlacement(owner string, c hw.ClusterName, candidates []int
 // break.
 type scoreKey struct {
 	cost float64
-}
-
-// tailSorter orders the unplanned tail by cached key without the reflection
-// overhead of sort.Slice (the tail is the whole cluster minus a few picks).
-type tailSorter struct {
-	keys  []scoreKey
-	nodes []int
-}
-
-func (s *tailSorter) Len() int { return len(s.nodes) }
-func (s *tailSorter) Less(a, b int) bool {
-	return s.keys[a].less(s.keys[b], s.nodes[a], s.nodes[b])
-}
-func (s *tailSorter) Swap(a, b int) {
-	s.keys[a], s.keys[b] = s.keys[b], s.keys[a]
-	s.nodes[a], s.nodes[b] = s.nodes[b], s.nodes[a]
 }
 
 func (k scoreKey) less(o scoreKey, n, on int) bool {
@@ -313,7 +315,8 @@ func (p *Planner) scoreKey(v *view, n int) scoreKey {
 }
 
 // view is the planner's per-call snapshot of one cluster, plus the
-// simulated effect of the batch slots already planned.
+// simulated effect of the batch slots already planned. Its slices are the
+// planner's scratch, resized and cleared by snapshot.
 type view struct {
 	cluster   hw.ClusterName
 	bg        bool
@@ -333,34 +336,45 @@ type view struct {
 	route       []int // busyOn's scratch: the route being walked
 }
 
+// resized returns s with length n, every element zero, reusing its storage.
+func resized[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
+}
+
 // snapshot captures the cluster state the plan is a pure function of. The
-// node states and the lease table are taken under the database's lock;
-// admission is serialized by the engine's build lock, so the snapshot is
-// stable for the whole planning call.
+// node states and the lease table are read under one acquisition of the
+// database's lock; admission is serialized by the engine's build lock, so the
+// snapshot is stable for the whole planning call.
 func (p *Planner) snapshot(owner string, db *cndb.DB) *view {
-	states := db.NodeStates()
-	v := &view{
+	v := &p.view
+	n := db.Size()
+	*v = view{
 		cluster:     db.Cluster(),
 		bg:          db.Cluster() == hw.BlueGene,
 		exclusive:   db.Exclusive(),
-		size:        db.Size(),
-		dead:        make([]bool, db.Size()),
-		rps:         make([]int, db.Size()),
-		simOwn:      make([]int, db.Size()),
-		taken:       make([]bool, db.Size()),
+		size:        n,
+		dead:        resized(v.dead, n),
+		rps:         resized(v.rps, n),
+		simOwn:      resized(v.simOwn, n),
+		taken:       resized(v.taken, n),
 		psetSize:    p.env.PsetSize(),
 		tor:         p.env.Torus,
-		foreignNode: make([]bool, db.Size()),
+		foreignNode: resized(v.foreignNode, n),
+		foreignPset: v.foreignPset[:0],
+		ownNodes:    v.ownNodes[:0],
+		route:       v.route,
 	}
 	if v.bg && v.psetSize > 0 {
-		npsets := (v.size + v.psetSize - 1) / v.psetSize
-		v.foreignPset = make([]int, npsets)
+		v.foreignPset = resized(v.foreignPset, (n+v.psetSize-1)/v.psetSize)
 	}
-	for _, st := range states {
+	p.loads, p.leases = db.AppendState(p.loads[:0], p.leases[:0])
+	for _, st := range p.loads {
 		v.dead[st.Node] = st.Dead
 		v.rps[st.Node] = st.RPs
 	}
-	for _, l := range db.Leases() {
+	for _, l := range p.leases {
 		if l.Node < 0 || l.Node >= v.size {
 			continue
 		}
@@ -373,16 +387,17 @@ func (p *Planner) snapshot(owner string, db *cndb.DB) *view {
 			v.foreignPset[l.Node/v.psetSize]++
 		}
 	}
-	sort.Ints(v.ownNodes)
+	slices.Sort(v.ownNodes)
 	return v
 }
 
-// admissible filters and dedups the candidate set: in range, alive, and —
-// on exclusive clusters — not already occupied or planned. nil candidates
-// mean the whole cluster in id order (the naive placement's search space).
-func (v *view) admissible(candidates []int) []int {
-	out := make([]int, 0, v.size)
-	seen := make([]bool, v.size)
+// admit filters and dedups the candidate set: in range, alive, and — on
+// exclusive clusters — not already occupied or planned. nil candidates mean
+// the whole cluster in id order (the naive placement's search space).
+func (p *Planner) admit(v *view, candidates []int) []int {
+	out := slices.Grow(p.admissible[:0], v.size)
+	seen := resized(p.seen, v.size)
+	p.seen = seen
 	accept := func(n int) {
 		if n < 0 || n >= v.size || seen[n] {
 			return
@@ -400,11 +415,12 @@ func (v *view) admissible(candidates []int) []int {
 		for n := 0; n < v.size; n++ {
 			accept(n)
 		}
-		return out
+	} else {
+		for _, n := range candidates {
+			accept(n)
+		}
 	}
-	for _, n := range candidates {
-		accept(n)
-	}
+	p.admissible = out
 	return out
 }
 
@@ -414,7 +430,7 @@ func (v *view) take(n int) {
 	v.taken[n] = true
 	v.simOwn[n]++
 	v.ownNodes = append(v.ownNodes, n)
-	sort.Ints(v.ownNodes)
+	slices.Sort(v.ownNodes)
 }
 
 // nearestOwn returns the session's already-placed node closest to candidate

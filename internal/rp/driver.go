@@ -43,7 +43,8 @@ type SenderConfig struct {
 	// nothing.
 	Retry carrier.RetryPolicy
 	// Metrics receives the driver's telemetry (frames/bytes flushed, retry
-	// counts, marshal and flush latency in virtual time). Nil disables.
+	// counts, marshal and flush latency in virtual time), keyed by Link and
+	// its carrier kind. Nil disables.
 	Metrics *metrics.Registry
 	// Tracer, if non-nil, enables frame-level tracing: the driver assigns
 	// each flushed frame a deterministic trace ID and emits its flush span.
@@ -54,14 +55,20 @@ type SenderConfig struct {
 	Link string
 }
 
-// linkKind extracts the carrier kind ("mpi", "tcp", "udp") from a link
-// label for kind-aggregated histogram names.
-func linkKind(link string) string {
-	if i := strings.IndexByte(link, ':'); i > 0 {
-		return link[:i]
+// The drivers' metric families. A sender's counters are keyed by its link's
+// label and its latency histograms by the carrier kind, like the carrier's own
+// link.* metrics; a receiver's block by its consumer's id in the query's scope.
+var (
+	sendFamily     = &metrics.Family{Counters: []string{"send.frames.", "send.bytes.", "send.retries."}}
+	sendKindFamily = &metrics.Family{Hists: []string{"send.marshal_vt.", "send.flush_vt."}}
+	recvFamily     = &metrics.Family{
+		Counters: []string{"recv.frames.", "recv.bytes."},
+		// Instantaneous queue depth depends on wall-clock scheduling, not the
+		// virtual schedule: rt. marks it out of the determinism guarantee.
+		Gauges: []string{metrics.RTPrefix + "inbox_depth."},
+		Hists:  []string{"recv.demarshal_vt."},
 	}
-	return "link"
-}
+)
 
 // senderDriver marshals outgoing elements into send buffers and ships them
 // over one carrier connection (paper §2.3: "the sender driver ... marshals
@@ -113,14 +120,11 @@ func newSenderDriver(source string, conn carrier.Conn, cfg SenderConfig) (*sende
 		return nil, fmt.Errorf("rp: invalid buffering mode %d", cfg.Mode)
 	}
 	d := &senderDriver{cfg: cfg, conn: conn, source: source, owner: carrier.QueryOf(source)}
-	if reg := cfg.Metrics; reg != nil {
-		kind := linkKind(cfg.Link)
-		d.mFrames = reg.Counter("send.frames." + cfg.Link)
-		d.mBytes = reg.Counter("send.bytes." + cfg.Link)
-		d.mRetries = reg.Counter("send.retries." + cfg.Link)
-		d.hMarshal = reg.Histogram("send.marshal_vt." + kind)
-		d.hFlush = reg.Histogram("send.flush_vt." + kind)
-	}
+	link := cfg.Metrics.Shared(sendFamily, cfg.Link)
+	d.mFrames, d.mBytes, d.mRetries = link.Counter(0), link.Counter(1), link.Counter(2)
+	kind, _, _ := strings.Cut(cfg.Link, ":")
+	byKind := cfg.Metrics.Shared(sendKindFamily, kind)
+	d.hMarshal, d.hFlush = byKind.Histogram(0), byKind.Histogram(1)
 	if cfg.Tracer != nil {
 		h := fnv.New64a()
 		_, _ = h.Write([]byte(cfg.Link))
@@ -342,9 +346,10 @@ type ReceiverConfig struct {
 	// change the virtual schedule: frame i's de-marshal becomes ready at
 	// max(arrival, end of frame i-1's de-marshal) either way.
 	BatchFrames int
-	// Metrics receives the receiver's telemetry (frames/bytes ingested,
-	// de-marshal latency, inbox high-water depth). Nil disables.
-	Metrics *metrics.Registry
+	// Metrics is the consuming query's scope: it receives the receiver's
+	// telemetry (frames/bytes ingested, de-marshal latency, inbox high-water
+	// depth) under Consumer. Nil disables.
+	Metrics *metrics.Scope
 	// Tracer, if non-nil, makes the receiver emit transfer/hop/de-marshal
 	// trace events for frames carrying a trace ID.
 	Tracer *metrics.Tracer
@@ -412,8 +417,7 @@ type Receiver struct {
 	lastsSeen int
 	done      bool
 
-	framesIn int64
-	bytesIn  int64
+	framesIn int64 // frames ingested: numbers the tracer's net lanes
 
 	// Cached metric handles; nil-safe no-ops without a registry.
 	mFrames    *metrics.Counter
@@ -438,15 +442,8 @@ func NewReceiver(inbox carrier.Inbox, cfg ReceiverConfig) *Receiver {
 	if cfg.CPU != nil {
 		r.txn = cfg.CPU.Txn(r.owner)
 	}
-	if reg := cfg.Metrics; reg != nil {
-		r.mFrames = reg.Counter("recv.frames." + cfg.Consumer)
-		r.mBytes = reg.Counter("recv.bytes." + cfg.Consumer)
-		r.hDemarshal = reg.Histogram("recv.demarshal_vt." + cfg.Consumer)
-		// Instantaneous queue depth depends on wall-clock goroutine
-		// scheduling, not the virtual schedule: rt. marks it out of the
-		// determinism guarantee.
-		r.gDepth = reg.Gauge(metrics.RTPrefix + "inbox_depth." + cfg.Consumer)
-	}
+	b := cfg.Metrics.Block(recvFamily, cfg.Consumer)
+	r.mFrames, r.mBytes, r.gDepth, r.hDemarshal = b.Counter(0), b.Counter(1), b.Gauge(0), b.Histogram(0)
 	return r
 }
 
@@ -571,7 +568,6 @@ func (r *Receiver) preprocess(fr carrier.Delivered) error {
 	}
 
 	r.framesIn++
-	r.bytesIn += int64(len(payload))
 	r.mFrames.Inc()
 	r.mBytes.Add(int64(len(payload)))
 
@@ -819,9 +815,3 @@ func (r *Receiver) Close() error {
 	}()
 	return nil
 }
-
-// FramesIn reports how many frames the receiver has ingested.
-func (r *Receiver) FramesIn() int64 { return r.framesIn }
-
-// BytesIn reports how many payload bytes the receiver has ingested.
-func (r *Receiver) BytesIn() int64 { return r.bytesIn }

@@ -10,6 +10,7 @@ import (
 	"scsq/internal/carrier"
 	"scsq/internal/hw"
 	"scsq/internal/marshal"
+	"scsq/internal/metrics"
 	"scsq/internal/sqep"
 	"scsq/internal/vtime"
 )
@@ -111,7 +112,8 @@ func encInt(t *testing.T, v int64) []byte {
 func TestReceiverOffsetDedupAndTrim(t *testing.T) {
 	b1, b2, b3 := encInt(t, 1), encInt(t, 2), encInt(t, 3)
 	inbox := make(carrier.Inbox, 8)
-	r := NewReceiver(inbox, ReceiverConfig{Producers: 1, TrackOffsets: true})
+	reg := metrics.NewRegistry()
+	r := NewReceiver(inbox, ReceiverConfig{Producers: 1, TrackOffsets: true, Metrics: reg.OpenScope("q1"), Consumer: "q1/c"})
 
 	frame := func(off uint64, payload []byte, last bool) carrier.Delivered {
 		buf := carrier.GetBuf(len(payload))
@@ -149,12 +151,13 @@ func TestReceiverOffsetDedupAndTrim(t *testing.T) {
 	}
 	// The full duplicate was discarded without charge, so only three frames
 	// count as ingested.
-	if r.FramesIn() != 3 {
-		t.Fatalf("frames in = %d, want 3", r.FramesIn())
+	snap := reg.Snapshot()
+	if got := snap.Counters["recv.frames.q1/c"]; got != 3 {
+		t.Fatalf("frames in = %d, want 3", got)
 	}
 	// Ingested bytes count each stream byte once, despite the replays.
-	if want := int64(len(b1) + len(b2) + len(b3)); r.BytesIn() != want {
-		t.Fatalf("bytes in = %d, want %d", r.BytesIn(), want)
+	if got, want := snap.Counters["recv.bytes.q1/c"], int64(len(b1)+len(b2)+len(b3)); got != want {
+		t.Fatalf("bytes in = %d, want %d", got, want)
 	}
 }
 

@@ -27,19 +27,6 @@ import (
 // returned plan.
 type BuildFunc func(ctx *sqep.Ctx) (sqep.Operator, error)
 
-// Stats exposes an RP's execution-monitoring counters. It is a
-// compatibility view: the counters live in a metrics.Registry (under
-// "rp.elements_out.<id>" and friends), and Stats reads them back, so there
-// is exactly one counting path whether callers go through RP.Stats or the
-// engine's telemetry surface.
-type Stats struct {
-	ElementsOut int64
-	BytesOut    int64
-	FramesOut   int64
-	// LastOut is the virtual timestamp of the last element produced.
-	LastOut vtime.Time
-}
-
 // RP is a running process executing one continuous subquery on one compute
 // node.
 type RP struct {
@@ -63,9 +50,10 @@ type RP struct {
 	killed   chan struct{}
 	killOnce sync.Once
 
-	// Monitoring counters live in a registry (the engine's, or a private
-	// one for directly constructed RPs) and are accessed through cached
-	// handles; Stats() is a view over them.
+	// Monitoring counters live in the block SetMetrics took from the query's
+	// scope (the registry reads them as "rp.elements_out.<id>" and friends)
+	// and are accessed through cached handles: nil, recording nothing, until
+	// then.
 	mElems  *metrics.Counter
 	mBytes  *metrics.Counter
 	mFrames *metrics.Counter
@@ -76,7 +64,7 @@ type RP struct {
 // does not run until Start is called; subscribers must be attached before
 // then.
 func New(id string, cluster hw.ClusterName, node int, ctx sqep.Ctx, build BuildFunc) *RP {
-	r := &RP{
+	return &RP{
 		id:      id,
 		cluster: cluster,
 		node:    node,
@@ -85,28 +73,23 @@ func New(id string, cluster hw.ClusterName, node int, ctx sqep.Ctx, build BuildF
 		done:    make(chan struct{}),
 		killed:  make(chan struct{}),
 	}
-	r.bindMetrics(metrics.NewRegistry())
-	return r
 }
 
-// bindMetrics points the RP's counter handles at reg.
-func (r *RP) bindMetrics(reg *metrics.Registry) {
-	r.mElems = reg.Counter("rp.elements_out." + r.id)
-	r.mBytes = reg.Counter("rp.bytes_out." + r.id)
-	r.mFrames = reg.Counter("rp.frames_out." + r.id)
-	r.mLast = reg.Gauge("rp.last_out." + r.id)
+// rpFamily is an RP's metrics block, keyed by the RP's id in its query's
+// scope.
+var rpFamily = &metrics.Family{
+	Counters: []string{"rp.elements_out.", "rp.bytes_out.", "rp.frames_out."},
+	Gauges:   []string{"rp.last_out."},
 }
 
-// SetMetrics rebinds the RP's monitoring counters onto a shared registry
-// (the engine calls this at placement, so every RP's counters land in the
-// query's telemetry). It must be called before Start.
-func (r *RP) SetMetrics(reg *metrics.Registry) {
-	if reg == nil {
-		return
-	}
+// SetMetrics takes the RP's monitoring counters from its query's scope (the
+// engine calls this at placement, so every RP's counters land in the query's
+// telemetry). It must be called before Start.
+func (r *RP) SetMetrics(scope *metrics.Scope) {
+	b := scope.Block(rpFamily, r.id)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.bindMetrics(reg)
+	r.mElems, r.mBytes, r.mFrames, r.mLast = b.Counter(0), b.Counter(1), b.Counter(2), b.Gauge(0)
 }
 
 // ID returns the RP's identity.
@@ -248,16 +231,6 @@ func (r *RP) Wait() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.err
-}
-
-// Stats returns a snapshot of the monitoring counters.
-func (r *RP) Stats() Stats {
-	return Stats{
-		ElementsOut: r.mElems.Value(),
-		BytesOut:    r.mBytes.Value(),
-		FramesOut:   r.mFrames.Value(),
-		LastOut:     vtime.Time(r.mLast.Value()),
-	}
 }
 
 func (r *RP) setErr(err error) {

@@ -9,6 +9,7 @@ import (
 	"scsq/internal/carrier"
 	"scsq/internal/hw"
 	"scsq/internal/marshal"
+	"scsq/internal/metrics"
 	"scsq/internal/sqep"
 	"scsq/internal/vtime"
 )
@@ -168,7 +169,8 @@ func TestReceiverReassemblesAcrossFrames(t *testing.T) {
 	if err := d.finish(); err != nil {
 		t.Fatal(err)
 	}
-	r := NewReceiver(inbox, ReceiverConfig{Producers: 1})
+	reg := metrics.NewRegistry()
+	r := NewReceiver(inbox, ReceiverConfig{Producers: 1, Metrics: reg.OpenScope("q1"), Consumer: "q1/c"})
 	el, ok, err := r.Next()
 	if err != nil || !ok {
 		t.Fatalf("next: %v %v", ok, err)
@@ -183,11 +185,12 @@ func TestReceiverReassemblesAcrossFrames(t *testing.T) {
 	if _, ok, err := r.Next(); ok || err != nil {
 		t.Fatalf("stream should end cleanly: %v %v", ok, err)
 	}
-	if r.FramesIn() < 2 {
-		t.Errorf("frames in = %d, want ≥ 2 (split element)", r.FramesIn())
+	snap := reg.Snapshot()
+	if got := snap.Counters["recv.frames.q1/c"]; got < 2 {
+		t.Errorf("frames in = %d, want ≥ 2 (split element)", got)
 	}
-	if want, _ := marshal.Size(arr); r.BytesIn() != int64(want) {
-		t.Errorf("bytes in = %d, want %d", r.BytesIn(), want)
+	if want, _ := marshal.Size(arr); snap.Counters["recv.bytes.q1/c"] != int64(want) {
+		t.Errorf("bytes in = %d, want %d", snap.Counters["recv.bytes.q1/c"], want)
 	}
 }
 
@@ -287,6 +290,8 @@ func TestRPLifecycle(t *testing.T) {
 	if p.ID() != "rp-x" || p.Cluster() != hw.BackEnd || p.Node() != 0 {
 		t.Errorf("identity = %s/%s/%d", p.ID(), p.Cluster(), p.Node())
 	}
+	reg := metrics.NewRegistry()
+	p.SetMetrics(reg.OpenScope("q1"))
 	inbox := make(carrier.Inbox, 16)
 	conn := &loopConn{inbox: inbox}
 	if err := p.Subscribe(conn, SenderConfig{BufBytes: 1024, Mode: carrier.SingleBuffered}); err != nil {
@@ -304,11 +309,11 @@ func TestRPLifecycle(t *testing.T) {
 	if err := p.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	st := p.Stats()
-	if st.ElementsOut != 5 {
-		t.Errorf("elements out = %d, want 5", st.ElementsOut)
+	snap := reg.Snapshot()
+	if got := snap.Counters["rp.elements_out.rp-x"]; got != 5 {
+		t.Errorf("elements out = %d, want 5", got)
 	}
-	if st.FramesOut == 0 {
+	if snap.Counters["rp.frames_out.rp-x"] == 0 {
 		t.Error("frames out must be counted")
 	}
 

@@ -366,6 +366,7 @@ type Query struct {
 	// the finished window.
 	stmt      *scsql.Statement
 	cq        *core.Query
+	gNodes    *metrics.Gauge // sched.nodes.<id>, taken at admission
 	stream    *core.ClientStream
 	err       error
 	makespan  vtime.Time
@@ -383,6 +384,13 @@ type Query struct {
 // ID returns the engine-assigned session id ("q1", "q2", ...). It tags the
 // session's RPs, leases, vtime charges and metrics.
 func (q *Query) ID() string { return q.id }
+
+// The per-session gauges, keyed by the session's id in its engine scope (they
+// fold with the query's own metrics when the session is retired).
+var (
+	nodesFamily = &metrics.Family{Gauges: []string{"sched.nodes."}}
+	waitFamily  = &metrics.Family{Gauges: []string{metrics.RTPrefix + "sched.admission_wait_us."}}
+)
 
 // Statement returns the submitted SCSQL source.
 func (q *Query) Statement() string { return q.src }
@@ -710,10 +718,10 @@ func (s *Scheduler) admit() {
 			s.alarms.Set(runDeadline, q.ID())
 		}
 
-		reg := s.eng.Metrics()
 		s.mAdmitted.Inc()
-		reg.Gauge("rt.sched.admission_wait_us." + q.ID()).Set(wait.Microseconds())
-		reg.Gauge("sched.nodes." + q.ID()).Set(int64(q.cq.SPCount()))
+		q.cq.Metrics().Block(waitFamily, q.id).Gauge(0).Set(wait.Microseconds())
+		q.gNodes = q.cq.Metrics().Block(nodesFamily, q.id).Gauge(0)
+		q.gNodes.Set(int64(q.cq.SPCount()))
 		if cancelled {
 			// Cancel raced the build: unwind through the normal run path so
 			// the leases release exactly once.
@@ -822,7 +830,10 @@ func (s *Scheduler) run(q *Query) {
 	case err != nil:
 		st = Failed
 	}
-	s.eng.Metrics().Gauge("sched.nodes." + q.id).Set(0)
+	if q.reader { // never admitted: its gauge appears as it ends
+		q.gNodes = q.cq.Metrics().Block(nodesFamily, q.id).Gauge(0)
+	}
+	q.gNodes.Set(0)
 	// Count before finalize wakes the waiters: whoever Wait releases reads
 	// the outcome counters with this session in them.
 	switch st {

@@ -4,10 +4,13 @@ import (
 	"errors"
 	"runtime"
 	"testing"
+	"time"
 
 	"scsq/internal/catalog"
+	"scsq/internal/core"
 	"scsq/internal/hw"
 	"scsq/internal/scsql"
+	"scsq/internal/sqep"
 	"scsq/internal/vtime"
 )
 
@@ -208,6 +211,61 @@ func TestServedEngineStaysBounded(t *testing.T) {
 		}
 		if sum != r.BusyTime() {
 			t.Errorf("%s: owners sum to %v, busy %v", r.Name(), sum, r.BusyTime())
+		}
+	}
+}
+
+// TestFinishedSessionPinsNoProcess is the registry's no-pinning rule, seen
+// from the served side: a session that has finished but still sits in the
+// finished window (up to 256 sessions deep) keeps its metric values readable
+// through sys_metrics('@qN') — and keeps none of its operator trees alive. A
+// metrics block refers to nothing of the process that counts into it. The
+// probe is a finalizer on the source operator of one RP: the RP itself is
+// part of a cycle (its exit hook names it), and a finalizer on a cycle never
+// runs.
+func TestFinishedSessionPinsNoProcess(t *testing.T) {
+	gate, collected := make(chan struct{}), make(chan struct{})
+	e := tinyEngine(t, core.WithSource("gate", func(*sqep.Ctx) sqep.Operator {
+		op := &gateOp{ch: gate}
+		runtime.SetFinalizer(op, func(*gateOp) { close(collected) })
+		return op
+	}))
+	s := New(e, nil)
+	defer s.Close()
+	hog, err := s.Submit(gateHogSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(gate)
+	if _, err := hog.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if st := hog.State(); st != Done || len(s.List()) != 1 {
+		t.Fatalf("the session is %v and the window holds %d: it must be finished, not yet retired", st, len(s.List()))
+	}
+	runtime.GC()
+	runtime.GC()
+	select {
+	case <-collected:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a finished session in the window keeps its RP's operator tree alive")
+	}
+	read, err := s.Submit("select sys_metrics('@" + hog.ID() + "');")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := read.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make(map[string]bool)
+	for _, r := range rows {
+		name, _ := r.Value.(catalog.Tuple).Field("name")
+		names[name.(string)] = true
+	}
+	for _, want := range []string{"rp.elements_out." + hog.ID() + "/rp-bg-1", "recv.frames." + hog.ID() + "/client", "sched.nodes." + hog.ID()} {
+		if !names[want] {
+			t.Errorf("sys_metrics('@%s') does not list %s: %v", hog.ID(), want, names)
 		}
 	}
 }

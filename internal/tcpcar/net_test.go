@@ -224,7 +224,7 @@ func TestNetConnSurvivesDroppedFrame(t *testing.T) {
 	if got := len(conn.credits); got != 1 {
 		t.Errorf("%d flow-control credits after a dropped frame, want 1", got)
 	}
-	if got := reg.Counter("link.drops.tcp:be:1->bg:0").Value(); got != 1 {
+	if got := reg.Snapshot().Counters["link.drops.tcp:be:1->bg:0"]; got != 1 {
 		t.Errorf("link.drops = %d, want 1", got)
 	}
 	// The connection is still usable: Last frames are exempt from drops.

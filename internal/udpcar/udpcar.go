@@ -44,7 +44,7 @@ func NewFabric(env *hw.Env, lossRate float64) (*Fabric, error) {
 }
 
 // Conn is a UDP stream connection from a back-end node into the BlueGene;
-// its Stats reports sent and dropped frame counts.
+// its link.frames.* and link.drops.* counters tell delivered from lost.
 type Conn = carrier.Link
 
 // Dial opens a UDP connection from src (a back-end node) to dst (a BG

@@ -5,13 +5,14 @@ import (
 
 	"scsq/internal/carrier"
 	"scsq/internal/hw"
+	"scsq/internal/metrics"
 	"scsq/internal/tcpcar"
 )
 
 func be(n int) tcpcar.Endpoint { return tcpcar.Endpoint{Cluster: hw.BackEnd, Node: n} }
 func bg(n int) tcpcar.Endpoint { return tcpcar.Endpoint{Cluster: hw.BlueGene, Node: n} }
 
-func testFabric(t *testing.T, loss float64) *Fabric {
+func testFabric(t *testing.T, loss float64) (*Fabric, *metrics.Registry) {
 	t.Helper()
 	env, err := hw.NewLOFAR()
 	if err != nil {
@@ -21,7 +22,16 @@ func testFabric(t *testing.T, loss float64) *Fabric {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return f
+	reg := metrics.NewRegistry()
+	f.SetMetrics(reg)
+	return f, reg
+}
+
+// linkCounts reads what the be:1 -> bg:0 datagram link counted: frames
+// delivered and frames lost on the way.
+func linkCounts(reg *metrics.Registry) (delivered, dropped int64) {
+	snap := reg.Snapshot()
+	return snap.Counters["link.frames.udp:be:1->bg:0"], snap.Counters["link.drops.udp:be:1->bg:0"]
 }
 
 func TestNewFabricValidation(t *testing.T) {
@@ -37,7 +47,7 @@ func TestNewFabricValidation(t *testing.T) {
 }
 
 func TestDialValidation(t *testing.T) {
-	f := testFabric(t, 0)
+	f, _ := testFabric(t, 0)
 	inbox := make(carrier.Inbox, 1)
 	if _, err := f.Dial(bg(0), bg(1), inbox); err == nil {
 		t.Error("BG-to-BG should fail")
@@ -51,7 +61,7 @@ func TestDialValidation(t *testing.T) {
 }
 
 func TestLosslessDeliversEverything(t *testing.T) {
-	f := testFabric(t, 0)
+	f, reg := testFabric(t, 0)
 	inbox := make(carrier.Inbox, 64)
 	conn, err := f.Dial(be(1), bg(0), inbox)
 	if err != nil {
@@ -69,15 +79,14 @@ func TestLosslessDeliversEverything(t *testing.T) {
 	if got := len(inbox); got != frames+1 {
 		t.Errorf("delivered %d frames, want %d", got, frames+1)
 	}
-	sent, dropped := conn.Stats()
-	if sent != frames+1 || dropped != 0 {
-		t.Errorf("stats = %d sent, %d dropped", sent, dropped)
+	if delivered, dropped := linkCounts(reg); delivered != frames+1 || dropped != 0 {
+		t.Errorf("link counted %d delivered, %d dropped", delivered, dropped)
 	}
 }
 
 func TestLossIsDeterministicAndProportional(t *testing.T) {
 	run := func() (delivered int, dropped int64) {
-		f := testFabric(t, 0.2)
+		f, reg := testFabric(t, 0.2)
 		inbox := make(carrier.Inbox, 1100)
 		conn, err := f.Dial(be(1), bg(0), inbox)
 		if err != nil {
@@ -89,7 +98,7 @@ func TestLossIsDeterministicAndProportional(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		_, d := conn.Stats()
+		_, d := linkCounts(reg)
 		return len(inbox), d
 	}
 	d1, drop1 := run()
@@ -107,7 +116,7 @@ func TestLossIsDeterministicAndProportional(t *testing.T) {
 }
 
 func TestLastFrameAlwaysDelivered(t *testing.T) {
-	f := testFabric(t, 0.9)
+	f, _ := testFabric(t, 0.9)
 	inbox := make(carrier.Inbox, 128)
 	conn, err := f.Dial(be(1), bg(0), inbox)
 	if err != nil {
@@ -130,7 +139,7 @@ func TestLastFrameAlwaysDelivered(t *testing.T) {
 }
 
 func TestSendAfterClose(t *testing.T) {
-	f := testFabric(t, 0)
+	f, _ := testFabric(t, 0)
 	inbox := make(carrier.Inbox, 1)
 	conn, err := f.Dial(be(1), bg(0), inbox)
 	if err != nil {
@@ -145,7 +154,7 @@ func TestSendAfterClose(t *testing.T) {
 }
 
 func TestDroppedFramesStillChargeTheSender(t *testing.T) {
-	f := testFabric(t, 0.9)
+	f, reg := testFabric(t, 0.9)
 	inbox := make(carrier.Inbox, 128)
 	conn, err := f.Dial(be(1), bg(0), inbox)
 	if err != nil {
@@ -163,8 +172,7 @@ func TestDroppedFramesStillChargeTheSender(t *testing.T) {
 	if n.NIC.BusyTime() == 0 {
 		t.Error("the back-end NIC transmits datagrams whether or not they survive")
 	}
-	_, dropped := conn.Stats()
-	if dropped == 0 {
+	if _, dropped := linkCounts(reg); dropped == 0 {
 		t.Error("a 90% loss rate should drop something in 50 frames")
 	}
 }
