@@ -16,13 +16,14 @@ import (
 // message types and public engine methods, and each number only goes down.
 // Raising a limit here is a design decision to argue in the PR, not a fix.
 const (
-	maxWithOptions   = 44 // exported With* functions outside _test.go (target ≤ 30)
-	maxWireMessages  = 13 // Msg* constants of internal/server/wire
-	maxEngineMethods = 11 // exported methods of (*scsq.Engine)
+	maxWithOptions       = 44 // exported With* functions outside _test.go (target ≤ 30)
+	maxWireMessages      = 13 // Msg* constants of internal/server/wire
+	maxEngineMethods     = 11 // exported methods of (*scsq.Engine)
+	maxCoreEngineMethods = 19 // exported methods of (*core.Engine); building is on core.Query
 )
 
 func TestSurfaceBudget(t *testing.T) {
-	var withs, msgs, methods []string
+	var withs, msgs, methods, coreMethods []string
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(file string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -45,6 +46,8 @@ func TestSurfaceBudget(t *testing.T) {
 					withs = append(withs, path.Join("scsq", dir)+"."+name)
 				case x.Recv != nil && dir == "." && x.Name.IsExported() && receiver(x) == "Engine":
 					methods = append(methods, name)
+				case x.Recv != nil && dir == "internal/core" && x.Name.IsExported() && receiver(x) == "Engine":
+					coreMethods = append(coreMethods, name)
 				}
 			case *ast.GenDecl:
 				if x.Tok != token.CONST || dir != "internal/server/wire" {
@@ -72,6 +75,7 @@ func TestSurfaceBudget(t *testing.T) {
 		{"exported With* options", withs, maxWithOptions},
 		{"wire message types", msgs, maxWireMessages},
 		{"exported (*scsq.Engine) methods", methods, maxEngineMethods},
+		{"exported (*core.Engine) methods", coreMethods, maxCoreEngineMethods},
 	} {
 		if len(b.names) == 0 {
 			t.Errorf("%s: found none — the budget test no longer sees the code", b.what)

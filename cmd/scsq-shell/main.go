@@ -219,7 +219,14 @@ type localExec struct {
 	explain bool
 }
 
-func (l *localExec) Execute(stmt string, out io.Writer) error {
+func (l *localExec) Execute(stmt string, out io.Writer) (err error) {
+	// Every exit resets: what a statement reads must not depend on how the
+	// one before it ended.
+	defer func() {
+		if rerr := l.eng.Reset(); rerr != nil && err == nil {
+			err = fmt.Errorf("reset after statement: %w", rerr)
+		}
+	}()
 	res, err := l.eng.Exec(stmt + ";")
 	if err != nil {
 		return err
@@ -246,12 +253,7 @@ func (l *localExec) Execute(stmt string, out io.Writer) error {
 		}
 	}
 	if l.explain {
-		if err := printTopology(out, l); err != nil {
-			return err
-		}
-	}
-	if err := l.eng.Reset(); err != nil {
-		return fmt.Errorf("reset after statement: %w", err)
+		return printTopology(out, l)
 	}
 	return nil
 }

@@ -79,6 +79,37 @@ func TestShellREPLRecoversFromErrors(t *testing.T) {
 	if !strings.Contains(out, "1 element(s)") {
 		t.Errorf("second statement should still run:\n%s", out)
 	}
+
+	// A build that fails half-way (b asks for the node a took) holds nothing:
+	// the next statement gets that node.
+	sb.Reset()
+	input = "select extract(b) from sp a, sp b where b=sp(extract(a),'bg',0) and a=sp(iota(1,3),'bg',0);\n" +
+		"select extract(a) from sp a where a=sp(iota(1,3),'bg',0);\n"
+	if err := sh.repl(strings.NewReader(input)); err != nil {
+		t.Fatal(err)
+	}
+	if out := sb.String(); strings.Count(out, "error:") != 1 || !strings.Contains(out, "3 element(s)") {
+		t.Errorf("want the build failure, then the valid statement on the same node:\n%s", out)
+	}
+
+	// What a statement reads does not depend on how the one before it ended:
+	// Figure 5 prints the same makespan before and after a statement that
+	// fails while it runs (fft over three samples).
+	sb.Reset()
+	fig5 := "select extract(b) from sp a, sp b where b=sp(streamof(count(extract(a))),'bg',0) and a=sp(gen_array(30000,10),'bg',1);\n"
+	input = fig5 + "select extract(b) from sp a, sp b where b=sp(fft(extract(a)),'bg',0) and a=sp(gen_array(24,2),'bg',1);\n" + fig5
+	if err := sh.repl(strings.NewReader(input)); err != nil {
+		t.Fatal(err)
+	}
+	var spans []string
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if _, span, ok := strings.Cut(line, "virtual makespan "); ok {
+			spans = append(spans, span)
+		}
+	}
+	if !strings.Contains(sb.String(), "not a power of two") || len(spans) != 2 || spans[0] != spans[1] {
+		t.Errorf("want one run-time failure between two equal makespans, got %v:\n%s", spans, sb.String())
+	}
 }
 
 func TestFormatValue(t *testing.T) {

@@ -48,6 +48,10 @@ func run() error {
 	// the process, so only toll notifications leave the BlueGene.
 	fmt.Printf("highway: %d segments over %d stream processes, accident on segment %d (ticks %d-%d)\n\n",
 		cfg.Segments, *parallel, cfg.Accident, cfg.AccidentFrom, cfg.AccidentTo)
+	q, err := eng.BeginQuery()
+	if err != nil {
+		return err
+	}
 	per := (cfg.Segments + *parallel - 1) / *parallel
 	var workers []*core.SP
 	for p := 0; p < *parallel; p++ {
@@ -55,7 +59,7 @@ func run() error {
 		if lo >= hi {
 			break
 		}
-		sp, err := eng.SP(func(*core.PlanBuilder) (sqep.Operator, error) {
+		sp, err := q.SP(func(*core.PlanBuilder) (sqep.Operator, error) {
 			gen, err := linearroad.NewGenerator(cfg, lo, hi)
 			if err != nil {
 				return nil, err
@@ -69,7 +73,7 @@ func run() error {
 		fmt.Printf("  process %s on BG node %d handles segments [%d,%d)\n", sp.ID(), sp.Node(), lo, hi)
 	}
 
-	stream, err := eng.MergeExtract(workers)
+	stream, err := q.MergeExtract(workers)
 	if err != nil {
 		return err
 	}

@@ -96,11 +96,15 @@ func runMergeWithSelector(eng *core.Engine, w workload, k int, topologyAware boo
 			return sqep.NewGenArray(w.ArrayBytes, w.ArrayCount), nil
 		}
 	}
-	producers, err := eng.SPV(subs, hw.BlueGene, producerSeq)
+	q, err := eng.BeginQuery()
 	if err != nil {
 		return 0, err
 	}
-	consumer, err := eng.SP(func(pb *core.PlanBuilder) (sqep.Operator, error) {
+	producers, err := q.SPV(subs, hw.BlueGene, producerSeq)
+	if err != nil {
+		return 0, err
+	}
+	consumer, err := q.SP(func(pb *core.PlanBuilder) (sqep.Operator, error) {
 		in, err := pb.Merge(producers)
 		if err != nil {
 			return nil, err
@@ -110,7 +114,7 @@ func runMergeWithSelector(eng *core.Engine, w workload, k int, topologyAware boo
 	if err != nil {
 		return 0, err
 	}
-	cs, err := eng.Extract(consumer)
+	cs, err := q.Extract(consumer)
 	if err != nil {
 		return 0, err
 	}

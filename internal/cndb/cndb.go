@@ -109,19 +109,14 @@ func (db *DB) Size() int { return db.size }
 // Exclusive reports whether nodes host at most one RP (BlueGene).
 func (db *DB) Exclusive() bool { return db.exclusive }
 
-// Select allocates a node. With a nil sequence the naive algorithm is used:
-// the next available node (for exclusive clusters) or round-robin (for
+// SelectFor allocates a node. With a nil sequence the naive algorithm is
+// used: the next available node (for exclusive clusters) or round-robin (for
 // shared clusters). With a sequence, the first available node in the
 // sequence is chosen, consuming sequence positions; if a full cycle yields
-// no available node, ErrNoAvailableNode is returned.
-func (db *DB) Select(seq *Sequence) (int, error) {
-	return db.SelectFor("", seq)
-}
-
-// SelectFor is Select with the allocation recorded as a lease held by owner
-// (a query id). Leases are released by ReleaseFor and inspected via
-// AppendState and LeaseCount; they are how the scheduler proves
-// release-on-completion.
+// no available node, ErrNoAvailableNode is returned. The allocation is
+// recorded as a lease held by owner (a query id). Leases are released by
+// ReleaseFor and inspected via AppendState and LeaseCount; they are how the
+// scheduler proves release-on-completion.
 func (db *DB) SelectFor(owner string, seq *Sequence) (int, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -188,16 +183,10 @@ func (db *DB) grant(owner string, id int) {
 	m[id]++
 }
 
-// Release returns a node allocation. Releasing a node that is not allocated
-// is a no-op.
-func (db *DB) Release(id int) {
-	db.ReleaseFor("", id)
-}
-
 // ReleaseFor returns a node allocation held under the given owner's lease.
-// Releasing a node the owner does not lease is a no-op on the lease table
-// but still decrements the aggregate allocation count if positive (matching
-// Release's historic tolerance).
+// Releasing a node that is not allocated is a no-op; releasing one the owner
+// does not lease is a no-op on the lease table but still decrements the
+// aggregate allocation count if positive.
 func (db *DB) ReleaseFor(owner string, id int) {
 	db.mu.Lock()
 	defer db.mu.Unlock()

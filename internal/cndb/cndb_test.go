@@ -45,7 +45,7 @@ func TestNaiveSelectionExclusive(t *testing.T) {
 	// The paper's naive algorithm returns the next available node.
 	db := newDB(t, hw.BlueGene)
 	for want := 0; want < 4; want++ {
-		got, err := db.Select(nil)
+		got, err := db.SelectFor("q1", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,8 +53,8 @@ func TestNaiveSelectionExclusive(t *testing.T) {
 			t.Errorf("naive selection %d = %d, want %d", want, got, want)
 		}
 	}
-	db.Release(1)
-	got, err := db.Select(nil)
+	db.ReleaseFor("q1", 1)
+	got, err := db.SelectFor("q1", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,11 +66,11 @@ func TestNaiveSelectionExclusive(t *testing.T) {
 func TestNaiveSelectionExhaustion(t *testing.T) {
 	db := newDB(t, hw.BlueGene)
 	for i := 0; i < db.Size(); i++ {
-		if _, err := db.Select(nil); err != nil {
+		if _, err := db.SelectFor("q1", nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := db.Select(nil); !errors.Is(err, ErrNoAvailableNode) {
+	if _, err := db.SelectFor("q1", nil); !errors.Is(err, ErrNoAvailableNode) {
 		t.Errorf("full cluster: err = %v, want ErrNoAvailableNode", err)
 	}
 }
@@ -79,7 +79,7 @@ func TestNaiveSelectionShared(t *testing.T) {
 	db := newDB(t, hw.BackEnd) // 4 nodes, round-robin
 	var got []int
 	for i := 0; i < 6; i++ {
-		id, err := db.Select(nil)
+		id, err := db.SelectFor("q1", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +103,7 @@ func TestExplicitSequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := db.Select(seq)
+	id, err := db.SelectFor("q1", seq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestExplicitSequence(t *testing.T) {
 	}
 	// The node is now busy; the sequence has no other candidate: "In case
 	// the stream contains no available node, the query will fail."
-	if _, err := db.Select(seq); !errors.Is(err, ErrNoAvailableNode) {
+	if _, err := db.SelectFor("q1", seq); !errors.Is(err, ErrNoAvailableNode) {
 		t.Errorf("err = %v, want ErrNoAvailableNode", err)
 	}
 }
@@ -126,7 +126,7 @@ func TestConstantSequenceOnSharedCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		id, err := db.Select(seq)
+		id, err := db.SelectFor("q1", seq)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,22 +142,22 @@ func TestSequenceSkipsBusyNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := db.Select(seq)
+	first, err := db.SelectFor("q1", seq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := db.Select(seq)
+	second, err := db.SelectFor("q1", seq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	third, err := db.Select(seq)
+	third, err := db.SelectFor("q1", seq)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first != 2 || second != 3 || third != 4 {
 		t.Fatalf("selections = %d,%d,%d; want 2,3,4", first, second, third)
 	}
-	if _, err := db.Select(seq); !errors.Is(err, ErrNoAvailableNode) {
+	if _, err := db.SelectFor("q1", seq); !errors.Is(err, ErrNoAvailableNode) {
 		t.Errorf("exhausted sequence: err = %v, want ErrNoAvailableNode", err)
 	}
 }
@@ -168,7 +168,7 @@ func TestSequenceRejectsOutOfRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Select(seq); err == nil {
+	if _, err := db.SelectFor("q1", seq); err == nil {
 		t.Error("out-of-range node should fail")
 	}
 }
@@ -184,7 +184,7 @@ func TestURR(t *testing.T) {
 	seq := URR(db)
 	var got []int
 	for i := 0; i < 6; i++ {
-		id, err := db.Select(seq)
+		id, err := db.SelectFor("q1", seq)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,7 +214,7 @@ func TestInPset(t *testing.T) {
 	// cluster is exclusive.
 	seen := make(map[int]bool)
 	for i := 0; i < 8; i++ {
-		id, err := db.Select(seq)
+		id, err := db.SelectFor("q1", seq)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,7 +227,7 @@ func TestInPset(t *testing.T) {
 		seen[id] = true
 	}
 	// The pset is full now.
-	if _, err := db.Select(seq); !errors.Is(err, ErrNoAvailableNode) {
+	if _, err := db.SelectFor("q1", seq); !errors.Is(err, ErrNoAvailableNode) {
 		t.Errorf("full pset: err = %v, want ErrNoAvailableNode", err)
 	}
 	if _, err := InPset(env, 9); err == nil {
@@ -250,7 +250,7 @@ func TestPsetRR(t *testing.T) {
 	// reuses pset 0 (the n=5 dip of Figure 15).
 	wantPsets := []int{0, 1, 2, 3, 0}
 	for i, want := range wantPsets {
-		id, err := db.Select(seq)
+		id, err := db.SelectFor("q1", seq)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,11 +269,11 @@ func TestSequenceStateSharedAcrossSelections(t *testing.T) {
 	// persist across Select calls (that is what spreads the batch).
 	db := newDB(t, hw.BackEnd)
 	seq := URR(db)
-	a, err := db.Select(seq)
+	a, err := db.SelectFor("q1", seq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := db.Select(seq)
+	b, err := db.SelectFor("q1", seq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,14 +290,14 @@ func TestSequenceStateSharedAcrossSelections(t *testing.T) {
 
 func TestReset(t *testing.T) {
 	db := newDB(t, hw.BlueGene)
-	if _, err := db.Select(nil); err != nil {
+	if _, err := db.SelectFor("q1", nil); err != nil {
 		t.Fatal(err)
 	}
 	db.Reset()
 	if got := db.AllocatedCount(0); got != 0 {
 		t.Errorf("after reset, node 0 count = %d, want 0", got)
 	}
-	id, err := db.Select(nil)
+	id, err := db.SelectFor("q1", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestReset(t *testing.T) {
 
 func TestReleaseUnallocatedIsNoop(t *testing.T) {
 	db := newDB(t, hw.BlueGene)
-	db.Release(3) // must not panic or underflow
+	db.ReleaseFor("q1", 3) // must not panic or underflow
 	if got := db.AllocatedCount(3); got != 0 {
 		t.Errorf("count = %d, want 0", got)
 	}

@@ -18,7 +18,7 @@ func TestMarkDeadSkippedBySequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := db.Select(seq)
+	got, err := db.SelectFor("q1", seq)
 	if err != nil || got != 2 {
 		t.Fatalf("Select = %d, %v; want 2 (sequence must skip the dead node)", got, err)
 	}
@@ -32,7 +32,7 @@ func TestMarkDeadExhaustsSequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Select(seq); !errors.Is(err, ErrNoAvailableNode) {
+	if _, err := db.SelectFor("q1", seq); !errors.Is(err, ErrNoAvailableNode) {
 		t.Fatalf("Select over all-dead sequence = %v, want ErrNoAvailableNode", err)
 	}
 }
@@ -44,7 +44,7 @@ func TestMarkDeadSkippedByNaiveSelection(t *testing.T) {
 	db.MarkDead(0)
 	seen := make(map[int]bool)
 	for {
-		n, err := db.Select(nil)
+		n, err := db.SelectFor("q1", nil)
 		if err != nil {
 			break // exhausted the cluster
 		}
@@ -67,7 +67,7 @@ func TestMarkDeadSkippedByNaiveSelectionShared(t *testing.T) {
 	db := newDB(t, hw.FrontEnd)
 	db.MarkDead(0)
 	for i := 0; i < 3*db.Size(); i++ {
-		n, err := db.Select(nil)
+		n, err := db.SelectFor("q1", nil)
 		if err != nil {
 			t.Fatalf("shared selection failed with live nodes remaining: %v", err)
 		}
@@ -82,7 +82,7 @@ func TestMarkDeadAllSharedNodesErrors(t *testing.T) {
 	for n := 0; n < db.Size(); n++ {
 		db.MarkDead(n)
 	}
-	if _, err := db.Select(nil); !errors.Is(err, ErrNoAvailableNode) {
+	if _, err := db.SelectFor("q1", nil); !errors.Is(err, ErrNoAvailableNode) {
 		t.Fatalf("Select with every node dead = %v, want ErrNoAvailableNode", err)
 	}
 }
@@ -98,7 +98,7 @@ func TestResetRevivesDeadNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := db.Select(seq); err != nil || got != 1 {
+	if got, err := db.SelectFor("q1", seq); err != nil || got != 1 {
 		t.Fatalf("Select after reset = %d, %v; want 1", got, err)
 	}
 }

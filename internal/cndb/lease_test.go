@@ -86,7 +86,7 @@ func TestLeaseSharedClusterCounts(t *testing.T) {
 
 func TestReleaseForUnleasedIsTolerant(t *testing.T) {
 	db := newDB(t, hw.BlueGene)
-	if _, err := db.Select(nil); err != nil { // anonymous allocation of node 0
+	if _, err := db.SelectFor("", nil); err != nil { // anonymous allocation of node 0
 		t.Fatal(err)
 	}
 	// Releasing under the wrong owner leaves the lease table alone but still

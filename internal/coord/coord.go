@@ -118,21 +118,13 @@ func (c *Coordinator) Cluster() hw.ClusterName { return c.cluster }
 // DB returns the coordinator's compute node database.
 func (c *Coordinator) DB() *cndb.DB { return c.db }
 
-// Place allocates a compute node in this cluster, honoring the allocation
-// sequence if one is given.
-func (c *Coordinator) Place(seq *cndb.Sequence) (int, error) {
-	return c.db.Select(seq)
-}
-
-// PlaceFor is Place with the allocation recorded as a cndb lease held by
-// owner (a query id), so a query's reservations can be torn down and audited
-// as a unit.
+// PlaceFor allocates a compute node in this cluster, honoring the allocation
+// sequence if one is given, and records the allocation as a cndb lease held
+// by owner (a query id), so a query's reservations can be torn down and
+// audited as a unit.
 func (c *Coordinator) PlaceFor(owner string, seq *cndb.Sequence) (int, error) {
 	return c.db.SelectFor(owner, seq)
 }
-
-// Release returns a node allocation.
-func (c *Coordinator) Release(node int) { c.db.Release(node) }
 
 // ReleaseFor returns a node allocation held under the given owner's lease.
 func (c *Coordinator) ReleaseFor(owner string, node int) { c.db.ReleaseFor(owner, node) }
@@ -196,16 +188,10 @@ func (c *Coordinator) RPs() []*rp.RP {
 	return out
 }
 
-// SubmitBGPlacement registers a BlueGene placement request with this
+// SubmitBGPlacementFor registers a BlueGene placement request with this
 // (front-end) coordinator. The request is answered asynchronously once the
-// BlueGene coordinator polls it. The returned channel receives exactly one
-// result.
-func (c *Coordinator) SubmitBGPlacement(seq *cndb.Sequence) (<-chan PlaceResult, error) {
-	return c.SubmitBGPlacementFor("", seq)
-}
-
-// SubmitBGPlacementFor is SubmitBGPlacement with the eventual allocation
-// recorded under the given owner's lease.
+// BlueGene coordinator polls it: the returned channel receives exactly one
+// result, and the allocation is recorded under the given owner's lease.
 func (c *Coordinator) SubmitBGPlacementFor(owner string, seq *cndb.Sequence) (<-chan PlaceResult, error) {
 	if c.cluster != hw.FrontEnd {
 		return nil, fmt.Errorf("coord: BG placements must be registered with the front-end coordinator, not %q", c.cluster)

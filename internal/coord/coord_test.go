@@ -36,7 +36,7 @@ func TestNewValidation(t *testing.T) {
 
 func TestDirectPlacement(t *testing.T) {
 	cc := newCoord(t, testEnv(t), hw.BackEnd)
-	node, err := cc.Place(nil)
+	node, err := cc.PlaceFor("q1", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,14 +47,14 @@ func TestDirectPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	node, err = cc.Place(seq)
+	node, err = cc.PlaceFor("q1", seq)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if node != 3 {
 		t.Errorf("sequence placement = %d, want 3", node)
 	}
-	cc.Release(3)
+	cc.ReleaseFor("q1", 3)
 	if got := cc.DB().AllocatedCount(3); got != 0 {
 		t.Errorf("after release, count = %d", got)
 	}
@@ -94,7 +94,7 @@ func TestBGPlacementViaPolling(t *testing.T) {
 	}
 	defer poller.Shutdown()
 
-	reply, err := feCC.SubmitBGPlacement(nil)
+	reply, err := feCC.SubmitBGPlacementFor("q1", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestBGPlacementViaPolling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reply, err = feCC.SubmitBGPlacement(seq)
+	reply, err = feCC.SubmitBGPlacementFor("q1", seq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestBGPlacementViaPolling(t *testing.T) {
 func TestSubmitBGPlacementOnlyOnFrontEnd(t *testing.T) {
 	env := testEnv(t)
 	beCC := newCoord(t, env, hw.BackEnd)
-	if _, err := beCC.SubmitBGPlacement(nil); err == nil {
+	if _, err := beCC.SubmitBGPlacementFor("q1", nil); err == nil {
 		t.Error("registering BG placements with a non-front-end coordinator should fail")
 	}
 }
@@ -151,7 +151,7 @@ func TestPollerShutdownDrains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reply, err := feCC.SubmitBGPlacement(nil)
+	reply, err := feCC.SubmitBGPlacementFor("q1", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestPollerDefaultInterval(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer poller.Shutdown()
-	reply, err := feCC.SubmitBGPlacement(nil)
+	reply, err := feCC.SubmitBGPlacementFor("q1", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestBGDoorbellWakesPollerEarly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reply, err := feCC.SubmitBGPlacement(nil)
+	reply, err := feCC.SubmitBGPlacementFor("q1", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,7 @@ func TestSubmitAfterShutdownFailsFast(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Shutdown()
-	if _, err := fe.SubmitBGPlacement(nil); !errors.Is(err, ErrBGPollerStopped) {
+	if _, err := fe.SubmitBGPlacementFor("q1", nil); !errors.Is(err, ErrBGPollerStopped) {
 		t.Fatalf("submit after shutdown = %v, want ErrBGPollerStopped", err)
 	}
 }
@@ -61,7 +61,7 @@ func TestSubmitQueueFullFailsFast(t *testing.T) {
 	fe := newCoord(t, testEnv(t), hw.FrontEnd)
 	var err error
 	for i := 0; i < 100_000; i++ {
-		if _, err = fe.SubmitBGPlacement(nil); err != nil {
+		if _, err = fe.SubmitBGPlacementFor("q1", nil); err != nil {
 			break
 		}
 	}
@@ -91,7 +91,7 @@ func TestKillNodeFailsResidentRPs(t *testing.T) {
 	if bystander.Done() {
 		t.Fatal("RP on a different node was killed")
 	}
-	if _, err := bg.Place(mustSeqOf(t, 3)); !errors.Is(err, cndb.ErrNoAvailableNode) {
+	if _, err := bg.PlaceFor("q1", mustSeqOf(t, 3)); !errors.Is(err, cndb.ErrNoAvailableNode) {
 		t.Fatalf("placement on the dead node = %v, want ErrNoAvailableNode", err)
 	}
 }

@@ -32,11 +32,12 @@ func mergeUnderChaos(t *testing.T, inj *chaos.Injector, budget, nGens, size, cou
 	for i := range subs {
 		subs[i] = gen
 	}
-	a, err := e.SPV(subs, hw.BlueGene, mustSeq(t, genSeq...))
+	q := beginQuery(t, e)
+	a, err := q.SPV(subs, hw.BlueGene, mustSeq(t, genSeq...))
 	if err != nil {
 		t.Fatalf("spv: %v", err)
 	}
-	b, err := e.SP(func(pb *PlanBuilder) (sqep.Operator, error) {
+	b, err := q.SP(func(pb *PlanBuilder) (sqep.Operator, error) {
 		in, err := pb.Merge(a)
 		if err != nil {
 			return nil, err
@@ -46,7 +47,7 @@ func mergeUnderChaos(t *testing.T, inj *chaos.Injector, budget, nGens, size, cou
 	if err != nil {
 		t.Fatalf("sp merge: %v", err)
 	}
-	cs, err := e.Extract(b)
+	cs, err := q.Extract(b)
 	if err != nil {
 		t.Fatalf("extract: %v", err)
 	}

@@ -13,10 +13,11 @@ import (
 // the top-level extract()/merge() of a CQ, consumed on the front-end
 // cluster where the user interacts with SCSQ.
 type ClientStream struct {
-	eng  *Engine
 	qc   *queryCtx // the query this stream consumes; Drain operates on it only
 	recv sqep.Operator
 	ctx  sqep.Ctx
+	// sole marks the stream as its query's only holder (OwnQuery).
+	sole bool
 
 	drained  bool
 	elements []sqep.Element
@@ -38,47 +39,50 @@ func (s *ClientStream) SetElementObserver(fn func(sqep.Element)) { s.obs = fn }
 // QueryID returns the id of the query this stream consumes ("q1", ...).
 func (s *ClientStream) QueryID() string { return s.qc.id }
 
+// OwnQuery declares the stream its query's only holder — a synchronous
+// statement, whose caller keeps no Query handle. A Drain that then started no
+// process (a catalog read) retires the query as it ends and hands its id back
+// if no query was opened since.
+func (s *ClientStream) OwnQuery() { s.sole = true }
+
 // Extract returns the client-side stream of process p's output (the
-// top-level extract(p) of a query).
-func (e *Engine) Extract(p *SP) (*ClientStream, error) {
-	return e.ClientPlan(func(b *PlanBuilder) (sqep.Operator, error) {
+// top-level extract(p) of q).
+func (q *Query) Extract(p *SP) (*ClientStream, error) {
+	return q.ClientPlan(func(b *PlanBuilder) (sqep.Operator, error) {
 		return b.Extract(p)
 	})
 }
 
 // MergeExtract returns the client-side merged stream of the given processes
-// (a top-level merge(...) of a query).
-func (e *Engine) MergeExtract(ps []*SP) (*ClientStream, error) {
+// (a top-level merge(...) of q).
+func (q *Query) MergeExtract(ps []*SP) (*ClientStream, error) {
 	if len(ps) == 0 {
 		return nil, errors.New("core: extract of empty process bag")
 	}
-	return e.ClientPlan(func(b *PlanBuilder) (sqep.Operator, error) {
+	return q.ClientPlan(func(b *PlanBuilder) (sqep.Operator, error) {
 		return b.Merge(ps)
 	})
 }
 
-// ClientPlan builds an arbitrary result plan executing in the client
-// manager on the front-end cluster. The top-level select expression of a
-// query — extract(c), merge(spv(...)), radixcombine(merge({a,b})), ... —
-// compiles to such a plan.
-func (e *Engine) ClientPlan(build Subquery) (*ClientStream, error) {
+// ClientPlan builds q's result plan, executing in the client manager on the
+// front-end cluster. The top-level select expression of a query —
+// extract(c), merge(spv(...)), radixcombine(merge({a,b})), ... — compiles to
+// such a plan.
+func (q *Query) ClientPlan(build Subquery) (*ClientStream, error) {
+	qc := q.qc
+	e := qc.eng
 	node, err := e.env.Node(hw.FrontEnd, e.clientNode)
 	if err != nil {
 		return nil, err
 	}
-	// The plan joins the current build target (SPs already built ahead of
-	// this call, or an explicit BuildAs bracket); absent one it opens a fresh
-	// implicit query, which stays the build target until it finishes.
-	qc := e.buildTarget(false)
 	qc.charge(node.CPU)
-	b := &PlanBuilder{eng: e, qc: qc, cluster: hw.FrontEnd, node: e.clientNode, spID: qc.id + "/client"}
+	b := &PlanBuilder{qc: qc, cluster: hw.FrontEnd, node: e.clientNode, spID: qc.id + "/client"}
 	root, err := build(b)
 	if err != nil {
 		return nil, err
 	}
 	return &ClientStream{
-		eng: e,
-		qc:  qc,
+		qc: qc,
 		ctx: sqep.Ctx{
 			CPU:     node.CPU,
 			Cost:    e.env.Cost,
@@ -104,8 +108,8 @@ func (s *ClientStream) Drain() ([]sqep.Element, error) {
 	}
 	s.drained = true
 
-	e := s.eng
 	qc := s.qc
+	e := qc.eng
 	if err := e.beginDrain(qc); err != nil {
 		s.err = err
 		return nil, s.err
@@ -172,10 +176,10 @@ func (s *ClientStream) Drain() ([]sqep.Element, error) {
 		sps, ran = fresh, true
 	}
 	qc.finish()
-	if qc.implicit && !ran {
+	if s.sole && !ran {
 		// A pure client plan — a catalog read through Exec — started no
-		// process, wired no edge, and nobody holds its identity: it leaves now
-		// rather than at a Reset that live sessions may refuse a polling
+		// process, wired no edge, and nobody else holds its identity: it leaves
+		// now rather than at a Reset that live sessions may refuse a polling
 		// reader for ever, and hands its id back if no query was opened since.
 		qc.retire()
 		e.mu.Lock()

@@ -16,13 +16,14 @@ func TestOneRejectsMultipleElements(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	a, err := e.SP(func(*PlanBuilder) (sqep.Operator, error) {
+	q := beginQuery(t, e)
+	a, err := q.SP(func(*PlanBuilder) (sqep.Operator, error) {
 		return sqep.NewIota(1, 3), nil
 	}, hw.BackEnd, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := e.Extract(a)
+	cs, err := q.Extract(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,13 +38,14 @@ func TestValuesAndDrainIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	a, err := e.SP(func(*PlanBuilder) (sqep.Operator, error) {
+	q := beginQuery(t, e)
+	a, err := q.SP(func(*PlanBuilder) (sqep.Operator, error) {
 		return sqep.NewIota(1, 2), nil
 	}, hw.BackEnd, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := e.Extract(a)
+	cs, err := q.Extract(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +67,8 @@ func TestMergeExtractEmptyBag(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if _, err := e.MergeExtract(nil); err == nil {
+	q := beginQuery(t, e)
+	if _, err := q.MergeExtract(nil); err == nil {
 		t.Error("empty bag should fail")
 	}
 }
@@ -77,7 +80,8 @@ func TestRPErrorSurfacesThroughDrain(t *testing.T) {
 	}
 	defer e.Close()
 	// A plan whose operator errors mid-stream.
-	bad, err := e.SP(func(*PlanBuilder) (sqep.Operator, error) {
+	q := beginQuery(t, e)
+	bad, err := q.SP(func(*PlanBuilder) (sqep.Operator, error) {
 		return sqep.NewMapFn("explode", sqep.NewIota(1, 10), func(v any) (any, vtime.Duration, error) {
 			if v.(int64) == 3 {
 				return nil, 0, errTest
@@ -88,7 +92,7 @@ func TestRPErrorSurfacesThroughDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := e.Extract(bad)
+	cs, err := q.Extract(bad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,13 +143,14 @@ func TestResetReleasesNodesAndEdges(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	a, err := e.SP(func(*PlanBuilder) (sqep.Operator, error) {
+	q := beginQuery(t, e)
+	a, err := q.SP(func(*PlanBuilder) (sqep.Operator, error) {
 		return sqep.NewIota(1, 1), nil
 	}, hw.BlueGene, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Extract(a); err != nil {
+	if _, err := q.Extract(a); err != nil {
 		t.Fatal(err)
 	}
 	if e.Coordinator(hw.BlueGene).DB().AllocatedCount(a.Node()) == 0 {
@@ -159,13 +164,14 @@ func TestResetReleasesNodesAndEdges(t *testing.T) {
 		t.Error("Reset must clear the topology")
 	}
 	// The engine is usable again.
-	b, err := e.SP(func(*PlanBuilder) (sqep.Operator, error) {
+	q = beginQuery(t, e)
+	b, err := q.SP(func(*PlanBuilder) (sqep.Operator, error) {
 		return sqep.NewIota(1, 4), nil
 	}, hw.BlueGene, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := e.Extract(b)
+	cs, err := q.Extract(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,13 +187,14 @@ func TestDrainAfterResetFailsFast(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	a, err := e.SP(func(*PlanBuilder) (sqep.Operator, error) {
+	q := beginQuery(t, e)
+	a, err := q.SP(func(*PlanBuilder) (sqep.Operator, error) {
 		return sqep.NewIota(1, 2), nil
 	}, hw.BackEnd, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := e.Extract(a)
+	cs, err := q.Extract(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,13 +214,14 @@ func TestDrainAfterCloseFailsFast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := e.SP(func(*PlanBuilder) (sqep.Operator, error) {
+	q := beginQuery(t, e)
+	a, err := q.SP(func(*PlanBuilder) (sqep.Operator, error) {
 		return sqep.NewIota(1, 2), nil
 	}, hw.BackEnd, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := e.Extract(a)
+	cs, err := q.Extract(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,13 +244,14 @@ func TestResetRacesDrain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, err := e.SP(func(*PlanBuilder) (sqep.Operator, error) {
+		q := beginQuery(t, e)
+		a, err := q.SP(func(*PlanBuilder) (sqep.Operator, error) {
 			return sqep.NewIota(1, 50), nil
 		}, hw.BackEnd, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cs, err := e.Extract(a)
+		cs, err := q.Extract(a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -296,14 +305,15 @@ func TestSubscribeViaBuilderOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	a, err := e.SP(func(*PlanBuilder) (sqep.Operator, error) {
+	q := beginQuery(t, e)
+	a, err := q.SP(func(*PlanBuilder) (sqep.Operator, error) {
 		return sqep.NewIota(1, 1), nil
 	}, hw.BackEnd, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Drain a query that consumes a; afterwards a has terminated.
-	cs, err := e.Extract(a)
+	cs, err := q.Extract(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,13 +334,14 @@ func TestElementObserverTakesTheElements(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	a, err := e.SP(func(*PlanBuilder) (sqep.Operator, error) {
+	q := beginQuery(t, e)
+	a, err := q.SP(func(*PlanBuilder) (sqep.Operator, error) {
 		return sqep.NewIota(1, 3), nil
 	}, hw.BackEnd, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := e.Extract(a)
+	cs, err := q.Extract(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,13 +382,13 @@ func TestForgetQueryFoldsWithoutLoss(t *testing.T) {
 		}
 		var cs *ClientStream
 		if err := e.BuildAs(q, func() error {
-			a, err := e.SP(func(*PlanBuilder) (sqep.Operator, error) {
+			a, err := q.SP(func(*PlanBuilder) (sqep.Operator, error) {
 				return sqep.NewIota(1, 4), nil
 			}, hw.BackEnd, nil)
 			if err != nil {
 				return err
 			}
-			cs, err = e.Extract(a)
+			cs, err = q.Extract(a)
 			return err
 		}); err != nil {
 			t.Fatal(err)

@@ -9,13 +9,14 @@ import (
 )
 
 // dynSplitter is an operator that, when opened — i.e. at RUN time, on the
-// RP's own goroutine — asks the engine for a brand-new stream process,
+// RP's own goroutine — asks its query for a brand-new stream process,
 // wires itself to it, and relays its elements. It exercises the paper's
 // dynamic RP creation: "an RP can dynamically start new RPs by requesting
 // them from the cluster coordinator of the cluster where the new RP is
 // started."
 type dynSplitter struct {
 	eng     *Engine
+	query   *Query // the query the splitter runs in, and grows
 	cluster hw.ClusterName
 	node    int
 	workers int
@@ -27,7 +28,7 @@ func (d *dynSplitter) Open(ctx *sqep.Ctx) error {
 	var spawned []*SP
 	for i := 0; i < d.workers; i++ {
 		lo, hi := int64(i*10+1), int64(i*10+10)
-		helper, err := d.eng.SP(func(*PlanBuilder) (sqep.Operator, error) {
+		helper, err := d.query.SP(func(*PlanBuilder) (sqep.Operator, error) {
 			return sqep.NewIota(lo, hi), nil
 		}, hw.BackEnd, nil)
 		if err != nil {
@@ -70,13 +71,14 @@ func TestDynamicRPCreation(t *testing.T) {
 	defer e.Close()
 
 	const workers = 3
-	parent, err := e.SP(func(pb *PlanBuilder) (sqep.Operator, error) {
-		return &dynSplitter{eng: e, cluster: pb.Cluster(), node: pb.Node(), workers: workers}, nil
+	q := beginQuery(t, e)
+	parent, err := q.SP(func(pb *PlanBuilder) (sqep.Operator, error) {
+		return &dynSplitter{eng: e, query: pb.Query(), cluster: pb.Cluster(), node: pb.Node(), workers: workers}, nil
 	}, hw.BlueGene, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := e.Extract(parent)
+	cs, err := q.Extract(parent)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,8 +6,8 @@
 // The paper's sp(s, c) assigns subquery s to a new stream process in
 // cluster c; spv(s, c) assigns each subquery of a set to a new stream
 // process; extract(p) requests the elements of p's subquery; merge(p)
-// combines the streams of a set of processes. Engine.SP, Engine.SPV,
-// PlanBuilder.Extract/Merge and Engine.Extract/MergeExtract are these
+// combines the streams of a set of processes. Query.SP, Query.SPV,
+// PlanBuilder.Extract/Merge and Query.Extract/MergeExtract are these
 // functions' programmatic form; the SCSQL front end (internal/scsql) lowers
 // parsed queries onto them.
 package core
@@ -39,11 +39,11 @@ import (
 // engine is multi-tenant: each query gets its own queryCtx — owning its
 // stream processes, its pacing group, its node-reservation leases, and what
 // it leaves behind (edges, metric keys, busy time) — so several continuous
-// queries can build, run, cancel, and be retired concurrently. The
-// classic single-query surface (build with SP/SPV, consume with
-// Extract/MergeExtract + Drain, Reset between runs) still works unchanged:
-// it operates on an implicitly created query. Multi-query sessions go
-// through BeginQuery/BuildAs (used by internal/sched).
+// queries can build, run, cancel, and be retired concurrently. There is one
+// way to build: BeginQuery opens a query, and its SPs and client plan are
+// placed through that Query (SP/SPV, ClientPlan/Extract/MergeExtract) inside
+// BuildAs — a synchronous SCSQL statement (scsql.Evaluator.Exec) and a
+// scheduled session (internal/sched) differ only in who holds the handle.
 type Engine struct {
 	env    *hw.Env
 	mpi    *mpicar.Fabric
@@ -93,7 +93,6 @@ type Engine struct {
 
 	mu        sync.Mutex
 	queries   map[string]*queryCtx // every query scope not yet retired, by id
-	cur       *queryCtx            // current build target (nil outside builds)
 	qSeq      int                  // query id allocator; Reset never rewinds it (only an unused id returns, see Drain)
 	sched     QueryScheduler       // attached multi-tenant scheduler, or nil
 	closed    bool
@@ -438,7 +437,6 @@ func (e *Engine) Reset() error {
 	}
 	qcs := slices.Collect(maps.Values(e.queries))
 	clear(e.queries)
-	e.cur = nil
 	e.mu.Unlock()
 	for _, qc := range qcs {
 		qc.retire()
@@ -699,17 +697,17 @@ func (e *Engine) place(owner string, c hw.ClusterName, seq *cndb.Sequence) (int,
 	return cc.PlaceFor(owner, seq)
 }
 
-// SP assigns a subquery to a new stream process in cluster c, optionally
-// constrained by an allocation sequence (paper: sp(s, c) and
+// SP assigns a subquery to a new stream process of q in cluster c,
+// optionally constrained by an allocation sequence (paper: sp(s, c) and
 // sp(s, c, alloc)). The returned handle is a first-class object usable in
 // further subqueries via PlanBuilder.Extract/Merge.
-func (e *Engine) SP(sub Subquery, c hw.ClusterName, seq *cndb.Sequence) (*SP, error) {
-	qc := e.buildTarget(true)
-	node, err := e.place(qc.id, c, seq)
+func (q *Query) SP(sub Subquery, c hw.ClusterName, seq *cndb.Sequence) (*SP, error) {
+	e := q.qc.eng
+	node, err := e.place(q.qc.id, c, seq)
 	if err != nil {
 		return nil, fmt.Errorf("core: sp(%q): %w", c, err)
 	}
-	return e.newPlacedSP(qc, sub, c, seq, node)
+	return e.newPlacedSP(q.qc, sub, c, seq, node)
 }
 
 // newPlacedSP compiles and registers a stream process on an already
@@ -749,7 +747,7 @@ func (e *Engine) buildProc(sp *SP, node int) (*rp.RP, bool, error) {
 		Owner:   sp.qc.id,
 		Cancel:  sp.qc,
 	}
-	b := &PlanBuilder{eng: e, qc: sp.qc, cluster: sp.cluster, node: node, spID: sp.id}
+	b := &PlanBuilder{qc: sp.qc, cluster: sp.cluster, node: node, spID: sp.id}
 	op, err := sp.sub(b)
 	if err != nil {
 		return nil, false, err
@@ -779,16 +777,16 @@ func (e *Engine) buildProc(sp *SP, node int) (*rp.RP, bool, error) {
 	return proc, hasInputs, nil
 }
 
-// SPV assigns each subquery of the set to a new stream process in cluster
-// c, sharing one allocation sequence so consecutive placements walk the
-// sequence (paper: spv(s, c, alloc)). It returns the bag of handles.
-func (e *Engine) SPV(subs []Subquery, c hw.ClusterName, seq *cndb.Sequence) ([]*SP, error) {
+// SPV assigns each subquery of the set to a new stream process of q in
+// cluster c, sharing one allocation sequence so consecutive placements walk
+// the sequence (paper: spv(s, c, alloc)). It returns the bag of handles.
+func (q *Query) SPV(subs []Subquery, c hw.ClusterName, seq *cndb.Sequence) ([]*SP, error) {
 	if c == hw.BlueGene && len(subs) > 1 {
-		return e.spvBG(subs, seq)
+		return q.qc.eng.spvBG(q.qc, subs, seq)
 	}
 	sps := make([]*SP, 0, len(subs))
 	for i, sub := range subs {
-		sp, err := e.SP(sub, c, seq)
+		sp, err := q.SP(sub, c, seq)
 		if err != nil {
 			return nil, fmt.Errorf("core: spv[%d]: %w", i, err)
 		}
@@ -804,8 +802,7 @@ func (e *Engine) SPV(subs []Subquery, c hw.ClusterName, seq *cndb.Sequence) ([]*
 // submission order — bgCC answers its poll queue in order, and plan builds
 // do not touch the node database — so the allocations are the ones the
 // serial loop would have made.
-func (e *Engine) spvBG(subs []Subquery, seq *cndb.Sequence) ([]*SP, error) {
-	qc := e.buildTarget(true)
+func (e *Engine) spvBG(qc *queryCtx, subs []Subquery, seq *cndb.Sequence) ([]*SP, error) {
 	fe := e.coords[hw.FrontEnd]
 	bg := e.coords[hw.BlueGene]
 	// Plan the whole bag at once: the planner sees the batch size and
@@ -946,8 +943,9 @@ func (s *SP) WaitResolved() error {
 // Start launches the stream process immediately instead of waiting for the
 // query's Drain. It is the second half of dynamic RP creation (paper §2.2:
 // "an RP can dynamically start new RPs by requesting them from the cluster
-// coordinator"): a running RP builds a new SP with Engine.SP, wires itself
-// to it with Engine.ConnectLive, then starts it. Starting twice is a no-op.
+// coordinator"): a running RP builds a new SP of its own query with
+// PlanBuilder.Query().SP, wires itself to it with Engine.ConnectLive, then
+// starts it. Starting twice is a no-op.
 func (s *SP) Start() error { return s.start() }
 
 func (s *SP) start() error {
@@ -986,7 +984,6 @@ type Subquery func(b *PlanBuilder) (sqep.Operator, error)
 
 // PlanBuilder wires a new SP's inputs to its producer SPs.
 type PlanBuilder struct {
-	eng       *Engine
 	qc        *queryCtx // the query of the plan being built
 	cluster   hw.ClusterName
 	node      int
@@ -1000,11 +997,15 @@ func (b *PlanBuilder) Cluster() hw.ClusterName { return b.cluster }
 // Node returns the node of the SP being built.
 func (b *PlanBuilder) Node() int { return b.node }
 
+// Query returns the query of the plan being built, so an operator that
+// spawns stream processes while it runs (paper §2.2) grows that query.
+func (b *PlanBuilder) Query() *Query { return &b.qc.handle }
+
 // Extract returns an operator streaming producer p's output into this SP
 // (the paper's extract(p)). The stream terminates when p terminates.
 func (b *PlanBuilder) Extract(p *SP) (sqep.Operator, error) {
 	b.hasInputs = true
-	return b.eng.connectAs(b.qc, []*SP{p}, b.cluster, b.node, b.spID)
+	return b.qc.eng.connectAs(b.qc, []*SP{p}, b.cluster, b.node, b.spID)
 }
 
 // Merge returns an operator combining the outputs of all processes in ps
@@ -1014,7 +1015,7 @@ func (b *PlanBuilder) Merge(ps []*SP) (sqep.Operator, error) {
 		return nil, errors.New("core: merge of empty process bag")
 	}
 	b.hasInputs = true
-	return b.eng.connectAs(b.qc, ps, b.cluster, b.node, b.spID)
+	return b.qc.eng.connectAs(b.qc, ps, b.cluster, b.node, b.spID)
 }
 
 // connectAs wires producers to the consumer (identified for edge recording,

@@ -17,14 +17,15 @@ import (
 func figure5(t *testing.T, e *Engine, sizeBytes, count int) *ClientStream {
 	t.Helper()
 	seq1 := mustSeq(t, 1)
-	a, err := e.SP(func(*PlanBuilder) (sqep.Operator, error) {
+	q := beginQuery(t, e)
+	a, err := q.SP(func(*PlanBuilder) (sqep.Operator, error) {
 		return sqep.NewGenArray(sizeBytes, count), nil
 	}, hw.BlueGene, seq1)
 	if err != nil {
 		t.Fatalf("sp a: %v", err)
 	}
 	seq0 := mustSeq(t, 0)
-	b, err := e.SP(func(pb *PlanBuilder) (sqep.Operator, error) {
+	b, err := q.SP(func(pb *PlanBuilder) (sqep.Operator, error) {
 		in, err := pb.Extract(a)
 		if err != nil {
 			return nil, err
@@ -34,11 +35,21 @@ func figure5(t *testing.T, e *Engine, sizeBytes, count int) *ClientStream {
 	if err != nil {
 		t.Fatalf("sp b: %v", err)
 	}
-	cs, err := e.Extract(b)
+	cs, err := q.Extract(b)
 	if err != nil {
 		t.Fatalf("extract: %v", err)
 	}
 	return cs
+}
+
+// beginQuery opens the query a test builds in.
+func beginQuery(t *testing.T, e *Engine) *Query {
+	t.Helper()
+	q, err := e.BeginQuery()
+	if err != nil {
+		t.Fatalf("begin query: %v", err)
+	}
+	return q
 }
 
 func mustSeq(t *testing.T, ids ...int) *cndb.Sequence {
@@ -114,11 +125,12 @@ func TestInboundQuery1Shape(t *testing.T) {
 	for i := range subs {
 		subs[i] = gen
 	}
-	a, err := e.SPV(subs, hw.BackEnd, mustSeq(t, 1))
+	q := beginQuery(t, e)
+	a, err := q.SPV(subs, hw.BackEnd, mustSeq(t, 1))
 	if err != nil {
 		t.Fatalf("spv a: %v", err)
 	}
-	b, err := e.SP(func(pb *PlanBuilder) (sqep.Operator, error) {
+	b, err := q.SP(func(pb *PlanBuilder) (sqep.Operator, error) {
 		in, err := pb.Merge(a)
 		if err != nil {
 			return nil, err
@@ -128,13 +140,13 @@ func TestInboundQuery1Shape(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sp b: %v", err)
 	}
-	c, err := e.SP(func(pb *PlanBuilder) (sqep.Operator, error) {
+	c, err := q.SP(func(pb *PlanBuilder) (sqep.Operator, error) {
 		return pb.Extract(b)
 	}, hw.BlueGene, nil)
 	if err != nil {
 		t.Fatalf("sp c: %v", err)
 	}
-	cs, err := e.Extract(c)
+	cs, err := q.Extract(c)
 	if err != nil {
 		t.Fatalf("extract: %v", err)
 	}

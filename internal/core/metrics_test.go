@@ -95,11 +95,12 @@ func chaosTelemetryRun(t *testing.T) (any, metrics.Snapshot) {
 	for i := range subs {
 		subs[i] = gen
 	}
-	a, err := e.SPV(subs, hw.BlueGene, mustSeq(t, 1, 2, 3, 4, 5, 6))
+	q := beginQuery(t, e)
+	a, err := q.SPV(subs, hw.BlueGene, mustSeq(t, 1, 2, 3, 4, 5, 6))
 	if err != nil {
 		t.Fatalf("spv: %v", err)
 	}
-	b, err := e.SP(func(pb *PlanBuilder) (sqep.Operator, error) {
+	b, err := q.SP(func(pb *PlanBuilder) (sqep.Operator, error) {
 		in, err := pb.Merge(a)
 		if err != nil {
 			return nil, err
@@ -109,7 +110,7 @@ func chaosTelemetryRun(t *testing.T) (any, metrics.Snapshot) {
 	if err != nil {
 		t.Fatalf("sp merge: %v", err)
 	}
-	cs, err := e.Extract(b)
+	cs, err := q.Extract(b)
 	if err != nil {
 		t.Fatalf("extract: %v", err)
 	}

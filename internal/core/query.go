@@ -40,10 +40,9 @@ type queryCtx struct {
 	eng *Engine
 	id  string // "q1", "q2", ... — the owner tag of leases, metrics, charges
 	seq int    // allocation order, which orders Engine.Edges
-	// implicit marks a query the engine opened by itself for a statement that
-	// names none (Exec, the programmatic SP/Extract/Drain path): nobody holds
-	// a handle on it, so the engine decides when it goes — see Drain.
-	implicit bool
+	// handle is the scope's exported face, handed out by BeginQuery and
+	// PlanBuilder.Query: one per scope, so a statement allocates no wrapper.
+	handle Query
 
 	// pacer is the query's own conservative-pacing group: the source RPs of
 	// one query gate on each other's virtual progress, never on another
@@ -127,11 +126,6 @@ func (qc *queryCtx) wired(link *carrier.Link, ed Edge) {
 // until retire. The processes must have resolved or never started.
 func (qc *queryCtx) finish() {
 	e := qc.eng
-	e.mu.Lock()
-	if e.cur == qc {
-		e.cur = nil // an implicit build's target until here
-	}
-	e.mu.Unlock()
 	qc.mu.Lock()
 	sps := qc.sps
 	qc.sps = nil
@@ -215,10 +209,11 @@ func (qc *queryCtx) cancel(cause error) {
 	}
 }
 
-// Query is the exported per-query handle: the scheduler's lever on the
-// ownership machinery. It is created by BeginQuery, populated by building
-// SPs and a client plan inside BuildAs, finished by the stream's Drain (or
-// rolled back by a failed BuildAs), and removed by Retire.
+// Query is the exported per-query handle, and the only way to build: it is
+// created by BeginQuery, populated by its own SP/SPV and ClientPlan (inside
+// BuildAs; a running operator grows its query through PlanBuilder.Query),
+// finished by the stream's Drain (or rolled back by a failed BuildAs), and
+// removed by Retire.
 type Query struct {
 	qc *queryCtx
 }
@@ -251,20 +246,14 @@ func (q *Query) SPCount() int {
 	return len(q.qc.sps)
 }
 
-// BeginQuery allocates a fresh query identity without making it the build
-// target. Pair with BuildAs to construct the query's SP graph under that
-// identity.
+// BeginQuery allocates a fresh query identity. Pair with BuildAs to construct
+// the query's SP graph under that identity.
 func (e *Engine) BeginQuery() (*Query, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
 		return nil, errors.New("core: engine closed")
 	}
-	return &Query{qc: e.newQueryLocked()}, nil
-}
-
-// newQueryLocked creates and registers a queryCtx. e.mu must be held.
-func (e *Engine) newQueryLocked() *queryCtx {
 	e.qSeq++
 	qc := &queryCtx{
 		eng:      e,
@@ -276,49 +265,26 @@ func (e *Engine) newQueryLocked() *queryCtx {
 		// up front spares the small scope four regrowths.
 		charged: make([]*vtime.Resource, 0, 16),
 	}
+	qc.handle.qc = qc
 	qc.metrics = e.reg.OpenScope(qc.id)
 	e.queries[qc.id] = qc
-	return qc
+	return &qc.handle, nil
 }
 
-// BuildCancelSignal returns the cancellation signal of the query currently
-// being built: a channel that closes when that query is cancelled, and an
-// accessor for the planted cause. Plan compilers wire it into operators
-// that block outside the stream graph (live-delta streams waiting on a
-// vtime tick), which inbox poisoning cannot reach. Outside a build it
-// returns a nil channel, which never fires in a select.
-func (e *Engine) BuildCancelSignal() (<-chan struct{}, func() error) {
-	e.mu.Lock()
-	qc := e.cur
-	e.mu.Unlock()
-	if qc == nil {
-		return nil, nil
-	}
-	return qc.Done(), qc.Cause
-}
-
-// BuildAs runs build with q as the engine's build target: every SP and
-// client plan created inside belongs to q. Builds are serialized across the
-// engine (placement must see a consistent node pool), which is what makes
-// admission deterministic. On error the query's partial placements are
-// rolled back — its nodes released, its leases dropped — so a failed
-// admission attempt holds nothing.
+// BuildAs is the bracket q's SP graph is built in: build places q's processes
+// and client plan through q itself, and nothing is ambient. Builds are
+// serialized across the engine (placement must see a consistent node pool),
+// which is what makes admission deterministic. On error the query's partial
+// placements are rolled back — its nodes released, its leases dropped — so a
+// failed build holds nothing.
 func (e *Engine) BuildAs(q *Query, build func() error) error {
 	e.buildMu.Lock()
 	defer e.buildMu.Unlock()
-	e.mu.Lock()
-	prev := e.cur
-	e.cur = q.qc
-	e.mu.Unlock()
 	err := build()
-	e.mu.Lock()
-	e.cur = prev
-	e.mu.Unlock()
 	if err != nil {
 		e.rollbackQuery(q.qc, err)
-		return err
 	}
-	return nil
+	return err
 }
 
 // rollbackQuery undoes a failed build: failing the query's (unstarted)
@@ -355,41 +321,6 @@ func (e *Engine) LeaseCount(qid string) int {
 		n += cc.DB().LeaseCount(qid)
 	}
 	return n
-}
-
-// buildTarget resolves the queryCtx new SPs attach to: the explicit build
-// target when one is set (BuildAs, or an implicit build in progress), else —
-// when joinLive is true — the single live query (dynamic RP creation from
-// inside a running RP, paper §2.2), else a fresh implicit query — the
-// classic single-query programmatic path, where SP/Extract/Drain never
-// mention query identities. Client plans pass joinLive false: a client-only
-// statement such as ps() or monitor() issued while a query runs is a new
-// session observing it, not part of its graph.
-func (e *Engine) buildTarget(joinLive bool) *queryCtx {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.cur != nil {
-		return e.cur
-	}
-	if joinLive {
-		var liveQC *queryCtx
-		n := 0
-		for _, qc := range e.queries {
-			if qc.active() {
-				liveQC = qc
-				n++
-			}
-		}
-		if n == 1 {
-			// Exactly one query is running: a runtime Engine.SP call is that
-			// query dynamically growing its own graph. (With several live
-			// queries dynamic creation must go through BuildAs.)
-			return liveQC
-		}
-	}
-	e.cur = e.newQueryLocked()
-	e.cur.implicit = true
-	return e.cur
 }
 
 // allSPs snapshots every query's stream processes — the engine-wide view

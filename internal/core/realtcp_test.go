@@ -20,11 +20,12 @@ func runInboundCount(t *testing.T, e *Engine, n, size, count int) (int64, vtime.
 	for i := range subs {
 		subs[i] = gen
 	}
-	a, err := e.SPV(subs, hw.BackEnd, mustSeq(t, 1))
+	q := beginQuery(t, e)
+	a, err := q.SPV(subs, hw.BackEnd, mustSeq(t, 1))
 	if err != nil {
 		t.Fatalf("spv: %v", err)
 	}
-	b, err := e.SP(func(pb *PlanBuilder) (sqep.Operator, error) {
+	b, err := q.SP(func(pb *PlanBuilder) (sqep.Operator, error) {
 		in, err := pb.Merge(a)
 		if err != nil {
 			return nil, err
@@ -34,7 +35,7 @@ func runInboundCount(t *testing.T, e *Engine, n, size, count int) (int64, vtime.
 	if err != nil {
 		t.Fatalf("sp: %v", err)
 	}
-	cs, err := e.Extract(b)
+	cs, err := q.Extract(b)
 	if err != nil {
 		t.Fatalf("extract: %v", err)
 	}

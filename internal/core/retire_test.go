@@ -34,11 +34,11 @@ func buildPair(t *testing.T, e *Engine, q *Query, src func() sqep.Operator, fail
 	t.Helper()
 	var cs *ClientStream
 	err := e.BuildAs(q, func() error {
-		a, err := e.SP(func(*PlanBuilder) (sqep.Operator, error) { return src(), nil }, hw.BlueGene, mustSeq(t, 1))
+		a, err := q.SP(func(*PlanBuilder) (sqep.Operator, error) { return src(), nil }, hw.BlueGene, mustSeq(t, 1))
 		if err != nil {
 			return err
 		}
-		b, err := e.SP(func(pb *PlanBuilder) (sqep.Operator, error) {
+		b, err := q.SP(func(pb *PlanBuilder) (sqep.Operator, error) {
 			in, err := pb.Extract(a)
 			if err != nil {
 				return nil, err
@@ -48,7 +48,7 @@ func buildPair(t *testing.T, e *Engine, q *Query, src func() sqep.Operator, fail
 		if err != nil {
 			return err
 		}
-		if cs, err = e.Extract(b); err != nil {
+		if cs, err = q.Extract(b); err != nil {
 			return err
 		}
 		return fail
@@ -225,12 +225,13 @@ func TestEveryExitRetiresOnce(t *testing.T) {
 				t.Error("a second retire changed edges or busy time")
 			}
 
-			// The next query: a fresh implicit scope on the same engine.
-			a, err := e.SP(func(*PlanBuilder) (sqep.Operator, error) { return sqep.NewIota(1, 4), nil }, hw.BackEnd, nil)
+			// The next query: a fresh scope on the same engine.
+			next := beginQuery(t, e)
+			a, err := next.SP(func(*PlanBuilder) (sqep.Operator, error) { return sqep.NewIota(1, 4), nil }, hw.BackEnd, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cs, err := e.Extract(a)
+			cs, err := next.Extract(a)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -242,7 +243,7 @@ func TestEveryExitRetiresOnce(t *testing.T) {
 }
 
 // TestInProcessRegistryStaysBounded runs the in-process path every paper
-// figure uses — implicit query, Drain, Reset — 300 times: the registry at op
+// figure uses — a statement's own query, Drain, Reset — 300 times: the registry at op
 // 300 holds as many keys as at op 30, and the totals by prefix hold every
 // op's contribution.
 func TestInProcessRegistryStaysBounded(t *testing.T) {
@@ -279,9 +280,9 @@ func TestInProcessRegistryStaysBounded(t *testing.T) {
 	}
 }
 
-// TestImplicitQueriesGetFreshScopes drains two implicit queries without a
-// Reset between them: the second is a scope of its own (a finished query is
-// nobody's build target), both stay queryable, and Reset retires both.
+// TestImplicitQueriesGetFreshScopes drains two queries without a Reset
+// between them: each is a scope of its own, both stay queryable, and Reset
+// retires both.
 func TestImplicitQueriesGetFreshScopes(t *testing.T) {
 	e, err := NewEngine()
 	if err != nil {
@@ -324,12 +325,14 @@ func TestClientOnlyStatementLeavesNothing(t *testing.T) {
 	defer e.Close()
 	read := func() {
 		t.Helper()
-		cs, err := e.ClientPlan(func(*PlanBuilder) (sqep.Operator, error) {
+		q := beginQuery(t, e)
+		cs, err := q.ClientPlan(func(*PlanBuilder) (sqep.Operator, error) {
 			return sqep.NewThunk("read", func() ([]any, error) { return []any{int64(len(e.Edges()))}, nil }), nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		cs.OwnQuery()
 		if _, err := cs.One(); err != nil {
 			t.Fatal(err)
 		}

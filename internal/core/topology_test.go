@@ -55,11 +55,12 @@ func TestEdgesMergeFanIn(t *testing.T) {
 	gen := func(*PlanBuilder) (sqep.Operator, error) {
 		return sqep.NewGenArray(5_000, 2), nil
 	}
-	a, err := e.SPV([]Subquery{gen, gen, gen}, hw.BackEnd, mustSeq(t, 1))
+	q := beginQuery(t, e)
+	a, err := q.SPV([]Subquery{gen, gen, gen}, hw.BackEnd, mustSeq(t, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := e.SP(func(pb *PlanBuilder) (sqep.Operator, error) {
+	b, err := q.SP(func(pb *PlanBuilder) (sqep.Operator, error) {
 		in, err := pb.Merge(a)
 		if err != nil {
 			return nil, err
@@ -69,7 +70,7 @@ func TestEdgesMergeFanIn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := e.Extract(b)
+	cs, err := q.Extract(b)
 	if err != nil {
 		t.Fatal(err)
 	}

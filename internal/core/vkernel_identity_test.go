@@ -155,13 +155,14 @@ func TestKernelBatchMultiTenantReplayIdentical(t *testing.T) {
 // multi-tenant instances.
 func figure5seq(t *testing.T, e *Engine, sizeBytes, count, genNode, cntNode int) *ClientStream {
 	t.Helper()
-	a, err := e.SP(func(*PlanBuilder) (sqep.Operator, error) {
+	q := beginQuery(t, e)
+	a, err := q.SP(func(*PlanBuilder) (sqep.Operator, error) {
 		return sqep.NewGenArray(sizeBytes, count), nil
 	}, hw.BlueGene, mustSeq(t, genNode))
 	if err != nil {
 		t.Fatalf("sp a: %v", err)
 	}
-	b, err := e.SP(func(pb *PlanBuilder) (sqep.Operator, error) {
+	b, err := q.SP(func(pb *PlanBuilder) (sqep.Operator, error) {
 		in, err := pb.Extract(a)
 		if err != nil {
 			return nil, err
@@ -171,7 +172,7 @@ func figure5seq(t *testing.T, e *Engine, sizeBytes, count, genNode, cntNode int)
 	if err != nil {
 		t.Fatalf("sp b: %v", err)
 	}
-	cs, err := e.Extract(b)
+	cs, err := q.Extract(b)
 	if err != nil {
 		t.Fatalf("extract: %v", err)
 	}

@@ -56,7 +56,7 @@ func buildQuery6(tb testing.TB, e *Engine, q *Query, n, size, count int, gate fu
 				return op, nil
 			}
 		}
-		a, err := e.SPV(gens, hw.BackEnd, cndb.URR(e.coords[hw.BackEnd].DB()))
+		a, err := q.SPV(gens, hw.BackEnd, cndb.URR(e.coords[hw.BackEnd].DB()))
 		if err != nil {
 			return err
 		}
@@ -75,11 +75,11 @@ func buildQuery6(tb testing.TB, e *Engine, q *Query, n, size, count int, gate fu
 		if err != nil {
 			return err
 		}
-		b, err := e.SPV(counters, hw.BlueGene, psetrr)
+		b, err := q.SPV(counters, hw.BlueGene, psetrr)
 		if err != nil {
 			return err
 		}
-		c, err := e.SP(func(pb *PlanBuilder) (sqep.Operator, error) {
+		c, err := q.SP(func(pb *PlanBuilder) (sqep.Operator, error) {
 			in, err := pb.Merge(b)
 			if err != nil {
 				return nil, err
@@ -89,7 +89,7 @@ func buildQuery6(tb testing.TB, e *Engine, q *Query, n, size, count int, gate fu
 		if err != nil {
 			return err
 		}
-		cs, err = e.Extract(c)
+		cs, err = q.Extract(c)
 		return err
 	})
 	if err != nil {

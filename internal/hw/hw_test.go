@@ -196,13 +196,13 @@ func TestResetRewindsResources(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.CPU.Use(0, 100)
-	n.Coproc.Use(0, 100)
+	n.CPU.UseAs("q1", 0, 100)
+	n.Coproc.UseAs("q1", 0, 100)
 	ion, err := env.IONode(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ion.Forwarder.Use(0, 100)
+	ion.Forwarder.UseAs("q1", 0, 100)
 	env.Reset()
 	if n.CPU.BusyTime() != 0 || n.Coproc.BusyTime() != 0 || ion.Forwarder.BusyTime() != 0 {
 		t.Error("Reset must rewind every resource")

@@ -9,8 +9,9 @@
 //
 // Determinism contract: admission order is a pure function of the submission
 // order and priorities, never of goroutine timing. Builds are serialized by
-// the engine (core.BuildAs), so the node pool each admission sees is exactly
-// the pool left by the previously admitted queries. Virtual-time results of
+// the engine (core.BuildAs — a session's build and a synchronous statement's
+// alike; there is no other way to build), so the node pool each admission
+// sees is exactly the pool left by the previously admitted queries. Virtual-time results of
 // an admitted query depend only on which queries run concurrently with it,
 // not on wall-clock interleaving — that is the engine's virtual-time
 // contract, which the scheduler preserves by never injecting wall time into
@@ -735,15 +736,12 @@ func (s *Scheduler) admit() {
 // engine has already rolled back q's placements and leases.
 func (s *Scheduler) build(q *Query) error {
 	return s.eng.BuildAs(q.cq, func() error {
-		res, err := s.ev.ExecStatement(q.stmt)
+		stream, err := s.ev.Build(q.cq, q.stmt.Query)
 		if err != nil {
 			return err
 		}
-		if res.Stream == nil {
-			return fmt.Errorf("sched: statement %q produced no stream", q.src)
-		}
 		q.mu.Lock()
-		q.stream = res.Stream
+		q.stream = stream
 		q.mu.Unlock()
 		return nil
 	})

@@ -50,7 +50,7 @@ func (ev *Evaluator) compileStream(e Expr, env *scope, b *core.PlanBuilder) (sqe
 // arbitrary streams.
 func (ev *Evaluator) compileQueryBody(q *Query, env *scope, b *core.PlanBuilder) (sqep.Operator, error) {
 	local := newScope(env)
-	if err := ev.evalBindings(q, local); err != nil {
+	if err := ev.evalBindings(q, local, b.Query()); err != nil {
 		return nil, err
 	}
 	_, driver, preds, err := splitConds(q)
@@ -121,7 +121,7 @@ func (ev *Evaluator) compileCall(call *Call, env *scope, b *core.PlanBuilder) (s
 		if len(call.Args) != 1 {
 			return nil, errorfAt(call.Pos, "extract() takes 1 argument, got %d", len(call.Args))
 		}
-		sp, err := ev.evalSP(call.Args[0], env)
+		sp, err := ev.evalSP(call.Args[0], env, b.Query())
 		if err != nil {
 			return nil, err
 		}
@@ -131,7 +131,7 @@ func (ev *Evaluator) compileCall(call *Call, env *scope, b *core.PlanBuilder) (s
 		if len(call.Args) != 1 {
 			return nil, errorfAt(call.Pos, "merge() takes 1 argument, got %d", len(call.Args))
 		}
-		sps, err := ev.evalSPBag(call.Args[0], env)
+		sps, err := ev.evalSPBag(call.Args[0], env, b.Query())
 		if err != nil {
 			return nil, err
 		}
@@ -337,7 +337,7 @@ func (ev *Evaluator) compileRadixCombine(call *Call, env *scope, b *core.PlanBui
 	if !ok || mergeCall.Name != "merge" || len(mergeCall.Args) != 1 {
 		return nil, errorfAt(call.Pos, "radixcombine() requires merge({odd, even}) as its argument")
 	}
-	sps, err := ev.evalSPBag(mergeCall.Args[0], env)
+	sps, err := ev.evalSPBag(mergeCall.Args[0], env, b.Query())
 	if err != nil {
 		return nil, err
 	}
@@ -405,7 +405,7 @@ func (ev *Evaluator) compileUserFunc(def *FuncDef, call *Call, env *scope, b *co
 	}
 	fnScope := newScope(nil) // function bodies see only their parameters
 	for i, p := range def.Params {
-		v, err := ev.evalBindingExpr(call.Args[i], env)
+		v, err := ev.evalBindingExpr(call.Args[i], env, b.Query())
 		if err != nil {
 			return nil, err
 		}

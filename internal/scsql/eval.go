@@ -86,16 +86,28 @@ func (ev *Evaluator) Exec(src string) (*Result, error) {
 	return ev.ExecStatement(stmt)
 }
 
-// ExecStatement executes a parsed statement.
+// ExecStatement executes a parsed statement. A statement is a query: a select
+// opens its own engine query, builds in it, and returns a stream that is that
+// query's only holder; a failed build holds nothing.
 func (ev *Evaluator) ExecStatement(stmt *Statement) (*Result, error) {
 	if stmt.Def != nil {
 		ev.cat.Define(stmt.Def)
 		return &Result{Defined: stmt.Def.Name}, nil
 	}
-	stream, err := ev.evalQuery(stmt.Query, newScope(nil))
+	cq, err := ev.eng.BeginQuery()
 	if err != nil {
 		return nil, err
 	}
+	var stream *core.ClientStream
+	err = ev.eng.BuildAs(cq, func() (err error) {
+		stream, err = ev.Build(cq, stmt.Query)
+		return err
+	})
+	if err != nil {
+		cq.Retire()
+		return nil, err
+	}
+	stream.OwnQuery()
 	return &Result{Stream: stream}, nil
 }
 
@@ -120,12 +132,13 @@ func (s *scope) lookup(name string) (any, bool) {
 
 func (s *scope) bind(name string, v any) { s.vars[name] = v }
 
-// evalQuery evaluates a full query: where-clause bindings in dependency
-// order, then the query body (select expression plus any stream
-// comprehension) as a client-manager plan.
-func (ev *Evaluator) evalQuery(q *Query, env *scope) (*core.ClientStream, error) {
-	return ev.eng.ClientPlan(func(b *core.PlanBuilder) (sqepOperator, error) {
-		return ev.compileQueryBody(q, env, b)
+// Build evaluates q inside the engine query cq — where-clause bindings in
+// dependency order (each sp()/spv() a process of cq), then the query body
+// (select expression plus any stream comprehension) as cq's client-manager
+// plan. The caller holds cq's core.Engine.BuildAs bracket.
+func (ev *Evaluator) Build(cq *core.Query, q *Query) (*core.ClientStream, error) {
+	return cq.ClientPlan(func(b *core.PlanBuilder) (sqepOperator, error) {
+		return ev.compileQueryBody(q, newScope(nil), b)
 	})
 }
 
@@ -152,7 +165,7 @@ func splitConds(q *Query) (binds []Cond, driver *Cond, preds []Cond, err error) 
 // compatible with their mutual references and binds them in env. 'in'
 // drivers and predicates are left to the caller; the driver's variable
 // counts as bound for the completeness check.
-func (ev *Evaluator) evalBindings(q *Query, env *scope) error {
+func (ev *Evaluator) evalBindings(q *Query, env *scope, cq *core.Query) error {
 	declared := make(map[string]Decl, len(q.From))
 	for _, d := range q.From {
 		declared[d.Name] = d
@@ -172,7 +185,7 @@ func (ev *Evaluator) evalBindings(q *Query, env *scope) error {
 		return err
 	}
 	for _, c := range order {
-		v, err := ev.evalBindingExpr(c.Expr, env)
+		v, err := ev.evalBindingExpr(c.Expr, env, cq)
 		if err != nil {
 			return fmt.Errorf("binding %q: %w", c.Name, err)
 		}
@@ -324,15 +337,15 @@ func checkDeclType(d Decl, v any) error {
 	return nil
 }
 
-// evalBindingExpr evaluates the right-hand side of a '=' binding: sp(),
-// spv(), or a scalar expression.
-func (ev *Evaluator) evalBindingExpr(e Expr, env *scope) (any, error) {
+// evalBindingExpr evaluates the right-hand side of a '=' binding: sp() or
+// spv() — a process or a bag of processes of cq — or a scalar expression.
+func (ev *Evaluator) evalBindingExpr(e Expr, env *scope, cq *core.Query) (any, error) {
 	if call, ok := e.(*Call); ok {
 		switch call.Name {
 		case "sp":
-			return ev.doSP(call, env)
+			return ev.doSP(call, env, cq)
 		case "spv":
-			return ev.doSPV(call, env)
+			return ev.doSPV(call, env, cq)
 		}
 	}
 	return ev.evalScalar(e, env)
@@ -340,7 +353,7 @@ func (ev *Evaluator) evalBindingExpr(e Expr, env *scope) (any, error) {
 
 // doSP implements sp(subquery, cluster?, alloc?): assign the stream
 // expression to a new stream process.
-func (ev *Evaluator) doSP(call *Call, env *scope) (*core.SP, error) {
+func (ev *Evaluator) doSP(call *Call, env *scope, cq *core.Query) (*core.SP, error) {
 	if len(call.Args) < 1 || len(call.Args) > 3 {
 		return nil, errorfAt(call.Pos, "sp() takes 1-3 arguments, got %d", len(call.Args))
 	}
@@ -361,7 +374,7 @@ func (ev *Evaluator) doSP(call *Call, env *scope) (*core.SP, error) {
 		seq = s
 	}
 	streamExpr := call.Args[0]
-	return ev.eng.SP(func(b *core.PlanBuilder) (sqepOperator, error) {
+	return cq.SP(func(b *core.PlanBuilder) (sqepOperator, error) {
 		return ev.compileStream(streamExpr, env, b)
 	}, cluster, seq)
 }
@@ -369,7 +382,7 @@ func (ev *Evaluator) doSP(call *Call, env *scope) (*core.SP, error) {
 // doSPV implements spv(subquery-set, cluster, alloc?): assign each subquery
 // in the set — one per binding of the subquery's 'in' variable — to a new
 // stream process, sharing one allocation sequence across the batch.
-func (ev *Evaluator) doSPV(call *Call, env *scope) ([]*core.SP, error) {
+func (ev *Evaluator) doSPV(call *Call, env *scope, cq *core.Query) ([]*core.SP, error) {
 	if len(call.Args) < 1 || len(call.Args) > 3 {
 		return nil, errorfAt(call.Pos, "spv() takes 1-3 arguments, got %d", len(call.Args))
 	}
@@ -437,7 +450,7 @@ func (ev *Evaluator) doSPV(call *Call, env *scope) ([]*core.SP, error) {
 			continue
 		}
 		// Evaluate the instance's remaining '=' bindings, if any.
-		if err := ev.evalBindings(q, inst); err != nil {
+		if err := ev.evalBindings(q, inst, cq); err != nil {
 			return nil, err
 		}
 		sel := q.Select
@@ -449,7 +462,7 @@ func (ev *Evaluator) doSPV(call *Call, env *scope) ([]*core.SP, error) {
 	if len(subs) == 0 {
 		return nil, errorfAt(call.Pos, "spv() instantiated no stream processes (empty or fully filtered domain)")
 	}
-	return ev.eng.SPV(subs, cluster, seq)
+	return cq.SPV(subs, cluster, seq)
 }
 
 // evalDomain evaluates the domain of an 'in' binding: iota(n,m) yields
@@ -654,8 +667,8 @@ func (ev *Evaluator) evalInt(e Expr, env *scope) (int64, error) {
 }
 
 // evalSP resolves an expression to a single stream process.
-func (ev *Evaluator) evalSP(e Expr, env *scope) (*core.SP, error) {
-	v, err := ev.evalBindingExpr(e, env)
+func (ev *Evaluator) evalSP(e Expr, env *scope, cq *core.Query) (*core.SP, error) {
+	v, err := ev.evalBindingExpr(e, env, cq)
 	if err != nil {
 		return nil, err
 	}
@@ -668,11 +681,11 @@ func (ev *Evaluator) evalSP(e Expr, env *scope) (*core.SP, error) {
 
 // evalSPBag resolves an expression to a bag of stream processes: a bag
 // variable, a single sp, a set literal, or an spv() call.
-func (ev *Evaluator) evalSPBag(e Expr, env *scope) ([]*core.SP, error) {
+func (ev *Evaluator) evalSPBag(e Expr, env *scope, cq *core.Query) ([]*core.SP, error) {
 	if set, ok := e.(*SetLit); ok {
 		var out []*core.SP
 		for _, el := range set.Elems {
-			sp, err := ev.evalSP(el, env)
+			sp, err := ev.evalSP(el, env, cq)
 			if err != nil {
 				return nil, err
 			}
@@ -680,7 +693,7 @@ func (ev *Evaluator) evalSPBag(e Expr, env *scope) ([]*core.SP, error) {
 		}
 		return out, nil
 	}
-	v, err := ev.evalBindingExpr(e, env)
+	v, err := ev.evalBindingExpr(e, env, cq)
 	if err != nil {
 		return nil, err
 	}

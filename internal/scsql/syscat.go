@@ -158,10 +158,5 @@ func (ev *Evaluator) compileStreamOfSys(t *catalog.Table, call *Call, env *scope
 		}
 		return vals, keys, nil
 	}
-	d := sqep.NewDeltaPoll(fmt.Sprintf("streamof(%s)", t.Name), snap, tick, stop)
-	// A pure client-plan live stream has no stream processes to poison, so
-	// session cancellation reaches it through the query's cancel signal
-	// rather than through the inbox graph.
-	d.Done, d.DoneErr = ev.eng.BuildCancelSignal()
-	return d, nil
+	return sqep.NewDeltaPoll(fmt.Sprintf("streamof(%s)", t.Name), snap, tick, stop), nil
 }

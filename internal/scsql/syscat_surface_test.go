@@ -128,14 +128,18 @@ func TestSysResourcesSumToBusyTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var res *scsql.Result
+	stmt, err := scsql.Parse(scsql.Figure5Query(30_000, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stream *core.ClientStream
 	if err := e.BuildAs(q, func() (err error) {
-		res, err = ev.Exec(scsql.Figure5Query(30_000, 4))
+		stream, err = ev.Build(q, stmt.Query)
 		return err
 	}); err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	if _, err := res.Stream.Drain(); err != nil {
+	if _, err := stream.Drain(); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
 	check := func(when, wantOwner string) {

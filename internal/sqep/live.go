@@ -22,18 +22,15 @@ type DeltaPoll struct {
 	Tick <-chan struct{}
 	// Stop releases the tick subscription; called once, at Close.
 	Stop func()
-	// Done optionally aborts the stream: a live-delta stream blocks on Tick
-	// indefinitely, so a query with no stream processes to poison (a pure
-	// client-plan streamof(sys_*())) needs its own cancellation signal.
-	// When Done fires, Next reports DoneErr() as the stream error (or a
-	// clean end if DoneErr is nil / returns nil). Nil Done never fires.
-	Done <-chan struct{}
-	// DoneErr reports why Done fired (e.g. the query's cancellation cause).
-	DoneErr func() error
 
-	queue []Element
-	seen  map[string]bool
-	done  bool
+	// cancel is the owning query's signal (Ctx.Cancel, read at Open): the
+	// stream blocks on Tick indefinitely, and a query with no stream
+	// processes to poison (a pure client-plan streamof(sys_*())) is reached
+	// by nothing else. Nil — no query to cancel — never fires.
+	cancel CancelSignal
+	queue  []Element
+	seen   map[string]bool
+	done   bool
 }
 
 var _ Operator = (*DeltaPoll)(nil)
@@ -46,7 +43,10 @@ func NewDeltaPoll(label string, snap func() ([]any, []string, error), tick <-cha
 // Open implements Operator: it emits the initial full snapshot, so a
 // bounded consumer (limit(streamof(...), n)) can terminate without any
 // virtual time passing.
-func (d *DeltaPoll) Open(*Ctx) error {
+func (d *DeltaPoll) Open(ctx *Ctx) error {
+	if ctx != nil {
+		d.cancel = ctx.Cancel
+	}
 	d.queue = d.queue[:0]
 	d.seen = make(map[string]bool)
 	d.done = false
@@ -75,8 +75,13 @@ func (d *DeltaPoll) poll() error {
 
 // Next implements Operator: drain queued rows, else block for the next
 // virtual-time tick and re-poll. Ticks that produce no delta are absorbed
-// here rather than emitting empty batches.
+// here rather than emitting empty batches. A cancelled query ends the
+// stream with the planted cause.
 func (d *DeltaPoll) Next() (Element, bool, error) {
+	var cancelled <-chan struct{}
+	if d.cancel != nil {
+		cancelled = d.cancel.Done()
+	}
 	for {
 		if len(d.queue) > 0 {
 			el := d.queue[0]
@@ -95,14 +100,9 @@ func (d *DeltaPoll) Next() (Element, bool, error) {
 			if err := d.poll(); err != nil {
 				return Element{}, false, err
 			}
-		case <-d.Done:
+		case <-cancelled:
 			d.done = true
-			if d.DoneErr != nil {
-				if err := d.DoneErr(); err != nil {
-					return Element{}, false, err
-				}
-			}
-			return Element{}, false, nil
+			return Element{}, false, d.cancel.Cause()
 		}
 	}
 }

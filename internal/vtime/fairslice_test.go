@@ -10,7 +10,7 @@ func TestUseAsOwnerAccounting(t *testing.T) {
 	r.UseAs("q1", 0, 20)
 	r.UseAs("q2", 0, 5)
 	r.UseAs("q2", 0, 7)
-	r.Use(0, 3) // anonymous: aggregate only
+	r.UseAs(AnonymousOwner, 0, 3) // anonymous: aggregate only
 
 	if got := r.BusyTimeBy("q1"); got != 20 {
 		t.Errorf("BusyTimeBy(q1) = %v, want 20", got)

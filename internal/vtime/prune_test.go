@@ -31,8 +31,8 @@ func TestPruneMatchesUnpruned(t *testing.T) {
 			ready = front
 		}
 		service := Duration(1 + rng.Int63n(int64(5*Microsecond)))
-		s1, e1 := pruned.Use(ready, service)
-		s2, e2 := plain.Use(ready, service)
+		s1, e1 := pruned.UseAs("q1", ready, service)
+		s2, e2 := plain.UseAs("q1", ready, service)
 		if s1 != s2 || e1 != e2 {
 			t.Fatalf("request %d (ready %v, service %v): pruned grants [%v,%v), unpruned [%v,%v)",
 				i, ready, service, s1, e1, s2, e2)
@@ -58,10 +58,10 @@ func TestPruneClampsStragglers(t *testing.T) {
 	tt := Time(0)
 	for i := 0; i < 100; i++ {
 		tt = tt.Add(10 * Microsecond)
-		r.Use(tt, 5*Microsecond)
+		r.UseAs("q1", tt, 5*Microsecond)
 	}
 	floor := r.hwm.Add(-10 * Microsecond)
-	start, end := r.Use(0, Microsecond)
+	start, end := r.UseAs("q1", 0, Microsecond)
 	if start < floor {
 		t.Errorf("straggler granted [%v,%v), before the prune floor %v", start, end, floor)
 	}
@@ -81,7 +81,7 @@ func TestPruneBoundsBusyList(t *testing.T) {
 	tt := Time(0)
 	for i := 0; i < 50_000; i++ {
 		tt = tt.Add(10 * Microsecond) // leaves 5 µs gaps: nothing merges
-		r.Use(tt, 5*Microsecond)
+		r.UseAs("q1", tt, 5*Microsecond)
 	}
 	// 1 ms horizon / 10 µs per reservation = ~100 live intervals.
 	if live := len(r.busy) - r.head; live > 200 {
@@ -103,10 +103,10 @@ func TestNeverPruneHorizon(t *testing.T) {
 	tt := Time(0)
 	for i := 0; i < 2_000; i++ {
 		tt = tt.Add(10 * Microsecond)
-		r.Use(tt, 5*Microsecond)
+		r.UseAs("q1", tt, 5*Microsecond)
 	}
 	// The very first gap is [0, 10µs); it must still be granted.
-	start, end := r.Use(0, 2*Microsecond)
+	start, end := r.UseAs("q1", 0, 2*Microsecond)
 	if start != 0 || end != Time(2*Microsecond) {
 		t.Errorf("oldest gap not backfilled with pruning disabled: got [%v,%v)", start, end)
 	}
@@ -118,7 +118,7 @@ func TestResetKeepsHorizon(t *testing.T) {
 	r := NewResource("r")
 	r.SetBackfillHorizon(-1)
 	for i := 0; i < 100; i++ {
-		r.Use(Time(i)*Time(10*Microsecond), 5*Microsecond)
+		r.UseAs("q1", Time(i)*Time(10*Microsecond), 5*Microsecond)
 	}
 	r.Reset()
 	if r.FreeAt() != 0 || r.BusyTime() != 0 {
@@ -127,7 +127,7 @@ func TestResetKeepsHorizon(t *testing.T) {
 	if r.horizon != -1 {
 		t.Errorf("Reset dropped the configured horizon: %v", r.horizon)
 	}
-	if start, _ := r.Use(0, Microsecond); start != 0 {
+	if start, _ := r.UseAs("q1", 0, Microsecond); start != 0 {
 		t.Errorf("fresh resource after Reset granted start %v, want 0", start)
 	}
 }

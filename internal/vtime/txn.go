@@ -101,16 +101,3 @@ func (t *Txn) Commit() []Grant {
 	t.staged = 0
 	return t.grants
 }
-
-// Use reserves and commits a single link immediately: the serial path,
-// expressed through the transaction so the chain tail threads uniformly
-// whether or not batching is enabled. It returns the granted interval.
-func (t *Txn) Use(ext Time, service Duration) (start, end Time) {
-	ready := ext
-	if ready < t.tail {
-		ready = t.tail
-	}
-	start, end = t.r.UseAs(t.owner, ready, service)
-	t.tail = end
-	return start, end
-}

@@ -66,30 +66,6 @@ func TestTxnChainMatchesSerialUseAs(t *testing.T) {
 	}
 }
 
-// TestTxnUseMatchesUseAs checks the immediate single-link path: Txn.Use is
-// UseAs with the chain tail folded into the ready time.
-func TestTxnUseMatchesUseAs(t *testing.T) {
-	r := NewResource("r")
-	ref := NewResource("ref")
-	txn := r.Txn("q1")
-	var tail Time
-	for _, req := range []struct {
-		ext Time
-		svc Duration
-	}{{0, 10}, {5, 3}, {100, 7}, {50, 0}, {-20, 4}} {
-		s, e := txn.Use(req.ext, req.svc)
-		ready := req.ext
-		if ready < tail {
-			ready = tail
-		}
-		ws, we := ref.UseAs("q1", ready, req.svc)
-		if s != ws || e != we {
-			t.Fatalf("ext=%v svc=%v: txn [%v,%v) != serial [%v,%v)", req.ext, req.svc, s, e, ws, we)
-		}
-		tail = we
-	}
-}
-
 // TestRecorderReplayReproducesSchedule drives a resource concurrently
 // through a mix of serial UseAs calls and batched Txn commits while a
 // recorder captures the commit-order placement log, then replays the log

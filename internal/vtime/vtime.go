@@ -117,7 +117,7 @@ type Resource struct {
 	recorder func(owner string, ready Time, service Duration, start, end Time)
 }
 
-// AnonymousOwner is the reserved owner key under which anonymous Use calls
+// AnonymousOwner is the reserved owner key under which reservations of no query
 // are accounted in BusyTimeBy and OwnerBusy.
 const AnonymousOwner = ""
 
@@ -152,16 +152,11 @@ func (r *Resource) SetFairSlice(d Duration) {
 	r.fairSlice = d
 }
 
-// Use reserves the resource for service virtual nanoseconds, starting no
-// earlier than ready. It returns the granted interval [start, end). The
-// reservation is accounted under AnonymousOwner.
-func (r *Resource) Use(ready Time, service Duration) (start, end Time) {
-	return r.UseAs(AnonymousOwner, ready, service)
-}
-
-// UseAs is Use with the reservation attributed to owner (a query id) in the
-// per-owner busy accounting reported by OwnerBusy. An empty owner charges
-// the anonymous aggregate.
+// UseAs reserves the resource for service virtual nanoseconds, starting no
+// earlier than ready, and returns the granted interval [start, end). The
+// reservation is attributed to owner (a query id) in the per-owner busy
+// accounting reported by OwnerBusy; AnonymousOwner charges the anonymous
+// aggregate.
 func (r *Resource) UseAs(owner string, ready Time, service Duration) (start, end Time) {
 	if ready < 0 {
 		ready = 0
@@ -349,7 +344,7 @@ func (r *Resource) BusyTimeBy(owner string) Duration {
 }
 
 // OwnerBusy returns a copy of the per-owner busy accounting: owner (query
-// id) to total virtual service time charged via UseAs. Anonymous Use calls
+// id) to total virtual service time charged via UseAs. Reservations of no query
 // appear under AnonymousOwner; the values sum to BusyTime.
 func (r *Resource) OwnerBusy() map[string]Duration {
 	r.mu.Lock()

@@ -33,17 +33,17 @@ func TestTimeArithmetic(t *testing.T) {
 
 func TestResourceSequentialUse(t *testing.T) {
 	r := NewResource("cpu")
-	s1, e1 := r.Use(0, 100)
+	s1, e1 := r.UseAs("q1", 0, 100)
 	if s1 != 0 || e1 != 100 {
 		t.Fatalf("first use = [%v,%v), want [0,100)", s1, e1)
 	}
 	// Ready before the resource frees: queued behind.
-	s2, e2 := r.Use(50, 100)
+	s2, e2 := r.UseAs("q1", 50, 100)
 	if s2 != 100 || e2 != 200 {
 		t.Fatalf("second use = [%v,%v), want [100,200)", s2, e2)
 	}
 	// Ready after: starts at ready.
-	s3, e3 := r.Use(500, 10)
+	s3, e3 := r.UseAs("q1", 500, 10)
 	if s3 != 500 || e3 != 510 {
 		t.Fatalf("third use = [%v,%v), want [500,510)", s3, e3)
 	}
@@ -58,20 +58,20 @@ func TestResourceSequentialUse(t *testing.T) {
 func TestResourceBackfill(t *testing.T) {
 	r := NewResource("coproc")
 	// Reserve [100,200) and [300,400).
-	r.Use(100, 100)
-	r.Use(300, 100)
+	r.UseAs("q1", 100, 100)
+	r.UseAs("q1", 300, 100)
 	// A late call with an early ready time backfills the gap at [0,100).
-	s, e := r.Use(0, 80)
+	s, e := r.UseAs("q1", 0, 80)
 	if s != 0 || e != 80 {
 		t.Fatalf("backfill = [%v,%v), want [0,80)", s, e)
 	}
 	// A request that does not fit any gap goes to the end.
-	s, e = r.Use(0, 150)
+	s, e = r.UseAs("q1", 0, 150)
 	if s != 400 || e != 550 {
 		t.Fatalf("oversized = [%v,%v), want [400,550)", s, e)
 	}
 	// The [200,300) gap is still available for a fitting request.
-	s, e = r.Use(150, 100)
+	s, e = r.UseAs("q1", 150, 100)
 	if s != 200 || e != 300 {
 		t.Fatalf("gap fit = [%v,%v), want [200,300)", s, e)
 	}
@@ -79,11 +79,11 @@ func TestResourceBackfill(t *testing.T) {
 
 func TestResourceZeroAndNegativeService(t *testing.T) {
 	r := NewResource("x")
-	s, e := r.Use(42, 0)
+	s, e := r.UseAs("q1", 42, 0)
 	if s != 42 || e != 42 {
 		t.Errorf("zero service = [%v,%v), want [42,42)", s, e)
 	}
-	s, e = r.Use(42, -5)
+	s, e = r.UseAs("q1", 42, -5)
 	if s != 42 || e != 42 {
 		t.Errorf("negative service = [%v,%v), want [42,42)", s, e)
 	}
@@ -91,7 +91,7 @@ func TestResourceZeroAndNegativeService(t *testing.T) {
 		t.Errorf("busy = %v, want 0", r.BusyTime())
 	}
 	// Negative ready clamps to zero.
-	s, _ = r.Use(-10, 5)
+	s, _ = r.UseAs("q1", -10, 5)
 	if s < 0 {
 		t.Errorf("start %v must not be negative", s)
 	}
@@ -99,12 +99,12 @@ func TestResourceZeroAndNegativeService(t *testing.T) {
 
 func TestResourceReset(t *testing.T) {
 	r := NewResource("x")
-	r.Use(0, 100)
+	r.UseAs("q1", 0, 100)
 	r.Reset()
 	if r.BusyTime() != 0 || r.FreeAt() != 0 {
 		t.Errorf("after reset: busy=%v freeAt=%v, want 0,0", r.BusyTime(), r.FreeAt())
 	}
-	s, e := r.Use(0, 10)
+	s, e := r.UseAs("q1", 0, 10)
 	if s != 0 || e != 10 {
 		t.Errorf("post-reset use = [%v,%v), want [0,10)", s, e)
 	}
@@ -123,7 +123,7 @@ func TestResourceGrantsNeverOverlap(t *testing.T) {
 		for i := 0; i < count; i++ {
 			ready := Time(rng.Intn(1000))
 			svc := Duration(rng.Intn(50) + 1)
-			s, e := r.Use(ready, svc)
+			s, e := r.UseAs("q1", ready, svc)
 			if s < ready || e != s.Add(svc) {
 				return false
 			}
@@ -159,7 +159,7 @@ func TestResourceConcurrentUse(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < each; i++ {
 				ready := Time(rng.Intn(10000))
-				s, e := r.Use(ready, Duration(rng.Intn(20)+1))
+				s, e := r.UseAs("q1", ready, Duration(rng.Intn(20)+1))
 				results[w] = append(results[w], s, e)
 			}
 		}(w)
