@@ -16,7 +16,7 @@ import (
 // message types and public engine methods, and each number only goes down.
 // Raising a limit here is a design decision to argue in the PR, not a fix.
 const (
-	maxWithOptions       = 44 // exported With* functions outside _test.go (target ≤ 30)
+	maxWithOptions       = 43 // exported With* functions outside _test.go (target ≤ 30)
 	maxWireMessages      = 13 // Msg* constants of internal/server/wire
 	maxEngineMethods     = 11 // exported methods of (*scsq.Engine)
 	maxCoreEngineMethods = 19 // exported methods of (*core.Engine); building is on core.Query

@@ -23,9 +23,10 @@ import (
 //     dashboard pays per poll.
 //  3. Non-perturbation gate: the Figure 6 point-to-point query across the
 //     MPI buffer sweep, bare versus with a live streamof(sys_metrics())
-//     subscriber being ticked concurrently — and sys_resources and sys_tables
-//     snapshotted on every tick — Repeats pairs per point with
-//     the side that runs first alternating. The virtual makespans must be
+//     subscriber re-polling on every tick of the policy clock — ticked by
+//     nothing but the measured query's own progress — and sys_resources and
+//     sys_tables snapshotted on each of those ticks, Repeats pairs per point
+//     with the side that runs first alternating. The virtual makespans must be
 //     bit-identical in every pair — the figure fails otherwise — so the
 //     bare/observed wall-clock medians quantify pure host-side overhead,
 //     never simulated interference.
@@ -52,12 +53,12 @@ var sysqTables = []string{"sys_sessions", "sys_nodes", "sys_links", "sys_rps", "
 
 // observedFigure6Run executes one Figure 6 point on a fresh engine and
 // returns its virtual makespan and wall-clock duration. With observe set, a
-// streamof(sys_metrics('rp.%')) drain runs concurrently, paced by a
-// goroutine ticking the scheduler's virtual policy clock the whole run and
-// snapshotting sys_resources (every device's owner table, mid-charge) and
+// streamof(sys_metrics('rp.%')) drain runs concurrently, and a second reader
+// snapshots sys_resources (every device's owner table, mid-charge) and
 // sys_tables on every tick — the live catalog readers whose non-perturbation
-// the gate proves. The
-// engine is fresh per run because a live streamof drain holds a query
+// the gate proves. Nothing ticks by hand: the measured query's progress
+// advances the policy clock, so the gate covers the production tick path.
+// The engine is fresh per run because a live streamof drain holds a query
 // context open, which Reset correctly refuses.
 func observedFigure6Run(w workload, bufBytes int, observe bool) (vtime.Time, time.Duration, error) {
 	e, err := core.NewEngine(core.WithMPIBufferBytes(bufBytes))
@@ -67,7 +68,6 @@ func observedFigure6Run(w workload, bufBytes int, observe bool) (vtime.Time, tim
 	s := sched.New(e, nil)
 	ev := scsql.NewEvaluator(e, s.Catalog())
 
-	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	if observe {
 		sub, err := ev.Exec(`select streamof(sys_metrics('rp.%'));`)
@@ -76,6 +76,7 @@ func observedFigure6Run(w workload, bufBytes int, observe bool) (vtime.Time, tim
 		}
 		resources, _ := e.SystemCatalog().Lookup("sys_resources")
 		tables, _ := e.SystemCatalog().Lookup("sys_tables")
+		tick, _ := s.SubscribeVTime() // Close below ends the subscription
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
@@ -83,18 +84,9 @@ func observedFigure6Run(w workload, bufBytes int, observe bool) (vtime.Time, tim
 		}()
 		go func() {
 			defer wg.Done()
-			var vt vtime.Time
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-					vt = vt.Add(vtime.Millisecond)
-					s.ObserveVTime(vt)
-					_, _ = resources.Snap("")
-					_, _ = tables.Snap("")
-					time.Sleep(50 * time.Microsecond)
-				}
+			for range tick {
+				_, _ = resources.Snap("")
+				_, _ = tables.Snap("")
 			}
 		}()
 	}
@@ -109,7 +101,6 @@ func observedFigure6Run(w workload, bufBytes int, observe bool) (vtime.Time, tim
 	wall := time.Since(t0)
 
 	// The observers stop whether or not the measured query ran.
-	close(stop)
 	if cerr := s.Close(); cerr != nil {
 		return 0, 0, errors.Join(err, cerr)
 	}

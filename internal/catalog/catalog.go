@@ -130,7 +130,7 @@ func (t Tuple) String() string {
 
 // Key is the tuple's value fingerprint: two tuples of one table compare
 // equal iff their keys do. The live-delta stream (streamof over a system
-// table) uses it to decide which rows changed between beats.
+// table) uses it to decide which rows changed between ticks.
 func (t Tuple) Key() string {
 	var sb strings.Builder
 	for i, v := range t.Vals {

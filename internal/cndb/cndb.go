@@ -213,7 +213,7 @@ func (db *DB) ReleaseFor(owner string, id int) {
 type NodeState struct {
 	Node   int
 	RPs    int      // RPs currently placed on the node
-	Dead   bool     // marked failed by heartbeat policy or chaos
+	Dead   bool     // marked failed by a crash (chaos)
 	Owners []string // lease owners, sorted ("" = anonymous)
 }
 
@@ -299,9 +299,9 @@ func (db *DB) MarkDead(id int) {
 
 // Revive clears a node's failed mark: the node is selectable again by
 // subsequent placements. Reviving a live node is a no-op. This is the
-// recovery half of the transient-admission story — a node that "heartbeats
-// back" (or is repaired and re-registered by an operator) returns capacity
-// that parked sessions retry against.
+// recovery half of the transient-admission story — a node that comes back
+// (repaired and re-registered by an operator) returns capacity that parked
+// sessions retry against.
 func (db *DB) Revive(id int) {
 	db.mu.Lock()
 	defer db.mu.Unlock()

@@ -21,7 +21,6 @@ import (
 	"scsq/internal/hw"
 	"scsq/internal/metrics"
 	"scsq/internal/rp"
-	"scsq/internal/vtime"
 )
 
 // Typed submission failures, so callers can distinguish backpressure from a
@@ -56,19 +55,11 @@ type Coordinator struct {
 	env     *hw.Env
 	db      *cndb.DB
 
-	mu    sync.Mutex
-	rps   map[string]*rp.RP
-	beats map[string]vtime.Time
-	// front is the high-water mark of every beat ever recorded (it survives
-	// Unregister, unlike the beats map); beatObs is invoked with it — outside
-	// mu — after each beat that advances it. The scheduler's resilience layer
-	// hangs off this hook: the beat frontier is its virtual clock source.
-	front   vtime.Time
-	beatObs func(vtime.Time)
+	mu  sync.Mutex
+	rps map[string]*rp.RP
 
-	// Telemetry handles bound by SetMetrics; nil-safe no-ops without a
-	// registry. Guarded by mu alongside the state they count.
-	mBeats *metrics.Counter
+	// mKills is bound by SetMetrics; a nil-safe no-op without a registry.
+	// Guarded by mu alongside the state it counts.
 	mKills *metrics.Counter
 
 	// bgQueue holds BlueGene placement requests registered with this
@@ -97,18 +88,16 @@ func New(env *hw.Env, c hw.ClusterName) (*Coordinator, error) {
 		env:     env,
 		db:      db,
 		rps:     make(map[string]*rp.RP),
-		beats:   make(map[string]vtime.Time),
 		bgQueue: make(chan *PlaceRequest, 1024),
 		bgBell:  make(chan struct{}, 1),
 	}, nil
 }
 
-// SetMetrics attaches a telemetry registry: the coordinator counts received
-// heartbeats and node kills per cluster. Nil disables recording.
+// SetMetrics attaches a telemetry registry: the coordinator counts node
+// kills per cluster. Nil disables recording.
 func (c *Coordinator) SetMetrics(reg *metrics.Registry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.mBeats = reg.Counter("coord.beats." + string(c.cluster))
 	c.mKills = reg.Counter("coord.node_kills." + string(c.cluster))
 }
 
@@ -136,12 +125,11 @@ func (c *Coordinator) Register(p *rp.RP) {
 	c.rps[p.ID()] = p
 }
 
-// Unregister removes a terminated RP and retires its heartbeat.
+// Unregister removes a terminated RP.
 func (c *Coordinator) Unregister(id string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	delete(c.rps, id)
-	delete(c.beats, id)
 }
 
 // KillNode marks a compute node of this cluster failed and kills every RP

@@ -10,7 +10,6 @@ import (
 	"scsq/internal/hw"
 	"scsq/internal/rp"
 	"scsq/internal/sqep"
-	"scsq/internal/vtime"
 )
 
 func idleRP(id string, node int) *rp.RP {
@@ -88,8 +87,11 @@ func TestKillNodeFailsResidentRPs(t *testing.T) {
 	if err := victim.Wait(); !errors.Is(err, cause) {
 		t.Fatalf("victim error = %v, want the kill cause", err)
 	}
-	if bystander.Done() {
-		t.Fatal("RP on a different node was killed")
+	if err := bystander.Start(); err != nil {
+		t.Fatalf("RP on a different node was killed: %v", err)
+	}
+	if err := bystander.Wait(); err != nil {
+		t.Fatalf("bystander: %v", err)
 	}
 	if _, err := bg.PlaceFor("q1", mustSeqOf(t, 3)); !errors.Is(err, cndb.ErrNoAvailableNode) {
 		t.Fatalf("placement on the dead node = %v, want ErrNoAvailableNode", err)
@@ -103,77 +105,4 @@ func mustSeqOf(t *testing.T, ids ...int) *cndb.Sequence {
 		t.Fatal(err)
 	}
 	return s
-}
-
-func TestHeartbeatBeatsAreMonotone(t *testing.T) {
-	cc := newCoord(t, testEnv(t), hw.BlueGene)
-	cc.Beat("a", vtime.Time(100))
-	cc.Beat("a", vtime.Time(50)) // stale report: ignored
-	if at, ok := cc.LastBeat("a"); !ok || at != vtime.Time(100) {
-		t.Fatalf("last beat = %v/%v, want 100/true", at, ok)
-	}
-	if _, ok := cc.LastBeat("never"); ok {
-		t.Fatal("unknown RP reports a beat")
-	}
-}
-
-func TestHeartbeatStaleDetection(t *testing.T) {
-	cc := newCoord(t, testEnv(t), hw.BlueGene)
-	policy := HeartbeatPolicy{Interval: vtime.Millisecond, MissK: 3}
-
-	healthy := idleRP("healthy", 1)
-	lagging := idleRP("lagging", 2)
-	cc.Register(healthy)
-	cc.Register(lagging)
-
-	// No beats yet: nothing can be judged stale.
-	if s := cc.Stale(policy); len(s) != 0 {
-		t.Fatalf("stale before any beat = %v", s)
-	}
-
-	cc.Beat("healthy", vtime.Time(10*vtime.Millisecond))
-	cc.Beat("lagging", vtime.Time(8*vtime.Millisecond))
-	if s := cc.Stale(policy); len(s) != 0 {
-		t.Fatalf("lag below K intervals reported stale: %v", s)
-	}
-
-	cc.Beat("healthy", vtime.Time(12*vtime.Millisecond))
-	s := cc.Stale(policy)
-	if len(s) != 1 || s[0] != "lagging" {
-		t.Fatalf("stale = %v, want [lagging] (4 ms behind the frontier, threshold 3 ms)", s)
-	}
-
-	// Unregistering retires the heartbeat: the RP stops being judged.
-	cc.Unregister("lagging")
-	if s := cc.Stale(policy); len(s) != 0 {
-		t.Fatalf("stale after unregister = %v", s)
-	}
-	if _, ok := cc.LastBeat("lagging"); ok {
-		t.Fatal("unregister left the beat record behind")
-	}
-}
-
-func TestHeartbeatStaleSkipsFinishedRPs(t *testing.T) {
-	cc := newCoord(t, testEnv(t), hw.BlueGene)
-	policy := HeartbeatPolicy{Interval: vtime.Millisecond, MissK: 1}
-
-	finished := idleRP("finished", 1)
-	cc.Register(finished)
-	if err := finished.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if err := finished.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	cc.Beat("finished", vtime.Time(1))
-	// Another RP races far ahead; the finished one legitimately stopped
-	// beating and must not be declared failed.
-	running := idleRP("running", 2)
-	cc.Register(running)
-	cc.Beat("running", vtime.Time(100*vtime.Millisecond))
-	for _, id := range cc.Stale(policy) {
-		if id == "finished" {
-			t.Fatal("terminated RP reported stale")
-		}
-	}
 }

@@ -163,11 +163,38 @@ func TestDialRetryAbsorbsTransientFailures(t *testing.T) {
 	}
 }
 
-// TestChaosRejectsRealTCP documents the incompatibility: the socket carrier
-// cannot observe drop verdicts, so the combination is refused up front.
-func TestChaosRejectsRealTCP(t *testing.T) {
-	_, err := NewEngine(WithChaos(chaos.New(1)), WithRealTCP())
-	if err == nil {
-		t.Fatal("NewEngine accepted WithChaos + WithRealTCP")
+// TestChaosOverRealTCPMatchesInProcess: the socket carrier wraps the same
+// charging link as the in-process one, so a seeded injector's verdicts land
+// the same way over both — a Query-1-style run counts the same arrays, drops
+// included, and its makespan stays inside TestRealTCPMatchesInProcess's 10 %
+// band.
+func TestChaosOverRealTCPMatchesInProcess(t *testing.T) {
+	const n, size, count = 3, 20_000, 12
+	for _, tc := range []struct {
+		name  string
+		fault chaos.Option
+		want  int64
+	}{
+		{"drop", chaos.DropRate(0.2), 33},
+		{"delay", chaos.DelayRate(0.3, 200*vtime.Microsecond), n * count},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(opts ...Option) (int64, vtime.Time) {
+				e, err := NewEngine(append(opts, WithChaos(chaos.New(5, tc.fault)))...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer e.Close()
+				return runInboundCount(t, e, n, size, count)
+			}
+			wantCount, wantSpan := run()
+			gotCount, gotSpan := run(WithRealTCP())
+			if wantCount != tc.want || gotCount != wantCount {
+				t.Fatalf("count in process %d, over sockets %d; want %d both ways", wantCount, gotCount, tc.want)
+			}
+			if diff := gotSpan - wantSpan; diff > wantSpan/10 || -diff > wantSpan/10 {
+				t.Fatalf("makespan over sockets %v diverges from in-process %v by more than 10%%", gotSpan, wantSpan)
+			}
+		})
 	}
 }

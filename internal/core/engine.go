@@ -18,7 +18,7 @@ import (
 	"maps"
 	"slices"
 	"sync"
-	"time"
+	"sync/atomic"
 
 	"scsq/internal/carrier"
 	"scsq/internal/catalog"
@@ -65,8 +65,6 @@ type Engine struct {
 	inj   *chaos.Injector // nil without WithChaos
 	sup   *Supervisor     // nil without WithSupervision
 	retry carrier.RetryPolicy
-	hb    coord.HeartbeatPolicy // zero Interval disables the monitor
-	hbTau time.Duration         // wall-clock cadence of the stale sweep
 
 	// reg is the engine's telemetry registry — always present. A finished
 	// query's keys remain queryable (e.g. by a follow-up monitor() statement)
@@ -91,13 +89,15 @@ type Engine struct {
 	plannerMu sync.RWMutex
 	planner   PlacementPlanner
 
-	mu        sync.Mutex
-	queries   map[string]*queryCtx // every query scope not yet retired, by id
-	qSeq      int                  // query id allocator; Reset never rewinds it (only an unused id returns, see Drain)
-	sched     QueryScheduler       // attached multi-tenant scheduler, or nil
-	closed    bool
-	hbStop    chan struct{}
-	hbStopped sync.WaitGroup
+	mu      sync.Mutex
+	queries map[string]*queryCtx // every query scope not yet retired, by id
+	qSeq    int                  // query id allocator; Reset never rewinds it (only an unused id returns, see Drain)
+	sched   QueryScheduler       // attached multi-tenant scheduler, or nil
+	closed  bool
+	// clock is the attached scheduler's policy clock, or nil. Every element
+	// of every query reads it (queryCtx.Advance), so it is an atomic rather
+	// than a field behind e.mu.
+	clock atomic.Pointer[VTimeObserver]
 	// stop closes on Engine.Close: the reap signal for failure-path helper
 	// goroutines (early-close inbox drains) whose inboxes are never closed.
 	stop chan struct{}
@@ -135,8 +135,6 @@ type engineConfig struct {
 	inj         *chaos.Injector
 	supervise   bool
 	budget      int
-	hb          coord.HeartbeatPolicy
-	hbTau       time.Duration
 	tracer      *metrics.Tracer
 	kernelBatch int
 }
@@ -201,9 +199,10 @@ func WithUDPInbound(lossRate float64) Option {
 
 // WithChaos attaches a seeded fault injector: every carrier dial and frame
 // send consults it, and node-crash schedules propagate to the coordinators
-// (the crashed node is marked dead, its resident RPs are killed). Chaos is
-// incompatible with WithRealTCP: the real-socket carrier cannot observe the
-// charging connection's drop verdicts.
+// (the crashed node is marked dead, its resident RPs are killed). Over
+// WithRealTCP the socket carrier wraps the same charging link, so it sees the
+// same verdicts: a dropped frame never reaches the socket, a delayed one is
+// charged late.
 func WithChaos(inj *chaos.Injector) Option {
 	return optionFunc(func(c *engineConfig) { c.inj = inj })
 }
@@ -219,18 +218,6 @@ func WithSupervision(budget int) Option {
 	return optionFunc(func(c *engineConfig) {
 		c.supervise = true
 		c.budget = budget
-	})
-}
-
-// WithHeartbeat enables heartbeat failure detection: RPs beat their
-// coordinator every p.Interval of virtual output time, and a monitor sweep
-// (every tau of wall time) kills RPs whose beats lag the frontier by more
-// than p.MissK intervals, marking their nodes suspect. Requires
-// WithSupervision for the killed RPs to be recovered or propagated.
-func WithHeartbeat(p coord.HeartbeatPolicy, tau time.Duration) Option {
-	return optionFunc(func(c *engineConfig) {
-		c.hb = p
-		c.hbTau = tau
 	})
 }
 
@@ -274,9 +261,6 @@ func NewEngine(opts ...Option) (*Engine, error) {
 	for _, o := range opts {
 		o.apply(&cfg)
 	}
-	if cfg.inj != nil && cfg.realTCP {
-		return nil, errors.New("core: WithChaos and WithRealTCP are incompatible (the socket carrier cannot observe drop verdicts)")
-	}
 	if cfg.env == nil {
 		env, err := hw.NewLOFAR()
 		if err != nil {
@@ -305,8 +289,6 @@ func NewEngine(opts ...Option) (*Engine, error) {
 		queries:     make(map[string]*queryCtx),
 		inj:         cfg.inj,
 		retry:       carrier.DefaultRetryPolicy,
-		hb:          cfg.hb,
-		hbTau:       cfg.hbTau,
 		reg:         metrics.NewRegistry(),
 		tracer:      cfg.tracer,
 		syscat:      catalog.NewRegistry(),
@@ -356,14 +338,6 @@ func NewEngine(opts ...Option) (*Engine, error) {
 		uf.SetMetrics(e.reg)
 		e.udp = uf
 	}
-	if e.hb.Interval > 0 {
-		if e.hbTau <= 0 {
-			e.hbTau = 2 * time.Millisecond
-		}
-		e.hbStop = make(chan struct{})
-		e.hbStopped.Add(1)
-		go e.heartbeatMonitor()
-	}
 	e.registerCatalog()
 	return e, nil
 }
@@ -409,10 +383,6 @@ func (e *Engine) Close() error {
 	}
 	e.closed = true
 	close(e.stop)
-	if e.hbStop != nil {
-		close(e.hbStop)
-		e.hbStopped.Wait()
-	}
 	e.poller.Shutdown()
 	if e.netTCP != nil {
 		return e.netTCP.Close()
@@ -512,8 +482,8 @@ func (e *Engine) notifyNodeDied(c hw.ClusterName, node int) {
 
 // ReviveNode returns a dead node to service: the CNDB accepts placements on
 // it again and, under chaos, the injector stops failing its traffic. This is
-// the "node heartbeats back" event the transient-admission retry path waits
-// for; the soak harness uses it to restore capacity between rounds.
+// the "node comes back" event the transient-admission retry path waits for;
+// the soak harness uses it to restore capacity between rounds.
 func (e *Engine) ReviveNode(c hw.ClusterName, node int) error {
 	cc, ok := e.coords[c]
 	if !ok {
@@ -562,49 +532,6 @@ func poisonInbox(inbox carrier.Inbox, source string, cause error) {
 			}
 		}()
 	}
-}
-
-// heartbeatMonitor periodically asks each coordinator for RPs whose beats
-// lag the frontier past the K-missed-beats threshold, and kills them — the
-// detection path for zombies that neither crash nor finish.
-func (e *Engine) heartbeatMonitor() {
-	defer e.hbStopped.Done()
-	ticker := time.NewTicker(e.hbTau)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-e.hbStop:
-			return
-		case <-ticker.C:
-			for _, cc := range e.coords {
-				for _, id := range cc.Stale(e.hb) {
-					e.failStaleRP(cc, id)
-				}
-			}
-		}
-	}
-}
-
-// ErrHeartbeatLost reports that an RP was declared failed by the heartbeat
-// detector: it missed K consecutive beat intervals while its peers advanced.
-var ErrHeartbeatLost = errors.New("core: heartbeat lost")
-
-func (e *Engine) failStaleRP(cc *coord.Coordinator, id string) {
-	var sp *SP
-	for _, s := range e.allSPs() {
-		if s.id == id {
-			sp = s
-			break
-		}
-	}
-	if sp == nil {
-		return
-	}
-	node := sp.Node()
-	e.reg.Counter("heartbeat.lost").Inc()
-	cc.DB().MarkDead(node) // suspect: no further placements on this node
-	cc.KillNode(node, ErrHeartbeatLost)
-	e.notifyNodeDied(cc.Cluster(), node)
 }
 
 // Edges returns the carrier connections of every query not yet retired —
@@ -763,17 +690,13 @@ func (e *Engine) buildProc(sp *SP, node int) (*rp.RP, bool, error) {
 	if !hasInputs {
 		proc.SetPacer(sp.qc.pacer.Register())
 	}
+	proc.SetClock(sp.qc)
 	proc.SetOnExit(func(err error) {
 		if e.sup != nil {
 			e.sup.onRPExit(sp, err)
 		}
 		e.reapInbound(sp, proc, err)
 	})
-	if e.hb.Interval > 0 {
-		if cc, ok := e.coords[sp.cluster]; ok {
-			proc.SetBeat(cc.Beat, e.hb.Interval)
-		}
-	}
 	return proc, hasInputs, nil
 }
 

@@ -3,10 +3,8 @@ package core
 import (
 	"reflect"
 	"testing"
-	"time"
 
 	"scsq/internal/chaos"
-	"scsq/internal/coord"
 	"scsq/internal/hw"
 	"scsq/internal/metrics"
 	"scsq/internal/sqep"
@@ -181,46 +179,6 @@ func TestSeededChaosTelemetryIsDeterministic(t *testing.T) {
 	}
 	if got := s1.Counters["coord.node_kills.bg"]; got != 1 {
 		t.Fatalf("coord.node_kills.bg = %d, want 1", got)
-	}
-}
-
-// TestHeartbeatMetricsRecorded checks the baseline: a healthy run records
-// coordinator beats but never increments heartbeat.lost.
-func TestHeartbeatMetricsRecorded(t *testing.T) {
-	e, err := NewEngine()
-	if err != nil {
-		t.Fatalf("engine: %v", err)
-	}
-	defer e.Close()
-	cs := figure5(t, e, 30_000, 10)
-	if _, err := cs.One(); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-	snap := e.MetricsSnapshot()
-	if got := snap.Counters["heartbeat.lost"]; got != 0 {
-		t.Fatalf("heartbeat.lost = %d on a healthy run", got)
-	}
-}
-
-// TestBeatsCountedUnderHeartbeat runs the same workload with the heartbeat
-// monitor enabled and checks that the BlueGene coordinator counts the
-// liveness reports.
-func TestBeatsCountedUnderHeartbeat(t *testing.T) {
-	e, err := NewEngine(WithHeartbeat(coord.HeartbeatPolicy{Interval: vtime.Millisecond, MissK: 3}, 10*time.Millisecond))
-	if err != nil {
-		t.Fatalf("engine: %v", err)
-	}
-	defer e.Close()
-	cs := figure5(t, e, 30_000, 10)
-	if _, err := cs.One(); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-	snap := e.MetricsSnapshot()
-	if got := snap.Counters["coord.beats.bg"]; got == 0 {
-		t.Fatal("no beats counted with heartbeat monitoring on")
-	}
-	if got := snap.Counters["heartbeat.lost"]; got != 0 {
-		t.Fatalf("heartbeat.lost = %d on a healthy run", got)
 	}
 }
 

@@ -3,8 +3,10 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"scsq/internal/carrier"
 	"scsq/internal/metrics"
@@ -52,6 +54,12 @@ type queryCtx struct {
 	// metrics holds the metric blocks of the query's processes.
 	metrics *metrics.Scope
 
+	// offset is o(q) − f(q): the policy clock when the query reported its
+	// first element, minus that element's time (unstarted until then). It
+	// counts the query's progress from wherever the clock stood, so what
+	// ran before it — on other nodes, or before a Reset — cannot swallow it.
+	offset atomic.Int64
+
 	mu     sync.Mutex
 	sps    []*SP
 	nextID int // per-query RP counter, so ids don't depend on admission order
@@ -69,6 +77,29 @@ type queryCtx struct {
 	// blocked elsewhere (a live-delta stream waiting on a vtime tick) select
 	// on this channel instead.
 	cancelCh chan struct{}
+}
+
+// unstarted marks a query that has not reported an element yet.
+const unstarted = math.MinInt64
+
+// Advance makes a queryCtx the rp.Clock of its processes: every element they
+// emit raises the attached scheduler's policy clock to o(q) + (at − f(q)),
+// the query's own progress counted from the clock o(q) at its first element
+// f(q). The clock never goes backwards, and the feed takes no lock.
+func (qc *queryCtx) Advance(at vtime.Time) {
+	p := qc.eng.clock.Load()
+	if p == nil {
+		return
+	}
+	clock := *p
+	off := qc.offset.Load()
+	if off == unstarted {
+		off = int64(clock.VNow().Sub(at))
+		if !qc.offset.CompareAndSwap(unstarted, off) {
+			off = qc.offset.Load()
+		}
+	}
+	clock.ObserveVTime(at.Add(vtime.Duration(off)))
 }
 
 // Done and Cause make a queryCtx the sqep.CancelSignal of its operators:
@@ -267,6 +298,7 @@ func (e *Engine) BeginQuery() (*Query, error) {
 	}
 	qc.handle.qc = qc
 	qc.metrics = e.reg.OpenScope(qc.id)
+	qc.offset.Store(unstarted)
 	e.queries[qc.id] = qc
 	return &qc.handle, nil
 }
@@ -375,12 +407,14 @@ type QueryScheduler interface {
 }
 
 // VTimeObserver is optionally implemented by an attached scheduler whose
-// policy clock (deadlines, retry backoff) runs on virtual time. The engine
-// feeds it the coordinator heartbeat frontier: every beat that advances a
-// cluster's frontmost recorded beat is relayed, giving the scheduler a
-// monotone, deterministic clock without ever reading the wall clock.
+// policy clock (deadlines, retry backoff, live sys_* streams) runs on
+// virtual time. The clock runs on the engine's own progress, always: every
+// element any process emits is reported, and the engine raises the clock to
+// that query's progress since its first element (queryCtx.Advance), read
+// from VNow when the first one arrives. No decision reads the wall clock.
 type VTimeObserver interface {
 	ObserveVTime(t vtime.Time)
+	VNow() vtime.Time
 }
 
 // CapacityObserver is optionally implemented by an attached scheduler that
@@ -394,21 +428,17 @@ type CapacityObserver interface {
 
 // SetQueryScheduler attaches a scheduler to the engine, making it visible
 // to SCSQL's cancel() function (its sessions are read through the sys_sessions
-// table it registers). If the scheduler implements
-// VTimeObserver it is additionally wired to every cluster coordinator's beat
-// frontier, so heartbeat traffic drives its virtual policy clock; attaching
-// nil (or a non-observer) unwires the frontier.
+// table it registers). If the scheduler implements VTimeObserver, the
+// engine's progress drives its policy clock from here on; attaching nil (or a
+// non-observer) detaches the feed.
 func (e *Engine) SetQueryScheduler(s QueryScheduler) {
 	e.mu.Lock()
 	e.sched = s
 	e.mu.Unlock()
-	vo, _ := s.(VTimeObserver)
-	for _, cc := range e.coords {
-		if vo == nil {
-			cc.SetBeatObserver(nil)
-		} else {
-			cc.SetBeatObserver(vo.ObserveVTime)
-		}
+	if vo, ok := s.(VTimeObserver); ok {
+		e.clock.Store(&vo)
+	} else {
+		e.clock.Store(nil)
 	}
 }
 

@@ -50,7 +50,7 @@ func (s *Supervisor) onRPExit(sp *SP, cause error) {
 	if cause == nil {
 		return
 	}
-	if !errors.Is(cause, carrier.ErrNodeDown) && !errors.Is(cause, ErrHeartbeatLost) {
+	if !errors.Is(cause, carrier.ErrNodeDown) {
 		// Not a node failure (plan error, undecoded bytes, upstream down):
 		// nothing to re-place, but downstream must still hear about it in
 		// case the Down frames of terminateSubs could not be sent.

@@ -4,7 +4,7 @@
 // and virtual-time histograms fed by instrumentation hooks in the carriers
 // (frames/bytes/drops per link, delivery latency), the RP drivers (marshal
 // and flush latency, inbox depth), the chaos injector (faults by kind), the
-// coordinators (beats, node kills) and the supervisor (re-placements).
+// coordinators (node kills) and the supervisor (re-placements).
 //
 // Two rules keep telemetry compatible with the engine's measurement duty:
 //

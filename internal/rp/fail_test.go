@@ -51,8 +51,10 @@ func TestFailBeforeStartResolvesWait(t *testing.T) {
 		return sqep.NewIota(1, 5), nil
 	})
 	p.Fail(cause)
-	if !p.Done() {
-		t.Fatal("failing a never-started RP must resolve Done")
+	select {
+	case <-p.done:
+	default:
+		t.Fatal("failing a never-started RP must resolve Wait")
 	}
 	if err := p.Wait(); !errors.Is(err, cause) {
 		t.Fatalf("Wait = %v, want %v", err, cause)
@@ -85,7 +87,7 @@ func TestFailUnblocksSenderStalledInSend(t *testing.T) {
 	}
 	<-conn.entered // the run loop is now inside the blocked Send
 
-	cause := errors.New("heartbeat lost")
+	cause := errors.New("node went dark")
 	p.Fail(cause)
 	done := make(chan error, 1)
 	go func() { done <- p.Wait() }()

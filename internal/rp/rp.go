@@ -41,11 +41,9 @@ type RP struct {
 	started bool
 	err     error
 	onExit  func(error)
-	beat    func(id string, at vtime.Time)
-	beatAt  vtime.Duration
-	nextB   vtime.Time
 
 	pacer    *vtime.PacerAgent
+	clock    Clock
 	done     chan struct{}
 	killed   chan struct{}
 	killOnce sync.Once
@@ -137,15 +135,19 @@ func (r *RP) SetOnExit(fn func(err error)) {
 	r.onExit = fn
 }
 
-// SetBeat registers a liveness heartbeat: fn is invoked with the RP's id
-// whenever its virtual output time has advanced by at least every since the
-// previous beat (and once for the first element). It must be called before
-// Start.
-func (r *RP) SetBeat(fn func(id string, at vtime.Time), every vtime.Duration) {
+// Clock is told the virtual time of every element an RP emits. The engine's
+// per-query scope implements it: the emitted times are the progress the
+// scheduler's policy clock runs on.
+type Clock interface {
+	Advance(at vtime.Time)
+}
+
+// SetClock attaches the clock the RP reports each element's virtual time to.
+// It must be called before Start.
+func (r *RP) SetClock(c Clock) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.beat = fn
-	r.beatAt = every
+	r.clock = c
 }
 
 // ErrFailedBeforeStart reports Start on an RP that was already failed. The
@@ -212,16 +214,6 @@ func (r *RP) Fail(cause error) {
 			close(r.done)
 		}
 	})
-}
-
-// Done reports whether the RP has terminated.
-func (r *RP) Done() bool {
-	select {
-	case <-r.done:
-		return true
-	default:
-		return false
-	}
 }
 
 // Wait blocks until the RP has terminated and returns its execution error,
@@ -296,6 +288,9 @@ func (r *RP) run() {
 			break
 		}
 		r.pacer.Wait(el.At)
+		if r.clock != nil {
+			r.clock.Advance(el.At)
+		}
 		r.mElems.Inc()
 		if n, err := marshal.Size(el.Value); err == nil {
 			r.mBytes.Add(int64(n)) // a value without a size fails the push below
@@ -303,14 +298,7 @@ func (r *RP) run() {
 		r.mLast.SetMax(int64(el.At))
 		r.mu.Lock()
 		subs := r.subs
-		beat, due := r.beat, r.beatAt > 0 && el.At >= r.nextB
-		if due {
-			r.nextB = el.At.Add(r.beatAt)
-		}
 		r.mu.Unlock()
-		if beat != nil && due {
-			beat(r.id, el.At)
-		}
 		pushFailed := false
 		for _, s := range subs {
 			if err := s.push(el); err != nil {

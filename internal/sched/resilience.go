@@ -1,20 +1,17 @@
 // Session-level resilience: virtual-time deadlines, transient-admission
 // retries, and the policy sweep that enforces both.
 //
-// The scheduler's policy clock is s.alarms — a monotone virtual time raised
-// by the coordinators' heartbeat frontier (the engine wires every cluster's
-// SetBeatObserver to ObserveVTime) and by explicit ObserveVTime calls from
-// harnesses. The clock deliberately does NOT advance on completed sessions'
-// makespans: a query's makespan depends on which tenants ran concurrently
-// with it, which depends on wall-clock interleaving, and folding that into
-// the policy clock would make expiry decisions nondeterministic. Feeding
-// only the heartbeat frontier (itself a deterministic function of each
-// query's own virtual schedule) keeps every deadline and retry decision a
-// pure function of the submitted schedule.
+// The scheduler's policy clock is s.alarms — a monotone virtual time that
+// always runs on the engine's own progress: every element any process emits
+// is reported through ObserveVTime, raised to that query's progress since its
+// first element (core's queryCtx.Advance). A query's progress is counted
+// from wherever the clock stood when it started, so a run TTL counts the
+// session's own virtual time whatever ran before it, on whichever nodes,
+// across Reset; and the clock never reads the wall clock.
 //
-// Liveness corollary: deadlines and retry promotions need a clock source.
-// With heartbeats enabled the engine's beat traffic drives them; without,
-// the harness must tick ObserveVTime itself (the soak driver does).
+// A harness may still tick ObserveVTime by hand where time must pass while
+// nothing runs — the soak driver's gated rounds expire queued sessions that
+// way.
 package sched
 
 import (
@@ -27,24 +24,30 @@ import (
 // ObserveVTime implements core.VTimeObserver: it raises the scheduler's
 // policy clock to t and, if any armed deadline or retry alarm fired, runs a
 // policy pass synchronously on the caller's goroutine. The engine invokes
-// this from the coordinator beat path with no locks held; the alarm check
-// makes the common beat (nothing due) a single mutex-protected comparison.
+// this for every element its processes emit, with no locks held; an
+// observation with nothing due and nobody subscribed touches atomics only.
 func (s *Scheduler) ObserveVTime(t vtime.Time) {
+	before := s.alarms.Now()
 	if len(s.alarms.Advance(t)) > 0 {
 		s.admit()
 	}
-	// Wake live-delta catalog streams (streamof over sys_* tables). The
-	// sends are non-blocking and lock only subMu, so a slow or abandoned
-	// subscriber cannot back-pressure the beat path.
-	s.tickSubscribers()
+	// Wake live-delta catalog streams (streamof over sys_* tables) when the
+	// clock moved. The sends are non-blocking, so a slow or abandoned
+	// subscriber cannot back-pressure the emitting process.
+	if t > before {
+		s.tickSubscribers()
+	}
 }
+
+// VNow implements core.VTimeObserver: the policy clock's current instant.
+func (s *Scheduler) VNow() vtime.Time { return s.alarms.Now() }
 
 // NodeDied implements core.CapacityObserver: a node left the pool, so
 // re-evaluate admission asynchronously — the head of the queue may now be
 // transiently unsatisfiable and should park rather than wait forever behind
 // capacity that died. Asynchronous because the notification arrives on
-// engine-internal goroutines (crash listeners, the heartbeat monitor) whose
-// locks must not nest with an admission build.
+// engine-internal goroutines (the crash listener) whose locks must not nest
+// with an admission build.
 func (s *Scheduler) NodeDied(cluster string, node int) {
 	go s.admit()
 }

@@ -3,10 +3,8 @@ package sched
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"scsq/internal/chaos"
-	"scsq/internal/coord"
 	"scsq/internal/core"
 	"scsq/internal/hw"
 	"scsq/internal/scsql"
@@ -164,7 +162,7 @@ func TestTransientAdmissionRetriesThenAdmits(t *testing.T) {
 	if got := e.MetricsSnapshot().Counters["sched.retried"]; got != 1 {
 		t.Fatalf("sched.retried = %d, want 1", got)
 	}
-	// The node heartbeats back; the next backoff alarm re-attempts admission.
+	// The node comes back; the next backoff alarm re-attempts admission.
 	if err := e.ReviveNode(hw.BlueGene, 1); err != nil {
 		t.Fatalf("revive: %v", err)
 	}
@@ -286,16 +284,13 @@ func TestLoadSheddingEvictsLowestPriority(t *testing.T) {
 	}
 }
 
-// TestDeadlinesDrivenByHeartbeatsOnly is the clock-source determinism check:
-// with engine heartbeats on, a queued session's deadline expires purely from
-// the running hog's beat frontier — the test never calls ObserveVTime and no
-// policy decision reads the wall clock — and two identical runs produce the
-// identical terminal tally.
-func TestDeadlinesDrivenByHeartbeatsOnly(t *testing.T) {
+// TestDeadlinesDrivenByEngineProgress is the clock-source determinism check:
+// a queued session's deadline expires purely from the running hog's progress
+// — the test never calls ObserveVTime and no policy decision reads the wall
+// clock — and two identical runs produce the identical terminal tally.
+func TestDeadlinesDrivenByEngineProgress(t *testing.T) {
 	run := func() (hogState, bState State, bErr error) {
-		e := tinyEngine(t, core.WithHeartbeat(
-			coord.HeartbeatPolicy{Interval: 100 * vtime.Microsecond, MissK: 1000},
-			time.Hour)) // monitor effectively off; only the beats matter
+		e := tinyEngine(t)
 		s := New(e, nil)
 		defer s.Close()
 		hog, err := s.Submit(scsql.Figure5Query(30_000, 200))
@@ -317,7 +312,7 @@ func TestDeadlinesDrivenByHeartbeatsOnly(t *testing.T) {
 		t.Fatalf("hog state = %v, want done", h1)
 	}
 	if b1 != Expired || !errors.Is(e1, ErrDeadlineExceeded) {
-		t.Fatalf("b = %v (%v), want expired by the hog's heartbeat frontier", b1, e1)
+		t.Fatalf("b = %v (%v), want expired by the hog's progress", b1, e1)
 	}
 	h2, b2, e2 := run()
 	if h2 != h1 || b2 != b1 || errors.Is(e2, ErrDeadlineExceeded) != errors.Is(e1, ErrDeadlineExceeded) {

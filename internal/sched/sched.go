@@ -35,6 +35,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"scsq/internal/cndb"
@@ -164,8 +165,8 @@ func WithFairSlice(d vtime.Duration) Option {
 // WithAdmissionRetry: a session whose allocation sequence is unsatisfiable
 // only because nodes are dead is parked and retried up to MaxRetries times,
 // with exponential virtual-time backoff Base, 2·Base, 4·Base, … capped at
-// Max. All waits are measured on the scheduler's virtual clock (heartbeat
-// frontier / ObserveVTime), never the wall clock.
+// Max. All waits are measured on the scheduler's virtual clock (the engine's
+// progress / ObserveVTime), never the wall clock.
 type AdmissionRetryPolicy struct {
 	MaxRetries int            // attempts after the first failure; 0 disables
 	Base       vtime.Duration // first backoff; default 1ms of virtual time
@@ -263,9 +264,9 @@ type Scheduler struct {
 	planner   *place.Planner // built in installPlanner when placeCfg is set
 
 	// alarms is the scheduler's virtual policy clock: a monotone time raised
-	// by the coordinators' heartbeat frontier (via ObserveVTime) plus the
-	// deadline/backoff wake schedule. Policy decisions — expiry, retry
-	// promotion — read this clock and never the wall clock.
+	// by the engine's progress (via ObserveVTime) plus the deadline/backoff
+	// wake schedule. Policy decisions — expiry, retry promotion — read this
+	// clock and never the wall clock.
 	alarms *vtime.Alarms
 
 	// admitMu serializes admission attempts; the build itself is further
@@ -289,11 +290,13 @@ type Scheduler struct {
 	gQueued, gRunning, gParked        *metrics.Gauge
 
 	// subMu guards the virtual-time tick subscribers (see SubscribeVTime in
-	// syscat.go). A separate mutex: the beat path must never contend with
-	// s.mu, and cancel must never race close against send.
+	// syscat.go). A separate mutex: the progress feed must never contend
+	// with s.mu, and cancel must never race close against send. nsubs
+	// mirrors len(subs) so the feed skips the lock while nobody listens.
 	subMu  sync.Mutex
 	subs   map[int]chan struct{}
 	subSeq int
+	nsubs  atomic.Int32
 }
 
 // New builds a scheduler over eng, evaluating statements against cat (nil
@@ -660,7 +663,7 @@ func (s *Scheduler) admit() {
 			if idle {
 				// Nothing else holds leases, so waiting for a completion
 				// cannot help. Classify: with dead nodes in the pool the
-				// failure is transient — capacity may heartbeat back — and
+				// failure is transient — capacity may come back — and
 				// the session parks for a bounded virtual-time backoff
 				// (WithAdmissionRetry). Without dead nodes the plan exceeds
 				// the topology outright: permanent, never satisfiable.

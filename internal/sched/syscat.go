@@ -3,7 +3,7 @@ package sched
 // syscat.go is the scheduler's contribution to the queryable system
 // catalog: the sys_sessions table (the structured form of ps()) and the
 // virtual-time tick subscription that paces streamof(sys_*) live-delta
-// streams on the beat frontier.
+// streams on the engine's progress.
 
 import (
 	"scsq/internal/catalog"
@@ -47,14 +47,15 @@ func (s *Scheduler) registerSysSessions() {
 }
 
 // SubscribeVTime returns a channel that receives a (coalesced) tick each
-// time the scheduler's virtual policy clock advances — i.e. on every
-// heartbeat-frontier observation — plus a cancel function. The channel is
-// closed when cancelled or when the scheduler closes, so a live-delta
-// stream blocked on it terminates cleanly.
+// time the scheduler's virtual policy clock advances — as queries progress,
+// or on a harness tick — plus a cancel function. The channel is closed when
+// cancelled or when the scheduler closes, so a live-delta stream blocked on
+// it terminates cleanly.
 //
 // Ticks are delivered with a non-blocking send into a buffer of one: a slow
-// subscriber coalesces beats instead of back-pressuring the beat loop, which
-// is what keeps catalog observation free of virtual-time perturbation.
+// subscriber coalesces ticks instead of back-pressuring the processes whose
+// elements advance the clock, which is what keeps catalog observation free
+// of virtual-time perturbation.
 func (s *Scheduler) SubscribeVTime() (<-chan struct{}, func()) {
 	s.subMu.Lock()
 	defer s.subMu.Unlock()
@@ -65,19 +66,25 @@ func (s *Scheduler) SubscribeVTime() (<-chan struct{}, func()) {
 	s.subSeq++
 	ch := make(chan struct{}, 1)
 	s.subs[id] = ch
+	s.nsubs.Store(int32(len(s.subs)))
 	cancel := func() {
 		s.subMu.Lock()
 		defer s.subMu.Unlock()
 		if c, ok := s.subs[id]; ok {
 			delete(s.subs, id)
+			s.nsubs.Store(int32(len(s.subs)))
 			close(c)
 		}
 	}
 	return ch, cancel
 }
 
-// tickSubscribers wakes every live-delta subscriber. Never blocks.
+// tickSubscribers wakes every live-delta subscriber. Never blocks, and takes
+// no lock while nobody is subscribed.
 func (s *Scheduler) tickSubscribers() {
+	if s.nsubs.Load() == 0 {
+		return
+	}
 	s.subMu.Lock()
 	defer s.subMu.Unlock()
 	for _, ch := range s.subs {
@@ -96,4 +103,5 @@ func (s *Scheduler) closeSubscribers() {
 		delete(s.subs, id)
 		close(ch)
 	}
+	s.nsubs.Store(0)
 }

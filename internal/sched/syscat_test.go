@@ -9,7 +9,6 @@ import (
 	"scsq/internal/catalog"
 	"scsq/internal/scsql"
 	"scsq/internal/sqep"
-	"scsq/internal/vtime"
 )
 
 // TestSysSessionsSnapshot pins the registered table against the scheduler's
@@ -47,10 +46,10 @@ func TestSysSessionsSnapshot(t *testing.T) {
 
 // TestCatalogSnapshotsUnderLoad hammers the lock-safe snapshot providers
 // (sys_sessions, sys_rps, sys_nodes, sys_links, sys_metrics) from multiple
-// goroutines while a k=2 multi-tenant run is in flight, with concurrent
-// virtual-time ticks driving the beat subscribers. Run under -race this is
-// the catalog determinism guard: snapshots must never race with the
-// scheduler, coordinators, cndb or the metrics registry.
+// goroutines while a k=2 multi-tenant run is in flight, its progress ticking
+// the policy clock concurrently. Run under -race this is the catalog
+// determinism guard: snapshots must never race with the scheduler,
+// coordinators, cndb or the metrics registry.
 func TestCatalogSnapshotsUnderLoad(t *testing.T) {
 	e := newTestEngine(t)
 	s := New(e, nil, WithMaxConcurrent(2))
@@ -79,20 +78,6 @@ func TestCatalogSnapshotsUnderLoad(t *testing.T) {
 			}
 		}()
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		var vt vtime.Time
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				vt = vt.Add(vtime.Millisecond)
-				s.ObserveVTime(vt)
-			}
-		}
-	}()
 
 	a, err := s.Submit(scsql.Figure5Query(30_000, 40))
 	if err != nil {
@@ -113,7 +98,7 @@ func TestCatalogSnapshotsUnderLoad(t *testing.T) {
 }
 
 // TestSubscribeVTimeCoalesceAndClose pins the subscription contract: ticks
-// coalesce (buffer of one, never blocking the beat path), cancel is
+// coalesce (buffer of one, never blocking the emitting process), cancel is
 // idempotent with concurrent ticks, and Close ends every subscription.
 func TestSubscribeVTimeCoalesceAndClose(t *testing.T) {
 	e := newTestEngine(t)

@@ -99,7 +99,7 @@ func TestFinishedWindowEvicts(t *testing.T) {
 		t.Errorf("evicted handle: state %v, %d nodes", first.State(), first.Nodes())
 	}
 
-	// One beat: the live stream polls once and emits the rows that are new
+	// One tick: the live stream polls once and emits the rows that are new
 	// since its opening snapshot. Those are the window's sessions; the fifty
 	// evicted ones came and went between polls and leave no row behind.
 	evicted := make(map[string]bool)

@@ -143,7 +143,7 @@ func (ev *Evaluator) compileCall(call *Call, env *scope, b *core.PlanBuilder) (s
 		return wrap1(func(in sqep.Operator) sqep.Operator { return sqep.NewSum(in) })
 	case "streamof":
 		// streamof over a system catalog table is a live-delta stream paced
-		// on the virtual-time beat frontier; over anything else it is the
+		// on the virtual policy clock; over anything else it is the
 		// ordinary stream-lift operator.
 		if len(call.Args) == 1 {
 			if inner, ok := call.Args[0].(*Call); ok {

@@ -5,7 +5,7 @@ package scsql
 // sys_tables) are first-class relations — sys_nodes() yields one catalog.Tuple per row, so
 // the tables compose with count(), merge(), limit(), comprehension filters
 // and field access (n.cluster, n.x). streamof(sys_table(...)) lifts a
-// table into a live-delta stream paced on the virtual-time beat frontier.
+// table into a live-delta stream paced on the virtual policy clock.
 
 import (
 	"fmt"
@@ -132,7 +132,7 @@ type vtimeTicker interface {
 // stream that emits the full table on open, then — on each advance of the
 // scheduler's virtual policy clock — only the rows whose values changed
 // since the previous poll. Requires an attached scheduler: virtual time is
-// the pacing source (heartbeat frontier via Scheduler.ObserveVTime), so
+// the pacing source (the engine's progress, via Scheduler.ObserveVTime), so
 // observation never injects wall-clock nondeterminism into the run.
 func (ev *Evaluator) compileStreamOfSys(t *catalog.Table, call *Call, env *scope) (sqep.Operator, error) {
 	pattern, err := ev.sysPattern(t, call, env)

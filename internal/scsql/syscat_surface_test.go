@@ -250,10 +250,10 @@ func TestCatalogRead(t *testing.T) {
 }
 
 // TestStreamofSysMetricsLive drives the live-delta stream end to end: the
-// initial snapshot flows immediately, and a metric bumped afterwards is
-// emitted on the next virtual-time tick.
+// initial snapshot flows immediately, and the metrics of a query that starts
+// afterwards are emitted as that query's own progress ticks the clock.
 func TestStreamofSysMetricsLive(t *testing.T) {
-	e, s, ev := newSchedEngine(t)
+	_, s, ev := newSchedEngine(t)
 	q, err := s.Submit(scsql.Figure5Query(30_000, 4))
 	if err != nil {
 		t.Fatalf("submit: %v", err)
@@ -268,56 +268,37 @@ func TestStreamofSysMetricsLive(t *testing.T) {
 	}
 
 	// Limit to one past the initial snapshot: the stream must block until a
-	// tick delivers the delta row, then terminate.
-	res, err := ev.Exec(`select limit(streamof(sys_metrics('rp.%')), ` + itoa(len(base)+1) + `);`)
+	// tick delivers a delta row, then terminate.
+	live, err := s.Submit(`select limit(streamof(sys_metrics('rp.%')), ` + itoa(len(base)+1) + `);`)
 	if err != nil {
-		t.Fatalf("exec: %v", err)
+		t.Fatalf("submit live: %v", err)
 	}
-	type drained struct {
-		names []string
-		err   error
+	if _, ok, err := live.Results().Next(); !ok || err != nil {
+		t.Fatalf("no initial snapshot: %v", err)
 	}
-	got := make(chan drained, 1)
-	go func() {
-		els, err := res.Stream.Drain()
-		var names []string
-		for _, el := range els {
-			if tup, ok := el.Value.(catalog.Tuple); ok {
-				n, _ := tup.Field("name")
-				names = append(names, n.(string))
-			}
-		}
-		got <- drained{names, err}
-	}()
-
-	// The delta: a fresh rp.-prefixed counter. The drain opens the plan
-	// concurrently, so give the initial snapshot a head start — either way
-	// the stream must surface the new row before the limit is reached.
-	time.Sleep(2 * time.Millisecond)
-	e.Metrics().Counter("rp.live_probe.sys").Inc()
-	var vt vtime.Time
-	for {
-		select {
-		case d := <-got:
-			if d.err != nil {
-				t.Fatalf("drain: %v", d.err)
-			}
-			if len(d.names) != len(base)+1 {
-				t.Fatalf("live stream yielded %d rows, want %d", len(d.names), len(base)+1)
-			}
-			seen := false
-			for _, n := range d.names {
-				seen = seen || n == "rp.live_probe.sys"
-			}
-			if !seen {
-				t.Fatalf("live stream never surfaced rp.live_probe.sys: %v", d.names)
-			}
-			return
-		default:
-			vt = vt.Add(vtime.Millisecond)
-			s.ObserveVTime(vt)
-			time.Sleep(200 * time.Microsecond)
-		}
+	// Only now does the delta's query start: nothing else moves the clock.
+	q2, err := s.Submit(scsql.Figure5Query(30_000, 4))
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	if _, err := q2.Wait(); err != nil {
+		t.Fatalf("wait: %v", err)
+	}
+	select {
+	case <-live.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatalf("live stream still %v after %s ran", live.State(), q2.ID())
+	}
+	els, err := live.Wait()
+	if err != nil {
+		t.Fatalf("live: %v", err)
+	}
+	if len(els) != len(base)+1 {
+		t.Fatalf("live stream yielded %d rows, want %d", len(els), len(base)+1)
+	}
+	name, _ := els[len(base)].Value.(catalog.Tuple).Field("name")
+	if !strings.Contains(name.(string), "."+q2.ID()+"/") {
+		t.Fatalf("the delta row %v is not a metric of %s", name, q2.ID())
 	}
 }
 
@@ -360,31 +341,18 @@ func runFig5WithObserver(t *testing.T, observe bool) fig5Outcome {
 	s := sched.New(e, nil)
 	ev := scsql.NewEvaluator(e, s.Catalog())
 
-	stop := make(chan struct{})
+	// The observer re-polls on every tick the measured query's own progress
+	// delivers: the production path, not a harness ticker.
 	var wg sync.WaitGroup
 	if observe {
 		res, err := ev.Exec(`select streamof(sys_metrics('rp.%'));`)
 		if err != nil {
 			t.Fatalf("exec streamof: %v", err)
 		}
-		wg.Add(2)
+		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			_, _ = res.Stream.Drain() // runs until the scheduler closes the tick source
-		}()
-		go func() {
-			defer wg.Done()
-			var vt vtime.Time
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-					vt = vt.Add(vtime.Millisecond)
-					s.ObserveVTime(vt)
-					time.Sleep(100 * time.Microsecond)
-				}
-			}
 		}()
 	}
 
@@ -406,7 +374,6 @@ func runFig5WithObserver(t *testing.T, observe bool) fig5Outcome {
 		out.free = append(out.free, n.CPU.FreeAt())
 	}
 
-	close(stop)
 	if err := s.Close(); err != nil {
 		t.Fatalf("sched close: %v", err)
 	}
@@ -419,8 +386,9 @@ func runFig5WithObserver(t *testing.T, observe bool) fig5Outcome {
 
 // TestCatalogSubscriberBitIdentity is the paper's non-perturbation
 // requirement applied to the catalog: the same workload with an active
-// streamof(sys_metrics()) subscriber (plus concurrent policy-clock ticks)
-// produces a bit-identical virtual schedule.
+// streamof(sys_metrics()) subscriber, re-polling on every tick the
+// workload's own progress delivers, produces a bit-identical virtual
+// schedule.
 func TestCatalogSubscriberBitIdentity(t *testing.T) {
 	bare := runFig5WithObserver(t, false)
 	observed := runFig5WithObserver(t, true)

@@ -20,7 +20,6 @@ import (
 	"scsq/internal/server"
 	"scsq/internal/server/client"
 	"scsq/internal/server/wire"
-	"scsq/internal/vtime"
 )
 
 // newServer spins up an engine and a listening server on an ephemeral port.
@@ -231,7 +230,7 @@ func TestShedOverMaxConns(t *testing.T) {
 }
 
 func TestSysConnsOverWire(t *testing.T) {
-	eng, _, addr := newServer(t, server.Config{})
+	_, _, addr := newServer(t, server.Config{})
 	cli, err := client.Dial(addr, client.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -279,7 +278,6 @@ func TestSysConnsOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli2.Close()
-	// Pace the live stream: deltas flow on virtual-time observations.
 	sawNew := make(chan struct{})
 	go func() {
 		for {
@@ -295,19 +293,19 @@ func TestSysConnsOverWire(t *testing.T) {
 			}
 		}
 	}()
-	deadline := time.After(10 * time.Second)
-	vt := vtime.Time(0)
-	for {
-		vt = vt.Add(vtime.Millisecond)
-		eng.Scheduler().ObserveVTime(vt)
-		select {
-		case <-sawNew:
-		case <-time.After(5 * time.Millisecond):
-			continue
-		case <-deadline:
-			t.Fatal("live sys_conns stream never showed the second connection")
-		}
-		break
+	// A query of the second connection's moves the policy clock: the live
+	// stream re-polls on its progress and finds the connection.
+	q, err := cli2.Submit(scsql.Figure5Query(30_000, 4), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, done, err := q.Wait(); err != nil || done.State != "done" {
+		t.Fatalf("ticking query: %+v, %v", done, err)
+	}
+	select {
+	case <-sawNew:
+	case <-time.After(10 * time.Second):
+		t.Fatal("live sys_conns stream never showed the second connection")
 	}
 	if err := h.Cancel(); err != nil {
 		t.Fatalf("cancel live stream: %v", err)

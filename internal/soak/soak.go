@@ -13,12 +13,14 @@
 // Determinism: the schedule — which sessions are submitted with which node
 // pairs, TTLs and priorities, which are cancelled, which node is killed — is
 // a pure function of Config.Seed, and every policy decision the scheduler
-// makes runs on a virtual clock ticked only by this driver. Rounds are
-// barriered: a gate-blocked hog query pins the entire BlueGene partition, so
-// victims are provably still queued when the driver cancels, sheds or
-// expires them; only after those phases does the round release the gate and
-// let the survivors run. Two runs with the same seed therefore produce the
-// identical terminal-state tally, whatever the wall-clock interleaving.
+// makes runs on its virtual clock. Rounds are barriered: a gate-blocked hog
+// query pins the entire BlueGene partition, so nothing progresses and the
+// driver's ticks alone move the clock while victims are provably still
+// queued and the driver cancels, sheds or expires them; only after those
+// phases does the round release the gate and let the survivors run (and
+// their own progress tick the clock). Two runs with the same seed therefore
+// produce the identical terminal-state tally, whatever the wall-clock
+// interleaving.
 package soak
 
 import (
@@ -271,11 +273,9 @@ func Run(cfg Config) (*Result, error) {
 
 	res := &Result{Config: cfg}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	var clock vtime.Time
-	tick := func(d vtime.Duration) {
-		clock = clock.Add(d)
-		s.ObserveVTime(clock)
-	}
+	// tick lets d of virtual time pass from wherever the clock stands — the
+	// previous round's sessions moved it too.
+	tick := func(d vtime.Duration) { s.ObserveVTime(s.VNow().Add(d)) }
 	const maxTTL = 4 * vtime.Millisecond
 
 	var all []*sched.Query

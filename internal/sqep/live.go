@@ -5,13 +5,15 @@ package sqep
 // each tick on the pacing channel triggers a re-snapshot and only rows
 // whose value fingerprint was not present in the previous snapshot are
 // emitted — a live-delta stream. The tick source is the scheduler's
-// virtual-time beat frontier (sched.SubscribeVTime), so observation is
-// paced by the simulation's own clock and emits nothing while virtual time
-// stands still. Closing the tick channel ends the stream cleanly.
+// virtual policy clock (sched.SubscribeVTime), which the engine's own
+// progress advances, so observation is paced by the simulation's own clock
+// and emits nothing while virtual time stands still. Closing the tick
+// channel ends the stream cleanly.
 //
 // Like Thunk, elements carry zero timestamps: reading system state takes
 // no modeled time, which is half of the non-perturbation contract (the
-// other half is that snapshot providers never block the beat loop).
+// other half is that snapshot providers never block the processes whose
+// elements tick the clock).
 type DeltaPoll struct {
 	// Label names the operator in errors and plan dumps.
 	Label string

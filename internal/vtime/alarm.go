@@ -1,21 +1,29 @@
 package vtime
 
-import "sync"
+import (
+	"math"
+	"sync"
+	"sync/atomic"
+)
 
 // Alarms is a deterministic virtual-time alarm registry: a monotone clock
 // plus a set of pending alarms, popped in (time, registration) order as the
 // clock advances. It is the timing substrate of the scheduler's resilience
 // policies (queue/run deadlines, admission-retry backoff): every expiry
-// decision keys off a virtual instant observed through Advance — heartbeat
-// frontiers, explicit driver ticks — never off the wall clock, so the same
-// sequence of observations fires the same alarms in the same order, run
-// after run.
+// decision keys off a virtual instant observed through Advance — the
+// engine's per-element progress, explicit driver ticks — never off the wall
+// clock, so the same sequence of observations fires the same alarms in the
+// same order, run after run.
 //
 // An Alarms value never blocks and never spawns goroutines; it only tells
 // the caller which alarms came due. Acting on them is the caller's job.
+// Advance is called for every element the engine emits, so an observation
+// with nothing due touches two atomics and no lock.
 type Alarms struct {
+	now  atomic.Int64 // the clock, a Time
+	next atomic.Int64 // earliest pending instant; math.MaxInt64 when none
+
 	mu   sync.Mutex
-	now  Time
 	seq  uint64
 	pend []Alarm // sorted by (At, then ID)
 }
@@ -34,15 +42,15 @@ type Alarm struct {
 }
 
 // NewAlarms returns an empty registry at virtual time zero.
-func NewAlarms() *Alarms { return &Alarms{} }
+func NewAlarms() *Alarms {
+	a := &Alarms{}
+	a.next.Store(math.MaxInt64)
+	return a
+}
 
 // Now returns the registry's clock: the high-water mark of every instant
 // passed to Advance.
-func (a *Alarms) Now() Time {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.now
-}
+func (a *Alarms) Now() Time { return Time(a.now.Load()) }
 
 // Set registers an alarm at virtual instant at and returns its handle. An
 // alarm at or before the current clock fires on the next Advance call
@@ -62,34 +70,26 @@ func (a *Alarms) Set(at Time, tag string) uint64 {
 	a.pend = append(a.pend, Alarm{})
 	copy(a.pend[i+1:], a.pend[i:])
 	a.pend[i] = al
+	a.next.Store(int64(a.pend[0].At))
 	return al.ID
-}
-
-// Cancel removes a pending alarm by handle, reporting whether it was still
-// pending.
-func (a *Alarms) Cancel(id uint64) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for i, al := range a.pend {
-		if al.ID == id {
-			a.pend = append(a.pend[:i], a.pend[i+1:]...)
-			return true
-		}
-	}
-	return false
 }
 
 // Advance raises the clock to t (the clock never rewinds; an older t only
 // pops what is already due) and returns every alarm with At <= clock, in
 // (At, ID) order.
 func (a *Alarms) Advance(t Time) []Alarm {
+	now := a.now.Load()
+	for int64(t) > now && !a.now.CompareAndSwap(now, int64(t)) {
+		now = a.now.Load()
+	}
+	if a.now.Load() < a.next.Load() {
+		return nil
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if t > a.now {
-		a.now = t
-	}
+	clock := a.Now()
 	n := 0
-	for n < len(a.pend) && a.pend[n].At <= a.now {
+	for n < len(a.pend) && a.pend[n].At <= clock {
 		n++
 	}
 	if n == 0 {
@@ -98,23 +98,10 @@ func (a *Alarms) Advance(t Time) []Alarm {
 	fired := make([]Alarm, n)
 	copy(fired, a.pend[:n])
 	a.pend = append(a.pend[:0], a.pend[n:]...)
-	return fired
-}
-
-// Next returns the earliest pending alarm instant, and whether any alarm is
-// pending.
-func (a *Alarms) Next() (Time, bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	if len(a.pend) == 0 {
-		return 0, false
+		a.next.Store(math.MaxInt64)
+	} else {
+		a.next.Store(int64(a.pend[0].At))
 	}
-	return a.pend[0].At, true
-}
-
-// Pending reports how many alarms are registered and not yet fired.
-func (a *Alarms) Pending() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.pend)
+	return fired
 }

@@ -19,12 +19,6 @@ func TestAlarmsFireInTimeThenRegistrationOrder(t *testing.T) {
 			t.Fatalf("fired[%d].ID = %d, want %d (tags %q)", i, al.ID, wantOrder[i], al.Tag)
 		}
 	}
-	if got := a.Pending(); got != 1 {
-		t.Fatalf("Pending() = %d, want 1", got)
-	}
-	if next, ok := a.Next(); !ok || next != 30 {
-		t.Fatalf("Next() = %v,%v, want 30,true", next, ok)
-	}
 	if fired := a.Advance(29); fired != nil {
 		t.Fatalf("Advance(29) fired %v, want none", fired)
 	}
@@ -47,21 +41,5 @@ func TestAlarmsClockIsMonotone(t *testing.T) {
 	fired := a.Advance(10)
 	if len(fired) != 1 || fired[0].Tag != "past" {
 		t.Fatalf("stale Advance fired %v, want the past alarm", fired)
-	}
-}
-
-func TestAlarmsCancel(t *testing.T) {
-	a := NewAlarms()
-	id := a.Set(10, "x")
-	keep := a.Set(10, "y")
-	if !a.Cancel(id) {
-		t.Fatal("Cancel of pending alarm reported false")
-	}
-	if a.Cancel(id) {
-		t.Fatal("second Cancel reported true")
-	}
-	fired := a.Advance(10)
-	if len(fired) != 1 || fired[0].ID != keep {
-		t.Fatalf("after cancel, Advance fired %v, want only id=%d", fired, keep)
 	}
 }

@@ -385,36 +385,3 @@ func (r *Resource) Reset() {
 	r.floor = 0
 	r.usedBy = nil
 }
-
-// Clock tracks the high-water mark of virtual time observed by an
-// experiment. RPs report the timestamps of delivered elements; the clock's
-// Now is the makespan so far. The zero value is ready to use.
-type Clock struct {
-	mu  sync.Mutex
-	now Time
-}
-
-// Observe advances the clock to t if t is later than the current high-water
-// mark, and returns the (possibly unchanged) current time.
-func (c *Clock) Observe(t Time) Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if t > c.now {
-		c.now = t
-	}
-	return c.now
-}
-
-// Now returns the current high-water mark.
-func (c *Clock) Now() Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-// Reset rewinds the clock to zero.
-func (c *Clock) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now = 0
-}

@@ -180,22 +180,6 @@ func TestResourceConcurrentUse(t *testing.T) {
 	}
 }
 
-func TestClock(t *testing.T) {
-	var c Clock
-	if c.Now() != 0 {
-		t.Errorf("new clock Now = %v, want 0", c.Now())
-	}
-	c.Observe(100)
-	c.Observe(50) // regression ignored
-	if c.Now() != 100 {
-		t.Errorf("Now = %v, want 100", c.Now())
-	}
-	c.Reset()
-	if c.Now() != 0 {
-		t.Errorf("after reset Now = %v, want 0", c.Now())
-	}
-}
-
 func TestPacerSlowestNeverBlocks(t *testing.T) {
 	p := NewPacer(Millisecond)
 	a := p.Register()
