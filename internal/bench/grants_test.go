@@ -7,31 +7,44 @@ import (
 	"slices"
 	"testing"
 
+	"scsq/internal/carrier"
 	"scsq/internal/core"
 	"scsq/internal/scsql"
 	"scsq/internal/vtime"
 )
 
-// ROADMAP item 1, step 0: before fixing the host-scheduler dependence of the
-// schedule, locate where two runs of one statement first part ways. Every
-// resource records its grants; a resource's log sorted by (start, owner) is
-// its schedule, independent of the order the requests were committed in.
+// Where do two runs of one statement first part ways? Every resource records
+// its grants, each keyed by the request's (owner, stream, seq) — functions of
+// the plan — so one request can be paired across two runs whatever order
+// either run submitted it in.
+
+// grantKey names one request: its owner, its stream and its position there.
+type grantKey struct {
+	owner, stream string
+	seq           uint64
+}
+
+func (k grantKey) String() string { return fmt.Sprintf("(%s, %s, #%d)", k.owner, k.stream, k.seq) }
+
+func (k grantKey) compare(o grantKey) int {
+	return cmp.Or(cmp.Compare(k.owner, o.owner), cmp.Compare(k.stream, o.stream), cmp.Compare(k.seq, o.seq))
+}
 
 // grant is one reservation a resource granted, as its recorder saw it.
 type grant struct {
-	owner      string
+	key        grantKey
 	ready      vtime.Time
 	service    vtime.Duration
 	start, end vtime.Time
 }
 
 func (g grant) String() string {
-	return fmt.Sprintf("%s ready %d service %d granted [%d, %d)", g.owner, g.ready, g.service, g.start, g.end)
+	return fmt.Sprintf("ready %d service %d granted %d", g.ready, g.service, g.start)
 }
 
 // recordGrants runs the statement src on a fresh engine built with opts,
 // with a recorder on every resource of its environment, and returns each
-// resource's grants sorted by (start, owner), keyed by resource name.
+// resource's grants sorted by (start, key), keyed by resource name.
 func recordGrants(src string, opts ...core.Option) (map[string][]grant, error) {
 	e, err := core.NewEngine(opts...)
 	if err != nil {
@@ -41,8 +54,8 @@ func recordGrants(src string, opts ...core.Option) (map[string][]grant, error) {
 	rs := e.Env().Resources()
 	logs := make([][]grant, len(rs))
 	for i, r := range rs {
-		r.SetRecorder(func(owner string, ready vtime.Time, service vtime.Duration, start, end vtime.Time) {
-			logs[i] = append(logs[i], grant{owner, ready, service, start, end})
+		r.SetRecorder(func(owner string, q vtime.Request) {
+			logs[i] = append(logs[i], grant{grantKey{owner, q.Stream, q.Seq}, q.Ready, q.Service, q.Start, q.End})
 		})
 	}
 	res, err := scsql.NewEvaluator(e, nil).Exec(src)
@@ -56,16 +69,17 @@ func recordGrants(src string, opts ...core.Option) (map[string][]grant, error) {
 	for i, r := range rs {
 		r.SetRecorder(nil)
 		slices.SortFunc(logs[i], func(a, b grant) int {
-			return cmp.Or(cmp.Compare(a.start, b.start), cmp.Compare(a.owner, b.owner))
+			return cmp.Or(cmp.Compare(a.start, b.start), a.key.compare(b.key))
 		})
 		out[r.Name()] = logs[i]
 	}
 	return out, nil
 }
 
-// firstGrantDivergence runs src twice on fresh engines and describes the
-// earliest grant, by start time, at which some resource's two sorted logs
-// differ — "" when every resource granted the identical schedule.
+// firstGrantDivergence runs src twice on fresh engines, pairs each request of
+// the first run with the same-keyed request of the second, and describes the
+// earliest pair, by start time, that was granted differently (or requested in
+// one run only) — "" when every request was granted identically.
 func firstGrantDivergence(src string, opts ...core.Option) (string, error) {
 	a, err := recordGrants(src, opts...)
 	if err != nil {
@@ -75,27 +89,35 @@ func firstGrantDivergence(src string, opts ...core.Option) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	show := func(gs []grant, i int) (string, vtime.Time) {
-		if i >= len(gs) {
-			return "no grant", vtime.Time(1<<63 - 1)
+	first, firstAt := "", vtime.Time(0)
+	note := func(at vtime.Time, d string) {
+		if first == "" || at < firstAt || (at == firstAt && d < first) {
+			first, firstAt = d, at
 		}
-		return gs[i].String(), gs[i].start
 	}
-	first, firstAt, firstName := "", vtime.Time(0), ""
 	for name, ga := range a {
-		gb := b[name]
-		for i := 0; i < max(len(ga), len(gb)); i++ {
-			if i < len(ga) && i < len(gb) && ga[i] == gb[i] {
+		// A key that repeats (it should not) pairs its occurrences in start
+		// order.
+		inB := make(map[grantKey][]grant)
+		for _, y := range b[name] {
+			inB[y.key] = append(inB[y.key], y)
+		}
+		for _, x := range ga {
+			ys := inB[x.key]
+			if len(ys) == 0 {
+				note(x.start, fmt.Sprintf("%s: %s %s in run 1; not requested in run 2", name, x.key, x))
 				continue
 			}
-			x, xt := show(ga, i)
-			y, yt := show(gb, i)
-			at := min(xt, yt)
-			if first == "" || at < firstAt || (at == firstAt && name < firstName) {
-				first = fmt.Sprintf("%s, grant #%d of %d/%d: run 1 %s; run 2 %s", name, i, len(ga), len(gb), x, y)
-				firstAt, firstName = at, name
+			y := ys[0]
+			inB[x.key] = ys[1:]
+			if x != y {
+				note(min(x.start, y.start), fmt.Sprintf("%s: %s %s in run 1; %s in run 2", name, x.key, x, y))
 			}
-			break
+		}
+		for _, ys := range inB {
+			for _, y := range ys {
+				note(y.start, fmt.Sprintf("%s: %s not requested in run 1; %s in run 2", name, y.key, y))
+			}
 		}
 	}
 	return first, nil
@@ -116,5 +138,73 @@ func TestFigure6GrantsIdentical(t *testing.T) {
 		if d != "" {
 			t.Errorf("GOMAXPROCS=%d: the two runs diverge at %s", procs, d)
 		}
+	}
+}
+
+// TestGrantKeysArePlanFunctions: at the two points whose schedules differ
+// between runs (DESIGN §11), the requests do not. Each resource sees the same
+// multiset of (owner, stream, seq) keys in both runs, no key repeats on a
+// resource, and every grant carries an owner and a stream — so a request can
+// be paired across runs, and an ordered kernel can break ties by its key.
+func TestGrantKeysArePlanFunctions(t *testing.T) {
+	inbound, err := scsql.InboundQuery(1, 2, 60_000, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		procs int
+		src   string
+		opts  []core.Option
+	}{
+		{"figure8-bal-single-30kB", 1, scsql.MergeQuery(1, 4, 300_000, 20),
+			[]core.Option{core.WithMPIBufferBytes(30_000), core.WithBuffering(carrier.SingleBuffered)}},
+		{"multitenant-k1", 2, inbound, nil},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(c.procs))
+			a, err := recordGrants(c.src, c.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := recordGrants(c.src, c.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys := func(gs []grant) []grantKey {
+				ks := make([]grantKey, len(gs))
+				for i, g := range gs {
+					ks[i] = g.key
+				}
+				slices.SortFunc(ks, grantKey.compare)
+				return ks
+			}
+			granted := 0
+			for name, ga := range a {
+				ka, kb := keys(ga), keys(b[name])
+				if !slices.Equal(ka, kb) {
+					t.Errorf("%s: %d requests in run 1, %d in run 2, with different keys", name, len(ka), len(kb))
+				}
+				for i := 1; i < len(ka); i++ {
+					if ka[i] == ka[i-1] {
+						t.Errorf("%s: key %s repeats", name, ka[i])
+					}
+				}
+				for _, k := range ka {
+					if k.owner == "" || k.stream == "" {
+						t.Errorf("%s: grant %s has no owner or no stream", name, k)
+					}
+				}
+				granted += len(ga)
+			}
+			if granted == 0 {
+				t.Fatal("no resource recorded a grant")
+			}
+			if d, err := firstGrantDivergence(c.src, c.opts...); err != nil {
+				t.Fatal(err)
+			} else if d != "" {
+				t.Logf("schedules differ, requests do not; first moved request: %s", d)
+			}
+		})
 	}
 }

@@ -5,8 +5,9 @@
 // delivery time of each frame.
 //
 // Every connection is a Link over a Route (link.go): an ordered list of
-// (resource, service time, label) stages, charged by the one loop in
-// Link.Send. The carriers matching the paper — internal/mpicar (native MPI
+// vtime.Stages that Link.Send submits as one request chain through
+// vtime.Submit, keyed by the frame's producer and the link's frame sequence
+// number. The carriers matching the paper — internal/mpicar (native MPI
 // inside the BlueGene, with single- or double-buffered drivers),
 // internal/tcpcar (TCP between clusters) and internal/udpcar — build the
 // routes from the cost model.

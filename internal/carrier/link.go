@@ -19,29 +19,18 @@ type NodeRef struct {
 
 func (n NodeRef) String() string { return string(n.Cluster) + ":" + strconv.Itoa(n.Node) }
 
-// Stage is one serialised device on a connection's path.
-type Stage struct {
-	Resource *vtime.Resource
-	// Service is the device's service time for a frame of the given payload
-	// size. It is evaluated when the frame reaches the stage, so a stage
-	// that depends on contention multiplicities reads them there.
-	Service func(bytes int) vtime.Duration
-	// Label names the stage as a hop of traced frames ("nic be:1",
-	// "iofwd io:0"; hw formats them once per environment). A stage with an
-	// empty label leaves no hop.
-	Label string
-}
-
 // Route describes the path of one connection: every frame crosses Stages in
 // order, each stage starting when the previous one released the frame.
 // Stages[0] is the sender-side device — its end is the instant the send
-// buffer becomes reusable, and it is the only stage a lost frame pays.
+// buffer becomes reusable, and it is the only stage a lost frame pays. A
+// stage's service is evaluated when the frame is sent, so a stage that
+// depends on contention multiplicities reads them then.
 type Route struct {
 	// Kind is the carrier ("mpi", "tcp", "udp"): the prefix of the link
 	// label and the suffix of the link.deliver_vt.* histogram.
 	Kind     string
 	Src, Dst NodeRef
-	Stages   []Stage
+	Stages   []vtime.Stage
 	// ViaTCP marks deliveries as having crossed the TCP/UDP stack (see
 	// Delivered.ViaTCP).
 	ViaTCP bool
@@ -140,12 +129,13 @@ func (l *Link) Label() string { return l.label }
 
 // Stages returns the route's stages: every device a frame of this link is
 // charged on, in order.
-func (l *Link) Stages() []Stage { return l.route.Stages }
+func (l *Link) Stages() []vtime.Stage { return l.route.Stages }
 
-// Send implements Conn: it takes the fault verdict, charges the frame to
-// every stage of the route in order, stamps the hops of a traced frame and
-// hands it to the receiver. The returned instant is when the sender-side
-// stage released the frame.
+// Send implements Conn: it takes the fault verdict, submits the frame's
+// stages as one request chain keyed by its producer and the link's frame
+// sequence number, stamps the hops of a traced frame and hands it to the
+// receiver. The returned instant is when the sender-side stage released the
+// frame.
 func (l *Link) Send(fr Frame) (vtime.Time, error) {
 	l.mu.Lock()
 	closed := l.closed
@@ -178,34 +168,46 @@ func (l *Link) Send(fr Frame) (vtime.Time, error) {
 	}
 	lost := v.Drop || (l.Lose != nil && !fr.Last && l.Lose(seq))
 
-	owner := QueryOf(fr.Source)
+	stages := l.route.Stages
+	if lost {
+		stages = stages[:1] // the frame leaves the sender, never to arrive
+	}
 	traced := fr.TraceID != 0 && !lost
 	if traced {
-		fr.Hops = slices.Grow(fr.Hops, len(l.route.Stages))
+		fr.Hops = slices.Grow(fr.Hops, len(stages))
 	}
-	var senderFree vtime.Time
-	t := fr.Ready
-	for i := range l.route.Stages {
-		st := &l.route.Stages[i]
-		_, t = st.Resource.UseAs(owner, t, st.Service(s))
+	// The stages are one chain, submitted in runs of requests built on the
+	// stack, each run ready when the one before released the frame.
+	var buf [4]vtime.Request
+	owner, t, senderFree := QueryOf(fr.Source), fr.Ready, vtime.Time(0)
+	for i := 0; i < len(stages); {
+		run := buf[:min(len(buf), len(stages)-i)]
+		for k := range run {
+			run[k] = vtime.Request{Resource: stages[i+k].Resource, Stream: fr.Source, Seq: seq, Ready: t, Service: stages[i+k].Service(s)}
+		}
+		vtime.Submit(owner, run)
 		if i == 0 {
-			senderFree = t
-			if lost {
-				// The frame left the sender but never reaches a receiver
-				// driver; its pooled payload goes back to the pool here.
-				l.mDrops.Inc()
-				Recycle(&fr)
-				return senderFree, nil
+			senderFree = run[0].End
+		}
+		for k := range run {
+			if label := stages[i+k].Label; traced && label != "" {
+				fr.Hops = append(fr.Hops, Hop{Name: label, At: run[k].End})
 			}
 		}
-		if i == len(l.route.Stages)-1 {
-			// Injected latency lands on the last stage, so the final hop of
-			// a traced frame is stamped with its arrival time.
-			t = t.Add(v.Delay)
-		}
-		if traced && st.Label != "" {
-			fr.Hops = append(fr.Hops, Hop{Name: st.Label, At: t})
-		}
+		t = run[len(run)-1].End
+		i += len(run)
+	}
+	if lost {
+		// No receiver driver will see it: its pooled payload goes back here.
+		l.mDrops.Inc()
+		Recycle(&fr)
+		return senderFree, nil
+	}
+	// Injected latency lands on the last stage, so the final hop of a traced
+	// frame is stamped with its arrival time.
+	t = t.Add(v.Delay)
+	if traced && stages[len(stages)-1].Label != "" {
+		fr.Hops[len(fr.Hops)-1].At = t
 	}
 
 	// Sizes are captured before the hand-off: the receiver owns the frame

@@ -8,6 +8,7 @@ import (
 	"scsq/internal/chaos"
 	"scsq/internal/hw"
 	"scsq/internal/mpicar"
+	"scsq/internal/race"
 	"scsq/internal/tcpcar"
 	"scsq/internal/udpcar"
 	"scsq/internal/vtime"
@@ -96,5 +97,34 @@ func TestHopsUnderInjectedDelay(t *testing.T) {
 				t.Errorf("undelayed last hop at %v, frame delivered at %v", plain.Hops[last].At, plain.At)
 			}
 		})
+	}
+}
+
+// TestLinkSendAllocatesNothing: charging a pooled, untraced frame across an
+// MPI route with intermediate hops — four stages submitted as one chain —
+// and delivering it allocates nothing on a warm pool.
+func TestLinkSendAllocatesNothing(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	inbox := make(carrier.Inbox, 1)
+	conn, err := mpicar.NewFabric(newEnv(t)).Dial(10, 0, carrier.DoubleBuffered, inbox)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(conn.Stages()) < 3 {
+		t.Fatalf("route of %d stages has no intermediate hop", len(conn.Stages()))
+	}
+	ready := vtime.Time(0)
+	if n := testing.AllocsPerRun(100, func() {
+		free, err := conn.Send(carrier.Frame{Source: "q1/rp-bg-10", Payload: carrier.GetBuf(1000), Ready: ready, Pooled: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ready = free
+		d := <-inbox
+		carrier.Recycle(&d.Frame)
+	}); n != 0 {
+		t.Errorf("Link.Send allocates %v times per frame, want 0", n)
 	}
 }

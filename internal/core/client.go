@@ -89,6 +89,7 @@ func (q *Query) ClientPlan(build Subquery) (*ClientStream, error) {
 			Files:   e.files,
 			Sources: e.sources,
 			Owner:   qc.id,
+			ID:      b.spID,
 			Cancel:  qc,
 		},
 		recv: root,

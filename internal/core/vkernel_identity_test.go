@@ -86,8 +86,8 @@ func TestKernelBatchMultiTenantReplayIdentical(t *testing.T) {
 	instrument := func(r *vtime.Resource) {
 		log := &[]rec{}
 		logs[r.Name()] = log
-		r.SetRecorder(func(owner string, ready vtime.Time, service vtime.Duration, start, end vtime.Time) {
-			*log = append(*log, rec{owner, ready, service, start, end})
+		r.SetRecorder(func(owner string, q vtime.Request) {
+			*log = append(*log, rec{owner, q.Ready, q.Service, q.Start, q.End})
 		})
 	}
 	instrument(fe0.CPU) // shared across tenants, unsliced

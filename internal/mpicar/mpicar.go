@@ -144,16 +144,16 @@ func (f *Fabric) Dial(src, dst int, mode carrier.Buffering, inbox carrier.Inbox)
 	}
 	// The frame starts on the sender's co-processor, which is therefore not
 	// a hop and carries no trace label.
-	stages := make([]carrier.Stage, 0, len(hops)+1)
-	stages = append(stages, carrier.Stage{Resource: srcNode.Coproc, Service: send})
+	stages := make([]vtime.Stage, 0, len(hops)+1)
+	stages = append(stages, vtime.Stage{Resource: srcNode.Coproc, Service: send})
 	for _, mid := range hops[:len(hops)-1] {
 		node, err := f.env.Node(hw.BlueGene, mid)
 		if err != nil {
 			return nil, fmt.Errorf("mpicar: %w", err)
 		}
-		stages = append(stages, carrier.Stage{Resource: node.Coproc, Service: forward, Label: node.FwdHop})
+		stages = append(stages, vtime.Stage{Resource: node.Coproc, Service: forward, Label: node.FwdHop})
 	}
-	stages = append(stages, carrier.Stage{Resource: dstNode.Coproc, Service: receive, Label: dstNode.Hop})
+	stages = append(stages, vtime.Stage{Resource: dstNode.Coproc, Service: receive, Label: dstNode.Hop})
 	f.addProducer(dst)
 	return carrier.NewLink(carrier.Route{Kind: "mpi", Src: srcRef, Dst: dstRef, Stages: stages}, inbox, f.inj, f.reg), nil
 }

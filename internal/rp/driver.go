@@ -74,10 +74,13 @@ var (
 // over one carrier connection (paper §2.3: "the sender driver ... marshals
 // them and sends the buffer contents to subscribers").
 type senderDriver struct {
-	cfg    SenderConfig
+	cfg    SenderConfig // MarshalPerByte includes the cache factor of BufBytes
 	conn   carrier.Conn
 	source string
-	owner  string // query id the CPU charges attribute to, parsed once
+	// seq numbers the marshal requests, keyed (query, source, *seq): the
+	// process's sqep.Ctx.Seq once RP.Subscribe shares it, else ownSeq.
+	seq    *uint64
+	ownSeq uint64
 
 	// pending holds marshaled bytes not yet flushed; frames are copied out
 	// of pending[head:], so a flush costs its frame, not the tail behind it.
@@ -119,7 +122,11 @@ func newSenderDriver(source string, conn carrier.Conn, cfg SenderConfig) (*sende
 	if cfg.Mode != carrier.SingleBuffered && cfg.Mode != carrier.DoubleBuffered {
 		return nil, fmt.Errorf("rp: invalid buffering mode %d", cfg.Mode)
 	}
-	d := &senderDriver{cfg: cfg, conn: conn, source: source, owner: carrier.QueryOf(source)}
+	if cfg.CacheFactor != nil {
+		cfg.MarshalPerByte *= cfg.CacheFactor(cfg.BufBytes)
+	}
+	d := &senderDriver{cfg: cfg, conn: conn, source: source}
+	d.seq = &d.ownSeq
 	link := cfg.Metrics.Shared(sendFamily, cfg.Link)
 	d.mFrames, d.mBytes, d.mRetries = link.Counter(0), link.Counter(1), link.Counter(2)
 	kind, _, _ := strings.Cut(cfg.Link, ":")
@@ -173,21 +180,15 @@ func (d *senderDriver) push(el sqep.Element) error {
 
 	// Charge the marshal work on the node CPU, gated by buffer
 	// availability.
-	cf := 1.0
-	if d.cfg.CacheFactor != nil {
-		cf = d.cfg.CacheFactor(d.cfg.BufBytes)
-	}
-	svc := vtime.Duration(d.cfg.MarshalPerByte * cf * float64(added))
-	ready := vtime.MaxTime(el.At, d.bufferFreeAt())
-	ready = vtime.MaxTime(ready, d.pendReady)
-	var done vtime.Time
-	if d.cfg.CPU != nil {
-		_, done = d.cfg.CPU.UseAs(d.owner, ready, svc)
-	} else {
-		done = ready.Add(svc)
-	}
-	d.pendReady = done
-	d.hMarshal.Observe(done.Sub(ready))
+	q := [1]vtime.Request{{
+		Resource: d.cfg.CPU, Stream: d.source, Seq: *d.seq,
+		Ready:   max(el.At, d.bufferFreeAt(), d.pendReady),
+		Service: vtime.Duration(d.cfg.MarshalPerByte * float64(added)),
+	}}
+	*d.seq++
+	vtime.Submit(carrier.QueryOf(d.source), q[:])
+	d.pendReady = q[0].End
+	d.hMarshal.Observe(q[0].End.Sub(q[0].Ready))
 
 	if d.cfg.FlushPerElement {
 		err = d.flushFrame(d.unflushed(), false)
@@ -341,10 +342,10 @@ type ReceiverConfig struct {
 	// BatchFrames bounds how many inbox frames are drained and charged per
 	// kernel commit: after one blocking receive, up to BatchFrames-1 further
 	// frames already sitting in the inbox are pulled non-blocking and their
-	// de-marshal reservations committed on the CPU in one critical section
-	// (vtime.Txn). Values <= 1 commit one frame at a time. Batching does not
-	// change the virtual schedule: frame i's de-marshal becomes ready at
-	// max(arrival, end of frame i-1's de-marshal) either way.
+	// de-marshal requests submitted on the CPU as one chain (vtime.Submit).
+	// Values <= 1 submit one frame at a time. Batching does not change the
+	// virtual schedule: frame i's de-marshal becomes ready at max(arrival,
+	// end of frame i-1's de-marshal) either way.
 	BatchFrames int
 	// Metrics is the consuming query's scope: it receives the receiver's
 	// telemetry (frames/bytes ingested, de-marshal latency, inbox high-water
@@ -388,20 +389,17 @@ type Receiver struct {
 	// nextOff tracks, per producer, the stream offset one past the last
 	// ingested payload byte (TrackOffsets only).
 	nextOff map[string]uint64
-	// txn chains the receiver's de-marshal reservations on the node CPU and
-	// commits each drained batch in one critical section; its tail is the end
-	// of the last de-marshal. cpuAt tracks the same tail for the CPU-less
-	// fallback.
-	txn   *vtime.Txn
-	owner string
-	cpuAt vtime.Time
-	// batch holds the frames drained for the current kernel commit, priced
-	// and committed; Next decodes them one value at a time. batch[cur] is the
-	// frame being decoded: data is its byte stream (the payload, or the
-	// producer's non-empty reassembly buffer with the payload appended) and
-	// off the decode cursor; data is nil until the frame's first value is
-	// asked for.
+	// tail is the end of the last de-marshal: the ready floor of the next
+	// batch's chain.
+	tail vtime.Time
+	// batch holds the frames drained for the current kernel commit and reqs
+	// their de-marshal requests, keyed by producer and stream offset; Next
+	// decodes the frames one value at a time. batch[cur] is the frame being
+	// decoded: data is its byte stream (the payload, or the producer's
+	// non-empty reassembly buffer with the payload appended) and off the
+	// decode cursor; data is nil until the frame's first value is asked for.
 	batch []pendingFrame
+	reqs  []vtime.Request
 	cur   int
 	data  []byte
 	off   int
@@ -417,7 +415,8 @@ type Receiver struct {
 	lastsSeen int
 	done      bool
 
-	framesIn int64 // frames ingested: numbers the tracer's net lanes
+	framesIn      int64  // frames ingested: numbers the tracer's net lanes
+	demarshalLane string // the tracer's de-marshal lane, named once
 
 	// Cached metric handles; nil-safe no-ops without a registry.
 	mFrames    *metrics.Counter
@@ -437,10 +436,9 @@ func NewReceiver(inbox carrier.Inbox, cfg ReceiverConfig) *Receiver {
 		cfg:     cfg,
 		inbox:   inbox,
 		nextOff: make(map[string]uint64),
-		owner:   carrier.QueryOf(cfg.Consumer),
 	}
-	if cfg.CPU != nil {
-		r.txn = cfg.CPU.Txn(r.owner)
+	if cfg.Tracer != nil {
+		r.demarshalLane = "demarshal " + cfg.Consumer
 	}
 	b := cfg.Metrics.Block(recvFamily, cfg.Consumer)
 	r.mFrames, r.mBytes, r.gDepth, r.hDemarshal = b.Counter(0), b.Counter(1), b.Gauge(0), b.Histogram(0)
@@ -450,16 +448,14 @@ func NewReceiver(inbox carrier.Inbox, cfg ReceiverConfig) *Receiver {
 // Open implements sqep.Operator.
 func (r *Receiver) Open(*sqep.Ctx) error { return nil }
 
-// pendingFrame is one drained, priced frame awaiting its batch's kernel
-// commit and then its turn to be decoded.
+// pendingFrame is one drained frame awaiting its turn to be decoded.
 type pendingFrame struct {
-	fr      carrier.Delivered
-	payload []byte // fr.Payload minus any already-ingested prefix
-	svc     vtime.Duration
-	seq     int64 // r.framesIn at ingestion, for the tracer's net lanes
-	ready   vtime.Time
-	done    vtime.Time
+	fr   carrier.Delivered
+	skip int // leading payload bytes a replay already delivered
 }
+
+// payload is the frame's payload minus its already-ingested prefix.
+func (p *pendingFrame) payload() []byte { return p.fr.Payload[p.skip:] }
 
 // ReuseValues implements sqep.ValueReuser: the consumer is done with each
 // element before it asks for the next, so arrays need not be fresh.
@@ -542,7 +538,7 @@ func (r *Receiver) preprocess(fr carrier.Delivered) error {
 		return fmt.Errorf("rp: producer %q failed: %s: %w", fr.Source, fr.DownErr, ErrUpstreamDown)
 	}
 
-	payload := fr.Payload
+	payload, skip := fr.Payload, 0
 	if r.cfg.TrackOffsets && len(payload) > 0 {
 		next := r.nextOff[fr.Source]
 		end := fr.Offset + uint64(len(payload))
@@ -560,7 +556,8 @@ func (r *Receiver) preprocess(fr carrier.Delivered) error {
 			// Partial overlap: ingest only the unseen suffix; the prefix
 			// continues the byte stream already sitting in the reassembly
 			// buffer.
-			payload = payload[next-fr.Offset:]
+			skip = int(next - fr.Offset)
+			payload = payload[skip:]
 		}
 		// Offsets may jump forward past a gap: UDP drops are real losses,
 		// not replays.
@@ -583,68 +580,47 @@ func (r *Receiver) preprocess(fr carrier.Delivered) error {
 			svc = vtime.Duration(float64(svc) * r.cfg.CacheFactor(len(payload)))
 		}
 	}
-	r.batch = append(r.batch, pendingFrame{fr: fr, payload: payload, svc: svc, seq: r.framesIn})
+	r.batch = append(r.batch, pendingFrame{fr: fr, skip: skip})
+	r.reqs = append(r.reqs, vtime.Request{Resource: r.cfg.CPU, Stream: fr.Source, Seq: fr.Offset, Ready: fr.At, Service: svc})
 	return nil
 }
 
-// ingestBatch commits the staged frames' de-marshal reservations on the node
-// CPU in one critical section; Next decodes them in arrival order.
+// ingestBatch submits the staged frames' de-marshal requests on the node CPU
+// as one chain continuing the last batch's; Next decodes them in arrival
+// order.
 func (r *Receiver) ingestBatch() {
-	if len(r.batch) == 0 {
+	if len(r.reqs) == 0 {
 		return
 	}
-	if r.txn != nil {
-		prev := r.txn.Tail()
-		for i := range r.batch {
-			r.txn.Reserve(r.batch[i].fr.At, r.batch[i].svc)
-		}
-		grants := r.txn.Commit()
-		for i := range r.batch {
-			// Reconstruct the chain's effective ready times for the
-			// latency histogram and tracer: arrival clamped to the end of
-			// the preceding de-marshal, as the per-frame serial path
-			// computed them.
-			ready := r.batch[i].fr.At
-			if ready < 0 {
-				ready = 0
-			}
-			if ready < prev {
-				ready = prev
-			}
-			r.batch[i].ready, r.batch[i].done = ready, grants[i].End
-			prev = grants[i].End
-		}
-	} else {
-		for i := range r.batch {
-			ready := vtime.MaxTime(r.batch[i].fr.At, r.cpuAt)
-			r.batch[i].ready, r.batch[i].done = ready, ready.Add(r.batch[i].svc)
-			r.cpuAt = r.batch[i].done
-		}
-	}
+	r.reqs[0].Ready = max(r.reqs[0].Ready, r.tail)
+	vtime.Submit(carrier.QueryOf(r.cfg.Consumer), r.reqs)
+	r.tail = r.reqs[len(r.reqs)-1].End
 	for i := range r.batch {
-		r.observe(&r.batch[i])
+		r.observe(&r.batch[i], &r.reqs[i], r.framesIn-int64(len(r.batch)-1-i))
 	}
 }
 
-// observe records one committed frame's de-marshal span.
-func (r *Receiver) observe(p *pendingFrame) {
-	fr, ready, done := &p.fr, p.ready, p.done
-	r.hDemarshal.Observe(done.Sub(ready))
+// netLanes are the tracer's two transfer rows: spans of back-to-back frames
+// overlap under double buffering, so they alternate.
+var netLanes = [2]string{"net-0", "net-1"}
 
-	if t := r.cfg.Tracer; t != nil && fr.TraceID != 0 {
+// observe records the de-marshal span of the n-th frame ingested.
+func (r *Receiver) observe(p *pendingFrame, q *vtime.Request, n int64) {
+	r.hDemarshal.Observe(q.End.Sub(q.Ready))
+
+	if t := r.cfg.Tracer; t != nil && p.fr.TraceID != 0 {
 		// The frame's journey renders in the lane its sender named in
-		// Hops[0]. Transfer spans of back-to-back frames overlap under
-		// double buffering, so they alternate between two net rows.
+		// Hops[0].
+		fr := &p.fr
 		proc := fr.Source
 		if len(fr.Hops) > 0 {
 			proc = fr.Hops[0].Name
 		}
-		net := fmt.Sprintf("net-%d", p.seq&1)
-		t.Span(proc, net, "transfer", fr.TraceID, fr.Ready, fr.At, int64(len(fr.Payload)))
+		t.Span(proc, netLanes[n&1], "transfer", fr.TraceID, fr.Ready, fr.At, int64(len(fr.Payload)))
 		for _, h := range fr.Hops[1:] {
 			t.Instant(proc, "hops", h.Name, fr.TraceID, h.At)
 		}
-		t.Span(proc, "demarshal "+r.cfg.Consumer, "demarshal", fr.TraceID, ready, done, int64(len(p.payload)))
+		t.Span(proc, r.demarshalLane, "demarshal", fr.TraceID, q.Ready, q.End, int64(len(p.payload())))
 	}
 }
 
@@ -660,9 +636,9 @@ func (r *Receiver) decodeNext() (el sqep.Element, ok bool, err error) {
 		// With no partial object pending from this producer, decode straight
 		// out of the frame payload; otherwise the payload continues the
 		// reassembly buffer and can go back to the pool at once.
-		r.data = p.payload
+		r.data = p.payload()
 		if buf := r.bufs[src]; len(buf) > 0 {
-			r.data = appendLease(buf, p.payload)
+			r.data = appendLease(buf, p.payload())
 			if cap(r.data) != cap(buf) {
 				// buf went back to the pool: forget it before anything fails.
 				r.bufs[src] = r.data
@@ -677,7 +653,7 @@ func (r *Receiver) decodeNext() (el sqep.Element, ok bool, err error) {
 		switch {
 		case err == nil:
 			r.off += n
-			el, ok = sqep.Element{Value: v, At: p.done, Src: src}, true
+			el, ok = sqep.Element{Value: v, At: r.reqs[r.cur].End, Src: src}, true
 			if r.off < len(r.data) {
 				return el, true, nil
 			}
@@ -766,7 +742,7 @@ func (r *Receiver) popStaged() {
 	r.batch[r.cur] = pendingFrame{}
 	r.data, r.off = nil, 0
 	if r.cur++; r.cur == len(r.batch) {
-		r.batch, r.cur = r.batch[:0], 0
+		r.batch, r.reqs, r.cur = r.batch[:0], r.reqs[:0], 0
 	}
 }
 

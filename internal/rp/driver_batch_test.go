@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"scsq/internal/carrier"
+	"scsq/internal/marshal"
+	"scsq/internal/race"
 	"scsq/internal/sqep"
 	"scsq/internal/vtime"
 )
@@ -72,5 +74,41 @@ func TestReceiverBatchMatchesSerial(t *testing.T) {
 					batch, viaTCP, busy, free, serialBusy, serialFree)
 			}
 		}
+	}
+}
+
+// TestReceiverBatchAllocatesNothing: draining a batch of 16 pooled frames,
+// submitting their de-marshal requests as one chain and decoding them
+// allocates nothing per frame on a warm pool.
+func TestReceiverBatchAllocatesNothing(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const batch = 16
+	enc, err := marshal.Append(nil, int64(7)) // a small int boxes without allocating
+	if err != nil {
+		t.Fatal(err)
+	}
+	inbox := make(carrier.Inbox, batch)
+	r := NewReceiver(inbox, ReceiverConfig{
+		Producers: 1, MPIPerByte: 1.5, CPU: vtime.NewResource("cpu"),
+		TrackOffsets: true, BatchFrames: batch, Consumer: "q1/rp-bg-0",
+	})
+	var off uint64
+	n := testing.AllocsPerRun(20, func() {
+		for i := 0; i < batch; i++ {
+			payload := carrier.GetBuf(len(enc))
+			copy(payload, enc)
+			inbox <- carrier.Delivered{Frame: carrier.Frame{Source: "q1/rp-bg-1", Payload: payload, Pooled: true, Offset: off}}
+			off += uint64(len(enc))
+		}
+		for i := 0; i < batch; i++ {
+			if _, ok, err := r.Next(); !ok || err != nil {
+				t.Fatalf("Next: %v, %v", ok, err)
+			}
+		}
+	})
+	if perFrame := n / batch; perFrame != 0 {
+		t.Errorf("a receiver batch allocates %v times per frame, want 0", perFrame)
 	}
 }

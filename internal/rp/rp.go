@@ -6,6 +6,12 @@
 // execution. Flow between RPs is regulated by bounded inboxes: a producer
 // blocks when a subscriber's window is full, which plays the role of the
 // paper's control messages.
+//
+// Both drivers charge the node CPU through vtime.Submit, keyed by plan
+// position: a sender's marshal request per element continues its process's
+// CPU request stream (sqep.Ctx.ID and Seq, shared with the operators), and a
+// receiver submits each drained batch of de-marshal requests as one chain,
+// every frame keyed by its producer and stream offset.
 package rp
 
 import (
@@ -30,11 +36,10 @@ type BuildFunc func(ctx *sqep.Ctx) (sqep.Operator, error)
 // RP is a running process executing one continuous subquery on one compute
 // node.
 type RP struct {
-	id      string
 	cluster hw.ClusterName
 	node    int
 	build   BuildFunc
-	ctx     sqep.Ctx
+	ctx     sqep.Ctx // ctx.ID is the RP's identity
 
 	mu      sync.Mutex
 	subs    []*senderDriver
@@ -58,12 +63,12 @@ type RP struct {
 	mLast   *metrics.Gauge
 }
 
-// New creates an RP with the given identity and execution context. The RP
-// does not run until Start is called; subscribers must be attached before
-// then.
+// New creates an RP with the given identity and execution context, whose CPU
+// requests it keys by id. The RP does not run until Start is called;
+// subscribers must be attached before then.
 func New(id string, cluster hw.ClusterName, node int, ctx sqep.Ctx, build BuildFunc) *RP {
+	ctx.ID = id
 	return &RP{
-		id:      id,
 		cluster: cluster,
 		node:    node,
 		build:   build,
@@ -84,14 +89,14 @@ var rpFamily = &metrics.Family{
 // engine calls this at placement, so every RP's counters land in the query's
 // telemetry). It must be called before Start.
 func (r *RP) SetMetrics(scope *metrics.Scope) {
-	b := scope.Block(rpFamily, r.id)
+	b := scope.Block(rpFamily, r.ctx.ID)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.mElems, r.mBytes, r.mFrames, r.mLast = b.Counter(0), b.Counter(1), b.Counter(2), b.Gauge(0)
 }
 
 // ID returns the RP's identity.
-func (r *RP) ID() string { return r.id }
+func (r *RP) ID() string { return r.ctx.ID }
 
 // Cluster returns the cluster the RP runs in.
 func (r *RP) Cluster() hw.ClusterName { return r.cluster }
@@ -114,12 +119,13 @@ func (r *RP) Subscribe(conn carrier.Conn, cfg SenderConfig) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.started {
-		return fmt.Errorf("rp %s: subscribe after start", r.id)
+		return fmt.Errorf("rp %s: subscribe after start", r.ctx.ID)
 	}
-	d, err := newSenderDriver(r.id, conn, cfg)
+	d, err := newSenderDriver(r.ctx.ID, conn, cfg)
 	if err != nil {
 		return err
 	}
+	d.seq = &r.ctx.Seq
 	r.subs = append(r.subs, d)
 	return nil
 }
@@ -168,11 +174,11 @@ func (r *RP) Start() error {
 	defer r.mu.Unlock()
 	select {
 	case <-r.killed:
-		return fmt.Errorf("rp %s: %w: %w", r.id, ErrFailedBeforeStart, r.err)
+		return fmt.Errorf("rp %s: %w: %w", r.ctx.ID, ErrFailedBeforeStart, r.err)
 	default:
 	}
 	if r.started {
-		return fmt.Errorf("rp %s: %w", r.id, ErrAlreadyStarted)
+		return fmt.Errorf("rp %s: %w", r.ctx.ID, ErrAlreadyStarted)
 	}
 	r.started = true
 	go r.run()
@@ -229,7 +235,7 @@ func (r *RP) setErr(err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.err == nil && err != nil {
-		r.err = fmt.Errorf("rp %s: %w", r.id, err)
+		r.err = fmt.Errorf("rp %s: %w", r.ctx.ID, err)
 	}
 }
 

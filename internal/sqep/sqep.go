@@ -76,6 +76,12 @@ type Ctx struct {
 	// Owner is the query id CPU charges are attributed to in the per-owner
 	// busy accounting of shared resources ("" = anonymous).
 	Owner string
+	// ID names the executing process: every CPU request it submits is keyed
+	// (Owner, ID, Seq), and Seq counts them. The process's sender drivers
+	// number their marshal requests from the same Seq, so the numbering is
+	// the program order of the process's one goroutine.
+	ID  string
+	Seq uint64
 	// Cancel is the owning query's cancel signal; nil when there is no
 	// query to cancel (unit tests).
 	Cancel CancelSignal
@@ -91,15 +97,20 @@ type CancelSignal interface {
 	Cause() error
 }
 
-// Charge charges the context CPU for service time starting no earlier than
-// ready and returns the completion instant. A nil CPU (pure in-process
-// evaluation, used in unit tests) advances time without contention.
+// Charge submits one request for service on the context CPU, ready no
+// earlier than ready, and returns its end. A nil CPU (pure in-process
+// evaluation, used in unit tests) grants without contention; so does a nil
+// Ctx, unkeyed.
 func (c *Ctx) Charge(ready vtime.Time, service vtime.Duration) vtime.Time {
-	if c == nil || c.CPU == nil {
-		return ready.Add(service)
+	q := [1]vtime.Request{{Ready: ready, Service: service}}
+	var owner string
+	if c != nil {
+		owner = c.Owner
+		q[0].Resource, q[0].Stream, q[0].Seq = c.CPU, c.ID, c.Seq
+		c.Seq++
 	}
-	_, end := c.CPU.UseAs(c.Owner, ready, service)
-	return end
+	vtime.Submit(owner, q[:])
+	return q[0].End
 }
 
 // FileTable maps file names to contents for the distributed-grep example.

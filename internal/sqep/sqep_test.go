@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"scsq/internal/hw"
+	"scsq/internal/race"
 	"scsq/internal/vtime"
 )
 
@@ -279,5 +280,21 @@ func TestCtxChargeWithoutCPU(t *testing.T) {
 	var nilCtx *Ctx
 	if got := nilCtx.Charge(100, 50); got != 150 {
 		t.Errorf("nil ctx charge = %v, want 150", got)
+	}
+}
+
+// TestCtxChargeAllocatesNothing: an operator's CPU charge is one keyed
+// request through vtime.Submit, free of allocations.
+func TestCtxChargeAllocatesNothing(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	ctx := &Ctx{CPU: vtime.NewResource("cpu"), Owner: "q1", ID: "q1/rp-bg-1"}
+	at := vtime.Time(0)
+	if n := testing.AllocsPerRun(100, func() { at = ctx.Charge(at, 50) }); n != 0 {
+		t.Errorf("Ctx.Charge allocates %v times, want 0", n)
+	}
+	if ctx.Seq != 101 {
+		t.Errorf("Seq = %d after 101 charges", ctx.Seq)
 	}
 }

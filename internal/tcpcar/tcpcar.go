@@ -95,19 +95,19 @@ func (f *Fabric) DialAs(kind string, src, dst Endpoint, inbox carrier.Inbox) (*C
 	env, m := f.env, &f.env.Cost
 	// A Linux NIC serialises the frame at its cluster's GbE rate; msgCost is
 	// the per-message TCP overhead, paid once per path.
-	nic := func(n *hw.Node, msgCost vtime.Duration) carrier.Stage {
+	nic := func(n *hw.Node, msgCost vtime.Duration) vtime.Stage {
 		perByte := &m.FENICByte
 		if n.Cluster == hw.BackEnd {
 			perByte = &m.BeNICByte
 		}
-		return carrier.Stage{Resource: n.NIC, Label: n.Hop,
+		return vtime.Stage{Resource: n.NIC, Label: n.Hop,
 			Service: func(s int) vtime.Duration { return msgCost + byteDur(*perByte, s) }}
 	}
-	tree := func(ion *hw.IONode) carrier.Stage {
-		return carrier.Stage{Resource: ion.Tree, Label: ion.TreeHop,
+	tree := func(ion *hw.IONode) vtime.Stage {
+		return vtime.Stage{Resource: ion.Tree, Label: ion.TreeHop,
 			Service: func(s int) vtime.Duration { return byteDur(m.TreeByte, s) }}
 	}
-	var stages []carrier.Stage
+	var stages []vtime.Stage
 	switch {
 	case dst.Cluster == hw.BlueGene:
 		ion, err := env.IONodeFor(dst.Node)
@@ -120,7 +120,7 @@ func (f *Fabric) DialAs(kind string, src, dst Endpoint, inbox carrier.Inbox) (*C
 		if fromBE {
 			env.RegisterInbound(src.Node, ion.ID)
 		}
-		forwarder := carrier.Stage{Resource: ion.Forwarder, Label: ion.FwdHop, Service: func(s int) vtime.Duration {
+		forwarder := vtime.Stage{Resource: ion.Forwarder, Label: ion.FwdHop, Service: func(s int) vtime.Duration {
 			svc := byteDur(m.IOByte, s)
 			// Connection-switching penalty when the I/O node forwards
 			// several concurrent streams, charged at the expected
@@ -135,17 +135,17 @@ func (f *Fabric) DialAs(kind string, src, dst Endpoint, inbox carrier.Inbox) (*C
 			}
 			return svc
 		}}
-		stages = []carrier.Stage{nic(srcNode, m.BeMsgCost), forwarder, tree(ion)}
+		stages = []vtime.Stage{nic(srcNode, m.BeMsgCost), forwarder, tree(ion)}
 	case src.Cluster == hw.BlueGene:
 		ion, err := env.IONodeFor(src.Node)
 		if err != nil {
 			return nil, fmt.Errorf("tcpcar: %w", err)
 		}
-		forwarder := carrier.Stage{Resource: ion.Forwarder, Label: ion.FwdHop,
+		forwarder := vtime.Stage{Resource: ion.Forwarder, Label: ion.FwdHop,
 			Service: func(s int) vtime.Duration { return byteDur(m.IOByte, s) }}
-		stages = []carrier.Stage{tree(ion), forwarder, nic(dstNode, m.BeMsgCost)}
+		stages = []vtime.Stage{tree(ion), forwarder, nic(dstNode, m.BeMsgCost)}
 	default:
-		stages = []carrier.Stage{nic(srcNode, m.BeMsgCost), nic(dstNode, 0)}
+		stages = []vtime.Stage{nic(srcNode, m.BeMsgCost), nic(dstNode, 0)}
 	}
 	r := carrier.Route{Kind: kind, Src: src, Dst: dst, Stages: stages, ViaTCP: true}
 	return carrier.NewLink(r, inbox, f.inj, f.reg), nil

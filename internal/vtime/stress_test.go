@@ -73,7 +73,7 @@ func TestResourceConcurrentTxnNoOverlap(t *testing.T) {
 		workers = 8
 		chains  = 60
 	)
-	results := make([][]Grant, workers)
+	results := make([][]Request, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -85,21 +85,21 @@ func TestResourceConcurrentTxnNoOverlap(t *testing.T) {
 				for n := rng.Intn(8) + 1; n > 0; n-- {
 					txn.Reserve(Time(rng.Intn(10000)), Duration(rng.Intn(20)+1))
 				}
-				results[w] = append(results[w], append([]Grant(nil), txn.Commit()...)...)
+				results[w] = append(results[w], append([]Request(nil), txn.Commit()...)...)
 			}
 		}(w)
 	}
 	wg.Wait()
-	var all []Grant
+	var all []Request
 	for _, rs := range results {
 		all = append(all, rs...)
 	}
 	assertNoOverlap(t, all)
 }
 
-func assertNoOverlap(t *testing.T, grants []Grant) {
+func assertNoOverlap(t *testing.T, grants []Request) {
 	t.Helper()
-	sorted := append([]Grant(nil), grants...)
+	sorted := append([]Request(nil), grants...)
 	for i := 1; i < len(sorted); i++ {
 		for j := i; j > 0 && sorted[j].Start < sorted[j-1].Start; j-- {
 			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
@@ -129,7 +129,7 @@ func FuzzResourcePlacement(f *testing.F) {
 			r.SetFairSlice(slice)
 		}
 		txn := r.Txn("q")
-		var grants []Grant
+		var grants []Request
 		use := func(ready Time, svc Duration) {
 			// The prune floor at request time lower-bounds the effective
 			// ready: gaps before it are treated as solid busy time.
@@ -162,7 +162,7 @@ func FuzzResourcePlacement(f *testing.F) {
 			if e.Sub(s) < svc {
 				t.Fatalf("grant [%v,%v) spans less than service %v", s, e, svc)
 			}
-			grants = append(grants, Grant{Start: s, End: e})
+			grants = append(grants, Request{Start: s, End: e})
 		}
 		for i := 0; i < int(n)+1; i++ {
 			use(Time(rng.Intn(100000)-100), Duration(rng.Intn(300)-5))

@@ -84,8 +84,8 @@ func TestRecorderReplayReproducesSchedule(t *testing.T) {
 			start, end Time
 		}
 		var log []rec
-		r.SetRecorder(func(owner string, ready Time, service Duration, start, end Time) {
-			log = append(log, rec{owner, ready, service, start, end})
+		r.SetRecorder(func(owner string, q Request) {
+			log = append(log, rec{owner, q.Ready, q.Service, q.Start, q.End})
 		})
 
 		const workers = 6

@@ -13,16 +13,12 @@
 // Bandwidth reported by the experiment harness is payload bytes divided by
 // virtual elapsed time.
 //
-// # Owner accounting
-//
-// Every reservation is attributed to exactly one owner. UseAs charges the
-// given owner (a query id); Use and the zero-value Txn charge the reserved
-// anonymous aggregate AnonymousOwner (""). BusyTimeBy and OwnerBusy report
-// per-owner totals including the anonymous aggregate, and the sum over all
-// owners — anonymous included — always equals BusyTime. FoldOwner moves a
-// finished owner's total into the RetiredOwner aggregate, which keeps that
-// sum intact while bounding the owner table. Reset clears the accounting
-// along with the schedule.
+// Virtual time is granted through one door: Submit places a chain of
+// Requests, each keyed by (owner, stream, seq), charges every one to its
+// owner (a query id, or AnonymousOwner) and reports it to the resource's
+// recorder. UseAs and Txn are unkeyed wrappers for tests and benchmarks.
+// Per-owner totals (BusyTimeBy, OwnerBusy) always sum to BusyTime; FoldOwner
+// moves a finished owner's total into RetiredOwner to bound the owner table.
 package vtime
 
 import (
@@ -71,12 +67,8 @@ func MaxTime(a, b Time) Time {
 }
 
 // DefaultBackfillHorizon is how far behind a resource's ready high-water
-// mark reservations are kept for backfilling (see Resource). Requests from
-// concurrent RPs of one query skew by at most the engine's pacing horizon
-// (1 ms by default) plus queueing; 100 ms of virtual time is five orders of
-// magnitude of slack, so pruning never changes a granted schedule in
-// practice while keeping the busy list (and every insert's memmove) bounded
-// instead of growing with the hundreds of thousands of reservations of a
+// mark reservations are kept for backfilling (see Resource): far beyond the
+// engine's 1 ms pacing horizon, while bounding the busy list of a
 // paper-scale run.
 const DefaultBackfillHorizon = 100 * Millisecond
 
@@ -86,11 +78,12 @@ const DefaultBackfillHorizon = 100 * Millisecond
 //
 // Reservations are granted earliest-fit with backfilling: a request that
 // becomes ready at time t is placed in the earliest free gap of sufficient
-// length at or after t, even if later intervals were already granted. This
-// makes the virtual schedule (nearly) independent of the wall-clock order
-// in which concurrent goroutines happen to issue their requests — a
-// goroutine that the Go scheduler ran late must not be pushed behind work
-// that, in simulated time, came after it.
+// length at or after t, even if later intervals were already granted, so a
+// goroutine the Go scheduler ran late is not pushed behind work that came
+// after it in simulated time. Which of two requests wins a gap both fit
+// still follows the order they were submitted in: the schedule is a function
+// of arrival order, and that is where two runs of one statement first part
+// (DESIGN §11).
 //
 // Reservations older than the backfill horizon behind the ready high-water
 // mark are pruned: the pruned prefix is treated as solid busy time, so a
@@ -112,9 +105,9 @@ type Resource struct {
 	usedBy    map[string]Duration // per-owner busy time, incl. AnonymousOwner; nil until first use
 	fairSlice Duration            // 0 = whole-reservation placement (default)
 
-	// recorder, when set, observes every granted placement in commit order
+	// recorder, when set, observes every granted placement in grant order
 	// (see SetRecorder).
-	recorder func(owner string, ready Time, service Duration, start, end Time)
+	recorder func(owner string, q Request)
 }
 
 // AnonymousOwner is the reserved owner key under which reservations of no query
@@ -153,35 +146,97 @@ func (r *Resource) SetFairSlice(d Duration) {
 }
 
 // UseAs reserves the resource for service virtual nanoseconds, starting no
-// earlier than ready, and returns the granted interval [start, end). The
-// reservation is attributed to owner (a query id) in the per-owner busy
-// accounting reported by OwnerBusy; AnonymousOwner charges the anonymous
-// aggregate.
+// earlier than ready, and returns the granted interval [start, end), charged
+// to owner: the grant of one unkeyed request.
 func (r *Resource) UseAs(owner string, ready Time, service Duration) (start, end Time) {
-	if ready < 0 {
-		ready = 0
-	}
-	if service <= 0 {
-		return ready, ready
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.accountLocked(owner, service)
-	start, end = r.placeSliced(ready, service)
-	if r.recorder != nil {
-		r.recorder(owner, ready, service, start, end)
-	}
-	return start, end
+	q := [1]Request{{Resource: r, Ready: ready, Service: service}}
+	r.grant(owner, q[:], 0)
+	return q[0].Start, q[0].End
 }
 
-// accountLocked charges service to the aggregate and per-owner busy
-// accounting. r.mu must be held.
-func (r *Resource) accountLocked(owner string, service Duration) {
-	r.used += service
-	if r.usedBy == nil {
-		r.usedBy = make(map[string]Duration)
+// Stage is one serialised device on a route: a frame of s payload bytes
+// occupies Resource for Service(s). Label names the stage as a hop of traced
+// frames ("nic be:1", "iofwd io:0"; hw formats them once per environment); a
+// stage with an empty label leaves no hop.
+type Stage struct {
+	Resource *Resource
+	Service  func(bytes int) Duration
+	Label    string
+}
+
+// Request is one reservation of a chain passed to Submit. Stream and Seq key
+// it within its owner — the submitting stream and the request's position in
+// it — so a recorder can pair one request across two runs.
+type Request struct {
+	Resource *Resource // nil: granted without contention
+	Stream   string
+	Seq      uint64
+	// Ready is the earliest instant the request may start; Submit replaces it
+	// with the effective ready time.
+	Ready   Time
+	Service Duration
+	// Start and End are the grant [Start, End), filled by Submit.
+	Start, End Time
+}
+
+// Submit grants the chain reqs in order on behalf of owner: request i becomes
+// ready at max(0, reqs[i].Ready, reqs[i-1].End) and is placed earliest-fit on
+// its Resource, which charges its Service to owner. Consecutive requests on
+// one resource are granted under one lock acquisition and one owner-account
+// update. A nil Resource grants [ready, ready+Service) without contention; a
+// non-positive Service yields the empty grant [ready, ready) and is not
+// charged. Each request's effective Ready, Start and End are filled in place.
+// A long chain may be submitted in runs, each run's first Ready the End of
+// the run before.
+func Submit(owner string, reqs []Request) {
+	var prev Time
+	for i := 0; i < len(reqs); {
+		j := i + 1
+		for j < len(reqs) && reqs[j].Resource == reqs[i].Resource {
+			j++
+		}
+		prev = reqs[i].Resource.grant(owner, reqs[i:j], prev)
+		i = j
 	}
-	r.usedBy[owner] += service
+}
+
+// grant is Submit for a run of requests on r (nil: no contention), chained
+// from prev; it returns the end of the last. It is the one place a placement
+// is decided, accounted and recorded.
+func (r *Resource) grant(owner string, reqs []Request, prev Time) Time {
+	var total Duration
+	for i := range reqs {
+		total += max(reqs[i].Service, 0)
+	}
+	locked := r != nil && total > 0
+	if locked {
+		r.mu.Lock()
+		if r.usedBy == nil {
+			r.usedBy = make(map[string]Duration)
+		}
+		r.used += total
+		r.usedBy[owner] += total
+	}
+	for i := range reqs {
+		q := &reqs[i]
+		q.Ready = max(q.Ready, prev, 0)
+		q.Start, q.End = q.Ready, q.Ready
+		switch {
+		case q.Service <= 0:
+		case r == nil:
+			q.End = q.Ready.Add(q.Service)
+		default:
+			q.Start, q.End = r.placeSliced(q.Ready, q.Service)
+			if r.recorder != nil {
+				r.recorder(owner, *q)
+			}
+		}
+		prev = q.End
+	}
+	if locked {
+		r.mu.Unlock()
+	}
+	return prev
 }
 
 // placeSliced grants one reservation, chunking it per the fair slice when
@@ -212,16 +267,13 @@ func (r *Resource) placeSliced(ready Time, service Duration) (start, end Time) {
 }
 
 // SetRecorder installs fn, invoked under the resource's lock for every
-// granted reservation — serial or transactional — in commit order, with the
-// request's effective ready time (after chain ordering, before the prune
-// floor clamp), its service demand, and the granted interval. Because
-// placement is a deterministic function of the busy list and the effective
-// ready time, replaying the recorded (owner, ready, service) sequence
-// through UseAs on a fresh Resource with the same backfill horizon and fair
-// slice reproduces the identical grants; the cross-check tests use this to
-// prove the batched kernel's schedules bit-identical to the serial one.
-// A nil fn uninstalls the recorder. fn must not call back into the Resource.
-func (r *Resource) SetRecorder(fn func(owner string, ready Time, service Duration, start, end Time)) {
+// placed request in grant order, with its owner, key, effective ready time
+// (before the prune floor clamp), service and grant. Placement is a
+// deterministic function of the busy list and the effective ready time, so
+// replaying the log's (owner, Ready, Service) through UseAs on a fresh
+// Resource reproduces the grants. A nil fn uninstalls the recorder; fn must
+// not call back into the Resource.
+func (r *Resource) SetRecorder(fn func(owner string, q Request)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.recorder = fn
@@ -335,8 +387,7 @@ func (r *Resource) BusyTime() Duration {
 	return r.used
 }
 
-// BusyTimeBy reports the virtual time charged by the given owner via UseAs
-// (AnonymousOwner reports the anonymous Use aggregate).
+// BusyTimeBy reports the virtual time charged to the given owner.
 func (r *Resource) BusyTimeBy(owner string) Duration {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -344,8 +395,8 @@ func (r *Resource) BusyTimeBy(owner string) Duration {
 }
 
 // OwnerBusy returns a copy of the per-owner busy accounting: owner (query
-// id) to total virtual service time charged via UseAs. Reservations of no query
-// appear under AnonymousOwner; the values sum to BusyTime.
+// id) to total virtual service time. Reservations of no query appear under
+// AnonymousOwner; the values sum to BusyTime.
 func (r *Resource) OwnerBusy() map[string]Duration {
 	r.mu.Lock()
 	defer r.mu.Unlock()
