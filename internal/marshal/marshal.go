@@ -21,7 +21,9 @@
 // bulk copy instead of a per-element load/store loop. DecodeInto goes one
 // step further and moves a top-level array into storage the caller reuses;
 // CopyArray does the same for a sender, cutting any window of an array's
-// encoding straight into a frame.
+// encoding straight into a frame. Skip is the decoder of a consumer that
+// reads no value (count()): it checks a value as Decode would and moves
+// nothing.
 package marshal
 
 import (

@@ -1,6 +1,7 @@
 package rp
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -372,9 +373,10 @@ type ReceiverConfig struct {
 var ErrUpstreamDown = errors.New("rp: upstream producer down")
 
 // Receiver is the receiving half of a stream connection: it buffers
-// incoming frames, de-marshals (materializes) them into objects, and feeds
-// the RP's SQEP (paper §2.3, Figure 3). It implements sqep.Operator so
-// extract() and merge() appear as SQEP leaves.
+// incoming frames, de-marshals (materializes) them into objects — or, for a
+// consumer that reads no value, only checks them — and feeds the RP's SQEP
+// (paper §2.3, Figure 3). It implements sqep.Operator so extract() and
+// merge() appear as SQEP leaves.
 type Receiver struct {
 	cfg   ReceiverConfig
 	inbox carrier.Inbox
@@ -406,14 +408,17 @@ type Receiver struct {
 	// deferred is the Down or closed-inbox error that cut the current batch
 	// short; it surfaces once the frames staged before it are consumed.
 	deferred error
-	// reuse is set by a consumer that does not retain elements: top-level
-	// arrays are then materialized into arr, which the next one overwrites.
-	// arr is leased from the pool at the first array and goes back once the
+	// reuse is set by a consumer that borrows values: top-level arrays are
+	// then materialized into arr, which the next one overwrites. arr is
+	// leased from the pool at the first array and goes back once the
 	// consumer has been told the stream is over, or closes the receiver.
-	reuse     bool
-	arr       []float64
-	lastsSeen int
-	done      bool
+	// unread is set by one that reads no value: skips counts off, per
+	// producer, a value split over frames instead of reassembling it.
+	reuse, unread bool
+	skips         map[string]skipping
+	arr           []float64
+	lastsSeen     int
+	done          bool
 
 	framesIn      int64  // frames ingested: numbers the tracer's net lanes
 	demarshalLane string // the tracer's de-marshal lane, named once
@@ -457,9 +462,13 @@ type pendingFrame struct {
 // payload is the frame's payload minus its already-ingested prefix.
 func (p *pendingFrame) payload() []byte { return p.fr.Payload[p.skip:] }
 
-// ReuseValues implements sqep.ValueReuser: the consumer is done with each
-// element before it asks for the next, so arrays need not be fresh.
-func (r *Receiver) ReuseValues() { r.reuse = true }
+// UseValues implements sqep.ValueUser.
+func (r *Receiver) UseValues(u sqep.ValueUse) {
+	r.reuse, r.unread = u == sqep.Borrowed, u == sqep.Unread
+}
+
+// skipping is an unread value split over frames: have bytes came, left are to come.
+type skipping struct{ have, left int }
 
 // Next implements sqep.Operator. It blocks until an element is available or
 // the stream ends (all producers sent their Last frame).
@@ -634,10 +643,14 @@ func (r *Receiver) decodeNext() (el sqep.Element, ok bool, err error) {
 	src := p.fr.Source
 	if r.data == nil {
 		// With no partial object pending from this producer, decode straight
-		// out of the frame payload; otherwise the payload continues the
-		// reassembly buffer and can go back to the pool at once.
+		// out of the frame payload; otherwise it continues a value being
+		// skipped, or the reassembly buffer and can go back to the pool.
 		r.data = p.payload()
-		if buf := r.bufs[src]; len(buf) > 0 {
+		if s := r.skips[src]; s.left > 0 {
+			r.off = min(s.left, len(r.data))
+			r.skips[src] = skipping{s.have + r.off, s.left - r.off}
+			ok = r.off == s.left
+		} else if buf := r.bufs[src]; len(buf) > 0 {
 			r.data = appendLease(buf, p.payload())
 			if cap(r.data) != cap(buf) {
 				// buf went back to the pool: forget it before anything fails.
@@ -646,22 +659,32 @@ func (r *Receiver) decodeNext() (el sqep.Element, ok bool, err error) {
 			carrier.Recycle(&p.fr.Frame)
 		}
 	}
-	if r.off < len(r.data) {
-		var v any
+	if !ok && r.off < len(r.data) {
 		var n int
-		v, n, err = r.decode(r.data[r.off:])
+		el.Value, n, err = r.decode(r.data[r.off:])
 		switch {
 		case err == nil:
 			r.off += n
-			el, ok = sqep.Element{Value: v, At: r.reqs[r.cur].End, Src: src}, true
-			if r.off < len(r.data) {
-				return el, true, nil
-			}
+			ok = true
 		case err != marshal.ErrTruncated:
 			return sqep.Element{}, false, err
 		}
 	}
+	if ok {
+		el.At, el.Src = r.reqs[r.cur].End, src
+		if r.off < len(r.data) {
+			return el, true, nil
+		}
+	}
 	rest := r.data[r.off:]
+	if size := r.skipSize(rest); size > 0 {
+		// An unread value's missing bytes are counted off, not kept.
+		if r.skips == nil {
+			r.skips = make(map[string]skipping)
+		}
+		r.skips[src] = skipping{len(rest), size - len(rest)}
+		rest = rest[:0]
+	}
 	if len(r.bufs[src]) > 0 {
 		// data is the reassembly buffer: slide the remainder to the front so
 		// the lease is reused instead of growing every frame.
@@ -677,19 +700,27 @@ func (r *Receiver) decodeNext() (el sqep.Element, ok bool, err error) {
 	r.popStaged()
 	if last {
 		r.releaseBuf(src)
-		if len(rest) > 0 {
-			return sqep.Element{}, false, fmt.Errorf("rp: stream from %q ended with %d undecoded bytes", src, len(rest))
+		undecoded := len(rest)
+		if s := r.skips[src]; s.left > 0 {
+			undecoded = s.have
+		}
+		if undecoded > 0 {
+			return sqep.Element{}, false, fmt.Errorf("rp: stream from %q ended with %d undecoded bytes", src, undecoded)
 		}
 		r.countLast()
 	}
 	return el, ok, nil
 }
 
-// decode materializes the value at the front of buf. For a consumer that
-// allowed reuse a top-level array lands in the leased arr, which is sized by
-// arrays that are wholly here: a header alone, whatever it claims, leases
-// nothing.
+// decode materializes the value at the front of buf; for an Unread consumer
+// it only checks it (marshal.Skip). For a borrowing consumer a top-level
+// array lands in the leased arr, which is sized by arrays that are wholly
+// here: a header alone, whatever it claims, leases nothing.
 func (r *Receiver) decode(buf []byte) (any, int, error) {
+	if r.unread {
+		n, err := marshal.Skip(buf)
+		return nil, n, err
+	}
 	if !r.reuse {
 		return marshal.Decode(buf)
 	}
@@ -700,6 +731,26 @@ func (r *Receiver) decode(buf []byte) (any, int, error) {
 		}
 	}
 	return marshal.DecodeInto(buf, &r.arr)
+}
+
+// skipSize is, for an Unread consumer, the encoded size of the value cut
+// short at the front of rest when what arrived of it tells: a scalar's tag
+// does, an array's or a string's 5-byte header does. It is 0 for a bag, whose
+// elements size it, for a cut header, and for nothing at all.
+func (r *Receiver) skipSize(rest []byte) int {
+	switch {
+	case !r.unread || len(rest) == 0:
+	case rest[0] == marshal.TagInt || rest[0] == marshal.TagFloat:
+		return 9
+	case rest[0] == marshal.TagBool:
+		return 2
+	case len(rest) < 5:
+	case rest[0] == marshal.TagString:
+		return 5 + int(binary.LittleEndian.Uint32(rest[1:5]))
+	case rest[0] == marshal.TagArray:
+		return 5 + 8*int(binary.LittleEndian.Uint32(rest[1:5]))
+	}
+	return 0
 }
 
 // appendLease appends more to the leased buf. A lease too small for it is

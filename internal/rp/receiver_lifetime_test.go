@@ -4,6 +4,7 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -20,7 +21,7 @@ import (
 // it emitted (pooled payloads, Last frame included).
 func producerFrames(t testing.TB, src string, bufBytes int, arrays [][]float64) []carrier.Delivered {
 	t.Helper()
-	inbox := make(carrier.Inbox, 1024)
+	inbox := make(carrier.Inbox, 4096)
 	d, err := newSenderDriver(src, &loopConn{inbox: inbox, perByte: 1}, SenderConfig{BufBytes: bufBytes, Mode: carrier.SingleBuffered})
 	if err != nil {
 		t.Fatal(err)
@@ -192,9 +193,10 @@ func TestReceiverLifetimeRelay(t *testing.T) {
 	}
 }
 
-// TestReceiverLifetimeCountMatchesMaterializing: count() allows reuse, and
-// must see the same number of elements and the same final timestamp as a
-// count over the elements a retaining consumer pulled from the same frames.
+// TestReceiverLifetimeCountMatchesMaterializing: count() reads no value, so
+// its receiver steps over every one (split ones included), and must see the
+// same number of elements and the same final timestamp as a count over the
+// elements a retaining consumer pulled from the same frames.
 func TestReceiverLifetimeCountMatchesMaterializing(t *testing.T) {
 	count := func(in sqep.Operator) sqep.Element {
 		op := sqep.NewStreamOf(sqep.NewCount(in))
@@ -221,17 +223,107 @@ func TestReceiverLifetimeCountMatchesMaterializing(t *testing.T) {
 		if got != want {
 			t.Errorf("%s: count over the receiver = %+v, over retained elements %+v", s.name, got, want)
 		}
-		if !r.reuse {
-			t.Errorf("%s: count did not reach the receiver through streamof", s.name)
+		if !r.unread {
+			t.Errorf("%s: count's Unread did not reach the receiver through streamof", s.name)
+		}
+	}
+}
+
+// TestReceiverLifetimeSumBorrows: sum() reads every value, so it borrows
+// them, and folds exactly what a retaining consumer sees, scalars split over
+// frames included.
+func TestReceiverLifetimeSumBorrows(t *testing.T) {
+	frames := func() carrier.Inbox {
+		inbox := make(carrier.Inbox, 64)
+		d, err := newSenderDriver("a", &loopConn{inbox: inbox, perByte: 1}, SenderConfig{BufBytes: 4, Mode: carrier.SingleBuffered})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range []any{int64(3), 0.5, int64(-7), 2.25} {
+			if err := d.push(sqep.Element{Value: v, At: vtime.Time(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := d.finish(); err != nil {
+			t.Fatal(err)
+		}
+		return inbox
+	}
+	sum := func(in sqep.Operator) sqep.Element {
+		op := sqep.NewStreamOf(sqep.NewSum(in))
+		if err := op.Open(&sqep.Ctx{}); err != nil {
+			t.Fatal(err)
+		}
+		els, err := sqep.Drain(op)
+		if err != nil || len(els) != 1 {
+			t.Fatalf("sum: %v, %v", els, err)
+		}
+		return els[0]
+	}
+	kept, err := sqep.Drain(NewReceiver(frames(), ReceiverConfig{Producers: 1, TCPPerByte: 0.5}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewReceiver(frames(), ReceiverConfig{Producers: 1, TCPPerByte: 0.5})
+	if got, want := sum(r), sum(&sqep.Slice{Elements: kept}); got != want || got.Value != -1.25 {
+		t.Errorf("sum over the receiver = %+v, over retained elements %+v, want -1.25", got, want)
+	}
+	if !r.reuse || r.unread {
+		t.Errorf("sum's receiver: reuse=%t unread=%t, want it to borrow values", r.reuse, r.unread)
+	}
+}
+
+// TestReceiverUnreadShortStreamFails: a Last frame that leaves a value
+// incomplete ends the stream with the materializing path's complaint, and
+// the same count of undecoded bytes, whether the unread receiver was
+// counting the value off (array, string, scalar), reassembling it (a bag), or
+// reassembling a cut header until it could count.
+func TestReceiverUnreadShortStreamFails(t *testing.T) {
+	enc := func(v any) []byte {
+		b, err := marshal.Append(nil, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	for _, tc := range []struct {
+		name   string
+		frames [][]byte // the last one is Last
+	}{
+		{"array cut in its third frame", [][]byte{enc(int64(1)), enc([]float64{1, 2, 3, 4})[:12], enc([]float64{1, 2, 3, 4})[12:30]}},
+		{"array header cut, then the array", [][]byte{enc([]float64{1, 2, 3})[:3], enc([]float64{1, 2, 3})[3:20]}},
+		{"string cut", [][]byte{enc("abcdefgh")[:6], {}}},
+		{"scalar cut after its tag", [][]byte{enc(2.5)[:1], enc(2.5)[1:4]}},
+		{"bag cut", [][]byte{enc([]any{int64(1), "x"})[:9], enc([]any{int64(1), "x"})[9:15]}},
+	} {
+		run := func(use sqep.ValueUse) (int, error) {
+			inbox := make(carrier.Inbox, len(tc.frames))
+			var off uint64
+			for i, p := range tc.frames {
+				inbox <- carrier.Delivered{Frame: carrier.Frame{Source: "p", Payload: p, Offset: off, Last: i == len(tc.frames)-1}}
+				off += uint64(len(p))
+			}
+			r := NewReceiver(inbox, ReceiverConfig{Producers: 1, TrackOffsets: true})
+			r.UseValues(use)
+			els, err := sqep.Drain(r)
+			return len(els), err
+		}
+		n, err := run(sqep.Owned)
+		un, uerr := run(sqep.Unread)
+		if err == nil || !strings.Contains(err.Error(), "undecoded bytes") {
+			t.Fatalf("%s: materializing receiver: %v, want an undecoded-bytes error", tc.name, err)
+		}
+		if uerr == nil || uerr.Error() != err.Error() || un != n {
+			t.Errorf("%s: unread receiver: %d elements, %v; materializing %d, %v", tc.name, un, uerr, n, err)
 		}
 	}
 }
 
 // TestReceiverLifetimeCountAllocates: on a warm pool count(extract) allocates
-// nothing array-sized — under 1 kB per frame — whether each 300 kB array
-// arrives whole or cut into 1 000 B buffers: the array it decodes into and
-// the buffer it reassembles in are leased, and a finished stream gave them
-// back.
+// 0 B per frame — a stream of twice the arrays costs what the short one does,
+// its batch — whether each 300 kB array arrives whole or cut into 1 000 B
+// buffers: it steps over every array, and over the split ones by counting
+// their bytes off, so it leases no array and no reassembly buffer.
 func TestReceiverLifetimeCountAllocates(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -240,19 +332,20 @@ func TestReceiverLifetimeCountAllocates(t *testing.T) {
 	shapes := []struct {
 		name   string
 		arrays int
-		inbox  func() carrier.Inbox
+		inbox  func(arrays int) carrier.Inbox
 	}{
-		{"one array per frame", 40, func() carrier.Inbox { return countInbox(t, 40, floats) }},
-		{"arrays split over 300 frames", 3, func() carrier.Inbox {
+		{"one array per frame", 40, func(arrays int) carrier.Inbox { return countInbox(t, arrays, floats) }},
+		{"arrays split over 300 frames", 3, func(arrays int) carrier.Inbox {
 			arr := goldenArray(floats, 1)
-			return inboxOf(producerFrames(t, "p", 1000, [][]float64{arr, arr, arr}))
+			return inboxOf(producerFrames(t, "p", 1000, slices.Repeat([][]float64{arr}, arrays)))
 		}},
 	}
 	for _, s := range shapes {
-		for _, pool := range []string{"cold", "warm"} {
-			inbox := s.inbox()
-			frames := uint64(len(inbox))
-			c := sqep.NewCount(NewReceiver(inbox, ReceiverConfig{Producers: 1, BatchFrames: 16}))
+		count := func(arrays int) (allocated, frames uint64) {
+			inbox := s.inbox(arrays)
+			frames = uint64(len(inbox))
+			r := NewReceiver(inbox, ReceiverConfig{Producers: 1, BatchFrames: 16})
+			c := sqep.NewCount(r)
 			if err := c.Open(&sqep.Ctx{}); err != nil {
 				t.Fatal(err)
 			}
@@ -260,13 +353,19 @@ func TestReceiverLifetimeCountAllocates(t *testing.T) {
 			runtime.ReadMemStats(&before)
 			el, _, err := c.Next()
 			runtime.ReadMemStats(&after)
-			if err != nil || el.Value != int64(s.arrays) {
+			if err != nil || el.Value != int64(arrays) {
 				t.Fatalf("%s: count = %v, %v", s.name, el.Value, err)
 			}
-			allocated := after.TotalAlloc - before.TotalAlloc
-			if limit := 1024 * frames; pool == "warm" && allocated > limit {
-				t.Errorf("%s: count over %d frames allocated %d B on a warm pool, want ≤ %d (no array, 1 kB per frame)", s.name, frames, allocated, limit)
+			if r.arr != nil || r.bufs != nil {
+				t.Errorf("%s: leased an array of %d floats, reassembly buffers %v; want neither", s.name, cap(r.arr), r.bufs)
 			}
+			return after.TotalAlloc - before.TotalAlloc, frames
+		}
+		count(s.arrays) // warms the pool
+		short, shortFrames := count(s.arrays)
+		long, longFrames := count(2 * s.arrays)
+		if perFrame := (long - min(short, long)) / (longFrames - shortFrames); perFrame != 0 {
+			t.Errorf("%s: count allocated %d B over %d frames, %d B over %d: %d B per frame, want 0", s.name, short, shortFrames, long, longFrames, perFrame)
 		}
 	}
 }
@@ -390,7 +489,7 @@ func TestReceiverRecycleExactlyOnce(t *testing.T) {
 			}
 			stop := make(chan struct{})
 			r := NewReceiver(inbox, ReceiverConfig{Producers: 1, TrackOffsets: true, BatchFrames: batch, Stop: stop})
-			r.ReuseValues()
+			r.UseValues(sqep.Borrowed)
 			var got []int64
 			var err error
 			reassembled := false
@@ -458,24 +557,26 @@ func TestReceiverRecycleExactlyOnce(t *testing.T) {
 }
 
 // TestReceiverHeaderBombAllocatesLittle: an array header may claim 2³²−1
-// elements, but storage follows the bytes that arrived. The stream ends 100
-// bytes later, and with the ordinary complaint.
+// elements, but storage follows the bytes that arrived — and an Unread
+// receiver, which only counts them off, leases no array and no buffer at all.
+// The stream ends 100 bytes later, and with the ordinary complaint.
 func TestReceiverHeaderBombAllocatesLittle(t *testing.T) {
 	payload := append([]byte{marshal.TagArray, 0xff, 0xff, 0xff, 0xff}, make([]byte, 100)...)
-	for _, reuse := range []bool{false, true} {
+	for _, use := range []sqep.ValueUse{sqep.Owned, sqep.Borrowed, sqep.Unread} {
 		r := NewReceiver(inboxOf([]carrier.Delivered{{Frame: carrier.Frame{Source: "p", Payload: payload, Last: true}}}), ReceiverConfig{Producers: 1})
-		if reuse {
-			r.ReuseValues()
-		}
+		r.UseValues(use)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		_, ok, err := r.Next()
 		runtime.ReadMemStats(&after)
 		if want := `rp: stream from "p" ended with 105 undecoded bytes`; ok || err == nil || err.Error() != want {
-			t.Fatalf("reuse=%t: Next = %t, %v, want %q", reuse, ok, err, want)
+			t.Fatalf("use=%d: Next = %t, %v, want %q", use, ok, err, want)
 		}
 		if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
-			t.Errorf("reuse=%t: a 105-byte stream allocated %d B, want < 64 kB", reuse, got)
+			t.Errorf("use=%d: a 105-byte stream allocated %d B, want < 64 kB", use, got)
+		}
+		if use == sqep.Unread && (r.arr != nil || r.bufs != nil) {
+			t.Errorf("unread: leased an array of %d floats, reassembly buffers %v", cap(r.arr), r.bufs)
 		}
 		if err := r.Close(); err != nil {
 			t.Fatal(err)
@@ -514,23 +615,47 @@ func (discardConn) Send(f carrier.Frame) (vtime.Time, error) {
 func (discardConn) Close() error { return nil }
 
 // BenchmarkReceiverCount counts a stream of 40 one-array 300 kB frames, the
-// receiving half of every bandwidth query of the paper.
+// receiving half of every bandwidth query of the paper over TCP, and one
+// 300 kB array cut into 1 000 B frames, the same over MPI.
 func BenchmarkReceiverCount(b *testing.B) {
-	const frames = 40
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		inbox := countInbox(b, frames, 37500)
-		c := sqep.NewCount(NewReceiver(inbox, ReceiverConfig{Producers: 1, TCPPerByte: 0.5, BatchFrames: 16}))
-		if err := c.Open(&sqep.Ctx{}); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		el, _, err := c.Next()
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchSink = el.Value
+	payload, err := marshal.Append(nil, goldenArray(37500, 1))
+	if err != nil {
+		b.Fatal(err)
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*frames), "ns/frame")
+	for _, s := range []struct {
+		name  string
+		inbox func() carrier.Inbox
+	}{
+		{"whole", func() carrier.Inbox { return countInbox(b, 40, 37500) }},
+		{"split", func() carrier.Inbox {
+			// Unpooled payloads, so the same frames can be delivered again.
+			inbox := make(carrier.Inbox, len(payload)/1000+1)
+			for off := 0; off < len(payload); off += 1000 {
+				end := min(off+1000, len(payload))
+				inbox <- carrier.Delivered{Frame: carrier.Frame{Source: "p", Payload: payload[off:end], Offset: uint64(off), Last: end == len(payload)}}
+			}
+			return inbox
+		}},
+	} {
+		b.Run(s.name, func(b *testing.B) {
+			frames := 0
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				inbox := s.inbox()
+				frames += len(inbox)
+				c := sqep.NewCount(NewReceiver(inbox, ReceiverConfig{Producers: 1, TCPPerByte: 0.5, BatchFrames: 16}))
+				if err := c.Open(&sqep.Ctx{}); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				el, _, err := c.Next()
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink = el.Value
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(frames), "ns/frame")
+		})
+	}
 }

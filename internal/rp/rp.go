@@ -266,7 +266,7 @@ func (r *RP) run() {
 	}
 	// Every subscriber's push marshals — copies — the element before the
 	// next one is pulled, so the plan's root may reuse value storage.
-	sqep.AllowReuse(plan)
+	sqep.UseValues(plan, sqep.Borrowed)
 	if err := plan.Open(&r.ctx); err != nil {
 		r.setErr(err)
 		r.terminateSubs()

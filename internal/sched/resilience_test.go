@@ -2,6 +2,7 @@ package sched
 
 import (
 	"errors"
+	"sync"
 	"testing"
 
 	"scsq/internal/chaos"
@@ -284,16 +285,44 @@ func TestLoadSheddingEvictsLowestPriority(t *testing.T) {
 	}
 }
 
+// gatedGen is gen_array whose first element waits for ch: a hog built on it
+// reports no progress until the test has queued what that progress must
+// expire.
+type gatedGen struct {
+	*sqep.GenArray
+	ch <-chan struct{}
+}
+
+func (g *gatedGen) Next() (sqep.Element, bool, error) {
+	if g.ch != nil {
+		<-g.ch
+		g.ch = nil
+	}
+	return g.GenArray.Next()
+}
+
 // TestDeadlinesDrivenByEngineProgress is the clock-source determinism check:
 // a queued session's deadline expires purely from the running hog's progress
 // — the test never calls ObserveVTime and no policy decision reads the wall
-// clock — and two identical runs produce the identical terminal tally.
+// clock — and two identical runs produce the identical terminal tally. The
+// hog is Figure 5 (200 arrays) held at its first element until b is queued:
+// b's deadline is then 200 µs of the hog's progress however far the hog
+// would otherwise have run before b's Submit.
 func TestDeadlinesDrivenByEngineProgress(t *testing.T) {
 	run := func() (hogState, bState State, bErr error) {
-		e := tinyEngine(t)
+		ch := make(chan struct{})
+		e := tinyEngine(t, core.WithSource("gen", func(*sqep.Ctx) sqep.Operator {
+			return &gatedGen{GenArray: sqep.NewGenArray(30_000, 200), ch: ch}
+		}))
 		s := New(e, nil)
 		defer s.Close()
-		hog, err := s.Submit(scsql.Figure5Query(30_000, 200))
+		release := sync.OnceFunc(func() { close(ch) })
+		defer release()
+		hog, err := s.Submit(`
+select extract(b)
+from sp a, sp b
+where b=sp(streamof(count(extract(a))), 'bg', 0)
+and   a=sp(receiver('gen'), 'bg', 1);`)
 		if err != nil {
 			t.Fatalf("submit hog: %v", err)
 		}
@@ -301,6 +330,7 @@ func TestDeadlinesDrivenByEngineProgress(t *testing.T) {
 		if err != nil {
 			t.Fatalf("submit b: %v", err)
 		}
+		release()
 		if _, err := hog.Wait(); err != nil {
 			t.Fatalf("hog: %v", err)
 		}

@@ -26,7 +26,7 @@ func NewCount(input Operator) *Count { return &Count{Input: input} }
 func (c *Count) Open(ctx *Ctx) error {
 	c.ctx = ctx
 	c.done = false
-	AllowReuse(c.Input) // an element is folded and forgotten
+	UseValues(c.Input, Unread) // an element is counted, its value never read
 	return c.Input.Open(ctx)
 }
 
@@ -75,7 +75,7 @@ func NewSum(input Operator) *Sum { return &Sum{Input: input} }
 func (s *Sum) Open(ctx *Ctx) error {
 	s.ctx = ctx
 	s.done = false
-	AllowReuse(s.Input) // an element is folded and forgotten
+	UseValues(s.Input, Borrowed) // an element is folded and forgotten
 	return s.Input.Open(ctx)
 }
 
@@ -144,8 +144,9 @@ func NewStreamOf(input Operator) *StreamOf { return &StreamOf{Input: input} }
 // Open implements Operator.
 func (s *StreamOf) Open(ctx *Ctx) error { return s.Input.Open(ctx) }
 
-// ReuseValues implements ValueReuser: the identity retains nothing itself.
-func (s *StreamOf) ReuseValues() { AllowReuse(s.Input) }
+// UseValues implements ValueUser: the identity uses values as its consumer
+// does.
+func (s *StreamOf) UseValues(u ValueUse) { UseValues(s.Input, u) }
 
 // Next implements Operator.
 func (s *StreamOf) Next() (Element, bool, error) { return s.Input.Next() }

@@ -38,20 +38,27 @@ type Operator interface {
 	Close() error
 }
 
-// ValueReuser is implemented by operators that can reuse an element's
-// storage when told their consumer does not retain it: after ReuseValues,
-// the Value of an element returned by Next is valid only until the following
-// Next. A consumer that keeps elements — or does not know — never calls it
-// and gets values that are its own.
-type ValueReuser interface {
-	ReuseValues()
+// ValueUse is how much of an element's Value a consumer reads; each level
+// lets the producing operator do less work than the one before.
+type ValueUse int
+
+const (
+	Owned    ValueUse = iota // the consumer keeps values (the default)
+	Borrowed                 // a Value is valid only until the following Next
+	Unread                   // the consumer reads At and Src only; Value may be nil
+)
+
+// ValueUser is implemented by operators that can save work when told how
+// their consumer uses values.
+type ValueUser interface {
+	UseValues(u ValueUse)
 }
 
-// AllowReuse tells op, if it is a ValueReuser, that its consumer is done
-// with each element's Value before it pulls the next one.
-func AllowReuse(op Operator) {
-	if r, ok := op.(ValueReuser); ok {
-		r.ReuseValues()
+// UseValues tells op, if it is a ValueUser, how its consumer uses each
+// element's Value. A consumer says it before it opens op.
+func UseValues(op Operator, u ValueUse) {
+	if v, ok := op.(ValueUser); ok {
+		v.UseValues(u)
 	}
 }
 
