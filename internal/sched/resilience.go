@@ -16,6 +16,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 
 	"scsq/internal/core"
 	"scsq/internal/vtime"
@@ -80,6 +81,7 @@ func (s *Scheduler) sweep() {
 			keep = append(keep, q)
 		}
 	}
+	clear(s.pending[len(keep):])
 	s.pending = keep
 	s.gQueued.Set(int64(len(s.pending)))
 	// Parked sessions: the queue deadline keeps running while parked (a
@@ -97,12 +99,17 @@ func (s *Scheduler) sweep() {
 			keepParked = append(keepParked, q)
 		}
 	}
+	clear(s.parked[len(keepParked):])
 	s.parked = keepParked
 	s.gParked.Set(int64(len(s.parked)))
 	// Running sessions: flag the expiry exactly once under q.mu; the
 	// teardown itself happens outside the locks because Cancel resolves
 	// stream waiters synchronously.
-	for _, q := range s.order {
+	for _, en := range s.order {
+		q := en.q
+		if q == nil {
+			continue
+		}
 		q.mu.Lock()
 		if (q.state == Admitted || q.state == Running) &&
 			q.runDeadline > 0 && vnow >= q.runDeadline && !q.expireReq {
@@ -161,12 +168,10 @@ func (s *Scheduler) parkForRetry(q *Query) bool {
 
 // unparkLocked removes q from the parked list if present. s.mu held.
 func (s *Scheduler) unparkLocked(q *Query) bool {
-	for i, p := range s.parked {
-		if p == q {
-			s.parked = append(s.parked[:i], s.parked[i+1:]...)
-			s.gParked.Set(int64(len(s.parked)))
-			return true
-		}
+	if i := slices.Index(s.parked, q); i >= 0 {
+		s.parked = slices.Delete(s.parked, i, i+1)
+		s.gParked.Set(int64(len(s.parked)))
+		return true
 	}
 	return false
 }

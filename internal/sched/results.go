@@ -6,7 +6,9 @@ package sched
 // readers consume the log concurrently with the drain. This is what the
 // network serving layer streams result frames from — a row leaves the
 // server as soon as the simulation produces it, not when the session
-// reaches a terminal state. Wait() reads the same log to the end.
+// reaches a terminal state. Wait() reads the same log to the end. The log
+// hangs off the Query alone: the session table keeps a finished session's
+// row, not the session, so the log goes with the last handle to it.
 //
 // The log is a singly linked list of segments. An element is written once,
 // into the tail segment, and never moved: a full tail gets a successor of

@@ -21,12 +21,14 @@
 // no node and are not admitted at all: Submit runs them at once, so the system
 // stays readable when it is congested, and they leave the table as they end.
 //
-// Bounded history: the session table holds the live sessions plus the last
-// finishedWindow finished ones. A finished session keeps only its terminal
-// row, error, makespan and result log — the SP graph goes at finalization
-// — and when it leaves the window its engine scope is retired
-// (core.Query.Retire). A handle the caller still holds keeps working; the id
-// stops resolving.
+// Bounded history: the session table holds the live sessions plus the rows
+// of the last finishedWindow finished ones. Finalization swaps a session's
+// line in the table for its terminal row (id, state, priority, statement,
+// waits, retries): the table keeps no *Query of a finished session, so its
+// result log, error and makespan live exactly as long as a handle to it —
+// the submitter's, a serving pump's — and no longer. When a row leaves the
+// window its engine scope is retired (core.Query.Retire) and the id stops
+// resolving.
 package sched
 
 import (
@@ -104,8 +106,8 @@ var (
 	// ErrUnknownQuery is returned for ids the session table does not hold:
 	// never created, or finished long enough ago to have left the window.
 	ErrUnknownQuery = errors.New("sched: unknown query")
-	// ErrQueryFinished is returned by Cancel on a session already in a final
-	// state.
+	// ErrQueryFinished is returned by Cancel and Get for a session already in
+	// a final state whose row the table still holds.
 	ErrQueryFinished = errors.New("sched: query already finished")
 	// ErrClosed is returned by Submit after Close.
 	ErrClosed = errors.New("sched: scheduler closed")
@@ -244,10 +246,19 @@ func WithRunTTL(d vtime.Duration) SubmitOption {
 	return func(c *submitCfg) { c.runTTL = d }
 }
 
-// finishedWindow is how many finished sessions the session table keeps, in
-// finalization order, for ps(), sys_sessions and monitor('@qid'); the oldest
-// leaves as the next one finishes.
+// finishedWindow is how many finished sessions the session table keeps rows
+// of, in finalization order, for ps(), sys_sessions and monitor('@qid'); the
+// oldest leaves as the next one finishes.
 const finishedWindow = 256
+
+// entry is one session's line in the session table. While the session is
+// live the line reaches it; finalize swaps that for the session's terminal
+// row, so the table holds nothing of what a finished session returned.
+type entry struct {
+	q   *Query      // the live session; nil once finished
+	row Info        // the finished session's row (Nodes is read at List)
+	cq  *core.Query // the session's engine scope, retired when the line leaves the window
+}
 
 // Scheduler multiplexes SCSQL query sessions onto one engine.
 type Scheduler struct {
@@ -276,9 +287,9 @@ type Scheduler struct {
 	mu       sync.Mutex
 	closed   bool
 	seq      int
-	queries  map[string]*Query // live sessions and the finished window, by id
-	order    []*Query          // the same sessions in submission order, for List
-	finished []*Query          // the finished window, oldest first
+	table    map[string]*entry // live sessions and the finished window, by id
+	order    []*entry          // the same lines in submission order, for List
+	finished []*entry          // the finished window, oldest first
 	pending  []*Query          // admission queue: priority desc, then submission asc
 	parked   []*Query          // transient-unsatisfiable sessions waiting out a backoff
 	running  int
@@ -307,7 +318,7 @@ func New(eng *core.Engine, cat *scsql.Catalog, opts ...Option) *Scheduler {
 		eng:      eng,
 		ev:       scsql.NewEvaluator(eng, cat),
 		queueCap: 64,
-		queries:  make(map[string]*Query),
+		table:    make(map[string]*entry),
 		alarms:   vtime.NewAlarms(),
 	}
 	for _, o := range opts {
@@ -540,8 +551,9 @@ func (s *Scheduler) Submit(src string, opts ...SubmitOption) (*Query, error) {
 	}
 	s.seq++
 	q.seq = s.seq
-	s.queries[q.id] = q
-	s.order = append(s.order, q)
+	en := &entry{q: q, cq: cq}
+	s.table[q.id] = en
+	s.order = append(s.order, en)
 	s.live++
 	if direct {
 		s.mu.Unlock()
@@ -610,13 +622,13 @@ func (s *Scheduler) enqueueLocked(q *Query) {
 }
 
 // unqueueLocked removes q from the admission queue if present. s.mu held.
+// Like every removal from the queue and the parked list, it zeroes the slot
+// it vacates: a backing array must not keep a finished session reachable.
 func (s *Scheduler) unqueueLocked(q *Query) bool {
-	for i, p := range s.pending {
-		if p == q {
-			s.pending = append(s.pending[:i], s.pending[i+1:]...)
-			s.gQueued.Set(int64(len(s.pending)))
-			return true
-		}
+	if i := slices.Index(s.pending, q); i >= 0 {
+		s.pending = slices.Delete(s.pending, i, i+1)
+		s.gQueued.Set(int64(len(s.pending)))
+		return true
 	}
 	return false
 }
@@ -644,7 +656,7 @@ func (s *Scheduler) admit() {
 		// claimed (sets cancelReq and leaves finalization to this loop) —
 		// never both, so each session is finalized exactly once.
 		q := s.pending[0]
-		s.pending = s.pending[1:]
+		s.pending = slices.Delete(s.pending, 0, 1)
 		s.gQueued.Set(int64(len(s.pending)))
 		idle := s.running == 0
 		s.mu.Unlock()
@@ -761,35 +773,39 @@ func (s *Scheduler) finishQueued(q *Query, st State, err error, c *metrics.Count
 }
 
 // finalize publishes q's terminal state — exactly once per session, by
-// whoever holds its claim — and moves it from the live sessions into the
-// finished window. The session lets go of its statement and stream (the whole
-// SP graph); what a held handle can still ask for (state, error, makespan,
-// results) stays. The session that thereby leaves the window — a reader, at
-// once — is forgotten by id here, and its engine scope retired.
+// whoever holds its claim — and moves its line from the live sessions into
+// the finished window as a row. The session lets go of its statement and
+// stream (the whole SP graph), and the table lets go of the session: what a
+// held handle can still ask for (state, error, makespan, results) lives with
+// the handle. The line that thereby leaves the window — a reader's, at once
+// — is forgotten by id here, and its engine scope retired.
 func (s *Scheduler) finalize(q *Query, st State, err error) {
 	q.mu.Lock()
 	q.state = st
 	q.err = err
 	q.stmt, q.stream = nil, nil
+	row := q.rowLocked(0)
 	q.mu.Unlock()
 
-	var evicted *Query
+	var evicted *entry
 	s.mu.Lock()
 	s.live--
+	en := s.table[q.id]
+	en.q, en.row = nil, row
 	if q.reader {
 		// A reader takes no place in the window — polling the catalog must
 		// not push the sessions it asks about out of it.
-		evicted = q
-	} else if s.finished = append(s.finished, q); len(s.finished) > finishedWindow {
+		evicted = en
+	} else if s.finished = append(s.finished, en); len(s.finished) > finishedWindow {
 		evicted = s.finished[0]
 		// slices.Delete zeroes the vacated slot, so neither array pins the
-		// evicted session.
+		// evicted line.
 		s.finished = slices.Delete(s.finished, 0, 1)
 	}
 	if evicted != nil {
 		i := slices.Index(s.order, evicted)
 		s.order = slices.Delete(s.order, i, i+1)
-		delete(s.queries, evicted.id)
+		delete(s.table, evicted.row.ID)
 	}
 	s.mu.Unlock()
 	if evicted != nil {
@@ -868,10 +884,16 @@ func (s *Scheduler) Cancel(id string) error {
 	// loop's claim-and-build (which re-checks cancelReq under the same pair
 	// before re-inserting a blocked head).
 	s.mu.Lock()
-	q := s.queries[id]
-	if q == nil {
+	en := s.table[id]
+	if en == nil {
 		s.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrUnknownQuery, id)
+	}
+	q := en.q
+	if q == nil {
+		st := en.row.State
+		s.mu.Unlock()
+		return fmt.Errorf("%w: %s is %s", ErrQueryFinished, id, st)
 	}
 	q.mu.Lock()
 	st := q.state
@@ -901,14 +923,21 @@ func (s *Scheduler) Cancel(id string) error {
 	}
 }
 
-// Get returns the session with the given id.
+// Get returns the live session with the given id. A finished session is a
+// row of List, and its handle is only what its submitter kept: Get says
+// ErrQueryFinished for it while the row is in the window, ErrUnknownQuery
+// after.
 func (s *Scheduler) Get(id string) (*Query, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if q := s.queries[id]; q != nil {
-		return q, nil
+	en := s.table[id]
+	switch {
+	case en == nil:
+		return nil, fmt.Errorf("%w: %q", ErrUnknownQuery, id)
+	case en.q == nil:
+		return nil, fmt.Errorf("%w: %s is %s", ErrQueryFinished, id, en.row.State)
 	}
-	return nil, fmt.Errorf("%w: %q", ErrUnknownQuery, id)
+	return en.q, nil
 }
 
 // Info is one row of the session table.
@@ -930,36 +959,47 @@ type Info struct {
 	Retries int
 }
 
+// rowLocked is q's row of the session table at virtual instant vnow, Nodes
+// left to the reader. q.mu held.
+func (q *Query) rowLocked(vnow vtime.Time) Info {
+	in := Info{
+		ID:            q.id,
+		State:         q.state,
+		Priority:      q.prio,
+		Statement:     q.src,
+		AdmissionWait: q.admitWait,
+		Retries:       q.retries,
+	}
+	switch q.state {
+	case Queued:
+		in.Deadline = q.queueDeadline
+	case Admitted, Running:
+		in.Deadline = q.runDeadline
+	}
+	if !q.state.Final() && vnow > q.enterV {
+		in.Age = vnow.Sub(q.enterV)
+	}
+	return in
+}
+
 // List returns the live sessions and the finished window, in submission
 // order.
 func (s *Scheduler) List() []Info {
 	vnow := s.alarms.Now()
 	s.mu.Lock()
-	qs := append([]*Query(nil), s.order...)
+	out := make([]Info, 0, len(s.order))
+	for _, en := range s.order {
+		if q := en.q; q != nil {
+			q.mu.Lock()
+			out = append(out, q.rowLocked(vnow))
+			q.mu.Unlock()
+		} else {
+			out = append(out, en.row)
+		}
+	}
 	s.mu.Unlock()
-	out := make([]Info, 0, len(qs))
-	for _, q := range qs {
-		q.mu.Lock()
-		in := Info{
-			ID:            q.id,
-			State:         q.state,
-			Priority:      q.prio,
-			Statement:     q.src,
-			AdmissionWait: q.admitWait,
-			Retries:       q.retries,
-		}
-		switch q.state {
-		case Queued:
-			in.Deadline = q.queueDeadline
-		case Admitted, Running:
-			in.Deadline = q.runDeadline
-		}
-		if !q.state.Final() && vnow > q.enterV {
-			in.Age = vnow.Sub(q.enterV)
-		}
-		q.mu.Unlock()
-		in.Nodes = s.eng.LeaseCount(in.ID)
-		out = append(out, in)
+	for i := range out {
+		out[i].Nodes = s.eng.LeaseCount(out[i].ID)
 	}
 	return out
 }
@@ -985,7 +1025,12 @@ func (s *Scheduler) Close() error {
 		return nil
 	}
 	s.closed = true
-	qs := append([]*Query(nil), s.order...)
+	qs := make([]*Query, 0, s.live)
+	for _, en := range s.order {
+		if en.q != nil {
+			qs = append(qs, en.q)
+		}
+	}
 	s.mu.Unlock()
 	for _, q := range qs {
 		if !q.State().Final() {

@@ -19,8 +19,9 @@ const trivial = `select i from integer i where i in iota(1,3);`
 
 // TestFinishedWindowEvicts submits more sessions than the finished window
 // holds and pins what eviction means: the table is the live sessions plus
-// the last finishedWindow finished ones in submission order, an evicted id
-// no longer resolves (Get and Cancel say ErrUnknownQuery), a held handle of
+// the rows of the last finishedWindow finished ones in submission order, a
+// row in the window is finished (Get and Cancel say ErrQueryFinished), an
+// evicted id no longer resolves (they say ErrUnknownQuery), a held handle of
 // an evicted session still delivers its results, and a live
 // streamof(sys_sessions()) subscriber survives the evictions — a live-delta
 // stream reports a removal by the row's absence from its next poll.
@@ -77,8 +78,12 @@ func TestFinishedWindowEvicts(t *testing.T) {
 	if err := first.Cancel(); !errors.Is(err, ErrUnknownQuery) {
 		t.Errorf("evicted handle's Cancel = %v, want ErrUnknownQuery", err)
 	}
-	if got, err := s.Get(window[0].ID()); err != nil || got != window[0] {
-		t.Errorf("Get(oldest in window) = %v, %v", got, err)
+	// A finished session in the window is a row: its handle is the caller's.
+	if _, err := s.Get(window[0].ID()); !errors.Is(err, ErrQueryFinished) {
+		t.Errorf("Get(oldest in window) = %v, want ErrQueryFinished", err)
+	}
+	if err := window[0].Cancel(); !errors.Is(err, ErrQueryFinished) {
+		t.Errorf("Cancel(oldest in window) = %v, want ErrQueryFinished", err)
 	}
 
 	// The held handle of the evicted session still answers.
@@ -212,6 +217,46 @@ func TestServedEngineStaysBounded(t *testing.T) {
 		if sum != r.BusyTime() {
 			t.Errorf("%s: owners sum to %v, busy %v", r.Name(), sum, r.BusyTime())
 		}
+	}
+}
+
+// TestFinishedSessionPinsNoResults: the session table keeps a finished
+// session's row, not its results. Once nobody holds the session's handle its
+// result log is garbage, while its row stays in the window. The probe is a
+// finalizer on the log's first segment.
+func TestFinishedSessionPinsNoResults(t *testing.T) {
+	e := newTestEngine(t)
+	s := New(e, nil)
+	defer s.Close()
+	collected := make(chan struct{})
+	id := func() string {
+		q, err := s.Submit(`select i from integer i where i in iota(1,2000);`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-q.Done()
+		head := q.results().head.els
+		if len(head) == 0 {
+			t.Fatal("the session logged no rows")
+		}
+		runtime.SetFinalizer(&head[0], func(*sqep.Element) { close(collected) })
+		return q.ID()
+	}()
+	for i := 0; ; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+		case <-time.After(10 * time.Millisecond):
+			if i < 500 {
+				continue
+			}
+			t.Fatal("the session table keeps a finished session's result log")
+		}
+		break
+	}
+	infos := s.List()
+	if len(infos) != 1 || infos[0].ID != id || infos[0].State != Done {
+		t.Fatalf("List = %+v, want the finished session's row", infos)
 	}
 }
 

@@ -55,21 +55,45 @@ const (
 	// maxPooledChunk keeps a buffer grown by one large row (a 300 kB array)
 	// out of the pool, where it would be pinned behind 40-byte frames.
 	maxPooledChunk = 64 << 10
+	// maxFreeChunks bounds the pool: at most 4 MiB of buffers kept.
+	maxFreeChunks = 64
 )
 
 // chunkPool recycles chunks across all connections. New chunks start with
 // no buffer and grow by append, so a connection that only ever sends a few
-// small frames never pays for a chunkFlush-sized one.
-var chunkPool = sync.Pool{New: func() any { return new(chunk) }}
+// small frames never pays for a chunkFlush-sized one. It is a bounded free
+// list, not a sync.Pool: a sync.Pool is emptied every other collection, and
+// a server whose finished sessions leave nothing behind keeps a small heap
+// and collects often — regrowing its chunks by append after each collection
+// measured +3 % of the bytes allocated per 2 000-row session.
+var chunkPool struct {
+	mu   sync.Mutex
+	free []*chunk
+}
 
-func getChunk() *chunk { return chunkPool.Get().(*chunk) }
+func getChunk() *chunk {
+	chunkPool.mu.Lock()
+	defer chunkPool.mu.Unlock()
+	n := len(chunkPool.free)
+	if n == 0 {
+		return new(chunk)
+	}
+	ch := chunkPool.free[n-1]
+	chunkPool.free[n-1] = nil
+	chunkPool.free = chunkPool.free[:n-1]
+	return ch
+}
 
 func putChunk(ch *chunk) {
 	if cap(ch.buf) > maxPooledChunk {
 		return
 	}
 	*ch = chunk{buf: ch.buf[:0]}
-	chunkPool.Put(ch)
+	chunkPool.mu.Lock()
+	defer chunkPool.mu.Unlock()
+	if len(chunkPool.free) < maxFreeChunks {
+		chunkPool.free = append(chunkPool.free, ch)
+	}
 }
 
 // conn is one client connection: a reader goroutine decoding and
@@ -412,8 +436,8 @@ func (c *conn) pump(cs *connSession, submitted time.Time) {
 			cs.done.Store(true)
 			c.send(wire.MsgDone, wire.MustBag(cs.tag, state, msg,
 				cs.sess.Makespan().Nanoseconds(), rows))
-			// Evict: a finished session must not pin its result log for
-			// the life of the connection.
+			// Evict: this handle is the last the server holds, so the
+			// finished session's result log goes with it.
 			c.mu.Lock()
 			if c.sessions[cs.tag] == cs {
 				delete(c.sessions, cs.tag)
