@@ -6,7 +6,6 @@ import (
 
 	"scsq"
 	"scsq/internal/bench"
-	"scsq/internal/fft"
 	"scsq/internal/marshal"
 	"scsq/internal/torus"
 )
@@ -64,20 +63,6 @@ func BenchmarkDemarshalArray(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := marshal.Decode(buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFFT measures the radix-2 FFT substrate.
-func BenchmarkFFT(b *testing.B) {
-	x := make([]complex128, 4096)
-	for i := range x {
-		x[i] = complex(float64(i%7), 0)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := fft.Transform(x); err != nil {
 			b.Fatal(err)
 		}
 	}

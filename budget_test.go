@@ -12,11 +12,12 @@ import (
 	"testing"
 )
 
-// The surface budget is a ratchet: ROADMAP item 6 counts options, wire
-// message types and public engine methods, and each number only goes down.
-// Raising a limit here is a design decision to argue in the PR, not a fix.
+// The surface budget is a ratchet: ROADMAP item 9 counts options, packages,
+// wire message types and public engine methods, and each number only goes
+// down. Raising a limit here is a design decision to argue for, not a fix.
 const (
-	maxWithOptions       = 43 // exported With* functions outside _test.go (target ≤ 30)
+	maxWithOptions       = 38 // exported With* functions outside _test.go (target ≤ 30)
+	maxInternalPackages  = 21 // directories directly under internal/ with non-test .go files (target ≤ 22)
 	maxWireMessages      = 13 // Msg* constants of internal/server/wire
 	maxEngineMethods     = 11 // exported methods of (*scsq.Engine)
 	maxCoreEngineMethods = 19 // exported methods of (*core.Engine); building is on core.Query
@@ -29,6 +30,7 @@ var grantSelectors = map[string]bool{"UseAs": true, "Txn": true, "Reserve": true
 
 func TestSurfaceBudget(t *testing.T) {
 	var withs, msgs, methods, coreMethods, grants []string
+	pkgs := map[string]bool{}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(file string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -42,6 +44,9 @@ func TestSurfaceBudget(t *testing.T) {
 			return err
 		}
 		dir := filepath.ToSlash(filepath.Dir(file))
+		if pkg, ok := strings.CutPrefix(dir, "internal/"); ok && !strings.Contains(pkg, "/") {
+			pkgs[dir] = true
+		}
 		if dir != "internal/vtime" && dir != "benchmark" && !strings.HasPrefix(dir, "benchmark/") {
 			ast.Inspect(src, func(n ast.Node) bool {
 				if call, ok := n.(*ast.CallExpr); ok {
@@ -82,12 +87,17 @@ func TestSurfaceBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var internalPkgs []string
+	for dir := range pkgs {
+		internalPkgs = append(internalPkgs, dir)
+	}
 	for _, b := range []struct {
 		what  string
 		names []string
 		max   int
 	}{
 		{"exported With* options", withs, maxWithOptions},
+		{"internal packages", internalPkgs, maxInternalPackages},
 		{"wire message types", msgs, maxWireMessages},
 		{"exported (*scsq.Engine) methods", methods, maxEngineMethods},
 		{"exported (*core.Engine) methods", coreMethods, maxCoreEngineMethods},

@@ -1,4 +1,4 @@
-// Package linearroad implements a simplified Linear Road workload — the
+// This file implements a simplified Linear Road workload — the
 // stream benchmark the paper names as future work (§5: "Further
 // measurements could be made using benchmarks such as The Linear Road
 // Benchmark"). Vehicles emit position reports (time, vehicle, speed,
@@ -9,7 +9,8 @@
 // workload runs on the unmodified engine; Generator is a deterministic
 // traffic simulator (with an optional accident) and SegmentStats is the
 // toll-computing SQEP operator.
-package linearroad
+
+package main
 
 import (
 	"fmt"

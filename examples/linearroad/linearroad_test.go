@@ -1,4 +1,4 @@
-package linearroad
+package main
 
 import (
 	"slices"

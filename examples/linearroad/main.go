@@ -14,7 +14,6 @@ import (
 
 	"scsq/internal/core"
 	"scsq/internal/hw"
-	"scsq/internal/linearroad"
 	"scsq/internal/sqep"
 )
 
@@ -32,7 +31,7 @@ func run() error {
 	)
 	flag.Parse()
 
-	cfg := linearroad.DefaultConfig()
+	cfg := DefaultConfig()
 	if *parallel < 1 || *parallel > cfg.Segments {
 		return fmt.Errorf("parallel must be in [1,%d]", cfg.Segments)
 	}
@@ -60,11 +59,11 @@ func run() error {
 			break
 		}
 		sp, err := q.SP(func(*core.PlanBuilder) (sqep.Operator, error) {
-			gen, err := linearroad.NewGenerator(cfg, lo, hi)
+			gen, err := NewGenerator(cfg, lo, hi)
 			if err != nil {
 				return nil, err
 			}
-			return linearroad.NewSegmentStats(gen, *window), nil
+			return NewSegmentStats(gen, *window), nil
 		}, hw.BlueGene, nil)
 		if err != nil {
 			return err
@@ -86,7 +85,7 @@ func run() error {
 	fmt.Printf("%-8s %-8s %-10s %-8s\n", "window", "segment", "avg mph", "toll")
 	var revenue float64
 	for _, el := range els {
-		tl, err := linearroad.DecodeToll(el.Value)
+		tl, err := DecodeToll(el.Value)
 		if err != nil {
 			return err
 		}

@@ -85,7 +85,7 @@ func TestBalancedProducersValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := seq.Period(); got != 31 {
+	if got := len(seq.IDs()); got != 31 {
 		t.Errorf("fallback chose %d nodes, want 31", got)
 	}
 }

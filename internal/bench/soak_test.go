@@ -1,4 +1,4 @@
-package soak
+package bench
 
 import (
 	"testing"
@@ -8,7 +8,7 @@ import (
 // runs with the same seed — chaos, deadlines, shedding and retry all on —
 // must produce the identical terminal-state tally.
 func TestSoakDeterministicTally(t *testing.T) {
-	cfg := Config{
+	cfg := soakConfig{
 		Seed:      7,
 		Rounds:    3,
 		Victims:   6,
@@ -19,18 +19,18 @@ func TestSoakDeterministicTally(t *testing.T) {
 		Shedding:  true,
 		Retry:     true,
 	}
-	r1, err := Run(cfg)
+	r1, err := soak(cfg)
 	if err != nil {
 		t.Fatalf("run 1: %v", err)
 	}
-	if err := r1.Check(); err != nil {
+	if err := r1.check(); err != nil {
 		t.Fatalf("run 1 invariants: %v", err)
 	}
-	r2, err := Run(cfg)
+	r2, err := soak(cfg)
 	if err != nil {
 		t.Fatalf("run 2: %v", err)
 	}
-	if err := r2.Check(); err != nil {
+	if err := r2.check(); err != nil {
 		t.Fatalf("run 2 invariants: %v", err)
 	}
 	if r1.Tally != r2.Tally || r1.Sessions != r2.Sessions {
@@ -48,12 +48,12 @@ func TestSoakAcceptance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("acceptance soak skipped in -short mode")
 	}
-	cfg := DefaultConfig(42)
-	res, err := Run(cfg)
+	cfg := defaultSoakConfig(42)
+	res, err := soak(cfg)
 	if err != nil {
 		t.Fatalf("soak: %v", err)
 	}
-	if err := res.Check(); err != nil {
+	if err := res.check(); err != nil {
 		t.Fatalf("invariants: %v", err)
 	}
 	if res.Sessions < 200 {
@@ -75,7 +75,7 @@ func TestSoakAcceptance(t *testing.T) {
 // but drop nothing, so the terminal tally must still be a pure function of
 // the seed.
 func TestSoakRateFaultsStayDeterministic(t *testing.T) {
-	cfg := Config{
+	cfg := soakConfig{
 		Seed:      11,
 		Rounds:    2,
 		Victims:   5,
@@ -85,18 +85,18 @@ func TestSoakRateFaultsStayDeterministic(t *testing.T) {
 		Retry:     true,
 		RateFault: true,
 	}
-	r1, err := Run(cfg)
+	r1, err := soak(cfg)
 	if err != nil {
 		t.Fatalf("run 1: %v", err)
 	}
-	r2, err := Run(cfg)
+	r2, err := soak(cfg)
 	if err != nil {
 		t.Fatalf("run 2: %v", err)
 	}
 	if r1.Tally != r2.Tally {
 		t.Fatalf("rate-faulted soak diverged: %+v vs %+v", r1.Tally, r2.Tally)
 	}
-	if err := r1.Check(); err != nil {
+	if err := r1.check(); err != nil {
 		t.Fatalf("invariants: %v", err)
 	}
 }
@@ -105,16 +105,16 @@ func TestSoakRateFaultsStayDeterministic(t *testing.T) {
 // feature disabled: no session may wedge, and with no deadlines, shedding or
 // chaos the only terminal states are Done and Cancelled.
 func TestSoakFeaturesOffStillTerminates(t *testing.T) {
-	cfg := Config{
+	cfg := soakConfig{
 		Seed:    3,
 		Rounds:  2,
 		Victims: 5,
 	}
-	res, err := Run(cfg)
+	res, err := soak(cfg)
 	if err != nil {
 		t.Fatalf("soak: %v", err)
 	}
-	if err := res.Check(); err != nil {
+	if err := res.check(); err != nil {
 		t.Fatalf("invariants: %v", err)
 	}
 	if res.Tally.Expired != 0 || res.Tally.Shed != 0 || res.Tally.Failed != 0 {

@@ -9,8 +9,8 @@
 // vtime.Submit, keyed by the frame's producer and the link's frame sequence
 // number. The carriers matching the paper — internal/mpicar (native MPI
 // inside the BlueGene, with single- or double-buffered drivers),
-// internal/tcpcar (TCP between clusters) and internal/udpcar — build the
-// routes from the cost model.
+// internal/tcpcar (TCP between clusters, and UDP into the BlueGene) — build
+// the routes from the cost model.
 package carrier
 
 import (

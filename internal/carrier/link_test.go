@@ -10,7 +10,6 @@ import (
 	"scsq/internal/mpicar"
 	"scsq/internal/race"
 	"scsq/internal/tcpcar"
-	"scsq/internal/udpcar"
 	"scsq/internal/vtime"
 )
 
@@ -42,7 +41,7 @@ func TestHopsUnderInjectedDelay(t *testing.T) {
 		{"tcp out of bg", tcp(bg(9), fe(0)), []string{"tree io:1", "iofwd io:1", "nic fe:0"}},
 		{"tcp linux to linux", tcp(be(1), fe(0)), []string{"nic be:1", "nic fe:0"}},
 		{"udp", func(env *hw.Env, inj *chaos.Injector, inbox carrier.Inbox) (carrier.Conn, error) {
-			f, err := udpcar.NewFabric(env, 0)
+			f, err := tcpcar.NewUDPFabric(env, 0)
 			if err != nil {
 				return nil, err
 			}

@@ -9,7 +9,6 @@ import (
 	"scsq/internal/hw"
 	"scsq/internal/mpicar"
 	"scsq/internal/tcpcar"
-	"scsq/internal/udpcar"
 	"scsq/internal/vtime"
 )
 
@@ -266,7 +265,7 @@ func TestRouteGoldenUDP(t *testing.T) {
 	for _, c := range cases {
 		t.Run(fmt.Sprintf("loss%v/contended=%v", c.loss, c.contended), func(t *testing.T) {
 			env := newEnv(t)
-			fab, err := udpcar.NewFabric(env, c.loss)
+			fab, err := tcpcar.NewUDPFabric(env, c.loss)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,9 +2,10 @@
 // engine. The paper's coordinators own node placement on a 768-node
 // BlueGene partition (§2.2); at that scale dial failures, mid-stream
 // resets, lost frames and whole-node crashes are the steady state, not the
-// exception. An Injector is consulted by the carriers (mpicar, tcpcar,
-// udpcar) on every dial and every frame send, and decides — purely from the
-// seed and the (source, destination, sequence) coordinates of the event —
+// exception. An Injector is consulted by the carriers (mpicar, and tcpcar
+// with its UDP variant) on every dial and every frame send, and decides —
+// purely from the seed and the (source, destination, sequence) coordinates
+// of the event —
 // whether to inject a fault. The same seed therefore reproduces the same
 // fault schedule run after run, which is what makes chaos tests assertable:
 // a killed node is killed at the same frame of the same stream every time.

@@ -48,9 +48,6 @@ func NewSequence(ids ...int) (*Sequence, error) {
 	return &Sequence{ids: append([]int(nil), ids...)}, nil
 }
 
-// Period returns the cycle length of the sequence.
-func (s *Sequence) Period() int { return len(s.ids) }
-
 // IDs returns a copy of one full cycle of the sequence.
 func (s *Sequence) IDs() []int { return append([]int(nil), s.ids...) }
 

@@ -155,13 +155,6 @@ func (c *Coordinator) KillNode(node int, cause error) []string {
 	return ids
 }
 
-// RPCount reports how many RPs are registered.
-func (c *Coordinator) RPCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.rps)
-}
-
 // RPs returns a snapshot of the currently registered RPs, captured under
 // one acquisition of the coordinator lock. The slice is the caller's; the
 // pointed-to RPs stay live and must only be read through their own

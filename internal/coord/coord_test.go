@@ -72,11 +72,11 @@ func TestRPRegistry(t *testing.T) {
 		return sqep.NewIota(1, 1), nil
 	})
 	cc.Register(p)
-	if got := cc.RPCount(); got != 1 {
+	if got := len(cc.RPs()); got != 1 {
 		t.Errorf("rp count = %d, want 1", got)
 	}
 	cc.Unregister("rp-1")
-	if got := cc.RPCount(); got != 0 {
+	if got := len(cc.RPs()); got != 0 {
 		t.Errorf("after unregister, rp count = %d", got)
 	}
 }

@@ -31,7 +31,6 @@ import (
 	"scsq/internal/rp"
 	"scsq/internal/sqep"
 	"scsq/internal/tcpcar"
-	"scsq/internal/udpcar"
 	"scsq/internal/vtime"
 )
 
@@ -49,7 +48,7 @@ type Engine struct {
 	mpi    *mpicar.Fabric
 	tcp    *tcpcar.Fabric
 	netTCP *tcpcar.NetFabric // non-nil in real-socket mode
-	udp    *udpcar.Fabric    // non-nil when inbound streams use UDP
+	udp    *tcpcar.UDPFabric // non-nil when inbound streams use UDP
 	coords map[hw.ClusterName]*coord.Coordinator
 	poller *coord.BGPoller
 
@@ -329,7 +328,7 @@ func NewEngine(opts ...Option) (*Engine, error) {
 		e.netTCP = nf
 	}
 	if cfg.useUDP {
-		uf, err := udpcar.NewFabric(cfg.env, cfg.udpLoss)
+		uf, err := tcpcar.NewUDPFabric(cfg.env, cfg.udpLoss)
 		if err != nil {
 			e.poller.Shutdown()
 			return nil, err
@@ -415,7 +414,6 @@ func (e *Engine) Reset() error {
 		cc.DB().Reset()
 	}
 	e.env.Reset()
-	e.mpi.Reset()
 	return nil
 }
 

@@ -62,18 +62,16 @@ func TestKernelBatchSingleQueryBitIdentical(t *testing.T) {
 
 // TestKernelBatchMultiTenantReplayIdentical cross-checks the batched kernel
 // under real multi-tenant contention: two concurrent queries share the
-// client node's CPU and (fair-sliced) NIC while their batched receivers
+// client node's CPU and NIC while their batched receivers
 // commit against them. A recorder captures every granted placement in commit
 // order; replaying the log through serial UseAs on a fresh unsharded
 // reference resource must reproduce each grant bit-identically.
 func TestKernelBatchMultiTenantReplayIdentical(t *testing.T) {
-	const slice = 50 * vtime.Microsecond
 	e, err := NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	e.env.SetFairSlice(slice)
 
 	type rec struct {
 		owner      string
@@ -90,8 +88,8 @@ func TestKernelBatchMultiTenantReplayIdentical(t *testing.T) {
 			*log = append(*log, rec{owner, q.Ready, q.Service, q.Start, q.End})
 		})
 	}
-	instrument(fe0.CPU) // shared across tenants, unsliced
-	instrument(fe0.NIC) // shared across tenants, fair-sliced
+	instrument(fe0.CPU) // shared across tenants
+	instrument(fe0.NIC) // shared across tenants
 
 	// Two figure5-shaped tenants on disjoint BlueGene nodes, drained
 	// concurrently so their client-side reservations genuinely contend.
@@ -131,9 +129,6 @@ func TestKernelBatchMultiTenantReplayIdentical(t *testing.T) {
 			continue // resource unused by this topology
 		}
 		ref := vtime.NewResource("ref-" + r.Name())
-		if r == fe0.NIC {
-			ref.SetFairSlice(slice)
-		}
 		for i, rc := range log {
 			s, e2 := ref.UseAs(rc.owner, rc.ready, rc.service)
 			if s != rc.start || e2 != rc.end {

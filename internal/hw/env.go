@@ -79,13 +79,15 @@ type Env struct {
 
 	psetSize int
 
-	// Contention multiplicities of the open back-end→BlueGene streams, kept
-	// as counts so reading one costs the same however many streams the
+	// Contention multiplicities of the open streams — back-end→BlueGene
+	// streams per back-end and I/O node, MPI producers per BlueGene node —
+	// kept as counts so reading one costs the same however many streams the
 	// epoch has opened.
 	mu         sync.Mutex
 	beStreams  []int // streams per back-end node
 	ioStreams  []int // streams per I/O node
 	distinctBe int   // back-end nodes with at least one stream
+	producers  []int // MPI streams per destination BlueGene node
 }
 
 // Option configures NewLOFAR.
@@ -166,6 +168,7 @@ func NewLOFAR(opts ...Option) (*Env, error) {
 		psetSize:  cfg.psetSize,
 		beStreams: make([]int, cfg.beNodes),
 		ioStreams: make([]int, n/cfg.psetSize),
+		producers: make([]int, n),
 	}
 	for i := 0; i < n; i++ {
 		env.bg = append(env.bg, newNode(BlueGene, i))
@@ -313,24 +316,24 @@ func (e *Env) StreamsOnIO(p int) int {
 	return e.ioStreams[p]
 }
 
-// SetFairSlice bounds single reservations on the environment's shared
-// transport devices — I/O-node forwarders and trees, and Linux-cluster NICs
-// — so concurrent queries' frames interleave on a contended device instead
-// of serializing behind one tenant's transfer (see vtime.SetFairSlice).
-// Compute resources (CPUs, co-processors) are left unsliced: they are
-// per-node and, on the exclusive BlueGene, per-query anyway. Zero restores
-// whole-reservation placement.
-func (e *Env) SetFairSlice(d vtime.Duration) {
-	for _, n := range e.be {
-		n.NIC.SetFairSlice(d)
+// RegisterProducer records an open MPI stream into BlueGene node dst, so the
+// receiving co-processor's merge switching penalty can count its producers.
+// Like RegisterInbound, a registration lasts until Reset.
+func (e *Env) RegisterProducer(dst int) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.producers[dst]++
+}
+
+// ProducersOn reports how many MPI streams into BlueGene node dst were opened
+// since the last Reset (0 for an unknown node).
+func (e *Env) ProducersOn(dst int) int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if dst < 0 || dst >= len(e.producers) {
+		return 0
 	}
-	for _, n := range e.fe {
-		n.NIC.SetFairSlice(d)
-	}
-	for _, n := range e.io {
-		n.Forwarder.SetFairSlice(d)
-		n.Tree.SetFairSlice(d)
-	}
+	return e.producers[dst]
 }
 
 // Resources returns every virtual-time resource in the environment, in the
@@ -355,7 +358,7 @@ func (e *Env) Resources() []*vtime.Resource {
 }
 
 // Reset returns every resource in the environment to virtual time zero and
-// clears the inbound-stream counts. Use between experiment repetitions.
+// clears the stream counts. Use between experiment repetitions.
 func (e *Env) Reset() {
 	for _, n := range e.bg {
 		n.CPU.Reset()
@@ -377,5 +380,6 @@ func (e *Env) Reset() {
 	defer e.mu.Unlock()
 	clear(e.beStreams)
 	clear(e.ioStreams)
+	clear(e.producers)
 	e.distinctBe = 0
 }

@@ -431,18 +431,3 @@ func fillArray(dst []float64, raw []byte) {
 		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 	}
 }
-
-// DecodeAll decodes every value in buf, which must contain a whole number
-// of encoded values.
-func DecodeAll(buf []byte) ([]any, error) {
-	var out []any
-	for len(buf) > 0 {
-		v, n, err := Decode(buf)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-		buf = buf[n:]
-	}
-	return out, nil
-}

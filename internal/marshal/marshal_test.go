@@ -118,27 +118,6 @@ func TestDecodeUnknownTag(t *testing.T) {
 	}
 }
 
-func TestDecodeAll(t *testing.T) {
-	var buf []byte
-	var err error
-	values := []any{int64(1), "x", []float64{2.5}}
-	for _, v := range values {
-		if buf, err = Append(buf, v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := DecodeAll(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, values) {
-		t.Errorf("DecodeAll = %v, want %v", got, values)
-	}
-	if _, err := DecodeAll(append(buf, TagInt)); err == nil {
-		t.Error("DecodeAll with a trailing partial value should fail")
-	}
-}
-
 // TestTooLargeGuard lowers the u32 element limit (a real >4Gi-element
 // value would not fit in test memory) and checks that oversized strings,
 // arrays and bags are rejected instead of silently truncating the length

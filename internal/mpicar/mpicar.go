@@ -18,7 +18,6 @@ package mpicar
 
 import (
 	"fmt"
-	"sync"
 
 	"scsq/internal/carrier"
 	"scsq/internal/chaos"
@@ -27,22 +26,19 @@ import (
 	"scsq/internal/vtime"
 )
 
-// Fabric charges MPI transfers against a hardware environment. It tracks
-// how many producers stream into each node so the receive-side switching
-// penalty can be charged deterministically, so all connections of one
-// experiment must share a Fabric.
+// Fabric charges MPI transfers against a hardware environment. Every Dial
+// registers its producer with the environment (hw.Env.RegisterProducer), so
+// the receive-side switching penalty counts every stream into a node,
+// whichever fabric dialed it.
 type Fabric struct {
 	env *hw.Env
 	inj *chaos.Injector
 	reg *metrics.Registry
-
-	mu        sync.Mutex
-	producers map[int]int // dst node -> producers dialed this epoch
 }
 
 // NewFabric returns a fabric over env.
 func NewFabric(env *hw.Env) *Fabric {
-	return &Fabric{env: env, producers: make(map[int]int)}
+	return &Fabric{env: env}
 }
 
 // Env returns the underlying hardware environment.
@@ -57,30 +53,6 @@ func (f *Fabric) SetInjector(inj *chaos.Injector) { f.inj = inj }
 // per-link frame/byte/drop counters and torus delivery-latency histograms.
 // It must be called before the first Dial; nil disables recording.
 func (f *Fabric) SetMetrics(reg *metrics.Registry) { f.reg = reg }
-
-// producerCount reports how many producers have dialed dst during the
-// current experiment epoch. The count is cumulative — it does not drop when
-// a producer finishes — because the virtual-time model must not depend on
-// wall-clock completion order; Reset starts a new epoch.
-func (f *Fabric) producerCount(dst int) int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.producers[dst]
-}
-
-func (f *Fabric) addProducer(dst int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.producers[dst]++
-}
-
-// Reset clears the producer tracking (use together with hw.Env.Reset
-// between experiment repetitions).
-func (f *Fabric) Reset() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.producers = make(map[int]int)
-}
 
 // Conn is an open MPI connection between two BG compute nodes.
 type Conn = carrier.Link
@@ -134,10 +106,12 @@ func (f *Fabric) Dial(src, dst int, mode carrier.Buffering, inbox carrier.Inbox)
 	forward := func(s int) vtime.Duration { return packets(m, s, m.FwdFactor) }
 	// Receiver co-processor, with the merge switching penalty: the
 	// single-threaded co-processor switches between its p producers at the
-	// expected alternation rate (p-1)/p.
+	// expected alternation rate (p-1)/p. The count is cumulative — it does
+	// not drop when a producer finishes — because the virtual-time model must
+	// not depend on wall-clock completion order; hw.Env.Reset clears it.
 	receive := func(s int) vtime.Duration {
 		svc := packets(m, s, m.RecvFactor)
-		if p := f.producerCount(dst); p > 1 {
+		if p := f.env.ProducersOn(dst); p > 1 {
 			svc += scaleDur(m.CoprocSwitchCost, float64(p-1)/float64(p))
 		}
 		return svc
@@ -154,7 +128,7 @@ func (f *Fabric) Dial(src, dst int, mode carrier.Buffering, inbox carrier.Inbox)
 		stages = append(stages, vtime.Stage{Resource: node.Coproc, Service: forward, Label: node.FwdHop})
 	}
 	stages = append(stages, vtime.Stage{Resource: dstNode.Coproc, Service: receive, Label: dstNode.Hop})
-	f.addProducer(dst)
+	f.env.RegisterProducer(dst)
 	return carrier.NewLink(carrier.Route{Kind: "mpi", Src: srcRef, Dst: dstRef, Stages: stages}, inbox, f.inj, f.reg), nil
 }
 

@@ -245,11 +245,11 @@ func TestFabricReset(t *testing.T) {
 	if _, err := f.Dial(1, 0, carrier.SingleBuffered, inbox); err != nil {
 		t.Fatal(err)
 	}
-	if got := f.producerCount(0); got != 1 {
+	if got := f.Env().ProducersOn(0); got != 1 {
 		t.Fatalf("producer count = %d, want 1", got)
 	}
-	f.Reset()
-	if got := f.producerCount(0); got != 0 {
+	f.Env().Reset()
+	if got := f.Env().ProducersOn(0); got != 0 {
 		t.Errorf("after reset, producer count = %d, want 0", got)
 	}
 }

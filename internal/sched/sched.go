@@ -106,8 +106,8 @@ var (
 	// ErrUnknownQuery is returned for ids the session table does not hold:
 	// never created, or finished long enough ago to have left the window.
 	ErrUnknownQuery = errors.New("sched: unknown query")
-	// ErrQueryFinished is returned by Cancel and Get for a session already in
-	// a final state whose row the table still holds.
+	// ErrQueryFinished is returned by Cancel for a session already in a final
+	// state whose row the table still holds.
 	ErrQueryFinished = errors.New("sched: query already finished")
 	// ErrClosed is returned by Submit after Close.
 	ErrClosed = errors.New("sched: scheduler closed")
@@ -147,21 +147,6 @@ type Option func(*Scheduler)
 // Submit returns ErrQueueFull beyond it. Zero or negative means unbounded.
 // Default 64.
 func WithQueueCap(n int) Option { return func(s *Scheduler) { s.queueCap = n } }
-
-// WithMaxConcurrent bounds how many sessions may be admitted at once,
-// independent of node availability. Zero (the default) means limited only by
-// the node pool. Catalog reads are not admitted and do not count.
-func WithMaxConcurrent(n int) Option { return func(s *Scheduler) { s.maxConc = n } }
-
-// WithFairSlice enables fair-sharing of the environment's shared transport
-// devices: a single reservation on a contended NIC, forwarder or tree is
-// bounded to d of service, so concurrent tenants' frames interleave instead
-// of serializing behind one tenant's transfer. Off by default because slicing
-// changes intra-query schedules (the single-tenant paper figures are
-// calibrated without it).
-func WithFairSlice(d vtime.Duration) Option {
-	return func(s *Scheduler) { s.fairSlice = d }
-}
 
 // AdmissionRetryPolicy bounds the transient-admission retry loop enabled by
 // WithAdmissionRetry: a session whose allocation sequence is unsatisfiable
@@ -265,14 +250,12 @@ type Scheduler struct {
 	eng *core.Engine
 	ev  *scsql.Evaluator
 
-	queueCap  int
-	maxConc   int
-	fairSlice vtime.Duration
-	shedding  bool
-	retryOn   bool
-	retry     AdmissionRetryPolicy
-	placeCfg  *place.Config  // WithPlacementPlanner, nil = greedy placement
-	planner   *place.Planner // built in installPlanner when placeCfg is set
+	queueCap int
+	shedding bool
+	retryOn  bool
+	retry    AdmissionRetryPolicy
+	placeCfg *place.Config  // WithPlacementPlanner, nil = greedy placement
+	planner  *place.Planner // built in installPlanner when placeCfg is set
 
 	// alarms is the scheduler's virtual policy clock: a monotone time raised
 	// by the engine's progress (via ObserveVTime) plus the deadline/backoff
@@ -337,9 +320,6 @@ func New(eng *core.Engine, cat *scsql.Catalog, opts ...Option) *Scheduler {
 	s.gQueued = reg.Gauge("rt.sched.queued")
 	s.gRunning = reg.Gauge("rt.sched.running")
 	s.gParked = reg.Gauge("rt.sched.parked")
-	if s.fairSlice > 0 {
-		eng.Env().SetFairSlice(s.fairSlice)
-	}
 	eng.SetQueryScheduler(s)
 	s.installPlanner()
 	s.registerSysSessions()
@@ -646,7 +626,7 @@ func (s *Scheduler) admit() {
 	s.sweep()
 	for {
 		s.mu.Lock()
-		if len(s.pending) == 0 || (s.maxConc > 0 && s.running >= s.maxConc) {
+		if len(s.pending) == 0 {
 			s.mu.Unlock()
 			return
 		}
@@ -921,23 +901,6 @@ func (s *Scheduler) Cancel(id string) error {
 		s.mu.Unlock()
 		return fmt.Errorf("%w: %s is %s", ErrQueryFinished, id, st)
 	}
-}
-
-// Get returns the live session with the given id. A finished session is a
-// row of List, and its handle is only what its submitter kept: Get says
-// ErrQueryFinished for it while the row is in the window, ErrUnknownQuery
-// after.
-func (s *Scheduler) Get(id string) (*Query, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	en := s.table[id]
-	switch {
-	case en == nil:
-		return nil, fmt.Errorf("%w: %q", ErrUnknownQuery, id)
-	case en.q == nil:
-		return nil, fmt.Errorf("%w: %s is %s", ErrQueryFinished, id, en.row.State)
-	}
-	return en.q, nil
 }
 
 // Info is one row of the session table.

@@ -12,7 +12,6 @@ import (
 	"scsq/internal/hw"
 	"scsq/internal/scsql"
 	"scsq/internal/sqep"
-	"scsq/internal/vtime"
 )
 
 func newTestEngine(t *testing.T, opts ...core.Option) *core.Engine {
@@ -538,25 +537,6 @@ and   a=spv((select gen_array(30000,6) from integer i where i in iota(1,2)), 'bg
 	vc2, sc2, repl2 := run()
 	if vc2 != vc || sc2 != sc || repl2 != repl {
 		t.Fatalf("rerun diverged: (%v,%v,%d) vs (%v,%v,%d)", vc2, sc2, repl2, vc, sc, repl)
-	}
-}
-
-func TestFairSliceOptionAppliesToEnv(t *testing.T) {
-	e := newTestEngine(t)
-	s := New(e, nil, WithFairSlice(50*vtime.Microsecond))
-	defer s.Close()
-	src, err := scsql.InboundQuery(1, 2, 30_000, 5)
-	if err != nil {
-		t.Fatalf("corpus: %v", err)
-	}
-	q, err := s.Submit(src)
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	if els, err := q.Wait(); err != nil {
-		t.Fatalf("wait: %v", err)
-	} else if got := lastValue(t, els); got != int64(10) {
-		t.Fatalf("count = %v, want 10", got)
 	}
 }
 

@@ -16,7 +16,8 @@
 // between Linux nodes use the two NICs. Dial builds the path as a
 // carrier.Route; charging, fault injection, tracing and link metrics are
 // carrier.Link's. NetFabric (net.go) carries the frames of such a link over
-// a real loopback socket.
+// a real loopback socket; UDPFabric (udp.go) loses datagrams on the inbound
+// route.
 package tcpcar
 
 import (
@@ -66,15 +67,15 @@ type Conn = carrier.Link
 // coordination penalties can be modeled; the registration outlives Close
 // (see carrier.Link.Close).
 func (f *Fabric) Dial(src, dst Endpoint, inbox carrier.Inbox) (*Conn, error) {
-	return f.DialAs("tcp", src, dst, inbox)
+	return f.dialAs("tcp", src, dst, inbox)
 }
 
-// DialAs is Dial for a carrier whose frames cross the same devices under
-// another name (udpcar); kind labels the link and its metrics. The route is
+// dialAs is Dial for a carrier whose frames cross the same devices under
+// another name (UDPFabric); kind labels the link and its metrics. The route is
 // NIC → I/O forwarder → tree into the BlueGene, the same devices outward,
 // and the two NICs between Linux nodes (the switch fabric itself is not a
 // bottleneck).
-func (f *Fabric) DialAs(kind string, src, dst Endpoint, inbox carrier.Inbox) (*Conn, error) {
+func (f *Fabric) dialAs(kind string, src, dst Endpoint, inbox carrier.Inbox) (*Conn, error) {
 	if !src.Cluster.Valid() || !dst.Cluster.Valid() {
 		return nil, fmt.Errorf("tcpcar: invalid endpoint clusters %q -> %q", src.Cluster, dst.Cluster)
 	}

@@ -1,4 +1,4 @@
-package udpcar
+package tcpcar
 
 import (
 	"testing"
@@ -6,19 +6,15 @@ import (
 	"scsq/internal/carrier"
 	"scsq/internal/hw"
 	"scsq/internal/metrics"
-	"scsq/internal/tcpcar"
 )
 
-func be(n int) tcpcar.Endpoint { return tcpcar.Endpoint{Cluster: hw.BackEnd, Node: n} }
-func bg(n int) tcpcar.Endpoint { return tcpcar.Endpoint{Cluster: hw.BlueGene, Node: n} }
-
-func testFabric(t *testing.T, loss float64) (*Fabric, *metrics.Registry) {
+func testUDPFabric(t *testing.T, loss float64) (*UDPFabric, *metrics.Registry) {
 	t.Helper()
 	env, err := hw.NewLOFAR()
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := NewFabric(env, loss)
+	f, err := NewUDPFabric(env, loss)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,25 +25,25 @@ func testFabric(t *testing.T, loss float64) (*Fabric, *metrics.Registry) {
 
 // linkCounts reads what the be:1 -> bg:0 datagram link counted: frames
 // delivered and frames lost on the way.
-func linkCounts(reg *metrics.Registry) (delivered, dropped int64) {
+func udpLinkCounts(reg *metrics.Registry) (delivered, dropped int64) {
 	snap := reg.Snapshot()
 	return snap.Counters["link.frames.udp:be:1->bg:0"], snap.Counters["link.drops.udp:be:1->bg:0"]
 }
 
-func TestNewFabricValidation(t *testing.T) {
+func TestNewUDPFabricValidation(t *testing.T) {
 	env, err := hw.NewLOFAR()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, bad := range []float64{-0.1, 1.0, 2.0} {
-		if _, err := NewFabric(env, bad); err == nil {
+		if _, err := NewUDPFabric(env, bad); err == nil {
 			t.Errorf("loss rate %v should be rejected", bad)
 		}
 	}
 }
 
-func TestDialValidation(t *testing.T) {
-	f, _ := testFabric(t, 0)
+func TestUDPDialValidation(t *testing.T) {
+	f, _ := testUDPFabric(t, 0)
 	inbox := make(carrier.Inbox, 1)
 	if _, err := f.Dial(bg(0), bg(1), inbox); err == nil {
 		t.Error("BG-to-BG should fail")
@@ -60,8 +56,8 @@ func TestDialValidation(t *testing.T) {
 	}
 }
 
-func TestLosslessDeliversEverything(t *testing.T) {
-	f, reg := testFabric(t, 0)
+func TestUDPLosslessDeliversEverything(t *testing.T) {
+	f, reg := testUDPFabric(t, 0)
 	inbox := make(carrier.Inbox, 64)
 	conn, err := f.Dial(be(1), bg(0), inbox)
 	if err != nil {
@@ -79,14 +75,14 @@ func TestLosslessDeliversEverything(t *testing.T) {
 	if got := len(inbox); got != frames+1 {
 		t.Errorf("delivered %d frames, want %d", got, frames+1)
 	}
-	if delivered, dropped := linkCounts(reg); delivered != frames+1 || dropped != 0 {
+	if delivered, dropped := udpLinkCounts(reg); delivered != frames+1 || dropped != 0 {
 		t.Errorf("link counted %d delivered, %d dropped", delivered, dropped)
 	}
 }
 
-func TestLossIsDeterministicAndProportional(t *testing.T) {
+func TestUDPLossIsDeterministicAndProportional(t *testing.T) {
 	run := func() (delivered int, dropped int64) {
-		f, reg := testFabric(t, 0.2)
+		f, reg := testUDPFabric(t, 0.2)
 		inbox := make(carrier.Inbox, 1100)
 		conn, err := f.Dial(be(1), bg(0), inbox)
 		if err != nil {
@@ -98,7 +94,7 @@ func TestLossIsDeterministicAndProportional(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		_, d := linkCounts(reg)
+		_, d := udpLinkCounts(reg)
 		return len(inbox), d
 	}
 	d1, drop1 := run()
@@ -115,8 +111,8 @@ func TestLossIsDeterministicAndProportional(t *testing.T) {
 	}
 }
 
-func TestLastFrameAlwaysDelivered(t *testing.T) {
-	f, _ := testFabric(t, 0.9)
+func TestUDPLastFrameAlwaysDelivered(t *testing.T) {
+	f, _ := testUDPFabric(t, 0.9)
 	inbox := make(carrier.Inbox, 128)
 	conn, err := f.Dial(be(1), bg(0), inbox)
 	if err != nil {
@@ -138,8 +134,8 @@ func TestLastFrameAlwaysDelivered(t *testing.T) {
 	}
 }
 
-func TestSendAfterClose(t *testing.T) {
-	f, _ := testFabric(t, 0)
+func TestUDPSendAfterClose(t *testing.T) {
+	f, _ := testUDPFabric(t, 0)
 	inbox := make(carrier.Inbox, 1)
 	conn, err := f.Dial(be(1), bg(0), inbox)
 	if err != nil {
@@ -153,8 +149,8 @@ func TestSendAfterClose(t *testing.T) {
 	}
 }
 
-func TestDroppedFramesStillChargeTheSender(t *testing.T) {
-	f, reg := testFabric(t, 0.9)
+func TestUDPDroppedFramesStillChargeTheSender(t *testing.T) {
+	f, reg := testUDPFabric(t, 0.9)
 	inbox := make(carrier.Inbox, 128)
 	conn, err := f.Dial(be(1), bg(0), inbox)
 	if err != nil {
@@ -172,7 +168,7 @@ func TestDroppedFramesStillChargeTheSender(t *testing.T) {
 	if n.NIC.BusyTime() == 0 {
 		t.Error("the back-end NIC transmits datagrams whether or not they survive")
 	}
-	if _, dropped := linkCounts(reg); dropped == 0 {
+	if _, dropped := udpLinkCounts(reg); dropped == 0 {
 		t.Error("a 90% loss rate should drop something in 50 frames")
 	}
 }

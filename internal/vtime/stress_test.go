@@ -118,17 +118,15 @@ func assertNoOverlap(t *testing.T, grants []Request) {
 // overlap and never start before the request's ready time clamped to the
 // prune floor.
 func FuzzResourcePlacement(f *testing.F) {
-	f.Add(int64(1), uint8(10), uint8(0))
-	f.Add(int64(7), uint8(40), uint8(5))
-	f.Add(int64(-3), uint8(200), uint8(16))
-	f.Fuzz(func(t *testing.T, seed int64, n uint8, sliceRaw uint8) {
+	f.Add(int64(1), uint8(10))
+	f.Add(int64(7), uint8(40))
+	f.Add(int64(-3), uint8(200))
+	f.Fuzz(func(t *testing.T, seed int64, n uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		r := NewResource("fuzz")
 		r.SetBackfillHorizon(Duration(rng.Intn(500) + 50))
-		if slice := Duration(sliceRaw); slice > 0 {
-			r.SetFairSlice(slice)
-		}
 		txn := r.Txn("q")
+		var chainTail Time // end of the transaction's last committed link
 		var grants []Request
 		use := func(ready Time, svc Duration) {
 			// The prune floor at request time lower-bounds the effective
@@ -138,13 +136,13 @@ func FuzzResourcePlacement(f *testing.F) {
 			if rng.Intn(2) == 0 {
 				s, e = r.UseAs("q", ready, svc)
 			} else {
-				chainFloor := txn.Tail()
 				txn.Reserve(ready, svc)
 				g := txn.Commit()
 				s, e = g[0].Start, g[0].End
-				if ready < chainFloor {
-					ready = chainFloor
+				if ready < chainTail {
+					ready = chainTail
 				}
+				chainTail = e
 			}
 			if svc <= 0 {
 				return
@@ -167,11 +165,6 @@ func FuzzResourcePlacement(f *testing.F) {
 		for i := 0; i < int(n)+1; i++ {
 			use(Time(rng.Intn(100000)-100), Duration(rng.Intn(300)-5))
 		}
-		if sliceRaw == 0 {
-			// A fair-sliced grant's [start,end) span contains gaps that later
-			// requests legitimately fill, so span overlap-freedom only holds
-			// for whole-reservation placement.
-			assertNoOverlap(t, grants)
-		}
+		assertNoOverlap(t, grants)
 	})
 }

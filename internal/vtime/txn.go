@@ -22,10 +22,6 @@ func (r *Resource) Txn(owner string) *Txn {
 	return &Txn{r: r, owner: owner}
 }
 
-// Tail returns the end of the last committed link — the earliest ready time
-// of the next link.
-func (t *Txn) Tail() Time { return t.tail }
-
 // Reserve stages one link: a reservation of service virtual nanoseconds
 // becoming ready no earlier than ext (external bound) and no earlier than
 // the end of the preceding link. Nothing is granted until Commit.

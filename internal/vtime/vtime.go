@@ -102,8 +102,7 @@ type Resource struct {
 	floor   Time     // prune floor: everything before it is treated as busy
 	horizon Duration // 0 = DefaultBackfillHorizon, < 0 = never prune
 
-	usedBy    map[string]Duration // per-owner busy time, incl. AnonymousOwner; nil until first use
-	fairSlice Duration            // 0 = whole-reservation placement (default)
+	usedBy map[string]Duration // per-owner busy time, incl. AnonymousOwner; nil until first use
 
 	// recorder, when set, observes every granted placement in grant order
 	// (see SetRecorder).
@@ -129,21 +128,6 @@ func NewResource(name string) *Resource {
 
 // Name returns the resource's name ("" for the zero value).
 func (r *Resource) Name() string { return r.name }
-
-// SetFairSlice bounds the length of a single contiguous reservation: a
-// request longer than d is placed as a chain of earliest-fit chunks of at
-// most d each, so frames of concurrent queries interleave on a contended
-// device instead of serializing behind one tenant's large transfer. Zero
-// (the default) restores whole-reservation placement — single-query virtual
-// schedules are then identical to an unsliced resource.
-func (r *Resource) SetFairSlice(d Duration) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if d < 0 {
-		d = 0
-	}
-	r.fairSlice = d
-}
 
 // UseAs reserves the resource for service virtual nanoseconds, starting no
 // earlier than ready, and returns the granted interval [start, end), charged
@@ -226,7 +210,7 @@ func (r *Resource) grant(owner string, reqs []Request, prev Time) Time {
 		case r == nil:
 			q.End = q.Ready.Add(q.Service)
 		default:
-			q.Start, q.End = r.placeSliced(q.Ready, q.Service)
+			q.Start, q.End = r.place(q.Ready, q.Service)
 			if r.recorder != nil {
 				r.recorder(owner, *q)
 			}
@@ -237,33 +221,6 @@ func (r *Resource) grant(owner string, reqs []Request, prev Time) Time {
 		r.mu.Unlock()
 	}
 	return prev
-}
-
-// placeSliced grants one reservation, chunking it per the fair slice when
-// one is set. r.mu must be held.
-func (r *Resource) placeSliced(ready Time, service Duration) (start, end Time) {
-	if slice := r.fairSlice; slice > 0 && service > slice {
-		// Chunked placement: each chunk is earliest-fit at or after the
-		// previous chunk's end, leaving the gaps between chunks free for
-		// other tenants' requests.
-		start = Time(-1)
-		at := ready
-		for remaining := service; remaining > 0; {
-			chunk := slice
-			if remaining < chunk {
-				chunk = remaining
-			}
-			cs, ce := r.place(at, chunk)
-			if start < 0 {
-				start = cs
-			}
-			at = ce
-			end = ce
-			remaining -= chunk
-		}
-		return start, end
-	}
-	return r.place(ready, service)
 }
 
 // SetRecorder installs fn, invoked under the resource's lock for every
@@ -424,7 +381,7 @@ func (r *Resource) FoldOwner(owner string) {
 }
 
 // Reset returns the resource to the free-at-zero state. Used between
-// experiment repetitions. The backfill horizon and fair slice are kept.
+// experiment repetitions. The backfill horizon is kept.
 func (r *Resource) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()

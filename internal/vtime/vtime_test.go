@@ -2,6 +2,7 @@ package vtime
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -257,5 +258,54 @@ func TestPacerNilAgent(t *testing.T) {
 	var p *Pacer
 	if agent := p.Register(); agent != nil {
 		t.Errorf("nil pacer Register = %v, want nil", agent)
+	}
+}
+
+func TestUseAsOwnerAccounting(t *testing.T) {
+	r := NewResource("nic")
+	r.UseAs("q1", 0, 20)
+	r.UseAs("q2", 0, 5)
+	r.UseAs("q2", 0, 7)
+	r.UseAs(AnonymousOwner, 0, 3) // anonymous: aggregate only
+
+	if got := r.BusyTimeBy("q1"); got != 20 {
+		t.Errorf("BusyTimeBy(q1) = %v, want 20", got)
+	}
+	if got := r.BusyTimeBy("q2"); got != 12 {
+		t.Errorf("BusyTimeBy(q2) = %v, want 12", got)
+	}
+	if got := r.BusyTimeBy("q3"); got != 0 {
+		t.Errorf("BusyTimeBy(q3) = %v, want 0", got)
+	}
+	// Anonymous Use is accounted under the reserved AnonymousOwner key, so
+	// the per-owner totals sum to BusyTime.
+	if got := r.BusyTimeBy(AnonymousOwner); got != 3 {
+		t.Errorf("BusyTimeBy(AnonymousOwner) = %v, want 3", got)
+	}
+	want := map[string]Duration{"q1": 20, "q2": 12, AnonymousOwner: 3}
+	got := r.OwnerBusy()
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("OwnerBusy = %v, want %v", got, want)
+	}
+	var sum Duration
+	for _, v := range got {
+		sum += v
+	}
+	if sum != r.BusyTime() {
+		t.Errorf("owner totals sum to %v, want BusyTime %v", sum, r.BusyTime())
+	}
+
+	// Folding moves finished owners into the retired aggregate: the table
+	// shrinks, the total does not, and folding again changes nothing.
+	r.FoldOwner("q1")
+	r.FoldOwner("q2")
+	r.FoldOwner("q2")
+	r.FoldOwner("q3") // never charged
+	want = map[string]Duration{RetiredOwner: 32, AnonymousOwner: 3}
+	if got := r.OwnerBusy(); !reflect.DeepEqual(got, want) {
+		t.Errorf("OwnerBusy after folding = %v, want %v", got, want)
+	}
+	if r.BusyTime() != 35 {
+		t.Errorf("BusyTime after folding = %v, want 35", r.BusyTime())
 	}
 }

@@ -118,15 +118,6 @@ func WithSingleBuffering() Option {
 	})
 }
 
-// WithDoubleBuffering uses double-buffered MPI drivers (one buffer is
-// processed while the other is read or written).
-func WithDoubleBuffering() Option {
-	return optionFunc(func(c *config) error {
-		c.coreOpts = append(c.coreOpts, core.WithBuffering(carrier.DoubleBuffered))
-		return nil
-	})
-}
-
 // WithRealTCP carries cross-cluster streams over real loopback TCP sockets
 // instead of in-process channels. Virtual-time results are identical; the
 // mode exercises the actual network stack (framing, partial reads,
@@ -233,35 +224,6 @@ func WithAdmissionRetry(maxRetries int, base, max time.Duration) Option {
 			Base:       vtime.Duration(base),
 			Max:        vtime.Duration(max),
 		}))
-		return nil
-	})
-}
-
-// WithMaxConcurrentQueries bounds how many sessions may run at once,
-// independent of node availability (default: limited only by the node
-// pool).
-func WithMaxConcurrentQueries(n int) Option {
-	return optionFunc(func(c *config) error {
-		if n < 0 {
-			return fmt.Errorf("scsq: max concurrent queries must be >= 0, got %d", n)
-		}
-		c.schedOpts = append(c.schedOpts, sched.WithMaxConcurrent(n))
-		return nil
-	})
-}
-
-// WithFairShareSlice bounds single reservations on the shared transport
-// devices (Linux-cluster NICs, I/O-node forwarders and trees) to d of
-// virtual service time, so concurrent sessions' frames interleave on a
-// contended device instead of serializing behind one tenant's transfer. Off
-// by default: slicing changes intra-query schedules, and the single-tenant
-// paper figures are calibrated without it.
-func WithFairShareSlice(d time.Duration) Option {
-	return optionFunc(func(c *config) error {
-		if d < 0 {
-			return fmt.Errorf("scsq: fair-share slice must be >= 0, got %v", d)
-		}
-		c.schedOpts = append(c.schedOpts, sched.WithFairSlice(vtime.Duration(d.Nanoseconds())))
 		return nil
 	})
 }

@@ -1,7 +1,10 @@
 package scsq
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -175,7 +178,7 @@ and   a=sp(gen_array(300000,10), 'bg', 1);`)
 		return stream.Makespan()
 	}
 	single := run(WithSingleBuffering())
-	double := run(WithDoubleBuffering())
+	double := run() // double buffering is the default
 	if double >= single {
 		t.Errorf("double buffering (%v) should beat single (%v) at 100 KB buffers", double, single)
 	}
@@ -286,6 +289,81 @@ and   n=2;`)
 	if _, err := New(WithUDPInbound(-0.1)); err == nil {
 		t.Error("negative loss rate should be rejected")
 	}
+}
+
+// TestTracingDoesNotPerturb pins WithTracing's contract on a Figure 6 point
+// (the Figure 5 query at a 10 kB MPI buffer): the traced run writes
+// trace-event JSON that parses, with one transfer span per frame a link
+// delivered and a span of the same frame for every hop it crossed, and it
+// measures the same makespan as the untraced run.
+func TestTracingDoesNotPerturb(t *testing.T) {
+	run := func(opts ...Option) (*Engine, time.Duration) {
+		t.Helper()
+		eng := newEngine(t, append([]Option{WithMPIBufferBytes(10_000)}, opts...)...)
+		stream, err := eng.Query(`
+select extract(b)
+from sp a, sp b
+where b=sp(streamof(count(extract(a))), 'bg', 0)
+and   a=sp(gen_array(30000,10), 'bg', 1);`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := stream.One(); err != nil {
+			t.Fatal(err)
+		}
+		return eng, stream.Makespan()
+	}
+	plain, want := run()
+	if err := plain.WriteTrace(io.Discard); err == nil {
+		t.Error("WriteTrace without WithTracing should fail")
+	}
+	traced, got := run(WithTracing(0))
+	if got != want {
+		t.Errorf("traced makespan %v != untraced %v", got, want)
+	}
+
+	var buf bytes.Buffer
+	if err := traced.WriteTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var file struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Ph   string         `json:"ph"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &file); err != nil {
+		t.Fatalf("trace is not JSON: %v", err)
+	}
+	spans := map[any]int{} // spans per frame trace id
+	var transfers int64
+	var hops []any
+	for _, ev := range file.TraceEvents {
+		id := ev.Args["trace_id"]
+		switch ev.Ph {
+		case "X":
+			spans[id]++
+			if ev.Name == "transfer" {
+				transfers++
+			}
+		case "i":
+			hops = append(hops, id)
+		}
+	}
+	if len(hops) == 0 {
+		t.Fatal("trace holds no frame hop")
+	}
+	for _, id := range hops {
+		if id == nil || spans[id] == 0 {
+			t.Fatalf("hop of frame %v has no span", id)
+		}
+	}
+	frames := traced.MetricsSnapshot().SumCounters("link.frames.")
+	if transfers != frames {
+		t.Errorf("%d transfer spans for %d delivered frames", transfers, frames)
+	}
+	t.Logf("%d frames, %d hops, makespan %v", frames, len(hops), got)
 }
 
 func TestTopologyPublicAPI(t *testing.T) {
