@@ -43,10 +43,14 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	env, err := hw.NewLOFAR(
-		hw.WithTorusDims(*dimX, *dimY, *dimZ),
-		hw.WithPsetSize(*pset),
-	)
+	// A zero in hw.Config means the default; on the command line it is a
+	// mistake.
+	for _, n := range []int{*dimX, *dimY, *dimZ, *pset} {
+		if n <= 0 {
+			return fmt.Errorf("torus dimensions and pset size must be positive, got -x %d -y %d -z %d -pset %d", *dimX, *dimY, *dimZ, *pset)
+		}
+	}
+	env, err := hw.NewLOFAR(hw.Config{Torus: [3]int{*dimX, *dimY, *dimZ}, PsetSize: *pset})
 	if err != nil {
 		return err
 	}
@@ -68,7 +72,7 @@ func inventory(out io.Writer, env *hw.Env) error {
 	fmt.Fprintf(out, "Linux clusters: %d back-end nodes, %d front-end nodes (GbE)\n\n",
 		env.ClusterSize(hw.BackEnd), env.ClusterSize(hw.FrontEnd))
 
-	eng, err := core.NewEngine(core.WithEnv(env))
+	eng, err := core.NewEngine(core.Config{Env: env})
 	if err != nil {
 		return err
 	}

@@ -25,7 +25,7 @@ func ablation(producers []int, bufBytes int, w workload) ([]Point, error) {
 	// One engine serves every repetition: the selector is a pure function of
 	// the (reset) node database, so only the virtual clocks need rewinding
 	// between runs.
-	eng, err := core.NewEngine(core.WithMPIBufferBytes(bufBytes))
+	eng, err := core.NewEngine(core.Config{MPIBufferBytes: bufBytes})
 	if err != nil {
 		return nil, err
 	}

@@ -230,9 +230,9 @@ func runQueryOn(eng *core.Engine, src string, payloadBytes int64) (float64, erro
 	return mbps(payloadBytes, makespan), nil
 }
 
-// repeatQuery measures src n times on one engine built with opts.
-func repeatQuery(src string, payloadBytes int64, n int, opts ...core.Option) ([]float64, error) {
-	eng, err := core.NewEngine(opts...)
+// repeatQuery measures src n times on one engine built with cfg.
+func repeatQuery(src string, payloadBytes int64, n int, cfg core.Config) ([]float64, error) {
+	eng, err := core.NewEngine(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -269,9 +269,7 @@ func figure6(bufs []int, w workload) ([]Point, error) {
 	for _, buf := range bufs {
 		for _, b := range bufferings {
 			runs, err := repeatQuery(src, w.payload(1), w.Repeats,
-				core.WithMPIBufferBytes(buf),
-				core.WithBuffering(b.mode),
-			)
+				core.Config{MPIBufferBytes: buf, Buffering: b.mode})
 			if err != nil {
 				return nil, fmt.Errorf("figure6 buf=%d mode=%s: %w", buf, b.name, err)
 			}
@@ -303,9 +301,7 @@ func figure8(bufs []int, w workload) ([]Point, error) {
 			src := scsql.MergeQuery(topo.x, topo.y, w.ArrayBytes, w.ArrayCount)
 			for _, b := range bufferings {
 				runs, err := repeatQuery(src, w.payload(2), w.Repeats,
-					core.WithMPIBufferBytes(buf),
-					core.WithBuffering(b.mode),
-				)
+					core.Config{MPIBufferBytes: buf, Buffering: b.mode})
 				if err != nil {
 					return nil, fmt.Errorf("figure8 buf=%d topo=%s mode=%s: %w", buf, topo.name, b.name, err)
 				}
@@ -339,11 +335,11 @@ func figure15(queries, ns []int, w workload) ([]Point, error) {
 			if err != nil {
 				return nil, err
 			}
-			env, err := hw.NewLOFAR(hw.WithCostModel(cost))
+			env, err := hw.NewLOFAR(hw.Config{Cost: cost})
 			if err != nil {
 				return nil, err
 			}
-			runs, err := repeatQuery(src, w.payload(n), w.Repeats, core.WithEnv(env))
+			runs, err := repeatQuery(src, w.payload(n), w.Repeats, core.Config{Env: env})
 			if err != nil {
 				return nil, fmt.Errorf("figure15 q=%d n=%d: %w", q, n, err)
 			}

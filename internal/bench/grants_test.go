@@ -130,7 +130,7 @@ func TestFigure6GrantsIdentical(t *testing.T) {
 	src := scsql.Figure5Query(300_000, 20)
 	for _, procs := range []int{1, 2} {
 		prev := runtime.GOMAXPROCS(procs)
-		d, err := firstGrantDivergence(src, core.WithMPIBufferBytes(30_000))
+		d, err := firstGrantDivergence(src, core.Config{MPIBufferBytes: 30_000})
 		runtime.GOMAXPROCS(prev)
 		if err != nil {
 			t.Fatal(err)
@@ -158,7 +158,7 @@ func TestGrantKeysArePlanFunctions(t *testing.T) {
 		opts  []core.Option
 	}{
 		{"figure8-bal-single-30kB", 1, scsql.MergeQuery(1, 4, 300_000, 20),
-			[]core.Option{core.WithMPIBufferBytes(30_000), core.WithBuffering(carrier.SingleBuffered)}},
+			[]core.Option{core.Config{MPIBufferBytes: 30_000, Buffering: carrier.SingleBuffered}}},
 		{"multitenant-k1", 2, inbound, nil},
 	} {
 		t.Run(c.name, func(t *testing.T) {

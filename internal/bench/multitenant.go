@@ -47,11 +47,11 @@ func multiTenant(tenants []int, streams int, w workload) ([]Point, error) {
 		var aggregate, perQuery, serialized []float64
 		var wait time.Duration
 		for rep := 0; rep < w.Repeats; rep++ {
-			t1, _, err := runTenants(eng, src, 1, nil)
+			t1, _, err := runTenants(eng, src, 1, sched.Config{})
 			if err != nil {
 				return nil, err
 			}
-			batch, _, err := runTenants(eng, src, k, nil)
+			batch, _, err := runTenants(eng, src, k, sched.Config{})
 			if err != nil {
 				return nil, err
 			}
@@ -93,8 +93,8 @@ func (b tenantBatch) rates(perQueryPayload int64) (aggregate, perQuery float64) 
 // given options) on the shared engine, waits for all of them, captures the
 // placement planner's decisions if one is configured, and resets the engine
 // for the next batch.
-func runTenants(eng *core.Engine, src string, k int, opts []sched.Option) (tenantBatch, []place.Decision, error) {
-	s := sched.New(eng, nil, opts...)
+func runTenants(eng *core.Engine, src string, k int, cfg sched.Config) (tenantBatch, []place.Decision, error) {
+	s := sched.New(eng, nil, cfg)
 	defer s.Close()
 
 	qs := make([]*sched.Query, 0, k)

@@ -37,23 +37,23 @@ func placeSweep(torus [3]int, tenants []int, w workload) ([]Point, error) {
 	if err != nil {
 		return nil, err
 	}
-	env, err := hw.NewLOFAR(hw.WithTorusDims(torus[0], torus[1], torus[2]))
+	env, err := hw.NewLOFAR(hw.Config{Torus: torus})
 	if err != nil {
 		return nil, err
 	}
-	eng, err := core.NewEngine(core.WithEnv(env))
+	eng, err := core.NewEngine(core.Config{Env: env})
 	if err != nil {
 		return nil, err
 	}
 	defer eng.Close()
-	planned := []sched.Option{sched.WithPlacementPlanner(place.Config{})}
+	planned := sched.Config{Placement: &place.Config{}}
 
 	var pts []Point
 	for _, k := range tenants {
 		var aggG, aggP, perG, perP []float64
 		var decisions, fallbacks int
 		for rep := 0; rep < w.Repeats; rep++ {
-			g, _, err := runTenants(eng, src, k, nil)
+			g, _, err := runTenants(eng, src, k, sched.Config{})
 			if err != nil {
 				return nil, fmt.Errorf("greedy k=%d: %w", k, err)
 			}

@@ -267,8 +267,7 @@ func soak(cfg soakConfig) (*soakResult, error) {
 	start := time.Now()
 	baseline := runtime.NumGoroutine()
 
-	env, err := hw.NewLOFAR(hw.WithTorusDims(2, 2, 2), hw.WithPsetSize(4),
-		hw.WithBackEndNodes(2), hw.WithFrontEndNodes(1))
+	env, err := hw.NewLOFAR(hw.Config{Torus: [3]int{2, 2, 2}, PsetSize: 4, BackEndNodes: 2, FrontEndNodes: 1})
 	if err != nil {
 		return nil, err
 	}
@@ -285,24 +284,22 @@ func soak(cfg soakConfig) (*soakResult, error) {
 	// or poisons its downstream inboxes. With the partition fully pinned the
 	// re-placement has nowhere to land, so a killed hog deterministically
 	// fails rather than recovers.
-	eng, err := core.NewEngine(core.WithEnv(env), core.WithChaos(inj),
-		core.WithSupervision(2), core.WithSource("gate", gate.operator))
+	budget := 2
+	eng, err := core.NewEngine(core.Config{Env: env, Chaos: inj, Supervision: &budget,
+		Sources: map[string]sqep.SourceFunc{"gate": gate.operator}})
 	if err != nil {
 		return nil, err
 	}
 
-	schedOpts := []sched.Option{sched.WithQueueCap(cfg.QueueCap)}
-	if cfg.Shedding {
-		schedOpts = append(schedOpts, sched.WithLoadShedding())
-	}
+	schedCfg := sched.Config{QueueCap: cfg.QueueCap, LoadShedding: cfg.Shedding}
 	if cfg.Retry {
-		schedOpts = append(schedOpts, sched.WithAdmissionRetry(sched.AdmissionRetryPolicy{
+		schedCfg.AdmissionRetry = sched.AdmissionRetryPolicy{
 			MaxRetries: 8,
 			Base:       vtime.Millisecond,
 			Max:        8 * vtime.Millisecond,
-		}))
+		}
 	}
-	s := sched.New(eng, nil, schedOpts...)
+	s := sched.New(eng, nil, schedCfg)
 
 	res := &soakResult{}
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -321,12 +318,12 @@ func soak(cfg soakConfig) (*soakResult, error) {
 			// Phase 1: the hog pins the whole partition. In deadline rounds
 			// it sometimes carries a run TTL and expires mid-round instead of
 			// completing — either way the gate is released at the barrier.
-			var hogOpts []sched.SubmitOption
+			var hogCfg sched.SubmitConfig
 			hogExpires := cfg.Deadlines && rng.Intn(3) == 0
 			if hogExpires {
-				hogOpts = append(hogOpts, sched.WithRunTTL(maxTTL/2))
+				hogCfg.RunTTL = maxTTL / 2
 			}
-			hog, err := s.Submit(hogSrc(), hogOpts...)
+			hog, err := s.Submit(hogSrc(), hogCfg)
 			if err != nil {
 				return fmt.Errorf("round %d: submit hog: %w", r, err)
 			}
@@ -343,11 +340,11 @@ func soak(cfg soakConfig) (*soakResult, error) {
 			for v := 0; v < cfg.Victims; v++ {
 				from := rng.Intn(soakBGNodes)
 				to := (from + 1 + rng.Intn(soakBGNodes-1)) % soakBGNodes
-				var opts []sched.SubmitOption
+				var victimCfg sched.SubmitConfig
 				if cfg.Deadlines && rng.Intn(3) == 0 {
-					opts = append(opts, sched.WithQueueTTL(vtime.Duration(1+rng.Intn(int(maxTTL/vtime.Millisecond)))*vtime.Millisecond))
+					victimCfg.QueueTTL = vtime.Duration(1+rng.Intn(int(maxTTL/vtime.Millisecond))) * vtime.Millisecond
 				}
-				q, err := s.Submit(victimSrc(from, to), opts...)
+				q, err := s.Submit(victimSrc(from, to), victimCfg)
 				if err != nil {
 					if !errors.Is(err, sched.ErrQueueFull) {
 						return fmt.Errorf("round %d: submit victim: %w", r, err)
@@ -364,7 +361,7 @@ func soak(cfg soakConfig) (*soakResult, error) {
 			for x := 0; x < cfg.Extras; x++ {
 				from := rng.Intn(soakBGNodes)
 				to := (from + 1 + rng.Intn(soakBGNodes-1)) % soakBGNodes
-				q, err := s.Submit(victimSrc(from, to), sched.WithPriority(1))
+				q, err := s.Submit(victimSrc(from, to), sched.SubmitConfig{Priority: 1})
 				if err != nil {
 					if !errors.Is(err, sched.ErrQueueFull) {
 						return fmt.Errorf("round %d: submit extra: %w", r, err)
@@ -516,7 +513,8 @@ bag of sp a, sp c
 where c=sp(streamof(count(merge(a))), 'bg', 8)
 and   a=spv((select gen_array(30000,6) from integer i where i in iota(1,2)), 'bg', inPset(0));`
 	inj := chaos.New(seed, chaos.CrashAfterSends(hw.BlueGene, 0, 2))
-	eng, err := core.NewEngine(core.WithChaos(inj), core.WithSupervision(2))
+	budget := 2
+	eng, err := core.NewEngine(core.Config{Chaos: inj, Supervision: &budget})
 	if err != nil {
 		return false, false, 0, err
 	}

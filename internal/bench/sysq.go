@@ -61,7 +61,7 @@ var sysqTables = []string{"sys_sessions", "sys_nodes", "sys_links", "sys_rps", "
 // The engine is fresh per run because a live streamof drain holds a query
 // context open, which Reset correctly refuses.
 func observedFigure6Run(w workload, bufBytes int, observe bool) (vtime.Time, time.Duration, error) {
-	e, err := core.NewEngine(core.WithMPIBufferBytes(bufBytes))
+	e, err := core.NewEngine(core.Config{MPIBufferBytes: bufBytes})
 	if err != nil {
 		return 0, 0, err
 	}

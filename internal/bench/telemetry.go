@@ -62,11 +62,11 @@ func RunTelemetry(cfg TelemetryConfig) (*TelemetryReport, error) {
 		return nil, err
 	}
 	tracer := metrics.NewTracer(cfg.TraceLimit)
-	eng, err := core.NewEngine(
-		core.WithMPIBufferBytes(cfg.BufBytes),
-		core.WithBuffering(carrier.DoubleBuffered),
-		core.WithTracer(tracer),
-	)
+	eng, err := core.NewEngine(core.Config{
+		MPIBufferBytes: cfg.BufBytes,
+		Buffering:      carrier.DoubleBuffered,
+		Tracer:         tracer,
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -53,11 +53,11 @@ func udpLoss(lossRates []float64, n int, w workload) ([]Point, error) {
 // udpLossRun runs the query once on a fresh engine and returns the
 // delivered array count and the goodput in Mbps.
 func udpLossRun(src string, cost hw.CostModel, rate float64, arrayBytes int) (int64, float64, error) {
-	env, err := hw.NewLOFAR(hw.WithCostModel(cost))
+	env, err := hw.NewLOFAR(hw.Config{Cost: cost})
 	if err != nil {
 		return 0, 0, err
 	}
-	eng, err := core.NewEngine(core.WithEnv(env), core.WithUDPInbound(rate))
+	eng, err := core.NewEngine(core.Config{Env: env, UDPInbound: &rate})
 	if err != nil {
 		return 0, 0, err
 	}

@@ -41,7 +41,7 @@ func newTCPEnv(t *testing.T) *hw.Env {
 	t.Helper()
 	m := hw.DefaultCostModel()
 	m.FENICByte = 6.5
-	env, err := hw.NewLOFAR(hw.WithCostModel(m))
+	env, err := hw.NewLOFAR(hw.Config{Cost: m})
 	if err != nil {
 		t.Fatal(err)
 	}

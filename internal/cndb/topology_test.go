@@ -99,7 +99,7 @@ func TestBackEndProducersSpill(t *testing.T) {
 }
 
 func TestBackEndProducersNoBackEnd(t *testing.T) {
-	env, err := hw.NewLOFAR(hw.WithBackEndNodes(1))
+	env, err := hw.NewLOFAR(hw.Config{BackEndNodes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

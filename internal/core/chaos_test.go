@@ -19,7 +19,7 @@ import (
 // restart tally, and its final node.
 func mergeUnderChaos(t *testing.T, inj *chaos.Injector, budget, nGens, size, count int, genSeq []int) (any, error, int, int) {
 	t.Helper()
-	e, err := NewEngine(WithChaos(inj), WithSupervision(budget))
+	e, err := NewEngine(Config{Chaos: inj, Supervision: &budget})
 	if err != nil {
 		t.Fatalf("engine: %v", err)
 	}
@@ -180,7 +180,7 @@ func TestChaosOverRealTCPMatchesInProcess(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func(opts ...Option) (int64, vtime.Time) {
-				e, err := NewEngine(append(opts, WithChaos(chaos.New(5, tc.fault)))...)
+				e, err := NewEngine(append(opts, Config{Chaos: chaos.New(5, tc.fault)})...)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -188,7 +188,7 @@ func TestChaosOverRealTCPMatchesInProcess(t *testing.T) {
 				return runInboundCount(t, e, n, size, count)
 			}
 			wantCount, wantSpan := run()
-			gotCount, gotSpan := run(WithRealTCP())
+			gotCount, gotSpan := run(Config{RealTCP: true})
 			if wantCount != tc.want || gotCount != wantCount {
 				t.Fatalf("count in process %d, over sockets %d; want %d both ways", wantCount, gotCount, tc.want)
 			}

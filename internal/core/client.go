@@ -86,8 +86,8 @@ func (q *Query) ClientPlan(build Subquery) (*ClientStream, error) {
 		ctx: sqep.Ctx{
 			CPU:     node.CPU,
 			Cost:    e.env.Cost,
-			Files:   e.files,
-			Sources: e.sources,
+			Files:   e.cfg.Files,
+			Sources: e.cfg.Sources,
 			Owner:   qc.id,
 			ID:      b.spID,
 			Cancel:  qc,

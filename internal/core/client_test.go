@@ -109,11 +109,11 @@ type testError struct{}
 func (*testError) Error() string { return "boom-test" }
 
 func TestEngineOptionValidation(t *testing.T) {
-	if _, err := NewEngine(WithMPIBufferBytes(0)); err == nil {
-		t.Error("zero MPI buffer should fail")
+	if _, err := NewEngine(Config{MPIBufferBytes: -1}); err == nil {
+		t.Error("negative MPI buffer should fail")
 	}
-	if _, err := NewEngine(withWindowFrames(0)); err == nil {
-		t.Error("zero window should fail")
+	if _, err := NewEngine(Config{window: -1}); err == nil {
+		t.Error("negative window should fail")
 	}
 }
 
@@ -283,7 +283,7 @@ func TestResetRacesDrain(t *testing.T) {
 
 func TestWindowFramesOptionBoundsInFlight(t *testing.T) {
 	// A tiny window still completes (backpressure, not deadlock).
-	e, err := NewEngine(withWindowFrames(1))
+	e, err := NewEngine(Config{window: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"maps"
@@ -52,26 +53,17 @@ type Engine struct {
 	coords map[hw.ClusterName]*coord.Coordinator
 	poller *coord.BGPoller
 
-	files   sqep.FileTable
-	sources map[string]sqep.SourceFunc
+	cfg        Config // as NewEngine filled it in: every default explicit
+	clientNode int    // front-end node hosting the client manager
 
-	mpiBufBytes int
-	buffering   carrier.Buffering
-	window      int
-	kernelBatch int // receiver frames per virtual-time kernel commit
-	clientNode  int // front-end node hosting the client manager
-
-	inj   *chaos.Injector // nil without WithChaos
-	sup   *Supervisor     // nil without WithSupervision
-	retry carrier.RetryPolicy
+	inj *chaos.Injector // nil without Config.Chaos
+	sup *Supervisor     // nil without Config.Supervision
 
 	// reg is the engine's telemetry registry — always present. A finished
 	// query's keys remain queryable (e.g. by a follow-up monitor() statement)
 	// until the query is retired, which folds them into per-prefix
-	// "…retired" totals. tracer is nil unless WithTracer enables frame-level
-	// tracing.
-	reg    *metrics.Registry
-	tracer *metrics.Tracer
+	// "…retired" totals.
+	reg *metrics.Registry
 
 	// syscat is the queryable system catalog: sys_* virtual tables backed
 	// by snapshot providers (see syscat.go). Always non-nil; the attached
@@ -118,107 +110,102 @@ type Edge struct {
 	Label string
 }
 
-// Option configures NewEngine.
-type Option interface{ apply(*engineConfig) }
+// Config configures NewEngine. Its zero value is the engine of the paper's
+// experiments over a default LOFAR environment; each field left zero keeps
+// its default.
+type Config struct {
+	// Env is the hardware the engine runs over (nil: a default hw.NewLOFAR
+	// environment).
+	Env *hw.Env
+	// Files is the table behind filename(i) and grep() (nil: none).
+	Files sqep.FileTable
+	// Sources are the named external stream sources of receiver(name).
+	Sources map[string]sqep.SourceFunc
+	// MPIBufferBytes is the MPI driver's send-buffer size, the knob Figures
+	// 6 and 8 sweep (zero: 64 KiB; negative is an error).
+	MPIBufferBytes int
+	// Buffering selects single or double buffering for the MPI drivers
+	// (zero: carrier.DoubleBuffered, as in the paper's SCSQ).
+	Buffering carrier.Buffering
+	// RealTCP carries cross-cluster streams over real loopback TCP sockets
+	// (length-prefixed frames, one connection per stream) instead of
+	// in-process channels. Virtual-time results are identical; the mode
+	// exercises the actual network stack.
+	RealTCP bool
+	// UDPInbound, when set, carries back-end → BlueGene streams over the I/O
+	// nodes' UDP service instead of TCP (paper §2.1: the I/O nodes provide
+	// TCP or UDP), dropping datagrams at the deterministic rate
+	// *UDPInbound; end-of-stream control frames are always delivered, so
+	// array counts observe the loss. nil is TCP; a pointer to 0 is UDP at
+	// zero loss.
+	UDPInbound *float64
+	// Chaos attaches a seeded fault injector (nil: none): every carrier dial
+	// and frame send consults it, and node-crash schedules propagate to the
+	// coordinators (the crashed node is marked dead, its resident RPs are
+	// killed). Over RealTCP the socket carrier wraps the same charging link,
+	// so it sees the same verdicts: a dropped frame never reaches the
+	// socket, a delayed one is charged late.
+	Chaos *chaos.Injector
+	// Supervision, when set, enables supervised re-placement: when a source
+	// RP dies of a node failure, the supervisor re-places it via its
+	// original allocation sequence (excluding dead nodes), rebuilds its
+	// plan, re-subscribes its consumers, and resumes — at most
+	// *Supervision times per RP. Past the budget, or for unrecoverable RPs
+	// (an input-bearing RP cannot replay its consumed inputs), the failure
+	// propagates through the SP graph as a typed error instead of hanging
+	// Wait. nil is no supervisor; a pointer to 0 supervises with no
+	// restarts.
+	Supervision *int
+	// Tracer enables frame-level tracing (nil: off): sender drivers assign
+	// each frame a deterministic trace ID, carriers stamp hop timestamps
+	// into the frame header, and the tracer collects the spans for
+	// Perfetto/Chrome-trace export (metrics.Tracer.WriteJSON). Tracing only
+	// records virtual times the engine computed anyway, so enabling it does
+	// not perturb schedules.
+	Tracer *metrics.Tracer
 
-type engineConfig struct {
-	env         *hw.Env
-	files       sqep.FileTable
-	sources     map[string]sqep.SourceFunc
-	mpiBufBytes int
-	buffering   carrier.Buffering
-	window      int
-	realTCP     bool
-	udpLoss     float64
-	useUDP      bool
-	inj         *chaos.Injector
-	supervise   bool
-	budget      int
-	tracer      *metrics.Tracer
+	// window is the per-connection flow-control window: frames an inbox
+	// buffers before the producer blocks (zero: 4). A test seam, like
+	// kernelBatch: the window bounds wall-side buffering only.
+	window int
+	// kernelBatch bounds the receivers' batched reservation commits (zero:
+	// DefaultKernelBatch). Values of one or less commit per frame (the serial
+	// kernel). Batching changes lock traffic only, never virtual schedules —
+	// which the kernel identity tests prove against the serial kernel
+	// through this seam; it is not a tuning knob.
 	kernelBatch int
 }
 
-type optionFunc func(*engineConfig)
+// Option configures NewEngine. A Config is one: each of its non-zero fields
+// overrides what the options before it set.
+type Option interface{ apply(*Config) }
 
-func (f optionFunc) apply(c *engineConfig) { f(c) }
-
-// WithEnv runs the engine over an existing environment instead of a default
-// LOFAR one.
-func WithEnv(env *hw.Env) Option {
-	return optionFunc(func(c *engineConfig) { c.env = env })
+func (c Config) apply(dst *Config) {
+	dst.Env = cmp.Or(c.Env, dst.Env)
+	if c.Files != nil { // an interface: cmp.Or would compare dynamic values
+		dst.Files = c.Files
+	}
+	if c.Sources != nil {
+		dst.Sources = c.Sources
+	}
+	dst.MPIBufferBytes = cmp.Or(c.MPIBufferBytes, dst.MPIBufferBytes)
+	dst.Buffering = cmp.Or(c.Buffering, dst.Buffering)
+	dst.RealTCP = cmp.Or(c.RealTCP, dst.RealTCP)
+	dst.UDPInbound = cmp.Or(c.UDPInbound, dst.UDPInbound)
+	dst.Chaos = cmp.Or(c.Chaos, dst.Chaos)
+	dst.Supervision = cmp.Or(c.Supervision, dst.Supervision)
+	dst.Tracer = cmp.Or(c.Tracer, dst.Tracer)
+	dst.window = cmp.Or(c.window, dst.window)
+	dst.kernelBatch = cmp.Or(c.kernelBatch, dst.kernelBatch)
 }
 
-// WithFileTable provides the table behind filename(i) and grep().
-func WithFileTable(t sqep.FileTable) Option {
-	return optionFunc(func(c *engineConfig) { c.files = t })
-}
+// WithEnv is Config{Env: env}. Only benchmark/ calls it; ROADMAP item 8
+// moves that caller to Config and deletes it.
+func WithEnv(env *hw.Env) Option { return Config{Env: env} }
 
-// WithSource registers a named external stream source for receiver(name).
-func WithSource(name string, fn sqep.SourceFunc) Option {
-	return optionFunc(func(c *engineConfig) { c.sources[name] = fn })
-}
-
-// WithMPIBufferBytes sets the MPI driver's send-buffer size (Figures 6/8
-// sweep this).
-func WithMPIBufferBytes(n int) Option {
-	return optionFunc(func(c *engineConfig) { c.mpiBufBytes = n })
-}
-
-// WithBuffering selects single or double buffering for the MPI drivers.
-func WithBuffering(b carrier.Buffering) Option {
-	return optionFunc(func(c *engineConfig) { c.buffering = b })
-}
-
-// withWindowFrames sets the per-connection flow-control window (frames an
-// inbox buffers before the producer blocks; default 4). A test seam, like
-// withKernelBatch: the window bounds wall-side buffering only.
-func withWindowFrames(n int) Option {
-	return optionFunc(func(c *engineConfig) { c.window = n })
-}
-
-// WithRealTCP carries cross-cluster streams over real loopback TCP sockets
-// (length-prefixed frames, one connection per stream) instead of in-process
-// channels. Virtual-time results are identical; the mode exercises the
-// actual network stack.
-func WithRealTCP() Option {
-	return optionFunc(func(c *engineConfig) { c.realTCP = true })
-}
-
-// WithUDPInbound carries back-end → BlueGene streams over the I/O nodes'
-// UDP service instead of TCP (paper §2.1: the I/O nodes provide TCP or
-// UDP). UDP is best-effort: datagrams drop at the given deterministic rate,
-// so array counts observe the loss; end-of-stream control frames are always
-// delivered.
-func WithUDPInbound(lossRate float64) Option {
-	return optionFunc(func(c *engineConfig) {
-		c.useUDP = true
-		c.udpLoss = lossRate
-	})
-}
-
-// WithChaos attaches a seeded fault injector: every carrier dial and frame
-// send consults it, and node-crash schedules propagate to the coordinators
-// (the crashed node is marked dead, its resident RPs are killed). Over
-// WithRealTCP the socket carrier wraps the same charging link, so it sees the
-// same verdicts: a dropped frame never reaches the socket, a delayed one is
-// charged late.
-func WithChaos(inj *chaos.Injector) Option {
-	return optionFunc(func(c *engineConfig) { c.inj = inj })
-}
-
-// WithSupervision enables supervised re-placement: when a source RP dies of
-// a node failure, the supervisor re-places it via its original allocation
-// sequence (excluding dead nodes), rebuilds its plan, re-subscribes its
-// consumers, and resumes — at most budget times per RP. Past the budget, or
-// for unrecoverable RPs (an input-bearing RP cannot replay its consumed
-// inputs), the failure propagates through the SP graph as a typed error
-// instead of hanging Wait.
-func WithSupervision(budget int) Option {
-	return optionFunc(func(c *engineConfig) {
-		c.supervise = true
-		c.budget = budget
-	})
-}
+// WithMPIBufferBytes is Config{MPIBufferBytes: n}. Only benchmark/ calls
+// it; ROADMAP item 8 moves that caller to Config and deletes it.
+func WithMPIBufferBytes(n int) Option { return Config{MPIBufferBytes: n} }
 
 // pacerHorizon is the conservative-pacing window: no RP of a query runs more
 // than this far ahead of its slowest peer in virtual time.
@@ -229,74 +216,47 @@ const pacerHorizon = vtime.Millisecond
 // de-marshal reservations committed on the node CPU in one critical section.
 const DefaultKernelBatch = 16
 
-// withKernelBatch bounds the receivers' batched reservation commits. Values
-// of one or less commit per frame (the serial kernel). Batching changes lock
-// traffic only, never virtual schedules — which the kernel identity tests
-// prove against the serial kernel through this seam; it is not a tuning
-// knob.
-func withKernelBatch(n int) Option {
-	return optionFunc(func(c *engineConfig) { c.kernelBatch = n })
-}
-
-// WithTracer enables frame-level tracing: sender drivers assign each frame
-// a deterministic trace ID, carriers stamp hop timestamps into the frame
-// header, and the tracer collects the spans for Perfetto/Chrome-trace
-// export (metrics.Tracer.WriteJSON). Tracing only records virtual times
-// the engine computed anyway, so enabling it does not perturb schedules.
-func WithTracer(t *metrics.Tracer) Option {
-	return optionFunc(func(c *engineConfig) { c.tracer = t })
-}
-
 // NewEngine builds an engine. With no options it simulates the default
 // LOFAR environment.
 func NewEngine(opts ...Option) (*Engine, error) {
-	cfg := engineConfig{
-		sources:     make(map[string]sqep.SourceFunc),
-		mpiBufBytes: 64 * 1024,
-		buffering:   carrier.DoubleBuffered,
-		window:      4,
-		kernelBatch: DefaultKernelBatch,
-	}
+	var cfg Config
 	for _, o := range opts {
 		o.apply(&cfg)
 	}
-	if cfg.env == nil {
+	if cfg.Env == nil {
 		env, err := hw.NewLOFAR()
 		if err != nil {
 			return nil, err
 		}
-		cfg.env = env
+		cfg.Env = env
 	}
-	if cfg.mpiBufBytes <= 0 {
-		return nil, fmt.Errorf("core: MPI buffer size must be positive, got %d", cfg.mpiBufBytes)
+	cfg.MPIBufferBytes = cmp.Or(cfg.MPIBufferBytes, 64*1024)
+	cfg.Buffering = cmp.Or(cfg.Buffering, carrier.DoubleBuffered)
+	cfg.window = cmp.Or(cfg.window, 4)
+	cfg.kernelBatch = cmp.Or(cfg.kernelBatch, DefaultKernelBatch)
+	if cfg.MPIBufferBytes < 0 {
+		return nil, fmt.Errorf("core: MPI buffer size must be positive, got %d", cfg.MPIBufferBytes)
 	}
-	if cfg.window <= 0 {
+	if cfg.window < 0 {
 		return nil, fmt.Errorf("core: window must be positive, got %d", cfg.window)
 	}
 
 	e := &Engine{
-		env:         cfg.env,
-		mpi:         mpicar.NewFabric(cfg.env),
-		tcp:         tcpcar.NewFabric(cfg.env),
-		coords:      make(map[hw.ClusterName]*coord.Coordinator, 3),
-		files:       cfg.files,
-		sources:     cfg.sources,
-		mpiBufBytes: cfg.mpiBufBytes,
-		buffering:   cfg.buffering,
-		window:      cfg.window,
-		kernelBatch: cfg.kernelBatch,
-		queries:     make(map[string]*queryCtx),
-		inj:         cfg.inj,
-		retry:       carrier.DefaultRetryPolicy,
-		reg:         metrics.NewRegistry(),
-		tracer:      cfg.tracer,
-		syscat:      catalog.NewRegistry(),
-		stop:        make(chan struct{}),
+		env:     cfg.Env,
+		mpi:     mpicar.NewFabric(cfg.Env),
+		tcp:     tcpcar.NewFabric(cfg.Env),
+		coords:  make(map[hw.ClusterName]*coord.Coordinator, 3),
+		cfg:     cfg,
+		queries: make(map[string]*queryCtx),
+		inj:     cfg.Chaos,
+		reg:     metrics.NewRegistry(),
+		syscat:  catalog.NewRegistry(),
+		stop:    make(chan struct{}),
 	}
 	e.mpi.SetMetrics(e.reg)
 	e.tcp.SetMetrics(e.reg)
-	if cfg.supervise {
-		e.sup = &Supervisor{eng: e, budget: cfg.budget}
+	if cfg.Supervision != nil {
+		e.sup = &Supervisor{eng: e, budget: *cfg.Supervision}
 	}
 	if e.inj != nil {
 		e.mpi.SetInjector(e.inj)
@@ -305,7 +265,7 @@ func NewEngine(opts ...Option) (*Engine, error) {
 		e.inj.OnCrash(e.handleCrash)
 	}
 	for _, c := range []hw.ClusterName{hw.FrontEnd, hw.BackEnd, hw.BlueGene} {
-		cc, err := coord.New(cfg.env, c)
+		cc, err := coord.New(cfg.Env, c)
 		if err != nil {
 			return nil, err
 		}
@@ -319,7 +279,7 @@ func NewEngine(opts ...Option) (*Engine, error) {
 		return nil, err
 	}
 	e.poller = poller
-	if cfg.realTCP {
+	if cfg.RealTCP {
 		nf, err := tcpcar.NewNetFabric(e.tcp)
 		if err != nil {
 			e.poller.Shutdown()
@@ -327,8 +287,8 @@ func NewEngine(opts ...Option) (*Engine, error) {
 		}
 		e.netTCP = nf
 	}
-	if cfg.useUDP {
-		uf, err := tcpcar.NewUDPFabric(cfg.env, cfg.udpLoss)
+	if cfg.UDPInbound != nil {
+		uf, err := tcpcar.NewUDPFabric(cfg.Env, *cfg.UDPInbound)
 		if err != nil {
 			e.poller.Shutdown()
 			return nil, err
@@ -351,8 +311,8 @@ func (e *Engine) Env() *hw.Env { return e.env }
 // ("rp.elements_out.retired").
 func (e *Engine) Metrics() *metrics.Registry { return e.reg }
 
-// Tracer returns the frame-level tracer installed with WithTracer, or nil.
-func (e *Engine) Tracer() *metrics.Tracer { return e.tracer }
+// Tracer returns the frame-level tracer of Config.Tracer, or nil.
+func (e *Engine) Tracer() *metrics.Tracer { return e.cfg.Tracer }
 
 // MetricsSnapshot captures the current state of every engine metric as a
 // JSON-serializable snapshot.
@@ -363,7 +323,7 @@ func (e *Engine) MetricsSnapshot() metrics.Snapshot { return e.reg.Snapshot() }
 func (e *Engine) Coordinator(c hw.ClusterName) *coord.Coordinator { return e.coords[c] }
 
 // FileTable returns the configured file table (possibly nil).
-func (e *Engine) FileTable() sqep.FileTable { return e.files }
+func (e *Engine) FileTable() sqep.FileTable { return e.cfg.Files }
 
 // Close shuts the engine down (stopping the bgCC polling loop). Queries in
 // flight must be drained, cancelled, or waited first: Close returns
@@ -667,8 +627,8 @@ func (e *Engine) buildProc(sp *SP, node int) (*rp.RP, bool, error) {
 	ctx := sqep.Ctx{
 		CPU:     hwNode.CPU,
 		Cost:    e.env.Cost,
-		Files:   e.files,
-		Sources: e.sources,
+		Files:   e.cfg.Files,
+		Sources: e.cfg.Sources,
 		Owner:   sp.qc.id,
 		Cancel:  sp.qc,
 	}
@@ -945,7 +905,7 @@ func (b *PlanBuilder) Merge(ps []*SP) (sqep.Operator, error) {
 // operator. All producers share one inbox, which is how merge() interleaves
 // their frames by arrival.
 func (e *Engine) connectAs(qc *queryCtx, producers []*SP, cc hw.ClusterName, cn int, consumer string) (sqep.Operator, error) {
-	inbox := make(carrier.Inbox, e.window)
+	inbox := make(carrier.Inbox, e.cfg.window)
 	consNode, err := e.env.Node(cc, cn)
 	if err != nil {
 		return nil, err
@@ -964,9 +924,9 @@ func (e *Engine) connectAs(qc *queryCtx, producers []*SP, cc hw.ClusterName, cn 
 		// offsets are contiguous and the tracking is inert; under
 		// supervision it is what makes a replacement's replay exactly-once.
 		TrackOffsets: true,
-		BatchFrames:  e.kernelBatch,
+		BatchFrames:  e.cfg.kernelBatch,
 		Metrics:      qc.metrics,
-		Tracer:       e.tracer,
+		Tracer:       e.cfg.Tracer,
 		Consumer:     consumer,
 		Stop:         e.stop,
 	}
@@ -996,13 +956,13 @@ func (e *Engine) wireProducer(p *SP, proc *rp.RP, pn int, w wiring) error {
 	// carrier.Link; the link dialed last names the stream.
 	var link *carrier.Link
 	intraBG := p.cluster == hw.BlueGene && w.cc == hw.BlueGene
-	conn, err := carrier.DialRetry(e.retry, func() (carrier.Conn, error) {
+	conn, err := carrier.DialRetry(carrier.DefaultRetryPolicy, func() (carrier.Conn, error) {
 		src := tcpcar.Endpoint{Cluster: p.cluster, Node: pn}
 		dst := tcpcar.Endpoint{Cluster: w.cc, Node: w.cn}
 		var derr error
 		switch {
 		case intraBG:
-			link, derr = e.mpi.Dial(pn, w.cn, e.buffering, w.inbox)
+			link, derr = e.mpi.Dial(pn, w.cn, e.cfg.Buffering, w.inbox)
 		case e.udp != nil && p.cluster == hw.BackEnd && w.cc == hw.BlueGene:
 			link, derr = e.udp.Dial(src, dst, w.inbox)
 		case e.netTCP != nil:
@@ -1028,8 +988,8 @@ func (e *Engine) wireProducer(p *SP, proc *rp.RP, pn int, w wiring) error {
 	var scfg rp.SenderConfig
 	if intraBG {
 		scfg = rp.SenderConfig{
-			BufBytes:       e.mpiBufBytes,
-			Mode:           e.buffering,
+			BufBytes:       e.cfg.MPIBufferBytes,
+			Mode:           e.cfg.Buffering,
 			MarshalPerByte: e.env.Cost.BGMarshalByte,
 			CacheFactor:    e.env.Cost.CacheFactor,
 			CPU:            prodNode.CPU,
@@ -1043,9 +1003,9 @@ func (e *Engine) wireProducer(p *SP, proc *rp.RP, pn int, w wiring) error {
 			CPU:             prodNode.CPU,
 		}
 	}
-	scfg.Retry = e.retry
+	scfg.Retry = carrier.DefaultRetryPolicy
 	scfg.Metrics = e.reg
-	scfg.Tracer = e.tracer
+	scfg.Tracer = e.cfg.Tracer
 	// Sender-side send.* metrics and carrier-side link.* metrics key
 	// identically.
 	scfg.Link = link.Label()

@@ -85,7 +85,7 @@ func TestPointToPointBandwidthPeaksNear1KB(t *testing.T) {
 	// The Figure 6 shape: 1 KB buffers beat both much smaller and much
 	// larger ones.
 	bw := func(bufBytes int) float64 {
-		e, err := NewEngine(WithMPIBufferBytes(bufBytes))
+		e, err := NewEngine(Config{MPIBufferBytes: bufBytes})
 		if err != nil {
 			t.Fatalf("engine: %v", err)
 		}

@@ -29,7 +29,7 @@ func TestTelemetryDoesNotPerturbSchedule(t *testing.T) {
 		return cs.Makespan()
 	}
 	plain := run()
-	traced := run(WithTracer(metrics.NewTracer(0)))
+	traced := run(Config{Tracer: metrics.NewTracer(0)})
 	if plain != traced {
 		t.Fatalf("tracing perturbed the schedule: makespan %v (off) vs %v (on)", plain, traced)
 	}
@@ -81,7 +81,8 @@ func chaosTelemetryRun(t *testing.T) (any, metrics.Snapshot) {
 	t.Helper()
 	const size, count, nGens = 30_000, 6, 3
 	inj := chaos.New(42, chaos.CrashAfterSends(hw.BlueGene, 1, 2))
-	e, err := NewEngine(WithChaos(inj), WithSupervision(2), WithTracer(metrics.NewTracer(0)))
+	budget := 2
+	e, err := NewEngine(Config{Chaos: inj, Supervision: &budget, Tracer: metrics.NewTracer(0)})
 	if err != nil {
 		t.Fatalf("engine: %v", err)
 	}
@@ -125,7 +126,7 @@ func chaosTelemetryRun(t *testing.T) (any, metrics.Snapshot) {
 // — for bit-for-bit equality.
 func TestSameSeedRunsProduceIdenticalHistograms(t *testing.T) {
 	run := func() metrics.Snapshot {
-		e, err := NewEngine(WithTracer(metrics.NewTracer(0)))
+		e, err := NewEngine(Config{Tracer: metrics.NewTracer(0)})
 		if err != nil {
 			t.Fatalf("engine: %v", err)
 		}
@@ -187,7 +188,7 @@ func TestSeededChaosTelemetryIsDeterministic(t *testing.T) {
 // demarshal spans that share the per-frame trace IDs.
 func TestTracerRecordsFrameJourney(t *testing.T) {
 	tr := metrics.NewTracer(0)
-	e, err := NewEngine(WithTracer(tr))
+	e, err := NewEngine(Config{Tracer: tr})
 	if err != nil {
 		t.Fatalf("engine: %v", err)
 	}

@@ -62,7 +62,7 @@ func TestRealTCPMatchesInProcess(t *testing.T) {
 	defer inproc.Close()
 	wantCount, wantSpan := runInboundCount(t, inproc, n, size, count)
 
-	real, err := NewEngine(WithRealTCP())
+	real, err := NewEngine(Config{RealTCP: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestRealTCPMatchesInProcess(t *testing.T) {
 }
 
 func TestRealTCPLargeArrays(t *testing.T) {
-	e, err := NewEngine(WithRealTCP())
+	e, err := NewEngine(Config{RealTCP: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,7 +88,7 @@ func TestEveryExitRetiresOnce(t *testing.T) {
 	}
 	cases := []struct {
 		name string
-		opts func() []Option
+		cfg  func() Config
 		// live takes q up to its exit; what is left to do is retire it.
 		live func(t *testing.T, e *Engine, q *Query)
 		// reset retires through Engine.Reset instead of Query.Retire; the
@@ -130,7 +130,7 @@ func TestEveryExitRetiresOnce(t *testing.T) {
 			}
 		}},
 		{name: "node killed between admit and start",
-			opts: func() []Option { return []Option{WithChaos(chaos.New(1)), WithSupervision(1)} },
+			cfg: func() Config { budget := 1; return Config{Chaos: chaos.New(1), Supervision: &budget} },
 			live: func(t *testing.T, e *Engine, q *Query) {
 				cs, err := buildPair(t, e, q, gen, nil)
 				if err != nil {
@@ -144,11 +144,11 @@ func TestEveryExitRetiresOnce(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			var opts []Option
-			if c.opts != nil {
-				opts = c.opts()
+			var cfg Config
+			if c.cfg != nil {
+				cfg = c.cfg()
 			}
-			e, err := NewEngine(opts...)
+			e, err := NewEngine(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -10,7 +10,7 @@ import (
 func TestUDPInboundObservesLoss(t *testing.T) {
 	const n, size, count = 2, 5_000, 200
 
-	lossless, err := NewEngine(WithUDPInbound(0))
+	lossless, err := NewEngine(Config{UDPInbound: udpLoss(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +20,7 @@ func TestUDPInboundObservesLoss(t *testing.T) {
 		t.Fatalf("lossless UDP count = %d, want %d", got, n*count)
 	}
 
-	lossy, err := NewEngine(WithUDPInbound(0.25))
+	lossy, err := NewEngine(Config{UDPInbound: udpLoss(0.25)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestUDPInboundObservesLoss(t *testing.T) {
 	}
 
 	// Determinism: the same engine configuration loses the same frames.
-	lossy2, err := NewEngine(WithUDPInbound(0.25))
+	lossy2, err := NewEngine(Config{UDPInbound: udpLoss(0.25)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,15 +45,18 @@ func TestUDPInboundObservesLoss(t *testing.T) {
 	}
 }
 
+// udpLoss is Config.UDPInbound for loss rate r.
+func udpLoss(r float64) *float64 { return &r }
+
 func TestUDPOptionValidation(t *testing.T) {
-	if _, err := NewEngine(WithUDPInbound(1.5)); err == nil {
+	if _, err := NewEngine(Config{UDPInbound: udpLoss(1.5)}); err == nil {
 		t.Error("loss rate 1.5 should be rejected")
 	}
 }
 
 // TestUDPEdgesMarked checks topology introspection labels UDP links.
 func TestUDPEdgesMarked(t *testing.T) {
-	e, err := NewEngine(WithUDPInbound(0))
+	e, err := NewEngine(Config{UDPInbound: udpLoss(0)})
 	if err != nil {
 		t.Fatal(err)
 	}

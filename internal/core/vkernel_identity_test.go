@@ -25,7 +25,7 @@ func TestKernelBatchSingleQueryBitIdentical(t *testing.T) {
 	}
 	run := func(batch int) outcome {
 		t.Helper()
-		e, err := NewEngine(withKernelBatch(batch))
+		e, err := NewEngine(Config{kernelBatch: batch})
 		if err != nil {
 			t.Fatalf("engine(batch=%d): %v", batch, err)
 		}

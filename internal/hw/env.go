@@ -11,6 +11,7 @@
 package hw
 
 import (
+	"cmp"
 	"fmt"
 	"sync"
 
@@ -90,90 +91,76 @@ type Env struct {
 	producers  []int // MPI streams per destination BlueGene node
 }
 
-// Option configures NewLOFAR.
-type Option interface{ apply(*config) }
-
-type config struct {
-	dimX, dimY, dimZ int
-	psetSize         int
-	beNodes          int
-	feNodes          int
-	cost             CostModel
+// Config configures NewLOFAR. Its zero value is the partition of the
+// paper's experiments; each field left zero keeps its default.
+type Config struct {
+	// Torus is the BlueGene partition's torus dimensions (zero: 4×4×2, 32
+	// compute nodes — with psets of eight, the four I/O nodes the paper's
+	// experiments had available). A non-zero value must be whole: a zero
+	// dimension beside non-zero ones is an error, not a default.
+	Torus [3]int
+	// PsetSize is the number of compute nodes per I/O node (zero: 8, as in
+	// LOFAR's BlueGene).
+	PsetSize int
+	// BackEndNodes is the back-end cluster size (zero: 4, the paper's "four
+	// nodes in the back-end cluster").
+	BackEndNodes int
+	// FrontEndNodes is the front-end cluster size (zero: 2).
+	FrontEndNodes int
+	// Cost is the cost model (zero: DefaultCostModel, the calibrated
+	// constants).
+	Cost CostModel
 }
 
-type optionFunc func(*config)
+// Option configures NewLOFAR. A Config is one: each of its non-zero fields
+// overrides what the options before it set.
+type Option interface{ apply(*Config) }
 
-func (f optionFunc) apply(c *config) { f(c) }
-
-// WithTorusDims sets the BlueGene partition's torus dimensions. The default
-// 4×4×2 partition has 32 compute nodes and — with the default pset size of
-// eight — the four I/O nodes the paper's experiments had available.
-func WithTorusDims(x, y, z int) Option {
-	return optionFunc(func(c *config) { c.dimX, c.dimY, c.dimZ = x, y, z })
-}
-
-// WithPsetSize sets the number of compute nodes per I/O node (default 8,
-// as in LOFAR's BlueGene).
-func WithPsetSize(n int) Option {
-	return optionFunc(func(c *config) { c.psetSize = n })
-}
-
-// WithBackEndNodes sets the back-end cluster size (default 4, matching the
-// paper's "four nodes in the back-end cluster").
-func WithBackEndNodes(n int) Option {
-	return optionFunc(func(c *config) { c.beNodes = n })
-}
-
-// WithFrontEndNodes sets the front-end cluster size (default 2).
-func WithFrontEndNodes(n int) Option {
-	return optionFunc(func(c *config) { c.feNodes = n })
-}
-
-// WithCostModel overrides the calibrated cost constants.
-func WithCostModel(m CostModel) Option {
-	return optionFunc(func(c *config) { c.cost = m })
+func (c Config) apply(dst *Config) {
+	dst.Torus = cmp.Or(c.Torus, dst.Torus)
+	dst.PsetSize = cmp.Or(c.PsetSize, dst.PsetSize)
+	dst.BackEndNodes = cmp.Or(c.BackEndNodes, dst.BackEndNodes)
+	dst.FrontEndNodes = cmp.Or(c.FrontEndNodes, dst.FrontEndNodes)
+	dst.Cost = cmp.Or(c.Cost, dst.Cost)
 }
 
 // NewLOFAR builds a simulated LOFAR environment.
 func NewLOFAR(opts ...Option) (*Env, error) {
-	cfg := config{
-		dimX:     4,
-		dimY:     4,
-		dimZ:     2,
-		psetSize: 8,
-		beNodes:  4,
-		feNodes:  2,
-		cost:     DefaultCostModel(),
-	}
+	var cfg Config
 	for _, o := range opts {
 		o.apply(&cfg)
 	}
-	if cfg.psetSize <= 0 {
-		return nil, fmt.Errorf("hw: pset size must be positive, got %d", cfg.psetSize)
+	cfg.Torus = cmp.Or(cfg.Torus, [3]int{4, 4, 2})
+	cfg.PsetSize = cmp.Or(cfg.PsetSize, 8)
+	cfg.BackEndNodes = cmp.Or(cfg.BackEndNodes, 4)
+	cfg.FrontEndNodes = cmp.Or(cfg.FrontEndNodes, 2)
+	cfg.Cost = cmp.Or(cfg.Cost, DefaultCostModel())
+	if cfg.PsetSize <= 0 {
+		return nil, fmt.Errorf("hw: pset size must be positive, got %d", cfg.PsetSize)
 	}
-	if cfg.beNodes <= 0 || cfg.feNodes <= 0 {
-		return nil, fmt.Errorf("hw: cluster sizes must be positive (be=%d fe=%d)", cfg.beNodes, cfg.feNodes)
+	if cfg.BackEndNodes <= 0 || cfg.FrontEndNodes <= 0 {
+		return nil, fmt.Errorf("hw: cluster sizes must be positive (be=%d fe=%d)", cfg.BackEndNodes, cfg.FrontEndNodes)
 	}
-	tor, err := torus.New(cfg.dimX, cfg.dimY, cfg.dimZ)
+	tor, err := torus.New(cfg.Torus[0], cfg.Torus[1], cfg.Torus[2])
 	if err != nil {
 		return nil, err
 	}
 	n := tor.Size()
-	if n%cfg.psetSize != 0 {
-		return nil, fmt.Errorf("hw: torus size %d not divisible by pset size %d", n, cfg.psetSize)
+	if n%cfg.PsetSize != 0 {
+		return nil, fmt.Errorf("hw: torus size %d not divisible by pset size %d", n, cfg.PsetSize)
 	}
 	env := &Env{
-		Cost:      cfg.cost,
+		Cost:      cfg.Cost,
 		Torus:     tor,
-		psetSize:  cfg.psetSize,
-		beStreams: make([]int, cfg.beNodes),
-		ioStreams: make([]int, n/cfg.psetSize),
+		psetSize:  cfg.PsetSize,
+		beStreams: make([]int, cfg.BackEndNodes),
+		ioStreams: make([]int, n/cfg.PsetSize),
 		producers: make([]int, n),
 	}
 	for i := 0; i < n; i++ {
 		env.bg = append(env.bg, newNode(BlueGene, i))
 	}
-	for i := 0; i < n/cfg.psetSize; i++ {
+	for i := 0; i < n/cfg.PsetSize; i++ {
 		env.io = append(env.io, &IONode{
 			ID:        i,
 			Forwarder: vtime.NewResource(fmt.Sprintf("io%d.fwd", i)),
@@ -182,10 +169,10 @@ func NewLOFAR(opts ...Option) (*Env, error) {
 			TreeHop:   fmt.Sprintf("tree io:%d", i),
 		})
 	}
-	for i := 0; i < cfg.beNodes; i++ {
+	for i := 0; i < cfg.BackEndNodes; i++ {
 		env.be = append(env.be, newNode(BackEnd, i))
 	}
-	for i := 0; i < cfg.feNodes; i++ {
+	for i := 0; i < cfg.FrontEndNodes; i++ {
 		env.fe = append(env.fe, newNode(FrontEnd, i))
 	}
 	return env, nil

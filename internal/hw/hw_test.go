@@ -40,17 +40,19 @@ func TestDefaultEnvironmentMatchesPaper(t *testing.T) {
 }
 
 func TestNewLOFARValidation(t *testing.T) {
-	if _, err := NewLOFAR(WithPsetSize(0)); err == nil {
-		t.Error("pset size 0 should fail")
+	// Zero is the default; only a negative size is invalid.
+	if _, err := NewLOFAR(Config{PsetSize: -1}); err == nil {
+		t.Error("pset size -1 should fail")
 	}
-	if _, err := NewLOFAR(WithBackEndNodes(0)); err == nil {
-		t.Error("0 back-end nodes should fail")
+	if _, err := NewLOFAR(Config{BackEndNodes: -1}); err == nil {
+		t.Error("-1 back-end nodes should fail")
 	}
-	if _, err := NewLOFAR(WithTorusDims(0, 4, 2)); err == nil {
+	// A torus is defaulted whole or not at all.
+	if _, err := NewLOFAR(Config{Torus: [3]int{0, 4, 2}}); err == nil {
 		t.Error("bad torus dims should fail")
 	}
 	// Torus size must divide into whole psets.
-	if _, err := NewLOFAR(WithTorusDims(3, 3, 1), WithPsetSize(8)); err == nil {
+	if _, err := NewLOFAR(Config{Torus: [3]int{3, 3, 1}, PsetSize: 8}); err == nil {
 		t.Error("9 nodes / psets of 8 should fail")
 	}
 }

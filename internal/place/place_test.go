@@ -138,7 +138,7 @@ func TestPlannedPlacementsAlwaysAdmissible(t *testing.T) {
 	dims := [][3]int{{4, 4, 2}, {4, 4, 4}, {8, 4, 4}}
 	for iter := 0; iter < 150; iter++ {
 		d := dims[rng.Intn(len(dims))]
-		_, dbs, p := harness(t, Config{}, hw.WithTorusDims(d[0], d[1], d[2]))
+		_, dbs, p := harness(t, Config{}, hw.Config{Torus: d})
 		cluster := hw.BlueGene
 		if rng.Intn(3) == 0 {
 			cluster = hw.BackEnd

@@ -1,7 +1,7 @@
 package sched
 
 // placement.go wires the cost-model placement planner (internal/place) into
-// admission: WithPlacementPlanner installs a planner on the engine so every
+// admission: Config.Placement installs a planner on the engine so every
 // lease acquisition probes the planner's candidate order instead of the raw
 // sequence order, and the sys_placements catalog table exposes the planner's
 // decisions. Like sys_conns, the table registers only when the feature is
@@ -18,24 +18,18 @@ import (
 	"scsq/internal/place"
 )
 
-// WithPlacementPlanner attaches a cost-model placement planner to the
-// engine for the lifetime of this scheduler: admissions are placed to
-// maximize estimated aggregate throughput across live sessions instead of
-// greedily walking the allocation sequence.
-// Attaching a scheduler without this option removes any previously
-// installed planner, restoring the historic greedy placement.
-func WithPlacementPlanner(cfg place.Config) Option {
-	return func(s *Scheduler) { s.placeCfg = &cfg }
-}
+// WithPlacementPlanner is Config{Placement: &cfg}. Only benchmark/ calls
+// it; ROADMAP item 8 moves that caller to Config and deletes it.
+func WithPlacementPlanner(cfg place.Config) Option { return Config{Placement: &cfg} }
 
-// Planner returns the planner installed by WithPlacementPlanner, or nil.
+// Planner returns the planner installed by Config.Placement, or nil.
 func (s *Scheduler) Planner() *place.Planner { return s.planner }
 
 // installPlanner builds the planner over the engine's per-cluster node
 // databases and installs it (or clears a predecessor's). Called from New
 // before the first admission.
 func (s *Scheduler) installPlanner() {
-	if s.placeCfg == nil {
+	if s.cfg.Placement == nil {
 		s.eng.SetPlacementPlanner(nil)
 		return
 	}
@@ -45,7 +39,7 @@ func (s *Scheduler) installPlanner() {
 			dbs[c] = cc.DB()
 		}
 	}
-	s.planner = place.New(s.eng.Env(), dbs, *s.placeCfg)
+	s.planner = place.New(s.eng.Env(), dbs, *s.cfg.Placement)
 	s.eng.SetPlacementPlanner(s.planner)
 	s.registerSysPlacements()
 }

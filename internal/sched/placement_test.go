@@ -28,9 +28,9 @@ func TestPlannerSpreadsConcurrentTenantsAcrossPsets(t *testing.T) {
 	}
 	defer release()
 	src := func(*sqep.Ctx) sqep.Operator { return &gateOp{ch: ch} }
-	e := newTestEngine(t, core.WithSource("gate", src)) // default 32-node BG, psets of 8
+	e := newTestEngine(t, core.Config{Sources: map[string]sqep.SourceFunc{"gate": src}}) // default 32-node BG, psets of 8
 
-	s := New(e, nil, WithPlacementPlanner(place.Config{}))
+	s := New(e, nil, Config{Placement: &place.Config{}})
 	defer s.Close()
 
 	// The hog pins BG nodes 0 and 1 (pset 0) until released.
@@ -126,7 +126,7 @@ func TestPlannerRemovalRestoresBitIdenticalSchedules(t *testing.T) {
 	}
 
 	base := run()
-	_ = run(WithPlacementPlanner(place.Config{}))
+	_ = run(Config{Placement: &place.Config{}})
 	again := run()
 
 	for i := range base {
@@ -182,13 +182,13 @@ and   a=spv((select gen_array(10,2) from integer i where i in iota(1,2)), 'be', 
 		opts []Option
 	}{
 		{"greedy", nil},
-		{"planner", []Option{WithPlacementPlanner(place.Config{})}},
+		{"planner", []Option{Config{Placement: &place.Config{}}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			inj := chaos.New(1)
-			e := tinyEngine(t, core.WithChaos(inj))
-			opts := append([]Option{WithAdmissionRetry(AdmissionRetryPolicy{
-				MaxRetries: 3, Base: vtime.Millisecond, Max: 8 * vtime.Millisecond})}, tc.opts...)
+			e := tinyEngine(t, core.Config{Chaos: inj})
+			opts := append([]Option{Config{AdmissionRetry: AdmissionRetryPolicy{
+				MaxRetries: 3, Base: vtime.Millisecond, Max: 8 * vtime.Millisecond}}}, tc.opts...)
 			s := New(e, nil, opts...)
 			defer s.Close()
 

@@ -138,14 +138,14 @@ func (s *Scheduler) sweep() {
 // or, if a cancel raced the park, finalized Cancelled here (still handled).
 func (s *Scheduler) parkForRetry(q *Query) bool {
 	q.mu.Lock()
-	if q.retries >= s.retry.MaxRetries {
+	if q.retries >= s.cfg.AdmissionRetry.MaxRetries {
 		q.mu.Unlock()
 		return false
 	}
 	q.retries++
 	n := q.retries
 	q.mu.Unlock()
-	wake := s.alarms.Now().Add(s.retry.backoff(n))
+	wake := s.alarms.Now().Add(s.cfg.AdmissionRetry.backoff(n))
 	s.mu.Lock()
 	q.mu.Lock()
 	if q.cancelReq {

@@ -54,7 +54,7 @@ func gatedEngine(t *testing.T, opts ...core.Option) (*core.Engine, func()) {
 	ch := make(chan struct{})
 	released := false
 	src := func(*sqep.Ctx) sqep.Operator { return &gateOp{ch: ch} }
-	e := tinyEngine(t, append([]core.Option{core.WithSource("gate", src)}, opts...)...)
+	e := tinyEngine(t, append([]core.Option{core.Config{Sources: map[string]sqep.SourceFunc{"gate": src}}}, opts...)...)
 	return e, func() {
 		if !released {
 			released = true
@@ -79,7 +79,7 @@ func TestQueueDeadlineExpiresQueuedSession(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit hog: %v", err)
 	}
-	b, err := s.Submit(scsql.Figure5Query(30_000, 2), WithQueueTTL(vtime.Millisecond))
+	b, err := s.Submit(scsql.Figure5Query(30_000, 2), SubmitConfig{QueueTTL: vtime.Millisecond})
 	if err != nil {
 		t.Fatalf("submit b: %v", err)
 	}
@@ -112,7 +112,7 @@ func TestRunDeadlineExpiresRunningSession(t *testing.T) {
 	s := New(e, nil)
 	defer s.Close()
 
-	hog, err := s.Submit(gateHogSrc, WithRunTTL(vtime.Millisecond))
+	hog, err := s.Submit(gateHogSrc, SubmitConfig{RunTTL: vtime.Millisecond})
 	if err != nil {
 		t.Fatalf("submit hog: %v", err)
 	}
@@ -146,8 +146,8 @@ func TestRunDeadlineExpiresRunningSession(t *testing.T) {
 
 func TestTransientAdmissionRetriesThenAdmits(t *testing.T) {
 	inj := chaos.New(1)
-	e := tinyEngine(t, core.WithChaos(inj))
-	s := New(e, nil, WithAdmissionRetry(AdmissionRetryPolicy{MaxRetries: 3, Base: vtime.Millisecond, Max: 8 * vtime.Millisecond}))
+	e := tinyEngine(t, core.Config{Chaos: inj})
+	s := New(e, nil, Config{AdmissionRetry: AdmissionRetryPolicy{MaxRetries: 3, Base: vtime.Millisecond, Max: 8 * vtime.Millisecond}})
 	defer s.Close()
 
 	// Node 1 is dead on an otherwise idle system: Figure 5 (which demands
@@ -182,8 +182,8 @@ func TestTransientAdmissionRetriesThenAdmits(t *testing.T) {
 
 func TestTransientAdmissionRetriesExhaust(t *testing.T) {
 	inj := chaos.New(1)
-	e := tinyEngine(t, core.WithChaos(inj))
-	s := New(e, nil, WithAdmissionRetry(AdmissionRetryPolicy{MaxRetries: 2, Base: vtime.Millisecond, Max: 8 * vtime.Millisecond}))
+	e := tinyEngine(t, core.Config{Chaos: inj})
+	s := New(e, nil, Config{AdmissionRetry: AdmissionRetryPolicy{MaxRetries: 2, Base: vtime.Millisecond, Max: 8 * vtime.Millisecond}})
 	defer s.Close()
 
 	inj.KillNode(hw.BlueGene, 1)
@@ -213,7 +213,7 @@ func TestTransientAdmissionRetriesExhaust(t *testing.T) {
 
 func TestPermanentUnsatisfiableIsNotRetried(t *testing.T) {
 	e := newTestEngine(t)
-	s := New(e, nil, WithAdmissionRetry(AdmissionRetryPolicy{MaxRetries: 5}))
+	s := New(e, nil, Config{AdmissionRetry: AdmissionRetryPolicy{MaxRetries: 5}})
 	defer s.Close()
 
 	// Two exclusive placements on the same BG node: exceeds the topology,
@@ -239,7 +239,7 @@ and   a=sp(gen_array(30000,2), 'bg', 0);`
 func TestLoadSheddingEvictsLowestPriority(t *testing.T) {
 	e, release := gatedEngine(t)
 	defer release()
-	s := New(e, nil, WithQueueCap(1), WithLoadShedding())
+	s := New(e, nil, Config{QueueCap: 1, LoadShedding: true})
 	defer s.Close()
 
 	hog, err := s.Submit(gateHogSrc)
@@ -255,7 +255,7 @@ func TestLoadSheddingEvictsLowestPriority(t *testing.T) {
 		t.Fatalf("equal-priority err = %v, want ErrQueueFull", err)
 	}
 	// Strictly higher priority sheds the queued b and takes its place.
-	c, err := s.Submit(scsql.Figure5Query(30_000, 3), WithPriority(1))
+	c, err := s.Submit(scsql.Figure5Query(30_000, 3), SubmitConfig{Priority: 1})
 	if err != nil {
 		t.Fatalf("submit c: %v", err)
 	}
@@ -311,9 +311,9 @@ func (g *gatedGen) Next() (sqep.Element, bool, error) {
 func TestDeadlinesDrivenByEngineProgress(t *testing.T) {
 	run := func() (hogState, bState State, bErr error) {
 		ch := make(chan struct{})
-		e := tinyEngine(t, core.WithSource("gen", func(*sqep.Ctx) sqep.Operator {
+		e := tinyEngine(t, core.Config{Sources: map[string]sqep.SourceFunc{"gen": func(*sqep.Ctx) sqep.Operator {
 			return &gatedGen{GenArray: sqep.NewGenArray(30_000, 200), ch: ch}
-		}))
+		}}})
 		s := New(e, nil)
 		defer s.Close()
 		release := sync.OnceFunc(func() { close(ch) })
@@ -326,7 +326,7 @@ and   a=sp(receiver('gen'), 'bg', 1);`)
 		if err != nil {
 			t.Fatalf("submit hog: %v", err)
 		}
-		b, err := s.Submit(scsql.Figure5Query(30_000, 2), WithQueueTTL(200*vtime.Microsecond))
+		b, err := s.Submit(scsql.Figure5Query(30_000, 2), SubmitConfig{QueueTTL: 200 * vtime.Microsecond})
 		if err != nil {
 			t.Fatalf("submit b: %v", err)
 		}
@@ -368,7 +368,7 @@ func TestResilienceOptionsOffAreInert(t *testing.T) {
 		return q.Makespan()
 	}
 	base := run()
-	armed := run(WithLoadShedding(), WithAdmissionRetry(AdmissionRetryPolicy{MaxRetries: 3}))
+	armed := run(Config{LoadShedding: true, AdmissionRetry: AdmissionRetryPolicy{MaxRetries: 3}})
 	if base != armed {
 		t.Fatalf("resilience options perturbed an untouched schedule: %v vs %v", armed, base)
 	}
@@ -376,8 +376,8 @@ func TestResilienceOptionsOffAreInert(t *testing.T) {
 
 func TestCancelParkedSession(t *testing.T) {
 	inj := chaos.New(1)
-	e := tinyEngine(t, core.WithChaos(inj))
-	s := New(e, nil, WithAdmissionRetry(AdmissionRetryPolicy{MaxRetries: 10}))
+	e := tinyEngine(t, core.Config{Chaos: inj})
+	s := New(e, nil, Config{AdmissionRetry: AdmissionRetryPolicy{MaxRetries: 10}})
 	defer s.Close()
 
 	inj.KillNode(hw.BlueGene, 1)

@@ -32,6 +32,7 @@
 package sched
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -129,7 +130,7 @@ var (
 	// ErrUnsatisfiableNow marks the transient flavor of ErrUnsatisfiable:
 	// the allocation sequence has no available node today because nodes are
 	// dead, and capacity may return. Sessions failing this way are retried
-	// with bounded backoff when WithAdmissionRetry is enabled; the error is
+	// with bounded backoff when Config.AdmissionRetry is enabled; the error is
 	// only surfaced once retries are exhausted. errors.Is(err,
 	// ErrUnsatisfiable) still matches.
 	ErrUnsatisfiableNow = errors.New("sched: unsatisfiable now (dead nodes; capacity may return)")
@@ -140,16 +141,44 @@ var (
 	ErrUnsatisfiablePlan = errors.New("sched: plan exceeds topology (never satisfiable)")
 )
 
-// Option configures New.
-type Option func(*Scheduler)
+// Config configures New. Its zero value is the default scheduler: a
+// 64-session admission queue, no shedding, no admission retry and greedy
+// placement; each field left zero keeps its default.
+type Config struct {
+	// QueueCap bounds the number of queued (not yet admitted) sessions;
+	// Submit returns ErrQueueFull beyond it (zero: 64; negative: unbounded).
+	QueueCap int
+	// LoadShedding enables priority load shedding: when the admission queue
+	// is full, a submission of strictly higher priority evicts the
+	// lowest-priority, youngest queued session (terminal state Shed, cause
+	// ErrShed) instead of being rejected. Off by default — shedding changes
+	// which sessions survive, so it is strictly opt-in.
+	LoadShedding bool
+	// AdmissionRetry enables transient-admission retries under its policy
+	// (zero: off; see AdmissionRetryPolicy).
+	AdmissionRetry AdmissionRetryPolicy
+	// Placement attaches a cost-model placement planner to the engine for
+	// the lifetime of this scheduler: admissions are placed to maximize
+	// estimated aggregate throughput across live sessions instead of
+	// greedily walking the allocation sequence. nil is greedy placement; a
+	// scheduler attached without a planner removes any previously installed
+	// one, restoring the historic greedy placement.
+	Placement *place.Config
+}
 
-// WithQueueCap bounds the number of queued (not yet admitted) sessions;
-// Submit returns ErrQueueFull beyond it. Zero or negative means unbounded.
-// Default 64.
-func WithQueueCap(n int) Option { return func(s *Scheduler) { s.queueCap = n } }
+// Option configures New. A Config is one: each of its non-zero fields
+// overrides what the options before it set.
+type Option interface{ apply(*Config) }
+
+func (c Config) apply(dst *Config) {
+	dst.QueueCap = cmp.Or(c.QueueCap, dst.QueueCap)
+	dst.LoadShedding = cmp.Or(c.LoadShedding, dst.LoadShedding)
+	dst.AdmissionRetry = cmp.Or(c.AdmissionRetry, dst.AdmissionRetry)
+	dst.Placement = cmp.Or(c.Placement, dst.Placement)
+}
 
 // AdmissionRetryPolicy bounds the transient-admission retry loop enabled by
-// WithAdmissionRetry: a session whose allocation sequence is unsatisfiable
+// Config.AdmissionRetry: a session whose allocation sequence is unsatisfiable
 // only because nodes are dead is parked and retried up to MaxRetries times,
 // with exponential virtual-time backoff Base, 2·Base, 4·Base, … capped at
 // Max. All waits are measured on the scheduler's virtual clock (the engine's
@@ -186,49 +215,33 @@ func (p AdmissionRetryPolicy) backoff(n int) vtime.Duration {
 	return d
 }
 
-// WithLoadShedding enables priority load shedding: when the admission queue
-// is full, a submission of strictly higher priority evicts the
-// lowest-priority, youngest queued session (terminal state Shed, cause
-// ErrShed) instead of being rejected. Off by default — shedding changes
-// which sessions survive, so it is strictly opt-in.
-func WithLoadShedding() Option { return func(s *Scheduler) { s.shedding = true } }
-
-// WithAdmissionRetry enables transient-admission retries under policy p
-// (see AdmissionRetryPolicy). Off by default.
-func WithAdmissionRetry(p AdmissionRetryPolicy) Option {
-	return func(s *Scheduler) { s.retry = p.withDefaults(); s.retryOn = p.MaxRetries > 0 }
+// SubmitConfig configures one Submit. Its zero value is a priority-0
+// session with no deadlines.
+type SubmitConfig struct {
+	// Priority is the session's admission priority (higher admits first;
+	// zero: 0). Within a priority level admission is FIFO.
+	Priority int
+	// QueueTTL bounds how long the session may wait for admission, in
+	// virtual time from submission. A session still queued (or parked) when
+	// the scheduler's virtual clock passes the deadline is finalized Expired
+	// with ErrDeadlineExceeded. Zero means no queue deadline.
+	QueueTTL vtime.Duration
+	// RunTTL bounds how long the session may run, in virtual time from
+	// admission. A session still streaming when the clock passes the
+	// deadline is cancelled through the engine's poison path — leases
+	// release exactly once, exactly as a user cancel — and finalized Expired
+	// with ErrDeadlineExceeded. Zero means no run deadline.
+	RunTTL vtime.Duration
 }
 
-// SubmitOption configures one Submit.
-type SubmitOption func(*submitCfg)
+// SubmitOption configures one Submit. A SubmitConfig is one: each of its
+// non-zero fields overrides what the options before it set.
+type SubmitOption interface{ apply(*SubmitConfig) }
 
-type submitCfg struct {
-	priority int
-	queueTTL vtime.Duration
-	runTTL   vtime.Duration
-}
-
-// WithPriority sets the session's admission priority (higher admits first;
-// default 0). Within a priority level admission is FIFO.
-func WithPriority(p int) SubmitOption {
-	return func(c *submitCfg) { c.priority = p }
-}
-
-// WithQueueTTL bounds how long the session may wait for admission, in
-// virtual time from submission. A session still queued (or parked) when the
-// scheduler's virtual clock passes the deadline is finalized Expired with
-// ErrDeadlineExceeded. Zero (default) means no queue deadline.
-func WithQueueTTL(d vtime.Duration) SubmitOption {
-	return func(c *submitCfg) { c.queueTTL = d }
-}
-
-// WithRunTTL bounds how long the session may run, in virtual time from
-// admission. A session still streaming when the clock passes the deadline is
-// cancelled through the engine's poison path — leases release exactly once,
-// exactly as a user cancel — and finalized Expired with ErrDeadlineExceeded.
-// Zero (default) means no run deadline.
-func WithRunTTL(d vtime.Duration) SubmitOption {
-	return func(c *submitCfg) { c.runTTL = d }
+func (c SubmitConfig) apply(dst *SubmitConfig) {
+	dst.Priority = cmp.Or(c.Priority, dst.Priority)
+	dst.QueueTTL = cmp.Or(c.QueueTTL, dst.QueueTTL)
+	dst.RunTTL = cmp.Or(c.RunTTL, dst.RunTTL)
 }
 
 // finishedWindow is how many finished sessions the session table keeps rows
@@ -250,12 +263,8 @@ type Scheduler struct {
 	eng *core.Engine
 	ev  *scsql.Evaluator
 
-	queueCap int
-	shedding bool
-	retryOn  bool
-	retry    AdmissionRetryPolicy
-	placeCfg *place.Config  // WithPlacementPlanner, nil = greedy placement
-	planner  *place.Planner // built in installPlanner when placeCfg is set
+	cfg     Config         // defaults filled in; the retry policy's too
+	planner *place.Planner // built in installPlanner when cfg.Placement is set
 
 	// alarms is the scheduler's virtual policy clock: a monotone time raised
 	// by the engine's progress (via ObserveVTime) plus the deadline/backoff
@@ -298,15 +307,16 @@ type Scheduler struct {
 // cancel() reach it.
 func New(eng *core.Engine, cat *scsql.Catalog, opts ...Option) *Scheduler {
 	s := &Scheduler{
-		eng:      eng,
-		ev:       scsql.NewEvaluator(eng, cat),
-		queueCap: 64,
-		table:    make(map[string]*entry),
-		alarms:   vtime.NewAlarms(),
+		eng:    eng,
+		ev:     scsql.NewEvaluator(eng, cat),
+		table:  make(map[string]*entry),
+		alarms: vtime.NewAlarms(),
 	}
 	for _, o := range opts {
-		o(s)
+		o.apply(&s.cfg)
 	}
+	s.cfg.QueueCap = cmp.Or(s.cfg.QueueCap, 64)
+	s.cfg.AdmissionRetry = s.cfg.AdmissionRetry.withDefaults()
 	reg := eng.Metrics()
 	s.mSubmitted = reg.Counter("sched.submitted")
 	s.mAdmitted = reg.Counter("sched.admitted")
@@ -332,20 +342,18 @@ func (s *Scheduler) Catalog() *scsql.Catalog { return s.ev.Catalog() }
 
 // Query is one scheduled session.
 type Query struct {
-	s    *Scheduler
-	id   string
-	seq  int
-	prio int
-	src  string
+	s   *Scheduler
+	id  string
+	seq int
+	src string
 	// reader marks a catalog read (scsql.CatalogRead): it leases no node, so
 	// it runs without admission and leaves the session table as it ends.
 	reader bool
 
-	// TTLs are fixed at Submit; the absolute deadlines they induce are
+	// sub is fixed at Submit; the absolute deadlines its TTLs induce are
 	// anchored on the scheduler's virtual clock (queue deadline at
 	// submission, run deadline at admission).
-	queueTTL vtime.Duration
-	runTTL   vtime.Duration
+	sub SubmitConfig
 
 	mu            sync.Mutex
 	state         State
@@ -452,9 +460,9 @@ func (s *Scheduler) Submit(src string, opts ...SubmitOption) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	var cfg submitCfg
+	var cfg SubmitConfig
 	for _, o := range opts {
-		o(&cfg)
+		o.apply(&cfg)
 	}
 	reader := scsql.CatalogRead(stmt, s.eng.SystemCatalog())
 	s.mu.Lock()
@@ -462,14 +470,14 @@ func (s *Scheduler) Submit(src string, opts ...SubmitOption) (*Query, error) {
 		s.mu.Unlock()
 		return nil, ErrClosed
 	}
-	if stmt.Query != nil && !reader && s.queueCap > 0 && len(s.pending) >= s.queueCap &&
-		s.shedVictimLocked(cfg.priority) == nil {
+	if stmt.Query != nil && !reader && s.cfg.QueueCap > 0 && len(s.pending) >= s.cfg.QueueCap &&
+		s.shedVictimLocked(cfg.Priority) == nil {
 		// Fast-path rejection only when shedding could not possibly make
 		// room; the authoritative decision is re-made in the enqueue critical
 		// section below.
 		s.mu.Unlock()
 		s.mRejected.Inc()
-		return nil, fmt.Errorf("%w (cap %d)", ErrQueueFull, s.queueCap)
+		return nil, fmt.Errorf("%w (cap %d)", ErrQueueFull, s.cfg.QueueCap)
 	}
 	s.mu.Unlock()
 
@@ -480,14 +488,12 @@ func (s *Scheduler) Submit(src string, opts ...SubmitOption) (*Query, error) {
 	q := &Query{
 		s:         s,
 		id:        cq.ID(),
-		prio:      cfg.priority,
+		sub:       cfg,
 		src:       src,
 		reader:    reader,
 		stmt:      stmt,
 		cq:        cq,
 		state:     Queued,
-		queueTTL:  cfg.queueTTL,
-		runTTL:    cfg.runTTL,
 		submitted: time.Now(),
 		done:      make(chan struct{}),
 	}
@@ -510,19 +516,19 @@ func (s *Scheduler) Submit(src string, opts ...SubmitOption) (*Query, error) {
 		return nil, ErrClosed
 	}
 	var victim *Query
-	if !direct && s.queueCap > 0 && len(s.pending) >= s.queueCap {
+	if !direct && s.cfg.QueueCap > 0 && len(s.pending) >= s.cfg.QueueCap {
 		// Re-check in the critical section that enqueues: the early check
 		// above is only a fast path, and concurrent Submits may have filled
 		// the queue while this one was in BeginQuery. A full queue sheds its
 		// lowest-priority, youngest session when the newcomer strictly
 		// outranks it (and shedding is on); otherwise the newcomer is
 		// rejected.
-		victim = s.shedVictimLocked(q.prio)
+		victim = s.shedVictimLocked(q.sub.Priority)
 		if victim == nil {
 			s.mu.Unlock()
 			cq.Retire()
 			s.mRejected.Inc()
-			return nil, fmt.Errorf("%w (cap %d)", ErrQueueFull, s.queueCap)
+			return nil, fmt.Errorf("%w (cap %d)", ErrQueueFull, s.cfg.QueueCap)
 		}
 		// Claim the victim by removing it from the queue under s.mu: from
 		// here this Submit owns its finalization (a concurrent Cancel finds
@@ -551,8 +557,8 @@ func (s *Scheduler) Submit(src string, opts ...SubmitOption) (*Query, error) {
 		}
 		return q, nil
 	}
-	if q.queueTTL > 0 {
-		q.queueDeadline = s.alarms.Now().Add(q.queueTTL)
+	if q.sub.QueueTTL > 0 {
+		q.queueDeadline = s.alarms.Now().Add(q.sub.QueueTTL)
 	}
 	q.enterV = s.alarms.Now()
 	s.enqueueLocked(q)
@@ -561,7 +567,7 @@ func (s *Scheduler) Submit(src string, opts ...SubmitOption) (*Query, error) {
 		s.alarms.Set(q.queueDeadline, q.ID())
 	}
 	if victim != nil {
-		s.finishQueued(victim, Shed, fmt.Errorf("%w (by %s, priority %d)", ErrShed, q.ID(), q.prio), s.mShed)
+		s.finishQueued(victim, Shed, fmt.Errorf("%w (by %s, priority %d)", ErrShed, q.ID(), q.sub.Priority), s.mShed)
 	}
 	s.mSubmitted.Inc()
 	s.admit()
@@ -573,13 +579,13 @@ func (s *Scheduler) Submit(src string, opts ...SubmitOption) (*Query, error) {
 // session, provided it ranks strictly below the newcomer. Nil when shedding
 // is disabled or no session qualifies. s.mu held.
 func (s *Scheduler) shedVictimLocked(prio int) *Query {
-	if !s.shedding || len(s.pending) == 0 {
+	if !s.cfg.LoadShedding || len(s.pending) == 0 {
 		return nil
 	}
 	// The queue is sorted priority desc then seq asc, so the last element is
 	// exactly the lowest-priority, youngest session.
 	v := s.pending[len(s.pending)-1]
-	if v.prio >= prio {
+	if v.sub.Priority >= prio {
 		return nil
 	}
 	return v
@@ -590,8 +596,8 @@ func (s *Scheduler) shedVictimLocked(prio int) *Query {
 func (s *Scheduler) enqueueLocked(q *Query) {
 	i := sort.Search(len(s.pending), func(i int) bool {
 		p := s.pending[i]
-		if p.prio != q.prio {
-			return p.prio < q.prio
+		if p.sub.Priority != q.sub.Priority {
+			return p.sub.Priority < q.sub.Priority
 		}
 		return p.seq > q.seq
 	})
@@ -657,10 +663,10 @@ func (s *Scheduler) admit() {
 				// cannot help. Classify: with dead nodes in the pool the
 				// failure is transient — capacity may come back — and
 				// the session parks for a bounded virtual-time backoff
-				// (WithAdmissionRetry). Without dead nodes the plan exceeds
+				// (Config.AdmissionRetry). Without dead nodes the plan exceeds
 				// the topology outright: permanent, never satisfiable.
 				if s.eng.DeadNodeCount() > 0 {
-					if s.retryOn && s.parkForRetry(q) {
+					if s.cfg.AdmissionRetry.MaxRetries > 0 && s.parkForRetry(q) {
 						continue
 					}
 					s.finishQueued(q, Failed, fmt.Errorf("%w: %w: %w", ErrUnsatisfiable, ErrUnsatisfiableNow, err), s.mFailed)
@@ -703,8 +709,8 @@ func (s *Scheduler) admit() {
 		q.state = Admitted
 		q.admitWait = time.Since(q.submitted)
 		q.enterV = vnow
-		if q.runTTL > 0 {
-			q.runDeadline = vnow.Add(q.runTTL)
+		if q.sub.RunTTL > 0 {
+			q.runDeadline = vnow.Add(q.sub.RunTTL)
 		}
 		runDeadline := q.runDeadline
 		wait := q.admitWait
@@ -928,7 +934,7 @@ func (q *Query) rowLocked(vnow vtime.Time) Info {
 	in := Info{
 		ID:            q.id,
 		State:         q.state,
-		Priority:      q.prio,
+		Priority:      q.sub.Priority,
 		Statement:     q.src,
 		AdmissionWait: q.admitWait,
 		Retries:       q.retries,

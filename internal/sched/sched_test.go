@@ -29,12 +29,11 @@ func newTestEngine(t *testing.T, opts ...core.Option) *core.Engine {
 // the next one must queue.
 func tinyEngine(t *testing.T, opts ...core.Option) *core.Engine {
 	t.Helper()
-	env, err := hw.NewLOFAR(hw.WithTorusDims(2, 1, 1), hw.WithPsetSize(2),
-		hw.WithBackEndNodes(1), hw.WithFrontEndNodes(1))
+	env, err := hw.NewLOFAR(hw.Config{Torus: [3]int{2, 1, 1}, PsetSize: 2, BackEndNodes: 1, FrontEndNodes: 1})
 	if err != nil {
 		t.Fatalf("env: %v", err)
 	}
-	return newTestEngine(t, append([]core.Option{core.WithEnv(env)}, opts...)...)
+	return newTestEngine(t, append([]core.Option{core.Config{Env: env}}, opts...)...)
 }
 
 // lastValue unwraps the single scalar a count-style query produces.
@@ -163,7 +162,7 @@ func TestPriorityAdmitsFirst(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit b: %v", err)
 	}
-	c, err := s.Submit(scsql.Figure5Query(30_000, 2), WithPriority(1))
+	c, err := s.Submit(scsql.Figure5Query(30_000, 2), SubmitConfig{Priority: 1})
 	if err != nil {
 		t.Fatalf("submit c: %v", err)
 	}
@@ -210,7 +209,7 @@ and   a=sp(gen_array(30000,2), 'bg', 0);`
 func TestQueueCapRejects(t *testing.T) {
 	e, release := gatedEngine(t)
 	defer release()
-	s := New(e, nil, WithQueueCap(1))
+	s := New(e, nil, Config{QueueCap: 1})
 	defer s.Close()
 
 	a, err := s.Submit(gateHogSrc)
@@ -499,7 +498,8 @@ and   a=spv((select gen_array(30000,6) from integer i where i in iota(1,2)), 'bg
 	run := func() (victimCount, survivorCount any, replacements int64) {
 		// Kill the victim's first generator (BG node 0) after two sends.
 		inj := chaos.New(42, chaos.CrashAfterSends(hw.BlueGene, 0, 2))
-		e := newTestEngine(t, core.WithChaos(inj), core.WithSupervision(2))
+		budget := 2
+		e := newTestEngine(t, core.Config{Chaos: inj, Supervision: &budget})
 		s := New(e, nil)
 		defer s.Close()
 

@@ -137,7 +137,7 @@ func TestSubscribeVTimeCoalesceAndClose(t *testing.T) {
 func TestCatalogReadSkipsAdmission(t *testing.T) {
 	e, release := gatedEngine(t)
 	defer release()
-	s := New(e, nil, WithQueueCap(1))
+	s := New(e, nil, Config{QueueCap: 1})
 	defer s.Close()
 
 	hog, err := s.Submit(gateHogSrc)

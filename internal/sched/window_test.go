@@ -264,11 +264,11 @@ func TestFinishedSessionPinsNoResults(t *testing.T) {
 // runs.
 func TestFinishedSessionPinsNoProcess(t *testing.T) {
 	gate, collected := make(chan struct{}), make(chan struct{})
-	e := tinyEngine(t, core.WithSource("gate", func(*sqep.Ctx) sqep.Operator {
+	e := tinyEngine(t, core.Config{Sources: map[string]sqep.SourceFunc{"gate": func(*sqep.Ctx) sqep.Operator {
 		op := &gateOp{ch: gate}
 		runtime.SetFinalizer(op, func(*gateOp) { close(collected) })
 		return op
-	}))
+	}}})
 	s := New(e, nil)
 	defer s.Close()
 	hog, err := s.Submit(gateHogSrc)

@@ -79,7 +79,7 @@ func TestGrepQueryVerbatim(t *testing.T) {
 		"f2.txt": "gamma\ndelta",
 		"f3.txt": "needle two\nneedle three",
 	})
-	e := newTestEngine(t, core.WithFileTable(files))
+	e := newTestEngine(t, core.Config{Files: files})
 	ev := NewEvaluator(e, nil)
 	res, err := ev.Exec(GrepQuery("needle", len(names)))
 	if err != nil {
@@ -112,7 +112,7 @@ func TestRadix2QueryFunction(t *testing.T) {
 		cp := append([]float64(nil), signal...)
 		return sqep.NewSlice(any(cp))
 	}
-	e := newTestEngine(t, core.WithSource("antenna", source))
+	e := newTestEngine(t, core.Config{Sources: map[string]sqep.SourceFunc{"antenna": source}})
 	ev := NewEvaluator(e, nil)
 
 	if res, err := ev.Exec(Radix2Def); err != nil {

@@ -56,7 +56,7 @@ func TestStatementIsAQuery(t *testing.T) {
 	t.Run("beside a held build", func(t *testing.T) {
 		gate := &gateFiles{entered: make(chan struct{}), release: make(chan struct{})}
 		release := sync.OnceFunc(func() { close(gate.release) })
-		e, err := core.NewEngine(core.WithFileTable(gate))
+		e, err := core.NewEngine(core.Config{Files: gate})
 		if err != nil {
 			t.Fatal(err)
 		}

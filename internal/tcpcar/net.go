@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net"
+	"slices"
 	"sync"
 
 	"scsq/internal/carrier"
@@ -29,7 +31,7 @@ type NetFabric struct {
 	ln       net.Listener
 	channels map[uint64]*netChannel
 	nextChan uint64
-	conns    []net.Conn
+	conns    map[net.Conn]struct{} // every socket not yet closed, both ends
 	closed   bool
 	wg       sync.WaitGroup
 }
@@ -60,6 +62,7 @@ func NewNetFabric(inner *Fabric) (*NetFabric, error) {
 		inner:    inner,
 		ln:       ln,
 		channels: make(map[uint64]*netChannel),
+		conns:    make(map[net.Conn]struct{}),
 	}
 	f.wg.Add(1)
 	go f.acceptLoop()
@@ -77,7 +80,7 @@ func (f *NetFabric) Close() error {
 		return nil
 	}
 	f.closed = true
-	conns := append([]net.Conn(nil), f.conns...)
+	conns := slices.Collect(maps.Keys(f.conns))
 	f.mu.Unlock()
 	err := f.ln.Close()
 	for _, c := range conns {
@@ -105,17 +108,30 @@ func (f *NetFabric) registerChannel(inbox carrier.Inbox) (uint64, *netChannel) {
 	return f.nextChan, ch
 }
 
-func (f *NetFabric) channelFor(id uint64) (*netChannel, bool) {
+// claimChannel hands the channel registered under id to the one connection
+// that presents it, and forgets it: a second connection presenting the same
+// id, or an id never registered, finds nothing.
+func (f *NetFabric) claimChannel(id uint64) (*netChannel, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	ch, ok := f.channels[id]
+	delete(f.channels, id)
 	return ch, ok
 }
 
 func (f *NetFabric) track(c net.Conn) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.conns = append(f.conns, c)
+	f.conns[c] = struct{}{}
+}
+
+// closeConn closes a tracked socket and stops tracking it, so a fabric that
+// is never closed holds only the sockets of open streams.
+func (f *NetFabric) closeConn(c net.Conn) error {
+	f.mu.Lock()
+	delete(f.conns, c)
+	f.mu.Unlock()
+	return c.Close()
 }
 
 // acceptLoop accepts one TCP connection per stream and pumps its frames
@@ -137,15 +153,15 @@ func (f *NetFabric) acceptLoop() {
 }
 
 func (f *NetFabric) serveConn(conn net.Conn) {
-	defer conn.Close()
+	defer func() { _ = f.closeConn(conn) }()
 	r := bufio.NewReaderSize(conn, 1<<16)
 	var id uint64
 	if err := binary.Read(r, binary.LittleEndian, &id); err != nil {
 		return
 	}
-	ch, ok := f.channelFor(id)
+	ch, ok := f.claimChannel(id)
 	if !ok {
-		return
+		return // unknown or already claimed: the stream has its one connection
 	}
 	lastSource := ""
 	for {
@@ -187,6 +203,7 @@ func returnCredit(credits chan struct{}) {
 // delivering into an inbox, writes the frame with its computed arrival time
 // to the socket.
 type NetConn struct {
+	f       *NetFabric
 	link    *Conn
 	sock    net.Conn
 	w       *bufio.Writer
@@ -209,15 +226,19 @@ func (f *NetFabric) Dial(src, dst Endpoint, inbox carrier.Inbox) (*NetConn, erro
 	id, ch := f.registerChannel(inbox)
 	sock, err := net.Dial("tcp", f.Addr())
 	if err != nil {
+		f.claimChannel(id) // no connection will present it
 		return nil, fmt.Errorf("tcpcar: dial %s: %w", f.Addr(), err)
 	}
 	f.track(sock)
-	w := bufio.NewWriterSize(sock, 1<<16)
-	if err := binary.Write(w, binary.LittleEndian, id); err != nil {
-		sock.Close()
-		return nil, err
+	// The id goes out at once, so the listener claims the channel whether or
+	// not the stream ever sends a frame.
+	if _, err := sock.Write(binary.LittleEndian.AppendUint64(nil, id)); err != nil {
+		f.claimChannel(id)
+		_ = f.closeConn(sock)
+		return nil, fmt.Errorf("tcpcar: dial %s: %w", f.Addr(), err)
 	}
-	c := &NetConn{link: link, sock: sock, w: w, credits: ch.credits}
+	w := bufio.NewWriterSize(sock, 1<<16)
+	c := &NetConn{f: f, link: link, sock: sock, w: w, credits: ch.credits}
 	link.Sink = c.write
 	return c, nil
 }
@@ -263,7 +284,7 @@ func (c *NetConn) write(d carrier.Delivered) error {
 // Abort tears the socket: a Send stalled on credits unblocks (the read side
 // closes the credit channel on the torn connection) and subsequent Sends
 // fail.
-func (c *NetConn) Abort() { _ = c.sock.Close() }
+func (c *NetConn) Abort() { _ = c.f.closeConn(c.sock) }
 
 // Close implements carrier.Conn.
 func (c *NetConn) Close() error {
@@ -274,7 +295,7 @@ func (c *NetConn) Close() error {
 	}
 	c.closed = true
 	_ = c.link.Close()
-	return c.sock.Close()
+	return c.f.closeConn(c.sock)
 }
 
 // Frame wire protocol:
@@ -312,68 +333,89 @@ func writeFrame(w io.Writer, d carrier.Delivered) error {
 	return err
 }
 
-func readFrame(r io.Reader) (carrier.Delivered, error) {
-	var d carrier.Delivered
-	var srcLen uint32
-	if err := binary.Read(r, binary.LittleEndian, &srcLen); err != nil {
-		return d, err
+func readFrame(r io.Reader) (d carrier.Delivered, err error) {
+	srcLen, err := readLen(r, "source", 1<<16)
+	if err != nil {
+		return d, err // io.EOF here is the stream's clean end
 	}
-	if srcLen > 1<<16 {
-		return d, fmt.Errorf("tcpcar: implausible source length %d", srcLen)
-	}
-	src := make([]byte, srcLen)
-	if _, err := io.ReadFull(r, src); err != nil {
+	defer func() {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF // the peer closed mid-frame
+		}
+	}()
+	src, err := readBytes(r, srcLen)
+	if err != nil {
 		return d, err
 	}
 	d.Source = string(src)
-	var ready, at uint64
-	if err := binary.Read(r, binary.LittleEndian, &ready); err != nil {
+	carrier.PutBuf(src)
+	var fixed [25]byte // readyNs, arrivalNs, offset, flags
+	if _, err := io.ReadFull(r, fixed[:]); err != nil {
 		return d, err
 	}
-	if err := binary.Read(r, binary.LittleEndian, &at); err != nil {
-		return d, err
-	}
-	d.Ready = vtime.Time(ready)
-	d.At = vtime.Time(at)
-	if err := binary.Read(r, binary.LittleEndian, &d.Offset); err != nil {
-		return d, err
-	}
-	var flags byte
-	if err := binary.Read(r, binary.LittleEndian, &flags); err != nil {
-		return d, err
-	}
-	d.Last = flags&1 != 0
-	d.ViaTCP = flags&2 != 0
-	d.Down = flags&4 != 0
+	d.Ready = vtime.Time(binary.LittleEndian.Uint64(fixed[0:]))
+	d.At = vtime.Time(binary.LittleEndian.Uint64(fixed[8:]))
+	d.Offset = binary.LittleEndian.Uint64(fixed[16:])
+	flags := fixed[24]
+	d.Last, d.ViaTCP, d.Down = flags&1 != 0, flags&2 != 0, flags&4 != 0
 	if d.Down {
-		var errLen uint32
-		if err := binary.Read(r, binary.LittleEndian, &errLen); err != nil {
+		errLen, err := readLen(r, "down-error", 1<<16)
+		if err != nil {
 			return d, err
 		}
-		if errLen > 1<<16 {
-			return d, fmt.Errorf("tcpcar: implausible down-error length %d", errLen)
-		}
-		msg := make([]byte, errLen)
-		if _, err := io.ReadFull(r, msg); err != nil {
+		msg, err := readBytes(r, errLen)
+		if err != nil {
 			return d, err
 		}
 		d.DownErr = string(msg)
+		carrier.PutBuf(msg)
 	}
-	var payloadLen uint32
-	if err := binary.Read(r, binary.LittleEndian, &payloadLen); err != nil {
+	payloadLen, err := readLen(r, "payload", 1<<30)
+	if err != nil || payloadLen == 0 {
 		return d, err
 	}
-	if payloadLen > 1<<30 {
-		return d, fmt.Errorf("tcpcar: implausible payload length %d", payloadLen)
+	// Pooled: the receiver driver recycles the buffer once the frame's bytes
+	// have been materialized.
+	d.Payload, err = readBytes(r, payloadLen)
+	d.Pooled = err == nil
+	return d, err
+}
+
+// readLen reads a u32 length field and rejects one above max.
+func readLen(r io.Reader, what string, max uint32) (int, error) {
+	var b [4]byte
+	if _, err := io.ReadFull(r, b[:]); err != nil {
+		return 0, err
 	}
-	if payloadLen > 0 {
-		// Pooled: the receiver driver recycles the buffer once the frame's
-		// bytes have been materialized.
-		d.Payload = carrier.GetBuf(int(payloadLen))
-		d.Pooled = true
-		if _, err := io.ReadFull(r, d.Payload); err != nil {
-			return d, err
+	n := binary.LittleEndian.Uint32(b[:])
+	if n > max {
+		return 0, fmt.Errorf("tcpcar: implausible %s length %d", what, n)
+	}
+	return int(n), nil
+}
+
+// readChunk is the most readBytes leases ahead of the bytes it has read.
+const readChunk = 4 << 10
+
+// readBytes reads n bytes into a pooled buffer that grows as they arrive:
+// it starts at readChunk and doubles, so a length field claiming far more
+// than the peer sends leases at most about twice what was sent. On error the
+// buffer goes back to the pool.
+func readBytes(r io.Reader, n int) ([]byte, error) {
+	buf := carrier.GetBuf(min(n, readChunk))
+	for got := 0; ; {
+		k, err := io.ReadFull(r, buf[got:])
+		got += k
+		if err != nil {
+			carrier.PutBuf(buf)
+			return nil, err
 		}
+		if got == n {
+			return buf, nil
+		}
+		grown := carrier.GetBuf(min(n, 2*got))
+		copy(grown, buf)
+		carrier.PutBuf(buf)
+		buf = grown
 	}
-	return d, nil
 }

@@ -65,57 +65,60 @@ type Engine struct {
 }
 
 // Option configures New.
-type Option interface{ apply(*config) error }
+type Option func(*config) error
 
+// config is what the options fill in: the Config of each layer New builds.
 type config struct {
-	envOpts    []hw.Option
-	coreOpts   []core.Option
-	schedOpts  []sched.Option
-	tracing    bool
-	traceLimit int
+	hw         hw.Config
+	core       core.Config
+	sched      sched.Config
+	traceLimit *int // WithTracing's limit; nil: no tracing
 }
-
-type optionFunc func(*config) error
-
-func (f optionFunc) apply(c *config) error { return f(c) }
 
 // WithTorus sets the BlueGene partition's 3D torus dimensions (default
 // 4×4×2: 32 compute nodes, four psets, four I/O nodes — the partition of
 // the paper's experiments).
 func WithTorus(x, y, z int) Option {
-	return optionFunc(func(c *config) error {
-		c.envOpts = append(c.envOpts, hw.WithTorusDims(x, y, z))
+	return func(c *config) error {
+		// hw.Config reads a zero torus as the default; here it is a mistake.
+		if x <= 0 || y <= 0 || z <= 0 {
+			return fmt.Errorf("scsq: torus dimensions must be positive, got %d×%d×%d", x, y, z)
+		}
+		c.hw.Torus = [3]int{x, y, z}
 		return nil
-	})
+	}
 }
 
 // WithBackEndNodes sets the back-end Linux cluster size (default 4).
 func WithBackEndNodes(n int) Option {
-	return optionFunc(func(c *config) error {
-		c.envOpts = append(c.envOpts, hw.WithBackEndNodes(n))
+	return func(c *config) error {
+		if n <= 0 {
+			return fmt.Errorf("scsq: back-end cluster size must be positive, got %d", n)
+		}
+		c.hw.BackEndNodes = n
 		return nil
-	})
+	}
 }
 
 // WithMPIBufferBytes sets the MPI stream drivers' send-buffer size — the
 // knob the paper sweeps in Figures 6 and 8 (default 64 KiB).
 func WithMPIBufferBytes(n int) Option {
-	return optionFunc(func(c *config) error {
+	return func(c *config) error {
 		if n <= 0 {
 			return fmt.Errorf("scsq: MPI buffer size must be positive, got %d", n)
 		}
-		c.coreOpts = append(c.coreOpts, core.WithMPIBufferBytes(n))
+		c.core.MPIBufferBytes = n
 		return nil
-	})
+	}
 }
 
 // WithSingleBuffering uses single-buffered MPI drivers (the default is
 // double buffering, as in the paper's SCSQ).
 func WithSingleBuffering() Option {
-	return optionFunc(func(c *config) error {
-		c.coreOpts = append(c.coreOpts, core.WithBuffering(carrier.SingleBuffered))
+	return func(c *config) error {
+		c.core.Buffering = carrier.SingleBuffered
 		return nil
-	})
+	}
 }
 
 // WithRealTCP carries cross-cluster streams over real loopback TCP sockets
@@ -123,10 +126,10 @@ func WithSingleBuffering() Option {
 // mode exercises the actual network stack (framing, partial reads,
 // connection lifecycle).
 func WithRealTCP() Option {
-	return optionFunc(func(c *config) error {
-		c.coreOpts = append(c.coreOpts, core.WithRealTCP())
+	return func(c *config) error {
+		c.core.RealTCP = true
 		return nil
-	})
+	}
 }
 
 // WithUDPInbound carries back-end → BlueGene streams over the I/O nodes'
@@ -135,23 +138,23 @@ func WithRealTCP() Option {
 // counting query observes the loss; end-of-stream control frames are
 // always delivered.
 func WithUDPInbound(lossRate float64) Option {
-	return optionFunc(func(c *config) error {
+	return func(c *config) error {
 		if lossRate < 0 || lossRate >= 1 {
 			return fmt.Errorf("scsq: UDP loss rate must be in [0,1), got %v", lossRate)
 		}
-		c.coreOpts = append(c.coreOpts, core.WithUDPInbound(lossRate))
+		c.core.UDPInbound = &lossRate
 		return nil
-	})
+	}
 }
 
 // WithFiles provides the file table behind the filename(i) function and
 // grep() of the mapreduce example: names[i-1] is returned by filename(i),
 // and contents maps names to file bodies.
 func WithFiles(names []string, contents map[string]string) Option {
-	return optionFunc(func(c *config) error {
-		c.coreOpts = append(c.coreOpts, core.WithFileTable(sqep.NewMapFileTable(names, contents)))
+	return func(c *config) error {
+		c.core.Files = sqep.NewMapFileTable(names, contents)
 		return nil
-	})
+	}
 }
 
 // WithArraySource registers a named external stream source for
@@ -161,16 +164,16 @@ func WithArraySource(name string, arrays ...[]float64) Option {
 	for i, a := range arrays {
 		cp[i] = append([]float64(nil), a...)
 	}
-	return optionFunc(func(c *config) error {
-		c.coreOpts = append(c.coreOpts, core.WithSource(name, func(*sqep.Ctx) sqep.Operator {
+	return func(c *config) error {
+		c.core.Sources[name] = func(*sqep.Ctx) sqep.Operator {
 			vals := make([]any, len(cp))
 			for i, a := range cp {
 				vals[i] = append([]float64(nil), a...)
 			}
 			return sqep.NewSlice(vals...)
-		}))
+		}
 		return nil
-	})
+	}
 }
 
 // WithTracing enables frame-level tracing: every stream frame carries a
@@ -182,21 +185,23 @@ func WithArraySource(name string, arrays ...[]float64) Option {
 // virtual-time schedules — measured bandwidths are bit-identical either
 // way.
 func WithTracing(limit int) Option {
-	return optionFunc(func(c *config) error {
-		c.tracing = true
-		c.traceLimit = limit
+	return func(c *config) error {
+		c.traceLimit = &limit
 		return nil
-	})
+	}
 }
 
 // WithAdmissionQueueCap bounds how many submitted sessions may wait for
 // admission; Submit fails once the queue is full (default 64; <= 0 means
 // unbounded).
 func WithAdmissionQueueCap(n int) Option {
-	return optionFunc(func(c *config) error {
-		c.schedOpts = append(c.schedOpts, sched.WithQueueCap(n))
+	return func(c *config) error {
+		if n <= 0 { // sched.Config: zero is the default cap, negative unbounded
+			n = -1
+		}
+		c.sched.QueueCap = n
 		return nil
-	})
+	}
 }
 
 // WithLoadShedding makes a full admission queue shed its lowest-priority,
@@ -205,10 +210,10 @@ func WithAdmissionQueueCap(n int) Option {
 // newcomer with ErrQueueFull. Off by default: shedding changes which
 // sessions survive, so it is opt-in.
 func WithLoadShedding() Option {
-	return optionFunc(func(c *config) error {
-		c.schedOpts = append(c.schedOpts, sched.WithLoadShedding())
+	return func(c *config) error {
+		c.sched.LoadShedding = true
 		return nil
-	})
+	}
 }
 
 // WithAdmissionRetry parks sessions whose placement fails only because
@@ -218,14 +223,14 @@ func WithLoadShedding() Option {
 // (ErrUnsatisfiablePlan) still fail immediately. maxRetries <= 0 disables
 // retrying.
 func WithAdmissionRetry(maxRetries int, base, max time.Duration) Option {
-	return optionFunc(func(c *config) error {
-		c.schedOpts = append(c.schedOpts, sched.WithAdmissionRetry(sched.AdmissionRetryPolicy{
+	return func(c *config) error {
+		c.sched.AdmissionRetry = sched.AdmissionRetryPolicy{
 			MaxRetries: maxRetries,
 			Base:       vtime.Duration(base),
 			Max:        vtime.Duration(max),
-		}))
+		}
 		return nil
-	})
+	}
 }
 
 // PlacementObjective selects what the placement planner optimizes; see
@@ -245,36 +250,36 @@ const PlaceAggregateThroughput = place.AggregateThroughput
 // default: without the planner, placement is byte-for-byte the historic
 // greedy path.
 func WithPlacementPlanner(obj PlacementObjective) Option {
-	return optionFunc(func(c *config) error {
-		c.schedOpts = append(c.schedOpts, sched.WithPlacementPlanner(place.Config{Objective: obj}))
+	return func(c *config) error {
+		c.sched.Placement = &place.Config{Objective: obj}
 		return nil
-	})
+	}
 }
 
 // New builds an engine over a freshly simulated LOFAR environment.
 func New(opts ...Option) (*Engine, error) {
-	var cfg config
+	cfg := config{core: core.Config{Sources: map[string]sqep.SourceFunc{}}}
 	for _, o := range opts {
-		if err := o.apply(&cfg); err != nil {
+		if err := o(&cfg); err != nil {
 			return nil, err
 		}
 	}
-	env, err := hw.NewLOFAR(cfg.envOpts...)
+	env, err := hw.NewLOFAR(cfg.hw)
 	if err != nil {
 		return nil, err
 	}
-	coreOpts := append([]core.Option{core.WithEnv(env)}, cfg.coreOpts...)
-	if cfg.tracing {
-		coreOpts = append(coreOpts, core.WithTracer(metrics.NewTracer(cfg.traceLimit)))
+	cfg.core.Env = env
+	if cfg.traceLimit != nil {
+		cfg.core.Tracer = metrics.NewTracer(*cfg.traceLimit)
 	}
-	c, err := core.NewEngine(coreOpts...)
+	c, err := core.NewEngine(cfg.core)
 	if err != nil {
 		return nil, err
 	}
 	// The scheduler and the synchronous evaluator share one catalog: a
 	// function defined interactively is visible to submitted sessions and
 	// vice versa.
-	sch := sched.New(c, nil, cfg.schedOpts...)
+	sch := sched.New(c, nil, cfg.sched)
 	return &Engine{core: c, ev: scsql.NewEvaluator(c, sch.Catalog()), sched: sch}, nil
 }
 
@@ -446,25 +451,28 @@ func (s *Stream) BandwidthMbps(payloadBytes int64) float64 {
 	return float64(payloadBytes) * 8 / mk.Seconds() / 1e6
 }
 
-// SessionOption configures one Submit.
+// SessionOption configures one Submit. Each sets one field of the session's
+// sched.SubmitConfig; a zero argument leaves the field as it was.
 type SessionOption = sched.SubmitOption
 
 // WithPriority sets a submitted session's admission priority (higher admits
 // first; default 0). Within a priority level admission is FIFO.
-func WithPriority(p int) SessionOption { return sched.WithPriority(p) }
+func WithPriority(p int) SessionOption { return sched.SubmitConfig{Priority: p} }
 
 // WithQueueTTL bounds how long the session may wait for admission, in
 // virtual time: if the scheduler's virtual clock passes the deadline while
 // the session is still queued (or parked for an admission retry), it is
 // finalized SessionExpired with ErrDeadlineExceeded. Zero means no queue
 // deadline.
-func WithQueueTTL(d time.Duration) SessionOption { return sched.WithQueueTTL(vtime.Duration(d)) }
+func WithQueueTTL(d time.Duration) SessionOption {
+	return sched.SubmitConfig{QueueTTL: vtime.Duration(d)}
+}
 
 // WithRunTTL bounds the session's virtual running time, measured from
 // admission: past the deadline its streams unwind exactly as a cancel —
 // leases release once — and the session is finalized SessionExpired with
 // ErrDeadlineExceeded. Zero means no run deadline.
-func WithRunTTL(d time.Duration) SessionOption { return sched.WithRunTTL(vtime.Duration(d)) }
+func WithRunTTL(d time.Duration) SessionOption { return sched.SubmitConfig{RunTTL: vtime.Duration(d)} }
 
 // SessionState is a session's lifecycle state as reported by the scheduler:
 // "queued", "admitted", "running", "done", "failed", "cancelled", "expired"
