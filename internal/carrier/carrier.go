@@ -69,7 +69,10 @@ type Frame struct {
 	// Pooled marks a payload drawn from the shared frame-buffer pool (see
 	// pool.go). Whoever consumes the frame's bytes last must hand the
 	// payload back via Recycle; a frame whose payload outlives the consumer
-	// must be sent with Pooled false.
+	// must be sent with Pooled false — the sender driver sends a window of an
+	// immutable gen_array template so. Nobody writes a payload but a Link
+	// injecting corruption, and it first moves an unpooled one into a pooled
+	// copy.
 	Pooled bool
 	// Offset is the cumulative count of payload bytes the sender shipped on
 	// this stream before this frame. A supervised replacement of a failed

@@ -164,6 +164,13 @@ func (l *Link) Send(fr Frame) (vtime.Time, error) {
 		return 0, v.Err
 	}
 	if v.CorruptByte >= 0 {
+		// The one write to a payload: an unpooled one may be borrowed from
+		// storage other frames still read, so the flip lands on a pooled copy.
+		if !fr.Pooled {
+			b := GetBuf(s)
+			copy(b, fr.Payload)
+			fr.Payload, fr.Pooled = b, true
+		}
 		fr.Payload[v.CorruptByte] ^= 0xff
 	}
 	lost := v.Drop || (l.Lose != nil && !fr.Last && l.Lose(seq))

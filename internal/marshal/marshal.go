@@ -21,9 +21,11 @@
 // bulk copy instead of a per-element load/store loop. DecodeInto goes one
 // step further and moves a top-level array into storage the caller reuses;
 // CopyArray does the same for a sender, cutting any window of an array's
-// encoding straight into a frame. Skip is the decoder of a consumer that
-// reads no value (count()): it checks a value as Decode would and moves
-// nothing.
+// encoding straight into a frame. NewArray removes even that copy for an
+// array that is never written: it lays the array out behind its own header,
+// so the array's storage is its encoding and a frame can borrow any window of
+// it. Skip is the decoder of a consumer that reads no value (count()): it
+// checks a value as Decode would and moves nothing.
 package marshal
 
 import (
@@ -170,6 +172,24 @@ func AppendArray(buf []byte, x []float64) ([]byte, error) {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
 	}
 	return buf, nil
+}
+
+// NewArray allocates an array of n elements laid out behind its own wire
+// header, so its encoding needs no copy: arr is the array and enc, on
+// little-endian hosts, is what AppendArray(nil, arr) would produce, read in
+// place — it aliases arr and reads whatever arr holds. The 5-byte header
+// fills bytes 3–7 of one float64 ahead of arr[0], which keeps arr 8-byte
+// aligned. enc is nil on big-endian hosts, where the element bits are not
+// their wire bytes, and for an n the u32 count cannot carry.
+func NewArray(n int) (arr []float64, enc []byte) {
+	backing := make([]float64, n+1)
+	if !hostLittleEndian || int64(n) > maxElems {
+		return backing[1:], nil
+	}
+	b := float64Bytes(backing)
+	b[3] = TagArray
+	binary.LittleEndian.PutUint32(b[4:8], uint32(n))
+	return backing[1:], b[3:]
 }
 
 // CopyArray copies bytes [off, off+len(dst)) of x's encoding — what

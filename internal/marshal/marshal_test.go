@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func roundTrip(t *testing.T, v any) any {
@@ -277,5 +278,33 @@ func TestDecodeRejectsNestedBagBombCheaply(t *testing.T) {
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
 		t.Fatalf("rejecting a %d-byte input allocated %d bytes", len(bomb), got)
+	}
+}
+
+// TestNewArrayIsItsEncoding: NewArray's array is 8-byte aligned, of length
+// and capacity n, and its enc is AppendArray's bytes of whatever the array
+// holds, written after NewArray returned.
+func TestNewArrayIsItsEncoding(t *testing.T) {
+	for _, n := range []int{0, 1, 3, 1000} {
+		arr, enc := NewArray(n)
+		if len(arr) != n || cap(arr) != n {
+			t.Fatalf("NewArray(%d): len %d cap %d", n, len(arr), cap(arr))
+		}
+		if n > 0 && uintptr(unsafe.Pointer(&arr[0]))%8 != 0 {
+			t.Fatalf("NewArray(%d): array at %p is not 8-byte aligned", n, &arr[0])
+		}
+		for i := range arr {
+			arr[i] = float64(i) - 0.5
+		}
+		want, err := AppendArray(nil, arr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !hostLittleEndian {
+			want = nil
+		}
+		if !reflect.DeepEqual(enc, want) {
+			t.Fatalf("NewArray(%d): enc %x, want %x", n, enc, want)
+		}
 	}
 }

@@ -89,10 +89,14 @@ type senderDriver struct {
 	// arr is the array and arrOff counts the bytes of its arrSize-byte
 	// encoding already flushed, the unflushed stream being pending[head:]
 	// followed by that encoding from arrOff. Only the array's tail, shorter
-	// than one buffer, is appended to pending before push returns.
+	// than one buffer, is appended to pending before push returns. arrEnc is
+	// the array's encoding when it is an immutable gen_array template
+	// (sqep.Encoding): a frame wholly inside it borrows its window instead of
+	// copying it.
 	pending   []byte
 	head      int
 	arr       []float64
+	arrEnc    []byte
 	arrOff    int
 	arrSize   int
 	pendReady vtime.Time
@@ -171,6 +175,7 @@ func (d *senderDriver) push(el sqep.Element) error {
 			return err
 		}
 		d.arr, d.arrOff, d.arrSize = arr, 0, added
+		d.arrEnc, _ = sqep.Encoding(arr)
 	} else {
 		before := len(d.pending)
 		if d.pending, err = marshal.Append(d.pending, el.Value); err != nil {
@@ -205,7 +210,7 @@ func (d *senderDriver) push(el sqep.Element) error {
 			d.pending = slices.Grow(d.pending, tail)[:k+tail]
 			marshal.CopyArray(d.pending[k:], d.arr, d.arrOff)
 		}
-		d.arr, d.arrOff, d.arrSize = nil, 0, 0
+		d.arr, d.arrEnc, d.arrOff, d.arrSize = nil, nil, 0, 0
 	}
 	return err
 }
@@ -232,7 +237,9 @@ func (d *senderDriver) flushFrame(n int, last bool) error {
 	var free vtime.Time
 	// The carrier owns the frame once Send is called — error paths recycle a
 	// pooled payload — so each retry attempt pools a fresh copy of the bytes
-	// still sitting in pending and in the array being flushed. The frame's
+	// still sitting in pending and in the array being flushed, unless the
+	// frame lies wholly inside an immutable array's encoding: then every
+	// attempt borrows the same window of it, unpooled. The frame's
 	// Offset is the cumulative payload bytes successfully flushed before it:
 	// a replacement RP replaying its deterministic stream re-produces the
 	// same offsets, which is what lets a receiver discard the
@@ -245,8 +252,13 @@ func (d *senderDriver) flushFrame(n int, last bool) error {
 	err := d.cfg.Retry.Do(func() error {
 		attempts++
 		var payload []byte
-		if n > 0 {
-			payload = carrier.GetBuf(n)
+		pooled := false
+		switch {
+		case n == 0:
+		case d.arrEnc != nil && d.head == len(d.pending):
+			payload = d.arrEnc[d.arrOff : d.arrOff+n : d.arrOff+n]
+		default:
+			payload, pooled = carrier.GetBuf(n), true
 			if k := copy(payload, d.pending[d.head:]); k < n {
 				marshal.CopyArray(payload[k:], d.arr, d.arrOff)
 			}
@@ -257,7 +269,7 @@ func (d *senderDriver) flushFrame(n int, last bool) error {
 			Ready:   d.pendReady,
 			Offset:  uint64(d.bytesOut),
 			Last:    last,
-			Pooled:  payload != nil,
+			Pooled:  pooled,
 			TraceID: traceID,
 		}
 		if traceID != 0 {

@@ -8,8 +8,9 @@ import (
 // PushElements drives a fresh sender driver with n copies of el over conn
 // and terminates the stream. It exists so benchmark/'s rp.push_* and
 // rp.recv_* probes can exercise the element → frame → carrier path — an
-// array el is cut into pooled payloads straight from its own storage, any
-// other value goes through marshal.Append and the driver's pending buffer —
+// array el is cut into pooled payloads straight from its own storage (frames
+// borrow a gen_array template's encoding instead), any other value goes
+// through marshal.Append and the driver's pending buffer —
 // without assembling a full engine; production code wires sender drivers
 // through RP.Subscribe. The receivers those probes build retain their
 // elements and are never closed: their leases go back at end of stream.

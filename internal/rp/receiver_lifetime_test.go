@@ -586,23 +586,38 @@ func TestReceiverHeaderBombAllocatesLittle(t *testing.T) {
 
 var benchSink any
 
-// BenchmarkSenderPack packs 300 kB arrays into 1 000 B buffers over a
-// connection that discards them: the cost of a flush must be its frame, not
-// the unflushed tail behind it.
+// BenchmarkSenderPack sends 300 kB arrays over a connection that discards
+// them. pack cuts them into 1 000 B buffers: the cost of a flush must be its
+// frame, not the unflushed tail behind it. template and clone flush each
+// array as one frame: a gen_array template's is a window of its encoding, an
+// equal array's a pooled copy of it.
 func BenchmarkSenderPack(b *testing.B) {
-	el := sqep.Element{Value: goldenArray(37500, 1)}
-	d, err := newSenderDriver("p", discardConn{}, SenderConfig{BufBytes: 1000, Mode: carrier.DoubleBuffered, MarshalPerByte: 0.5})
-	if err != nil {
-		b.Fatal(err)
+	tmpl := genTemplate(b, 37500)
+	for _, s := range []struct {
+		name       string
+		arr        []float64
+		perElement bool
+	}{
+		{"pack", goldenArray(37500, 1), false},
+		{"template", tmpl, true},
+		{"clone", slices.Clone(tmpl), true},
+	} {
+		b.Run(s.name, func(b *testing.B) {
+			el := sqep.Element{Value: s.arr}
+			d, err := newSenderDriver("p", discardConn{}, SenderConfig{BufBytes: 1000, Mode: carrier.DoubleBuffered, MarshalPerByte: 0.5, FlushPerElement: s.perElement})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := d.push(el); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(d.framesOut), "ns/frame")
+		})
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := d.push(el); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(d.framesOut), "ns/frame")
 }
 
 type discardConn struct{}

@@ -3,6 +3,7 @@ package scsql
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 var keywords = map[string]Kind{
@@ -19,17 +20,17 @@ var keywords = map[string]Kind{
 }
 
 // Lex tokenizes SCSQL source text. Comments run from "--" to end of line.
+// Token texts are slices of src; positions count runes.
 func Lex(src string) ([]Token, error) {
 	var (
 		toks      []Token
 		line, col = 1, 1
 	)
-	runes := []rune(src)
-	i := 0
+	i := 0 // byte offset of the next rune
 	pos := func() Pos { return Pos{Line: line, Col: col} }
 	advance := func() rune {
-		r := runes[i]
-		i++
+		r, size := utf8.DecodeRuneInString(src[i:])
+		i += size
 		if r == '\n' {
 			line++
 			col = 1
@@ -39,26 +40,23 @@ func Lex(src string) ([]Token, error) {
 		return r
 	}
 	peek := func() rune {
-		if i >= len(runes) {
-			return 0
-		}
-		return runes[i]
+		r, _ := utf8.DecodeRuneInString(src[i:])
+		return r
 	}
 	peek2 := func() rune {
-		if i+1 >= len(runes) {
-			return 0
-		}
-		return runes[i+1]
+		_, size := utf8.DecodeRuneInString(src[i:])
+		r, _ := utf8.DecodeRuneInString(src[i+size:])
+		return r
 	}
 
-	for i < len(runes) {
+	for i < len(src) {
 		start := pos()
 		r := peek()
 		switch {
 		case unicode.IsSpace(r):
 			advance()
 		case r == '-' && peek2() == '-':
-			for i < len(runes) && peek() != '\n' {
+			for i < len(src) && peek() != '\n' {
 				advance()
 			}
 		case r == '-' && peek2() == '>':
@@ -121,32 +119,29 @@ func Lex(src string) ([]Token, error) {
 			toks = append(toks, Token{Kind: TokEquals, Text: "=", Pos: start})
 		case r == '\'' || r == '"':
 			quote := advance()
-			var sb strings.Builder
-			closed := false
-			for i < len(runes) {
-				c := advance()
-				if c == quote {
+			from, closed := i, false
+			for i < len(src) {
+				if advance() == quote {
 					closed = true
 					break
 				}
-				sb.WriteRune(c)
 			}
 			if !closed {
 				return nil, errorfAt(start, "unterminated string literal")
 			}
-			toks = append(toks, Token{Kind: TokString, Text: sb.String(), Pos: start})
+			toks = append(toks, Token{Kind: TokString, Text: src[from : i-1], Pos: start})
 		case unicode.IsDigit(r):
-			var sb strings.Builder
-			for i < len(runes) && (unicode.IsDigit(peek()) || peek() == '.') {
-				sb.WriteRune(advance())
+			from := i
+			for i < len(src) && (unicode.IsDigit(peek()) || peek() == '.') {
+				advance()
 			}
-			toks = append(toks, Token{Kind: TokNumber, Text: sb.String(), Pos: start})
+			toks = append(toks, Token{Kind: TokNumber, Text: src[from:i], Pos: start})
 		case unicode.IsLetter(r) || r == '_':
-			var sb strings.Builder
-			for i < len(runes) && (unicode.IsLetter(peek()) || unicode.IsDigit(peek()) || peek() == '_') {
-				sb.WriteRune(advance())
+			from := i
+			for i < len(src) && (unicode.IsLetter(peek()) || unicode.IsDigit(peek()) || peek() == '_') {
+				advance()
 			}
-			word := sb.String()
+			word := src[from:i]
 			if k, ok := keywords[strings.ToLower(word)]; ok {
 				toks = append(toks, Token{Kind: k, Text: word, Pos: start})
 			} else {

@@ -1,8 +1,11 @@
 package scsql
 
 import (
+	"slices"
 	"strings"
 	"testing"
+
+	"scsq/internal/race"
 )
 
 func TestLexBasics(t *testing.T) {
@@ -75,6 +78,45 @@ func TestLexPositions(t *testing.T) {
 	}
 	if toks[1].Pos.Line != 2 || toks[1].Pos.Col != 3 {
 		t.Errorf("pos = %v, want 2:3", toks[1].Pos)
+	}
+}
+
+// TestLexPositionsCountRunes: token texts are cut out of the source by byte
+// offset while positions go on counting runes.
+func TestLexPositionsCountRunes(t *testing.T) {
+	toks, err := Lex("'αβ' größe 3.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Token{
+		{Kind: TokString, Text: "αβ", Pos: Pos{1, 1}},
+		{Kind: TokIdent, Text: "größe", Pos: Pos{1, 6}},
+		{Kind: TokNumber, Text: "3.5", Pos: Pos{1, 12}},
+		{Kind: TokEOF, Pos: Pos{1, 15}},
+	}
+	if !slices.Equal(toks, want) {
+		t.Errorf("Lex = %v, want %v", toks, want)
+	}
+}
+
+// TestLexAllocs pins what lexing one of the paper's queries allocates: the
+// token slice as it grows, and nothing per token — every text is a slice of
+// the source.
+func TestLexAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	src, err := InboundQuery(6, 8, 1000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(100, func() {
+		if _, err := Lex(src); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > 8 {
+		t.Errorf("Lex allocated %v times, want at most 8", got)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"scsq/internal/marshal"
 	"scsq/internal/vtime"
 )
 
@@ -18,37 +19,76 @@ type GenArray struct {
 	ctx     *Ctx
 	emitted int
 	now     vtime.Time
-	// template is a view of the process-wide one; each element reuses it,
+	// template is the process-wide one of its size; each element reuses it,
 	// mirroring the paper's workload where array content is irrelevant to
 	// the communication measurements.
 	template []float64
 }
 
-// genTemplate is the array every gen_array emits a prefix of: element i is
-// float64(i % 997) whatever the length. It only ever grows, by replacement,
-// and is never written after it is published — stream arrays are read-only
-// downstream — so views handed out earlier stay valid and correct.
-var genTemplate struct {
-	mu   sync.Mutex
-	vals []float64
+// genCacheBytes bounds the bytes genTemplates holds: comfortably above the
+// paper's 3 MB arrays, and above the few dozen sizes a served workload draws
+// from one range. It counts bytes, not entries, because a template's size is
+// whatever a query asks for.
+const genCacheBytes = 16 << 20
+
+// genTemplates holds one immutable template per element count: element i is
+// float64(i % 997), laid out behind its own wire header (marshal.NewArray), so
+// a sender can hand out windows of its encoding instead of copying it. A
+// template is never written after it is published — stream arrays are
+// read-only downstream. When a new template would take the cache past
+// genCacheBytes the cache restarts empty: views handed out earlier stay valid
+// and correct, they are just no longer templates.
+var genTemplates struct {
+	mu    sync.Mutex
+	bytes int
+	m     map[int]genTemplate
 }
 
-// sharedTemplate returns the first n elements of genTemplate, capped so an
-// append cannot reach the elements behind them.
+// genTemplate is one template and its encoding (nil on big-endian hosts).
+type genTemplate struct {
+	arr []float64
+	enc []byte
+}
+
+// sharedTemplate returns the template of n elements, capped at n so an append
+// cannot write behind it.
 func sharedTemplate(n int) []float64 {
-	t := &genTemplate
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.vals) < n {
-		// At least doubling bounds what a run of ever larger sizes leaves
-		// behind to twice the largest.
-		vals := make([]float64, max(n, 2*len(t.vals)))
-		for i := range vals {
-			vals[i] = float64(i % 997)
-		}
-		t.vals = vals
+	c := &genTemplates
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if t, ok := c.m[n]; ok {
+		return t.arr
 	}
-	return t.vals[:n:n]
+	arr, enc := marshal.NewArray(n)
+	for i := range arr {
+		arr[i] = float64(i % 997)
+	}
+	size := 8 * (n + 1)
+	if size > genCacheBytes {
+		return arr
+	}
+	if c.m == nil || c.bytes+size > genCacheBytes {
+		c.m, c.bytes = map[int]genTemplate{}, 0
+	}
+	c.m[n] = genTemplate{arr, enc}
+	c.bytes += size
+	return arr
+}
+
+// Encoding returns the wire encoding of x when x is a cached gen_array
+// template — the very array, matched by pointer and length, not one equal to
+// it — whose storage can never change, so a frame may carry a window of it
+// instead of a copy. It reports false for every other array, a view of a
+// template included.
+func Encoding(x []float64) ([]byte, bool) {
+	c := &genTemplates
+	c.mu.Lock()
+	t, ok := c.m[len(x)]
+	c.mu.Unlock()
+	if !ok || t.enc == nil || len(x) == 0 || &t.arr[0] != &x[0] {
+		return nil, false
+	}
+	return t.enc, true
 }
 
 var _ Operator = (*GenArray)(nil)

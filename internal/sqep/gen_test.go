@@ -1,22 +1,23 @@
 package sqep
 
 import (
+	"bytes"
 	"reflect"
 	"slices"
 	"sync"
 	"testing"
+
+	"scsq/internal/marshal"
 )
 
 // TestGenArrayConcurrentOpensShareOneTemplate: gen_arrays of different sizes
-// opened at once — each growing the process-wide template under the others —
-// see arrays of their own length, capped at it, with element i = i mod 997;
-// a view handed out before the template grew is as good as one handed out
-// after.
+// opened at once see arrays of their own length, capped at it, with element
+// i = i mod 997, and each is its size's one template, whose encoding Encoding
+// hands out. The cache never holds more than its bound, and when it restarts
+// a view handed out before still reads correctly but is no template any more;
+// neither is an array larger than the bound.
 func TestGenArrayConcurrentOpensShareOneTemplate(t *testing.T) {
-	genTemplate.mu.Lock()
-	genTemplate.vals = nil // whatever earlier tests grew it to
-	genTemplate.mu.Unlock()
-
+	resetGenTemplates()
 	sizes := []int{1, 8, 24, 1000, 8000, 300000, 2400000}
 	views := make([][]float64, len(sizes))
 	var wg sync.WaitGroup
@@ -43,16 +44,85 @@ func TestGenArrayConcurrentOpensShareOneTemplate(t *testing.T) {
 		if want := max(1, size/8); len(v) != want || cap(v) != want {
 			t.Fatalf("gen_array(%d): len %d cap %d, want both %d", size, len(v), cap(v), want)
 		}
-		for j, x := range v {
-			if x != float64(j%997) {
-				t.Fatalf("gen_array(%d): element %d = %v, want %d", size, j, x, j%997)
-			}
+		checkTemplate(t, v)
+		if again := sharedTemplate(len(v)); &again[0] != &v[0] {
+			t.Errorf("gen_array(%d): a second open got another array", size)
+		}
+		enc, ok := Encoding(v)
+		want, _ := marshal.AppendArray(nil, v)
+		if !ok || !bytes.Equal(enc, want) {
+			t.Fatalf("gen_array(%d): Encoding = %t, %d bytes; want the %d bytes of AppendArray", size, ok, len(enc), len(want))
+		}
+		if _, ok := Encoding(slices.Clone(v)); ok {
+			t.Errorf("gen_array(%d): Encoding took a clone for the template", size)
 		}
 	}
-	// Later, smaller gen_arrays are prefixes of the one template.
-	a, b := sharedTemplate(100), sharedTemplate(1000)
-	if &a[0] != &b[0] {
-		t.Error("two views of the grown template do not share storage")
+	checkCacheBound(t)
+
+	// Templates a third of the bound each restart the cache by the third.
+	early := views[3]
+	big := genCacheBytes / 8 / 3
+	for k := 0; k < 4; k++ {
+		sharedTemplate(big + k)
+		checkCacheBound(t)
+	}
+	genTemplates.mu.Lock()
+	_, kept := genTemplates.m[len(early)]
+	genTemplates.mu.Unlock()
+	if kept {
+		t.Fatal("the cache kept every size past its bound")
+	}
+	checkTemplate(t, early)
+	if _, ok := Encoding(early); ok {
+		t.Error("Encoding took a view from before the restart for a template")
+	}
+	if _, ok := Encoding(sharedTemplate(len(early))); !ok {
+		t.Error("Encoding rejected the new template of a size seen before the restart")
+	}
+	checkCacheBound(t)
+
+	// An array larger than the bound is made for its gen_array and never
+	// cached.
+	huge := sharedTemplate(genCacheBytes / 8)
+	checkTemplate(t, huge)
+	if _, ok := Encoding(huge); ok {
+		t.Error("Encoding took an array past the cache's bound for a template")
+	}
+	checkCacheBound(t)
+}
+
+func resetGenTemplates() {
+	c := &genTemplates
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.m, c.bytes = nil, 0
+}
+
+func checkTemplate(t *testing.T, v []float64) {
+	t.Helper()
+	for j, x := range v {
+		if x != float64(j%997) {
+			t.Fatalf("template of %d: element %d = %v, want %d", len(v), j, x, j%997)
+		}
+	}
+}
+
+// checkCacheBound holds the template cache to its byte bound and its count of
+// bytes to the templates it holds.
+func checkCacheBound(t *testing.T) {
+	t.Helper()
+	c := &genTemplates
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	held := 0
+	for n, tmpl := range c.m {
+		if len(tmpl.arr) != n {
+			t.Fatalf("template of %d elements filed under %d", len(tmpl.arr), n)
+		}
+		held += 8 * (n + 1)
+	}
+	if held != c.bytes || held > genCacheBytes {
+		t.Fatalf("cache holds %d bytes and counts %d, bound %d", held, c.bytes, genCacheBytes)
 	}
 }
 
