@@ -7,6 +7,8 @@ import (
 	"scsq"
 	"scsq/internal/bench"
 	"scsq/internal/marshal"
+	"scsq/internal/race"
+	"scsq/internal/scsql"
 	"scsq/internal/torus"
 )
 
@@ -102,5 +104,75 @@ and   a=sp(gen_array(30000,10), 'bg', 1);`)
 			b.Fatal(err)
 		}
 		eng.Close()
+	}
+}
+
+// repeatQuery runs repeatQuery6's statement once the way a figure point
+// repeats it — Exec, Drain, Reset on one engine — and checks its count.
+func repeatQuery(tb testing.TB, eng *scsq.Engine, src string) {
+	res, err := eng.Exec(src)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	els, err := res.Stream.Drain()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if len(els) != 1 || els[0].Value != int64(16) {
+		tb.Fatalf("got %v, want one count of 16", els)
+	}
+	if err := eng.Reset(); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// repeatQuery6 is a small Query 6: four back-end producers of four 1 000 B
+// gen_arrays each, every stream counted on a BlueGene node of its own and
+// the counts summed.
+func repeatQuery6(tb testing.TB) (*scsq.Engine, string) {
+	tb.Helper()
+	src, err := scsql.InboundQuery(6, 4, 1000, 4)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	eng, err := scsq.New()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { eng.Close() })
+	return eng, src
+}
+
+// BenchmarkRepeatQuery is the loop every figure point and the in-process
+// benchmark workloads run: the same statement executed, drained and reset on
+// one warm engine.
+func BenchmarkRepeatQuery(b *testing.B) {
+	eng, src := repeatQuery6(b)
+	repeatQuery(b, eng, src)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		repeatQuery(b, eng, src)
+	}
+}
+
+// TestRepeatQueryAllocs pins what a repeated query allocates on a warm
+// engine: what building the query takes, nothing per streamed element, and
+// nothing to regrow what the run before had sized. The ceiling sits just
+// above the 469 measured when each gen_array started boxing its template
+// once and Reset started keeping capacity (628 before).
+func TestRepeatQueryAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	eng, src := repeatQuery6(t)
+	for i := 0; i < 5; i++ {
+		repeatQuery(t, eng, src)
+	}
+	const ceiling = 480
+	got := testing.AllocsPerRun(20, func() { repeatQuery(t, eng, src) })
+	t.Logf("%.0f allocations per repeat", got)
+	if got > ceiling {
+		t.Errorf("a repeated Query 6 allocates %.0f objects, ceiling %d", got, ceiling)
 	}
 }

@@ -103,10 +103,13 @@ type Link struct {
 // counters and the carrier's delivery-latency histogram.
 func NewLink(r Route, inbox Inbox, faults Faults, reg *metrics.Registry) *Link {
 	// The label identifies the link's metrics block (names are composed from
-	// it when the registry is read): one concatenation, one allocation a dial.
-	label := r.Kind + ":" + string(r.Src.Cluster) + ":" + strconv.Itoa(r.Src.Node) +
-		"->" + string(r.Dst.Cluster) + ":" + strconv.Itoa(r.Dst.Node)
-	b := reg.Shared(linkFamily, label)
+	// it when the registry is read). It is spelled on the stack and becomes a
+	// string only with the block: a pair dialed before allocates none.
+	var buf [64]byte
+	spelled := append(buf[:0], r.Kind...)
+	spelled = appendRef(append(spelled, ':'), r.Src)
+	spelled = appendRef(append(spelled, "->"...), r.Dst)
+	b, label := reg.SharedBytes(linkFamily, spelled)
 	return &Link{
 		route:    r,
 		label:    label,
@@ -118,6 +121,12 @@ func NewLink(r Route, inbox Inbox, faults Faults, reg *metrics.Registry) *Link {
 		hDeliver: reg.Shared(kindFamily, r.Kind).Histogram(0),
 		abort:    make(chan struct{}),
 	}
+}
+
+// appendRef appends "<cluster>:<node>".
+func appendRef(b []byte, n NodeRef) []byte {
+	b = append(append(b, n.Cluster...), ':')
+	return strconv.AppendInt(b, int64(n.Node), 10)
 }
 
 // Kind returns the carrier of the link ("mpi", "tcp", "udp").

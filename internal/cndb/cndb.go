@@ -320,13 +320,14 @@ func (db *DB) DeadCount() int {
 }
 
 // Reset releases every allocation, revives dead nodes, and rewinds the
-// round-robin cursor.
+// round-robin cursor. The tables are emptied, not dropped: the next run's
+// grants reuse what this one sized.
 func (db *DB) Reset() {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.allocated = make(map[int]int)
-	db.leases = make(map[string]map[int]int)
-	db.dead = make(map[int]bool)
+	clear(db.allocated)
+	clear(db.leases)
+	clear(db.dead)
 	db.rr = 0
 }
 

@@ -68,9 +68,7 @@ func TestRPRegistry(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := sqep.Ctx{CPU: node.CPU, Cost: env.Cost}
-	p := rp.New("rp-1", hw.BackEnd, 0, ctx, func(*sqep.Ctx) (sqep.Operator, error) {
-		return sqep.NewIota(1, 1), nil
-	})
+	p := rp.New("rp-1", hw.BackEnd, 0, ctx, sqep.NewIota(1, 1))
 	cc.Register(p)
 	if got := len(cc.RPs()); got != 1 {
 		t.Errorf("rp count = %d, want 1", got)

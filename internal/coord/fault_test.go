@@ -13,9 +13,7 @@ import (
 )
 
 func idleRP(id string, node int) *rp.RP {
-	return rp.New(id, hw.BlueGene, node, sqep.Ctx{}, func(*sqep.Ctx) (sqep.Operator, error) {
-		return sqep.NewIota(1, 1), nil
-	})
+	return rp.New(id, hw.BlueGene, node, sqep.Ctx{}, sqep.NewIota(1, 1))
 }
 
 func TestBGPollerConcurrentShutdown(t *testing.T) {

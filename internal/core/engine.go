@@ -56,6 +56,10 @@ type Engine struct {
 	cfg        Config // as NewEngine filled it in: every default explicit
 	clientNode int    // front-end node hosting the client manager
 
+	// cacheFactor is env.Cost.CacheFactor, bound once: a method value copies
+	// the whole cost model, which every MPI sender and receiver would pay.
+	cacheFactor func(bufBytes int) float64
+
 	inj *chaos.Injector // nil without Config.Chaos
 	sup *Supervisor     // nil without Config.Supervision
 
@@ -242,16 +246,17 @@ func NewEngine(opts ...Option) (*Engine, error) {
 	}
 
 	e := &Engine{
-		env:     cfg.Env,
-		mpi:     mpicar.NewFabric(cfg.Env),
-		tcp:     tcpcar.NewFabric(cfg.Env),
-		coords:  make(map[hw.ClusterName]*coord.Coordinator, 3),
-		cfg:     cfg,
-		queries: make(map[string]*queryCtx),
-		inj:     cfg.Chaos,
-		reg:     metrics.NewRegistry(),
-		syscat:  catalog.NewRegistry(),
-		stop:    make(chan struct{}),
+		env:         cfg.Env,
+		cacheFactor: cfg.Env.Cost.CacheFactor,
+		mpi:         mpicar.NewFabric(cfg.Env),
+		tcp:         tcpcar.NewFabric(cfg.Env),
+		coords:      make(map[hw.ClusterName]*coord.Coordinator, 3),
+		cfg:         cfg,
+		queries:     make(map[string]*queryCtx),
+		inj:         cfg.Chaos,
+		reg:         metrics.NewRegistry(),
+		syscat:      catalog.NewRegistry(),
+		stop:        make(chan struct{}),
 	}
 	e.mpi.SetMetrics(e.reg)
 	e.tcp.SetMetrics(e.reg)
@@ -638,7 +643,7 @@ func (e *Engine) buildProc(sp *SP, node int) (*rp.RP, bool, error) {
 		return nil, false, err
 	}
 	hasInputs := b.hasInputs
-	proc := rp.New(sp.id, sp.cluster, node, ctx, func(*sqep.Ctx) (sqep.Operator, error) { return op, nil })
+	proc := rp.New(sp.id, sp.cluster, node, ctx, op)
 	proc.SetMetrics(sp.qc.metrics)
 	// Only free-running source RPs register as pacing agents: a reactive
 	// RP's timing derives from its (already paced) inputs, and pacing it
@@ -933,7 +938,7 @@ func (e *Engine) connectAs(qc *queryCtx, producers []*SP, cc hw.ClusterName, cn 
 	switch cc {
 	case hw.BlueGene:
 		rcfg.TCPPerByte = e.env.Cost.BGCPUByte
-		rcfg.CacheFactor = e.env.Cost.CacheFactor
+		rcfg.CacheFactor = e.cacheFactor
 		rcfg.MergeSwitchCost = e.env.Cost.BGMergeSwitchCost
 	case hw.BackEnd:
 		rcfg.TCPPerByte = e.env.Cost.BeCPUByte
@@ -991,7 +996,7 @@ func (e *Engine) wireProducer(p *SP, proc *rp.RP, pn int, w wiring) error {
 			BufBytes:       e.cfg.MPIBufferBytes,
 			Mode:           e.cfg.Buffering,
 			MarshalPerByte: e.env.Cost.BGMarshalByte,
-			CacheFactor:    e.env.Cost.CacheFactor,
+			CacheFactor:    e.cacheFactor,
 			CPU:            prodNode.CPU,
 		}
 	} else {

@@ -316,6 +316,22 @@ func (r *Registry) Shared(f *Family, id string) *Block {
 	return r.sharedLocked(f, id)
 }
 
+// SharedBytes is Shared for an id spelled in bytes, which become a string
+// only when the block is new; it returns the block and its id. A nil
+// registry returns a nil block and a new id.
+func (r *Registry) SharedBytes(f *Family, id []byte) (*Block, string) {
+	if r == nil {
+		return nil, string(id)
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	b := r.shared[blockKey{f, string(id)}]
+	if b == nil {
+		b = r.sharedLocked(f, string(id))
+	}
+	return b, b.id
+}
+
 func (r *Registry) sharedLocked(f *Family, id string) *Block {
 	k := blockKey{f, id}
 	b := r.shared[k]

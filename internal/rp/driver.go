@@ -521,9 +521,12 @@ func (r *Receiver) fill() error {
 	if !ok {
 		return errInboxClosed
 	}
-	maxBatch := r.cfg.BatchFrames
-	if maxBatch < 1 {
-		maxBatch = 1
+	maxBatch := max(r.cfg.BatchFrames, 1)
+	if r.batch == nil {
+		// Sized once, by the first drain's backlog: a receiver that only
+		// ever sees one frame at a time does not pay for BatchFrames slots.
+		n := min(len(r.inbox)+1, maxBatch)
+		r.batch, r.reqs = make([]pendingFrame, 0, n), make([]vtime.Request, 0, n)
 	}
 	for {
 		// Stop the drain at any final frame: pulling past a stream's end

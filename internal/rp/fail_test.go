@@ -47,9 +47,7 @@ func (c *blockConn) Abort() { c.abortOnce.Do(func() { close(c.abort) }) }
 
 func TestFailBeforeStartResolvesWait(t *testing.T) {
 	cause := errors.New("node went dark")
-	p := New("rp-dead", hw.BackEnd, 0, testCtx(t), func(*sqep.Ctx) (sqep.Operator, error) {
-		return sqep.NewIota(1, 5), nil
-	})
+	p := New("rp-dead", hw.BackEnd, 0, testCtx(t), sqep.NewIota(1, 5))
 	p.Fail(cause)
 	select {
 	case <-p.done:
@@ -74,9 +72,7 @@ func TestFailBeforeStartResolvesWait(t *testing.T) {
 
 func TestFailUnblocksSenderStalledInSend(t *testing.T) {
 	conn := newBlockConn()
-	p := New("rp-stuck", hw.BackEnd, 0, testCtx(t), func(*sqep.Ctx) (sqep.Operator, error) {
-		return sqep.NewGenArray(256, 8), nil
-	})
+	p := New("rp-stuck", hw.BackEnd, 0, testCtx(t), sqep.NewGenArray(256, 8))
 	// A tiny buffer flushes on the first element, driving the run loop into
 	// the stalled Send.
 	if err := p.Subscribe(conn, SenderConfig{BufBytes: 64, Mode: carrier.SingleBuffered}); err != nil {

@@ -167,7 +167,7 @@ func TestReceiverLifetimeRelay(t *testing.T) {
 		}
 		inbox, _, _ = s.build(t)
 		up := NewReceiver(inbox, ReceiverConfig{Producers: producers, BatchFrames: 16})
-		relay := New("relay", hw.BlueGene, 0, testCtx(t), func(*sqep.Ctx) (sqep.Operator, error) { return up, nil })
+		relay := New("relay", hw.BlueGene, 0, testCtx(t), up)
 		out := make(carrier.Inbox, 1024)
 		if err := relay.Subscribe(&loopConn{inbox: out}, SenderConfig{BufBytes: 1000, Mode: carrier.DoubleBuffered}); err != nil {
 			t.Fatal(err)

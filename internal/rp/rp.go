@@ -27,18 +27,12 @@ import (
 	"scsq/internal/vtime"
 )
 
-// BuildFunc compiles an RP's subquery into its SQEP. It runs on the RP's
-// goroutine after the RP has been placed on a node; receiver leaves were
-// wired in by the engine beforehand and appear as operators inside the
-// returned plan.
-type BuildFunc func(ctx *sqep.Ctx) (sqep.Operator, error)
-
 // RP is a running process executing one continuous subquery on one compute
 // node.
 type RP struct {
 	cluster hw.ClusterName
 	node    int
-	build   BuildFunc
+	plan    sqep.Operator
 	ctx     sqep.Ctx // ctx.ID is the RP's identity
 
 	mu      sync.Mutex
@@ -64,14 +58,15 @@ type RP struct {
 }
 
 // New creates an RP with the given identity and execution context, whose CPU
-// requests it keys by id. The RP does not run until Start is called;
-// subscribers must be attached before then.
-func New(id string, cluster hw.ClusterName, node int, ctx sqep.Ctx, build BuildFunc) *RP {
+// requests it keys by id, running plan: the RP's compiled subquery, whose
+// receiver leaves the engine wired in beforehand. The RP does not run (nor
+// open plan) until Start is called; subscribers must be attached before then.
+func New(id string, cluster hw.ClusterName, node int, ctx sqep.Ctx, plan sqep.Operator) *RP {
 	ctx.ID = id
 	return &RP{
 		cluster: cluster,
 		node:    node,
-		build:   build,
+		plan:    plan,
 		ctx:     ctx,
 		done:    make(chan struct{}),
 		killed:  make(chan struct{}),
@@ -258,12 +253,7 @@ func (r *RP) run() {
 	}()
 	defer r.pacer.Done()
 
-	plan, err := r.build(&r.ctx)
-	if err != nil {
-		r.setErr(err)
-		r.terminateSubs()
-		return
-	}
+	plan := r.plan
 	// Every subscriber's push marshals — copies — the element before the
 	// next one is pulled, so the plan's root may reuse value storage.
 	sqep.UseValues(plan, sqep.Borrowed)

@@ -284,9 +284,7 @@ func TestReceiverMergeSwitchChargesTCPOnly(t *testing.T) {
 
 func TestRPLifecycle(t *testing.T) {
 	ctx := testCtx(t)
-	p := New("rp-x", hw.BackEnd, 0, ctx, func(*sqep.Ctx) (sqep.Operator, error) {
-		return sqep.NewIota(1, 5), nil
-	})
+	p := New("rp-x", hw.BackEnd, 0, ctx, sqep.NewIota(1, 5))
 	if p.ID() != "rp-x" || p.Cluster() != hw.BackEnd || p.Node() != 0 {
 		t.Errorf("identity = %s/%s/%d", p.ID(), p.Cluster(), p.Node())
 	}
@@ -334,12 +332,17 @@ func TestRPLifecycle(t *testing.T) {
 	}
 }
 
+// failingOpen is a plan that cannot be opened.
+type failingOpen struct{ err error }
+
+func (f failingOpen) Open(*sqep.Ctx) error            { return f.err }
+func (failingOpen) Next() (sqep.Element, bool, error) { return sqep.Element{}, false, nil }
+func (failingOpen) Close() error                      { return nil }
+
 func TestRPPlanErrorStillTerminatesStream(t *testing.T) {
 	ctx := testCtx(t)
 	wantErr := errors.New("boom")
-	p := New("rp-err", hw.BackEnd, 0, ctx, func(*sqep.Ctx) (sqep.Operator, error) {
-		return nil, wantErr
-	})
+	p := New("rp-err", hw.BackEnd, 0, ctx, failingOpen{wantErr})
 	inbox := make(carrier.Inbox, 4)
 	conn := &loopConn{inbox: inbox}
 	if err := p.Subscribe(conn, SenderConfig{BufBytes: 64, Mode: carrier.SingleBuffered}); err != nil {
@@ -362,11 +365,9 @@ func TestRPPlanErrorStillTerminatesStream(t *testing.T) {
 
 func TestRPOperatorErrorPropagates(t *testing.T) {
 	ctx := testCtx(t)
-	p := New("rp-operr", hw.BackEnd, 0, ctx, func(*sqep.Ctx) (sqep.Operator, error) {
-		return sqep.NewMapFn("fail", sqep.NewIota(1, 3), func(any) (any, vtime.Duration, error) {
-			return nil, 0, errors.New("map exploded")
-		}), nil
-	})
+	p := New("rp-operr", hw.BackEnd, 0, ctx, sqep.NewMapFn("fail", sqep.NewIota(1, 3), func(any) (any, vtime.Duration, error) {
+		return nil, 0, errors.New("map exploded")
+	}))
 	if err := p.Start(); err != nil {
 		t.Fatal(err)
 	}

@@ -111,26 +111,42 @@ func (ev *Evaluator) ExecStatement(stmt *Statement) (*Result, error) {
 	return &Result{Stream: stream}, nil
 }
 
-// scope is a lexical environment of bound query variables.
+// scope is a lexical environment of bound query variables: a handful of
+// bindings each, so a slice searched in order, which a scope allocates only
+// at its first bind.
 type scope struct {
 	parent *scope
-	vars   map[string]any
+	vars   []binding
 }
 
-func newScope(parent *scope) *scope {
-	return &scope{parent: parent, vars: make(map[string]any)}
+type binding struct {
+	name string
+	v    any
 }
+
+func newScope(parent *scope) *scope { return &scope{parent: parent} }
 
 func (s *scope) lookup(name string) (any, bool) {
 	for sc := s; sc != nil; sc = sc.parent {
-		if v, ok := sc.vars[name]; ok {
-			return v, true
+		for _, b := range sc.vars {
+			if b.name == name {
+				return b.v, true
+			}
 		}
 	}
 	return nil, false
 }
 
-func (s *scope) bind(name string, v any) { s.vars[name] = v }
+// bind binds name in s, overwriting an earlier binding of it in s.
+func (s *scope) bind(name string, v any) {
+	for i := range s.vars {
+		if s.vars[i].name == name {
+			s.vars[i].v = v
+			return
+		}
+	}
+	s.vars = append(s.vars, binding{name, v})
+}
 
 // Build evaluates q inside the engine query cq — where-clause bindings in
 // dependency order (each sp()/spv() a process of cq), then the query body

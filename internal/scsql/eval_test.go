@@ -178,3 +178,34 @@ func directFFT(t *testing.T, signal []float64) []float64 {
 	}
 	return out
 }
+
+// TestScopeBindings: rebinding a name overwrites it in its scope, an inner
+// scope shadows an outer one without touching it, and a lookup falls through
+// to the enclosing scopes.
+func TestScopeBindings(t *testing.T) {
+	outer := newScope(nil)
+	outer.bind("n", int64(1))
+	outer.bind("c", "bg")
+	outer.bind("n", int64(2))
+	if len(outer.vars) != 2 {
+		t.Errorf("rebinding n added a binding: %v", outer.vars)
+	}
+	inner := newScope(outer)
+	inner.bind("n", int64(3))
+	for _, c := range []struct {
+		sc   *scope
+		name string
+		want any
+	}{
+		{outer, "n", int64(2)},
+		{inner, "n", int64(3)},
+		{inner, "c", "bg"},
+	} {
+		if got, ok := c.sc.lookup(c.name); !ok || got != c.want {
+			t.Errorf("lookup(%q) = %v, %v; want %v", c.name, got, ok, c.want)
+		}
+	}
+	if v, ok := inner.lookup("x"); ok {
+		t.Errorf("lookup of an unbound name found %v", v)
+	}
+}

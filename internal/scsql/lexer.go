@@ -20,10 +20,11 @@ var keywords = map[string]Kind{
 }
 
 // Lex tokenizes SCSQL source text. Comments run from "--" to end of line.
-// Token texts are slices of src; positions count runes.
+// Token texts are slices of src; positions count runes. The token slice is
+// allocated once, at tokenCap(src).
 func Lex(src string) ([]Token, error) {
 	var (
-		toks      []Token
+		toks      = make([]Token, 0, tokenCap(src))
 		line, col = 1, 1
 	)
 	i := 0 // byte offset of the next rune
@@ -153,4 +154,49 @@ func Lex(src string) ([]Token, error) {
 	}
 	toks = append(toks, Token{Kind: TokEOF, Pos: pos()})
 	return toks, nil
+}
+
+// tokenCap bounds the tokens Lex makes of src, EOF included, in one pass over
+// its bytes: it skips what Lex skips (whitespace, comments) and counts a
+// quoted literal or a run of word bytes as one token and any other byte as
+// one. It over-counts two-byte operators and dotted numbers, so a source
+// gets at most a few slots per token however many comments it carries; a
+// number run straight into a word ("1x") is under-counted, which costs the
+// slice one regrowth.
+func tokenCap(src string) int {
+	n := 1 // EOF
+	for i := 0; i < len(src); {
+		switch c := src[i]; {
+		case c == ' ' || '\t' <= c && c <= '\r':
+			i++
+			continue
+		case strings.HasPrefix(src[i:], "--"):
+			if j := strings.IndexByte(src[i:], '\n'); j >= 0 {
+				i += j
+			} else {
+				i = len(src)
+			}
+			continue
+		case c == '\'' || c == '"':
+			if j := strings.IndexByte(src[i+1:], c); j >= 0 {
+				i += j + 2
+			} else {
+				i = len(src)
+			}
+		case isWordByte(c):
+			for i < len(src) && isWordByte(src[i]) {
+				i++
+			}
+		default:
+			i++
+		}
+		n++
+	}
+	return n
+}
+
+// isWordByte reports whether c may continue an identifier or number: an
+// ASCII letter, digit or '_', or any byte of a multi-byte rune.
+func isWordByte(c byte) bool {
+	return c == '_' || c >= utf8.RuneSelf || '0' <= c && c <= '9' || 'a' <= c|0x20 && c|0x20 <= 'z'
 }

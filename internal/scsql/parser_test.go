@@ -100,8 +100,8 @@ func TestLexPositionsCountRunes(t *testing.T) {
 }
 
 // TestLexAllocs pins what lexing one of the paper's queries allocates: the
-// token slice as it grows, and nothing per token — every text is a slice of
-// the source.
+// token slice, once, and nothing per token — every text is a slice of the
+// source.
 func TestLexAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -115,8 +115,34 @@ func TestLexAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if got > 8 {
-		t.Errorf("Lex allocated %v times, want at most 8", got)
+	if got > 1 {
+		t.Errorf("Lex allocated %v times, want at most 1", got)
+	}
+}
+
+// TestLexTokenSliceFits: the token slice is sized before lexing from what
+// the source can hold, not from its length, so comments and whitespace take
+// no slots — it is never more than twice the tokens it ends up holding.
+func TestLexTokenSliceFits(t *testing.T) {
+	q6, err := InboundQuery(6, 8, 1000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, src := range map[string]string{
+		"query 6":  q6,
+		"figure 5": Figure5Query(300000, 20),
+		"comments and whitespace": "-- " + strings.Repeat("a long comment, -- with dashes 'and quotes' ", 200) + "\n" +
+			strings.Repeat(" \t\r\n", 500) + "select  x  \n\n\n  from integer x -- trailing " + strings.Repeat("-", 1000) +
+			"\nwhere x in iota(1, 10)" + strings.Repeat("\n", 1000) + "and x <= 5;" + strings.Repeat(" ", 4000),
+		"operators and numbers": "select 1.5 <= 2.25, 3 <> 4, a -> b, 'x y z', \"q\" from integer x;",
+	} {
+		toks, err := Lex(src)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if cap(toks) > 2*len(toks) {
+			t.Errorf("%s: %d tokens in a slice of %d", name, len(toks), cap(toks))
+		}
 	}
 }
 

@@ -242,6 +242,7 @@ func (c *Client) Submit(stmt string, priority int) (*SessionHandle, error) {
 		c.dropSession(tag)
 		return nil, err
 	}
+	c.removeWaiter(tag) // the one reply is taken
 	switch res.frame.Type {
 	case wire.MsgSubmitted:
 		fields, err := wire.DecodeBag(res.frame.Payload, 2)

@@ -669,3 +669,36 @@ func TestRowSlicesRecycled(t *testing.T) {
 func sameArray(a, b []Row) bool {
 	return cap(a) > 0 && cap(b) > 0 && &a[:1][0] == &b[:1][0]
 }
+
+// TestSubmitLeavesNoWaiter: a session's one-shot submit reply is taken once,
+// and its session ends with its Done record, so a connection that ran many
+// sessions keeps no table entry for any of them.
+func TestSubmitLeavesNoWaiter(t *testing.T) {
+	const sessions = 5
+	c, err := dialPipe(t, Options{}, func(p *peer) {
+		p.write(accepted())
+		for s := 0; s < sessions; s++ {
+			tag := p.submitted(1)[0]
+			p.write(cat(row(tag, int64(s)), frame(wire.MsgDone, tag, "done", "", int64(0), int64(1))))
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for s := 0; s < sessions; s++ {
+		h, err := c.Submit("select 1;", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows, fin, err := h.Wait(); err != nil || len(rows) != 1 || fin.State != "done" {
+			t.Fatalf("session %d: %d rows, %+v, %v", s, len(rows), fin, err)
+		}
+	}
+	c.mu.Lock()
+	waiters, open := len(c.waiters), len(c.sessions)
+	c.mu.Unlock()
+	if waiters != 0 || open != 0 {
+		t.Errorf("after %d finished sessions the client holds %d waiters and %d sessions, want none", sessions, waiters, open)
+	}
+}

@@ -11,7 +11,9 @@ import (
 // GenArray implements the paper's gen_array(size, count): a finite stream of
 // count numerical arrays of size bytes each. Generating an array charges the
 // producing node's CPU (GenByte per byte), so a producer cannot emit faster
-// than its CPU allows.
+// than its CPU allows. Every element's Value is one interface value holding
+// the size's shared template, boxed once per Open: Next allocates nothing,
+// and Encoding still recognises the array inside it.
 type GenArray struct {
 	SizeBytes int
 	Count     int
@@ -19,10 +21,10 @@ type GenArray struct {
 	ctx     *Ctx
 	emitted int
 	now     vtime.Time
-	// template is the process-wide one of its size; each element reuses it,
-	// mirroring the paper's workload where array content is irrelevant to
-	// the communication measurements.
-	template []float64
+	// template is the process-wide []float64 of its size, boxed by Open.
+	// Reusing one array mirrors the paper's workload, where array content is
+	// irrelevant to the communication measurements.
+	template any
 }
 
 // genCacheBytes bounds the bytes genTemplates holds: comfortably above the
@@ -113,7 +115,7 @@ func (g *GenArray) Open(ctx *Ctx) error {
 	if n < 1 {
 		n = 1
 	}
-	g.template = sharedTemplate(n)
+	g.template = sharedTemplate(n) // boxed here, not per element
 	return nil
 }
 

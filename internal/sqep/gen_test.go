@@ -8,7 +8,37 @@ import (
 	"testing"
 
 	"scsq/internal/marshal"
+	"scsq/internal/race"
 )
+
+// TestGenArrayNextAllocatesNothing: every element carries the one value Open
+// boxed, and that value still holds the size's template, whose encoding
+// Encoding hands out.
+func TestGenArrayNextAllocatesNothing(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	g := NewGenArray(8000, 1000)
+	if err := g.Open(testCtx()); err != nil {
+		t.Fatal(err)
+	}
+	first, ok, err := g.Next()
+	if !ok || err != nil {
+		t.Fatalf("first element: ok=%v err=%v", ok, err)
+	}
+	arr := first.Value.([]float64)
+	if _, ok := Encoding(arr); !ok || len(arr) != 1000 {
+		t.Fatalf("the boxed value holds %d floats, template %v", len(arr), ok)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		el, ok, err := g.Next()
+		if got, _ := el.Value.([]float64); !ok || err != nil || len(got) != len(arr) || &got[0] != &arr[0] {
+			t.Fatalf("element: ok=%v err=%v, not the template", ok, err)
+		}
+	}); n != 0 {
+		t.Errorf("GenArray.Next allocates %v times, want 0", n)
+	}
+}
 
 // TestGenArrayConcurrentOpensShareOneTemplate: gen_arrays of different sizes
 // opened at once see arrays of their own length, capped at it, with element

@@ -58,3 +58,30 @@ func TestSubmitAllocatesNothing(t *testing.T) {
 		t.Errorf("Submit of a two-request chain allocates %v times, want 0", n)
 	}
 }
+
+// TestResetKeepsOwnerTable: Reset empties the per-owner table without
+// dropping it, so a run repeated after Reset grants to the owners of the run
+// before without allocating — and accounts them from zero.
+func TestResetKeepsOwnerTable(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	cpu := NewResource("cpu")
+	owners := []string{"q1", "q2", "q3", AnonymousOwner}
+	for _, o := range owners {
+		cpu.UseAs(o, 0, 10)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		cpu.Reset()
+		for _, o := range owners {
+			cpu.UseAs(o, 0, 10)
+		}
+	}); n != 0 {
+		t.Errorf("a run repeated after Reset allocates %v times, want 0", n)
+	}
+	cpu.Reset()
+	cpu.UseAs("q2", 0, 7)
+	if got := cpu.OwnerBusy(); len(got) != 1 || got["q2"] != 7 {
+		t.Errorf("after Reset the owner table holds %v, want only q2's 7ns", got)
+	}
+}

@@ -381,7 +381,10 @@ func (r *Resource) FoldOwner(owner string) {
 }
 
 // Reset returns the resource to the free-at-zero state. Used between
-// experiment repetitions. The backfill horizon is kept.
+// experiment repetitions. The backfill horizon is kept, and so is the
+// capacity of what a run sized: the busy list and the per-owner table are
+// emptied, not dropped, so the next run's first grant by an owner seen
+// before allocates nothing.
 func (r *Resource) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -391,5 +394,5 @@ func (r *Resource) Reset() {
 	r.lastEnd = 0
 	r.hwm = 0
 	r.floor = 0
-	r.usedBy = nil
+	clear(r.usedBy)
 }
