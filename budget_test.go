@@ -1,6 +1,7 @@
 package scsq
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -146,6 +147,77 @@ func TestSurfaceBudget(t *testing.T) {
 	}
 	if len(setterCalls) > 0 {
 		t.Errorf("kept setters called outside benchmark/ and tests (pass a Config):\n  %s", strings.Join(setterCalls, "\n  "))
+	}
+}
+
+// doorPackages are where processes run: every channel operation in their
+// non-test files goes through the vtime door (vtime.Recv, vtime.Send), so the
+// door knows where each process is parked. keptChannelOps are the functions
+// whose bare operations park no process.
+var (
+	doorPackages   = []string{"internal/rp", "internal/carrier", "internal/sqep"}
+	keptChannelOps = map[string]bool{
+		"RP.Wait":   true, // a caller outside the process waits for it to end
+		"Link.Send": true, // the non-blocking abort check before a frame is charged
+	}
+)
+
+// TestEveryWaitGoesThroughTheDoor fails on a channel receive, send or select
+// in the door packages outside the door and the kept functions. (A range
+// over a channel is not caught: telling it from a range over a slice needs
+// types.)
+func TestEveryWaitGoesThroughTheDoor(t *testing.T) {
+	var bare []string
+	kept := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, dir := range doorPackages {
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, file := range files {
+			if strings.HasSuffix(file, "_test.go") {
+				continue
+			}
+			src, err := parser.ParseFile(fset, file, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, decl := range src.Decls {
+				name := "package scope"
+				if fn, ok := decl.(*ast.FuncDecl); ok {
+					name = fn.Name.Name
+					if fn.Recv != nil {
+						name = receiver(fn) + "." + name
+					}
+				}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					switch x := n.(type) {
+					case *ast.SendStmt, *ast.SelectStmt:
+					case *ast.UnaryExpr:
+						if x.Op != token.ARROW {
+							return true
+						}
+					default:
+						return true
+					}
+					if keptChannelOps[name] {
+						kept[name] = true
+					} else {
+						bare = append(bare, fmt.Sprintf("%s in %s", fset.Position(n.Pos()), name))
+					}
+					return false
+				})
+			}
+		}
+	}
+	if len(bare) > 0 {
+		t.Errorf("channel operations outside the vtime door (use vtime.Recv or vtime.Send):\n  %s", strings.Join(bare, "\n  "))
+	}
+	for name := range keptChannelOps {
+		if !kept[name] {
+			t.Errorf("kept channel operation %s no longer exists: drop it from keptChannelOps", name)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"scsq/internal/carrier"
@@ -160,6 +161,19 @@ func TestGrantKeysArePlanFunctions(t *testing.T) {
 		{"figure8-bal-single-30kB", 1, scsql.MergeQuery(1, 4, 300_000, 20),
 			[]core.Option{core.Config{MPIBufferBytes: 30_000, Buffering: carrier.SingleBuffered}}},
 		{"multitenant-k1", 2, inbound, nil},
+		// A producer with two subscriber links: both links' frames cross its
+		// co-processor.
+		{"two-subscribers", 1, `
+select merge({b,c}) from sp a, sp b, sp c
+where b=sp(streamof(count(extract(a))), 'bg', 0)
+and   c=sp(streamof(count(extract(a))), 'bg', 2)
+and   a=sp(gen_array(30000,10), 'bg', 1);`, []core.Option{core.Config{MPIBufferBytes: 10_000}}},
+		// A producer feeding a consumer on its own node: its CPU requests and
+		// the consumer's de-marshals share one CPU.
+		{"same-node-consumer", 1, `
+select extract(b) from sp a, sp b
+where b=sp(streamof(count(extract(a))), 'be', 1)
+and   a=sp(gen_array(30000,10), 'be', 1);`, nil},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(c.procs))
@@ -204,6 +218,59 @@ func TestGrantKeysArePlanFunctions(t *testing.T) {
 				t.Fatal(err)
 			} else if d != "" {
 				t.Logf("schedules differ, requests do not; first moved request: %s", d)
+			}
+		})
+	}
+}
+
+// TestTorusTranslationShiftsGrants is a metamorphic relation of the torus: a
+// Figure 6 point moved across the partition — along x, y and z, and across
+// the x wrap — is the same point. Every grant of the run with consumer b on
+// node 0 and producer a on node 1 lands, with the same key and the same
+// [start, end), on the resource the translation maps its resource to: b's
+// and a's devices, and the I/O node of b's pset that carries the result to
+// the client.
+func TestTorusTranslationShiftsGrants(t *testing.T) {
+	point := func(b, a int) map[string][]grant {
+		t.Helper()
+		src := fmt.Sprintf(`
+select extract(b)
+from sp a, sp b
+where b=sp(streamof(count(extract(a))), 'bg', %d)
+and   a=sp(gen_array(300000,20), 'bg', %d);`, b, a)
+		g, err := recordGrants(src, core.Config{MPIBufferBytes: 1000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	ref := point(0, 1)
+	for _, c := range []struct{ b, a, pset int }{
+		{0, 1, 0}, {2, 3, 0}, {8, 9, 1}, {16, 17, 2}, {3, 0, 0},
+	} {
+		t.Run(fmt.Sprintf("b=%d,a=%d", c.b, c.a), func(t *testing.T) {
+			got := point(c.b, c.a)
+			shift := strings.NewReplacer("bg0.", fmt.Sprintf("bg%d.", c.b), "bg1.", fmt.Sprintf("bg%d.", c.a), "io0.", fmt.Sprintf("io%d.", c.pset))
+			shifted := map[string]bool{}
+			for name, gs := range ref {
+				if len(gs) == 0 {
+					continue
+				}
+				to := shift.Replace(name)
+				shifted[to] = true
+				moved := got[to]
+				i := 0
+				for i < min(len(gs), len(moved)) && gs[i] == moved[i] {
+					i++
+				}
+				if i < len(gs) || len(moved) != len(gs) {
+					t.Errorf("%s -> %s: %d grants, %d after the translation, the first %d alike", name, to, len(gs), len(moved), i)
+				}
+			}
+			for name, gs := range got {
+				if len(gs) > 0 && !shifted[name] {
+					t.Errorf("%s: %d grants that no resource of the untranslated run maps to", name, len(gs))
+				}
 			}
 		})
 	}

@@ -74,17 +74,24 @@ type Frame struct {
 	// injecting corruption, and it first moves an unpooled one into a pooled
 	// copy.
 	Pooled bool
+	// Down marks a failure-propagation frame: the producer (or its
+	// supervisor, speaking for a dead node) declares the stream failed.
+	// Receivers surface DownErr as a typed error instead of terminating
+	// cleanly, so a failure crosses the SP graph instead of wedging it.
+	// (The three flags sit together to share one word: a frame fills every
+	// inbox slot and every staged batch entry.)
+	Down bool
 	// Offset is the cumulative count of payload bytes the sender shipped on
 	// this stream before this frame. A supervised replacement of a failed
 	// producer replays its (deterministic) stream from offset zero; a
 	// receiver tracking offsets discards the already-ingested prefix, which
 	// is what makes re-placement exactly-once.
 	Offset uint64
-	// Down marks a failure-propagation frame: the producer (or its
-	// supervisor, speaking for a dead node) declares the stream failed.
-	// Receivers surface DownErr as a typed error instead of terminating
-	// cleanly, so a failure crosses the SP graph instead of wedging it.
-	Down bool
+	// Seq keys the frame's requests: the sender driver draws it from its
+	// producer's request counter (sqep.Ctx.Seq), so it repeats on none of
+	// the producer's links and meets none of its CPU requests. Stage i of
+	// the frame's route is keyed Seq<<StageBits | i, its de-marshal Seq.
+	Seq uint64
 	// DownErr carries the failure description of a Down frame.
 	DownErr string
 	// TraceID tags the frame for frame-level tracing; zero means untraced.

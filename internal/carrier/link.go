@@ -81,6 +81,10 @@ type Link struct {
 	// Sink, if set, receives charged frames instead of the inbox (a real
 	// socket). It owns the frame it is handed. Set it before the first Send.
 	Sink func(Delivered) error
+	// Sender is the producing process at its query's door: a Send parks it
+	// on credit while the receiving inbox is full. Nil parks nothing. Set it
+	// before the first Send.
+	Sender *vtime.Agent
 
 	// Metric handles are resolved once at NewLink: the per-frame path is
 	// atomic adds (nil-safe no-ops without a registry).
@@ -140,11 +144,16 @@ func (l *Link) Label() string { return l.label }
 // charged on, in order.
 func (l *Link) Stages() []vtime.Stage { return l.route.Stages }
 
-// Send implements Conn: it takes the fault verdict, submits the frame's
-// stages as one request chain keyed by its producer and the link's frame
-// sequence number, stamps the hops of a traced frame and hands it to the
-// receiver. The returned instant is when the sender-side stage released the
-// frame.
+// StageBits is how many low bits of a route request's key number its stage:
+// a route that crosses one device twice (a link between two processes of one
+// node) keys each crossing apart.
+const StageBits = 8
+
+// Send implements Conn: it takes the fault verdict (by the link's own frame
+// sequence number), submits the frame's stages as one request chain keyed by
+// its producer and Frame.Seq, stamps the hops of a traced frame and hands it
+// to the receiver. The returned instant is when the sender-side stage
+// released the frame.
 func (l *Link) Send(fr Frame) (vtime.Time, error) {
 	l.mu.Lock()
 	closed := l.closed
@@ -199,7 +208,7 @@ func (l *Link) Send(fr Frame) (vtime.Time, error) {
 	for i := 0; i < len(stages); {
 		run := buf[:min(len(buf), len(stages)-i)]
 		for k := range run {
-			run[k] = vtime.Request{Resource: stages[i+k].Resource, Stream: fr.Source, Seq: seq, Ready: t, Service: stages[i+k].Service(s)}
+			run[k] = vtime.Request{Resource: stages[i+k].Resource, Stream: fr.Source, Seq: fr.Seq<<StageBits | uint64(i+k), Ready: t, Service: stages[i+k].Service(s)}
 		}
 		vtime.Submit(owner, run)
 		if i == 0 {
@@ -238,20 +247,18 @@ func (l *Link) Send(fr Frame) (vtime.Time, error) {
 	return senderFree, nil
 }
 
-// deliver hands a charged frame to the sink or the receiving inbox, unless
-// the link is aborted (a torn stream must not wedge its producer on flow
-// control).
+// deliver hands a charged frame to the sink or the receiving inbox, where
+// flow control parks its sender, unless the link is aborted (a torn stream
+// must not wedge its producer on flow control).
 func (l *Link) deliver(d Delivered) error {
 	if l.Sink != nil {
 		return l.Sink(d)
 	}
-	select {
-	case l.inbox <- d:
-		return nil
-	case <-l.abort:
+	if !vtime.Send(l.Sender, l.inbox, d, l.abort) {
 		Recycle(&d.Frame)
 		return l.aborted()
 	}
+	return nil
 }
 
 func (l *Link) aborted() error {

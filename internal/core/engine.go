@@ -211,9 +211,10 @@ func WithEnv(env *hw.Env) Option { return Config{Env: env} }
 // it; ROADMAP item 8 moves that caller to Config and deletes it.
 func WithMPIBufferBytes(n int) Option { return Config{MPIBufferBytes: n} }
 
-// pacerHorizon is the conservative-pacing window: no RP of a query runs more
-// than this far ahead of its slowest peer in virtual time.
-const pacerHorizon = vtime.Millisecond
+// paceHorizon is the conservative-pacing window of a query's door: no source
+// RP of a query runs more than this far ahead of its slowest peer in virtual
+// time.
+const paceHorizon = vtime.Millisecond
 
 // DefaultKernelBatch is the default receiver-side kernel batch: up to this
 // many frames already queued in an inbox are drained together and their
@@ -420,16 +421,7 @@ func (e *Engine) reapInbound(sp *SP, proc *rp.RP, cause error) {
 				continue
 			}
 			seen[w.inbox] = true
-			go func(in carrier.Inbox) {
-				for {
-					select {
-					case fr := <-in:
-						carrier.Recycle(&fr.Frame)
-					case <-e.stop:
-						return
-					}
-				}
-			}(w.inbox)
+			go rp.Discard(w.inbox, e.stop)
 		}
 	}
 }
@@ -643,17 +635,12 @@ func (e *Engine) buildProc(sp *SP, node int) (*rp.RP, bool, error) {
 		return nil, false, err
 	}
 	hasInputs := b.hasInputs
+	// Only free-running source RPs are paced: a reactive RP's timing derives
+	// from its (already paced) inputs, and pacing it would deadlock — it
+	// publishes no progress until data arrives.
+	ctx.Agent = sp.qc.door.Join(!hasInputs)
 	proc := rp.New(sp.id, sp.cluster, node, ctx, op)
 	proc.SetMetrics(sp.qc.metrics)
-	// Only free-running source RPs register as pacing agents: a reactive
-	// RP's timing derives from its (already paced) inputs, and pacing it
-	// would deadlock — it publishes no progress until data arrives.
-	// Pacing groups are per query: one tenant's sources gate on each
-	// other, never on another tenant's progress.
-	if !hasInputs {
-		proc.SetPacer(sp.qc.pacer.Register())
-	}
-	proc.SetClock(sp.qc)
 	proc.SetOnExit(func(err error) {
 		if e.sup != nil {
 			e.sup.onRPExit(sp, err)
@@ -1014,6 +1001,7 @@ func (e *Engine) wireProducer(p *SP, proc *rp.RP, pn int, w wiring) error {
 	// Sender-side send.* metrics and carrier-side link.* metrics key
 	// identically.
 	scfg.Link = link.Label()
+	link.Sender = proc.Agent()
 	if err := proc.Subscribe(conn, scfg); err != nil {
 		return err
 	}

@@ -46,10 +46,11 @@ type queryCtx struct {
 	// PlanBuilder.Query: one per scope, so a statement allocates no wrapper.
 	handle Query
 
-	// pacer is the query's own conservative-pacing group: the source RPs of
-	// one query gate on each other's virtual progress, never on another
-	// tenant's, so one slow query cannot stall a co-resident one.
-	pacer *vtime.Pacer
+	// door is where the query's processes wait and report progress. Its
+	// pacing group is the query's own: the source RPs of one query gate on
+	// each other's virtual progress, never on another tenant's, so one slow
+	// query cannot stall a co-resident one.
+	door *vtime.Door
 
 	// metrics holds the metric blocks of the query's processes.
 	metrics *metrics.Scope
@@ -82,7 +83,7 @@ type queryCtx struct {
 // unstarted marks a query that has not reported an element yet.
 const unstarted = math.MinInt64
 
-// Advance makes a queryCtx the rp.Clock of its processes: every element they
+// Advance is the emit func of the query's door: every element its processes
 // emit raises the attached scheduler's policy clock to o(q) + (at − f(q)),
 // the query's own progress counted from the clock o(q) at its first element
 // f(q). The clock never goes backwards, and the feed takes no lock.
@@ -290,13 +291,13 @@ func (e *Engine) BeginQuery() (*Query, error) {
 		eng:      e,
 		id:       string(strconv.AppendInt(append(make([]byte, 0, 24), 'q'), int64(e.qSeq), 10)),
 		seq:      e.qSeq,
-		pacer:    vtime.NewPacer(pacerHorizon),
 		cancelCh: make(chan struct{}),
 		// A two-process query charges about a dozen devices: room for those
 		// up front spares the small scope four regrowths.
 		charged: make([]*vtime.Resource, 0, 16),
 	}
 	qc.handle.qc = qc
+	qc.door = vtime.NewDoor(paceHorizon, qc.Advance)
 	qc.metrics = e.reg.OpenScope(qc.id)
 	qc.offset.Store(unstarted)
 	e.queries[qc.id] = qc
@@ -331,9 +332,9 @@ func (e *Engine) rollbackQuery(qc *queryCtx, cause error) {
 	qc.finish()
 	qc.mu.Lock()
 	qc.nextID = 0
-	// Fresh pacing group: agents registered by the rolled-back processes
-	// never advance, and would gate a future attempt's sources forever.
-	qc.pacer = vtime.NewPacer(pacerHorizon)
+	// A fresh door: agents joined by the rolled-back processes never
+	// advance, and would gate a future attempt's sources forever.
+	qc.door = vtime.NewDoor(paceHorizon, qc.Advance)
 	qc.mu.Unlock()
 }
 

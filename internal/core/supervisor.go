@@ -43,7 +43,7 @@ func (s *Supervisor) Restarts(sp *SP) int {
 	return sp.restarts
 }
 
-// onRPExit runs in the dying RP's exit window: after its pacer agent
+// onRPExit runs in the dying RP's exit window: after its door agent
 // retired, before its Wait resolves. A successful replacement is swapped
 // into the SP before the window closes, so WaitResolved observes it.
 func (s *Supervisor) onRPExit(sp *SP, cause error) {

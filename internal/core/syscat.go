@@ -131,13 +131,14 @@ func (e *Engine) sysLinksTable() *catalog.Table {
 }
 
 // sysRPsTable reports the live running processes: placement plus output and
-// inbound progress. inbox_depth_hw is the receiver's high-water inbox depth
-// — an rt.-prefixed, wall-clock-dependent gauge, reported for operators but
-// excluded from determinism comparisons (DESIGN.md §9).
+// inbound progress, and where each stands at its query's door. inbox_depth_hw
+// (the receiver's high-water inbox depth, an rt.-prefixed gauge), state and
+// frontier_ns are wall-clock readings, reported for operators but excluded
+// from determinism comparisons (DESIGN.md §9).
 func (e *Engine) sysRPsTable() *catalog.Table {
 	t := &catalog.Table{
 		Name: "sys_rps",
-		Doc:  "live running processes: placement, output progress, inbound high-water",
+		Doc:  "live running processes: placement, output progress, inbound high-water, door state",
 		Schema: catalog.Schema{
 			{Name: "id", Type: catalog.TString},
 			{Name: "query", Type: catalog.TString},
@@ -150,6 +151,8 @@ func (e *Engine) sysRPsTable() *catalog.Table {
 			{Name: "recv_frames", Type: catalog.TInt},
 			{Name: "recv_bytes", Type: catalog.TInt},
 			{Name: "inbox_depth_hw", Type: catalog.TInt},
+			{Name: "state", Type: catalog.TString},
+			{Name: "frontier_ns", Type: catalog.TInt},
 		},
 	}
 	t.Snap = func(string) ([]catalog.Tuple, error) {
@@ -172,7 +175,8 @@ func (e *Engine) sysRPsTable() *catalog.Table {
 					snap.Counters["rp.elements_out."+id], snap.Counters["rp.bytes_out."+id],
 					snap.Counters["rp.frames_out."+id], snap.Gauges["rp.last_out."+id],
 					snap.Counters["recv.frames."+id], snap.Counters["recv.bytes."+id],
-					snap.Gauges[metrics.RTPrefix+"inbox_depth."+id]))
+					snap.Gauges[metrics.RTPrefix+"inbox_depth."+id],
+					p.Agent().State().String(), int64(p.Agent().Frontier())))
 			}
 		}
 		return rows, nil

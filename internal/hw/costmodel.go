@@ -177,9 +177,9 @@ func (m CostModel) Packets(s int) int {
 // ScaleInboundFixed returns a copy of the model with the per-message fixed
 // costs of the inbound-TCP path multiplied by f. The experiment harness uses
 // it to run Figure 15 with smaller arrays than the paper's 3 MB while
-// preserving the exact balance between per-byte and per-message costs: with
-// arrays of s bytes it passes f = s / 3e6, so the regenerated curves are
-// scale-invariant.
+// keeping the balance between per-byte and per-message costs: with arrays of
+// s bytes it passes f = s / 3e6, so the regenerated curves keep their shape,
+// though not their exact values (see bench.inboundCost).
 func (m CostModel) ScaleInboundFixed(f float64) CostModel {
 	m.BeMsgCost = scaleRound(m.BeMsgCost, f)
 	m.IOSwitchCost = scaleRound(m.IOSwitchCost, f)

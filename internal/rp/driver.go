@@ -78,8 +78,9 @@ type senderDriver struct {
 	cfg    SenderConfig // MarshalPerByte includes the cache factor of BufBytes
 	conn   carrier.Conn
 	source string
-	// seq numbers the marshal requests, keyed (query, source, *seq): the
-	// process's sqep.Ctx.Seq once RP.Subscribe shares it, else ownSeq.
+	// seq numbers the marshal requests and the frames, keyed (query,
+	// source, *seq): the process's sqep.Ctx.Seq once RP.Subscribe shares
+	// it, else ownSeq.
 	seq    *uint64
 	ownSeq uint64
 
@@ -268,10 +269,12 @@ func (d *senderDriver) flushFrame(n int, last bool) error {
 			Payload: payload,
 			Ready:   d.pendReady,
 			Offset:  uint64(d.bytesOut),
+			Seq:     *d.seq,
 			Last:    last,
 			Pooled:  pooled,
 			TraceID: traceID,
 		}
+		*d.seq++
 		if traceID != 0 {
 			// Hops[0] names the link: it seeds the Perfetto lane receivers
 			// emit into, and carriers append their waypoints after it.
@@ -308,10 +311,12 @@ func (d *senderDriver) flushFrame(n int, last bool) error {
 // the stream as cleanly complete. Down frames are final frames, so they ride
 // the reliable termination path rate faults exempt.
 func (d *senderDriver) finishDown(cause error) error {
+	*d.seq++
 	_, err := d.conn.Send(carrier.Frame{
 		Source:  d.source,
 		Ready:   d.pendReady,
 		Offset:  uint64(d.bytesOut),
+		Seq:     *d.seq - 1,
 		Last:    true,
 		Down:    true,
 		DownErr: cause.Error(),
@@ -369,12 +374,10 @@ type ReceiverConfig struct {
 	Tracer *metrics.Tracer
 	// Consumer names the ingesting RP (or client) in metric names.
 	Consumer string
-	// Stop, if non-nil, bounds the lifetime of the early-close inbox drain:
-	// when a consumer stops before its producers finish, Close spawns a
-	// goroutine draining the inbox so blocked senders can complete; inboxes
-	// are never closed (they may be shared), so without a stop signal that
-	// goroutine would outlive the stream. The engine passes its own shutdown
-	// channel here.
+	// Stop, if non-nil, ends the drain (Discard) of a consumer that stopped
+	// before its producers: inboxes are never closed (they may be shared),
+	// so without it the drain would outlive the stream. The engine passes
+	// its own shutdown channel here.
 	Stop <-chan struct{}
 }
 
@@ -392,6 +395,7 @@ var ErrUpstreamDown = errors.New("rp: upstream producer down")
 type Receiver struct {
 	cfg   ReceiverConfig
 	inbox carrier.Inbox
+	agent *vtime.Agent // the consuming process's (Ctx.Agent, read at Open)
 
 	// bufs holds per-producer reassembly buffers: objects split across
 	// frames continue within one producer's byte stream even when frames
@@ -407,7 +411,7 @@ type Receiver struct {
 	// batch's chain.
 	tail vtime.Time
 	// batch holds the frames drained for the current kernel commit and reqs
-	// their de-marshal requests, keyed by producer and stream offset; Next
+	// their de-marshal requests, keyed by producer and frame key; Next
 	// decodes the frames one value at a time. batch[cur] is the frame being
 	// decoded: data is its byte stream (the payload, or the producer's
 	// non-empty reassembly buffer with the payload appended) and off the
@@ -463,7 +467,12 @@ func NewReceiver(inbox carrier.Inbox, cfg ReceiverConfig) *Receiver {
 }
 
 // Open implements sqep.Operator.
-func (r *Receiver) Open(*sqep.Ctx) error { return nil }
+func (r *Receiver) Open(ctx *sqep.Ctx) error {
+	if ctx != nil {
+		r.agent = ctx.Agent
+	}
+	return nil
+}
 
 // pendingFrame is one drained frame awaiting its turn to be decoded.
 type pendingFrame struct {
@@ -517,7 +526,7 @@ func (r *Receiver) Next() (sqep.Element, bool, error) {
 // and the error is deferred until they have been decoded.
 func (r *Receiver) fill() error {
 	r.gDepth.SetMax(int64(len(r.inbox)))
-	fr, ok := <-r.inbox
+	fr, ok := vtime.Recv(r.agent, vtime.Inbox, r.inbox, nil)
 	if !ok {
 		return errInboxClosed
 	}
@@ -535,15 +544,9 @@ func (r *Receiver) fill() error {
 		if r.deferred = r.preprocess(fr); r.deferred != nil || last || len(r.batch) >= maxBatch {
 			break
 		}
-		select {
-		case fr, ok = <-r.inbox:
-			if !ok {
-				r.deferred = errInboxClosed
-			}
-		default:
-			ok = false
-		}
-		if !ok {
+		// An empty inbox ends the drain; a closed one surfaces at the next
+		// fill, once the frames staged before it are decoded.
+		if fr, ok = vtime.Recv(r.agent, vtime.Running, r.inbox, nil); !ok {
 			break
 		}
 	}
@@ -605,7 +608,7 @@ func (r *Receiver) preprocess(fr carrier.Delivered) error {
 		}
 	}
 	r.batch = append(r.batch, pendingFrame{fr: fr, skip: skip})
-	r.reqs = append(r.reqs, vtime.Request{Resource: r.cfg.CPU, Stream: fr.Source, Seq: fr.Offset, Ready: fr.At, Service: svc})
+	r.reqs = append(r.reqs, vtime.Request{Resource: r.cfg.CPU, Stream: fr.Source, Seq: fr.Seq, Ready: fr.At, Service: svc})
 	return nil
 }
 
@@ -837,23 +840,19 @@ func (r *Receiver) Close() error {
 		return nil
 	}
 	r.done = true
-	stop := r.cfg.Stop
-	go func() {
-		for {
-			select {
-			case fr, ok := <-r.inbox:
-				if !ok {
-					return
-				}
-				// Discard: consumer stopped. Pooled payloads still go back.
-				carrier.Recycle(&fr.Frame)
-			case <-stop:
-				// Engine shutdown: no producer can send again. A nil stop
-				// (hand-built receivers) blocks this arm forever, preserving
-				// the old drain-until-closed behavior.
-				return
-			}
-		}
-	}()
+	go Discard(r.inbox, r.cfg.Stop)
 	return nil
+}
+
+// Discard drains inbox so blocked producers can finish, recycling every
+// frame, until the inbox or stop (engine shutdown; nil never fires) closes.
+// It is no process: it waits with a nil agent.
+func Discard(inbox carrier.Inbox, stop <-chan struct{}) {
+	for {
+		fr, ok := vtime.Recv(nil, vtime.Inbox, inbox, stop)
+		if !ok {
+			return
+		}
+		carrier.Recycle(&fr.Frame)
+	}
 }

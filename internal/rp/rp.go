@@ -7,17 +7,23 @@
 // blocks when a subscriber's window is full, which plays the role of the
 // paper's control messages.
 //
+// An RP reports progress and waits only at its query's vtime door, as its
+// agent (sqep.Ctx.Agent): Emit per element, vtime.Recv on an inbox and
+// vtime.Send on a subscriber's credit (carrier.Link.Sender).
+//
 // Both drivers charge the node CPU through vtime.Submit, keyed by plan
-// position: a sender's marshal request per element continues its process's
-// CPU request stream (sqep.Ctx.ID and Seq, shared with the operators), and a
-// receiver submits each drained batch of de-marshal requests as one chain,
-// every frame keyed by its producer and stream offset.
+// position: a sender's marshal request per element, and the key of each
+// frame it flushes, continue its process's request stream (sqep.Ctx.ID and
+// Seq, shared with the operators), and a receiver submits each drained batch
+// of de-marshal requests as one chain, every frame keyed by its producer and
+// its key (carrier.Frame.Seq).
 package rp
 
 import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"scsq/internal/carrier"
 	"scsq/internal/hw"
@@ -41,11 +47,8 @@ type RP struct {
 	err     error
 	onExit  func(error)
 
-	pacer    *vtime.PacerAgent
-	clock    Clock
-	done     chan struct{}
-	killed   chan struct{}
-	killOnce sync.Once
+	done   chan struct{}
+	killed atomic.Bool // set once, by the first Fail
 
 	// Monitoring counters live in the block SetMetrics took from the query's
 	// scope (the registry reads them as "rp.elements_out.<id>" and friends)
@@ -69,7 +72,6 @@ func New(id string, cluster hw.ClusterName, node int, ctx sqep.Ctx, plan sqep.Op
 		plan:    plan,
 		ctx:     ctx,
 		done:    make(chan struct{}),
-		killed:  make(chan struct{}),
 	}
 }
 
@@ -99,14 +101,9 @@ func (r *RP) Cluster() hw.ClusterName { return r.cluster }
 // Node returns the compute-node id the RP was placed on.
 func (r *RP) Node() int { return r.node }
 
-// SetPacer attaches the query's conservative-pacing agent: the RP publishes
-// its virtual progress per element and blocks rather than running more than
-// the pacing horizon ahead of its peers. It must be called before Start.
-func (r *RP) SetPacer(agent *vtime.PacerAgent) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.pacer = agent
-}
+// Agent returns the RP's place at its query's door (sqep.Ctx.Agent): where
+// it is parked and how far it has emitted.
+func (r *RP) Agent() *vtime.Agent { return r.ctx.Agent }
 
 // Subscribe attaches a subscriber reachable over conn. It must be called
 // before Start.
@@ -126,29 +123,13 @@ func (r *RP) Subscribe(conn carrier.Conn, cfg SenderConfig) error {
 }
 
 // SetOnExit registers a hook invoked exactly once, with the RP's final
-// error (nil on clean completion), after the run loop has terminated and its
-// pacer agent retired but before Wait unblocks — the window in which a
-// supervisor can swap in a replacement so waiters observe it. It must be
-// called before Start.
+// error (nil on clean completion), in its exit protocol (exit): the window in
+// which a supervisor can swap in a replacement so waiters observe it. It
+// must be called before Start.
 func (r *RP) SetOnExit(fn func(err error)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.onExit = fn
-}
-
-// Clock is told the virtual time of every element an RP emits. The engine's
-// per-query scope implements it: the emitted times are the progress the
-// scheduler's policy clock runs on.
-type Clock interface {
-	Advance(at vtime.Time)
-}
-
-// SetClock attaches the clock the RP reports each element's virtual time to.
-// It must be called before Start.
-func (r *RP) SetClock(c Clock) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.clock = c
 }
 
 // ErrFailedBeforeStart reports Start on an RP that was already failed. The
@@ -167,10 +148,8 @@ var ErrAlreadyStarted = errors.New("rp: already started")
 func (r *RP) Start() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	select {
-	case <-r.killed:
+	if r.killed.Load() {
 		return fmt.Errorf("rp %s: %w: %w", r.ctx.ID, ErrFailedBeforeStart, r.err)
-	default:
 	}
 	if r.started {
 		return fmt.Errorf("rp %s: %w", r.ctx.ID, ErrAlreadyStarted)
@@ -186,35 +165,26 @@ func (r *RP) Start() error {
 // unblocks. Failing an RP that was never started resolves Wait immediately.
 func (r *RP) Fail(cause error) {
 	r.setErr(cause)
-	r.killOnce.Do(func() {
-		r.mu.Lock()
-		subs := r.subs
-		started := r.started
-		close(r.killed)
-		r.mu.Unlock()
-		for _, s := range subs {
-			if a, ok := s.conn.(carrier.Aborter); ok {
-				a.Abort()
-			}
+	r.mu.Lock()
+	first := r.killed.CompareAndSwap(false, true)
+	subs, started := r.subs, r.started
+	r.mu.Unlock()
+	if !first {
+		return
+	}
+	for _, s := range subs {
+		if a, ok := s.conn.(carrier.Aborter); ok {
+			a.Abort()
 		}
-		if !started {
-			// A never-started RP has no run loop to unwind its exit
-			// protocol, but its death must still look like an exit to the
-			// rest of the system: retire the pacer agent (peers must not
-			// wait on its progress), give the supervisor its replacement
-			// window, then resolve Wait. Without this, a node killed in the
-			// admit→start window leaves downstream consumers blocked forever
-			// on a producer that never announces its death.
-			r.pacer.Done()
-			r.mu.Lock()
-			fn, err := r.onExit, r.err
-			r.mu.Unlock()
-			if fn != nil {
-				fn(err)
-			}
-			close(r.done)
-		}
-	})
+	}
+	if !started {
+		// A never-started RP has no run loop to unwind its exit protocol,
+		// but its death must still look like an exit to the rest of the
+		// system. Without this, a node killed in the admit→start window
+		// leaves downstream consumers blocked forever on a producer that
+		// never announces its death.
+		r.exit()
+	}
 }
 
 // Wait blocks until the RP has terminated and returns its execution error,
@@ -234,24 +204,27 @@ func (r *RP) setErr(err error) {
 	}
 }
 
+// exit is the RP's exit protocol, in this order: the agent retires (peers
+// and a replacement must not be gated on the dead agent's stale progress),
+// then the exit hook runs (the supervisor's replacement window), and only
+// then does done close, unblocking Wait.
+func (r *RP) exit() {
+	r.ctx.Agent.Done()
+	r.mu.Lock()
+	fn, err := r.onExit, r.err
+	r.mu.Unlock()
+	if fn != nil {
+		fn(err)
+	}
+	close(r.done)
+}
+
 // run interprets the SQEP and pushes results to every subscriber. On any
 // failure it still terminates the outgoing streams — with Down frames, so
 // downstream RPs observe the failure instead of a clean end — and the error
-// is reported through Wait. The deferred order matters: the pacer agent
-// retires first (a replacement must not be gated on the dead agent's stale
-// progress), then the exit hook runs (the supervisor's replacement window),
-// and only then does done close, unblocking Wait.
+// is reported through Wait.
 func (r *RP) run() {
-	defer close(r.done)
-	defer func() {
-		r.mu.Lock()
-		fn, err := r.onExit, r.err
-		r.mu.Unlock()
-		if fn != nil {
-			fn(err)
-		}
-	}()
-	defer r.pacer.Done()
+	defer r.exit()
 
 	plan := r.plan
 	// Every subscriber's push marshals — copies — the element before the
@@ -269,11 +242,9 @@ func (r *RP) run() {
 	}()
 
 	for {
-		select {
-		case <-r.killed:
+		if r.killed.Load() {
 			r.terminateSubs()
 			return
-		default:
 		}
 		el, ok, err := plan.Next()
 		if err != nil {
@@ -283,10 +254,7 @@ func (r *RP) run() {
 		if !ok {
 			break
 		}
-		r.pacer.Wait(el.At)
-		if r.clock != nil {
-			r.clock.Advance(el.At)
-		}
+		r.ctx.Agent.Emit(el.At)
 		r.mElems.Inc()
 		if n, err := marshal.Size(el.Value); err == nil {
 			r.mBytes.Add(int64(n)) // a value without a size fails the push below

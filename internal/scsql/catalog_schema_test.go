@@ -16,7 +16,7 @@ var goldenSysSchemas = map[string]string{
 	"sys_sessions":  "(id string, state string, priority int, nodes int, statement string, deadline_ns int, age_ns int, retries int)",
 	"sys_nodes":     "(cluster string, node int, x int, y int, z int, pset int, io_node int, alive int, rps int, owners string)",
 	"sys_links":     "(carrier string, query string, producer string, consumer string, from_cluster string, from_node int, to_cluster string, to_node int, frames int, bytes int, drops int)",
-	"sys_rps":       "(id string, query string, cluster string, node int, elements_out int, bytes_out int, frames_out int, last_out_ns int, recv_frames int, recv_bytes int, inbox_depth_hw int)",
+	"sys_rps":       "(id string, query string, cluster string, node int, elements_out int, bytes_out int, frames_out int, last_out_ns int, recv_frames int, recv_bytes int, inbox_depth_hw int, state string, frontier_ns int)",
 	"sys_metrics":   "(kind string, name string, value int, count int, sum_ns int, min_ns int, max_ns int)",
 	"sys_resources": "(resource string, owner string, busy_ns int)",
 	"sys_tables":    "(name string, doc string, columns string, takes_pattern int)",

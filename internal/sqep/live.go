@@ -1,5 +1,7 @@
 package sqep
 
+import "scsq/internal/vtime"
+
 // DeltaPoll is the live form of a Thunk: a stream of system-catalog rows
 // that keeps running. Open captures a full initial snapshot; afterwards,
 // each tick on the pacing channel triggers a re-snapshot and only rows
@@ -28,8 +30,10 @@ type DeltaPoll struct {
 	// cancel is the owning query's signal (Ctx.Cancel, read at Open): the
 	// stream blocks on Tick indefinitely, and a query with no stream
 	// processes to poison (a pure client-plan streamof(sys_*())) is reached
-	// by nothing else. Nil — no query to cancel — never fires.
+	// by nothing else. Nil — no query to cancel — never fires. agent
+	// (Ctx.Agent) parks on Tick.
 	cancel CancelSignal
+	agent  *vtime.Agent
 	queue  []Element
 	seen   map[string]bool
 	done   bool
@@ -47,7 +51,7 @@ func NewDeltaPoll(label string, snap func() ([]any, []string, error), tick <-cha
 // virtual time passing.
 func (d *DeltaPoll) Open(ctx *Ctx) error {
 	if ctx != nil {
-		d.cancel = ctx.Cancel
+		d.cancel, d.agent = ctx.Cancel, ctx.Agent
 	}
 	d.queue = d.queue[:0]
 	d.seen = make(map[string]bool)
@@ -93,18 +97,17 @@ func (d *DeltaPoll) Next() (Element, bool, error) {
 		if d.done {
 			return Element{}, false, nil
 		}
-		select {
-		case _, ok := <-d.Tick:
-			if !ok {
-				d.done = true
-				return Element{}, false, nil
-			}
-			if err := d.poll(); err != nil {
-				return Element{}, false, err
-			}
-		case <-cancelled:
+		if _, ok := vtime.Recv(d.agent, vtime.Tick, d.Tick, cancelled); !ok {
+			// Tick closed, a clean end, unless the query was cancelled:
+			// then the planted cause ends the stream.
 			d.done = true
-			return Element{}, false, d.cancel.Cause()
+			if d.cancel != nil {
+				return Element{}, false, d.cancel.Cause()
+			}
+			return Element{}, false, nil
+		}
+		if err := d.poll(); err != nil {
+			return Element{}, false, err
 		}
 	}
 }

@@ -92,6 +92,9 @@ type Ctx struct {
 	// Cancel is the owning query's cancel signal; nil when there is no
 	// query to cancel (unit tests).
 	Cancel CancelSignal
+	// Agent is the executing process at its query's door: operators wait
+	// on channels through it (vtime.Recv). Nil outside a process.
+	Agent *vtime.Agent
 }
 
 // CancelSignal tells an operator that its query was cancelled. A source

@@ -181,86 +181,6 @@ func TestResourceConcurrentUse(t *testing.T) {
 	}
 }
 
-func TestPacerSlowestNeverBlocks(t *testing.T) {
-	p := NewPacer(Millisecond)
-	a := p.Register()
-	b := p.Register()
-	// a is the slowest (progress 0): b blocks beyond the horizon.
-	done := make(chan struct{})
-	go func() {
-		b.Wait(Time(10 * Millisecond))
-		close(done)
-	}()
-	select {
-	case <-done:
-		t.Fatal("b should block while a lags")
-	case <-time.After(20 * time.Millisecond):
-	}
-	// a advancing releases b.
-	a.Advance(Time(10 * Millisecond))
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("b not released after a advanced")
-	}
-	// An agent at (or tied with) the minimum never blocks: both agents are
-	// now at 10ms, and stepping within the horizon proceeds immediately.
-	released := make(chan struct{})
-	go func() {
-		a.Wait(Time(10*Millisecond + Microsecond))
-		close(released)
-	}()
-	select {
-	case <-released:
-	case <-time.After(2 * time.Second):
-		t.Fatal("the slowest agent must not block")
-	}
-}
-
-func TestPacerDoneReleasesWaiters(t *testing.T) {
-	p := NewPacer(Millisecond)
-	a := p.Register()
-	b := p.Register()
-	done := make(chan struct{})
-	go func() {
-		b.Wait(Time(Second))
-		close(done)
-	}()
-	a.Done()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("Done must release waiters")
-	}
-}
-
-func TestPacerDisabled(t *testing.T) {
-	p := NewPacer(0)
-	a := p.Register()
-	p.Register() // a lagging peer
-	finished := make(chan struct{})
-	go func() {
-		a.Wait(Time(time.Hour))
-		close(finished)
-	}()
-	select {
-	case <-finished:
-	case <-time.After(2 * time.Second):
-		t.Fatal("disabled pacer must never block")
-	}
-}
-
-func TestPacerNilAgent(t *testing.T) {
-	var a *PacerAgent
-	a.Advance(5) // must not panic
-	a.Wait(5)
-	a.Done()
-	var p *Pacer
-	if agent := p.Register(); agent != nil {
-		t.Errorf("nil pacer Register = %v, want nil", agent)
-	}
-}
-
 func TestUseAsOwnerAccounting(t *testing.T) {
 	r := NewResource("nic")
 	r.UseAs("q1", 0, 20)
