@@ -88,6 +88,10 @@ func TestRunTTLExpiresOnIdleNodes(t *testing.T) {
 
 func TestQueueTTLExpiresBehindRunningHog(t *testing.T) {
 	eng := newEngine(t)
+	// Both are submitted at one kernel instant: the victim queues before the
+	// hog makes any progress, however fast the host runs the hog.
+	kernel := eng.core.Env().Kernel()
+	kernel.Pause()
 	hog, err := eng.Submit(scsql.Figure5Query(300_000, 200))
 	if err != nil {
 		t.Fatal(err)
@@ -96,6 +100,7 @@ func TestQueueTTLExpiresBehindRunningHog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	kernel.Resume()
 	wantExpired(t, victim)
 	if _, err := hog.Wait(); err != nil || hog.State() != SessionDone {
 		t.Fatalf("hog: %v, %v; want done", hog.State(), err)

@@ -22,6 +22,7 @@ package bench
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -173,6 +174,11 @@ func (w workload) payload(streams int) int64 {
 func summarize(x, series, unit string, runs []float64) Point {
 	p := Point{X: x, Series: series, Unit: unit, N: len(runs)}
 	if len(runs) == 0 {
+		return p
+	}
+	if slices.Min(runs) == slices.Max(runs) {
+		// Identical runs read exactly, not as the rounding of their mean.
+		p.Value = runs[0]
 		return p
 	}
 	var sum float64

@@ -142,11 +142,13 @@ func TestFigure6GrantsIdentical(t *testing.T) {
 	}
 }
 
-// TestGrantKeysArePlanFunctions: at the two points whose schedules differ
-// between runs (DESIGN §11), the requests do not. Each resource sees the same
-// multiset of (owner, stream, seq) keys in both runs, no key repeats on a
-// resource, and every grant carries an owner and a stream — so a request can
-// be paired across runs, and an ordered kernel can break ties by its key.
+// TestGrantKeysArePlanFunctions: at two points where concurrent streams
+// share a device (DESIGN §11), and in the two plan shapes where keys could
+// repeat, neither the requests nor their grants differ between runs. Each
+// resource sees the same multiset of (owner, stream, seq) keys in both runs,
+// no key repeats on a resource, and every grant carries an owner and a
+// stream — so a request can be paired across runs, and the kernel breaks
+// ties by its key — and the two runs grant the identical schedule.
 func TestGrantKeysArePlanFunctions(t *testing.T) {
 	inbound, err := scsql.InboundQuery(1, 2, 60_000, 10)
 	if err != nil {
@@ -217,7 +219,7 @@ and   a=sp(gen_array(30000,10), 'be', 1);`, nil},
 			if d, err := firstGrantDivergence(c.src, c.opts...); err != nil {
 				t.Fatal(err)
 			} else if d != "" {
-				t.Logf("schedules differ, requests do not; first moved request: %s", d)
+				t.Errorf("the two runs diverge at %s", d)
 			}
 		})
 	}

@@ -92,19 +92,25 @@ func (b tenantBatch) rates(perQueryPayload int64) (aggregate, perQuery float64) 
 // runTenants submits k instances of src to a fresh scheduler (with the
 // given options) on the shared engine, waits for all of them, captures the
 // placement planner's decisions if one is configured, and resets the engine
-// for the next batch.
+// for the next batch. The kernel is paused while the batch is submitted, so
+// every tenant starts at one kernel instant whatever the host does between
+// the submissions.
 func runTenants(eng *core.Engine, src string, k int, cfg sched.Config) (tenantBatch, []place.Decision, error) {
 	s := sched.New(eng, nil, cfg)
 	defer s.Close()
 
+	kernel := eng.Env().Kernel()
+	kernel.Pause()
 	qs := make([]*sched.Query, 0, k)
 	for i := 0; i < k; i++ {
 		q, err := s.Submit(src)
 		if err != nil {
+			kernel.Resume()
 			return tenantBatch{}, nil, fmt.Errorf("bench: submit tenant %d: %w", i+1, err)
 		}
 		qs = append(qs, q)
 	}
+	kernel.Resume()
 	var batch tenantBatch
 	for i, q := range qs {
 		if _, err := q.Wait(); err != nil {

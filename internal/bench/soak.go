@@ -196,12 +196,23 @@ func (g *gateSource) pinned() int {
 	return g.parked
 }
 
-type gateOp struct{ ch <-chan struct{} }
+// gateOp waits for the release outside the kernel (vtime.Wait), so the
+// processes of other sessions keep their turns meanwhile.
+type gateOp struct {
+	ch    <-chan struct{}
+	agent *vtime.Agent
+}
 
-func (o *gateOp) Open(*sqep.Ctx) error { return nil }
+func (o *gateOp) Open(ctx *sqep.Ctx) error {
+	if ctx != nil {
+		o.agent = ctx.Agent
+	}
+	return nil
+}
+
 func (o *gateOp) Next() (sqep.Element, bool, error) {
 	if o.ch != nil {
-		<-o.ch
+		vtime.Wait(o.agent, vtime.Tick, o.ch, nil)
 		o.ch = nil
 	}
 	return sqep.Element{}, false, nil

@@ -23,8 +23,9 @@ func (n NodeRef) String() string { return string(n.Cluster) + ":" + strconv.Itoa
 // order, each stage starting when the previous one released the frame.
 // Stages[0] is the sender-side device — its end is the instant the send
 // buffer becomes reusable, and it is the only stage a lost frame pays. A
-// stage's service is evaluated when the frame is sent, so a stage that
-// depends on contention multiplicities reads them then.
+// stage's service is evaluated when the frame is sent; a stage that depends
+// on contention multiplicities reads them once, at the link's first frame,
+// and charges every frame for the same.
 type Route struct {
 	// Kind is the carrier ("mpi", "tcp", "udp"): the prefix of the link
 	// label and the suffix of the link.deliver_vt.* histogram.
@@ -81,9 +82,9 @@ type Link struct {
 	// Sink, if set, receives charged frames instead of the inbox (a real
 	// socket). It owns the frame it is handed. Set it before the first Send.
 	Sink func(Delivered) error
-	// Sender is the producing process at its query's door: a Send parks it
-	// on credit while the receiving inbox is full. Nil parks nothing. Set it
-	// before the first Send.
+	// Sender is the producing process in its kernel: a Send submits the
+	// route in its turn and parks it on credit while the receiving inbox is
+	// full. Nil parks nothing. Set it before the first Send.
 	Sender *vtime.Agent
 
 	// Metric handles are resolved once at NewLink: the per-frame path is
@@ -210,7 +211,7 @@ func (l *Link) Send(fr Frame) (vtime.Time, error) {
 		for k := range run {
 			run[k] = vtime.Request{Resource: stages[i+k].Resource, Stream: fr.Source, Seq: fr.Seq<<StageBits | uint64(i+k), Ready: t, Service: stages[i+k].Service(s)}
 		}
-		vtime.Submit(owner, run)
+		l.Sender.Submit(owner, run)
 		if i == 0 {
 			senderFree = run[0].End
 		}
@@ -247,14 +248,15 @@ func (l *Link) Send(fr Frame) (vtime.Time, error) {
 	return senderFree, nil
 }
 
-// deliver hands a charged frame to the sink or the receiving inbox, where
-// flow control parks its sender, unless the link is aborted (a torn stream
-// must not wedge its producer on flow control).
+// deliver hands a charged frame to the sink or the receiving inbox, where it
+// wakes the receiver at its arrival and flow control parks its sender, unless
+// the link is aborted (a torn stream must not wedge its producer on flow
+// control).
 func (l *Link) deliver(d Delivered) error {
 	if l.Sink != nil {
 		return l.Sink(d)
 	}
-	if !vtime.Send(l.Sender, l.inbox, d, l.abort) {
+	if !vtime.Send(l.Sender, l.inbox, d, d.At, l.abort) {
 		Recycle(&d.Frame)
 		return l.aborted()
 	}
@@ -268,7 +270,10 @@ func (l *Link) aborted() error {
 // Abort unblocks a Send stalled on flow control and fails subsequent
 // deliveries; the connection is torn without cooperation from the consumer.
 func (l *Link) Abort() {
-	l.abortOnce.Do(func() { close(l.abort) })
+	l.abortOnce.Do(func() {
+		close(l.abort)
+		vtime.Wake(l.inbox)
+	})
 }
 
 // Close implements Conn. Whatever the carrier registered at Dial for

@@ -20,6 +20,9 @@ type ClientStream struct {
 	sole bool
 
 	drained  bool
+	begun    bool    // the drain got past beginDrain
+	sps      []*SP   // the processes the drain started
+	errs     []error // what the drain's process met
 	elements []sqep.Element
 	makespan vtime.Time
 	err      error
@@ -81,6 +84,10 @@ func (q *Query) ClientPlan(build Subquery) (*ClientStream, error) {
 	if err != nil {
 		return nil, err
 	}
+	agent := e.env.Kernel().Join(qc.id, nil)
+	qc.mu.Lock()
+	qc.client = agent
+	qc.mu.Unlock()
 	return &ClientStream{
 		qc: qc,
 		ctx: sqep.Ctx{
@@ -91,51 +98,50 @@ func (q *Query) ClientPlan(build Subquery) (*ClientStream, error) {
 			Owner:   qc.id,
 			ID:      b.spID,
 			Cancel:  qc,
+			Agent:   agent,
 		},
 		recv: root,
 	}, nil
 }
 
-// Drain starts every stream process of this stream's query, consumes the
-// result stream to completion, waits for the query's RPs to terminate, and
-// releases their node leases; the query's edges, metrics and busy time stay
-// queryable until it is retired (Query.Retire, Engine.Reset). It returns the
-// result elements (none when an element observer took them). Drain is
-// idempotent, and touches only its own query: concurrent queries' processes
-// and reservations are invisible to it.
-func (s *ClientStream) Drain() ([]sqep.Element, error) {
-	if s.drained {
-		return s.elements, s.err
-	}
-	s.drained = true
+// Start makes the stream's drain a process of the engine's kernel now: it
+// takes its first turn — and starts its query's processes — in the kernel's
+// order, not when the goroutine that drains it gets to run. Admission calls
+// it as it admits the session; Drain starts a stream nobody started. A
+// started stream must be drained.
+func (s *ClientStream) Start() { s.ctx.Agent.Go((*drain)(s)) }
 
+// drain is a stream's drain as its agent's process (vtime.Process).
+type drain ClientStream
+
+// Run starts the query's processes and takes the result stream to its end.
+func (d *drain) Run() {
+	s := (*ClientStream)(d)
 	qc := s.qc
-	e := qc.eng
-	if err := e.beginDrain(qc); err != nil {
-		s.err = err
-		return nil, s.err
+	if err := qc.eng.beginDrain(qc); err != nil {
+		s.errs = append(s.errs, err)
+		return
 	}
-	sps := qc.snapshot()
-
-	var errs []error
-	for _, sp := range sps {
+	s.begun, s.sps = true, qc.snapshot()
+	for _, sp := range s.sps {
 		if err := sp.start(); err != nil {
-			errs = append(errs, err)
+			s.errs = append(s.errs, err)
 		}
 	}
 	if err := s.recv.Open(&s.ctx); err != nil {
-		errs = append(errs, err)
+		s.errs = append(s.errs, err)
 	}
-	if len(errs) == 0 {
+	if len(s.errs) == 0 {
 		for {
 			el, ok, err := s.recv.Next()
 			if err != nil {
-				errs = append(errs, err)
+				s.errs = append(s.errs, err)
 				break
 			}
 			if !ok {
 				break
 			}
+			s.ctx.Agent.Emit(el.At)
 			s.makespan = vtime.MaxTime(s.makespan, el.At)
 			if s.obs != nil {
 				s.obs(el)
@@ -145,7 +151,30 @@ func (s *ClientStream) Drain() ([]sqep.Element, error) {
 		}
 	}
 	if err := s.recv.Close(); err != nil {
-		errs = append(errs, err)
+		s.errs = append(s.errs, err)
+	}
+}
+
+// Drain starts every stream process of this stream's query, consumes the
+// result stream to completion, waits for the query's RPs to terminate, and
+// releases their node leases. The consumption is a process of the engine's
+// kernel, like the stream processes (Start). The query's edges, metrics and
+// busy time stay queryable until it is retired (Query.Retire,
+// Engine.Reset). It returns the result elements (none when an element
+// observer took them). Drain is idempotent, and touches only its own query:
+// concurrent queries' processes and reservations are invisible to it.
+func (s *ClientStream) Drain() ([]sqep.Element, error) {
+	if s.drained {
+		return s.elements, s.err
+	}
+	s.drained = true
+	s.Start()
+	s.ctx.Agent.Await()
+	qc, errs, sps := s.qc, s.errs, s.sps
+	e := qc.eng
+	if !s.begun {
+		s.err = errors.Join(errs...)
+		return nil, s.err
 	}
 
 	// Quiesce: RPs may have dynamically started new RPs while running

@@ -6,18 +6,24 @@ import (
 
 	"scsq/internal/hw"
 	"scsq/internal/sqep"
+	"scsq/internal/vtime"
 )
 
-// gated passes its input through once gate closes; until then Next blocks
-// without reading the input.
+// gated passes its input through once gate closes; until then Next waits
+// outside the kernel without reading the input.
 type gated struct {
-	in   sqep.Operator
-	gate <-chan struct{}
+	in    sqep.Operator
+	gate  <-chan struct{}
+	agent *vtime.Agent
 }
 
-func (g *gated) Open(ctx *sqep.Ctx) error { return g.in.Open(ctx) }
+func (g *gated) Open(ctx *sqep.Ctx) error {
+	g.agent = ctx.Agent
+	return g.in.Open(ctx)
+}
+
 func (g *gated) Next() (sqep.Element, bool, error) {
-	<-g.gate
+	vtime.Wait(g.agent, vtime.Tick, g.gate, nil)
 	return g.in.Next()
 }
 func (g *gated) Close() error { return g.in.Close() }
@@ -45,8 +51,8 @@ func TestSysRPsShowsWhereEachProcessIsParked(t *testing.T) {
 			return &gated{in: sqep.NewCount(in), gate: gate}, err
 		}
 	}
-	// Two queries: the gated source of the second would hold the first's
-	// sources to the pacing horizon.
+	// Two queries, each with a process waiting on the gate outside the
+	// kernel.
 	drained := make(chan error, 2)
 	run := func(pairs ...func(sp func(int, Subquery) *SP) *SP) {
 		q := beginQuery(t, e)

@@ -211,11 +211,6 @@ func WithEnv(env *hw.Env) Option { return Config{Env: env} }
 // it; ROADMAP item 8 moves that caller to Config and deletes it.
 func WithMPIBufferBytes(n int) Option { return Config{MPIBufferBytes: n} }
 
-// paceHorizon is the conservative-pacing window of a query's door: no source
-// RP of a query runs more than this far ahead of its slowest peer in virtual
-// time.
-const paceHorizon = vtime.Millisecond
-
 // DefaultKernelBatch is the default receiver-side kernel batch: up to this
 // many frames already queued in an inbox are drained together and their
 // de-marshal reservations committed on the node CPU in one critical section.
@@ -349,6 +344,7 @@ func (e *Engine) Close() error {
 	e.closed = true
 	close(e.stop)
 	e.poller.Shutdown()
+	e.env.Kernel().Close()
 	if e.netTCP != nil {
 		return e.netTCP.Close()
 	}
@@ -462,7 +458,9 @@ func (e *Engine) DeadNodeCount() int {
 
 // poisonInbox injects a failure-propagation frame without blocking the
 // caller: the consumer may be gone, in which case its receiver's drain
-// discards the frame.
+// discards the frame. Every operation on the inbox wakes its parked agents
+// (vtime.Wake): the consumer parked on it, or producers parked on its
+// credit.
 func poisonInbox(inbox carrier.Inbox, source string, cause error) {
 	fr := carrier.Delivered{Frame: carrier.Frame{
 		Source:  source,
@@ -472,16 +470,19 @@ func poisonInbox(inbox carrier.Inbox, source string, cause error) {
 	}}
 	select {
 	case inbox <- fr:
+		vtime.Wake(inbox)
 	default:
 		go func() {
 			for {
 				select {
 				case inbox <- fr:
+					vtime.Wake(inbox)
 					return
 				case old := <-inbox:
 					// The consumer is not draining (it may itself be dead);
 					// discard in FIFO order to make room so the poison always
 					// lands and this goroutine always terminates.
+					vtime.Wake(inbox)
 					carrier.Recycle(&old.Frame)
 				}
 			}
@@ -635,10 +636,7 @@ func (e *Engine) buildProc(sp *SP, node int) (*rp.RP, bool, error) {
 		return nil, false, err
 	}
 	hasInputs := b.hasInputs
-	// Only free-running source RPs are paced: a reactive RP's timing derives
-	// from its (already paced) inputs, and pacing it would deadlock — it
-	// publishes no progress until data arrives.
-	ctx.Agent = sp.qc.door.Join(!hasInputs)
+	ctx.Agent = e.env.Kernel().Join(sp.qc.id, sp.qc.advance)
 	proc := rp.New(sp.id, sp.cluster, node, ctx, op)
 	proc.SetMetrics(sp.qc.metrics)
 	proc.SetOnExit(func(err error) {

@@ -31,7 +31,7 @@ var ErrQueryCancelled = errors.New("core: query cancelled")
 var ErrStaleQuery = errors.New("core: query identity retired (engine Reset or Closed since build)")
 
 // queryCtx is the engine-side scope of one query: the unit of SP/RP
-// ownership, pacing, vtime attribution, and reservation leasing, and the
+// ownership, vtime attribution, and reservation leasing, and the
 // owner of what the query leaves behind — its wired edges, its metric keys,
 // the devices it charged. Every SP the engine builds belongs to exactly one
 // queryCtx; Cancel, Drain, and crash supervision operate on that query's
@@ -46,14 +46,12 @@ type queryCtx struct {
 	// PlanBuilder.Query: one per scope, so a statement allocates no wrapper.
 	handle Query
 
-	// door is where the query's processes wait and report progress. Its
-	// pacing group is the query's own: the source RPs of one query gate on
-	// each other's virtual progress, never on another tenant's, so one slow
-	// query cannot stall a co-resident one.
-	door *vtime.Door
-
 	// metrics holds the metric blocks of the query's processes.
 	metrics *metrics.Scope
+
+	// advance is Advance, bound once: the emit func of every agent of the
+	// query.
+	advance func(vtime.Time)
 
 	// offset is o(q) − f(q): the policy clock when the query reported its
 	// first element, minus that element's time (unstarted until then). It
@@ -75,16 +73,18 @@ type queryCtx struct {
 	cause     error
 	// cancelCh closes when the query is cancelled. Poisoning inboxes only
 	// reaches operators blocked on stream frames; client-plan operators
-	// blocked elsewhere (a live-delta stream waiting on a vtime tick) select
-	// on this channel instead.
+	// parked elsewhere (a live-delta stream waiting on a vtime tick) wait
+	// with this channel as their abort, and the cancel interrupts the client
+	// plan's agent so it looks at it.
 	cancelCh chan struct{}
+	client   *vtime.Agent // the client plan's drain, once ClientPlan built it
 }
 
 // unstarted marks a query that has not reported an element yet.
 const unstarted = math.MinInt64
 
-// Advance is the emit func of the query's door: every element its processes
-// emit raises the attached scheduler's policy clock to o(q) + (at − f(q)),
+// Advance is the emit func of the query's agents: every element its
+// processes emit raises the attached scheduler's policy clock to o(q) + (at − f(q)),
 // the query's own progress counted from the clock o(q) at its first element
 // f(q). The clock never goes backwards, and the feed takes no lock.
 func (qc *queryCtx) Advance(at vtime.Time) {
@@ -221,8 +221,10 @@ func (qc *queryCtx) cancel(cause error) {
 	qc.cancelled = true
 	qc.cause = cause
 	sps := append([]*SP(nil), qc.sps...)
+	client := qc.client
 	qc.mu.Unlock()
 	close(qc.cancelCh)
+	client.Interrupt()
 	for _, sp := range sps {
 		sp.proc().Fail(cause)
 	}
@@ -297,7 +299,7 @@ func (e *Engine) BeginQuery() (*Query, error) {
 		charged: make([]*vtime.Resource, 0, 16),
 	}
 	qc.handle.qc = qc
-	qc.door = vtime.NewDoor(paceHorizon, qc.Advance)
+	qc.advance = qc.Advance
 	qc.metrics = e.reg.OpenScope(qc.id)
 	qc.offset.Store(unstarted)
 	e.queries[qc.id] = qc
@@ -332,9 +334,6 @@ func (e *Engine) rollbackQuery(qc *queryCtx, cause error) {
 	qc.finish()
 	qc.mu.Lock()
 	qc.nextID = 0
-	// A fresh door: agents joined by the rolled-back processes never
-	// advance, and would gate a future attempt's sources forever.
-	qc.door = vtime.NewDoor(paceHorizon, qc.Advance)
 	qc.mu.Unlock()
 }
 

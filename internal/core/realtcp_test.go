@@ -75,17 +75,18 @@ func TestRealTCPMatchesInProcess(t *testing.T) {
 	if gotCount != int64(n*count) {
 		t.Errorf("count = %d, want %d", gotCount, n*count)
 	}
-	// The virtual makespan is computed from the same cost model, but the
-	// two modes differ in in-flight depth (per-connection credits versus a
-	// shared bounded inbox), which perturbs the schedule of shared-resource
-	// reservations a little — comparable to run-to-run variance on real
-	// hardware. Require agreement within 10%.
+	// The virtual makespan is computed from the same cost model, but a
+	// frame over a socket reaches its inbox from outside the kernel, when the
+	// host delivers it, and the two modes differ in in-flight depth
+	// (per-connection credits versus a shared bounded inbox). Over 200 runs
+	// at GOMAXPROCS 1, 2 and 4 the two agree exactly or differ by 3.573 %;
+	// require agreement within 4 %.
 	diff := float64(gotSpan - wantSpan)
 	if diff < 0 {
 		diff = -diff
 	}
-	if diff > 0.10*float64(wantSpan) {
-		t.Errorf("makespan over sockets %v diverges from in-process %v by more than 10%%", gotSpan, wantSpan)
+	if diff > 0.04*float64(wantSpan) {
+		t.Errorf("makespan over sockets %v diverges from in-process %v by more than 4%%", gotSpan, wantSpan)
 	}
 }
 

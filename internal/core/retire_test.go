@@ -17,12 +17,13 @@ import (
 type blockOp struct {
 	entered chan<- struct{}
 	cancel  sqep.CancelSignal
+	agent   *vtime.Agent
 }
 
-func (b *blockOp) Open(ctx *sqep.Ctx) error { b.cancel = ctx.Cancel; return nil }
+func (b *blockOp) Open(ctx *sqep.Ctx) error { b.cancel, b.agent = ctx.Cancel, ctx.Agent; return nil }
 func (b *blockOp) Next() (sqep.Element, bool, error) {
 	close(b.entered)
-	<-b.cancel.Done()
+	vtime.Wait(b.agent, vtime.Tick, b.cancel.Done(), nil)
 	return sqep.Element{}, false, b.cancel.Cause()
 }
 func (b *blockOp) Close() error { return nil }

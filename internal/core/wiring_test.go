@@ -15,6 +15,7 @@ import (
 	"scsq/internal/metrics"
 	"scsq/internal/race"
 	"scsq/internal/sqep"
+	"scsq/internal/vtime"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/metric_names.golden from this run")
@@ -25,13 +26,19 @@ type gateOp struct {
 	sqep.Operator
 	entered chan<- struct{}
 	release <-chan struct{}
+	agent   *vtime.Agent
+}
+
+func (g *gateOp) Open(ctx *sqep.Ctx) error {
+	g.agent = ctx.Agent
+	return g.Operator.Open(ctx)
 }
 
 func (g *gateOp) Next() (sqep.Element, bool, error) {
 	if g.entered != nil {
 		close(g.entered)
 		g.entered = nil
-		<-g.release
+		vtime.Wait(g.agent, vtime.Tick, g.release, nil)
 	}
 	return g.Operator.Next()
 }

@@ -80,6 +80,10 @@ type Env struct {
 
 	psetSize int
 
+	// kernel orders every grant the processes running on this hardware make
+	// (vtime.Kernel); Reset rewinds it with the resources.
+	kernel vtime.Kernel
+
 	// Contention multiplicities of the open streams — back-end→BlueGene
 	// streams per back-end and I/O node, MPI producers per BlueGene node —
 	// kept as counts so reading one costs the same however many streams the
@@ -344,9 +348,14 @@ func (e *Env) Resources() []*vtime.Resource {
 	return out
 }
 
-// Reset returns every resource in the environment to virtual time zero and
+// Kernel returns the virtual-time kernel the processes on this hardware take
+// their turns in.
+func (e *Env) Kernel() *vtime.Kernel { return &e.kernel }
+
+// Reset returns every resource and the kernel to virtual time zero and
 // clears the stream counts. Use between experiment repetitions.
 func (e *Env) Reset() {
+	e.kernel.Reset()
 	for _, n := range e.bg {
 		n.CPU.Reset()
 		n.Coproc.Reset()

@@ -106,12 +106,18 @@ func (f *Fabric) Dial(src, dst int, mode carrier.Buffering, inbox carrier.Inbox)
 	forward := func(s int) vtime.Duration { return packets(m, s, m.FwdFactor) }
 	// Receiver co-processor, with the merge switching penalty: the
 	// single-threaded co-processor switches between its p producers at the
-	// expected alternation rate (p-1)/p. The count is cumulative — it does
-	// not drop when a producer finishes — because the virtual-time model must
-	// not depend on wall-clock completion order; hw.Env.Reset clears it.
+	// expected alternation rate (p-1)/p. p is read once, at the link's first
+	// frame — the kernel orders that read, and a query's first frame comes
+	// after its whole build — and counts every stream opened into dst since
+	// hw.Env.Reset: it does not drop when a producer finishes, because the
+	// virtual-time model must not depend on wall-clock completion order.
+	producers := -1
 	receive := func(s int) vtime.Duration {
+		if producers < 0 {
+			producers = f.env.ProducersOn(dst)
+		}
 		svc := packets(m, s, m.RecvFactor)
-		if p := f.env.ProducersOn(dst); p > 1 {
+		if p := producers; p > 1 {
 			svc += scaleDur(m.CoprocSwitchCost, float64(p-1)/float64(p))
 		}
 		return svc

@@ -82,6 +82,7 @@ type senderDriver struct {
 	// source, *seq): the process's sqep.Ctx.Seq once RP.Subscribe shares
 	// it, else ownSeq.
 	seq    *uint64
+	agent  *vtime.Agent // the producing process's, in whose turn it marshals
 	ownSeq uint64
 
 	// pending holds marshaled bytes not yet flushed; frames are copied out
@@ -193,7 +194,7 @@ func (d *senderDriver) push(el sqep.Element) error {
 		Service: vtime.Duration(d.cfg.MarshalPerByte * float64(added)),
 	}}
 	*d.seq++
-	vtime.Submit(carrier.QueryOf(d.source), q[:])
+	d.agent.Submit(carrier.QueryOf(d.source), q[:])
 	d.pendReady = q[0].End
 	d.hMarshal.Observe(q[0].End.Sub(q[0].Ready))
 
@@ -360,7 +361,7 @@ type ReceiverConfig struct {
 	// BatchFrames bounds how many inbox frames are drained and charged per
 	// kernel commit: after one blocking receive, up to BatchFrames-1 further
 	// frames already sitting in the inbox are pulled non-blocking and their
-	// de-marshal requests submitted on the CPU as one chain (vtime.Submit).
+	// de-marshal requests submitted on the CPU as one chain (Agent.Submit).
 	// Values <= 1 submit one frame at a time. Batching does not change the
 	// virtual schedule: frame i's de-marshal becomes ready at max(arrival,
 	// end of frame i-1's de-marshal) either way.
@@ -521,9 +522,13 @@ func (r *Receiver) Next() (sqep.Element, bool, error) {
 }
 
 // fill blocks for one frame, drains up to BatchFrames-1 further frames
-// already queued in the inbox, and commits them as one batch. A Down frame or
-// closed inbox truncates the drain: the frames before it are still staged,
-// and the error is deferred until they have been decoded.
+// already queued in the inbox, and commits them as one batch, taken in key
+// order: by arrival time, then producer and frame key, each producer's
+// frames in the order it sent them. A final frame — Last, Down — ends the
+// drain and stays last: pulling past a stream's end would ingest frames the
+// serial loop never reads once done is set. A Down frame or closed inbox
+// truncates the batch: the frames before it are still staged, and the error
+// is deferred until they have been decoded.
 func (r *Receiver) fill() error {
 	r.gDepth.SetMax(int64(len(r.inbox)))
 	fr, ok := vtime.Recv(r.agent, vtime.Inbox, r.inbox, nil)
@@ -537,21 +542,45 @@ func (r *Receiver) fill() error {
 		n := min(len(r.inbox)+1, maxBatch)
 		r.batch, r.reqs = make([]pendingFrame, 0, n), make([]vtime.Request, 0, n)
 	}
-	for {
-		// Stop the drain at any final frame: pulling past a stream's end
-		// would ingest frames the serial loop never reads once done is set.
-		last := fr.Last
-		if r.deferred = r.preprocess(fr); r.deferred != nil || last || len(r.batch) >= maxBatch {
-			break
-		}
-		// An empty inbox ends the drain; a closed one surfaces at the next
-		// fill, once the frames staged before it are decoded.
+	// The pulled frames wait in the batch's own slots; preprocess then
+	// stages each in place, never past the slot it was read from.
+	r.batch = append(r.batch, pendingFrame{fr: fr})
+	// An empty inbox ends the drain; a closed one surfaces at the next fill,
+	// once the frames staged before it are decoded.
+	for !fr.Last && !fr.Down && len(r.batch) < maxBatch {
 		if fr, ok = vtime.Recv(r.agent, vtime.Running, r.inbox, nil); !ok {
 			break
 		}
+		r.batch = append(r.batch, pendingFrame{fr: fr})
 	}
+	// A final frame stays last; preprocess fails only on a Down frame.
+	pulled, n := r.batch, len(r.batch)
+	if last := pulled[n-1].fr; last.Last || last.Down {
+		n--
+	}
+	inKeyOrder(pulled[:n])
+	r.batch = r.batch[:0]
+	for i := range pulled {
+		r.deferred = r.preprocess(pulled[i].fr)
+	}
+	clear(pulled[len(r.batch):])
 	r.ingestBatch()
 	return nil
+}
+
+// inKeyOrder sorts frames by (arrival, producer) without moving one past a
+// frame of its own producer, so each producer's frames keep their key order:
+// an insertion sort, as a batch holds a handful.
+func inKeyOrder(fs []pendingFrame) {
+	for i := 1; i < len(fs); i++ {
+		for j := i; j > 0; j-- {
+			a, b := &fs[j-1].fr, &fs[j].fr
+			if a.Source == b.Source || a.At < b.At || a.At == b.At && a.Source < b.Source {
+				break
+			}
+			fs[j-1], fs[j] = fs[j], fs[j-1]
+		}
+	}
 }
 
 var errInboxClosed = errors.New("rp: inbox closed before end of stream")
@@ -613,14 +642,14 @@ func (r *Receiver) preprocess(fr carrier.Delivered) error {
 }
 
 // ingestBatch submits the staged frames' de-marshal requests on the node CPU
-// as one chain continuing the last batch's; Next decodes them in arrival
-// order.
+// as one chain continuing the last batch's, in the consumer's turn; Next
+// decodes them in the order they were staged.
 func (r *Receiver) ingestBatch() {
 	if len(r.reqs) == 0 {
 		return
 	}
 	r.reqs[0].Ready = max(r.reqs[0].Ready, r.tail)
-	vtime.Submit(carrier.QueryOf(r.cfg.Consumer), r.reqs)
+	r.agent.Submit(carrier.QueryOf(r.cfg.Consumer), r.reqs)
 	r.tail = r.reqs[len(r.reqs)-1].End
 	for i := range r.batch {
 		r.observe(&r.batch[i], &r.reqs[i], r.framesIn-int64(len(r.batch)-1-i))

@@ -7,16 +7,18 @@
 // blocks when a subscriber's window is full, which plays the role of the
 // paper's control messages.
 //
-// An RP reports progress and waits only at its query's vtime door, as its
-// agent (sqep.Ctx.Agent): Emit per element, vtime.Recv on an inbox and
-// vtime.Send on a subscriber's credit (carrier.Link.Sender).
+// An RP is an agent of the engine's vtime kernel (sqep.Ctx.Agent): it runs
+// only in its turn, submits every request through the agent, reports
+// progress with Emit per element, and waits only in vtime.Recv on an inbox,
+// vtime.Send on a subscriber's credit (carrier.Link.Sender) and vtime.Wait
+// outside the kernel.
 //
-// Both drivers charge the node CPU through vtime.Submit, keyed by plan
-// position: a sender's marshal request per element, and the key of each
-// frame it flushes, continue its process's request stream (sqep.Ctx.ID and
-// Seq, shared with the operators), and a receiver submits each drained batch
-// of de-marshal requests as one chain, every frame keyed by its producer and
-// its key (carrier.Frame.Seq).
+// Both drivers charge the node CPU through the agent (Agent.Submit), keyed
+// by plan position: a sender's marshal request per element, and the key of
+// each frame it flushes, continue its process's request stream (sqep.Ctx.ID
+// and Seq, shared with the operators), and a receiver submits each drained
+// batch of de-marshal requests as one chain, every frame keyed by its
+// producer and its key (carrier.Frame.Seq).
 package rp
 
 import (
@@ -101,8 +103,8 @@ func (r *RP) Cluster() hw.ClusterName { return r.cluster }
 // Node returns the compute-node id the RP was placed on.
 func (r *RP) Node() int { return r.node }
 
-// Agent returns the RP's place at its query's door (sqep.Ctx.Agent): where
-// it is parked and how far it has emitted.
+// Agent returns the RP's agent in the engine's kernel (sqep.Ctx.Agent):
+// where it is parked and how far it has emitted.
 func (r *RP) Agent() *vtime.Agent { return r.ctx.Agent }
 
 // Subscribe attaches a subscriber reachable over conn. It must be called
@@ -117,7 +119,7 @@ func (r *RP) Subscribe(conn carrier.Conn, cfg SenderConfig) error {
 	if err != nil {
 		return err
 	}
-	d.seq = &r.ctx.Seq
+	d.seq, d.agent = &r.ctx.Seq, r.ctx.Agent
 	r.subs = append(r.subs, d)
 	return nil
 }
@@ -142,9 +144,10 @@ var ErrFailedBeforeStart = errors.New("rp: failed before start")
 // ErrAlreadyStarted reports a second Start; the process is already running.
 var ErrAlreadyStarted = errors.New("rp: already started")
 
-// Start launches the RP's interpreter goroutine. It is an error to start an
-// RP twice or to start an RP that has already been failed; the sentinel in
-// the returned error tells the two apart.
+// Start launches the RP's interpreter as its agent's process (on a goroutine
+// of its own without an agent). It is an error to start an RP twice or to
+// start an RP that has already been failed; the sentinel in the returned
+// error tells the two apart.
 func (r *RP) Start() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -155,9 +158,15 @@ func (r *RP) Start() error {
 		return fmt.Errorf("rp %s: %w", r.ctx.ID, ErrAlreadyStarted)
 	}
 	r.started = true
-	go r.run()
+	r.ctx.Agent.Go((*process)(r))
 	return nil
 }
+
+// process is an RP as its agent's process (vtime.Process).
+type process RP
+
+// Run interprets the RP's plan.
+func (p *process) Run() { (*RP)(p).run() }
 
 // Fail kills the RP from outside: the given cause becomes its error (unless
 // one is already recorded), the run loop stops at its next element, and
@@ -204,10 +213,9 @@ func (r *RP) setErr(err error) {
 	}
 }
 
-// exit is the RP's exit protocol, in this order: the agent retires (peers
-// and a replacement must not be gated on the dead agent's stale progress),
-// then the exit hook runs (the supervisor's replacement window), and only
-// then does done close, unblocking Wait.
+// exit is the RP's exit protocol, in this order: the agent retires (it
+// holds nobody back), then the exit hook runs (the supervisor's replacement
+// window), and only then does done close, unblocking Wait.
 func (r *RP) exit() {
 	r.ctx.Agent.Done()
 	r.mu.Lock()

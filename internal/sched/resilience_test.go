@@ -20,14 +20,18 @@ import (
 // A cancel (user or deadline) has to reach it through the query's cancel
 // signal: a source has no inbox to poison, so a gate that waited on its
 // channel alone would hold the cancelled session's Drain until release.
+//
+// It waits outside the engine's kernel (vtime.Wait), so other sessions'
+// processes keep their turns meanwhile.
 type gateOp struct {
 	ch     <-chan struct{}
 	cancel sqep.CancelSignal
+	agent  *vtime.Agent
 	fired  bool
 }
 
 func (g *gateOp) Open(ctx *sqep.Ctx) error {
-	g.cancel = ctx.Cancel
+	g.cancel, g.agent = ctx.Cancel, ctx.Agent
 	return nil
 }
 
@@ -36,11 +40,12 @@ func (g *gateOp) Next() (sqep.Element, bool, error) {
 		return sqep.Element{}, false, nil
 	}
 	g.fired = true
+	vtime.Wait(g.agent, vtime.Tick, g.ch, g.cancel.Done())
 	select {
-	case <-g.ch:
-		return sqep.Element{}, false, nil
 	case <-g.cancel.Done():
 		return sqep.Element{}, false, g.cancel.Cause()
+	default:
+		return sqep.Element{}, false, nil
 	}
 }
 
@@ -290,12 +295,18 @@ func TestLoadSheddingEvictsLowestPriority(t *testing.T) {
 // expire.
 type gatedGen struct {
 	*sqep.GenArray
-	ch <-chan struct{}
+	ch    <-chan struct{}
+	agent *vtime.Agent
+}
+
+func (g *gatedGen) Open(ctx *sqep.Ctx) error {
+	g.agent = ctx.Agent
+	return g.GenArray.Open(ctx)
 }
 
 func (g *gatedGen) Next() (sqep.Element, bool, error) {
 	if g.ch != nil {
-		<-g.ch
+		vtime.Wait(g.agent, vtime.Tick, g.ch, nil)
 		g.ch = nil
 	}
 	return g.GenArray.Next()

@@ -629,6 +629,11 @@ func (s *Scheduler) unqueueLocked(q *Query) bool {
 func (s *Scheduler) admit() {
 	s.admitMu.Lock()
 	defer s.admitMu.Unlock()
+	// Admission takes its turn from the kernel like a process: no process is
+	// handed the token while sessions are built and started.
+	k := s.eng.Env().Kernel()
+	k.Pause()
+	defer k.Resume()
 	s.sweep()
 	for {
 		s.mu.Lock()
@@ -729,6 +734,12 @@ func (s *Scheduler) admit() {
 			// the leases release exactly once.
 			q.cq.Cancel(nil)
 		}
+		// The stream drains from here, in the kernel's order: the session
+		// runs from its admission.
+		q.mu.Lock()
+		q.state, q.enterV = Running, s.alarms.Now()
+		q.mu.Unlock()
+		q.stream.Start()
 		go s.run(q)
 	}
 }
@@ -741,6 +752,9 @@ func (s *Scheduler) build(q *Query) error {
 		if err != nil {
 			return err
 		}
+		// Before the stream starts: admission starts it, and its drain may
+		// take its first turn before run does.
+		stream.SetElementObserver(q.pushResult)
 		q.mu.Lock()
 		q.stream = stream
 		q.mu.Unlock()
@@ -808,12 +822,12 @@ func (s *Scheduler) finalize(q *Query, st State, err error) {
 // the head of the queue.
 func (s *Scheduler) run(q *Query) {
 	q.mu.Lock()
-	q.state = Running
-	q.enterV = s.alarms.Now()
+	if q.reader { // never admitted: it runs from here
+		q.state, q.enterV = Running, s.alarms.Now()
+	}
 	stream := q.stream
 	q.mu.Unlock()
 
-	stream.SetElementObserver(q.pushResult)
 	_, err := stream.Drain()
 
 	q.mu.Lock()

@@ -407,6 +407,10 @@ func TestConcurrentBeatsSerialized(t *testing.T) {
 	e := newTestEngine(t)
 	s := New(e, nil)
 	defer s.Close()
+	// The pair is submitted together: the kernel is paused around the two
+	// submissions, so both start at one kernel instant however long the
+	// host takes between them.
+	e.Env().Kernel().Pause()
 	qa, err := s.Submit(src)
 	if err != nil {
 		t.Fatalf("submit a: %v", err)
@@ -415,6 +419,7 @@ func TestConcurrentBeatsSerialized(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit b: %v", err)
 	}
+	e.Env().Kernel().Resume()
 	if _, err := qa.Wait(); err != nil {
 		t.Fatalf("a: %v", err)
 	}

@@ -7,6 +7,7 @@ package sched
 
 import (
 	"scsq/internal/catalog"
+	"scsq/internal/vtime"
 )
 
 // SysSessionsSchema is the sys_sessions column list, exported so the SCSQL
@@ -74,13 +75,16 @@ func (s *Scheduler) SubscribeVTime() (<-chan struct{}, func()) {
 			delete(s.subs, id)
 			s.nsubs.Store(int32(len(s.subs)))
 			close(c)
+			vtime.Wake(c)
 		}
 	}
 	return ch, cancel
 }
 
-// tickSubscribers wakes every live-delta subscriber. Never blocks, and takes
-// no lock while nobody is subscribed.
+// tickSubscribers wakes every live-delta subscriber: the process parked on
+// the channel becomes runnable in the turn of the process whose progress
+// ticked (vtime.Wake). Never blocks, and takes no lock while nobody is
+// subscribed.
 func (s *Scheduler) tickSubscribers() {
 	if s.nsubs.Load() == 0 {
 		return
@@ -90,6 +94,7 @@ func (s *Scheduler) tickSubscribers() {
 	for _, ch := range s.subs {
 		select {
 		case ch <- struct{}{}:
+			vtime.Wake(ch)
 		default: // subscriber already has a pending tick
 		}
 	}
@@ -102,6 +107,7 @@ func (s *Scheduler) closeSubscribers() {
 	for id, ch := range s.subs {
 		delete(s.subs, id)
 		close(ch)
+		vtime.Wake(ch)
 	}
 	s.nsubs.Store(0)
 }

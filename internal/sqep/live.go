@@ -31,7 +31,8 @@ type DeltaPoll struct {
 	// stream blocks on Tick indefinitely, and a query with no stream
 	// processes to poison (a pure client-plan streamof(sys_*())) is reached
 	// by nothing else. Nil — no query to cancel — never fires. agent
-	// (Ctx.Agent) parks on Tick.
+	// (Ctx.Agent) parks on Tick, which the scheduler wakes it on in the turn
+	// of the process whose progress ticked.
 	cancel CancelSignal
 	agent  *vtime.Agent
 	queue  []Element

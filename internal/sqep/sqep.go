@@ -92,8 +92,9 @@ type Ctx struct {
 	// Cancel is the owning query's cancel signal; nil when there is no
 	// query to cancel (unit tests).
 	Cancel CancelSignal
-	// Agent is the executing process at its query's door: operators wait
-	// on channels through it (vtime.Recv). Nil outside a process.
+	// Agent is the executing process in the engine's kernel: its requests
+	// are granted in its turn (Charge), and operators wait on channels
+	// through it (vtime.Recv, vtime.Wait). Nil outside a process.
 	Agent *vtime.Agent
 }
 
@@ -108,18 +109,18 @@ type CancelSignal interface {
 }
 
 // Charge submits one request for service on the context CPU, ready no
-// earlier than ready, and returns its end. A nil CPU (pure in-process
-// evaluation, used in unit tests) grants without contention; so does a nil
-// Ctx, unkeyed.
+// earlier than ready, in the process's turn, and returns its end. A nil CPU
+// (pure in-process evaluation, used in unit tests) grants without
+// contention; so does a nil Ctx, unkeyed.
 func (c *Ctx) Charge(ready vtime.Time, service vtime.Duration) vtime.Time {
 	q := [1]vtime.Request{{Ready: ready, Service: service}}
-	var owner string
-	if c != nil {
-		owner = c.Owner
-		q[0].Resource, q[0].Stream, q[0].Seq = c.CPU, c.ID, c.Seq
-		c.Seq++
+	if c == nil {
+		vtime.Submit("", q[:])
+		return q[0].End
 	}
-	vtime.Submit(owner, q[:])
+	q[0].Resource, q[0].Stream, q[0].Seq = c.CPU, c.ID, c.Seq
+	c.Seq++
+	c.Agent.Submit(c.Owner, q[:])
 	return q[0].End
 }
 

@@ -20,10 +20,11 @@ import (
 // protocol, credit-based flow control, and a listener-side demultiplexer —
 // while charging exactly the same virtual-time hardware model as the
 // in-process Fabric. It exists to exercise the actual network stack
-// (framing, partial reads, connection lifecycle); virtual-time results
-// match the in-process carrier within the engine's pacing horizon, because
-// all cost charging happens sender-side and the computed arrival timestamp
-// travels with the frame.
+// (framing, partial reads, connection lifecycle). All cost charging happens
+// sender-side and the computed arrival timestamp travels with the frame,
+// but a frame reaches its inbox from outside the engine's kernel, when the
+// host delivers it: virtual-time results match the in-process carrier
+// exactly, or differ by the few percent of another order of arrivals.
 type NetFabric struct {
 	inner *Fabric
 
@@ -41,7 +42,9 @@ type NetFabric struct {
 // so a sender can have at most the window's worth of frames in flight —
 // the same backpressure the in-process carrier gets from the bounded
 // inbox. Without this, socket buffering would let a producer run far
-// ahead in wall-clock time and perturb the virtual schedule.
+// ahead in wall-clock time and perturb the virtual schedule. The sender
+// waits for a credit outside the kernel (vtime.Wait): the read side returns
+// it.
 type netChannel struct {
 	inbox   carrier.Inbox
 	credits chan struct{}
@@ -173,14 +176,16 @@ func (f *NetFabric) serveConn(conn net.Conn) {
 				// partially transferred object then surfaces as an
 				// undecoded-bytes error. The inbox itself stays open — it
 				// may be shared by other producers (merge).
-				ch.inbox <- carrier.Delivered{Frame: carrier.Frame{Source: lastSource, Last: true}}
+				vtime.Send(nil, ch.inbox, carrier.Delivered{Frame: carrier.Frame{Source: lastSource, Last: true}}, 0, nil)
 			}
 			// Unblock a sender stuck waiting for credits.
 			close(ch.credits)
 			return
 		}
 		lastSource = d.Source
-		ch.inbox <- d
+		// The frame wakes the consumer parked on the inbox at its arrival
+		// time, like an in-process delivery.
+		vtime.Send(nil, ch.inbox, d, d.At, nil)
 		returnCredit(ch.credits)
 		if d.Last {
 			return
@@ -255,7 +260,10 @@ func (c *NetConn) Send(fr carrier.Frame) (vtime.Time, error) {
 		carrier.Recycle(&fr)
 		return 0, carrier.ErrClosed
 	}
-	<-c.credits // flow control: at most a window's worth of frames in flight
+	// Flow control: at most a window's worth of frames in flight. The
+	// credit comes back from the socket's read side, outside the kernel, so
+	// the sender waits for it there.
+	vtime.Wait(c.link.Sender, vtime.Credit, c.credits, nil)
 	c.wrote = false
 	senderFree, err := c.link.Send(fr)
 	if !c.wrote {

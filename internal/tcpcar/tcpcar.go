@@ -8,8 +8,8 @@
 // forwarding on its PowerPC 440) → tree network → receiving compute node.
 // The I/O-node stage pays a per-message switching cost when the I/O node
 // forwards several concurrent streams, and a partition-wide coordination
-// penalty proportional to the number of *distinct* back-end nodes currently
-// streaming in — the paper's "coordination problems in the I/O node when
+// penalty proportional to the number of *distinct* back-end nodes streaming
+// in, both counted at the stream's first frame — the paper's "coordination problems in the I/O node when
 // communicating with many outside nodes" (observation 3, Figure 15).
 //
 // Streams leaving the BlueGene traverse the same stages outward; streams
@@ -121,18 +121,29 @@ func (f *Fabric) dialAs(kind string, src, dst Endpoint, inbox carrier.Inbox) (*C
 		if fromBE {
 			env.RegisterInbound(src.Node, ion.ID)
 		}
+		// The multiplicities the forwarder charges for are read once, at the
+		// link's first frame: the kernel orders that read, and a query's first
+		// frame comes after its whole build.
+		var mult struct {
+			read           bool
+			streams, peers int
+		}
 		forwarder := vtime.Stage{Resource: ion.Forwarder, Label: ion.FwdHop, Service: func(s int) vtime.Duration {
+			if !mult.read {
+				mult.read, mult.streams = true, env.StreamsOnIO(ion.ID)
+				if fromBE {
+					mult.peers = env.DistinctBeNodes()
+				}
+			}
 			svc := byteDur(m.IOByte, s)
 			// Connection-switching penalty when the I/O node forwards
 			// several concurrent streams, charged at the expected
 			// alternation rate (p-1)/p of p symmetric streams.
-			if p := env.StreamsOnIO(ion.ID); p > 1 {
+			if p := mult.streams; p > 1 {
 				svc += vtime.Duration(float64(m.IOSwitchCost) * float64(p-1) / float64(p))
 			}
-			if fromBE {
-				if peers := env.DistinctBeNodes(); peers > 1 {
-					svc += vtime.Duration(peers-1) * m.CiodPeerCost
-				}
+			if peers := mult.peers; peers > 1 {
+				svc += vtime.Duration(peers-1) * m.CiodPeerCost
 			}
 			return svc
 		}}

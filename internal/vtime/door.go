@@ -1,131 +1,577 @@
 package vtime
 
 import (
+	"iter"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
+	"unsafe"
 )
 
-// State is where a process stands at its query's door.
+// State is where a process stands in its kernel.
 type State int32
 
 const (
-	Running State = iota // executing, or held back by the horizon
+	Running State = iota // holds the token, or is runnable and waits for it
 	Inbox                // parked on its inbox, waiting for a frame
 	Credit               // parked on a subscriber's full inbox: flow control
-	Tick                 // parked on the policy clock's next tick
+	Tick                 // parked on a policy-clock tick, or waiting outside the kernel
 	Done                 // finished: it holds nobody back
 )
 
 func (s State) String() string { return [...]string{"running", "inbox", "credit", "tick", "done"}[s] }
 
-// Door is the one place the processes of a query wait and report progress:
-// each is an Agent that reports every element it emits (Emit) and parks only
-// in Recv and Send, so the door knows of each whether it runs, where it is
-// parked, and the latest virtual time it emitted (its frontier).
+// mu guards every kernel and the table of agents parked on channels, which a
+// caller that is no process (an early-close drain, a socket reader) reaches
+// through the channel alone; cond, on mu, is where drivers wait for a
+// runnable agent and Await for a process to end.
+var (
+	mu     sync.Mutex
+	cond   = sync.NewCond(&mu)
+	parked = make(map[unsafe.Pointer]*Agent) // channel (chanKey) → first agent parked on it
+)
+
+// idleWorkers is how long a kernel with no live agent keeps its workers.
+const idleWorkers = 20 * time.Millisecond
+
+// Kernel is an engine's sequential virtual-time kernel: one token, handed to
+// the runnable agent with the least key (ready, owner, stream, seq), in any
+// query. The holder runs until it parks on a channel (Recv, Send), waits
+// outside the kernel (Wait), ends, or submits a request behind a lesser
+// runnable agent (Agent.Submit). A frame delivered to an inbox makes the
+// agent parked on it runnable at the frame's arrival time. So grants follow
+// the keys of the requests, not the order the host runs goroutines in, and
+// every virtual number is a function of query, topology and cost model.
 //
-// Emit also paces: a source the host runs early must not reserve shared
-// virtual resources far ahead of its peers, so a paced agent waits while it
-// would emit more than the horizon ahead of the slowest live paced agent
-// (which never waits). With Resource's earliest-fit backfilling this keeps
-// the schedule independent of wall-clock scheduling up to the horizon.
-type Door struct {
-	horizon Duration
-	emit    func(Time)
-	mu      sync.Mutex // guards agents and the horizon waits
-	cond    sync.Cond
-	agents  []*Agent
+// The processes are coroutines: a driver goroutine resumes the holder on a
+// worker (iter.Pull) and regains control when it parks, so a handoff is two
+// coroutine switches. The kernel keeps its workers while it has processes,
+// and idleWorkers after.
+//
+// The kernel's time (Now) is the least mark of the agents in it — running,
+// runnable or parked on credit. An agent's mark is the latest of its start,
+// what it last emitted, and the time the kernel last woke it at: a process
+// submits nothing ready before it, and one parked on its inbox or waiting
+// outside submits nothing before its next wake. So no request is ready
+// before the kernel's time, and Agent.Submit prunes at it.
+//
+// The zero value is a kernel at time zero with no agents.
+type Kernel struct {
+	runq    []entry  // runnable agents, sorted by key, the least last
+	live    []*Agent // started and not done
+	paused  int      // Pause nesting: nobody is resumed
+	joins   uint32
+	driving bool // the driver goroutine runs
+	waiting bool // the driver waits on cond
+	idle    []*worker
+	trim    *time.Timer
+	now     atomic.Int64
+	least   atomic.Int64 // 1 + the time of runq's least key; 0 when empty
 }
 
-// NewDoor returns a door that holds its paced agents to horizon (a
-// non-positive one paces nobody) and hands every emitted time to emit.
-func NewDoor(horizon Duration, emit func(Time)) *Door {
-	d := &Door{horizon: horizon, emit: emit}
-	d.cond.L = &d.mu
-	return d
-}
-
-// Join adds a running agent at frontier zero; a paced one is held to the
-// horizon of the door's other paced agents.
-func (d *Door) Join(paced bool) *Agent {
-	a := &Agent{door: d, paced: paced}
-	d.mu.Lock()
-	d.agents = append(d.agents, a)
-	d.mu.Unlock()
-	return a
-}
-
-// Agent is one process at a door. Only the process writes its state and
-// frontier, the state only when a wait is about to block, so an element or
-// a frame that need not wait takes no lock for it; anyone may read them. A
-// nil agent paces and records nothing.
+// Agent is one process in a kernel. Only the process runs it; its state and
+// frontier may be read by anyone. A nil agent is no process: its waits block
+// on the channel, its Submit takes no turn, and it records nothing.
 type Agent struct {
-	door     *Door
-	paced    bool
+	k    *Kernel
+	emit func(Time)
+	proc Process        // what Go runs
+	w    *worker        // the worker it runs on, nil until its first turn
+	on   unsafe.Pointer // the channel it is parked on (chanKey)
+	next *Agent         // the next agent parked on the same channel
+
+	owner          string // the query id: the key's second part
+	join           uint32 // start order: the key's last tie-break
+	started, ended bool
+
 	state    atomic.Int32
-	frontier atomic.Int64
+	frontier atomic.Int64 // the latest time it emitted
+	mark     atomic.Int64 // no request it submits is ready before it
+}
+
+// Process is what an agent runs.
+type Process interface{ Run() }
+
+// entry is a runnable agent under the key it waits for its turn by: the
+// request it submits, or (at, "", 0) once a wake or its start makes it
+// runnable at time at.
+type entry struct {
+	a      *Agent
+	at     Time
+	stream string
+	seq    uint64
+}
+
+// worker is a coroutine processes run on, one at a time.
+type worker struct {
+	resume func() (struct{}, bool)
+	stop   func()
+	yield  func(struct{}) bool
+	a      *Agent // the process it runs; nil once it ended
+}
+
+func newWorker() *worker {
+	w := &worker{}
+	w.resume, w.stop = iter.Pull(func(yield func(struct{}) bool) {
+		w.yield = yield
+		for {
+			w.a.run()
+			if w.a = nil; !yield(struct{}{}) {
+				return
+			}
+		}
+	})
+	return w
+}
+
+// Now is the kernel's time.
+func (k *Kernel) Now() Time { return Time(k.now.Load()) }
+
+// Reset rewinds the kernel to time zero. No agent may be live.
+func (k *Kernel) Reset() { k.now.Store(0) }
+
+// Close ends the kernel's idle workers; it makes more as processes start.
+func (k *Kernel) Close() {
+	mu.Lock()
+	idle := k.idle
+	k.idle = nil
+	mu.Unlock()
+	for _, w := range idle {
+		w.stop()
+	}
+}
+
+// Join adds a process of query owner, which hands every time it emits to
+// emit (nil: nowhere). The agent takes no turn until Go.
+func (k *Kernel) Join(owner string, emit func(Time)) *Agent {
+	return &Agent{k: k, owner: owner, emit: emit}
+}
+
+// Pause stops the kernel resuming anybody until the matching Resume: the
+// holder runs on to its next park, and then nobody runs. Admission pauses it
+// while sessions are built and started, and a harness around several
+// submissions, so sessions submitted together start at one kernel instant.
+func (k *Kernel) Pause() {
+	mu.Lock()
+	k.paused++
+	mu.Unlock()
+}
+
+// Resume ends a Pause.
+func (k *Kernel) Resume() {
+	mu.Lock()
+	if k.paused--; k.waiting {
+		cond.Broadcast()
+	}
+	mu.Unlock()
+}
+
+// Go runs p as the agent's process: runnable now, at the kernel's time, it
+// runs in its turns until p.Run returns, and then is done. Starting twice is
+// a no-op. A nil agent runs p on a goroutine of its own.
+func (a *Agent) Go(p Process) {
+	if a == nil {
+		go p.Run()
+		return
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if a.started || a.State() == Done {
+		return
+	}
+	k := a.k
+	k.joins++
+	a.started, a.proc, a.join = true, p, k.joins
+	a.mark.Store(int64(k.Now()))
+	k.live = append(k.live, a)
+	k.push(entry{a: a, at: k.Now()})
+}
+
+// Await blocks until the agent's process has ended, or until the agent is
+// done without having started.
+func (a *Agent) Await() {
+	mu.Lock()
+	for !a.ended {
+		cond.Wait()
+	}
+	mu.Unlock()
+}
+
+// run is the process on its worker.
+func (a *Agent) run() {
+	a.proc.Run()
+	a.Done()
 }
 
 func (a *Agent) State() State   { return State(a.state.Load()) }
 func (a *Agent) Frontier() Time { return Time(a.frontier.Load()) }
 
 // Emit reports an element emitted at virtual time at: it publishes the
-// frontier (regressions are ignored), holds a paced agent to the horizon,
-// then hands at to the door's emit func.
+// frontier and the mark (regressions are ignored) and hands at to the
+// agent's emit func.
 func (a *Agent) Emit(at Time) {
 	if a == nil {
 		return
 	}
-	d := a.door
 	if at > a.Frontier() {
 		a.frontier.Store(int64(at))
 	}
-	if a.paced {
-		d.mu.Lock()
-		d.cond.Broadcast()
-		for d.horizon > 0 && !d.within(a, at) {
-			d.cond.Wait()
-		}
-		d.mu.Unlock()
+	a.raise(at)
+	if a.emit != nil {
+		a.emit(at)
 	}
-	d.emit(at)
 }
 
-// Done retires the agent: it no longer holds anyone back.
+// Done retires the agent: it holds nobody back, and Await returns. Its
+// process is done as it ends; one failed before it started is done at once.
 func (a *Agent) Done() {
 	if a == nil {
 		return
 	}
+	mu.Lock()
+	defer mu.Unlock()
+	if a.State() == Done {
+		return
+	}
 	a.state.Store(int32(Done))
-	a.door.mu.Lock()
-	a.door.cond.Broadcast()
-	a.door.mu.Unlock()
+	k := a.k
+	k.runq = slices.DeleteFunc(k.runq, func(e entry) bool { return e.a == a })
+	k.settle()
+	if a.on != nil {
+		unpark(a)
+	}
+	k.live = slices.DeleteFunc(k.live, func(l *Agent) bool { return l == a })
+	a.ended, a.proc = true, nil
+	cond.Broadcast()
 }
 
-// within reports whether a, emitting at t, may go on: it is (tied for) the
-// slowest live paced agent, or the slowest is within the horizon of t.
-func (d *Door) within(a *Agent, t Time) bool {
-	slowest := Time(math.MaxInt64)
-	for _, p := range d.agents {
-		if p.paced && p.State() != Done {
-			slowest = min(slowest, p.Frontier())
+// Submit grants reqs on behalf of owner, as vtime.Submit does, in the
+// agent's turn: if a runnable agent's key is less than the chain's first
+// request, the agent hands it the token and waits for its own turn first.
+// The resources prune at the kernel's time.
+func (a *Agent) Submit(owner string, reqs []Request) {
+	if a == nil {
+		Submit(owner, reqs)
+		return
+	}
+	k := a.k
+	// A request ready before every runnable agent goes on without the lock.
+	if l := k.least.Load(); len(reqs) > 0 && l != 0 && reqs[0].Ready >= Time(l-1) && a.w != nil {
+		mu.Lock()
+		e := entry{a: a, at: max(reqs[0].Ready, 0), stream: reqs[0].Stream, seq: reqs[0].Seq}
+		if n := len(k.runq); n > 0 && k.runq[n-1].before(&e) {
+			k.push(e)
+			a.suspend()
+		}
+		mu.Unlock()
+	}
+	submit(owner, reqs, k.Now())
+}
+
+// before orders keys, the start order breaking ties. Owners compare shorter
+// first, so query ids q1, q2, …, q10 keep their order: the tenants of a
+// batch are ordered alike whichever ids they drew.
+func (e *entry) before(f *entry) bool {
+	switch a, b := e.a, f.a; {
+	case e.at != f.at:
+		return e.at < f.at
+	case len(a.owner) != len(b.owner):
+		return len(a.owner) < len(b.owner)
+	case a.owner != b.owner:
+		return a.owner < b.owner
+	case e.stream != f.stream:
+		return e.stream < f.stream
+	case e.seq != f.seq:
+		return e.seq < f.seq
+	}
+	return e.a.join < f.a.join
+}
+
+// push makes e runnable, and starts the kernel's driver or wakes it. mu
+// must be held.
+func (k *Kernel) push(e entry) {
+	k.runq = append(k.runq, e)
+	i := len(k.runq) - 1
+	for ; i > 0 && k.runq[i-1].before(&e); i-- {
+		k.runq[i] = k.runq[i-1]
+	}
+	k.runq[i] = e
+	k.settle()
+	switch {
+	case !k.driving:
+		k.driving = true
+		go k.drive()
+	case k.waiting:
+		cond.Broadcast()
+	}
+}
+
+// settle publishes the time of the least runnable key. mu must be held.
+func (k *Kernel) settle() {
+	if n := len(k.runq); n == 0 {
+		k.least.Store(0)
+	} else {
+		k.least.Store(1 + int64(k.runq[n-1].at))
+	}
+}
+
+// suspend hands control back to the driver until the agent's next turn.
+// mu must be held; it is held again on return.
+func (a *Agent) suspend() {
+	mu.Unlock()
+	a.w.yield(struct{}{})
+	mu.Lock()
+}
+
+// drive resumes the kernel's processes, the least runnable first, until
+// none is live.
+func (k *Kernel) drive() {
+	mu.Lock()
+	defer mu.Unlock()
+	for {
+		for k.paused > 0 || len(k.runq) == 0 {
+			if len(k.live) == 0 {
+				k.driving = false
+				if k.trim == nil {
+					k.trim = time.AfterFunc(idleWorkers, k.trimIdle)
+				}
+				k.trim.Reset(idleWorkers)
+				return
+			}
+			k.waiting = true
+			cond.Wait()
+			k.waiting = false
+		}
+		n := len(k.runq) - 1
+		a := k.runq[n].a
+		k.runq[n] = entry{}
+		k.runq = k.runq[:n]
+		k.settle()
+		k.advance()
+		w := a.w
+		if w == nil {
+			if n := len(k.idle); n > 0 {
+				w, k.idle = k.idle[n-1], k.idle[:n-1]
+			} else {
+				w = newWorker()
+			}
+			w.a, a.w = a, w
+		}
+		mu.Unlock()
+		w.resume()
+		mu.Lock()
+		if w.a == nil {
+			a.w = nil
+			k.idle = append(k.idle, w)
 		}
 	}
-	return slowest >= a.Frontier() || t <= slowest.Add(d.horizon)
 }
 
-func (a *Agent) park(s State) {
-	if a != nil {
-		a.state.Store(int32(s))
+// trimIdle ends the workers of a kernel that stayed without live agents.
+func (k *Kernel) trimIdle() {
+	mu.Lock()
+	driving := k.driving
+	mu.Unlock()
+	if !driving {
+		k.Close()
 	}
 }
 
-// Recv receives from ch for agent a, like v, ok := <-ch. A closed abort (a
-// nil one never fires), then a ready value, is taken without parking — each
-// check one non-blocking channel operation; otherwise a parks in state why
-// until one comes. ok is false when ch closed or abort fired, and at once if
-// nothing is ready and why is Running.
+// raise moves the agent's mark up to t.
+func (a *Agent) raise(t Time) {
+	if int64(t) > a.mark.Load() {
+		a.mark.Store(int64(t))
+	}
+}
+
+// advance moves the kernel's time up to the least mark of the agents in it.
+// mu must be held.
+func (k *Kernel) advance() {
+	least := Time(math.MaxInt64)
+	for _, l := range k.live {
+		if s := l.State(); s == Running || s == Credit {
+			least = min(least, Time(l.mark.Load()))
+		}
+	}
+	if least != math.MaxInt64 && least > k.Now() {
+		k.now.Store(int64(least))
+	}
+}
+
+// park leaves the agent in state why on channel ch until a wake makes it
+// runnable and the kernel resumes it. mu must be held.
+func (a *Agent) park(why State, ch unsafe.Pointer) {
+	a.state.Store(int32(why))
+	a.on, a.next = ch, parked[ch]
+	parked[ch] = a
+	a.suspend()
+}
+
+// wake makes every agent parked on ch runnable, at time at or its kernel's
+// time, whichever is later. mu must be held.
+func wake(ch unsafe.Pointer, at Time) {
+	for a := parked[ch]; a != nil; a = parked[ch] {
+		unpark(a)
+		a.resumeAt(at)
+	}
+}
+
+// resumeAt makes a runnable at time at or its kernel's time, whichever is
+// later, and raises its mark there. mu must be held.
+func (a *Agent) resumeAt(at Time) {
+	at = max(at, a.k.Now())
+	a.raise(at)
+	a.state.Store(int32(Running))
+	a.k.push(entry{a: a, at: at})
+}
+
+// unpark takes a out of the list of agents parked on its channel. mu must be
+// held.
+func unpark(a *Agent) {
+	if q := parked[a.on]; q == a {
+		if a.next == nil {
+			delete(parked, a.on)
+		} else {
+			parked[a.on] = a.next
+		}
+	} else {
+		for q.next != a {
+			q = q.next
+		}
+		q.next = a.next
+	}
+	a.on, a.next = nil, nil
+}
+
+// chanKey is the identity of channel ch: the key its agents park under,
+// whatever the channel's element type and direction.
+func chanKey[T any](ch <-chan T) unsafe.Pointer { return *(*unsafe.Pointer)(unsafe.Pointer(&ch)) }
+
+// Recv receives from ch for agent a, like v, ok := <-ch, on a buffered
+// channel the kernel mediates (an inbox, a policy-clock tick): a value sent
+// with Send, or followed by Wake, wakes the agent parked on it, and a
+// receive from a full channel wakes the senders parked on its credit. A
+// closed abort (a nil one never fires), then a ready value, is taken without
+// parking; otherwise a parks in state why until one comes. ok is false when
+// ch closed or abort fired, and at once if nothing is ready and why is
+// Running. Whoever closes ch or abort while an agent may be parked wakes it
+// (Wake, Agent.Interrupt). A nil agent blocks on the channel itself.
 func Recv[T any](a *Agent, why State, ch <-chan T, abort <-chan struct{}) (v T, ok bool) {
+	for {
+		select {
+		case <-abort:
+			return v, false
+		default:
+		}
+		select {
+		case v, ok = <-ch:
+			received(ch, ok, a.time())
+			return v, ok
+		default:
+		}
+		if why == Running {
+			return v, false
+		}
+		if a == nil || a.w == nil {
+			select {
+			case v, ok = <-ch:
+			case <-abort:
+				return v, false
+			}
+			received(ch, ok, 0)
+			return v, ok
+		}
+		mu.Lock()
+		// A value sent since the check above found no parked agent to wake.
+		select {
+		case v, ok = <-ch:
+			mu.Unlock()
+			received(ch, ok, a.time())
+			return v, ok
+		default:
+		}
+		a.park(why, chanKey(ch))
+		mu.Unlock()
+	}
+}
+
+// received wakes the senders parked on ch's credit, at time at, when a
+// receive found it full.
+func received[T any](ch <-chan T, ok bool, at Time) {
+	if ok && len(ch) == cap(ch)-1 {
+		mu.Lock()
+		wake(chanKey(ch), at)
+		mu.Unlock()
+	}
+}
+
+// Send sends v, arriving at virtual time at, on ch for agent a, parked on
+// Credit while ch is full; the agent parked on ch, if any, becomes runnable
+// at at. It reports false, not having sent, if abort closes first. A nil
+// agent blocks on the channel itself.
+func Send[T any](a *Agent, ch chan T, v T, at Time, abort <-chan struct{}) bool {
+	for {
+		select {
+		case <-abort:
+			return false
+		default:
+		}
+		mu.Lock()
+		select {
+		case ch <- v:
+			if len(ch) == 1 { // it was empty: its receiver may be parked on it
+				wake(chanKey(ch), at)
+			}
+			mu.Unlock()
+			return true
+		default:
+		}
+		if a == nil || a.w == nil {
+			mu.Unlock()
+			select {
+			case ch <- v:
+			case <-abort:
+				return false
+			}
+			Wake(ch)
+			return true
+		}
+		a.park(Credit, chanKey(ch))
+		mu.Unlock()
+	}
+}
+
+// Wake makes every agent parked on ch runnable: whoever sends on ch or
+// closes it, or closes an abort channel its agents wait with, outside Send.
+func Wake[T any](ch chan T) {
+	mu.Lock()
+	wake(chanKey(ch), 0)
+	mu.Unlock()
+}
+
+// Interrupt makes the agent runnable if it is parked, so it looks at its
+// abort channel again: a cancelled query's client drain, parked on a channel
+// nobody will send on.
+func (a *Agent) Interrupt() {
+	if a == nil {
+		return
+	}
+	mu.Lock()
+	if a.on != nil {
+		unpark(a)
+		a.resumeAt(Time(a.mark.Load()))
+	}
+	mu.Unlock()
+}
+
+// Wait receives from a channel the kernel does not mediate — a test's gate,
+// a socket's credit — for agent a: a goroutine of its own blocks on the
+// channel while a is out of the kernel in state why, and a takes its turn
+// again once a value comes or abort closes (ok is false then, or when ch
+// closed).
+func Wait[T any](a *Agent, why State, ch <-chan T, abort <-chan struct{}) (v T, ok bool) {
 	select {
 	case <-abort:
 		return v, false
@@ -136,32 +582,33 @@ func Recv[T any](a *Agent, why State, ch <-chan T, abort <-chan struct{}) (v T, 
 		return v, ok
 	default:
 	}
-	if why == Running {
-		return v, false
+	if a == nil || a.w == nil {
+		select {
+		case v, ok = <-ch:
+		case <-abort:
+		}
+		return v, ok
 	}
-	a.park(why)
-	defer a.park(Running)
-	select {
-	case v, ok = <-ch:
-	case <-abort:
-	}
+	mu.Lock()
+	a.state.Store(int32(why))
+	go func() {
+		select {
+		case v, ok = <-ch:
+		case <-abort:
+		}
+		mu.Lock()
+		a.resumeAt(Time(a.mark.Load()))
+		mu.Unlock()
+	}()
+	a.suspend()
+	mu.Unlock()
 	return v, ok
 }
 
-// Send sends v on ch for agent a, parked on Credit while ch is full. It
-// reports false, not having sent, if abort closes while it waits.
-func Send[T any](a *Agent, ch chan<- T, v T, abort <-chan struct{}) bool {
-	select {
-	case ch <- v:
-		return true
-	default:
+// time is the time a wake by a stamps: its mark, or zero for no process.
+func (a *Agent) time() Time {
+	if a == nil {
+		return 0
 	}
-	a.park(Credit)
-	defer a.park(Running)
-	select {
-	case ch <- v:
-		return true
-	case <-abort:
-		return false
-	}
+	return Time(a.mark.Load())
 }

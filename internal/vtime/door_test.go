@@ -1,6 +1,8 @@
 package vtime
 
 import (
+	"maps"
+	"slices"
 	"testing"
 	"time"
 
@@ -32,59 +34,115 @@ func released(t *testing.T, done chan struct{}, what string) {
 	}
 }
 
-func TestDoorSlowestNeverBlocks(t *testing.T) {
-	d := NewDoor(Millisecond, func(Time) {})
-	a := d.Join(true)
-	b := d.Join(true)
-	// a is the slowest (frontier 0): b blocks beyond the horizon.
-	stuck, done := blocks(func() { b.Emit(Time(10 * Millisecond)) })
-	if !stuck {
-		t.Fatal("b should block while a lags")
+// procFunc is a func as a process.
+type procFunc func()
+
+func (f procFunc) Run() { f() }
+
+// inKernel runs each body as a process of a fresh kernel, all started
+// together at time zero in the order of their ids, and waits for them to
+// end.
+func inKernel(bodies map[string]func(a *Agent)) {
+	var k Kernel
+	k.Pause()
+	var agents []*Agent
+	for _, id := range slices.Sorted(maps.Keys(bodies)) {
+		a := k.Join("q1", nil)
+		a.Go(procFunc(func() { bodies[id](a) }))
+		agents = append(agents, a)
 	}
-	// a advancing releases b.
-	a.Emit(Time(10 * Millisecond))
-	released(t, done, "b not released after a advanced")
-	// An agent at (or tied with) the minimum never blocks: both agents are
-	// now at 10ms, and stepping within the horizon proceeds immediately.
-	if stuck, done := blocks(func() { a.Emit(Time(10*Millisecond + Microsecond)) }); stuck {
-		released(t, done, "the slowest agent must not block")
-	}
-	if a.State() != Running || b.Frontier() != Time(10*Millisecond) {
-		t.Errorf("state %v, frontier %v: pacing parks nobody, and the frontier is the emitted time", a.State(), b.Frontier())
+	k.Resume()
+	for _, a := range agents {
+		a.Await()
 	}
 }
 
-func TestDoorDoneReleasesWaiters(t *testing.T) {
-	d := NewDoor(Millisecond, func(Time) {})
-	a := d.Join(true)
-	b := d.Join(true)
-	stuck, done := blocks(func() { b.Emit(Time(Second)) })
-	if !stuck {
-		t.Fatal("b should block while a lags")
+// TestKernelLeastKeyRunsFirst: whatever order the host runs the goroutines
+// in, the kernel grants the requests of its agents in the order of their
+// keys.
+func TestKernelLeastKeyRunsFirst(t *testing.T) {
+	for run := 0; run < 20; run++ {
+		cpu := NewResource("cpu")
+		var order []string
+		bodies := map[string]func(*Agent){}
+		for id, ready := range map[string]Time{"a": 30, "b": 10, "c": 20, "d": 10} {
+			bodies[id] = func(a *Agent) {
+				q := [1]Request{{Resource: cpu, Stream: id, Ready: ready, Service: 5}}
+				a.Submit("q1", q[:])
+				order = append(order, id) // the token orders these appends
+			}
+		}
+		inKernel(bodies)
+		// b and d tie at 10: the stream breaks the tie.
+		if got := [4]string(order); got != [4]string{"b", "d", "c", "a"} {
+			t.Fatalf("run %d: grants in order %v, want b d c a", run, order)
+		}
 	}
+}
+
+// TestKernelInboxWakesAtArrival: a frame makes the agent parked on its inbox
+// runnable at the frame's arrival time — after an agent whose next request
+// is ready earlier, before one whose request is ready later.
+func TestKernelInboxWakesAtArrival(t *testing.T) {
+	for run := 0; run < 20; run++ {
+		cpu := NewResource("cpu")
+		inbox := make(chan int, 4)
+		var order []string
+		submitAt := func(a *Agent, id string, at Time) {
+			q := [1]Request{{Resource: cpu, Stream: id, Ready: at, Service: 1}}
+			a.Submit("q1", q[:])
+			order = append(order, id)
+		}
+		// All start at time zero, in id order: the receiver parks first,
+		// then the sender delivers at 50 and the early and late agents take
+		// their turns by key.
+		inKernel(map[string]func(*Agent){
+			"0recv": func(a *Agent) {
+				if v, ok := Recv(a, Inbox, inbox, nil); !ok || v != 7 {
+					t.Errorf("Recv = %d, %t", v, ok)
+				}
+				submitAt(a, "recv", 50)
+			},
+			"1send":  func(a *Agent) { Send(a, inbox, 7, 50, nil) },
+			"2early": func(a *Agent) { submitAt(a, "early", 40) },
+			"3late":  func(a *Agent) { submitAt(a, "late", 60) },
+		})
+		if got := [3]string(order); got != [3]string{"early", "recv", "late"} {
+			t.Fatalf("run %d: ran in order %v, want early recv late", run, order)
+		}
+	}
+}
+
+// TestDoorDoneReleasesWaiters: a process that ends hands the token on, and
+// Await returns for it — and for an agent failed before it started.
+func TestDoorDoneReleasesWaiters(t *testing.T) {
+	var order []string
+	inKernel(map[string]func(*Agent){
+		"a": func(*Agent) { order = append(order, "a") },
+		"b": func(*Agent) { order = append(order, "b") },
+	})
+	if len(order) != 2 {
+		t.Errorf("ran %v, want both processes", order)
+	}
+	var k Kernel
+	a := k.Join("q1", nil)
 	a.Done()
-	released(t, done, "Done must release waiters")
+	if stuck, done := blocks(a.Await); stuck {
+		released(t, done, "Await must return for an agent done before it started")
+	}
 	if a.State() != Done {
 		t.Errorf("retired agent reads %v", a.State())
 	}
 }
 
-func TestDoorZeroHorizonNeverBlocks(t *testing.T) {
-	d := NewDoor(0, func(Time) {})
-	a := d.Join(true)
-	d.Join(true) // a lagging peer
-	if stuck, done := blocks(func() { a.Emit(Time(time.Hour)) }); stuck {
-		released(t, done, "a zero horizon must never block")
-	}
-}
-
+// TestDoorUnpacedNeverBlocks: Emit never waits; it publishes the frontier and
+// feeds every emitted time to the agent's emit func.
 func TestDoorUnpacedNeverBlocks(t *testing.T) {
+	var k Kernel
 	var emitted []Time
-	d := NewDoor(Millisecond, func(at Time) { emitted = append(emitted, at) })
-	d.Join(true) // a lagging source
-	a := d.Join(false)
+	a := k.Join("q1", func(at Time) { emitted = append(emitted, at) })
 	if stuck, done := blocks(func() { a.Emit(Time(Second)); a.Emit(5) }); stuck {
-		released(t, done, "an unpaced agent must never block")
+		released(t, done, "Emit must never block")
 	}
 	// Every emitted time reaches the emit func; the frontier ignores the
 	// regression.
@@ -97,87 +155,121 @@ func TestDoorNilAgent(t *testing.T) {
 	var a *Agent
 	a.Emit(5) // must not panic
 	a.Done()
+	ran := make(chan struct{})
+	a.Go(procFunc(func() { close(ran) }))
+	released(t, ran, "a nil agent's Go must run its body")
 	ch := make(chan int, 1)
-	if !Send(a, ch, 7, nil) {
+	if !Send(a, ch, 7, 0, nil) {
 		t.Fatal("Send on a free channel failed")
 	}
 	if v, ok := Recv(a, Inbox, ch, nil); !ok || v != 7 {
 		t.Errorf("Recv = %d, %t", v, ok)
 	}
+	q := [1]Request{{Resource: NewResource("cpu"), Ready: 3, Service: 2}}
+	a.Submit("q1", q[:])
+	if q[0].End != 5 {
+		t.Errorf("a nil agent's Submit granted %+v", q[0])
+	}
 }
 
-// TestDoorParks: a wait records why the agent is parked while it blocks, and
-// that it runs again once it returns; a wait that need not block records
+// inState waits until a reads s.
+func inState(t *testing.T, a *Agent, s State) {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); a.State() != s; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("agent reads %v, want %v", a.State(), s)
+		}
+	}
+}
+
+// TestDoorParks: a wait records why the process is parked while it blocks,
+// and that it runs again once it returns; a wait that need not block records
 // nothing.
 func TestDoorParks(t *testing.T) {
-	a := NewDoor(Millisecond, func(Time) {}).Join(false)
-	ch := make(chan int, 1)
-	abort := make(chan struct{})
-
-	if _, ok := Recv(a, Running, ch, abort); ok {
-		t.Error("a receive that would not wait received from an empty channel")
-	}
-	stuck, done := blocks(func() {
+	var k Kernel
+	a := k.Join("q1", nil)
+	ch := make(chan int, 2)
+	abort, tick := make(chan struct{}), make(chan struct{})
+	a.Go(procFunc(func() {
+		if _, ok := Recv(a, Running, ch, abort); ok {
+			t.Error("a receive that would not wait received from an empty channel")
+		}
 		if v, ok := Recv(a, Inbox, ch, abort); !ok || v != 1 {
 			t.Errorf("Recv = %d, %t", v, ok)
 		}
-	})
-	if !stuck || a.State() != Inbox {
-		t.Fatalf("receive on an empty inbox: blocked %t, state %v", stuck, a.State())
-	}
-	ch <- 1
-	released(t, done, "a value must release the receive")
-	if a.State() != Running {
-		t.Errorf("after the receive the agent reads %v", a.State())
-	}
-
-	ch <- 2 // full: the next send waits for credit
-	stuck, done = blocks(func() {
-		if Send(a, ch, 3, abort) {
+		if a.State() != Running {
+			t.Errorf("after the receive the agent reads %v", a.State())
+		}
+		Send(a, ch, 2, 0, nil)
+		Send(a, ch, 2, 0, nil) // full: the next send waits for credit
+		if Send(a, ch, 3, 0, abort) {
 			t.Error("Send on an aborted channel reported success")
 		}
-	})
-	if !stuck || a.State() != Credit {
-		t.Fatalf("send on a full inbox: blocked %t, state %v", stuck, a.State())
-	}
+		if v, ok := Recv(a, Inbox, ch, abort); ok {
+			t.Errorf("an aborted receive took %d", v)
+		}
+		if _, ok := Wait(a, Tick, tick, nil); !ok {
+			t.Error("Wait missed the tick")
+		}
+		for range 2 {
+			if v, ok := Recv(a, Inbox, ch, nil); !ok || v != 2 {
+				t.Errorf("a value queued before the close reads %d, %t", v, ok)
+			}
+		}
+		if _, ok := Recv(a, Inbox, ch, nil); ok {
+			t.Error("Recv on a drained closed channel reports a value")
+		}
+	}))
+	inState(t, a, Inbox)
+	Send(nil, ch, 1, 0, nil)
+	inState(t, a, Credit)
 	close(abort)
-	released(t, done, "abort must release the send")
-	if a.State() != Running {
-		t.Errorf("after the send the agent reads %v", a.State())
-	}
-	if v, ok := Recv(a, Tick, ch, abort); ok {
-		t.Errorf("an aborted receive took %d", v)
-	}
-	if stuck, _ := blocks(func() { Recv(a, Tick, make(chan int), abort) }); stuck {
-		t.Error("an aborted receive must not park")
-	}
+	Wake(ch)
+	inState(t, a, Tick)
+	tick <- struct{}{}
+	inState(t, a, Inbox)
 	close(ch)
-	if v, ok := Recv(a, Inbox, ch, nil); !ok || v != 2 {
-		t.Errorf("a value queued before the close reads %d, %t", v, ok)
-	}
-	if _, ok := Recv(a, Inbox, ch, nil); ok {
-		t.Error("Recv on a drained closed channel reports a value")
+	Wake(ch)
+	a.Await()
+	if a.State() != Done {
+		t.Errorf("an ended process reads %v", a.State())
 	}
 }
 
-// TestDoorAllocatesNothing: reporting an element and a wait that does not
-// block allocate nothing, paced or not.
+// TestDoorAllocatesNothing: reporting an element and handing the token back
+// and forth through two inboxes allocate nothing.
 func TestDoorAllocatesNothing(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	d := NewDoor(Millisecond, func(Time) {})
-	a, b := d.Join(true), d.Join(false)
-	ch := make(chan [4]int64, 1)
-	var at Time
-	allocs := testing.AllocsPerRun(200, func() {
-		at = at.Add(Microsecond)
-		a.Emit(at)
-		b.Emit(at)
-		Send(a, ch, [4]int64{int64(at)}, nil)
-		Recv(b, Inbox, ch, nil)
+	ping, pong := make(chan [4]int64, 1), make(chan [4]int64, 1)
+	var allocs float64
+	inKernel(map[string]func(*Agent){
+		"a": func(a *Agent) {
+			var at Time
+			round := func() {
+				at = at.Add(Microsecond)
+				a.Emit(at)
+				Send(a, ping, [4]int64{int64(at)}, at, nil)
+				Recv(a, Inbox, pong, nil)
+			}
+			round() // the parked table and the run queue reach their size
+			allocs = testing.AllocsPerRun(200, round)
+			close(ping)
+			Wake(ping)
+		},
+		"b": func(b *Agent) {
+			for {
+				v, ok := Recv(b, Inbox, ping, nil)
+				if !ok {
+					return
+				}
+				b.Emit(Time(v[0]))
+				Send(b, pong, v, Time(v[0]), nil)
+			}
+		},
 	})
 	if allocs != 0 {
-		t.Errorf("%.1f allocations per element, want 0", allocs)
+		t.Errorf("%.1f allocations per round trip, want 0", allocs)
 	}
 }

@@ -124,18 +124,23 @@ func FuzzResourcePlacement(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, n uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		r := NewResource("fuzz")
-		r.SetBackfillHorizon(Duration(rng.Intn(500) + 50))
+		lag := Duration(rng.Intn(500) + 50) // how far a kernel's time trails the readies
 		txn := r.Txn("q")
-		var chainTail Time // end of the transaction's last committed link
+		var chainTail, high Time // end of the transaction's last committed link; latest ready
 		var grants []Request
 		use := func(ready Time, svc Duration) {
 			// The prune floor at request time lower-bounds the effective
 			// ready: gaps before it are treated as solid busy time.
+			high = max(high, ready)
 			floor := r.PruneFloor()
 			var s, e Time
-			if rng.Intn(2) == 0 {
+			switch rng.Intn(3) {
+			case 0:
 				s, e = r.UseAs("q", ready, svc)
-			} else {
+			case 1:
+				floor = max(floor, high.Add(-lag))
+				s, e = useAt(r, ready, svc, high.Add(-lag))
+			default:
 				txn.Reserve(ready, svc)
 				g := txn.Commit()
 				s, e = g[0].Start, g[0].End

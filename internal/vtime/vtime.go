@@ -16,7 +16,9 @@
 // Virtual time is granted through one door: Submit places a chain of
 // Requests, each keyed by (owner, stream, seq), charges every one to its
 // owner (a query id, or AnonymousOwner) and reports it to the resource's
-// recorder. UseAs and Txn are unkeyed wrappers for tests and benchmarks.
+// recorder; a process submits through its Agent, in its turn in the
+// engine's Kernel. UseAs and Txn are unkeyed wrappers for tests and
+// benchmarks.
 // Per-owner totals (BusyTimeBy, OwnerBusy) always sum to BusyTime; FoldOwner
 // moves a finished owner's total into RetiredOwner to bound the owner table.
 package vtime
@@ -66,12 +68,6 @@ func MaxTime(a, b Time) Time {
 	return b
 }
 
-// DefaultBackfillHorizon is how far behind a resource's ready high-water
-// mark reservations are kept for backfilling (see Resource): far beyond the
-// engine's 1 ms pacing horizon, while bounding the busy list of a
-// paper-scale run.
-const DefaultBackfillHorizon = 100 * Millisecond
-
 // Resource is a serially reusable virtual device (a CPU, a communication
 // co-processor, a NIC, ...). The zero value is a resource that is free at
 // virtual time zero. A Resource must not be copied after first use.
@@ -81,15 +77,16 @@ const DefaultBackfillHorizon = 100 * Millisecond
 // length at or after t, even if later intervals were already granted, so a
 // goroutine the Go scheduler ran late is not pushed behind work that came
 // after it in simulated time. Which of two requests wins a gap both fit
-// still follows the order they were submitted in: the schedule is a function
-// of arrival order, and that is where two runs of one statement first part
-// (DESIGN §11).
+// still follows the order they were submitted in, which the kernel makes the
+// order of the requests' keys (Kernel, DESIGN §11).
 //
-// Reservations older than the backfill horizon behind the ready high-water
-// mark are pruned: the pruned prefix is treated as solid busy time, so a
-// straggler request from before the horizon is clamped forward to the
-// prune floor rather than backfilled. This bounds the busy list by the
-// horizon's content instead of the experiment's total reservation count.
+// A grant of an agent (Agent.Submit) raises the resource's prune floor to
+// its kernel's time, before which no request can be ready, and drops the
+// reservations wholly before it: the pruned prefix is treated as solid busy
+// time, so a request from before the floor would be clamped forward to it.
+// This bounds the busy list by what the live processes can still reach
+// instead of the experiment's total reservation count. A resource only ever
+// granted outside a kernel is never pruned.
 type Resource struct {
 	mu   sync.Mutex
 	name string
@@ -97,10 +94,8 @@ type Resource struct {
 	head int        // busy[:head] are dead (pruned or vacated) slots
 	used Duration   // total busy time, for utilization reporting
 
-	lastEnd Time     // latest granted end, kept exact across pruning (FreeAt)
-	hwm     Time     // ready high-water mark
-	floor   Time     // prune floor: everything before it is treated as busy
-	horizon Duration // 0 = DefaultBackfillHorizon, < 0 = never prune
+	lastEnd Time // latest granted end, kept exact across pruning (FreeAt)
+	floor   Time // prune floor: everything before it is treated as busy
 
 	usedBy map[string]Duration // per-owner busy time, incl. AnonymousOwner; nil until first use
 
@@ -134,7 +129,7 @@ func (r *Resource) Name() string { return r.name }
 // to owner: the grant of one unkeyed request.
 func (r *Resource) UseAs(owner string, ready Time, service Duration) (start, end Time) {
 	q := [1]Request{{Resource: r, Ready: ready, Service: service}}
-	r.grant(owner, q[:], 0)
+	r.grant(owner, q[:], 0, 0)
 	return q[0].Start, q[0].End
 }
 
@@ -171,23 +166,27 @@ type Request struct {
 // non-positive Service yields the empty grant [ready, ready) and is not
 // charged. Each request's effective Ready, Start and End are filled in place.
 // A long chain may be submitted in runs, each run's first Ready the End of
-// the run before.
-func Submit(owner string, reqs []Request) {
+// the run before. A process submits through its agent (Agent.Submit), which
+// takes its turn in the kernel first.
+func Submit(owner string, reqs []Request) { submit(owner, reqs, 0) }
+
+// submit is Submit with each resource's prune floor raised to floor first.
+func submit(owner string, reqs []Request, floor Time) {
 	var prev Time
 	for i := 0; i < len(reqs); {
 		j := i + 1
 		for j < len(reqs) && reqs[j].Resource == reqs[i].Resource {
 			j++
 		}
-		prev = reqs[i].Resource.grant(owner, reqs[i:j], prev)
+		prev = reqs[i].Resource.grant(owner, reqs[i:j], prev, floor)
 		i = j
 	}
 }
 
 // grant is Submit for a run of requests on r (nil: no contention), chained
-// from prev; it returns the end of the last. It is the one place a placement
-// is decided, accounted and recorded.
-func (r *Resource) grant(owner string, reqs []Request, prev Time) Time {
+// from prev, after pruning at floor; it returns the end of the last. It is
+// the one place a placement is decided, accounted and recorded.
+func (r *Resource) grant(owner string, reqs []Request, prev, floor Time) Time {
 	var total Duration
 	for i := range reqs {
 		total += max(reqs[i].Service, 0)
@@ -200,6 +199,7 @@ func (r *Resource) grant(owner string, reqs []Request, prev Time) Time {
 		}
 		r.used += total
 		r.usedBy[owner] += total
+		r.prune(floor)
 	}
 	for i := range reqs {
 		q := &reqs[i]
@@ -242,9 +242,6 @@ func (r *Resource) place(ready Time, service Duration) (start, end Time) {
 		// The gaps before the prune floor are gone: treat them as busy.
 		ready = r.floor
 	}
-	if ready > r.hwm {
-		r.hwm = ready
-	}
 
 	// Find the first live reservation that ends after ready; earlier ones
 	// cannot constrain the placement.
@@ -273,7 +270,6 @@ func (r *Resource) place(ready Time, service Duration) (start, end Time) {
 	if end > r.lastEnd {
 		r.lastEnd = end
 	}
-	r.prune()
 	return start, end
 }
 
@@ -302,19 +298,11 @@ func (r *Resource) insert(i int, iv interval) {
 	}
 }
 
-// prune advances the prune floor to hwm - horizon and drops reservations
-// wholly before it. Dropping is an index advance; the dead prefix is
-// compacted away once it dominates the slice, keeping inserts' memmoves and
-// the slice's memory bounded by the horizon's content.
-func (r *Resource) prune() {
-	h := r.horizon
-	if h == 0 {
-		h = DefaultBackfillHorizon
-	}
-	if h < 0 {
-		return
-	}
-	f := r.hwm.Add(-h)
+// prune advances the prune floor to f and drops reservations wholly before
+// it. Dropping is an index advance; the dead prefix is compacted away once
+// it dominates the slice, keeping inserts' memmoves and the slice's memory
+// bounded by what lies after the floor. r.mu must be held.
+func (r *Resource) prune(f Time) {
 	if f <= r.floor {
 		return
 	}
@@ -381,8 +369,7 @@ func (r *Resource) FoldOwner(owner string) {
 }
 
 // Reset returns the resource to the free-at-zero state. Used between
-// experiment repetitions. The backfill horizon is kept, and so is the
-// capacity of what a run sized: the busy list and the per-owner table are
+// experiment repetitions. The capacity of what a run sized is kept: the busy list and the per-owner table are
 // emptied, not dropped, so the next run's first grant by an owner seen
 // before allocates nothing.
 func (r *Resource) Reset() {
@@ -392,7 +379,6 @@ func (r *Resource) Reset() {
 	r.head = 0
 	r.used = 0
 	r.lastEnd = 0
-	r.hwm = 0
 	r.floor = 0
 	clear(r.usedBy)
 }
