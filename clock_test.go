@@ -160,3 +160,55 @@ func TestLiveSysSessionsStreamGrows(t *testing.T) {
 		}
 	}
 }
+
+// TestCancelLiveStreamInAProcess: a live stream inside a stream process
+// parks on its tick, a channel only the policy clock sends on. Cancelling
+// its session on an otherwise idle engine — nothing else moves the clock —
+// must still end the process, and Wait return.
+func TestCancelLiveStreamInAProcess(t *testing.T) {
+	eng := newEngine(t)
+	live, err := eng.Submit(`select extract(a) from sp a where a=sp(count(streamof(sys_rps())), 'bg', 0);`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Wait until the stream process has polled once and parks on its tick.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		rows, err := eng.Query(`select sys_rps();`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		els, err := rows.Drain()
+		if err != nil {
+			t.Fatal(err)
+		}
+		parked := false
+		for _, el := range els {
+			row := el.Value.(catalog.Tuple)
+			q, _ := row.Field("query")
+			st, _ := row.Field("state")
+			parked = parked || q == live.ID() && st == "tick"
+		}
+		if parked {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the stream process never parked on its tick: %v", els)
+		}
+	}
+	if err := live.Cancel(); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		live.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Wait did not return after Cancel: the process parked on its tick was never woken")
+	}
+	if st := live.State(); st != SessionCancelled {
+		t.Errorf("session ended %v, want cancelled", st)
+	}
+}

@@ -315,8 +315,13 @@ func soak(cfg soakConfig) (*soakResult, error) {
 	res := &soakResult{}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	// tick lets d of virtual time pass from wherever the clock stands — the
-	// previous round's sessions moved it too.
-	tick := func(d vtime.Duration) { s.ObserveVTime(s.VNow().Add(d)) }
+	// previous round's sessions moved it too — in a turn of its own, as the
+	// engine's processes tick it in theirs.
+	tick := func(d vtime.Duration) {
+		env.Kernel().Pause()
+		s.ObserveVTime(s.VNow().Add(d))
+		env.Kernel().Resume()
+	}
 	const maxTTL = 4 * vtime.Millisecond
 
 	var all []*sched.Query

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"scsq/internal/hw"
 	"scsq/internal/metrics"
@@ -86,6 +87,10 @@ type Link struct {
 	// route in its turn and parks it on credit while the receiving inbox is
 	// full. Nil parks nothing. Set it before the first Send.
 	Sender *vtime.Agent
+	// Receiver is the consuming process: a frame delivered to its inbox
+	// wakes it, or holds its mark at the frame's arrival (vtime.Send). Nil:
+	// whoever is parked on the inbox. Set it before the first Send.
+	Receiver *vtime.Agent
 
 	// Metric handles are resolved once at NewLink: the per-frame path is
 	// atomic adds (nil-safe no-ops without a registry).
@@ -94,8 +99,8 @@ type Link struct {
 	mDrops   *metrics.Counter
 	hDeliver *metrics.Histogram
 
-	abort     chan struct{}
-	abortOnce sync.Once
+	abort chan struct{}
+	torn  atomic.Bool
 
 	mu     sync.Mutex
 	seq    uint64
@@ -256,7 +261,7 @@ func (l *Link) deliver(d Delivered) error {
 	if l.Sink != nil {
 		return l.Sink(d)
 	}
-	if !vtime.Send(l.Sender, l.inbox, d, d.At, l.abort) {
+	if !vtime.Send(l.Sender, l.Receiver, l.inbox, d, d.At, l.abort) {
 		Recycle(&d.Frame)
 		return l.aborted()
 	}
@@ -270,10 +275,10 @@ func (l *Link) aborted() error {
 // Abort unblocks a Send stalled on flow control and fails subsequent
 // deliveries; the connection is torn without cooperation from the consumer.
 func (l *Link) Abort() {
-	l.abortOnce.Do(func() {
+	if l.torn.CompareAndSwap(false, true) {
 		close(l.abort)
 		vtime.Wake(l.inbox)
-	})
+	}
 }
 
 // Close implements Conn. Whatever the carrier registered at Dial for

@@ -79,12 +79,12 @@ func (q *Query) ClientPlan(build Subquery) (*ClientStream, error) {
 		return nil, err
 	}
 	qc.charge(node.CPU)
-	b := &PlanBuilder{qc: qc, cluster: hw.FrontEnd, node: e.clientNode, spID: qc.id + "/client"}
+	agent := e.env.Kernel().Join(qc.id, nil)
+	b := &PlanBuilder{qc: qc, cluster: hw.FrontEnd, node: e.clientNode, spID: qc.id + "/client", agent: agent}
 	root, err := build(b)
 	if err != nil {
 		return nil, err
 	}
-	agent := e.env.Kernel().Join(qc.id, nil)
 	qc.mu.Lock()
 	qc.client = agent
 	qc.mu.Unlock()

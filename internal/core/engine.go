@@ -344,7 +344,6 @@ func (e *Engine) Close() error {
 	e.closed = true
 	close(e.stop)
 	e.poller.Shutdown()
-	e.env.Kernel().Close()
 	if e.netTCP != nil {
 		return e.netTCP.Close()
 	}
@@ -630,13 +629,13 @@ func (e *Engine) buildProc(sp *SP, node int) (*rp.RP, bool, error) {
 		Owner:   sp.qc.id,
 		Cancel:  sp.qc,
 	}
-	b := &PlanBuilder{qc: sp.qc, cluster: sp.cluster, node: node, spID: sp.id}
+	ctx.Agent = e.env.Kernel().Join(sp.qc.id, sp.qc.advance)
+	b := &PlanBuilder{qc: sp.qc, cluster: sp.cluster, node: node, spID: sp.id, agent: ctx.Agent}
 	op, err := sp.sub(b)
 	if err != nil {
 		return nil, false, err
 	}
 	hasInputs := b.hasInputs
-	ctx.Agent = e.env.Kernel().Join(sp.qc.id, sp.qc.advance)
 	proc := rp.New(sp.id, sp.cluster, node, ctx, op)
 	proc.SetMetrics(sp.qc.metrics)
 	proc.SetOnExit(func(err error) {
@@ -748,6 +747,7 @@ type wiring struct {
 	cn       int
 	inbox    carrier.Inbox
 	consumer string
+	to       *vtime.Agent // the consuming process
 }
 
 // ID returns the SP's unique identity.
@@ -859,6 +859,7 @@ type PlanBuilder struct {
 	cluster   hw.ClusterName
 	node      int
 	spID      string
+	agent     *vtime.Agent // the process the plan runs in
 	hasInputs bool
 }
 
@@ -876,7 +877,7 @@ func (b *PlanBuilder) Query() *Query { return &b.qc.handle }
 // (the paper's extract(p)). The stream terminates when p terminates.
 func (b *PlanBuilder) Extract(p *SP) (sqep.Operator, error) {
 	b.hasInputs = true
-	return b.qc.eng.connectAs(b.qc, []*SP{p}, b.cluster, b.node, b.spID)
+	return b.qc.eng.connectAs(b.qc, []*SP{p}, b.cluster, b.node, b.spID, b.agent)
 }
 
 // Merge returns an operator combining the outputs of all processes in ps
@@ -886,22 +887,22 @@ func (b *PlanBuilder) Merge(ps []*SP) (sqep.Operator, error) {
 		return nil, errors.New("core: merge of empty process bag")
 	}
 	b.hasInputs = true
-	return b.qc.eng.connectAs(b.qc, ps, b.cluster, b.node, b.spID)
+	return b.qc.eng.connectAs(b.qc, ps, b.cluster, b.node, b.spID, b.agent)
 }
 
 // connectAs wires producers to the consumer (identified for edge recording,
 // and in qc's metrics scope) at node (cc, cn) over the appropriate carriers
 // (MPI inside the BlueGene, TCP across clusters) and returns the receiving
 // operator. All producers share one inbox, which is how merge() interleaves
-// their frames by arrival.
-func (e *Engine) connectAs(qc *queryCtx, producers []*SP, cc hw.ClusterName, cn int, consumer string) (sqep.Operator, error) {
+// their frames by arrival; to is the consuming process (nil: not known yet).
+func (e *Engine) connectAs(qc *queryCtx, producers []*SP, cc hw.ClusterName, cn int, consumer string, to *vtime.Agent) (sqep.Operator, error) {
 	inbox := make(carrier.Inbox, e.cfg.window)
 	consNode, err := e.env.Node(cc, cn)
 	if err != nil {
 		return nil, err
 	}
 	for _, p := range producers {
-		w := wiring{cc: cc, cn: cn, inbox: inbox, consumer: consumer}
+		w := wiring{cc: cc, cn: cn, inbox: inbox, consumer: consumer, to: to}
 		if err := e.wireProducer(p, p.proc(), p.Node(), w); err != nil {
 			return nil, err
 		}
@@ -999,7 +1000,7 @@ func (e *Engine) wireProducer(p *SP, proc *rp.RP, pn int, w wiring) error {
 	// Sender-side send.* metrics and carrier-side link.* metrics key
 	// identically.
 	scfg.Link = link.Label()
-	link.Sender = proc.Agent()
+	link.Sender, link.Receiver = proc.Agent(), w.to
 	if err := proc.Subscribe(conn, scfg); err != nil {
 		return err
 	}
@@ -1023,7 +1024,7 @@ func (e *Engine) wireProducer(p *SP, proc *rp.RP, pn int, w wiring) error {
 // dynamic RP creation. The producer must not have started yet (wire first,
 // then SP.Start); the returned operator plugs into the consumer's SQEP.
 func (e *Engine) ConnectLive(p *SP, cc hw.ClusterName, cn int) (sqep.Operator, error) {
-	return e.connectAs(p.qc, []*SP{p}, cc, cn, fmt.Sprintf("dynamic@%s:%d", cc, cn))
+	return e.connectAs(p.qc, []*SP{p}, cc, cn, fmt.Sprintf("dynamic@%s:%d", cc, cn), nil)
 }
 
 // marshalRate returns the per-byte marshal cost of a node in cluster c.

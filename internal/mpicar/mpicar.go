@@ -107,10 +107,11 @@ func (f *Fabric) Dial(src, dst int, mode carrier.Buffering, inbox carrier.Inbox)
 	// Receiver co-processor, with the merge switching penalty: the
 	// single-threaded co-processor switches between its p producers at the
 	// expected alternation rate (p-1)/p. p is read once, at the link's first
-	// frame — the kernel orders that read, and a query's first frame comes
-	// after its whole build — and counts every stream opened into dst since
-	// hw.Env.Reset: it does not drop when a producer finishes, because the
-	// virtual-time model must not depend on wall-clock completion order.
+	// frame, in the sender's turn — a query's first frame comes after its
+	// whole build, and admission builds in a turn of its own — and counts
+	// every stream opened into dst since hw.Env.Reset: it does not drop when
+	// a producer finishes, because the virtual-time model must not depend on
+	// wall-clock completion order.
 	producers := -1
 	receive := func(s int) vtime.Duration {
 		if producers < 0 {

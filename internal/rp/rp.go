@@ -186,6 +186,9 @@ func (r *RP) Fail(cause error) {
 			a.Abort()
 		}
 	}
+	// Parked on a channel nobody may send on again (a live stream's tick),
+	// the process looks at its abort channels once more.
+	r.ctx.Agent.Interrupt()
 	if !started {
 		// A never-started RP has no run loop to unwind its exit protocol,
 		// but its death must still look like an exit to the rest of the

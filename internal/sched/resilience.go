@@ -30,7 +30,7 @@ import (
 func (s *Scheduler) ObserveVTime(t vtime.Time) {
 	before := s.alarms.Now()
 	if len(s.alarms.Advance(t)) > 0 {
-		s.admit()
+		s.admitInTurn()
 	}
 	// Wake live-delta catalog streams (streamof over sys_* tables) when the
 	// clock moved. The sends are non-blocking, so a slow or abandoned

@@ -548,7 +548,7 @@ func (s *Scheduler) Submit(src string, opts ...SubmitOption) (*Query, error) {
 			cq.Retire()
 			s.mCompleted.Inc()
 			s.finalize(q, Done, nil)
-		} else if err := s.build(q); err != nil {
+		} else if err := s.buildInTurn(q); err != nil {
 			s.finishQueued(q, Failed, err, s.mFailed)
 		} else {
 			// Not counted as running: a reader can neither delay an admission
@@ -626,14 +626,22 @@ func (s *Scheduler) unqueueLocked(q *Query) bool {
 // admission order is deterministic and small queries cannot starve a large
 // one — unless the system is idle, in which case the sequence can never be
 // satisfied and the query is rejected.
+//
+// admit takes a turn from the kernel for the loop, like a process: it pauses
+// the kernel, which waits for the holder to park, so no process runs while
+// sessions are built and started. A process must not call it; the policy
+// clock, which runs in the holder's turn, calls admitInTurn.
 func (s *Scheduler) admit() {
-	s.admitMu.Lock()
-	defer s.admitMu.Unlock()
-	// Admission takes its turn from the kernel like a process: no process is
-	// handed the token while sessions are built and started.
 	k := s.eng.Env().Kernel()
 	k.Pause()
 	defer k.Resume()
+	s.admitInTurn()
+}
+
+// admitInTurn is the admission loop, run in a turn the caller holds.
+func (s *Scheduler) admitInTurn() {
+	s.admitMu.Lock()
+	defer s.admitMu.Unlock()
 	s.sweep()
 	for {
 		s.mu.Lock()
@@ -742,6 +750,14 @@ func (s *Scheduler) admit() {
 		q.stream.Start()
 		go s.run(q)
 	}
+}
+
+// buildInTurn is build in a turn taken from the kernel, as admit takes one.
+func (s *Scheduler) buildInTurn(q *Query) error {
+	k := s.eng.Env().Kernel()
+	k.Pause()
+	defer k.Resume()
+	return s.build(q)
 }
 
 // build constructs q's SP graph under its engine identity. On error the

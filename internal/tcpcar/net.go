@@ -176,7 +176,7 @@ func (f *NetFabric) serveConn(conn net.Conn) {
 				// partially transferred object then surfaces as an
 				// undecoded-bytes error. The inbox itself stays open — it
 				// may be shared by other producers (merge).
-				vtime.Send(nil, ch.inbox, carrier.Delivered{Frame: carrier.Frame{Source: lastSource, Last: true}}, 0, nil)
+				vtime.Send(nil, nil, ch.inbox, carrier.Delivered{Frame: carrier.Frame{Source: lastSource, Last: true}}, 0, nil)
 			}
 			// Unblock a sender stuck waiting for credits.
 			close(ch.credits)
@@ -185,7 +185,7 @@ func (f *NetFabric) serveConn(conn net.Conn) {
 		lastSource = d.Source
 		// The frame wakes the consumer parked on the inbox at its arrival
 		// time, like an in-process delivery.
-		vtime.Send(nil, ch.inbox, d, d.At, nil)
+		vtime.Send(nil, nil, ch.inbox, d, d.At, nil)
 		returnCredit(ch.credits)
 		if d.Last {
 			return

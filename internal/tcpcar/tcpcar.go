@@ -122,8 +122,9 @@ func (f *Fabric) dialAs(kind string, src, dst Endpoint, inbox carrier.Inbox) (*C
 			env.RegisterInbound(src.Node, ion.ID)
 		}
 		// The multiplicities the forwarder charges for are read once, at the
-		// link's first frame: the kernel orders that read, and a query's first
-		// frame comes after its whole build.
+		// link's first frame, in the sender's turn: a query's first frame
+		// comes after its whole build, and admission builds in a turn of its
+		// own (vtime.Kernel.Pause).
 		var mult struct {
 			read           bool
 			streams, peers int

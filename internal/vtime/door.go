@@ -23,17 +23,22 @@ const (
 
 func (s State) String() string { return [...]string{"running", "inbox", "credit", "tick", "done"}[s] }
 
-// mu guards every kernel and the table of agents parked on channels, which a
-// caller that is no process (an early-close drain, a socket reader) reaches
-// through the channel alone; cond, on mu, is where drivers wait for a
-// runnable agent and Await for a process to end.
+// mu guards every kernel and the table of agents parked on channels. The
+// table spans kernels because a caller that is no process — a socket
+// reader, an early-close drain, a poisoned inbox — reaches the agent parked
+// on a channel through the channel alone, and a wake moves that agent into
+// its kernel's run queue under the same lock.
 var (
 	mu     sync.Mutex
-	cond   = sync.NewCond(&mu)
 	parked = make(map[unsafe.Pointer]*Agent) // channel (chanKey) → first agent parked on it
 )
 
-// idleWorkers is how long a kernel with no live agent keeps its workers.
+// idleWorkers is how long a kernel with no live agent keeps its workers. A
+// process that starts takes an idle worker rather than making a coroutine —
+// several allocations and a stack to grow — so the statements of a repeat
+// loop, or of a client, that follow each other closer than this cost what
+// one goroutine per process did (without it a Query 6 repeat allocates a
+// quarter more objects).
 const idleWorkers = 20 * time.Millisecond
 
 // Kernel is an engine's sequential virtual-time kernel: one token, handed to
@@ -47,15 +52,17 @@ const idleWorkers = 20 * time.Millisecond
 //
 // The processes are coroutines: a driver goroutine resumes the holder on a
 // worker (iter.Pull) and regains control when it parks, so a handoff is two
-// coroutine switches. The kernel keeps its workers while it has processes,
-// and idleWorkers after.
+// coroutine switches.
 //
 // The kernel's time (Now) is the least mark of the agents in it — running,
-// runnable or parked on credit. An agent's mark is the latest of its start,
-// what it last emitted, and the time the kernel last woke it at: a process
-// submits nothing ready before it, and one parked on its inbox or waiting
-// outside submits nothing before its next wake. So no request is ready
-// before the kernel's time, and Agent.Submit prunes at it.
+// runnable or parked on credit. An agent's mark bounds the ready time of
+// what it submits next: its start, raised by what it emits, set to the
+// arrival of the frame that wakes it from its inbox and lowered to the
+// arrival of every frame delivered to its inbox while it is not parked
+// there. One parked on its inbox submits nothing before its next frame, so
+// it holds nobody back. No request is then ready before the kernel's time,
+// and Agent.Submit prunes at it; a process resumed after waiting outside
+// the kernel (Wait, a tick) resumes at the kernel's time.
 //
 // The zero value is a kernel at time zero with no agents.
 type Kernel struct {
@@ -63,9 +70,10 @@ type Kernel struct {
 	live    []*Agent // started and not done
 	paused  int      // Pause nesting: nobody is resumed
 	joins   uint32
-	driving bool // the driver goroutine runs
-	waiting bool // the driver waits on cond
-	idle    []*worker
+	driving bool      // the driver goroutine runs
+	holding bool      // the driver has resumed a process that has not parked
+	cond    sync.Cond // on mu: the driver, Pause and Await wait here
+	idle    []*worker // workers whose process ended
 	trim    *time.Timer
 	now     atomic.Int64
 	least   atomic.Int64 // 1 + the time of runq's least key; 0 when empty
@@ -132,15 +140,10 @@ func (k *Kernel) Now() Time { return Time(k.now.Load()) }
 // Reset rewinds the kernel to time zero. No agent may be live.
 func (k *Kernel) Reset() { k.now.Store(0) }
 
-// Close ends the kernel's idle workers; it makes more as processes start.
-func (k *Kernel) Close() {
-	mu.Lock()
-	idle := k.idle
-	k.idle = nil
-	mu.Unlock()
-	for _, w := range idle {
-		w.stop()
-	}
+// wait waits on the kernel's cond. mu must be held.
+func (k *Kernel) wait() {
+	k.cond.L = &mu
+	k.cond.Wait()
 }
 
 // Join adds a process of query owner, which hands every time it emits to
@@ -149,22 +152,25 @@ func (k *Kernel) Join(owner string, emit func(Time)) *Agent {
 	return &Agent{k: k, owner: owner, emit: emit}
 }
 
-// Pause stops the kernel resuming anybody until the matching Resume: the
-// holder runs on to its next park, and then nobody runs. Admission pauses it
-// while sessions are built and started, and a harness around several
-// submissions, so sessions submitted together start at one kernel instant.
+// Pause stops the kernel resuming anybody until the matching Resume, and
+// waits until the holder has parked: from its return nobody runs, so what
+// the caller does takes a turn of its own between two of the processes'.
+// Admission pauses it while sessions are built and started, and a harness
+// around several submissions, so sessions submitted together start at one
+// kernel instant. A process must not call it: it would wait for itself.
 func (k *Kernel) Pause() {
 	mu.Lock()
-	k.paused++
+	for k.paused++; k.holding; {
+		k.wait()
+	}
 	mu.Unlock()
 }
 
 // Resume ends a Pause.
 func (k *Kernel) Resume() {
 	mu.Lock()
-	if k.paused--; k.waiting {
-		cond.Broadcast()
-	}
+	k.paused--
+	k.cond.Broadcast()
 	mu.Unlock()
 }
 
@@ -194,7 +200,7 @@ func (a *Agent) Go(p Process) {
 func (a *Agent) Await() {
 	mu.Lock()
 	for !a.ended {
-		cond.Wait()
+		a.k.wait()
 	}
 	mu.Unlock()
 }
@@ -244,7 +250,7 @@ func (a *Agent) Done() {
 	}
 	k.live = slices.DeleteFunc(k.live, func(l *Agent) bool { return l == a })
 	a.ended, a.proc = true, nil
-	cond.Broadcast()
+	k.cond.Broadcast()
 }
 
 // Submit grants reqs on behalf of owner, as vtime.Submit does, in the
@@ -299,12 +305,11 @@ func (k *Kernel) push(e entry) {
 	}
 	k.runq[i] = e
 	k.settle()
-	switch {
-	case !k.driving:
+	if !k.driving {
 		k.driving = true
 		go k.drive()
-	case k.waiting:
-		cond.Broadcast()
+	} else if !k.holding {
+		k.cond.Broadcast()
 	}
 }
 
@@ -340,9 +345,7 @@ func (k *Kernel) drive() {
 				k.trim.Reset(idleWorkers)
 				return
 			}
-			k.waiting = true
-			cond.Wait()
-			k.waiting = false
+			k.wait()
 		}
 		n := len(k.runq) - 1
 		a := k.runq[n].a
@@ -359,9 +362,13 @@ func (k *Kernel) drive() {
 			}
 			w.a, a.w = a, w
 		}
+		k.holding = true
 		mu.Unlock()
 		w.resume()
 		mu.Lock()
+		if k.holding = false; k.paused > 0 {
+			k.cond.Broadcast()
+		}
 		if w.a == nil {
 			a.w = nil
 			k.idle = append(k.idle, w)
@@ -372,10 +379,12 @@ func (k *Kernel) drive() {
 // trimIdle ends the workers of a kernel that stayed without live agents.
 func (k *Kernel) trimIdle() {
 	mu.Lock()
-	driving := k.driving
-	mu.Unlock()
-	if !driving {
-		k.Close()
+	defer mu.Unlock()
+	if !k.driving {
+		for _, w := range k.idle {
+			w.stop()
+		}
+		k.idle = nil
 	}
 }
 
@@ -409,22 +418,55 @@ func (a *Agent) park(why State, ch unsafe.Pointer) {
 	a.suspend()
 }
 
-// wake makes every agent parked on ch runnable, at time at or its kernel's
-// time, whichever is later. mu must be held.
+// wake makes every agent parked on ch runnable at time at, its mark kept.
+// mu must be held.
 func wake(ch unsafe.Pointer, at Time) {
 	for a := parked[ch]; a != nil; a = parked[ch] {
 		unpark(a)
-		a.resumeAt(at)
+		a.resumeAt(at, Time(a.mark.Load()))
 	}
 }
 
-// resumeAt makes a runnable at time at or its kernel's time, whichever is
-// later, and raises its mark there. mu must be held.
-func (a *Agent) resumeAt(at Time) {
-	at = max(at, a.k.Now())
-	a.raise(at)
+// resumeAt makes a runnable at time at with mark m, each raised to its
+// kernel's time. mu must be held.
+func (a *Agent) resumeAt(at, m Time) {
+	now := a.k.Now()
+	a.mark.Store(int64(max(m, now)))
 	a.state.Store(int32(Running))
-	a.k.push(entry{a: a, at: at})
+	a.k.push(entry{a: a, at: max(at, now)})
+}
+
+// arrived accounts for a frame arriving at time at in ch, the inbox of to
+// (nil: whoever is parked on it). Parked on ch, to becomes runnable at at
+// with its mark there. Otherwise the frame waits in the inbox, and to's mark
+// comes down to at, and so does its turn if it waits for one as a wake. mu
+// must be held.
+func arrived(to *Agent, ch unsafe.Pointer, at Time) {
+	if to == nil || to.on == ch {
+		for a := parked[ch]; a != nil; {
+			next := a.next
+			if a.State() == Inbox {
+				unpark(a)
+				a.resumeAt(at, at)
+			}
+			a = next
+		}
+		return
+	}
+	k := to.k
+	if at = max(at, k.Now()); !to.started || to.State() == Done || int64(at) >= to.mark.Load() {
+		return
+	}
+	to.mark.Store(int64(at))
+	for i, e := range k.runq {
+		if e.a == to {
+			if e.stream == "" && e.at > at {
+				k.runq = slices.Delete(k.runq, i, i+1)
+				k.push(entry{a: to, at: at})
+			}
+			return
+		}
+	}
 }
 
 // unpark takes a out of the list of agents parked on its channel. mu must be
@@ -507,11 +549,12 @@ func received[T any](ch <-chan T, ok bool, at Time) {
 	}
 }
 
-// Send sends v, arriving at virtual time at, on ch for agent a, parked on
-// Credit while ch is full; the agent parked on ch, if any, becomes runnable
-// at at. It reports false, not having sent, if abort closes first. A nil
-// agent blocks on the channel itself.
-func Send[T any](a *Agent, ch chan T, v T, at Time, abort <-chan struct{}) bool {
+// Send sends v, arriving at virtual time at, on ch — the inbox of agent to
+// (nil: unknown) — for agent a, parked on Credit while ch is full; the
+// receiver learns of the arrival as arrived says. It reports false, not
+// having sent, if abort closes first. A nil agent blocks on the channel
+// itself.
+func Send[T any](a, to *Agent, ch chan T, v T, at Time, abort <-chan struct{}) bool {
 	for {
 		select {
 		case <-abort:
@@ -521,9 +564,7 @@ func Send[T any](a *Agent, ch chan T, v T, at Time, abort <-chan struct{}) bool 
 		mu.Lock()
 		select {
 		case ch <- v:
-			if len(ch) == 1 { // it was empty: its receiver may be parked on it
-				wake(chanKey(ch), at)
-			}
+			arrived(to, chanKey(ch), at)
 			mu.Unlock()
 			return true
 		default:
@@ -535,7 +576,9 @@ func Send[T any](a *Agent, ch chan T, v T, at Time, abort <-chan struct{}) bool 
 			case <-abort:
 				return false
 			}
-			Wake(ch)
+			mu.Lock()
+			arrived(to, chanKey(ch), at)
+			mu.Unlock()
 			return true
 		}
 		a.park(Credit, chanKey(ch))
@@ -552,8 +595,8 @@ func Wake[T any](ch chan T) {
 }
 
 // Interrupt makes the agent runnable if it is parked, so it looks at its
-// abort channel again: a cancelled query's client drain, parked on a channel
-// nobody will send on.
+// abort channel again: a cancelled query's client drain or live stream,
+// parked on a channel nobody will send on.
 func (a *Agent) Interrupt() {
 	if a == nil {
 		return
@@ -561,7 +604,7 @@ func (a *Agent) Interrupt() {
 	mu.Lock()
 	if a.on != nil {
 		unpark(a)
-		a.resumeAt(Time(a.mark.Load()))
+		a.resumeAt(Time(a.mark.Load()), Time(a.mark.Load()))
 	}
 	mu.Unlock()
 }
@@ -597,7 +640,7 @@ func Wait[T any](a *Agent, why State, ch <-chan T, abort <-chan struct{}) (v T, 
 		case <-abort:
 		}
 		mu.Lock()
-		a.resumeAt(Time(a.mark.Load()))
+		a.resumeAt(Time(a.mark.Load()), Time(a.mark.Load()))
 		mu.Unlock()
 	}()
 	a.suspend()

@@ -103,7 +103,7 @@ func TestKernelInboxWakesAtArrival(t *testing.T) {
 				}
 				submitAt(a, "recv", 50)
 			},
-			"1send":  func(a *Agent) { Send(a, inbox, 7, 50, nil) },
+			"1send":  func(a *Agent) { Send(a, nil, inbox, 7, 50, nil) },
 			"2early": func(a *Agent) { submitAt(a, "early", 40) },
 			"3late":  func(a *Agent) { submitAt(a, "late", 60) },
 		})
@@ -159,7 +159,7 @@ func TestDoorNilAgent(t *testing.T) {
 	a.Go(procFunc(func() { close(ran) }))
 	released(t, ran, "a nil agent's Go must run its body")
 	ch := make(chan int, 1)
-	if !Send(a, ch, 7, 0, nil) {
+	if !Send(a, nil, ch, 7, 0, nil) {
 		t.Fatal("Send on a free channel failed")
 	}
 	if v, ok := Recv(a, Inbox, ch, nil); !ok || v != 7 {
@@ -200,9 +200,9 @@ func TestDoorParks(t *testing.T) {
 		if a.State() != Running {
 			t.Errorf("after the receive the agent reads %v", a.State())
 		}
-		Send(a, ch, 2, 0, nil)
-		Send(a, ch, 2, 0, nil) // full: the next send waits for credit
-		if Send(a, ch, 3, 0, abort) {
+		Send(a, nil, ch, 2, 0, nil)
+		Send(a, nil, ch, 2, 0, nil) // full: the next send waits for credit
+		if Send(a, nil, ch, 3, 0, abort) {
 			t.Error("Send on an aborted channel reported success")
 		}
 		if v, ok := Recv(a, Inbox, ch, abort); ok {
@@ -221,7 +221,7 @@ func TestDoorParks(t *testing.T) {
 		}
 	}))
 	inState(t, a, Inbox)
-	Send(nil, ch, 1, 0, nil)
+	Send(nil, nil, ch, 1, 0, nil)
 	inState(t, a, Credit)
 	close(abort)
 	Wake(ch)
@@ -250,7 +250,7 @@ func TestDoorAllocatesNothing(t *testing.T) {
 			round := func() {
 				at = at.Add(Microsecond)
 				a.Emit(at)
-				Send(a, ping, [4]int64{int64(at)}, at, nil)
+				Send(a, nil, ping, [4]int64{int64(at)}, at, nil)
 				Recv(a, Inbox, pong, nil)
 			}
 			round() // the parked table and the run queue reach their size
@@ -265,7 +265,7 @@ func TestDoorAllocatesNothing(t *testing.T) {
 					return
 				}
 				b.Emit(Time(v[0]))
-				Send(b, pong, v, Time(v[0]), nil)
+				Send(b, nil, pong, v, Time(v[0]), nil)
 			}
 		},
 	})

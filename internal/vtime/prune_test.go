@@ -118,3 +118,40 @@ func TestNeverPruneHorizon(t *testing.T) {
 		t.Errorf("oldest gap not backfilled without a kernel: got [%v,%v)", start, end)
 	}
 }
+
+// TestPruneHeldBackByAnEarlierArrival: a frame wakes the receiver at 100;
+// a producer with a lesser key then delivers one arriving at 90 to the
+// inbox the receiver has not drained yet. The receiver's mark — and so the
+// kernel's time — must come down to 90, or its request ready at 90 would
+// be pruned forward to 100 where a resource that never prunes grants it
+// at 90.
+func TestPruneHeldBackByAnEarlierArrival(t *testing.T) {
+	cpu := NewResource("cpu")
+	inbox := make(chan Time, 4)
+	var recv *Agent
+	var got [2]Request
+	send := func(a *Agent, ready, arrival Time) {
+		q := [1]Request{{Resource: NewResource("nic"), Stream: "s", Ready: ready, Service: 1}}
+		a.Submit("q1", q[:])
+		Send(a, recv, inbox, arrival, arrival, nil)
+	}
+	inKernel(map[string]func(*Agent){
+		"0recv": func(a *Agent) {
+			recv = a
+			for i := range got {
+				at, _ := Recv(a, Inbox, inbox, nil)
+				got[i] = Request{Resource: cpu, Stream: "r", Seq: uint64(i), Ready: at, Service: 5}
+			}
+			a.Submit("q1", got[:1])
+			a.Submit("q1", got[1:])
+		},
+		"1p1": func(a *Agent) { send(a, 10, 100) },
+		"2p2": func(a *Agent) { send(a, 20, 90) },
+	})
+	plain := NewResource("u")
+	for _, q := range got {
+		if s, e := plain.UseAs("q1", q.Ready, q.Service); s != q.Start || e != q.End {
+			t.Errorf("ready %v: pruned grants [%v,%v), unpruned [%v,%v)", q.Ready, q.Start, q.End, s, e)
+		}
+	}
+}
