@@ -38,7 +38,8 @@ var (
 // several allocations and a stack to grow — so the statements of a repeat
 // loop, or of a client, that follow each other closer than this cost what
 // one goroutine per process did (without it a Query 6 repeat allocates a
-// quarter more objects).
+// quarter more objects). At 1 ms a served session sometimes finds no
+// worker left after the gap since the previous one.
 const idleWorkers = 20 * time.Millisecond
 
 // Kernel is an engine's sequential virtual-time kernel: one token, handed to
