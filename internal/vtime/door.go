@@ -49,7 +49,10 @@ const idleWorkers = 20 * time.Millisecond
 // runnable agent (Agent.Submit). A frame delivered to an inbox makes the
 // agent parked on it runnable at the frame's arrival time. So grants follow
 // the keys of the requests, not the order the host runs goroutines in, and
-// every virtual number is a function of query, topology and cost model.
+// the virtual numbers of processes started together are a function of
+// query, topology and cost model. A caller outside the kernel that starts
+// more (Pause, Go) does so between two turns wherever the host's timing
+// puts it.
 //
 // The processes are coroutines: a driver goroutine resumes the holder on a
 // worker (iter.Pull) and regains control when it parks, so a handoff is two
