@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -16,7 +17,8 @@ import (
 // never shares memory with the input and lives in the caller's array: one
 // that is too short is replaced, a longer one keeps its capacity. A decoded
 // array is also cut into windows by CopyArray, each of which must be the
-// bytes AppendArray puts at that offset.
+// bytes AppendArray puts at that offset. Decode through one Boxes kept
+// across inputs returns the same value, length and error as Decode.
 func FuzzDecodeRoundTrip(f *testing.F) {
 	seedValues := []any{
 		nil, int64(-1), 3.14, true, "hello, 世界",
@@ -37,8 +39,10 @@ func FuzzDecodeRoundTrip(f *testing.F) {
 	f.Add([]byte{0xff})
 	f.Add([]byte{})
 
+	var boxes Boxes
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, n, err := Decode(data) // must not panic
+		checkBoxedDecode(t, &boxes, data, v, n, err)
 		for _, have := range []int{0, 1, 4096} {
 			checkDecodeInto(t, data, have, v, n, err)
 		}
@@ -113,6 +117,21 @@ func TestCopyArrayEveryWindow(t *testing.T) {
 				checkCopyArray(t, arr, enc, off, n)
 			}
 		}
+	}
+}
+
+// checkBoxedDecode holds boxes.Decode to Decode's verdict (v, n, err) on
+// data, compared through the encoding, which is NaN-safe.
+func checkBoxedDecode(t *testing.T, boxes *Boxes, data []byte, v any, n int, err error) {
+	t.Helper()
+	vb, nb, errb := boxes.Decode(data)
+	if nb != n || fmt.Sprint(errb) != fmt.Sprint(err) {
+		t.Fatalf("Decode = (%d, %v) but boxed Decode = (%d, %v)", n, err, nb, errb)
+	}
+	enc, _ := Append(nil, v)
+	encB, errE := Append(nil, vb)
+	if errE != nil || !bytes.Equal(enc, encB) || reflect.TypeOf(v) != reflect.TypeOf(vb) {
+		t.Fatalf("Decode = %#v but boxed Decode = %#v (%v)", v, vb, errE)
 	}
 }
 

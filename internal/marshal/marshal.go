@@ -25,7 +25,9 @@
 // array that is never written: it lays the array out behind its own header,
 // so the array's storage is its encoding and a frame can borrow any window of
 // it. Skip is the decoder of a consumer that reads no value (count()): it
-// checks a value as Decode would and moves nothing.
+// checks a value as Decode would and moves nothing. Boxes.Decode is Decode
+// for a caller that materializes many scalars: their interface boxes share
+// write-once slabs instead of taking a heap object each.
 package marshal
 
 import (
@@ -257,10 +259,7 @@ func AppendString(buf []byte, x string) ([]byte, error) {
 // bags that each claim 2³¹ elements costs its length squared in allocations
 // before the truncation is found.
 func Decode(buf []byte) (any, int, error) {
-	if _, err := Skip(buf); err != nil {
-		return nil, 0, err
-	}
-	return materialize(buf)
+	return (*Boxes)(nil).Decode(buf)
 }
 
 // DecodeInto decodes like Decode, except that a top-level array is copied
@@ -285,7 +284,9 @@ func DecodeInto(buf []byte, arr *[]float64) (any, int, error) {
 	return *arr, size, nil
 }
 
-func materialize(buf []byte) (any, int, error) {
+// materialize decodes the checked value at the front of buf, boxing its
+// integers and floats with b (nil: as any(v) does).
+func materialize(buf []byte, b *Boxes) (any, int, error) {
 	if len(buf) == 0 {
 		return nil, 0, ErrTruncated
 	}
@@ -296,12 +297,12 @@ func materialize(buf []byte) (any, int, error) {
 		if len(buf) < 9 {
 			return nil, 0, ErrTruncated
 		}
-		return int64(binary.LittleEndian.Uint64(buf[1:9])), 9, nil
+		return b.Int(int64(binary.LittleEndian.Uint64(buf[1:9])), 0), 9, nil
 	case TagFloat:
 		if len(buf) < 9 {
 			return nil, 0, ErrTruncated
 		}
-		return math.Float64frombits(binary.LittleEndian.Uint64(buf[1:9])), 9, nil
+		return b.Float(math.Float64frombits(binary.LittleEndian.Uint64(buf[1:9]))), 9, nil
 	case TagBool:
 		if len(buf) < 2 {
 			return nil, 0, ErrTruncated
@@ -343,7 +344,7 @@ func materialize(buf []byte) (any, int, error) {
 		}
 		bag := make([]any, 0, capHint)
 		for i := 0; i < n; i++ {
-			v, used, err := materialize(buf[off:])
+			v, used, err := materialize(buf[off:], b)
 			if err != nil {
 				return nil, 0, err
 			}

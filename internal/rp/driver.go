@@ -436,6 +436,8 @@ type Receiver struct {
 	arr           []float64
 	lastsSeen     int
 	done          bool
+	// boxes holds the integers and floats an Owned consumer is handed.
+	boxes marshal.Boxes
 
 	framesIn      int64  // frames ingested: numbers the tracer's net lanes
 	demarshalLane string // the tracer's de-marshal lane, named once
@@ -769,7 +771,7 @@ func (r *Receiver) decode(buf []byte) (any, int, error) {
 		return nil, n, err
 	}
 	if !r.reuse {
-		return marshal.Decode(buf)
+		return r.boxes.Decode(buf)
 	}
 	if len(buf) > 0 && buf[0] == marshal.TagArray {
 		if size, err := marshal.Skip(buf); err == nil && cap(r.arr) < (size-5)/8 {

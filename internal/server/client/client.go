@@ -490,6 +490,7 @@ func (c *Client) readLoop(r *wire.Reader) {
 	var (
 		run  []Row
 		runH *SessionHandle // the run's session; nil between runs
+		rows wire.RowDecoder
 	)
 	flush := func() {
 		if len(run) > 0 {
@@ -532,7 +533,7 @@ func (c *Client) readLoop(r *wire.Reader) {
 			return
 		}
 		if f.Type == wire.MsgRow {
-			wr, err := wire.DecodeRow(f.Payload)
+			wr, err := rows.DecodeRow(f.Payload)
 			if err != nil {
 				continue // unreadable: its session simply does not get it
 			}

@@ -11,8 +11,8 @@ import (
 // Result rows are nearly all of a serving connection's traffic, so MsgRow
 // has a codec of its own that builds no intermediate values: AppendRow
 // writes the bytes AppendFrame(MsgRow, EncodeBag(tag, at, src, WireValue(v)))
-// would, DecodeRow reads them as DecodeBag would. Every other message is a
-// control frame and keeps the generic bag path.
+// would, RowDecoder.DecodeRow reads them as DecodeBag would. Every other
+// message is a control frame and keeps the generic bag path.
 
 // AppendRow encodes one MsgRow frame — length prefix, type byte and the
 // positional bag [tag, at_ns, source, value] — onto buf and returns the
@@ -75,12 +75,21 @@ type Row struct {
 	Value  any
 }
 
+// RowDecoder decodes the MsgRow frames of one connection. It boxes their
+// integers and floats into its slabs, and a row from the same source as the
+// row before shares that row's Source string instead of copying it. A
+// RowDecoder is not safe for concurrent use and must not be copied.
+type RowDecoder struct {
+	boxes  marshal.Boxes
+	source string // the last row's Source
+}
+
 // DecodeRow decodes a MsgRow payload, materializing only what a Row holds.
 // It rejects what DecodeBag(payload, 4) rejects — a malformed or short bag,
 // trailing bytes; trailing fields are checked and ignored — and a tag that
 // is not an integer. An at_ns or source of another type reads as zero, as a
 // field a newer peer redefined would.
-func DecodeRow(payload []byte) (Row, error) {
+func (d *RowDecoder) DecodeRow(payload []byte) (Row, error) {
 	n, off, ok := marshal.BagHeader(payload)
 	if !ok {
 		return Row{}, fmt.Errorf("%w: payload is not a bag", ErrBadPayload)
@@ -91,7 +100,7 @@ func DecodeRow(payload []byte) (Row, error) {
 		var used int
 		var err error
 		if i == 3 {
-			row.Value, used, err = marshal.Decode(field)
+			row.Value, used, err = d.boxes.Decode(field)
 		} else {
 			used, err = marshal.Skip(field)
 		}
@@ -106,7 +115,11 @@ func DecodeRow(payload []byte) (Row, error) {
 		case 1:
 			row.AtNs, _ = marshal.AsInt(field)
 		case 2:
-			row.Source, _ = marshal.AsString(field)
+			// Comparing the bytes as a string allocates nothing.
+			if field[0] != marshal.TagString || string(field[5:used]) != d.source {
+				d.source, _ = marshal.AsString(field)
+			}
+			row.Source = d.source
 		}
 		off += used
 	}

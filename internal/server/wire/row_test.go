@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	"scsq/internal/catalog"
@@ -22,7 +23,7 @@ func refRow(tag, atNs int64, src string, v any) ([]byte, error) {
 	return AppendFrame(nil, MsgRow, payload), nil
 }
 
-// refDecodeRow is what the client's row dispatch did before DecodeRow: the
+// refDecodeRow is what the client's row dispatch did before RowDecoder: the
 // generic bag decode plus its field accessors.
 func refDecodeRow(p []byte) (Row, error) {
 	fields, err := DecodeBag(p, 4)
@@ -70,6 +71,7 @@ func TestAppendRowMatchesReferenceEncoding(t *testing.T) {
 		},
 	}
 	prefix := []byte("earlier frames")
+	var dec RowDecoder
 	for name, v := range values {
 		for _, src := range []string{"", "q1/client"} {
 			want, err := refRow(9, 123_456_789, src, v)
@@ -89,7 +91,7 @@ func TestAppendRowMatchesReferenceEncoding(t *testing.T) {
 				t.Fatalf("%s: AppendRow onto a non-empty buffer: err %v", name, err)
 			}
 			// And the typed decoder reads back what the generic one does.
-			row, err := DecodeRow(got[len(prefix)+5:])
+			row, err := dec.DecodeRow(got[len(prefix)+5:])
 			if err != nil {
 				t.Fatalf("%s: DecodeRow: %v", name, err)
 			}
@@ -126,14 +128,15 @@ func TestDecodeRowVerdicts(t *testing.T) {
 		"at of wrong type":  MustBag(int64(7), "late", "src", int64(1)),
 		"src of wrong type": MustBag(int64(7), int64(5), 2.5, int64(1)),
 	}
+	var dec RowDecoder
 	for name, p := range accept {
-		got, err := DecodeRow(p)
+		got, err := dec.DecodeRow(p)
 		ref, refErr := refDecodeRow(p)
 		if err != nil || refErr != nil || !sameRow(got, ref) {
 			t.Errorf("%s: DecodeRow = %+v, %v; reference %+v, %v", name, got, err, ref, refErr)
 		}
 	}
-	if got, _ := DecodeRow(accept["at of wrong type"]); got.AtNs != 0 || got.Source != "src" {
+	if got, _ := dec.DecodeRow(accept["at of wrong type"]); got.AtNs != 0 || got.Source != "src" {
 		t.Errorf("mistyped at_ns decoded as %+v, want zero at_ns and the source kept", got)
 	}
 	reject := map[string][]byte{
@@ -149,7 +152,7 @@ func TestDecodeRowVerdicts(t *testing.T) {
 	bad := reject["bad trailing field"]
 	bad[len(bad)-1] = 0xff // the fifth field's tag: ignored, but still checked
 	for name, p := range reject {
-		_, err := DecodeRow(p)
+		_, err := dec.DecodeRow(p)
 		_, refErr := refDecodeRow(p)
 		if !errors.Is(err, ErrBadPayload) || refErr == nil {
 			t.Errorf("%s: DecodeRow err = %v (reference %v), want ErrBadPayload from both", name, err, refErr)
@@ -159,7 +162,8 @@ func TestDecodeRowVerdicts(t *testing.T) {
 
 // FuzzDecodeRow is the differential test of the typed row decoder against
 // the generic path it replaced: on every input the same verdict and, when
-// accepted, the same four fields.
+// accepted, the same four fields. One decoder reads every input twice, so a
+// row follows both a row of its own source and one of another.
 func FuzzDecodeRow(f *testing.F) {
 	for _, frame := range fuzzSeedFrames() {
 		f.Add(frame)
@@ -170,20 +174,23 @@ func FuzzDecodeRow(f *testing.F) {
 	f.Add(MustBag(int64(1), int64(2), "s", []float64{1, 2}, "trailing", []any{nil}))
 	f.Add(MustBag("not an int", int64(2), "s", nil))
 	f.Add(MustBag(int64(1), nil, false, []any{[]any{int64(3)}}))
+	var dec RowDecoder
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := DecodeRow(data) // must not panic
 		ref, refErr := refDecodeRow(data)
-		if (err == nil) != (refErr == nil) {
-			t.Fatalf("DecodeRow err = %v, reference err = %v", err, refErr)
-		}
-		if err != nil {
-			if !errors.Is(err, ErrBadPayload) {
-				t.Fatalf("rejection %v is not ErrBadPayload", err)
+		for pass := 0; pass < 2; pass++ {
+			got, err := dec.DecodeRow(data) // must not panic
+			if (err == nil) != (refErr == nil) {
+				t.Fatalf("pass %d: DecodeRow err = %v, reference err = %v", pass, err, refErr)
 			}
-			return
-		}
-		if !sameRow(got, ref) {
-			t.Fatalf("DecodeRow = %+v, reference %+v", got, ref)
+			if err != nil {
+				if !errors.Is(err, ErrBadPayload) {
+					t.Fatalf("rejection %v is not ErrBadPayload", err)
+				}
+				continue
+			}
+			if !sameRow(got, ref) || got.Source != ref.Source {
+				t.Fatalf("pass %d: DecodeRow = %+v, reference %+v", pass, got, ref)
+			}
 		}
 	})
 }
@@ -197,7 +204,6 @@ func TestRowCodecAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frameLen := len(buf)
 	if n := testing.AllocsPerRun(100, func() {
 		buf, _ = AppendRow(buf[:0], 7, 1, "", value)
 	}); n != 0 {
@@ -221,12 +227,24 @@ func TestRowCodecAllocations(t *testing.T) {
 		t.Errorf("Reader.Next: %v allocs per frame, want 0", n)
 	}
 
-	payload := buf[5:frameLen]
-	if n := testing.AllocsPerRun(100, func() {
-		if _, err := DecodeRow(payload); err != nil {
+	// Rows of one source through a warm decoder: the source is the last
+	// row's string, and the value takes a word of a slab shared by 256.
+	buf, _ = AppendRow(buf[:0], 7, 1, "q1/a", value)
+	payload := buf[5:]
+	var dec RowDecoder
+	if _, err := dec.DecodeRow(payload); err != nil {
+		t.Fatal(err)
+	}
+	const rows = 4096
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rows; i++ {
+		if _, err := dec.DecodeRow(payload); err != nil {
 			t.Fatal(err)
 		}
-	}); n > 1 {
-		t.Errorf("DecodeRow: %v allocs, want at most 1 (the value)", n)
+	}
+	runtime.ReadMemStats(&after)
+	if n := float64(after.Mallocs-before.Mallocs) / rows; n > 1.0/64 {
+		t.Errorf("DecodeRow of an integer row through a warm decoder: %v allocs per row, want at most 1/64", n)
 	}
 }

@@ -2,6 +2,7 @@ package sqep
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"scsq/internal/marshal"
@@ -134,12 +135,14 @@ func (g *GenArray) Next() (Element, bool, error) {
 func (g *GenArray) Close() error { return nil }
 
 // Iota implements iota(n, m): the stream of integers n..m inclusive
-// (paper §2.4). An empty stream results when m < n.
+// (paper §2.4). An empty stream results when m < n. Values box into the
+// operator's slabs, each sized by what the stream still has to emit.
 type Iota struct {
 	From, To int64
 
-	next int64
-	done bool
+	next  int64
+	done  bool
+	boxes marshal.Boxes
 }
 
 var _ Operator = (*Iota)(nil)
@@ -156,12 +159,15 @@ func (i *Iota) Open(*Ctx) error {
 
 // Next implements Operator.
 func (i *Iota) Next() (Element, bool, error) {
-	if i.done || i.next > i.To {
+	if i.done {
 		return Element{}, false, nil
 	}
 	v := i.next
-	i.next++
-	return Element{Value: v}, true, nil
+	i.done, i.next = v == i.To, v+1 // v+1 wraps only past math.MaxInt64, once done
+	// To-v is exact as a uint64 even across the whole int64 range; the
+	// count still to emit, v included, saturates instead of wrapping to 0.
+	left := min(uint64(i.To-v), math.MaxUint64-1) + 1
+	return Element{Value: i.boxes.Int(v, left)}, true, nil
 }
 
 // Close implements Operator.

@@ -2,6 +2,7 @@ package sqep
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -110,6 +111,39 @@ func TestIota(t *testing.T) {
 	}
 	if got := drainValues(t, NewIota(-2, 1), nil); len(got) != 4 {
 		t.Errorf("iota(-2,1) = %v, want 4 elements", got)
+	}
+}
+
+// TestIotaEndsAtTheInt64Bounds: a range reaching either end of int64 emits
+// its values and ends, without wrapping around, and the whole range starts
+// as any other (its slab hint does not overflow).
+func TestIotaEndsAtTheInt64Bounds(t *testing.T) {
+	for _, c := range []struct {
+		from, to int64
+		want     []int64 // then the stream ends; nil: the first values only
+	}{
+		{math.MaxInt64 - 1, math.MaxInt64, []int64{math.MaxInt64 - 1, math.MaxInt64}},
+		{math.MaxInt64, math.MaxInt64, []int64{math.MaxInt64}},
+		{math.MinInt64, math.MinInt64 + 1, []int64{math.MinInt64, math.MinInt64 + 1}},
+		{math.MinInt64, math.MaxInt64, nil},
+	} {
+		it := NewIota(c.from, c.to)
+		if err := it.Open(testCtx()); err != nil {
+			t.Fatal(err)
+		}
+		n := len(c.want)
+		if c.want == nil {
+			n = 600 // past two slabs
+		}
+		for k := 0; k < n; k++ {
+			el, ok, err := it.Next()
+			if want := c.from + int64(k); !ok || err != nil || el.Value != any(want) {
+				t.Fatalf("iota(%d,%d) value %d = %#v, %t, %v; want %d", c.from, c.to, k, el.Value, ok, err, want)
+			}
+		}
+		if _, ok, _ := it.Next(); ok && c.want != nil {
+			t.Errorf("iota(%d,%d) emits past %d", c.from, c.to, c.to)
+		}
 	}
 }
 
