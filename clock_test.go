@@ -12,7 +12,7 @@ import (
 
 // The scheduler's policy clock runs on the engine's own progress: every test
 // here goes through the public API and none ticks the clock by hand. A run
-// TTL counts a session's progress from its own first element, whatever ran
+// TTL counts a session's progress from its admission instant, whatever ran
 // before it, on whichever nodes, across Reset.
 
 // figure5On is Figure 5 with the counter on BG node counter and the

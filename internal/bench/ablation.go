@@ -23,8 +23,8 @@ func ablation(producers []int, bufBytes int, w workload) ([]Point, error) {
 		return nil, fmt.Errorf("bench: buffer size must be positive, got %d", bufBytes)
 	}
 	// One engine serves every repetition: the selector is a pure function of
-	// the (reset) node database, so only the virtual clocks need rewinding
-	// between runs.
+	// the (reset) node database, so only the devices need freeing between
+	// runs.
 	eng, err := core.NewEngine(core.Config{MPIBufferBytes: bufBytes})
 	if err != nil {
 		return nil, err

@@ -215,8 +215,8 @@ func reading(x, series, unit string, v float64) Point {
 // returns the measured bandwidth in Mbps for the given payload volume. The
 // engine is Reset afterwards, so one engine serves a whole repetition loop:
 // the control plane (coordinators, poller) is built once per measurement
-// point instead of once per repeat, and the virtual clocks still start every
-// run from zero.
+// point instead of once per repeat, and every run starts on free devices and
+// reads its makespan from its own start.
 func runQueryOn(eng *core.Engine, src string, payloadBytes int64) (float64, error) {
 	ev := scsql.NewEvaluator(eng, nil)
 	res, err := ev.Exec(src)

@@ -31,8 +31,7 @@ func multiTenant(tenants []int, streams int, w workload) ([]Point, error) {
 		return nil, err
 	}
 	// One engine serves the whole sweep: each runTenants batch gets a fresh
-	// scheduler, and Engine.Reset rewinds the virtual clocks between
-	// batches.
+	// scheduler, and Engine.Reset frees the devices between batches.
 	eng, err := core.NewEngine()
 	if err != nil {
 		return nil, err

@@ -118,7 +118,9 @@ func CrashAfterSends(cluster hw.ClusterName, node, n int) Option {
 }
 
 // CrashAtVTime schedules node (cluster, node) to crash at the first frame
-// it touches whose ready time is at or after t.
+// it touches whose ready time is at or after t. Ready times are read on the
+// engine's one timeline, the kernel's clock, which Reset does not rewind: t
+// counts from the engine's first session, not from the one that crashes.
 func CrashAtVTime(cluster hw.ClusterName, node int, t vtime.Time) Option {
 	return func(i *Injector) { i.crashAtV[NodeRef{Cluster: cluster, Node: node}] = t }
 }

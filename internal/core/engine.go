@@ -90,9 +90,11 @@ type Engine struct {
 	sched   QueryScheduler       // attached multi-tenant scheduler, or nil
 	closed  bool
 	// clock is the attached scheduler's policy clock, or nil. Every element
-	// of every query reads it (queryCtx.Advance), so it is an atomic rather
-	// than a field behind e.mu.
+	// of every query reads it (observe), so it is an atomic rather than a
+	// field behind e.mu.
 	clock atomic.Pointer[VTimeObserver]
+	// advance is observe, bound once: the emit func of every RP's agent.
+	advance func(vtime.Time)
 	// stop closes on Engine.Close: the reap signal for failure-path helper
 	// goroutines (early-close inbox drains) whose inboxes are never closed.
 	stop chan struct{}
@@ -254,6 +256,7 @@ func NewEngine(opts ...Option) (*Engine, error) {
 		syscat:      catalog.NewRegistry(),
 		stop:        make(chan struct{}),
 	}
+	e.advance = e.observe
 	e.mpi.SetMetrics(e.reg)
 	e.tcp.SetMetrics(e.reg)
 	if cfg.Supervision != nil {
@@ -351,7 +354,7 @@ func (e *Engine) Close() error {
 }
 
 // Reset retires every query scope — leftover SP allocations are released,
-// edges dropped, metric keys and busy time folded — and rewinds every
+// edges dropped, metric keys and busy time folded — and frees every
 // virtual resource, preparing the engine for an independent query run. While
 // any query's streams are still draining it refuses with ErrQueriesActive —
 // resetting under an active stream would leave RP goroutines blocked on
@@ -629,7 +632,7 @@ func (e *Engine) buildProc(sp *SP, node int) (*rp.RP, bool, error) {
 		Owner:   sp.qc.id,
 		Cancel:  sp.qc,
 	}
-	ctx.Agent = e.env.Kernel().Join(sp.qc.id, sp.qc.advance)
+	ctx.Agent = e.env.Kernel().Join(sp.qc.id, e.advance)
 	b := &PlanBuilder{qc: sp.qc, cluster: sp.cluster, node: node, spID: sp.id, agent: ctx.Agent}
 	op, err := sp.sub(b)
 	if err != nil {

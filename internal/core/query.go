@@ -3,10 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"scsq/internal/carrier"
 	"scsq/internal/metrics"
@@ -49,16 +47,6 @@ type queryCtx struct {
 	// metrics holds the metric blocks of the query's processes.
 	metrics *metrics.Scope
 
-	// advance is Advance, bound once: the emit func of every agent of the
-	// query.
-	advance func(vtime.Time)
-
-	// offset is o(q) − f(q): the policy clock when the query reported its
-	// first element, minus that element's time (unstarted until then). It
-	// counts the query's progress from wherever the clock stood, so what
-	// ran before it — on other nodes, or before a Reset — cannot swallow it.
-	offset atomic.Int64
-
 	mu     sync.Mutex
 	sps    []*SP
 	nextID int // per-query RP counter, so ids don't depend on admission order
@@ -78,29 +66,6 @@ type queryCtx struct {
 	// plan's agent so it looks at it.
 	cancelCh chan struct{}
 	client   *vtime.Agent // the client plan's drain, once ClientPlan built it
-}
-
-// unstarted marks a query that has not reported an element yet.
-const unstarted = math.MinInt64
-
-// Advance is the emit func of the query's agents: every element its
-// processes emit raises the attached scheduler's policy clock to o(q) + (at − f(q)),
-// the query's own progress counted from the clock o(q) at its first element
-// f(q). The clock never goes backwards, and the feed takes no lock.
-func (qc *queryCtx) Advance(at vtime.Time) {
-	p := qc.eng.clock.Load()
-	if p == nil {
-		return
-	}
-	clock := *p
-	off := qc.offset.Load()
-	if off == unstarted {
-		off = int64(clock.VNow().Sub(at))
-		if !qc.offset.CompareAndSwap(unstarted, off) {
-			off = qc.offset.Load()
-		}
-	}
-	clock.ObserveVTime(at.Add(vtime.Duration(off)))
 }
 
 // Done and Cause make a queryCtx the sqep.CancelSignal of its operators:
@@ -299,9 +264,7 @@ func (e *Engine) BeginQuery() (*Query, error) {
 		charged: make([]*vtime.Resource, 0, 16),
 	}
 	qc.handle.qc = qc
-	qc.advance = qc.Advance
 	qc.metrics = e.reg.OpenScope(qc.id)
-	qc.offset.Store(unstarted)
 	e.queries[qc.id] = qc
 	return &qc.handle, nil
 }
@@ -408,13 +371,20 @@ type QueryScheduler interface {
 
 // VTimeObserver is optionally implemented by an attached scheduler whose
 // policy clock (deadlines, retry backoff, live sys_* streams) runs on
-// virtual time. The clock runs on the engine's own progress, always: every
-// element any process emits is reported, and the engine raises the clock to
-// that query's progress since its first element (queryCtx.Advance), read
-// from VNow when the first one arrives. No decision reads the wall clock.
+// virtual time. The clock runs on the engine's own progress, always: the
+// time of every element any stream process emits is reported, on the
+// kernel's one timeline (observe). No decision reads the wall clock.
 type VTimeObserver interface {
 	ObserveVTime(t vtime.Time)
-	VNow() vtime.Time
+}
+
+// observe is the emit func of every stream process's agent: the element's
+// time goes to the attached scheduler's policy clock as it is. The feed
+// takes no lock.
+func (e *Engine) observe(at vtime.Time) {
+	if p := e.clock.Load(); p != nil {
+		(*p).ObserveVTime(at)
+	}
 }
 
 // CapacityObserver is optionally implemented by an attached scheduler that

@@ -93,7 +93,7 @@ func TestEveryExitRetiresOnce(t *testing.T) {
 		// live takes q up to its exit; what is left to do is retire it.
 		live func(t *testing.T, e *Engine, q *Query)
 		// reset retires through Engine.Reset instead of Query.Retire; the
-		// clocks rewind with it, so busy time is not compared.
+		// devices are freed with it, so busy time is not compared.
 		reset bool
 		// ran: the query moved frames, so there must be something to fold.
 		ran bool

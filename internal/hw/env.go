@@ -81,7 +81,8 @@ type Env struct {
 	psetSize int
 
 	// kernel orders every grant the processes running on this hardware make
-	// (vtime.Kernel); Reset rewinds it with the resources.
+	// (vtime.Kernel). Its clock is the one timeline: Reset leaves it where
+	// it stands.
 	kernel vtime.Kernel
 
 	// Contention multiplicities of the open streams — back-end→BlueGene
@@ -352,10 +353,10 @@ func (e *Env) Resources() []*vtime.Resource {
 // their turns in.
 func (e *Env) Kernel() *vtime.Kernel { return &e.kernel }
 
-// Reset returns every resource and the kernel to virtual time zero and
-// clears the stream counts. Use between experiment repetitions.
+// Reset frees every resource and clears the stream counts. Use between
+// experiment repetitions. The kernel's clock goes on: the next run starts
+// where the last one ended, on devices nothing has reserved.
 func (e *Env) Reset() {
-	e.kernel.Reset()
 	for _, n := range e.bg {
 		n.CPU.Reset()
 		n.Coproc.Reset()

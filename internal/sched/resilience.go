@@ -2,12 +2,9 @@
 // retries, and the policy sweep that enforces both.
 //
 // The scheduler's policy clock is s.alarms — a monotone virtual time that
-// always runs on the engine's own progress: every element any process emits
-// is reported through ObserveVTime, raised to that query's progress since its
-// first element (core's queryCtx.Advance). A query's progress is counted
-// from wherever the clock stood when it started, so a run TTL counts the
-// session's own virtual time whatever ran before it, on whichever nodes,
-// across Reset; and the clock never reads the wall clock.
+// always runs on the engine's own progress: the time of every element any
+// stream process emits is reported through ObserveVTime, on the kernel's one
+// timeline, and the clock never reads the wall clock.
 //
 // A harness may still tick ObserveVTime by hand where time must pass while
 // nothing runs — the soak driver's gated rounds expire queued sessions that
@@ -40,7 +37,7 @@ func (s *Scheduler) ObserveVTime(t vtime.Time) {
 	}
 }
 
-// VNow implements core.VTimeObserver: the policy clock's current instant.
+// VNow is the policy clock's current instant.
 func (s *Scheduler) VNow() vtime.Time { return s.alarms.Now() }
 
 // NodeDied implements core.CapacityObserver: a node left the pool, so

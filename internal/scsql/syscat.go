@@ -132,8 +132,9 @@ type vtimeTicker interface {
 // stream that emits the full table on open, then — on each advance of the
 // scheduler's virtual policy clock — only the rows whose values changed
 // since the previous poll. Requires an attached scheduler: virtual time is
-// the pacing source (the engine's progress, via Scheduler.ObserveVTime), so
-// observation never injects wall-clock nondeterminism into the run.
+// the pacing source (the times the engine's processes emit, on the kernel's
+// one timeline, via Scheduler.ObserveVTime), so observation never injects
+// wall-clock nondeterminism into the run.
 func (ev *Evaluator) compileStreamOfSys(t *catalog.Table, call *Call, env *scope) (sqep.Operator, error) {
 	pattern, err := ev.sysPattern(t, call, env)
 	if err != nil {

@@ -58,7 +58,8 @@ const idleWorkers = 20 * time.Millisecond
 // worker (iter.Pull) and regains control when it parks, so a handoff is two
 // coroutine switches.
 //
-// The kernel's time (Now) is the least mark of the agents in it — running,
+// The kernel's time (Now) is the engine's one virtual timeline, and it
+// never goes back. While agents live it is the least mark of those running,
 // runnable or parked on credit. An agent's mark bounds the ready time of
 // what it submits next: its start, raised by what it emits, set to the
 // arrival of the frame that wakes it from its inbox and lowered to the
@@ -66,7 +67,10 @@ const idleWorkers = 20 * time.Millisecond
 // there. One parked on its inbox submits nothing before its next frame, so
 // it holds nobody back. No request is then ready before the kernel's time,
 // and Agent.Submit prunes at it; a process resumed after waiting outside
-// the kernel (Wait, a tick) resumes at the kernel's time.
+// the kernel (Wait, a tick) resumes at the kernel's time. Once the last
+// live agent is done, the kernel's time moves up to the greatest mark it has
+// seen: a process started after the ones before it have ended starts no
+// earlier than the last thing they did.
 //
 // The zero value is a kernel at time zero with no agents.
 type Kernel struct {
@@ -79,6 +83,7 @@ type Kernel struct {
 	cond    sync.Cond // on mu: the driver, Pause and Await wait here
 	idle    []*worker // workers whose process ended
 	trim    *time.Timer
+	high    Time // the greatest mark an agent has had
 	now     atomic.Int64
 	least   atomic.Int64 // 1 + the time of runq's least key; 0 when empty
 }
@@ -96,6 +101,7 @@ type Agent struct {
 
 	owner          string // the query id: the key's second part
 	join           uint32 // start order: the key's last tie-break
+	start          Time   // the kernel's time at Go
 	started, ended bool
 
 	state    atomic.Int32
@@ -141,9 +147,6 @@ func newWorker() *worker {
 // Now is the kernel's time.
 func (k *Kernel) Now() Time { return Time(k.now.Load()) }
 
-// Reset rewinds the kernel to time zero. No agent may be live.
-func (k *Kernel) Reset() { k.now.Store(0) }
-
 // wait waits on the kernel's cond. mu must be held.
 func (k *Kernel) wait() {
 	k.cond.L = &mu
@@ -178,9 +181,9 @@ func (k *Kernel) Resume() {
 	mu.Unlock()
 }
 
-// Go runs p as the agent's process: runnable now, at the kernel's time, it
-// runs in its turns until p.Run returns, and then is done. Starting twice is
-// a no-op. A nil agent runs p on a goroutine of its own.
+// Go runs p as the agent's process: runnable now, at the kernel's time — its
+// start — it runs in its turns until p.Run returns, and then is done.
+// Starting twice is a no-op. A nil agent runs p on a goroutine of its own.
 func (a *Agent) Go(p Process) {
 	if a == nil {
 		go p.Run()
@@ -193,10 +196,10 @@ func (a *Agent) Go(p Process) {
 	}
 	k := a.k
 	k.joins++
-	a.started, a.proc, a.join = true, p, k.joins
-	a.mark.Store(int64(k.Now()))
+	a.started, a.proc, a.join, a.start = true, p, k.joins, k.Now()
+	a.mark.Store(int64(a.start))
 	k.live = append(k.live, a)
-	k.push(entry{a: a, at: k.Now()})
+	k.push(entry{a: a, at: a.start})
 }
 
 // Await blocks until the agent's process has ended, or until the agent is
@@ -217,6 +220,10 @@ func (a *Agent) run() {
 
 func (a *Agent) State() State   { return State(a.state.Load()) }
 func (a *Agent) Frontier() Time { return Time(a.frontier.Load()) }
+
+// Start is the kernel's time at Go: the instant the agent's readings count
+// from.
+func (a *Agent) Start() Time { return a.start }
 
 // Emit reports an element emitted at virtual time at: it publishes the
 // frontier and the mark (regressions are ignored) and hands at to the
@@ -253,24 +260,31 @@ func (a *Agent) Done() {
 		unpark(a)
 	}
 	k.live = slices.DeleteFunc(k.live, func(l *Agent) bool { return l == a })
+	if k.high = max(k.high, a.Frontier(), Time(a.mark.Load())); len(k.live) == 0 && k.high > k.Now() {
+		k.now.Store(int64(k.high))
+	}
 	a.ended, a.proc = true, nil
 	k.cond.Broadcast()
 }
 
 // Submit grants reqs on behalf of owner, as vtime.Submit does, in the
-// agent's turn: if a runnable agent's key is less than the chain's first
-// request, the agent hands it the token and waits for its own turn first.
-// The resources prune at the kernel's time.
+// agent's turn: the chain's first request is ready no earlier than the
+// agent's start, and if a runnable agent's key is less than that request's,
+// the agent hands it the token and waits for its own turn first. The
+// resources prune at the kernel's time.
 func (a *Agent) Submit(owner string, reqs []Request) {
 	if a == nil {
 		Submit(owner, reqs)
 		return
 	}
+	if len(reqs) > 0 && reqs[0].Ready < a.start {
+		reqs[0].Ready = a.start
+	}
 	k := a.k
 	// A request ready before every runnable agent goes on without the lock.
 	if l := k.least.Load(); len(reqs) > 0 && l != 0 && reqs[0].Ready >= Time(l-1) && a.w != nil {
 		mu.Lock()
-		e := entry{a: a, at: max(reqs[0].Ready, 0), stream: reqs[0].Stream, seq: reqs[0].Seq}
+		e := entry{a: a, at: reqs[0].Ready, stream: reqs[0].Stream, seq: reqs[0].Seq}
 		if n := len(k.runq); n > 0 && k.runq[n-1].before(&e) {
 			k.push(e)
 			a.suspend()
@@ -435,7 +449,9 @@ func wake(ch unsafe.Pointer, at Time) {
 // kernel's time. mu must be held.
 func (a *Agent) resumeAt(at, m Time) {
 	now := a.k.Now()
-	a.mark.Store(int64(max(m, now)))
+	m = max(m, now)
+	a.k.high = max(a.k.high, m)
+	a.mark.Store(int64(m))
 	a.state.Store(int32(Running))
 	a.k.push(entry{a: a, at: max(at, now)})
 }

@@ -113,6 +113,35 @@ func TestKernelInboxWakesAtArrival(t *testing.T) {
 	}
 }
 
+// TestKernelIdleStandsAtItsEnd: once its last agent is done, a kernel stands
+// at the greatest mark it has seen, so an agent started afterwards starts
+// there, and the first request of each of its chains is ready no earlier.
+func TestKernelIdleStandsAtItsEnd(t *testing.T) {
+	var k Kernel
+	cpu := NewResource("cpu")
+	run := func(body func(a *Agent)) *Agent {
+		a := k.Join("q1", nil)
+		a.Go(procFunc(func() { body(a) }))
+		a.Await()
+		return a
+	}
+	run(func(a *Agent) { a.Emit(70) })
+	if now := k.Now(); now != 70 {
+		t.Fatalf("idle kernel at %v, want the last emit, 70", now)
+	}
+	var q [2]Request
+	a := run(func(a *Agent) {
+		q = [2]Request{{Resource: cpu, Stream: "s", Service: 5}, {Resource: cpu, Stream: "s", Seq: 1, Service: 5}}
+		a.Submit("q1", q[:])
+	})
+	if a.Start() != 70 || q[0].Ready != 70 || q[0].Start != 70 || q[1].End != 80 {
+		t.Fatalf("started at %v, chain ready %v and granted [%v, %v), want 70, 70 and [70, 80)", a.Start(), q[0].Ready, q[0].Start, q[1].End)
+	}
+	if now := k.Now(); now != 70 {
+		t.Fatalf("idle kernel at %v after an agent that emitted nothing, want 70", now)
+	}
+}
+
 // TestDoorDoneReleasesWaiters: a process that ends hands the token on, and
 // Await returns for it — and for an agent failed before it started.
 func TestDoorDoneReleasesWaiters(t *testing.T) {

@@ -297,7 +297,7 @@ func (e *Engine) Close() error {
 }
 
 // Reset prepares the engine for an independent query run: node allocations
-// are released and every virtual resource rewinds to time zero. Function
+// are released and every virtual resource is freed. Function
 // definitions are kept. Reset refuses (with ErrQueriesActive) while any
 // query's streams are still draining — cancel or wait the live sessions
 // first.
@@ -434,8 +434,8 @@ func (s *Stream) One() (any, error) {
 	return s.cs.One()
 }
 
-// Makespan returns the query's virtual completion time (only meaningful
-// after Drain).
+// Makespan returns the query's virtual completion time, counted from its
+// start (only meaningful after Drain).
 func (s *Stream) Makespan() time.Duration {
 	return s.cs.Makespan().Sub(0).Std()
 }
@@ -614,7 +614,8 @@ func publicElement(el sqep.Element) Element {
 // without perturbing concurrent sessions.
 func (s *Session) Cancel() error { return s.q.Cancel() }
 
-// Makespan returns the session's virtual completion time (zero until done).
+// Makespan returns the session's virtual completion time, counted from its
+// admission instant (zero until done).
 func (s *Session) Makespan() time.Duration {
 	return s.q.Makespan().Sub(0).Std()
 }
