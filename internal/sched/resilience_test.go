@@ -361,6 +361,33 @@ and   a=sp(receiver('gen'), 'bg', 1);`)
 	}
 }
 
+// TestRunTTLCountsFromTheSessionsStart: a session that streams arrays out to
+// the client ends with its last element ≈ 21 ms after its RP's last emit, so
+// the kernel then stands past the policy clock, which sees only what RPs
+// emit. A second such session with a 10 ms run TTL runs ≈ 2.25 ms of RP
+// progress from its start: admission raises the policy clock to the
+// kernel's time first, so it completes instead of losing the gap.
+func TestRunTTLCountsFromTheSessionsStart(t *testing.T) {
+	e := newTestEngine(t)
+	s := New(e, nil)
+	defer s.Close()
+	const src = `select extract(a) from sp a where a=sp(gen_array(300000,3),'bg',1);`
+	first, err := s.Submit(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := first.Wait(); err != nil {
+		t.Fatalf("first: %v", err)
+	}
+	second, err := s.Submit(src, SubmitConfig{RunTTL: 10 * vtime.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := second.Wait(); err != nil || second.State() != Done {
+		t.Fatalf("second = %v (%v), want done within its own 10 ms", second.State(), err)
+	}
+}
+
 // TestResilienceOptionsOffAreInert asserts the features-off contract: a
 // scheduler with shedding and retry enabled but no TTLs and a non-full
 // queue produces the identical virtual schedule as a default scheduler.

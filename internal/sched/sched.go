@@ -638,10 +638,12 @@ func (s *Scheduler) admit() {
 	s.admitInTurn()
 }
 
-// admitInTurn is the admission loop, run in a turn the caller holds.
+// admitInTurn is the admission loop, run in a turn the caller holds. The
+// policy clock first rises to the kernel's time, where a session starts.
 func (s *Scheduler) admitInTurn() {
 	s.admitMu.Lock()
 	defer s.admitMu.Unlock()
+	s.alarms.Advance(s.eng.Env().Kernel().Now())
 	s.sweep()
 	for {
 		s.mu.Lock()
