@@ -214,7 +214,7 @@ func reading(x, series, unit string, v float64) Point {
 // runQueryOn executes one SCSQL query on an already-running engine and
 // returns the measured bandwidth in Mbps for the given payload volume. The
 // engine is Reset afterwards, so one engine serves a whole repetition loop:
-// the control plane (coordinators, poller) is built once per measurement
+// the control plane (coordinators, CNDBs) is built once per measurement
 // point instead of once per repeat, and every run starts on free devices and
 // reads its makespan from its own start.
 func runQueryOn(eng *core.Engine, src string, payloadBytes int64) (float64, error) {
@@ -263,9 +263,11 @@ var bufferings = []struct {
 }{{"single", carrier.SingleBuffered}, {"double", carrier.DoubleBuffered}}
 
 // figure6 regenerates Figure 6: intra-BG point-to-point streaming bandwidth
-// versus MPI buffer size for single and double buffering. (Bandwidth depends
-// on per-byte and per-buffer costs only, so array size cancels out of the
-// MPI model.)
+// versus MPI buffer size for single and double buffering. Array size and
+// count do not cancel: the default 20 × 300 kB agrees with the paper's
+// 100 × 3 MB within 0.6 % up to 3 kB buffers, but at 100 kB double
+// buffering reads 187.6 Mbps against 166.0, and at 1 MB double 125.2
+// against 146.2 (EXPERIMENTS.md).
 func figure6(bufs []int, w workload) ([]Point, error) {
 	if err := w.validate(); err != nil {
 		return nil, err

@@ -506,7 +506,7 @@ func soak(cfg soakConfig) (*soakResult, error) {
 		}
 	}
 
-	// Let transient goroutines (drains, pollers, NodeDied kicks) unwind.
+	// Let transient goroutines (drains, kernel workers, NodeDied kicks) unwind.
 	for i := 0; i < 100 && runtime.NumGoroutine() > baseline; i++ {
 		time.Sleep(10 * time.Millisecond)
 	}

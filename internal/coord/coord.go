@@ -4,50 +4,22 @@
 // places new running processes via the node selection algorithm.
 //
 // Because BlueGene's compute node kernel lacks server capabilities (no
-// listen(), accept() or select()), the client manager cannot contact bgCC
-// directly: subqueries destined for the BlueGene are registered with feCC,
-// and bgCC retrieves them by polling — reproduced here by BGPoller. A
-// submission doorbell wakes the poll early so placement does not pay the
-// poll interval.
+// listen(), accept() or select()), the paper's client manager registers
+// BlueGene subqueries with feCC and bgCC retrieves them by polling. That poll
+// is unmodelled here: it charges no virtual time, so the engine places a
+// BlueGene process with a direct PlaceFor on bgCC in the turn that admits
+// its query, and no reading changes.
 package coord
 
 import (
-	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"scsq/internal/cndb"
 	"scsq/internal/hw"
 	"scsq/internal/metrics"
 	"scsq/internal/rp"
 )
-
-// Typed submission failures, so callers can distinguish backpressure from a
-// torn-down control plane.
-var (
-	// ErrBGQueueFull reports that the front-end coordinator's BG placement
-	// queue is at capacity; the request was not registered.
-	ErrBGQueueFull = errors.New("coord: front-end BG placement queue full")
-	// ErrBGPollerStopped reports that the BG polling loop has shut down; a
-	// registered request would never be answered.
-	ErrBGPollerStopped = errors.New("coord: BG poller stopped")
-)
-
-// PlaceResult is the outcome of a placement request.
-type PlaceResult struct {
-	Node int
-	Err  error
-}
-
-// PlaceRequest asks for a BlueGene node allocation; bgCC answers on Reply.
-// Owner is the query id whose lease the allocation is recorded under ("" for
-// anonymous single-query use).
-type PlaceRequest struct {
-	Owner string
-	Seq   *cndb.Sequence
-	Reply chan PlaceResult
-}
 
 // Coordinator is one cluster's coordinator.
 type Coordinator struct {
@@ -62,19 +34,9 @@ type Coordinator struct {
 	// Guarded by mu alongside the state it counts.
 	mKills *metrics.Counter
 
-	// bgQueue holds BlueGene placement requests registered with this
-	// (front-end) coordinator, awaiting the BlueGene coordinator's poll.
-	// bgClosed marks the queue closed for submissions: the poller has shut
-	// down (or is in its final drain) and a new request would never be
-	// answered.
-	bgMu     sync.Mutex
-	bgQueue  chan *PlaceRequest
-	bgClosed bool
-	// bgBell is the poller's doorbell: rung (non-blocking, capacity one) on
-	// every submission so the polling loop wakes immediately instead of
-	// sleeping out its tick — the difference between a ~poll-interval SP
-	// spawn latency and a ~free one.
-	bgBell chan struct{}
+	// bg is the BlueGene coordinator NewBGPoller links a front-end one to
+	// (probe.go); the engine never sets it.
+	bg *Coordinator
 }
 
 // New builds the coordinator for cluster c.
@@ -88,8 +50,6 @@ func New(env *hw.Env, c hw.ClusterName) (*Coordinator, error) {
 		env:     env,
 		db:      db,
 		rps:     make(map[string]*rp.RP),
-		bgQueue: make(chan *PlaceRequest, 1024),
-		bgBell:  make(chan struct{}, 1),
 	}, nil
 }
 
@@ -167,122 +127,4 @@ func (c *Coordinator) RPs() []*rp.RP {
 		out = append(out, p)
 	}
 	return out
-}
-
-// SubmitBGPlacementFor registers a BlueGene placement request with this
-// (front-end) coordinator. The request is answered asynchronously once the
-// BlueGene coordinator polls it: the returned channel receives exactly one
-// result, and the allocation is recorded under the given owner's lease.
-func (c *Coordinator) SubmitBGPlacementFor(owner string, seq *cndb.Sequence) (<-chan PlaceResult, error) {
-	if c.cluster != hw.FrontEnd {
-		return nil, fmt.Errorf("coord: BG placements must be registered with the front-end coordinator, not %q", c.cluster)
-	}
-	c.bgMu.Lock()
-	defer c.bgMu.Unlock()
-	if c.bgClosed {
-		return nil, ErrBGPollerStopped
-	}
-	req := &PlaceRequest{Owner: owner, Seq: seq, Reply: make(chan PlaceResult, 1)}
-	select {
-	case c.bgQueue <- req:
-		select {
-		case c.bgBell <- struct{}{}:
-		default: // bell already rung; one wake drains the whole queue
-		}
-		return req.Reply, nil
-	default:
-		return nil, ErrBGQueueFull
-	}
-}
-
-// closeBGQueue rejects future submissions; requests already queued are still
-// answered by the poller's final drain.
-func (c *Coordinator) closeBGQueue() {
-	c.bgMu.Lock()
-	defer c.bgMu.Unlock()
-	c.bgClosed = true
-}
-
-// pollBG drains pending BG placement requests (called by BGPoller).
-func (c *Coordinator) pollBG() []*PlaceRequest {
-	var out []*PlaceRequest
-	for {
-		select {
-		case req := <-c.bgQueue:
-			out = append(out, req)
-		default:
-			return out
-		}
-	}
-}
-
-// BGPoller is the polling loop with which the BlueGene coordinator
-// retrieves new subqueries from the front-end coordinator.
-type BGPoller struct {
-	fe, bg   *Coordinator
-	interval time.Duration
-	stop     chan struct{}
-	done     chan struct{}
-	stopOnce sync.Once
-}
-
-// NewBGPoller starts the bgCC→feCC polling loop. Call Shutdown to stop it.
-func NewBGPoller(fe, bg *Coordinator, interval time.Duration) (*BGPoller, error) {
-	if fe.cluster != hw.FrontEnd || bg.cluster != hw.BlueGene {
-		return nil, fmt.Errorf("coord: poller needs fe and bg coordinators, got %q and %q", fe.cluster, bg.cluster)
-	}
-	if interval <= 0 {
-		interval = 200 * time.Microsecond
-	}
-	p := &BGPoller{
-		fe:       fe,
-		bg:       bg,
-		interval: interval,
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
-	}
-	go p.loop()
-	return p, nil
-}
-
-func (p *BGPoller) loop() {
-	defer close(p.done)
-	ticker := time.NewTicker(p.interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ticker.C:
-			for _, req := range p.fe.pollBG() {
-				node, err := p.bg.PlaceFor(req.Owner, req.Seq)
-				req.Reply <- PlaceResult{Node: node, Err: err}
-			}
-		case <-p.fe.bgBell:
-			// Doorbell: a submission just landed; answer it without waiting
-			// out the tick.
-			for _, req := range p.fe.pollBG() {
-				node, err := p.bg.PlaceFor(req.Owner, req.Seq)
-				req.Reply <- PlaceResult{Node: node, Err: err}
-			}
-		case <-p.stop:
-			// Final drain so no submitted request is left unanswered.
-			for _, req := range p.fe.pollBG() {
-				node, err := p.bg.PlaceFor(req.Owner, req.Seq)
-				req.Reply <- PlaceResult{Node: node, Err: err}
-			}
-			return
-		}
-	}
-}
-
-// Shutdown stops the polling loop and waits for it to exit. It is safe to
-// call from several goroutines concurrently (the old check-then-close could
-// double-close the stop channel when two Shutdowns raced). Submissions are
-// rejected with ErrBGPollerStopped before the loop stops, so the final drain
-// answers every request that ever got in.
-func (p *BGPoller) Shutdown() {
-	p.stopOnce.Do(func() {
-		p.fe.closeBGQueue()
-		close(p.stop)
-	})
-	<-p.done
 }

@@ -2,9 +2,7 @@ package coord
 
 import (
 	"errors"
-	"sync"
 	"testing"
-	"time"
 
 	"scsq/internal/cndb"
 	"scsq/internal/hw"
@@ -14,57 +12,6 @@ import (
 
 func idleRP(id string, node int) *rp.RP {
 	return rp.New(id, hw.BlueGene, node, sqep.Ctx{}, sqep.NewIota(1, 1))
-}
-
-func TestBGPollerConcurrentShutdown(t *testing.T) {
-	env := testEnv(t)
-	fe := newCoord(t, env, hw.FrontEnd)
-	bg := newCoord(t, env, hw.BlueGene)
-	p, err := NewBGPoller(fe, bg, 50*time.Microsecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The old check-then-close could double-close the stop channel when two
-	// Shutdowns raced; this must not panic.
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			p.Shutdown()
-		}()
-	}
-	wg.Wait()
-}
-
-func TestSubmitAfterShutdownFailsFast(t *testing.T) {
-	env := testEnv(t)
-	fe := newCoord(t, env, hw.FrontEnd)
-	bg := newCoord(t, env, hw.BlueGene)
-	p, err := NewBGPoller(fe, bg, 50*time.Microsecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Shutdown()
-	if _, err := fe.SubmitBGPlacementFor("q1", nil); !errors.Is(err, ErrBGPollerStopped) {
-		t.Fatalf("submit after shutdown = %v, want ErrBGPollerStopped", err)
-	}
-}
-
-func TestSubmitQueueFullFailsFast(t *testing.T) {
-	// A front-end coordinator with no poller never drains its queue, so the
-	// capacity is reachable and the overflow submission must be rejected
-	// with the typed error rather than blocking the placing goroutine.
-	fe := newCoord(t, testEnv(t), hw.FrontEnd)
-	var err error
-	for i := 0; i < 100_000; i++ {
-		if _, err = fe.SubmitBGPlacementFor("q1", nil); err != nil {
-			break
-		}
-	}
-	if !errors.Is(err, ErrBGQueueFull) {
-		t.Fatalf("overflowing the BG queue = %v, want ErrBGQueueFull", err)
-	}
 }
 
 func TestKillNodeFailsResidentRPs(t *testing.T) {

@@ -51,7 +51,6 @@ type Engine struct {
 	netTCP *tcpcar.NetFabric // non-nil in real-socket mode
 	udp    *tcpcar.UDPFabric // non-nil when inbound streams use UDP
 	coords map[hw.ClusterName]*coord.Coordinator
-	poller *coord.BGPoller
 
 	cfg        Config // as NewEngine filled it in: every default explicit
 	clientNode int    // front-end node hosting the client manager
@@ -276,17 +275,9 @@ func NewEngine(opts ...Option) (*Engine, error) {
 		cc.SetMetrics(e.reg)
 		e.coords[c] = cc
 	}
-	// The poll interval is the poller's default: the doorbell rings on every
-	// BlueGene placement, so the tick is only the fallback.
-	poller, err := coord.NewBGPoller(e.coords[hw.FrontEnd], e.coords[hw.BlueGene], 0)
-	if err != nil {
-		return nil, err
-	}
-	e.poller = poller
 	if cfg.RealTCP {
 		nf, err := tcpcar.NewNetFabric(e.tcp)
 		if err != nil {
-			e.poller.Shutdown()
 			return nil, err
 		}
 		e.netTCP = nf
@@ -294,7 +285,6 @@ func NewEngine(opts ...Option) (*Engine, error) {
 	if cfg.UDPInbound != nil {
 		uf, err := tcpcar.NewUDPFabric(cfg.Env, *cfg.UDPInbound)
 		if err != nil {
-			e.poller.Shutdown()
 			return nil, err
 		}
 		uf.SetInjector(e.inj)
@@ -329,10 +319,11 @@ func (e *Engine) Coordinator(c hw.ClusterName) *coord.Coordinator { return e.coo
 // FileTable returns the configured file table (possibly nil).
 func (e *Engine) FileTable() sqep.FileTable { return e.cfg.Files }
 
-// Close shuts the engine down (stopping the bgCC polling loop). Queries in
-// flight must be drained, cancelled, or waited first: Close returns
-// ErrQueriesActive while any query's streams are still moving, instead of
-// tearing the control plane out from under them.
+// Close shuts the engine down: it stops the failure-path helpers and closes
+// the real-socket fabric, if any. Queries in flight must be drained,
+// cancelled, or waited first: Close returns ErrQueriesActive while any
+// query's streams are still moving, instead of tearing the control plane
+// out from under them.
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -346,7 +337,6 @@ func (e *Engine) Close() error {
 	}
 	e.closed = true
 	close(e.stop)
-	e.poller.Shutdown()
 	if e.netTCP != nil {
 		return e.netTCP.Close()
 	}
@@ -562,24 +552,14 @@ func (e *Engine) planned(owner string, c hw.ClusterName, seq *cndb.Sequence, bat
 }
 
 // place allocates a compute node in cluster c under the owning query's
-// lease. BlueGene placements go through the front-end coordinator and are
-// picked up by bgCC's polling loop, because CNK offers no server
-// capabilities.
+// lease. A BlueGene placement is bgCC's PlaceFor like any other: the paper's
+// poll of feCC is unmodelled (package coord).
 func (e *Engine) place(owner string, c hw.ClusterName, seq *cndb.Sequence) (int, error) {
 	cc, ok := e.coords[c]
 	if !ok {
 		return 0, fmt.Errorf("core: unknown cluster %q", c)
 	}
-	seq = e.planned(owner, c, seq, 1)
-	if c == hw.BlueGene {
-		reply, err := e.coords[hw.FrontEnd].SubmitBGPlacementFor(owner, seq)
-		if err != nil {
-			return 0, err
-		}
-		res := <-reply
-		return res.Node, res.Err
-	}
-	return cc.PlaceFor(owner, seq)
+	return cc.PlaceFor(owner, e.planned(owner, c, seq, 1))
 }
 
 // SP assigns a subquery to a new stream process of q in cluster c,
@@ -668,47 +648,34 @@ func (q *Query) SPV(subs []Subquery, c hw.ClusterName, seq *cndb.Sequence) ([]*S
 	return sps, nil
 }
 
-// spvBG places a BlueGene process bag by submitting every placement request
-// before building any SP: the requests queue at the front-end coordinator
-// together, so one poller wake-up (or one poll tick) answers the whole bag
-// instead of each instance paying its own round trip. The replies arrive in
-// submission order — bgCC answers its poll queue in order, and plan builds
-// do not touch the node database — so the allocations are the ones the
-// serial loop would have made.
+// spvBG places a BlueGene process bag: it plans the whole bag at once, so
+// the planner sees the batch size and orders the candidates with lookahead,
+// places every instance along the one planned sequence, and only then
+// builds. Plan builds do not touch the node database, so the allocations are
+// the ones the serial SP loop would make. Every node it does not build on is
+// released once.
 func (e *Engine) spvBG(qc *queryCtx, subs []Subquery, seq *cndb.Sequence) ([]*SP, error) {
-	fe := e.coords[hw.FrontEnd]
 	bg := e.coords[hw.BlueGene]
-	// Plan the whole bag at once: the planner sees the batch size and
-	// orders the candidates with lookahead, and every request of the bag
-	// walks the one planned sequence.
 	walk := e.planned(qc.id, hw.BlueGene, seq, len(subs))
-	replies := make([]<-chan coord.PlaceResult, 0, len(subs))
-	// drainFrom releases the nodes of requests we will not build on.
-	drainFrom := func(i int) {
-		for _, r := range replies[i:] {
-			if res := <-r; res.Err == nil {
-				bg.ReleaseFor(qc.id, res.Node)
-			}
+	nodes := make([]int, 0, len(subs))
+	release := func(nodes []int) {
+		for _, n := range nodes {
+			bg.ReleaseFor(qc.id, n)
 		}
 	}
 	for i := range subs {
-		reply, err := fe.SubmitBGPlacementFor(qc.id, walk)
+		node, err := bg.PlaceFor(qc.id, walk)
 		if err != nil {
-			drainFrom(0)
+			release(nodes)
 			return nil, fmt.Errorf("core: spv[%d]: core: sp(%q): %w", i, hw.BlueGene, err)
 		}
-		replies = append(replies, reply)
+		nodes = append(nodes, node)
 	}
 	sps := make([]*SP, 0, len(subs))
-	for i, reply := range replies {
-		res := <-reply
-		if res.Err != nil {
-			drainFrom(i + 1)
-			return nil, fmt.Errorf("core: spv[%d]: core: sp(%q): %w", i, hw.BlueGene, res.Err)
-		}
-		sp, err := e.newPlacedSP(qc, subs[i], hw.BlueGene, seq, res.Node)
+	for i, node := range nodes {
+		sp, err := e.newPlacedSP(qc, subs[i], hw.BlueGene, seq, node)
 		if err != nil {
-			drainFrom(i + 1)
+			release(nodes[i+1:])
 			return nil, fmt.Errorf("core: spv[%d]: %w", i, err)
 		}
 		sps = append(sps, sp)

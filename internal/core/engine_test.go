@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"slices"
 	"testing"
 
 	"scsq/internal/cndb"
@@ -166,5 +168,97 @@ func TestInboundQuery1Shape(t *testing.T) {
 	// b and c went to distinct BG nodes (naive next-available selection).
 	if b.Node() == c.Node() {
 		t.Errorf("b and c share BG node %d; CNK allows one process per node", b.Node())
+	}
+}
+
+// TestSPVBagLargerThanFreeBGNodes: a BlueGene bag is placed whole before any
+// instance is built. A bag the free nodes cannot hold fails with
+// cndb.ErrNoAvailableNode and holds nothing — no lease under its owner, no
+// process registered, every node it did get released once — while the
+// query holding the other nodes keeps them. A bag that fits lands on the
+// nodes the serial SP loop picks, in the same order.
+func TestSPVBagLargerThanFreeBGNodes(t *testing.T) {
+	iota1 := func(*PlanBuilder) (sqep.Operator, error) { return sqep.NewIota(1, 1), nil }
+	bag := func(n int) []Subquery {
+		subs := make([]Subquery, n)
+		for i := range subs {
+			subs[i] = iota1
+		}
+		return subs
+	}
+	e, err := NewEngine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	bg := e.coords[hw.BlueGene]
+	size := e.env.ClusterSize(hw.BlueGene)
+	const free = 2
+	holder := beginQuery(t, e)
+	if _, err := holder.SPV(bag(size-free), hw.BlueGene, nil); err != nil {
+		t.Fatalf("holder bag: %v", err)
+	}
+	q := beginQuery(t, e)
+	if _, err := q.SPV(bag(free+1), hw.BlueGene, nil); !errors.Is(err, cndb.ErrNoAvailableNode) {
+		t.Fatalf("bag of %d over %d free nodes = %v, want ErrNoAvailableNode", free+1, free, err)
+	}
+	if n := bg.DB().LeaseCount(q.ID()); n != 0 {
+		t.Errorf("failed bag left %d leases", n)
+	}
+	if n := q.SPCount(); n != 0 {
+		t.Errorf("failed bag holds %d processes", n)
+	}
+	if n := len(bg.RPs()); n != size-free {
+		t.Errorf("%d processes registered on the BlueGene, want the holder's %d", n, size-free)
+	}
+	if n := bg.DB().LeaseCount(holder.ID()); n != size-free {
+		t.Errorf("holder keeps %d leases, want %d", n, size-free)
+	}
+	allocated := 0
+	for id := 0; id < size; id++ {
+		allocated += bg.DB().AllocatedCount(id)
+	}
+	if allocated != size-free {
+		t.Errorf("%d BlueGene nodes allocated, want %d", allocated, size-free)
+	}
+
+	// A fitting bag along psetrr() against the serial SP loop on a fresh
+	// engine each.
+	nodes := func(place func(q *Query, seq *cndb.Sequence) []*SP) []int {
+		e, err := NewEngine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		seq, err := cndb.PsetRR(e.env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ids []int
+		for _, sp := range place(beginQuery(t, e), seq) {
+			ids = append(ids, sp.Node())
+		}
+		return ids
+	}
+	spv := nodes(func(q *Query, seq *cndb.Sequence) []*SP {
+		sps, err := q.SPV(bag(5), hw.BlueGene, seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sps
+	})
+	serial := nodes(func(q *Query, seq *cndb.Sequence) []*SP {
+		var sps []*SP
+		for _, sub := range bag(5) {
+			sp, err := q.SP(sub, hw.BlueGene, seq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sps = append(sps, sp)
+		}
+		return sps
+	})
+	if !slices.Equal(spv, serial) || !slices.Equal(spv, []int{0, 8, 16, 24, 1}) {
+		t.Errorf("spv placed %v, serial SP loop %v, want both [0 8 16 24 1]", spv, serial)
 	}
 }

@@ -403,9 +403,8 @@ func TestGracefulDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	// Warm the engine (its lazy background goroutines — coordinator
-	// pollers — belong to the engine, not the server) before taking the
-	// goroutine baseline the drain must return to.
+	// Warm the engine (its kernel's workers belong to the engine, not the
+	// server) before taking the goroutine baseline the drain must return to.
 	if s, err := eng.Submit(`select count(sys_nodes());`); err != nil {
 		t.Fatal(err)
 	} else if _, err := s.Wait(); err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -405,6 +406,39 @@ func TestCloseIdempotent(t *testing.T) {
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestIdleEngineRunsNothing: an engine with no query in flight holds no
+// goroutine. New starts none (bgCC places in the admitting turn; it does not
+// poll), and once a drained query's kernel workers outlive their idle
+// retention (20 ms, vtime's idleWorkers) the count is back at the baseline
+// taken before New.
+func TestIdleEngineRunsNothing(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	eng := newEngine(t)
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Fatalf("New left %d goroutines running, baseline %d\n%s", n, baseline, goroutines())
+	}
+	stream, err := eng.Query(`select extract(b) from sp a, sp b where b=sp(count(extract(a)), 'bg') and a=sp(iota(1,4), 'bg');`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := stream.One(); err != nil || v != int64(4) {
+		t.Fatalf("v=%v err=%v, want 4", v, err)
+	}
+	time.Sleep(20 * time.Millisecond)
+	for i := 0; i < 200 && runtime.NumGoroutine() > baseline; i++ {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Fatalf("an idle engine holds %d goroutines, baseline %d\n%s", n, baseline, goroutines())
+	}
+}
+
+// goroutines is every goroutine's stack, for a failure message.
+func goroutines() []byte {
+	buf := make([]byte, 1<<20)
+	return buf[:runtime.Stack(buf, true)]
 }
 
 func TestConcurrentSessionsPublicAPI(t *testing.T) {
