@@ -1,6 +1,7 @@
 package scsq_test
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -105,6 +106,49 @@ and   a=sp(gen_array(30000,10), 'bg', 1);`)
 		}
 		eng.Close()
 	}
+}
+
+// BenchmarkP2PFrames is the p2p_frames workload's op on a warm engine:
+// Figure 5's query — 20 arrays of 300 kB from BlueGene node 1 counted on
+// node 0 — with 1 000 B MPI buffers, Query, Drain and Reset. Each of its
+// ≈ 6 000 frames is marshaled, charged on the MPI link's route, committed
+// by the kernel and received, so it reports the wall time and allocations
+// per frame (link.frames.* of the engine's telemetry) besides the op's.
+func BenchmarkP2PFrames(b *testing.B) {
+	eng, err := scsq.New(scsq.WithMPIBufferBytes(1000))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer eng.Close()
+	src := scsql.Figure5Query(300000, 20)
+	op := func() {
+		stream, err := eng.Query(src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		els, err := stream.Drain()
+		if err != nil || len(els) != 1 || els[0].Value != int64(20) {
+			b.Fatalf("got %v, %v, want one count of 20", els, err)
+		}
+		if err := eng.Reset(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	op()
+	frames := func() float64 { return float64(eng.MetricsSnapshot().SumCounters("link.frames.")) }
+	var before, after runtime.MemStats
+	first := frames()
+	runtime.ReadMemStats(&before)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		op()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	n := frames() - first
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/frame")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/frame")
 }
 
 // repeatQuery runs repeatQuery6's statement once the way a figure point

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
-	"sync"
 	"sync/atomic"
 
 	"scsq/internal/hw"
@@ -24,8 +23,8 @@ func (n NodeRef) String() string { return string(n.Cluster) + ":" + strconv.Itoa
 // order, each stage starting when the previous one released the frame.
 // Stages[0] is the sender-side device — its end is the instant the send
 // buffer becomes reusable, and it is the only stage a lost frame pays. A
-// stage's service is evaluated when the frame is sent; a stage that depends
-// on contention multiplicities reads them once, at the link's first frame,
+// stage charges a frame through vtime.Stage.Charge; a stage that depends on
+// contention multiplicities reads them once, at the first frame to reach it,
 // and charges every frame for the same.
 type Route struct {
 	// Kind is the carrier ("mpi", "tcp", "udp"): the prefix of the link
@@ -99,12 +98,10 @@ type Link struct {
 	mDrops   *metrics.Counter
 	hDeliver *metrics.Histogram
 
-	abort chan struct{}
-	torn  atomic.Bool
-
-	mu     sync.Mutex
-	seq    uint64
-	closed bool
+	abort  chan struct{}
+	torn   atomic.Bool
+	closed atomic.Bool
+	seq    atomic.Uint64 // the next frame's sequence number
 }
 
 // NewLink opens a connection over r that delivers into inbox. faults is
@@ -161,25 +158,17 @@ const StageBits = 8
 // to the receiver. The returned instant is when the sender-side stage
 // released the frame.
 func (l *Link) Send(fr Frame) (vtime.Time, error) {
-	l.mu.Lock()
-	closed := l.closed
-	seq := l.seq
-	if !closed {
-		l.seq++
-	}
-	l.mu.Unlock()
 	// Once Send is called the link owns the frame, success or failure:
 	// every error path recycles a pooled payload, so senders never touch it
 	// again (a retry re-pools a fresh copy).
-	if closed {
+	if l.closed.Load() {
 		Recycle(&fr)
 		return 0, ErrClosed
 	}
-	select {
-	case <-l.abort:
+	seq := l.seq.Add(1) - 1
+	if l.torn.Load() {
 		Recycle(&fr)
 		return 0, l.aborted()
-	default:
 	}
 	s := len(fr.Payload)
 	v := l.faults.OnSend(l.route.Src, l.route.Dst, seq, fr.Ready, s, fr.Last)
@@ -214,7 +203,7 @@ func (l *Link) Send(fr Frame) (vtime.Time, error) {
 	for i := 0; i < len(stages); {
 		run := buf[:min(len(buf), len(stages)-i)]
 		for k := range run {
-			run[k] = vtime.Request{Resource: stages[i+k].Resource, Stream: fr.Source, Seq: fr.Seq<<StageBits | uint64(i+k), Ready: t, Service: stages[i+k].Service(s)}
+			run[k] = vtime.Request{Resource: stages[i+k].Resource, Stream: fr.Source, Seq: fr.Seq<<StageBits | uint64(i+k), Ready: t, Service: stages[i+k].Charge(s)}
 		}
 		l.Sender.Submit(owner, run)
 		if i == 0 {
@@ -285,8 +274,6 @@ func (l *Link) Abort() {
 // contention modeling outlives it: virtual-time penalties must not depend on
 // the wall-clock order in which producers happen to finish.
 func (l *Link) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.closed = true
+	l.closed.Store(true)
 	return nil
 }

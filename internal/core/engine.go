@@ -55,10 +55,6 @@ type Engine struct {
 	cfg        Config // as NewEngine filled it in: every default explicit
 	clientNode int    // front-end node hosting the client manager
 
-	// cacheFactor is env.Cost.CacheFactor, bound once: a method value copies
-	// the whole cost model, which every MPI sender and receiver would pay.
-	cacheFactor func(bufBytes int) float64
-
 	inj *chaos.Injector // nil without Config.Chaos
 	sup *Supervisor     // nil without Config.Supervision
 
@@ -170,8 +166,8 @@ type Config struct {
 	Tracer *metrics.Tracer
 
 	// window is the per-connection flow-control window: frames an inbox
-	// buffers before the producer blocks (zero: 4). A test seam, like
-	// kernelBatch: the window bounds wall-side buffering only.
+	// buffers before the producer blocks (zero: 4). A test seam, but an input
+	// to the virtual schedule, not to wall-side buffering only (EXPERIMENTS.md).
 	window int
 	// kernelBatch bounds the receivers' batched reservation commits (zero:
 	// DefaultKernelBatch). Values of one or less commit per frame (the serial
@@ -243,17 +239,16 @@ func NewEngine(opts ...Option) (*Engine, error) {
 	}
 
 	e := &Engine{
-		env:         cfg.Env,
-		cacheFactor: cfg.Env.Cost.CacheFactor,
-		mpi:         mpicar.NewFabric(cfg.Env),
-		tcp:         tcpcar.NewFabric(cfg.Env),
-		coords:      make(map[hw.ClusterName]*coord.Coordinator, 3),
-		cfg:         cfg,
-		queries:     make(map[string]*queryCtx),
-		inj:         cfg.Chaos,
-		reg:         metrics.NewRegistry(),
-		syscat:      catalog.NewRegistry(),
-		stop:        make(chan struct{}),
+		env:     cfg.Env,
+		mpi:     mpicar.NewFabric(cfg.Env),
+		tcp:     tcpcar.NewFabric(cfg.Env),
+		coords:  make(map[hw.ClusterName]*coord.Coordinator, 3),
+		cfg:     cfg,
+		queries: make(map[string]*queryCtx),
+		inj:     cfg.Chaos,
+		reg:     metrics.NewRegistry(),
+		syscat:  catalog.NewRegistry(),
+		stop:    make(chan struct{}),
 	}
 	e.advance = e.observe
 	e.mpi.SetMetrics(e.reg)
@@ -894,7 +889,7 @@ func (e *Engine) connectAs(qc *queryCtx, producers []*SP, cc hw.ClusterName, cn 
 	switch cc {
 	case hw.BlueGene:
 		rcfg.TCPPerByte = e.env.Cost.BGCPUByte
-		rcfg.CacheFactor = e.cacheFactor
+		rcfg.Cost = &e.env.Cost
 		rcfg.MergeSwitchCost = e.env.Cost.BGMergeSwitchCost
 	case hw.BackEnd:
 		rcfg.TCPPerByte = e.env.Cost.BeCPUByte
@@ -952,7 +947,7 @@ func (e *Engine) wireProducer(p *SP, proc *rp.RP, pn int, w wiring) error {
 			BufBytes:       e.cfg.MPIBufferBytes,
 			Mode:           e.cfg.Buffering,
 			MarshalPerByte: e.env.Cost.BGMarshalByte,
-			CacheFactor:    e.cacheFactor,
+			Cost:           &e.env.Cost,
 			CPU:            prodNode.CPU,
 		}
 	} else {

@@ -154,7 +154,7 @@ func DefaultCostModel() CostModel {
 
 // CacheFactor returns the cache-pressure multiplier for a buffer of s bytes:
 // 1 for buffers up to the torus packet size, growing logarithmically above.
-func (m CostModel) CacheFactor(s int) float64 {
+func (m *CostModel) CacheFactor(s int) float64 {
 	if s <= m.TorusPacketBytes || m.TorusPacketBytes <= 0 {
 		return 1
 	}
@@ -163,15 +163,11 @@ func (m CostModel) CacheFactor(s int) float64 {
 
 // Packets returns the number of torus packets a buffer of s payload bytes
 // occupies (minimum one: 1 KB is the smallest torus message).
-func (m CostModel) Packets(s int) int {
+func (m *CostModel) Packets(s int) int {
 	if s <= 0 {
 		return 1
 	}
-	k := (s + m.TorusPacketBytes - 1) / m.TorusPacketBytes
-	if k < 1 {
-		k = 1
-	}
-	return k
+	return max(1, (s+m.TorusPacketBytes-1)/m.TorusPacketBytes)
 }
 
 // ScaleInboundFixed returns a copy of the model with the per-message fixed

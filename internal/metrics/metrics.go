@@ -113,15 +113,15 @@ func (g *Gauge) Value() int64 {
 const histBuckets = 65
 
 // Histogram aggregates virtual durations into power-of-two buckets. All
-// operations are atomic; bucket contents, count, sum, min and max are
-// order-independent, so concurrent recording is deterministic. The zero
-// value is usable; a nil *Histogram records nothing.
+// operations are atomic and order-independent, so concurrent recording is
+// deterministic; the count is the buckets' sum, read with them. The zero
+// value is usable and empty; a nil *Histogram records nothing.
 type Histogram struct {
-	count   atomic.Int64
-	sum     atomic.Int64
-	min     atomic.Int64 // valid only when count > 0; initialized lazily
-	max     atomic.Int64
-	minInit sync.Once
+	sum atomic.Int64
+	// lo and hi only grow: lo is MaxInt64 XOR the least duration observed,
+	// hi MinInt64 XOR the greatest, both read unsigned, so zero stands for
+	// "none yet" (+∞ and −∞).
+	lo, hi  atomic.Uint64
 	buckets [histBuckets]atomic.Int64
 }
 
@@ -133,56 +133,37 @@ func bucketIndex(d vtime.Duration) int {
 	return bits.Len64(uint64(d))
 }
 
+// raise sets a to v if v is greater.
+func raise(a *atomic.Uint64, v uint64) {
+	for cur := a.Load(); v > cur && !a.CompareAndSwap(cur, v); cur = a.Load() {
+	}
+}
+
 // Observe records one virtual duration.
 func (h *Histogram) Observe(d vtime.Duration) {
 	if h == nil {
 		return
 	}
-	h.minInit.Do(func() { h.min.Store(math.MaxInt64) })
-	h.count.Add(1)
+	// The bucket goes last: a reader that counts it sees the bounds.
 	h.sum.Add(int64(d))
+	raise(&h.lo, uint64(d)^math.MaxInt64)
+	raise(&h.hi, uint64(d)^1<<63)
 	h.buckets[bucketIndex(d)].Add(1)
-	for {
-		cur := h.min.Load()
-		if int64(d) >= cur || h.min.CompareAndSwap(cur, int64(d)) {
-			break
-		}
-	}
-	for {
-		cur := h.max.Load()
-		if int64(d) <= cur || h.max.CompareAndSwap(cur, int64(d)) {
-			break
-		}
-	}
 }
 
 // merge adds o's observations into h. o must be quiescent.
 func (h *Histogram) merge(o *Histogram) {
-	n := o.count.Load()
-	if n == 0 {
-		return
-	}
-	h.minInit.Do(func() { h.min.Store(math.MaxInt64) })
-	h.count.Add(n)
 	h.sum.Add(o.sum.Load())
 	for i := range h.buckets {
 		h.buckets[i].Add(o.buckets[i].Load())
 	}
-	if lo := o.min.Load(); lo < h.min.Load() {
-		h.min.Store(lo)
-	}
-	if hi := o.max.Load(); hi > h.max.Load() {
-		h.max.Store(hi)
-	}
+	raise(&h.lo, o.lo.Load())
+	raise(&h.hi, o.hi.Load())
 }
 
 // snapshot folds the histogram into its serializable form.
 func (h *Histogram) snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{Count: h.count.Load(), SumNs: h.sum.Load()}
-	if s.Count > 0 {
-		s.MinNs = h.min.Load()
-		s.MaxNs = h.max.Load()
-	}
+	s := HistogramSnapshot{SumNs: h.sum.Load()}
 	for i := 0; i < histBuckets; i++ {
 		if n := h.buckets[i].Load(); n > 0 {
 			upper := int64(0)
@@ -191,8 +172,13 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 			} else if i >= 64 {
 				upper = math.MaxInt64
 			}
+			s.Count += n
 			s.Buckets = append(s.Buckets, Bucket{UpperNs: upper, Count: n})
 		}
+	}
+	if s.Count > 0 {
+		s.MinNs = int64(h.lo.Load() ^ math.MaxInt64)
+		s.MaxNs = int64(h.hi.Load() ^ 1<<63)
 	}
 	return s
 }

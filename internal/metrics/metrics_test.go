@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"encoding/json"
+	"math"
 	"sync"
 	"testing"
 
@@ -82,6 +83,84 @@ func TestHistogramBuckets(t *testing.T) {
 		if want[b.UpperNs] != b.Count {
 			t.Fatalf("bucket upper=%d count=%d, want %d (all: %+v)", b.UpperNs, b.Count, want[b.UpperNs], s.Buckets)
 		}
+	}
+}
+
+// TestHistogramCountIsTheBucketSum: a histogram's count is no field of its
+// own but the sum of its buckets, read when the histogram is read — so every
+// snapshot taken while writers observe counts exactly the buckets it shows,
+// and a snapshot that counts an observation shows the bounds it moved.
+// Writers observe negative and positive durations, within [-lim, lim].
+func TestHistogramCountIsTheBucketSum(t *testing.T) {
+	const writers, per, lim = 4, 2000, 1000
+	var h Histogram
+	var wg sync.WaitGroup
+	for w := range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range per {
+				d := vtime.Duration((w*per+i)%(2*lim+1) - lim)
+				h.Observe(d)
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false
+		default:
+		}
+		s := h.snapshot()
+		var sum int64
+		for _, b := range s.Buckets {
+			sum += b.Count
+		}
+		if s.Count != sum {
+			t.Fatalf("count %d, buckets sum to %d", s.Count, sum)
+		}
+		if s.Count > 0 && (s.MinNs < -lim || s.MaxNs > lim || s.MinNs > s.MaxNs) {
+			t.Fatalf("count %d with min/max %d/%d, want within [%d, %d]", s.Count, s.MinNs, s.MaxNs, -lim, lim)
+		}
+	}
+	if s := h.snapshot(); s.Count != writers*per || s.MinNs != -lim || s.MaxNs != lim {
+		t.Fatalf("count %d min/max %d/%d, want %d %d/%d", s.Count, s.MinNs, s.MaxNs, writers*per, -lim, lim)
+	}
+}
+
+// TestHistogramBoundsAreTheObserved: the zero histogram is empty; min and
+// max are the least and greatest duration observed also when every one is
+// negative, and a merge into an empty histogram — or of an empty one — keeps
+// them.
+func TestHistogramBoundsAreTheObserved(t *testing.T) {
+	var empty, neg, into Histogram
+	if s := empty.snapshot(); s.Count != 0 || s.MinNs != 0 || s.MaxNs != 0 || s.Buckets != nil {
+		t.Fatalf("zero histogram reads %+v, want empty", s)
+	}
+	neg.Observe(-7)
+	neg.Observe(-3)
+	neg.Observe(-5)
+	if s := neg.snapshot(); s.Count != 3 || s.MinNs != -7 || s.MaxNs != -3 || s.SumNs != -15 {
+		t.Fatalf("negative durations read %+v, want count 3, min -7, max -3, sum -15", s)
+	}
+	into.merge(&neg)
+	into.merge(&empty)
+	if s := into.snapshot(); s.Count != 3 || s.MinNs != -7 || s.MaxNs != -3 {
+		t.Fatalf("merged into an empty histogram: %+v, want count 3, min -7, max -3", s)
+	}
+	var pos Histogram
+	pos.Observe(4)
+	into.merge(&pos)
+	if s := into.snapshot(); s.Count != 4 || s.MinNs != -7 || s.MaxNs != 4 {
+		t.Fatalf("merged with a positive one: %+v, want count 4, min -7, max 4", s)
+	}
+	var extremes Histogram
+	extremes.Observe(math.MinInt64)
+	extremes.Observe(math.MaxInt64)
+	if s := extremes.snapshot(); s.MinNs != math.MinInt64 || s.MaxNs != math.MaxInt64 {
+		t.Fatalf("extremes read min/max %d/%d", s.MinNs, s.MaxNs)
 	}
 }
 

@@ -106,22 +106,21 @@ func (f *Fabric) Dial(src, dst int, mode carrier.Buffering, inbox carrier.Inbox)
 	forward := func(s int) vtime.Duration { return packets(m, s, m.FwdFactor) }
 	// Receiver co-processor, with the merge switching penalty: the
 	// single-threaded co-processor switches between its p producers at the
-	// expected alternation rate (p-1)/p. p is read once, at the link's first
-	// frame, in the sender's turn — a query's first frame comes after its
-	// whole build, and admission builds in a turn of its own — and counts
+	// expected alternation rate (p-1)/p. p is read once, at the first frame
+	// to reach dst, in the sender's turn — a query's first frame comes after
+	// its whole build, and admission builds in a turn of its own — and counts
 	// every stream opened into dst since hw.Env.Reset: it does not drop when
 	// a producer finishes, because the virtual-time model must not depend on
 	// wall-clock completion order.
-	producers := -1
+	switching := vtime.Duration(-1)
 	receive := func(s int) vtime.Duration {
-		if producers < 0 {
-			producers = f.env.ProducersOn(dst)
+		if switching < 0 {
+			switching = 0
+			if p := f.env.ProducersOn(dst); p > 1 {
+				switching = scaleDur(m.CoprocSwitchCost, float64(p-1)/float64(p))
+			}
 		}
-		svc := packets(m, s, m.RecvFactor)
-		if p := producers; p > 1 {
-			svc += scaleDur(m.CoprocSwitchCost, float64(p-1)/float64(p))
-		}
-		return svc
+		return packets(m, s, m.RecvFactor) + switching
 	}
 	// The frame starts on the sender's co-processor, which is therefore not
 	// a hop and carries no trace label.

@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"scsq/internal/carrier"
+	"scsq/internal/hw"
 	"scsq/internal/marshal"
 	"scsq/internal/metrics"
 	"scsq/internal/sqep"
@@ -28,9 +29,9 @@ type SenderConfig struct {
 	Mode carrier.Buffering
 	// MarshalPerByte is the CPU cost to marshal one byte.
 	MarshalPerByte float64
-	// CacheFactor, if non-nil, scales CPU work by the buffer-size dependent
+	// Cost, if non-nil, scales CPU work by its buffer-size dependent
 	// cache-pressure factor (used for BG compute nodes).
-	CacheFactor func(bufBytes int) float64
+	Cost *hw.CostModel
 	// FlushPerElement flushes each marshaled object as one frame, however
 	// large, instead of packing fixed-size buffers. The TCP carrier uses
 	// this — applications write whole arrays and rely on the buffering of
@@ -129,8 +130,8 @@ func newSenderDriver(source string, conn carrier.Conn, cfg SenderConfig) (*sende
 	if cfg.Mode != carrier.SingleBuffered && cfg.Mode != carrier.DoubleBuffered {
 		return nil, fmt.Errorf("rp: invalid buffering mode %d", cfg.Mode)
 	}
-	if cfg.CacheFactor != nil {
-		cfg.MarshalPerByte *= cfg.CacheFactor(cfg.BufBytes)
+	if cfg.Cost != nil {
+		cfg.MarshalPerByte *= cfg.Cost.CacheFactor(cfg.BufBytes)
 	}
 	d := &senderDriver{cfg: cfg, conn: conn, source: source}
 	d.seq = &d.ownSeq
@@ -339,9 +340,9 @@ type ReceiverConfig struct {
 	// TCP carrier (a BG compute node's inbound-TCP rate differs from its
 	// MPI rate).
 	TCPPerByte float64
-	// CacheFactor, if non-nil, scales the CPU work for MPI frames by the
+	// Cost, if non-nil, scales the CPU work for MPI frames by its
 	// buffer-size cache-pressure factor.
-	CacheFactor func(bufBytes int) float64
+	Cost *hw.CostModel
 	// MergeSwitchCost is the expected per-frame source-switching cost a
 	// single RP pays when merging several inbound TCP streams; it is
 	// charged as cost·(p−1)/p for p producers, the expected alternation
@@ -398,16 +399,10 @@ type Receiver struct {
 	inbox carrier.Inbox
 	agent *vtime.Agent // the consuming process's (Ctx.Agent, read at Open)
 
-	// bufs holds per-producer reassembly buffers: objects split across
-	// frames continue within one producer's byte stream even when frames
-	// from several producers interleave (merge). A buffer is leased from the
-	// frame pool at the producer's first split object, moves up one size
-	// class at a time as the object's bytes arrive, and goes back when the
-	// producer's stream ends or the receiver is closed.
-	bufs map[string][]byte
-	// nextOff tracks, per producer, the stream offset one past the last
-	// ingested payload byte (TrackOffsets only).
-	nextOff map[string]uint64
+	// prods holds a slot per producer, sized by cfg.Producers; hit is the
+	// slot found last, where the next search starts.
+	prods []producer
+	hit   int
 	// tail is the end of the last de-marshal: the ready floor of the next
 	// batch's chain.
 	tail vtime.Time
@@ -429,10 +424,9 @@ type Receiver struct {
 	// then materialized into arr, which the next one overwrites. arr is
 	// leased from the pool at the first array and goes back once the
 	// consumer has been told the stream is over, or closes the receiver.
-	// unread is set by one that reads no value: skips counts off, per
-	// producer, a value split over frames instead of reassembling it.
+	// unread is set by one that reads no value: a value split over frames
+	// is then counted off (producer.skip) instead of reassembled.
 	reuse, unread bool
-	skips         map[string]skipping
 	arr           []float64
 	lastsSeen     int
 	done          bool
@@ -457,9 +451,9 @@ func NewReceiver(inbox carrier.Inbox, cfg ReceiverConfig) *Receiver {
 		cfg.Producers = 1
 	}
 	r := &Receiver{
-		cfg:     cfg,
-		inbox:   inbox,
-		nextOff: make(map[string]uint64),
+		cfg:   cfg,
+		inbox: inbox,
+		prods: make([]producer, 0, cfg.Producers),
 	}
 	if cfg.Tracer != nil {
 		r.demarshalLane = "demarshal " + cfg.Consumer
@@ -475,6 +469,32 @@ func (r *Receiver) Open(ctx *sqep.Ctx) error {
 		r.agent = ctx.Agent
 	}
 	return nil
+}
+
+// producer is one upstream stream's slot in a receiver. buf is its
+// reassembly buffer: objects split across frames continue within one
+// producer's byte stream even when frames from several producers interleave
+// (merge). It is leased from the frame pool at the producer's first split
+// object, moves up one size class at a time as the object's bytes arrive, and
+// goes back when the producer's stream ends or the receiver is closed.
+// nextOff is the stream offset one past the last ingested payload byte
+// (TrackOffsets), skip an unread value split over frames.
+type producer struct {
+	src     string
+	buf     []byte
+	nextOff uint64
+	skip    skipping
+}
+
+// producer returns src's slot, adding one at src's first frame.
+func (r *Receiver) producer(src string) *producer {
+	if r.hit >= len(r.prods) || r.prods[r.hit].src != src {
+		r.hit = slices.IndexFunc(r.prods, func(p producer) bool { return p.src == src })
+		if r.hit < 0 {
+			r.hit, r.prods = len(r.prods), append(r.prods, producer{src: src})
+		}
+	}
+	return &r.prods[r.hit]
 }
 
 // pendingFrame is one drained frame awaiting its turn to be decoded.
@@ -598,7 +618,8 @@ func (r *Receiver) preprocess(fr carrier.Delivered) error {
 
 	payload, skip := fr.Payload, 0
 	if r.cfg.TrackOffsets && len(payload) > 0 {
-		next := r.nextOff[fr.Source]
+		pr := r.producer(fr.Source)
+		next := pr.nextOff
 		end := fr.Offset + uint64(len(payload))
 		if end <= next {
 			// A full duplicate: a replacement replaying the stream from
@@ -619,7 +640,7 @@ func (r *Receiver) preprocess(fr carrier.Delivered) error {
 		}
 		// Offsets may jump forward past a gap: UDP drops are real losses,
 		// not replays.
-		r.nextOff[fr.Source] = end
+		pr.nextOff = end
 	}
 
 	r.framesIn++
@@ -634,8 +655,8 @@ func (r *Receiver) preprocess(fr carrier.Delivered) error {
 		}
 	} else {
 		svc = vtime.Duration(r.cfg.MPIPerByte * float64(len(payload)))
-		if r.cfg.CacheFactor != nil && len(payload) > 0 {
-			svc = vtime.Duration(float64(svc) * r.cfg.CacheFactor(len(payload)))
+		if r.cfg.Cost != nil && len(payload) > 0 {
+			svc = vtime.Duration(float64(svc) * r.cfg.Cost.CacheFactor(len(payload)))
 		}
 	}
 	r.batch = append(r.batch, pendingFrame{fr: fr, skip: skip})
@@ -695,16 +716,15 @@ func (r *Receiver) decodeNext() (el sqep.Element, ok bool, err error) {
 		// out of the frame payload; otherwise it continues a value being
 		// skipped, or the reassembly buffer and can go back to the pool.
 		r.data = p.payload()
-		if s := r.skips[src]; s.left > 0 {
-			r.off = min(s.left, len(r.data))
-			r.skips[src] = skipping{s.have + r.off, s.left - r.off}
-			ok = r.off == s.left
-		} else if buf := r.bufs[src]; len(buf) > 0 {
-			r.data = appendLease(buf, p.payload())
-			if cap(r.data) != cap(buf) {
-				// buf went back to the pool: forget it before anything fails.
-				r.bufs[src] = r.data
-			}
+		if pr := r.producer(src); pr.skip.left > 0 {
+			r.off = min(pr.skip.left, len(r.data))
+			ok = r.off == pr.skip.left
+			pr.skip = skipping{pr.skip.have + r.off, pr.skip.left - r.off}
+		} else if len(pr.buf) > 0 {
+			// The old lease may be back in the pool: forget it before
+			// anything fails.
+			r.data = appendLease(pr.buf, p.payload())
+			pr.buf = r.data
 			carrier.Recycle(&p.fr.Frame)
 		}
 	}
@@ -726,32 +746,28 @@ func (r *Receiver) decodeNext() (el sqep.Element, ok bool, err error) {
 		}
 	}
 	rest := r.data[r.off:]
+	pr := r.producer(src)
 	if size := r.skipSize(rest); size > 0 {
 		// An unread value's missing bytes are counted off, not kept.
-		if r.skips == nil {
-			r.skips = make(map[string]skipping)
-		}
-		r.skips[src] = skipping{len(rest), size - len(rest)}
+		pr.skip = skipping{len(rest), size - len(rest)}
 		rest = rest[:0]
 	}
-	if len(r.bufs[src]) > 0 {
+	if len(pr.buf) > 0 {
 		// data is the reassembly buffer: slide the remainder to the front so
 		// the lease is reused instead of growing every frame.
-		r.bufs[src] = r.data[:copy(r.data, rest)]
+		pr.buf = r.data[:copy(r.data, rest)]
 	} else if len(rest) > 0 {
 		// Copy out of the (possibly pooled) payload before it is recycled.
-		if r.bufs == nil {
-			r.bufs = make(map[string][]byte)
-		}
-		r.bufs[src] = appendLease(r.bufs[src], rest)
+		pr.buf = appendLease(pr.buf, rest)
 	}
 	last := p.fr.Last
 	r.popStaged()
 	if last {
-		r.releaseBuf(src)
+		carrier.PutBuf(pr.buf)
+		pr.buf = nil
 		undecoded := len(rest)
-		if s := r.skips[src]; s.left > 0 {
-			undecoded = s.have
+		if pr.skip.left > 0 {
+			undecoded = pr.skip.have
 		}
 		if undecoded > 0 {
 			return sqep.Element{}, false, fmt.Errorf("rp: stream from %q ended with %d undecoded bytes", src, undecoded)
@@ -808,7 +824,7 @@ func (r *Receiver) skipSize(rest []byte) int {
 // them a bounded number of times — and goes back to the pool.
 func appendLease(buf, more []byte) []byte {
 	if cap(buf)-len(buf) < len(more) {
-		grown := carrier.GetBuf(max(len(buf)+len(more), 2*cap(buf)))[:len(buf)]
+		grown := leaseBuf(max(len(buf)+len(more), 2*cap(buf)))[:len(buf)]
 		copy(grown, buf)
 		carrier.PutBuf(buf)
 		buf = grown
@@ -816,20 +832,16 @@ func appendLease(buf, more []byte) []byte {
 	return append(buf, more...)
 }
 
-// releaseBuf returns src's reassembly buffer, if it has one, to the pool.
-func (r *Receiver) releaseBuf(src string) {
-	if buf, leased := r.bufs[src]; leased {
-		delete(r.bufs, src)
-		carrier.PutBuf(buf)
-	}
-}
+// leaseBuf leases every reassembly buffer (a test counts the leases).
+var leaseBuf = carrier.GetBuf
 
 // release returns the receiver's leases to the pool. Nothing a consumer can
 // still read lives in them: reassembly bytes never leave the receiver, and
 // arr's last value died when the consumer asked for the next one or closed.
 func (r *Receiver) release() {
-	for src := range r.bufs {
-		r.releaseBuf(src)
+	for i := range r.prods {
+		carrier.PutBuf(r.prods[i].buf)
+		r.prods[i].buf = nil
 	}
 	carrier.PutFloats(r.arr)
 	r.arr = nil

@@ -143,7 +143,7 @@ type leaseProbe struct {
 
 func (p *leaseProbe) Next() (sqep.Element, bool, error) {
 	el, ok, err := p.Receiver.Next()
-	for _, b := range p.Receiver.bufs {
+	for _, b := range held(p.Receiver) {
 		p.leases[&b[:1][0]] = cap(b)
 	}
 	return el, ok, err

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,6 +18,28 @@ import (
 	"scsq/internal/sqep"
 	"scsq/internal/vtime"
 )
+
+// leases counts every reassembly buffer a receiver of this test binary
+// leases: a consumer that must lease none is checked against it.
+var leases atomic.Int64
+
+func init() {
+	leaseBuf = func(n int) []byte {
+		leases.Add(1)
+		return carrier.GetBuf(n)
+	}
+}
+
+// held lists the reassembly buffers r holds now, one per producer slot.
+func held(r *Receiver) [][]byte {
+	var bufs [][]byte
+	for _, p := range r.prods {
+		if p.buf != nil {
+			bufs = append(bufs, p.buf)
+		}
+	}
+	return bufs
+}
 
 // producerFrames runs arrays through a sender driver and returns the frames
 // it emitted (pooled payloads, Last frame included).
@@ -357,6 +380,7 @@ func TestReceiverLifetimeCountAllocates(t *testing.T) {
 					t.Fatal(err)
 				}
 				var before, after runtime.MemStats
+				leased := leases.Load()
 				procs := runtime.GOMAXPROCS(1)
 				runtime.ReadMemStats(&before)
 				el, _, err := c.Next()
@@ -365,8 +389,8 @@ func TestReceiverLifetimeCountAllocates(t *testing.T) {
 				if err != nil || el.Value != int64(arrays) {
 					t.Fatalf("%s: count = %v, %v", s.name, el.Value, err)
 				}
-				if r.arr != nil || r.bufs != nil {
-					t.Errorf("%s: leased an array of %d floats, reassembly buffers %v; want neither", s.name, cap(r.arr), r.bufs)
+				if leased = leases.Load() - leased; r.arr != nil || leased != 0 {
+					t.Errorf("%s: leased an array of %d floats, %d reassembly buffers; want neither", s.name, cap(r.arr), leased)
 				}
 				allocated = min(allocated, after.TotalAlloc-before.TotalAlloc)
 			}
@@ -508,7 +532,7 @@ func TestReceiverRecycleExactlyOnce(t *testing.T) {
 				el, ok, nerr := r.Next()
 				// What the receiver holds now is what it must give back later
 				// (a lease may well be a payload buffer recycled earlier).
-				for _, b := range r.bufs {
+				for _, b := range held(r) {
 					bufs[&b[:1][0]] = cap(b)
 					reassembled = true
 				}
@@ -567,6 +591,90 @@ func TestReceiverRecycleExactlyOnce(t *testing.T) {
 	}
 }
 
+// TestReceiverMergeReplayedPrefix: a receiver merging three producers keeps
+// one slot per producer — its reassembly lease, its stream offset, its
+// counted-off value — whatever the order their frames come in. Every array
+// straddles frames, and producer b fails after three frames: its replacement
+// replays the whole stream in frames cut elsewhere, so the replay starts with
+// duplicates, then one frame overlaps what arrived, then the rest is new.
+// Each consumer — materializing, borrowing, reading nothing — sees every
+// producer's arrays once and in order, and every payload and lease goes back
+// to its pool exactly once.
+func TestReceiverMergeReplayedPrefix(t *testing.T) {
+	for _, use := range []sqep.ValueUse{sqep.Owned, sqep.Borrowed, sqep.Unread} {
+		for _, batch := range []int{1, 16} {
+			want := map[string][][]float64{}
+			var perSrc [][]carrier.Delivered
+			for p, src := range []string{"a", "b", "c"} {
+				for i := range 4 {
+					want[src] = append(want[src], goldenArray(10+p, 10*p+i))
+				}
+				perSrc = append(perSrc, producerFrames(t, src, 64, want[src]))
+			}
+			// b's first three frames came before it failed; the rest are
+			// never sent, and go back to the pool here.
+			const sent = 3
+			for i := range perSrc[1][sent:] {
+				carrier.Recycle(&perSrc[1][sent+i].Frame)
+			}
+			seen := perSrc[1][sent-1].Offset + uint64(len(perSrc[1][sent-1].Payload))
+			replay := producerFrames(t, "b", 40, want["b"])
+			overlaps := slices.ContainsFunc(replay, func(d carrier.Delivered) bool {
+				return d.Offset < seen && seen < d.Offset+uint64(len(d.Payload))
+			})
+			if !overlaps {
+				t.Fatalf("no replayed frame straddles offset %d", seen)
+			}
+			perSrc[1] = append(perSrc[1][:sent], replay...)
+
+			bufs := map[*byte]int{}
+			var frames []carrier.Delivered
+			for i := 0; len(perSrc) > 0; i++ {
+				k := i % len(perSrc)
+				fr := perSrc[k][0]
+				if len(fr.Payload) > 0 {
+					bufs[&fr.Payload[0]] = cap(fr.Payload)
+				}
+				frames = append(frames, fr)
+				if perSrc[k] = perSrc[k][1:]; len(perSrc[k]) == 0 {
+					perSrc = append(perSrc[:k], perSrc[k+1:]...)
+				}
+			}
+			r := NewReceiver(inboxOf(frames), ReceiverConfig{Producers: 3, TrackOffsets: true, BatchFrames: batch})
+			r.UseValues(use)
+			got := map[string][][]float64{}
+			for {
+				el, ok, err := r.Next()
+				for _, b := range held(r) {
+					bufs[&b[:1][0]] = cap(b)
+				}
+				if err != nil {
+					t.Fatalf("use=%d batch=%d: %v", use, batch, err)
+				}
+				if !ok {
+					break
+				}
+				arr, _ := el.Value.([]float64)
+				got[el.Src] = append(got[el.Src], slices.Clone(arr))
+			}
+			if err := r.Close(); err != nil {
+				t.Fatal(err)
+			}
+			for src, arrays := range want {
+				if use == sqep.Unread {
+					arrays = make([][]float64, len(arrays)) // counted, not read
+				}
+				if !reflect.DeepEqual(got[src], arrays) {
+					t.Errorf("use=%d batch=%d: %s delivered %v, want %v", use, batch, src, got[src], arrays)
+				}
+			}
+			if n := inPool(carrier.GetBuf, carrier.PutBuf, bufs); n != len(bufs) {
+				t.Errorf("use=%d batch=%d: %d of %d payloads and reassembly buffers are back in the pool", use, batch, n, len(bufs))
+			}
+		}
+	}
+}
+
 // TestReceiverHeaderBombAllocatesLittle: an array header may claim 2³²−1
 // elements, but storage follows the bytes that arrived — and an Unread
 // receiver, which only counts them off, leases no array and no buffer at all.
@@ -576,18 +684,20 @@ func TestReceiverHeaderBombAllocatesLittle(t *testing.T) {
 	for _, use := range []sqep.ValueUse{sqep.Owned, sqep.Borrowed, sqep.Unread} {
 		r := NewReceiver(inboxOf([]carrier.Delivered{{Frame: carrier.Frame{Source: "p", Payload: payload, Last: true}}}), ReceiverConfig{Producers: 1})
 		r.UseValues(use)
+		leased := leases.Load()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		_, ok, err := r.Next()
 		runtime.ReadMemStats(&after)
+		leased = leases.Load() - leased
 		if want := `rp: stream from "p" ended with 105 undecoded bytes`; ok || err == nil || err.Error() != want {
 			t.Fatalf("use=%d: Next = %t, %v, want %q", use, ok, err, want)
 		}
 		if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
 			t.Errorf("use=%d: a 105-byte stream allocated %d B, want < 64 kB", use, got)
 		}
-		if use == sqep.Unread && (r.arr != nil || r.bufs != nil) {
-			t.Errorf("unread: leased an array of %d floats, reassembly buffers %v", cap(r.arr), r.bufs)
+		if use == sqep.Unread && (r.arr != nil || leased != 0) {
+			t.Errorf("unread: leased an array of %d floats, %d reassembly buffers", cap(r.arr), leased)
 		}
 		if err := r.Close(); err != nil {
 			t.Fatal(err)

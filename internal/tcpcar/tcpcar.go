@@ -122,31 +122,24 @@ func (f *Fabric) dialAs(kind string, src, dst Endpoint, inbox carrier.Inbox) (*C
 			env.RegisterInbound(src.Node, ion.ID)
 		}
 		// The multiplicities the forwarder charges for are read once, at the
-		// link's first frame, in the sender's turn: a query's first frame
-		// comes after its whole build, and admission builds in a turn of its
-		// own (vtime.Kernel.Pause).
-		var mult struct {
-			read           bool
-			streams, peers int
-		}
+		// link's first frame to reach it, in the sender's turn: a query's
+		// first frame comes after its whole build, and admission builds in a
+		// turn of its own (vtime.Kernel.Pause).
+		penalty := vtime.Duration(-1)
 		forwarder := vtime.Stage{Resource: ion.Forwarder, Label: ion.FwdHop, Service: func(s int) vtime.Duration {
-			if !mult.read {
-				mult.read, mult.streams = true, env.StreamsOnIO(ion.ID)
-				if fromBE {
-					mult.peers = env.DistinctBeNodes()
+			if penalty < 0 {
+				penalty = 0
+				// Connection-switching penalty when the I/O node forwards
+				// several concurrent streams, charged at the expected
+				// alternation rate (p-1)/p of p symmetric streams.
+				if p := env.StreamsOnIO(ion.ID); p > 1 {
+					penalty += vtime.Duration(float64(m.IOSwitchCost) * float64(p-1) / float64(p))
+				}
+				if peers := env.DistinctBeNodes(); fromBE && peers > 1 {
+					penalty += vtime.Duration(peers-1) * m.CiodPeerCost
 				}
 			}
-			svc := byteDur(m.IOByte, s)
-			// Connection-switching penalty when the I/O node forwards
-			// several concurrent streams, charged at the expected
-			// alternation rate (p-1)/p of p symmetric streams.
-			if p := mult.streams; p > 1 {
-				svc += vtime.Duration(float64(m.IOSwitchCost) * float64(p-1) / float64(p))
-			}
-			if peers := mult.peers; peers > 1 {
-				svc += vtime.Duration(peers-1) * m.CiodPeerCost
-			}
-			return svc
+			return byteDur(m.IOByte, s) + penalty
 		}}
 		stages = []vtime.Stage{nic(srcNode, m.BeMsgCost), forwarder, tree(ion)}
 	case src.Cluster == hw.BlueGene:

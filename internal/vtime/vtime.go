@@ -97,7 +97,12 @@ type Resource struct {
 	lastEnd Time // latest granted end, kept exact across pruning (FreeAt)
 	floor   Time // prune floor: everything before it is treated as busy
 
-	usedBy map[string]Duration // per-owner busy time, incl. AnonymousOwner; nil until first use
+	// usedBy is the per-owner busy time, incl. AnonymousOwner, nil until
+	// first use. The latest grant's owner is owed more (owed), which settle
+	// folds in when another owner is granted or a reader looks.
+	usedBy map[string]Duration
+	owner  string
+	owed   Duration
 
 	// recorder, when set, observes every granted placement in grant order
 	// (see SetRecorder).
@@ -138,9 +143,21 @@ func (r *Resource) UseAs(owner string, ready Time, service Duration) (start, end
 // frames ("nic be:1", "iofwd io:0"; hw formats them once per environment); a
 // stage with an empty label leaves no hop.
 type Stage struct {
-	Resource *Resource
-	Service  func(bytes int) Duration
-	Label    string
+	Resource  *Resource
+	Service   func(bytes int) Duration
+	Label     string
+	memoBytes int      // one more than the size Charge evaluated last; 0: none
+	memo      Duration // Service(memoBytes-1)
+}
+
+// Charge is Service(bytes), evaluated only for another size than the last:
+// a link's frames are mostly of one size. From its first call on, Service
+// must be a function of bytes; one sender at a time charges a stage.
+func (st *Stage) Charge(bytes int) Duration {
+	if st.memoBytes != bytes+1 {
+		st.memoBytes, st.memo = bytes+1, st.Service(bytes)
+	}
+	return st.memo
 }
 
 // Request is one reservation of a chain passed to Submit. Stream and Seq key
@@ -194,11 +211,11 @@ func (r *Resource) grant(owner string, reqs []Request, prev, floor Time) Time {
 	locked := r != nil && total > 0
 	if locked {
 		r.mu.Lock()
-		if r.usedBy == nil {
-			r.usedBy = make(map[string]Duration)
+		if owner != r.owner {
+			r.settle(owner)
 		}
 		r.used += total
-		r.usedBy[owner] += total
+		r.owed += total
 		r.prune(floor)
 	}
 	for i := range reqs {
@@ -221,6 +238,19 @@ func (r *Resource) grant(owner string, reqs []Request, prev, floor Time) Time {
 		r.mu.Unlock()
 	}
 	return prev
+}
+
+// settle folds what the latest owner is owed into usedBy and makes owner
+// the latest. r.mu must be held.
+func (r *Resource) settle(owner string) {
+	if r.owed > 0 {
+		if r.usedBy == nil {
+			r.usedBy = make(map[string]Duration)
+		}
+		r.usedBy[r.owner] += r.owed
+		r.owed = 0
+	}
+	r.owner = owner
 }
 
 // SetRecorder installs fn, invoked under the resource's lock for every
@@ -336,6 +366,7 @@ func (r *Resource) BusyTime() Duration {
 func (r *Resource) BusyTimeBy(owner string) Duration {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.settle(r.owner)
 	return r.usedBy[owner]
 }
 
@@ -345,6 +376,7 @@ func (r *Resource) BusyTimeBy(owner string) Duration {
 func (r *Resource) OwnerBusy() map[string]Duration {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.settle(r.owner)
 	if len(r.usedBy) == 0 {
 		return nil
 	}
@@ -362,6 +394,7 @@ func (r *Resource) OwnerBusy() map[string]Duration {
 func (r *Resource) FoldOwner(owner string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.settle(r.owner)
 	if d, ok := r.usedBy[owner]; ok {
 		delete(r.usedBy, owner)
 		r.usedBy[RetiredOwner] += d
@@ -377,8 +410,6 @@ func (r *Resource) Reset() {
 	defer r.mu.Unlock()
 	r.busy = r.busy[:0]
 	r.head = 0
-	r.used = 0
-	r.lastEnd = 0
-	r.floor = 0
+	r.used, r.owed, r.lastEnd, r.floor = 0, 0, 0, 0
 	clear(r.usedBy)
 }

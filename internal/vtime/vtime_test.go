@@ -229,3 +229,75 @@ func TestUseAsOwnerAccounting(t *testing.T) {
 		t.Errorf("BusyTime after folding = %v, want 35", r.BusyTime())
 	}
 }
+
+// TestOwnerAccountingSeesWhatIsOwed: a grant adds its charge to what its
+// owner is owed and folds that into the owner table only when another owner
+// is granted or a reader looks. Owners interleave on one resource, some
+// granting several times in a row, and after every second grant one reader
+// — each in turn, so each meets charges no earlier reader folded — must see
+// them: BusyTimeBy and OwnerBusy the owner's total, FoldOwner the total it
+// retires, Reset nothing owed surviving it. The owner totals sum to
+// BusyTime at every look.
+func TestOwnerAccountingSeesWhatIsOwed(t *testing.T) {
+	r := NewResource("coproc")
+	want := map[string]Duration{}
+	steps := []struct {
+		owner string
+		svc   Duration
+	}{
+		{"q1", 10}, {"q1", 5}, {"q2", 7}, {AnonymousOwner, 3}, {"q1", 4}, {"q1", 0},
+		{"q2", 6}, {"q2", 2}, {"q3", 9}, {"q3", 1}, {AnonymousOwner, 8}, {"q1", 11},
+		{"q4", 5}, {"q4", 5}, {"q2", 1}, {"q1", 2},
+	}
+	sum := func(m map[string]Duration) (s Duration) {
+		for _, d := range m {
+			s += d
+		}
+		return s
+	}
+	for i, s := range steps {
+		r.UseAs(s.owner, 0, s.svc)
+		if s.svc > 0 {
+			want[s.owner] += s.svc
+		}
+		if i%2 == 0 {
+			continue
+		}
+		switch i / 2 % 4 {
+		case 0:
+			if got := r.BusyTimeBy(s.owner); got != want[s.owner] {
+				t.Errorf("step %d: BusyTimeBy(%q) = %v, want %v", i, s.owner, got, want[s.owner])
+			}
+		case 1:
+			if got := r.OwnerBusy(); !reflect.DeepEqual(got, want) {
+				t.Errorf("step %d: OwnerBusy = %v, want %v", i, got, want)
+			}
+		case 2:
+			r.FoldOwner(s.owner)
+			want[RetiredOwner] += want[s.owner]
+			delete(want, s.owner)
+			if got := r.OwnerBusy(); !reflect.DeepEqual(got, want) {
+				t.Errorf("step %d: OwnerBusy after FoldOwner(%q) = %v, want %v", i, s.owner, got, want)
+			}
+		case 3:
+			if i == 7 {
+				r.Reset()
+				clear(want)
+				if got := r.OwnerBusy(); got != nil || r.BusyTimeBy(s.owner) != 0 || r.BusyTime() != 0 {
+					t.Errorf("step %d: after Reset OwnerBusy = %v, BusyTimeBy(%q) = %v, BusyTime = %v; want nothing", i, got, s.owner, r.BusyTimeBy(s.owner), r.BusyTime())
+				}
+			}
+		}
+		if got := r.OwnerBusy(); sum(got) != r.BusyTime() {
+			t.Errorf("step %d: owner totals %v sum to %v, BusyTime %v", i, got, sum(got), r.BusyTime())
+		}
+	}
+	// Reset leaves nothing owed: the owner granting next, the one granting
+	// last before it, accounts from zero.
+	r.UseAs("q5", 0, 4)
+	r.Reset()
+	r.UseAs("q5", 0, 3)
+	if got := r.BusyTimeBy("q5"); got != 3 {
+		t.Errorf("after Reset BusyTimeBy(q5) = %v, want 3", got)
+	}
+}
