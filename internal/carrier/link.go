@@ -23,9 +23,9 @@ func (n NodeRef) String() string { return string(n.Cluster) + ":" + strconv.Itoa
 // order, each stage starting when the previous one released the frame.
 // Stages[0] is the sender-side device — its end is the instant the send
 // buffer becomes reusable, and it is the only stage a lost frame pays. A
-// stage charges a frame through vtime.Stage.Charge; a stage that depends on
-// contention multiplicities reads them once, at the first frame to reach it,
-// and charges every frame for the same.
+// stage's service is evaluated when the frame reaches it; a stage that
+// depends on contention multiplicities reads them once, at the first frame to
+// reach it, and charges every frame for the same.
 type Route struct {
 	// Kind is the carrier ("mpi", "tcp", "udp"): the prefix of the link
 	// label and the suffix of the link.deliver_vt.* histogram.
@@ -203,7 +203,7 @@ func (l *Link) Send(fr Frame) (vtime.Time, error) {
 	for i := 0; i < len(stages); {
 		run := buf[:min(len(buf), len(stages)-i)]
 		for k := range run {
-			run[k] = vtime.Request{Resource: stages[i+k].Resource, Stream: fr.Source, Seq: fr.Seq<<StageBits | uint64(i+k), Ready: t, Service: stages[i+k].Charge(s)}
+			run[k] = vtime.Request{Resource: stages[i+k].Resource, Stream: fr.Source, Seq: fr.Seq<<StageBits | uint64(i+k), Ready: t, Service: stages[i+k].Service(s)}
 		}
 		l.Sender.Submit(owner, run)
 		if i == 0 {

@@ -21,11 +21,10 @@ type charge struct {
 }
 
 // TestStageChargeMatchesService: a link charges every stage of every frame
-// what a direct Stage.Service call gives for the frame's size, although a
-// stage evaluates Service only when the size changes. Each case dials the
-// link, sends full, tail and empty frames and, after the first frame, dials
-// another stream that raises the contention multiplicities. A twin
-// environment dials the same and, frame by frame, calls Service on each
+// what a direct Stage.Service call gives for the frame's size. Each case
+// dials the link, sends full, tail and empty frames and, after the first
+// frame, dials another stream that raises the contention multiplicities. A
+// twin environment dials the same and, frame by frame, calls Service on each
 // stage the frame reaches (only the first, for a lost frame). A stage reads
 // its multiplicities at the first frame that reaches it: before the late
 // dial, unless the first frames are lost (UDP), and then after it — so a

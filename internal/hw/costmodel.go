@@ -167,7 +167,11 @@ func (m *CostModel) Packets(s int) int {
 	if s <= 0 {
 		return 1
 	}
-	return max(1, (s+m.TorusPacketBytes-1)/m.TorusPacketBytes)
+	k := (s + m.TorusPacketBytes - 1) / m.TorusPacketBytes
+	if k < 1 {
+		k = 1
+	}
+	return k
 }
 
 // ScaleInboundFixed returns a copy of the model with the per-message fixed

@@ -135,8 +135,10 @@ func (f *Fabric) dialAs(kind string, src, dst Endpoint, inbox carrier.Inbox) (*C
 				if p := env.StreamsOnIO(ion.ID); p > 1 {
 					penalty += vtime.Duration(float64(m.IOSwitchCost) * float64(p-1) / float64(p))
 				}
-				if peers := env.DistinctBeNodes(); fromBE && peers > 1 {
-					penalty += vtime.Duration(peers-1) * m.CiodPeerCost
+				if fromBE {
+					if peers := env.DistinctBeNodes(); peers > 1 {
+						penalty += vtime.Duration(peers-1) * m.CiodPeerCost
+					}
 				}
 			}
 			return byteDur(m.IOByte, s) + penalty

@@ -143,21 +143,9 @@ func (r *Resource) UseAs(owner string, ready Time, service Duration) (start, end
 // frames ("nic be:1", "iofwd io:0"; hw formats them once per environment); a
 // stage with an empty label leaves no hop.
 type Stage struct {
-	Resource  *Resource
-	Service   func(bytes int) Duration
-	Label     string
-	memoBytes int      // one more than the size Charge evaluated last; 0: none
-	memo      Duration // Service(memoBytes-1)
-}
-
-// Charge is Service(bytes), evaluated only for another size than the last:
-// a link's frames are mostly of one size. From its first call on, Service
-// must be a function of bytes; one sender at a time charges a stage.
-func (st *Stage) Charge(bytes int) Duration {
-	if st.memoBytes != bytes+1 {
-		st.memoBytes, st.memo = bytes+1, st.Service(bytes)
-	}
-	return st.memo
+	Resource *Resource
+	Service  func(bytes int) Duration
+	Label    string
 }
 
 // Request is one reservation of a chain passed to Submit. Stream and Seq key
@@ -410,6 +398,9 @@ func (r *Resource) Reset() {
 	defer r.mu.Unlock()
 	r.busy = r.busy[:0]
 	r.head = 0
-	r.used, r.owed, r.lastEnd, r.floor = 0, 0, 0, 0
+	r.used = 0
+	r.owed = 0
+	r.lastEnd = 0
+	r.floor = 0
 	clear(r.usedBy)
 }
