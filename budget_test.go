@@ -20,7 +20,7 @@ import (
 // and each number only goes down. Raising a limit here is a design decision
 // to argue for, not a fix.
 const (
-	maxWithOptions       = 19    // exported With* functions outside _test.go (target ≤ 30)
+	maxWithOptions       = 18    // exported With* functions outside _test.go (target ≤ 30)
 	maxInternalPackages  = 21    // directories directly under internal/ with non-test .go files (target ≤ 22)
 	maxWireMessages      = 13    // Msg* constants of internal/server/wire
 	maxEngineMethods     = 11    // exported methods of (*scsq.Engine)
@@ -184,14 +184,14 @@ func TestSurfaceBudget(t *testing.T) {
 	}
 }
 
-// doorFiles are where processes run — the process packages, and the client
-// plan's drain (core.ClientStream.Drain), an agent of the kernel like every
-// process: every channel operation in their non-test files goes through the
+// doorFiles are where processes run — the process packages, the carriers
+// that deliver their frames, and the client plan's drain
+// (core.ClientStream.Drain), an agent of the kernel like every process: every channel operation in their non-test files goes through the
 // kernel's door (vtime.Recv, vtime.Send, vtime.Wait), so the kernel knows
 // where each process is parked and hands the token on. keptChannelOps are
 // the functions whose bare operations park no process.
 var (
-	doorFiles      = []string{"internal/rp/*.go", "internal/carrier/*.go", "internal/sqep/*.go", "internal/core/client.go"}
+	doorFiles      = []string{"internal/rp/*.go", "internal/carrier/*.go", "internal/tcpcar/*.go", "internal/mpicar/*.go", "internal/sqep/*.go", "internal/core/client.go"}
 	keptChannelOps = map[string]bool{
 		"RP.Wait": true, // a caller outside the process waits for it to end
 	}

@@ -52,17 +52,12 @@ func run(args []string, out io.Writer, sig <-chan os.Signal) error {
 		tlsCert  = fs.String("tls-cert", "", "TLS certificate file (with -tls-key enables TLS)")
 		tlsKey   = fs.String("tls-key", "", "TLS private key file")
 		mpiBuf   = fs.Int("mpibuf", 64*1024, "MPI driver send-buffer size in bytes")
-		realNet  = fs.Bool("realtcp", false, "carry cross-cluster streams over real loopback sockets")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	opts := []scsq.Option{scsq.WithMPIBufferBytes(*mpiBuf)}
-	if *realNet {
-		opts = append(opts, scsq.WithRealTCP())
-	}
-	eng, err := scsq.New(opts...)
+	eng, err := scsq.New(scsq.WithMPIBufferBytes(*mpiBuf))
 	if err != nil {
 		return err
 	}

@@ -10,7 +10,7 @@
 // With -connect the shell speaks the SCSQL wire protocol to an scsq-server
 // instead of embedding an engine: statements run as remote scheduler
 // sessions with results streamed back incrementally. Engine-construction
-// flags (-mpibuf, -single, -realtcp) and the per-statement -utilization and
+// flags (-mpibuf, -single) and the per-statement -utilization and
 // -explain reports apply only to the in-process mode.
 //
 // Each query prints its result elements, the virtual makespan, and — with
@@ -75,7 +75,6 @@ func run() error {
 		single  = flag.Bool("single", false, "use single-buffered MPI drivers")
 		util    = flag.Int("utilization", 0, "print the N busiest simulated resources after each query")
 		explain = flag.Bool("explain", false, "print the query's communication topology after each query")
-		realNet = flag.Bool("realtcp", false, "carry cross-cluster streams over real loopback sockets")
 	)
 	flag.Parse()
 
@@ -92,9 +91,6 @@ func run() error {
 		opts := []scsq.Option{scsq.WithMPIBufferBytes(*mpiBuf)}
 		if *single {
 			opts = append(opts, scsq.WithSingleBuffering())
-		}
-		if *realNet {
-			opts = append(opts, scsq.WithRealTCP())
 		}
 		eng, err := scsq.New(opts...)
 		if err != nil {

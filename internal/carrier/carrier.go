@@ -154,8 +154,8 @@ type Conn interface {
 var ErrClosed = errors.New("carrier: connection closed")
 
 // ErrDialTimeout is the typed error for a carrier dial that did not complete
-// in time (injected by the chaos layer, or a real socket timeout). It is
-// transient: DialRetry retries it with exponential backoff.
+// in time (injected by the chaos layer). It is transient: DialRetry retries
+// it with exponential backoff.
 var ErrDialTimeout = errors.New("carrier: dial timeout")
 
 // ErrPeerReset is the typed error for a mid-stream connection reset. It is

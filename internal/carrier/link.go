@@ -79,9 +79,6 @@ type Link struct {
 	// number and loses the frame when it reports true (UDP's seeded datagram
 	// loss). Set it before the first Send.
 	Lose func(seq uint64) bool
-	// Sink, if set, receives charged frames instead of the inbox (a real
-	// socket). It owns the frame it is handed. Set it before the first Send.
-	Sink func(Delivered) error
 	// Sender is the producing process in its kernel: a Send submits the
 	// route in its turn and parks it on credit while the receiving inbox is
 	// full. Nil parks nothing. Set it before the first Send.
@@ -242,14 +239,10 @@ func (l *Link) Send(fr Frame) (vtime.Time, error) {
 	return senderFree, nil
 }
 
-// deliver hands a charged frame to the sink or the receiving inbox, where it
-// wakes the receiver at its arrival and flow control parks its sender, unless
-// the link is aborted (a torn stream must not wedge its producer on flow
-// control).
+// deliver hands a charged frame to the receiving inbox, where it wakes the
+// receiver at its arrival and flow control parks its sender, unless the link
+// is aborted (a torn stream must not wedge its producer on flow control).
 func (l *Link) deliver(d Delivered) error {
-	if l.Sink != nil {
-		return l.Sink(d)
-	}
 	if !vtime.Send(l.Sender, l.Receiver, l.inbox, d, d.At, l.abort) {
 		Recycle(&d.Frame)
 		return l.aborted()

@@ -163,12 +163,11 @@ func TestDialRetryAbsorbsTransientFailures(t *testing.T) {
 	}
 }
 
-// TestChaosOverRealTCPMatchesInProcess: the socket carrier wraps the same
-// charging link as the in-process one, so a seeded injector's verdicts land
-// the same way over both — a Query-1-style run counts the same arrays, drops
-// included, and its makespan stays inside TestRealTCPMatchesInProcess's 10 %
-// band.
-func TestChaosOverRealTCPMatchesInProcess(t *testing.T) {
+// TestChaosInboundCount: a seeded injector's verdicts land on the charging
+// link, so a Query-1-style run of 3 × 12 arrays counts exactly the arrays
+// that survive it — 33 of 36 under a 20 % drop rate, and every one when
+// frames are only delayed.
+func TestChaosInboundCount(t *testing.T) {
 	const n, size, count = 3, 20_000, 12
 	for _, tc := range []struct {
 		name  string
@@ -179,21 +178,13 @@ func TestChaosOverRealTCPMatchesInProcess(t *testing.T) {
 		{"delay", chaos.DelayRate(0.3, 200*vtime.Microsecond), n * count},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(opts ...Option) (int64, vtime.Time) {
-				e, err := NewEngine(append(opts, Config{Chaos: chaos.New(5, tc.fault)})...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer e.Close()
-				return runInboundCount(t, e, n, size, count)
+			e, err := NewEngine(Config{Chaos: chaos.New(5, tc.fault)})
+			if err != nil {
+				t.Fatal(err)
 			}
-			wantCount, wantSpan := run()
-			gotCount, gotSpan := run(Config{RealTCP: true})
-			if wantCount != tc.want || gotCount != wantCount {
-				t.Fatalf("count in process %d, over sockets %d; want %d both ways", wantCount, gotCount, tc.want)
-			}
-			if diff := gotSpan - wantSpan; diff > wantSpan/10 || -diff > wantSpan/10 {
-				t.Fatalf("makespan over sockets %v diverges from in-process %v by more than 10%%", gotSpan, wantSpan)
+			defer e.Close()
+			if got, _ := runInboundCount(t, e, n, size, count); got != tc.want {
+				t.Fatalf("count = %d, want %d", got, tc.want)
 			}
 		})
 	}

@@ -38,8 +38,8 @@ func TestZeroConfigIsTheDefault(t *testing.T) {
 		t.Errorf("MPI buffer %d, %v, window %d, kernel batch %d; want 65536, double, 4, 16",
 			e.cfg.MPIBufferBytes, e.cfg.Buffering, e.cfg.window, e.cfg.kernelBatch)
 	}
-	if e.cfg.Files != nil || e.cfg.Sources != nil || e.netTCP != nil || e.udp != nil || e.inj != nil || e.sup != nil || e.cfg.Tracer != nil {
-		t.Error("a zero Config attached a file table, source, socket or UDP carrier, injector, supervisor or tracer")
+	if e.cfg.Files != nil || e.cfg.Sources != nil || e.udp != nil || e.inj != nil || e.sup != nil || e.cfg.Tracer != nil {
+		t.Error("a zero Config attached a file table, source, UDP carrier, injector, supervisor or tracer")
 	}
 }
 

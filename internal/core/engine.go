@@ -48,7 +48,6 @@ type Engine struct {
 	env    *hw.Env
 	mpi    *mpicar.Fabric
 	tcp    *tcpcar.Fabric
-	netTCP *tcpcar.NetFabric // non-nil in real-socket mode
 	udp    *tcpcar.UDPFabric // non-nil when inbound streams use UDP
 	coords map[hw.ClusterName]*coord.Coordinator
 
@@ -128,11 +127,6 @@ type Config struct {
 	// Buffering selects single or double buffering for the MPI drivers
 	// (zero: carrier.DoubleBuffered, as in the paper's SCSQ).
 	Buffering carrier.Buffering
-	// RealTCP carries cross-cluster streams over real loopback TCP sockets
-	// (length-prefixed frames, one connection per stream) instead of
-	// in-process channels. Virtual-time results are identical; the mode
-	// exercises the actual network stack.
-	RealTCP bool
 	// UDPInbound, when set, carries back-end → BlueGene streams over the I/O
 	// nodes' UDP service instead of TCP (paper §2.1: the I/O nodes provide
 	// TCP or UDP), dropping datagrams at the deterministic rate
@@ -143,9 +137,7 @@ type Config struct {
 	// Chaos attaches a seeded fault injector (nil: none): every carrier dial
 	// and frame send consults it, and node-crash schedules propagate to the
 	// coordinators (the crashed node is marked dead, its resident RPs are
-	// killed). Over RealTCP the socket carrier wraps the same charging link,
-	// so it sees the same verdicts: a dropped frame never reaches the
-	// socket, a delayed one is charged late.
+	// killed).
 	Chaos *chaos.Injector
 	// Supervision, when set, enables supervised re-placement: when a source
 	// RP dies of a node failure, the supervisor re-places it via its
@@ -191,7 +183,6 @@ func (c Config) apply(dst *Config) {
 	}
 	dst.MPIBufferBytes = cmp.Or(c.MPIBufferBytes, dst.MPIBufferBytes)
 	dst.Buffering = cmp.Or(c.Buffering, dst.Buffering)
-	dst.RealTCP = cmp.Or(c.RealTCP, dst.RealTCP)
 	dst.UDPInbound = cmp.Or(c.UDPInbound, dst.UDPInbound)
 	dst.Chaos = cmp.Or(c.Chaos, dst.Chaos)
 	dst.Supervision = cmp.Or(c.Supervision, dst.Supervision)
@@ -270,13 +261,6 @@ func NewEngine(opts ...Option) (*Engine, error) {
 		cc.SetMetrics(e.reg)
 		e.coords[c] = cc
 	}
-	if cfg.RealTCP {
-		nf, err := tcpcar.NewNetFabric(e.tcp)
-		if err != nil {
-			return nil, err
-		}
-		e.netTCP = nf
-	}
 	if cfg.UDPInbound != nil {
 		uf, err := tcpcar.NewUDPFabric(cfg.Env, *cfg.UDPInbound)
 		if err != nil {
@@ -314,9 +298,8 @@ func (e *Engine) Coordinator(c hw.ClusterName) *coord.Coordinator { return e.coo
 // FileTable returns the configured file table (possibly nil).
 func (e *Engine) FileTable() sqep.FileTable { return e.cfg.Files }
 
-// Close shuts the engine down: it stops the failure-path helpers and closes
-// the real-socket fabric, if any. Queries in flight must be drained,
-// cancelled, or waited first: Close returns ErrQueriesActive while any
+// Close shuts the engine down: it stops the failure-path helpers. Queries in
+// flight must be drained, cancelled, or waited first: Close returns ErrQueriesActive while any
 // query's streams are still moving, instead of tearing the control plane
 // out from under them.
 func (e *Engine) Close() error {
@@ -332,9 +315,6 @@ func (e *Engine) Close() error {
 	}
 	e.closed = true
 	close(e.stop)
-	if e.netTCP != nil {
-		return e.netTCP.Close()
-	}
 	return nil
 }
 
@@ -908,8 +888,8 @@ func (e *Engine) wireProducer(p *SP, proc *rp.RP, pn int, w wiring) error {
 	if err != nil {
 		return err
 	}
-	// Every carrier's connection is (or, over a real socket, wraps) a
-	// carrier.Link; the link dialed last names the stream.
+	// Every carrier's connection is a carrier.Link; the link dialed last
+	// names the stream.
 	var link *carrier.Link
 	intraBG := p.cluster == hw.BlueGene && w.cc == hw.BlueGene
 	conn, err := carrier.DialRetry(carrier.DefaultRetryPolicy, func() (carrier.Conn, error) {
@@ -921,13 +901,6 @@ func (e *Engine) wireProducer(p *SP, proc *rp.RP, pn int, w wiring) error {
 			link, derr = e.mpi.Dial(pn, w.cn, e.cfg.Buffering, w.inbox)
 		case e.udp != nil && p.cluster == hw.BackEnd && w.cc == hw.BlueGene:
 			link, derr = e.udp.Dial(src, dst, w.inbox)
-		case e.netTCP != nil:
-			nc, nerr := e.netTCP.Dial(src, dst, w.inbox)
-			if nerr != nil {
-				return nil, nerr
-			}
-			link = nc.Link()
-			return nc, nil
 		default:
 			link, derr = e.tcp.Dial(src, dst, w.inbox)
 		}

@@ -2,7 +2,53 @@ package core
 
 import (
 	"testing"
+
+	"scsq/internal/hw"
+	"scsq/internal/sqep"
+	"scsq/internal/vtime"
 )
+
+// runInboundCount builds a Query-1-style inbound pipeline (n back-end
+// generators merged and counted on the BlueGene) and returns the count and
+// virtual makespan.
+func runInboundCount(t *testing.T, e *Engine, n, size, count int) (int64, vtime.Time) {
+	t.Helper()
+	gen := func(*PlanBuilder) (sqep.Operator, error) {
+		return sqep.NewGenArray(size, count), nil
+	}
+	subs := make([]Subquery, n)
+	for i := range subs {
+		subs[i] = gen
+	}
+	q := beginQuery(t, e)
+	a, err := q.SPV(subs, hw.BackEnd, mustSeq(t, 1))
+	if err != nil {
+		t.Fatalf("spv: %v", err)
+	}
+	b, err := q.SP(func(pb *PlanBuilder) (sqep.Operator, error) {
+		in, err := pb.Merge(a)
+		if err != nil {
+			return nil, err
+		}
+		return sqep.NewStreamOf(sqep.NewCount(in)), nil
+	}, hw.BlueGene, nil)
+	if err != nil {
+		t.Fatalf("sp: %v", err)
+	}
+	cs, err := q.Extract(b)
+	if err != nil {
+		t.Fatalf("extract: %v", err)
+	}
+	v, err := cs.One()
+	if err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	got, ok := v.(int64)
+	if !ok {
+		t.Fatalf("result = %T, want int64", v)
+	}
+	return got, cs.Makespan()
+}
 
 // TestUDPInboundObservesLoss runs a counting query over the lossy UDP
 // inbound path: the count at the BlueGene reveals the dropped arrays,

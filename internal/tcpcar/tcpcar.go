@@ -15,9 +15,7 @@
 // Streams leaving the BlueGene traverse the same stages outward; streams
 // between Linux nodes use the two NICs. Dial builds the path as a
 // carrier.Route; charging, fault injection, tracing and link metrics are
-// carrier.Link's. NetFabric (net.go) carries the frames of such a link over
-// a real loopback socket; UDPFabric (udp.go) loses datagrams on the inbound
-// route.
+// carrier.Link's. UDPFabric (udp.go) loses datagrams on the inbound route.
 package tcpcar
 
 import (
@@ -52,8 +50,7 @@ func (f *Fabric) SetInjector(inj *chaos.Injector) { f.inj = inj }
 
 // SetMetrics attaches a telemetry registry: every connection records
 // per-link frame/byte/drop counters and delivery-latency histograms. It
-// must be called before the first Dial; nil disables recording. The socket
-// carrier (NetFabric) inherits it through the charging fabric.
+// must be called before the first Dial; nil disables recording.
 func (f *Fabric) SetMetrics(reg *metrics.Registry) { f.reg = reg }
 
 // Endpoint names one side of a TCP connection.

@@ -24,9 +24,9 @@ const (
 func (s State) String() string { return [...]string{"running", "inbox", "credit", "tick", "done"}[s] }
 
 // mu guards every kernel and the table of agents parked on channels. The
-// table spans kernels because a caller that is no process — a socket
-// reader, an early-close drain, a poisoned inbox — reaches the agent parked
-// on a channel through the channel alone, and a wake moves that agent into
+// table spans kernels because a caller that is no process — an early-close
+// drain, a poisoned inbox — reaches the agent parked on a channel through
+// the channel alone, and a wake moves that agent into
 // its kernel's run queue under the same lock.
 var (
 	mu     sync.Mutex
@@ -630,10 +630,10 @@ func (a *Agent) Interrupt() {
 }
 
 // Wait receives from a channel the kernel does not mediate — a test's gate,
-// a socket's credit — for agent a: a goroutine of its own blocks on the
-// channel while a is out of the kernel in state why, and a takes its turn
-// again once a value comes or abort closes (ok is false then, or when ch
-// closed).
+// the soak figure's release — for agent a: a goroutine of its own blocks on
+// the channel while a is out of the kernel in state why, and a takes its
+// turn again once a value comes or abort closes (ok is false then, or when
+// ch closed).
 func Wait[T any](a *Agent, why State, ch <-chan T, abort <-chan struct{}) (v T, ok bool) {
 	select {
 	case <-abort:

@@ -121,17 +121,6 @@ func WithSingleBuffering() Option {
 	}
 }
 
-// WithRealTCP carries cross-cluster streams over real loopback TCP sockets
-// instead of in-process channels. Virtual-time results are identical; the
-// mode exercises the actual network stack (framing, partial reads,
-// connection lifecycle).
-func WithRealTCP() Option {
-	return func(c *config) error {
-		c.core.RealTCP = true
-		return nil
-	}
-}
-
 // WithUDPInbound carries back-end → BlueGene streams over the I/O nodes'
 // UDP service instead of TCP (the paper's hardware offers both). UDP is
 // best-effort: datagrams drop at the given deterministic rate, and a

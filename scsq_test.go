@@ -245,8 +245,11 @@ func sysRows(t *testing.T, eng *Engine, stmt string) []catalog.Tuple {
 	return rows
 }
 
-func TestRealTCPModePublicAPI(t *testing.T) {
-	eng := newEngine(t, WithRealTCP())
+// TestInboundCountPublicAPI runs Query 1's shape through the public API:
+// three back-end generators of four arrays each, merged and counted on the
+// BlueGene over TCP.
+func TestInboundCountPublicAPI(t *testing.T) {
+	eng := newEngine(t)
 	stream, err := eng.Query(`
 select extract(b)
 from bag of sp a, sp b, integer n
@@ -261,7 +264,7 @@ and   n=3;`)
 		t.Fatal(err)
 	}
 	if v != int64(12) {
-		t.Errorf("count over real sockets = %v, want 12", v)
+		t.Errorf("count = %v, want 12", v)
 	}
 }
 
