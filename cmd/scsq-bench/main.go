@@ -18,14 +18,18 @@
 //	scsq-bench -fig soak              # seeded chaos soak, all resilience features
 //	scsq-bench -fig soak -tiny        # smoke sizing (place, sysq, serve, soak; the others ignore it)
 //	scsq-bench -fig all -csv          # every figure above, machine readable under one header
-//	scsq-bench -fig 15 -paper-scale   # the paper's 100 × 3 MB arrays (6, 8, 15, ablation, udp, mt)
+//	scsq-bench -fig 6 -paper-scale    # the paper's 100 × 3 MB arrays (6, 8, ablation, mt)
 //	scsq-bench -fig 6 -repeats 1      # measurements per point (not place, serve, soak)
 //	scsq-bench -fig place -out BENCH_place.json   # also write the JSON report
 //	scsq-bench -metrics m.json        # instrumented run → metrics snapshot JSON
 //	scsq-bench -trace t.json          # instrumented run → Perfetto trace JSON
 //
-// By default a scaled workload is used that preserves the paper's curve
-// shapes while running in seconds.
+// Figures 15 and udp always run the paper's 100 × 3 MB arrays. Figures 6, 8,
+// ablation and mt default to 20 × 300 kB arrays, which run in seconds but
+// misdraw Figures 6 and 8 at MPI buffers of 100 kB and up: Figure 6 with
+// double buffering reads 187.6 Mbps against the paper workload's 166.0 at
+// 100 kB, and 125.2 against 146.2 at 1 MB (EXPERIMENTS.md). Read those
+// points from a -paper-scale run.
 package main
 
 import (
@@ -53,7 +57,7 @@ func run(args []string, stdout io.Writer) error {
 	var (
 		fig        = fs.String("fig", "all", "figure to regenerate: "+strings.Join(bench.Names(), ", ")+" or all")
 		tiny       = fs.Bool("tiny", false, "smoke sizing, for the figures that have one")
-		paperScale = fs.Bool("paper-scale", false, "use the paper's 100 × 3 MB arrays (slow)")
+		paperScale = fs.Bool("paper-scale", false, "use the paper's 100 × 3 MB arrays for 6, 8, ablation and mt (slow)")
 		repeats    = fs.Int("repeats", 5, "measurement repetitions per point")
 		csv        = fs.Bool("csv", false, "emit long-form CSV instead of text tables")
 		out        = fs.String("out", "", "also write the JSON report of the run to this file")

@@ -29,7 +29,6 @@ import (
 
 	"scsq/internal/carrier"
 	"scsq/internal/core"
-	"scsq/internal/hw"
 	"scsq/internal/scsql"
 )
 
@@ -83,19 +82,17 @@ var Figures = []Figure{
 	// Ignores Tiny.
 	{"8", "Figure 8 — stream merging: total input bandwidth at node c by MPI buffer size (bytes)",
 		func(s Sizing) ([]Point, error) { return figure8(bufSizes, s.workload(300_000, 20)) }},
-	// Ignores Tiny.
+	// Ignores Tiny and PaperScale: it always runs the paper's workload.
 	{"15", "Figure 15 — BG inbound streaming bandwidth by parallel back-end streams n",
 		func(s Sizing) ([]Point, error) {
-			return figure15([]int{1, 2, 3, 4, 5, 6}, []int{1, 2, 3, 4, 5, 6, 7, 8}, s.workload(100_000, 60))
+			return figure15([]int{1, 2, 3, 4, 5, 6}, []int{1, 2, 3, 4, 5, 6, 7, 8}, s.paper())
 		}},
 	// Ignores Tiny.
 	{"ablation", "Node-selection ablation — k-producer BG merge, naive vs topology-aware placement, by producers k",
 		func(s Sizing) ([]Point, error) { return ablation([]int{2, 3, 4}, 100_000, s.workload(300_000, 20)) }},
-	// Ignores Tiny.
+	// Ignores Tiny and PaperScale: it always runs the paper's workload.
 	{"udp", "UDP inbound (extension) — Query 1 topology over the I/O nodes' UDP service, by loss rate",
-		func(s Sizing) ([]Point, error) {
-			return udpLoss([]float64{0, 0.01, 0.05, 0.1, 0.2}, 4, s.workload(100_000, 60))
-		}},
+		func(s Sizing) ([]Point, error) { return udpLoss([]float64{0, 0.01, 0.05, 0.1, 0.2}, 4, s.paper()) }},
 	// Ignores Tiny.
 	{"mt", "Multi-tenant contention — k concurrent Query-1 instances, by tenants k",
 		func(s Sizing) ([]Point, error) { return multiTenant([]int{1, 2, 3, 4}, 2, s.workload(300_000, 20)) }},
@@ -146,12 +143,18 @@ type workload struct {
 }
 
 // workload resolves the sizing against a figure's laptop-scale default,
-// which preserves the paper's curve shapes while running in seconds.
+// which runs in seconds but does not draw every point as the paper's
+// workload does (EXPERIMENTS.md).
 func (s Sizing) workload(arrayBytes, arrayCount int) workload {
 	if s.PaperScale {
-		arrayBytes, arrayCount = paperArrayBytes, paperArrayCount
+		return s.paper()
 	}
 	return workload{arrayBytes, arrayCount, s.Repeats}
+}
+
+// paper is the paper's workload at the sizing's repeats.
+func (s Sizing) paper() workload {
+	return workload{paperArrayBytes, paperArrayCount, s.Repeats}
 }
 
 func (w workload) validate() error {
@@ -320,23 +323,12 @@ func figure8(bufs []int, w workload) ([]Point, error) {
 	return pts, nil
 }
 
-// inboundCost rescales the per-message fixed costs of the TCP path to the
-// workload's array size (see hw.CostModel.ScaleInboundFixed), which makes
-// every per-message cost keep its proportion to the per-byte costs. The
-// curves keep their shape but are not identical to a paper-scale 3 MB run:
-// Query 5 at n=1 reads 391.673 Mbps scaled and 395.024 Mbps at paper scale
-// (0.86 % apart).
-func inboundCost(w workload) hw.CostModel {
-	return hw.DefaultCostModel().ScaleInboundFixed(float64(w.ArrayBytes) / paperArrayBytes)
-}
-
 // figure15 regenerates Figure 15: total inbound streaming bandwidth from
 // the back-end cluster into the BlueGene for the given inbound queries.
 func figure15(queries, ns []int, w workload) ([]Point, error) {
 	if err := w.validate(); err != nil {
 		return nil, err
 	}
-	cost := inboundCost(w)
 	var pts []Point
 	for _, q := range queries {
 		for _, n := range ns {
@@ -344,11 +336,7 @@ func figure15(queries, ns []int, w workload) ([]Point, error) {
 			if err != nil {
 				return nil, err
 			}
-			env, err := hw.NewLOFAR(hw.Config{Cost: cost})
-			if err != nil {
-				return nil, err
-			}
-			runs, err := repeatQuery(src, w.payload(n), w.Repeats, core.Config{Env: env})
+			runs, err := repeatQuery(src, w.payload(n), w.Repeats, core.Config{})
 			if err != nil {
 				return nil, fmt.Errorf("figure15 q=%d n=%d: %w", q, n, err)
 			}

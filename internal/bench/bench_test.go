@@ -204,7 +204,7 @@ func TestFigure15Shape(t *testing.T) {
 }
 
 func TestInboundQueryRejectsUnknown(t *testing.T) {
-	if _, err := figure15([]int{7}, []int{1}, workload{100_000, 60, 1}); err == nil || !strings.Contains(err.Error(), "no such inbound query") {
+	if _, err := figure15([]int{7}, []int{1}, workload{paperArrayBytes, paperArrayCount, 1}); err == nil || !strings.Contains(err.Error(), "no such inbound query") {
 		t.Fatalf("expected unknown-query error, got %v", err)
 	}
 }

@@ -41,7 +41,7 @@ var divergencePoints = map[string]func(t *testing.T) (string, []core.Option){
 	},
 	"15": func(t *testing.T) (string, []core.Option) {
 		// Query 5 at n=2: its streams share the back-end node's CPU.
-		src, err := scsql.InboundQuery(5, 2, 100_000, 60)
+		src, err := scsql.InboundQuery(5, 2, paperArrayBytes, paperArrayCount)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,7 +5,6 @@ import (
 	"strconv"
 
 	"scsq/internal/core"
-	"scsq/internal/hw"
 	"scsq/internal/scsql"
 )
 
@@ -26,7 +25,6 @@ func udpLoss(lossRates []float64, n int, w workload) ([]Point, error) {
 	if err != nil {
 		return nil, err
 	}
-	cost := inboundCost(w)
 	sent := int64(n) * int64(w.ArrayCount)
 
 	var pts []Point
@@ -36,7 +34,7 @@ func udpLoss(lossRates []float64, n int, w workload) ([]Point, error) {
 			delivered int64 // deterministic loss: identical across repeats
 		)
 		for r := 0; r < w.Repeats; r++ {
-			arrays, goodput, err := udpLossRun(src, cost, rate, w.ArrayBytes)
+			arrays, goodput, err := udpLossRun(src, rate, w.ArrayBytes)
 			if err != nil {
 				return nil, fmt.Errorf("udploss rate=%v: %w", rate, err)
 			}
@@ -52,12 +50,8 @@ func udpLoss(lossRates []float64, n int, w workload) ([]Point, error) {
 
 // udpLossRun runs the query once on a fresh engine and returns the
 // delivered array count and the goodput in Mbps.
-func udpLossRun(src string, cost hw.CostModel, rate float64, arrayBytes int) (int64, float64, error) {
-	env, err := hw.NewLOFAR(hw.Config{Cost: cost})
-	if err != nil {
-		return 0, 0, err
-	}
-	eng, err := core.NewEngine(core.Config{Env: env, UDPInbound: &rate})
+func udpLossRun(src string, rate float64, arrayBytes int) (int64, float64, error) {
+	eng, err := core.NewEngine(core.Config{UDPInbound: &rate})
 	if err != nil {
 		return 0, 0, err
 	}

@@ -173,23 +173,3 @@ func (m *CostModel) Packets(s int) int {
 	}
 	return k
 }
-
-// ScaleInboundFixed returns a copy of the model with the per-message fixed
-// costs of the inbound-TCP path multiplied by f. The experiment harness uses
-// it to run Figure 15 with smaller arrays than the paper's 3 MB while
-// keeping the balance between per-byte and per-message costs: with arrays of
-// s bytes it passes f = s / 3e6, so the regenerated curves keep their shape,
-// though not their exact values (see bench.inboundCost).
-func (m CostModel) ScaleInboundFixed(f float64) CostModel {
-	m.BeMsgCost = scaleRound(m.BeMsgCost, f)
-	m.IOSwitchCost = scaleRound(m.IOSwitchCost, f)
-	m.CiodPeerCost = scaleRound(m.CiodPeerCost, f)
-	m.BGMergeSwitchCost = scaleRound(m.BGMergeSwitchCost, f)
-	return m
-}
-
-// scaleRound multiplies a duration by a float factor, rounding to
-// nanoseconds.
-func scaleRound(d vtime.Duration, f float64) vtime.Duration {
-	return vtime.Duration(math.Round(float64(d) * f))
-}

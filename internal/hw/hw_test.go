@@ -248,31 +248,6 @@ func TestPackets(t *testing.T) {
 	}
 }
 
-func TestScaleInboundFixed(t *testing.T) {
-	m := DefaultCostModel()
-	half := m.ScaleInboundFixed(0.5)
-	if half.BeMsgCost != m.BeMsgCost/2 {
-		t.Errorf("BeMsgCost = %v, want %v", half.BeMsgCost, m.BeMsgCost/2)
-	}
-	if half.IOSwitchCost != m.IOSwitchCost/2 {
-		t.Errorf("IOSwitchCost = %v, want %v", half.IOSwitchCost, m.IOSwitchCost/2)
-	}
-	if half.CiodPeerCost != m.CiodPeerCost/2 {
-		t.Errorf("CiodPeerCost = %v, want %v", half.CiodPeerCost, m.CiodPeerCost/2)
-	}
-	if half.BGMergeSwitchCost != m.BGMergeSwitchCost/2 {
-		t.Errorf("BGMergeSwitchCost = %v, want %v", half.BGMergeSwitchCost, m.BGMergeSwitchCost/2)
-	}
-	// Per-byte costs are untouched — scaling arrays already scales them.
-	if half.IOByte != m.IOByte || half.BeNICByte != m.BeNICByte {
-		t.Error("per-byte costs must not be scaled")
-	}
-	// Identity at factor 1.
-	if same := m.ScaleInboundFixed(1); same != m {
-		t.Error("ScaleInboundFixed(1) must be the identity")
-	}
-}
-
 // TestCacheFactorProperty: the factor is ≥1 and grows by exactly
 // CachePenalty per doubling.
 func TestCacheFactorProperty(t *testing.T) {
