@@ -299,9 +299,9 @@ func (e *Engine) Coordinator(c hw.ClusterName) *coord.Coordinator { return e.coo
 func (e *Engine) FileTable() sqep.FileTable { return e.cfg.Files }
 
 // Close shuts the engine down: it stops the failure-path helpers. Queries in
-// flight must be drained, cancelled, or waited first: Close returns ErrQueriesActive while any
-// query's streams are still moving, instead of tearing the control plane
-// out from under them.
+// flight must be drained, cancelled, or waited first: Close returns
+// ErrQueriesActive while any query's streams are still moving, instead of
+// tearing the control plane out from under them.
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -529,7 +529,7 @@ func Recv[T any](a *Agent, why State, ch <-chan T, abort <-chan struct{}) (v T, 
 		}
 		select {
 		case v, ok = <-ch:
-			received(ch, ok, a.time())
+			received(a, ch, ok, a.time())
 			return v, ok
 		default:
 		}
@@ -542,7 +542,7 @@ func Recv[T any](a *Agent, why State, ch <-chan T, abort <-chan struct{}) (v T, 
 			case <-abort:
 				return v, false
 			}
-			received(ch, ok, 0)
+			received(a, ch, ok, 0)
 			return v, ok
 		}
 		mu.Lock()
@@ -550,7 +550,7 @@ func Recv[T any](a *Agent, why State, ch <-chan T, abort <-chan struct{}) (v T, 
 		select {
 		case v, ok = <-ch:
 			mu.Unlock()
-			received(ch, ok, a.time())
+			received(a, ch, ok, a.time())
 			return v, ok
 		default:
 		}
@@ -559,10 +559,13 @@ func Recv[T any](a *Agent, why State, ch <-chan T, abort <-chan struct{}) (v T, 
 	}
 }
 
-// received wakes the senders parked on ch's credit, at time at, when a
-// receive found it full.
-func received[T any](ch <-chan T, ok bool, at Time) {
-	if ok && len(ch) == cap(ch)-1 {
+// received wakes the senders parked on ch's credit, at time at, when a's
+// receive found it full. A process is the only one receiving from its inbox
+// while it runs, so the length after its receive tells; callers that are no
+// process may drain one inbox together (rp.Discard from a receiver's Close
+// and from the engine's reaper), so each of their receives wakes.
+func received[T any](a *Agent, ch <-chan T, ok bool, at Time) {
+	if ok && (len(ch) == cap(ch)-1 || a == nil || a.w == nil) {
 		mu.Lock()
 		wake(chanKey(ch), at)
 		mu.Unlock()

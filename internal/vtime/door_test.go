@@ -302,3 +302,40 @@ func TestDoorAllocatesNothing(t *testing.T) {
 		t.Errorf("%.1f allocations per round trip, want 0", allocs)
 	}
 }
+
+// TestOutsidersWakeParkedSenders: two callers that are no process drain one
+// inbox at once (a receiver's Close and the engine's reaper each start
+// rp.Discard on it). Each receive leaves room for a sender parked on the
+// inbox's credit, so each must wake it: judged by the length after it, a
+// receive that another one overtook looks as if it had not found the inbox
+// full, and the sender stayed parked on an empty inbox for good. The race
+// needs two cores; when each receive judged by the length, about one round
+// in ten lost the sender there, so the test runs 50.
+func TestOutsidersWakeParkedSenders(t *testing.T) {
+	for range 50 {
+		var k Kernel
+		a := k.Join("q1", nil)
+		ch := make(chan int, 2)
+		a.Go(procFunc(func() {
+			for i := range 10_000 {
+				Send(a, nil, ch, i, 0, nil)
+			}
+			close(ch)
+		}))
+		for range 2 {
+			go func() {
+				for {
+					if _, ok := Recv[int](nil, Inbox, ch, nil); !ok {
+						return
+					}
+				}
+			}()
+		}
+		done := make(chan struct{})
+		go func() {
+			a.Await()
+			close(done)
+		}()
+		released(t, done, "a sender stayed parked on credit while two outsiders drained its inbox")
+	}
+}
