@@ -186,8 +186,9 @@ func TestSurfaceBudget(t *testing.T) {
 
 // doorFiles are where processes run — the process packages, the carriers
 // that deliver their frames, and the client plan's drain
-// (core.ClientStream.Drain), an agent of the kernel like every process: every channel operation in their non-test files goes through the
-// kernel's door (vtime.Recv, vtime.Send, vtime.Wait), so the kernel knows
+// (core.ClientStream.Drain), an agent of the kernel like every process:
+// every channel operation in their non-test files goes through the kernel's
+// door (vtime.Recv, vtime.Send, vtime.Wait), so the kernel knows
 // where each process is parked and hands the token on. keptChannelOps are
 // the functions whose bare operations park no process.
 var (

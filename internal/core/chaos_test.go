@@ -183,7 +183,7 @@ func TestChaosInboundCount(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer e.Close()
-			if got, _ := runInboundCount(t, e, n, size, count); got != tc.want {
+			if got := runInboundCount(t, e, n, size, count); got != tc.want {
 				t.Fatalf("count = %d, want %d", got, tc.want)
 			}
 		})

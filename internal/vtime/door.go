@@ -26,8 +26,8 @@ func (s State) String() string { return [...]string{"running", "inbox", "credit"
 // mu guards every kernel and the table of agents parked on channels. The
 // table spans kernels because a caller that is no process — an early-close
 // drain, a poisoned inbox — reaches the agent parked on a channel through
-// the channel alone, and a wake moves that agent into
-// its kernel's run queue under the same lock.
+// the channel alone, and a wake moves that agent into its kernel's run
+// queue under the same lock.
 var (
 	mu     sync.Mutex
 	parked = make(map[unsafe.Pointer]*Agent) // channel (chanKey) → first agent parked on it
