@@ -76,7 +76,7 @@ func observedFigure6Run(w workload, bufBytes int, observe bool) (vtime.Time, tim
 		}
 		resources, _ := e.SystemCatalog().Lookup("sys_resources")
 		tables, _ := e.SystemCatalog().Lookup("sys_tables")
-		tick, _ := s.SubscribeVTime() // Close below ends the subscription
+		tick, _ := s.SubscribeVTime(nil) // Close below ends the subscription
 		wg.Add(2)
 		go func() {
 			defer wg.Done()

@@ -80,12 +80,14 @@ type Link struct {
 	// loss). Set it before the first Send.
 	Lose func(seq uint64) bool
 	// Sender is the producing process in its kernel: a Send submits the
-	// route in its turn and parks it on credit while the receiving inbox is
-	// full. Nil parks nothing. Set it before the first Send.
+	// route in its turn and parks it on the Receiver's credit while the
+	// receiving inbox is full. Nil parks nothing. Set it before the first
+	// Send.
 	Sender *vtime.Agent
 	// Receiver is the consuming process: a frame delivered to its inbox
-	// wakes it, or holds its mark at the frame's arrival (vtime.Send). Nil:
-	// whoever is parked on the inbox. Set it before the first Send.
+	// wakes it, or holds its mark at the frame's arrival, and its receives
+	// wake the Sender (vtime.Send). Nil: a consumer that is no process, on
+	// whose full inbox a Send blocks. Set it before the first Send.
 	Receiver *vtime.Agent
 
 	// Metric handles are resolved once at NewLink: the per-frame path is
@@ -241,11 +243,15 @@ func (l *Link) Send(fr Frame) (vtime.Time, error) {
 
 // deliver hands a charged frame to the receiving inbox, where it wakes the
 // receiver at its arrival and flow control parks its sender, unless the link
-// is aborted (a torn stream must not wedge its producer on flow control).
+// is aborted (a torn stream must not wedge its producer on flow control). A
+// receiver that shut its inbox, or is done, reads no more: the frame is
+// dropped as if delivered.
 func (l *Link) deliver(d Delivered) error {
 	if !vtime.Send(l.Sender, l.Receiver, l.inbox, d, d.At, l.abort) {
 		Recycle(&d.Frame)
-		return l.aborted()
+		if l.torn.Load() {
+			return l.aborted()
+		}
 	}
 	return nil
 }
@@ -259,7 +265,7 @@ func (l *Link) aborted() error {
 func (l *Link) Abort() {
 	if l.torn.CompareAndSwap(false, true) {
 		close(l.abort)
-		vtime.Wake(l.inbox)
+		vtime.Wake(l.Receiver, l.inbox)
 	}
 }
 

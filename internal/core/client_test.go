@@ -320,7 +320,7 @@ func TestSubscribeViaBuilderOnly(t *testing.T) {
 	if _, err := cs.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.ConnectLive(a, hw.FrontEnd, 0); err == nil {
+	if _, err := e.ConnectLive(a, nil, hw.FrontEnd, 0); err == nil {
 		t.Error("wiring to a started RP should fail")
 	}
 }

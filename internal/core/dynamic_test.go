@@ -39,9 +39,9 @@ func (d *dynSplitter) Open(ctx *sqep.Ctx) error {
 	var merged sqep.Operator
 	var err2 error
 	if d.workers == 1 {
-		merged, err2 = d.eng.ConnectLive(spawned[0], d.cluster, d.node)
+		merged, err2 = d.eng.ConnectLive(spawned[0], ctx.Agent, d.cluster, d.node)
 	} else {
-		merged, err2 = d.eng.connectAs(spawned[0].qc, spawned, d.cluster, d.node, "client", nil)
+		merged, err2 = d.eng.connectAs(spawned[0].qc, spawned, d.cluster, d.node, "client", ctx.Agent)
 	}
 	if err2 != nil {
 		return err2

@@ -89,9 +89,6 @@ type Engine struct {
 	clock atomic.Pointer[VTimeObserver]
 	// advance is observe, bound once: the emit func of every RP's agent.
 	advance func(vtime.Time)
-	// stop closes on Engine.Close: the reap signal for failure-path helper
-	// goroutines (early-close inbox drains) whose inboxes are never closed.
-	stop chan struct{}
 }
 
 // Edge describes one carrier connection of the current query's process
@@ -239,7 +236,6 @@ func NewEngine(opts ...Option) (*Engine, error) {
 		inj:     cfg.Chaos,
 		reg:     metrics.NewRegistry(),
 		syscat:  catalog.NewRegistry(),
-		stop:    make(chan struct{}),
 	}
 	e.advance = e.observe
 	e.mpi.SetMetrics(e.reg)
@@ -314,7 +310,6 @@ func (e *Engine) Close() error {
 		return ErrQueriesActive
 	}
 	e.closed = true
-	close(e.stop)
 	return nil
 }
 
@@ -359,34 +354,10 @@ func (e *Engine) handleCrash(ref chaos.NodeRef) {
 	}
 	for _, sp := range e.allSPs() {
 		for _, w := range sp.wiringsTo(ref.Cluster, ref.Node) {
-			poisonInbox(w.inbox, "coordinator", cause)
+			poisonInbox(w, "coordinator", cause)
 		}
 	}
 	e.notifyNodeDied(ref.Cluster, ref.Node)
-}
-
-// reapInbound drains the inboxes feeding an RP that exited with an error and
-// was not replaced by the supervisor: such a consumer will never read again,
-// so without the reap its producers would block forever in Send delivering
-// their final frames (the classic case is a node killed in the admit→start
-// window — the RP's plan never opened, so no receiver exists to drain or to
-// spawn an early-close drain). Clean exits need no reap: every producer's
-// stream was fully consumed. The drains discard until engine shutdown; a
-// receiver's own early-close drain racing them is benign (both discard).
-func (e *Engine) reapInbound(sp *SP, proc *rp.RP, cause error) {
-	if cause == nil || sp.proc() != proc {
-		return
-	}
-	seen := make(map[carrier.Inbox]bool)
-	for _, p := range e.allSPs() {
-		for _, w := range p.wiringsFor(sp.id) {
-			if seen[w.inbox] {
-				continue
-			}
-			seen[w.inbox] = true
-			go rp.Discard(w.inbox, e.stop)
-		}
-	}
 }
 
 // notifyNodeDied tells an attached capacity-observing scheduler that a node
@@ -423,12 +394,12 @@ func (e *Engine) DeadNodeCount() int {
 	return n
 }
 
-// poisonInbox injects a failure-propagation frame without blocking the
-// caller: the consumer may be gone, in which case its receiver's drain
-// discards the frame. Every operation on the inbox wakes its parked agents
-// (vtime.Wake): the consumer parked on it, or producers parked on its
-// credit.
-func poisonInbox(inbox carrier.Inbox, source string, cause error) {
+// poisonInbox injects a failure-propagation frame into w's inbox without
+// blocking the caller, and wakes its consumer by name (vtime.Wake). A full
+// inbox takes the frame on a goroutine of its own, an outsider's vtime.Send:
+// it lands when the consumer reads again, and is dropped once the consumer
+// shut the inbox or is done.
+func poisonInbox(w wiring, source string, cause error) {
 	fr := carrier.Delivered{Frame: carrier.Frame{
 		Source:  source,
 		Last:    true,
@@ -436,24 +407,10 @@ func poisonInbox(inbox carrier.Inbox, source string, cause error) {
 		DownErr: cause.Error(),
 	}}
 	select {
-	case inbox <- fr:
-		vtime.Wake(inbox)
+	case w.inbox <- fr:
+		vtime.Wake(w.to, w.inbox)
 	default:
-		go func() {
-			for {
-				select {
-				case inbox <- fr:
-					vtime.Wake(inbox)
-					return
-				case old := <-inbox:
-					// The consumer is not draining (it may itself be dead);
-					// discard in FIFO order to make room so the poison always
-					// lands and this goroutine always terminates.
-					vtime.Wake(inbox)
-					carrier.Recycle(&old.Frame)
-				}
-			}
-		}()
+		go vtime.Send(nil, w.to, w.inbox, fr, 0, nil)
 	}
 }
 
@@ -596,12 +553,9 @@ func (e *Engine) buildProc(sp *SP, node int) (*rp.RP, bool, error) {
 	hasInputs := b.hasInputs
 	proc := rp.New(sp.id, sp.cluster, node, ctx, op)
 	proc.SetMetrics(sp.qc.metrics)
-	proc.SetOnExit(func(err error) {
-		if e.sup != nil {
-			e.sup.onRPExit(sp, err)
-		}
-		e.reapInbound(sp, proc, err)
-	})
+	if e.sup != nil {
+		proc.SetOnExit(func(err error) { e.sup.onRPExit(sp, err) })
+	}
 	return proc, hasInputs, nil
 }
 
@@ -718,18 +672,6 @@ func (s *SP) addWiring(w wiring) {
 	s.wirings = append(s.wirings, w)
 }
 
-func (s *SP) wiringsFor(consumer string) []wiring {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []wiring
-	for _, w := range s.wirings {
-		if w.consumer == consumer {
-			out = append(out, w)
-		}
-	}
-	return out
-}
-
 func (s *SP) wiringsTo(cc hw.ClusterName, cn int) []wiring {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -818,6 +760,9 @@ func (b *PlanBuilder) Node() int { return b.node }
 // spawns stream processes while it runs (paper §2.2) grows that query.
 func (b *PlanBuilder) Query() *Query { return &b.qc.handle }
 
+// Agent returns the process the plan runs in: whoever wakes it names it.
+func (b *PlanBuilder) Agent() *vtime.Agent { return b.agent }
+
 // Extract returns an operator streaming producer p's output into this SP
 // (the paper's extract(p)). The stream terminates when p terminates.
 func (b *PlanBuilder) Extract(p *SP) (sqep.Operator, error) {
@@ -839,7 +784,7 @@ func (b *PlanBuilder) Merge(ps []*SP) (sqep.Operator, error) {
 // and in qc's metrics scope) at node (cc, cn) over the appropriate carriers
 // (MPI inside the BlueGene, TCP across clusters) and returns the receiving
 // operator. All producers share one inbox, which is how merge() interleaves
-// their frames by arrival; to is the consuming process (nil: not known yet).
+// their frames by arrival; to is the consuming process.
 func (e *Engine) connectAs(qc *queryCtx, producers []*SP, cc hw.ClusterName, cn int, consumer string, to *vtime.Agent) (sqep.Operator, error) {
 	inbox := make(carrier.Inbox, e.cfg.window)
 	consNode, err := e.env.Node(cc, cn)
@@ -864,7 +809,6 @@ func (e *Engine) connectAs(qc *queryCtx, producers []*SP, cc hw.ClusterName, cn 
 		Metrics:      qc.metrics,
 		Tracer:       e.cfg.Tracer,
 		Consumer:     consumer,
-		Stop:         e.stop,
 	}
 	switch cc {
 	case hw.BlueGene:
@@ -957,12 +901,13 @@ func (e *Engine) wireProducer(p *SP, proc *rp.RP, pn int, w wiring) error {
 	return nil
 }
 
-// ConnectLive wires a new input stream from producer p to a consumer at
-// (cc, cn) while the query is already running — the carrier half of
-// dynamic RP creation. The producer must not have started yet (wire first,
-// then SP.Start); the returned operator plugs into the consumer's SQEP.
-func (e *Engine) ConnectLive(p *SP, cc hw.ClusterName, cn int) (sqep.Operator, error) {
-	return e.connectAs(p.qc, []*SP{p}, cc, cn, fmt.Sprintf("dynamic@%s:%d", cc, cn), nil)
+// ConnectLive wires a new input stream from producer p to consumer, the
+// process at (cc, cn), while the query is already running — the carrier half
+// of dynamic RP creation. The producer must not have started yet (wire
+// first, then SP.Start); the returned operator plugs into the consumer's
+// SQEP.
+func (e *Engine) ConnectLive(p *SP, consumer *vtime.Agent, cc hw.ClusterName, cn int) (sqep.Operator, error) {
+	return e.connectAs(p.qc, []*SP{p}, cc, cn, fmt.Sprintf("dynamic@%s:%d", cc, cn), consumer)
 }
 
 // marshalRate returns the per-byte marshal cost of a node in cluster c.

@@ -203,7 +203,7 @@ func (qc *queryCtx) cancel(cause error) {
 		wirings := append([]wiring(nil), sp.wirings...)
 		sp.mu.Unlock()
 		for _, w := range wirings {
-			poisonInbox(w.inbox, sp.id, cause)
+			poisonInbox(w, sp.id, cause)
 		}
 	}
 }

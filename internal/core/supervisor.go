@@ -125,6 +125,6 @@ func (s *Supervisor) poisonDownstream(sp *SP, cause error) {
 	wirings := append([]wiring(nil), sp.wirings...)
 	sp.mu.Unlock()
 	for _, w := range wirings {
-		poisonInbox(w.inbox, sp.id, cause)
+		poisonInbox(w, sp.id, cause)
 	}
 }

@@ -376,11 +376,6 @@ type ReceiverConfig struct {
 	Tracer *metrics.Tracer
 	// Consumer names the ingesting RP (or client) in metric names.
 	Consumer string
-	// Stop, if non-nil, ends the drain (Discard) of a consumer that stopped
-	// before its producers: inboxes are never closed (they may be shared),
-	// so without it the drain would outlive the stream. The engine passes
-	// its own shutdown channel here.
-	Stop <-chan struct{}
 }
 
 // ErrUpstreamDown reports that a producer terminated its stream with a
@@ -874,28 +869,24 @@ func (r *Receiver) countLast() {
 	}
 }
 
-// Close implements sqep.Operator. It drains the inbox so blocked senders
-// can finish when a consumer stops early.
+// Close implements sqep.Operator. A consumer that stops before its
+// producers shuts its inbox (vtime.Shut): their senders wake, their later
+// frames are dropped as if delivered, and what the inbox holds goes back to
+// the pool. A receiver with no kernel (a nil agent) gets no drain: its
+// senders block until someone else reads the inbox.
 func (r *Receiver) Close() error {
 	r.dropStaged()
 	r.release()
-	if r.done {
-		return nil
+	if !r.done && r.agent != nil {
+		vtime.Shut(r.agent, r.inbox)
+		for {
+			fr, ok := vtime.Recv(r.agent, vtime.Running, r.inbox, nil)
+			if !ok {
+				break
+			}
+			carrier.Recycle(&fr.Frame)
+		}
 	}
 	r.done = true
-	go Discard(r.inbox, r.cfg.Stop)
 	return nil
-}
-
-// Discard drains inbox so blocked producers can finish, recycling every
-// frame, until the inbox or stop (engine shutdown; nil never fires) closes.
-// It is no process: it waits with a nil agent.
-func Discard(inbox carrier.Inbox, stop <-chan struct{}) {
-	for {
-		fr, ok := vtime.Recv(nil, vtime.Inbox, inbox, stop)
-		if !ok {
-			return
-		}
-		carrier.Recycle(&fr.Frame)
-	}
 }

@@ -186,33 +186,31 @@ func TestReceiverDuplicateLastStillTerminates(t *testing.T) {
 	}
 }
 
+// TestReceiverCloseRecyclesDrainedFrames: a frame queued before a consumer
+// closes its receiver early goes back to the pool by the time Close returns,
+// and a Send afterwards reports false.
 func TestReceiverCloseRecyclesDrainedFrames(t *testing.T) {
+	var k vtime.Kernel
+	cons := k.Join("q1", nil)
 	inbox := make(carrier.Inbox, 4)
 	r := NewReceiver(inbox, ReceiverConfig{Producers: 1})
+	if err := r.Open(&sqep.Ctx{Agent: cons}); err != nil {
+		t.Fatal(err)
+	}
+	queued := carrier.GetBuf(512)
+	if !vtime.Send(nil, cons, inbox, carrier.Delivered{Frame: carrier.Frame{Source: "a", Payload: queued, Pooled: true}}, 0, nil) {
+		t.Fatal("a Send to an open inbox reported false")
+	}
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	buf := carrier.GetBuf(512)
-	inbox <- carrier.Delivered{Frame: carrier.Frame{Source: "a", Payload: buf, Pooled: true}}
-	close(inbox)
-
-	// The drain goroutine recycles the pooled payload. Pop the pool's free
-	// list (holding everything else aside) until the same backing array
-	// comes back.
-	var held [][]byte
-	defer func() {
-		for _, h := range held {
-			carrier.PutBuf(h)
-		}
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		got := carrier.GetBuf(512)
-		if &got[0] == &buf[0] {
-			return // drained and recycled
-		}
-		held = append(held, got)
-		time.Sleep(time.Millisecond)
+	if len(inbox) != 0 {
+		t.Fatalf("Close left %d frames in the inbox", len(inbox))
 	}
-	t.Fatal("drained frame's pooled payload never returned to the pool")
+	if inPool(carrier.GetBuf, carrier.PutBuf, map[*byte]int{&queued[0]: cap(queued)}) != 1 {
+		t.Error("the queued frame's pooled payload is not back in the pool")
+	}
+	if vtime.Send(nil, cons, inbox, carrier.Delivered{Frame: carrier.Frame{Source: "a", Last: true}}, 0, nil) || len(inbox) != 0 {
+		t.Error("a Send after Close reached the inbox")
+	}
 }

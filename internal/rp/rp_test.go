@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"scsq/internal/carrier"
 	"scsq/internal/hw"
@@ -376,19 +377,47 @@ func TestRPOperatorErrorPropagates(t *testing.T) {
 	}
 }
 
+// procFunc is a func as a kernel process.
+type procFunc func()
+
+func (f procFunc) Run() { f() }
+
+// TestReceiverCloseUnblocksSenders: a consumer that stops early must not
+// deadlock its producers. The producer fills the inbox and parks on the
+// consumer's credit; the consumer's Close shuts the inbox, which wakes it,
+// drops every later frame as if delivered and recycles the one it held.
 func TestReceiverCloseUnblocksSenders(t *testing.T) {
-	// A consumer that stops early must not deadlock its producers.
+	var k vtime.Kernel
+	prod, cons := k.Join("q1", nil), k.Join("q1", nil)
 	inbox := make(carrier.Inbox, 1)
-	r := NewReceiver(inbox, ReceiverConfig{Producers: 1})
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
+	delivered := 0
+	prod.Go(procFunc(func() {
+		for i := 0; i < 100; i++ {
+			if vtime.Send(prod, cons, inbox, carrier.Delivered{Frame: carrier.Frame{Source: "a", Payload: []byte{marshal.TagNull}}}, 0, nil) {
+				delivered++
+			}
+		}
+	}))
+	cons.Go(procFunc(func() {
+		r := NewReceiver(inbox, ReceiverConfig{Producers: 1})
+		if err := r.Open(&sqep.Ctx{Agent: cons}); err != nil {
+			t.Error(err)
+		}
+		if err := r.Close(); err != nil {
+			t.Error(err)
+		}
+	}))
 	done := make(chan struct{})
 	go func() {
-		for i := 0; i < 100; i++ {
-			inbox <- carrier.Delivered{Frame: carrier.Frame{Source: "a", Payload: []byte{marshal.TagNull}}}
-		}
+		prod.Await()
 		close(done)
 	}()
-	<-done // must complete because Close drains
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the producer stayed parked after its consumer closed")
+	}
+	if delivered != 1 || len(inbox) != 0 {
+		t.Errorf("%d frames delivered, %d left in the inbox; want the one that fitted, drained by Close", delivered, len(inbox))
+	}
 }

@@ -296,10 +296,9 @@ type Scheduler struct {
 	// syscat.go). A separate mutex: the progress feed must never contend
 	// with s.mu, and cancel must never race close against send. nsubs
 	// mirrors len(subs) so the feed skips the lock while nobody listens.
-	subMu  sync.Mutex
-	subs   map[int]chan struct{}
-	subSeq int
-	nsubs  atomic.Int32
+	subMu sync.Mutex
+	subs  map[chan struct{}]*vtime.Agent // tick channel → its live stream
+	nsubs atomic.Int32
 }
 
 // New builds a scheduler over eng, evaluating statements against cat (nil

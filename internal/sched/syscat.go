@@ -49,33 +49,32 @@ func (s *Scheduler) registerSysSessions() {
 
 // SubscribeVTime returns a channel that receives a (coalesced) tick each
 // time the scheduler's virtual policy clock advances — as queries progress,
-// or on a harness tick — plus a cancel function. The channel is closed when
-// cancelled or when the scheduler closes, so a live-delta stream blocked on
-// it terminates cleanly.
+// or on a harness tick — plus a cancel function. agent is the live stream's
+// process, which each tick wakes by name (nil: no process). The channel is
+// closed when cancelled or when the scheduler closes, so a live-delta stream
+// blocked on it terminates cleanly.
 //
 // Ticks are delivered with a non-blocking send into a buffer of one: a slow
 // subscriber coalesces ticks instead of back-pressuring the processes whose
 // elements advance the clock, which is what keeps catalog observation free
 // of virtual-time perturbation.
-func (s *Scheduler) SubscribeVTime() (<-chan struct{}, func()) {
+func (s *Scheduler) SubscribeVTime(agent *vtime.Agent) (<-chan struct{}, func()) {
 	s.subMu.Lock()
 	defer s.subMu.Unlock()
 	if s.subs == nil {
-		s.subs = make(map[int]chan struct{})
+		s.subs = make(map[chan struct{}]*vtime.Agent)
 	}
-	id := s.subSeq
-	s.subSeq++
 	ch := make(chan struct{}, 1)
-	s.subs[id] = ch
+	s.subs[ch] = agent
 	s.nsubs.Store(int32(len(s.subs)))
 	cancel := func() {
 		s.subMu.Lock()
 		defer s.subMu.Unlock()
-		if c, ok := s.subs[id]; ok {
-			delete(s.subs, id)
+		if _, ok := s.subs[ch]; ok {
+			delete(s.subs, ch)
 			s.nsubs.Store(int32(len(s.subs)))
-			close(c)
-			vtime.Wake(c)
+			close(ch)
+			vtime.Wake(agent, ch)
 		}
 	}
 	return ch, cancel
@@ -91,10 +90,10 @@ func (s *Scheduler) tickSubscribers() {
 	}
 	s.subMu.Lock()
 	defer s.subMu.Unlock()
-	for _, ch := range s.subs {
+	for ch, agent := range s.subs {
 		select {
 		case ch <- struct{}{}:
-			vtime.Wake(ch)
+			vtime.Wake(agent, ch)
 		default: // subscriber already has a pending tick
 		}
 	}
@@ -104,10 +103,10 @@ func (s *Scheduler) tickSubscribers() {
 func (s *Scheduler) closeSubscribers() {
 	s.subMu.Lock()
 	defer s.subMu.Unlock()
-	for id, ch := range s.subs {
-		delete(s.subs, id)
+	for ch, agent := range s.subs {
+		delete(s.subs, ch)
 		close(ch)
-		vtime.Wake(ch)
+		vtime.Wake(agent, ch)
 	}
 	s.nsubs.Store(0)
 }

@@ -104,7 +104,7 @@ func TestSubscribeVTimeCoalesceAndClose(t *testing.T) {
 	e := newTestEngine(t)
 	s := New(e, nil)
 
-	tick, cancel := s.SubscribeVTime()
+	tick, cancel := s.SubscribeVTime(nil)
 	s.tickSubscribers()
 	s.tickSubscribers() // coalesces into the one buffered slot
 	<-tick
@@ -119,7 +119,7 @@ func TestSubscribeVTimeCoalesceAndClose(t *testing.T) {
 	}
 	cancel() // idempotent
 
-	tick2, _ := s.SubscribeVTime()
+	tick2, _ := s.SubscribeVTime(nil)
 	if err := s.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}

@@ -148,7 +148,7 @@ func (ev *Evaluator) compileCall(call *Call, env *scope, b *core.PlanBuilder) (s
 		if len(call.Args) == 1 {
 			if inner, ok := call.Args[0].(*Call); ok {
 				if t, ok := ev.sysTableFor(inner); ok {
-					return ev.compileStreamOfSys(t, inner, env)
+					return ev.compileStreamOfSys(t, inner, env, b)
 				}
 			}
 		}

@@ -11,7 +11,9 @@ import (
 	"fmt"
 
 	"scsq/internal/catalog"
+	"scsq/internal/core"
 	"scsq/internal/sqep"
+	"scsq/internal/vtime"
 )
 
 // sysTableFor resolves a call against the engine's system catalog.
@@ -125,7 +127,7 @@ func (ev *Evaluator) compileSysView(t *catalog.Table, call *Call, env *scope, pr
 // need: a coalescing virtual-time tick subscription (sched.Scheduler
 // implements it; asserted dynamically to keep core decoupled from sched).
 type vtimeTicker interface {
-	SubscribeVTime() (<-chan struct{}, func())
+	SubscribeVTime(agent *vtime.Agent) (<-chan struct{}, func())
 }
 
 // compileStreamOfSys lowers streamof(sys_table([pattern])): a live-delta
@@ -135,7 +137,7 @@ type vtimeTicker interface {
 // the pacing source (the times the engine's processes emit, on the kernel's
 // one timeline, via Scheduler.ObserveVTime), so observation never injects
 // wall-clock nondeterminism into the run.
-func (ev *Evaluator) compileStreamOfSys(t *catalog.Table, call *Call, env *scope) (sqep.Operator, error) {
+func (ev *Evaluator) compileStreamOfSys(t *catalog.Table, call *Call, env *scope, b *core.PlanBuilder) (sqep.Operator, error) {
 	pattern, err := ev.sysPattern(t, call, env)
 	if err != nil {
 		return nil, err
@@ -145,7 +147,7 @@ func (ev *Evaluator) compileStreamOfSys(t *catalog.Table, call *Call, env *scope
 	if sch == nil || !ok {
 		return nil, errorfAt(call.Pos, "streamof(%s()): no query scheduler attached to pace the live stream", t.Name)
 	}
-	tick, stop := ticker.SubscribeVTime()
+	tick, stop := ticker.SubscribeVTime(b.Agent())
 	snap := func() ([]any, []string, error) {
 		rows, err := t.Snap(pattern)
 		if err != nil {

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-	"unsafe"
 )
 
 // State is where a process stands in its kernel.
@@ -22,16 +21,6 @@ const (
 )
 
 func (s State) String() string { return [...]string{"running", "inbox", "credit", "tick", "done"}[s] }
-
-// mu guards every kernel and the table of agents parked on channels. The
-// table spans kernels because a caller that is no process — an early-close
-// drain, a poisoned inbox — reaches the agent parked on a channel through
-// the channel alone, and a wake moves that agent into its kernel's run
-// queue under the same lock.
-var (
-	mu     sync.Mutex
-	parked = make(map[unsafe.Pointer]*Agent) // channel (chanKey) → first agent parked on it
-)
 
 // idleWorkers is how long a kernel with no live agent keeps its workers. A
 // process that starts takes an idle worker rather than making a coroutine —
@@ -74,9 +63,10 @@ const idleWorkers = 20 * time.Millisecond
 //
 // The zero value is a kernel at time zero with no agents.
 type Kernel struct {
-	runq    []entry  // runnable agents, sorted by key, the least last
-	live    []*Agent // started and not done
-	paused  int      // Pause nesting: nobody is resumed
+	mu      sync.Mutex // guards the kernel and where its agents are parked
+	runq    []entry    // runnable agents, sorted by key, the least last
+	live    []*Agent   // started and not done
+	paused  int        // Pause nesting: nobody is resumed
 	joins   uint32
 	driving bool      // the driver goroutine runs
 	holding bool      // the driver has resumed a process that has not parked
@@ -91,13 +81,20 @@ type Kernel struct {
 // Agent is one process in a kernel. Only the process runs it; its state and
 // frontier may be read by anyone. A nil agent is no process: its waits block
 // on the channel, its Submit takes no turn, and it records nothing.
+//
+// Every wait names the agent that ends it. A process parks on its own inbox
+// or tick, which its senders and tickers wake by name, or on the credit of
+// the consumer it sends to, which that consumer's receives wake.
 type Agent struct {
-	k    *Kernel
-	emit func(Time)
-	proc Process        // what Go runs
-	w    *worker        // the worker it runs on, nil until its first turn
-	on   unsafe.Pointer // the channel it is parked on (chanKey)
-	next *Agent         // the next agent parked on the same channel
+	k      *Kernel
+	emit   func(Time)
+	proc   Process // what Go runs
+	w      *worker // the worker it runs on, nil until its first turn
+	on     any     // the channel it is parked on (key): its own, or to's inbox
+	to     *Agent  // parked on credit: the consumer whose credit it waits on
+	next   *Agent  // the next agent parked on to's credit
+	credit *Agent  // the first agent parked on this one's credit
+	shut   *[]any  // the inboxes Shut closed to their senders
 
 	owner          string // the query id: the key's second part
 	join           uint32 // start order: the key's last tie-break
@@ -147,9 +144,9 @@ func newWorker() *worker {
 // Now is the kernel's time.
 func (k *Kernel) Now() Time { return Time(k.now.Load()) }
 
-// wait waits on the kernel's cond. mu must be held.
+// wait waits on the kernel's cond. k.mu must be held.
 func (k *Kernel) wait() {
-	k.cond.L = &mu
+	k.cond.L = &k.mu
 	k.cond.Wait()
 }
 
@@ -166,19 +163,19 @@ func (k *Kernel) Join(owner string, emit func(Time)) *Agent {
 // around several submissions, so sessions submitted together start at one
 // kernel instant. A process must not call it: it would wait for itself.
 func (k *Kernel) Pause() {
-	mu.Lock()
+	k.mu.Lock()
 	for k.paused++; k.holding; {
 		k.wait()
 	}
-	mu.Unlock()
+	k.mu.Unlock()
 }
 
 // Resume ends a Pause.
 func (k *Kernel) Resume() {
-	mu.Lock()
+	k.mu.Lock()
 	k.paused--
 	k.cond.Broadcast()
-	mu.Unlock()
+	k.mu.Unlock()
 }
 
 // Go runs p as the agent's process: runnable now, at the kernel's time — its
@@ -189,12 +186,12 @@ func (a *Agent) Go(p Process) {
 		go p.Run()
 		return
 	}
-	mu.Lock()
-	defer mu.Unlock()
+	k := a.k
+	k.mu.Lock()
+	defer k.mu.Unlock()
 	if a.started || a.State() == Done {
 		return
 	}
-	k := a.k
 	k.joins++
 	a.started, a.proc, a.join, a.start = true, p, k.joins, k.Now()
 	a.mark.Store(int64(a.start))
@@ -205,11 +202,11 @@ func (a *Agent) Go(p Process) {
 // Await blocks until the agent's process has ended, or until the agent is
 // done without having started.
 func (a *Agent) Await() {
-	mu.Lock()
+	a.k.mu.Lock()
 	for !a.ended {
 		a.k.wait()
 	}
-	mu.Unlock()
+	a.k.mu.Unlock()
 }
 
 // run is the process on its worker.
@@ -243,22 +240,23 @@ func (a *Agent) Emit(at Time) {
 
 // Done retires the agent: it holds nobody back, and Await returns. Its
 // process is done as it ends; one failed before it started is done at once.
+// A done agent reads no inbox again: the senders parked on its credit wake,
+// and every Send to it reports false, as after Shut.
 func (a *Agent) Done() {
 	if a == nil {
 		return
 	}
-	mu.Lock()
-	defer mu.Unlock()
+	k := a.k
+	k.mu.Lock()
+	defer k.mu.Unlock()
 	if a.State() == Done {
 		return
 	}
 	a.state.Store(int32(Done))
-	k := a.k
 	k.runq = slices.DeleteFunc(k.runq, func(e entry) bool { return e.a == a })
 	k.settle()
-	if a.on != nil {
-		unpark(a)
-	}
+	a.unpark()
+	a.wakeCredit(nil, 0)
 	k.live = slices.DeleteFunc(k.live, func(l *Agent) bool { return l == a })
 	if k.high = max(k.high, a.Frontier(), Time(a.mark.Load())); len(k.live) == 0 && k.high > k.Now() {
 		k.now.Store(int64(k.high))
@@ -283,13 +281,13 @@ func (a *Agent) Submit(owner string, reqs []Request) {
 	k := a.k
 	// A request ready before every runnable agent goes on without the lock.
 	if l := k.least.Load(); len(reqs) > 0 && l != 0 && reqs[0].Ready >= Time(l-1) && a.w != nil {
-		mu.Lock()
+		k.mu.Lock()
 		e := entry{a: a, at: reqs[0].Ready, stream: reqs[0].Stream, seq: reqs[0].Seq}
 		if n := len(k.runq); n > 0 && k.runq[n-1].before(&e) {
 			k.push(e)
 			a.suspend()
 		}
-		mu.Unlock()
+		k.mu.Unlock()
 	}
 	submit(owner, reqs, k.Now())
 }
@@ -313,7 +311,7 @@ func (e *entry) before(f *entry) bool {
 	return e.a.join < f.a.join
 }
 
-// push makes e runnable, and starts the kernel's driver or wakes it. mu
+// push makes e runnable, and starts the kernel's driver or wakes it. k.mu
 // must be held.
 func (k *Kernel) push(e entry) {
 	k.runq = append(k.runq, e)
@@ -331,7 +329,7 @@ func (k *Kernel) push(e entry) {
 	}
 }
 
-// settle publishes the time of the least runnable key. mu must be held.
+// settle publishes the time of the least runnable key. k.mu must be held.
 func (k *Kernel) settle() {
 	if n := len(k.runq); n == 0 {
 		k.least.Store(0)
@@ -341,18 +339,18 @@ func (k *Kernel) settle() {
 }
 
 // suspend hands control back to the driver until the agent's next turn.
-// mu must be held; it is held again on return.
+// a.k.mu must be held; it is held again on return.
 func (a *Agent) suspend() {
-	mu.Unlock()
+	a.k.mu.Unlock()
 	a.w.yield(struct{}{})
-	mu.Lock()
+	a.k.mu.Lock()
 }
 
 // drive resumes the kernel's processes, the least runnable first, until
 // none is live.
 func (k *Kernel) drive() {
-	mu.Lock()
-	defer mu.Unlock()
+	k.mu.Lock()
+	defer k.mu.Unlock()
 	for {
 		for k.paused > 0 || len(k.runq) == 0 {
 			if len(k.live) == 0 {
@@ -381,9 +379,9 @@ func (k *Kernel) drive() {
 			w.a, a.w = a, w
 		}
 		k.holding = true
-		mu.Unlock()
+		k.mu.Unlock()
 		w.resume()
-		mu.Lock()
+		k.mu.Lock()
 		if k.holding = false; k.paused > 0 {
 			k.cond.Broadcast()
 		}
@@ -396,8 +394,8 @@ func (k *Kernel) drive() {
 
 // trimIdle ends the workers of a kernel that stayed without live agents.
 func (k *Kernel) trimIdle() {
-	mu.Lock()
-	defer mu.Unlock()
+	k.mu.Lock()
+	defer k.mu.Unlock()
 	if !k.driving {
 		for _, w := range k.idle {
 			w.stop()
@@ -414,7 +412,7 @@ func (a *Agent) raise(t Time) {
 }
 
 // advance moves the kernel's time up to the least mark of the agents in it.
-// mu must be held.
+// k.mu must be held.
 func (k *Kernel) advance() {
 	least := Time(math.MaxInt64)
 	for _, l := range k.live {
@@ -427,26 +425,47 @@ func (k *Kernel) advance() {
 	}
 }
 
-// park leaves the agent in state why on channel ch until a wake makes it
-// runnable and the kernel resumes it. mu must be held.
-func (a *Agent) park(why State, ch unsafe.Pointer) {
-	a.state.Store(int32(why))
-	a.on, a.next = ch, parked[ch]
-	parked[ch] = a
-	a.suspend()
+// key is channel ch as its agents name it, whatever its direction.
+func key[T any](ch <-chan T) any { return ch }
+
+// unpark takes the agent off whatever it is parked on. a.k.mu must be held.
+func (a *Agent) unpark() {
+	if a.to != nil {
+		p := &a.to.credit
+		for *p != a {
+			p = &(*p).next
+		}
+		*p = a.next
+	}
+	a.on, a.to, a.next = nil, nil, nil
 }
 
-// wake makes every agent parked on ch runnable at time at, its mark kept.
-// mu must be held.
-func wake(ch unsafe.Pointer, at Time) {
-	for a := parked[ch]; a != nil; a = parked[ch] {
-		unpark(a)
-		a.resumeAt(at, Time(a.mark.Load()))
+// wakeCredit makes the agents parked on a's credit for its inbox ch (nil:
+// any) runnable at time at, their marks kept. a.k.mu must be held.
+func (a *Agent) wakeCredit(ch any, at Time) {
+	for p := &a.credit; *p != nil; {
+		s := *p
+		if ch != nil && s.on != ch {
+			p = &s.next
+			continue
+		}
+		*p, s.on, s.to, s.next = s.next, nil, nil, nil
+		if c, ok := s.proc.(wakeup); ok {
+			close(c)
+		} else {
+			s.resumeAt(at, Time(s.mark.Load()))
+		}
 	}
 }
 
+// wakeup is the process of an agent that never runs: a caller that is no
+// process, waiting in Send on a consumer's credit until the wake closes it.
+type wakeup chan struct{}
+
+func (wakeup) Run() {}
+
 // resumeAt makes a runnable at time at with mark m, each raised to its
-// kernel's time. mu must be held.
+// kernel's time. a.k.mu must be held.
 func (a *Agent) resumeAt(at, m Time) {
 	now := a.k.Now()
 	m = max(m, now)
@@ -456,70 +475,41 @@ func (a *Agent) resumeAt(at, m Time) {
 	a.k.push(entry{a: a, at: max(at, now)})
 }
 
-// arrived accounts for a frame arriving at time at in ch, the inbox of to
-// (nil: whoever is parked on it). Parked on ch, to becomes runnable at at
-// with its mark there. Otherwise the frame waits in the inbox, and to's mark
-// comes down to at, and so does its turn if it waits for one as a wake. mu
-// must be held.
-func arrived(to *Agent, ch unsafe.Pointer, at Time) {
-	if to == nil || to.on == ch {
-		for a := parked[ch]; a != nil; {
-			next := a.next
-			if a.State() == Inbox {
-				unpark(a)
-				a.resumeAt(at, at)
-			}
-			a = next
-		}
+// arrived accounts for a frame arriving at time at in ch, the agent's inbox.
+// Parked on ch, the agent becomes runnable at at with its mark there.
+// Otherwise the frame waits in the inbox, and the agent's mark comes down to
+// at, and so does its turn if it waits for one as a wake. a.k.mu must be
+// held.
+func (a *Agent) arrived(ch any, at Time) {
+	if a.on == ch && a.State() == Inbox {
+		a.on = nil
+		a.resumeAt(at, at)
 		return
 	}
-	k := to.k
-	if at = max(at, k.Now()); !to.started || to.State() == Done || int64(at) >= to.mark.Load() {
+	k := a.k
+	if at = max(at, k.Now()); !a.started || a.State() == Done || int64(at) >= a.mark.Load() {
 		return
 	}
-	to.mark.Store(int64(at))
+	a.mark.Store(int64(at))
 	for i, e := range k.runq {
-		if e.a == to {
+		if e.a == a {
 			if e.stream == "" && e.at > at {
 				k.runq = slices.Delete(k.runq, i, i+1)
-				k.push(entry{a: to, at: at})
+				k.push(entry{a: a, at: at})
 			}
 			return
 		}
 	}
 }
 
-// unpark takes a out of the list of agents parked on its channel. mu must be
-// held.
-func unpark(a *Agent) {
-	if q := parked[a.on]; q == a {
-		if a.next == nil {
-			delete(parked, a.on)
-		} else {
-			parked[a.on] = a.next
-		}
-	} else {
-		for q.next != a {
-			q = q.next
-		}
-		q.next = a.next
-	}
-	a.on, a.next = nil, nil
-}
-
-// chanKey is the identity of channel ch: the key its agents park under,
-// whatever the channel's element type and direction.
-func chanKey[T any](ch <-chan T) unsafe.Pointer { return *(*unsafe.Pointer)(unsafe.Pointer(&ch)) }
-
-// Recv receives from ch for agent a, like v, ok := <-ch, on a buffered
-// channel the kernel mediates (an inbox, a policy-clock tick): a value sent
-// with Send, or followed by Wake, wakes the agent parked on it, and a
-// receive from a full channel wakes the senders parked on its credit. A
+// Recv receives from ch, agent a's inbox or tick, for a, like v, ok := <-ch:
+// a value sent with Send, or followed by Wake, wakes a parked on it, and a
+// receive from a full channel wakes the senders parked on a's credit. A
 // closed abort (a nil one never fires), then a ready value, is taken without
 // parking; otherwise a parks in state why until one comes. ok is false when
 // ch closed or abort fired, and at once if nothing is ready and why is
-// Running. Whoever closes ch or abort while an agent may be parked wakes it
-// (Wake, Agent.Interrupt). A nil agent blocks on the channel itself.
+// Running. Whoever closes ch or abort while a may be parked wakes it (Wake,
+// Agent.Interrupt). A nil agent blocks on the channel itself.
 func Recv[T any](a *Agent, why State, ch <-chan T, abort <-chan struct{}) (v T, ok bool) {
 	for {
 		select {
@@ -529,7 +519,7 @@ func Recv[T any](a *Agent, why State, ch <-chan T, abort <-chan struct{}) (v T, 
 		}
 		select {
 		case v, ok = <-ch:
-			received(a, ch, ok, a.time())
+			received(a, ch, ok)
 			return v, ok
 		default:
 		}
@@ -542,41 +532,43 @@ func Recv[T any](a *Agent, why State, ch <-chan T, abort <-chan struct{}) (v T, 
 			case <-abort:
 				return v, false
 			}
-			received(a, ch, ok, 0)
+			received(a, ch, ok)
 			return v, ok
 		}
-		mu.Lock()
-		// A value sent since the check above found no parked agent to wake.
+		a.k.mu.Lock()
+		// A value sent since the check above found a not parked: it parks
+		// on ch in state why until a wake makes it runnable again.
 		select {
 		case v, ok = <-ch:
-			mu.Unlock()
-			received(a, ch, ok, a.time())
+			a.k.mu.Unlock()
+			received(a, ch, ok)
 			return v, ok
 		default:
 		}
-		a.park(why, chanKey(ch))
-		mu.Unlock()
+		a.on = key(ch)
+		a.state.Store(int32(why))
+		a.suspend()
+		a.k.mu.Unlock()
 	}
 }
 
-// received wakes the senders parked on ch's credit, at time at, when a's
-// receive found it full. A process is the only one receiving from its inbox
-// while it runs, so the length after its receive tells; callers that are no
-// process may drain one inbox together (rp.Discard from a receiver's Close
-// and from the engine's reaper), so each of their receives wakes.
-func received[T any](a *Agent, ch <-chan T, ok bool, at Time) {
-	if ok && (len(ch) == cap(ch)-1 || a == nil || a.w == nil) {
-		mu.Lock()
-		wake(chanKey(ch), at)
-		mu.Unlock()
+// received wakes the senders parked on a's credit for ch, at a's mark, when
+// a's receive found ch full: as the only receiver while it runs, a process
+// tells by the length after it; outside its process, every receive wakes.
+func received[T any](a *Agent, ch <-chan T, ok bool) {
+	if ok && a != nil && (len(ch) == cap(ch)-1 || a.w == nil) {
+		a.k.mu.Lock()
+		a.wakeCredit(key(ch), Time(a.mark.Load()))
+		a.k.mu.Unlock()
 	}
 }
 
-// Send sends v, arriving at virtual time at, on ch — the inbox of agent to
-// (nil: unknown) — for agent a, parked on Credit while ch is full; the
-// receiver learns of the arrival as arrived says. It reports false, not
-// having sent, if abort closes first. A nil agent blocks on the channel
-// itself.
+// Send sends v, arriving at virtual time at, on ch, the inbox of agent to,
+// for agent a of the same kernel; to learns of the arrival as arrived says.
+// While ch is full, a parks on to's credit; a caller that is no process (nil
+// a, or a outside its process) waits there too. Send reports false, not
+// having sent, once abort closes, to shut ch (Shut) or to is done. With no
+// consumer to name (nil to) it blocks on the channel itself.
 func Send[T any](a, to *Agent, ch chan T, v T, at Time, abort <-chan struct{}) bool {
 	for {
 		select {
@@ -584,37 +576,83 @@ func Send[T any](a, to *Agent, ch chan T, v T, at Time, abort <-chan struct{}) b
 			return false
 		default:
 		}
-		mu.Lock()
-		select {
-		case ch <- v:
-			arrived(to, chanKey(ch), at)
-			mu.Unlock()
-			return true
-		default:
-		}
-		if a == nil || a.w == nil {
-			mu.Unlock()
+		if to == nil {
 			select {
 			case ch <- v:
+				return true
 			case <-abort:
 				return false
 			}
-			mu.Lock()
-			arrived(to, chanKey(ch), at)
-			mu.Unlock()
-			return true
 		}
-		a.park(Credit, chanKey(ch))
-		mu.Unlock()
+		on := key[T](ch)
+		to.k.mu.Lock()
+		if to.State() == Done || to.shut != nil && slices.Contains(*to.shut, on) {
+			to.k.mu.Unlock()
+			return false
+		}
+		select {
+		case ch <- v:
+			to.arrived(on, at)
+			to.k.mu.Unlock()
+			return true
+		default:
+		}
+		// The sender waits on to's credit: a process parks there, a caller
+		// that is no process as an agent that never runs.
+		w := a
+		if a == nil || a.w == nil {
+			w = &Agent{proc: make(wakeup)}
+		}
+		w.on, w.to, w.next, to.credit = on, to, to.credit, w
+		if w == a {
+			a.state.Store(int32(Credit))
+			a.suspend()
+		}
+		to.k.mu.Unlock()
+		if w != a {
+			select {
+			case <-w.proc.(wakeup):
+			case <-abort:
+			}
+		}
 	}
 }
 
-// Wake makes every agent parked on ch runnable: whoever sends on ch or
-// closes it, or closes an abort channel its agents wait with, outside Send.
-func Wake[T any](ch chan T) {
-	mu.Lock()
-	wake(chanKey(ch), 0)
-	mu.Unlock()
+// Wake wakes agent to parked on ch, its inbox or tick, and the senders
+// parked on its credit for ch, by name: whoever sends on ch or closes it
+// outside Send (a policy-clock tick), or closes an abort channel the senders
+// wait with. A nil to wakes nobody.
+func Wake[T any](to *Agent, ch <-chan T) {
+	if to == nil {
+		return
+	}
+	on := key(ch)
+	to.k.mu.Lock()
+	if to.on == on && to.to == nil {
+		to.on = nil
+		to.resumeAt(0, Time(to.mark.Load()))
+	}
+	to.wakeCredit(on, 0)
+	to.k.mu.Unlock()
+}
+
+// Shut closes ch, agent a's inbox, to its senders: a consumer stops before
+// its producers. The senders parked on a's credit for ch wake as a receive
+// of a's would wake them, and every later Send on ch to a reports false;
+// what ch holds stays there for the caller to recycle. A nil agent shuts
+// nothing.
+func Shut[T any](a *Agent, ch <-chan T) {
+	if a == nil {
+		return
+	}
+	on := key(ch)
+	a.k.mu.Lock()
+	if a.shut == nil {
+		a.shut = new([]any)
+	}
+	*a.shut = append(*a.shut, on)
+	a.wakeCredit(on, Time(a.mark.Load()))
+	a.k.mu.Unlock()
 }
 
 // Interrupt makes the agent runnable if it is parked, so it looks at its
@@ -624,12 +662,12 @@ func (a *Agent) Interrupt() {
 	if a == nil {
 		return
 	}
-	mu.Lock()
+	a.k.mu.Lock()
 	if a.on != nil {
-		unpark(a)
+		a.unpark()
 		a.resumeAt(Time(a.mark.Load()), Time(a.mark.Load()))
 	}
-	mu.Unlock()
+	a.k.mu.Unlock()
 }
 
 // Wait receives from a channel the kernel does not mediate — a test's gate,
@@ -655,26 +693,18 @@ func Wait[T any](a *Agent, why State, ch <-chan T, abort <-chan struct{}) (v T, 
 		}
 		return v, ok
 	}
-	mu.Lock()
+	a.k.mu.Lock()
 	a.state.Store(int32(why))
 	go func() {
 		select {
 		case v, ok = <-ch:
 		case <-abort:
 		}
-		mu.Lock()
+		a.k.mu.Lock()
 		a.resumeAt(Time(a.mark.Load()), Time(a.mark.Load()))
-		mu.Unlock()
+		a.k.mu.Unlock()
 	}()
 	a.suspend()
-	mu.Unlock()
+	a.k.mu.Unlock()
 	return v, ok
-}
-
-// time is the time a wake by a stamps: its mark, or zero for no process.
-func (a *Agent) time() Time {
-	if a == nil {
-		return 0
-	}
-	return Time(a.mark.Load())
 }

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"scsq/internal/race"
 )
@@ -41,18 +42,22 @@ func (f procFunc) Run() { f() }
 
 // inKernel runs each body as a process of a fresh kernel, all started
 // together at time zero in the order of their ids, and waits for them to
-// end.
-func inKernel(bodies map[string]func(a *Agent)) {
+// end. If agents is not nil, inKernel fills it with every agent by id before
+// any body runs, so a body can name the agent it sends to.
+func inKernel(bodies map[string]func(a *Agent), agents map[string]*Agent) {
 	var k Kernel
 	k.Pause()
-	var agents []*Agent
+	var started []*Agent
 	for _, id := range slices.Sorted(maps.Keys(bodies)) {
 		a := k.Join("q1", nil)
 		a.Go(procFunc(func() { bodies[id](a) }))
-		agents = append(agents, a)
+		if agents != nil {
+			agents[id] = a
+		}
+		started = append(started, a)
 	}
 	k.Resume()
-	for _, a := range agents {
+	for _, a := range started {
 		a.Await()
 	}
 }
@@ -72,7 +77,7 @@ func TestKernelLeastKeyRunsFirst(t *testing.T) {
 				order = append(order, id) // the token orders these appends
 			}
 		}
-		inKernel(bodies)
+		inKernel(bodies, nil)
 		// b and d tie at 10: the stream breaks the tie.
 		if got := [4]string(order); got != [4]string{"b", "d", "c", "a"} {
 			t.Fatalf("run %d: grants in order %v, want b d c a", run, order)
@@ -96,6 +101,7 @@ func TestKernelInboxWakesAtArrival(t *testing.T) {
 		// All start at time zero, in id order: the receiver parks first,
 		// then the sender delivers at 50 and the early and late agents take
 		// their turns by key.
+		agents := map[string]*Agent{}
 		inKernel(map[string]func(*Agent){
 			"0recv": func(a *Agent) {
 				if v, ok := Recv(a, Inbox, inbox, nil); !ok || v != 7 {
@@ -103,10 +109,10 @@ func TestKernelInboxWakesAtArrival(t *testing.T) {
 				}
 				submitAt(a, "recv", 50)
 			},
-			"1send":  func(a *Agent) { Send(a, nil, inbox, 7, 50, nil) },
+			"1send":  func(a *Agent) { Send(a, agents["0recv"], inbox, 7, 50, nil) },
 			"2early": func(a *Agent) { submitAt(a, "early", 40) },
 			"3late":  func(a *Agent) { submitAt(a, "late", 60) },
-		})
+		}, agents)
 		if got := [3]string(order); got != [3]string{"early", "recv", "late"} {
 			t.Fatalf("run %d: ran in order %v, want early recv late", run, order)
 		}
@@ -149,7 +155,7 @@ func TestDoorDoneReleasesWaiters(t *testing.T) {
 	inKernel(map[string]func(*Agent){
 		"a": func(*Agent) { order = append(order, "a") },
 		"b": func(*Agent) { order = append(order, "b") },
-	})
+	}, nil)
 	if len(order) != 2 {
 		t.Errorf("ran %v, want both processes", order)
 	}
@@ -213,7 +219,8 @@ func inState(t *testing.T, a *Agent, s State) {
 
 // TestDoorParks: a wait records why the process is parked while it blocks,
 // and that it runs again once it returns; a wait that need not block records
-// nothing.
+// nothing. The process sends to its own inbox, so it parks on its own
+// credit.
 func TestDoorParks(t *testing.T) {
 	var k Kernel
 	a := k.Join("q1", nil)
@@ -229,9 +236,9 @@ func TestDoorParks(t *testing.T) {
 		if a.State() != Running {
 			t.Errorf("after the receive the agent reads %v", a.State())
 		}
-		Send(a, nil, ch, 2, 0, nil)
-		Send(a, nil, ch, 2, 0, nil) // full: the next send waits for credit
-		if Send(a, nil, ch, 3, 0, abort) {
+		Send(a, a, ch, 2, 0, nil)
+		Send(a, a, ch, 2, 0, nil) // full: the next send waits for credit
+		if Send(a, a, ch, 3, 0, abort) {
 			t.Error("Send on an aborted channel reported success")
 		}
 		if v, ok := Recv(a, Inbox, ch, abort); ok {
@@ -250,15 +257,15 @@ func TestDoorParks(t *testing.T) {
 		}
 	}))
 	inState(t, a, Inbox)
-	Send(nil, nil, ch, 1, 0, nil)
+	Send(nil, a, ch, 1, 0, nil)
 	inState(t, a, Credit)
 	close(abort)
-	Wake(ch)
+	Wake(a, ch)
 	inState(t, a, Tick)
 	tick <- struct{}{}
 	inState(t, a, Inbox)
 	close(ch)
-	Wake(ch)
+	Wake(a, ch)
 	a.Await()
 	if a.State() != Done {
 		t.Errorf("an ended process reads %v", a.State())
@@ -273,59 +280,62 @@ func TestDoorAllocatesNothing(t *testing.T) {
 	}
 	ping, pong := make(chan [4]int64, 1), make(chan [4]int64, 1)
 	var allocs float64
+	agents := map[string]*Agent{}
 	inKernel(map[string]func(*Agent){
 		"a": func(a *Agent) {
+			b := agents["b"]
 			var at Time
 			round := func() {
 				at = at.Add(Microsecond)
 				a.Emit(at)
-				Send(a, nil, ping, [4]int64{int64(at)}, at, nil)
+				Send(a, b, ping, [4]int64{int64(at)}, at, nil)
 				Recv(a, Inbox, pong, nil)
 			}
-			round() // the parked table and the run queue reach their size
+			round() // the run queue reaches its size
 			allocs = testing.AllocsPerRun(200, round)
 			close(ping)
-			Wake(ping)
+			Wake(b, ping)
 		},
 		"b": func(b *Agent) {
+			a := agents["a"]
 			for {
 				v, ok := Recv(b, Inbox, ping, nil)
 				if !ok {
 					return
 				}
 				b.Emit(Time(v[0]))
-				Send(b, nil, pong, v, Time(v[0]), nil)
+				Send(b, a, pong, v, Time(v[0]), nil)
 			}
 		},
-	})
+	}, agents)
 	if allocs != 0 {
 		t.Errorf("%.1f allocations per round trip, want 0", allocs)
 	}
 }
 
 // TestOutsidersWakeParkedSenders: two callers that are no process drain one
-// inbox at once (a receiver's Close and the engine's reaper each start
-// rp.Discard on it). Each receive leaves room for a sender parked on the
-// inbox's credit, so each must wake it: judged by the length after it, a
-// receive that another one overtook looks as if it had not found the inbox
-// full, and the sender stayed parked on an empty inbox for good. The race
-// needs two cores; when each receive judged by the length, about one round
-// in ten lost the sender there, so the test runs 50.
+// inbox at once, in the name of its consumer, an agent that never runs. Each
+// receive leaves room for a sender parked on the consumer's credit, so each
+// must wake it: judged by the length after it, a receive that another one
+// overtook looks as if it had not found the inbox full, and the sender stayed
+// parked on an empty inbox for good. The race needs two cores; when each
+// receive judged by the length, about one round in ten lost the sender
+// there, so the test runs 50.
 func TestOutsidersWakeParkedSenders(t *testing.T) {
 	for range 50 {
 		var k Kernel
-		a := k.Join("q1", nil)
+		a, to := k.Join("q1", nil), k.Join("q1", nil)
 		ch := make(chan int, 2)
 		a.Go(procFunc(func() {
 			for i := range 10_000 {
-				Send(a, nil, ch, i, 0, nil)
+				Send(a, to, ch, i, 0, nil)
 			}
 			close(ch)
 		}))
 		for range 2 {
 			go func() {
 				for {
-					if _, ok := Recv[int](nil, Inbox, ch, nil); !ok {
+					if _, ok := Recv(to, Inbox, ch, nil); !ok {
 						return
 					}
 				}
@@ -337,5 +347,88 @@ func TestOutsidersWakeParkedSenders(t *testing.T) {
 			close(done)
 		}()
 		released(t, done, "a sender stayed parked on credit while two outsiders drained its inbox")
+	}
+}
+
+// TestDoorShutWakesSenders: a consumer that shuts its full inbox wakes the
+// producer parked on its credit and the caller that is no process waiting
+// in Send; both Sends report false, as does every later one, and what the
+// inbox held stays there.
+func TestDoorShutWakesSenders(t *testing.T) {
+	ch, gate := make(chan int, 2), make(chan struct{})
+	var sent []bool
+	var outsider chan struct{}
+	agents := map[string]*Agent{}
+	inKernel(map[string]func(*Agent){
+		"0cons": func(a *Agent) {
+			Wait(a, Tick, gate, nil)
+			Shut(a, ch)
+		},
+		"1prod": func(a *Agent) {
+			to := agents["0cons"]
+			for i := range 3 {
+				sent = append(sent, Send(a, to, ch, i, 0, nil))
+			}
+			sent = append(sent, Send(a, to, ch, 3, 0, nil))
+		},
+		"2gate": func(a *Agent) {
+			prod, cons := agents["1prod"], agents["0cons"]
+			var stuck bool
+			stuck, outsider = blocks(func() {
+				if Send(nil, cons, ch, 9, 0, nil) {
+					t.Error("an outsider's Send to a shut inbox reported true")
+				}
+			})
+			if !stuck {
+				t.Error("an outsider's Send to a full inbox did not wait")
+			}
+			go func() {
+				inState(t, prod, Credit)
+				close(gate)
+			}()
+		},
+	}, agents)
+	released(t, outsider, "an outsider waiting in Send stayed there after Shut")
+	if want := []bool{true, true, false, false}; !slices.Equal(sent, want) {
+		t.Errorf("Sends reported %v, want %v", sent, want)
+	}
+	if len(ch) != 2 || <-ch != 0 || <-ch != 1 {
+		t.Error("Shut took what the inbox held")
+	}
+}
+
+// TestDoorKernelsLockApart: each kernel has a lock of its own, so holding
+// one does not stop the processes of another from handing frames to each
+// other and ending.
+func TestDoorKernelsLockApart(t *testing.T) {
+	var held Kernel
+	held.mu.Lock()
+	defer held.mu.Unlock()
+	stuck, done := blocks(func() {
+		ch := make(chan int, 1)
+		agents := map[string]*Agent{}
+		inKernel(map[string]func(*Agent){
+			"0recv": func(a *Agent) {
+				for range 10 {
+					Recv(a, Inbox, ch, nil)
+				}
+			},
+			"1send": func(a *Agent) {
+				for i := range 10 {
+					Send(a, agents["0recv"], ch, i, Time(i), nil)
+				}
+			},
+		}, agents)
+	})
+	if stuck {
+		released(t, done, "a kernel's processes waited for another kernel's lock")
+	}
+}
+
+// TestDoorAgentStaysSmall: an agent is made per process, so what it keeps to
+// name its waker must stay small.
+func TestDoorAgentStaysSmall(t *testing.T) {
+	if n := unsafe.Sizeof(Agent{}); n > 144 {
+		t.Errorf("an agent takes %d bytes, want at most 144", n)
 	}
 }

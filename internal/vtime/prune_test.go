@@ -32,7 +32,7 @@ func TestPruneAtKernelTimeMatchesUnpruned(t *testing.T) {
 			}
 		}
 	}
-	inKernel(bodies)
+	inKernel(bodies, nil)
 
 	if f := pruned.PruneFloor(); f < Time(10*Millisecond) {
 		t.Fatalf("prune floor %v: the kernel's time did not advance", f)
@@ -147,7 +147,7 @@ func TestPruneHeldBackByAnEarlierArrival(t *testing.T) {
 		},
 		"1p1": func(a *Agent) { send(a, 10, 100) },
 		"2p2": func(a *Agent) { send(a, 20, 90) },
-	})
+	}, nil)
 	plain := NewResource("u")
 	for _, q := range got {
 		if s, e := plain.UseAs("q1", q.Ready, q.Service); s != q.Start || e != q.End {

@@ -429,6 +429,32 @@ func TestIdleEngineRunsNothing(t *testing.T) {
 	if v, err := stream.One(); err != nil || v != int64(4) {
 		t.Fatalf("v=%v err=%v, want 4", v, err)
 	}
+	// A receiver that stops early (limit) and a cancelled session leave
+	// nothing running either: no drain outlives its stream.
+	for range 3 {
+		stream, err := eng.Query(`select limit(extract(a), 2) from sp a where a=sp(gen_array(1000, 50), 'bg');`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if els, err := stream.Drain(); err != nil || len(els) != 2 {
+			t.Fatalf("limit read %d elements, err %v; want 2", len(els), err)
+		}
+	}
+	live, err := eng.Submit(`select extract(a) from sp a where a=sp(count(streamof(sys_rps())), 'bg', 0);`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); live.State() != SessionRunning; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the live session reads %v, want running", live.State())
+		}
+	}
+	if err := live.Cancel(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := live.Wait(); err == nil {
+		t.Fatal("a cancelled session ended without an error")
+	}
 	time.Sleep(20 * time.Millisecond)
 	for i := 0; i < 200 && runtime.NumGoroutine() > baseline; i++ {
 		time.Sleep(10 * time.Millisecond)
