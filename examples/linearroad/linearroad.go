@@ -276,7 +276,7 @@ func (s *SegmentStats) Next() (sqep.Element, bool, error) {
 		if err != nil {
 			return sqep.Element{}, false, err
 		}
-		s.at = s.ctx.Charge(vtime.MaxTime(s.at, el.At), tollElemCost)
+		s.at = s.ctx.Charge(max(s.at, el.At), tollElemCost)
 		for r.Time >= s.curEnd {
 			s.flush()
 			s.curEnd += s.WindowTicks

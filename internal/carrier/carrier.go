@@ -76,10 +76,11 @@ type Frame struct {
 	Pooled bool
 	// Down marks a failure-propagation frame: the producer (or its
 	// supervisor, speaking for a dead node) declares the stream failed.
-	// Receivers surface DownErr as a typed error instead of terminating
+	// Receivers surface Note.DownErr as a typed error instead of terminating
 	// cleanly, so a failure crosses the SP graph instead of wedging it.
-	// (The three flags sit together to share one word: a frame fills every
-	// inbox slot and every staged batch entry.)
+	// (The three flags share one word, and whatever a healthy, untraced
+	// frame does not need sits behind Note: a frame fills every inbox slot
+	// and every staged batch entry.)
 	Down bool
 	// Offset is the cumulative count of payload bytes the sender shipped on
 	// this stream before this frame. A supervised replacement of a failed
@@ -92,6 +93,13 @@ type Frame struct {
 	// the producer's links and meets none of its CPU requests. Stage i of
 	// the frame's route is keyed Seq<<StageBits | i, its de-marshal Seq.
 	Seq uint64
+	// Note carries a Down frame's failure and a traced frame's journey; it
+	// is nil on every healthy, untraced frame.
+	Note *Note
+}
+
+// Note is what a frame carries besides its bytes, when it carries more.
+type Note struct {
 	// DownErr carries the failure description of a Down frame.
 	DownErr string
 	// TraceID tags the frame for frame-level tracing; zero means untraced.

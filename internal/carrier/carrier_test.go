@@ -1,6 +1,9 @@
 package carrier
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 func TestBufferingString(t *testing.T) {
 	tests := []struct {
@@ -23,5 +26,18 @@ func TestFrameZeroValue(t *testing.T) {
 	var f Frame
 	if f.Last || f.Payload != nil || f.Ready != 0 {
 		t.Errorf("zero frame = %+v", f)
+	}
+}
+
+// TestDeliveredStaysSmall: a delivery fills every inbox slot and every
+// staged batch entry and is moved once per hop of its way, so what a
+// healthy, untraced frame does not need stays behind Frame.Note. The bounds
+// are bytes on a 64-bit host; a 32-bit one reads less.
+func TestDeliveredStaysSmall(t *testing.T) {
+	if n := unsafe.Sizeof(Frame{}); n > 80 {
+		t.Errorf("a frame takes %d bytes, want at most 80", n)
+	}
+	if n := unsafe.Sizeof(Delivered{}); n > 96 {
+		t.Errorf("a delivery takes %d bytes, want at most 96", n)
 	}
 }

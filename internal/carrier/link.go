@@ -103,10 +103,10 @@ type Link struct {
 	seq    atomic.Uint64 // the next frame's sequence number
 }
 
-// NewLink opens a connection over r that delivers into inbox. faults is
-// consulted on every send (pass the fabric's *chaos.Injector; a nil one
-// injects nothing); reg, if non-nil, records the per-link frame/byte/drop
-// counters and the carrier's delivery-latency histogram.
+// NewLink opens a connection over r that delivers into inbox. faults, if
+// non-nil, is consulted on every send (pass chaos.Injector.Faults); reg, if
+// non-nil, records the per-link frame/byte/drop counters and the carrier's
+// delivery-latency histogram.
 func NewLink(r Route, inbox Inbox, faults Faults, reg *metrics.Registry) *Link {
 	// The label identifies the link's metrics block (names are composed from
 	// it when the registry is read). It is spelled on the stack and becomes a
@@ -155,7 +155,8 @@ const StageBits = 8
 // sequence number), submits the frame's stages as one request chain keyed by
 // its producer and Frame.Seq, stamps the hops of a traced frame and hands it
 // to the receiver. The returned instant is when the sender-side stage
-// released the frame.
+// released the frame. The frame becomes its delivery once, at the hand-off,
+// which moves it on by reference.
 func (l *Link) Send(fr Frame) (vtime.Time, error) {
 	// Once Send is called the link owns the frame, success or failure:
 	// every error path recycles a pooled payload, so senders never touch it
@@ -170,7 +171,10 @@ func (l *Link) Send(fr Frame) (vtime.Time, error) {
 		return 0, l.aborted()
 	}
 	s := len(fr.Payload)
-	v := l.faults.OnSend(l.route.Src, l.route.Dst, seq, fr.Ready, s, fr.Last)
+	v := Verdict{CorruptByte: -1}
+	if l.faults != nil {
+		v = l.faults.OnSend(l.route.Src, l.route.Dst, seq, fr.Ready, s, fr.Last)
+	}
 	if v.Err != nil {
 		Recycle(&fr)
 		return 0, v.Err
@@ -191,9 +195,9 @@ func (l *Link) Send(fr Frame) (vtime.Time, error) {
 	if lost {
 		stages = stages[:1] // the frame leaves the sender, never to arrive
 	}
-	traced := fr.TraceID != 0 && !lost
+	traced := fr.Note != nil && fr.Note.TraceID != 0 && !lost
 	if traced {
-		fr.Hops = slices.Grow(fr.Hops, len(stages))
+		fr.Note.Hops = slices.Grow(fr.Note.Hops, len(stages))
 	}
 	// The stages are one chain, submitted in runs of requests built on the
 	// stack, each run ready when the one before released the frame.
@@ -210,7 +214,7 @@ func (l *Link) Send(fr Frame) (vtime.Time, error) {
 		}
 		for k := range run {
 			if label := stages[i+k].Label; traced && label != "" {
-				fr.Hops = append(fr.Hops, Hop{Name: label, At: run[k].End})
+				fr.Note.Hops = append(fr.Note.Hops, Hop{Name: label, At: run[k].End})
 			}
 		}
 		t = run[len(run)-1].End
@@ -226,13 +230,13 @@ func (l *Link) Send(fr Frame) (vtime.Time, error) {
 	// frame is stamped with its arrival time.
 	t = t.Add(v.Delay)
 	if traced && stages[len(stages)-1].Label != "" {
-		fr.Hops[len(fr.Hops)-1].At = t
+		fr.Note.Hops[len(fr.Note.Hops)-1].At = t
 	}
 
 	// Sizes are captured before the hand-off: the receiver owns the frame
 	// afterwards.
 	ready := fr.Ready
-	if err := l.deliver(Delivered{Frame: fr, At: t, ViaTCP: l.route.ViaTCP}); err != nil {
+	if err := l.deliver(&Delivered{Frame: fr, At: t, ViaTCP: l.route.ViaTCP}); err != nil {
 		return senderFree, err
 	}
 	l.mFrames.Inc()
@@ -246,7 +250,7 @@ func (l *Link) Send(fr Frame) (vtime.Time, error) {
 // is aborted (a torn stream must not wedge its producer on flow control). A
 // receiver that shut its inbox, or is done, reads no more: the frame is
 // dropped as if delivered.
-func (l *Link) deliver(d Delivered) error {
+func (l *Link) deliver(d *Delivered) error {
 	if !vtime.Send(l.Sender, l.Receiver, l.inbox, d, d.At, l.abort) {
 		Recycle(&d.Frame)
 		if l.torn.Load() {

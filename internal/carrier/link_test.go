@@ -57,8 +57,8 @@ func TestHopsUnderInjectedDelay(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Hops[0] is the sender driver's link marker; carriers append to it.
-		fr := carrier.Frame{Source: "h", Payload: make([]byte, 3000), Ready: 5, TraceID: 7,
-			Hops: []carrier.Hop{{Name: "link"}}}
+		fr := carrier.Frame{Source: "h", Payload: make([]byte, 3000), Ready: 5,
+			Note: &carrier.Note{TraceID: 7, Hops: []carrier.Hop{{Name: "link"}}}}
 		if _, err := conn.Send(fr); err != nil {
 			t.Fatal(err)
 		}
@@ -73,27 +73,27 @@ func TestHopsUnderInjectedDelay(t *testing.T) {
 				t.Fatalf("DelayRate(1) added %v of latency", delay)
 			}
 			var names []string
-			for _, h := range delayed.Hops[1:] {
+			for _, h := range delayed.Note.Hops[1:] {
 				names = append(names, h.Name)
 			}
 			if !slices.Equal(names, c.hops) {
 				t.Errorf("hops = %q, want %q", names, c.hops)
 			}
-			last := len(delayed.Hops) - 1
+			last := len(delayed.Note.Hops) - 1
 			for i := 1; i <= last; i++ {
-				want := plain.Hops[i].At
+				want := plain.Note.Hops[i].At
 				if i == last {
 					want = want.Add(delay)
 				}
-				if delayed.Hops[i].At != want {
-					t.Errorf("hop %q at %v, want %v", delayed.Hops[i].Name, delayed.Hops[i].At, want)
+				if delayed.Note.Hops[i].At != want {
+					t.Errorf("hop %q at %v, want %v", delayed.Note.Hops[i].Name, delayed.Note.Hops[i].At, want)
 				}
 			}
-			if delayed.Hops[last].At != delayed.At {
-				t.Errorf("last hop at %v, frame delivered at %v", delayed.Hops[last].At, delayed.At)
+			if delayed.Note.Hops[last].At != delayed.At {
+				t.Errorf("last hop at %v, frame delivered at %v", delayed.Note.Hops[last].At, delayed.At)
 			}
-			if plain.Hops[last].At != plain.At {
-				t.Errorf("undelayed last hop at %v, frame delivered at %v", plain.Hops[last].At, plain.At)
+			if plain.Note.Hops[last].At != plain.At {
+				t.Errorf("undelayed last hop at %v, frame delivered at %v", plain.Note.Hops[last].At, plain.At)
 			}
 		})
 	}

@@ -36,10 +36,7 @@ var DefaultRetryPolicy = RetryPolicy{MaxAttempts: 3, BaseBackoff: 50 * time.Micr
 // returns the same schedule on every call, which is what makes retry timing
 // assertable in tests.
 func (p RetryPolicy) Backoffs() []time.Duration {
-	attempts := p.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
-	}
+	attempts := max(p.MaxAttempts, 1)
 	backoff := p.BaseBackoff
 	if backoff <= 0 {
 		backoff = 50 * time.Microsecond
@@ -58,10 +55,7 @@ func (p RetryPolicy) Backoffs() []time.Duration {
 		// colliding retriers decorrelate.
 		out = append(out, time.Duration(rng.Int63n(int64(backoff)+1)))
 		if backoff < maxBackoff {
-			backoff *= 2
-			if backoff > maxBackoff {
-				backoff = maxBackoff
-			}
+			backoff = min(2*backoff, maxBackoff)
 		}
 	}
 	return out
@@ -71,10 +65,7 @@ func (p RetryPolicy) Backoffs() []time.Duration {
 // with the Backoffs sleep schedule. The first non-transient error — and the
 // last transient one — is returned as-is, preserving the typed error chain.
 func (p RetryPolicy) Do(op func() error) error {
-	attempts := p.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
-	}
+	attempts := max(p.MaxAttempts, 1)
 	var sleeps []time.Duration
 	var err error
 	for attempt := 0; attempt < attempts; attempt++ {
@@ -97,11 +88,8 @@ func (p RetryPolicy) Do(op func() error) error {
 // ErrDialTimeout, so a bounded burst of them is absorbed here.
 func DialRetry(p RetryPolicy, dial func() (Conn, error)) (Conn, error) {
 	var conn Conn
-	err := p.Do(func() error {
-		c, err := dial()
-		if err == nil {
-			conn = c
-		}
+	err := p.Do(func() (err error) {
+		conn, err = dial()
 		return err
 	})
 	if err != nil {

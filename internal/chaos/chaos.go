@@ -224,6 +224,15 @@ func (i *Injector) NodeDead(cluster hw.ClusterName, node int) bool {
 	return i.dead[NodeRef{Cluster: cluster, Node: node}]
 }
 
+// Faults returns i as a link's fault source: nil, which a link never
+// consults, for a nil injector.
+func (i *Injector) Faults() carrier.Faults {
+	if i == nil {
+		return nil
+	}
+	return i
+}
+
 // Dial decides the fate of one dial attempt from src to dst. It returns nil
 // (proceed), a wrapped carrier.ErrDialTimeout (transient, retryable), or a
 // wrapped carrier.ErrNodeDown when either endpoint has crashed.

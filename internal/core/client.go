@@ -145,7 +145,7 @@ func (d *drain) Run() {
 				break
 			}
 			s.ctx.Agent.Emit(el.At)
-			s.last = vtime.MaxTime(s.last, el.At)
+			s.last = max(s.last, el.At)
 			if s.obs != nil {
 				s.obs(el)
 			} else {
@@ -229,7 +229,7 @@ func (s *ClientStream) Drain() ([]sqep.Element, error) {
 // Makespan returns the query's virtual completion time counted from its
 // start: the last result element's time minus the kernel's time when the
 // drain started, so what ran before does not enter it. Read it after Drain.
-func (s *ClientStream) Makespan() vtime.Time { return vtime.MaxTime(s.last, s.start) - s.start }
+func (s *ClientStream) Makespan() vtime.Time { return max(s.last, s.start) - s.start }
 
 // Values returns the drained element values.
 func (s *ClientStream) Values() []any {

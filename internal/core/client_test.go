@@ -404,7 +404,7 @@ func TestForgetQueryFoldsWithoutLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nic.NIC.BusyTimeBy(ids[0]) == 0 {
+	if nic.NIC.OwnerBusy()[ids[0]] == 0 {
 		t.Fatalf("%s charged nothing to be0.nic; the test needs an owner to fold", ids[0])
 	}
 
@@ -444,7 +444,7 @@ func TestForgetQueryFoldsWithoutLoss(t *testing.T) {
 			t.Errorf("%s still lists forgotten owner %s", r.Name(), ids[0])
 		}
 	}
-	if nic.NIC.BusyTimeBy(vtime.RetiredOwner) == 0 {
+	if nic.NIC.OwnerBusy()[vtime.RetiredOwner] == 0 {
 		t.Error("be0.nic has no retired aggregate after the fold")
 	}
 }

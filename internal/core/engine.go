@@ -401,16 +401,16 @@ func (e *Engine) DeadNodeCount() int {
 // shut the inbox or is done.
 func poisonInbox(w wiring, source string, cause error) {
 	fr := carrier.Delivered{Frame: carrier.Frame{
-		Source:  source,
-		Last:    true,
-		Down:    true,
-		DownErr: cause.Error(),
+		Source: source,
+		Last:   true,
+		Down:   true,
+		Note:   &carrier.Note{DownErr: cause.Error()},
 	}}
 	select {
 	case w.inbox <- fr:
 		vtime.Wake(w.to, w.inbox)
 	default:
-		go vtime.Send(nil, w.to, w.inbox, fr, 0, nil)
+		go vtime.Send(nil, w.to, w.inbox, &fr, 0, nil)
 	}
 }
 

@@ -213,7 +213,7 @@ func TestEveryExitRetiresOnce(t *testing.T) {
 					t.Errorf("%s: owners sum to %v, busy %v", r.Name(), sum, r.BusyTime())
 				}
 			}
-			if !c.reset && c.ran && e.Env().Resources()[0].BusyTimeBy(vtime.RetiredOwner) == 0 {
+			if !c.reset && c.ran && e.Env().Resources()[0].OwnerBusy()[vtime.RetiredOwner] == 0 {
 				t.Errorf("%s carries no retired busy time after the fold", e.Env().Resources()[0].Name())
 			}
 

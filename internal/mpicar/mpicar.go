@@ -135,7 +135,7 @@ func (f *Fabric) Dial(src, dst int, mode carrier.Buffering, inbox carrier.Inbox)
 	}
 	stages = append(stages, vtime.Stage{Resource: dstNode.Coproc, Service: receive, Label: dstNode.Hop})
 	f.env.RegisterProducer(dst)
-	return carrier.NewLink(carrier.Route{Kind: "mpi", Src: srcRef, Dst: dstRef, Stages: stages}, inbox, f.inj, f.reg), nil
+	return carrier.NewLink(carrier.Route{Kind: "mpi", Src: srcRef, Dst: dstRef, Stages: stages}, inbox, f.inj.Faults(), f.reg), nil
 }
 
 // packets is the co-processor time for the k torus packets of an s-byte

@@ -274,13 +274,12 @@ func (d *senderDriver) flushFrame(n int, last bool) error {
 			Seq:     *d.seq,
 			Last:    last,
 			Pooled:  pooled,
-			TraceID: traceID,
 		}
 		*d.seq++
 		if traceID != 0 {
 			// Hops[0] names the link: it seeds the Perfetto lane receivers
 			// emit into, and carriers append their waypoints after it.
-			fr.Hops = []carrier.Hop{{Name: d.cfg.Link, At: d.pendReady}}
+			fr.Note = &carrier.Note{TraceID: traceID, Hops: []carrier.Hop{{Name: d.cfg.Link, At: d.pendReady}}}
 		}
 		var serr error
 		free, serr = d.conn.Send(fr)
@@ -315,13 +314,13 @@ func (d *senderDriver) flushFrame(n int, last bool) error {
 func (d *senderDriver) finishDown(cause error) error {
 	*d.seq++
 	_, err := d.conn.Send(carrier.Frame{
-		Source:  d.source,
-		Ready:   d.pendReady,
-		Offset:  uint64(d.bytesOut),
-		Seq:     *d.seq - 1,
-		Last:    true,
-		Down:    true,
-		DownErr: cause.Error(),
+		Source: d.source,
+		Ready:  d.pendReady,
+		Offset: uint64(d.bytesOut),
+		Seq:    *d.seq - 1,
+		Last:   true,
+		Down:   true,
+		Note:   &carrier.Note{DownErr: cause.Error()},
 	})
 	return err
 }
@@ -572,13 +571,13 @@ func (r *Receiver) fill() error {
 	}
 	// A final frame stays last; preprocess fails only on a Down frame.
 	pulled, n := r.batch, len(r.batch)
-	if last := pulled[n-1].fr; last.Last || last.Down {
+	if last := &pulled[n-1].fr; last.Last || last.Down {
 		n--
 	}
 	inKeyOrder(pulled[:n])
 	r.batch = r.batch[:0]
 	for i := range pulled {
-		r.deferred = r.preprocess(pulled[i].fr)
+		r.deferred = r.preprocess(&pulled[i])
 	}
 	clear(pulled[len(r.batch):])
 	r.ingestBatch()
@@ -602,16 +601,18 @@ func inKeyOrder(fs []pendingFrame) {
 
 var errInboxClosed = errors.New("rp: inbox closed before end of stream")
 
-// preprocess validates, de-duplicates, and prices one frame, staging it in
-// the current batch. Duplicate replayed frames are recycled here without
-// charge; Down frames surface as an error.
-func (r *Receiver) preprocess(fr carrier.Delivered) error {
+// preprocess validates, de-duplicates, and prices one pulled frame, staging
+// it in the current batch: in its own slot, unless a frame before it was
+// dropped. Duplicate replayed frames are recycled here without charge; Down
+// frames surface as an error.
+func (r *Receiver) preprocess(p *pendingFrame) error {
+	fr := &p.fr
 	if fr.Down {
 		carrier.Recycle(&fr.Frame)
-		return fmt.Errorf("rp: producer %q failed: %s: %w", fr.Source, fr.DownErr, ErrUpstreamDown)
+		return fmt.Errorf("rp: producer %q failed: %s: %w", fr.Source, fr.Note.DownErr, ErrUpstreamDown)
 	}
 
-	payload, skip := fr.Payload, 0
+	payload := fr.Payload
 	if r.cfg.TrackOffsets && len(payload) > 0 {
 		pr := r.producer(fr.Source)
 		next := pr.nextOff
@@ -630,8 +631,8 @@ func (r *Receiver) preprocess(fr carrier.Delivered) error {
 			// Partial overlap: ingest only the unseen suffix; the prefix
 			// continues the byte stream already sitting in the reassembly
 			// buffer.
-			skip = int(next - fr.Offset)
-			payload = payload[skip:]
+			p.skip = int(next - fr.Offset)
+			payload = payload[p.skip:]
 		}
 		// Offsets may jump forward past a gap: UDP drops are real losses,
 		// not replays.
@@ -654,7 +655,10 @@ func (r *Receiver) preprocess(fr carrier.Delivered) error {
 			svc = vtime.Duration(float64(svc) * r.cfg.Cost.CacheFactor(len(payload)))
 		}
 	}
-	r.batch = append(r.batch, pendingFrame{fr: fr, skip: skip})
+	r.batch = r.batch[:len(r.batch)+1]
+	if s := &r.batch[len(r.batch)-1]; s != p {
+		*s = *p
+	}
 	r.reqs = append(r.reqs, vtime.Request{Resource: r.cfg.CPU, Stream: fr.Source, Seq: fr.Seq, Ready: fr.At, Service: svc})
 	return nil
 }
@@ -682,19 +686,19 @@ var netLanes = [2]string{"net-0", "net-1"}
 func (r *Receiver) observe(p *pendingFrame, q *vtime.Request, n int64) {
 	r.hDemarshal.Observe(q.End.Sub(q.Ready))
 
-	if t := r.cfg.Tracer; t != nil && p.fr.TraceID != 0 {
+	if t := r.cfg.Tracer; t != nil && p.fr.Note != nil && p.fr.Note.TraceID != 0 {
 		// The frame's journey renders in the lane its sender named in
 		// Hops[0].
-		fr := &p.fr
+		fr, note := &p.fr, p.fr.Note
 		proc := fr.Source
-		if len(fr.Hops) > 0 {
-			proc = fr.Hops[0].Name
+		if len(note.Hops) > 0 {
+			proc = note.Hops[0].Name
 		}
-		t.Span(proc, netLanes[n&1], "transfer", fr.TraceID, fr.Ready, fr.At, int64(len(fr.Payload)))
-		for _, h := range fr.Hops[1:] {
-			t.Instant(proc, "hops", h.Name, fr.TraceID, h.At)
+		t.Span(proc, netLanes[n&1], "transfer", note.TraceID, fr.Ready, fr.At, int64(len(fr.Payload)))
+		for _, h := range note.Hops[1:] {
+			t.Instant(proc, "hops", h.Name, note.TraceID, h.At)
 		}
-		t.Span(proc, r.demarshalLane, "demarshal", fr.TraceID, q.Ready, q.End, int64(len(p.payload())))
+		t.Span(proc, r.demarshalLane, "demarshal", note.TraceID, q.Ready, q.End, int64(len(p.payload())))
 	}
 }
 

@@ -198,7 +198,7 @@ func TestReceiverCloseRecyclesDrainedFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	queued := carrier.GetBuf(512)
-	if !vtime.Send(nil, cons, inbox, carrier.Delivered{Frame: carrier.Frame{Source: "a", Payload: queued, Pooled: true}}, 0, nil) {
+	if !vtime.Send(nil, cons, inbox, &carrier.Delivered{Frame: carrier.Frame{Source: "a", Payload: queued, Pooled: true}}, 0, nil) {
 		t.Fatal("a Send to an open inbox reported false")
 	}
 	if err := r.Close(); err != nil {
@@ -210,7 +210,7 @@ func TestReceiverCloseRecyclesDrainedFrames(t *testing.T) {
 	if inPool(carrier.GetBuf, carrier.PutBuf, map[*byte]int{&queued[0]: cap(queued)}) != 1 {
 		t.Error("the queued frame's pooled payload is not back in the pool")
 	}
-	if vtime.Send(nil, cons, inbox, carrier.Delivered{Frame: carrier.Frame{Source: "a", Last: true}}, 0, nil) || len(inbox) != 0 {
+	if vtime.Send(nil, cons, inbox, &carrier.Delivered{Frame: carrier.Frame{Source: "a", Last: true}}, 0, nil) || len(inbox) != 0 {
 		t.Error("a Send after Close reached the inbox")
 	}
 }

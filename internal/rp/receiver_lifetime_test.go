@@ -495,7 +495,7 @@ func TestReceiverRecycleExactlyOnce(t *testing.T) {
 			wantErr: `rp: producer "p" failed: boom: rp: upstream producer down`,
 			frames: func() []carrier.Delivered {
 				down := pooled(55, true, 9)
-				down.Down, down.DownErr = true, "boom"
+				down.Down, down.Note = true, &carrier.Note{DownErr: "boom"}
 				return []carrier.Delivered{pooled(0, false, 1, head), pooled(29, false, tail), pooled(46, false, 2), down}
 			}},
 		{name: "inbox closed mid-drain, half an array pending", closeInbox: true, want: []int64{1, 100, 2},

@@ -36,7 +36,7 @@ func (c *loopConn) Send(f carrier.Frame) (vtime.Time, error) {
 		return 0, carrier.ErrClosed
 	}
 	c.sent = append(c.sent, f)
-	start := vtime.MaxTime(f.Ready, c.free)
+	start := max(f.Ready, c.free)
 	at := start.Add(vtime.Duration(len(f.Payload)) * c.perByte)
 	c.free = at
 	c.mu.Unlock()
@@ -393,7 +393,7 @@ func TestReceiverCloseUnblocksSenders(t *testing.T) {
 	delivered := 0
 	prod.Go(procFunc(func() {
 		for i := 0; i < 100; i++ {
-			if vtime.Send(prod, cons, inbox, carrier.Delivered{Frame: carrier.Frame{Source: "a", Payload: []byte{marshal.TagNull}}}, 0, nil) {
+			if vtime.Send(prod, cons, inbox, &carrier.Delivered{Frame: carrier.Frame{Source: "a", Payload: []byte{marshal.TagNull}}}, 0, nil) {
 				delivered++
 			}
 		}

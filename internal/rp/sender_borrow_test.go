@@ -48,7 +48,7 @@ type frameLog struct {
 }
 
 func (c *frameLog) Send(f carrier.Frame) (vtime.Time, error) {
-	c.free = vtime.MaxTime(f.Ready, c.free).Add(vtime.Duration(2 * len(f.Payload)))
+	c.free = max(f.Ready, c.free).Add(vtime.Duration(2 * len(f.Payload)))
 	c.frames = append(c.frames, sentFrame{
 		offset: f.Offset, n: len(f.Payload), ready: f.Ready, last: f.Last,
 		senderFree: c.free, pooled: f.Pooled, data: unsafe.SliceData(f.Payload),

@@ -40,7 +40,7 @@ func (c *recConn) Send(f carrier.Frame) (vtime.Time, error) {
 		return 0, carrier.ErrPeerReset
 	}
 	c.log.WriteByte('\n')
-	at := vtime.MaxTime(f.Ready, c.free).Add(vtime.Duration(n) * c.perByte)
+	at := max(f.Ready, c.free).Add(vtime.Duration(n) * c.perByte)
 	c.free = at
 	return at, nil
 }

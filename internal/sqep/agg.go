@@ -48,7 +48,7 @@ func (c *Count) Next() (Element, bool, error) {
 			break
 		}
 		n++
-		now = c.ctx.Charge(vtime.MaxTime(now, el.At), c.ctx.Cost.AggElemCost)
+		now = c.ctx.Charge(max(now, el.At), c.ctx.Cost.AggElemCost)
 	}
 	c.done = true
 	return Element{Value: n, At: now}, true, nil
@@ -109,7 +109,7 @@ func (s *Sum) Next() (Element, bool, error) {
 			return Element{}, false, typeErrorf("sum", el.Value)
 		}
 		sawAny = true
-		now = s.ctx.Charge(vtime.MaxTime(now, el.At), s.ctx.Cost.AggElemCost)
+		now = s.ctx.Charge(max(now, el.At), s.ctx.Cost.AggElemCost)
 	}
 	s.done = true
 	var out any

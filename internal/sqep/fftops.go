@@ -94,7 +94,7 @@ func (r *RadixCombine) Next() (Element, bool, error) {
 	if err != nil {
 		return Element{}, false, fmt.Errorf("sqep: radixcombine: %w", err)
 	}
-	at := r.ctx.Charge(vtime.MaxTime(oddEl.At, evnEl.At), fftCost(len(combined)))
+	at := r.ctx.Charge(max(oddEl.At, evnEl.At), fftCost(len(combined)))
 	return Element{Value: complexToInterleaved(combined), At: at}, true, nil
 }
 

@@ -119,7 +119,7 @@ func (w *Window) emit() (Element, bool, error) {
 		if v > maxV {
 			maxV = v
 		}
-		at = vtime.MaxTime(at, w.ts[i])
+		at = max(at, w.ts[i])
 	}
 	var out any
 	switch w.Kind {

@@ -153,7 +153,7 @@ func (f *Fabric) dialAs(kind string, src, dst Endpoint, inbox carrier.Inbox) (*C
 		stages = []vtime.Stage{nic(srcNode, m.BeMsgCost), nic(dstNode, 0)}
 	}
 	r := carrier.Route{Kind: kind, Src: src, Dst: dst, Stages: stages, ViaTCP: true}
-	return carrier.NewLink(r, inbox, f.inj, f.reg), nil
+	return carrier.NewLink(r, inbox, f.inj.Faults(), f.reg), nil
 }
 
 func byteDur(perByte float64, n int) vtime.Duration {

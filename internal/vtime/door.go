@@ -563,13 +563,13 @@ func received[T any](a *Agent, ch <-chan T, ok bool) {
 	}
 }
 
-// Send sends v, arriving at virtual time at, on ch, the inbox of agent to,
+// Send sends *v, arriving at virtual time at, on ch, the inbox of agent to,
 // for agent a of the same kernel; to learns of the arrival as arrived says.
 // While ch is full, a parks on to's credit; a caller that is no process (nil
 // a, or a outside its process) waits there too. Send reports false, not
 // having sent, once abort closes, to shut ch (Shut) or to is done. With no
 // consumer to name (nil to) it blocks on the channel itself.
-func Send[T any](a, to *Agent, ch chan T, v T, at Time, abort <-chan struct{}) bool {
+func Send[T any](a, to *Agent, ch chan T, v *T, at Time, abort <-chan struct{}) bool {
 	for {
 		select {
 		case <-abort:
@@ -578,7 +578,7 @@ func Send[T any](a, to *Agent, ch chan T, v T, at Time, abort <-chan struct{}) b
 		}
 		if to == nil {
 			select {
-			case ch <- v:
+			case ch <- *v:
 				return true
 			case <-abort:
 				return false
@@ -591,7 +591,7 @@ func Send[T any](a, to *Agent, ch chan T, v T, at Time, abort <-chan struct{}) b
 			return false
 		}
 		select {
-		case ch <- v:
+		case ch <- *v:
 			to.arrived(on, at)
 			to.k.mu.Unlock()
 			return true

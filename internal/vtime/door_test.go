@@ -40,6 +40,9 @@ type procFunc func()
 
 func (f procFunc) Run() { f() }
 
+// val is v by reference, as Send takes it.
+func val[T any](v T) *T { return &v }
+
 // inKernel runs each body as a process of a fresh kernel, all started
 // together at time zero in the order of their ids, and waits for them to
 // end. If agents is not nil, inKernel fills it with every agent by id before
@@ -109,7 +112,7 @@ func TestKernelInboxWakesAtArrival(t *testing.T) {
 				}
 				submitAt(a, "recv", 50)
 			},
-			"1send":  func(a *Agent) { Send(a, agents["0recv"], inbox, 7, 50, nil) },
+			"1send":  func(a *Agent) { Send(a, agents["0recv"], inbox, val(7), 50, nil) },
 			"2early": func(a *Agent) { submitAt(a, "early", 40) },
 			"3late":  func(a *Agent) { submitAt(a, "late", 60) },
 		}, agents)
@@ -194,7 +197,7 @@ func TestDoorNilAgent(t *testing.T) {
 	a.Go(procFunc(func() { close(ran) }))
 	released(t, ran, "a nil agent's Go must run its body")
 	ch := make(chan int, 1)
-	if !Send(a, nil, ch, 7, 0, nil) {
+	if !Send(a, nil, ch, val(7), 0, nil) {
 		t.Fatal("Send on a free channel failed")
 	}
 	if v, ok := Recv(a, Inbox, ch, nil); !ok || v != 7 {
@@ -236,9 +239,9 @@ func TestDoorParks(t *testing.T) {
 		if a.State() != Running {
 			t.Errorf("after the receive the agent reads %v", a.State())
 		}
-		Send(a, a, ch, 2, 0, nil)
-		Send(a, a, ch, 2, 0, nil) // full: the next send waits for credit
-		if Send(a, a, ch, 3, 0, abort) {
+		Send(a, a, ch, val(2), 0, nil)
+		Send(a, a, ch, val(2), 0, nil) // full: the next send waits for credit
+		if Send(a, a, ch, val(3), 0, abort) {
 			t.Error("Send on an aborted channel reported success")
 		}
 		if v, ok := Recv(a, Inbox, ch, abort); ok {
@@ -257,7 +260,7 @@ func TestDoorParks(t *testing.T) {
 		}
 	}))
 	inState(t, a, Inbox)
-	Send(nil, a, ch, 1, 0, nil)
+	Send(nil, a, ch, val(1), 0, nil)
 	inState(t, a, Credit)
 	close(abort)
 	Wake(a, ch)
@@ -288,7 +291,8 @@ func TestDoorAllocatesNothing(t *testing.T) {
 			round := func() {
 				at = at.Add(Microsecond)
 				a.Emit(at)
-				Send(a, b, ping, [4]int64{int64(at)}, at, nil)
+				v := [4]int64{int64(at)}
+				Send(a, b, ping, &v, at, nil)
 				Recv(a, Inbox, pong, nil)
 			}
 			round() // the run queue reaches its size
@@ -304,7 +308,7 @@ func TestDoorAllocatesNothing(t *testing.T) {
 					return
 				}
 				b.Emit(Time(v[0]))
-				Send(b, a, pong, v, Time(v[0]), nil)
+				Send(b, a, pong, &v, Time(v[0]), nil)
 			}
 		},
 	}, agents)
@@ -328,7 +332,7 @@ func TestOutsidersWakeParkedSenders(t *testing.T) {
 		ch := make(chan int, 2)
 		a.Go(procFunc(func() {
 			for i := range 10_000 {
-				Send(a, to, ch, i, 0, nil)
+				Send(a, to, ch, val(i), 0, nil)
 			}
 			close(ch)
 		}))
@@ -367,15 +371,15 @@ func TestDoorShutWakesSenders(t *testing.T) {
 		"1prod": func(a *Agent) {
 			to := agents["0cons"]
 			for i := range 3 {
-				sent = append(sent, Send(a, to, ch, i, 0, nil))
+				sent = append(sent, Send(a, to, ch, val(i), 0, nil))
 			}
-			sent = append(sent, Send(a, to, ch, 3, 0, nil))
+			sent = append(sent, Send(a, to, ch, val(3), 0, nil))
 		},
 		"2gate": func(a *Agent) {
 			prod, cons := agents["1prod"], agents["0cons"]
 			var stuck bool
 			stuck, outsider = blocks(func() {
-				if Send(nil, cons, ch, 9, 0, nil) {
+				if Send(nil, cons, ch, val(9), 0, nil) {
 					t.Error("an outsider's Send to a shut inbox reported true")
 				}
 			})
@@ -415,7 +419,7 @@ func TestDoorKernelsLockApart(t *testing.T) {
 			},
 			"1send": func(a *Agent) {
 				for i := range 10 {
-					Send(a, agents["0recv"], ch, i, Time(i), nil)
+					Send(a, agents["0recv"], ch, val(i), Time(i), nil)
 				}
 			},
 		}, agents)

@@ -133,7 +133,7 @@ func TestPruneHeldBackByAnEarlierArrival(t *testing.T) {
 	send := func(a *Agent, ready, arrival Time) {
 		q := [1]Request{{Resource: NewResource("nic"), Stream: "s", Ready: ready, Service: 1}}
 		a.Submit("q1", q[:])
-		Send(a, recv, inbox, arrival, arrival, nil)
+		Send(a, recv, inbox, &arrival, arrival, nil)
 	}
 	inKernel(map[string]func(*Agent){
 		"0recv": func(a *Agent) {

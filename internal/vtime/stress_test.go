@@ -37,7 +37,7 @@ func TestResourceStressUseFreeReset(t *testing.T) {
 					}
 				case 1:
 					_ = r.BusyTime()
-					_ = r.BusyTimeBy(owner)
+					_ = r.OwnerBusy()[owner]
 				case 2:
 					_ = r.OwnerBusy()
 				case 3, 4:

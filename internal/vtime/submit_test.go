@@ -34,8 +34,8 @@ func TestSubmitChainRules(t *testing.T) {
 			t.Errorf("request %d: ready/start/end %v, want %v", i, got, w)
 		}
 	}
-	if cpu.BusyTimeBy("q1") != 30 || nic.BusyTimeBy("q1") != 5 {
-		t.Errorf("charged cpu %v nic %v, want 30 and 5", cpu.BusyTimeBy("q1"), nic.BusyTimeBy("q1"))
+	if cpu.OwnerBusy()["q1"] != 30 || nic.OwnerBusy()["q1"] != 5 {
+		t.Errorf("charged cpu %v nic %v, want 30 and 5", cpu.OwnerBusy()["q1"], nic.OwnerBusy()["q1"])
 	}
 	if len(seen) != 2 || seen[0].Seq != 1 || seen[1].Seq != 3 || seen[1].Stream != "s" || seen[1].Ready != 300 {
 		t.Errorf("recorder saw %+v, want requests 1 and 3", seen)

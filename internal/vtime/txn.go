@@ -37,7 +37,7 @@ func (t *Txn) Commit() []Request {
 	if len(staged) == 0 {
 		return nil
 	}
-	staged[0].Ready = MaxTime(staged[0].Ready, t.tail)
+	staged[0].Ready = max(staged[0].Ready, t.tail)
 	Submit(t.owner, staged)
 	t.tail = staged[len(staged)-1].End
 	t.reqs = staged[:0]

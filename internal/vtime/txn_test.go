@@ -50,8 +50,8 @@ func TestTxnChainMatchesSerialUseAs(t *testing.T) {
 	if serial.BusyTime() != batched.BusyTime() {
 		t.Errorf("busy %v != %v", batched.BusyTime(), serial.BusyTime())
 	}
-	if serial.BusyTimeBy("q1") != batched.BusyTimeBy("q1") {
-		t.Errorf("owner busy %v != %v", batched.BusyTimeBy("q1"), serial.BusyTimeBy("q1"))
+	if serial.OwnerBusy()["q1"] != batched.OwnerBusy()["q1"] {
+		t.Errorf("owner busy %v != %v", batched.OwnerBusy()["q1"], serial.OwnerBusy()["q1"])
 	}
 	if serial.FreeAt() != batched.FreeAt() {
 		t.Errorf("freeAt %v != %v", batched.FreeAt(), serial.FreeAt())

@@ -19,12 +19,13 @@
 // recorder; a process submits through its Agent, in its turn in the
 // engine's Kernel. UseAs and Txn are unkeyed wrappers for tests and
 // benchmarks.
-// Per-owner totals (BusyTimeBy, OwnerBusy) always sum to BusyTime; FoldOwner
+// Per-owner totals (OwnerBusy) always sum to BusyTime; FoldOwner
 // moves a finished owner's total into RetiredOwner to bound the owner table.
 package vtime
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 )
@@ -59,14 +60,6 @@ func (d Duration) Std() time.Duration { return time.Duration(d) }
 func (t Time) String() string { return fmt.Sprintf("vt+%s", time.Duration(t)) }
 
 func (d Duration) String() string { return time.Duration(d).String() }
-
-// MaxTime returns the later of two instants.
-func MaxTime(a, b Time) Time {
-	if a > b {
-		return a
-	}
-	return b
-}
 
 // Resource is a serially reusable virtual device (a CPU, a communication
 // co-processor, a NIC, ...). The zero value is a resource that is free at
@@ -110,7 +103,7 @@ type Resource struct {
 }
 
 // AnonymousOwner is the reserved owner key under which reservations of no query
-// are accounted in BusyTimeBy and OwnerBusy.
+// are accounted in OwnerBusy.
 const AnonymousOwner = ""
 
 // RetiredOwner is the reserved owner key that accumulates the busy time of
@@ -255,32 +248,34 @@ func (r *Resource) SetRecorder(fn func(owner string, q Request)) {
 }
 
 // place grants one contiguous earliest-fit reservation. r.mu must be held.
+//
+// The search starts at the first live reservation that ends after ready, as
+// earlier ones cannot constrain the placement. A request mostly lands at or
+// near the tail, since the prune floor trails far behind the instants frames
+// are charged at, so the search gallops back from the end of the busy list
+// and binary-searches only the bracket it found: the index a search of the
+// whole live list yields.
 func (r *Resource) place(ready Time, service Duration) (start, end Time) {
 	if ready < r.floor {
 		// The gaps before the prune floor are gone: treat them as busy.
 		ready = r.floor
 	}
-
-	// Find the first live reservation that ends after ready; earlier ones
-	// cannot constrain the placement.
 	lo, hi := r.head, len(r.busy)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if r.busy[mid].end <= ready {
-			lo = mid + 1
+	for step := 1; lo < hi; step *= 2 {
+		if i := max(hi-step, lo); r.busy[i].end > ready {
+			hi = i
 		} else {
-			hi = mid
+			lo = i + 1
+			break
 		}
 	}
+	lo += sort.Search(hi-lo, func(j int) bool { return r.busy[lo+j].end > ready })
+	// Every reservation from lo on ends after the candidate start: the
+	// candidate moves past each one its request would overlap.
 	cand := ready
 	i := lo
-	for ; i < len(r.busy); i++ {
-		if r.busy[i].start >= cand.Add(service) {
-			break // the gap before reservation i fits
-		}
-		if r.busy[i].end > cand {
-			cand = r.busy[i].end
-		}
+	for ; i < len(r.busy) && r.busy[i].start < cand.Add(service); i++ {
+		cand = r.busy[i].end
 	}
 	start = cand
 	end = start.Add(service)
@@ -348,14 +343,6 @@ func (r *Resource) BusyTime() Duration {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.used
-}
-
-// BusyTimeBy reports the virtual time charged to the given owner.
-func (r *Resource) BusyTimeBy(owner string) Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.settle(r.owner)
-	return r.usedBy[owner]
 }
 
 // OwnerBusy returns a copy of the per-owner busy accounting: owner (query

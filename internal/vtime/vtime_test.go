@@ -24,12 +24,6 @@ func TestTimeArithmetic(t *testing.T) {
 	if got := Millisecond.Std(); got != time.Millisecond {
 		t.Errorf("Std = %v, want 1ms", got)
 	}
-	if got := MaxTime(3, 9); got != 9 {
-		t.Errorf("MaxTime = %v, want 9", got)
-	}
-	if got := MaxTime(9, 3); got != 9 {
-		t.Errorf("MaxTime = %v, want 9", got)
-	}
 }
 
 func TestResourceSequentialUse(t *testing.T) {
@@ -188,19 +182,19 @@ func TestUseAsOwnerAccounting(t *testing.T) {
 	r.UseAs("q2", 0, 7)
 	r.UseAs(AnonymousOwner, 0, 3) // anonymous: aggregate only
 
-	if got := r.BusyTimeBy("q1"); got != 20 {
-		t.Errorf("BusyTimeBy(q1) = %v, want 20", got)
+	if got := r.OwnerBusy()["q1"]; got != 20 {
+		t.Errorf("OwnerBusy[q1] = %v, want 20", got)
 	}
-	if got := r.BusyTimeBy("q2"); got != 12 {
-		t.Errorf("BusyTimeBy(q2) = %v, want 12", got)
+	if got := r.OwnerBusy()["q2"]; got != 12 {
+		t.Errorf("OwnerBusy[q2] = %v, want 12", got)
 	}
-	if got := r.BusyTimeBy("q3"); got != 0 {
-		t.Errorf("BusyTimeBy(q3) = %v, want 0", got)
+	if got := r.OwnerBusy()["q3"]; got != 0 {
+		t.Errorf("OwnerBusy[q3] = %v, want 0", got)
 	}
 	// Anonymous Use is accounted under the reserved AnonymousOwner key, so
 	// the per-owner totals sum to BusyTime.
-	if got := r.BusyTimeBy(AnonymousOwner); got != 3 {
-		t.Errorf("BusyTimeBy(AnonymousOwner) = %v, want 3", got)
+	if got := r.OwnerBusy()[AnonymousOwner]; got != 3 {
+		t.Errorf("OwnerBusy[AnonymousOwner] = %v, want 3", got)
 	}
 	want := map[string]Duration{"q1": 20, "q2": 12, AnonymousOwner: 3}
 	got := r.OwnerBusy()
@@ -235,7 +229,7 @@ func TestUseAsOwnerAccounting(t *testing.T) {
 // is granted or a reader looks. Owners interleave on one resource, some
 // granting several times in a row, and after every second grant one reader
 // — each in turn, so each meets charges no earlier reader folded — must see
-// them: BusyTimeBy and OwnerBusy the owner's total, FoldOwner the total it
+// them: OwnerBusy the owner's total, FoldOwner the total it
 // retires, Reset nothing owed surviving it. The owner totals sum to
 // BusyTime at every look.
 func TestOwnerAccountingSeesWhatIsOwed(t *testing.T) {
@@ -265,8 +259,8 @@ func TestOwnerAccountingSeesWhatIsOwed(t *testing.T) {
 		}
 		switch i / 2 % 4 {
 		case 0:
-			if got := r.BusyTimeBy(s.owner); got != want[s.owner] {
-				t.Errorf("step %d: BusyTimeBy(%q) = %v, want %v", i, s.owner, got, want[s.owner])
+			if got := r.OwnerBusy()[s.owner]; got != want[s.owner] {
+				t.Errorf("step %d: OwnerBusy[%q] = %v, want %v", i, s.owner, got, want[s.owner])
 			}
 		case 1:
 			if got := r.OwnerBusy(); !reflect.DeepEqual(got, want) {
@@ -283,8 +277,8 @@ func TestOwnerAccountingSeesWhatIsOwed(t *testing.T) {
 			if i == 7 {
 				r.Reset()
 				clear(want)
-				if got := r.OwnerBusy(); got != nil || r.BusyTimeBy(s.owner) != 0 || r.BusyTime() != 0 {
-					t.Errorf("step %d: after Reset OwnerBusy = %v, BusyTimeBy(%q) = %v, BusyTime = %v; want nothing", i, got, s.owner, r.BusyTimeBy(s.owner), r.BusyTime())
+				if got := r.OwnerBusy(); got != nil || r.OwnerBusy()[s.owner] != 0 || r.BusyTime() != 0 {
+					t.Errorf("step %d: after Reset OwnerBusy = %v, OwnerBusy[%q] = %v, BusyTime = %v; want nothing", i, got, s.owner, r.OwnerBusy()[s.owner], r.BusyTime())
 				}
 			}
 		}
@@ -297,7 +291,7 @@ func TestOwnerAccountingSeesWhatIsOwed(t *testing.T) {
 	r.UseAs("q5", 0, 4)
 	r.Reset()
 	r.UseAs("q5", 0, 3)
-	if got := r.BusyTimeBy("q5"); got != 3 {
-		t.Errorf("after Reset BusyTimeBy(q5) = %v, want 3", got)
+	if got := r.OwnerBusy()["q5"]; got != 3 {
+		t.Errorf("after Reset OwnerBusy[q5] = %v, want 3", got)
 	}
 }
