@@ -28,7 +28,7 @@ func BenchmarkPaperFigures(b *testing.B) {
 		b.Run("fig="+name, func(b *testing.B) {
 			var pts []bench.Point
 			for i := 0; i < b.N; i++ {
-				if pts, err = figs[0].Run(bench.Sizing{Repeats: 1}); err != nil {
+				if pts, err = figs[0].Run(bench.Sizing{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -151,8 +151,9 @@ func BenchmarkP2PFrames(b *testing.B) {
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/frame")
 }
 
-// repeatQuery runs repeatQuery6's statement once the way a figure point
-// repeats it — Exec, Drain, Reset on one engine — and checks its count.
+// repeatQuery runs repeatQuery6's statement once the way a warm engine
+// serves one statement after another — Exec, Drain, Reset — and checks its
+// count.
 func repeatQuery(tb testing.TB, eng *scsq.Engine, src string) {
 	res, err := eng.Exec(src)
 	if err != nil {
@@ -187,9 +188,8 @@ func repeatQuery6(tb testing.TB) (*scsq.Engine, string) {
 	return eng, src
 }
 
-// BenchmarkRepeatQuery is the loop every figure point and the in-process
-// benchmark workloads run: the same statement executed, drained and reset on
-// one warm engine.
+// BenchmarkRepeatQuery is the loop the in-process benchmark workloads run:
+// the same statement executed, drained and reset on one warm engine.
 func BenchmarkRepeatQuery(b *testing.B) {
 	eng, src := repeatQuery6(b)
 	repeatQuery(b, eng, src)

@@ -19,7 +19,6 @@
 //	scsq-bench -fig soak -tiny        # smoke sizing (place, sysq, serve, soak; the others ignore it)
 //	scsq-bench -fig all -csv          # every figure above, machine readable under one header
 //	scsq-bench -fig 6 -paper-scale    # the paper's 100 × 3 MB arrays (6, 8, ablation, mt)
-//	scsq-bench -fig 6 -repeats 1      # measurements per point (not place, serve, soak)
 //	scsq-bench -fig place -out BENCH_place.json   # also write the JSON report
 //	scsq-bench -metrics m.json        # instrumented run → metrics snapshot JSON
 //	scsq-bench -trace t.json          # instrumented run → Perfetto trace JSON
@@ -58,7 +57,6 @@ func run(args []string, stdout io.Writer) error {
 		fig        = fs.String("fig", "all", "figure to regenerate: "+strings.Join(bench.Names(), ", ")+" or all")
 		tiny       = fs.Bool("tiny", false, "smoke sizing, for the figures that have one")
 		paperScale = fs.Bool("paper-scale", false, "use the paper's 100 × 3 MB arrays for 6, 8, ablation and mt (slow)")
-		repeats    = fs.Int("repeats", 5, "measurement repetitions per point")
 		csv        = fs.Bool("csv", false, "emit long-form CSV instead of text tables")
 		out        = fs.String("out", "", "also write the JSON report of the run to this file")
 		metricsOut = fs.String("metrics", "", "run one instrumented Figure 6 point and write the metrics snapshot JSON to this file")
@@ -67,7 +65,7 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	sizing := bench.Sizing{Tiny: *tiny, PaperScale: *paperScale, Repeats: *repeats}
+	sizing := bench.Sizing{Tiny: *tiny, PaperScale: *paperScale}
 	if *metricsOut != "" || *traceOut != "" {
 		return runTelemetry(stdout, *metricsOut, *traceOut, sizing)
 	}

@@ -30,7 +30,7 @@ func TestEveryFigure(t *testing.T) {
 	for _, f := range bench.Figures {
 		t.Run(f.Name, func(t *testing.T) {
 			out := filepath.Join(t.TempDir(), "report.json")
-			csv := runOK(t, "-fig", f.Name, "-tiny", "-repeats", "1", "-csv", "-out", out)
+			csv := runOK(t, "-fig", f.Name, "-tiny", "-csv", "-out", out)
 			lines := strings.Split(strings.TrimRight(csv, "\n"), "\n")
 			if lines[0] != bench.CSVHeader || strings.Count(csv, bench.CSVHeader) != 1 {
 				t.Fatalf("CSV does not start with exactly one header:\n%s", csv)
@@ -85,7 +85,7 @@ func TestAllCSVIsOnlyCSV(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every figure; skipped in -short")
 	}
-	csv := runOK(t, "-fig", "all", "-tiny", "-repeats", "1", "-csv")
+	csv := runOK(t, "-fig", "all", "-tiny", "-csv")
 	lines := strings.Split(strings.TrimRight(csv, "\n"), "\n")
 	if lines[0] != bench.CSVHeader {
 		t.Fatalf("first line %q, want the header", lines[0])
@@ -148,7 +148,7 @@ func TestBadInvocations(t *testing.T) {
 		{"-nosuchflag"},
 		{"-perf"},
 		{"-soak-out", "x.json"},
-		{"-fig", "6", "-repeats", "0"},
+		{"-fig", "6", "-repeats", "1"}, // a virtual point is read once
 		{"-fig", "soak", "-tiny", "-out", filepath.Join(t.TempDir(), "no", "such", "dir.json")},
 	} {
 		var sb strings.Builder

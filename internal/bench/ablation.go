@@ -22,9 +22,8 @@ func ablation(producers []int, bufBytes int, w workload) ([]Point, error) {
 	if bufBytes <= 0 {
 		return nil, fmt.Errorf("bench: buffer size must be positive, got %d", bufBytes)
 	}
-	// One engine serves every repetition: the selector is a pure function of
-	// the (reset) node database, so only the devices need freeing between
-	// runs.
+	// One engine serves every point: the selector is a pure function of the
+	// (reset) node database, so only the devices need freeing between runs.
 	eng, err := core.NewEngine(core.Config{MPIBufferBytes: bufBytes})
 	if err != nil {
 		return nil, err
@@ -35,15 +34,11 @@ func ablation(producers []int, bufBytes int, w workload) ([]Point, error) {
 		x := strconv.Itoa(k)
 		var byTopo [2]Point
 		for i, series := range []string{"naive", "topology"} {
-			var runs []float64
-			for r := 0; r < w.Repeats; r++ {
-				mbps, err := runMergeWithSelector(eng, w, k, i == 1)
-				if err != nil {
-					return nil, fmt.Errorf("ablation k=%d %s: %w", k, series, err)
-				}
-				runs = append(runs, mbps)
+			mbps, err := runMergeWithSelector(eng, w, k, i == 1)
+			if err != nil {
+				return nil, fmt.Errorf("ablation k=%d %s: %w", k, series, err)
 			}
-			byTopo[i] = summarize(x, series, "Mbps", runs)
+			byTopo[i] = reading(x, series, "Mbps", mbps)
 		}
 		pts = append(pts, byTopo[0], byTopo[1], gainPct(x, byTopo[0], byTopo[1]))
 	}

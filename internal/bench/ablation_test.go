@@ -8,15 +8,15 @@ import (
 )
 
 func TestSelectorAblationTopologyWins(t *testing.T) {
-	pts, err := ablation([]int{2, 3}, 100_000, workload{300_000, 20, 2})
+	pts, err := ablation([]int{2, 3}, 100_000, workload{300_000, 20})
 	if err != nil {
 		t.Fatalf("ablation: %v", err)
 	}
 	for _, k := range []int{2, 3} {
 		naive, topo := value(t, pts, k, "naive"), value(t, pts, k, "topology")
-		// The topology-aware selector never loses (within noise), and for
-		// two producers it recovers most of the Figure 8 balanced gain.
-		if topo.Value < 0.97*naive.Value {
+		// The topology-aware selector never loses, and for two producers it
+		// recovers most of the Figure 8 balanced gain.
+		if topo.Value < naive.Value {
 			t.Errorf("k=%d: topology-aware (%v) lost to naive (%v)", k, topo, naive)
 		}
 		if gain := value(t, pts, k, "gain").Value; k == 2 && gain < 25 {
@@ -26,11 +26,8 @@ func TestSelectorAblationTopologyWins(t *testing.T) {
 }
 
 func TestSelectorAblationValidation(t *testing.T) {
-	if _, err := ablation([]int{2}, 0, workload{300_000, 20, 5}); err == nil {
+	if _, err := ablation([]int{2}, 0, workload{300_000, 20}); err == nil {
 		t.Error("zero buffer should fail")
-	}
-	if _, err := ablation([]int{2}, 100_000, workload{300_000, 20, -1}); err == nil {
-		t.Error("negative repeats should fail")
 	}
 }
 

@@ -8,10 +8,11 @@
 //
 // Every figure is one entry of the Figures registry: a name, a title and a
 // Run function from a Sizing to a list of Points, each point being
-// (x, series) → value ± stdev over n runs — the paper's own methodology
-// ("every point is measured five times"). A figure's assertions are errors
-// from its Run. format.go holds the only three renderers; cmd/scsq-bench is
-// a loop over the registry.
+// (x, series) → value ± stdev over n runs. The paper measured every point
+// five times on a noisy machine; a virtual reading is exact (DESIGN §11), so
+// it is read once and only wall-clock timings summarize several runs. A
+// figure's assertions are errors from its Run. format.go holds the only
+// three renderers; cmd/scsq-bench is a loop over the registry.
 //
 // Bandwidth experiments execute the corresponding SCSQL query from
 // internal/scsql's corpus on a simulated LOFAR environment and measure
@@ -23,7 +24,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -39,8 +39,6 @@ type Sizing struct {
 	Tiny bool
 	// PaperScale switches array workloads to the paper's 100 × 3 MB arrays.
 	PaperScale bool
-	// Repeats is the number of measurements behind each point.
-	Repeats int
 }
 
 // Point is one measured value of a figure: series at x.
@@ -78,15 +76,13 @@ type Figure struct {
 var Figures = []Figure{
 	// Ignores Tiny.
 	{"6", "Figure 6 — intra-BG point-to-point streaming bandwidth by MPI buffer size (bytes)",
-		func(s Sizing) ([]Point, error) { return figure6(bufSizes, s.workload(300_000, 20)) }},
+		func(s Sizing) ([]Point, error) { return readSweep(sweep6(s)) }},
 	// Ignores Tiny.
 	{"8", "Figure 8 — stream merging: total input bandwidth at node c by MPI buffer size (bytes)",
-		func(s Sizing) ([]Point, error) { return figure8(bufSizes, s.workload(300_000, 20)) }},
+		func(s Sizing) ([]Point, error) { return readSweep(sweep8(s)) }},
 	// Ignores Tiny and PaperScale: it always runs the paper's workload.
 	{"15", "Figure 15 — BG inbound streaming bandwidth by parallel back-end streams n",
-		func(s Sizing) ([]Point, error) {
-			return figure15([]int{1, 2, 3, 4, 5, 6}, []int{1, 2, 3, 4, 5, 6, 7, 8}, s.paper())
-		}},
+		func(s Sizing) ([]Point, error) { return readSweep(sweep15(s)) }},
 	// Ignores Tiny.
 	{"ablation", "Node-selection ablation — k-producer BG merge, naive vs topology-aware placement, by producers k",
 		func(s Sizing) ([]Point, error) { return ablation([]int{2, 3, 4}, 100_000, s.workload(300_000, 20)) }},
@@ -96,13 +92,13 @@ var Figures = []Figure{
 	// Ignores Tiny.
 	{"mt", "Multi-tenant contention — k concurrent Query-1 instances, by tenants k",
 		func(s Sizing) ([]Point, error) { return multiTenant([]int{1, 2, 3, 4}, 2, s.workload(300_000, 20)) }},
-	// Ignores PaperScale and Repeats (3 per point, 2 under Tiny).
+	// Ignores PaperScale.
 	{"place", "Cost-model placement — planner vs greedy for k concurrent Query-1 instances on the 6144-node torus (256 under -tiny), by tenants k", runPlace},
-	// Ignores PaperScale. Repeats applies to the bare/observed Figure 6 pair.
+	// Ignores PaperScale.
 	{"sysq", "System catalog — snapshot and query latency by table; Figure 6 wall time bare vs observed by MPI buffer size", runSysq},
-	// Ignores PaperScale and Repeats: the figure is an accounting gate.
+	// Ignores PaperScale: the figure is an accounting gate.
 	{"serve", "Serving layer — concurrent connections over TCP with exact frame accounting, by connections", runServe},
-	// Ignores PaperScale and Repeats: one full soak per seed.
+	// Ignores PaperScale: one full soak per seed.
 	{"soak", "Chaos soak — seeded schedules, all resilience features armed, by seed", runSoak},
 }
 
@@ -139,7 +135,7 @@ const (
 
 // workload is the array stream every bandwidth figure sends.
 type workload struct {
-	ArrayBytes, ArrayCount, Repeats int
+	ArrayBytes, ArrayCount int
 }
 
 // workload resolves the sizing against a figure's laptop-scale default,
@@ -149,20 +145,17 @@ func (s Sizing) workload(arrayBytes, arrayCount int) workload {
 	if s.PaperScale {
 		return s.paper()
 	}
-	return workload{arrayBytes, arrayCount, s.Repeats}
+	return workload{arrayBytes, arrayCount}
 }
 
-// paper is the paper's workload at the sizing's repeats.
+// paper is the paper's workload.
 func (s Sizing) paper() workload {
-	return workload{paperArrayBytes, paperArrayCount, s.Repeats}
+	return workload{paperArrayBytes, paperArrayCount}
 }
 
 func (w workload) validate() error {
 	if w.ArrayBytes <= 0 || w.ArrayCount <= 0 {
 		return fmt.Errorf("bench: array workload must be positive (size=%d count=%d)", w.ArrayBytes, w.ArrayCount)
-	}
-	if w.Repeats <= 0 {
-		return fmt.Errorf("bench: repeats must be positive, got %d", w.Repeats)
 	}
 	return nil
 }
@@ -172,41 +165,22 @@ func (w workload) payload(streams int) int64 {
 	return int64(streams) * int64(w.ArrayBytes) * int64(w.ArrayCount)
 }
 
-// summarize folds repeated measurements into the point (x, series): mean,
-// population standard deviation and run count.
-func summarize(x, series, unit string, runs []float64) Point {
-	p := Point{X: x, Series: series, Unit: unit, N: len(runs)}
-	if len(runs) == 0 {
-		return p
-	}
-	if slices.Min(runs) == slices.Max(runs) {
-		// Identical runs read exactly, not as the rounding of their mean.
-		p.Value = runs[0]
-		return p
-	}
-	var sum float64
+// median folds wall-clock timings into the point (x, series): the median
+// as the value, since their outliers are all on one side, and the
+// population standard deviation around their mean as the spread.
+func median(x, series, unit string, runs []float64) Point {
+	var sum, varSum float64
 	for _, v := range runs {
 		sum += v
 	}
-	p.Value = sum / float64(len(runs))
-	var varSum float64
+	mean := sum / float64(len(runs))
 	for _, v := range runs {
-		varSum += (v - p.Value) * (v - p.Value)
+		varSum += (v - mean) * (v - mean)
 	}
-	p.Stdev = math.Sqrt(varSum / float64(len(runs)))
-	return p
-}
-
-// median summarizes like summarize but reports the median as the value, for
-// wall-clock timings whose outliers are all on one side.
-func median(x, series, unit string, runs []float64) Point {
-	p := summarize(x, series, unit, runs)
-	if len(runs) > 0 {
-		sorted := append([]float64(nil), runs...)
-		sort.Float64s(sorted)
-		p.Value = (sorted[(len(sorted)-1)/2] + sorted[len(sorted)/2]) / 2
-	}
-	return p
+	sorted := slices.Sorted(slices.Values(runs))
+	return Point{X: x, Series: series, Unit: unit, N: len(runs),
+		Value: (sorted[(len(sorted)-1)/2] + sorted[len(sorted)/2]) / 2,
+		Stdev: math.Sqrt(varSum / float64(len(runs)))}
 }
 
 // reading is a single exact value, not a summary of repeats.
@@ -214,15 +188,20 @@ func reading(x, series, unit string, v float64) Point {
 	return Point{X: x, Series: series, Unit: unit, Value: v, N: 1}
 }
 
-// runQueryOn executes one SCSQL query on an already-running engine and
-// returns the measured bandwidth in Mbps for the given payload volume. The
-// engine is Reset afterwards, so one engine serves a whole repetition loop:
-// the control plane (coordinators, CNDBs) is built once per measurement
-// point instead of once per repeat, and every run starts on free devices and
-// reads its makespan from its own start.
-func runQueryOn(eng *core.Engine, src string, payloadBytes int64) (float64, error) {
-	ev := scsql.NewEvaluator(eng, nil)
-	res, err := ev.Exec(src)
+// sweepPoint is one point of Figures 6, 8 and 15: the statement that
+// reads it, the payload it streams and the engine configuration it runs on.
+type sweepPoint struct {
+	x, series string
+	src       string
+	payload   int64
+	cfg       core.Config
+}
+
+// readOn executes the point's statement once on eng and returns its
+// bandwidth in Mbps. The engine is Reset afterwards, so the next read starts
+// on free devices and reads its makespan from its own start.
+func (p sweepPoint) readOn(eng *core.Engine) (float64, error) {
+	res, err := scsql.NewEvaluator(eng, nil).Exec(p.src)
 	if err != nil {
 		return 0, fmt.Errorf("bench: %w", err)
 	}
@@ -236,25 +215,37 @@ func runQueryOn(eng *core.Engine, src string, payloadBytes int64) (float64, erro
 	if err := eng.Reset(); err != nil {
 		return 0, fmt.Errorf("bench: reset: %w", err)
 	}
-	return mbps(payloadBytes, makespan), nil
+	return mbps(p.payload, makespan), nil
 }
 
-// repeatQuery measures src n times on one engine built with cfg.
-func repeatQuery(src string, payloadBytes int64, n int, cfg core.Config) ([]float64, error) {
-	eng, err := core.NewEngine(cfg)
+// readSweep reads every point of a sweep once, on a fresh engine built with
+// its configuration. It takes the sweep builder's error too, so that
+// readSweep(sweep6(s)) is one call.
+func readSweep(sps []sweepPoint, err error) ([]Point, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer eng.Close()
-	runs := make([]float64, 0, n)
-	for r := 0; r < n; r++ {
-		mbps, err := runQueryOn(eng, src, payloadBytes)
+	pts := make([]Point, 0, len(sps))
+	for _, sp := range sps {
+		eng, err := core.NewEngine(sp.cfg)
 		if err != nil {
 			return nil, err
 		}
-		runs = append(runs, mbps)
+		v, err := sp.readOn(eng)
+		eng.Close()
+		if err != nil {
+			return nil, fmt.Errorf("%s %s: %w", sp.x, sp.series, err)
+		}
+		pts = append(pts, reading(sp.x, sp.series, "Mbps", v))
 	}
-	return runs, nil
+	return pts, nil
+}
+
+// The sweeps of Figures 6, 8 and 15 at a sizing.
+func sweep6(s Sizing) ([]sweepPoint, error) { return figure6(bufSizes, s.workload(300_000, 20)) }
+func sweep8(s Sizing) ([]sweepPoint, error) { return figure8(bufSizes, s.workload(300_000, 20)) }
+func sweep15(s Sizing) ([]sweepPoint, error) {
+	return figure15([]int{1, 2, 3, 4, 5, 6}, []int{1, 2, 3, 4, 5, 6, 7, 8}, s.paper())
 }
 
 // bufSizes is the MPI buffer-size sweep of Figures 6 and 8.
@@ -265,29 +256,25 @@ var bufferings = []struct {
 	mode carrier.Buffering
 }{{"single", carrier.SingleBuffered}, {"double", carrier.DoubleBuffered}}
 
-// figure6 regenerates Figure 6: intra-BG point-to-point streaming bandwidth
-// versus MPI buffer size for single and double buffering. Array size and
-// count do not cancel: the default 20 × 300 kB agrees with the paper's
-// 100 × 3 MB within 0.6 % up to 3 kB buffers, but at 100 kB double
+// figure6 is the sweep of Figure 6: intra-BG point-to-point streaming
+// bandwidth versus MPI buffer size for single and double buffering. Array
+// size and count do not cancel: the default 20 × 300 kB agrees with the
+// paper's 100 × 3 MB within 0.6 % up to 3 kB buffers, but at 100 kB double
 // buffering reads 187.6 Mbps against 166.0, and at 1 MB double 125.2
 // against 146.2 (EXPERIMENTS.md).
-func figure6(bufs []int, w workload) ([]Point, error) {
+func figure6(bufs []int, w workload) ([]sweepPoint, error) {
 	if err := w.validate(); err != nil {
 		return nil, err
 	}
 	src := scsql.Figure5Query(w.ArrayBytes, w.ArrayCount)
-	var pts []Point
+	var sps []sweepPoint
 	for _, buf := range bufs {
 		for _, b := range bufferings {
-			runs, err := repeatQuery(src, w.payload(1), w.Repeats,
-				core.Config{MPIBufferBytes: buf, Buffering: b.mode})
-			if err != nil {
-				return nil, fmt.Errorf("figure6 buf=%d mode=%s: %w", buf, b.name, err)
-			}
-			pts = append(pts, summarize(strconv.Itoa(buf), b.name, "Mbps", runs))
+			sps = append(sps, sweepPoint{strconv.Itoa(buf), b.name, src, w.payload(1),
+				core.Config{MPIBufferBytes: buf, Buffering: b.mode}})
 		}
 	}
-	return pts, nil
+	return sps, nil
 }
 
 // mergeTopologies are the node placements of the stream-merging experiment
@@ -300,48 +287,40 @@ var mergeTopologies = []struct {
 	x, y int
 }{{"seq", 1, 2}, {"bal", 1, 4}}
 
-// figure8 regenerates Figure 8: total streaming input bandwidth at the
+// figure8 is the sweep of Figure 8: total streaming input bandwidth at the
 // merging node under both node selections and buffering modes.
-func figure8(bufs []int, w workload) ([]Point, error) {
+func figure8(bufs []int, w workload) ([]sweepPoint, error) {
 	if err := w.validate(); err != nil {
 		return nil, err
 	}
-	var pts []Point
+	var sps []sweepPoint
 	for _, buf := range bufs {
 		for _, topo := range mergeTopologies {
 			src := scsql.MergeQuery(topo.x, topo.y, w.ArrayBytes, w.ArrayCount)
 			for _, b := range bufferings {
-				runs, err := repeatQuery(src, w.payload(2), w.Repeats,
-					core.Config{MPIBufferBytes: buf, Buffering: b.mode})
-				if err != nil {
-					return nil, fmt.Errorf("figure8 buf=%d topo=%s mode=%s: %w", buf, topo.name, b.name, err)
-				}
-				pts = append(pts, summarize(strconv.Itoa(buf), topo.name+"/"+b.name, "Mbps", runs))
+				sps = append(sps, sweepPoint{strconv.Itoa(buf), topo.name + "/" + b.name, src, w.payload(2),
+					core.Config{MPIBufferBytes: buf, Buffering: b.mode}})
 			}
 		}
 	}
-	return pts, nil
+	return sps, nil
 }
 
-// figure15 regenerates Figure 15: total inbound streaming bandwidth from
-// the back-end cluster into the BlueGene for the given inbound queries.
-func figure15(queries, ns []int, w workload) ([]Point, error) {
+// figure15 is the sweep of Figure 15: total inbound streaming bandwidth
+// from the back-end cluster into the BlueGene for the given inbound queries.
+func figure15(queries, ns []int, w workload) ([]sweepPoint, error) {
 	if err := w.validate(); err != nil {
 		return nil, err
 	}
-	var pts []Point
+	var sps []sweepPoint
 	for _, q := range queries {
 		for _, n := range ns {
 			src, err := scsql.InboundQuery(q, n, w.ArrayBytes, w.ArrayCount)
 			if err != nil {
 				return nil, err
 			}
-			runs, err := repeatQuery(src, w.payload(n), w.Repeats, core.Config{})
-			if err != nil {
-				return nil, fmt.Errorf("figure15 q=%d n=%d: %w", q, n, err)
-			}
-			pts = append(pts, summarize(strconv.Itoa(n), fmt.Sprintf("Query %d", q), "Mbps", runs))
+			sps = append(sps, sweepPoint{strconv.Itoa(n), fmt.Sprintf("Query %d", q), src, w.payload(n), core.Config{}})
 		}
 	}
-	return pts, nil
+	return sps, nil
 }

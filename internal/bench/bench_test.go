@@ -26,14 +26,14 @@ func value(t *testing.T, pts []Point, x any, series string) Point {
 	return Point{}
 }
 
-// runFigure runs the registry entry name at the given repeat count.
-func runFigure(t *testing.T, name string, repeats int) []Point {
+// runFigure runs the registry entry name.
+func runFigure(t *testing.T, name string) []Point {
 	t.Helper()
 	figs, err := Select(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts, err := figs[0].Run(Sizing{Repeats: repeats})
+	pts, err := figs[0].Run(Sizing{})
 	if err != nil {
 		t.Fatalf("figure %s: %v", name, err)
 	}
@@ -41,7 +41,7 @@ func runFigure(t *testing.T, name string, repeats int) []Point {
 }
 
 // TestFigure6Golden compares Figure 6 byte for byte against the committed
-// output of `scsq-bench -fig 6 -repeats 1 -csv`. The figure has one producer
+// output of `scsq-bench -fig 6 -csv`. The figure has one producer
 // and one consumer per point, so its virtual schedule does not depend on the
 // host scheduler: any difference is a change to the cost model or to the
 // order of charges.
@@ -52,7 +52,7 @@ func TestFigure6Golden(t *testing.T) {
 	}
 	var got bytes.Buffer
 	got.WriteString(CSVHeader + "\n")
-	if err := WriteCSV(&got, Result{Figure: "6", Points: runFigure(t, "6", 1)}); err != nil {
+	if err := WriteCSV(&got, Result{Figure: "6", Points: runFigure(t, "6")}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want) {
@@ -61,7 +61,7 @@ func TestFigure6Golden(t *testing.T) {
 }
 
 func TestFigure6Shape(t *testing.T) {
-	pts := runFigure(t, "6", 2)
+	pts := runFigure(t, "6")
 	at := func(buf int, series string) Point { return value(t, pts, buf, series) }
 	bestSingle, bestDouble := bufSizes[0], bufSizes[0]
 	for _, buf := range bufSizes {
@@ -104,7 +104,7 @@ func TestFigure6Shape(t *testing.T) {
 }
 
 func TestFigure8Shape(t *testing.T) {
-	pts := runFigure(t, "8", 2)
+	pts := runFigure(t, "8")
 	at := func(buf int, series string) float64 { return value(t, pts, buf, series).Value }
 
 	// "The streaming bandwidth depends highly on the compute nodes to which
@@ -129,7 +129,7 @@ func TestFigure8Shape(t *testing.T) {
 	}
 	// "Buffers smaller than 10K are much slower for stream merging than for
 	// point-to-point communication."
-	p2p := runFigure(t, "6", 2)
+	p2p := runFigure(t, "6")
 	for _, buf := range []int{100, 300, 1000} {
 		merge := at(buf, "bal/single")
 		point := value(t, p2p, buf, "single").Value
@@ -148,7 +148,7 @@ func TestFigure8Shape(t *testing.T) {
 }
 
 func TestFigure15Shape(t *testing.T) {
-	pts := runFigure(t, "15", 2)
+	pts := runFigure(t, "15")
 	q := func(query, n int) float64 { return value(t, pts, n, "Query "+strconv.Itoa(query)).Value }
 
 	// (1) Queries 1-4 (single I/O node) are significantly below Queries 5-6.
@@ -190,8 +190,7 @@ func TestFigure15Shape(t *testing.T) {
 	}
 	// (5) Query 5 dips at n=5, where five streams share four I/O nodes: the
 	// point is below its n=4 neighbor and below the best of the recovery
-	// points (comparing against the max tolerates per-point scheduling
-	// noise at low repeat counts).
+	// points.
 	recovery := q(5, 6)
 	for _, n := range []int{7, 8} {
 		if q(5, n) > recovery {
@@ -204,27 +203,14 @@ func TestFigure15Shape(t *testing.T) {
 }
 
 func TestInboundQueryRejectsUnknown(t *testing.T) {
-	if _, err := figure15([]int{7}, []int{1}, workload{paperArrayBytes, paperArrayCount, 1}); err == nil || !strings.Contains(err.Error(), "no such inbound query") {
+	if _, err := figure15([]int{7}, []int{1}, workload{paperArrayBytes, paperArrayCount}); err == nil || !strings.Contains(err.Error(), "no such inbound query") {
 		t.Fatalf("expected unknown-query error, got %v", err)
 	}
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := figure6(bufSizes, workload{300_000, 20, 0}); err == nil {
-		t.Error("repeats=0 should be rejected")
-	}
-	if _, err := figure8(bufSizes, workload{-1, 20, 5}); err == nil {
+	if _, err := figure8(bufSizes, workload{-1, 20}); err == nil {
 		t.Error("negative array size should be rejected")
-	}
-	// -repeats 0 reaches every figure that honours Repeats as an error.
-	for _, name := range []string{"6", "8", "15", "ablation", "udp", "mt", "sysq"} {
-		figs, err := Select(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := figs[0].Run(Sizing{Tiny: true}); err == nil {
-			t.Errorf("figure %s accepted repeats=0", name)
-		}
 	}
 }
 
@@ -255,20 +241,7 @@ func TestSelect(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	s := summarize("x", "s", "Mbps", []float64{100, 200, 300})
-	if s.Value != 200 {
-		t.Errorf("mean = %v, want 200", s.Value)
-	}
-	if s.N != 3 {
-		t.Errorf("runs = %d, want 3", s.N)
-	}
-	if s.Stdev < 81 || s.Stdev > 82 {
-		t.Errorf("stdev = %v, want ≈81.6", s.Stdev)
-	}
-	if zero := summarize("x", "s", "Mbps", nil); zero.N != 0 || zero.Value != 0 {
-		t.Errorf("empty summarize = %+v, want zero", zero)
-	}
+func TestMedian(t *testing.T) {
 	// The median ignores one-sided outliers; even counts take the middle pair.
 	if m := median("x", "s", "ns", []float64{5, 1, 900}); m.Value != 5 || m.N != 3 || m.Stdev == 0 {
 		t.Errorf("median of 3 = %+v, want value 5 with spread", m)

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -83,17 +84,17 @@ func reportDivergence(t *testing.T, name string, got, want []byte) {
 	}
 }
 
-// figureGolden compares figure name, one run per point, byte for byte with
-// testdata/figure<name>.csv: the output of `scsq-bench -fig <name> -repeats 1
-// -csv`. The kernel grants every request in key order, so the schedule — and
-// every reading — is a function of query, topology and cost model; any
-// difference is a change to the cost model or to the order of charges.
+// figureGolden compares figure name byte for byte with
+// testdata/figure<name>.csv: the output of `scsq-bench -fig <name> -csv`.
+// The kernel grants every request in key order, so the schedule — and every
+// reading — is a function of query, topology and cost model; any difference
+// is a change to the cost model or to the order of charges.
 func figureGolden(t *testing.T, name string) {
 	want, err := os.ReadFile("testdata/figure" + name + ".csv")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := figureCSV(t, name, Sizing{Repeats: 1}); !bytes.Equal(got, want) {
+	if got := figureCSV(t, name, Sizing{}); !bytes.Equal(got, want) {
 		reportDivergence(t, name, got, want)
 	}
 }
@@ -102,30 +103,40 @@ func TestFigure8Golden(t *testing.T)  { figureGolden(t, "8") }
 func TestFigure15Golden(t *testing.T) { figureGolden(t, "15") }
 
 // TestTimeTranslation is a metamorphic relation of the one timeline: every
-// point of Figures 8 and 15 read twice on one engine, Reset between the two,
-// reads the same float64 bits both times (repeatQuery; summarize reports
-// identical runs with stdev 0), and that value is the golden's. The second
-// read starts at a later kernel instant, where the first ended.
+// point of the Figure 8 and 15 sweeps read twice on one engine, Reset
+// between the two, reads the same float64 bits both times, and that value is
+// the golden's. The second read starts at a later kernel instant, where the
+// first ended.
 func TestTimeTranslation(t *testing.T) {
-	for _, name := range []string{"8", "15"} {
+	for name, sweep := range map[string]func(Sizing) ([]sweepPoint, error){"8": sweep8, "15": sweep15} {
 		t.Run("figure"+name, func(t *testing.T) {
 			want, err := os.ReadFile("testdata/figure" + name + ".csv")
 			if err != nil {
 				t.Fatal(err)
 			}
-			figs, err := Select(name)
+			sps, err := sweep(Sizing{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			pts, err := figs[0].Run(Sizing{Repeats: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, p := range pts {
-				if p.Stdev != 0 || p.N != 2 {
-					t.Errorf("%s %s: two reads spread by %v (n=%d)", p.X, p.Series, p.Stdev, p.N)
+			var pts []Point
+			for _, sp := range sps {
+				eng, err := core.NewEngine(sp.cfg)
+				if err != nil {
+					t.Fatal(err)
 				}
-				pts[i].N = 1
+				first, err := sp.readOn(eng)
+				if err != nil {
+					t.Fatal(err)
+				}
+				second, err := sp.readOn(eng)
+				eng.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(first) != math.Float64bits(second) {
+					t.Errorf("%s %s: read %v, then %v on the same engine", sp.x, sp.series, first, second)
+				}
+				pts = append(pts, reading(sp.x, sp.series, "Mbps", second))
 			}
 			got := bytes.NewBufferString(CSVHeader + "\n")
 			if err := WriteCSV(got, Result{Figure: name, Points: pts}); err != nil {
@@ -144,7 +155,9 @@ var virtualUnits = map[string]bool{"Mbps": true, "%": true}
 
 // TestFiguresByteReproducible: every registry entry with a virtual reading,
 // run twice at -tiny, renders those readings byte for byte the same —
-// concurrent streams, concurrent tenants and the placement planner included.
+// concurrent streams, concurrent tenants at every k and the placement
+// planner included. Each subtest runs only its own figure, so
+// -run TestFiguresByteReproducible/mt runs the multi-tenant sweep alone.
 func TestFiguresByteReproducible(t *testing.T) {
 	virtual := func(csv []byte) []byte {
 		var out bytes.Buffer
@@ -156,12 +169,12 @@ func TestFiguresByteReproducible(t *testing.T) {
 		return out.Bytes()
 	}
 	for _, f := range Figures {
-		first := virtual(figureCSV(t, f.Name, Sizing{Tiny: true, Repeats: 1}))
-		if len(first) == 0 {
-			continue
-		}
 		t.Run(f.Name, func(t *testing.T) {
-			if again := virtual(figureCSV(t, f.Name, Sizing{Tiny: true, Repeats: 1})); !bytes.Equal(again, first) {
+			first := virtual(figureCSV(t, f.Name, Sizing{Tiny: true}))
+			if len(first) == 0 {
+				t.Skip("no virtual reading")
+			}
+			if again := virtual(figureCSV(t, f.Name, Sizing{Tiny: true})); !bytes.Equal(again, first) {
 				reportDivergence(t, f.Name, again, first)
 			}
 		})

@@ -4,7 +4,7 @@ import "testing"
 
 func TestMultiTenantShape(t *testing.T) {
 	// A test-sized contention sweep.
-	pts, err := multiTenant([]int{1, 2}, 2, workload{60_000, 10, 2})
+	pts, err := multiTenant([]int{1, 2}, 2, workload{60_000, 10})
 	if err != nil {
 		t.Fatalf("multiTenant: %v", err)
 	}
@@ -13,20 +13,17 @@ func TestMultiTenantShape(t *testing.T) {
 	}
 	for _, k := range []int{1, 2} {
 		for _, series := range []string{"aggregate", "per-query", "serialized"} {
-			if p := value(t, pts, k, series); p.Value <= 0 || p.N != 2 {
-				t.Fatalf("k=%d: %s = %+v, want positive bandwidth over 2 runs", k, series, p)
+			if p := value(t, pts, k, series); p.Value <= 0 {
+				t.Fatalf("k=%d: %s = %+v, want positive bandwidth", k, series, p)
 			}
 		}
 		if p := value(t, pts, k, "adm-wait"); p.Value < 0 || p.Unit != "us" {
 			t.Fatalf("k=%d: admission wait %+v", k, p)
 		}
 	}
-	// A lone tenant is fully deterministic in virtual time, and its
-	// "concurrent" batch is by definition the serialized baseline.
+	// A lone tenant's "concurrent" batch is by definition the serialized
+	// baseline.
 	agg1, ser1 := value(t, pts, 1, "aggregate"), value(t, pts, 1, "serialized")
-	if agg1.Stdev != 0 {
-		t.Fatalf("k=1 aggregate stdev = %v, want 0 (deterministic repeats)", agg1.Stdev)
-	}
 	if agg1.Value != ser1.Value {
 		t.Fatalf("k=1 aggregate %v != serialized %v", agg1.Value, ser1.Value)
 	}

@@ -25,8 +25,9 @@ import (
 //     MPI buffer sweep, bare versus with a live streamof(sys_metrics())
 //     subscriber re-polling on every tick of the policy clock — ticked by
 //     nothing but the measured query's own progress — and sys_resources and
-//     sys_tables snapshotted on each of those ticks, Repeats pairs per point
-//     with the side that runs first alternating. The virtual makespans must be
+//     sys_tables snapshotted on each of those ticks, 5 pairs per point (3
+//     under Tiny) with the side that runs first alternating: the one
+//     wall-clock reading that needs repeats. The virtual makespans must be
 //     bit-identical in every pair — the figure fails otherwise — so the
 //     bare/observed wall-clock medians quantify pure host-side overhead,
 //     never simulated interference.
@@ -36,6 +37,7 @@ type sysqConfig struct {
 	snapIters  int   // per-table Snap() iterations
 	queryIters int   // per-table full-SCSQL-query iterations
 	bufSizes   []int // MPI buffer sweep of the non-perturbation gate
+	pairs      int   // bare/observed pairs per buffer size
 	w          workload
 }
 
@@ -43,9 +45,9 @@ type sysqConfig struct {
 // seconds-scale smoke under Tiny.
 func runSysq(s Sizing) ([]Point, error) {
 	if s.Tiny {
-		return sysq(sysqConfig{200, 20, []int{30_000}, workload{100_000, 5, s.Repeats}})
+		return sysq(sysqConfig{200, 20, []int{30_000}, 3, workload{100_000, 5}})
 	}
-	return sysq(sysqConfig{2_000, 200, []int{1000, 30_000, 1_000_000}, workload{300_000, 20, s.Repeats}})
+	return sysq(sysqConfig{2_000, 200, []int{1000, 30_000, 1_000_000}, 5, workload{300_000, 20}})
 }
 
 // sysqTables is the measurement order of the latency sections.
@@ -183,7 +185,7 @@ func sysq(cfg sysqConfig) ([]Point, error) {
 	// 3. The non-perturbation gate over the Figure 6 sweep.
 	for _, buf := range cfg.bufSizes {
 		var wall [2][]float64 // bare, observed
-		for rep := 0; rep < cfg.w.Repeats; rep++ {
+		for rep := 0; rep < cfg.pairs; rep++ {
 			var mk [2]vtime.Time
 			for i := 0; i < 2; i++ {
 				side := (rep + i) % 2 // alternate which side runs first

@@ -5,9 +5,9 @@ import "testing"
 // TestSysqShape runs the tiny system-catalog figure end to end: every
 // latency section reports, and the non-perturbation gate inside the figure
 // (bit-identical Figure 6 makespans with an active catalog subscriber, on
-// every one of the Repeats pairs) must hold or the run errors.
+// every one of the 3 pairs Tiny sizes) must hold or the run errors.
 func TestSysqShape(t *testing.T) {
-	pts, err := runSysq(Sizing{Tiny: true, Repeats: 3})
+	pts, err := runSysq(Sizing{Tiny: true})
 	if err != nil {
 		t.Fatalf("sysq: %v", err)
 	}
@@ -24,7 +24,7 @@ func TestSysqShape(t *testing.T) {
 	if value(t, pts, "sys_nodes", "rows").Value == 0 {
 		t.Error("sys_nodes snapshot is empty on a populated engine")
 	}
-	// The bare/observed pair is a median over Repeats alternating pairs, not
+	// The bare/observed pair is a median over 3 alternating pairs, not
 	// one timing per side.
 	for _, series := range []string{"bare", "observed"} {
 		if p := value(t, pts, "buf=30000", series); p.Value <= 0 || p.N != 3 || p.Stdev <= 0 || p.Unit != "ms" {

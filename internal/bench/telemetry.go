@@ -58,7 +58,7 @@ func RunTelemetry(cfg TelemetryConfig) (*TelemetryReport, error) {
 	if cfg.BufBytes <= 0 {
 		return nil, fmt.Errorf("bench: MPI buffer size must be positive, got %d", cfg.BufBytes)
 	}
-	if err := (workload{cfg.ArrayBytes, cfg.ArrayCount, 1}).validate(); err != nil {
+	if err := (workload{cfg.ArrayBytes, cfg.ArrayCount}).validate(); err != nil {
 		return nil, err
 	}
 	tracer := metrics.NewTracer(cfg.TraceLimit)

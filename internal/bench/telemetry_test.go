@@ -91,7 +91,7 @@ func TestTelemetryMatchesUninstrumentedBandwidth(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pts, err := figure6([]int{cfg.BufBytes}, workload{size, count, 2})
+	pts, err := readSweep(figure6([]int{cfg.BufBytes}, workload{size, count}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,21 +29,14 @@ func udpLoss(lossRates []float64, n int, w workload) ([]Point, error) {
 
 	var pts []Point
 	for _, rate := range lossRates {
-		var (
-			runs      []float64
-			delivered int64 // deterministic loss: identical across repeats
-		)
-		for r := 0; r < w.Repeats; r++ {
-			arrays, goodput, err := udpLossRun(src, rate, w.ArrayBytes)
-			if err != nil {
-				return nil, fmt.Errorf("udploss rate=%v: %w", rate, err)
-			}
-			delivered, runs = arrays, append(runs, goodput)
+		delivered, goodput, err := udpLossRun(src, rate, w.ArrayBytes)
+		if err != nil {
+			return nil, fmt.Errorf("udploss rate=%v: %w", rate, err)
 		}
 		x := strconv.FormatFloat(rate, 'f', 2, 64)
 		pts = append(pts,
 			reading(x, "delivered", "%", float64(delivered)/float64(sent)*100),
-			summarize(x, "goodput", "Mbps", runs))
+			reading(x, "goodput", "Mbps", goodput))
 	}
 	return pts, nil
 }
