@@ -1,38 +1,31 @@
 package sched
 
-// results.go is the incremental result path of a session: elements are
-// pushed into a per-query log as the client manager receives them (via
-// core.ClientStream.SetElementObserver), and any number of ResultIter
-// readers consume the log concurrently with the drain. This is what the
-// network serving layer streams result frames from — a row leaves the
-// server as soon as the simulation produces it, not when the session
-// reaches a terminal state. Wait() reads the same log to the end. The log
-// hangs off the Query alone: the session table keeps a finished session's
-// row, not the session, so the log goes with the last handle to it.
-//
-// The log is a singly linked list of segments. An element is written once,
-// into the tail segment, and never moved: a full tail gets a successor of
-// twice its capacity (up to maxSegment) instead of being regrown, so a
-// session's rows cost their own bytes once, a one-row session pays for a
-// handful of slots, and a slot, once published, is never written again —
-// which is what lets readers keep views of the log for as long as they like.
+// results.go is a session's result log: the client manager's drain pushes
+// each element as it arrives (core.ClientStream.SetElementObserver), and the
+// session's one reader — the serving pump, Wait — takes it off as it comes.
+// The log is a linked list of segments, each element written once into the
+// tail and never moved: a full tail gets a successor of twice its capacity
+// (up to maxSegment), so rows cost their own bytes once and a one-row session
+// a handful of slots. A segment the reader has passed, and the last one once
+// the stream has ended, goes to the scheduler's free list, where every
+// session takes its next segment from: live memory is the unread rows.
 
 import (
+	"math/bits"
 	"sync"
 
 	"scsq/internal/sqep"
 )
 
-// Segment capacities, in elements: the first segment is sized for the
-// sessions that return a count or a handful of rows, each later one doubles
-// up to maxSegment. 512 elements are 20 kB, the largest doubling that Go
-// still allocates as a small object (≤ 32 kB, from the P's own cache);
-// 1 024 would take whole pages from the shared heap per segment, which
-// measured +2 MB of peak RSS on 2 000-row sessions and wastes twice as much
-// behind the last row.
+// Segment capacities, in elements: 4 for the sessions that return a count or
+// a handful of rows, doubling up to 512 (20 kB), the largest that Go still
+// allocates as a small object — 1 024 measured +2 MB of peak RSS on 2 000-row
+// sessions. maxFreeSegments bounds each size's free list: at most 16 × 40 kB
+// of segments kept.
 const (
-	firstSegment = 4
-	maxSegment   = 512
+	firstSegment    = 4
+	maxSegment      = 512
+	maxFreeSegments = 16
 )
 
 // segment is one fixed-capacity piece of a result log. els never
@@ -43,50 +36,87 @@ type segment struct {
 	next *segment
 }
 
-// resultsState is the shared result log of one session.
+// segmentPool is a scheduler's bounded free list of read segments, one list
+// per size (4, 8, … 512), like the server's chunk pool. A nil pool (a Query
+// without a scheduler) allocates every segment and keeps none.
+type segmentPool struct {
+	mu   sync.Mutex
+	free [8][]*segment
+}
+
+func sizeClass(size int) int { return bits.Len(uint(size/firstSegment)) - 1 }
+
+func (p *segmentPool) get(size int) *segment {
+	if p != nil {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		if free := &p.free[sizeClass(size)]; len(*free) > 0 {
+			s := (*free)[len(*free)-1]
+			(*free)[len(*free)-1] = nil // the list pins no segment it has handed out
+			*free = (*free)[:len(*free)-1]
+			return s
+		}
+	}
+	return &segment{els: make([]sqep.Element, 0, size)}
+}
+
+// put clears s, so that it pins no row's value, and keeps it if there is room.
+func (p *segmentPool) put(s *segment) {
+	if p != nil {
+		clear(s.els)
+		*s = segment{els: s.els[:0]}
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		if free := &p.free[sizeClass(cap(s.els))]; len(*free) < maxFreeSegments {
+			*free = append(*free, s)
+		}
+	}
+}
+
+// resultsState is the result log of one session.
 type resultsState struct {
 	mu   sync.Mutex
 	cond *sync.Cond
-	head segment  // the first segment; its storage comes with the first element
+	head *segment // the segment the reader stands in; nil until the first element
+	off  int      // elements of head already read
 	tail *segment // the segment pushResult writes into
 	end  bool
+	pool *segmentPool
 }
 
-// results lazily initializes and returns the session's log. The sync.Once
-// keeps initialization safe from any goroutine (submitters, the run loop,
-// iterator readers).
+// results lazily initializes and returns the session's log, safely from any
+// goroutine (submitters, the run loop, the reader).
 func (q *Query) results() *resultsState {
 	q.resOnce.Do(func() {
 		q.res = &resultsState{}
 		q.res.cond = sync.NewCond(&q.res.mu)
-		q.res.tail = &q.res.head
+		if q.s != nil {
+			q.res.pool = &q.s.segments
+		}
 	})
 	return q.res
 }
 
-// pushResult publishes one element and wakes the iterators blocked on the
-// log's end (with none waiting, Broadcast is two atomic loads). Called
-// synchronously from the client stream's drain loop.
+// pushResult publishes one element and wakes a blocked reader (with none,
+// Broadcast is two atomic loads). The drain loop calls it synchronously.
 func (q *Query) pushResult(el sqep.Element) {
 	r := q.results()
 	r.mu.Lock()
-	t := r.tail
-	if len(t.els) == cap(t.els) {
-		if cap(t.els) == 0 {
-			t.els = make([]sqep.Element, 0, firstSegment)
-		} else {
-			t.next = &segment{els: make([]sqep.Element, 0, min(2*cap(t.els), maxSegment))}
-			t, r.tail = t.next, t.next
-		}
+	switch t := r.tail; {
+	case t == nil:
+		r.head = r.pool.get(firstSegment)
+		r.tail = r.head
+	case len(t.els) == cap(t.els):
+		t.next = r.pool.get(min(2*cap(t.els), maxSegment))
+		r.tail = t.next
 	}
-	t.els = append(t.els, el) // within capacity: no element moves
+	r.tail.els = append(r.tail.els, el) // within capacity: no element moves
 	r.mu.Unlock()
 	r.cond.Broadcast()
 }
 
-// endResults marks the stream complete and wakes blocked iterators. It is
-// called on every finalization path, immediately before q.done closes, so
-// an iterator never blocks past the session's terminal state.
+// endResults marks the stream complete and wakes a blocked reader; every
+// finalization path calls it immediately before q.done closes.
 func (q *Query) endResults() {
 	r := q.results()
 	r.mu.Lock()
@@ -95,89 +125,61 @@ func (q *Query) endResults() {
 	r.cond.Broadcast()
 }
 
-// flatten returns the whole log as one exact-size slice of the caller's own
-// (nil for an empty log).
-func (r *resultsState) flatten() []sqep.Element {
+// read takes up to limit (all if negative) unread elements of the head
+// segment off the log, blocking while there is none and the stream is live.
+// A segment the previous read emptied goes to the free list.
+func (q *Query) read(limit int) ([]sqep.Element, bool, error) {
+	r := q.results()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	n := 0
-	for s := &r.head; s != nil; s = s.next {
-		n += len(s.els)
+	for r.head == nil || r.off == len(r.head.els) {
+		switch {
+		case r.head != nil && r.head.next != nil: // only a full segment has a successor
+			passed := r.head
+			r.head, r.off = passed.next, 0
+			r.pool.put(passed)
+		case r.end:
+			if r.head != nil {
+				r.pool.put(r.head)
+				r.head, r.tail = nil, nil
+			}
+			return nil, false, q.Err()
+		default:
+			r.cond.Wait()
+		}
 	}
-	if n == 0 {
-		return nil
+	end := len(r.head.els)
+	if limit >= 0 && r.off+limit < end {
+		end = r.off + limit
 	}
-	out := make([]sqep.Element, 0, n)
-	for s := &r.head; s != nil; s = s.next {
-		out = append(out, s.els...)
-	}
-	return out
+	els := r.head.els[r.off:end:end] // capped: an append cannot reach the segment
+	r.off = end
+	return els, true, nil
 }
 
-// ResultIter iterates a session's result elements incrementally: Next
-// returns each element as soon as the simulation delivers it to the client
-// manager, then reports the end of the stream once the session is terminal.
-// Iterators are independent — each starts from the first element — and one
-// iterator must not be shared between goroutines.
-type ResultIter struct {
-	q   *Query
-	seg *segment // the segment the iterator stands in
-	off int      // elements of seg already returned
-}
+// ResultIter reads a session's result elements as the client manager
+// receives them. Every iterator of a session, and Wait, advance its one read
+// position.
+type ResultIter struct{ q *Query }
 
-// Results returns a new incremental iterator over the session's result
-// elements. It may be called in any state; elements logged before the
-// call are replayed first.
-func (q *Query) Results() *ResultIter {
-	return &ResultIter{q: q, seg: &q.results().head}
-}
+// Results returns an iterator over the session's unread result elements.
+func (q *Query) Results() *ResultIter { return &ResultIter{q: q} }
 
 // Next blocks until another element is available or the session reaches a
 // terminal state. ok is false at the end of the stream, in which case err
 // is the session's terminal error (nil for Done).
 func (it *ResultIter) Next() (sqep.Element, bool, error) {
-	els, ok, err := it.next(1)
+	els, ok, err := it.q.read(1)
 	if !ok {
 		return sqep.Element{}, false, err
 	}
 	return els[0], true, nil
 }
 
-// NextBatch blocks like Next and then returns, under one lock, the elements
-// published past the iterator's position in the segment it stands in — at
-// least one, at most a segment. The batch is a read-only view of the
-// session's result log, valid for as long as the caller likes: a published
-// slot is never rewritten. When the log is exhausted the next call blocks,
-// which is the serving layer's cue to flush.
+// NextBatch blocks like Next and then takes, under one lock, the unread
+// elements of the log's head segment: a read-only view, valid until the next
+// read of the session. When the log is exhausted the next call blocks, which
+// is the serving layer's cue to flush.
 func (it *ResultIter) NextBatch() ([]sqep.Element, bool, error) {
-	return it.next(-1)
-}
-
-// next returns up to limit published elements of the current segment (all of
-// them when limit is negative), blocking while there is none and the stream
-// has not ended.
-func (it *ResultIter) next(limit int) ([]sqep.Element, bool, error) {
-	r := it.q.results()
-	r.mu.Lock()
-	for it.off == len(it.seg.els) {
-		switch {
-		case it.seg.next != nil: // only a full segment has a successor
-			it.seg, it.off = it.seg.next, 0
-		case r.end:
-			r.mu.Unlock()
-			return nil, false, it.q.Err()
-		default:
-			r.cond.Wait()
-		}
-	}
-	end := len(it.seg.els)
-	if limit >= 0 && it.off+limit < end {
-		end = it.off + limit
-	}
-	// Slots below end are published and therefore immutable; the capped
-	// slice keeps a caller's append off the segment's unwritten tail.
-	els := it.seg.els[it.off:end:end]
-	r.mu.Unlock()
-	it.off = end
-	return els, true, nil
+	return it.q.read(-1)
 }

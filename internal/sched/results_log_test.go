@@ -1,16 +1,16 @@
 package sched
 
 // The result log against a bare Query: pushResult, endResults and the
-// iterators need nothing of a scheduler, so these tests drive them directly
-// and can count what pushResult itself allocates.
+// iterators need nothing of a scheduler but its free list, so these tests
+// drive them directly and can count what pushResult itself allocates.
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"runtime"
-	"sync"
+	"slices"
 	"testing"
+	"time"
 	"unsafe"
 
 	"scsq/internal/race"
@@ -18,8 +18,12 @@ import (
 	"scsq/internal/vtime"
 )
 
-// logQuery is a session as far as the result log is concerned.
+// logQuery is a session as far as the result log is concerned; it has no
+// scheduler, so its log allocates every segment and recycles none.
 func logQuery() *Query { return &Query{done: make(chan struct{})} }
+
+// pooledQuery is a session of s, whose free list its log shares.
+func pooledQuery(s *Scheduler) *Query { return &Query{s: s, done: make(chan struct{})} }
 
 // finish ends q's stream the way Scheduler.finalize does.
 func (q *Query) finish(err error) {
@@ -83,42 +87,37 @@ func TestResultLogNeverRegrows(t *testing.T) {
 	}
 }
 
-// TestBatchStaysValid: a Batch is a view of the log, valid indefinitely —
-// later pushes and the end of the session leave it element for element as it
-// was, and an append to it cannot reach the log.
+// TestBatchStaysValid: a Batch is a view of the log, intact until the next
+// read of the session — later pushes, into the very segment the batch views,
+// leave it element for element as it was, and an append to it cannot reach
+// the log. Wait then returns the rows no read has taken.
 func TestBatchStaysValid(t *testing.T) {
-	q := logQuery()
+	q := pooledQuery(&Scheduler{})
 	const early = 7 // ends inside the second segment
 	for i := 0; i < early; i++ {
 		q.pushResult(logEl(i))
 	}
 	it := q.Results()
-	var batches [][]sqep.Element
-	var seen []sqep.Element
-	for len(seen) < early {
-		b, ok, err := it.NextBatch()
-		if !ok || err != nil || len(b) == 0 {
-			t.Fatalf("NextBatch after %d of %d early elements: %d elements, ok=%v err=%v", len(seen), early, len(b), ok, err)
-		}
-		batches = append(batches, b)
-		seen = append(seen, b...)
+	if b, ok, err := it.NextBatch(); !ok || err != nil || len(b) != firstSegment {
+		t.Fatalf("first NextBatch = %d elements, ok=%v err=%v; want the first segment's %d", len(b), ok, err, firstSegment)
+	}
+	b, ok, err := it.NextBatch()
+	if !ok || err != nil || len(b) != early-firstSegment {
+		t.Fatalf("second NextBatch = %d elements, ok=%v err=%v; want %d", len(b), ok, err, early-firstSegment)
+	}
+	// A caller's append must reallocate, not write into the segment's tail.
+	if cap(b) != len(b) {
+		t.Fatalf("the batch has room for %d more: an append would write into the log", cap(b)-len(b))
 	}
 	check := func(when string) {
 		t.Helper()
-		i := 0
-		for _, b := range batches {
-			for _, el := range b {
-				if !sameEl(el, logEl(i)) {
-					t.Fatalf("%s: early batch element %d = %+v, want %+v", when, i, el, logEl(i))
-				}
-				i++
+		for i, el := range b {
+			if want := logEl(firstSegment + i); !sameEl(el, want) {
+				t.Fatalf("%s: batch element %d = %+v, want %+v", when, i, el, want)
 			}
 		}
 	}
 	check("at once")
-	// A caller's append must reallocate, not write into the segment's tail.
-	last := batches[len(batches)-1]
-	_ = append(last, sqep.Element{Value: "stray"})
 	for i := early; i < early+10_000; i++ {
 		q.pushResult(logEl(i))
 	}
@@ -126,103 +125,206 @@ func TestBatchStaysValid(t *testing.T) {
 	q.finish(nil)
 	check("after the session ended")
 	els, err := q.Wait()
-	if err != nil || len(els) != early+10_000 {
-		t.Fatalf("Wait = %d elements, %v", len(els), err)
+	if err != nil || len(els) != 10_000 {
+		t.Fatalf("Wait = %d elements, %v; want the 10 000 unread", len(els), err)
 	}
 	for i, el := range els {
-		if !sameEl(el, logEl(i)) {
-			t.Fatalf("Wait element %d = %+v, want %+v: an append through a batch reached the log", i, el, logEl(i))
+		if want := logEl(early + i); !sameEl(el, want) {
+			t.Fatalf("Wait element %d = %+v, want %+v", i, el, want)
 		}
 	}
 }
 
-// TestIteratorsReplayIndependently races three iterators — opened before,
-// during and after the run; reading by Next, by NextBatch and by both —
-// against the drain. Each must see the identical sequence and then the
-// terminal error, and so must Wait.
-func TestIteratorsReplayIndependently(t *testing.T) {
+// TestOneReaderRacesTheDrain: one reader, mixing Next and NextBatch, races
+// the drain on a log whose segments are recycled as it reads. It must see
+// every row once and in order, then the terminal error — again on a read
+// past the end — and Wait finds nothing left.
+func TestOneReaderRacesTheDrain(t *testing.T) {
 	const rows = 30_000
 	errBoom := errors.New("boom")
-	q := logQuery()
-
-	read := func(it *ResultIter, mode int) error {
-		n := 0
-		for {
-			var els []sqep.Element
-			var ok bool
-			var err error
-			if mode == 0 || (mode == 2 && n%3 == 0) {
-				var el sqep.Element
-				el, ok, err = it.Next()
-				els = []sqep.Element{el}
-			} else {
-				els, ok, err = it.NextBatch()
-			}
-			if !ok {
-				if n != rows || !errors.Is(err, errBoom) {
-					return fmt.Errorf("mode %d: stream ended after %d of %d elements with %v", mode, n, rows, err)
-				}
-				if _, ok, err := it.Next(); ok || !errors.Is(err, errBoom) {
-					return fmt.Errorf("mode %d: a second read past the end: ok=%v err=%v", mode, ok, err)
-				}
-				return nil
-			}
-			if len(els) == 0 {
-				return fmt.Errorf("mode %d: empty batch at element %d", mode, n)
-			}
-			for _, el := range els {
-				if !sameEl(el, logEl(n)) {
-					return fmt.Errorf("mode %d: element %d = %+v, want %+v", mode, n, el, logEl(n))
-				}
-				n++
-			}
-		}
-	}
-
-	var wg sync.WaitGroup
-	errs := make(chan error, 4)
-	start := func(mode int) {
-		it := q.Results()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs <- read(it, mode)
-		}()
-	}
-	start(0) // before the first element
-	half := make(chan struct{})
-	wg.Add(1)
+	q := pooledQuery(&Scheduler{})
 	go func() {
-		defer wg.Done()
 		for i := 0; i < rows; i++ {
-			if i == rows/2 {
-				close(half)
-			}
 			q.pushResult(logEl(i))
 			if i%64 == 0 {
-				runtime.Gosched() // let readers park and catch up in turns
+				runtime.Gosched() // let the reader park and catch up in turns
 			}
 		}
 		q.finish(errBoom)
 	}()
-	<-half
-	start(1) // during the run
-	<-q.done
-	start(2) // after the end
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			t.Error(err)
+	it := q.Results()
+	for n := 0; ; {
+		var els []sqep.Element
+		var ok bool
+		var err error
+		if n%3 == 0 {
+			var el sqep.Element
+			el, ok, err = it.Next()
+			els = []sqep.Element{el}
+		} else {
+			els, ok, err = it.NextBatch()
+		}
+		if !ok {
+			if n != rows || !errors.Is(err, errBoom) {
+				t.Fatalf("stream ended after %d of %d elements with %v", n, rows, err)
+			}
+			break
+		}
+		if len(els) == 0 {
+			t.Fatalf("empty batch at element %d", n)
+		}
+		for _, el := range els {
+			if !sameEl(el, logEl(n)) {
+				t.Fatalf("element %d = %+v, want %+v", n, el, logEl(n))
+			}
+			n++
 		}
 	}
-	els, err := q.Wait()
-	if !errors.Is(err, errBoom) || len(els) != rows || cap(els) != rows {
-		t.Fatalf("Wait = %d elements (cap %d), %v; want %d exactly and the terminal error", len(els), cap(els), err, rows)
+	if _, ok, err := it.Next(); ok || !errors.Is(err, errBoom) {
+		t.Fatalf("a second read past the end: ok=%v err=%v", ok, err)
 	}
-	for i, el := range els {
-		if !sameEl(el, logEl(i)) {
-			t.Fatalf("Wait element %d = %+v, want %+v", i, el, logEl(i))
+	if els, err := q.Wait(); len(els) != 0 || !errors.Is(err, errBoom) {
+		t.Fatalf("Wait after the reader = %d elements, %v; want none and the terminal error", len(els), err)
+	}
+}
+
+// segments counts the segments q's log holds.
+func (q *Query) segments() int {
+	r := q.results()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := 0
+	for s := r.head; s != nil; s = s.next {
+		n++
+	}
+	return n
+}
+
+// TestLiveLogStaysBounded: a never-ending session read by a reader that keeps
+// up holds its unread rows, not every row it ever produced.
+func TestLiveLogStaysBounded(t *testing.T) {
+	const rows, round = 100_000, 100
+	q := pooledQuery(&Scheduler{})
+	it := q.Results()
+	most, read := 0, 0
+	for pushed := 0; pushed < rows; {
+		for end := pushed + round; pushed < end; pushed++ {
+			q.pushResult(logEl(pushed))
+		}
+		most = max(most, q.segments())
+		for read < pushed {
+			b, ok, err := it.NextBatch()
+			if !ok || err != nil {
+				t.Fatalf("NextBatch at row %d: ok=%v err=%v", read, ok, err)
+			}
+			for _, el := range b {
+				if !sameEl(el, logEl(read)) {
+					t.Fatalf("row %d = %+v, want %+v", read, el, logEl(read))
+				}
+				read++
+			}
+		}
+	}
+	// One round spans at most five segments (4 + 8 + 16 + 32 + 64 ≥ 100),
+	// one more being the segment the reader stands in; the whole stream
+	// is about 200.
+	if most > 6 {
+		t.Fatalf("the log held %d segments while its reader kept up with %d-row rounds, want at most 6", most, round)
+	}
+}
+
+// probe is a row value whose collection closes the returned channel: a heap
+// object of its own, since an int below 256 boxes into one of the runtime's
+// static boxes and a boxed int may share a tiny block with live ones.
+func probe() (any, <-chan struct{}) {
+	v, collected := &[4]int64{256}, make(chan struct{})
+	runtime.SetFinalizer(v, func(*[4]int64) { close(collected) })
+	return v, collected
+}
+
+func awaitCollected(t *testing.T, collected <-chan struct{}, what string) {
+	t.Helper()
+	for i := 0; ; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+			if i == 500 {
+				t.Fatal(what)
+			}
+		}
+	}
+}
+
+// TestRecycledSegmentPinsNothing: a segment on the free list pins none of
+// the rows it held, and a segment taken off the list is pinned by the list
+// no more.
+func TestRecycledSegmentPinsNothing(t *testing.T) {
+	s := &Scheduler{}
+	q := pooledQuery(s)
+	v, collected := probe()
+	q.pushResult(sqep.Element{Value: v})
+	v = nil
+	for i := 1; i <= firstSegment; i++ { // the rest of the first segment and one row past it
+		q.pushResult(logEl(i))
+	}
+	first := q.results().head
+	it := q.Results()
+	if b, ok, err := it.NextBatch(); !ok || err != nil || len(b) != firstSegment {
+		t.Fatalf("NextBatch = %d elements, ok=%v err=%v", len(b), ok, err)
+	}
+	if _, ok, err := it.Next(); !ok || err != nil { // passes the first segment
+		t.Fatalf("Next: ok=%v err=%v", ok, err)
+	}
+	if !slices.Contains(s.segments.free[0], first) {
+		t.Fatal("the segment the reader passed is not on the free list")
+	}
+	awaitCollected(t, collected, "a segment on the free list keeps a row's value alive")
+	if len(s.segments.free[0]) != 1 {
+		t.Fatalf("the free list lost the segment: %d of the first size", len(s.segments.free[0]))
+	}
+
+	// The next session takes the segment; once that session is dropped
+	// unread, its row must not stay reachable through the list's old slot.
+	next := pooledQuery(s)
+	v, collected = probe()
+	next.pushResult(sqep.Element{Value: v})
+	v = nil
+	if next.results().head != first || len(s.segments.free[0]) != 0 {
+		t.Fatal("a new session did not take its first segment from the free list")
+	}
+	next, first = nil, nil
+	awaitCollected(t, collected, "the free list still pins a segment it handed out")
+	runtime.KeepAlive(q)
+}
+
+// TestFreeListBounded: however many sessions finish and are read, the free
+// list keeps at most maxFreeSegments segments of each size.
+func TestFreeListBounded(t *testing.T) {
+	s := &Scheduler{}
+	var qs []*Query
+	for range 3 * maxFreeSegments {
+		q := pooledQuery(s)
+		for i := 0; i < 1020; i++ { // fills one segment of each size, 4 … 512
+			q.pushResult(logEl(i))
+		}
+		q.finish(nil)
+		qs = append(qs, q)
+	}
+	for _, q := range qs {
+		if els, err := q.Wait(); len(els) != 1020 || err != nil {
+			t.Fatalf("Wait = %d elements, %v", len(els), err)
+		}
+		for c, free := range s.segments.free {
+			if len(free) > maxFreeSegments {
+				t.Fatalf("%d segments of %d elements on the free list, want at most %d", len(free), firstSegment<<c, maxFreeSegments)
+			}
+		}
+	}
+	for c, free := range s.segments.free {
+		if len(free) != maxFreeSegments {
+			t.Errorf("%d segments of %d elements on the free list, want the bound, %d", len(free), firstSegment<<c, maxFreeSegments)
 		}
 	}
 }

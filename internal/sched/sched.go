@@ -296,9 +296,10 @@ type Scheduler struct {
 	// syscat.go). A separate mutex: the progress feed must never contend
 	// with s.mu, and cancel must never race close against send. nsubs
 	// mirrors len(subs) so the feed skips the lock while nobody listens.
-	subMu sync.Mutex
-	subs  map[chan struct{}]*vtime.Agent // tick channel → its live stream
-	nsubs atomic.Int32
+	subMu    sync.Mutex
+	subs     map[chan struct{}]*vtime.Agent // tick channel → its live stream
+	nsubs    atomic.Int32
+	segments segmentPool // the result logs' read segments (results.go)
 }
 
 // New builds a scheduler over eng, evaluating statements against cat (nil
@@ -376,9 +377,8 @@ type Query struct {
 	admitWait time.Duration
 	done      chan struct{}
 
-	// res logs result elements as the drain delivers them — the session's
-	// only copy — for Wait and the incremental Results iterators (see
-	// results.go). Lazily built.
+	// res holds the result elements the drain delivered and no read has
+	// taken yet — their only copy (results.go). Lazily built.
 	resOnce sync.Once
 	res     *resultsState
 }
@@ -407,13 +407,16 @@ func (q *Query) State() State {
 // Done returns a channel closed when the session reaches a final state.
 func (q *Query) Done() <-chan struct{} { return q.done }
 
-// Wait blocks until the session reaches a final state and returns its
-// result stream's elements — the result log flattened into a slice of the
-// caller's own — and error (nil elements for def statements and sessions
+// Wait blocks until the session reaches a final state and returns, in a
+// slice of the caller's own, the result elements no read has taken, and the
+// session's terminal error (nil elements for def statements and sessions
 // cancelled before running).
-func (q *Query) Wait() ([]sqep.Element, error) {
+func (q *Query) Wait() (out []sqep.Element, err error) {
 	<-q.done
-	return q.results().flatten(), q.Err()
+	for els, ok := []sqep.Element(nil), true; ok; out = append(out, els...) {
+		els, ok, err = q.read(-1)
+	}
+	return out, err
 }
 
 // Err returns the session's terminal error, nil while live or Done.

@@ -22,7 +22,7 @@ const trivial = `select i from integer i where i in iota(1,3);`
 // the rows of the last finishedWindow finished ones in submission order, a
 // row in the window is finished (Cancel says ErrQueryFinished), an evicted
 // id no longer resolves (it says ErrUnknownQuery), a held handle of
-// an evicted session still delivers its results, and a live
+// an evicted session still delivers its unread results, and a live
 // streamof(sys_sessions()) subscriber survives the evictions — a live-delta
 // stream reports a removal by the row's absence from its next poll.
 func TestFinishedWindowEvicts(t *testing.T) {
@@ -46,8 +46,8 @@ func TestFinishedWindowEvicts(t *testing.T) {
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
-		if _, err := q.Wait(); err != nil {
-			t.Fatalf("wait %d: %v", i, err)
+		if <-q.Done(); q.Err() != nil { // the rows stay unread
+			t.Fatalf("session %d: %v", i, q.Err())
 		}
 		held = append(held, q)
 	}
@@ -80,19 +80,14 @@ func TestFinishedWindowEvicts(t *testing.T) {
 		t.Errorf("Cancel(oldest in window) = %v, want ErrQueryFinished", err)
 	}
 
-	// The held handle of the evicted session still answers.
+	// The held handle of the evicted session still answers with every row
+	// nobody read, and then with none.
 	els, err := first.Wait()
-	if err != nil || len(els) != 3 || els[2].Value != int64(3) {
+	if err != nil || len(els) != 3 || els[0].Value != int64(1) || els[2].Value != int64(3) {
 		t.Errorf("evicted handle's Wait = %v, %v; want its three rows", els, err)
 	}
-	it := first.Results()
-	for i := 0; i < 3; i++ {
-		if el, ok, err := it.Next(); !ok || err != nil || el.Value != int64(i+1) {
-			t.Fatalf("fresh iterator, row %d: %v ok=%v err=%v", i, el.Value, ok, err)
-		}
-	}
-	if _, ok, err := it.Next(); ok || err != nil {
-		t.Errorf("fresh iterator did not end cleanly: ok=%v err=%v", ok, err)
+	if _, ok, err := first.Results().Next(); ok || err != nil {
+		t.Errorf("an iterator after Wait: ok=%v err=%v, want a clean end", ok, err)
 	}
 	if first.State() != Done || first.Nodes() != 0 {
 		t.Errorf("evicted handle: state %v, %d nodes", first.State(), first.Nodes())

@@ -732,17 +732,19 @@ func TestRowDeliveredWithoutWaitingForNext(t *testing.T) {
 
 // TestRowPathAllocations is the end-to-end allocation guard of the serving
 // fast path: a 2 000-row session over loopback — engine, pump, writer,
-// client reader, Recv — stays within a quarter of an allocation and 90 bytes
-// per row on a warm connection. The result log keeps each element (40 B,
-// never copied); every integer of 256 or more takes a word of a shared slab
-// where it is produced (iota, 8 B) and again where it is decoded (the
-// client's row decoder, and the client manager's receiver when an SP
-// produced it); the client reuses the last row's Source when the next is the
-// same, and hands rows over in recycled slices. What is left per row is the
-// slabs' and the session's fixed costs spread over 2 000 rows. A log regrown
-// by append or a row queue allocated per Submit each break the bytes bound
-// on their own (146 B/row); a value boxed on the heap again, or a Source
-// copied per row, breaks the count. Under the race detector, whose
+// client reader, Recv — stays within a quarter of an allocation and 40 bytes
+// per row on a warm connection. The result log writes each element into a
+// segment the scheduler recycles once the pump has read it, so a warm
+// session's log allocates nothing; every integer of 256 or more takes a word
+// of a shared slab where it is produced (iota, 8 B) and again where it is
+// decoded (the client's row decoder, and the client manager's receiver when
+// an SP produced it); the client reuses the last row's Source when the next
+// is the same, and hands rows over in recycled slices. What is left per row
+// is the slabs' and the session's fixed costs spread over 2 000 rows (best
+// of 30: ≈ 16 B for engine, ≈ 26 B for sp). A log that keeps its segments
+// (59–69 B/row), one regrown by append or a row queue allocated per Submit
+// each break the bytes bound on their own; a value boxed on the heap again,
+// or a Source copied per row, breaks the count. Under the race detector, whose
 // instrumentation allocates, the sessions run and nothing is counted: the
 // slab words written by iota, the receiver and the client's reader are read
 // on other goroutines.
@@ -752,8 +754,8 @@ func TestRowPathAllocations(t *testing.T) {
 		name, query string
 		maxBytes    float64
 	}{
-		{"engine", fmt.Sprintf(`select i from integer i where i in iota(1,%d);`, rows), 90},
-		{"sp", fmt.Sprintf(`select extract(a) from sp a where a=sp(iota(1,%d),'bg',0);`, rows), 90},
+		{"engine", fmt.Sprintf(`select i from integer i where i in iota(1,%d);`, rows), 40},
+		{"sp", fmt.Sprintf(`select extract(a) from sp a where a=sp(iota(1,%d),'bg',0);`, rows), 40},
 	} {
 		t.Run(c.name, func(t *testing.T) { checkRowPathAllocations(t, c.query, rows, c.maxBytes) })
 	}

@@ -37,7 +37,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 	"time"
 
 	"scsq/internal/carrier"
@@ -519,38 +518,32 @@ func (s *Session) State() SessionState { return s.q.State() }
 // Statement returns the submitted SCSQL source.
 func (s *Session) Statement() string { return s.q.Statement() }
 
-// Wait blocks until the session finishes and returns its result elements.
-// It is a thin wrapper over Results: the same elements, read to the end of
-// the stream.
-func (s *Session) Wait() ([]Element, error) {
-	var out []Element
+// Wait blocks until the session finishes and returns the result elements no
+// read has taken, and the session's terminal error — a session that ends in
+// error returns the rows it produced before it too. It is a thin wrapper
+// over Results, read to the end of the stream.
+func (s *Session) Wait() (out []Element, err error) {
 	it := s.Results()
-	for {
-		batch, ok, err := it.NextBatch()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return out, nil
-		}
-		out = slices.Grow(out, batch.Len())
-		for i := 0; i < batch.Len(); i++ {
+	for batch, ok := (Batch{}), true; ok; batch, ok, err = it.NextBatch() {
+		for i := range batch.Len() {
 			out = append(out, batch.At(i))
 		}
 	}
+	return out, err
 }
 
 // ResultIter iterates a session's result elements incrementally: Next
 // returns each element as soon as the simulation delivers it to the client
 // manager — before the session reaches a terminal state — which is what
 // lets the network serving layer stream result frames while the query is
-// still running. An iterator must not be shared between goroutines;
-// independent iterators each start from the first element.
+// still running. A session's results are read once: every iterator of a
+// session, and Wait, take elements off its one read position. An iterator
+// must not be shared between goroutines.
 type ResultIter struct {
 	it *sched.ResultIter
 }
 
-// Results returns a new incremental iterator over the session's result
+// Results returns an incremental iterator over the session's unread result
 // elements.
 func (s *Session) Results() *ResultIter {
 	return &ResultIter{it: s.q.Results()}
@@ -567,9 +560,9 @@ func (r *ResultIter) Next() (Element, bool, error) {
 	return publicElement(el), true, nil
 }
 
-// NextBatch blocks like Next and then returns the elements the session has
-// already produced past the iterator's position — at least one, at most one
-// segment of the result log — at the cost of one Next. When the log is
+// NextBatch blocks like Next and then returns the unread elements the
+// session has already produced — at least one, at most one segment of the
+// result log — at the cost of one Next. When the log is
 // exhausted the next call blocks: a consumer that forwards elements (the
 // serving layer) flushes after every batch, so batching never delays a row.
 func (r *ResultIter) NextBatch() (Batch, bool, error) {
@@ -578,8 +571,8 @@ func (r *ResultIter) NextBatch() (Batch, bool, error) {
 }
 
 // Batch is a read-only run of consecutive result elements, a view of one
-// segment of the session's result log: it costs no copy and stays valid
-// indefinitely, because the log never moves or rewrites a published element.
+// segment of the session's result log: it costs no copy and is valid until
+// the next read of the session, which may recycle the segment.
 type Batch struct {
 	els []sqep.Element
 }

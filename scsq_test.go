@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"scsq/internal/catalog"
+	"scsq/internal/sqep"
+	"scsq/internal/vtime"
 )
 
 func newEngine(t *testing.T, opts ...Option) *Engine {
@@ -587,5 +589,50 @@ and   a=sp(gen_array(30000,500), 'bg');`)
 	}
 	if err := eng.Reset(); err != nil {
 		t.Fatalf("reset after cancel: %v", err)
+	}
+}
+
+// rowsThenCancel is a source of three rows that then blocks until its
+// query is cancelled; parked closes once the three have gone downstream.
+type rowsThenCancel struct {
+	ctx    *sqep.Ctx
+	n      int
+	parked chan struct{}
+}
+
+func (r *rowsThenCancel) Open(ctx *sqep.Ctx) error { r.ctx = ctx; return nil }
+
+func (r *rowsThenCancel) Next() (sqep.Element, bool, error) {
+	if r.n < 3 {
+		r.n++
+		return sqep.Element{Value: int64(r.n)}, true, nil
+	}
+	close(r.parked)
+	vtime.Wait(r.ctx.Agent, vtime.Tick, r.ctx.Cancel.Done(), r.ctx.Cancel.Done())
+	return sqep.Element{}, false, r.ctx.Cancel.Cause()
+}
+
+func (r *rowsThenCancel) Close() error { return nil }
+
+// TestWaitKeepsRowsOfAFailedSession: a live stream cancelled after its first
+// rows answers Wait with those rows and ErrCancelled — a read takes the rows
+// off the session, so a Wait that dropped them on an error would lose them.
+func TestWaitKeepsRowsOfAFailedSession(t *testing.T) {
+	parked := make(chan struct{})
+	eng := newEngine(t, func(c *config) error {
+		c.core.Sources["rows"] = func(*sqep.Ctx) sqep.Operator { return &rowsThenCancel{parked: parked} }
+		return nil
+	})
+	s, err := eng.Submit(`select receiver('rows');`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-parked // the drain has pushed the three rows: it asked for a fourth
+	if err := s.Cancel(); err != nil {
+		t.Fatal(err)
+	}
+	els, err := s.Wait()
+	if !errors.Is(err, ErrCancelled) || len(els) != 3 || els[0].Value != int64(1) || els[2].Value != int64(3) {
+		t.Fatalf("Wait = %v, %v; want the three rows and ErrCancelled", els, err)
 	}
 }
