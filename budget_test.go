@@ -23,9 +23,9 @@ const (
 	maxWithOptions       = 18    // exported With* functions outside _test.go (target ≤ 30)
 	maxInternalPackages  = 21    // directories directly under internal/ with non-test .go files (target ≤ 22)
 	maxWireMessages      = 13    // Msg* constants of internal/server/wire
-	maxEngineMethods     = 11    // exported methods of (*scsq.Engine)
+	maxEngineMethods     = 10    // exported methods of (*scsq.Engine)
 	maxCoreEngineMethods = 19    // exported methods of (*core.Engine); building is on core.Query
-	maxNonTestLines      = 21247 // lines of the non-test .go files outside benchmark/
+	maxNonTestLines      = 21113 // lines of the non-test .go files outside benchmark/
 )
 
 // grantSelectors are vtime's unkeyed ways to grant virtual time. Outside

@@ -117,9 +117,8 @@ func TestLiveSysSessionsStreamGrows(t *testing.T) {
 	done := make(chan struct{})
 	t.Cleanup(func() { close(done) }) // before newEngine's Close ends the stream
 	go func() {
-		it := live.Results()
 		for {
-			el, ok, _ := it.Next()
+			el, ok, _ := live.Next()
 			if !ok {
 				close(rows)
 				return

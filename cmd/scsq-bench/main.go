@@ -18,17 +18,17 @@
 //	scsq-bench -fig soak              # seeded chaos soak, all resilience features
 //	scsq-bench -fig soak -tiny        # smoke sizing (place, sysq, serve, soak; the others ignore it)
 //	scsq-bench -fig all -csv          # every figure above, machine readable under one header
-//	scsq-bench -fig 6 -paper-scale    # the paper's 100 × 3 MB arrays (6, 8, ablation, mt)
+//	scsq-bench -fig 6 -paper-scale    # the paper's 100 × 3 MB arrays (6 and 8)
 //	scsq-bench -fig place -out BENCH_place.json   # also write the JSON report
 //	scsq-bench -metrics m.json        # instrumented run → metrics snapshot JSON
 //	scsq-bench -trace t.json          # instrumented run → Perfetto trace JSON
 //
-// Figures 15 and udp always run the paper's 100 × 3 MB arrays. Figures 6, 8,
-// ablation and mt default to 20 × 300 kB arrays, which run in seconds but
-// misdraw Figures 6 and 8 at MPI buffers of 100 kB and up: Figure 6 with
-// double buffering reads 187.6 Mbps against the paper workload's 166.0 at
-// 100 kB, and 125.2 against 146.2 at 1 MB (EXPERIMENTS.md). Read those
-// points from a -paper-scale run.
+// Figures 15 and udp always run the paper's 100 × 3 MB arrays, ablation and
+// mt always their own 20 × 300 kB. Figures 6 and 8 default to 20 × 300 kB
+// arrays, which run in seconds but misdraw them at MPI buffers of 100 kB and
+// up: Figure 6 with double buffering reads 187.6 Mbps against the paper
+// workload's 166.0 at 100 kB, and 125.2 against 146.2 at 1 MB
+// (EXPERIMENTS.md). Read those points from a -paper-scale run.
 package main
 
 import (
@@ -56,7 +56,7 @@ func run(args []string, stdout io.Writer) error {
 	var (
 		fig        = fs.String("fig", "all", "figure to regenerate: "+strings.Join(bench.Names(), ", ")+" or all")
 		tiny       = fs.Bool("tiny", false, "smoke sizing, for the figures that have one")
-		paperScale = fs.Bool("paper-scale", false, "use the paper's 100 × 3 MB arrays for 6, 8, ablation and mt (slow)")
+		paperScale = fs.Bool("paper-scale", false, "use the paper's 100 × 3 MB arrays for 6 and 8 (slow)")
 		csv        = fs.Bool("csv", false, "emit long-form CSV instead of text tables")
 		out        = fs.String("out", "", "also write the JSON report of the run to this file")
 		metricsOut = fs.String("metrics", "", "run one instrumented Figure 6 point and write the metrics snapshot JSON to this file")

@@ -13,7 +13,8 @@ import (
 // ablation is the node-selection ablation: k producers stream large arrays
 // to one merging consumer inside the BlueGene, placed either by the paper's
 // naive next-available algorithm or by the topology-aware selector
-// (cndb.TopologySelector) that encodes the paper's measured placement rules.
+// (cndb.TopologySelector) that encodes the paper's measured placement rule
+// for producers that merge.
 // The "gain" series is the topology-aware selector's bandwidth advantage.
 func ablation(producers []int, bufBytes int, w workload) ([]Point, error) {
 	if err := w.validate(); err != nil {

@@ -86,52 +86,3 @@ func TestBalancedProducersValidation(t *testing.T) {
 		t.Errorf("fallback chose %d nodes, want 31", got)
 	}
 }
-
-func TestBackEndProducersCoLocate(t *testing.T) {
-	env, err := hw.NewLOFAR()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sel := cndb.NewTopologySelector(env)
-	seq, err := sel.BackEndProducers(6, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int{0, 0, 0, 0, 1, 1}
-	got := seq.IDs()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("placements = %v, want %v", got, want)
-		}
-	}
-	if _, err := sel.BackEndProducers(0, 1); err == nil {
-		t.Error("zero producers should fail")
-	}
-	// Default spill threshold.
-	if seq, err := sel.BackEndProducers(5, 0); err != nil || len(seq.IDs()) != 5 {
-		t.Errorf("default maxPer: %v %v", seq, err)
-	}
-}
-
-func TestInboundReceiversSpreadsPsets(t *testing.T) {
-	env, err := hw.NewLOFAR()
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := cndb.NewTopologySelector(env).InboundReceivers()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := seq.IDs()
-	seen := map[int]bool{}
-	for _, id := range ids[:4] {
-		p, err := env.PsetOf(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seen[p] = true
-	}
-	if len(seen) != 4 {
-		t.Errorf("first four receivers span %d psets, want 4", len(seen))
-	}
-}

@@ -37,7 +37,7 @@ import (
 type Sizing struct {
 	// Tiny selects the seconds-scale smoke sizing CI uses.
 	Tiny bool
-	// PaperScale switches array workloads to the paper's 100 × 3 MB arrays.
+	// PaperScale switches Figures 6 and 8 to the paper's 100 × 3 MB arrays.
 	PaperScale bool
 }
 
@@ -83,15 +83,17 @@ var Figures = []Figure{
 	// Ignores Tiny and PaperScale: it always runs the paper's workload.
 	{"15", "Figure 15 — BG inbound streaming bandwidth by parallel back-end streams n",
 		func(s Sizing) ([]Point, error) { return readSweep(sweep15(s)) }},
-	// Ignores Tiny.
+	// Ignores Tiny and PaperScale: it runs its own 20 × 300 kB arrays per
+	// producer (ownArrays).
 	{"ablation", "Node-selection ablation — k-producer BG merge, naive vs topology-aware placement, by producers k",
-		func(s Sizing) ([]Point, error) { return ablation([]int{2, 3, 4}, 100_000, s.workload(300_000, 20)) }},
+		func(Sizing) ([]Point, error) { return ablation([]int{2, 3, 4}, 100_000, ownArrays) }},
 	// Ignores Tiny and PaperScale: it always runs the paper's workload.
 	{"udp", "UDP inbound (extension) — Query 1 topology over the I/O nodes' UDP service, by loss rate",
 		func(s Sizing) ([]Point, error) { return udpLoss([]float64{0, 0.01, 0.05, 0.1, 0.2}, 4, s.paper()) }},
-	// Ignores Tiny.
+	// Ignores Tiny and PaperScale: it runs its own 20 × 300 kB arrays per
+	// stream (ownArrays).
 	{"mt", "Multi-tenant contention — k concurrent Query-1 instances, by tenants k",
-		func(s Sizing) ([]Point, error) { return multiTenant([]int{1, 2, 3, 4}, 2, s.workload(300_000, 20)) }},
+		func(Sizing) ([]Point, error) { return multiTenant([]int{1, 2, 3, 4}, 2, ownArrays) }},
 	// Ignores PaperScale.
 	{"place", "Cost-model placement — planner vs greedy for k concurrent Query-1 instances on the 6144-node torus (256 under -tiny), by tenants k", runPlace},
 	// Ignores PaperScale.
@@ -137,6 +139,13 @@ const (
 type workload struct {
 	ArrayBytes, ArrayCount int
 }
+
+// ownArrays is the ablation's and mt's workload at every sizing. At the
+// paper's 100 × 3 MB a lone Query 1 reads 329.5 Mbps (Figure 15 at n=2)
+// instead of 63.5, and two tenants read 305.9 together, below the
+// serialized 329.5: the contention mt exists to show is gone
+// (EXPERIMENTS.md, "Multi-tenant contention").
+var ownArrays = workload{300_000, 20}
 
 // workload resolves the sizing against a figure's laptop-scale default,
 // which runs in seconds but does not draw every point as the paper's

@@ -247,9 +247,9 @@ func (r *Registry) Tables() []*Table {
 
 // Like compiles a SQL-LIKE pattern into a matcher. '%' matches any run of
 // characters, anywhere in the pattern ('rp.%', '%.bytes.%', 'link.%mpi%').
-// Two pragmatic extensions keep the matcher compatible with the historic
-// monitor() spelling: an empty pattern matches everything, and a pattern
-// without any '%' is prefix shorthand ('sched.' ≡ 'sched.%').
+// Two pragmatic extensions: an empty pattern matches everything, and a
+// pattern without any '%' is prefix shorthand ('sched.' ≡ 'sched.%'), as the
+// shell's \stats prefixes are spelled.
 func Like(pattern string) func(string) bool {
 	if pattern == "" {
 		return func(string) bool { return true }

@@ -14,7 +14,7 @@ func TestLike(t *testing.T) {
 		// Empty pattern matches everything.
 		{"", "anything", true},
 		{"", "", true},
-		// No '%' is prefix shorthand (historic monitor() behavior).
+		// No '%' is prefix shorthand.
 		{"sched.", "sched.submitted", true},
 		{"sched.", "rp.bytes_out.q1/sp0", false},
 		{"rp.bytes", "rp.bytes_out.q1/sp0", true},

@@ -9,17 +9,11 @@ import (
 
 // TopologySelector builds allocation sequences informed by the
 // communication measurements of the paper — the refinement of the node
-// selection algorithm that §5 leaves as future work. It encodes three of
-// the measured rules:
-//
-//  1. Producers streaming to a common consumer inside the BlueGene should
-//     be placed so their torus routes are disjoint and avoid each other's
-//     (busy) communication co-processors — the balanced selection of
-//     Figure 7B, measured up to 60% faster than the sequential one.
-//  2. Inbound streams should spread over as many I/O nodes as possible
-//     (Queries 5/6 beat Queries 1-4 by a wide margin).
-//  3. Back-end producers should co-locate on one node until it saturates
-//     (Query 5 beats Query 6, Query 1 beats Query 2).
+// selection algorithm that §5 leaves as future work. It encodes one of the
+// measured rules: producers streaming to a common consumer inside the
+// BlueGene should be placed so their torus routes are disjoint and avoid
+// each other's (busy) communication co-processors — the balanced selection
+// of Figure 7B, measured up to 60% faster than the sequential one.
 type TopologySelector struct {
 	env *hw.Env
 }
@@ -113,35 +107,4 @@ func (s *TopologySelector) BalancedProducers(consumer, k int) (*Sequence, error)
 		}
 	}
 	return NewSequence(chosen...)
-}
-
-// InboundReceivers returns the allocation sequence for n BG compute nodes
-// receiving inbound streams: spread over all I/O nodes round-robin (the
-// Query 5 placement), which the measurements show dominates single-I/O-node
-// placements.
-func (s *TopologySelector) InboundReceivers() (*Sequence, error) {
-	return PsetRR(s.env)
-}
-
-// BackEndProducers returns the allocation sequence for back-end producers:
-// co-locate on one node until its NIC saturates, then spill to the next —
-// the placement rule observations (3) and (4) of the paper derive. maxPer
-// is how many producers share a node before spilling (the paper's data
-// suggests a single GbE node feeds all four I/O nodes).
-func (s *TopologySelector) BackEndProducers(n, maxPer int) (*Sequence, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("cndb: need a positive producer count, got %d", n)
-	}
-	if maxPer <= 0 {
-		maxPer = 4
-	}
-	beNodes := s.env.ClusterSize(hw.BackEnd)
-	if beNodes == 0 {
-		return nil, fmt.Errorf("cndb: environment has no back-end cluster")
-	}
-	ids := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		ids = append(ids, (i/maxPer)%beNodes)
-	}
-	return NewSequence(ids...)
 }

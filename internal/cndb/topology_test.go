@@ -1,10 +1,6 @@
 package cndb
 
-import (
-	"testing"
-
-	"scsq/internal/hw"
-)
+import "testing"
 
 func TestBalancedProducersPrefersDirectNeighbors(t *testing.T) {
 	env := testEnv(t)
@@ -57,60 +53,5 @@ func TestBalancedProducersErrors(t *testing.T) {
 	}
 	if _, err := sel.BalancedProducers(0, 32); err == nil {
 		t.Error("k beyond partition size should fail")
-	}
-}
-
-func TestInboundReceiversIsPsetRR(t *testing.T) {
-	env := testEnv(t)
-	seq, err := NewTopologySelector(env).InboundReceivers()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := PsetRR(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := seq.IDs()
-	expect := want.IDs()
-	for i := range expect {
-		if got[i] != expect[i] {
-			t.Fatalf("InboundReceivers differs from psetrr at %d: %v vs %v", i, got, expect)
-		}
-	}
-}
-
-func TestBackEndProducersSpill(t *testing.T) {
-	env := testEnv(t)
-	sel := NewTopologySelector(env)
-	seq, err := sel.BackEndProducers(9, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int{0, 0, 1, 1, 2, 2, 3, 3, 0} // spills and wraps
-	got := seq.IDs()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("placements = %v, want %v", got, want)
-		}
-	}
-	if _, err := sel.BackEndProducers(-1, 2); err == nil {
-		t.Error("negative count should fail")
-	}
-}
-
-func TestBackEndProducersNoBackEnd(t *testing.T) {
-	env, err := hw.NewLOFAR(hw.Config{BackEndNodes: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One node still works; everything co-locates there.
-	seq, err := NewTopologySelector(env).BackEndProducers(3, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range seq.IDs() {
-		if id != 0 {
-			t.Errorf("placement %d, want 0", id)
-		}
 	}
 }

@@ -58,7 +58,7 @@ type Engine struct {
 	sup *Supervisor     // nil without Config.Supervision
 
 	// reg is the engine's telemetry registry — always present. A finished
-	// query's keys remain queryable (e.g. by a follow-up monitor() statement)
+	// query's keys remain queryable (e.g. by a follow-up sys_metrics() statement)
 	// until the query is retired, which folds them into per-prefix
 	// "…retired" totals.
 	reg *metrics.Registry

@@ -365,8 +365,11 @@ func (e *Engine) beginDrain(qc *queryCtx) error {
 // scheduler builds on the SCSQL evaluator, which builds on this package: the
 // engine can only know the scheduler by interface.
 type QueryScheduler interface {
-	// CancelQuery cancels the identified session.
-	CancelQuery(id string) error
+	// SubscribeVTime returns a channel that receives a coalesced tick each
+	// time the scheduler's virtual policy clock advances, woken by name on
+	// agent, and a func that ends the subscription. It paces the live-delta
+	// streams of streamof(sys_*).
+	SubscribeVTime(agent *vtime.Agent) (<-chan struct{}, func())
 }
 
 // VTimeObserver is optionally implemented by an attached scheduler whose
@@ -396,8 +399,8 @@ type CapacityObserver interface {
 	NodeDied(cluster string, node int)
 }
 
-// SetQueryScheduler attaches a scheduler to the engine, making it visible
-// to SCSQL's cancel() function (its sessions are read through the sys_sessions
+// SetQueryScheduler attaches a scheduler to the engine, making it the pacing
+// source of streamof(sys_*) (its sessions are read through the sys_sessions
 // table it registers). If the scheduler implements VTimeObserver, the
 // engine's progress drives its policy clock from here on; attaching nil (or a
 // non-observer) detaches the feed.

@@ -190,8 +190,8 @@ func (e *Engine) sysRPsTable() *catalog.Table {
 // carrying a "q3/" path segment or a ".q3" suffix; Snapshot.ForQuery).
 // Counters and gauges use the value column; histograms use
 // count/sum/min/max. Ordering is kind (counter, gauge, histogram) then name.
-// This is the one loop over the registry snapshot: SCSQL's monitor() and the
-// shell's \stats project these rows.
+// This is the one loop over the registry snapshot: the shell's \stats
+// renders these rows.
 func (e *Engine) sysMetricsTable() *catalog.Table {
 	t := &catalog.Table{
 		Name:         "sys_metrics",

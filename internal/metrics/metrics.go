@@ -535,8 +535,8 @@ func QueryScoped(name, qid string) bool {
 
 // ForQuery filters the snapshot down to one query's metrics: every counter,
 // gauge, and histogram whose name is scoped to qid (see QueryScoped). This
-// is what lets monitor() and the shell's \stats inspect a single tenant of
-// a multi-query engine.
+// is what lets sys_metrics('@q3') and the shell's \stats inspect a single
+// tenant of a multi-query engine.
 func (s Snapshot) ForQuery(qid string) Snapshot {
 	return s.filter(func(name string) bool { return QueryScoped(name, qid) })
 }

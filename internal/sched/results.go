@@ -157,19 +157,11 @@ func (q *Query) read(limit int) ([]sqep.Element, bool, error) {
 	return els, true, nil
 }
 
-// ResultIter reads a session's result elements as the client manager
-// receives them. Every iterator of a session, and Wait, advance its one read
-// position.
-type ResultIter struct{ q *Query }
-
-// Results returns an iterator over the session's unread result elements.
-func (q *Query) Results() *ResultIter { return &ResultIter{q: q} }
-
 // Next blocks until another element is available or the session reaches a
-// terminal state. ok is false at the end of the stream, in which case err
-// is the session's terminal error (nil for Done).
-func (it *ResultIter) Next() (sqep.Element, bool, error) {
-	els, ok, err := it.q.read(1)
+// terminal state, and takes it off the log. ok is false at the end of the
+// stream, in which case err is the session's terminal error (nil for Done).
+func (q *Query) Next() (sqep.Element, bool, error) {
+	els, ok, err := q.read(1)
 	if !ok {
 		return sqep.Element{}, false, err
 	}
@@ -180,6 +172,6 @@ func (it *ResultIter) Next() (sqep.Element, bool, error) {
 // elements of the log's head segment: a read-only view, valid until the next
 // read of the session. When the log is exhausted the next call blocks, which
 // is the serving layer's cue to flush.
-func (it *ResultIter) NextBatch() ([]sqep.Element, bool, error) {
-	return it.q.read(-1)
+func (q *Query) NextBatch() ([]sqep.Element, bool, error) {
+	return q.read(-1)
 }

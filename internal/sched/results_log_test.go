@@ -1,7 +1,7 @@
 package sched
 
 // The result log against a bare Query: pushResult, endResults and the
-// iterators need nothing of a scheduler but its free list, so these tests
+// reads need nothing of a scheduler but its free list, so these tests
 // drive them directly and can count what pushResult itself allocates.
 
 import (
@@ -97,11 +97,10 @@ func TestBatchStaysValid(t *testing.T) {
 	for i := 0; i < early; i++ {
 		q.pushResult(logEl(i))
 	}
-	it := q.Results()
-	if b, ok, err := it.NextBatch(); !ok || err != nil || len(b) != firstSegment {
+	if b, ok, err := q.NextBatch(); !ok || err != nil || len(b) != firstSegment {
 		t.Fatalf("first NextBatch = %d elements, ok=%v err=%v; want the first segment's %d", len(b), ok, err, firstSegment)
 	}
-	b, ok, err := it.NextBatch()
+	b, ok, err := q.NextBatch()
 	if !ok || err != nil || len(b) != early-firstSegment {
 		t.Fatalf("second NextBatch = %d elements, ok=%v err=%v; want %d", len(b), ok, err, early-firstSegment)
 	}
@@ -152,17 +151,16 @@ func TestOneReaderRacesTheDrain(t *testing.T) {
 		}
 		q.finish(errBoom)
 	}()
-	it := q.Results()
 	for n := 0; ; {
 		var els []sqep.Element
 		var ok bool
 		var err error
 		if n%3 == 0 {
 			var el sqep.Element
-			el, ok, err = it.Next()
+			el, ok, err = q.Next()
 			els = []sqep.Element{el}
 		} else {
-			els, ok, err = it.NextBatch()
+			els, ok, err = q.NextBatch()
 		}
 		if !ok {
 			if n != rows || !errors.Is(err, errBoom) {
@@ -180,7 +178,7 @@ func TestOneReaderRacesTheDrain(t *testing.T) {
 			n++
 		}
 	}
-	if _, ok, err := it.Next(); ok || !errors.Is(err, errBoom) {
+	if _, ok, err := q.Next(); ok || !errors.Is(err, errBoom) {
 		t.Fatalf("a second read past the end: ok=%v err=%v", ok, err)
 	}
 	if els, err := q.Wait(); len(els) != 0 || !errors.Is(err, errBoom) {
@@ -205,7 +203,6 @@ func (q *Query) segments() int {
 func TestLiveLogStaysBounded(t *testing.T) {
 	const rows, round = 100_000, 100
 	q := pooledQuery(&Scheduler{})
-	it := q.Results()
 	most, read := 0, 0
 	for pushed := 0; pushed < rows; {
 		for end := pushed + round; pushed < end; pushed++ {
@@ -213,7 +210,7 @@ func TestLiveLogStaysBounded(t *testing.T) {
 		}
 		most = max(most, q.segments())
 		for read < pushed {
-			b, ok, err := it.NextBatch()
+			b, ok, err := q.NextBatch()
 			if !ok || err != nil {
 				t.Fatalf("NextBatch at row %d: ok=%v err=%v", read, ok, err)
 			}
@@ -270,11 +267,10 @@ func TestRecycledSegmentPinsNothing(t *testing.T) {
 		q.pushResult(logEl(i))
 	}
 	first := q.results().head
-	it := q.Results()
-	if b, ok, err := it.NextBatch(); !ok || err != nil || len(b) != firstSegment {
+	if b, ok, err := q.NextBatch(); !ok || err != nil || len(b) != firstSegment {
 		t.Fatalf("NextBatch = %d elements, ok=%v err=%v", len(b), ok, err)
 	}
-	if _, ok, err := it.Next(); !ok || err != nil { // passes the first segment
+	if _, ok, err := q.Next(); !ok || err != nil { // passes the first segment
 		t.Fatalf("Next: ok=%v err=%v", ok, err)
 	}
 	if !slices.Contains(s.segments.free[0], first) {

@@ -11,8 +11,8 @@ import (
 )
 
 // TestResultsPartialBeforeCompletion proves the incremental contract the
-// serving layer depends on: elements of a live session are readable from
-// Results() strictly before the session reaches a terminal state. A
+// serving layer depends on: elements of a live session are readable through
+// Next strictly before the session reaches a terminal state. A
 // streamof(sys_sessions()) live-delta stream never terminates on its own,
 // so observing even one element while State() is non-final is a
 // deterministic assertion, not a race.
@@ -29,8 +29,7 @@ func TestResultsPartialBeforeCompletion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	it := q.Results()
-	el, ok, err := it.Next()
+	el, ok, err := q.Next()
 	if err != nil || !ok {
 		t.Fatalf("Next: ok=%v err=%v, want a first element", ok, err)
 	}
@@ -41,13 +40,13 @@ func TestResultsPartialBeforeCompletion(t *testing.T) {
 		t.Fatalf("session already %v after first element; partial results must precede completion", st)
 	}
 
-	// The live stream ends only through cancellation; the iterator must
+	// The live stream ends only through cancellation; a read must
 	// then unblock with the terminal error.
 	if err := q.Cancel(); err != nil {
 		t.Fatalf("cancel: %v", err)
 	}
 	for {
-		_, ok, err := it.Next()
+		_, ok, err := q.Next()
 		if ok {
 			continue // deltas raced the cancel; keep draining
 		}
@@ -61,8 +60,8 @@ func TestResultsPartialBeforeCompletion(t *testing.T) {
 	}
 }
 
-// TestResultsMatchWait proves that Results and Wait share one read of an
-// ordinary finite query's stream: Wait returns what the iterator has not
+// TestResultsMatchWait proves that Next and Wait share one read of an
+// ordinary finite query's stream: Wait returns what Next has not
 // taken, in order, and afterwards nothing is left to read.
 func TestResultsMatchWait(t *testing.T) {
 	e, err := core.NewEngine()
@@ -77,10 +76,9 @@ func TestResultsMatchWait(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	it := q.Results()
 	var els []sqep.Element
 	for i := 0; i < 3; i++ {
-		el, ok, err := it.Next()
+		el, ok, err := q.Next()
 		if err != nil || !ok {
 			t.Fatalf("element %d: ok=%v err=%v", i, ok, err)
 		}
@@ -91,24 +89,24 @@ func TestResultsMatchWait(t *testing.T) {
 		t.Fatal(err)
 	}
 	if els = append(els, rest...); len(els) != 8 {
-		t.Fatalf("the iterator and Wait returned %d + %d elements, want 8", 3, len(rest))
+		t.Fatalf("Next and Wait returned %d + %d elements, want 8", 3, len(rest))
 	}
 	for i := 1; i < len(els); i++ {
 		if els[i].At < els[i-1].At {
 			t.Fatalf("element %d at %v precedes element %d at %v", i, els[i].At, i-1, els[i-1].At)
 		}
 	}
-	if _, ok, err := it.Next(); ok || err != nil {
-		t.Fatalf("the iterator after Wait: ok=%v err=%v, want a clean end", ok, err)
+	if _, ok, err := q.Next(); ok || err != nil {
+		t.Fatalf("a read after Wait: ok=%v err=%v, want a clean end", ok, err)
 	}
 	if again, err := q.Wait(); len(again) != 0 || err != nil {
 		t.Fatalf("a second Wait = %d elements, %v; want none", len(again), err)
 	}
 }
 
-// TestResultsEndWithoutRunning proves iterators of sessions that never ran
+// TestResultsEndWithoutRunning proves reads of sessions that never ran
 // (definitions, failed builds) unblock promptly with the terminal outcome.
-// The queued-expiry path is covered via Wait — itself a Results reader — in
+// The queued-expiry path is covered via Wait — itself a reader of the log — in
 // TestQueueDeadlineExpiresQueuedSession.
 func TestResultsEndWithoutRunning(t *testing.T) {
 	e, err := core.NewEngine()
@@ -119,33 +117,33 @@ func TestResultsEndWithoutRunning(t *testing.T) {
 	s := sched.New(e, nil)
 	defer s.Close()
 
-	// A definition session is Done at submit; its iterator is empty.
+	// A definition session is Done at submit; its stream is empty.
 	def, err := s.Submit(`create function f() -> stream as select extract(a) from sp a where a=sp(gen_array(8,1),'bg',0);`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := def.Results().Next(); ok || err != nil {
-		t.Fatalf("definition iterator: ok=%v err=%v, want empty clean end", ok, err)
+	if _, ok, err := def.Next(); ok || err != nil {
+		t.Fatalf("definition read: ok=%v err=%v, want empty clean end", ok, err)
 	}
 
 	// A session whose build fails (allocation out of range) finalizes via
-	// finishQueued; its iterator must unblock with the build error.
+	// finishQueued; a read must unblock with the build error.
 	bad, err := s.Submit(`select count(extract(a)) from sp a where a=sp(gen_array(8, 1), 'bg', 99);`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := bad.Results().Next()
+		_, _, err := bad.Next()
 		done <- err
 	}()
 	select {
 	case err := <-done:
 		if err == nil {
-			t.Fatal("failed-build iterator ended without the build error")
+			t.Fatal("failed-build read ended without the build error")
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("iterator of a failed-build session never unblocked")
+		t.Fatal("read of a failed-build session never unblocked")
 	}
 	if st := bad.State(); st != sched.Failed {
 		t.Fatalf("state = %v, want Failed", st)

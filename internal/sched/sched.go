@@ -17,8 +17,8 @@
 // contract, which the scheduler preserves by never injecting wall time into
 // any decision.
 //
-// Catalog reads (scsql.CatalogRead: `select sys_sessions();`, ps(), ...) lease
-// no node and are not admitted at all: Submit runs them at once, so the system
+// Catalog reads (scsql.CatalogRead: `select sys_sessions();`, count(sys_rps()),
+// ...) lease no node and are not admitted at all: Submit runs them at once, so the system
 // stays readable when it is congested, and they leave the table as they end.
 //
 // Bounded history: the session table holds the live sessions plus the rows
@@ -245,7 +245,7 @@ func (c SubmitConfig) apply(dst *SubmitConfig) {
 }
 
 // finishedWindow is how many finished sessions the session table keeps rows
-// of, in finalization order, for ps(), sys_sessions and monitor('@qid'); the
+// of, in finalization order, for sys_sessions and sys_metrics('@qid'); the
 // oldest leaves as the next one finishes.
 const finishedWindow = 256
 
@@ -303,8 +303,8 @@ type Scheduler struct {
 }
 
 // New builds a scheduler over eng, evaluating statements against cat (nil
-// for a fresh catalog), and attaches it to the engine so SCSQL's ps() and
-// cancel() reach it.
+// for a fresh catalog), and attaches it to the engine, whose progress drives
+// its policy clock and whose streamof(sys_*) streams it paces.
 func New(eng *core.Engine, cat *scsql.Catalog, opts ...Option) *Scheduler {
 	s := &Scheduler{
 		eng:    eng,
@@ -1015,9 +1015,6 @@ func (s *Scheduler) Active() int {
 	defer s.mu.Unlock()
 	return s.live
 }
-
-// CancelQuery implements core.QueryScheduler for SCSQL's cancel(qid).
-func (s *Scheduler) CancelQuery(id string) error { return s.Cancel(id) }
 
 // Close cancels every live session, waits for them to unwind, and refuses
 // further submissions. The engine itself is left open.

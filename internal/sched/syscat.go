@@ -1,18 +1,16 @@
 package sched
 
 // syscat.go is the scheduler's contribution to the queryable system
-// catalog: the sys_sessions table (the structured form of ps()) and the
-// virtual-time tick subscription that paces streamof(sys_*) live-delta
-// streams on the engine's progress.
+// catalog: the sys_sessions table and the virtual-time tick subscription that
+// paces streamof(sys_*) live-delta streams on the engine's progress.
 
 import (
 	"scsq/internal/catalog"
 	"scsq/internal/vtime"
 )
 
-// SysSessionsSchema is the sys_sessions column list, exported so the SCSQL
-// ps() view and the schema drift guard share one definition.
-var SysSessionsSchema = catalog.Schema{
+// sysSessionsSchema is the sys_sessions column list.
+var sysSessionsSchema = catalog.Schema{
 	{Name: "id", Type: catalog.TString},
 	{Name: "state", Type: catalog.TString},
 	{Name: "priority", Type: catalog.TInt},
@@ -30,7 +28,7 @@ func (s *Scheduler) registerSysSessions() {
 	t := &catalog.Table{
 		Name:   "sys_sessions",
 		Doc:    "scheduler sessions: lifecycle, priority, leases, deadlines, retries",
-		Schema: SysSessionsSchema,
+		Schema: sysSessionsSchema,
 	}
 	t.Snap = func(string) ([]catalog.Tuple, error) {
 		infos := s.List()

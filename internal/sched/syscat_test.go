@@ -188,11 +188,11 @@ func TestCatalogReadSkipsAdmission(t *testing.T) {
 	if hs := states[hog.ID()]; len(states) != 3 || (hs != "admitted" && hs != "running") || states[blocked.ID()] != "queued" {
 		t.Errorf("sys_sessions = %v, want %s admitted or running, %s queued and the reader itself", states, hog.ID(), blocked.ID())
 	}
-	if els := read(`select s.id from stream s where s in ps() and s.state = 'queued';`); len(els) != 1 || els[0].Value != blocked.ID() {
+	if els := read(`select s.id from stream s where s in sys_sessions() and s.state = 'queued';`); len(els) != 1 || els[0].Value != blocked.ID() {
 		t.Errorf("queued sessions = %v, want [%s]", els, blocked.ID())
 	}
-	if got := lastValue(t, read(`select count(monitor('sched.'));`)); got == int64(0) {
-		t.Error("monitor('sched.') is empty")
+	if got := lastValue(t, read(`select count(sys_metrics('sched.'));`)); got == int64(0) {
+		t.Error("sys_metrics('sched.') is empty")
 	}
 	if n := len(s.List()); n != 2 {
 		t.Errorf("session table holds %d rows after the reads, want the hog and the blocked session", n)

@@ -34,8 +34,7 @@ func TestFinishedWindowEvicts(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit live stream: %v", err)
 	}
-	liveRows := live.Results()
-	if _, ok, err := liveRows.Next(); !ok || err != nil {
+	if _, ok, err := live.Next(); !ok || err != nil {
 		t.Fatalf("live stream's opening snapshot: ok=%v err=%v", ok, err)
 	}
 
@@ -86,8 +85,8 @@ func TestFinishedWindowEvicts(t *testing.T) {
 	if err != nil || len(els) != 3 || els[0].Value != int64(1) || els[2].Value != int64(3) {
 		t.Errorf("evicted handle's Wait = %v, %v; want its three rows", els, err)
 	}
-	if _, ok, err := first.Results().Next(); ok || err != nil {
-		t.Errorf("an iterator after Wait: ok=%v err=%v, want a clean end", ok, err)
+	if _, ok, err := first.Next(); ok || err != nil {
+		t.Errorf("a read after Wait: ok=%v err=%v, want a clean end", ok, err)
 	}
 	if first.State() != Done || first.Nodes() != 0 {
 		t.Errorf("evicted handle: state %v, %d nodes", first.State(), first.Nodes())
@@ -103,7 +102,7 @@ func TestFinishedWindowEvicts(t *testing.T) {
 	s.ObserveVTime(vtime.Time(vtime.Millisecond))
 	last := held[total-1].ID()
 	for {
-		el, ok, err := liveRows.Next()
+		el, ok, err := live.Next()
 		if !ok || err != nil {
 			t.Fatalf("live stream ended before reporting %s: ok=%v err=%v", last, ok, err)
 		}

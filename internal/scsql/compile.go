@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"scsq/internal/catalog"
 	"scsq/internal/core"
 	"scsq/internal/sqep"
 	"scsq/internal/vtime"
@@ -235,15 +234,6 @@ func (ev *Evaluator) compileCall(call *Call, env *scope, b *core.PlanBuilder) (s
 		}
 		return sqep.NewLimit(in, n), nil
 
-	case "monitor":
-		return ev.compileMonitor(call, env)
-
-	case "ps":
-		return ev.compilePS(call, env)
-
-	case "cancel":
-		return ev.compileCancel(call, env)
-
 	case "radixcombine":
 		return ev.compileRadixCombine(call, env, b)
 
@@ -261,67 +251,6 @@ func (ev *Evaluator) compileCall(call *Call, env *scope, b *core.PlanBuilder) (s
 		}
 		return nil, errorfAt(call.Pos, "unknown function %q", call.Name)
 	}
-}
-
-// compileMonitor lowers monitor([pattern]) — a view of the sys_metrics
-// catalog table that keeps monitor()'s historic element shapes: each row
-// becomes a bag {"counter", name, value}, {"gauge", name, value} or
-// {"histogram", name, count, sum_ns, min_ns, max_ns}, in sys_metrics order
-// (kind, then name). Pattern, '@q3' query scope and snapshot timing (when the
-// plan opens) are the table's own: monitor('sched.%') and monitor('sched.')
-// are the same view, and a monitor() issued after a query reports that
-// query's traffic (its per-RP keys folded into "…retired" once a Reset
-// retired it).
-func (ev *Evaluator) compileMonitor(call *Call, env *scope) (sqep.Operator, error) {
-	t, _ := ev.eng.SystemCatalog().Lookup("sys_metrics") // core registers it at construction
-	return ev.compileSysView(t, call, env, func(r catalog.Tuple) any {
-		if r.Vals[0] == "histogram" {
-			return []any{r.Vals[0], r.Vals[1], r.Vals[3], r.Vals[4], r.Vals[5], r.Vals[6]}
-		}
-		return r.Vals[:3:3]
-	})
-}
-
-// compilePS lowers ps() — the sys_sessions catalog table the attached
-// scheduler registers, under its historic name. Requires an engine with a
-// query scheduler attached (scsq.New installs one; a bare evaluator has none
-// — its catalog has no sys_sessions, and the stream fails when drained).
-func (ev *Evaluator) compilePS(call *Call, env *scope) (sqep.Operator, error) {
-	t, ok := ev.eng.SystemCatalog().Lookup("sys_sessions")
-	if !ok {
-		return sqep.NewThunk("ps", func() ([]any, error) {
-			return nil, fmt.Errorf("scsql: ps(): no query scheduler attached to this engine")
-		}), nil
-	}
-	return ev.compileSysTable(t, call, env)
-}
-
-// compileCancel lowers cancel('q3') — cancelling the identified session of
-// the attached scheduler. It yields a single confirmation bag {id,
-// "cancelled"}; an unknown or finished session is an error.
-func (ev *Evaluator) compileCancel(call *Call, env *scope) (sqep.Operator, error) {
-	if len(call.Args) != 1 {
-		return nil, errorfAt(call.Pos, "cancel() takes 1 argument, got %d", len(call.Args))
-	}
-	v, err := ev.evalScalar(call.Args[0], env)
-	if err != nil {
-		return nil, err
-	}
-	qid, ok := v.(string)
-	if !ok {
-		return nil, errorfAt(call.Args[0].ePos(), "cancel() takes a query id string, got %T", v)
-	}
-	eng := ev.eng
-	return sqep.NewThunk("cancel", func() ([]any, error) {
-		sch := eng.Scheduler()
-		if sch == nil {
-			return nil, fmt.Errorf("scsql: cancel(): no query scheduler attached to this engine")
-		}
-		if err := sch.CancelQuery(qid); err != nil {
-			return nil, err
-		}
-		return []any{[]any{qid, "cancelled"}}, nil
-	}), nil
 }
 
 // compileRadixCombine lowers radixcombine(merge({odd, even})): the merged

@@ -2,6 +2,8 @@ package scsql
 
 import (
 	"testing"
+
+	"scsq/internal/catalog"
 )
 
 // drainAll executes src and returns every element value.
@@ -25,16 +27,17 @@ func drainAll(t *testing.T, ev *Evaluator, src string) []any {
 	return out
 }
 
-// TestMonitorStreamsRegistry is the tentpole's query surface: after a
-// measurement query runs, monitor() exposes its telemetry as an ordinary
-// stream of rows.
+// TestMonitorStreamsRegistry: after a measurement query runs, sys_metrics()
+// exposes its telemetry as an ordinary stream of rows, captured when the
+// statement runs; the keys that name no query survive the Reset that retires
+// it.
 func TestMonitorStreamsRegistry(t *testing.T) {
 	e := newTestEngine(t)
 	ev := NewEvaluator(e, nil)
 
 	// Before any query: the registry holds nothing under the link prefix.
-	if rows := drainAll(t, ev, `select monitor('link.');`); len(rows) != 0 {
-		t.Fatalf("monitor before any query returned %d rows", len(rows))
+	if rows := drainAll(t, ev, `select sys_metrics('link.');`); len(rows) != 0 {
+		t.Fatalf("sys_metrics before any query returned %d rows", len(rows))
 	}
 	e.Reset()
 
@@ -43,26 +46,23 @@ func TestMonitorStreamsRegistry(t *testing.T) {
 	}
 	e.Reset() // link.* keys name no query: they survive the Reset that retires it
 
-	rows := drainAll(t, ev, `select monitor('link.bytes.');`)
+	rows := drainAll(t, ev, `select sys_metrics('link.bytes.');`)
 	if len(rows) == 0 {
-		t.Fatal("monitor returned no link.bytes rows after a query")
+		t.Fatal("sys_metrics returned no link.bytes rows after a query")
 	}
 	var total int64
 	var prevName string
 	for _, row := range rows {
-		bag, ok := row.([]any)
-		if !ok || len(bag) != 3 {
-			t.Fatalf("counter row shape = %#v, want [kind name value]", row)
+		tup := row.(catalog.Tuple)
+		if tup.Vals[0] != "counter" {
+			t.Fatalf("row kind = %v, want counter", tup.Vals[0])
 		}
-		if bag[0] != "counter" {
-			t.Fatalf("row kind = %v, want counter", bag[0])
-		}
-		name := bag[1].(string)
+		name := tup.Vals[1].(string)
 		if name <= prevName {
 			t.Fatalf("rows not sorted by name: %q after %q", name, prevName)
 		}
 		prevName = name
-		total += bag[2].(int64)
+		total += tup.Vals[2].(int64)
 	}
 	if total <= 30_000*7 {
 		t.Fatalf("link bytes %d should exceed the payload volume", total)
@@ -70,32 +70,28 @@ func TestMonitorStreamsRegistry(t *testing.T) {
 	e.Reset()
 
 	// Histogram rows carry count/sum/min/max.
-	hrows := drainAll(t, ev, `select monitor('link.deliver_vt.mpi');`)
+	hrows := drainAll(t, ev, `select sys_metrics('link.deliver_vt.mpi');`)
 	if len(hrows) != 1 {
 		t.Fatalf("got %d histogram rows, want 1", len(hrows))
 	}
-	hbag := hrows[0].([]any)
-	if len(hbag) != 6 || hbag[0] != "histogram" {
-		t.Fatalf("histogram row shape = %#v", hbag)
-	}
-	if hbag[2].(int64) <= 0 {
-		t.Fatalf("histogram count = %v, want > 0", hbag[2])
+	if h := hrows[0].(catalog.Tuple); h.Vals[0] != "histogram" || h.Vals[3].(int64) <= 0 {
+		t.Fatalf("histogram row = %s, want kind histogram and a count > 0", h)
 	}
 	e.Reset()
 
-	// monitor() composes with ordinary stream operators.
-	if v := execOne(t, ev, `select count(monitor('link.bytes.'));`); v.(int64) == 0 {
-		t.Fatal("count(monitor(...)) = 0")
+	// sys_metrics() composes with ordinary stream operators.
+	if v := execOne(t, ev, `select count(sys_metrics('link.bytes.'));`); v.(int64) == 0 {
+		t.Fatal("count(sys_metrics(...)) = 0")
 	}
 }
 
 func TestMonitorArgumentErrors(t *testing.T) {
 	e := newTestEngine(t)
 	ev := NewEvaluator(e, nil)
-	if _, err := ev.Exec(`select monitor(42);`); err == nil {
-		t.Fatal("monitor(42) did not fail")
+	if _, err := ev.Exec(`select sys_metrics(42);`); err == nil {
+		t.Fatal("sys_metrics(42) did not fail")
 	}
-	if _, err := ev.Exec(`select monitor('a', 'b');`); err == nil {
-		t.Fatal("monitor with two args did not fail")
+	if _, err := ev.Exec(`select sys_metrics('a', 'b');`); err == nil {
+		t.Fatal("sys_metrics with two args did not fail")
 	}
 }

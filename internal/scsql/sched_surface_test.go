@@ -1,11 +1,10 @@
 package scsql_test
 
 // External test package: these tests exercise the SCSQL surface of the
-// multi-tenant scheduler (ps(), cancel(), monitor('@qid')), and the sched
+// multi-tenant scheduler (sys_sessions(), sys_metrics('@qid')), and the sched
 // package itself imports scsql — an internal test would cycle.
 
 import (
-	"errors"
 	"strings"
 	"testing"
 
@@ -46,6 +45,9 @@ func drainRows(t *testing.T, ev *scsql.Evaluator, src string) []sqep.Element {
 	return els
 }
 
+// TestPSListsSessions: sys_sessions(), what the shell's \ps renders, lists a
+// finished session with its terminal state, no nodes and zero resilience
+// columns.
 func TestPSListsSessions(t *testing.T) {
 	_, s, ev := newSchedEngine(t)
 
@@ -57,45 +59,58 @@ func TestPSListsSessions(t *testing.T) {
 		t.Fatalf("wait: %v", err)
 	}
 
-	rows := drainRows(t, ev, `select ps();`)
+	rows := drainRows(t, ev, `select sys_sessions();`)
 	found := false
 	for _, el := range rows {
 		tup, ok := el.Value.(catalog.Tuple)
 		if !ok {
-			t.Fatalf("ps row = %#v, want a catalog.Tuple", el.Value)
-		}
-		if got, want := tup.Schema.Names(), sched.SysSessionsSchema.Names(); len(got) != len(want) {
-			t.Fatalf("ps schema = %v, want %v", got, want)
+			t.Fatalf("sys_sessions row = %#v, want a catalog.Tuple", el.Value)
 		}
 		field := func(name string) any {
 			v, ok := tup.Field(name)
 			if !ok {
-				t.Fatalf("ps row %s has no field %q", tup, name)
+				t.Fatalf("sys_sessions row %s has no field %q", tup, name)
 			}
 			return v
 		}
 		if field("id") == q.ID() {
 			found = true
 			if got := field("state"); got != "done" {
-				t.Fatalf("ps state for %s = %v, want done", q.ID(), got)
+				t.Fatalf("state for %s = %v, want done", q.ID(), got)
 			}
 			if got := field("nodes"); got != int64(0) {
-				t.Fatalf("ps nodes for finished %s = %v, want 0", q.ID(), got)
+				t.Fatalf("nodes for finished %s = %v, want 0", q.ID(), got)
 			}
 			// No TTL and no admission retries: the resilience columns are
 			// present but zero.
 			if d, r := field("deadline_ns"), field("retries"); d != int64(0) || r != int64(0) {
-				t.Fatalf("ps resilience columns for %s = deadline %v retries %v, want 0, 0", q.ID(), d, r)
+				t.Fatalf("resilience columns for %s = deadline %v retries %v, want 0, 0", q.ID(), d, r)
 			}
 		}
 	}
 	if !found {
-		t.Fatalf("ps() rows %v do not mention session %s", rows, q.ID())
+		t.Fatalf("sys_sessions() rows %v do not mention session %s", rows, q.ID())
 	}
 }
 
+// metricRows maps each sys_metrics row's name to its value column.
+func metricRows(t *testing.T, rows []sqep.Element) map[string]int64 {
+	t.Helper()
+	got := make(map[string]int64, len(rows))
+	for _, el := range rows {
+		tup, ok := el.Value.(catalog.Tuple)
+		if !ok {
+			t.Fatalf("sys_metrics row = %#v, want a catalog.Tuple", el.Value)
+		}
+		name, _ := tup.Field("name")
+		v, _ := tup.Field("value")
+		got[name.(string)] = v.(int64)
+	}
+	return got
+}
+
 // TestMonitorSchedPrefixLike pins the SQL-LIKE spelling of the scheduler
-// counter view: monitor('sched.%') strips the trailing '%' and matches the
+// counters: sys_metrics('sched.%') strips the trailing '%' and matches the
 // "sched." prefix, including the resilience counters (expired/shed/retried
 // are bound eagerly, so they report zero rather than being absent).
 func TestMonitorSchedPrefixLike(t *testing.T) {
@@ -109,19 +124,10 @@ func TestMonitorSchedPrefixLike(t *testing.T) {
 		t.Fatalf("wait: %v", err)
 	}
 
-	rows := drainRows(t, ev, `select monitor('sched.%');`)
-	got := map[string]int64{}
-	for _, el := range rows {
-		bag, ok := el.Value.([]any)
-		if !ok || len(bag) < 3 {
-			t.Fatalf("monitor row = %#v", el.Value)
-		}
-		name, _ := bag[1].(string)
+	got := metricRows(t, drainRows(t, ev, `select sys_metrics('sched.%');`))
+	for name := range got {
 		if !strings.HasPrefix(name, "sched.") {
-			t.Fatalf("monitor('sched.%%') leaked row %q", name)
-		}
-		if v, ok := bag[2].(int64); ok {
-			got[name] = v
+			t.Fatalf("sys_metrics('sched.%%') leaked row %q", name)
 		}
 	}
 	if got["sched.submitted"] != 1 || got["sched.completed"] != 1 {
@@ -134,31 +140,9 @@ func TestMonitorSchedPrefixLike(t *testing.T) {
 	}
 }
 
-func TestCancelBuiltinCancelsSession(t *testing.T) {
-	_, s, ev := newSchedEngine(t)
-
-	q, err := s.Submit(scsql.Figure5Query(30_000, 500))
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	rows := drainRows(t, ev, `select cancel('`+q.ID()+`');`)
-	if len(rows) != 1 {
-		t.Fatalf("cancel() yielded %d rows, want 1", len(rows))
-	}
-	if _, err := q.Wait(); !errors.Is(err, sched.ErrCancelled) {
-		t.Fatalf("session err = %v, want ErrCancelled", err)
-	}
-
-	// Cancelling a finished session surfaces the scheduler's typed error.
-	res, err := ev.Exec(`select cancel('` + q.ID() + `');`)
-	if err != nil {
-		t.Fatalf("exec: %v", err)
-	}
-	if _, err := res.Stream.Drain(); !errors.Is(err, sched.ErrQueryFinished) {
-		t.Fatalf("re-cancel err = %v, want ErrQueryFinished", err)
-	}
-}
-
+// TestPSWithoutSchedulerErrors: a bare evaluator's engine has no scheduler,
+// so its catalog has no sys_sessions table and the statement does not
+// compile.
 func TestPSWithoutSchedulerErrors(t *testing.T) {
 	e, err := core.NewEngine()
 	if err != nil {
@@ -166,15 +150,13 @@ func TestPSWithoutSchedulerErrors(t *testing.T) {
 	}
 	defer e.Close()
 	ev := scsql.NewEvaluator(e, nil)
-	res, err := ev.Exec(`select ps();`)
-	if err != nil {
-		t.Fatalf("exec: %v", err)
-	}
-	if _, err := res.Stream.Drain(); err == nil || !strings.Contains(err.Error(), "no query scheduler") {
-		t.Fatalf("err = %v, want no-scheduler error", err)
+	if _, err := ev.Exec(`select sys_sessions();`); err == nil || !strings.Contains(err.Error(), `unknown function "sys_sessions"`) {
+		t.Fatalf("err = %v, want an unknown-function error", err)
 	}
 }
 
+// TestMonitorQueryScoped: sys_metrics('@qA') lists only qA's own keys, none
+// of a concurrent session's.
 func TestMonitorQueryScoped(t *testing.T) {
 	_, s, ev := newSchedEngine(t)
 
@@ -193,18 +175,44 @@ func TestMonitorQueryScoped(t *testing.T) {
 		t.Fatalf("b: %v", err)
 	}
 
-	rows := drainRows(t, ev, `select monitor('@`+a.ID()+`');`)
+	rows := drainRows(t, ev, `select sys_metrics('@`+a.ID()+`');`)
 	if len(rows) == 0 {
-		t.Fatalf("monitor('@%s') yielded no rows", a.ID())
+		t.Fatalf("sys_metrics('@%s') yielded no rows", a.ID())
 	}
 	for _, el := range rows {
-		bag := el.Value.([]any)
-		name := bag[1].(string)
+		v, _ := el.Value.(catalog.Tuple).Field("name")
+		name := v.(string)
 		if strings.Contains(name, b.ID()+"/") || strings.HasSuffix(name, "."+b.ID()) {
-			t.Fatalf("scoped monitor leaked %s's metric %q", b.ID(), name)
+			t.Fatalf("scoped sys_metrics leaked %s's metric %q", b.ID(), name)
 		}
 		if !strings.Contains(name, a.ID()+"/") && !strings.HasSuffix(name, "."+a.ID()) {
-			t.Fatalf("metric %q in monitor('@%s') is not scoped to it", name, a.ID())
+			t.Fatalf("metric %q in sys_metrics('@%s') is not scoped to it", name, a.ID())
 		}
+	}
+}
+
+// TestRemovedBuiltinsAreUnknown: ps(), monitor() and cancel() are not SCSQL
+// functions — the session table and the metrics are read as sys_sessions()
+// and sys_metrics(), and a session is cancelled by its owner, never by a
+// statement. A cancel('qN') statement leaves qN running.
+func TestRemovedBuiltinsAreUnknown(t *testing.T) {
+	_, s, ev := newSchedEngine(t)
+	q, err := s.Submit(`select streamof(sys_sessions());`)
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	if _, ok, err := q.Next(); !ok || err != nil {
+		t.Fatalf("opening snapshot: ok=%v err=%v", ok, err)
+	}
+	for _, src := range []string{`select ps();`, `select monitor('sched.');`, `select cancel('` + q.ID() + `');`} {
+		if _, err := ev.Exec(src); err == nil || !strings.Contains(err.Error(), "unknown function") {
+			t.Errorf("%s: err = %v, want an unknown-function error", src, err)
+		}
+	}
+	if st := q.State(); st.Final() {
+		t.Fatalf("session %s is %v after a cancel() statement", q.ID(), st)
+	}
+	if err := q.Cancel(); err != nil {
+		t.Fatalf("owner's cancel: %v", err)
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"scsq/internal/catalog"
 	"scsq/internal/core"
 	"scsq/internal/sqep"
-	"scsq/internal/vtime"
 )
 
 // sysTableFor resolves a call against the engine's system catalog.
@@ -22,11 +21,11 @@ func (ev *Evaluator) sysTableFor(call *Call) (*catalog.Table, bool) {
 }
 
 // CatalogRead reports whether stmt only reads the system catalog: a query in
-// which every call is a table of sys, one of the views over them (ps,
-// monitor) or a finite fold of their rows (count, sum, limit). It spawns no
-// stream process, leases no node and ends by itself, so the scheduler runs it
-// without admission and a draining server still answers it. streamof() never
-// ends; iota(), gen_array() or a user function can make any amount of work.
+// which every call is a table of sys or a finite fold of their rows (count,
+// sum, limit). It spawns no stream process, leases no node and ends by
+// itself, so the scheduler runs it without admission and a draining server
+// still answers it. streamof() never ends; iota(), gen_array() or a user
+// function can make any amount of work.
 func CatalogRead(stmt *Statement, sys *catalog.Registry) bool {
 	return stmt.Query != nil && queryReadsCatalog(stmt.Query, sys)
 }
@@ -46,7 +45,7 @@ func readsCatalog(sys *catalog.Registry, es ...Expr) bool {
 		switch x := e.(type) {
 		case *Call:
 			switch x.Name {
-			case "ps", "monitor", "count", "sum", "limit":
+			case "count", "sum", "limit":
 			default:
 				_, ok = sys.Lookup(x.Name)
 			}
@@ -70,7 +69,7 @@ func readsCatalog(sys *catalog.Registry, es ...Expr) bool {
 }
 
 // sysPattern evaluates the optional SQL-LIKE argument of a call lowered onto
-// table t (the table's own relation, or a view of it: monitor(), ps()).
+// table t.
 func (ev *Evaluator) sysPattern(t *catalog.Table, call *Call, env *scope) (string, error) {
 	if !t.TakesPattern {
 		if len(call.Args) != 0 {
@@ -100,12 +99,6 @@ func (ev *Evaluator) sysPattern(t *catalog.Table, call *Call, env *scope) (strin
 // captured when the plan opens (not at compile time), one catalog.Tuple
 // element per row.
 func (ev *Evaluator) compileSysTable(t *catalog.Table, call *Call, env *scope) (sqep.Operator, error) {
-	return ev.compileSysView(t, call, env, func(r catalog.Tuple) any { return r })
-}
-
-// compileSysView is compileSysTable with each row passed through project —
-// how monitor() keeps its historic bag shapes over sys_metrics rows.
-func (ev *Evaluator) compileSysView(t *catalog.Table, call *Call, env *scope, project func(catalog.Tuple) any) (sqep.Operator, error) {
 	pattern, err := ev.sysPattern(t, call, env)
 	if err != nil {
 		return nil, err
@@ -117,17 +110,10 @@ func (ev *Evaluator) compileSysView(t *catalog.Table, call *Call, env *scope, pr
 		}
 		out := make([]any, len(rows))
 		for i, r := range rows {
-			out[i] = project(r)
+			out[i] = r
 		}
 		return out, nil
 	}), nil
-}
-
-// vtimeTicker is the subset of the scheduler surface live-delta streams
-// need: a coalescing virtual-time tick subscription (sched.Scheduler
-// implements it; asserted dynamically to keep core decoupled from sched).
-type vtimeTicker interface {
-	SubscribeVTime(agent *vtime.Agent) (<-chan struct{}, func())
 }
 
 // compileStreamOfSys lowers streamof(sys_table([pattern])): a live-delta
@@ -143,11 +129,10 @@ func (ev *Evaluator) compileStreamOfSys(t *catalog.Table, call *Call, env *scope
 		return nil, err
 	}
 	sch := ev.eng.Scheduler()
-	ticker, ok := sch.(vtimeTicker)
-	if sch == nil || !ok {
+	if sch == nil {
 		return nil, errorfAt(call.Pos, "streamof(%s()): no query scheduler attached to pace the live stream", t.Name)
 	}
-	tick, stop := ticker.SubscribeVTime(b.Agent())
+	tick, stop := sch.SubscribeVTime(b.Agent())
 	snap := func() ([]any, []string, error) {
 		rows, err := t.Snap(pattern)
 		if err != nil {

@@ -187,33 +187,8 @@ func TestSysResourcesSumToBusyTime(t *testing.T) {
 	}
 }
 
-// TestPSIsSysSessionsView pins the thin-view contract: ps() emits exactly
-// the sys_sessions rows.
-func TestPSIsSysSessionsView(t *testing.T) {
-	_, s, ev := newSchedEngine(t)
-	q, err := s.Submit(scsql.Figure5Query(30_000, 4))
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	if _, err := q.Wait(); err != nil {
-		t.Fatalf("wait: %v", err)
-	}
-	ps := drainRows(t, ev, `select ps();`)
-	sys := drainRows(t, ev, `select sys_sessions();`)
-	if len(ps) != len(sys) {
-		t.Fatalf("ps() has %d rows, sys_sessions() %d", len(ps), len(sys))
-	}
-	for i := range ps {
-		a := ps[i].Value.(catalog.Tuple)
-		b := sys[i].Value.(catalog.Tuple)
-		if a.Key() != b.Key() {
-			t.Fatalf("ps row %d = %s, sys_sessions row = %s", i, a, b)
-		}
-	}
-}
-
 // TestCatalogRead pins which statements run without admission: reads of the
-// registered tables, their views and finite folds of them — nothing that can
+// registered tables and finite folds of them — nothing that can
 // hold a node, generate load or never end, and nothing it does not know.
 func TestCatalogRead(t *testing.T) {
 	e, s, _ := newSchedEngine(t)
@@ -221,20 +196,21 @@ func TestCatalogRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	for src, want := range map[string]bool{
-		`select sys_sessions();`:      true,
-		`select SYS_Metrics('@q3');`:  true,
-		`select ps();`:                true,
-		`select monitor('sched.%');`:  true,
-		`select count(sys_nodes());`:  true,
-		`select limit(sys_rps(), 3);`: true,
-		`select n.cluster from stream n where n in sys_nodes() and n.x = 1;`:        true,
-		`select count((select s from stream s where s in ps() and s.nodes > 0));`:   true,
-		`select streamof(sys_sessions());`:                                          false,
-		`select count(iota(1,10));`:                                                 false,
-		`select count(gen_array(8,2));`:                                             false,
-		`select cancel('q1');`:                                                      false,
-		`select twice(3);`:                                                          false,
-		`select sys_bogus();`:                                                       false,
+		`select sys_sessions();`:                                             true,
+		`select SYS_Metrics('@q3');`:                                         true,
+		`select sys_metrics('sched.%');`:                                     true,
+		`select count(sys_nodes());`:                                         true,
+		`select limit(sys_rps(), 3);`:                                        true,
+		`select n.cluster from stream n where n in sys_nodes() and n.x = 1;`: true,
+		`select count((select s from stream s where s in sys_sessions() and s.nodes > 0));`: true,
+		`select ps();`:                     false,
+		`select monitor('sched.%');`:       false,
+		`select streamof(sys_sessions());`: false,
+		`select count(iota(1,10));`:        false,
+		`select count(gen_array(8,2));`:    false,
+		`select cancel('q1');`:             false,
+		`select twice(3);`:                 false,
+		`select sys_bogus();`:              false,
 		`select extract(a) from sp a where a=sp(sys_nodes(), 'be');`:                false,
 		`select n from stream n where n in sys_nodes() and n.x < count(iota(1,9));`: false,
 		`create function f(integer n) -> stream as select sys_nodes();`:             false,
@@ -273,7 +249,7 @@ func TestStreamofSysMetricsLive(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit live: %v", err)
 	}
-	if _, ok, err := live.Results().Next(); !ok || err != nil { // read: Wait returns the rest
+	if _, ok, err := live.Next(); !ok || err != nil { // read: Wait returns the rest
 		t.Fatalf("no initial snapshot: %v", err)
 	}
 	// Only now does the delta's query start: nothing else moves the clock.

@@ -148,13 +148,13 @@ func TestChaosConnectSubmitCancelDisconnect(t *testing.T) {
 }
 
 // liveAndLeased counts non-final sessions and their held node leases.
-func liveAndLeased(t *testing.T, eng *scsq.Engine) (live, leases int) {
+func liveAndLeased(t *testing.T, eng *scsq.Engine) (live int, leases int64) {
 	t.Helper()
-	for _, in := range eng.Scheduler().List() {
-		if !in.State.Final() {
+	for _, r := range sessionTable(t, eng) {
+		if !r.final() {
 			live++
 		}
-		leases += in.Nodes
+		leases += r.nodes
 	}
 	return live, leases
 }

@@ -354,7 +354,7 @@ func (h *SessionHandle) Cancel() error {
 }
 
 // CancelID cancels one of this connection's sessions by its server-side
-// session id (the wire form of SCSQL's cancel('q3')). The server scopes
+// session id (the shell's \cancel q3). The server scopes
 // the lookup to the issuing connection: a client cannot cancel another
 // connection's queries.
 func (c *Client) CancelID(id string) error {
@@ -456,13 +456,20 @@ func (c *Client) removeWaiter(tag int64) {
 	c.mu.Unlock()
 }
 
-// await blocks for a one-shot reply or connection death.
+// await blocks for a one-shot reply or connection death. A reply that
+// arrived before the connection died wins: select alone would pick between
+// the two at random.
 func (c *Client) await(ch chan result) (result, error) {
 	select {
 	case res := <-ch:
 		return res, res.err
 	case <-c.readerDone:
-		return result{}, fmt.Errorf("%w: %v", ErrClosed, c.Err())
+		select {
+		case res := <-ch:
+			return res, res.err
+		default:
+			return result{}, fmt.Errorf("%w: %v", ErrClosed, c.Err())
+		}
 	}
 }
 

@@ -412,18 +412,17 @@ func (c *conn) handleSubmit(payload []byte) bool {
 // elements the session has ready in one batch (NextBatch: up to the end of a
 // segment of the result log), encodes the rows back to back into a chunk,
 // and hands the chunk to the writer when the batch is exhausted — the
-// iterator would block next, or crosses into the log's next segment — or the
+// next read would block, or crosses into the log's next segment — or the
 // chunk passes chunkFlush. A row therefore never waits for a later one: the
 // first row of a session leaves as soon as it exists, and the log's small
 // first segments put the client to work while a long result is still being
 // produced. It observes the submit-to-first-row latency into the rt. TTFB
 // histogram.
 func (c *conn) pump(cs *connSession, submitted time.Time) {
-	it := cs.sess.Results()
 	first := true
 	var rows int64
 	for {
-		batch, ok, err := it.NextBatch()
+		batch, ok, err := cs.sess.NextBatch()
 		if !ok {
 			state := cs.sess.State().String()
 			msg := ""
@@ -471,7 +470,7 @@ func (c *conn) pump(cs *connSession, submitted time.Time) {
 			}
 		}
 		// A hand-off fails when the connection died mid-stream: the close
-		// path cancels the session; keep draining the iterator so the pump
+		// path cancels the session; keep reading the session so the pump
 		// observes the terminal state and exits.
 		c.sendChunk(ch)
 	}

@@ -1,11 +1,12 @@
 // Package server is the SCSQL network serving layer: it binds an scsq
 // Engine to a TCP (optionally TLS) listener and speaks the wire protocol of
-// internal/server/wire, so every SCSQL surface — statements, ps(), cancel(),
-// sys_* snapshots, streamof() live streams — works over the network.
+// internal/server/wire, so every SCSQL surface — statements, sys_* snapshots,
+// streamof() live streams — works over the network, and a connection cancels
+// its own sessions.
 //
 // Each connection runs a reader/writer goroutine pair; every submitted
 // statement becomes one scheduler session whose result elements stream back
-// incrementally as tagged Row frames (Session.Results), interleaved across
+// incrementally as tagged Row frames (Session.NextBatch), interleaved across
 // the connection's pipelined sessions. Result flow is backpressured by a
 // bounded per-connection write queue: a slow client slows only its own
 // sessions' pumps, never the engine's virtual-time kernel.

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"scsq"
+	"scsq/internal/catalog"
 	"scsq/internal/race"
 	"scsq/internal/scsql"
 	"scsq/internal/server"
@@ -39,6 +40,43 @@ func newServer(t *testing.T, cfg server.Config, opts ...scsq.Option) (*scsq.Engi
 		eng.Close()
 	})
 	return eng, srv, addr.String()
+}
+
+// sessionRow is one row of `select sys_sessions();`.
+type sessionRow struct {
+	id, state string
+	nodes     int64
+}
+
+func (r sessionRow) final() bool {
+	switch r.state {
+	case "queued", "admitted", "running":
+		return false
+	}
+	return true
+}
+
+// sessionTable reads the session table through the synchronous evaluator,
+// so the read is not itself a session of the table.
+func sessionTable(t *testing.T, eng *scsq.Engine) []sessionRow {
+	t.Helper()
+	st, err := eng.Query(`select sys_sessions();`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	els, err := st.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]sessionRow, len(els))
+	for i, el := range els {
+		tup := el.Value.(catalog.Tuple)
+		id, _ := tup.Field("id")
+		state, _ := tup.Field("state")
+		nodes, _ := tup.Field("nodes")
+		rows[i] = sessionRow{id.(string), state.(string), nodes.(int64)}
+	}
+	return rows
 }
 
 func TestHandshakeSubmitStream(t *testing.T) {
@@ -363,10 +401,10 @@ func TestMidStreamDisconnectReleasesLeases(t *testing.T) {
 	}
 	// The session's row in the table: the session may finish before the
 	// disconnect, and the table keeps a finished session's row, not its handle.
-	row := func() (state string, final bool, nodes int) {
-		for _, in := range eng.Scheduler().List() {
-			if in.ID == h.ID {
-				return in.State.String(), in.State.Final(), in.Nodes
+	row := func() (state string, final bool, nodes int64) {
+		for _, r := range sessionTable(t, eng) {
+			if r.id == h.ID {
+				return r.state, r.final(), r.nodes
 			}
 		}
 		t.Fatalf("session %s is not in the session table", h.ID)
@@ -597,6 +635,53 @@ func TestCancelByIDScopedToConnection(t *testing.T) {
 	}
 }
 
+// TestCancelStatementCannotReachAnotherConnection: a statement is no way to
+// cancel a session. `select cancel('qN');` from a second connection fails,
+// and the first connection's session runs on until its owner cancels it.
+func TestCancelStatementCannotReachAnotherConnection(t *testing.T) {
+	eng, _, addr := newServer(t, server.Config{})
+	victim, err := client.Dial(addr, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer victim.Close()
+	attacker, err := client.Dial(addr, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer attacker.Close()
+
+	h, err := victim.Submit(`select streamof(sys_sessions());`, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, _ := h.Recv(); !ok {
+		t.Fatal("no initial snapshot row")
+	}
+	stmt := `select cancel('` + h.ID + `');`
+	if a, err := attacker.Submit(stmt, 0); err == nil {
+		_, done, err := a.Wait()
+		if err == nil && done.Err == "" {
+			t.Fatalf("%s from another connection ended %+v, want an error", stmt, done)
+		}
+	}
+	for _, r := range sessionTable(t, eng) {
+		if r.id == h.ID && r.final() {
+			t.Fatalf("victim session %s is %s after %s from another connection", h.ID, r.state, stmt)
+		}
+	}
+	if err := victim.CancelID(h.ID); err != nil {
+		t.Fatalf("owner's cancel by id: %v", err)
+	}
+	_, done, err := h.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done.State != "cancelled" {
+		t.Fatalf("victim session finished %+v, want cancelled by its owner", done)
+	}
+}
+
 // rawConn is a client that speaks the protocol by hand, for tests that
 // look at the bytes.
 func rawConn(t *testing.T, addr string) net.Conn {
@@ -712,8 +797,8 @@ func TestRowDeliveredWithoutWaitingForNext(t *testing.T) {
 		t.Fatal("the only row of a stalled session never arrived: it is waiting for a second one")
 	}
 	live := false
-	for _, in := range eng.Scheduler().List() {
-		live = live || in.ID == h.ID && !in.State.Final()
+	for _, r := range sessionTable(t, eng) {
+		live = live || r.id == h.ID && !r.final()
 	}
 	if !live {
 		t.Fatalf("session %s is not live: the stream did not stall, so the test proved nothing", h.ID)

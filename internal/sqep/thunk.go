@@ -3,7 +3,7 @@ package sqep
 // Thunk is an operator whose elements are produced by a function evaluated
 // lazily at Open. It turns point-in-time system state — such as a telemetry
 // snapshot — into an ordinary stream: the capture happens when the plan
-// opens, not when the query is compiled, so a monitor() statement issued
+// opens, not when the query is compiled, so a sys_metrics() statement issued
 // after a run observes that run's final counters.
 type Thunk struct {
 	// Label names the thunk in errors and plan dumps.

@@ -308,7 +308,7 @@ type MetricsSnapshot = metrics.Snapshot
 // leaves the finished window — which folds them into the key of the same
 // prefix ending in "retired": totals by prefix (SumCounters) and the keys
 // that name no query ("link.*", "sched.*") survive Reset, per-RP keys do
-// not. The same data is queryable in SCSQL as sys_metrics() (and monitor()).
+// not. The same data is queryable in SCSQL as sys_metrics().
 func (e *Engine) MetricsSnapshot() MetricsSnapshot {
 	return e.core.MetricsSnapshot()
 }
@@ -323,13 +323,6 @@ func (e *Engine) WriteTrace(w io.Writer) error {
 	}
 	return t.WriteJSON(w)
 }
-
-// Scheduler returns the engine's multi-tenant query scheduler. It is the
-// serving layer's attachment point (internal/server binds connections onto
-// scheduler sessions and paces live catalog streams off its virtual policy
-// clock); the type lives in an internal package, so the method is usable
-// only inside this module.
-func (e *Engine) Scheduler() *sched.Scheduler { return e.sched }
 
 // SystemCatalog returns the engine's system catalog registry, so module
 // subsystems (the network server's sys_conns table) can register virtual
@@ -508,8 +501,8 @@ type Session struct {
 }
 
 // ID returns the session id ("q1", "q2", ...) — the tag of its processes,
-// node leases and metrics, the argument of cancel() and the id column of
-// sys_sessions() rows.
+// node leases and metrics, the argument of Engine.CancelSession and the id
+// column of sys_sessions() rows.
 func (s *Session) ID() string { return s.q.ID() }
 
 // State returns the session's current lifecycle state.
@@ -520,11 +513,10 @@ func (s *Session) Statement() string { return s.q.Statement() }
 
 // Wait blocks until the session finishes and returns the result elements no
 // read has taken, and the session's terminal error — a session that ends in
-// error returns the rows it produced before it too. It is a thin wrapper
-// over Results, read to the end of the stream.
+// error returns the rows it produced before it too. It is NextBatch, read to
+// the end of the stream.
 func (s *Session) Wait() (out []Element, err error) {
-	it := s.Results()
-	for batch, ok := (Batch{}), true; ok; batch, ok, err = it.NextBatch() {
+	for batch, ok := (Batch{}), true; ok; batch, ok, err = s.NextBatch() {
 		for i := range batch.Len() {
 			out = append(out, batch.At(i))
 		}
@@ -532,28 +524,17 @@ func (s *Session) Wait() (out []Element, err error) {
 	return out, err
 }
 
-// ResultIter iterates a session's result elements incrementally: Next
-// returns each element as soon as the simulation delivers it to the client
-// manager — before the session reaches a terminal state — which is what
-// lets the network serving layer stream result frames while the query is
-// still running. A session's results are read once: every iterator of a
-// session, and Wait, take elements off its one read position. An iterator
-// must not be shared between goroutines.
-type ResultIter struct {
-	it *sched.ResultIter
-}
-
-// Results returns an incremental iterator over the session's unread result
-// elements.
-func (s *Session) Results() *ResultIter {
-	return &ResultIter{it: s.q.Results()}
-}
-
 // Next blocks until another element is available or the session is
-// terminal. ok is false at the end of the stream; err is then the
-// session's terminal error (nil for a completed session).
-func (r *ResultIter) Next() (Element, bool, error) {
-	el, ok, err := r.it.Next()
+// terminal, and takes it off the session's results. It returns each element
+// as soon as the simulation delivers it to the client manager — before the
+// session reaches a terminal state — which is what lets the network serving
+// layer stream result frames while the query is still running. A session's
+// results are read once: Next, NextBatch and Wait take elements off its one
+// read position, and one goroutine reads them. ok is false at the end of the
+// stream; err is then the session's terminal error (nil for a completed
+// session).
+func (s *Session) Next() (Element, bool, error) {
+	el, ok, err := s.q.Next()
 	if !ok || err != nil {
 		return Element{}, false, err
 	}
@@ -565,8 +546,8 @@ func (r *ResultIter) Next() (Element, bool, error) {
 // result log — at the cost of one Next. When the log is
 // exhausted the next call blocks: a consumer that forwards elements (the
 // serving layer) flushes after every batch, so batching never delays a row.
-func (r *ResultIter) NextBatch() (Batch, bool, error) {
-	els, ok, err := r.it.NextBatch()
+func (s *Session) NextBatch() (Batch, bool, error) {
+	els, ok, err := s.q.NextBatch()
 	return Batch{els}, ok, err
 }
 
