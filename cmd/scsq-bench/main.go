@@ -16,19 +16,16 @@
 //	scsq-bench -fig sysq              # system catalog: snapshot/query latency + non-perturbation gate
 //	scsq-bench -fig serve             # serving layer: 1000 concurrent TCP conns, frame accounting gate
 //	scsq-bench -fig soak              # seeded chaos soak, all resilience features
-//	scsq-bench -fig soak -tiny        # smoke sizing (place, sysq, serve, soak; the others ignore it)
+//	scsq-bench -fig soak -tiny        # smoke sizing (6 and 8 from 3 kB buffers up; place, sysq, serve, soak)
 //	scsq-bench -fig all -csv          # every figure above, machine readable under one header
-//	scsq-bench -fig 6 -paper-scale    # the paper's 100 × 3 MB arrays (6 and 8)
 //	scsq-bench -fig place -out BENCH_place.json   # also write the JSON report
 //	scsq-bench -metrics m.json        # instrumented run → metrics snapshot JSON
 //	scsq-bench -trace t.json          # instrumented run → Perfetto trace JSON
 //
-// Figures 15 and udp always run the paper's 100 × 3 MB arrays, ablation and
-// mt always their own 20 × 300 kB. Figures 6 and 8 default to 20 × 300 kB
-// arrays, which run in seconds but misdraw them at MPI buffers of 100 kB and
-// up: Figure 6 with double buffering reads 187.6 Mbps against the paper
-// workload's 166.0 at 100 kB, and 125.2 against 146.2 at 1 MB
-// (EXPERIMENTS.md). Read those points from a -paper-scale run.
+// Figures 6, 8, 15 and udp always run the paper's 100 × 3 MB arrays,
+// ablation and mt always their own 20 × 300 kB. Under -tiny, Figures 6 and
+// 8 read only their buffers from 3 kB up, each point the same as in the
+// full figure.
 package main
 
 import (
@@ -56,7 +53,6 @@ func run(args []string, stdout io.Writer) error {
 	var (
 		fig        = fs.String("fig", "all", "figure to regenerate: "+strings.Join(bench.Names(), ", ")+" or all")
 		tiny       = fs.Bool("tiny", false, "smoke sizing, for the figures that have one")
-		paperScale = fs.Bool("paper-scale", false, "use the paper's 100 × 3 MB arrays for 6 and 8 (slow)")
 		csv        = fs.Bool("csv", false, "emit long-form CSV instead of text tables")
 		out        = fs.String("out", "", "also write the JSON report of the run to this file")
 		metricsOut = fs.String("metrics", "", "run one instrumented Figure 6 point and write the metrics snapshot JSON to this file")
@@ -65,9 +61,8 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	sizing := bench.Sizing{Tiny: *tiny, PaperScale: *paperScale}
 	if *metricsOut != "" || *traceOut != "" {
-		return runTelemetry(stdout, *metricsOut, *traceOut, sizing)
+		return runTelemetry(stdout, *metricsOut, *traceOut)
 	}
 	figs, err := bench.Select(*fig)
 	if err != nil {
@@ -82,7 +77,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 	for _, f := range figs {
 		start := time.Now()
-		pts, err := f.Run(sizing)
+		pts, err := f.Run(bench.Sizing{Tiny: *tiny})
 		if err != nil {
 			return fmt.Errorf("-fig %s: %w", f.Name, err)
 		}
@@ -118,8 +113,8 @@ func writeFile(path string, write func(io.Writer) error) error {
 
 // runTelemetry executes one instrumented Figure 6 point (64 KiB,
 // double-buffered) and writes the metrics snapshot and/or frame trace.
-func runTelemetry(stdout io.Writer, metricsOut, traceOut string, sizing bench.Sizing) error {
-	report, err := bench.RunTelemetry(bench.DefaultTelemetry(sizing))
+func runTelemetry(stdout io.Writer, metricsOut, traceOut string) error {
+	report, err := bench.RunTelemetry(bench.DefaultTelemetry())
 	if err != nil {
 		return err
 	}

@@ -149,6 +149,7 @@ func TestBadInvocations(t *testing.T) {
 		{"-perf"},
 		{"-soak-out", "x.json"},
 		{"-fig", "6", "-repeats", "1"}, // a virtual point is read once
+		{"-fig", "6", "-paper-scale"},  // the paper's workload is the only one
 		{"-fig", "soak", "-tiny", "-out", filepath.Join(t.TempDir(), "no", "such", "dir.json")},
 	} {
 		var sb strings.Builder

@@ -33,12 +33,10 @@ import (
 )
 
 // Sizing is everything the command line can say about how large a figure
-// runs. Each registry entry documents the fields it ignores.
+// runs. Each registry entry documents what Tiny does to it.
 type Sizing struct {
 	// Tiny selects the seconds-scale smoke sizing CI uses.
 	Tiny bool
-	// PaperScale switches Figures 6 and 8 to the paper's 100 × 3 MB arrays.
-	PaperScale bool
 }
 
 // Point is one measured value of a figure: series at x.
@@ -72,35 +70,31 @@ type Figure struct {
 }
 
 // Figures is the registry, in the order `-fig all` runs it. The comment on
-// each entry names the Sizing fields the figure ignores.
+// each entry says what Tiny does to the figure.
 var Figures = []Figure{
-	// Ignores Tiny.
+	// Tiny reads the buffers from 3 kB up (Sizing.bufs).
 	{"6", "Figure 6 — intra-BG point-to-point streaming bandwidth by MPI buffer size (bytes)",
 		func(s Sizing) ([]Point, error) { return readSweep(sweep6(s)) }},
-	// Ignores Tiny.
+	// Tiny reads the buffers from 3 kB up (Sizing.bufs).
 	{"8", "Figure 8 — stream merging: total input bandwidth at node c by MPI buffer size (bytes)",
 		func(s Sizing) ([]Point, error) { return readSweep(sweep8(s)) }},
-	// Ignores Tiny and PaperScale: it always runs the paper's workload.
+	// Ignores Tiny: it always runs the paper's workload.
 	{"15", "Figure 15 — BG inbound streaming bandwidth by parallel back-end streams n",
 		func(s Sizing) ([]Point, error) { return readSweep(sweep15(s)) }},
-	// Ignores Tiny and PaperScale: it runs its own 20 × 300 kB arrays per
-	// producer (ownArrays).
+	// Ignores Tiny: it runs its own 20 × 300 kB arrays per producer
+	// (ownArrays).
 	{"ablation", "Node-selection ablation — k-producer BG merge, naive vs topology-aware placement, by producers k",
 		func(Sizing) ([]Point, error) { return ablation([]int{2, 3, 4}, 100_000, ownArrays) }},
-	// Ignores Tiny and PaperScale: it always runs the paper's workload.
+	// Ignores Tiny: it always runs the paper's workload.
 	{"udp", "UDP inbound (extension) — Query 1 topology over the I/O nodes' UDP service, by loss rate",
-		func(s Sizing) ([]Point, error) { return udpLoss([]float64{0, 0.01, 0.05, 0.1, 0.2}, 4, s.paper()) }},
-	// Ignores Tiny and PaperScale: it runs its own 20 × 300 kB arrays per
-	// stream (ownArrays).
+		func(Sizing) ([]Point, error) { return udpLoss([]float64{0, 0.01, 0.05, 0.1, 0.2}, 4, paperArrays) }},
+	// Ignores Tiny: it runs its own 20 × 300 kB arrays per stream
+	// (ownArrays).
 	{"mt", "Multi-tenant contention — k concurrent Query-1 instances, by tenants k",
 		func(Sizing) ([]Point, error) { return multiTenant([]int{1, 2, 3, 4}, 2, ownArrays) }},
-	// Ignores PaperScale.
 	{"place", "Cost-model placement — planner vs greedy for k concurrent Query-1 instances on the 6144-node torus (256 under -tiny), by tenants k", runPlace},
-	// Ignores PaperScale.
 	{"sysq", "System catalog — snapshot and query latency by table; Figure 6 wall time bare vs observed by MPI buffer size", runSysq},
-	// Ignores PaperScale: the figure is an accounting gate.
 	{"serve", "Serving layer — concurrent connections over TCP with exact frame accounting, by connections", runServe},
-	// Ignores PaperScale: one full soak per seed.
 	{"soak", "Chaos soak — seeded schedules, all resilience features armed, by seed", runSoak},
 }
 
@@ -140,27 +134,15 @@ type workload struct {
 	ArrayBytes, ArrayCount int
 }
 
+// paperArrays is the workload of Figures 6, 8, 15 and udp at every sizing.
+var paperArrays = workload{paperArrayBytes, paperArrayCount}
+
 // ownArrays is the ablation's and mt's workload at every sizing. At the
 // paper's 100 × 3 MB a lone Query 1 reads 329.5 Mbps (Figure 15 at n=2)
 // instead of 63.5, and two tenants read 305.9 together, below the
 // serialized 329.5: the contention mt exists to show is gone
 // (EXPERIMENTS.md, "Multi-tenant contention").
 var ownArrays = workload{300_000, 20}
-
-// workload resolves the sizing against a figure's laptop-scale default,
-// which runs in seconds but does not draw every point as the paper's
-// workload does (EXPERIMENTS.md).
-func (s Sizing) workload(arrayBytes, arrayCount int) workload {
-	if s.PaperScale {
-		return s.paper()
-	}
-	return workload{arrayBytes, arrayCount}
-}
-
-// paper is the paper's workload.
-func (s Sizing) paper() workload {
-	return workload{paperArrayBytes, paperArrayCount}
-}
 
 func (w workload) validate() error {
 	if w.ArrayBytes <= 0 || w.ArrayCount <= 0 {
@@ -251,14 +233,25 @@ func readSweep(sps []sweepPoint, err error) ([]Point, error) {
 }
 
 // The sweeps of Figures 6, 8 and 15 at a sizing.
-func sweep6(s Sizing) ([]sweepPoint, error) { return figure6(bufSizes, s.workload(300_000, 20)) }
-func sweep8(s Sizing) ([]sweepPoint, error) { return figure8(bufSizes, s.workload(300_000, 20)) }
-func sweep15(s Sizing) ([]sweepPoint, error) {
-	return figure15([]int{1, 2, 3, 4, 5, 6}, []int{1, 2, 3, 4, 5, 6, 7, 8}, s.paper())
+func sweep6(s Sizing) ([]sweepPoint, error) { return figure6(s.bufs(), paperArrays) }
+func sweep8(s Sizing) ([]sweepPoint, error) { return figure8(s.bufs(), paperArrays) }
+func sweep15(Sizing) ([]sweepPoint, error) {
+	return figure15([]int{1, 2, 3, 4, 5, 6}, []int{1, 2, 3, 4, 5, 6, 7, 8}, paperArrays)
 }
 
 // bufSizes is the MPI buffer-size sweep of Figures 6 and 8.
 var bufSizes = []int{100, 300, 1000, 3000, 10_000, 30_000, 100_000, 300_000, 1_000_000}
+
+// bufs is the part of the buffer sweep a sizing reads. Tiny reads the
+// buffers from 3 kB up, each point the same as in the full sweep: at the
+// paper's workload they cost seconds together, while the frames of the
+// 100 B to 1 kB points cost about a minute.
+func (s Sizing) bufs() []int {
+	if s.Tiny {
+		return bufSizes[slices.Index(bufSizes, 3000):]
+	}
+	return bufSizes
+}
 
 var bufferings = []struct {
 	name string
@@ -266,11 +259,7 @@ var bufferings = []struct {
 }{{"single", carrier.SingleBuffered}, {"double", carrier.DoubleBuffered}}
 
 // figure6 is the sweep of Figure 6: intra-BG point-to-point streaming
-// bandwidth versus MPI buffer size for single and double buffering. Array
-// size and count do not cancel: the default 20 × 300 kB agrees with the
-// paper's 100 × 3 MB within 0.6 % up to 3 kB buffers, but at 100 kB double
-// buffering reads 187.6 Mbps against 166.0, and at 1 MB double 125.2
-// against 146.2 (EXPERIMENTS.md).
+// bandwidth versus MPI buffer size for single and double buffering.
 func figure6(bufs []int, w workload) ([]sweepPoint, error) {
 	if err := w.validate(); err != nil {
 		return nil, err

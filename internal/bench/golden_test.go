@@ -2,8 +2,10 @@ package bench
 
 import (
 	"bytes"
+	"encoding/csv"
 	"math"
 	"os"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -84,37 +86,76 @@ func reportDivergence(t *testing.T, name string, got, want []byte) {
 	}
 }
 
-// figureGolden compares figure name byte for byte with
-// testdata/figure<name>.csv: the output of `scsq-bench -fig <name> -csv`.
-// The kernel grants every request in key order, so the schedule — and every
-// reading — is a function of query, topology and cost model; any difference
-// is a change to the cost model or to the order of charges.
-func figureGolden(t *testing.T, name string) {
+// golden returns the lines of testdata/figure<name>.csv — the output of
+// `scsq-bench -fig <name> -csv` — that the figure reads at sizing s: under
+// Tiny, Figures 6 and 8 keep the header and their buffers from 3 kB up.
+func golden(t *testing.T, name string, s Sizing) []byte {
+	t.Helper()
 	want, err := os.ReadFile("testdata/figure" + name + ".csv")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := figureCSV(t, name, Sizing{}); !bytes.Equal(got, want) {
+	if name != "6" && name != "8" {
+		return want
+	}
+	read := map[string]bool{}
+	for _, buf := range s.bufs() {
+		read[strconv.Itoa(buf)] = true
+	}
+	var out bytes.Buffer
+	for i, line := range strings.SplitAfter(string(want), "\n") {
+		if f := strings.Split(line, ","); i == 0 || len(f) > 1 && read[f[1]] {
+			out.WriteString(line)
+		}
+	}
+	return out.Bytes()
+}
+
+// goldenPoints parses the whole of testdata/figure<name>.csv.
+func goldenPoints(t *testing.T, name string) []Point {
+	t.Helper()
+	rows, err := csv.NewReader(bytes.NewReader(golden(t, name, Sizing{}))).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := make([]Point, 0, len(rows)-1)
+	for _, r := range rows[1:] {
+		v, err := strconv.ParseFloat(r[4], 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts = append(pts, Point{X: r[1], Series: r[2], Unit: r[3], Value: v})
+	}
+	return pts
+}
+
+// figureGolden compares figure name, read at Tiny, byte for byte with the
+// golden's lines for the points it reads. The kernel grants every request
+// in key order, so the schedule — and every reading — is a function of
+// query, topology and cost model; any difference is a change to the cost
+// model or to the order of charges.
+func figureGolden(t *testing.T, name string) {
+	s := Sizing{Tiny: true}
+	if got, want := figureCSV(t, name, s), golden(t, name, s); !bytes.Equal(got, want) {
 		reportDivergence(t, name, got, want)
 	}
 }
 
+func TestFigure6Golden(t *testing.T)  { figureGolden(t, "6") }
 func TestFigure8Golden(t *testing.T)  { figureGolden(t, "8") }
 func TestFigure15Golden(t *testing.T) { figureGolden(t, "15") }
 
 // TestTimeTranslation is a metamorphic relation of the one timeline: every
-// point of the Figure 8 and 15 sweeps read twice on one engine, Reset
-// between the two, reads the same float64 bits both times, and that value is
-// the golden's. The second read starts at a later kernel instant, where the
-// first ended.
+// point of the Figure 8 and 15 sweeps at Tiny read twice on one engine,
+// Reset between the two, reads the same float64 bits both times, and that
+// value is the golden's. The second read starts at a later kernel instant,
+// where the first ended.
 func TestTimeTranslation(t *testing.T) {
+	s := Sizing{Tiny: true}
 	for name, sweep := range map[string]func(Sizing) ([]sweepPoint, error){"8": sweep8, "15": sweep15} {
 		t.Run("figure"+name, func(t *testing.T) {
-			want, err := os.ReadFile("testdata/figure" + name + ".csv")
-			if err != nil {
-				t.Fatal(err)
-			}
-			sps, err := sweep(Sizing{})
+			want := golden(t, name, s)
+			sps, err := sweep(s)
 			if err != nil {
 				t.Fatal(err)
 			}

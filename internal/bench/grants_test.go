@@ -225,56 +225,99 @@ and   a=sp(gen_array(30000,10), 'be', 1);`, nil},
 	}
 }
 
-// TestTorusTranslationShiftsGrants is a metamorphic relation of the torus: a
-// Figure 6 point moved across the partition — along x, y and z, and across
-// the x wrap — is the same point. Every grant of the run with consumer b on
-// node 0 and producer a on node 1 lands, with the same key and the same
-// [start, end), on the resource the translation maps its resource to: b's
-// and a's devices, and the I/O node of b's pset that carries the result to
-// the client.
+// assertShifted checks a translation of the torus: every grant of ref
+// lands, with the same key and the same [start, end), on the resource shift
+// maps its resource to, and got has no grant anywhere else.
+func assertShifted(t *testing.T, ref, got map[string][]grant, shift *strings.Replacer) {
+	t.Helper()
+	shifted := map[string]bool{}
+	for name, gs := range ref {
+		if len(gs) == 0 {
+			continue
+		}
+		to := shift.Replace(name)
+		shifted[to] = true
+		moved := got[to]
+		i := 0
+		for i < min(len(gs), len(moved)) && gs[i] == moved[i] {
+			i++
+		}
+		if i < len(gs) || len(moved) != len(gs) {
+			t.Errorf("%s -> %s: %d grants, %d after the translation, the first %d alike", name, to, len(gs), len(moved), i)
+		}
+	}
+	for name, gs := range got {
+		if len(gs) > 0 && !shifted[name] {
+			t.Errorf("%s: %d grants that no resource of the untranslated run maps to", name, len(gs))
+		}
+	}
+}
+
+// TestTorusTranslationShiftsGrants is a metamorphic relation of the torus
+// (4×4×2, psets of eight): a Figure 6 or Figure 8 point moved across the
+// partition — along x, y and z, and across the x wrap — is the same point.
+// Every grant of the untranslated run lands, with the same key and the same
+// [start, end), on the resource the translation maps its resource to: the
+// devices of the consumer and its producers, and the I/O node of the
+// consumer's pset that carries the result to the client.
 func TestTorusTranslationShiftsGrants(t *testing.T) {
-	point := func(b, a int) map[string][]grant {
+	record := func(src string) map[string][]grant {
 		t.Helper()
-		src := fmt.Sprintf(`
-select extract(b)
-from sp a, sp b
-where b=sp(streamof(count(extract(a))), 'bg', %d)
-and   a=sp(gen_array(300000,20), 'bg', %d);`, b, a)
 		g, err := recordGrants(src, core.Config{MPIBufferBytes: 1000})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return g
 	}
+	// Figure 6: consumer b on node 0, producer a on node 1.
+	point := func(b, a int) map[string][]grant {
+		return record(fmt.Sprintf(`
+select extract(b)
+from sp a, sp b
+where b=sp(streamof(count(extract(a))), 'bg', %d)
+and   a=sp(gen_array(300000,20), 'bg', %d);`, b, a))
+	}
 	ref := point(0, 1)
 	for _, c := range []struct{ b, a, pset int }{
 		{0, 1, 0}, {2, 3, 0}, {8, 9, 1}, {16, 17, 2}, {3, 0, 0},
 	} {
 		t.Run(fmt.Sprintf("b=%d,a=%d", c.b, c.a), func(t *testing.T) {
-			got := point(c.b, c.a)
-			shift := strings.NewReplacer("bg0.", fmt.Sprintf("bg%d.", c.b), "bg1.", fmt.Sprintf("bg%d.", c.a), "io0.", fmt.Sprintf("io%d.", c.pset))
-			shifted := map[string]bool{}
-			for name, gs := range ref {
-				if len(gs) == 0 {
-					continue
-				}
-				to := shift.Replace(name)
-				shifted[to] = true
-				moved := got[to]
-				i := 0
-				for i < min(len(gs), len(moved)) && gs[i] == moved[i] {
-					i++
-				}
-				if i < len(gs) || len(moved) != len(gs) {
-					t.Errorf("%s -> %s: %d grants, %d after the translation, the first %d alike", name, to, len(gs), len(moved), i)
-				}
-			}
-			for name, gs := range got {
-				if len(gs) > 0 && !shifted[name] {
-					t.Errorf("%s: %d grants that no resource of the untranslated run maps to", name, len(gs))
-				}
-			}
+			assertShifted(t, ref, point(c.b, c.a),
+				strings.NewReplacer("bg0.", fmt.Sprintf("bg%d.", c.b), "bg1.", fmt.Sprintf("bg%d.", c.a), "io0.", fmt.Sprintf("io%d.", c.pset)))
 		})
+	}
+
+	// Figure 8: consumer c on node 0 merges producer a on node 1 with
+	// producer b on node 2 (sequential: b's frames cross a's co-processor)
+	// or on node 4 (balanced: one hop along y). The producers stream
+	// different arrays, so swapping them would move grants.
+	merge := func(c, a, b int) map[string][]grant {
+		return record(fmt.Sprintf(`
+select extract(c)
+from sp a, sp b, sp c
+where c=sp(count(merge({a,b})), 'bg', %d)
+and   a=sp(gen_array(30000,10), 'bg', %d)
+and   b=sp(gen_array(20000,12), 'bg', %d);`, c, a, b))
+	}
+	for _, topo := range []struct {
+		name  string
+		cases []struct{ c, a, b, pset int }
+	}{
+		// The identity, x+1, y+2, z+1 and x+3, which puts a across the x
+		// wrap from c; b's two-hop route to c then ties and, as at the
+		// origin, goes through a.
+		{"seq", []struct{ c, a, b, pset int }{{0, 1, 2, 0}, {1, 2, 3, 0}, {8, 9, 10, 1}, {16, 17, 18, 2}, {3, 0, 1, 0}}},
+		{"bal", []struct{ c, a, b, pset int }{{0, 1, 4, 0}, {1, 2, 5, 0}, {8, 9, 12, 1}, {16, 17, 20, 2}, {3, 0, 7, 0}}},
+	} {
+		ref := topo.cases[0]
+		want := merge(ref.c, ref.a, ref.b)
+		for _, c := range topo.cases {
+			t.Run(fmt.Sprintf("%s/c=%d,a=%d,b=%d", topo.name, c.c, c.a, c.b), func(t *testing.T) {
+				assertShifted(t, want, merge(c.c, c.a, c.b), strings.NewReplacer(
+					"bg0.", fmt.Sprintf("bg%d.", c.c), "bg1.", fmt.Sprintf("bg%d.", c.a),
+					fmt.Sprintf("bg%d.", ref.b), fmt.Sprintf("bg%d.", c.b), "io0.", fmt.Sprintf("io%d.", c.pset)))
+			})
+		}
 	}
 }
 

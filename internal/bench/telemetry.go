@@ -22,10 +22,9 @@ type TelemetryConfig struct {
 }
 
 // DefaultTelemetry is the 64 KiB double-buffered point of Figure 6 — the
-// paper's SCSQ default — at Figure 6's workload for the sizing.
-func DefaultTelemetry(s Sizing) TelemetryConfig {
-	w := s.workload(300_000, 20)
-	return TelemetryConfig{BufBytes: 64 << 10, ArrayBytes: w.ArrayBytes, ArrayCount: w.ArrayCount}
+// paper's SCSQ default — at Figure 6's workload, the paper's.
+func DefaultTelemetry() TelemetryConfig {
+	return TelemetryConfig{BufBytes: 64 << 10, ArrayBytes: paperArrayBytes, ArrayCount: paperArrayCount}
 }
 
 // TelemetryReport is the outcome of one instrumented run: the measured

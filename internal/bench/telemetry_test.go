@@ -11,7 +11,7 @@ import (
 // the bandwidth is consistent with the makespan, and the emitted trace is
 // loadable Chrome-trace JSON with events on the virtual timeline.
 func TestRunTelemetry(t *testing.T) {
-	cfg := DefaultTelemetry(Sizing{})
+	cfg := DefaultTelemetry()
 	cfg.ArrayBytes, cfg.ArrayCount = 30_000, 5
 	report, err := RunTelemetry(cfg)
 	if err != nil {
@@ -84,7 +84,7 @@ func TestRunTelemetry(t *testing.T) {
 // makespan of the plain Figure 6 harness on the same configuration.
 func TestTelemetryMatchesUninstrumentedBandwidth(t *testing.T) {
 	const size, count = 30_000, 5
-	cfg := DefaultTelemetry(Sizing{})
+	cfg := DefaultTelemetry()
 	cfg.ArrayBytes, cfg.ArrayCount = size, count
 	report, err := RunTelemetry(cfg)
 	if err != nil {

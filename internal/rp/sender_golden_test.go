@@ -8,7 +8,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-	"time"
 
 	"scsq/internal/carrier"
 	"scsq/internal/sqep"
@@ -102,7 +101,7 @@ func TestSenderFrameSequence(t *testing.T) {
 				d, err := newSenderDriver("q1.rp1", conn, SenderConfig{
 					BufBytes: goldenBuf, Mode: carrier.SingleBuffered, MarshalPerByte: 0.5,
 					FlushPerElement: perElement,
-					Retry:           carrier.RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Nanosecond},
+					Retry:           carrier.RetryPolicy{MaxAttempts: 2},
 				})
 				if err != nil {
 					t.Fatal(err)
