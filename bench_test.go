@@ -202,10 +202,12 @@ func BenchmarkRepeatQuery(b *testing.B) {
 
 // TestRepeatQueryAllocs pins what a repeated query allocates on a warm
 // engine: what building the query takes, nothing per streamed element, and
-// nothing to regrow what the run before had sized. The ceiling sits just
-// above the 443 measured when BlueGene placement became a direct call on
-// bgCC (462 through the poller's queue and reply channels; 628 before
-// gen_array boxed its template once and Reset kept capacity).
+// nothing to regrow what the run before had sized. The ceiling is the 406
+// measured when metric blocks came to be reused, RPs shared one cost model
+// and the parser stopped building a token slice (428 before; 443 before
+// BlueGene placement became a direct call on bgCC, 462 through the poller's
+// queue and reply channels; 628 before gen_array boxed its template once and
+// Reset kept capacity).
 func TestRepeatQueryAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates on its own")
@@ -214,7 +216,7 @@ func TestRepeatQueryAllocs(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		repeatQuery(t, eng, src)
 	}
-	const ceiling = 450
+	const ceiling = 406
 	got := testing.AllocsPerRun(20, func() { repeatQuery(t, eng, src) })
 	t.Logf("%.0f allocations per repeat", got)
 	if got > ceiling {

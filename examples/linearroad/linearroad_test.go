@@ -11,7 +11,8 @@ import (
 )
 
 func testCtx() *sqep.Ctx {
-	return &sqep.Ctx{CPU: vtime.NewResource("cpu"), Cost: hw.DefaultCostModel()}
+	cost := hw.DefaultCostModel()
+	return &sqep.Ctx{CPU: vtime.NewResource("cpu"), Cost: &cost}
 }
 
 func TestReportRoundTrip(t *testing.T) {

@@ -67,7 +67,7 @@ func TestRPRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := sqep.Ctx{CPU: node.CPU, Cost: env.Cost}
+	ctx := sqep.Ctx{CPU: node.CPU, Cost: &env.Cost}
 	p := rp.New("rp-1", hw.BackEnd, 0, ctx, sqep.NewIota(1, 1))
 	cc.Register(p)
 	if got := len(cc.RPs()); got != 1 {

@@ -94,7 +94,7 @@ func (q *Query) ClientPlan(build Subquery) (*ClientStream, error) {
 		qc: qc,
 		ctx: sqep.Ctx{
 			CPU:     node.CPU,
-			Cost:    e.env.Cost,
+			Cost:    &e.env.Cost,
 			Files:   e.cfg.Files,
 			Sources: e.cfg.Sources,
 			Owner:   qc.id,

@@ -538,7 +538,7 @@ func (e *Engine) buildProc(sp *SP, node int) (*rp.RP, bool, error) {
 	sp.qc.charge(hwNode.CPU)
 	ctx := sqep.Ctx{
 		CPU:     hwNode.CPU,
-		Cost:    e.env.Cost,
+		Cost:    &e.env.Cost,
 		Files:   e.cfg.Files,
 		Sources: e.cfg.Sources,
 		Owner:   sp.qc.id,

@@ -214,6 +214,14 @@ func newBlock(f *Family, id string) *Block {
 	return b
 }
 
+// reset zeroes b's values and gives it identity id, keeping its histograms.
+func (b *Block) reset(id string) {
+	b.id, b.c, b.g = id, [3]Counter{}, [1]Gauge{}
+	for i := range b.fam.Hists {
+		*b.h[i] = Histogram{}
+	}
+}
+
 // Counter returns the handle of the family's i-th counter.
 func (b *Block) Counter(i int) *Counter {
 	if b == nil {
@@ -277,7 +285,13 @@ type Registry struct {
 	shared map[blockKey]*Block
 	// scopes holds the open query scopes by query id.
 	scopes map[string]*Scope
+	// free holds each family's folded blocks, up to maxFree, for the next
+	// query's processes of that family.
+	free map[*Family][]*Block
 }
+
+// maxFree bounds each family's free list: a few sessions' worth of blocks.
+const maxFree = 64
 
 type blockKey struct {
 	fam *Family
@@ -286,7 +300,8 @@ type blockKey struct {
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{shared: make(map[blockKey]*Block), scopes: make(map[string]*Scope)}
+	return &Registry{shared: make(map[blockKey]*Block), scopes: make(map[string]*Scope),
+		free: make(map[*Family][]*Block)}
 }
 
 // Shared returns the block of family f keyed by id in the registry's shared
@@ -371,7 +386,15 @@ func (s *Scope) Block(f *Family, id string) *Block {
 			return b
 		}
 	}
-	b := newBlock(f, id)
+	var b *Block
+	if free := s.reg.free[f]; len(free) > 0 {
+		b = free[len(free)-1]
+		free[len(free)-1] = nil
+		s.reg.free[f] = free[:len(free)-1]
+		b.reset(id)
+	} else {
+		b = newBlock(f, id)
+	}
 	b.next, s.head = s.head, b
 	return b
 }
@@ -381,10 +404,11 @@ func (s *Scope) Block(f *Family, id string) *Block {
 // histograms are added, gauges keep the maximum. Sums over a name prefix
 // (Snapshot.SumCounters) therefore never lose a folded query's contribution,
 // while the registry's size stays bounded by the scopes still open. No name
-// is built or parsed: a block knows its family. The query must be quiescent:
-// handles cached by its processes are detached, so a later update through
-// them is lost, and a block taken afterwards is in no reader's sight. Folding
-// again is a no-op.
+// is built or parsed: a block knows its family. A folded block goes to its
+// family's free list, and a later query's Block hands it out again, so the
+// query must be quiescent: a write through a handle its processes cached
+// would land in another query's metrics. A block taken afterwards is in no
+// reader's sight. Folding again is a no-op.
 func (s *Scope) Fold() {
 	if s == nil {
 		return
@@ -395,8 +419,14 @@ func (s *Scope) Fold() {
 	if r.scopes[s.qid] == s {
 		delete(r.scopes, s.qid)
 	}
-	for b := s.head; b != nil; b = b.next {
+	for b := s.head; b != nil; {
 		r.sharedLocked(b.fam, retiredSuffix).add(b)
+		next := b.next
+		b.next = nil
+		if free := r.free[b.fam]; len(free) < maxFree {
+			r.free[b.fam] = append(free, b)
+		}
+		b = next
 	}
 	s.head = nil
 }

@@ -140,8 +140,9 @@ func TestRetireQueryFolds(t *testing.T) {
 		t.Error("a counter registered by name was removed")
 	}
 
-	// A handle kept past the fold is detached, and no reader sees a block taken
-	// from a folded scope.
+	// An update through a handle kept past the fold reaches no reader while
+	// its block waits on the free list, and no reader sees a block taken from
+	// a folded scope.
 	late.Inc()
 	scopes["q1"].Block(famRP, "q1/rp-bg-9").Counter(0).Inc()
 	if got := reg.Snapshot(); !reflect.DeepEqual(got, snap) {
@@ -287,5 +288,141 @@ func TestBlockAllocations(t *testing.T) {
 	reg.Shared(famLink, ids[0])
 	if got := testing.AllocsPerRun(100, func() { reg.Shared(famLink, ids[0]) }); got != 0 {
 		t.Errorf("looking up an existing shared block: %.1f allocations, want 0", got)
+	}
+}
+
+// zeroed reports whether every counter, gauge and histogram of b reads zero.
+func zeroed(b *Block) bool {
+	for i := range b.c {
+		if b.c[i].Value() != 0 {
+			return false
+		}
+	}
+	for i := range b.g {
+		if b.g[i].Value() != 0 {
+			return false
+		}
+	}
+	for _, h := range b.h[:len(b.fam.Hists)] {
+		if h.sum.Load() != 0 || h.lo.Load() != 0 || h.hi.Load() != 0 {
+			return false
+		}
+		for i := range h.buckets {
+			if h.buckets[i].Load() != 0 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestFoldReusesBlocks: a block Fold hands back is taken again by a later
+// query's process, reading zero in every counter, gauge and histogram bucket,
+// and the retired aggregates come out as in a run where every query's blocks
+// are taken before any is folded, so that none is reused. Each family's free
+// list holds at most maxFree blocks.
+func TestFoldReusesBlocks(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	type proc struct {
+		fam    *Family
+		n      int64
+		last   int64
+		reused bool
+	}
+	var queries [][]proc
+	for q := 0; q < 40; q++ {
+		var ps []proc
+		for p := 0; p < rng.Intn(8); p++ {
+			fam := []*Family{famRP, famRecv}[rng.Intn(2)]
+			ps = append(ps, proc{fam: fam, n: int64(rng.Intn(100)), last: int64(rng.Intn(1_000_000))})
+		}
+		queries = append(queries, ps)
+	}
+	record := func(sc *Scope, qid string, ps []proc, wg *sync.WaitGroup) []*Block {
+		var blocks []*Block
+		for i, p := range ps {
+			b := sc.Block(p.fam, fmt.Sprintf("%s/rp-bg-%d", qid, i))
+			blocks = append(blocks, b)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for range p.n {
+					b.Counter(0).Inc()
+					b.Histogram(0).Observe(vtime.Duration(p.last))
+				}
+				b.Gauge(0).SetMax(p.last)
+			}()
+		}
+		return blocks
+	}
+
+	// With reuse: each query records, resolves and is folded before the next.
+	reuse := NewRegistry()
+	folded := make(map[*Block]bool)
+	taken := 0
+	for q, ps := range queries {
+		qid := fmt.Sprintf("q%d", q+1)
+		sc := reuse.OpenScope(qid)
+		var wg sync.WaitGroup
+		blocks := record(sc, qid, ps, &wg)
+		for _, b := range blocks {
+			if folded[b] {
+				taken++
+			}
+		}
+		wg.Wait()
+		sc.Fold()
+		for _, b := range blocks {
+			folded[b] = true
+		}
+		// A block handed back reads zero the moment it is taken again.
+		probe := reuse.OpenScope(qid + "-probe")
+		for _, fam := range []*Family{famRP, famRecv} {
+			if b := probe.Block(fam, "probe"); !zeroed(b) {
+				t.Fatalf("after q%d: a %v block taken from the free list reads %+v", q+1, fam.Counters, b)
+			}
+		}
+		probe.Fold()
+	}
+	if taken == 0 {
+		t.Fatal("no query took a folded block")
+	}
+
+	// Without: every query's blocks are taken before the first fold.
+	fresh := NewRegistry()
+	var scopes []*Scope
+	var wg sync.WaitGroup
+	for q, ps := range queries {
+		qid := fmt.Sprintf("q%d", q+1)
+		sc := fresh.OpenScope(qid)
+		scopes = append(scopes, sc)
+		record(sc, qid, ps, &wg)
+		// The probe blocks the reusing run folded, which read zero.
+		for _, fam := range []*Family{famRP, famRecv} {
+			sc.Block(fam, "probe")
+		}
+	}
+	wg.Wait()
+	for _, sc := range scopes {
+		sc.Fold()
+	}
+
+	got, want := reuse.Snapshot(), fresh.Snapshot()
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("retired aggregates with reuse:\n%v\nwithout:\n%v", got, want)
+	}
+	for _, prefix := range []string{"rp.elements_out.", "rp.bytes_out."} {
+		if a, b := got.SumCounters(prefix), want.SumCounters(prefix); a != b {
+			t.Errorf("SumCounters(%q) = %d with reuse, %d without", prefix, a, b)
+		}
+	}
+
+	sc := reuse.OpenScope("big")
+	for i := range 2 * maxFree {
+		sc.Block(famRP, fmt.Sprintf("big/rp-bg-%d", i))
+	}
+	sc.Fold()
+	if n := len(reuse.free[famRP]); n != maxFree {
+		t.Errorf("the free list holds %d blocks, want the bound %d", n, maxFree)
 	}
 }

@@ -106,8 +106,9 @@ func (d Decision) ChosenString() string {
 	return strings.Join(parts, ",")
 }
 
-// maxDecisions bounds the retained decision log; older entries are dropped
-// (sys_placements is an observability window, not an audit trail).
+// maxDecisions bounds the retained decision log, a ring whose oldest entry
+// each new one overwrites (sys_placements is an observability window, not an
+// audit trail).
 const maxDecisions = 512
 
 // Planner scores candidate nodes for incoming placements against the node
@@ -121,7 +122,7 @@ type Planner struct {
 
 	mu        sync.Mutex // held for a whole planning call
 	seq       int
-	decisions []Decision
+	decisions []Decision // decision seq is at (seq-1) % maxDecisions
 
 	// A planning call's working storage, kept between calls: they run ten to
 	// a session, under the engine's build lock.
@@ -144,16 +145,24 @@ func New(env *hw.Env, dbs map[hw.ClusterName]*cndb.DB, cfg Config) *Planner {
 func (p *Planner) Decisions() []Decision {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return append([]Decision(nil), p.decisions...)
+	if len(p.decisions) == 0 {
+		return nil
+	}
+	oldest := p.seq % len(p.decisions) // 0 until the ring is full
+	out := make([]Decision, 0, len(p.decisions))
+	out = append(out, p.decisions[oldest:]...)
+	return append(out, p.decisions[:oldest]...)
 }
 
-// record appends one decision under the log cap. p.mu must be held.
+// record adds one decision to the log, overwriting the oldest once it holds
+// maxDecisions. p.mu must be held.
 func (p *Planner) record(d Decision) {
 	p.seq++
 	d.ID = p.seq
-	p.decisions = append(p.decisions, d)
-	if len(p.decisions) > maxDecisions {
-		p.decisions = p.decisions[len(p.decisions)-maxDecisions:]
+	if len(p.decisions) < maxDecisions {
+		p.decisions = append(p.decisions, d)
+	} else {
+		p.decisions[(p.seq-1)%maxDecisions] = d
 	}
 }
 

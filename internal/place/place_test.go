@@ -120,6 +120,32 @@ func TestPermutesOnlyCandidates(t *testing.T) {
 	}
 }
 
+// The decision log is a ring of the last maxDecisions: after 1 000 decisions
+// it returns 489–1000, oldest first.
+func TestDecisionsKeepTheLatestInOrder(t *testing.T) {
+	_, _, p := harness(t, Config{})
+	if ds := p.Decisions(); len(ds) != 0 {
+		t.Fatalf("a new planner has %d decisions", len(ds))
+	}
+	for i := 1; i <= 1000; i++ {
+		p.mu.Lock()
+		p.record(Decision{Batch: i})
+		p.mu.Unlock()
+		if i == 300 || i == maxDecisions || i == 1000 {
+			ds := p.Decisions()
+			first := max(1, i-maxDecisions+1)
+			if len(ds) != i-first+1 {
+				t.Fatalf("after %d decisions: %d retained", i, len(ds))
+			}
+			for j, d := range ds {
+				if d.ID != first+j || d.Batch != d.ID {
+					t.Fatalf("after %d decisions: entry %d is %+v, want ID %d", i, j, d, first+j)
+				}
+			}
+		}
+	}
+}
+
 // An unknown cluster (no database) falls back rather than inventing nodes.
 func TestUnknownClusterFallsBack(t *testing.T) {
 	_, _, p := harness(t, Config{})

@@ -194,7 +194,7 @@ func TestReceiverCloseRecyclesDrainedFrames(t *testing.T) {
 	cons := k.Join("q1", nil)
 	inbox := make(carrier.Inbox, 4)
 	r := NewReceiver(inbox, ReceiverConfig{Producers: 1})
-	if err := r.Open(&sqep.Ctx{Agent: cons}); err != nil {
+	if err := r.Open(&sqep.Ctx{Agent: cons, Cost: &zeroCost}); err != nil {
 		t.Fatal(err)
 	}
 	queued := carrier.GetBuf(512)

@@ -172,7 +172,7 @@ func fuzzCount(t *testing.T, frames []fuzzFrame, producers, batch int, use sqep.
 		in = struct{ sqep.Operator }{probe}
 	}
 	c := sqep.NewCount(in)
-	if err := c.Open(&sqep.Ctx{}); err != nil {
+	if err := c.Open(&sqep.Ctx{Cost: &zeroCost}); err != nil {
 		t.Fatal(err)
 	}
 	if r.unread != (use == sqep.Unread) {

@@ -159,7 +159,7 @@ func TestReceiverLifetimeRadixCombineQueues(t *testing.T) {
 	}
 	run := func(in sqep.Operator) []any {
 		op := sqep.NewRadixCombine(in, "odd", "even")
-		if err := op.Open(&sqep.Ctx{}); err != nil {
+		if err := op.Open(&sqep.Ctx{Cost: &zeroCost}); err != nil {
 			t.Fatal(err)
 		}
 		els, err := sqep.Drain(op)
@@ -223,7 +223,7 @@ func TestReceiverLifetimeRelay(t *testing.T) {
 func TestReceiverLifetimeCountMatchesMaterializing(t *testing.T) {
 	count := func(in sqep.Operator) sqep.Element {
 		op := sqep.NewStreamOf(sqep.NewCount(in))
-		if err := op.Open(&sqep.Ctx{}); err != nil {
+		if err := op.Open(&sqep.Ctx{Cost: &zeroCost}); err != nil {
 			t.Fatal(err)
 		}
 		els, err := sqep.Drain(op)
@@ -274,7 +274,7 @@ func TestReceiverLifetimeSumBorrows(t *testing.T) {
 	}
 	sum := func(in sqep.Operator) sqep.Element {
 		op := sqep.NewStreamOf(sqep.NewSum(in))
-		if err := op.Open(&sqep.Ctx{}); err != nil {
+		if err := op.Open(&sqep.Ctx{Cost: &zeroCost}); err != nil {
 			t.Fatal(err)
 		}
 		els, err := sqep.Drain(op)
@@ -375,7 +375,7 @@ func TestReceiverLifetimeCountAllocates(t *testing.T) {
 				frames = uint64(len(inbox))
 				r := NewReceiver(inbox, ReceiverConfig{Producers: 1, BatchFrames: 16})
 				c := sqep.NewCount(r)
-				if err := c.Open(&sqep.Ctx{}); err != nil {
+				if err := c.Open(&sqep.Ctx{Cost: &zeroCost}); err != nil {
 					t.Fatal(err)
 				}
 				var before, after runtime.MemStats
@@ -771,7 +771,7 @@ func BenchmarkReceiverCount(b *testing.B) {
 				inbox := s.inbox()
 				frames += len(inbox)
 				c := sqep.NewCount(NewReceiver(inbox, ReceiverConfig{Producers: 1, TCPPerByte: 0.5, BatchFrames: 16}))
-				if err := c.Open(&sqep.Ctx{}); err != nil {
+				if err := c.Open(&sqep.Ctx{Cost: &zeroCost}); err != nil {
 					b.Fatal(err)
 				}
 				b.StartTimer()

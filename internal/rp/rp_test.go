@@ -51,9 +51,13 @@ func (c *loopConn) Close() error {
 	return nil
 }
 
+// zeroCost charges nothing: for operators opened outside a process.
+var zeroCost hw.CostModel
+
 func testCtx(t *testing.T) sqep.Ctx {
 	t.Helper()
-	return sqep.Ctx{CPU: vtime.NewResource("cpu"), Cost: hw.DefaultCostModel()}
+	cost := hw.DefaultCostModel()
+	return sqep.Ctx{CPU: vtime.NewResource("cpu"), Cost: &cost}
 }
 
 func TestSenderConfigValidation(t *testing.T) {
@@ -400,7 +404,7 @@ func TestReceiverCloseUnblocksSenders(t *testing.T) {
 	}))
 	cons.Go(procFunc(func() {
 		r := NewReceiver(inbox, ReceiverConfig{Producers: 1})
-		if err := r.Open(&sqep.Ctx{Agent: cons}); err != nil {
+		if err := r.Open(&sqep.Ctx{Agent: cons, Cost: &zeroCost}); err != nil {
 			t.Error(err)
 		}
 		if err := r.Close(); err != nil {

@@ -17,7 +17,7 @@ import (
 func genTemplate(t testing.TB, floats int) []float64 {
 	t.Helper()
 	g := sqep.NewGenArray(8*floats, 1)
-	if err := g.Open(&sqep.Ctx{}); err != nil {
+	if err := g.Open(&sqep.Ctx{Cost: &zeroCost}); err != nil {
 		t.Fatal(err)
 	}
 	el, ok, err := g.Next()

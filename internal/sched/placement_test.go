@@ -90,6 +90,34 @@ func TestPlannerSpreadsConcurrentTenantsAcrossPsets(t *testing.T) {
 	}
 }
 
+// sys_placements reads the planner's ring: after 1 000 decisions its rows are
+// decisions 489–1000, oldest first, the same as Decisions.
+func TestSysPlacementsAfterTheRingWraps(t *testing.T) {
+	e := newTestEngine(t)
+	s := New(e, nil, Config{Placement: &place.Config{}})
+	defer s.Close()
+	for i := 0; i < 1000; i++ {
+		s.Planner().PlanPlacement("q1", hw.BlueGene, nil, 1)
+	}
+	tab, ok := e.SystemCatalog().Lookup("sys_placements")
+	if !ok {
+		t.Fatal("sys_placements not registered with a planner attached")
+	}
+	rows, err := tab.Snap("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := s.Planner().Decisions()
+	if len(rows) != 512 || len(ds) != 512 {
+		t.Fatalf("%d rows and %d decisions, want 512 of each", len(rows), len(ds))
+	}
+	for i, row := range rows {
+		if id := row.Vals[0].(int64); id != int64(489+i) || ds[i].ID != 489+i {
+			t.Fatalf("row %d has id %d and decision %d, want %d", i, id, ds[i].ID, 489+i)
+		}
+	}
+}
+
 // Removing the planner restores the historic placement path bit for bit: a
 // planner-attached-then-detached engine reproduces exactly the schedules of
 // a never-attached one. (Attaching a scheduler without the option clears

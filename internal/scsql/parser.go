@@ -1,6 +1,7 @@
 package scsql
 
 import (
+	"cmp"
 	"strings"
 )
 
@@ -17,33 +18,36 @@ func Parse(src string) (*Statement, error) {
 	return stmts[0], nil
 }
 
-// ParseAll parses a ';'-separated sequence of statements.
+// ParseAll parses a ';'-separated sequence of statements. Tokens are lexed as
+// the parser reads them, so the first error in source order wins: a lexical
+// error ends the input where it stands and is reported in place of what the
+// parser makes of that end, and one past a syntax error is never reached.
 func ParseAll(src string) ([]*Statement, error) {
-	toks, err := Lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
+	p := &parser{lx: newLexer(src)}
 	var stmts []*Statement
 	for p.peek().Kind != TokEOF {
 		stmt, err := p.statement()
 		if err != nil {
-			return nil, err
+			return nil, cmp.Or(p.lx.err, err)
 		}
 		stmts = append(stmts, stmt)
 		if p.peek().Kind == TokSemicolon {
 			p.next()
 		}
 	}
-	if len(stmts) == 0 {
+	switch {
+	case p.lx.err != nil:
+		return nil, p.lx.err
+	case len(stmts) == 0:
 		return nil, errorfAt(p.peek().Pos, "empty input")
 	}
 	return stmts, nil
 }
 
 type parser struct {
-	toks  []Token
-	pos   int
+	lx    lexer
+	tok   Token // the lookahead, when ahead
+	ahead bool
 	depth int // unaryExpr calls on the stack
 }
 
@@ -54,13 +58,16 @@ type parser struct {
 // nests six levels.
 const maxNesting = 256
 
-func (p *parser) peek() Token { return p.toks[p.pos] }
+func (p *parser) peek() Token {
+	if !p.ahead {
+		p.tok, p.ahead = p.lx.next(), true
+	}
+	return p.tok
+}
 
 func (p *parser) next() Token {
-	t := p.toks[p.pos]
-	if t.Kind != TokEOF {
-		p.pos++
-	}
+	t := p.peek()
+	p.ahead = false // the lexer repeats TokEOF
 	return t
 }
 

@@ -8,8 +8,23 @@ import (
 	"scsq/internal/race"
 )
 
+// lex returns every token of src, EOF last, or its first lexical error.
+func lex(src string) ([]Token, error) {
+	lx := newLexer(src)
+	var toks []Token
+	for {
+		tok := lx.next()
+		if lx.err != nil {
+			return nil, lx.err
+		}
+		if toks = append(toks, tok); tok.Kind == TokEOF {
+			return toks, nil
+		}
+	}
+}
+
 func TestLexBasics(t *testing.T) {
-	toks, err := Lex(`select extract(b) from sp a where a = sp('x', 1); -- comment`)
+	toks, err := lex(`select extract(b) from sp a where a = sp('x', 1); -- comment`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +49,7 @@ func TestLexBasics(t *testing.T) {
 }
 
 func TestLexStringsAndArrow(t *testing.T) {
-	toks, err := Lex(`"double" 'single' ->`)
+	toks, err := lex(`"double" 'single' ->`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,16 +65,34 @@ func TestLexStringsAndArrow(t *testing.T) {
 }
 
 func TestLexErrors(t *testing.T) {
-	if _, err := Lex(`'unterminated`); err == nil {
+	if _, err := lex(`'unterminated`); err == nil {
 		t.Error("unterminated string should fail")
 	}
-	if _, err := Lex(`select @`); err == nil {
+	if _, err := lex(`select @`); err == nil {
 		t.Error("stray character should fail")
 	}
 }
 
+// TestParseReportsTheFirstError: tokens are lexed as the parser reads them,
+// so a lexical error is reported where the parser reaches it, in place of
+// what the parser makes of it, and one past a syntax error is never reached.
+func TestParseReportsTheFirstError(t *testing.T) {
+	for src, want := range map[string]string{
+		"select @;":                          `scsql: 1:8: unexpected character '@'`,
+		"select x from integer x where x @;": `scsql: 1:33: unexpected character '@'`,
+		"1 + @":                              `scsql: 1:5: unexpected character '@'`,
+		"select 1; select 'oops":             `scsql: 1:18: unterminated string literal`,
+		"select (; @":                        `scsql: 1:9: expected expression, found ';' ";"`,
+		"create function f() -> nope as @":   `scsql: 1:24: unknown type "nope"`,
+	} {
+		if _, err := ParseAll(src); err == nil || err.Error() != want {
+			t.Errorf("ParseAll(%q) = %v, want %s", src, err, want)
+		}
+	}
+}
+
 func TestLexCaseInsensitiveKeywords(t *testing.T) {
-	toks, err := Lex(`SELECT Extract(B) FROM SP b`)
+	toks, err := lex(`SELECT Extract(B) FROM SP b`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +105,7 @@ func TestLexCaseInsensitiveKeywords(t *testing.T) {
 }
 
 func TestLexPositions(t *testing.T) {
-	toks, err := Lex("select\n  x")
+	toks, err := lex("select\n  x")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +117,7 @@ func TestLexPositions(t *testing.T) {
 // TestLexPositionsCountRunes: token texts are cut out of the source by byte
 // offset while positions go on counting runes.
 func TestLexPositionsCountRunes(t *testing.T) {
-	toks, err := Lex("'αβ' größe 3.5")
+	toks, err := lex("'αβ' größe 3.5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,10 +132,10 @@ func TestLexPositionsCountRunes(t *testing.T) {
 	}
 }
 
-// TestLexAllocs pins what lexing one of the paper's queries allocates: the
-// token slice, once, and nothing per token — every text is a slice of the
-// source.
-func TestLexAllocs(t *testing.T) {
+// TestParseAllocs pins what parsing one of the paper's queries allocates: the
+// AST, and nothing per token — the parser pulls tokens one at a time, every
+// text a slice of the source.
+func TestParseAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
@@ -111,38 +144,13 @@ func TestLexAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := testing.AllocsPerRun(100, func() {
-		if _, err := Lex(src); err != nil {
+		if _, err := Parse(src); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if got > 1 {
-		t.Errorf("Lex allocated %v times, want at most 1", got)
-	}
-}
-
-// TestLexTokenSliceFits: the token slice is sized before lexing from what
-// the source can hold, not from its length, so comments and whitespace take
-// no slots — it is never more than twice the tokens it ends up holding.
-func TestLexTokenSliceFits(t *testing.T) {
-	q6, err := InboundQuery(6, 8, 1000, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, src := range map[string]string{
-		"query 6":  q6,
-		"figure 5": Figure5Query(300000, 20),
-		"comments and whitespace": "-- " + strings.Repeat("a long comment, -- with dashes 'and quotes' ", 200) + "\n" +
-			strings.Repeat(" \t\r\n", 500) + "select  x  \n\n\n  from integer x -- trailing " + strings.Repeat("-", 1000) +
-			"\nwhere x in iota(1, 10)" + strings.Repeat("\n", 1000) + "and x <= 5;" + strings.Repeat(" ", 4000),
-		"operators and numbers": "select 1.5 <= 2.25, 3 <> 4, a -> b, 'x y z', \"q\" from integer x;",
-	} {
-		toks, err := Lex(src)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if cap(toks) > 2*len(toks) {
-			t.Errorf("%s: %d tokens in a slice of %d", name, len(toks), cap(toks))
-		}
+	const pin = 74 // 75 while Lex built a token slice first
+	if got > pin {
+		t.Errorf("Parse allocated %v times, want at most %d", got, pin)
 	}
 }
 

@@ -73,8 +73,10 @@ type SourceFunc func(ctx *Ctx) Operator
 type Ctx struct {
 	// CPU is the executing node's virtual CPU resource.
 	CPU *vtime.Resource
-	// Cost is the environment's cost model.
-	Cost hw.CostModel
+	// Cost is the environment's cost model, shared by every process of the
+	// engine and never changed while they run. It must be set before an
+	// operator that charges by it (aggregates, windows, gen_array) opens.
+	Cost *hw.CostModel
 	// Files backs the filename(i) table and grep() of the mapreduce
 	// example.
 	Files FileTable

@@ -12,10 +12,8 @@ import (
 )
 
 func testCtx() *Ctx {
-	return &Ctx{
-		CPU:  vtime.NewResource("cpu"),
-		Cost: hw.DefaultCostModel(),
-	}
+	cost := hw.DefaultCostModel()
+	return &Ctx{CPU: vtime.NewResource("cpu"), Cost: &cost}
 }
 
 func drainValues(t *testing.T, op Operator, ctx *Ctx) []any {
