@@ -1,6 +1,7 @@
 package scsq_test
 
 import (
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -202,12 +203,15 @@ func BenchmarkRepeatQuery(b *testing.B) {
 
 // TestRepeatQueryAllocs pins what a repeated query allocates on a warm
 // engine: what building the query takes, nothing per streamed element, and
-// nothing to regrow what the run before had sized. The ceiling is the 406
-// measured when metric blocks came to be reused, RPs shared one cost model
-// and the parser stopped building a token slice (428 before; 443 before
-// BlueGene placement became a direct call on bgCC, 462 through the poller's
-// queue and reply channels; 628 before gen_array boxed its template once and
-// Reset kept capacity).
+// nothing to regrow what the run before had sized. The ceilings are the
+// objects and bytes measured once wiring a stream allocated each record
+// once, the bytes with 2 % of room: 406 objects and 41.1 kB before, with
+// every edge appended to one slice, a closure per stateless route stage and
+// a map per subquery scope; 428 objects before metric blocks came to be
+// reused, RPs shared one cost model and the parser stopped building a token
+// slice; 443 before BlueGene placement became a direct call on bgCC, 462
+// through the poller's queue and reply channels; 628 before gen_array boxed
+// its template once and Reset kept capacity.
 func TestRepeatQueryAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates on its own")
@@ -216,10 +220,28 @@ func TestRepeatQueryAllocs(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		repeatQuery(t, eng, src)
 	}
-	const ceiling = 406
+	const ceiling = 357
 	got := testing.AllocsPerRun(20, func() { repeatQuery(t, eng, src) })
 	t.Logf("%.0f allocations per repeat", got)
 	if got > ceiling {
 		t.Errorf("a repeated Query 6 allocates %.0f objects, ceiling %d", got, ceiling)
+	}
+	// The least of five readings of 20 repeats each, at one P.
+	const repeats, bytesCeiling = 20, 35_232 * 102 / 100
+	least := uint64(math.MaxUint64)
+	for range 5 {
+		var before, after runtime.MemStats
+		procs := runtime.GOMAXPROCS(1)
+		runtime.ReadMemStats(&before)
+		for range repeats {
+			repeatQuery(t, eng, src)
+		}
+		runtime.ReadMemStats(&after)
+		runtime.GOMAXPROCS(procs)
+		least = min(least, (after.TotalAlloc-before.TotalAlloc)/repeats)
+	}
+	t.Logf("%d bytes per repeat", least)
+	if least > bytesCeiling {
+		t.Errorf("a repeated Query 6 allocates %d bytes, ceiling %d", least, bytesCeiling)
 	}
 }

@@ -21,7 +21,6 @@ type ClientStream struct {
 
 	drained  bool
 	begun    bool    // the drain got past beginDrain
-	sps      []*SP   // the processes the drain started
 	errs     []error // what the drain's process met
 	elements []sqep.Element
 	// start is the kernel's time the drain started at, and last the time of
@@ -125,9 +124,9 @@ func (d *drain) Run() {
 		s.errs = append(s.errs, err)
 		return
 	}
-	s.begun, s.sps = true, qc.snapshot()
-	for _, sp := range s.sps {
-		if err := sp.start(); err != nil {
+	s.begun = true
+	for i, n := 0, qc.handle.SPCount(); i < n; i++ {
+		if err := qc.spAt(i).start(); err != nil {
 			s.errs = append(s.errs, err)
 		}
 	}
@@ -173,7 +172,7 @@ func (s *ClientStream) Drain() ([]sqep.Element, error) {
 	s.drained = true
 	s.Start()
 	s.ctx.Agent.Await()
-	qc, errs, sps := s.qc, s.errs, s.sps
+	qc, errs := s.qc, s.errs
 	e := qc.eng
 	if !s.begun {
 		s.err = errors.Join(errs...)
@@ -181,35 +180,19 @@ func (s *ClientStream) Drain() ([]sqep.Element, error) {
 	}
 
 	// Quiesce: RPs may have dynamically started new RPs while running
-	// (paper §2.2), so wait rounds until no new process appears in this
-	// query; finish then releases the query's leases, all at once.
-	waited := make(map[string]bool, len(sps))
-	ran := len(sps) > 0
-	for {
-		for _, sp := range sps {
-			if waited[sp.id] {
-				continue
-			}
-			waited[sp.id] = true
-			// WaitResolved follows supervised re-placements: a failure that
-			// was absorbed by a replacement is not the SP's outcome.
-			if err := sp.WaitResolved(); err != nil {
-				errs = append(errs, err)
-			}
+	// (paper §2.2), which join the end of the query's processes; wait on
+	// each in turn until none is left. WaitResolved follows supervised
+	// re-placements: a failure that was absorbed by a replacement is not the
+	// SP's outcome. finish then releases the query's leases, all at once.
+	ran := 0
+	for sp := qc.spAt(0); sp != nil; sp = qc.spAt(ran) {
+		ran++
+		if err := sp.WaitResolved(); err != nil {
+			errs = append(errs, err)
 		}
-		var fresh []*SP
-		for _, sp := range qc.snapshot() {
-			if !waited[sp.id] {
-				fresh = append(fresh, sp)
-			}
-		}
-		if len(fresh) == 0 {
-			break
-		}
-		sps, ran = fresh, true
 	}
 	qc.finish()
-	if s.sole && !ran {
+	if s.sole && ran == 0 {
 		// A pure client plan — a catalog read through Exec — started no
 		// process, wired no edge, and nobody else holds its identity: it leaves
 		// now rather than at a Reset that live sessions may refuse a polling

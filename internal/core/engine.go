@@ -353,9 +353,7 @@ func (e *Engine) handleCrash(ref chaos.NodeRef) {
 		cc.KillNode(ref.Node, cause)
 	}
 	for _, sp := range e.allSPs() {
-		for _, w := range sp.wiringsTo(ref.Cluster, ref.Node) {
-			poisonInbox(w, "coordinator", cause)
-		}
+		sp.poison("coordinator", cause, ref.Cluster, ref.Node)
 	}
 	e.notifyNodeDied(ref.Cluster, ref.Node)
 }
@@ -424,7 +422,9 @@ func (e *Engine) Edges() []Edge {
 	var out []Edge
 	for _, qc := range qcs {
 		qc.mu.Lock()
-		out = append(out, qc.edges...)
+		for _, chunk := range qc.edges {
+			out = append(out, chunk...)
+		}
 		qc.mu.Unlock()
 	}
 	return out
@@ -672,16 +672,17 @@ func (s *SP) addWiring(w wiring) {
 	s.wirings = append(s.wirings, w)
 }
 
-func (s *SP) wiringsTo(cc hw.ClusterName, cn int) []wiring {
+// poison injects cause, as Down frames from source, into the consumer
+// inboxes s feeds: those on node (cc, cn), or every one if cc is "".
+func (s *SP) poison(source string, cause error, cc hw.ClusterName, cn int) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []wiring
-	for _, w := range s.wirings {
-		if w.cc == cc && w.cn == cn {
-			out = append(out, w)
+	wirings := slices.Clone(s.wirings)
+	s.mu.Unlock()
+	for _, w := range wirings {
+		if cc == "" || w.cc == cc && w.cn == cn {
+			poisonInbox(w, source, cause)
 		}
 	}
-	return out
 }
 
 // WaitResolved waits for the SP's final outcome across re-placements: if the
@@ -791,6 +792,12 @@ func (e *Engine) connectAs(qc *queryCtx, producers []*SP, cc hw.ClusterName, cn 
 	if err != nil {
 		return nil, err
 	}
+	qc.mu.Lock()
+	if qc.edges == nil {
+		qc.edges = make([][]Edge, 0, 8) // one allocation for a query's first eight chunks
+	}
+	qc.edges = append(qc.edges, make([]Edge, 0, len(producers)))
+	qc.mu.Unlock()
 	for _, p := range producers {
 		w := wiring{cc: cc, cn: cn, inbox: inbox, consumer: consumer, to: to}
 		if err := e.wireProducer(p, p.proc(), p.Node(), w); err != nil {

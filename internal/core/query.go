@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -48,12 +49,14 @@ type queryCtx struct {
 	metrics *metrics.Scope
 
 	mu     sync.Mutex
-	sps    []*SP
-	nextID int // per-query RP counter, so ids don't depend on admission order
-	edges  []Edge
-	// charged lists the devices that may carry busy time under the query's
-	// id: the CPUs of its nodes and every stage of the routes it dialed.
-	// Repeats are harmless (folding an owner twice is a no-op).
+	sps    []*SP // only grows until finish: an index into it is a cursor
+	nextID int   // per-query RP counter, so ids don't depend on admission order
+	// edges holds the wired edges in wiring order, a chunk per connectAs
+	// sized to its producers.
+	edges [][]Edge
+	// charged lists, once each, the devices that may carry busy time under
+	// the query's id: the CPUs of its nodes and every stage of the routes it
+	// dialed.
 	charged   []*vtime.Resource
 	started   bool
 	finished  bool
@@ -85,6 +88,16 @@ func (qc *queryCtx) addSP(sp *SP) {
 	qc.sps = append(qc.sps, sp)
 }
 
+// spAt returns the query's i-th process, or nil past the last.
+func (qc *queryCtx) spAt(i int) *SP {
+	qc.mu.Lock()
+	defer qc.mu.Unlock()
+	if i < len(qc.sps) {
+		return qc.sps[i]
+	}
+	return nil
+}
+
 func (qc *queryCtx) snapshot() []*SP {
 	qc.mu.Lock()
 	defer qc.mu.Unlock()
@@ -102,17 +115,24 @@ func (qc *queryCtx) newRPID(cluster string) string {
 func (qc *queryCtx) charge(r *vtime.Resource) {
 	qc.mu.Lock()
 	defer qc.mu.Unlock()
-	qc.charged = append(qc.charged, r)
+	if !slices.Contains(qc.charged, r) {
+		qc.charged = append(qc.charged, r)
+	}
 }
 
-// wired records a dialed connection of the query: its edge, and every stage
-// of its route as a device the query's frames are charged on.
+// wired records a dialed connection of the query: its edge, in the last
+// chunk if it has room (a supervised re-dial starts one of its own), and
+// every stage of its route as a device the query's frames are charged on.
 func (qc *queryCtx) wired(link *carrier.Link, ed Edge) {
 	qc.mu.Lock()
-	defer qc.mu.Unlock()
-	qc.edges = append(qc.edges, ed)
+	last := len(qc.edges) - 1
+	if last < 0 || len(qc.edges[last]) == cap(qc.edges[last]) {
+		qc.edges, last = append(qc.edges, nil), last+1
+	}
+	qc.edges[last] = append(qc.edges[last], ed)
+	qc.mu.Unlock()
 	for _, st := range link.Stages() {
-		qc.charged = append(qc.charged, st.Resource)
+		qc.charge(st.Resource)
 	}
 }
 
@@ -199,12 +219,7 @@ func (qc *queryCtx) cancel(cause error) {
 	// client's — so each receiver observes the cancellation as a Down frame
 	// and the Drain unwinds.
 	for _, sp := range sps {
-		sp.mu.Lock()
-		wirings := append([]wiring(nil), sp.wirings...)
-		sp.mu.Unlock()
-		for _, w := range wirings {
-			poisonInbox(w, sp.id, cause)
-		}
+		sp.poison(sp.id, cause, "", 0)
 	}
 }
 

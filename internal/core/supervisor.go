@@ -121,10 +121,5 @@ func (s *Supervisor) replace(sp *SP) error {
 // gone) still must not leave consumers blocked on a silent stream.
 func (s *Supervisor) poisonDownstream(sp *SP, cause error) {
 	s.eng.reg.Counter("supervisor.poisoned").Inc()
-	sp.mu.Lock()
-	wirings := append([]wiring(nil), sp.wirings...)
-	sp.mu.Unlock()
-	for _, w := range wirings {
-		poisonInbox(w, sp.id, cause)
-	}
+	sp.poison(sp.id, cause, "", 0)
 }

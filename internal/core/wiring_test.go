@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -250,10 +251,12 @@ func metricsAllocs() int64 {
 
 // TestSessionWiringAllocs is the control plane's allocation budget. A session
 // of 17 SPs, 17 links and 10 receivers — built, drained, retired on a warm
-// engine — stays under a committed ceiling, 2 % above the 456 measured when
-// metric blocks came to be reused and RPs shared one cost model (493 before;
-// 520 before BlueGene placement became a direct call on bgCC, 552 through the
-// poller; the commit before process blocks measured 1 256). Telemetry's share
+// engine — stays under a committed ceiling, the 414 measured once wiring a
+// stream allocated each record once (456 before, with every edge appended to
+// one slice and a closure per stateless route stage; 493 before metric
+// blocks came to be reused and RPs shared one cost model; 520 before
+// BlueGene placement became a direct call on bgCC, 552 through the poller;
+// the commit before process blocks measured 1 256). Telemetry's share
 // of it is at most the query's scope: every block and histogram of its
 // processes is one a retired query folded and handed back — nothing per name,
 // nothing per process, nothing per link that was dialed before.
@@ -269,7 +272,7 @@ func TestSessionWiringAllocs(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		runSession6(t, e)
 	}
-	const ceiling = 465
+	const ceiling = 414
 	got := testing.AllocsPerRun(20, func() { runSession6(t, e) })
 	if got > ceiling {
 		t.Errorf("a 17-SP session allocates %.0f objects, ceiling %d", got, ceiling)
@@ -296,10 +299,9 @@ func TestSessionWiringAllocs(t *testing.T) {
 }
 
 // sessionMetricRows returns sys_metrics('@qid') on e without its rt. rows,
-// each row rendered with the query id spelled "Q" and each rp.last_out
-// gauge, a time, counted from start, the kernel's time when the session
-// started.
-func sessionMetricRows(t *testing.T, e *Engine, qid string, start vtime.Time) []string {
+// each row rendered with the query id spelled "Q". The one time among them,
+// rp.last_out, counts from the session's start, as makespans do.
+func sessionMetricRows(t *testing.T, e *Engine, qid string) []string {
 	t.Helper()
 	tab, _ := e.SystemCatalog().Lookup("sys_metrics")
 	rows, err := tab.Snap("@" + qid)
@@ -310,9 +312,6 @@ func sessionMetricRows(t *testing.T, e *Engine, qid string, start vtime.Time) []
 	for _, row := range rows {
 		if name := row.Vals[1].(string); !strings.HasPrefix(name, metrics.RTPrefix) {
 			row.Vals[1] = strings.NewReplacer(qid+"/", "Q/", "."+qid, ".Q").Replace(name)
-			if strings.HasPrefix(name, "rp.last_out.") {
-				row.Vals[2] = row.Vals[2].(int64) - int64(start)
-			}
 			out = append(out, fmt.Sprint(row.Vals))
 		}
 	}
@@ -337,7 +336,7 @@ func TestReusedBlocksReadAsFresh(t *testing.T) {
 	if _, err := cs.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	want := sessionMetricRows(t, fresh, q.ID(), cs.start)
+	want := sessionMetricRows(t, fresh, q.ID())
 
 	warm, err := NewEngine()
 	if err != nil {
@@ -374,7 +373,7 @@ func TestReusedBlocksReadAsFresh(t *testing.T) {
 	if _, err := cs.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	got := sessionMetricRows(t, warm, q.ID(), cs.start)
+	got := sessionMetricRows(t, warm, q.ID())
 	if cs.start == 0 {
 		t.Fatal("the session on the warm engine started at time 0")
 	}
@@ -385,5 +384,61 @@ func TestReusedBlocksReadAsFresh(t *testing.T) {
 		if got[i] != want[i] {
 			t.Errorf("a session on a warm engine reads %s, on a fresh engine %s", got[i], want[i])
 		}
+	}
+}
+
+// TestEdgesKeepWiringOrder: a Query 6 at n = 8 lists its 17 edges in the
+// order they were wired — the list below is what the engine listed while
+// every edge was appended to one slice, before a chunk per connection — and
+// charges each of the 45 devices it touches once (77 entries, with repeats,
+// before).
+func TestEdgesKeepWiringOrder(t *testing.T) {
+	e, err := NewEngine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	q, err := e.BeginQuery()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := buildQuery6(t, e, q, 8, 1000, 3, nil).Drain(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"{q1 q1/rp-be-1 q1/rp-bg-9 be 0 bg 0 tcp tcp:be:0->bg:0}",
+		"{q1 q1/rp-be-2 q1/rp-bg-10 be 1 bg 8 tcp tcp:be:1->bg:8}",
+		"{q1 q1/rp-be-3 q1/rp-bg-11 be 2 bg 16 tcp tcp:be:2->bg:16}",
+		"{q1 q1/rp-be-4 q1/rp-bg-12 be 3 bg 24 tcp tcp:be:3->bg:24}",
+		"{q1 q1/rp-be-5 q1/rp-bg-13 be 0 bg 1 tcp tcp:be:0->bg:1}",
+		"{q1 q1/rp-be-6 q1/rp-bg-14 be 1 bg 9 tcp tcp:be:1->bg:9}",
+		"{q1 q1/rp-be-7 q1/rp-bg-15 be 2 bg 17 tcp tcp:be:2->bg:17}",
+		"{q1 q1/rp-be-8 q1/rp-bg-16 be 3 bg 25 tcp tcp:be:3->bg:25}",
+		"{q1 q1/rp-bg-9 q1/rp-bg-17 bg 0 bg 2 mpi mpi:bg:0->bg:2}",
+		"{q1 q1/rp-bg-10 q1/rp-bg-17 bg 8 bg 2 mpi mpi:bg:8->bg:2}",
+		"{q1 q1/rp-bg-11 q1/rp-bg-17 bg 16 bg 2 mpi mpi:bg:16->bg:2}",
+		"{q1 q1/rp-bg-12 q1/rp-bg-17 bg 24 bg 2 mpi mpi:bg:24->bg:2}",
+		"{q1 q1/rp-bg-13 q1/rp-bg-17 bg 1 bg 2 mpi mpi:bg:1->bg:2}",
+		"{q1 q1/rp-bg-14 q1/rp-bg-17 bg 9 bg 2 mpi mpi:bg:9->bg:2}",
+		"{q1 q1/rp-bg-15 q1/rp-bg-17 bg 17 bg 2 mpi mpi:bg:17->bg:2}",
+		"{q1 q1/rp-bg-16 q1/rp-bg-17 bg 25 bg 2 mpi mpi:bg:25->bg:2}",
+		"{q1 q1/rp-bg-17 q1/client bg 2 fe 0 tcp tcp:bg:2->fe:0}",
+	}
+	var got []string
+	for _, ed := range e.Edges() {
+		got = append(got, fmt.Sprint(ed))
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("edges:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	q.qc.mu.Lock()
+	charged := slices.Clone(q.qc.charged)
+	q.qc.mu.Unlock()
+	distinct := make(map[*vtime.Resource]bool)
+	for _, r := range charged {
+		distinct[r] = true
+	}
+	if len(charged) != 45 || len(distinct) != 45 {
+		t.Errorf("the query charges %d entries for %d devices, want 45 for 45", len(charged), len(distinct))
 	}
 }

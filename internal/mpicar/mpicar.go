@@ -13,7 +13,10 @@
 // producers — the mechanism behind the paper's stream-merging results
 // (Figure 8). Those devices are the stages of the carrier.Route that Dial
 // builds; charging, fault injection, tracing and link metrics are
-// carrier.Link's.
+// carrier.Link's. The sender's and the intermediate co-processors' services
+// are pure functions of the cost model, built once per Fabric; only the
+// receiver's, which reads its node's producer count at the link's first
+// frame, is built per link.
 package mpicar
 
 import (
@@ -34,11 +37,21 @@ type Fabric struct {
 	env *hw.Env
 	inj *chaos.Injector
 	reg *metrics.Registry
+	// The services that hold no per-link state are the fabric's, built once:
+	// the sender's co-processor's by buffering mode and an intermediate
+	// node's.
+	send    [carrier.DoubleBuffered + 1]func(int) vtime.Duration
+	forward func(int) vtime.Duration
 }
 
 // NewFabric returns a fabric over env.
 func NewFabric(env *hw.Env) *Fabric {
-	return &Fabric{env: env}
+	m := &env.Cost
+	f := &Fabric{env: env, forward: func(s int) vtime.Duration { return packets(m, s, m.FwdFactor) }}
+	for _, mode := range []carrier.Buffering{carrier.SingleBuffered, carrier.DoubleBuffered} {
+		f.send[mode] = func(s int) vtime.Duration { return send(m, s, mode == carrier.DoubleBuffered) }
+	}
+	return f
 }
 
 // Env returns the underlying hardware environment.
@@ -75,7 +88,8 @@ func (f *Fabric) Dial(src, dst int, mode carrier.Buffering, inbox carrier.Inbox)
 		return nil, fmt.Errorf("mpicar: %w", err)
 	}
 	// hops lists the intermediate nodes followed by the destination.
-	hops, err := f.env.Torus.Route(src, dst)
+	var buf [32]int
+	hops, err := f.env.Torus.AppendRoute(buf[:0], src, dst)
 	if err != nil {
 		return nil, fmt.Errorf("mpicar: %w", err)
 	}
@@ -88,22 +102,6 @@ func (f *Fabric) Dial(src, dst int, mode carrier.Buffering, inbox carrier.Inbox)
 		return nil, fmt.Errorf("mpicar: %w", err)
 	}
 	m := &f.env.Cost
-	// Sender co-processor: k packets, plus the double-buffer bookkeeping.
-	send := func(s int) vtime.Duration {
-		k := m.Packets(s)
-		svc := scaleDur(vtime.Duration(k)*m.PacketCost, m.CacheFactor(s))
-		if mode == carrier.DoubleBuffered {
-			svc += m.DoubleBufSync
-			// The ping-pong of the double buffers stalls on buffers that
-			// fill an odd number of torus packets (the "bumps" of Figure 6).
-			if k > 1 && k%2 == 1 {
-				svc += m.OddPacketStall
-			}
-		}
-		return svc
-	}
-	// Intermediate co-processors forward the packets in order.
-	forward := func(s int) vtime.Duration { return packets(m, s, m.FwdFactor) }
 	// Receiver co-processor, with the merge switching penalty: the
 	// single-threaded co-processor switches between its p producers at the
 	// expected alternation rate (p-1)/p. p is read once, at the first frame
@@ -125,17 +123,33 @@ func (f *Fabric) Dial(src, dst int, mode carrier.Buffering, inbox carrier.Inbox)
 	// The frame starts on the sender's co-processor, which is therefore not
 	// a hop and carries no trace label.
 	stages := make([]vtime.Stage, 0, len(hops)+1)
-	stages = append(stages, vtime.Stage{Resource: srcNode.Coproc, Service: send})
+	stages = append(stages, vtime.Stage{Resource: srcNode.Coproc, Service: f.send[mode]})
 	for _, mid := range hops[:len(hops)-1] {
 		node, err := f.env.Node(hw.BlueGene, mid)
 		if err != nil {
 			return nil, fmt.Errorf("mpicar: %w", err)
 		}
-		stages = append(stages, vtime.Stage{Resource: node.Coproc, Service: forward, Label: node.FwdHop})
+		stages = append(stages, vtime.Stage{Resource: node.Coproc, Service: f.forward, Label: node.FwdHop})
 	}
 	stages = append(stages, vtime.Stage{Resource: dstNode.Coproc, Service: receive, Label: dstNode.Hop})
 	f.env.RegisterProducer(dst)
 	return carrier.NewLink(carrier.Route{Kind: "mpi", Src: srcRef, Dst: dstRef, Stages: stages}, inbox, f.inj.Faults(), f.reg), nil
+}
+
+// send is the sender co-processor's time for an s-byte frame: k packets,
+// plus the double-buffer bookkeeping.
+func send(m *hw.CostModel, s int, double bool) vtime.Duration {
+	k := m.Packets(s)
+	svc := scaleDur(vtime.Duration(k)*m.PacketCost, m.CacheFactor(s))
+	if double {
+		svc += m.DoubleBufSync
+		// The ping-pong of the double buffers stalls on buffers that fill an
+		// odd number of torus packets (the "bumps" of Figure 6).
+		if k > 1 && k%2 == 1 {
+			svc += m.OddPacketStall
+		}
+	}
+	return svc
 }
 
 // packets is the co-processor time for the k torus packets of an s-byte

@@ -270,7 +270,7 @@ func (r *RP) run() {
 		if n, err := marshal.Size(el.Value); err == nil {
 			r.mBytes.Add(int64(n)) // a value without a size fails the push below
 		}
-		r.mLast.SetMax(int64(el.At))
+		r.mLast.SetMax(int64(el.At - r.ctx.Agent.Start()))
 		r.mu.Lock()
 		subs := r.subs
 		r.mu.Unlock()

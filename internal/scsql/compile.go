@@ -48,12 +48,12 @@ func (ev *Evaluator) compileStream(e Expr, env *scope, b *core.PlanBuilder) (sqe
 // generalizes the paper's "from integer i where i in iota(1,n)" pattern to
 // arbitrary streams.
 func (ev *Evaluator) compileQueryBody(q *Query, env *scope, b *core.PlanBuilder) (sqep.Operator, error) {
-	local := newScope(env)
-	if err := ev.evalBindings(q, local, b.Query()); err != nil {
+	binds, driver, preds, err := splitConds(q)
+	if err != nil {
 		return nil, err
 	}
-	_, driver, preds, err := splitConds(q)
-	if err != nil {
+	local := newScope(env)
+	if err := ev.evalBindings(q, binds, driver, local, b.Query()); err != nil {
 		return nil, err
 	}
 	if driver == nil {

@@ -37,84 +37,46 @@ and   b=sp(gen_array(%d,%d), 'bg', %d);`, size, count, x, size, count, y)
 
 // InboundQuery returns Query q (1..6) of the BG inbound streaming
 // experiments (paper §3.2) with n parallel back-end streams of count arrays
-// of size bytes each.
+// of size bytes each. The even queries spread the producers over the
+// back-end (urr('be')), the odd ones put them all on node 1; Queries 1 and 2
+// merge the streams on one BlueGene node, 3 to 6 count each stream on a node
+// of its own, in pset 1 (3, 4) or in the psets in turn (5, 6).
 func InboundQuery(q, n, size, count int) (string, error) {
-	gen := fmt.Sprintf(`(select gen_array(%d,%d)
-      from integer i where i in iota(1,n))`, size, count)
-	switch q {
-	case 1:
-		return fmt.Sprintf(`
-select extract(c) from
-bag of sp a, sp b, sp c,
-integer n
-where c=sp(extract(b), 'bg')
-and   b=sp(count(merge(a)), 'bg')
-and   a=spv(%s, 'be', 1)
-and   n=%d;`, gen, n), nil
-	case 2:
-		return fmt.Sprintf(`
-select extract(c) from
-bag of sp a, sp b, sp c,
-integer n
-where c=sp(extract(b), 'bg')
-and   b=sp(count(merge(a)), 'bg')
-and   a=spv(%s, 'be', urr('be'))
-and   n=%d;`, gen, n), nil
-	case 3:
-		return fmt.Sprintf(`
-select extract(c) from
-bag of sp a, bag of sp b, sp c,
-integer n
-where c=sp(streamof(sum(merge(b))), 'bg')
-and   b=spv(
-  (select streamof(count(extract(p)))
-   from sp p
-   where p in a),
-            'bg', inPset(1))
-and   a=spv(%s, 'be', 1)
-and   n=%d;`, gen, n), nil
-	case 4:
-		return fmt.Sprintf(`
-select extract(c) from
-bag of sp a, bag of sp b, sp c,
-integer n
-where c=sp(streamof(sum(merge(b))), 'bg')
-and   b=spv(
-  (select streamof(count(extract(p)))
-   from sp p
-   where p in a),
-            'bg', inPset(1))
-and   a=spv(%s, 'be', urr('be'))
-and   n=%d;`, gen, n), nil
-	case 5:
-		return fmt.Sprintf(`
-select extract(c) from
-bag of sp a, bag of sp b, sp c,
-integer n
-where c=sp(streamof(sum(merge(b))), 'bg')
-and   b=spv(
-  (select streamof(count(extract(p)))
-   from sp p
-   where p in a),
-            'bg', psetrr())
-and   a=spv(%s, 'be', 1)
-and   n=%d;`, gen, n), nil
-	case 6:
-		return fmt.Sprintf(`
-select extract(c) from
-bag of sp a, bag of sp b, sp c,
-integer n
-where c=sp(streamof(sum(merge(b))), 'bg')
-and   b=spv(
-  (select streamof(count(extract(p)))
-   from sp p
-   where p in a),
-            'bg', psetrr())
-and   a=spv(%s, 'be', urr('be'))
-and   n=%d;`, gen, n), nil
-	default:
+	if q < 1 || q > 6 {
 		return "", fmt.Errorf("scsql: no such inbound query %d (want 1-6)", q)
 	}
+	gen := fmt.Sprintf(`(select gen_array(%d,%d)
+      from integer i where i in iota(1,n))`, size, count)
+	producers := "1"
+	if q%2 == 0 {
+		producers = "urr('be')"
+	}
+	if q <= 2 {
+		return fmt.Sprintf(`
+select extract(c) from
+bag of sp a, sp b, sp c,
+integer n
+where c=sp(extract(b), 'bg')
+and   b=sp(count(merge(a)), 'bg')
+and   a=spv(%s, 'be', %s)
+and   n=%d;`, gen, producers, n), nil
+	}
+	counters := "inPset(1)"
+	if q >= 5 {
+		counters = "psetrr()"
+	}
+	return fmt.Sprintf(`
+select extract(c) from
+bag of sp a, bag of sp b, sp c,
+integer n
+where c=sp(streamof(sum(merge(b))), 'bg')
+and   b=spv(
+  (select streamof(count(extract(p)))
+   from sp p
+   where p in a),
+            'bg', %s)
+and   a=spv(%s, 'be', %s)
+and   n=%d;`, counters, gen, producers, n), nil
 }
 
 // GrepQuery is the distributed-grep mapreduce query (paper §2.4) with a

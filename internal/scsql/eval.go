@@ -2,6 +2,7 @@ package scsql
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -159,36 +160,41 @@ func (ev *Evaluator) Build(cq *core.Query, q *Query) (*core.ClientStream, error)
 }
 
 // splitConds partitions a where clause into '=' bindings, at most one 'in'
-// driver, and predicate conjuncts.
+// driver, and predicate conjuncts; the bindings and the predicates share one
+// allocation of their exact size.
 func splitConds(q *Query) (binds []Cond, driver *Cond, preds []Cond, err error) {
+	n := len(q.Where)
 	for i, c := range q.Where {
-		switch {
-		case c.Pred != nil:
-			preds = append(preds, c)
-		case c.In:
+		if c.Pred == nil && c.In {
 			if driver != nil {
 				return nil, nil, nil, errorfAt(c.Pos, "a query may have at most one 'in' binding")
 			}
-			driver = &q.Where[i]
-		default:
-			binds = append(binds, c)
+			driver, n = &q.Where[i], n-1
 		}
 	}
-	return binds, driver, preds, nil
+	conds := make([]Cond, 0, n)
+	for _, c := range q.Where {
+		if c.Pred == nil && !c.In {
+			conds = append(conds, c)
+		}
+	}
+	binds = conds[:len(conds):len(conds)]
+	for _, c := range q.Where {
+		if c.Pred != nil {
+			conds = append(conds, c)
+		}
+	}
+	return binds, driver, conds[len(binds):], nil
 }
 
-// evalBindings resolves the '=' conjuncts of q's where clause in an order
-// compatible with their mutual references and binds them in env. 'in'
+// evalBindings resolves binds, the '=' conjuncts of q's where clause, in an
+// order compatible with their mutual references and binds them in env. 'in'
 // drivers and predicates are left to the caller; the driver's variable
 // counts as bound for the completeness check.
-func (ev *Evaluator) evalBindings(q *Query, env *scope, cq *core.Query) error {
+func (ev *Evaluator) evalBindings(q *Query, binds []Cond, driver *Cond, env *scope, cq *core.Query) error {
 	declared := make(map[string]Decl, len(q.From))
 	for _, d := range q.From {
 		declared[d.Name] = d
-	}
-	binds, driver, _, err := splitConds(q)
-	if err != nil {
-		return err
 	}
 	for _, c := range binds {
 		if _, ok := declared[c.Name]; !ok {
@@ -232,9 +238,17 @@ func topoOrder(binds []Cond, declared map[string]Decl, env *scope) ([]Cond, erro
 		boundBy[c.Name] = i
 	}
 	deps := make([][]int, len(binds))
-	indeg := make([]int, len(binds))
+	// indeg, then the queue: every binding enters the queue once, so it
+	// never regrows.
+	ints := make([]int, 2*len(binds))
+	indeg, queue := ints[:len(binds)], ints[len(binds):len(binds)]
+	var (
+		shadow [8]string
+		refs   []string
+	)
 	for i, c := range binds {
-		for _, ref := range freeVars(c.Expr) {
+		refs = freeVars(refs[:0], shadow[:0], c.Expr)
+		for _, ref := range refs {
 			if ref == c.Name {
 				continue
 			}
@@ -252,18 +266,14 @@ func topoOrder(binds []Cond, declared map[string]Decl, env *scope) ([]Cond, erro
 			indeg[i]++
 		}
 	}
-	var (
-		queue []int
-		order []Cond
-	)
+	order := make([]Cond, 0, len(binds))
 	for i := range binds {
 		if indeg[i] == 0 {
 			queue = append(queue, i)
 		}
 	}
-	for len(queue) > 0 {
-		i := queue[0]
-		queue = queue[1:]
+	for h := 0; h < len(queue); h++ {
+		i := queue[h]
 		order = append(order, binds[i])
 		for _, j := range deps[i] {
 			indeg[j]--
@@ -278,56 +288,44 @@ func topoOrder(binds []Cond, declared map[string]Decl, env *scope) ([]Cond, erro
 	return order, nil
 }
 
-// freeVars collects identifier references in an expression, including
-// references inside embedded subqueries (minus the subqueries' own
-// declarations).
-func freeVars(e Expr) []string {
-	var out []string
-	var walk func(e Expr, shadow map[string]bool)
-	walkQuery := func(q *Query, shadow map[string]bool) {
-		inner := make(map[string]bool, len(shadow)+len(q.From))
-		for k := range shadow {
-			inner[k] = true
+// freeVars appends to out the identifier references in e, including those
+// inside embedded subqueries that the subqueries do not declare; shadow is
+// the stack of those declarations, innermost last.
+func freeVars(out, shadow []string, e Expr) []string {
+	switch x := e.(type) {
+	case *Ident:
+		if !slices.Contains(shadow, x.Name) {
+			out = append(out, x.Name)
 		}
+	case *Call:
+		for _, a := range x.Args {
+			out = freeVars(out, shadow, a)
+		}
+	case *SetLit:
+		for _, el := range x.Elems {
+			out = freeVars(out, shadow, el)
+		}
+	case *BinaryExpr:
+		out = freeVars(freeVars(out, shadow, x.L), shadow, x.R)
+	case *UnaryExpr:
+		out = freeVars(out, shadow, x.X)
+	case *FieldExpr:
+		out = freeVars(out, shadow, x.X)
+	case *SubqueryExpr:
+		q := x.Query
 		for _, d := range q.From {
-			inner[d.Name] = true
+			shadow = append(shadow, d.Name)
 		}
-		walk(q.Select, inner)
+		out = freeVars(out, shadow, q.Select)
 		for _, c := range q.Where {
 			if c.Expr != nil {
-				walk(c.Expr, inner)
+				out = freeVars(out, shadow, c.Expr)
 			}
 			if c.Pred != nil {
-				walk(c.Pred, inner)
+				out = freeVars(out, shadow, c.Pred)
 			}
 		}
 	}
-	walk = func(e Expr, shadow map[string]bool) {
-		switch x := e.(type) {
-		case *Ident:
-			if !shadow[x.Name] {
-				out = append(out, x.Name)
-			}
-		case *Call:
-			for _, a := range x.Args {
-				walk(a, shadow)
-			}
-		case *SetLit:
-			for _, el := range x.Elems {
-				walk(el, shadow)
-			}
-		case *BinaryExpr:
-			walk(x.L, shadow)
-			walk(x.R, shadow)
-		case *UnaryExpr:
-			walk(x.X, shadow)
-		case *FieldExpr:
-			walk(x.X, shadow)
-		case *SubqueryExpr:
-			walkQuery(x.Query, shadow)
-		}
-	}
-	walk(e, map[string]bool{})
 	return out
 }
 
@@ -367,27 +365,30 @@ func (ev *Evaluator) evalBindingExpr(e Expr, env *scope, cq *core.Query) (any, e
 	return ev.evalScalar(e, env)
 }
 
+// placement checks the argument count of sp() or spv() and evaluates the
+// optional cluster and allocation arguments that follow the first.
+func (ev *Evaluator) placement(call *Call, env *scope) (cluster hw.ClusterName, seq *cndb.Sequence, err error) {
+	if len(call.Args) < 1 || len(call.Args) > 3 {
+		return "", nil, errorfAt(call.Pos, "%s() takes 1-3 arguments, got %d", call.Name, len(call.Args))
+	}
+	cluster = hw.BlueGene // default when the query omits the cluster
+	if len(call.Args) >= 2 {
+		if cluster, err = ev.evalCluster(call.Args[1], env); err != nil {
+			return "", nil, err
+		}
+	}
+	if len(call.Args) == 3 {
+		seq, err = ev.evalAllocSeq(call.Args[2], env)
+	}
+	return cluster, seq, err
+}
+
 // doSP implements sp(subquery, cluster?, alloc?): assign the stream
 // expression to a new stream process.
 func (ev *Evaluator) doSP(call *Call, env *scope, cq *core.Query) (*core.SP, error) {
-	if len(call.Args) < 1 || len(call.Args) > 3 {
-		return nil, errorfAt(call.Pos, "sp() takes 1-3 arguments, got %d", len(call.Args))
-	}
-	cluster := hw.BlueGene // default when the query omits the cluster
-	if len(call.Args) >= 2 {
-		c, err := ev.evalCluster(call.Args[1], env)
-		if err != nil {
-			return nil, err
-		}
-		cluster = c
-	}
-	var seq *cndb.Sequence
-	if len(call.Args) == 3 {
-		s, err := ev.evalAllocSeq(call.Args[2], env)
-		if err != nil {
-			return nil, err
-		}
-		seq = s
+	cluster, seq, err := ev.placement(call, env)
+	if err != nil {
+		return nil, err
 	}
 	streamExpr := call.Args[0]
 	return cq.SP(func(b *core.PlanBuilder) (sqepOperator, error) {
@@ -399,31 +400,17 @@ func (ev *Evaluator) doSP(call *Call, env *scope, cq *core.Query) (*core.SP, err
 // in the set — one per binding of the subquery's 'in' variable — to a new
 // stream process, sharing one allocation sequence across the batch.
 func (ev *Evaluator) doSPV(call *Call, env *scope, cq *core.Query) ([]*core.SP, error) {
-	if len(call.Args) < 1 || len(call.Args) > 3 {
-		return nil, errorfAt(call.Pos, "spv() takes 1-3 arguments, got %d", len(call.Args))
+	cluster, seq, err := ev.placement(call, env)
+	if err != nil {
+		return nil, err
 	}
 	sub, ok := call.Args[0].(*SubqueryExpr)
 	if !ok {
 		return nil, errorfAt(call.Args[0].ePos(), "the first argument of spv() must be a subquery, got %s", call.Args[0])
 	}
-	cluster := hw.BlueGene // default when the query omits the cluster
-	var err error
-	if len(call.Args) >= 2 {
-		cluster, err = ev.evalCluster(call.Args[1], env)
-		if err != nil {
-			return nil, err
-		}
-	}
-	var seq *cndb.Sequence
-	if len(call.Args) == 3 {
-		seq, err = ev.evalAllocSeq(call.Args[2], env)
-		if err != nil {
-			return nil, err
-		}
-	}
 
 	q := sub.Query
-	_, driver, _, err := splitConds(q)
+	binds, driver, preds, err := splitConds(q)
 	if err != nil {
 		return nil, err
 	}
@@ -433,11 +420,6 @@ func (ev *Evaluator) doSPV(call *Call, env *scope, cq *core.Query) ([]*core.SP, 
 		if err != nil {
 			return nil, err
 		}
-	}
-
-	_, _, preds, err := splitConds(q)
-	if err != nil {
-		return nil, err
 	}
 	subs := make([]core.Subquery, 0, len(domain))
 	for _, dv := range domain {
@@ -466,7 +448,7 @@ func (ev *Evaluator) doSPV(call *Call, env *scope, cq *core.Query) ([]*core.SP, 
 			continue
 		}
 		// Evaluate the instance's remaining '=' bindings, if any.
-		if err := ev.evalBindings(q, inst, cq); err != nil {
+		if err := ev.evalBindings(q, binds, driver, inst, cq); err != nil {
 			return nil, err
 		}
 		sel := q.Select
@@ -496,7 +478,7 @@ func (ev *Evaluator) evalDomain(e Expr, env *scope) ([]any, error) {
 		if err != nil {
 			return nil, err
 		}
-		var out []any
+		out := make([]any, 0, min(max(to-from+1, 0), 1<<16))
 		for i := from; i <= to; i++ {
 			out = append(out, i)
 		}

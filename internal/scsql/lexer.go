@@ -1,7 +1,6 @@
 package scsql
 
 import (
-	"strings"
 	"unicode"
 	"unicode/utf8"
 )
@@ -17,6 +16,21 @@ var keywords = map[string]Kind{
 	"as":       TokAs,
 	"bag":      TokBag,
 	"of":       TokOf,
+}
+
+// keyword looks word up among the keywords, folded to lower case on the
+// stack: they are ASCII letters, which b|0x20 folds, and no other byte of a
+// word folds to one (nor does strings.ToLower fold another rune to theirs).
+func keyword(word string) (Kind, bool) {
+	var buf [8]byte // the longest keyword, "function"
+	if len(word) > len(buf) {
+		return 0, false
+	}
+	for i := range len(word) {
+		buf[i] = word[i] | 0x20
+	}
+	k, ok := keywords[string(buf[:len(word)])]
+	return k, ok
 }
 
 // lexer cuts SCSQL source text into tokens, one per call of next, as the
@@ -116,7 +130,7 @@ func (lx *lexer) next() Token {
 				lx.advance()
 			}
 			word := src[from:lx.i]
-			if k, ok := keywords[strings.ToLower(word)]; ok {
+			if k, ok := keyword(word); ok {
 				return Token{Kind: k, Text: word, Pos: start}
 			}
 			return Token{Kind: TokIdent, Text: word, Pos: start}

@@ -1,6 +1,7 @@
 package scsql
 
 import (
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -134,7 +135,8 @@ func TestLexPositionsCountRunes(t *testing.T) {
 
 // TestParseAllocs pins what parsing one of the paper's queries allocates: the
 // AST, and nothing per token — the parser pulls tokens one at a time, every
-// text a slice of the source.
+// text a slice of the source, and a keyword in upper case is looked up
+// without a lower-case copy.
 func TestParseAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -143,14 +145,19 @@ func TestParseAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := testing.AllocsPerRun(100, func() {
-		if _, err := Parse(src); err != nil {
-			t.Fatal(err)
+	// 75 while Lex built a token slice first; 86 in upper case while
+	// keywords were looked up through strings.ToLower.
+	const pin = 74
+	upper := regexp.MustCompile(`\b(select|from|where|and|in|bag|of)\b`).ReplaceAllStringFunc(src, strings.ToUpper)
+	for _, src := range []string{src, upper} {
+		got := testing.AllocsPerRun(100, func() {
+			if _, err := Parse(src); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > pin {
+			t.Errorf("Parse allocated %v times, want at most %d:\n%s", got, pin, src)
 		}
-	})
-	const pin = 74 // 75 while Lex built a token slice first
-	if got > pin {
-		t.Errorf("Parse allocated %v times, want at most %d", got, pin)
 	}
 }
 

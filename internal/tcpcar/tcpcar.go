@@ -15,7 +15,10 @@
 // Streams leaving the BlueGene traverse the same stages outward; streams
 // between Linux nodes use the two NICs. Dial builds the path as a
 // carrier.Route; charging, fault injection, tracing and link metrics are
-// carrier.Link's. UDPFabric (udp.go) loses datagrams on the inbound route.
+// carrier.Link's. The NIC, tree and outbound forwarder services are pure
+// functions of the cost model, built once per Fabric; only the inbound
+// forwarder's, which reads its multiplicities at the link's first frame, is
+// built per link. UDPFabric (udp.go) loses datagrams on the inbound route.
 package tcpcar
 
 import (
@@ -33,11 +36,29 @@ type Fabric struct {
 	env *hw.Env
 	inj *chaos.Injector
 	reg *metrics.Registry
+	// The services that hold no per-link state are the fabric's, built once.
+	// nic[c][msg] is a Linux NIC's, which serialises the frame at its
+	// cluster's GbE rate (c 1 for the back-end) and, when msg is 1, pays the
+	// per-message TCP overhead, once per path; tree and out are the tree's
+	// and the outbound I/O-node forwarder's.
+	nic       [2][2]func(int) vtime.Duration
+	tree, out func(int) vtime.Duration
 }
 
 // NewFabric returns a fabric over env.
 func NewFabric(env *hw.Env) *Fabric {
-	return &Fabric{env: env}
+	m := &env.Cost
+	f := &Fabric{env: env,
+		tree: func(s int) vtime.Duration { return byteDur(m.TreeByte, s) },
+		out:  func(s int) vtime.Duration { return byteDur(m.IOByte, s) },
+	}
+	for c, perByte := range [2]*float64{&m.FENICByte, &m.BeNICByte} {
+		f.nic[c] = [2]func(int) vtime.Duration{
+			func(s int) vtime.Duration { return byteDur(*perByte, s) },
+			func(s int) vtime.Duration { return m.BeMsgCost + byteDur(*perByte, s) },
+		}
+	}
+	return f
 }
 
 // Env returns the underlying hardware environment.
@@ -91,19 +112,15 @@ func (f *Fabric) dialAs(kind string, src, dst Endpoint, inbox carrier.Inbox) (*C
 		return nil, fmt.Errorf("tcpcar: %w", err)
 	}
 	env, m := f.env, &f.env.Cost
-	// A Linux NIC serialises the frame at its cluster's GbE rate; msgCost is
-	// the per-message TCP overhead, paid once per path.
-	nic := func(n *hw.Node, msgCost vtime.Duration) vtime.Stage {
-		perByte := &m.FENICByte
+	nic := func(n *hw.Node, msg int) vtime.Stage {
+		c := 0
 		if n.Cluster == hw.BackEnd {
-			perByte = &m.BeNICByte
+			c = 1
 		}
-		return vtime.Stage{Resource: n.NIC, Label: n.Hop,
-			Service: func(s int) vtime.Duration { return msgCost + byteDur(*perByte, s) }}
+		return vtime.Stage{Resource: n.NIC, Label: n.Hop, Service: f.nic[c][msg]}
 	}
 	tree := func(ion *hw.IONode) vtime.Stage {
-		return vtime.Stage{Resource: ion.Tree, Label: ion.TreeHop,
-			Service: func(s int) vtime.Duration { return byteDur(m.TreeByte, s) }}
+		return vtime.Stage{Resource: ion.Tree, Label: ion.TreeHop, Service: f.tree}
 	}
 	var stages []vtime.Stage
 	switch {
@@ -140,17 +157,16 @@ func (f *Fabric) dialAs(kind string, src, dst Endpoint, inbox carrier.Inbox) (*C
 			}
 			return byteDur(m.IOByte, s) + penalty
 		}}
-		stages = []vtime.Stage{nic(srcNode, m.BeMsgCost), forwarder, tree(ion)}
+		stages = []vtime.Stage{nic(srcNode, 1), forwarder, tree(ion)}
 	case src.Cluster == hw.BlueGene:
 		ion, err := env.IONodeFor(src.Node)
 		if err != nil {
 			return nil, fmt.Errorf("tcpcar: %w", err)
 		}
-		forwarder := vtime.Stage{Resource: ion.Forwarder, Label: ion.FwdHop,
-			Service: func(s int) vtime.Duration { return byteDur(m.IOByte, s) }}
-		stages = []vtime.Stage{tree(ion), forwarder, nic(dstNode, m.BeMsgCost)}
+		forwarder := vtime.Stage{Resource: ion.Forwarder, Label: ion.FwdHop, Service: f.out}
+		stages = []vtime.Stage{tree(ion), forwarder, nic(dstNode, 1)}
 	default:
-		stages = []vtime.Stage{nic(srcNode, m.BeMsgCost), nic(dstNode, 0)}
+		stages = []vtime.Stage{nic(srcNode, 1), nic(dstNode, 0)}
 	}
 	r := carrier.Route{Kind: kind, Src: src, Dst: dst, Stages: stages, ViaTCP: true}
 	return carrier.NewLink(r, inbox, f.inj.Faults(), f.reg), nil

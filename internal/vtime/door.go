@@ -219,8 +219,13 @@ func (a *Agent) State() State   { return State(a.state.Load()) }
 func (a *Agent) Frontier() Time { return Time(a.frontier.Load()) }
 
 // Start is the kernel's time at Go: the instant the agent's readings count
-// from.
-func (a *Agent) Start() Time { return a.start }
+// from (0 for a nil agent).
+func (a *Agent) Start() Time {
+	if a == nil {
+		return 0
+	}
+	return a.start
+}
 
 // Emit reports an element emitted at virtual time at: it publishes the
 // frontier and the mark (regressions are ignored) and hands at to the
