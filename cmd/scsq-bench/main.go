@@ -15,7 +15,7 @@
 //	scsq-bench -fig place             # cost-model placement planner vs greedy on the 6144-node torus
 //	scsq-bench -fig sysq              # system catalog: snapshot/query latency + non-perturbation gate
 //	scsq-bench -fig serve             # serving layer: 1000 concurrent TCP conns, frame accounting gate
-//	scsq-bench -fig soak              # seeded chaos soak, all resilience features
+//	scsq-bench -fig soak              # seeded chaos soak, every failure path armed
 //	scsq-bench -fig soak -tiny        # smoke sizing (6 and 8 from 3 kB buffers up; place, sysq, serve, soak)
 //	scsq-bench -fig all -csv          # every figure above, machine readable under one header
 //	scsq-bench -fig place -out BENCH_place.json   # also write the JSON report

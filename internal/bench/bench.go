@@ -95,7 +95,7 @@ var Figures = []Figure{
 	{"place", "Cost-model placement — planner vs greedy for k concurrent Query-1 instances on the 6144-node torus (256 under -tiny), by tenants k", runPlace},
 	{"sysq", "System catalog — snapshot and query latency by table; Figure 6 wall time bare vs observed by MPI buffer size", runSysq},
 	{"serve", "Serving layer — concurrent connections over TCP with exact frame accounting, by connections", runServe},
-	{"soak", "Chaos soak — seeded schedules, all resilience features armed, by seed", runSoak},
+	{"soak", "Chaos soak — seeded schedules, every failure path armed, by seed", runSoak},
 }
 
 // Names lists the registry's figure names in order.

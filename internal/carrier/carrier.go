@@ -74,8 +74,8 @@ type Frame struct {
 	// injecting corruption, and it first moves an unpooled one into a pooled
 	// copy.
 	Pooled bool
-	// Down marks a failure-propagation frame: the producer (or its
-	// supervisor, speaking for a dead node) declares the stream failed.
+	// Down marks a failure-propagation frame: the producer (or the engine,
+	// speaking for a dead node) declares the stream failed.
 	// Receivers surface Note.DownErr as a typed error instead of terminating
 	// cleanly, so a failure crosses the SP graph instead of wedging it.
 	// (The three flags share one word, and whatever a healthy, untraced
@@ -83,10 +83,8 @@ type Frame struct {
 	// and every staged batch entry.)
 	Down bool
 	// Offset is the cumulative count of payload bytes the sender shipped on
-	// this stream before this frame. A supervised replacement of a failed
-	// producer replays its (deterministic) stream from offset zero; a
-	// receiver tracking offsets discards the already-ingested prefix, which
-	// is what makes re-placement exactly-once.
+	// this stream before this frame. A receiver tracking offsets
+	// (rp.ReceiverConfig.TrackOffsets) discards bytes it already ingested.
 	Offset uint64
 	// Seq keys the frame's requests: the sender driver draws it from its
 	// producer's request counter (sqep.Ctx.Seq), so it repeats on none of
@@ -161,25 +159,10 @@ type Conn interface {
 // ErrClosed is returned by Send on a closed connection.
 var ErrClosed = errors.New("carrier: connection closed")
 
-// ErrDialTimeout is the typed error for a carrier dial that did not complete
-// in time (injected by the chaos layer). It is transient: DialRetry retries
-// it with exponential backoff.
-var ErrDialTimeout = errors.New("carrier: dial timeout")
-
-// ErrPeerReset is the typed error for a mid-stream connection reset. It is
-// transient: sender drivers retry the frame a bounded number of times.
-var ErrPeerReset = errors.New("carrier: connection reset by peer")
-
 // ErrNodeDown is the typed error for traffic to or from a crashed compute
-// node. It is terminal — a dead node does not come back within a query —
-// and is what a supervisor reacts to.
+// node. It is terminal: a dead node does not come back within a query, and
+// the sessions with a process on it fail.
 var ErrNodeDown = errors.New("carrier: compute node down")
-
-// IsTransient reports whether err is worth retrying (dial timeouts and peer
-// resets). Closed connections and dead nodes are terminal.
-func IsTransient(err error) bool {
-	return errors.Is(err, ErrDialTimeout) || errors.Is(err, ErrPeerReset)
-}
 
 // Aborter is the optional interface of connections that can be aborted from
 // outside the sending goroutine: Abort unblocks a Send stalled on flow

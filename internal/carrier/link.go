@@ -41,7 +41,7 @@ type Route struct {
 // CorruptByte -1 is "no fault".
 type Verdict struct {
 	// Err, if non-nil, fails the send without delivering the frame. It
-	// wraps a typed carrier error (ErrPeerReset, ErrNodeDown).
+	// wraps carrier.ErrNodeDown.
 	Err error
 	// Drop silently loses the frame: the sender is charged and told the
 	// send succeeded, but the receiver never sees it.
@@ -160,7 +160,7 @@ const StageBits = 8
 func (l *Link) Send(fr Frame) (vtime.Time, error) {
 	// Once Send is called the link owns the frame, success or failure:
 	// every error path recycles a pooled payload, so senders never touch it
-	// again (a retry re-pools a fresh copy).
+	// again.
 	if l.closed.Load() {
 		Recycle(&fr)
 		return 0, ErrClosed

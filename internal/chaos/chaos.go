@@ -1,23 +1,21 @@
 // Package chaos provides seeded, deterministic fault injection for the SCSQ
 // engine. The paper's coordinators own node placement on a 768-node
-// BlueGene partition (§2.2); at that scale dial failures, mid-stream
-// resets, lost frames and whole-node crashes are the steady state, not the
-// exception. An Injector is consulted by the carriers (mpicar, and tcpcar
-// with its UDP variant) on every dial and every frame send, and decides —
-// purely from the seed and the (source, destination, sequence) coordinates
-// of the event —
-// whether to inject a fault. The same seed therefore reproduces the same
+// BlueGene partition (§2.2); at that scale lost, corrupted and late frames
+// and whole-node crashes are the steady state, not the exception. An
+// Injector is consulted by the carriers (mpicar, and tcpcar with its UDP
+// variant) on every dial and every frame send, and decides — purely from
+// the seed and the (source, destination, sequence) coordinates of the
+// event — whether to inject a fault. The same seed therefore reproduces the same
 // fault schedule run after run, which is what makes chaos tests assertable:
 // a killed node is killed at the same frame of the same stream every time.
 //
-// Faults come in two families. Rate faults (dial timeouts, connection
-// resets, frame drops, corruption, added latency) fire per-event from a
-// hash of the seed and the event coordinates. Crash schedules
-// (CrashAfterSends, CrashAtVTime) kill a whole compute node at a
-// deterministic point of its own traffic; a dead node refuses dials,
-// fails every send touching it, and is reported to crash listeners so the
-// control plane (coordinator + supervisor) can mark it dead in the compute
-// node database and kill its resident RPs.
+// Faults come in two families. Rate faults (frame drops, corruption, added
+// latency) fire per-event from a hash of the seed and the event
+// coordinates. Crash schedules (CrashAfterSends, CrashAtVTime) kill a whole
+// compute node at a deterministic point of its own traffic; a dead node
+// refuses dials, fails every send touching it, and is reported to crash
+// listeners so the engine can mark it dead in the compute node database and
+// kill its resident RPs. Nothing revives a node: the sessions on it fail.
 package chaos
 
 import (
@@ -45,50 +43,31 @@ var _ carrier.Faults = (*Injector)(nil)
 type Injector struct {
 	seed int64
 
-	dialFailFirst int
-	resetRate     float64
-	dropRate      float64
-	corruptRate   float64
-	delayRate     float64
-	maxDelay      vtime.Duration
+	dropRate    float64
+	corruptRate float64
+	delayRate   float64
+	maxDelay    vtime.Duration
 
 	mu              sync.Mutex
 	dead            map[NodeRef]bool
 	crashAtV        map[NodeRef]vtime.Time
 	crashAfterSends map[NodeRef]int
 	sends           map[NodeRef]int
-	dialAttempts    map[string]int
 	listeners       []func(NodeRef)
 
 	// Per-fault-kind injection counters ("chaos.<kind>"): faults used to be
 	// injected silently, which made chaos-test failures hard to diagnose.
 	// Handles are nil-safe no-ops until SetMetrics installs a registry.
-	cDialDead    *metrics.Counter
-	cDialTimeout *metrics.Counter
-	cSendDead    *metrics.Counter
-	cCrash       *metrics.Counter
-	cReset       *metrics.Counter
-	cDrop        *metrics.Counter
-	cCorrupt     *metrics.Counter
-	cDelay       *metrics.Counter
+	cDialDead *metrics.Counter
+	cSendDead *metrics.Counter
+	cCrash    *metrics.Counter
+	cDrop     *metrics.Counter
+	cCorrupt  *metrics.Counter
+	cDelay    *metrics.Counter
 }
 
 // Option configures an Injector.
 type Option func(*Injector)
-
-// FailFirstDials makes the first n dial attempts of every distinct
-// (source, destination) pair fail with carrier.ErrDialTimeout. Combined
-// with a retry budget > n, every connection eventually opens — the
-// mechanism the dial-retry path is tested against.
-func FailFirstDials(n int) Option {
-	return func(i *Injector) { i.dialFailFirst = n }
-}
-
-// ResetRate injects mid-stream connection resets (carrier.ErrPeerReset) on
-// a fraction p of non-final frames.
-func ResetRate(p float64) Option {
-	return func(i *Injector) { i.resetRate = p }
-}
 
 // DropRate silently loses a fraction p of non-final frames.
 func DropRate(p float64) Option {
@@ -134,7 +113,6 @@ func New(seed int64, opts ...Option) *Injector {
 		crashAtV:        make(map[NodeRef]vtime.Time),
 		crashAfterSends: make(map[NodeRef]int),
 		sends:           make(map[NodeRef]int),
-		dialAttempts:    make(map[string]int),
 	}
 	for _, o := range opts {
 		o(i)
@@ -152,10 +130,8 @@ func (i *Injector) SetMetrics(reg *metrics.Registry) {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	i.cDialDead = reg.Counter("chaos.dial_dead")
-	i.cDialTimeout = reg.Counter("chaos.dial_timeout")
 	i.cSendDead = reg.Counter("chaos.send_dead")
 	i.cCrash = reg.Counter("chaos.crash")
-	i.cReset = reg.Counter("chaos.reset")
 	i.cDrop = reg.Counter("chaos.drop")
 	i.cCorrupt = reg.Counter("chaos.corrupt")
 	i.cDelay = reg.Counter("chaos.delay")
@@ -196,24 +172,6 @@ func (i *Injector) KillNode(cluster hw.ClusterName, node int) {
 	}
 }
 
-// Revive clears a node's dead state so carriers touching it stop observing
-// ErrNodeDown, and retires the node's crash schedules and send counter — a
-// revived node is a fresh incarnation, not one about to re-fire its old
-// crash point. Reviving a live node is a no-op. Crash listeners are not
-// re-notified; the caller (core.Engine.ReviveNode) updates the CNDB side.
-func (i *Injector) Revive(cluster hw.ClusterName, node int) {
-	if i == nil {
-		return
-	}
-	ref := NodeRef{Cluster: cluster, Node: node}
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	delete(i.dead, ref)
-	delete(i.crashAfterSends, ref)
-	delete(i.crashAtV, ref)
-	delete(i.sends, ref)
-}
-
 // NodeDead reports whether the node has crashed.
 func (i *Injector) NodeDead(cluster hw.ClusterName, node int) bool {
 	if i == nil {
@@ -233,36 +191,24 @@ func (i *Injector) Faults() carrier.Faults {
 	return i
 }
 
-// Dial decides the fate of one dial attempt from src to dst. It returns nil
-// (proceed), a wrapped carrier.ErrDialTimeout (transient, retryable), or a
+// Dial decides the fate of one dial from src to dst: nil (proceed), or a
 // wrapped carrier.ErrNodeDown when either endpoint has crashed.
 func (i *Injector) Dial(src, dst NodeRef) error {
 	if i == nil {
 		return nil
 	}
 	i.mu.Lock()
+	defer i.mu.Unlock()
 	if i.dead[src] || i.dead[dst] {
 		i.cDialDead.Inc()
-		i.mu.Unlock()
 		return fmt.Errorf("chaos: dial %s->%s: %w", src, dst, carrier.ErrNodeDown)
-	}
-	key := src.String() + ">" + dst.String()
-	attempt := i.dialAttempts[key]
-	i.dialAttempts[key]++
-	cDialTimeout := i.cDialTimeout
-	i.mu.Unlock()
-
-	if attempt < i.dialFailFirst {
-		cDialTimeout.Inc()
-		return fmt.Errorf("chaos: injected dial failure %d for %s->%s: %w", attempt+1, src, dst, carrier.ErrDialTimeout)
 	}
 	return nil
 }
 
 // Hash salts keep the per-fault decision streams independent.
 const (
-	_ = iota + 1 // the retired dial-rate salt: the others keep their streams
-	saltReset
+	_ = iota + 2 // the retired dial-rate and reset salts: the others keep their streams
 	saltDrop
 	saltCorrupt
 	saltDelay
@@ -298,7 +244,7 @@ func (i *Injector) OnSend(src, dst NodeRef, seq uint64, ready vtime.Time, payloa
 	i.cCrash.Add(int64(len(crashed)))
 	deadSrc, deadDst := i.dead[src], i.dead[dst]
 	listeners := i.snapshotListenersLocked()
-	cSendDead, cReset, cDrop, cCorrupt, cDelay := i.cSendDead, i.cReset, i.cDrop, i.cCorrupt, i.cDelay
+	cSendDead, cDrop, cCorrupt, cDelay := i.cSendDead, i.cDrop, i.cCorrupt, i.cDelay
 	i.mu.Unlock()
 
 	for _, ref := range crashed {
@@ -320,11 +266,6 @@ func (i *Injector) OnSend(src, dst NodeRef, seq uint64, ready vtime.Time, payloa
 	}
 
 	key := src.String() + ">" + dst.String()
-	if i.resetRate > 0 && i.chance(saltReset, key, seq) < i.resetRate {
-		cReset.Inc()
-		v.Err = fmt.Errorf("chaos: injected reset on %s->%s seq %d: %w", src, dst, seq, carrier.ErrPeerReset)
-		return v
-	}
 	if i.dropRate > 0 && i.chance(saltDrop, key, seq) < i.dropRate {
 		cDrop.Inc()
 		v.Drop = true

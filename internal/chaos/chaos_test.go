@@ -29,7 +29,7 @@ func TestNilInjectorInjectsNothing(t *testing.T) {
 
 func TestSameSeedSameFaultSchedule(t *testing.T) {
 	verdicts := func(seed int64) []Verdict {
-		inj := New(seed, ResetRate(0.1), DropRate(0.1), CorruptRate(0.1), DelayRate(0.1, vtime.Millisecond))
+		inj := New(seed, DropRate(0.1), CorruptRate(0.1), DelayRate(0.1, vtime.Millisecond))
 		out := make([]Verdict, 0, 200)
 		for seq := uint64(0); seq < 200; seq++ {
 			out = append(out, inj.OnSend(ref(1), ref(2), seq, 0, 64, false))
@@ -59,27 +59,27 @@ func TestSameSeedSameFaultSchedule(t *testing.T) {
 }
 
 func TestRateFaultsActuallyFire(t *testing.T) {
-	inj := New(7, ResetRate(0.2), DropRate(0.2))
-	var resets, drops int
+	inj := New(7, DropRate(0.2), CorruptRate(0.2))
+	var drops, corrupts int
 	for seq := uint64(0); seq < 500; seq++ {
 		v := inj.OnSend(ref(1), ref(2), seq, 0, 64, false)
 		if v.Err != nil {
-			if !errors.Is(v.Err, carrier.ErrPeerReset) {
-				t.Fatalf("reset verdict error = %v, want ErrPeerReset", v.Err)
-			}
-			resets++
+			t.Fatalf("seq %d: a rate fault failed the send: %v", seq, v.Err)
 		}
 		if v.Drop {
 			drops++
 		}
+		if v.CorruptByte >= 0 {
+			corrupts++
+		}
 	}
-	if resets == 0 || drops == 0 {
-		t.Fatalf("resets=%d drops=%d over 500 sends at 20%%: rates never fired", resets, drops)
+	if drops == 0 || corrupts == 0 {
+		t.Fatalf("drops=%d corrupts=%d over 500 sends at 20%%: rates never fired", drops, corrupts)
 	}
 }
 
 func TestLastFramesExemptFromRateFaults(t *testing.T) {
-	inj := New(7, ResetRate(0.9), DropRate(0.9), CorruptRate(0.9))
+	inj := New(7, DropRate(0.9), CorruptRate(0.9))
 	for seq := uint64(0); seq < 100; seq++ {
 		v := inj.OnSend(ref(1), ref(2), seq, 0, 64, true)
 		if v.Err != nil || v.Drop || v.CorruptByte >= 0 {
@@ -138,40 +138,6 @@ func TestCrashAtVTime(t *testing.T) {
 	}
 }
 
-func TestFailFirstDials(t *testing.T) {
-	inj := New(1, FailFirstDials(2))
-	for i := 0; i < 2; i++ {
-		if err := inj.Dial(ref(1), ref(2)); !errors.Is(err, carrier.ErrDialTimeout) {
-			t.Fatalf("dial %d: %v, want ErrDialTimeout", i, err)
-		}
-		if !carrier.IsTransient(inj.Dial(ref(3), ref(4))) {
-			// distinct pair has its own first-N budget
-			t.Fatal("injected dial failure must be transient")
-		}
-	}
-	if err := inj.Dial(ref(1), ref(2)); err != nil {
-		t.Fatalf("dial past first-N budget: %v", err)
-	}
-}
-
-func TestDialRetryAbsorbsFirstNFailures(t *testing.T) {
-	inj := New(1, FailFirstDials(2))
-	dials := 0
-	conn, err := carrier.DialRetry(carrier.DefaultRetryPolicy, func() (carrier.Conn, error) {
-		dials++
-		if err := inj.Dial(ref(1), ref(2)); err != nil {
-			return nil, err
-		}
-		return nil, nil
-	})
-	if err != nil {
-		t.Fatalf("retry should absorb 2 injected dial timeouts: %v", err)
-	}
-	if conn != nil || dials != 3 {
-		t.Fatalf("dials = %d (want 3), conn = %v", dials, conn)
-	}
-}
-
 func TestCorruptByteInRange(t *testing.T) {
 	inj := New(11, CorruptRate(0.5))
 	fired := false
@@ -199,15 +165,12 @@ func TestFaultCountersExported(t *testing.T) {
 	nilInj.SetMetrics(metrics.NewRegistry()) // must not panic
 
 	reg := metrics.NewRegistry()
-	inj := New(7, ResetRate(0.2), DropRate(0.2), CorruptRate(0.2), DelayRate(0.2, vtime.Millisecond))
+	inj := New(7, DropRate(0.2), CorruptRate(0.2), DelayRate(0.2, vtime.Millisecond))
 	inj.SetMetrics(reg)
 
-	var resets, drops, corrupts, delays int64
+	var drops, corrupts, delays int64
 	for seq := uint64(0); seq < 500; seq++ {
 		v := inj.OnSend(ref(1), ref(2), seq, 0, 64, false)
-		if v.Err != nil {
-			resets++
-		}
 		if v.Drop {
 			drops++
 		}
@@ -229,7 +192,6 @@ func TestFaultCountersExported(t *testing.T) {
 
 	snap := reg.Snapshot()
 	want := map[string]int64{
-		"chaos.reset":     resets,
 		"chaos.drop":      drops,
 		"chaos.corrupt":   corrupts,
 		"chaos.delay":     delays,
@@ -242,25 +204,7 @@ func TestFaultCountersExported(t *testing.T) {
 			t.Fatalf("%s = %d, want %d (snapshot %v)", name, got, v, snap.Counters)
 		}
 	}
-	if resets == 0 || drops == 0 || corrupts == 0 || delays == 0 {
-		t.Fatalf("rate faults never fired: resets=%d drops=%d corrupts=%d delays=%d", resets, drops, corrupts, delays)
-	}
-}
-
-// TestDialTimeoutCounted exercises the injected-dial-failure counter.
-func TestDialTimeoutCounted(t *testing.T) {
-	reg := metrics.NewRegistry()
-	inj := New(1, FailFirstDials(2))
-	inj.SetMetrics(reg)
-	for i := 0; i < 2; i++ {
-		if err := inj.Dial(ref(0), ref(1)); err == nil {
-			t.Fatalf("dial %d unexpectedly succeeded", i)
-		}
-	}
-	if err := inj.Dial(ref(0), ref(1)); err != nil {
-		t.Fatalf("dial after budget: %v", err)
-	}
-	if got := reg.Snapshot().Counters["chaos.dial_timeout"]; got != 2 {
-		t.Fatalf("chaos.dial_timeout = %d, want 2", got)
+	if drops == 0 || corrupts == 0 || delays == 0 {
+		t.Fatalf("rate faults never fired: drops=%d corrupts=%d delays=%d", drops, corrupts, delays)
 	}
 }

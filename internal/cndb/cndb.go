@@ -126,8 +126,8 @@ func (db *DB) SelectFor(owner string, seq *Sequence) (int, error) {
 	// a full cycle without an available node, or an out-of-range id aborting
 	// mid-cycle — leaves the cursor untouched, so concurrent admissions
 	// cannot strand a satisfiable sequence by displacing each other's
-	// cursors, and a parked session's retry re-probes from the same stable
-	// start offset as its failed attempt.
+	// cursors, and the next probe starts from the same stable offset as the
+	// failed one.
 	seq.mu.Lock()
 	defer seq.mu.Unlock()
 	start := seq.pos
@@ -294,29 +294,11 @@ func (db *DB) MarkDead(id int) {
 	}
 }
 
-// Revive clears a node's failed mark: the node is selectable again by
-// subsequent placements. Reviving a live node is a no-op. This is the
-// recovery half of the transient-admission story — a node that comes back
-// (repaired and re-registered by an operator) returns capacity that parked
-// sessions retry against.
-func (db *DB) Revive(id int) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	delete(db.dead, id)
-}
-
 // Dead reports whether node id has been marked failed.
 func (db *DB) Dead(id int) bool {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	return db.dead[id]
-}
-
-// DeadCount reports how many nodes of the cluster are marked failed.
-func (db *DB) DeadCount() int {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return len(db.dead)
 }
 
 // Reset releases every allocation, revives dead nodes, and rewinds the

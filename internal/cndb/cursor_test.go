@@ -41,14 +41,18 @@ func TestFailedProbeLeavesCursorStable(t *testing.T) {
 	if got := seq.Pos(); got != 0 {
 		t.Fatalf("cursor after failed probe: %d, want 0", got)
 	}
-	// Capacity returns: the retry must find it at the stable start offset.
-	db.Revive(2)
+	// Capacity returns: the next probe must find it at the stable start
+	// offset.
+	db.Reset()
+	for _, id := range []int{0, 1, 3} {
+		db.MarkDead(id)
+	}
 	id, err := db.SelectFor("q1", seq)
 	if err != nil {
-		t.Fatalf("SelectFor after revive: %v", err)
+		t.Fatalf("SelectFor with node 2 alive: %v", err)
 	}
 	if id != 2 {
-		t.Fatalf("SelectFor after revive: node %d, want 2", id)
+		t.Fatalf("SelectFor with node 2 alive: node %d, want 2", id)
 	}
 	if got := seq.Pos(); got != 3 {
 		t.Fatalf("cursor after grant of position 2: %d, want 3", got)

@@ -10,8 +10,8 @@ import (
 func TestMarkDeadSkippedBySequence(t *testing.T) {
 	db := newDB(t, hw.BlueGene)
 	db.MarkDead(1)
-	if !db.Dead(1) || db.DeadCount() != 1 {
-		t.Fatalf("dead bookkeeping: Dead(1)=%v count=%d", db.Dead(1), db.DeadCount())
+	if !db.Dead(1) || db.Dead(2) {
+		t.Fatalf("dead bookkeeping: Dead(1)=%v Dead(2)=%v", db.Dead(1), db.Dead(2))
 	}
 
 	seq, err := NewSequence(1, 2, 3)
@@ -91,7 +91,7 @@ func TestResetRevivesDeadNodes(t *testing.T) {
 	db := newDB(t, hw.BlueGene)
 	db.MarkDead(1)
 	db.Reset()
-	if db.Dead(1) || db.DeadCount() != 0 {
+	if db.Dead(1) {
 		t.Fatal("Reset must revive dead nodes (a fresh experiment reuses the cluster)")
 	}
 	seq, err := NewSequence(1)
@@ -107,7 +107,9 @@ func TestMarkDeadOutOfRangeIsNoop(t *testing.T) {
 	db := newDB(t, hw.BlueGene)
 	db.MarkDead(-1)
 	db.MarkDead(db.Size())
-	if db.DeadCount() != 0 {
-		t.Fatalf("out-of-range MarkDead recorded %d deaths", db.DeadCount())
+	for n := -1; n <= db.Size(); n++ {
+		if db.Dead(n) {
+			t.Fatalf("out-of-range MarkDead marked node %d dead", n)
+		}
 	}
 }

@@ -181,13 +181,12 @@ func (s *ClientStream) Drain() ([]sqep.Element, error) {
 
 	// Quiesce: RPs may have dynamically started new RPs while running
 	// (paper §2.2), which join the end of the query's processes; wait on
-	// each in turn until none is left. WaitResolved follows supervised
-	// re-placements: a failure that was absorbed by a replacement is not the
-	// SP's outcome. finish then releases the query's leases, all at once.
+	// each in turn until none is left. finish then releases the query's
+	// leases, all at once.
 	ran := 0
 	for sp := qc.spAt(0); sp != nil; sp = qc.spAt(ran) {
 		ran++
-		if err := sp.WaitResolved(); err != nil {
+		if err := sp.rp.Wait(); err != nil {
 			errs = append(errs, err)
 		}
 	}

@@ -38,25 +38,22 @@ func TestZeroConfigIsTheDefault(t *testing.T) {
 		t.Errorf("MPI buffer %d, %v, window %d, kernel batch %d; want 65536, double, 4, 16",
 			e.cfg.MPIBufferBytes, e.cfg.Buffering, e.cfg.window, e.cfg.kernelBatch)
 	}
-	if e.cfg.Files != nil || e.cfg.Sources != nil || e.udp != nil || e.inj != nil || e.sup != nil || e.cfg.Tracer != nil {
-		t.Error("a zero Config attached a file table, source, UDP carrier, injector, supervisor or tracer")
+	if e.cfg.Files != nil || e.cfg.Sources != nil || e.udp != nil || e.inj != nil || e.cfg.Tracer != nil {
+		t.Error("a zero Config attached a file table, source, UDP carrier, injector or tracer")
 	}
 }
 
-// TestConfigSpecialZeros pins the pointer fields whose pointed-to zero is a
-// setting, not the default: UDP at zero loss, supervision with no restarts.
+// TestConfigSpecialZeros pins the pointer field whose pointed-to zero is a
+// setting, not the default: UDP at zero loss.
 func TestConfigSpecialZeros(t *testing.T) {
-	zeroLoss, zeroBudget := 0.0, 0
-	e, err := NewEngine(Config{UDPInbound: &zeroLoss, Supervision: &zeroBudget})
+	zeroLoss := 0.0
+	e, err := NewEngine(Config{UDPInbound: &zeroLoss})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
 	if e.udp == nil {
 		t.Error("UDPInbound pointing at 0 carried inbound streams over TCP, want UDP at zero loss")
-	}
-	if e.sup == nil || e.sup.budget != 0 {
-		t.Errorf("Supervision pointing at 0: supervisor %+v, want one with no restarts", e.sup)
 	}
 }
 

@@ -55,7 +55,6 @@ type Engine struct {
 	clientNode int    // front-end node hosting the client manager
 
 	inj *chaos.Injector // nil without Config.Chaos
-	sup *Supervisor     // nil without Config.Supervision
 
 	// reg is the engine's telemetry registry — always present. A finished
 	// query's keys remain queryable (e.g. by a follow-up sys_metrics() statement)
@@ -134,18 +133,8 @@ type Config struct {
 	// Chaos attaches a seeded fault injector (nil: none): every carrier dial
 	// and frame send consults it, and node-crash schedules propagate to the
 	// coordinators (the crashed node is marked dead, its resident RPs are
-	// killed).
+	// killed, and the sessions they belong to fail).
 	Chaos *chaos.Injector
-	// Supervision, when set, enables supervised re-placement: when a source
-	// RP dies of a node failure, the supervisor re-places it via its
-	// original allocation sequence (excluding dead nodes), rebuilds its
-	// plan, re-subscribes its consumers, and resumes — at most
-	// *Supervision times per RP. Past the budget, or for unrecoverable RPs
-	// (an input-bearing RP cannot replay its consumed inputs), the failure
-	// propagates through the SP graph as a typed error instead of hanging
-	// Wait. nil is no supervisor; a pointer to 0 supervises with no
-	// restarts.
-	Supervision *int
 	// Tracer enables frame-level tracing (nil: off): sender drivers assign
 	// each frame a deterministic trace ID, carriers stamp hop timestamps
 	// into the frame header, and the tracer collects the spans for
@@ -182,7 +171,6 @@ func (c Config) apply(dst *Config) {
 	dst.Buffering = cmp.Or(c.Buffering, dst.Buffering)
 	dst.UDPInbound = cmp.Or(c.UDPInbound, dst.UDPInbound)
 	dst.Chaos = cmp.Or(c.Chaos, dst.Chaos)
-	dst.Supervision = cmp.Or(c.Supervision, dst.Supervision)
 	dst.Tracer = cmp.Or(c.Tracer, dst.Tracer)
 	dst.window = cmp.Or(c.window, dst.window)
 	dst.kernelBatch = cmp.Or(c.kernelBatch, dst.kernelBatch)
@@ -240,9 +228,6 @@ func NewEngine(opts ...Option) (*Engine, error) {
 	e.advance = e.observe
 	e.mpi.SetMetrics(e.reg)
 	e.tcp.SetMetrics(e.reg)
-	if cfg.Supervision != nil {
-		e.sup = &Supervisor{eng: e, budget: *cfg.Supervision}
-	}
 	if e.inj != nil {
 		e.mpi.SetInjector(e.inj)
 		e.tcp.SetInjector(e.inj)
@@ -345,8 +330,7 @@ func (e *Engine) Reset() error {
 // the node's cluster coordinator — marking the node dead in the CNDB and
 // killing its resident RPs — and poisons the inboxes feeding consumers on
 // that node, so a receiver blocked on a silent inbox observes the failure.
-// (A dead producer cannot send its own Down frames; the supervisor poisons
-// downstream inboxes on its behalf when recovery is not possible.)
+// A killed RP poisons the inboxes it feeds itself, as it exits (SP.Exited).
 func (e *Engine) handleCrash(ref chaos.NodeRef) {
 	cause := fmt.Errorf("chaos: node %s crashed: %w", ref, carrier.ErrNodeDown)
 	if cc, ok := e.coords[ref.Cluster]; ok {
@@ -355,41 +339,6 @@ func (e *Engine) handleCrash(ref chaos.NodeRef) {
 	for _, sp := range e.allSPs() {
 		sp.poison("coordinator", cause, ref.Cluster, ref.Node)
 	}
-	e.notifyNodeDied(ref.Cluster, ref.Node)
-}
-
-// notifyNodeDied tells an attached capacity-observing scheduler that a node
-// left the pool. Called after the CNDB already reflects the death, so the
-// observer's re-evaluation sees the shrunken capacity.
-func (e *Engine) notifyNodeDied(c hw.ClusterName, node int) {
-	if co, ok := e.Scheduler().(CapacityObserver); ok {
-		co.NodeDied(string(c), node)
-	}
-}
-
-// ReviveNode returns a dead node to service: the CNDB accepts placements on
-// it again and, under chaos, the injector stops failing its traffic. This is
-// the "node comes back" event the transient-admission retry path waits for;
-// the soak harness uses it to restore capacity between rounds.
-func (e *Engine) ReviveNode(c hw.ClusterName, node int) error {
-	cc, ok := e.coords[c]
-	if !ok {
-		return fmt.Errorf("core: unknown cluster %q", c)
-	}
-	e.inj.Revive(c, node) // nil-safe
-	cc.DB().Revive(node)
-	return nil
-}
-
-// DeadNodeCount sums the failed-node counts across every cluster's CNDB —
-// nonzero means capacity may return (via ReviveNode), which is what makes an
-// unsatisfiable admission transient rather than permanent.
-func (e *Engine) DeadNodeCount() int {
-	n := 0
-	for _, cc := range e.coords {
-		n += cc.DB().DeadCount()
-	}
-	return n
 }
 
 // poisonInbox injects a failure-propagation frame into w's inbox without
@@ -461,8 +410,7 @@ func (e *Engine) placementPlanner() PlacementPlanner {
 // planned returns the allocation sequence a placement should actually walk:
 // the planner's reordering when one is installed and admissible, the
 // original sequence otherwise. The original sequence object is never
-// mutated — an SP keeps it for supervised re-placement, which re-plans
-// against the then-current cluster state.
+// mutated.
 func (e *Engine) planned(owner string, c hw.ClusterName, seq *cndb.Sequence, batch int) *cndb.Sequence {
 	p := e.placementPlanner()
 	if p == nil {
@@ -504,59 +452,41 @@ func (q *Query) SP(sub Subquery, c hw.ClusterName, seq *cndb.Sequence) (*SP, err
 	if err != nil {
 		return nil, fmt.Errorf("core: sp(%q): %w", c, err)
 	}
-	return e.newPlacedSP(q.qc, sub, c, seq, node)
+	return e.newPlacedSP(q.qc, sub, c, node)
 }
 
-// newPlacedSP compiles and registers a stream process on an already
-// allocated node — the shared tail of SP and the batch-placed SPV. On error
-// the node allocation is released.
-func (e *Engine) newPlacedSP(qc *queryCtx, sub Subquery, c hw.ClusterName, seq *cndb.Sequence, node int) (*SP, error) {
+// newPlacedSP compiles a subquery for an already allocated node, wraps it
+// in a process and registers it — the shared tail of SP and the
+// batch-placed SPV. On error the node allocation is released.
+func (e *Engine) newPlacedSP(qc *queryCtx, sub Subquery, c hw.ClusterName, node int) (*SP, error) {
 	id := qc.newRPID(string(c))
-	sp := &SP{eng: e, qc: qc, cluster: c, id: id, sub: sub, seq: seq, node: node}
-	proc, hasInputs, err := e.buildProc(sp, node)
+	hwNode, err := e.env.Node(c, node)
 	if err != nil {
 		e.coords[c].ReleaseFor(qc.id, node)
 		return nil, err
 	}
-	// Only input-free source RPs are recoverable: their streams are
-	// deterministic functions of the plan, so a replacement replays them.
-	sp.recoverable = !hasInputs
-	sp.rp = proc
-	e.coords[c].Register(proc)
-	qc.addSP(sp)
-	return sp, nil
-}
-
-// buildProc compiles sp's subquery for the given node and wraps it in a
-// running process — the shared path of initial placement and supervised
-// re-placement. It reports whether the plan wired any inputs.
-func (e *Engine) buildProc(sp *SP, node int) (*rp.RP, bool, error) {
-	hwNode, err := e.env.Node(sp.cluster, node)
-	if err != nil {
-		return nil, false, err
-	}
-	sp.qc.charge(hwNode.CPU)
+	qc.charge(hwNode.CPU)
 	ctx := sqep.Ctx{
 		CPU:     hwNode.CPU,
 		Cost:    &e.env.Cost,
 		Files:   e.cfg.Files,
 		Sources: e.cfg.Sources,
-		Owner:   sp.qc.id,
-		Cancel:  sp.qc,
+		Owner:   qc.id,
+		Cancel:  qc,
 	}
-	ctx.Agent = e.env.Kernel().Join(sp.qc.id, e.advance)
-	b := &PlanBuilder{qc: sp.qc, cluster: sp.cluster, node: node, spID: sp.id, agent: ctx.Agent}
-	op, err := sp.sub(b)
+	ctx.Agent = e.env.Kernel().Join(qc.id, e.advance)
+	op, err := sub(&PlanBuilder{qc: qc, cluster: c, node: node, spID: id, agent: ctx.Agent})
 	if err != nil {
-		return nil, false, err
+		e.coords[c].ReleaseFor(qc.id, node)
+		return nil, err
 	}
-	hasInputs := b.hasInputs
-	proc := rp.New(sp.id, sp.cluster, node, ctx, op)
-	proc.SetMetrics(sp.qc.metrics)
-	if e.sup != nil {
-		proc.SetOnExit(func(err error) { e.sup.onRPExit(sp, err) })
-	}
-	return proc, hasInputs, nil
+	sp := &SP{eng: e, qc: qc, cluster: c, id: id, node: node}
+	sp.rp = rp.New(id, c, node, ctx, op)
+	sp.rp.SetMetrics(qc.metrics)
+	sp.rp.SetExiter(sp)
+	e.coords[c].Register(sp.rp)
+	qc.addSP(sp)
+	return sp, nil
 }
 
 // SPV assigns each subquery of the set to a new stream process of q in
@@ -602,7 +532,7 @@ func (e *Engine) spvBG(qc *queryCtx, subs []Subquery, seq *cndb.Sequence) ([]*SP
 	}
 	sps := make([]*SP, 0, len(subs))
 	for i, node := range nodes {
-		sp, err := e.newPlacedSP(qc, subs[i], hw.BlueGene, seq, node)
+		sp, err := e.newPlacedSP(qc, subs[i], hw.BlueGene, node)
 		if err != nil {
 			release(nodes[i+1:])
 			return nil, fmt.Errorf("core: spv[%d]: %w", i, err)
@@ -613,34 +543,22 @@ func (e *Engine) spvBG(qc *queryCtx, subs []Subquery, seq *cndb.Sequence) ([]*SP
 }
 
 // SP is a stream process: a first-class handle to a continuous subquery
-// assigned to a compute node. Under supervision the node and running process
-// behind the handle may be swapped by a re-placement; the id is stable.
+// assigned to a compute node.
 type SP struct {
 	eng     *Engine
 	qc      *queryCtx // owning query
 	cluster hw.ClusterName
 	id      string
+	rp      *rp.RP // the running process; set at build and never changed
+	node    int
 
-	// sub, seq and recoverable record how the SP was built, so a supervisor
-	// can rebuild it elsewhere: the subquery re-compiles the plan, the
-	// allocation sequence yields the next allowable node (dead nodes are
-	// skipped by the CNDB), and only input-free source SPs are recoverable —
-	// an input-bearing SP cannot re-subscribe upstream data its failed
-	// incarnation already consumed.
-	sub         Subquery
-	seq         *cndb.Sequence
-	recoverable bool
-
-	mu       sync.Mutex
-	rp       *rp.RP
-	node     int
-	started  bool
-	restarts int // supervised re-placements attempted
-	wirings  []wiring
+	mu      sync.Mutex
+	started bool
+	wirings []wiring
 }
 
-// wiring records one outgoing subscription of an SP — enough to re-dial it
-// from a replacement node into the same consumer inbox.
+// wiring records one outgoing subscription of an SP: where the consumer
+// is, and the inbox a failure is announced into.
 type wiring struct {
 	cc       hw.ClusterName
 	cn       int
@@ -652,19 +570,8 @@ type wiring struct {
 // ID returns the SP's unique identity.
 func (s *SP) ID() string { return s.id }
 
-// Node returns the compute node the SP is currently assigned to (a
-// supervised re-placement moves it).
-func (s *SP) Node() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.node
-}
-
-func (s *SP) proc() *rp.RP {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rp
-}
+// Node returns the compute node the SP is assigned to.
+func (s *SP) Node() int { return s.node }
 
 func (s *SP) addWiring(w wiring) {
 	s.mu.Lock()
@@ -685,17 +592,14 @@ func (s *SP) poison(source string, cause error, cc hw.ClusterName, cn int) {
 	}
 }
 
-// WaitResolved waits for the SP's final outcome across re-placements: if the
-// process it was waiting on was replaced by the supervisor, it re-waits on
-// the replacement instead of reporting the superseded failure.
-func (s *SP) WaitResolved() error {
-	for {
-		w := s.proc()
-		err := w.Wait()
-		if cur := s.proc(); cur != w {
-			continue // superseded: a replacement took over
-		}
-		return err
+// Exited is the exit hook of the SP's process (rp.Exiter), run in its exit
+// window: after its agent retired, before its Wait resolves. A process that
+// failed poisons every inbox it feeds. Its own Down frames may not have gone
+// out — a dead node sends nothing — and no consumer may wait on a silent
+// stream.
+func (s *SP) Exited(err error) {
+	if err != nil {
+		s.poison(s.id, err, "", 0)
 	}
 }
 
@@ -714,23 +618,14 @@ func (s *SP) start() error {
 		return nil
 	}
 	s.started = true
-	proc := s.rp
 	s.mu.Unlock()
-	err := proc.Start()
-	switch {
-	case err == nil:
-		return nil
-	case errors.Is(err, rp.ErrAlreadyStarted):
-		// A supervisor replacement swapped in between our read of the
-		// process and this call; the replacement is already running.
-		return nil
-	case errors.Is(err, rp.ErrFailedBeforeStart):
+	err := s.rp.Start()
+	if errors.Is(err, rp.ErrFailedBeforeStart) {
 		// The node died in the admit→start window. That is a process
 		// failure, not a wiring error: Fail runs the exit protocol on the
-		// never-started RP, so once it completes the supervisor has either
-		// replaced the process or poisoned downstream, exactly as for a
-		// crash after start, and Wait/WaitResolved carry the outcome.
-		proc.Wait()
+		// never-started RP, so once it completes downstream is poisoned,
+		// exactly as for a crash after start, and Wait carries the outcome.
+		s.rp.Wait()
 		return nil
 	}
 	return err
@@ -743,12 +638,11 @@ type Subquery func(b *PlanBuilder) (sqep.Operator, error)
 
 // PlanBuilder wires a new SP's inputs to its producer SPs.
 type PlanBuilder struct {
-	qc        *queryCtx // the query of the plan being built
-	cluster   hw.ClusterName
-	node      int
-	spID      string
-	agent     *vtime.Agent // the process the plan runs in
-	hasInputs bool
+	qc      *queryCtx // the query of the plan being built
+	cluster hw.ClusterName
+	node    int
+	spID    string
+	agent   *vtime.Agent // the process the plan runs in
 }
 
 // Cluster returns the cluster of the SP being built.
@@ -767,7 +661,6 @@ func (b *PlanBuilder) Agent() *vtime.Agent { return b.agent }
 // Extract returns an operator streaming producer p's output into this SP
 // (the paper's extract(p)). The stream terminates when p terminates.
 func (b *PlanBuilder) Extract(p *SP) (sqep.Operator, error) {
-	b.hasInputs = true
 	return b.qc.eng.connectAs(b.qc, []*SP{p}, b.cluster, b.node, b.spID, b.agent)
 }
 
@@ -777,7 +670,6 @@ func (b *PlanBuilder) Merge(ps []*SP) (sqep.Operator, error) {
 	if len(ps) == 0 {
 		return nil, errors.New("core: merge of empty process bag")
 	}
-	b.hasInputs = true
 	return b.qc.eng.connectAs(b.qc, ps, b.cluster, b.node, b.spID, b.agent)
 }
 
@@ -800,7 +692,7 @@ func (e *Engine) connectAs(qc *queryCtx, producers []*SP, cc hw.ClusterName, cn 
 	qc.mu.Unlock()
 	for _, p := range producers {
 		w := wiring{cc: cc, cn: cn, inbox: inbox, consumer: consumer, to: to}
-		if err := e.wireProducer(p, p.proc(), p.Node(), w); err != nil {
+		if err := e.wireProducer(p, w); err != nil {
 			return nil, err
 		}
 	}
@@ -808,9 +700,8 @@ func (e *Engine) connectAs(qc *queryCtx, producers []*SP, cc hw.ClusterName, cn 
 		Producers:  len(producers),
 		MPIPerByte: e.env.Cost.BGMarshalByte,
 		CPU:        consNode.CPU,
-		// Engine-wired streams always dedup by offset: in fault-free runs
-		// offsets are contiguous and the tracking is inert; under
-		// supervision it is what makes a replacement's replay exactly-once.
+		// Engine-wired streams track offsets: they are contiguous unless UDP
+		// loses a frame, and no producer replays a stream.
 		TrackOffsets: true,
 		BatchFrames:  e.cfg.kernelBatch,
 		Metrics:      qc.metrics,
@@ -830,36 +721,29 @@ func (e *Engine) connectAs(qc *queryCtx, producers []*SP, cc hw.ClusterName, cn 
 	return rp.NewReceiver(inbox, rcfg), nil
 }
 
-// wireProducer dials one stream from producer p (running as proc on node pn)
-// into the consumer inbox of w, subscribes proc, and records the wiring on p
-// so a supervisor can re-dial it from a replacement node. Dials ride the
-// engine's retry policy, absorbing bounded bursts of injected dial timeouts.
-func (e *Engine) wireProducer(p *SP, proc *rp.RP, pn int, w wiring) error {
+// wireProducer dials one stream from producer p into the consumer inbox of
+// w, subscribes p's process, and records the wiring on p, so a failure of p
+// reaches the consumer.
+func (e *Engine) wireProducer(p *SP, w wiring) error {
+	pn := p.node
 	prodNode, err := e.env.Node(p.cluster, pn)
 	if err != nil {
 		return err
 	}
-	// Every carrier's connection is a carrier.Link; the link dialed last
-	// names the stream.
+	// Every carrier's connection is a carrier.Link, whose label names the
+	// stream.
 	var link *carrier.Link
 	intraBG := p.cluster == hw.BlueGene && w.cc == hw.BlueGene
-	conn, err := carrier.DialRetry(carrier.DefaultRetryPolicy, func() (carrier.Conn, error) {
-		src := tcpcar.Endpoint{Cluster: p.cluster, Node: pn}
-		dst := tcpcar.Endpoint{Cluster: w.cc, Node: w.cn}
-		var derr error
-		switch {
-		case intraBG:
-			link, derr = e.mpi.Dial(pn, w.cn, e.cfg.Buffering, w.inbox)
-		case e.udp != nil && p.cluster == hw.BackEnd && w.cc == hw.BlueGene:
-			link, derr = e.udp.Dial(src, dst, w.inbox)
-		default:
-			link, derr = e.tcp.Dial(src, dst, w.inbox)
-		}
-		if derr != nil {
-			return nil, derr
-		}
-		return link, nil
-	})
+	src := tcpcar.Endpoint{Cluster: p.cluster, Node: pn}
+	dst := tcpcar.Endpoint{Cluster: w.cc, Node: w.cn}
+	switch {
+	case intraBG:
+		link, err = e.mpi.Dial(pn, w.cn, e.cfg.Buffering, w.inbox)
+	case e.udp != nil && p.cluster == hw.BackEnd && w.cc == hw.BlueGene:
+		link, err = e.udp.Dial(src, dst, w.inbox)
+	default:
+		link, err = e.tcp.Dial(src, dst, w.inbox)
+	}
 	if err != nil {
 		return err
 	}
@@ -883,14 +767,13 @@ func (e *Engine) wireProducer(p *SP, proc *rp.RP, pn int, w wiring) error {
 			CPU:             prodNode.CPU,
 		}
 	}
-	scfg.Retry = carrier.DefaultRetryPolicy
 	scfg.Metrics = e.reg
 	scfg.Tracer = e.cfg.Tracer
 	// Sender-side send.* metrics and carrier-side link.* metrics key
 	// identically.
 	scfg.Link = link.Label()
-	link.Sender, link.Receiver = proc.Agent(), w.to
-	if err := proc.Subscribe(conn, scfg); err != nil {
+	link.Sender, link.Receiver = p.rp.Agent(), w.to
+	if err := p.rp.Subscribe(link, scfg); err != nil {
 		return err
 	}
 	p.qc.wired(link, Edge{

@@ -75,14 +75,16 @@ func TestLinkByteCountersBalance(t *testing.T) {
 	}
 }
 
-// chaosTelemetryRun executes the seeded crash-and-recover merge scenario
-// and returns the drained value plus the deterministic metrics view.
+// chaosTelemetryRun executes a seeded merge whose frames are delayed, a
+// chaos run that completes, and returns the drained value plus the
+// deterministic metrics view. (A run that fails is no witness: which frames
+// a failing query's processes still move before the failure reaches them is
+// not a function of the seed.)
 func chaosTelemetryRun(t *testing.T) (any, metrics.Snapshot) {
 	t.Helper()
 	const size, count, nGens = 30_000, 6, 3
-	inj := chaos.New(42, chaos.CrashAfterSends(hw.BlueGene, 1, 2))
-	budget := 2
-	e, err := NewEngine(Config{Chaos: inj, Supervision: &budget, Tracer: metrics.NewTracer(0)})
+	inj := chaos.New(42, chaos.DelayRate(0.3, 200*vtime.Microsecond))
+	e, err := NewEngine(Config{Chaos: inj, Tracer: metrics.NewTracer(0)})
 	if err != nil {
 		t.Fatalf("engine: %v", err)
 	}
@@ -95,7 +97,7 @@ func chaosTelemetryRun(t *testing.T) (any, metrics.Snapshot) {
 		subs[i] = gen
 	}
 	q := beginQuery(t, e)
-	a, err := q.SPV(subs, hw.BlueGene, mustSeq(t, 1, 2, 3, 4, 5, 6))
+	a, err := q.SPV(subs, hw.BlueGene, mustSeq(t, 1, 2, 3))
 	if err != nil {
 		t.Fatalf("spv: %v", err)
 	}
@@ -147,39 +149,20 @@ func TestSameSeedRunsProduceIdenticalHistograms(t *testing.T) {
 }
 
 // TestSeededChaosTelemetryIsDeterministic runs the same seeded fault
-// scenario twice with telemetry and tracing enabled: results, every counter,
-// and every histogram's observation count must be identical. (Histogram
-// sums and virtual-instant gauges are excluded deliberately: a supervised
-// re-placement re-dials the merge target mid-run, and the co-processor
-// switch penalty reads the instantaneous producer count, so individual
-// latency observations — and the instants derived from them — may differ
-// microscopically between runs. Counters are schedule-independent and must
-// agree exactly. See DESIGN.md §9.)
+// scenario twice with telemetry and tracing enabled: the result and the
+// whole deterministic metrics view — counters, gauges and histograms — must
+// be identical.
 func TestSeededChaosTelemetryIsDeterministic(t *testing.T) {
 	v1, s1 := chaosTelemetryRun(t)
 	v2, s2 := chaosTelemetryRun(t)
-	if v1 != v2 {
-		t.Fatalf("results differ: %v vs %v", v1, v2)
+	if v1 != int64(3*6) || v1 != v2 {
+		t.Fatalf("results %v and %v, want 18 both times", v1, v2)
 	}
-	if !reflect.DeepEqual(s1.Counters, s2.Counters) {
-		t.Fatalf("counters differ:\nrun1: %v\nrun2: %v", s1.Counters, s2.Counters)
+	if !reflect.DeepEqual(s1, s2) {
+		t.Fatalf("deterministic snapshots differ:\nrun1: %+v\nrun2: %+v", s1, s2)
 	}
-	if len(s1.Histograms) != len(s2.Histograms) {
-		t.Fatalf("histogram sets differ: %d vs %d", len(s1.Histograms), len(s2.Histograms))
-	}
-	for name, h1 := range s1.Histograms {
-		if h2 := s2.Histograms[name]; h1.Count != h2.Count {
-			t.Fatalf("histogram %q counts differ: %d vs %d", name, h1.Count, h2.Count)
-		}
-	}
-	if got := s1.Counters["chaos.crash"]; got != 1 {
-		t.Fatalf("chaos.crash = %d, want 1", got)
-	}
-	if got := s1.Counters["supervisor.replacements"]; got != 1 {
-		t.Fatalf("supervisor.replacements = %d, want 1", got)
-	}
-	if got := s1.Counters["coord.node_kills.bg"]; got != 1 {
-		t.Fatalf("coord.node_kills.bg = %d, want 1", got)
+	if got := s1.Counters["chaos.delay"]; got == 0 {
+		t.Fatal("chaos.delay = 0: the scenario injected no fault")
 	}
 }
 

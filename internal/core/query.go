@@ -33,7 +33,7 @@ var ErrStaleQuery = errors.New("core: query identity retired (engine Reset or Cl
 // ownership, vtime attribution, and reservation leasing, and the
 // owner of what the query leaves behind — its wired edges, its metric keys,
 // the devices it charged. Every SP the engine builds belongs to exactly one
-// queryCtx; Cancel, Drain, and crash supervision operate on that query's
+// queryCtx; Cancel, Drain, and node-death propagation operate on that query's
 // processes and leases only. Whichever exit a query takes, its scope leaves
 // in two idempotent steps: finish (the processes are gone, the facts stay
 // queryable) and retire (nothing of the query is left).
@@ -121,7 +121,7 @@ func (qc *queryCtx) charge(r *vtime.Resource) {
 }
 
 // wired records a dialed connection of the query: its edge, in the last
-// chunk if it has room (a supervised re-dial starts one of its own), and
+// chunk if it has room (else in one of its own), and
 // every stage of its route as a device the query's frames are charged on.
 func (qc *queryCtx) wired(link *carrier.Link, ed Edge) {
 	qc.mu.Lock()
@@ -211,7 +211,7 @@ func (qc *queryCtx) cancel(cause error) {
 	close(qc.cancelCh)
 	client.Interrupt()
 	for _, sp := range sps {
-		sp.proc().Fail(cause)
+		sp.rp.Fail(cause)
 	}
 	// Failing an RP only interrupts it between elements; one blocked on a
 	// silent inbox (its producers idle or already gone) would never notice.
@@ -307,7 +307,7 @@ func (e *Engine) BuildAs(q *Query, build func() error) error {
 // registered; Retire discards it for good.
 func (e *Engine) rollbackQuery(qc *queryCtx, cause error) {
 	for _, sp := range qc.snapshot() {
-		sp.proc().Fail(fmt.Errorf("core: build rolled back: %w", cause))
+		sp.rp.Fail(fmt.Errorf("core: build rolled back: %w", cause))
 	}
 	qc.finish()
 	qc.mu.Lock()
@@ -388,7 +388,7 @@ type QueryScheduler interface {
 }
 
 // VTimeObserver is optionally implemented by an attached scheduler whose
-// policy clock (deadlines, retry backoff, live sys_* streams) runs on
+// policy clock (deadlines, live sys_* streams) runs on
 // virtual time. The clock runs on the engine's own progress, always: the
 // time of every element any stream process emits is reported, on the
 // kernel's one timeline (observe). No decision reads the wall clock.
@@ -403,15 +403,6 @@ func (e *Engine) observe(at vtime.Time) {
 	if p := e.clock.Load(); p != nil {
 		(*p).ObserveVTime(at)
 	}
-}
-
-// CapacityObserver is optionally implemented by an attached scheduler that
-// reacts to cluster capacity changes: node deaths shrink the pool (queued
-// work may now be unsatisfiable, or worth shedding), and the engine notifies
-// the scheduler so it can re-evaluate instead of waiting for the next
-// submission.
-type CapacityObserver interface {
-	NodeDied(cluster string, node int)
 }
 
 // SetQueryScheduler attaches a scheduler to the engine, making it the pacing

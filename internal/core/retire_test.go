@@ -6,8 +6,10 @@ import (
 	"strings"
 	"testing"
 
+	"scsq/internal/carrier"
 	"scsq/internal/chaos"
 	"scsq/internal/hw"
+	"scsq/internal/rp"
 	"scsq/internal/sqep"
 	"scsq/internal/vtime"
 )
@@ -55,6 +57,18 @@ func buildPair(t *testing.T, e *Engine, q *Query, src func() sqep.Operator, fail
 		return fail
 	})
 	return cs, err
+}
+
+// drainsNodeDown builds the pair over a source of many frames and drains
+// it: a node death on the way must fail the drain with a typed error.
+func drainsNodeDown(t *testing.T, e *Engine, q *Query) {
+	cs, err := buildPair(t, e, q, func() sqep.Operator { return sqep.NewGenArray(30_000, 6) }, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cs.Drain(); !errors.Is(err, rp.ErrUpstreamDown) && !errors.Is(err, carrier.ErrNodeDown) {
+		t.Fatalf("drain across a node death: %v, want ErrUpstreamDown or ErrNodeDown", err)
+	}
 }
 
 // engineFacts is what a retire must leave exactly as it was.
@@ -131,7 +145,7 @@ func TestEveryExitRetiresOnce(t *testing.T) {
 			}
 		}},
 		{name: "node killed between admit and start",
-			cfg: func() Config { budget := 1; return Config{Chaos: chaos.New(1), Supervision: &budget} },
+			cfg: func() Config { return Config{Chaos: chaos.New(1)} },
 			live: func(t *testing.T, e *Engine, q *Query) {
 				cs, err := buildPair(t, e, q, gen, nil)
 				if err != nil {
@@ -142,6 +156,17 @@ func TestEveryExitRetiresOnce(t *testing.T) {
 					t.Fatal("drain succeeded although the source's node died before start")
 				}
 			}},
+		// A node death mid-stream fails the query: the producer's, whose
+		// process can no longer announce its own end, and the consumer's,
+		// whose own consumer, the client, waits on it.
+		{name: "producer's node killed mid-stream", ran: true,
+			cfg:  func() Config { return Config{Chaos: chaos.New(1, chaos.CrashAfterSends(hw.BlueGene, 1, 2))} },
+			live: drainsNodeDown},
+		{name: "consumer's node killed mid-stream", ran: true,
+			cfg: func() Config {
+				return Config{Chaos: chaos.New(1, chaos.CrashAtVTime(hw.BlueGene, 0, vtime.Time(3*vtime.Millisecond)))}
+			},
+			live: drainsNodeDown},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -3,8 +3,8 @@
 // package turns the instrument on itself: a registry of counters, gauges
 // and virtual-time histograms fed by instrumentation hooks in the carriers
 // (frames/bytes/drops per link, delivery latency), the RP drivers (marshal
-// and flush latency, inbox depth), the chaos injector (faults by kind), the
-// coordinators (node kills) and the supervisor (re-placements).
+// and flush latency, inbox depth), the chaos injector (faults by kind) and
+// the coordinators (node kills).
 //
 // Two rules keep telemetry compatible with the engine's measurement duty:
 //
@@ -371,8 +371,8 @@ func (r *Registry) OpenScope(qid string) *Scope {
 
 // Block returns the scope's block of family f under id, creating it if
 // needed — the one registration of a query-scoped process. An id names one
-// process for the life of its query, so a re-placed process, or the retried
-// build of a rolled-back one, counts on where its predecessor stopped. Walking
+// process for the life of its query, so the retried build of a rolled-back
+// process counts on where its predecessor stopped. Walking
 // the scope's blocks beats hashing names up to a few hundred processes per
 // query.
 func (s *Scope) Block(f *Family, id string) *Block {

@@ -40,12 +40,8 @@ type SenderConfig struct {
 	FlushPerElement bool
 	// CPU is the sending node's CPU resource.
 	CPU *vtime.Resource
-	// Retry bounds how often a transient send failure (injected reset, dial
-	// timeout) is retried before it is reported. The zero value retries
-	// nothing.
-	Retry carrier.RetryPolicy
-	// Metrics receives the driver's telemetry (frames/bytes flushed, retry
-	// counts, marshal and flush latency in virtual time), keyed by Link and
+	// Metrics receives the driver's telemetry (frames/bytes flushed, marshal
+	// and flush latency in virtual time), keyed by Link and
 	// its carrier kind. Nil disables.
 	Metrics *metrics.Registry
 	// Tracer, if non-nil, enables frame-level tracing: the driver assigns
@@ -61,7 +57,7 @@ type SenderConfig struct {
 // label and its latency histograms by the carrier kind, like the carrier's own
 // link.* metrics; a receiver's block by its consumer's id in the query's scope.
 var (
-	sendFamily     = &metrics.Family{Counters: []string{"send.frames.", "send.bytes.", "send.retries."}}
+	sendFamily     = &metrics.Family{Counters: []string{"send.frames.", "send.bytes."}}
 	sendKindFamily = &metrics.Family{Hists: []string{"send.marshal_vt.", "send.flush_vt."}}
 	recvFamily     = &metrics.Family{
 		Counters: []string{"recv.frames.", "recv.bytes."},
@@ -117,7 +113,6 @@ type senderDriver struct {
 	// on goroutine scheduling the way a shared counter would.
 	mFrames   *metrics.Counter
 	mBytes    *metrics.Counter
-	mRetries  *metrics.Counter
 	hMarshal  *metrics.Histogram
 	hFlush    *metrics.Histogram
 	traceBase uint64
@@ -136,7 +131,7 @@ func newSenderDriver(source string, conn carrier.Conn, cfg SenderConfig) (*sende
 	d := &senderDriver{cfg: cfg, conn: conn, source: source}
 	d.seq = &d.ownSeq
 	link := cfg.Metrics.Shared(sendFamily, cfg.Link)
-	d.mFrames, d.mBytes, d.mRetries = link.Counter(0), link.Counter(1), link.Counter(2)
+	d.mFrames, d.mBytes = link.Counter(0), link.Counter(1)
 	kind, _, _ := strings.Cut(cfg.Link, ":")
 	byKind := cfg.Metrics.Shared(sendKindFamily, kind)
 	d.hMarshal, d.hFlush = byKind.Histogram(0), byKind.Histogram(1)
@@ -237,57 +232,44 @@ func (d *senderDriver) finish() error {
 }
 
 func (d *senderDriver) flushFrame(n int, last bool) error {
-	var free vtime.Time
 	// The carrier owns the frame once Send is called — error paths recycle a
-	// pooled payload — so each retry attempt pools a fresh copy of the bytes
-	// still sitting in pending and in the array being flushed, unless the
-	// frame lies wholly inside an immutable array's encoding: then every
-	// attempt borrows the same window of it, unpooled. The frame's
-	// Offset is the cumulative payload bytes successfully flushed before it:
-	// a replacement RP replaying its deterministic stream re-produces the
-	// same offsets, which is what lets a receiver discard the
-	// already-ingested prefix exactly once.
+	// pooled payload — so the frame is a pooled copy of the bytes still
+	// sitting in pending and in the array being flushed, unless it lies
+	// wholly inside an immutable array's encoding: then it borrows that
+	// window of it, unpooled. The frame's Offset is the cumulative payload
+	// bytes flushed before it.
 	var traceID uint64
 	if d.cfg.Tracer != nil {
 		traceID = d.traceBase ^ uint64(d.framesOut+1)
 	}
-	attempts := 0
-	err := d.cfg.Retry.Do(func() error {
-		attempts++
-		var payload []byte
-		pooled := false
-		switch {
-		case n == 0:
-		case d.arrEnc != nil && d.head == len(d.pending):
-			payload = d.arrEnc[d.arrOff : d.arrOff+n : d.arrOff+n]
-		default:
-			payload, pooled = carrier.GetBuf(n), true
-			if k := copy(payload, d.pending[d.head:]); k < n {
-				marshal.CopyArray(payload[k:], d.arr, d.arrOff)
-			}
+	var payload []byte
+	pooled := false
+	switch {
+	case n == 0:
+	case d.arrEnc != nil && d.head == len(d.pending):
+		payload = d.arrEnc[d.arrOff : d.arrOff+n : d.arrOff+n]
+	default:
+		payload, pooled = carrier.GetBuf(n), true
+		if k := copy(payload, d.pending[d.head:]); k < n {
+			marshal.CopyArray(payload[k:], d.arr, d.arrOff)
 		}
-		fr := carrier.Frame{
-			Source:  d.source,
-			Payload: payload,
-			Ready:   d.pendReady,
-			Offset:  uint64(d.bytesOut),
-			Seq:     *d.seq,
-			Last:    last,
-			Pooled:  pooled,
-		}
-		*d.seq++
-		if traceID != 0 {
-			// Hops[0] names the link: it seeds the Perfetto lane receivers
-			// emit into, and carriers append their waypoints after it.
-			fr.Note = &carrier.Note{TraceID: traceID, Hops: []carrier.Hop{{Name: d.cfg.Link, At: d.pendReady}}}
-		}
-		var serr error
-		free, serr = d.conn.Send(fr)
-		return serr
-	})
-	if attempts > 1 {
-		d.mRetries.Add(int64(attempts - 1))
 	}
+	fr := carrier.Frame{
+		Source:  d.source,
+		Payload: payload,
+		Ready:   d.pendReady,
+		Offset:  uint64(d.bytesOut),
+		Seq:     *d.seq,
+		Last:    last,
+		Pooled:  pooled,
+	}
+	*d.seq++
+	if traceID != 0 {
+		// Hops[0] names the link: it seeds the Perfetto lane receivers
+		// emit into, and carriers append their waypoints after it.
+		fr.Note = &carrier.Note{TraceID: traceID, Hops: []carrier.Hop{{Name: d.cfg.Link, At: d.pendReady}}}
+	}
+	free, err := d.conn.Send(fr)
 	if err != nil {
 		return err
 	}
@@ -352,11 +334,12 @@ type ReceiverConfig struct {
 	CPU *vtime.Resource
 	// TrackOffsets enables replay deduplication: frames carry the cumulative
 	// payload offset of their stream, and a frame whose bytes were already
-	// ingested (a supervised replacement replaying its deterministic stream
-	// from offset zero) is discarded without charge; a partial overlap is
-	// trimmed to the unseen suffix. Offsets may jump forward (UDP loss).
-	// The engine enables this; hand-built tests that craft frames with zero
-	// offsets are unaffected by the default.
+	// ingested (a producer sending part of its stream again) is discarded
+	// without charge; a partial overlap is trimmed to the unseen suffix.
+	// Offsets may jump forward (UDP loss). The engine enables this, though
+	// none of its producers replays a stream (ROADMAP item 11); hand-built
+	// tests that craft frames with zero offsets are unaffected by the
+	// default.
 	TrackOffsets bool
 	// BatchFrames bounds how many inbox frames are drained and charged per
 	// kernel commit: after one blocking receive, up to BatchFrames-1 further
@@ -379,7 +362,7 @@ type ReceiverConfig struct {
 
 // ErrUpstreamDown reports that a producer terminated its stream with a
 // failure instead of a clean end: the failure travelled the stream as a
-// Down frame (or was injected by the supervisor on behalf of a crashed node
+// Down frame (or was injected by the engine on behalf of a crashed node
 // that could not send one).
 var ErrUpstreamDown = errors.New("rp: upstream producer down")
 
@@ -618,7 +601,7 @@ func (r *Receiver) preprocess(p *pendingFrame) error {
 		next := pr.nextOff
 		end := fr.Offset + uint64(len(payload))
 		if end <= next {
-			// A full duplicate: a replacement replaying the stream from
+			// A full duplicate: a producer replaying its stream from
 			// offset zero. No charge — the bytes were paid for when they
 			// first arrived. A replayed final frame still terminates.
 			carrier.Recycle(&fr.Frame)

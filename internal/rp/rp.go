@@ -47,7 +47,7 @@ type RP struct {
 	subs    []*senderDriver
 	started bool
 	err     error
-	onExit  func(error)
+	exiter  Exiter
 
 	done   chan struct{}
 	killed atomic.Bool // set once, by the first Fail
@@ -124,14 +124,17 @@ func (r *RP) Subscribe(conn carrier.Conn, cfg SenderConfig) error {
 	return nil
 }
 
-// SetOnExit registers a hook invoked exactly once, with the RP's final
-// error (nil on clean completion), in its exit protocol (exit): the window in
-// which a supervisor can swap in a replacement so waiters observe it. It
-// must be called before Start.
-func (r *RP) SetOnExit(fn func(err error)) {
+// Exiter is told an RP's final error (nil on clean completion) exactly
+// once, in its exit protocol (exit): after its agent retired, before Wait
+// resolves.
+type Exiter interface{ Exited(err error) }
+
+// SetExiter registers x as the RP's exit hook. It must be called before
+// Start.
+func (r *RP) SetExiter(x Exiter) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.onExit = fn
+	r.exiter = x
 }
 
 // ErrFailedBeforeStart reports Start on an RP that was already failed. The
@@ -217,15 +220,15 @@ func (r *RP) setErr(err error) {
 }
 
 // exit is the RP's exit protocol, in this order: the agent retires (it
-// holds nobody back), then the exit hook runs (the supervisor's replacement
-// window), and only then does done close, unblocking Wait.
+// holds nobody back), then the exit hook runs, and only then does done
+// close, unblocking Wait.
 func (r *RP) exit() {
 	r.ctx.Agent.Done()
 	r.mu.Lock()
-	fn, err := r.onExit, r.err
+	x, err := r.exiter, r.err
 	r.mu.Unlock()
-	if fn != nil {
-		fn(err)
+	if x != nil {
+		x.Exited(err)
 	}
 	close(r.done)
 }
@@ -305,7 +308,7 @@ func (r *RP) terminateSubs() {
 			r.setErr(err)
 			// The stream is torn mid-flight: downstream must not mistake it
 			// for a clean end. The Down frame may itself fail (dead node);
-			// the supervisor poisons on our behalf then.
+			// the exit hook poisons on our behalf then.
 			_ = s.finishDown(err)
 		}
 		if err := s.close(); err != nil {

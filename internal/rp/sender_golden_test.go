@@ -16,29 +16,21 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/sender_frames.golden from the current sender driver")
 
-// recConn records every frame the sender driver hands it — one line per Send,
-// failed attempts included — and charges a fixed per-byte latency so Ready
-// depends on the buffering discipline.
+// recConn records every frame the sender driver hands it — one line per
+// Send — and charges a fixed per-byte latency so Ready depends on the
+// buffering discipline.
 type recConn struct {
 	perByte vtime.Duration
 	free    vtime.Time
-	resetAt int // 1-based Send call answered with ErrPeerReset; 0 = never
-	calls   int
 	log     bytes.Buffer
 }
 
 func (c *recConn) Send(f carrier.Frame) (vtime.Time, error) {
-	c.calls++
 	h := fnv.New64a()
 	_, _ = h.Write(f.Payload)
 	n := len(f.Payload)
-	fmt.Fprintf(&c.log, "off=%d len=%d last=%t ready=%d fnv=%016x", f.Offset, n, f.Last, f.Ready, h.Sum64())
-	carrier.Recycle(&f) // the carrier owns the frame, success or failure
-	if c.calls == c.resetAt {
-		c.log.WriteString(" reset\n")
-		return 0, carrier.ErrPeerReset
-	}
-	c.log.WriteByte('\n')
+	fmt.Fprintf(&c.log, "off=%d len=%d last=%t ready=%d fnv=%016x\n", f.Offset, n, f.Last, f.Ready, h.Sum64())
+	carrier.Recycle(&f) // the carrier owns the frame
 	at := max(f.Ready, c.free).Add(vtime.Duration(n) * c.perByte)
 	c.free = at
 	return at, nil
@@ -87,35 +79,31 @@ func goldenStreams() []struct {
 }
 
 // TestSenderFrameSequence pins the exact frames the sender driver emits —
-// boundaries, offsets, Ready instants, payload bytes, and the re-sent copy
-// after an injected reset — to listings captured from the driver that slid
-// pending to the front on every flush, so the read cursor cannot change a
-// frame.
+// boundaries, offsets, Ready instants and payload bytes — to listings
+// captured from the driver that slid pending to the front on every flush, so
+// the read cursor cannot change a frame.
 func TestSenderFrameSequence(t *testing.T) {
 	var got bytes.Buffer
 	for _, s := range goldenStreams() {
 		for _, perElement := range []bool{false, true} {
-			for _, resetAt := range []int{0, 2} {
-				fmt.Fprintf(&got, "# %s perElement=%t resetAt=%d\n", s.name, perElement, resetAt)
-				conn := &recConn{perByte: 2, resetAt: resetAt}
-				d, err := newSenderDriver("q1.rp1", conn, SenderConfig{
-					BufBytes: goldenBuf, Mode: carrier.SingleBuffered, MarshalPerByte: 0.5,
-					FlushPerElement: perElement,
-					Retry:           carrier.RetryPolicy{MaxAttempts: 2},
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i, v := range s.elems {
-					if err := d.push(sqep.Element{Value: v, At: vtime.Time(i * 100)}); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if err := d.finish(); err != nil {
-					t.Fatal(err)
-				}
-				got.Write(conn.log.Bytes())
+			fmt.Fprintf(&got, "# %s perElement=%t\n", s.name, perElement)
+			conn := &recConn{perByte: 2}
+			d, err := newSenderDriver("q1.rp1", conn, SenderConfig{
+				BufBytes: goldenBuf, Mode: carrier.SingleBuffered, MarshalPerByte: 0.5,
+				FlushPerElement: perElement,
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
+			for i, v := range s.elems {
+				if err := d.push(sqep.Element{Value: v, At: vtime.Time(i * 100)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := d.finish(); err != nil {
+				t.Fatal(err)
+			}
+			got.Write(conn.log.Bytes())
 		}
 	}
 	const path = "testdata/sender_frames.golden"

@@ -23,8 +23,8 @@ func TestZeroConfigIsTheDefault(t *testing.T) {
 		e, release := gatedEngine(t)
 		s := New(e, nil, tc.cfg)
 		if tc.cfg == (Config{}) {
-			if s.cfg.LoadShedding || s.cfg.AdmissionRetry.MaxRetries != 0 || s.cfg.Placement != nil || s.planner != nil {
-				t.Errorf("zero Config: %+v, planner %v; want no shedding, retry or planner", s.cfg, s.planner)
+			if s.cfg.LoadShedding || s.cfg.Placement != nil || s.planner != nil {
+				t.Errorf("zero Config: %+v, planner %v; want no shedding or planner", s.cfg, s.planner)
 			}
 		}
 		if _, err := s.Submit(gateHogSrc); err != nil {

@@ -1,5 +1,5 @@
-// Session-level resilience: virtual-time deadlines, transient-admission
-// retries, and the policy sweep that enforces both.
+// Session-level resilience: virtual-time deadlines and the policy sweep that
+// enforces them.
 //
 // The scheduler's policy clock is s.alarms — a monotone virtual time that
 // always runs on the engine's own progress: the time of every element any
@@ -13,14 +13,13 @@ package sched
 
 import (
 	"fmt"
-	"slices"
 
 	"scsq/internal/core"
 	"scsq/internal/vtime"
 )
 
 // ObserveVTime implements core.VTimeObserver: it raises the scheduler's
-// policy clock to t and, if any armed deadline or retry alarm fired, runs a
+// policy clock to t and, if any armed deadline alarm fired, runs a
 // policy pass synchronously on the caller's goroutine. The engine invokes
 // this for every element its processes emit, with no locks held; an
 // observation with nothing due and nobody subscribed touches atomics only.
@@ -40,20 +39,9 @@ func (s *Scheduler) ObserveVTime(t vtime.Time) {
 // VNow is the policy clock's current instant.
 func (s *Scheduler) VNow() vtime.Time { return s.alarms.Now() }
 
-// NodeDied implements core.CapacityObserver: a node left the pool, so
-// re-evaluate admission asynchronously — the head of the queue may now be
-// transiently unsatisfiable and should park rather than wait forever behind
-// capacity that died. Asynchronous because the notification arrives on
-// engine-internal goroutines (the crash listener) whose locks must not nest
-// with an admission build.
-func (s *Scheduler) NodeDied(cluster string, node int) {
-	go s.admit()
-}
-
 // sweep is the policy pass run at the top of every admission attempt
-// (admitMu held): expire queued and parked sessions past their queue
-// deadline, promote parked sessions whose retry backoff elapsed, and tear
-// down running sessions past their run deadline. All comparisons are
+// (admitMu held): expire queued sessions past their queue deadline, and
+// tear down running sessions past their run deadline. All comparisons are
 // against the virtual policy clock; with no TTLs armed the pass is a no-op.
 func (s *Scheduler) sweep() {
 	vnow := s.alarms.Now()
@@ -81,24 +69,6 @@ func (s *Scheduler) sweep() {
 	clear(s.pending[len(keep):])
 	s.pending = keep
 	s.gQueued.Set(int64(len(s.pending)))
-	// Parked sessions: the queue deadline keeps running while parked (a
-	// session cannot outlive its TTL by failing admission), and sessions due
-	// for retry re-enter the admission queue in priority order. Promotion
-	// ignores the queue cap: a parked session already held a queue slot once.
-	keepParked := s.parked[:0]
-	for _, q := range s.parked {
-		switch {
-		case q.queueDeadline > 0 && vnow >= q.queueDeadline:
-			expired = append(expired, q)
-		case vnow >= q.nextRetryV:
-			s.enqueueLocked(q)
-		default:
-			keepParked = append(keepParked, q)
-		}
-	}
-	clear(s.parked[len(keepParked):])
-	s.parked = keepParked
-	s.gParked.Set(int64(len(s.parked)))
 	// Running sessions: flag the expiry exactly once under q.mu; the
 	// teardown itself happens outside the locks because Cancel resolves
 	// stream waiters synchronously.
@@ -126,49 +96,4 @@ func (s *Scheduler) sweep() {
 		// expireReq and finalizes the session Expired.
 		o.cq.Cancel(fmt.Errorf("%w: run deadline %v (clock %v)", ErrDeadlineExceeded, o.runDeadline, vnow))
 	}
-}
-
-// parkForRetry moves a transiently-unsatisfiable claimed session to the
-// parked list with an exponential virtual-time backoff, arming an alarm for
-// its promotion. It returns false when the session's retry budget is
-// exhausted (the caller finalizes it), true when the session was parked —
-// or, if a cancel raced the park, finalized Cancelled here (still handled).
-func (s *Scheduler) parkForRetry(q *Query) bool {
-	q.mu.Lock()
-	if q.retries >= s.cfg.AdmissionRetry.MaxRetries {
-		q.mu.Unlock()
-		return false
-	}
-	q.retries++
-	n := q.retries
-	q.mu.Unlock()
-	wake := s.alarms.Now().Add(s.cfg.AdmissionRetry.backoff(n))
-	s.mu.Lock()
-	q.mu.Lock()
-	if q.cancelReq {
-		// The cancel found the session claimed (mid-build) and left
-		// finalization to the admission loop; honor it instead of parking.
-		q.mu.Unlock()
-		s.mu.Unlock()
-		s.finishQueued(q, Cancelled, ErrCancelled, s.mCancelled)
-		return true
-	}
-	q.nextRetryV = wake
-	s.parked = append(s.parked, q)
-	s.gParked.Set(int64(len(s.parked)))
-	q.mu.Unlock()
-	s.mu.Unlock()
-	s.alarms.Set(wake, q.ID())
-	s.mRetried.Inc()
-	return true
-}
-
-// unparkLocked removes q from the parked list if present. s.mu held.
-func (s *Scheduler) unparkLocked(q *Query) bool {
-	if i := slices.Index(s.parked, q); i >= 0 {
-		s.parked = slices.Delete(s.parked, i, i+1)
-		s.gParked.Set(int64(len(s.parked)))
-		return true
-	}
-	return false
 }

@@ -149,80 +149,38 @@ func TestRunDeadlineExpiresRunningSession(t *testing.T) {
 	}
 }
 
-func TestTransientAdmissionRetriesThenAdmits(t *testing.T) {
+// TestDeadNodeAdmissionFailsAtOnce: on an otherwise idle system a session
+// that asks for a dead node cannot be placed, and nothing brings the node
+// back, so admission fails it at once, counted as rejected.
+func TestDeadNodeAdmissionFailsAtOnce(t *testing.T) {
 	inj := chaos.New(1)
 	e := tinyEngine(t, core.Config{Chaos: inj})
-	s := New(e, nil, Config{AdmissionRetry: AdmissionRetryPolicy{MaxRetries: 3, Base: vtime.Millisecond, Max: 8 * vtime.Millisecond}})
+	s := New(e, nil)
 	defer s.Close()
 
-	// Node 1 is dead on an otherwise idle system: Figure 5 (which demands
-	// nodes 0 and 1) is unsatisfiable *now*, but the capacity may return.
+	// Figure 5 demands nodes 0 and 1.
 	inj.KillNode(hw.BlueGene, 1)
 	q, err := s.Submit(scsql.Figure5Query(30_000, 2))
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	if st := q.State(); st != Queued {
-		t.Fatalf("state = %v, want queued (parked for retry)", st)
-	}
-	if got := e.MetricsSnapshot().Counters["sched.retried"]; got != 1 {
-		t.Fatalf("sched.retried = %d, want 1", got)
-	}
-	// The node comes back; the next backoff alarm re-attempts admission.
-	if err := e.ReviveNode(hw.BlueGene, 1); err != nil {
-		t.Fatalf("revive: %v", err)
-	}
-	s.ObserveVTime(vtime.Time(vtime.Millisecond))
-	els, err := q.Wait()
-	if err != nil {
-		t.Fatalf("retried session failed: %v", err)
-	}
-	if got := lastValue(t, els); got != int64(2) {
-		t.Fatalf("count = %v, want 2", got)
-	}
-	if in := s.List()[0]; in.Retries != 1 {
-		t.Fatalf("retries = %d, want 1", in.Retries)
-	}
-}
-
-func TestTransientAdmissionRetriesExhaust(t *testing.T) {
-	inj := chaos.New(1)
-	e := tinyEngine(t, core.Config{Chaos: inj})
-	s := New(e, nil, Config{AdmissionRetry: AdmissionRetryPolicy{MaxRetries: 2, Base: vtime.Millisecond, Max: 8 * vtime.Millisecond}})
-	defer s.Close()
-
-	inj.KillNode(hw.BlueGene, 1)
-	q, err := s.Submit(scsql.Figure5Query(30_000, 2))
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	// Walk the clock through both backoffs: park(1ms) → retry → park(2ms)
-	// → retry → exhausted.
-	for _, tick := range []vtime.Time{vtime.Time(vtime.Millisecond), vtime.Time(4 * vtime.Millisecond)} {
-		s.ObserveVTime(tick)
-	}
-	_, err = q.Wait()
-	if !errors.Is(err, ErrUnsatisfiable) || !errors.Is(err, ErrUnsatisfiableNow) {
-		t.Fatalf("err = %v, want transient ErrUnsatisfiable chain", err)
-	}
-	if errors.Is(err, ErrUnsatisfiablePlan) {
-		t.Fatalf("err = %v classified permanent, want transient", err)
+	if _, err = q.Wait(); !errors.Is(err, ErrUnsatisfiable) || !errors.Is(err, ErrUnsatisfiablePlan) {
+		t.Fatalf("err = %v, want the ErrUnsatisfiable chain", err)
 	}
 	if st := q.State(); st != Failed {
 		t.Fatalf("state = %v, want failed", st)
 	}
-	if got := e.MetricsSnapshot().Counters["sched.retried"]; got != 2 {
-		t.Fatalf("sched.retried = %d, want 2", got)
+	if got := e.MetricsSnapshot().Counters["sched.rejected"]; got != 1 {
+		t.Fatalf("sched.rejected = %d, want 1", got)
 	}
 }
 
 func TestPermanentUnsatisfiableIsNotRetried(t *testing.T) {
 	e := newTestEngine(t)
-	s := New(e, nil, Config{AdmissionRetry: AdmissionRetryPolicy{MaxRetries: 5}})
+	s := New(e, nil)
 	defer s.Close()
 
-	// Two exclusive placements on the same BG node: exceeds the topology,
-	// dead nodes or not.
+	// Two exclusive placements on the same BG node: exceeds the topology.
 	src := `
 select extract(b)
 from sp a, sp b
@@ -236,8 +194,8 @@ and   a=sp(gen_array(30000,2), 'bg', 0);`
 	if !errors.Is(err, ErrUnsatisfiable) || !errors.Is(err, ErrUnsatisfiablePlan) {
 		t.Fatalf("err = %v, want permanent ErrUnsatisfiable chain", err)
 	}
-	if got := e.MetricsSnapshot().Counters["sched.retried"]; got != 0 {
-		t.Fatalf("sched.retried = %d, want 0 (permanent failures never park)", got)
+	if st := q.State(); st != Failed {
+		t.Fatalf("state = %v, want failed", st)
 	}
 }
 
@@ -406,30 +364,8 @@ func TestResilienceOptionsOffAreInert(t *testing.T) {
 		return q.Makespan()
 	}
 	base := run()
-	armed := run(Config{LoadShedding: true, AdmissionRetry: AdmissionRetryPolicy{MaxRetries: 3}})
+	armed := run(Config{LoadShedding: true})
 	if base != armed {
 		t.Fatalf("resilience options perturbed an untouched schedule: %v vs %v", armed, base)
-	}
-}
-
-func TestCancelParkedSession(t *testing.T) {
-	inj := chaos.New(1)
-	e := tinyEngine(t, core.Config{Chaos: inj})
-	s := New(e, nil, Config{AdmissionRetry: AdmissionRetryPolicy{MaxRetries: 10}})
-	defer s.Close()
-
-	inj.KillNode(hw.BlueGene, 1)
-	q, err := s.Submit(scsql.Figure5Query(30_000, 2))
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	if err := s.Cancel(q.ID()); err != nil {
-		t.Fatalf("cancel parked: %v", err)
-	}
-	if _, err := q.Wait(); !errors.Is(err, ErrCancelled) {
-		t.Fatalf("err = %v, want ErrCancelled", err)
-	}
-	if st := q.State(); st != Cancelled {
-		t.Fatalf("state = %v, want cancelled", st)
 	}
 }

@@ -24,7 +24,7 @@
 // Bounded history: the session table holds the live sessions plus the rows
 // of the last finishedWindow finished ones. Finalization swaps a session's
 // line in the table for its terminal row (id, state, priority, statement,
-// waits, retries): the table keeps no *Query of a finished session, so its
+// waits): the table keeps no *Query of a finished session, so its
 // result log, error and makespan live exactly as long as a handle to it —
 // the submitter's, a serving pump's — and no longer. When a row leaves the
 // window its engine scope is retired (core.Query.Retire) and the id stops
@@ -54,9 +54,7 @@ import (
 type State int
 
 // Session lifecycle. Queued, Admitted and Running are live states; Done,
-// Failed, Cancelled, Expired and Shed are final. A Queued session may be
-// parked (waiting out a transient-admission backoff) without changing state:
-// parked is a scheduling position, not a lifecycle step.
+// Failed, Cancelled, Expired and Shed are final.
 const (
 	Queued    State = iota + 1 // parsed, waiting for node reservations
 	Admitted                   // nodes reserved, SP graph built, about to stream
@@ -112,9 +110,10 @@ var (
 	ErrQueryFinished = errors.New("sched: query already finished")
 	// ErrClosed is returned by Submit after Close.
 	ErrClosed = errors.New("sched: scheduler closed")
-	// ErrUnsatisfiable is returned (wrapped around cndb.ErrNoAvailableNode)
-	// when a query's allocation sequence cannot be satisfied even on an
-	// otherwise idle system — queueing it would block the queue forever.
+	// ErrUnsatisfiable is returned (wrapped around ErrUnsatisfiablePlan and
+	// cndb.ErrNoAvailableNode) when a query's allocation sequence cannot be
+	// satisfied even on an otherwise idle system — queueing it would block
+	// the queue forever.
 	ErrUnsatisfiable = errors.New("sched: allocation sequence unsatisfiable")
 	// ErrCancelled aliases the engine's cancellation cause for callers that
 	// only import sched.
@@ -127,23 +126,15 @@ var (
 	// ErrShed is the terminal cause of queued sessions evicted by the load
 	// shedder to admit a higher-priority submission into a full queue.
 	ErrShed = errors.New("sched: shed from admission queue by higher-priority submission")
-	// ErrUnsatisfiableNow marks the transient flavor of ErrUnsatisfiable:
-	// the allocation sequence has no available node today because nodes are
-	// dead, and capacity may return. Sessions failing this way are retried
-	// with bounded backoff when Config.AdmissionRetry is enabled; the error is
-	// only surfaced once retries are exhausted. errors.Is(err,
-	// ErrUnsatisfiable) still matches.
-	ErrUnsatisfiableNow = errors.New("sched: unsatisfiable now (dead nodes; capacity may return)")
-	// ErrUnsatisfiablePlan marks the permanent flavor of ErrUnsatisfiable:
-	// the allocation sequence exceeds what the topology ever offers, so no
-	// amount of waiting helps. errors.Is(err, ErrUnsatisfiable) still
-	// matches.
+	// ErrUnsatisfiablePlan says why a session is ErrUnsatisfiable: the
+	// allocation sequence exceeds what the topology offers — its nodes do
+	// not exist, or are dead, which no node comes back from — so no amount
+	// of waiting helps.
 	ErrUnsatisfiablePlan = errors.New("sched: plan exceeds topology (never satisfiable)")
 )
 
 // Config configures New. Its zero value is the default scheduler: a
-// 64-session admission queue, no shedding, no admission retry and greedy
-// placement; each field left zero keeps its default.
+// 64-session admission queue, no shedding and greedy placement; each field left zero keeps its default.
 type Config struct {
 	// QueueCap bounds the number of queued (not yet admitted) sessions;
 	// Submit returns ErrQueueFull beyond it (zero: 64; negative: unbounded).
@@ -154,9 +145,6 @@ type Config struct {
 	// ErrShed) instead of being rejected. Off by default — shedding changes
 	// which sessions survive, so it is strictly opt-in.
 	LoadShedding bool
-	// AdmissionRetry enables transient-admission retries under its policy
-	// (zero: off; see AdmissionRetryPolicy).
-	AdmissionRetry AdmissionRetryPolicy
 	// Placement attaches a cost-model placement planner to the engine for
 	// the lifetime of this scheduler: admissions are placed to maximize
 	// estimated aggregate throughput across live sessions instead of
@@ -173,46 +161,7 @@ type Option interface{ apply(*Config) }
 func (c Config) apply(dst *Config) {
 	dst.QueueCap = cmp.Or(c.QueueCap, dst.QueueCap)
 	dst.LoadShedding = cmp.Or(c.LoadShedding, dst.LoadShedding)
-	dst.AdmissionRetry = cmp.Or(c.AdmissionRetry, dst.AdmissionRetry)
 	dst.Placement = cmp.Or(c.Placement, dst.Placement)
-}
-
-// AdmissionRetryPolicy bounds the transient-admission retry loop enabled by
-// Config.AdmissionRetry: a session whose allocation sequence is unsatisfiable
-// only because nodes are dead is parked and retried up to MaxRetries times,
-// with exponential virtual-time backoff Base, 2·Base, 4·Base, … capped at
-// Max. All waits are measured on the scheduler's virtual clock (the engine's
-// progress / ObserveVTime), never the wall clock.
-type AdmissionRetryPolicy struct {
-	MaxRetries int            // attempts after the first failure; 0 disables
-	Base       vtime.Duration // first backoff; default 1ms of virtual time
-	Max        vtime.Duration // backoff cap; default 16ms of virtual time
-}
-
-func (p AdmissionRetryPolicy) withDefaults() AdmissionRetryPolicy {
-	if p.Base <= 0 {
-		p.Base = vtime.Millisecond
-	}
-	if p.Max <= 0 {
-		p.Max = 16 * vtime.Millisecond
-	}
-	return p
-}
-
-// backoff returns the virtual-time wait before retry number n (1-based),
-// doubling from Base and capped at Max.
-func (p AdmissionRetryPolicy) backoff(n int) vtime.Duration {
-	d := p.Base
-	for i := 1; i < n; i++ {
-		d *= 2
-		if d >= p.Max || d <= 0 {
-			return p.Max
-		}
-	}
-	if d > p.Max {
-		return p.Max
-	}
-	return d
 }
 
 // SubmitConfig configures one Submit. Its zero value is a priority-0
@@ -222,7 +171,7 @@ type SubmitConfig struct {
 	// zero: 0). Within a priority level admission is FIFO.
 	Priority int
 	// QueueTTL bounds how long the session may wait for admission, in
-	// virtual time from submission. A session still queued (or parked) when
+	// virtual time from submission. A session still queued when
 	// the scheduler's virtual clock passes the deadline is finalized Expired
 	// with ErrDeadlineExceeded. Zero means no queue deadline.
 	QueueTTL vtime.Duration
@@ -263,13 +212,13 @@ type Scheduler struct {
 	eng *core.Engine
 	ev  *scsql.Evaluator
 
-	cfg     Config         // defaults filled in; the retry policy's too
+	cfg     Config         // defaults filled in
 	planner *place.Planner // built in installPlanner when cfg.Placement is set
 
 	// alarms is the scheduler's virtual policy clock: a monotone time raised
 	// by the engine's progress (via ObserveVTime) plus the deadline/backoff
-	// wake schedule. Policy decisions — expiry, retry promotion — read this
-	// clock and never the wall clock.
+	// wake schedule. Policy decisions — expiry — read this clock and never
+	// the wall clock.
 	alarms *vtime.Alarms
 
 	// admitMu serializes admission attempts; the build itself is further
@@ -283,14 +232,13 @@ type Scheduler struct {
 	order    []*entry          // the same lines in submission order, for List
 	finished []*entry          // the finished window, oldest first
 	pending  []*Query          // admission queue: priority desc, then submission asc
-	parked   []*Query          // transient-unsatisfiable sessions waiting out a backoff
 	running  int
 	live     int // sessions in the table not yet finalized
 
 	mSubmitted, mAdmitted, mCompleted *metrics.Counter
 	mFailed, mCancelled, mRejected    *metrics.Counter
-	mExpired, mShed, mRetried         *metrics.Counter
-	gQueued, gRunning, gParked        *metrics.Gauge
+	mExpired, mShed                   *metrics.Counter
+	gQueued, gRunning                 *metrics.Gauge
 
 	// subMu guards the virtual-time tick subscribers (see SubscribeVTime in
 	// syscat.go). A separate mutex: the progress feed must never contend
@@ -316,7 +264,6 @@ func New(eng *core.Engine, cat *scsql.Catalog, opts ...Option) *Scheduler {
 		o.apply(&s.cfg)
 	}
 	s.cfg.QueueCap = cmp.Or(s.cfg.QueueCap, 64)
-	s.cfg.AdmissionRetry = s.cfg.AdmissionRetry.withDefaults()
 	reg := eng.Metrics()
 	s.mSubmitted = reg.Counter("sched.submitted")
 	s.mAdmitted = reg.Counter("sched.admitted")
@@ -326,10 +273,8 @@ func New(eng *core.Engine, cat *scsql.Catalog, opts ...Option) *Scheduler {
 	s.mRejected = reg.Counter("sched.rejected")
 	s.mExpired = reg.Counter("sched.expired")
 	s.mShed = reg.Counter("sched.shed")
-	s.mRetried = reg.Counter("sched.retried")
 	s.gQueued = reg.Gauge("rt.sched.queued")
 	s.gRunning = reg.Gauge("rt.sched.running")
-	s.gParked = reg.Gauge("rt.sched.parked")
 	eng.SetQueryScheduler(s)
 	s.installPlanner()
 	s.registerSysSessions()
@@ -362,8 +307,6 @@ type Query struct {
 	queueDeadline vtime.Time // 0 = none; set at submission
 	runDeadline   vtime.Time // 0 = none; set at admission
 	enterV        vtime.Time // virtual instant the current state was entered
-	retries       int        // transient-admission retries consumed
-	nextRetryV    vtime.Time // parked until the clock reaches this instant
 	// stmt and stream reach the session's plan and SP graph; finalize drops
 	// both. cq is the session's engine scope, retired when the session leaves
 	// the finished window.
@@ -610,7 +553,7 @@ func (s *Scheduler) enqueueLocked(q *Query) {
 }
 
 // unqueueLocked removes q from the admission queue if present. s.mu held.
-// Like every removal from the queue and the parked list, it zeroes the slot
+// Like every removal from the queue, it zeroes the slot
 // it vacates: a backing array must not keep a finished session reachable.
 func (s *Scheduler) unqueueLocked(q *Query) bool {
 	if i := slices.Index(s.pending, q); i >= 0 {
@@ -677,18 +620,7 @@ func (s *Scheduler) admitInTurn() {
 		if errors.Is(err, cndb.ErrNoAvailableNode) {
 			if idle {
 				// Nothing else holds leases, so waiting for a completion
-				// cannot help. Classify: with dead nodes in the pool the
-				// failure is transient — capacity may come back — and
-				// the session parks for a bounded virtual-time backoff
-				// (Config.AdmissionRetry). Without dead nodes the plan exceeds
-				// the topology outright: permanent, never satisfiable.
-				if s.eng.DeadNodeCount() > 0 {
-					if s.cfg.AdmissionRetry.MaxRetries > 0 && s.parkForRetry(q) {
-						continue
-					}
-					s.finishQueued(q, Failed, fmt.Errorf("%w: %w: %w", ErrUnsatisfiable, ErrUnsatisfiableNow, err), s.mFailed)
-					continue
-				}
+				// cannot help: the plan exceeds the live topology.
 				s.finishQueued(q, Failed, fmt.Errorf("%w: %w: %w", ErrUnsatisfiable, ErrUnsatisfiablePlan, err), s.mRejected)
 				continue
 			}
@@ -920,7 +852,7 @@ func (s *Scheduler) Cancel(id string) error {
 	switch st {
 	case Queued:
 		q.cancelReq = true
-		removed := s.unqueueLocked(q) || s.unparkLocked(q)
+		removed := s.unqueueLocked(q)
 		q.mu.Unlock()
 		s.mu.Unlock()
 		if removed {
@@ -958,8 +890,6 @@ type Info struct {
 	// Age is the virtual time spent in the current state so far (zero for
 	// final states, and until the scheduler's clock first advances).
 	Age vtime.Duration
-	// Retries is how many transient-admission retries the session consumed.
-	Retries int
 }
 
 // rowLocked is q's row of the session table at virtual instant vnow, Nodes
@@ -971,7 +901,6 @@ func (q *Query) rowLocked(vnow vtime.Time) Info {
 		Priority:      q.sub.Priority,
 		Statement:     q.src,
 		AdmissionWait: q.admitWait,
-		Retries:       q.retries,
 	}
 	switch q.state {
 	case Queued:

@@ -18,7 +18,6 @@ var sysSessionsSchema = catalog.Schema{
 	{Name: "statement", Type: catalog.TString},
 	{Name: "deadline_ns", Type: catalog.TInt},
 	{Name: "age_ns", Type: catalog.TInt},
-	{Name: "retries", Type: catalog.TInt},
 }
 
 // registerSysSessions installs the sys_sessions provider into the engine's
@@ -27,7 +26,7 @@ var sysSessionsSchema = catalog.Schema{
 func (s *Scheduler) registerSysSessions() {
 	t := &catalog.Table{
 		Name:   "sys_sessions",
-		Doc:    "scheduler sessions: lifecycle, priority, leases, deadlines, retries",
+		Doc:    "scheduler sessions: lifecycle, priority, leases, deadlines",
 		Schema: sysSessionsSchema,
 	}
 	t.Snap = func(string) ([]catalog.Tuple, error) {
@@ -35,8 +34,7 @@ func (s *Scheduler) registerSysSessions() {
 		rows := make([]catalog.Tuple, 0, len(infos))
 		for _, in := range infos {
 			rows = append(rows, t.Row(in.ID, in.State.String(), int64(in.Priority),
-				int64(in.Nodes), in.Statement, int64(in.Deadline), int64(in.Age),
-				int64(in.Retries)))
+				int64(in.Nodes), in.Statement, int64(in.Deadline), int64(in.Age)))
 		}
 		return rows, nil
 	}

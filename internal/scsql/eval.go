@@ -216,12 +216,12 @@ func (ev *Evaluator) evalBindings(q *Query, binds []Cond, driver *Cond, env *sco
 		}
 		env.bind(c.Name, v)
 	}
-	for name, d := range declared {
-		if driver != nil && driver.Name == name {
+	for _, d := range q.From { // in declaration order: the first unbound is named
+		if driver != nil && driver.Name == d.Name {
 			continue // bound per element by the iteration
 		}
-		if _, ok := env.lookup(name); !ok {
-			return errorfAt(d.Pos, "declared variable %q is never bound", name)
+		if _, ok := env.lookup(d.Name); !ok {
+			return errorfAt(d.Pos, "declared variable %q is never bound", d.Name)
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package scsql
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -182,3 +183,26 @@ func TestDefaultClusterIsBlueGene(t *testing.T) {
 }
 
 var _ = core.Engine{} // keep the core import for newTestEngine's option types
+
+// TestNeverBoundNamesTheFirstDeclared: with several declared variables left
+// unbound, the error names the first in declaration order, at its
+// declaration, every time.
+func TestNeverBoundNamesTheFirstDeclared(t *testing.T) {
+	const src = `select extract(a) from sp a, sp b, sp c, sp d;`
+	stmt, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := stmt.Query.From[0]
+	ev := NewEvaluator(newTestEngine(t), nil)
+	for i := 0; i < 50; i++ {
+		_, err := ev.Exec(src)
+		var syn *SyntaxError
+		if !errors.As(err, &syn) {
+			t.Fatalf("run %d: %v, want a positioned error", i, err)
+		}
+		if !strings.Contains(syn.Msg, `"a" is never bound`) || syn.Pos != first.Pos {
+			t.Fatalf("run %d: %q at %v, want \"a\" at its declaration %v", i, syn.Msg, syn.Pos, first.Pos)
+		}
+	}
+}

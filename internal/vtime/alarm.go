@@ -9,7 +9,7 @@ import (
 // Alarms is a deterministic virtual-time alarm registry: a monotone clock
 // plus a set of pending alarms, popped in (time, registration) order as the
 // clock advances. It is the timing substrate of the scheduler's resilience
-// policies (queue/run deadlines, admission-retry backoff): every expiry
+// policies (queue/run deadlines): every expiry
 // decision keys off a virtual instant observed through Advance — the
 // engine's per-element progress, explicit driver ticks — never off the wall
 // clock, so the same sequence of observations fires the same alarms in the

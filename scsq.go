@@ -204,23 +204,6 @@ func WithLoadShedding() Option {
 	}
 }
 
-// WithAdmissionRetry parks sessions whose placement fails only because
-// nodes are currently dead (ErrUnsatisfiableNow) and retries them up to
-// maxRetries times with exponential virtual-time backoff between base and
-// max, instead of failing them outright. Plans that exceed the topology
-// (ErrUnsatisfiablePlan) still fail immediately. maxRetries <= 0 disables
-// retrying.
-func WithAdmissionRetry(maxRetries int, base, max time.Duration) Option {
-	return func(c *config) error {
-		c.sched.AdmissionRetry = sched.AdmissionRetryPolicy{
-			MaxRetries: maxRetries,
-			Base:       vtime.Duration(base),
-			Max:        vtime.Duration(max),
-		}
-		return nil
-	}
-}
-
 // PlacementObjective selects what the placement planner optimizes; see
 // WithPlacementPlanner.
 type PlacementObjective = place.Objective
@@ -302,8 +285,7 @@ func (e *Engine) Reset() error {
 type MetricsSnapshot = metrics.Snapshot
 
 // MetricsSnapshot captures the engine's telemetry registry: per-link frame
-// and byte counters, virtual-time latency histograms, retry and fault
-// counts. A drained query's own keys ("rp.elements_out.q7/rp-bg-2") stay in
+// and byte counters, virtual-time latency histograms, fault counts. A drained query's own keys ("rp.elements_out.q7/rp-bg-2") stay in
 // the snapshot until the query is retired — by Reset, or when its session
 // leaves the finished window — which folds them into the key of the same
 // prefix ending in "retired": totals by prefix (SumCounters) and the keys
@@ -442,7 +424,7 @@ func WithPriority(p int) SessionOption { return sched.SubmitConfig{Priority: p} 
 
 // WithQueueTTL bounds how long the session may wait for admission, in
 // virtual time: if the scheduler's virtual clock passes the deadline while
-// the session is still queued (or parked for an admission retry), it is
+// the session is still queued, it is
 // finalized SessionExpired with ErrDeadlineExceeded. Zero means no queue
 // deadline.
 func WithQueueTTL(d time.Duration) SessionOption {
@@ -485,12 +467,9 @@ var (
 	// ErrQueueFull is returned by Submit when the admission queue is at
 	// capacity and load shedding does not apply.
 	ErrQueueFull = sched.ErrQueueFull
-	// ErrUnsatisfiableNow reports a placement that fails only because nodes
-	// are currently dead — capacity may return; WithAdmissionRetry retries
-	// these.
-	ErrUnsatisfiableNow = sched.ErrUnsatisfiableNow
-	// ErrUnsatisfiablePlan reports a plan no node pool of this topology can
-	// ever satisfy; it always fails immediately.
+	// ErrUnsatisfiablePlan reports a plan the node pool cannot satisfy even
+	// on an otherwise idle engine (its nodes do not exist or are dead); it
+	// fails immediately.
 	ErrUnsatisfiablePlan = sched.ErrUnsatisfiablePlan
 )
 

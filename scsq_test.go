@@ -521,8 +521,7 @@ and   a=sp(gen_array(30000,8), 'bg');`
 func TestLoadSheddingPublicAPI(t *testing.T) {
 	eng := newEngine(t,
 		WithAdmissionQueueCap(1),
-		WithLoadShedding(),
-		WithAdmissionRetry(2, time.Millisecond, 4*time.Millisecond))
+		WithLoadShedding())
 	// All three sessions contend for the same explicit node, so admission
 	// order is forced regardless of pool size.
 	src := `
