@@ -11,21 +11,20 @@
 //	scsq-bench -fig 15                # Figure 15 (inbound Queries 1-6)
 //	scsq-bench -fig ablation          # naive vs topology-aware node selection
 //	scsq-bench -fig udp               # extension: inbound streaming over lossy UDP
-//	scsq-bench -fig mt                # extension: multi-tenant contention sweep
-//	scsq-bench -fig place             # cost-model placement planner vs greedy on the 6144-node torus
+//	scsq-bench -fig place             # k concurrent tenants: planner vs greedy vs serialized on the 6144-node torus
 //	scsq-bench -fig sysq              # system catalog: snapshot/query latency + non-perturbation gate
 //	scsq-bench -fig serve             # serving layer: 1000 concurrent TCP conns, frame accounting gate
 //	scsq-bench -fig soak              # seeded chaos soak, every failure path armed
-//	scsq-bench -fig soak -tiny        # smoke sizing (6 and 8 from 3 kB buffers up; place, sysq, serve, soak)
+//	scsq-bench -fig soak -tiny        # smoke sizing (6 and 8 from 3 kB buffers up; place at k = 2 on 256 nodes; sysq, serve, soak)
 //	scsq-bench -fig all -csv          # every figure above, machine readable under one header
 //	scsq-bench -fig place -out BENCH_place.json   # also write the JSON report
 //	scsq-bench -metrics m.json        # instrumented run → metrics snapshot JSON
 //	scsq-bench -trace t.json          # instrumented run → Perfetto trace JSON
 //
-// Figures 6, 8, 15 and udp always run the paper's 100 × 3 MB arrays,
-// ablation and mt always their own 20 × 300 kB. Under -tiny, Figures 6 and
-// 8 read only their buffers from 3 kB up, each point the same as in the
-// full figure.
+// Every bandwidth figure (6, 8, 15, ablation, udp, place) streams the
+// paper's 100 × 3 MB arrays at every sizing. Under -tiny, Figures 6 and 8
+// read only their buffers from 3 kB up and place only k = 2, each point the
+// same as in the full figure.
 package main
 
 import (
@@ -114,7 +113,7 @@ func writeFile(path string, write func(io.Writer) error) error {
 // runTelemetry executes one instrumented Figure 6 point (64 KiB,
 // double-buffered) and writes the metrics snapshot and/or frame trace.
 func runTelemetry(stdout io.Writer, metricsOut, traceOut string) error {
-	report, err := bench.RunTelemetry(bench.DefaultTelemetry())
+	report, err := bench.RunTelemetry()
 	if err != nil {
 		return err
 	}

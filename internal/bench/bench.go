@@ -30,6 +30,7 @@ import (
 	"scsq/internal/carrier"
 	"scsq/internal/core"
 	"scsq/internal/scsql"
+	"scsq/internal/vtime"
 )
 
 // Sizing is everything the command line can say about how large a figure
@@ -81,18 +82,14 @@ var Figures = []Figure{
 	// Ignores Tiny: it always runs the paper's workload.
 	{"15", "Figure 15 — BG inbound streaming bandwidth by parallel back-end streams n",
 		func(s Sizing) ([]Point, error) { return readSweep(sweep15(s)) }},
-	// Ignores Tiny: it runs its own 20 × 300 kB arrays per producer
-	// (ownArrays).
+	// Ignores Tiny.
 	{"ablation", "Node-selection ablation — k-producer BG merge, naive vs topology-aware placement, by producers k",
-		func(Sizing) ([]Point, error) { return ablation([]int{2, 3, 4}, 100_000, ownArrays) }},
-	// Ignores Tiny: it always runs the paper's workload.
+		func(Sizing) ([]Point, error) { return ablation([]int{2, 3, 4}) }},
+	// Ignores Tiny.
 	{"udp", "UDP inbound (extension) — Query 1 topology over the I/O nodes' UDP service, by loss rate",
-		func(Sizing) ([]Point, error) { return udpLoss([]float64{0, 0.01, 0.05, 0.1, 0.2}, 4, paperArrays) }},
-	// Ignores Tiny: it runs its own 20 × 300 kB arrays per stream
-	// (ownArrays).
-	{"mt", "Multi-tenant contention — k concurrent Query-1 instances, by tenants k",
-		func(Sizing) ([]Point, error) { return multiTenant([]int{1, 2, 3, 4}, 2, ownArrays) }},
-	{"place", "Cost-model placement — planner vs greedy for k concurrent Query-1 instances on the 6144-node torus (256 under -tiny), by tenants k", runPlace},
+		func(Sizing) ([]Point, error) { return udpLoss([]float64{0, 0.01, 0.05, 0.1, 0.2}, 4) }},
+	// Tiny reads k = 2 alone on a 256-node torus (runPlace).
+	{"place", "Cost-model placement — planner vs greedy vs serialized for k concurrent Query-1 instances on the 6144-node torus, by tenants k", runPlace},
 	{"sysq", "System catalog — snapshot and query latency by table; Figure 6 wall time bare vs observed by MPI buffer size", runSysq},
 	{"serve", "Serving layer — concurrent connections over TCP with exact frame accounting, by connections", runServe},
 	{"soak", "Chaos soak — seeded schedules, every failure path armed, by seed", runSoak},
@@ -134,22 +131,8 @@ type workload struct {
 	ArrayBytes, ArrayCount int
 }
 
-// paperArrays is the workload of Figures 6, 8, 15 and udp at every sizing.
+// paperArrays is the workload of every bandwidth figure at every sizing.
 var paperArrays = workload{paperArrayBytes, paperArrayCount}
-
-// ownArrays is the ablation's and mt's workload at every sizing. At the
-// paper's 100 × 3 MB a lone Query 1 reads 329.5 Mbps (Figure 15 at n=2)
-// instead of 63.5, and two tenants read 305.9 together, below the
-// serialized 329.5: the contention mt exists to show is gone
-// (EXPERIMENTS.md, "Multi-tenant contention").
-var ownArrays = workload{300_000, 20}
-
-func (w workload) validate() error {
-	if w.ArrayBytes <= 0 || w.ArrayCount <= 0 {
-		return fmt.Errorf("bench: array workload must be positive (size=%d count=%d)", w.ArrayBytes, w.ArrayCount)
-	}
-	return nil
-}
 
 // payload is the byte volume of streams parallel array streams.
 func (w workload) payload(streams int) int64 {
@@ -179,8 +162,18 @@ func reading(x, series, unit string, v float64) Point {
 	return Point{X: x, Series: series, Unit: unit, Value: v, N: 1}
 }
 
-// sweepPoint is one point of Figures 6, 8 and 15: the statement that
-// reads it, the payload it streams and the engine configuration it runs on.
+// mbps converts a payload volume over a virtual duration into Mbit/s.
+func mbps(payloadBytes int64, t vtime.Time) float64 {
+	seconds := t.Sub(0).Seconds()
+	if seconds <= 0 {
+		return 0
+	}
+	return float64(payloadBytes) * 8 / seconds / 1e6
+}
+
+// sweepPoint is one point of Figures 6, 8, 15 and the ablation: the
+// statement that reads it, the payload it streams and the engine
+// configuration it runs on.
 type sweepPoint struct {
 	x, series string
 	src       string
@@ -233,10 +226,10 @@ func readSweep(sps []sweepPoint, err error) ([]Point, error) {
 }
 
 // The sweeps of Figures 6, 8 and 15 at a sizing.
-func sweep6(s Sizing) ([]sweepPoint, error) { return figure6(s.bufs(), paperArrays) }
-func sweep8(s Sizing) ([]sweepPoint, error) { return figure8(s.bufs(), paperArrays) }
+func sweep6(s Sizing) ([]sweepPoint, error) { return figure6(s.bufs()), nil }
+func sweep8(s Sizing) ([]sweepPoint, error) { return figure8(s.bufs()), nil }
 func sweep15(Sizing) ([]sweepPoint, error) {
-	return figure15([]int{1, 2, 3, 4, 5, 6}, []int{1, 2, 3, 4, 5, 6, 7, 8}, paperArrays)
+	return figure15([]int{1, 2, 3, 4, 5, 6}, []int{1, 2, 3, 4, 5, 6, 7, 8})
 }
 
 // bufSizes is the MPI buffer-size sweep of Figures 6 and 8.
@@ -260,19 +253,16 @@ var bufferings = []struct {
 
 // figure6 is the sweep of Figure 6: intra-BG point-to-point streaming
 // bandwidth versus MPI buffer size for single and double buffering.
-func figure6(bufs []int, w workload) ([]sweepPoint, error) {
-	if err := w.validate(); err != nil {
-		return nil, err
-	}
-	src := scsql.Figure5Query(w.ArrayBytes, w.ArrayCount)
+func figure6(bufs []int) []sweepPoint {
+	src := scsql.Figure5Query(paperArrayBytes, paperArrayCount)
 	var sps []sweepPoint
 	for _, buf := range bufs {
 		for _, b := range bufferings {
-			sps = append(sps, sweepPoint{strconv.Itoa(buf), b.name, src, w.payload(1),
+			sps = append(sps, sweepPoint{strconv.Itoa(buf), b.name, src, paperArrays.payload(1),
 				core.Config{MPIBufferBytes: buf, Buffering: b.mode}})
 		}
 	}
-	return sps, nil
+	return sps
 }
 
 // mergeTopologies are the node placements of the stream-merging experiment
@@ -281,43 +271,37 @@ func figure6(bufs []int, w workload) ([]sweepPoint, error) {
 // co-processor (Figure 7A); balanced (a=1, b=4) reaches c over disjoint
 // torus channels (Figure 7B).
 var mergeTopologies = []struct {
-	name string
-	x, y int
-}{{"seq", 1, 2}, {"bal", 1, 4}}
+	name      string
+	producers []int
+}{{"seq", []int{1, 2}}, {"bal", []int{1, 4}}}
 
 // figure8 is the sweep of Figure 8: total streaming input bandwidth at the
 // merging node under both node selections and buffering modes.
-func figure8(bufs []int, w workload) ([]sweepPoint, error) {
-	if err := w.validate(); err != nil {
-		return nil, err
-	}
+func figure8(bufs []int) []sweepPoint {
 	var sps []sweepPoint
 	for _, buf := range bufs {
 		for _, topo := range mergeTopologies {
-			src := scsql.MergeQuery(topo.x, topo.y, w.ArrayBytes, w.ArrayCount)
+			src := scsql.MergeQuery(topo.producers, paperArrayBytes, paperArrayCount)
 			for _, b := range bufferings {
-				sps = append(sps, sweepPoint{strconv.Itoa(buf), topo.name + "/" + b.name, src, w.payload(2),
+				sps = append(sps, sweepPoint{strconv.Itoa(buf), topo.name + "/" + b.name, src, paperArrays.payload(2),
 					core.Config{MPIBufferBytes: buf, Buffering: b.mode}})
 			}
 		}
 	}
-	return sps, nil
+	return sps
 }
 
 // figure15 is the sweep of Figure 15: total inbound streaming bandwidth
 // from the back-end cluster into the BlueGene for the given inbound queries.
-func figure15(queries, ns []int, w workload) ([]sweepPoint, error) {
-	if err := w.validate(); err != nil {
-		return nil, err
-	}
+func figure15(queries, ns []int) ([]sweepPoint, error) {
 	var sps []sweepPoint
 	for _, q := range queries {
 		for _, n := range ns {
-			src, err := scsql.InboundQuery(q, n, w.ArrayBytes, w.ArrayCount)
+			src, err := scsql.InboundQuery(q, n, paperArrayBytes, paperArrayCount)
 			if err != nil {
 				return nil, err
 			}
-			sps = append(sps, sweepPoint{strconv.Itoa(n), fmt.Sprintf("Query %d", q), src, w.payload(n), core.Config{}})
+			sps = append(sps, sweepPoint{strconv.Itoa(n), fmt.Sprintf("Query %d", q), src, paperArrays.payload(n), core.Config{}})
 		}
 	}
 	return sps, nil

@@ -186,14 +186,14 @@ func TestFigure15Shape(t *testing.T) {
 }
 
 func TestInboundQueryRejectsUnknown(t *testing.T) {
-	if _, err := figure15([]int{7}, []int{1}, workload{paperArrayBytes, paperArrayCount}); err == nil || !strings.Contains(err.Error(), "no such inbound query") {
+	if _, err := figure15([]int{7}, []int{1}); err == nil || !strings.Contains(err.Error(), "no such inbound query") {
 		t.Fatalf("expected unknown-query error, got %v", err)
 	}
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := figure8(bufSizes, workload{-1, 20}); err == nil {
-		t.Error("negative array size should be rejected")
+	if _, err := placeSweep([3]int{0, 8, 4}, []int{1}); err == nil {
+		t.Error("a torus without nodes should be rejected")
 	}
 }
 

@@ -39,7 +39,7 @@ func figureCSV(t *testing.T, name string, s Sizing) []byte {
 // where concurrent streams share a device.
 var divergencePoints = map[string]func(t *testing.T) (string, []core.Option){
 	"8": func(*testing.T) (string, []core.Option) {
-		return scsql.MergeQuery(1, 4, 300_000, 20),
+		return scsql.MergeQuery([]int{1, 4}, 300_000, 20),
 			[]core.Option{core.Config{MPIBufferBytes: 30_000, Buffering: carrier.SingleBuffered}}
 	},
 	"15": func(t *testing.T) (string, []core.Option) {
@@ -87,8 +87,9 @@ func reportDivergence(t *testing.T, name string, got, want []byte) {
 }
 
 // golden returns the lines of testdata/figure<name>.csv — the output of
-// `scsq-bench -fig <name> -csv` — that the figure reads at sizing s: under
-// Tiny, Figures 6 and 8 keep the header and their buffers from 3 kB up.
+// `scsq-bench -fig <name> -csv`, `-tiny` for place — that the figure reads
+// at sizing s: under Tiny, Figures 6 and 8 keep the header and their
+// buffers from 3 kB up.
 func golden(t *testing.T, name string, s Sizing) []byte {
 	t.Helper()
 	want, err := os.ReadFile("testdata/figure" + name + ".csv")
@@ -141,9 +142,12 @@ func figureGolden(t *testing.T, name string) {
 	}
 }
 
-func TestFigure6Golden(t *testing.T)  { figureGolden(t, "6") }
-func TestFigure8Golden(t *testing.T)  { figureGolden(t, "8") }
-func TestFigure15Golden(t *testing.T) { figureGolden(t, "15") }
+func TestFigure6Golden(t *testing.T)        { figureGolden(t, "6") }
+func TestFigure8Golden(t *testing.T)        { figureGolden(t, "8") }
+func TestFigure15Golden(t *testing.T)       { figureGolden(t, "15") }
+func TestFigureAblationGolden(t *testing.T) { figureGolden(t, "ablation") }
+func TestFigureUDPGolden(t *testing.T)      { figureGolden(t, "udp") }
+func TestFigurePlaceGolden(t *testing.T)    { figureGolden(t, "place") }
 
 // TestTimeTranslation is a metamorphic relation of the one timeline: every
 // point of the Figure 8 and 15 sweeps at Tiny read twice on one engine,

@@ -160,7 +160,7 @@ func TestGrantKeysArePlanFunctions(t *testing.T) {
 		src   string
 		opts  []core.Option
 	}{
-		{"figure8-bal-single-30kB", 1, scsql.MergeQuery(1, 4, 300_000, 20),
+		{"figure8-bal-single-30kB", 1, scsql.MergeQuery([]int{1, 4}, 300_000, 20),
 			[]core.Option{core.Config{MPIBufferBytes: 30_000, Buffering: carrier.SingleBuffered}}},
 		{"multitenant-k1", 2, inbound, nil},
 		// A producer with two subscriber links: both links' frames cross its
@@ -344,9 +344,9 @@ func TestEnginePruneMatchesUnpruned(t *testing.T) {
 		src  string
 		opts []core.Option
 	}{
-		{"figure8-bal-single-10kB", scsql.MergeQuery(1, 4, 300_000, 20),
+		{"figure8-bal-single-10kB", scsql.MergeQuery([]int{1, 4}, 300_000, 20),
 			[]core.Option{core.Config{MPIBufferBytes: 10_000, Buffering: carrier.SingleBuffered}}},
-		{"figure8-seq-double-30kB", scsql.MergeQuery(1, 2, 300_000, 20),
+		{"figure8-seq-double-30kB", scsql.MergeQuery([]int{1, 2}, 300_000, 20),
 			[]core.Option{core.Config{MPIBufferBytes: 30_000, Buffering: carrier.DoubleBuffered}}},
 		{"figure15-q1-n4", q1, nil},
 		{"figure15-q6-n4", q6, nil},

@@ -117,9 +117,6 @@ func observedFigure6Run(w workload, bufBytes int, observe bool) (vtime.Time, tim
 // subscriber shifts any virtual makespan of the Figure 6 sweep by a single
 // tick.
 func sysq(cfg sysqConfig) ([]Point, error) {
-	if err := cfg.w.validate(); err != nil {
-		return nil, err
-	}
 	// A populated engine for the latency sections: one multi-tenant-visible
 	// workload so every table has real rows (sessions, edges, RP stats,
 	// link counters).

@@ -11,21 +11,9 @@ import (
 	"scsq/internal/vtime"
 )
 
-// TelemetryConfig parameterizes the instrumented bench run: one Figure 6
-// point executed with the metrics registry and the frame tracer attached.
-type TelemetryConfig struct {
-	BufBytes   int
-	ArrayBytes int
-	ArrayCount int
-	// TraceLimit bounds buffered trace events (<= 0 uses the default).
-	TraceLimit int
-}
-
-// DefaultTelemetry is the 64 KiB double-buffered point of Figure 6 — the
-// paper's SCSQ default — at Figure 6's workload, the paper's.
-func DefaultTelemetry() TelemetryConfig {
-	return TelemetryConfig{BufBytes: 64 << 10, ArrayBytes: paperArrayBytes, ArrayCount: paperArrayCount}
-}
+// telemetryBufBytes is the MPI buffer of the instrumented run: 64 KiB, the
+// paper's SCSQ default.
+const telemetryBufBytes = 64 << 10
 
 // TelemetryReport is the outcome of one instrumented run: the measured
 // bandwidth, the full metrics snapshot, and the buffered frame trace.
@@ -49,20 +37,14 @@ func (r *TelemetryReport) WriteTrace(w io.Writer) error {
 	return r.tracer.WriteJSON(w)
 }
 
-// RunTelemetry executes one Figure 6 point (intra-BG point-to-point
-// streaming, double buffering) on a fresh engine with telemetry and tracing
-// enabled, and returns the measured bandwidth together with the metrics
-// snapshot and frame trace.
-func RunTelemetry(cfg TelemetryConfig) (*TelemetryReport, error) {
-	if cfg.BufBytes <= 0 {
-		return nil, fmt.Errorf("bench: MPI buffer size must be positive, got %d", cfg.BufBytes)
-	}
-	if err := (workload{cfg.ArrayBytes, cfg.ArrayCount}).validate(); err != nil {
-		return nil, err
-	}
-	tracer := metrics.NewTracer(cfg.TraceLimit)
+// RunTelemetry executes the 64 KiB double-buffered point of Figure 6
+// (intra-BG point-to-point streaming of the paper's arrays) on a fresh
+// engine with telemetry and tracing enabled, and returns the measured
+// bandwidth together with the metrics snapshot and frame trace.
+func RunTelemetry() (*TelemetryReport, error) {
+	tracer := metrics.NewTracer(0)
 	eng, err := core.NewEngine(core.Config{
-		MPIBufferBytes: cfg.BufBytes,
+		MPIBufferBytes: telemetryBufBytes,
 		Buffering:      carrier.DoubleBuffered,
 		Tracer:         tracer,
 	})
@@ -71,7 +53,7 @@ func RunTelemetry(cfg TelemetryConfig) (*TelemetryReport, error) {
 	}
 	defer eng.Close()
 	ev := scsql.NewEvaluator(eng, nil)
-	res, err := ev.Exec(scsql.Figure5Query(cfg.ArrayBytes, cfg.ArrayCount))
+	res, err := ev.Exec(scsql.Figure5Query(paperArrayBytes, paperArrayCount))
 	if err != nil {
 		return nil, fmt.Errorf("bench: %w", err)
 	}
@@ -85,7 +67,7 @@ func RunTelemetry(cfg TelemetryConfig) (*TelemetryReport, error) {
 	snap := eng.MetricsSnapshot()
 	payload := snap.SumCounters("link.bytes.")
 	return &TelemetryReport{
-		BufBytes:     cfg.BufBytes,
+		BufBytes:     telemetryBufBytes,
 		PayloadBytes: payload,
 		Makespan:     makespan,
 		Mbps:         float64(payload) * 8 / makespan.Sub(0).Seconds() / 1e6,

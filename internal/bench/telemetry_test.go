@@ -11,16 +11,14 @@ import (
 // the bandwidth is consistent with the makespan, and the emitted trace is
 // loadable Chrome-trace JSON with events on the virtual timeline.
 func TestRunTelemetry(t *testing.T) {
-	cfg := DefaultTelemetry()
-	cfg.ArrayBytes, cfg.ArrayCount = 30_000, 5
-	report, err := RunTelemetry(cfg)
+	report, err := RunTelemetry()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if report.PayloadBytes != report.Snapshot.SumCounters("link.bytes.") {
 		t.Fatalf("payload %d != link byte counter sum %d", report.PayloadBytes, report.Snapshot.SumCounters("link.bytes."))
 	}
-	if report.PayloadBytes <= int64(cfg.ArrayBytes)*int64(cfg.ArrayCount) {
+	if report.PayloadBytes <= paperArrays.payload(1) {
 		t.Fatalf("payload %d should exceed the raw array volume (marshal framing)", report.PayloadBytes)
 	}
 	if report.Mbps <= 0 {
@@ -61,9 +59,9 @@ func TestRunTelemetry(t *testing.T) {
 		}
 	}
 
-	// The same configuration reproduces the same measurement and the same
-	// trace bytes — telemetry inherits the engine's determinism.
-	again, err := RunTelemetry(cfg)
+	// A second run reproduces the same measurement and the same trace
+	// bytes — telemetry inherits the engine's determinism.
+	again, err := RunTelemetry()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,36 +77,22 @@ func TestRunTelemetry(t *testing.T) {
 	}
 }
 
-// TestTelemetryMatchesUninstrumentedBandwidth is the tentpole's hard
-// constraint at the bench level: the instrumented run's makespan equals the
-// makespan of the plain Figure 6 harness on the same configuration.
+// TestTelemetryMatchesUninstrumentedBandwidth: telemetry does not perturb
+// the timeline. The instrumented run's makespan equals the makespan of the
+// plain Figure 6 harness on the same configuration.
 func TestTelemetryMatchesUninstrumentedBandwidth(t *testing.T) {
-	const size, count = 30_000, 5
-	cfg := DefaultTelemetry()
-	cfg.ArrayBytes, cfg.ArrayCount = size, count
-	report, err := RunTelemetry(cfg)
+	report, err := RunTelemetry()
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	pts, err := readSweep(figure6([]int{cfg.BufBytes}, workload{size, count}))
+	pts, err := readSweep(figure6([]int{report.BufBytes}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	double := value(t, pts, cfg.BufBytes, "double")
+	double := value(t, pts, report.BufBytes, "double")
 	// Figure 6 reports raw-array bandwidth; rescale the telemetry number to
 	// the same payload definition to compare the underlying makespan.
-	rawMbps := float64(size*count) * 8 / report.Makespan.Sub(0).Seconds() / 1e6
-	if double.Value != rawMbps || double.Stdev != 0 {
+	if rawMbps := mbps(paperArrays.payload(1), report.Makespan); double.Value != rawMbps || double.Stdev != 0 {
 		t.Fatalf("instrumented run bandwidth %v != plain harness %v (stdev %v)", rawMbps, double.Value, double.Stdev)
-	}
-}
-
-func TestRunTelemetryValidatesConfig(t *testing.T) {
-	if _, err := RunTelemetry(TelemetryConfig{BufBytes: 0, ArrayBytes: 1, ArrayCount: 1}); err == nil {
-		t.Fatal("zero buffer accepted")
-	}
-	if _, err := RunTelemetry(TelemetryConfig{BufBytes: 1024, ArrayBytes: 0, ArrayCount: 1}); err == nil {
-		t.Fatal("zero array size accepted")
 	}
 }

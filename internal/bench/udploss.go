@@ -10,26 +10,23 @@ import (
 
 // udpLoss is the UDP-inbound extension experiment: the paper's I/O nodes
 // offer TCP or UDP (§2.1); this experiment streams the Query-1 workload (n
-// back-end streams) over the best-effort UDP service at several loss rates
-// and reports how much of the stream arrives ("delivered", the share of sent
-// arrays the BlueGene counted) and at what bandwidth ("goodput", of the
-// arrays that arrived).
-func udpLoss(lossRates []float64, n int, w workload) ([]Point, error) {
-	if err := w.validate(); err != nil {
-		return nil, err
-	}
+// back-end streams of the paper's arrays) over the best-effort UDP service
+// at several loss rates and reports how much of the stream arrives
+// ("delivered", the share of sent arrays the BlueGene counted) and at what
+// bandwidth ("goodput", of the arrays that arrived).
+func udpLoss(lossRates []float64, n int) ([]Point, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("bench: stream count must be positive, got %d", n)
 	}
-	src, err := scsql.InboundQuery(1, n, w.ArrayBytes, w.ArrayCount)
+	src, err := scsql.InboundQuery(1, n, paperArrayBytes, paperArrayCount)
 	if err != nil {
 		return nil, err
 	}
-	sent := int64(n) * int64(w.ArrayCount)
+	sent := int64(n) * paperArrayCount
 
 	var pts []Point
 	for _, rate := range lossRates {
-		delivered, goodput, err := udpLossRun(src, rate, w.ArrayBytes)
+		delivered, goodput, err := udpLossRun(src, rate)
 		if err != nil {
 			return nil, fmt.Errorf("udploss rate=%v: %w", rate, err)
 		}
@@ -43,7 +40,7 @@ func udpLoss(lossRates []float64, n int, w workload) ([]Point, error) {
 
 // udpLossRun runs the query once on a fresh engine and returns the
 // delivered array count and the goodput in Mbps.
-func udpLossRun(src string, rate float64, arrayBytes int) (int64, float64, error) {
+func udpLossRun(src string, rate float64) (int64, float64, error) {
 	eng, err := core.NewEngine(core.Config{UDPInbound: &rate})
 	if err != nil {
 		return 0, 0, err
@@ -61,5 +58,5 @@ func udpLossRun(src string, rate float64, arrayBytes int) (int64, float64, error
 	if !ok {
 		return 0, 0, fmt.Errorf("count is %T", v)
 	}
-	return delivered, mbps(delivered*int64(arrayBytes), res.Stream.Makespan()), nil
+	return delivered, mbps(delivered*paperArrayBytes, res.Stream.Makespan()), nil
 }

@@ -6,7 +6,7 @@ import (
 )
 
 func TestUDPLossShape(t *testing.T) {
-	pts, err := udpLoss([]float64{0, 0.1, 0.3}, 4, workload{paperArrayBytes, paperArrayCount})
+	pts, err := udpLoss([]float64{0, 0.1, 0.3}, 4)
 	if err != nil {
 		t.Fatalf("udploss: %v", err)
 	}
@@ -32,10 +32,10 @@ func TestUDPLossShape(t *testing.T) {
 }
 
 func TestUDPLossValidation(t *testing.T) {
-	if _, err := udpLoss([]float64{0}, 0, workload{paperArrayBytes, paperArrayCount}); err == nil {
+	if _, err := udpLoss([]float64{0}, 0); err == nil {
 		t.Error("zero streams should fail")
 	}
-	if _, err := udpLoss([]float64{2}, 4, workload{paperArrayBytes, paperArrayCount}); err == nil {
+	if _, err := udpLoss([]float64{2}, 4); err == nil {
 		t.Error("invalid loss rate should fail")
 	}
 }

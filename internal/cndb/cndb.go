@@ -284,7 +284,7 @@ func (db *DB) AllocatedCount(id int) int {
 }
 
 // MarkDead records that a node has failed: it is skipped by every subsequent
-// selection until Reset. Allocations already on the node stay recorded so
+// selection, across Reset too. Allocations already on the node stay recorded so
 // their eventual Release is balanced.
 func (db *DB) MarkDead(id int) {
 	db.mu.Lock()
@@ -301,15 +301,16 @@ func (db *DB) Dead(id int) bool {
 	return db.dead[id]
 }
 
-// Reset releases every allocation, revives dead nodes, and rewinds the
-// round-robin cursor. The tables are emptied, not dropped: the next run's
-// grants reuse what this one sized.
+// Reset releases every allocation and rewinds the round-robin cursor. The
+// tables are emptied, not dropped: the next run's grants reuse what this
+// one sized. Dead nodes stay dead: a death comes from the chaos injector,
+// which never revives a node, so a revived node would take placements that
+// every dial to it then fails.
 func (db *DB) Reset() {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	clear(db.allocated)
 	clear(db.leases)
-	clear(db.dead)
 	db.rr = 0
 }
 

@@ -32,21 +32,25 @@ func TestFailedProbeLeavesCursorStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for id := 0; id < 4; id++ {
+	for _, id := range []int{0, 1, 3} {
 		db.MarkDead(id)
 	}
+	hog, err := NewSequence(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.SelectFor("hog", hog); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := db.SelectFor("q1", seq); !errors.Is(err, ErrNoAvailableNode) {
-		t.Fatalf("SelectFor over dead nodes: err=%v, want ErrNoAvailableNode", err)
+		t.Fatalf("SelectFor over dead and held nodes: err=%v, want ErrNoAvailableNode", err)
 	}
 	if got := seq.Pos(); got != 0 {
 		t.Fatalf("cursor after failed probe: %d, want 0", got)
 	}
 	// Capacity returns: the next probe must find it at the stable start
 	// offset.
-	db.Reset()
-	for _, id := range []int{0, 1, 3} {
-		db.MarkDead(id)
-	}
+	db.ReleaseFor("hog", 2)
 	id, err := db.SelectFor("q1", seq)
 	if err != nil {
 		t.Fatalf("SelectFor with node 2 alive: %v", err)

@@ -87,19 +87,25 @@ func TestMarkDeadAllSharedNodesErrors(t *testing.T) {
 	}
 }
 
-func TestResetRevivesDeadNodes(t *testing.T) {
+// TestResetKeepsDeadNodesDead: Reset frees every lease but not a dead
+// node. The chaos injector, the only source of a death, never revives one,
+// so a node the CNDB revived would take placements that every dial fails.
+func TestResetKeepsDeadNodesDead(t *testing.T) {
 	db := newDB(t, hw.BlueGene)
 	db.MarkDead(1)
 	db.Reset()
-	if db.Dead(1) {
-		t.Fatal("Reset must revive dead nodes (a fresh experiment reuses the cluster)")
+	if !db.Dead(1) {
+		t.Fatal("Reset revived dead node 1")
 	}
 	seq, err := NewSequence(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := db.SelectFor("q1", seq); err != nil || got != 1 {
-		t.Fatalf("Select after reset = %d, %v; want 1", got, err)
+	if got, err := db.SelectFor("q1", seq); !errors.Is(err, ErrNoAvailableNode) {
+		t.Fatalf("Select of the dead node after reset = %d, %v; want ErrNoAvailableNode", got, err)
+	}
+	if got, err := db.SelectFor("q1", nil); err != nil || got == 1 {
+		t.Fatalf("naive Select after reset = %d, %v; want a live node", got, err)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"scsq/internal/carrier"
 	"scsq/internal/chaos"
+	"scsq/internal/cndb"
 	"scsq/internal/hw"
 	"scsq/internal/rp"
 	"scsq/internal/sqep"
@@ -109,5 +110,45 @@ func TestChaosInboundCount(t *testing.T) {
 				t.Fatalf("count = %d, want %d", got, tc.want)
 			}
 		})
+	}
+}
+
+// TestResetKeepsKilledNodeDead: after a node kill and a Reset the node
+// database and the injector agree that the node is dead. A statement that
+// names the node, sp(gen_array(1000,3), 'bg', 1), fails at placement rather
+// than at a dial inside Extract, and the same statement without a node id
+// runs on a live node.
+func TestResetKeepsKilledNodeDead(t *testing.T) {
+	e, err := NewEngine(Config{Chaos: chaos.New(1)})
+	if err != nil {
+		t.Fatalf("engine: %v", err)
+	}
+	defer e.Close()
+	e.inj.KillNode(hw.BlueGene, 1)
+	if err := e.Reset(); err != nil {
+		t.Fatalf("reset: %v", err)
+	}
+	gen := func(*PlanBuilder) (sqep.Operator, error) { return sqep.NewGenArray(1000, 3), nil }
+
+	q := beginQuery(t, e)
+	if _, err := q.SP(gen, hw.BlueGene, mustSeq(t, 1)); !errors.Is(err, cndb.ErrNoAvailableNode) {
+		t.Fatalf("sp on the killed node: %v, want %v", err, cndb.ErrNoAvailableNode)
+	}
+	q.Retire()
+
+	q = beginQuery(t, e)
+	a, err := q.SP(gen, hw.BlueGene, nil)
+	if err != nil {
+		t.Fatalf("sp without a node id: %v", err)
+	}
+	if a.Node() == 1 {
+		t.Fatal("naive placement chose the killed node")
+	}
+	cs, err := q.Extract(a)
+	if err != nil {
+		t.Fatalf("extract: %v", err)
+	}
+	if els, err := cs.Drain(); err != nil || len(els) != 3 {
+		t.Fatalf("drain = %d elements, %v; want 3", len(els), err)
 	}
 }

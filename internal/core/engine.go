@@ -304,6 +304,8 @@ func (e *Engine) Close() error {
 // any query's streams are still draining it refuses with ErrQueriesActive —
 // resetting under an active stream would leave RP goroutines blocked on
 // dead inboxes. Built-but-never-started queries are torn down as before.
+// A node the chaos injector killed stays dead: the injector never revives
+// one (cndb.DB.Reset).
 func (e *Engine) Reset() error {
 	e.mu.Lock()
 	// Checked under e.mu so no Drain can start (beginDrain) between the

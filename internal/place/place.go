@@ -5,9 +5,10 @@
 // scan) with no regard for what the other live sessions already occupy.
 // On the BlueGene partition that packs co-running tenants into the same
 // pset, so all their inbound streams funnel through one I/O-node forwarder
-// — the contention the place figure measures (93.0 Mbps aggregate for two
-// greedy tenants, the mt figure's k=2 reading, against 126.5 for two
-// planned ones, each at a lone query's 63.5). This is the multi-application
+// — the contention the place figure measures at the paper's 100 × 3 MB
+// arrays: two greedy tenants read 305.9 Mbps together, below the 329.5 of
+// a lone query run twice back to back, and two planned ones 656.5, each
+// within 0.3 % of a lone query's rate. This is the multi-application
 // in-network stream placement problem of Benoit et al. (arXiv:0903.0710);
 // the planner applies the greedy heuristics of Eidenbenz & Locher
 // (arXiv:1601.06060) to it, scoring candidates with the same calibrated

@@ -11,6 +11,7 @@ import (
 	"scsq/internal/chaos"
 	"scsq/internal/core"
 	"scsq/internal/hw"
+	"scsq/internal/place"
 	"scsq/internal/rp"
 	"scsq/internal/scsql"
 	"scsq/internal/sqep"
@@ -382,20 +383,24 @@ func TestCancelRunningReleasesLeases(t *testing.T) {
 	}
 }
 
-// TestConcurrentBeatsSerialized is the throughput acceptance criterion: two
+// TestConcurrentBeatsSerialized is the throughput acceptance criterion at
+// the paper's 100 × 3 MB arrays: with the placement planner on, two
 // concurrent Query-1 instances must both complete, with aggregate bandwidth
 // strictly greater than running them back to back — i.e. the makespan of
 // the concurrent pair is strictly below twice the single-query makespan.
+// The planner gives each its own pset; placed greedily, both would share
+// one I/O-node forwarder and read below serialized (the place figure).
 func TestConcurrentBeatsSerialized(t *testing.T) {
-	const n, size, count = 2, 30_000, 20
+	const n, size, count = 2, 3_000_000, 100
 	src, err := scsql.InboundQuery(1, n, size, count)
 	if err != nil {
 		t.Fatalf("corpus: %v", err)
 	}
+	planned := Config{Placement: &place.Config{}}
 
 	// Serialized baseline: one query alone on a fresh engine.
 	eBase := newTestEngine(t)
-	sBase := New(eBase, nil)
+	sBase := New(eBase, nil, planned)
 	qb, err := sBase.Submit(src)
 	if err != nil {
 		t.Fatalf("baseline submit: %v", err)
@@ -407,7 +412,7 @@ func TestConcurrentBeatsSerialized(t *testing.T) {
 	sBase.Close()
 
 	e := newTestEngine(t)
-	s := New(e, nil)
+	s := New(e, nil, planned)
 	defer s.Close()
 	// The pair is submitted together: the kernel is paused around the two
 	// submissions, so both start at one kernel instant however long the

@@ -1,6 +1,9 @@
 package scsql
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // This file holds the paper's query corpus in canonical form. The texts
 // follow the listings in the paper §2.4 and §3 exactly, except that (a)
@@ -23,16 +26,27 @@ and   a=sp(gen_array(%d,%d), 'bg', 1);`, size, count)
 }
 
 // MergeQuery is the intra-BG stream-merging query (paper §3.1, Figures
-// 7-8): c on node 0 merges and counts the streams of a on node x and b on
-// node y. The sequential node selection of Figure 7A is x=1, y=2; the
-// balanced selection of Figure 7B is x=1, y=4.
-func MergeQuery(x, y, size, count int) string {
+// 7-8): one producer SP per node of producers, named a, b, ..., streams its
+// arrays to the SP named by the next letter, which merges and counts them on
+// node 0. Two producers give the paper's listing, c merging a and b; the
+// sequential node selection of Figure 7A is producers 1, 2, the balanced
+// selection of Figure 7B is 1, 4. Letters bound it to 25 producers.
+func MergeQuery(producers []int, size, count int) string {
+	c := string(rune('a' + len(producers)))
+	var from, merged, defs strings.Builder
+	for i, node := range producers {
+		p := string(rune('a' + i))
+		if i > 0 {
+			merged.WriteByte(',')
+		}
+		merged.WriteString(p)
+		fmt.Fprintf(&from, "sp %s, ", p)
+		fmt.Fprintf(&defs, "\nand   %s=sp(gen_array(%d,%d), 'bg', %d)", p, size, count, node)
+	}
 	return fmt.Sprintf(`
-select extract(c)
-from sp a, sp b, sp c
-where c=sp(count(merge({a,b})), 'bg', 0)
-and   a=sp(gen_array(%d,%d), 'bg', %d)
-and   b=sp(gen_array(%d,%d), 'bg', %d);`, size, count, x, size, count, y)
+select extract(%s)
+from %ssp %s
+where %s=sp(count(merge({%s})), 'bg', 0)%s;`, c, from.String(), c, c, merged.String(), defs.String())
 }
 
 // InboundQuery returns Query q (1..6) of the BG inbound streaming

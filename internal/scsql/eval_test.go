@@ -48,9 +48,11 @@ func TestFigure5QueryVerbatim(t *testing.T) {
 func TestMergeQueryVerbatim(t *testing.T) {
 	e := newTestEngine(t)
 	ev := NewEvaluator(e, nil)
-	v := execOne(t, ev, MergeQuery(1, 4, 30_000, 5))
-	if got, want := v, int64(10); got != want {
-		t.Fatalf("count = %v, want %v", got, want)
+	for _, producers := range [][]int{{1, 4}, {1, 3, 4}} {
+		v := execOne(t, ev, MergeQuery(producers, 30_000, 5))
+		if got, want := v, int64(5*len(producers)); got != want {
+			t.Fatalf("%v: count = %v, want %v", producers, got, want)
+		}
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // overflowed the stack before the parser bounded them.
 func FuzzParse(f *testing.F) {
 	f.Add(Figure5Query(3_000_000, 100))
-	f.Add(MergeQuery(1, 2, 300_000, 10))
+	f.Add(MergeQuery([]int{1, 2}, 300_000, 10))
 	for q := 1; q <= 6; q++ {
 		src, err := InboundQuery(q, 4, 300_000, 10)
 		if err != nil {

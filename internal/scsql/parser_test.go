@@ -325,11 +325,39 @@ func TestASTStringRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMergeQueryListing: two producers give the paper's Figure 8 listing
+// character for character; a third is named by the next letter, and the
+// merging SP by the one after it.
+func TestMergeQueryListing(t *testing.T) {
+	for _, c := range []struct {
+		producers []int
+		want      string
+	}{
+		{[]int{1, 2}, `
+select extract(c)
+from sp a, sp b, sp c
+where c=sp(count(merge({a,b})), 'bg', 0)
+and   a=sp(gen_array(3000000,100), 'bg', 1)
+and   b=sp(gen_array(3000000,100), 'bg', 2);`},
+		{[]int{1, 3, 4}, `
+select extract(d)
+from sp a, sp b, sp c, sp d
+where d=sp(count(merge({a,b,c})), 'bg', 0)
+and   a=sp(gen_array(3000000,100), 'bg', 1)
+and   b=sp(gen_array(3000000,100), 'bg', 3)
+and   c=sp(gen_array(3000000,100), 'bg', 4);`},
+	} {
+		if got := MergeQuery(c.producers, 3_000_000, 100); got != c.want {
+			t.Errorf("MergeQuery(%v) =%s\nwant%s", c.producers, got, c.want)
+		}
+	}
+}
+
 func TestCorpusParses(t *testing.T) {
 	sources := []string{
 		Figure5Query(3_000_000, 100),
-		MergeQuery(1, 2, 3_000_000, 100),
-		MergeQuery(1, 4, 3_000_000, 100),
+		MergeQuery([]int{1, 2}, 3_000_000, 100),
+		MergeQuery([]int{1, 4}, 3_000_000, 100),
 		GrepQuery("pattern", 1000),
 		Radix2Def,
 	}
