@@ -130,7 +130,7 @@ func runTelemetry(stdout io.Writer, metricsOut, traceOut string) error {
 		}
 	}
 	if traceOut != "" {
-		return writeFile(traceOut, report.WriteTrace)
+		return os.WriteFile(traceOut, report.Trace, 0o666)
 	}
 	return nil
 }

@@ -13,8 +13,10 @@
 // flags (-mpibuf, -single) and the per-statement -utilization and
 // -explain reports apply only to the in-process mode.
 //
-// Each query prints its result elements, the virtual makespan, and — with
-// -payload — the measured streaming bandwidth.
+// Every statement runs as a session of the scheduler, in process as over
+// -connect, and prints its result elements, one summary line (element
+// count, virtual makespan, session id and state) and — with -payload — the
+// measured streaming bandwidth, the same in both modes.
 //
 // Backslash meta commands inspect the engine between statements. Each is a
 // statement over the system catalog (the same sys_* tables SCSQL queries
@@ -28,12 +30,12 @@
 //	\cancel <qid>    cancels a session (over -connect: one of this connection's)
 //
 // and -utilization and -explain are `select sys_resources();` and
-// `select sys_links();` after each statement. Over -connect a reader is itself
-// a session, so \ps lists its own `select sys_sessions();` as running — as
-// SHOW PROCESSLIST lists itself. It is a session that leases no node: the
-// server runs it past the admission queue and while draining, so \ps answers
-// when the system is congested, and it leaves the session table as it ends
-// (in process it is retired as it ends: reading numbers no query). In process, a
+// `select sys_links();` after each statement. A reader is itself a session,
+// so \ps lists its own `select sys_sessions();` as running — as SHOW
+// PROCESSLIST lists itself. It is a session that leases no node: it skips
+// the admission queue (and the server runs it while draining), so \ps
+// answers when the system is congested, and as it ends it leaves the session
+// table and hands its id back: reading numbers no query. In process, a
 // statement run by the shell is retired by the Reset that follows it, which
 // folds its per-RP metric keys into "…retired"; keys that name no query
 // (link.*, sched.*) and totals by prefix survive, so \stats after a query
@@ -206,8 +208,8 @@ func (s *shell) execute(stmt string) error {
 	return s.exec.Execute(stmt, s.out)
 }
 
-// localExec runs statements on an embedded engine, one at a time with a
-// reset in between — the original shell behavior.
+// localExec runs statements as sessions of an embedded engine, one at a
+// time with a reset in between.
 type localExec struct {
 	eng     *scsq.Engine
 	payload int64
@@ -223,28 +225,20 @@ func (l *localExec) Execute(stmt string, out io.Writer) (err error) {
 			err = fmt.Errorf("reset after statement: %w", rerr)
 		}
 	}()
-	res, err := l.eng.Exec(stmt + ";")
+	sess, err := l.eng.Submit(stmt + ";")
 	if err != nil {
 		return err
 	}
-	if res.Defined != "" {
-		fmt.Fprintf(out, "defined function %s\n", res.Defined)
-		return nil
-	}
-	els, err := res.Stream.Drain()
-	if err != nil {
-		return err
-	}
+	els, err := sess.Wait()
 	for _, el := range els {
 		fmt.Fprintf(out, "%v\n", formatValue(el.Value))
 	}
-	fmt.Fprintf(out, "-- %d element(s), virtual makespan %v\n", len(els), res.Stream.Makespan())
-	if l.payload > 0 {
-		fmt.Fprintf(out, "-- bandwidth %.1f Mbps over %d payload bytes\n",
-			res.Stream.BandwidthMbps(l.payload), l.payload)
+	if err != nil {
+		return fmt.Errorf("session %s %s: %w", sess.ID(), sess.State(), err)
 	}
+	printSummary(out, len(els), sess.Makespan(), sess.ID(), sess.State().String(), l.payload)
 	if l.util > 0 {
-		if err := printUtilization(out, l, res.Stream.Makespan(), l.util); err != nil {
+		if err := printUtilization(out, l, sess.Makespan(), l.util); err != nil {
 			return err
 		}
 	}
@@ -255,11 +249,11 @@ func (l *localExec) Execute(stmt string, out io.Writer) (err error) {
 }
 
 func (l *localExec) query(table, arg string) ([]string, [][]any, error) {
-	st, err := l.eng.Query(selectStmt(table, arg))
+	sess, err := l.eng.Submit(selectStmt(table, arg))
 	if err != nil {
 		return nil, nil, err
 	}
-	els, err := st.Drain()
+	els, err := sess.Wait()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -306,12 +300,7 @@ func (r *remoteExec) Execute(stmt string, out io.Writer) error {
 		if fin.Err != "" {
 			return fmt.Errorf("session %s %s: %s", h.ID, fin.State, fin.Err)
 		}
-		fmt.Fprintf(out, "-- %d element(s), virtual makespan %v, session %s %s\n",
-			n, fin.Makespan, h.ID, fin.State)
-		if r.payload > 0 && fin.Makespan > 0 {
-			mbps := float64(r.payload) * 8 / fin.Makespan.Seconds() / 1e6
-			fmt.Fprintf(out, "-- bandwidth %.1f Mbps over %d payload bytes\n", mbps, r.payload)
-		}
+		printSummary(out, n, fin.Makespan, h.ID, fin.State, r.payload)
 		return nil
 	}
 }
@@ -367,6 +356,17 @@ func (r *remoteExec) read(table, arg string) ([][]any, error) {
 }
 
 func (r *remoteExec) Cancel(id string) error { return r.cli.CancelID(id) }
+
+// printSummary writes the line that ends a statement's output in both
+// modes — its element count, virtual makespan and session — and, given a
+// payload, the bandwidth the makespan measured.
+func printSummary(out io.Writer, n int, makespan time.Duration, id, state string, payload int64) {
+	fmt.Fprintf(out, "-- %d element(s), virtual makespan %v, session %s %s\n", n, makespan, id, state)
+	if payload > 0 && makespan > 0 {
+		mbps := float64(payload) * 8 / makespan.Seconds() / 1e6
+		fmt.Fprintf(out, "-- bandwidth %.1f Mbps over %d payload bytes\n", mbps, payload)
+	}
+}
 
 // selectStmt spells the read of one catalog table, quoting its argument.
 func selectStmt(table, arg string) string {

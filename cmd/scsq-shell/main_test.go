@@ -53,7 +53,7 @@ select f(2);`)
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, want := range []string{"defined function f", "1", "2", "makespan", "bandwidth", "busiest"} {
+	for _, want := range []string{"0 element(s)", "1", "2", "makespan", "bandwidth", "busiest"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
@@ -104,6 +104,7 @@ func TestShellREPLRecoversFromErrors(t *testing.T) {
 	var spans []string
 	for _, line := range strings.Split(sb.String(), "\n") {
 		if _, span, ok := strings.Cut(line, "virtual makespan "); ok {
+			span, _, _ = strings.Cut(span, ",") // the session id follows
 			spans = append(spans, span)
 		}
 	}

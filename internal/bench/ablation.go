@@ -3,9 +3,8 @@ package bench
 import (
 	"strconv"
 
-	"scsq/internal/carrier"
+	"scsq"
 	"scsq/internal/cndb"
-	"scsq/internal/core"
 	"scsq/internal/hw"
 	"scsq/internal/scsql"
 )
@@ -37,10 +36,10 @@ func ablation(producers []int) ([]Point, error) {
 			naive[i] = i + 1
 		}
 		x := strconv.Itoa(k)
-		cfg := core.Config{MPIBufferBytes: 100_000, Buffering: carrier.DoubleBuffered}
+		opts := []scsq.Option{scsq.WithMPIBufferBytes(100_000)}
 		sps = append(sps,
-			sweepPoint{x, "naive", scsql.MergeQuery(naive, paperArrayBytes, paperArrayCount), paperArrays.payload(k), cfg},
-			sweepPoint{x, "topology", scsql.MergeQuery(balanced.IDs(), paperArrayBytes, paperArrayCount), paperArrays.payload(k), cfg})
+			sweepPoint{x, "naive", scsql.MergeQuery(naive, paperArrayBytes, paperArrayCount), paperArrays.payload(k), opts},
+			sweepPoint{x, "topology", scsql.MergeQuery(balanced.IDs(), paperArrayBytes, paperArrayCount), paperArrays.payload(k), opts})
 	}
 	pts, err := readSweep(sps, nil)
 	if err != nil {

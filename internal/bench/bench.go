@@ -14,10 +14,14 @@
 // figure's assertions are errors from its Run. format.go holds the only
 // three renderers; cmd/scsq-bench is a loop over the registry.
 //
-// Bandwidth experiments execute the corresponding SCSQL query from
-// internal/scsql's corpus on a simulated LOFAR environment and measure
+// Bandwidth experiments submit the corresponding SCSQL query from
+// internal/scsql's corpus to a simulated LOFAR environment and measure
 // payload bytes divided by the virtual makespan, the same "total time to
-// communicate a finite stream of arrays" methodology as the paper.
+// communicate a finite stream of arrays" methodology as the paper. Each
+// point is a session — scsq.New with the point's options, Submit, Wait,
+// Session.Makespan — read the way a wire client's statement runs; only
+// place and soak, which need a paused kernel or a chaos injector, build a
+// core engine of their own.
 package bench
 
 import (
@@ -27,8 +31,7 @@ import (
 	"strconv"
 	"strings"
 
-	"scsq/internal/carrier"
-	"scsq/internal/core"
+	"scsq"
 	"scsq/internal/scsql"
 	"scsq/internal/vtime"
 )
@@ -172,50 +175,46 @@ func mbps(payloadBytes int64, t vtime.Time) float64 {
 }
 
 // sweepPoint is one point of Figures 6, 8, 15 and the ablation: the
-// statement that reads it, the payload it streams and the engine
-// configuration it runs on.
+// statement that reads it, the payload it streams and the options of the
+// engine it runs on.
 type sweepPoint struct {
 	x, series string
 	src       string
 	payload   int64
-	cfg       core.Config
+	opts      []scsq.Option
 }
 
-// readOn executes the point's statement once on eng and returns its
-// bandwidth in Mbps. The engine is Reset afterwards, so the next read starts
-// on free devices and reads its makespan from its own start.
-func (p sweepPoint) readOn(eng *core.Engine) (float64, error) {
-	res, err := scsql.NewEvaluator(eng, nil).Exec(p.src)
+// read submits the point's statement as a session of eng, waits for it and
+// returns its bandwidth in Mbps.
+func (p sweepPoint) read(eng *scsq.Engine) (float64, error) {
+	sess, err := eng.Submit(p.src)
+	if err == nil {
+		_, err = sess.Wait()
+	}
 	if err != nil {
 		return 0, fmt.Errorf("bench: %w", err)
 	}
-	if _, err := res.Stream.Drain(); err != nil {
-		return 0, fmt.Errorf("bench: %w", err)
-	}
-	makespan := res.Stream.Makespan()
+	makespan := sess.Makespan()
 	if makespan <= 0 {
 		return 0, fmt.Errorf("bench: query finished with non-positive makespan %v", makespan)
 	}
-	if err := eng.Reset(); err != nil {
-		return 0, fmt.Errorf("bench: reset: %w", err)
-	}
-	return mbps(p.payload, makespan), nil
+	return mbps(p.payload, vtime.Time(makespan)), nil
 }
 
-// readSweep reads every point of a sweep once, on a fresh engine built with
-// its configuration. It takes the sweep builder's error too, so that
-// readSweep(sweep6(s)) is one call.
+// readSweep reads every point of a sweep once, as the one session of a
+// fresh engine built with its options. It takes the sweep builder's error
+// too, so that readSweep(sweep6(s)) is one call.
 func readSweep(sps []sweepPoint, err error) ([]Point, error) {
 	if err != nil {
 		return nil, err
 	}
 	pts := make([]Point, 0, len(sps))
 	for _, sp := range sps {
-		eng, err := core.NewEngine(sp.cfg)
+		eng, err := scsq.New(sp.opts...)
 		if err != nil {
 			return nil, err
 		}
-		v, err := sp.readOn(eng)
+		v, err := sp.read(eng)
 		eng.Close()
 		if err != nil {
 			return nil, fmt.Errorf("%s %s: %w", sp.x, sp.series, err)
@@ -246,10 +245,12 @@ func (s Sizing) bufs() []int {
 	return bufSizes
 }
 
+// bufferings are the two MPI driver disciplines of Figures 6 and 8, as the
+// options that select them (double buffering is the default).
 var bufferings = []struct {
 	name string
-	mode carrier.Buffering
-}{{"single", carrier.SingleBuffered}, {"double", carrier.DoubleBuffered}}
+	opts []scsq.Option
+}{{"single", []scsq.Option{scsq.WithSingleBuffering()}}, {"double", nil}}
 
 // figure6 is the sweep of Figure 6: intra-BG point-to-point streaming
 // bandwidth versus MPI buffer size for single and double buffering.
@@ -259,7 +260,7 @@ func figure6(bufs []int) []sweepPoint {
 	for _, buf := range bufs {
 		for _, b := range bufferings {
 			sps = append(sps, sweepPoint{strconv.Itoa(buf), b.name, src, paperArrays.payload(1),
-				core.Config{MPIBufferBytes: buf, Buffering: b.mode}})
+				append([]scsq.Option{scsq.WithMPIBufferBytes(buf)}, b.opts...)})
 		}
 	}
 	return sps
@@ -284,7 +285,7 @@ func figure8(bufs []int) []sweepPoint {
 			src := scsql.MergeQuery(topo.producers, paperArrayBytes, paperArrayCount)
 			for _, b := range bufferings {
 				sps = append(sps, sweepPoint{strconv.Itoa(buf), topo.name + "/" + b.name, src, paperArrays.payload(2),
-					core.Config{MPIBufferBytes: buf, Buffering: b.mode}})
+					append([]scsq.Option{scsq.WithMPIBufferBytes(buf)}, b.opts...)})
 			}
 		}
 	}
@@ -301,7 +302,7 @@ func figure15(queries, ns []int) ([]sweepPoint, error) {
 			if err != nil {
 				return nil, err
 			}
-			sps = append(sps, sweepPoint{strconv.Itoa(n), fmt.Sprintf("Query %d", q), src, paperArrays.payload(n), core.Config{}})
+			sps = append(sps, sweepPoint{strconv.Itoa(n), fmt.Sprintf("Query %d", q), src, paperArrays.payload(n), nil})
 		}
 	}
 	return sps, nil

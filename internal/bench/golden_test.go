@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"scsq"
 	"scsq/internal/carrier"
 	"scsq/internal/core"
 	"scsq/internal/scsql"
@@ -150,9 +151,9 @@ func TestFigureUDPGolden(t *testing.T)      { figureGolden(t, "udp") }
 func TestFigurePlaceGolden(t *testing.T)    { figureGolden(t, "place") }
 
 // TestTimeTranslation is a metamorphic relation of the one timeline: every
-// point of the Figure 8 and 15 sweeps at Tiny read twice on one engine,
-// Reset between the two, reads the same float64 bits both times, and that
-// value is the golden's. The second read starts at a later kernel instant,
+// point of the Figure 8 and 15 sweeps at Tiny submitted twice as a session of
+// one engine, Reset between the two, reads the same float64 bits both times,
+// and that value is the golden's. The second read starts at a later kernel instant,
 // where the first ended.
 func TestTimeTranslation(t *testing.T) {
 	s := Sizing{Tiny: true}
@@ -165,15 +166,18 @@ func TestTimeTranslation(t *testing.T) {
 			}
 			var pts []Point
 			for _, sp := range sps {
-				eng, err := core.NewEngine(sp.cfg)
+				eng, err := scsq.New(sp.opts...)
 				if err != nil {
 					t.Fatal(err)
 				}
-				first, err := sp.readOn(eng)
+				first, err := sp.read(eng)
+				if err == nil {
+					err = eng.Reset()
+				}
 				if err != nil {
 					t.Fatal(err)
 				}
-				second, err := sp.readOn(eng)
+				second, err := sp.read(eng)
 				eng.Close()
 				if err != nil {
 					t.Fatal(err)
@@ -202,7 +206,7 @@ var virtualUnits = map[string]bool{"Mbps": true, "%": true}
 // run twice at -tiny, renders those readings byte for byte the same —
 // concurrent streams, concurrent tenants at every k and the placement
 // planner included. Each subtest runs only its own figure, so
-// -run TestFiguresByteReproducible/mt runs the multi-tenant sweep alone.
+// -run TestFiguresByteReproducible/place runs the placement sweep alone.
 func TestFiguresByteReproducible(t *testing.T) {
 	virtual := func(csv []byte) []byte {
 		var out bytes.Buffer

@@ -4,8 +4,6 @@ import (
 	"testing"
 
 	"scsq"
-	"scsq/internal/carrier"
-	"scsq/internal/core"
 )
 
 // TestQueryAndSessionAgree: a figure point reads the same virtual makespan,
@@ -20,8 +18,7 @@ func TestQueryAndSessionAgree(t *testing.T) {
 	}
 	sps = append(sps, figure6([]int{3000, 10_000, 100_000, 1_000_000})...)
 	for _, sp := range sps {
-		opts := pointOptions(sp.cfg)
-		viaQuery, err := scsq.New(opts...)
+		viaQuery, err := scsq.New(sp.opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -34,7 +31,7 @@ func TestQueryAndSessionAgree(t *testing.T) {
 			t.Fatalf("%s %s: Query: %v", sp.x, sp.series, err)
 		}
 
-		viaSubmit, err := scsq.New(opts...)
+		viaSubmit, err := scsq.New(sp.opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,16 +47,4 @@ func TestQueryAndSessionAgree(t *testing.T) {
 			t.Errorf("%s %s: Engine.Query reads %v, Submit %v", sp.x, sp.series, q, s)
 		}
 	}
-}
-
-// pointOptions spells a sweep point's engine configuration as New's options.
-func pointOptions(cfg core.Config) []scsq.Option {
-	var opts []scsq.Option
-	if cfg.MPIBufferBytes > 0 {
-		opts = append(opts, scsq.WithMPIBufferBytes(cfg.MPIBufferBytes))
-	}
-	if cfg.Buffering == carrier.SingleBuffered {
-		opts = append(opts, scsq.WithSingleBuffering())
-	}
-	return opts
 }

@@ -6,8 +6,7 @@ import (
 	"sync"
 	"time"
 
-	"scsq/internal/core"
-	"scsq/internal/sched"
+	"scsq"
 	"scsq/internal/scsql"
 	"scsq/internal/vtime"
 )
@@ -18,14 +17,14 @@ import (
 //  1. Snapshot latency: wall-clock ns per Snap() of every registered sys_*
 //     table on a populated engine — the raw price of one coherent read
 //     under the owning subsystem's locks.
-//  2. Catalog-query latency: `select count(sys_X());` end to end through
-//     the SCSQL evaluator (parse, plan, client drain), the price a
+//  2. Catalog-query latency: `select count(sys_X());` end to end as a
+//     session (parse, plan, client drain, session table), the price a
 //     dashboard pays per poll.
 //  3. Non-perturbation gate: the Figure 6 point-to-point query across the
-//     MPI buffer sweep, bare versus with a live streamof(sys_metrics())
-//     subscriber re-polling on every tick of the policy clock — ticked by
-//     nothing but the measured query's own progress — and sys_resources and
-//     sys_tables snapshotted on each of those ticks, 5 pairs per point (3
+//     MPI buffer sweep, bare versus with live streamof(sys_metrics()),
+//     streamof(sys_resources()) and streamof(sys_tables()) sessions
+//     re-polling on every tick of the policy clock — ticked by nothing but
+//     the measured query's own progress — 5 pairs per point (3
 //     under Tiny) with the side that runs first alternating: the one
 //     wall-clock reading that needs repeats. The virtual makespans must be
 //     bit-identical in every pair — the figure fails otherwise — so the
@@ -53,86 +52,72 @@ func runSysq(s Sizing) ([]Point, error) {
 // sysqTables is the measurement order of the latency sections.
 var sysqTables = []string{"sys_sessions", "sys_nodes", "sys_links", "sys_rps", "sys_metrics"}
 
-// observedFigure6Run executes one Figure 6 point on a fresh engine and
-// returns its virtual makespan and wall-clock duration. With observe set, a
-// streamof(sys_metrics('rp.%')) drain runs concurrently, and a second reader
-// snapshots sys_resources (every device's owner table, mid-charge) and
-// sys_tables on every tick — the live catalog readers whose non-perturbation
-// the gate proves. Nothing ticks by hand: the measured query's progress
-// advances the policy clock, so the gate covers the production tick path.
-// The engine is fresh per run because a live streamof drain holds a query
-// context open, which Reset correctly refuses.
+// observedFigure6Run executes one Figure 6 point as a session of a fresh
+// engine and returns its virtual makespan and wall-clock duration. With
+// observe set, three live catalog readers run beside it as sessions of the
+// same engine: streamof(sys_metrics('rp.%')), and streamof(sys_resources())
+// and streamof(sys_tables()), which snapshot every device's owner table,
+// mid-charge, and the catalog on every tick — the readers whose
+// non-perturbation the gate proves. Nothing ticks by hand: the measured
+// query's progress advances the policy clock, so the gate covers the
+// production tick path. The engine is fresh per run because a live streamof
+// session holds its query open, which Reset correctly refuses.
 func observedFigure6Run(w workload, bufBytes int, observe bool) (vtime.Time, time.Duration, error) {
-	e, err := core.NewEngine(core.Config{MPIBufferBytes: bufBytes})
+	eng, err := scsq.New(scsq.WithMPIBufferBytes(bufBytes))
 	if err != nil {
 		return 0, 0, err
 	}
-	s := sched.New(e, nil)
-	ev := scsql.NewEvaluator(e, s.Catalog())
-
 	var wg sync.WaitGroup
 	if observe {
-		sub, err := ev.Exec(`select streamof(sys_metrics('rp.%'));`)
-		if err != nil {
-			return 0, 0, err
-		}
-		resources, _ := e.SystemCatalog().Lookup("sys_resources")
-		tables, _ := e.SystemCatalog().Lookup("sys_tables")
-		tick, _ := s.SubscribeVTime(nil) // Close below ends the subscription
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			_, _ = sub.Stream.Drain() // ends when Close closes the tick source
-		}()
-		go func() {
-			defer wg.Done()
-			for range tick {
-				_, _ = resources.Snap("")
-				_, _ = tables.Snap("")
+		for _, table := range []string{"sys_metrics('rp.%')", "sys_resources()", "sys_tables()"} {
+			sub, err := eng.Submit("select streamof(" + table + ");")
+			if err != nil {
+				err = errors.Join(err, eng.Close())
+				wg.Wait()
+				return 0, 0, err
 			}
-		}()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, _ = sub.Wait() // ends when Close cancels the session
+			}()
+		}
 	}
 
-	// The subscriber is already draining: the measured statement is a query of
-	// its own, whoever else is live.
+	// The subscribers are already built: the measured statement is a session
+	// of its own, whoever else is live.
 	t0 := time.Now()
-	res, err := ev.Exec(scsql.Figure5Query(w.ArrayBytes, w.ArrayCount))
+	sess, err := eng.Submit(scsql.Figure5Query(w.ArrayBytes, w.ArrayCount))
 	if err == nil {
-		_, err = res.Stream.Drain()
+		_, err = sess.Wait()
 	}
 	wall := time.Since(t0)
 
 	// The observers stop whether or not the measured query ran.
-	if cerr := s.Close(); cerr != nil {
-		return 0, 0, errors.Join(err, cerr)
-	}
+	err = errors.Join(err, eng.Close())
 	wg.Wait()
-	if err = errors.Join(err, e.Close()); err != nil {
+	if err != nil {
 		return 0, 0, err
 	}
-	return res.Stream.Makespan(), wall, nil
+	return vtime.Time(sess.Makespan()), wall, nil
 }
 
 // sysq measures the system-catalog figure. It fails if an active catalog
 // subscriber shifts any virtual makespan of the Figure 6 sweep by a single
 // tick.
 func sysq(cfg sysqConfig) ([]Point, error) {
-	// A populated engine for the latency sections: one multi-tenant-visible
-	// workload so every table has real rows (sessions, edges, RP stats,
-	// link counters).
-	e, err := core.NewEngine()
+	// A populated engine for the latency sections: one finished session so
+	// every table has real rows (sessions, edges, RP stats, link counters).
+	eng, err := scsq.New()
 	if err != nil {
 		return nil, err
 	}
-	defer e.Close()
-	s := sched.New(e, nil)
-	defer s.Close()
-	ev := scsql.NewEvaluator(e, s.Catalog())
-	q, err := s.Submit(scsql.Figure5Query(cfg.w.ArrayBytes, cfg.w.ArrayCount))
+	defer eng.Close()
+	sess, err := eng.Submit(scsql.Figure5Query(cfg.w.ArrayBytes, cfg.w.ArrayCount))
 	if err != nil {
 		return nil, err
 	}
-	if _, err := q.Wait(); err != nil {
+	if _, err := sess.Wait(); err != nil {
 		return nil, err
 	}
 
@@ -140,7 +125,7 @@ func sysq(cfg sysqConfig) ([]Point, error) {
 	// their own sessions to the tables.
 	var pts []Point
 	for _, name := range sysqTables {
-		tab, ok := e.SystemCatalog().Lookup(name)
+		tab, ok := eng.SystemCatalog().Lookup(name)
 		if !ok {
 			return nil, fmt.Errorf("bench: sys table %s not registered", name)
 		}
@@ -157,25 +142,22 @@ func sysq(cfg sysqConfig) ([]Point, error) {
 			perOp(name, "snap", time.Since(t0), cfg.snapIters))
 	}
 
-	// 2. Full catalog-query latency through the evaluator.
+	// 2. Full catalog-query latency, each query a session.
 	for _, name := range sysqTables {
 		src := fmt.Sprintf("select count(%s());", name)
 		t0 := time.Now()
 		for i := 0; i < cfg.queryIters; i++ {
-			res, err := ev.Exec(src)
+			sess, err := eng.Submit(src)
 			if err != nil {
 				return nil, fmt.Errorf("bench: %s query: %w", name, err)
 			}
-			if _, err := res.Stream.Drain(); err != nil {
-				return nil, fmt.Errorf("bench: %s drain: %w", name, err)
+			if _, err := sess.Wait(); err != nil {
+				return nil, fmt.Errorf("bench: %s wait: %w", name, err)
 			}
 		}
 		pts = append(pts, perOp(name, "query", time.Since(t0), cfg.queryIters))
 	}
-	if err := s.Close(); err != nil {
-		return nil, err
-	}
-	if err := e.Close(); err != nil {
+	if err := eng.Close(); err != nil {
 		return nil, err
 	}
 

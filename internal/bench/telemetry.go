@@ -1,11 +1,10 @@
 package bench
 
 import (
+	"bytes"
 	"fmt"
-	"io"
 
-	"scsq/internal/carrier"
-	"scsq/internal/core"
+	"scsq"
 	"scsq/internal/metrics"
 	"scsq/internal/scsql"
 	"scsq/internal/vtime"
@@ -27,42 +26,34 @@ type TelemetryReport struct {
 	Makespan     vtime.Time
 	Mbps         float64
 	Snapshot     metrics.Snapshot
-
-	tracer *metrics.Tracer
-}
-
-// WriteTrace writes the run's frame trace as Chrome/Perfetto trace-event
-// JSON.
-func (r *TelemetryReport) WriteTrace(w io.Writer) error {
-	return r.tracer.WriteJSON(w)
+	// Trace is the run's frame trace as Chrome/Perfetto trace-event JSON.
+	Trace []byte
 }
 
 // RunTelemetry executes the 64 KiB double-buffered point of Figure 6
-// (intra-BG point-to-point streaming of the paper's arrays) on a fresh
-// engine with telemetry and tracing enabled, and returns the measured
+// (intra-BG point-to-point streaming of the paper's arrays) as the one
+// session of a fresh engine with tracing enabled, and returns the measured
 // bandwidth together with the metrics snapshot and frame trace.
 func RunTelemetry() (*TelemetryReport, error) {
-	tracer := metrics.NewTracer(0)
-	eng, err := core.NewEngine(core.Config{
-		MPIBufferBytes: telemetryBufBytes,
-		Buffering:      carrier.DoubleBuffered,
-		Tracer:         tracer,
-	})
+	eng, err := scsq.New(scsq.WithMPIBufferBytes(telemetryBufBytes), scsq.WithTracing(0))
 	if err != nil {
 		return nil, err
 	}
 	defer eng.Close()
-	ev := scsql.NewEvaluator(eng, nil)
-	res, err := ev.Exec(scsql.Figure5Query(paperArrayBytes, paperArrayCount))
+	sess, err := eng.Submit(scsql.Figure5Query(paperArrayBytes, paperArrayCount))
+	if err == nil {
+		_, err = sess.Wait()
+	}
 	if err != nil {
 		return nil, fmt.Errorf("bench: %w", err)
 	}
-	if _, err := res.Stream.Drain(); err != nil {
-		return nil, fmt.Errorf("bench: %w", err)
-	}
-	makespan := res.Stream.Makespan()
+	makespan := vtime.Time(sess.Makespan())
 	if makespan <= 0 {
 		return nil, fmt.Errorf("bench: query finished with non-positive makespan %v", makespan)
+	}
+	var trace bytes.Buffer
+	if err := eng.WriteTrace(&trace); err != nil {
+		return nil, err
 	}
 	snap := eng.MetricsSnapshot()
 	payload := snap.SumCounters("link.bytes.")
@@ -70,8 +61,8 @@ func RunTelemetry() (*TelemetryReport, error) {
 		BufBytes:     telemetryBufBytes,
 		PayloadBytes: payload,
 		Makespan:     makespan,
-		Mbps:         float64(payload) * 8 / makespan.Sub(0).Seconds() / 1e6,
+		Mbps:         mbps(payload, makespan),
 		Snapshot:     snap,
-		tracer:       tracer,
+		Trace:        trace.Bytes(),
 	}, nil
 }

@@ -29,17 +29,13 @@ func TestRunTelemetry(t *testing.T) {
 		t.Fatalf("Mbps = %v, want %v", report.Mbps, wantMbps)
 	}
 
-	var buf bytes.Buffer
-	if err := report.WriteTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
 	var file struct {
 		TraceEvents []struct {
 			Name string `json:"name"`
 			Ph   string `json:"ph"`
 		} `json:"traceEvents"`
 	}
-	if err := json.Unmarshal(buf.Bytes(), &file); err != nil {
+	if err := json.Unmarshal(report.Trace, &file); err != nil {
 		t.Fatalf("trace is not valid JSON: %v", err)
 	}
 	var complete int
@@ -68,11 +64,7 @@ func TestRunTelemetry(t *testing.T) {
 	if again.PayloadBytes != report.PayloadBytes || again.Makespan != report.Makespan || again.Mbps != report.Mbps {
 		t.Fatalf("rerun diverged: %+v vs %+v", again, report)
 	}
-	var buf2 bytes.Buffer
-	if err := again.WriteTrace(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
+	if !bytes.Equal(again.Trace, report.Trace) {
 		t.Fatal("rerun produced different trace bytes")
 	}
 }

@@ -4,8 +4,9 @@ import (
 	"fmt"
 	"strconv"
 
-	"scsq/internal/core"
+	"scsq"
 	"scsq/internal/scsql"
+	"scsq/internal/vtime"
 )
 
 // udpLoss is the UDP-inbound extension experiment: the paper's I/O nodes
@@ -38,25 +39,28 @@ func udpLoss(lossRates []float64, n int) ([]Point, error) {
 	return pts, nil
 }
 
-// udpLossRun runs the query once on a fresh engine and returns the
-// delivered array count and the goodput in Mbps.
+// udpLossRun runs the query once, as the one session of a fresh engine,
+// and returns the delivered array count and the goodput in Mbps.
 func udpLossRun(src string, rate float64) (int64, float64, error) {
-	eng, err := core.NewEngine(core.Config{UDPInbound: &rate})
+	eng, err := scsq.New(scsq.WithUDPInbound(rate))
 	if err != nil {
 		return 0, 0, err
 	}
 	defer eng.Close()
-	res, err := scsql.NewEvaluator(eng, nil).Exec(src)
+	sess, err := eng.Submit(src)
 	if err != nil {
 		return 0, 0, err
 	}
-	v, err := res.Stream.One()
+	els, err := sess.Wait()
 	if err != nil {
 		return 0, 0, err
 	}
-	delivered, ok := v.(int64)
+	if len(els) != 1 {
+		return 0, 0, fmt.Errorf("query returned %d elements, want 1", len(els))
+	}
+	delivered, ok := els[0].Value.(int64)
 	if !ok {
-		return 0, 0, fmt.Errorf("count is %T", v)
+		return 0, 0, fmt.Errorf("count is %T", els[0].Value)
 	}
-	return delivered, mbps(delivered*paperArrayBytes, res.Stream.Makespan()), nil
+	return delivered, mbps(delivered*paperArrayBytes, vtime.Time(sess.Makespan())), nil
 }

@@ -173,7 +173,6 @@ func (s *ClientStream) Drain() ([]sqep.Element, error) {
 	s.Start()
 	s.ctx.Agent.Await()
 	qc, errs := s.qc, s.errs
-	e := qc.eng
 	if !s.begun {
 		s.err = errors.Join(errs...)
 		return nil, s.err
@@ -196,12 +195,7 @@ func (s *ClientStream) Drain() ([]sqep.Element, error) {
 		// process, wired no edge, and nobody else holds its identity: it leaves
 		// now rather than at a Reset that live sessions may refuse a polling
 		// reader for ever, and hands its id back if no query was opened since.
-		qc.retire()
-		e.mu.Lock()
-		if e.qSeq == qc.seq {
-			e.qSeq--
-		}
-		e.mu.Unlock()
+		qc.handle.RetireRead()
 	}
 
 	s.err = errors.Join(errs...)

@@ -323,6 +323,20 @@ func (e *Engine) rollbackQuery(qc *queryCtx, cause error) {
 // aggregates. Retiring twice is a no-op.
 func (q *Query) Retire() { q.qc.retire() }
 
+// RetireRead retires a query that started no process and that nobody may
+// ask about by id any more — a finished catalog read — and hands its id
+// back if no query was opened since, so that reading numbers no query.
+func (q *Query) RetireRead() {
+	qc := q.qc
+	qc.retire()
+	e := qc.eng
+	e.mu.Lock()
+	if e.qSeq == qc.seq {
+		e.qSeq--
+	}
+	e.mu.Unlock()
+}
+
 // LeaseCount sums the node reservations the query holds across all cluster
 // CNDBs — zero once the query drained or was cancelled.
 func (e *Engine) LeaseCount(qid string) int {

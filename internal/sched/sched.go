@@ -292,7 +292,8 @@ type Query struct {
 	seq int
 	src string
 	// reader marks a catalog read (scsql.CatalogRead): it leases no node, so
-	// it runs without admission and leaves the session table as it ends.
+	// it runs without admission and, as it ends, leaves the session table and
+	// hands its id back if no query was opened since.
 	reader bool
 
 	// sub is fixed at Submit; the absolute deadlines its TTLs induce are
@@ -730,7 +731,8 @@ func (s *Scheduler) finishQueued(q *Query, st State, err error, c *metrics.Count
 // stream (the whole SP graph), and the table lets go of the session: what a
 // held handle can still ask for (state, error, makespan, results) lives with
 // the handle. The line that thereby leaves the window — a reader's, at once
-// — is forgotten by id here, and its engine scope retired.
+// — is forgotten by id here, and its engine scope retired; a reader's id
+// goes back once its line is gone, so no two lines ever share one.
 func (s *Scheduler) finalize(q *Query, st State, err error) {
 	q.mu.Lock()
 	q.state = st
@@ -760,7 +762,12 @@ func (s *Scheduler) finalize(q *Query, st State, err error) {
 		delete(s.table, evicted.row.ID)
 	}
 	s.mu.Unlock()
-	if evicted != nil {
+	switch {
+	case q.reader:
+		// Its line is gone from the table, so its id may go back too: reading
+		// numbers no query, as through Exec.
+		en.cq.RetireRead()
+	case evicted != nil:
 		evicted.cq.Retire()
 	}
 	// Waiters wake last: whoever Wait releases sees the session already

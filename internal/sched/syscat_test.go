@@ -129,6 +129,39 @@ func TestSubscribeVTimeCoalesceAndClose(t *testing.T) {
 	s.tickSubscribers() // after Close: must not panic
 }
 
+// TestFinishedReadHandsItsIDBack: a catalog read is a session while it runs;
+// once it has left the table its id goes back, so the sessions around any
+// number of reads number q1, q2, ... as if none had run.
+func TestFinishedReadHandsItsIDBack(t *testing.T) {
+	e := newTestEngine(t)
+	s := New(e, nil)
+	defer s.Close()
+	for _, want := range []string{"q1", "q2"} {
+		for range 3 {
+			r, err := s.Submit(`select sys_sessions();`)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			if r.ID() != want {
+				t.Errorf("read ran as %s, want %s: the read before it kept its id", r.ID(), want)
+			}
+		}
+		q, err := s.Submit(scsql.Figure5Query(30_000, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := q.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		if q.ID() != want {
+			t.Errorf("session after three reads is %s, want %s", q.ID(), want)
+		}
+	}
+}
+
 // TestCatalogReadSkipsAdmission: a statement that only reads the system
 // catalog leases no node, so it answers in exactly the states it is asked
 // about — a head waiting for the nodes a gated hog holds, the queue at its

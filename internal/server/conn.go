@@ -510,9 +510,11 @@ func (c *conn) handleCancel(payload []byte) {
 	var target *connSession
 	c.mu.Lock()
 	for _, cs := range c.sessions {
-		if cs.sess.ID() == id {
+		// A finished catalog read hands its id back, so until its Done frame
+		// evicts it, it may share the id with a later session: prefer the
+		// one still running.
+		if cs.sess.ID() == id && (target == nil || !cs.sess.State().Final()) {
 			target = cs
-			break
 		}
 	}
 	c.mu.Unlock()

@@ -24,13 +24,14 @@
 //	eng, err := scsq.New()
 //	if err != nil { ... }
 //	defer eng.Close()
-//	stream, err := eng.Query(`
+//	sess, err := eng.Submit(`
 //	    select extract(b)
 //	    from sp a, sp b
 //	    where b=sp(streamof(count(extract(a))), 'bg', 0)
 //	    and   a=sp(gen_array(3000000,100), 'bg', 1);`)
 //	if err != nil { ... }
-//	v, err := stream.One() // int64(100)
+//	els, err := sess.Wait()        // one element: int64(100)
+//	mbps := sess.BandwidthMbps(3e8) // 100 arrays of 3 MB over the makespan
 package scsq
 
 import (
@@ -52,11 +53,13 @@ import (
 )
 
 // Engine is a SCSQ instance: a client manager, three cluster coordinators
-// and a simulated LOFAR hardware environment. Exec/Query run one statement
-// synchronously on the calling goroutine; Submit hands statements to the
-// engine's multi-tenant query scheduler, which runs many sessions
-// concurrently under admission control. Reset prepares the engine for an
-// independent run once no session is live.
+// and a simulated LOFAR hardware environment. Submit is how a statement
+// runs: it hands the statement to the engine's multi-tenant query scheduler,
+// which runs many sessions concurrently under admission control, as it does
+// a wire client's. Exec/Query, which run one statement synchronously on the
+// calling goroutine outside the scheduler, remain only because benchmark/
+// still calls them. Reset prepares the engine for an independent run once
+// no session is live.
 type Engine struct {
 	core  *core.Engine
 	ev    *scsql.Evaluator
@@ -407,11 +410,16 @@ func (s *Stream) Makespan() time.Duration {
 // payloadBytes communicated during the virtual makespan, in megabits per
 // second. This is the paper's bandwidth metric.
 func (s *Stream) BandwidthMbps(payloadBytes int64) float64 {
-	mk := s.Makespan()
-	if mk <= 0 {
+	return bandwidthMbps(payloadBytes, s.Makespan())
+}
+
+// bandwidthMbps is payloadBytes over makespan in Mbit/s, zero for a
+// makespan that is not positive.
+func bandwidthMbps(payloadBytes int64, makespan time.Duration) float64 {
+	if makespan <= 0 {
 		return 0
 	}
-	return float64(payloadBytes) * 8 / mk.Seconds() / 1e6
+	return float64(payloadBytes) * 8 / makespan.Seconds() / 1e6
 }
 
 // SessionOption configures one Submit. Each sets one field of the session's
@@ -565,11 +573,7 @@ func (s *Session) Makespan() time.Duration {
 // BandwidthMbps computes the session's measured streaming bandwidth:
 // payloadBytes communicated during the virtual makespan, in Mbit/s.
 func (s *Session) BandwidthMbps(payloadBytes int64) float64 {
-	mk := s.Makespan()
-	if mk <= 0 {
-		return 0
-	}
-	return float64(payloadBytes) * 8 / mk.Seconds() / 1e6
+	return bandwidthMbps(payloadBytes, s.Makespan())
 }
 
 // AdmissionWait returns how long the session waited for admission.
