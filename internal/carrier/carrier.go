@@ -163,11 +163,3 @@ var ErrClosed = errors.New("carrier: connection closed")
 // node. It is terminal: a dead node does not come back within a query, and
 // the sessions with a process on it fail.
 var ErrNodeDown = errors.New("carrier: compute node down")
-
-// Aborter is the optional interface of connections that can be aborted from
-// outside the sending goroutine: Abort unblocks a Send stalled on flow
-// control and makes subsequent Sends fail. Failure detection uses it to tear
-// the streams of a killed RP without waiting for the consumer.
-type Aborter interface {
-	Abort()
-}

@@ -103,11 +103,12 @@ type Link struct {
 	seq    atomic.Uint64 // the next frame's sequence number
 }
 
-// NewLink opens a connection over r that delivers into inbox. faults, if
+// NewLink opens l, fresh or recycled (Reuse), as a connection over r into
+// inbox: every field is set again, a new abort channel too. faults, if
 // non-nil, is consulted on every send (pass chaos.Injector.Faults); reg, if
 // non-nil, records the per-link frame/byte/drop counters and the carrier's
 // delivery-latency histogram.
-func NewLink(r Route, inbox Inbox, faults Faults, reg *metrics.Registry) *Link {
+func NewLink(l *Link, r Route, inbox Inbox, faults Faults, reg *metrics.Registry) *Link {
 	// The label identifies the link's metrics block (names are composed from
 	// it when the registry is read). It is spelled on the stack and becomes a
 	// string only with the block: a pair dialed before allocates none.
@@ -116,7 +117,7 @@ func NewLink(r Route, inbox Inbox, faults Faults, reg *metrics.Registry) *Link {
 	spelled = appendRef(append(spelled, ':'), r.Src)
 	spelled = appendRef(append(spelled, "->"...), r.Dst)
 	b, label := reg.SharedBytes(linkFamily, spelled)
-	return &Link{
+	*l = Link{
 		route:    r,
 		label:    label,
 		inbox:    inbox,
@@ -127,6 +128,16 @@ func NewLink(r Route, inbox Inbox, faults Faults, reg *metrics.Registry) *Link {
 		hDeliver: reg.Shared(kindFamily, r.Kind).Histogram(0),
 		abort:    make(chan struct{}),
 	}
+	return l
+}
+
+// Reuse returns what a constructor opens in place: into's first, a
+// connection end a query that finished clean handed back, or a fresh T.
+func Reuse[T any](into []*T) *T {
+	if len(into) > 0 && into[0] != nil {
+		return into[0]
+	}
+	return new(T)
 }
 
 // appendRef appends "<cluster>:<node>".

@@ -172,16 +172,6 @@ func (i *Injector) KillNode(cluster hw.ClusterName, node int) {
 	}
 }
 
-// NodeDead reports whether the node has crashed.
-func (i *Injector) NodeDead(cluster hw.ClusterName, node int) bool {
-	if i == nil {
-		return false
-	}
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	return i.dead[NodeRef{Cluster: cluster, Node: node}]
-}
-
 // Faults returns i as a link's fault source: nil, which a link never
 // consults, for a nil injector.
 func (i *Injector) Faults() carrier.Faults {

@@ -208,3 +208,13 @@ func TestFaultCountersExported(t *testing.T) {
 		t.Fatalf("rate faults never fired: drops=%d corrupts=%d delays=%d", drops, corrupts, delays)
 	}
 }
+
+// NodeDead reports whether the node has crashed.
+func (i *Injector) NodeDead(cluster hw.ClusterName, node int) bool {
+	if i == nil {
+		return false
+	}
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	return i.dead[NodeRef{Cluster: cluster, Node: node}]
+}

@@ -11,7 +11,7 @@ import (
 )
 
 func idleRP(id string, node int) *rp.RP {
-	return rp.New(id, hw.BlueGene, node, sqep.Ctx{}, sqep.NewIota(1, 1))
+	return rp.New(id, hw.BlueGene, node, sqep.Ctx{}, sqep.NewIota(1, 1), nil)
 }
 
 func TestKillNodeFailsResidentRPs(t *testing.T) {

@@ -126,7 +126,7 @@ func (d *drain) Run() {
 	}
 	s.begun = true
 	for i, n := 0, qc.handle.SPCount(); i < n; i++ {
-		if err := qc.spAt(i).start(); err != nil {
+		if err := qc.spAt(i).Start(); err != nil {
 			s.errs = append(s.errs, err)
 		}
 	}
@@ -189,7 +189,7 @@ func (s *ClientStream) Drain() ([]sqep.Element, error) {
 			errs = append(errs, err)
 		}
 	}
-	qc.finish()
+	qc.finish(len(errs) == 0)
 	if s.sole && ran == 0 {
 		// A pure client plan — a catalog read through Exec — started no
 		// process, wired no edge, and nobody else holds its identity: it leaves
@@ -206,15 +206,6 @@ func (s *ClientStream) Drain() ([]sqep.Element, error) {
 // start: the last result element's time minus the kernel's time when the
 // drain started, so what ran before does not enter it. Read it after Drain.
 func (s *ClientStream) Makespan() vtime.Time { return max(s.last, s.start) - s.start }
-
-// Values returns the drained element values.
-func (s *ClientStream) Values() []any {
-	out := make([]any, len(s.elements))
-	for i, el := range s.elements {
-		out[i] = el.Value
-	}
-	return out
-}
 
 // One drains the stream and asserts it produced exactly one element,
 // returning its value — the common shape of the paper's measurement

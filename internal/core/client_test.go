@@ -448,3 +448,12 @@ func TestForgetQueryFoldsWithoutLoss(t *testing.T) {
 		t.Error("be0.nic has no retired aggregate after the fold")
 	}
 }
+
+// Values returns the drained element values.
+func (s *ClientStream) Values() []any {
+	out := make([]any, len(s.elements))
+	for i, el := range s.elements {
+		out[i] = el.Value
+	}
+	return out
+}

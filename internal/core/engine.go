@@ -71,11 +71,9 @@ type Engine struct {
 	// must see a consistent node pool, which makes admission deterministic.
 	buildMu sync.Mutex
 
-	// plannerMu guards the optional placement planner hook. A separate
-	// (read-mostly) lock: planning happens on the placement path, which
-	// must not contend with e.mu's bookkeeping.
-	plannerMu sync.RWMutex
-	planner   PlacementPlanner
+	// planner is the optional placement planner hook, an atomic: planning
+	// happens on the placement path, which must not contend with e.mu.
+	planner atomic.Pointer[PlacementPlanner]
 
 	mu      sync.Mutex
 	queries map[string]*queryCtx // every query scope not yet retired, by id
@@ -88,6 +86,36 @@ type Engine struct {
 	clock atomic.Pointer[VTimeObserver]
 	// advance is observe, bound once: the emit func of every RP's agent.
 	advance func(vtime.Time)
+
+	spares spares // what queries that finished clean handed back (finish)
+}
+
+// spares are connection ends for later builds to open in place, each list
+// at most maxSpares long (as metrics.maxFree bounds a family's free blocks).
+type spares struct {
+	mu    sync.Mutex
+	recvs []*rp.Receiver
+	sends []*rp.Sender
+	links []*carrier.Link
+}
+
+const maxSpares = 64
+
+// take pops a spare from list, or returns nil: carrier.Reuse allocates then.
+func take[T any](s *spares, list *[]*T) (x *T) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n := len(*list); n > 0 {
+		x, (*list)[n-1], *list = (*list)[n-1], nil, (*list)[:n-1]
+	}
+	return x
+}
+
+// keep puts x on list while it has room; s.mu must be held.
+func keep[T any](list *[]*T, x *T) {
+	if x != nil && len(*list) < maxSpares {
+		*list = append(*list, x)
+	}
 }
 
 // Edge describes one carrier connection of the current query's process
@@ -291,7 +319,7 @@ func (e *Engine) Close() error {
 	}
 	// Checked under e.mu so no Drain can start (beginDrain) between the
 	// check and the teardown.
-	if e.activeQueriesLocked() > 0 {
+	if e.activeLocked() {
 		return ErrQueriesActive
 	}
 	e.closed = true
@@ -311,7 +339,7 @@ func (e *Engine) Reset() error {
 	// Checked under e.mu so no Drain can start (beginDrain) between the
 	// check and the identity sweep; a stream built before this Reset that
 	// drains after it fails fast with ErrStaleQuery.
-	if e.activeQueriesLocked() > 0 {
+	if e.activeLocked() {
 		e.mu.Unlock()
 		return ErrQueriesActive
 	}
@@ -396,28 +424,18 @@ type PlacementPlanner interface {
 // SetPlacementPlanner installs (nil: removes) the engine's placement
 // planner. With no planner installed the placement path is byte-for-byte
 // the historic one — schedules are bit-identical to a planner-less build.
-func (e *Engine) SetPlacementPlanner(p PlacementPlanner) {
-	e.plannerMu.Lock()
-	e.planner = p
-	e.plannerMu.Unlock()
-}
-
-// placementPlanner returns the installed planner, or nil.
-func (e *Engine) placementPlanner() PlacementPlanner {
-	e.plannerMu.RLock()
-	defer e.plannerMu.RUnlock()
-	return e.planner
-}
+func (e *Engine) SetPlacementPlanner(p PlacementPlanner) { e.planner.Store(&p) }
 
 // planned returns the allocation sequence a placement should actually walk:
 // the planner's reordering when one is installed and admissible, the
 // original sequence otherwise. The original sequence object is never
 // mutated.
 func (e *Engine) planned(owner string, c hw.ClusterName, seq *cndb.Sequence, batch int) *cndb.Sequence {
-	p := e.placementPlanner()
-	if p == nil {
+	pp := e.planner.Load()
+	if pp == nil || *pp == nil {
 		return seq
 	}
+	p := *pp
 	var candidates []int
 	if seq != nil {
 		candidates = seq.IDs()
@@ -483,11 +501,12 @@ func (e *Engine) newPlacedSP(qc *queryCtx, sub Subquery, c hw.ClusterName, node 
 		return nil, err
 	}
 	sp := &SP{eng: e, qc: qc, cluster: c, id: id, node: node}
-	sp.rp = rp.New(id, c, node, ctx, op)
+	sp.rp = rp.New(id, c, node, ctx, op, sp)
 	sp.rp.SetMetrics(qc.metrics)
-	sp.rp.SetExiter(sp)
 	e.coords[c].Register(sp.rp)
-	qc.addSP(sp)
+	qc.mu.Lock()
+	qc.sps = append(qc.sps, sp)
+	qc.mu.Unlock()
 	return sp, nil
 }
 
@@ -559,14 +578,16 @@ type SP struct {
 	wirings []wiring
 }
 
-// wiring records one outgoing subscription of an SP: where the consumer
-// is, and the inbox a failure is announced into.
+// wiring records one outgoing subscription of an SP: where the consumer is,
+// the inbox a failure is announced into, the link, and the receiver if first.
 type wiring struct {
 	cc       hw.ClusterName
 	cn       int
 	inbox    carrier.Inbox
 	consumer string
 	to       *vtime.Agent // the consuming process
+	link     *carrier.Link
+	recv     *rp.Receiver
 }
 
 // ID returns the SP's unique identity.
@@ -574,12 +595,6 @@ func (s *SP) ID() string { return s.id }
 
 // Node returns the compute node the SP is assigned to.
 func (s *SP) Node() int { return s.node }
-
-func (s *SP) addWiring(w wiring) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.wirings = append(s.wirings, w)
-}
 
 // poison injects cause, as Down frames from source, into the consumer
 // inboxes s feeds: those on node (cc, cn), or every one if cc is "".
@@ -611,9 +626,7 @@ func (s *SP) Exited(err error) {
 // coordinator"): a running RP builds a new SP of its own query with
 // PlanBuilder.Query().SP, wires itself to it with Engine.ConnectLive, then
 // starts it. Starting twice is a no-op.
-func (s *SP) Start() error { return s.start() }
-
-func (s *SP) start() error {
+func (s *SP) Start() error {
 	s.mu.Lock()
 	if s.started {
 		s.mu.Unlock()
@@ -692,12 +705,6 @@ func (e *Engine) connectAs(qc *queryCtx, producers []*SP, cc hw.ClusterName, cn 
 	}
 	qc.edges = append(qc.edges, make([]Edge, 0, len(producers)))
 	qc.mu.Unlock()
-	for _, p := range producers {
-		w := wiring{cc: cc, cn: cn, inbox: inbox, consumer: consumer, to: to}
-		if err := e.wireProducer(p, w); err != nil {
-			return nil, err
-		}
-	}
 	rcfg := rp.ReceiverConfig{
 		Producers:  len(producers),
 		MPIPerByte: e.env.Cost.BGMarshalByte,
@@ -720,7 +727,17 @@ func (e *Engine) connectAs(qc *queryCtx, producers []*SP, cc hw.ClusterName, cn 
 	case hw.FrontEnd:
 		rcfg.TCPPerByte = e.env.Cost.FECPUByte
 	}
-	return rp.NewReceiver(inbox, rcfg), nil
+	recv := rp.NewReceiver(inbox, rcfg, take(&e.spares, &e.spares.recvs))
+	for i, p := range producers {
+		w := wiring{cc: cc, cn: cn, inbox: inbox, consumer: consumer, to: to}
+		if i == 0 {
+			w.recv = recv
+		}
+		if err := e.wireProducer(p, w); err != nil {
+			return nil, err
+		}
+	}
+	return recv, nil
 }
 
 // wireProducer dials one stream from producer p into the consumer inbox of
@@ -738,44 +755,32 @@ func (e *Engine) wireProducer(p *SP, w wiring) error {
 	intraBG := p.cluster == hw.BlueGene && w.cc == hw.BlueGene
 	src := tcpcar.Endpoint{Cluster: p.cluster, Node: pn}
 	dst := tcpcar.Endpoint{Cluster: w.cc, Node: w.cn}
+	spare := take(&e.spares, &e.spares.links)
 	switch {
 	case intraBG:
-		link, err = e.mpi.Dial(pn, w.cn, e.cfg.Buffering, w.inbox)
+		link, err = e.mpi.Dial(pn, w.cn, e.cfg.Buffering, w.inbox, spare)
 	case e.udp != nil && p.cluster == hw.BackEnd && w.cc == hw.BlueGene:
-		link, err = e.udp.Dial(src, dst, w.inbox)
+		link, err = e.udp.Dial(src, dst, w.inbox, spare)
 	default:
-		link, err = e.tcp.Dial(src, dst, w.inbox)
+		link, err = e.tcp.Dial(src, dst, w.inbox, spare)
 	}
 	if err != nil {
 		return err
 	}
-	// The MPI driver buffers by the engine's discipline; across clusters the
-	// TCP stack buffers and every element is flushed.
-	var scfg rp.SenderConfig
-	if intraBG {
-		scfg = rp.SenderConfig{
-			BufBytes:       e.cfg.MPIBufferBytes,
-			Mode:           e.cfg.Buffering,
-			MarshalPerByte: e.env.Cost.BGMarshalByte,
-			Cost:           &e.env.Cost,
-			CPU:            prodNode.CPU,
-		}
-	} else {
-		scfg = rp.SenderConfig{
-			BufBytes:        1 << 20,
-			Mode:            carrier.DoubleBuffered,
-			FlushPerElement: true,
-			MarshalPerByte:  e.marshalRate(p.cluster),
-			CPU:             prodNode.CPU,
-		}
+	// Across clusters the TCP stack buffers and every element is flushed; the
+	// MPI driver buffers by the engine's discipline. Sender-side send.*
+	// metrics and carrier-side link.* metrics key identically.
+	scfg := rp.SenderConfig{
+		BufBytes: 1 << 20, Mode: carrier.DoubleBuffered, FlushPerElement: true,
+		MarshalPerByte: e.marshalRate(p.cluster), CPU: prodNode.CPU,
+		Metrics: e.reg, Tracer: e.cfg.Tracer, Link: link.Label(),
 	}
-	scfg.Metrics = e.reg
-	scfg.Tracer = e.cfg.Tracer
-	// Sender-side send.* metrics and carrier-side link.* metrics key
-	// identically.
-	scfg.Link = link.Label()
+	if intraBG {
+		scfg.BufBytes, scfg.Mode, scfg.FlushPerElement = e.cfg.MPIBufferBytes, e.cfg.Buffering, false
+		scfg.Cost = &e.env.Cost
+	}
 	link.Sender, link.Receiver = p.rp.Agent(), w.to
-	if err := p.rp.Subscribe(link, scfg); err != nil {
+	if err := p.rp.Subscribe(link, scfg, take(&e.spares, &e.spares.sends)); err != nil {
 		return err
 	}
 	p.qc.wired(link, Edge{
@@ -789,7 +794,10 @@ func (e *Engine) wireProducer(p *SP, w wiring) error {
 		Carrier:     link.Kind(),
 		Label:       link.Label(),
 	})
-	p.addWiring(w)
+	w.link = link
+	p.mu.Lock()
+	p.wirings = append(p.wirings, w)
+	p.mu.Unlock()
 	return nil
 }
 

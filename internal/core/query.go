@@ -82,12 +82,6 @@ func (qc *queryCtx) Cause() error {
 	return qc.cause
 }
 
-func (qc *queryCtx) addSP(sp *SP) {
-	qc.mu.Lock()
-	defer qc.mu.Unlock()
-	qc.sps = append(qc.sps, sp)
-}
-
 // spAt returns the query's i-th process, or nil past the last.
 func (qc *queryCtx) spAt(i int) *SP {
 	qc.mu.Lock()
@@ -140,12 +134,15 @@ func (qc *queryCtx) wired(link *carrier.Link, ed Edge) {
 // rolled-back build and retire all come through here: every SP's node lease
 // and coordinator registration go, and the SP graph with them, so a second
 // call finds nothing to release. Edges, metrics and busy time stay queryable
-// until retire. The processes must have resolved or never started.
-func (qc *queryCtx) finish() {
+// until retire. The processes must have resolved or never started. A clean
+// drain (every process exited nil) of a query never cancelled recycles:
+// decided under qc.mu, as cancel's snapshot is, the two exclude each other.
+func (qc *queryCtx) finish(clean bool) {
 	e := qc.eng
 	qc.mu.Lock()
 	sps := qc.sps
 	qc.sps = nil
+	clean = clean && qc.started && !qc.finished && !qc.cancelled
 	if qc.started {
 		// Not so a rolled-back build: it never started, and its identity
 		// stays open for the next attempt.
@@ -157,6 +154,24 @@ func (qc *queryCtx) finish() {
 		cc.ReleaseFor(qc.id, sp.Node())
 		cc.Unregister(sp.id)
 	}
+	if !clean {
+		return
+	}
+	// Nothing is reused before every process gave up its senders (Detach,
+	// which a late Fail cannot pass). Agents, processes and channels are not
+	// recycled: a coordinator or a poisoning goroutine may still hold them.
+	s := &e.spares
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, sp := range sps {
+		for _, d := range sp.rp.Detach() {
+			keep(&s.sends, d)
+		}
+		for _, w := range sp.wirings {
+			keep(&s.links, w.link)
+			keep(&s.recvs, w.recv)
+		}
+	}
 }
 
 // retire removes the query from the engine: finish, then its edges are
@@ -167,7 +182,7 @@ func (qc *queryCtx) finish() {
 // cost is what the query touched, not what the machine has. Retiring twice
 // is a no-op: every step finds nothing left to do.
 func (qc *queryCtx) retire() {
-	qc.finish()
+	qc.finish(false)
 	qc.mu.Lock()
 	qc.finished = true
 	charged := qc.charged
@@ -183,14 +198,6 @@ func (qc *queryCtx) retire() {
 	if e.queries[qc.id] == qc {
 		delete(e.queries, qc.id)
 	}
-}
-
-// active reports a query whose streams may still be moving: started by a
-// Drain that has not completed yet.
-func (qc *queryCtx) active() bool {
-	qc.mu.Lock()
-	defer qc.mu.Unlock()
-	return qc.started && !qc.finished
 }
 
 // cancel fails every process of this query (and only this query). The
@@ -309,7 +316,7 @@ func (e *Engine) rollbackQuery(qc *queryCtx, cause error) {
 	for _, sp := range qc.snapshot() {
 		sp.rp.Fail(fmt.Errorf("core: build rolled back: %w", cause))
 	}
-	qc.finish()
+	qc.finish(false)
 	qc.mu.Lock()
 	qc.nextID = 0
 	qc.mu.Unlock()
@@ -359,17 +366,20 @@ func (e *Engine) allSPs() []*SP {
 	return out
 }
 
-// activeQueriesLocked counts queries whose streams may still be moving.
-// e.mu must be held, which makes the count atomic with teardown decisions
-// against beginDrain (lock order: e.mu then qc.mu).
-func (e *Engine) activeQueriesLocked() int {
-	n := 0
+// activeLocked reports a query whose streams may still be moving: started by
+// a Drain that has not completed yet. e.mu must be held, which makes the
+// answer atomic with teardown decisions against beginDrain (lock order: e.mu
+// then qc.mu).
+func (e *Engine) activeLocked() bool {
 	for _, qc := range e.queries {
-		if qc.active() {
-			n++
+		qc.mu.Lock()
+		active := qc.started && !qc.finished
+		qc.mu.Unlock()
+		if active {
+			return true
 		}
 	}
-	return n
+	return false
 }
 
 // beginDrain gates a stream start against engine teardown: it marks the

@@ -21,6 +21,7 @@ package mpicar
 
 import (
 	"fmt"
+	"slices"
 
 	"scsq/internal/carrier"
 	"scsq/internal/chaos"
@@ -54,9 +55,6 @@ func NewFabric(env *hw.Env) *Fabric {
 	return f
 }
 
-// Env returns the underlying hardware environment.
-func (f *Fabric) Env() *hw.Env { return f.env }
-
 // SetInjector attaches a chaos injector consulted on every dial and send.
 // It must be called before the first Dial; a nil injector disables
 // injection.
@@ -67,15 +65,12 @@ func (f *Fabric) SetInjector(inj *chaos.Injector) { f.inj = inj }
 // It must be called before the first Dial; nil disables recording.
 func (f *Fabric) SetMetrics(reg *metrics.Registry) { f.reg = reg }
 
-// Conn is an open MPI connection between two BG compute nodes.
-type Conn = carrier.Link
-
 // Dial opens an MPI connection from BG compute node src to dst, delivering
 // frames into inbox. mode selects single or double buffering of the MPI
 // driver. The route is the sender's co-processor, the co-processor of every
 // intermediate node of the dimension-ordered torus route, and the
-// receiver's.
-func (f *Fabric) Dial(src, dst int, mode carrier.Buffering, inbox carrier.Inbox) (*Conn, error) {
+// receiver's. A link passed after inbox is opened in place (carrier.Reuse).
+func (f *Fabric) Dial(src, dst int, mode carrier.Buffering, inbox carrier.Inbox, into ...*carrier.Link) (*carrier.Link, error) {
 	if mode != carrier.SingleBuffered && mode != carrier.DoubleBuffered {
 		return nil, fmt.Errorf("mpicar: invalid buffering mode %d", mode)
 	}
@@ -122,7 +117,8 @@ func (f *Fabric) Dial(src, dst int, mode carrier.Buffering, inbox carrier.Inbox)
 	}
 	// The frame starts on the sender's co-processor, which is therefore not
 	// a hop and carries no trace label.
-	stages := make([]vtime.Stage, 0, len(hops)+1)
+	l := carrier.Reuse(into)
+	stages := slices.Grow(l.Stages()[:0], len(hops)+1)
 	stages = append(stages, vtime.Stage{Resource: srcNode.Coproc, Service: f.send[mode]})
 	for _, mid := range hops[:len(hops)-1] {
 		node, err := f.env.Node(hw.BlueGene, mid)
@@ -133,7 +129,7 @@ func (f *Fabric) Dial(src, dst int, mode carrier.Buffering, inbox carrier.Inbox)
 	}
 	stages = append(stages, vtime.Stage{Resource: dstNode.Coproc, Service: receive, Label: dstNode.Hop})
 	f.env.RegisterProducer(dst)
-	return carrier.NewLink(carrier.Route{Kind: "mpi", Src: srcRef, Dst: dstRef, Stages: stages}, inbox, f.inj.Faults(), f.reg), nil
+	return carrier.NewLink(l, carrier.Route{Kind: "mpi", Src: srcRef, Dst: dstRef, Stages: stages}, inbox, f.inj.Faults(), f.reg), nil
 }
 
 // send is the sender co-processor's time for an s-byte frame: k packets,

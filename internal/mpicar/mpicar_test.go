@@ -159,7 +159,7 @@ func TestMergeSwitchPenalty(t *testing.T) {
 	recvBusy := func(producers int) vtime.Duration {
 		f := testFabric(t)
 		inbox := make(carrier.Inbox, 16)
-		var conns []*Conn
+		var conns []*carrier.Link
 		for p := 0; p < producers; p++ {
 			conn, err := f.Dial(1+p, 0, carrier.SingleBuffered, inbox)
 			if err != nil {
@@ -253,3 +253,6 @@ func TestFabricReset(t *testing.T) {
 		t.Errorf("after reset, producer count = %d, want 0", got)
 	}
 }
+
+// Env returns the underlying hardware environment.
+func (f *Fabric) Env() *hw.Env { return f.env }

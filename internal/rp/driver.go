@@ -68,10 +68,11 @@ var (
 	}
 )
 
-// senderDriver marshals outgoing elements into send buffers and ships them
-// over one carrier connection (paper §2.3: "the sender driver ... marshals
-// them and sends the buffer contents to subscribers").
-type senderDriver struct {
+// Sender is a sender driver: it marshals outgoing elements into send
+// buffers and ships them over one carrier connection (paper §2.3: "the
+// sender driver ... marshals them and sends the buffer contents to
+// subscribers").
+type Sender struct {
 	cfg    SenderConfig // MarshalPerByte includes the cache factor of BufBytes
 	conn   carrier.Conn
 	source string
@@ -118,18 +119,19 @@ type senderDriver struct {
 	traceBase uint64
 }
 
-func newSenderDriver(source string, conn carrier.Conn, cfg SenderConfig) (*senderDriver, error) {
+// init opens d, fresh or recycled, as source's sender over conn: every
+// field is set again but pending's capacity (its bytes never leave d).
+func (d *Sender) init(source string, conn carrier.Conn, cfg SenderConfig) error {
 	if cfg.BufBytes <= 0 {
-		return nil, fmt.Errorf("rp: sender buffer size must be positive, got %d", cfg.BufBytes)
+		return fmt.Errorf("rp: sender buffer size must be positive, got %d", cfg.BufBytes)
 	}
 	if cfg.Mode != carrier.SingleBuffered && cfg.Mode != carrier.DoubleBuffered {
-		return nil, fmt.Errorf("rp: invalid buffering mode %d", cfg.Mode)
+		return fmt.Errorf("rp: invalid buffering mode %d", cfg.Mode)
 	}
 	if cfg.Cost != nil {
 		cfg.MarshalPerByte *= cfg.Cost.CacheFactor(cfg.BufBytes)
 	}
-	d := &senderDriver{cfg: cfg, conn: conn, source: source}
-	d.seq = &d.ownSeq
+	*d = Sender{cfg: cfg, conn: conn, source: source, seq: &d.ownSeq, pending: d.pending[:0]}
 	link := cfg.Metrics.Shared(sendFamily, cfg.Link)
 	d.mFrames, d.mBytes = link.Counter(0), link.Counter(1)
 	kind, _, _ := strings.Cut(cfg.Link, ":")
@@ -142,12 +144,12 @@ func newSenderDriver(source string, conn carrier.Conn, cfg SenderConfig) (*sende
 		_, _ = h.Write([]byte(source))
 		d.traceBase = h.Sum64()
 	}
-	return d, nil
+	return nil
 }
 
 // bufferFreeAt reports when a send buffer is available for marshaling the
 // next element, per the buffering discipline.
-func (d *senderDriver) bufferFreeAt() vtime.Time {
+func (d *Sender) bufferFreeAt() vtime.Time {
 	if d.cfg.Mode == carrier.DoubleBuffered {
 		return d.hist[0] // two flushes ago
 	}
@@ -155,12 +157,12 @@ func (d *senderDriver) bufferFreeAt() vtime.Time {
 }
 
 // unflushed is the number of marshaled bytes no frame has carried yet.
-func (d *senderDriver) unflushed() int {
+func (d *Sender) unflushed() int {
 	return len(d.pending) - d.head + d.arrSize - d.arrOff
 }
 
 // push marshals el behind the pending bytes, flushing full frames.
-func (d *senderDriver) push(el sqep.Element) error {
+func (d *Sender) push(el sqep.Element) error {
 	// Compact the unflushed tail (shorter than one buffer) so the backing
 	// array is reused rather than grown past the flushed head.
 	d.pending = d.pending[:copy(d.pending, d.pending[d.head:])]
@@ -214,7 +216,7 @@ func (d *senderDriver) push(el sqep.Element) error {
 }
 
 // flushFull flushes every full buffer of unflushed bytes.
-func (d *senderDriver) flushFull() error {
+func (d *Sender) flushFull() error {
 	for d.unflushed() >= d.cfg.BufBytes {
 		if err := d.flushFrame(d.cfg.BufBytes, false); err != nil {
 			return err
@@ -224,14 +226,14 @@ func (d *senderDriver) flushFull() error {
 }
 
 // finish flushes the remaining bytes and the end-of-stream frame.
-func (d *senderDriver) finish() error {
+func (d *Sender) finish() error {
 	if err := d.flushFull(); err != nil {
 		return err
 	}
 	return d.flushFrame(len(d.pending)-d.head, true) // possibly empty last frame
 }
 
-func (d *senderDriver) flushFrame(n int, last bool) error {
+func (d *Sender) flushFrame(n int, last bool) error {
 	// The carrier owns the frame once Send is called — error paths recycle a
 	// pooled payload — so the frame is a pooled copy of the bytes still
 	// sitting in pending and in the array being flushed, unless it lies
@@ -293,7 +295,7 @@ func (d *senderDriver) flushFrame(n int, last bool) error {
 // subscriber's receiver surfaces it as ErrUpstreamDown instead of treating
 // the stream as cleanly complete. Down frames are final frames, so they ride
 // the reliable termination path rate faults exempt.
-func (d *senderDriver) finishDown(cause error) error {
+func (d *Sender) finishDown(cause error) error {
 	*d.seq++
 	_, err := d.conn.Send(carrier.Frame{
 		Source: d.source,
@@ -307,7 +309,7 @@ func (d *senderDriver) finishDown(cause error) error {
 	return err
 }
 
-func (d *senderDriver) close() error { return d.conn.Close() }
+func (d *Sender) close() error { return d.conn.Close() }
 
 // ReceiverConfig configures a receiver driver.
 type ReceiverConfig struct {
@@ -332,14 +334,11 @@ type ReceiverConfig struct {
 	MergeSwitchCost vtime.Duration
 	// CPU is the receiving node's CPU resource.
 	CPU *vtime.Resource
-	// TrackOffsets enables replay deduplication: frames carry the cumulative
-	// payload offset of their stream, and a frame whose bytes were already
-	// ingested (a producer sending part of its stream again) is discarded
-	// without charge; a partial overlap is trimmed to the unseen suffix.
-	// Offsets may jump forward (UDP loss). The engine enables this, though
-	// none of its producers replays a stream (ROADMAP item 11); hand-built
-	// tests that craft frames with zero offsets are unaffected by the
-	// default.
+	// TrackOffsets enables replay deduplication: a frame whose bytes were
+	// already ingested (by their cumulative stream offset) is discarded
+	// without charge, a partial overlap trimmed to the unseen suffix; offsets
+	// may jump forward (UDP loss). The engine enables it, though none of its
+	// producers replays a stream (ROADMAP item 11).
 	TrackOffsets bool
 	// BatchFrames bounds how many inbox frames are drained and charged per
 	// kernel commit: after one blocking receive, up to BatchFrames-1 further
@@ -422,16 +421,15 @@ type Receiver struct {
 
 var _ sqep.Operator = (*Receiver)(nil)
 
-// NewReceiver builds a receiver over inbox.
-func NewReceiver(inbox carrier.Inbox, cfg ReceiverConfig) *Receiver {
+// NewReceiver opens a receiver over inbox, fresh or the one passed after cfg
+// (carrier.Reuse): every field is set again but the capacity of its tables.
+// What a consumer may still read — the boxes, a leased arr — is not reused.
+func NewReceiver(inbox carrier.Inbox, cfg ReceiverConfig, into ...*Receiver) *Receiver {
 	if cfg.Producers < 1 {
 		cfg.Producers = 1
 	}
-	r := &Receiver{
-		cfg:   cfg,
-		inbox: inbox,
-		prods: make([]producer, 0, cfg.Producers),
-	}
+	r := carrier.Reuse(into)
+	*r = Receiver{cfg: cfg, inbox: inbox, prods: slices.Grow(r.prods[:0], cfg.Producers), batch: r.batch[:0], reqs: r.reqs[:0]}
 	if cfg.Tracer != nil {
 		r.demarshalLane = "demarshal " + cfg.Consumer
 	}
@@ -535,12 +533,6 @@ func (r *Receiver) fill() error {
 		return errInboxClosed
 	}
 	maxBatch := max(r.cfg.BatchFrames, 1)
-	if r.batch == nil {
-		// Sized once, by the first drain's backlog: a receiver that only
-		// ever sees one frame at a time does not pay for BatchFrames slots.
-		n := min(len(r.inbox)+1, maxBatch)
-		r.batch, r.reqs = make([]pendingFrame, 0, n), make([]vtime.Request, 0, n)
-	}
 	// The pulled frames wait in the batch's own slots; preprocess then
 	// stages each in place, never past the slot it was read from.
 	r.batch = append(r.batch, pendingFrame{fr: fr})

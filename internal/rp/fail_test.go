@@ -25,8 +25,8 @@ type blockConn struct {
 }
 
 var (
-	_ carrier.Conn    = (*blockConn)(nil)
-	_ carrier.Aborter = (*blockConn)(nil)
+	_ carrier.Conn         = (*blockConn)(nil)
+	_ interface{ Abort() } = (*blockConn)(nil)
 )
 
 func newBlockConn() *blockConn {
@@ -47,7 +47,7 @@ func (c *blockConn) Abort() { c.abortOnce.Do(func() { close(c.abort) }) }
 
 func TestFailBeforeStartResolvesWait(t *testing.T) {
 	cause := errors.New("node went dark")
-	p := New("rp-dead", hw.BackEnd, 0, testCtx(t), sqep.NewIota(1, 5))
+	p := New("rp-dead", hw.BackEnd, 0, testCtx(t), sqep.NewIota(1, 5), nil)
 	p.Fail(cause)
 	select {
 	case <-p.done:
@@ -72,7 +72,7 @@ func TestFailBeforeStartResolvesWait(t *testing.T) {
 
 func TestFailUnblocksSenderStalledInSend(t *testing.T) {
 	conn := newBlockConn()
-	p := New("rp-stuck", hw.BackEnd, 0, testCtx(t), sqep.NewGenArray(256, 8))
+	p := New("rp-stuck", hw.BackEnd, 0, testCtx(t), sqep.NewGenArray(256, 8), nil)
 	// A tiny buffer flushes on the first element, driving the run loop into
 	// the stalled Send.
 	if err := p.Subscribe(conn, SenderConfig{BufBytes: 64, Mode: carrier.SingleBuffered}); err != nil {

@@ -190,7 +190,7 @@ func TestReceiverLifetimeRelay(t *testing.T) {
 		}
 		inbox, _, _ = s.build(t)
 		up := NewReceiver(inbox, ReceiverConfig{Producers: producers, BatchFrames: 16})
-		relay := New("relay", hw.BlueGene, 0, testCtx(t), up)
+		relay := New("relay", hw.BlueGene, 0, testCtx(t), up, nil)
 		out := make(carrier.Inbox, 1024)
 		if err := relay.Subscribe(&loopConn{inbox: out}, SenderConfig{BufBytes: 1000, Mode: carrier.DoubleBuffered}); err != nil {
 			t.Fatal(err)

@@ -44,7 +44,7 @@ type RP struct {
 	ctx     sqep.Ctx // ctx.ID is the RP's identity
 
 	mu      sync.Mutex
-	subs    []*senderDriver
+	subs    []*Sender
 	started bool
 	err     error
 	exiter  Exiter
@@ -64,15 +64,17 @@ type RP struct {
 
 // New creates an RP with the given identity and execution context, whose CPU
 // requests it keys by id, running plan: the RP's compiled subquery, whose
-// receiver leaves the engine wired in beforehand. The RP does not run (nor
-// open plan) until Start is called; subscribers must be attached before then.
-func New(id string, cluster hw.ClusterName, node int, ctx sqep.Ctx, plan sqep.Operator) *RP {
+// receiver leaves the engine wired in beforehand. exiter, if non-nil, is its
+// exit hook. The RP does not run (nor open plan) until Start is called;
+// subscribers must be attached before then.
+func New(id string, cluster hw.ClusterName, node int, ctx sqep.Ctx, plan sqep.Operator, exiter Exiter) *RP {
 	ctx.ID = id
 	return &RP{
 		cluster: cluster,
 		node:    node,
 		plan:    plan,
 		ctx:     ctx,
+		exiter:  exiter,
 		done:    make(chan struct{}),
 	}
 }
@@ -107,16 +109,16 @@ func (r *RP) Node() int { return r.node }
 // where it is parked and how far it has emitted.
 func (r *RP) Agent() *vtime.Agent { return r.ctx.Agent }
 
-// Subscribe attaches a subscriber reachable over conn. It must be called
-// before Start.
-func (r *RP) Subscribe(conn carrier.Conn, cfg SenderConfig) error {
+// Subscribe attaches a subscriber reachable over conn through a fresh sender
+// or the one passed after cfg (carrier.Reuse). It must be called before Start.
+func (r *RP) Subscribe(conn carrier.Conn, cfg SenderConfig, into ...*Sender) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.started {
 		return fmt.Errorf("rp %s: subscribe after start", r.ctx.ID)
 	}
-	d, err := newSenderDriver(r.ctx.ID, conn, cfg)
-	if err != nil {
+	d := carrier.Reuse(into)
+	if err := d.init(r.ctx.ID, conn, cfg); err != nil {
 		return err
 	}
 	d.seq, d.agent = &r.ctx.Seq, r.ctx.Agent
@@ -124,18 +126,19 @@ func (r *RP) Subscribe(conn carrier.Conn, cfg SenderConfig) error {
 	return nil
 }
 
+// Detach hands an RP's senders over to be recycled, and drops its plan: a
+// late Fail then aborts no connection a later query reuses.
+func (r *RP) Detach() (subs []*Sender) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	subs, r.subs, r.plan = r.subs, nil, nil
+	return subs
+}
+
 // Exiter is told an RP's final error (nil on clean completion) exactly
 // once, in its exit protocol (exit): after its agent retired, before Wait
 // resolves.
 type Exiter interface{ Exited(err error) }
-
-// SetExiter registers x as the RP's exit hook. It must be called before
-// Start.
-func (r *RP) SetExiter(x Exiter) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.exiter = x
-}
 
 // ErrFailedBeforeStart reports Start on an RP that was already failed. The
 // failure is not a wiring error: Fail runs the full exit protocol on a
@@ -179,15 +182,17 @@ func (r *RP) Fail(cause error) {
 	r.setErr(cause)
 	r.mu.Lock()
 	first := r.killed.CompareAndSwap(false, true)
-	subs, started := r.subs, r.started
+	started := r.started
+	// A connection that can be aborted (carrier.Link.Abort) is torn without
+	// the consumer, under r.mu: one Detach handed on is never aborted.
+	for _, s := range r.subs {
+		if a, ok := s.conn.(interface{ Abort() }); first && ok {
+			a.Abort()
+		}
+	}
 	r.mu.Unlock()
 	if !first {
 		return
-	}
-	for _, s := range subs {
-		if a, ok := s.conn.(carrier.Aborter); ok {
-			a.Abort()
-		}
 	}
 	// Parked on a channel nobody may send on again (a live stream's tick),
 	// the process looks at its abort channels once more.

@@ -54,6 +54,12 @@ func (c *loopConn) Close() error {
 // zeroCost charges nothing: for operators opened outside a process.
 var zeroCost hw.CostModel
 
+// newSenderDriver opens a fresh sender, as RP.Subscribe does.
+func newSenderDriver(source string, conn carrier.Conn, cfg SenderConfig) (*Sender, error) {
+	d := new(Sender)
+	return d, d.init(source, conn, cfg)
+}
+
 func testCtx(t *testing.T) sqep.Ctx {
 	t.Helper()
 	cost := hw.DefaultCostModel()
@@ -289,7 +295,7 @@ func TestReceiverMergeSwitchChargesTCPOnly(t *testing.T) {
 
 func TestRPLifecycle(t *testing.T) {
 	ctx := testCtx(t)
-	p := New("rp-x", hw.BackEnd, 0, ctx, sqep.NewIota(1, 5))
+	p := New("rp-x", hw.BackEnd, 0, ctx, sqep.NewIota(1, 5), nil)
 	if p.ID() != "rp-x" || p.Cluster() != hw.BackEnd || p.Node() != 0 {
 		t.Errorf("identity = %s/%s/%d", p.ID(), p.Cluster(), p.Node())
 	}
@@ -347,7 +353,7 @@ func (failingOpen) Close() error                      { return nil }
 func TestRPPlanErrorStillTerminatesStream(t *testing.T) {
 	ctx := testCtx(t)
 	wantErr := errors.New("boom")
-	p := New("rp-err", hw.BackEnd, 0, ctx, failingOpen{wantErr})
+	p := New("rp-err", hw.BackEnd, 0, ctx, failingOpen{wantErr}, nil)
 	inbox := make(carrier.Inbox, 4)
 	conn := &loopConn{inbox: inbox}
 	if err := p.Subscribe(conn, SenderConfig{BufBytes: 64, Mode: carrier.SingleBuffered}); err != nil {
@@ -372,7 +378,7 @@ func TestRPOperatorErrorPropagates(t *testing.T) {
 	ctx := testCtx(t)
 	p := New("rp-operr", hw.BackEnd, 0, ctx, sqep.NewMapFn("fail", sqep.NewIota(1, 3), func(any) (any, vtime.Duration, error) {
 		return nil, 0, errors.New("map exploded")
-	}))
+	}), nil)
 	if err := p.Start(); err != nil {
 		t.Fatal(err)
 	}

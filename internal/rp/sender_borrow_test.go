@@ -206,7 +206,7 @@ func TestCorruptBorrowedPayloadLeavesTemplate(t *testing.T) {
 	flipped := bytes.Clone(enc)
 	flipped[k] ^= 0xff
 	inbox := make(carrier.Inbox, 4)
-	link := carrier.NewLink(carrier.Route{Kind: "tcp"}, inbox, flipFaults{seq: 1, k: k}, nil)
+	link := carrier.NewLink(new(carrier.Link), carrier.Route{Kind: "tcp"}, inbox, flipFaults{seq: 1, k: k}, nil)
 	d, err := newSenderDriver("p", link, SenderConfig{BufBytes: 1 << 20, Mode: carrier.DoubleBuffered, FlushPerElement: true})
 	if err != nil {
 		t.Fatal(err)

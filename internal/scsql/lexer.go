@@ -1,6 +1,8 @@
 package scsql
 
 import (
+	"slices"
+	"strings"
 	"unicode"
 	"unicode/utf8"
 )
@@ -31,6 +33,28 @@ func keyword(word string) (Kind, bool) {
 	}
 	k, ok := keywords[string(buf[:len(word)])]
 	return k, ok
+}
+
+// builtins are the names of the builtin functions and declaration types.
+var builtins = strings.Fields(`extract merge count sum avg min max streamof fft odd even
+	gen_array iota grep receiver limit radixcombine winagg sp spv urr inpset psetrr filename
+	integer string charstring stream`)
+
+// lower is strings.ToLower for a name, allocating nothing for one in lower
+// case or one that folds to a builtin's (folded on the stack, it is that).
+func lower(name string) string {
+	var buf [16]byte
+	if b := buf[:min(len(name), len(buf))]; len(name) == len(b) {
+		for i := range b {
+			if b[i] = name[i]; 'A' <= b[i] && b[i] <= 'Z' {
+				b[i] += 'a' - 'A'
+			}
+		}
+		if i := slices.Index(builtins, string(b)); i >= 0 {
+			return builtins[i]
+		}
+	}
+	return strings.ToLower(name)
 }
 
 // lexer cuts SCSQL source text into tokens, one per call of next, as the

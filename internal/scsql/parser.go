@@ -1,9 +1,6 @@
 package scsql
 
-import (
-	"cmp"
-	"strings"
-)
+import "cmp"
 
 // Parse parses one SCSQL statement (query or function definition),
 // terminated by ';' or end of input.
@@ -151,7 +148,7 @@ func (p *parser) funcDef() (*FuncDef, error) {
 		return nil, err
 	}
 	return &FuncDef{
-		Name:   strings.ToLower(name.Text),
+		Name:   lower(name.Text),
 		Params: params,
 		Result: resType,
 		Body:   body,
@@ -230,7 +227,7 @@ func (p *parser) decl() (Decl, error) {
 }
 
 func declTypeOf(t Token) (DeclType, error) {
-	switch strings.ToLower(t.Text) {
+	switch lower(t.Text) {
 	case "sp":
 		return DeclSP, nil
 	case "integer":
@@ -402,7 +399,7 @@ func (p *parser) postfixExpr() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		x = &FieldExpr{X: x, Name: strings.ToLower(name.Text), Pos: dot.Pos}
+		x = &FieldExpr{X: x, Name: lower(name.Text), Pos: dot.Pos}
 	}
 	return x, nil
 }
@@ -461,7 +458,7 @@ func (p *parser) primaryExpr() (Expr, error) {
 			return &Ident{Name: t.Text, Pos: t.Pos}, nil
 		}
 		p.next() // '('
-		call := &Call{Name: strings.ToLower(t.Text), Pos: t.Pos}
+		call := &Call{Name: lower(t.Text), Pos: t.Pos}
 		for p.peek().Kind != TokRParen {
 			if len(call.Args) > 0 {
 				if _, err := p.expect(TokComma); err != nil {

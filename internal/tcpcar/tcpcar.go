@@ -61,9 +61,6 @@ func NewFabric(env *hw.Env) *Fabric {
 	return f
 }
 
-// Env returns the underlying hardware environment.
-func (f *Fabric) Env() *hw.Env { return f.env }
-
 // SetInjector attaches a chaos injector consulted on every dial and send.
 // It must be called before the first Dial; a nil injector disables
 // injection.
@@ -77,15 +74,13 @@ func (f *Fabric) SetMetrics(reg *metrics.Registry) { f.reg = reg }
 // Endpoint names one side of a TCP connection.
 type Endpoint = carrier.NodeRef
 
-// Conn is an open TCP connection between two cluster nodes.
-type Conn = carrier.Link
-
 // Dial opens a TCP connection from src to dst delivering into inbox.
 // Inbound BlueGene connections are registered with the environment so the
 // coordination penalties can be modeled; the registration outlives Close
-// (see carrier.Link.Close).
-func (f *Fabric) Dial(src, dst Endpoint, inbox carrier.Inbox) (*Conn, error) {
-	return f.dialAs("tcp", src, dst, inbox)
+// (see carrier.Link.Close). A link passed after inbox is opened in place
+// (carrier.Reuse).
+func (f *Fabric) Dial(src, dst Endpoint, inbox carrier.Inbox, into ...*carrier.Link) (*carrier.Link, error) {
+	return f.dialAs("tcp", src, dst, inbox, into)
 }
 
 // dialAs is Dial for a carrier whose frames cross the same devices under
@@ -93,7 +88,7 @@ func (f *Fabric) Dial(src, dst Endpoint, inbox carrier.Inbox) (*Conn, error) {
 // NIC → I/O forwarder → tree into the BlueGene, the same devices outward,
 // and the two NICs between Linux nodes (the switch fabric itself is not a
 // bottleneck).
-func (f *Fabric) dialAs(kind string, src, dst Endpoint, inbox carrier.Inbox) (*Conn, error) {
+func (f *Fabric) dialAs(kind string, src, dst Endpoint, inbox carrier.Inbox, into []*carrier.Link) (*carrier.Link, error) {
 	if !src.Cluster.Valid() || !dst.Cluster.Valid() {
 		return nil, fmt.Errorf("tcpcar: invalid endpoint clusters %q -> %q", src.Cluster, dst.Cluster)
 	}
@@ -122,7 +117,8 @@ func (f *Fabric) dialAs(kind string, src, dst Endpoint, inbox carrier.Inbox) (*C
 	tree := func(ion *hw.IONode) vtime.Stage {
 		return vtime.Stage{Resource: ion.Tree, Label: ion.TreeHop, Service: f.tree}
 	}
-	var stages []vtime.Stage
+	l := carrier.Reuse(into)
+	stages := l.Stages()[:0]
 	switch {
 	case dst.Cluster == hw.BlueGene:
 		ion, err := env.IONodeFor(dst.Node)
@@ -157,19 +153,19 @@ func (f *Fabric) dialAs(kind string, src, dst Endpoint, inbox carrier.Inbox) (*C
 			}
 			return byteDur(m.IOByte, s) + penalty
 		}}
-		stages = []vtime.Stage{nic(srcNode, 1), forwarder, tree(ion)}
+		stages = append(stages, nic(srcNode, 1), forwarder, tree(ion))
 	case src.Cluster == hw.BlueGene:
 		ion, err := env.IONodeFor(src.Node)
 		if err != nil {
 			return nil, fmt.Errorf("tcpcar: %w", err)
 		}
 		forwarder := vtime.Stage{Resource: ion.Forwarder, Label: ion.FwdHop, Service: f.out}
-		stages = []vtime.Stage{tree(ion), forwarder, nic(dstNode, 1)}
+		stages = append(stages, tree(ion), forwarder, nic(dstNode, 1))
 	default:
-		stages = []vtime.Stage{nic(srcNode, 1), nic(dstNode, 0)}
+		stages = append(stages, nic(srcNode, 1), nic(dstNode, 0))
 	}
 	r := carrier.Route{Kind: kind, Src: src, Dst: dst, Stages: stages, ViaTCP: true}
-	return carrier.NewLink(r, inbox, f.inj.Faults(), f.reg), nil
+	return carrier.NewLink(l, r, inbox, f.inj.Faults(), f.reg), nil
 }
 
 func byteDur(perByte float64, n int) vtime.Duration {

@@ -105,7 +105,7 @@ func TestCoordinationPenaltyPerDistinctPeer(t *testing.T) {
 	ioBusy := func(beNodes []int) vtime.Duration {
 		f := testFabric(t)
 		inbox := make(carrier.Inbox, 8)
-		var conns []*Conn
+		var conns []*carrier.Link
 		for _, n := range beNodes {
 			conn, err := f.Dial(be(n), bg(0), inbox)
 			if err != nil {
@@ -234,3 +234,6 @@ func TestEndpointString(t *testing.T) {
 		t.Errorf("String = %q, want be:2", got)
 	}
 }
+
+// Env returns the underlying hardware environment.
+func (f *Fabric) Env() *hw.Env { return f.env }

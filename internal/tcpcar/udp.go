@@ -42,12 +42,13 @@ func NewUDPFabric(env *hw.Env, lossRate float64) (*UDPFabric, error) {
 // Dial opens a UDP connection from src (a back-end node) to dst (a BG
 // compute node), delivering into inbox; its link.frames.* and link.drops.*
 // counters tell delivered from lost. Dropped frames consume the sender-side
-// costs but are not delivered; Last frames always arrive.
-func (f *UDPFabric) Dial(src, dst Endpoint, inbox carrier.Inbox) (*Conn, error) {
+// costs but are not delivered; Last frames always arrive. A link passed after
+// inbox is opened in place (carrier.Reuse).
+func (f *UDPFabric) Dial(src, dst Endpoint, inbox carrier.Inbox, into ...*carrier.Link) (*carrier.Link, error) {
 	if src.Cluster != hw.BackEnd || dst.Cluster != hw.BlueGene {
 		return nil, fmt.Errorf("tcpcar: only back-end → BlueGene streams use UDP, got %s -> %s", src, dst)
 	}
-	c, err := f.dialAs("udp", src, dst, inbox)
+	c, err := f.dialAs("udp", src, dst, inbox, into)
 	if err != nil {
 		return nil, err
 	}

@@ -62,15 +62,6 @@ func (t *Torus) CoordOf(id int) (Coord, error) {
 	}, nil
 }
 
-// IDOf returns the node id at coordinate c (coordinates are taken modulo the
-// torus dimensions, so any integer coordinate is valid).
-func (t *Torus) IDOf(c Coord) int {
-	x := mod(c.X, t.dimX)
-	y := mod(c.Y, t.dimY)
-	z := mod(c.Z, t.dimZ)
-	return x + y*t.dimX + z*t.dimX*t.dimY
-}
-
 // Route returns the sequence of node ids a message visits travelling from
 // src to dst, excluding src and including dst. Routing is dimension-ordered
 // (X then Y then Z), taking the shorter wraparound direction; ties go to the

@@ -343,3 +343,12 @@ func TestRouteMatchesReference(t *testing.T) {
 		t.Errorf("Route allocates %v times, want its one exact-size path", a)
 	}
 }
+
+// IDOf returns the node id at coordinate c (coordinates are taken modulo the
+// torus dimensions, so any integer coordinate is valid).
+func (t *Torus) IDOf(c Coord) int {
+	x := mod(c.X, t.dimX)
+	y := mod(c.Y, t.dimY)
+	z := mod(c.Z, t.dimZ)
+	return x + y*t.dimX + z*t.dimX*t.dimY
+}
