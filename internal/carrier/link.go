@@ -104,7 +104,8 @@ type Link struct {
 }
 
 // NewLink opens l, fresh or recycled (Reuse), as a connection over r into
-// inbox: every field is set again, a new abort channel too. faults, if
+// inbox: every field is set again. A recycled link keeps its abort channel
+// unless it was torn, which closed it. faults, if
 // non-nil, is consulted on every send (pass chaos.Injector.Faults); reg, if
 // non-nil, records the per-link frame/byte/drop counters and the carrier's
 // delivery-latency histogram.
@@ -117,6 +118,10 @@ func NewLink(l *Link, r Route, inbox Inbox, faults Faults, reg *metrics.Registry
 	spelled = appendRef(append(spelled, ':'), r.Src)
 	spelled = appendRef(append(spelled, "->"...), r.Dst)
 	b, label := reg.SharedBytes(linkFamily, spelled)
+	abort := l.abort
+	if abort == nil || l.torn.Load() {
+		abort = make(chan struct{})
+	}
 	*l = Link{
 		route:    r,
 		label:    label,
@@ -126,7 +131,7 @@ func NewLink(l *Link, r Route, inbox Inbox, faults Faults, reg *metrics.Registry
 		mBytes:   b.Counter(1),
 		mDrops:   b.Counter(2),
 		hDeliver: reg.Shared(kindFamily, r.Kind).Histogram(0),
-		abort:    make(chan struct{}),
+		abort:    abort,
 	}
 	return l
 }

@@ -39,17 +39,18 @@ type Sequence struct {
 	pos int
 }
 
-// NewSequence builds an allocation sequence cycling over ids. It returns an
+// NewSequence builds an allocation sequence cycling over ids, which it keeps:
+// the caller built them fresh and never writes them again. It returns an
 // error for an empty id list.
 func NewSequence(ids ...int) (*Sequence, error) {
 	if len(ids) == 0 {
 		return nil, errors.New("cndb: empty allocation sequence")
 	}
-	return &Sequence{ids: append([]int(nil), ids...)}, nil
+	return &Sequence{ids: ids}, nil
 }
 
-// IDs returns a copy of one full cycle of the sequence.
-func (s *Sequence) IDs() []int { return append([]int(nil), s.ids...) }
+// IDs returns one full cycle of the sequence, which nobody may write.
+func (s *Sequence) IDs() []int { return s.ids }
 
 // Pos returns the cursor position: the index of the candidate the next
 // selection probes first. Tests use it to prove probing is side-effect-free.

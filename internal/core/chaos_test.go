@@ -32,7 +32,7 @@ func mergeUnderChaos(t *testing.T, inj *chaos.Injector, nGens, size, count int, 
 		subs[i] = gen
 	}
 	q := beginQuery(t, e)
-	a, err := q.SPV(subs, hw.BlueGene, mustSeq(t, genSeq...))
+	a, err := spv(q, subs, hw.BlueGene, mustSeq(t, genSeq...))
 	if err != nil {
 		t.Fatalf("spv: %v", err)
 	}

@@ -73,36 +73,26 @@ func (q *Query) MergeExtract(ps []*SP) (*ClientStream, error) {
 // extract(c), merge(spv(...)), radixcombine(merge({a,b})), ... — compiles to
 // such a plan.
 func (q *Query) ClientPlan(build Subquery) (*ClientStream, error) {
-	qc := q.qc
-	e := qc.eng
-	node, err := e.env.Node(hw.FrontEnd, e.clientNode)
+	qc, e := q.qc, q.qc.eng
+	// The drain's agent and plan builder are one block; the stream is not
+	// in it, so a link or a finished query that still names the agent pins
+	// none of the stream's rows.
+	blk := new(struct {
+		agent vtime.Agent
+		b     PlanBuilder
+	})
+	ctx, err := e.process(qc, hw.FrontEnd, e.clientNode, qc.id+"/client", nil, &blk.agent, &blk.b)
 	if err != nil {
 		return nil, err
 	}
-	qc.charge(node.CPU)
-	agent := e.env.Kernel().Join(qc.id, nil)
-	b := &PlanBuilder{qc: qc, cluster: hw.FrontEnd, node: e.clientNode, spID: qc.id + "/client", agent: agent}
-	root, err := build(b)
+	root, err := build(&blk.b)
 	if err != nil {
 		return nil, err
 	}
 	qc.mu.Lock()
-	qc.client = agent
+	qc.client = ctx.Agent
 	qc.mu.Unlock()
-	return &ClientStream{
-		qc: qc,
-		ctx: sqep.Ctx{
-			CPU:     node.CPU,
-			Cost:    &e.env.Cost,
-			Files:   e.cfg.Files,
-			Sources: e.cfg.Sources,
-			Owner:   qc.id,
-			ID:      b.spID,
-			Cancel:  qc,
-			Agent:   agent,
-		},
-		recv: root,
-	}, nil
+	return &ClientStream{qc: qc, recv: root, ctx: ctx}, nil
 }
 
 // Start makes the stream's drain a process of the engine's kernel now: it

@@ -411,11 +411,12 @@ func (e *Engine) Edges() []Edge {
 
 // PlacementPlanner is the optional admission-time placement hook (see
 // internal/place): given the candidate node ids a placement's allocation
-// sequence allows (nil for a naive whole-cluster placement) and the batch
-// size of the request, it returns the order lease acquisition should probe
-// instead. Implementations must be deterministic pure functions of the
-// cluster snapshot — planning happens under the engine's build serialization
-// and is part of the admission schedule. ok=false (or an empty order) keeps
+// sequence allows (nil for a naive whole-cluster placement), which it reads
+// and neither keeps nor writes, and the batch size of the request, it returns
+// the order lease acquisition should probe instead, in a slice of its own
+// that becomes the planned sequence's. Implementations must be deterministic
+// pure functions of the cluster snapshot — planning happens under the
+// engine's build serialization and is part of the admission schedule. ok=false (or an empty order) keeps
 // the original sequence order: the fallback semantics of DESIGN.md §15.
 type PlacementPlanner interface {
 	PlanPlacement(owner string, c hw.ClusterName, candidates []int, batch int) ([]int, bool)
@@ -429,7 +430,7 @@ func (e *Engine) SetPlacementPlanner(p PlacementPlanner) { e.planner.Store(&p) }
 // planned returns the allocation sequence a placement should actually walk:
 // the planner's reordering when one is installed and admissible, the
 // original sequence otherwise. The original sequence object is never
-// mutated.
+// mutated, nor are its ids copied.
 func (e *Engine) planned(owner string, c hw.ClusterName, seq *cndb.Sequence, batch int) *cndb.Sequence {
 	pp := e.planner.Load()
 	if pp == nil || *pp == nil {
@@ -472,36 +473,35 @@ func (q *Query) SP(sub Subquery, c hw.ClusterName, seq *cndb.Sequence) (*SP, err
 	if err != nil {
 		return nil, fmt.Errorf("core: sp(%q): %w", c, err)
 	}
-	return e.newPlacedSP(q.qc, sub, c, node)
+	return e.newPlacedSP(q.qc, func(_ int, b *PlanBuilder) (sqep.Operator, error) { return sub(b) }, 0, c, node)
 }
 
-// newPlacedSP compiles a subquery for an already allocated node, wraps it
-// in a process and registers it — the shared tail of SP and the
+// spBlock is one stream process's host objects, allocated as one: its
+// handle, running process, agent and plan builder. It is never recycled:
+// it lives while anything points into it.
+type spBlock struct {
+	sp    SP
+	rp    rp.RP
+	agent vtime.Agent
+	b     PlanBuilder
+}
+
+// newPlacedSP compiles build's subquery i for an already allocated node,
+// wraps it in a process and registers it — the shared tail of SP and the
 // batch-placed SPV. On error the node allocation is released.
-func (e *Engine) newPlacedSP(qc *queryCtx, sub Subquery, c hw.ClusterName, node int) (*SP, error) {
-	id := qc.newRPID(string(c))
-	hwNode, err := e.env.Node(c, node)
+func (e *Engine) newPlacedSP(qc *queryCtx, build func(int, *PlanBuilder) (sqep.Operator, error), i int, c hw.ClusterName, node int) (*SP, error) {
+	id, blk := qc.newRPID(string(c)), new(spBlock)
+	ctx, err := e.process(qc, c, node, id, e.advance, &blk.agent, &blk.b)
+	var op sqep.Operator
+	if err == nil {
+		op, err = build(i, &blk.b)
+	}
 	if err != nil {
 		e.coords[c].ReleaseFor(qc.id, node)
 		return nil, err
 	}
-	qc.charge(hwNode.CPU)
-	ctx := sqep.Ctx{
-		CPU:     hwNode.CPU,
-		Cost:    &e.env.Cost,
-		Files:   e.cfg.Files,
-		Sources: e.cfg.Sources,
-		Owner:   qc.id,
-		Cancel:  qc,
-	}
-	ctx.Agent = e.env.Kernel().Join(qc.id, e.advance)
-	op, err := sub(&PlanBuilder{qc: qc, cluster: c, node: node, spID: id, agent: ctx.Agent})
-	if err != nil {
-		e.coords[c].ReleaseFor(qc.id, node)
-		return nil, err
-	}
-	sp := &SP{eng: e, qc: qc, cluster: c, id: id, node: node}
-	sp.rp = rp.New(id, c, node, ctx, op, sp)
+	sp := &blk.sp
+	*sp = SP{eng: e, qc: qc, cluster: c, id: id, node: node, rp: rp.New(id, c, node, ctx, op, sp, &blk.rp)}
 	sp.rp.SetMetrics(qc.metrics)
 	e.coords[c].Register(sp.rp)
 	qc.mu.Lock()
@@ -510,16 +510,39 @@ func (e *Engine) newPlacedSP(qc *queryCtx, sub Subquery, c hw.ClusterName, node 
 	return sp, nil
 }
 
-// SPV assigns each subquery of the set to a new stream process of q in
-// cluster c, sharing one allocation sequence so consecutive placements walk
-// the sequence (paper: spv(s, c, alloc)). It returns the bag of handles.
-func (q *Query) SPV(subs []Subquery, c hw.ClusterName, seq *cndb.Sequence) ([]*SP, error) {
-	if c == hw.BlueGene && len(subs) > 1 {
-		return q.qc.eng.spvBG(q.qc, subs, seq)
+// process sets up a process of qc, id on node n of cluster c, in its block:
+// its plan builder, its agent, which hands what it emits to emit, and the
+// context it returns. The node's CPU is charged to qc.
+func (e *Engine) process(qc *queryCtx, c hw.ClusterName, n int, id string, emit func(vtime.Time), agent *vtime.Agent, b *PlanBuilder) (sqep.Ctx, error) {
+	node, err := e.env.Node(c, n)
+	if err != nil {
+		return sqep.Ctx{}, err
 	}
-	sps := make([]*SP, 0, len(subs))
-	for i, sub := range subs {
-		sp, err := q.SP(sub, c, seq)
+	qc.charge(node.CPU)
+	*b = PlanBuilder{qc: qc, cluster: c, node: n, spID: id, agent: e.env.Kernel().Join(qc.id, emit, agent)}
+	return sqep.Ctx{CPU: node.CPU, Cost: &e.env.Cost, Files: e.cfg.Files, Sources: e.cfg.Sources,
+		Owner: qc.id, ID: id, Cancel: qc, Agent: b.agent}, nil
+}
+
+// SPV assigns each of n subqueries, build's 0 to n-1, to a new stream
+// process of q in cluster c, sharing one allocation sequence so consecutive
+// placements walk the sequence (paper: spv(s, c, alloc)). It returns the bag
+// of handles.
+func (q *Query) SPV(n int, build func(i int, b *PlanBuilder) (sqep.Operator, error), c hw.ClusterName, seq *cndb.Sequence) ([]*SP, error) {
+	qc, e := q.qc, q.qc.eng
+	qc.mu.Lock()
+	qc.sps = slices.Grow(qc.sps, n)
+	qc.mu.Unlock()
+	if c == hw.BlueGene && n > 1 {
+		return e.spvBG(qc, n, build, seq)
+	}
+	sps := make([]*SP, 0, n)
+	for i := range n {
+		node, err := e.place(qc.id, c, seq)
+		if err != nil {
+			return nil, fmt.Errorf("core: spv[%d]: core: sp(%q): %w", i, c, err)
+		}
+		sp, err := e.newPlacedSP(qc, build, i, c, node)
 		if err != nil {
 			return nil, fmt.Errorf("core: spv[%d]: %w", i, err)
 		}
@@ -534,16 +557,16 @@ func (q *Query) SPV(subs []Subquery, c hw.ClusterName, seq *cndb.Sequence) ([]*S
 // builds. Plan builds do not touch the node database, so the allocations are
 // the ones the serial SP loop would make. Every node it does not build on is
 // released once.
-func (e *Engine) spvBG(qc *queryCtx, subs []Subquery, seq *cndb.Sequence) ([]*SP, error) {
+func (e *Engine) spvBG(qc *queryCtx, n int, build func(int, *PlanBuilder) (sqep.Operator, error), seq *cndb.Sequence) ([]*SP, error) {
 	bg := e.coords[hw.BlueGene]
-	walk := e.planned(qc.id, hw.BlueGene, seq, len(subs))
-	nodes := make([]int, 0, len(subs))
+	walk := e.planned(qc.id, hw.BlueGene, seq, n)
+	nodes := make([]int, 0, n)
 	release := func(nodes []int) {
 		for _, n := range nodes {
 			bg.ReleaseFor(qc.id, n)
 		}
 	}
-	for i := range subs {
+	for i := range n {
 		node, err := bg.PlaceFor(qc.id, walk)
 		if err != nil {
 			release(nodes)
@@ -551,9 +574,9 @@ func (e *Engine) spvBG(qc *queryCtx, subs []Subquery, seq *cndb.Sequence) ([]*SP
 		}
 		nodes = append(nodes, node)
 	}
-	sps := make([]*SP, 0, len(subs))
+	sps := make([]*SP, 0, n)
 	for i, node := range nodes {
-		sp, err := e.newPlacedSP(qc, subs[i], hw.BlueGene, node)
+		sp, err := e.newPlacedSP(qc, build, i, hw.BlueGene, node)
 		if err != nil {
 			release(nodes[i+1:])
 			return nil, fmt.Errorf("core: spv[%d]: %w", i, err)

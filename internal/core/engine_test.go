@@ -128,7 +128,7 @@ func TestInboundQuery1Shape(t *testing.T) {
 		subs[i] = gen
 	}
 	q := beginQuery(t, e)
-	a, err := q.SPV(subs, hw.BackEnd, mustSeq(t, 1))
+	a, err := spv(q, subs, hw.BackEnd, mustSeq(t, 1))
 	if err != nil {
 		t.Fatalf("spv a: %v", err)
 	}
@@ -195,11 +195,11 @@ func TestSPVBagLargerThanFreeBGNodes(t *testing.T) {
 	size := e.env.ClusterSize(hw.BlueGene)
 	const free = 2
 	holder := beginQuery(t, e)
-	if _, err := holder.SPV(bag(size-free), hw.BlueGene, nil); err != nil {
+	if _, err := spv(holder, bag(size-free), hw.BlueGene, nil); err != nil {
 		t.Fatalf("holder bag: %v", err)
 	}
 	q := beginQuery(t, e)
-	if _, err := q.SPV(bag(free+1), hw.BlueGene, nil); !errors.Is(err, cndb.ErrNoAvailableNode) {
+	if _, err := spv(q, bag(free+1), hw.BlueGene, nil); !errors.Is(err, cndb.ErrNoAvailableNode) {
 		t.Fatalf("bag of %d over %d free nodes = %v, want ErrNoAvailableNode", free+1, free, err)
 	}
 	if n := bg.DB().LeaseCount(q.ID()); n != 0 {
@@ -241,7 +241,7 @@ func TestSPVBagLargerThanFreeBGNodes(t *testing.T) {
 		return ids
 	}
 	spv := nodes(func(q *Query, seq *cndb.Sequence) []*SP {
-		sps, err := q.SPV(bag(5), hw.BlueGene, seq)
+		sps, err := spv(q, bag(5), hw.BlueGene, seq)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,4 +261,9 @@ func TestSPVBagLargerThanFreeBGNodes(t *testing.T) {
 	if !slices.Equal(spv, serial) || !slices.Equal(spv, []int{0, 8, 16, 24, 1}) {
 		t.Errorf("spv placed %v, serial SP loop %v, want both [0 8 16 24 1]", spv, serial)
 	}
+}
+
+// spv places subs as one bag of q: instance i builds subs[i].
+func spv(q *Query, subs []Subquery, c hw.ClusterName, seq *cndb.Sequence) ([]*SP, error) {
+	return q.SPV(len(subs), func(i int, b *PlanBuilder) (sqep.Operator, error) { return subs[i](b) }, c, seq)
 }

@@ -97,7 +97,7 @@ func chaosTelemetryRun(t *testing.T) (any, metrics.Snapshot) {
 		subs[i] = gen
 	}
 	q := beginQuery(t, e)
-	a, err := q.SPV(subs, hw.BlueGene, mustSeq(t, 1, 2, 3))
+	a, err := spv(q, subs, hw.BlueGene, mustSeq(t, 1, 2, 3))
 	if err != nil {
 		t.Fatalf("spv: %v", err)
 	}

@@ -276,7 +276,7 @@ func TestFailedSessionRecyclesNothing(t *testing.T) {
 	for i := range gens {
 		gens[i] = func(*PlanBuilder) (sqep.Operator, error) { return sqep.NewGenArray(100, 1), nil }
 	}
-	ps, err := q.SPV(gens, hw.BackEnd, cndb.URR(e.coords[hw.BackEnd].DB()))
+	ps, err := spv(q, gens, hw.BackEnd, cndb.URR(e.coords[hw.BackEnd].DB()))
 	if err != nil {
 		t.Fatal(err)
 	}

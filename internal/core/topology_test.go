@@ -56,7 +56,7 @@ func TestEdgesMergeFanIn(t *testing.T) {
 		return sqep.NewGenArray(5_000, 2), nil
 	}
 	q := beginQuery(t, e)
-	a, err := q.SPV([]Subquery{gen, gen, gen}, hw.BackEnd, mustSeq(t, 1))
+	a, err := spv(q, []Subquery{gen, gen, gen}, hw.BackEnd, mustSeq(t, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ func runInboundCount(t *testing.T, e *Engine, n, size, count int) int64 {
 		subs[i] = gen
 	}
 	q := beginQuery(t, e)
-	a, err := q.SPV(subs, hw.BackEnd, mustSeq(t, 1))
+	a, err := spv(q, subs, hw.BackEnd, mustSeq(t, 1))
 	if err != nil {
 		t.Fatalf("spv: %v", err)
 	}

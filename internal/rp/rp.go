@@ -62,21 +62,17 @@ type RP struct {
 	mLast   *metrics.Gauge
 }
 
-// New creates an RP with the given identity and execution context, whose CPU
-// requests it keys by id, running plan: the RP's compiled subquery, whose
-// receiver leaves the engine wired in beforehand. exiter, if non-nil, is its
-// exit hook. The RP does not run (nor open plan) until Start is called;
-// subscribers must be attached before then.
-func New(id string, cluster hw.ClusterName, node int, ctx sqep.Ctx, plan sqep.Operator, exiter Exiter) *RP {
+// New creates an RP, in the fresh memory passed after exiter if any, with
+// the given identity and execution context, whose CPU requests it keys by
+// id, running plan: the RP's compiled subquery, whose receiver leaves the
+// engine wired in beforehand. exiter, if non-nil, is its exit hook. The RP
+// does not run (nor open plan) until Start is called; subscribers must be
+// attached before then.
+func New(id string, cluster hw.ClusterName, node int, ctx sqep.Ctx, plan sqep.Operator, exiter Exiter, into ...*RP) *RP {
 	ctx.ID = id
-	return &RP{
-		cluster: cluster,
-		node:    node,
-		plan:    plan,
-		ctx:     ctx,
-		exiter:  exiter,
-		done:    make(chan struct{}),
-	}
+	r := carrier.Reuse(into)
+	*r = RP{cluster: cluster, node: node, plan: plan, ctx: ctx, exiter: exiter, done: make(chan struct{})}
+	return r
 }
 
 // rpFamily is an RP's metrics block, keyed by the RP's id in its query's

@@ -16,19 +16,14 @@ const (
 	DeclStream
 )
 
+// declTypes spells each declarable type.
+var declTypes = [...]string{DeclSP: "sp", DeclInteger: "integer", DeclString: "string", DeclStream: "stream"}
+
 func (t DeclType) String() string {
-	switch t {
-	case DeclSP:
-		return "sp"
-	case DeclInteger:
-		return "integer"
-	case DeclString:
-		return "string"
-	case DeclStream:
-		return "stream"
-	default:
+	if t < 1 || int(t) >= len(declTypes) {
 		return "unknown"
 	}
+	return declTypes[t]
 }
 
 // Decl declares a query variable, e.g. "sp a", "bag of sp b", "integer n".
@@ -166,20 +161,15 @@ func (e *NumberLit) String() string { return e.Text }
 func (e *StringLit) String() string { return "'" + e.Value + "'" }
 func (e *Ident) String() string     { return e.Name }
 
-func (e *Call) String() string {
-	args := make([]string, len(e.Args))
-	for i, a := range e.Args {
-		args[i] = a.String()
-	}
-	return e.Name + "(" + strings.Join(args, ", ") + ")"
-}
+func (e *Call) String() string   { return e.Name + "(" + join(e.Args) + ")" }
+func (e *SetLit) String() string { return "{" + join(e.Elems) + "}" }
 
-func (e *SetLit) String() string {
-	elems := make([]string, len(e.Elems))
-	for i, el := range e.Elems {
-		elems[i] = el.String()
+func join(es []Expr) string {
+	s := make([]string, len(es))
+	for i, e := range es {
+		s[i] = e.String()
 	}
-	return "{" + strings.Join(elems, ", ") + "}"
+	return strings.Join(s, ", ")
 }
 
 func (e *SubqueryExpr) String() string { return "(" + e.Query.String() + ")" }

@@ -1,6 +1,7 @@
 package scsql
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 )
@@ -10,102 +11,73 @@ import (
 // an integer with a float promotes to float. Comparisons work on numbers
 // and on strings, yielding bool.
 func applyBinary(op string, l, r any) (any, error) {
+	var isArith bool
 	switch op {
 	case "+", "-", "*", "/":
-		return applyArith(op, l, r)
+		li, lok := l.(int64)
+		ri, rok := r.(int64)
+		if lok && rok {
+			return arith(op, li, ri)
+		}
+		isArith = true
 	case "<", "<=", ">", ">=", "<>", "=":
-		return applyCompare(op, l, r)
+		if ls, ok := l.(string); ok {
+			rs, ok := r.(string)
+			if !ok {
+				return nil, fmt.Errorf("cannot compare string with %T", r)
+			}
+			return compare(op, ls, rs), nil
+		}
 	default:
 		return nil, fmt.Errorf("unknown operator %q", op)
 	}
+	lf, err := toFloat(l)
+	if err != nil {
+		return nil, fmt.Errorf("left operand of %q: %w", op, err)
+	}
+	rf, err := toFloat(r)
+	if err != nil {
+		return nil, fmt.Errorf("right operand of %q: %w", op, err)
+	}
+	if isArith {
+		return arith(op, lf, rf)
+	}
+	return compare(op, lf, rf), nil
 }
 
 var errDivZero = errors.New("division by zero")
 
-func applyArith(op string, l, r any) (any, error) {
-	if li, lok := l.(int64); lok {
-		if ri, rok := r.(int64); rok {
-			switch op {
-			case "+":
-				return li + ri, nil
-			case "-":
-				return li - ri, nil
-			case "*":
-				return li * ri, nil
-			default:
-				if ri == 0 {
-					return nil, errDivZero
-				}
-				return li / ri, nil
-			}
-		}
-	}
-	lf, err := toFloat(l)
-	if err != nil {
-		return nil, fmt.Errorf("left operand of %q: %w", op, err)
-	}
-	rf, err := toFloat(r)
-	if err != nil {
-		return nil, fmt.Errorf("right operand of %q: %w", op, err)
-	}
+// arith applies the arithmetic operator op to two values of one type.
+func arith[T int64 | float64](op string, l, r T) (any, error) {
 	switch op {
 	case "+":
-		return lf + rf, nil
+		return l + r, nil
 	case "-":
-		return lf - rf, nil
+		return l - r, nil
 	case "*":
-		return lf * rf, nil
-	default:
-		if rf == 0 {
-			return nil, errDivZero
-		}
-		return lf / rf, nil
+		return l * r, nil
 	}
+	if r == 0 {
+		return nil, errDivZero
+	}
+	return l / r, nil
 }
 
-func applyCompare(op string, l, r any) (any, error) {
-	if ls, lok := l.(string); lok {
-		rs, rok := r.(string)
-		if !rok {
-			return nil, fmt.Errorf("cannot compare string with %T", r)
-		}
-		switch op {
-		case "<":
-			return ls < rs, nil
-		case "<=":
-			return ls <= rs, nil
-		case ">":
-			return ls > rs, nil
-		case ">=":
-			return ls >= rs, nil
-		case "=":
-			return ls == rs, nil
-		default:
-			return ls != rs, nil
-		}
-	}
-	lf, err := toFloat(l)
-	if err != nil {
-		return nil, fmt.Errorf("left operand of %q: %w", op, err)
-	}
-	rf, err := toFloat(r)
-	if err != nil {
-		return nil, fmt.Errorf("right operand of %q: %w", op, err)
-	}
+// compare applies the comparison operator op to two values of one type.
+func compare[T cmp.Ordered](op string, l, r T) bool {
 	switch op {
 	case "<":
-		return lf < rf, nil
+		return l < r
 	case "<=":
-		return lf <= rf, nil
+		return l <= r
 	case ">":
-		return lf > rf, nil
+		return l > r
 	case ">=":
-		return lf >= rf, nil
+		return l >= r
 	case "=":
-		return lf == rf, nil
-	default:
-		return lf != rf, nil
+		return l == r
 	}
+	return l != r
 }
 
 func toFloat(v any) (float64, error) {

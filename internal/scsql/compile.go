@@ -160,28 +160,14 @@ func (ev *Evaluator) compileCall(call *Call, env *scope, b *core.PlanBuilder) (s
 		return wrap1(func(in sqep.Operator) sqep.Operator { return sqep.NewEven(in) })
 
 	case "gen_array":
-		if len(call.Args) != 2 {
-			return nil, errorfAt(call.Pos, "gen_array() takes 2 arguments, got %d", len(call.Args))
-		}
-		size, err := ev.evalInt(call.Args[0], env)
-		if err != nil {
-			return nil, err
-		}
-		count, err := ev.evalInt(call.Args[1], env)
+		size, count, err := ev.intArgs(call, env)
 		if err != nil {
 			return nil, err
 		}
 		return sqep.NewGenArray(int(size), int(count)), nil
 
 	case "iota":
-		if len(call.Args) != 2 {
-			return nil, errorfAt(call.Pos, "iota() takes 2 arguments, got %d", len(call.Args))
-		}
-		from, err := ev.evalInt(call.Args[0], env)
-		if err != nil {
-			return nil, err
-		}
-		to, err := ev.evalInt(call.Args[1], env)
+		from, to, err := ev.intArgs(call, env)
 		if err != nil {
 			return nil, err
 		}

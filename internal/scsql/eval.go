@@ -3,7 +3,6 @@ package scsql
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -37,18 +36,6 @@ func (c *Catalog) Lookup(name string) (*FuncDef, bool) {
 	defer c.mu.Unlock()
 	def, ok := c.defs[strings.ToLower(name)]
 	return def, ok
-}
-
-// Names returns the defined function names, sorted.
-func (c *Catalog) Names() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	names := make([]string, 0, len(c.defs))
-	for n := range c.defs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Result is the outcome of executing one SCSQL statement.
@@ -421,17 +408,24 @@ func (ev *Evaluator) doSPV(call *Call, env *scope, cq *core.Query) ([]*core.SP, 
 			return nil, err
 		}
 	}
-	subs := make([]core.Subquery, 0, len(domain))
+	// The instances' scopes are one block, each with its driver's binding
+	// inline; a filtered instance's slot is taken by the next.
+	insts := make([]struct {
+		scope
+		drv [1]binding
+	}, len(domain))
+	n := 0
 	for _, dv := range domain {
-		inst := newScope(env)
-		if driver != nil {
-			inst.bind(driver.Name, dv)
+		inst := &insts[n]
+		if inst.parent = env; driver != nil {
+			inst.drv[0] = binding{driver.Name, dv}
+			inst.vars = inst.drv[:]
 		}
 		// Predicates filter the iteration domain at plan time: instances
 		// whose driver value fails a predicate get no stream process.
 		keep := true
 		for _, p := range preds {
-			res, err := ev.evalScalar(p.Pred, inst)
+			res, err := ev.evalScalar(p.Pred, &inst.scope)
 			if err != nil {
 				return nil, err
 			}
@@ -448,33 +442,24 @@ func (ev *Evaluator) doSPV(call *Call, env *scope, cq *core.Query) ([]*core.SP, 
 			continue
 		}
 		// Evaluate the instance's remaining '=' bindings, if any.
-		if err := ev.evalBindings(q, binds, driver, inst, cq); err != nil {
+		if err := ev.evalBindings(q, binds, driver, &inst.scope, cq); err != nil {
 			return nil, err
 		}
-		sel := q.Select
-		instEnv := inst
-		subs = append(subs, func(b *core.PlanBuilder) (sqepOperator, error) {
-			return ev.compileStream(sel, instEnv, b)
-		})
+		n++
 	}
-	if len(subs) == 0 {
+	if n == 0 {
 		return nil, errorfAt(call.Pos, "spv() instantiated no stream processes (empty or fully filtered domain)")
 	}
-	return cq.SPV(subs, cluster, seq)
+	return cq.SPV(n, func(i int, b *core.PlanBuilder) (sqepOperator, error) {
+		return ev.compileStream(q.Select, &insts[i].scope, b)
+	}, cluster, seq)
 }
 
 // evalDomain evaluates the domain of an 'in' binding: iota(n,m) yields
 // integers, a bag-of-sp variable yields its processes.
 func (ev *Evaluator) evalDomain(e Expr, env *scope) ([]any, error) {
 	if call, ok := e.(*Call); ok && call.Name == "iota" {
-		if len(call.Args) != 2 {
-			return nil, errorfAt(call.Pos, "iota() takes 2 arguments, got %d", len(call.Args))
-		}
-		from, err := ev.evalInt(call.Args[0], env)
-		if err != nil {
-			return nil, err
-		}
-		to, err := ev.evalInt(call.Args[1], env)
+		from, to, err := ev.intArgs(call, env)
 		if err != nil {
 			return nil, err
 		}
@@ -650,6 +635,17 @@ func (ev *Evaluator) evalScalar(e Expr, env *scope) (any, error) {
 	default:
 		return nil, errorfAt(e.ePos(), "cannot evaluate %s as a scalar", e)
 	}
+}
+
+// intArgs evaluates the two integer arguments of call.
+func (ev *Evaluator) intArgs(call *Call, env *scope) (a, b int64, err error) {
+	if len(call.Args) != 2 {
+		return 0, 0, errorfAt(call.Pos, "%s() takes 2 arguments, got %d", call.Name, len(call.Args))
+	}
+	if a, err = ev.evalInt(call.Args[0], env); err == nil {
+		b, err = ev.evalInt(call.Args[1], env)
+	}
+	return a, b, err
 }
 
 func (ev *Evaluator) evalInt(e Expr, env *scope) (int64, error) {

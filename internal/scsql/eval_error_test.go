@@ -2,6 +2,8 @@ package scsql
 
 import (
 	"errors"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 
@@ -151,7 +153,7 @@ func TestCatalog(t *testing.T) {
 	if _, ok := cat.Lookup("f2"); !ok {
 		t.Error("lookup must be case-insensitive")
 	}
-	names := cat.Names()
+	names := slices.Sorted(maps.Keys(cat.defs))
 	if len(names) != 2 || names[0] != "a1" || names[1] != "f2" {
 		t.Errorf("names = %v", names)
 	}

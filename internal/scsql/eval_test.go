@@ -3,11 +3,14 @@ package scsql
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
 	"scsq/internal/core"
 	"scsq/internal/sqep"
+	"scsq/internal/vtime"
 )
 
 func newTestEngine(t *testing.T, opts ...core.Option) *core.Engine {
@@ -209,5 +212,67 @@ func TestScopeBindings(t *testing.T) {
 	}
 	if v, ok := inner.lookup("x"); ok {
 		t.Errorf("lookup of an unbound name found %v", v)
+	}
+}
+
+// TestASTOutlivesLaterParses: a definition the catalog keeps lives in its
+// statement's slabs, which no later parse touches. After 1 000 more parses,
+// failing ones too, and collections between them, the definition reads as
+// it did right after its own parse, and calling it builds the plan and
+// reads the makespan it does on a fresh engine.
+func TestASTOutlivesLaterParses(t *testing.T) {
+	const def = `create function pair(integer n) -> stream as select extract(b) from sp a, sp b
+where b=sp(streamof(count(extract(a))), 'bg', 0) and a=sp(gen_array(30000,n), 'bg', 1);`
+	call := func(ev *Evaluator, e *core.Engine) (any, []core.Edge, vtime.Time) {
+		res, err := ev.Exec(`select pair(7);`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edges := e.Edges()
+		v, err := res.Stream.One()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v, edges, res.Stream.Makespan()
+	}
+	fresh := newTestEngine(t)
+	freshEv := NewEvaluator(fresh, nil)
+	if _, err := freshEv.Exec(def); err != nil {
+		t.Fatal(err)
+	}
+	wantV, wantEdges, wantSpan := call(freshEv, fresh)
+
+	e := newTestEngine(t)
+	ev := NewEvaluator(e, nil)
+	if _, err := ev.Exec(def); err != nil {
+		t.Fatal(err)
+	}
+	text := func() string {
+		d, ok := ev.Catalog().Lookup("pair")
+		if !ok {
+			t.Fatal("pair is not defined")
+		}
+		return fmt.Sprintf("%s %v %v %s", d.Name, d.Params, d.Result, d.Body)
+	}
+	want := text()
+	q6, err := InboundQuery(6, 8, 1000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	others := []string{q6, Figure5Query(300000, 20), Radix2Def, GrepQuery("x", 3),
+		`select -n.x * 2 from stream n where n in sys_nodes() and n.x <> 0;`,
+		`select (((`, `select f(1,`, `create function g(integer) -> stream as 1;`, `select {}`, `'unterminated`}
+	for i := range 1000 {
+		_, _ = ParseAll(others[i%len(others)])
+		if i%100 == 0 {
+			runtime.GC()
+		}
+	}
+	if got := text(); got != want {
+		t.Fatalf("definition after later parses:\n%s\nright after its own:\n%s", got, want)
+	}
+	v, edges, span := call(ev, e)
+	if v != wantV || span != wantSpan || !slices.Equal(edges, wantEdges) {
+		t.Fatalf("pair(7) = %v in %v over %v, on a fresh engine %v in %v over %v", v, span, edges, wantV, wantSpan, wantEdges)
 	}
 }

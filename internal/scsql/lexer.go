@@ -102,6 +102,9 @@ var punct = [utf8.RuneSelf]Kind{
 	'.': TokDot, ',': TokComma, ';': TokSemicolon, '=': TokEquals,
 }
 
+// twoRune is the kind of each two-rune token.
+var twoRune = map[string]Kind{"->": TokArrow, "<=": TokLessEq, "<>": TokNotEq, ">=": TokGreaterEq}
+
 // next returns the next token: TokEOF at the end of the source, and from the
 // first lexical error on, which it records in lx.err.
 func (lx *lexer) next() Token {
@@ -116,22 +119,10 @@ func (lx *lexer) next() Token {
 			for lx.i < len(src) && lx.peek() != '\n' {
 				lx.advance()
 			}
-		case r == '-' && lx.peek2() == '>':
+		case (r == '-' || r == '<' || r == '>') && twoRune[src[from:min(from+2, len(src))]] != 0:
 			lx.advance()
 			lx.advance()
-			return Token{Kind: TokArrow, Text: "->", Pos: start}
-		case r == '<' && lx.peek2() == '=':
-			lx.advance()
-			lx.advance()
-			return Token{Kind: TokLessEq, Text: "<=", Pos: start}
-		case r == '<' && lx.peek2() == '>':
-			lx.advance()
-			lx.advance()
-			return Token{Kind: TokNotEq, Text: "<>", Pos: start}
-		case r == '>' && lx.peek2() == '=':
-			lx.advance()
-			lx.advance()
-			return Token{Kind: TokGreaterEq, Text: ">=", Pos: start}
+			return Token{Kind: twoRune[src[from:lx.i]], Text: src[from:lx.i], Pos: start}
 		case r < utf8.RuneSelf && punct[r] != 0:
 			lx.advance()
 			return Token{Kind: punct[r], Text: src[from:lx.i], Pos: start}

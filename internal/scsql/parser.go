@@ -1,6 +1,10 @@
 package scsql
 
-import "cmp"
+import (
+	"cmp"
+	"slices"
+	"strings"
+)
 
 // Parse parses one SCSQL statement (query or function definition),
 // terminated by ';' or end of input.
@@ -42,10 +46,12 @@ func ParseAll(src string) ([]*Statement, error) {
 }
 
 type parser struct {
-	lx    lexer
-	tok   Token // the lookahead, when ahead
-	ahead bool
-	depth int // unaryExpr calls on the stack
+	lx      lexer
+	tok     Token // the lookahead, when ahead
+	ahead   bool
+	depth   int   // unaryExpr calls on the stack
+	a       arena // the statement's nodes
+	scanned int   // the byte offset census has read to
 }
 
 // maxNesting bounds how deep expressions and subqueries may nest. The
@@ -77,7 +83,11 @@ func (p *parser) expect(k Kind) (Token, error) {
 }
 
 func (p *parser) statement() (*Statement, error) {
-	switch p.peek().Kind {
+	first := p.peek()
+	if p.a = (arena{}); p.lx.i > p.scanned {
+		p.census()
+	}
+	switch first.Kind {
 	case TokCreate:
 		def, err := p.funcDef()
 		if err != nil {
@@ -98,7 +108,7 @@ func (p *parser) statement() (*Statement, error) {
 		if err != nil {
 			return nil, errorfAt(t.Pos, "expected 'select', 'create' or an expression, found %s %q", t.Kind, t.Text)
 		}
-		return &Statement{Query: &Query{Select: e, Pos: t.Pos}}, nil
+		return &Statement{Query: p.a.queries.node(Query{Select: e, Pos: t.Pos})}, nil
 	}
 }
 
@@ -115,7 +125,8 @@ func (p *parser) funcDef() (*FuncDef, error) {
 	if _, err := p.expect(TokLParen); err != nil {
 		return nil, err
 	}
-	var params []Decl
+	var buf [4]Decl
+	params := buf[:0]
 	for p.peek().Kind != TokRParen {
 		if len(params) > 0 {
 			if _, err := p.expect(TokComma); err != nil {
@@ -149,7 +160,7 @@ func (p *parser) funcDef() (*FuncDef, error) {
 	}
 	return &FuncDef{
 		Name:   lower(name.Text),
-		Params: params,
+		Params: p.a.decls.list(params...),
 		Result: resType,
 		Body:   body,
 		Pos:    start.Pos,
@@ -166,7 +177,9 @@ func (p *parser) query() (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	q := &Query{Select: sel, Pos: start.Pos}
+	var decls [8]Decl
+	var conds [8]Cond
+	from, where := decls[:0], conds[:0]
 	if p.peek().Kind == TokFrom {
 		p.next()
 		for {
@@ -174,7 +187,7 @@ func (p *parser) query() (*Query, error) {
 			if err != nil {
 				return nil, err
 			}
-			q.From = append(q.From, d)
+			from = append(from, d)
 			if p.peek().Kind != TokComma {
 				break
 			}
@@ -188,14 +201,14 @@ func (p *parser) query() (*Query, error) {
 			if err != nil {
 				return nil, err
 			}
-			q.Where = append(q.Where, c)
+			where = append(where, c)
 			if p.peek().Kind != TokAnd {
 				break
 			}
 			p.next()
 		}
 	}
-	return q, nil
+	return p.a.queries.node(Query{Select: sel, From: p.a.decls.list(from...), Where: p.a.conds.list(where...), Pos: start.Pos}), nil
 }
 
 // decl := ['bag' 'of'] type IDENT
@@ -227,18 +240,14 @@ func (p *parser) decl() (Decl, error) {
 }
 
 func declTypeOf(t Token) (DeclType, error) {
-	switch lower(t.Text) {
-	case "sp":
-		return DeclSP, nil
-	case "integer":
-		return DeclInteger, nil
-	case "string", "charstring":
+	name := lower(t.Text)
+	if name == "charstring" {
 		return DeclString, nil
-	case "stream":
-		return DeclStream, nil
-	default:
-		return 0, errorfAt(t.Pos, "unknown type %q", t.Text)
 	}
+	if i := slices.Index(declTypes[:], name); i > 0 {
+		return DeclType(i), nil
+	}
+	return 0, errorfAt(t.Pos, "unknown type %q", t.Text)
 }
 
 // cond := IDENT '=' expr | IDENT 'in' expr | predicate-expr
@@ -272,99 +281,39 @@ func (p *parser) cond() (Cond, error) {
 			return c, nil
 		}
 	}
-	if bin, ok := lhs.(*BinaryExpr); !ok || !isComparison(bin.Op) {
+	if bin, ok := lhs.(*BinaryExpr); !ok || strings.Contains("+-*/", bin.Op) { // no comparison
 		return c, errorfAt(start.Pos, "where-clause conjunct must be a binding (x = ..., x in ...) or a comparison, found %s", lhs)
 	}
 	c.Pred = lhs
 	return c, nil
 }
 
-func isComparison(op string) bool {
-	switch op {
-	case "<", "<=", ">", ">=", "<>", "=":
-		return true
-	}
-	return false
-}
+// ops are the binary operators by precedence, loosest first: a comparison
+// (which does not chain), additive, multiplicative. Their operands in turn
+// are unary expressions.
+var ops = [...][]Kind{{TokLess, TokLessEq, TokGreater, TokGreaterEq, TokNotEq, TokEquals}, {TokPlus, TokMinus}, {TokStar, TokSlash}}
 
-// expr parses a full expression with the precedence comparison < additive
-// < multiplicative < unary < primary.
-func (p *parser) expr() (Expr, error) {
-	l, err := p.addExpr()
-	if err != nil {
-		return nil, err
-	}
-	var op string
-	switch p.peek().Kind {
-	case TokLess:
-		op = "<"
-	case TokLessEq:
-		op = "<="
-	case TokGreater:
-		op = ">"
-	case TokGreaterEq:
-		op = ">="
-	case TokNotEq:
-		op = "<>"
-	case TokEquals:
-		op = "="
-	default:
-		return l, nil
-	}
-	tok := p.next()
-	r, err := p.addExpr()
-	if err != nil {
-		return nil, err
-	}
-	return &BinaryExpr{Op: op, L: l, R: r, Pos: tok.Pos}, nil
-}
+// expr parses a full expression.
+func (p *parser) expr() (Expr, error) { return p.binary(0) }
 
-func (p *parser) addExpr() (Expr, error) {
-	l, err := p.mulExpr()
-	if err != nil {
-		return nil, err
+// binary parses operands of precedence level+1 joined, left to right, by the
+// operators of level; an operator's text is its BinaryExpr.Op.
+func (p *parser) binary(level int) (Expr, error) {
+	if level == len(ops) {
+		return p.unaryExpr()
 	}
-	for {
-		var op string
-		switch p.peek().Kind {
-		case TokPlus:
-			op = "+"
-		case TokMinus:
-			op = "-"
-		default:
-			return l, nil
-		}
+	l, err := p.binary(level + 1)
+	for n := 0; err == nil && (level > 0 || n == 0) && slices.Contains(ops[level], p.peek().Kind); n++ {
 		tok := p.next()
-		r, err := p.mulExpr()
-		if err != nil {
-			return nil, err
+		var r Expr
+		if r, err = p.binary(level + 1); err == nil {
+			l = p.a.bins.node(BinaryExpr{Op: tok.Text, L: l, R: r, Pos: tok.Pos})
 		}
-		l = &BinaryExpr{Op: op, L: l, R: r, Pos: tok.Pos}
 	}
-}
-
-func (p *parser) mulExpr() (Expr, error) {
-	l, err := p.unaryExpr()
 	if err != nil {
 		return nil, err
 	}
-	for {
-		var op string
-		switch p.peek().Kind {
-		case TokStar:
-			op = "*"
-		case TokSlash:
-			op = "/"
-		default:
-			return l, nil
-		}
-		tok := p.next()
-		r, err := p.unaryExpr()
-		if err != nil {
-			return nil, err
-		}
-		l = &BinaryExpr{Op: op, L: l, R: r, Pos: tok.Pos}
-	}
+	return l, nil
 }
 
 // unaryExpr is on every recursive path of the grammar — a parenthesis, a
@@ -382,7 +331,7 @@ func (p *parser) unaryExpr() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &UnaryExpr{Op: "-", X: x, Pos: t.Pos}, nil
+		return p.a.unaries.node(UnaryExpr{Op: "-", X: x, Pos: t.Pos}), nil
 	}
 	return p.postfixExpr()
 }
@@ -399,7 +348,7 @@ func (p *parser) postfixExpr() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		x = &FieldExpr{X: x, Name: lower(name.Text), Pos: dot.Pos}
+		x = p.a.fields.node(FieldExpr{X: x, Name: lower(name.Text), Pos: dot.Pos})
 	}
 	return x, nil
 }
@@ -412,16 +361,16 @@ func (p *parser) primaryExpr() (Expr, error) {
 	switch t.Kind {
 	case TokNumber:
 		p.next()
-		return &NumberLit{Text: t.Text, Pos: t.Pos}, nil
+		return p.a.nums.node(NumberLit{Text: t.Text, Pos: t.Pos}), nil
 	case TokString:
 		p.next()
-		return &StringLit{Value: t.Text, Pos: t.Pos}, nil
+		return p.a.strs.node(StringLit{Value: t.Text, Pos: t.Pos}), nil
 	case TokSelect:
 		q, err := p.query()
 		if err != nil {
 			return nil, err
 		}
-		return &SubqueryExpr{Query: q, Pos: t.Pos}, nil
+		return p.a.subs.node(SubqueryExpr{Query: q, Pos: t.Pos}), nil
 	case TokLParen:
 		p.next()
 		inner, err := p.expr()
@@ -434,9 +383,10 @@ func (p *parser) primaryExpr() (Expr, error) {
 		return inner, nil
 	case TokLBrace:
 		p.next()
-		set := &SetLit{Pos: t.Pos}
+		var buf [8]Expr
+		elems := buf[:0]
 		for p.peek().Kind != TokRBrace {
-			if len(set.Elems) > 0 {
+			if len(elems) > 0 {
 				if _, err := p.expect(TokComma); err != nil {
 					return nil, err
 				}
@@ -445,22 +395,23 @@ func (p *parser) primaryExpr() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			set.Elems = append(set.Elems, e)
+			elems = append(elems, e)
 		}
 		p.next() // '}'
-		if len(set.Elems) == 0 {
+		if len(elems) == 0 {
 			return nil, errorfAt(t.Pos, "empty set literal")
 		}
-		return set, nil
+		return p.a.sets.node(SetLit{Elems: p.a.exprs.list(elems...), Pos: t.Pos}), nil
 	case TokIdent:
 		p.next()
 		if p.peek().Kind != TokLParen {
-			return &Ident{Name: t.Text, Pos: t.Pos}, nil
+			return p.a.idents.node(Ident{Name: t.Text, Pos: t.Pos}), nil
 		}
 		p.next() // '('
-		call := &Call{Name: lower(t.Text), Pos: t.Pos}
+		var buf [8]Expr
+		args := buf[:0]
 		for p.peek().Kind != TokRParen {
-			if len(call.Args) > 0 {
+			if len(args) > 0 {
 				if _, err := p.expect(TokComma); err != nil {
 					return nil, err
 				}
@@ -469,11 +420,113 @@ func (p *parser) primaryExpr() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			call.Args = append(call.Args, a)
+			args = append(args, a)
 		}
 		p.next() // ')'
-		return call, nil
+		return p.a.calls.node(Call{Name: lower(t.Text), Args: p.a.exprs.list(args...), Pos: t.Pos}), nil
 	default:
 		return nil, errorfAt(t.Pos, "expected expression, found %s %q", t.Kind, t.Text)
 	}
+}
+
+// arena holds one statement's AST in typed slabs, so a statement allocates
+// a block per type it uses, not an object per node. Each statement parses
+// into a fresh arena; a node kept beyond it (a catalog's FuncDef) keeps its
+// blocks alive.
+type arena struct {
+	queries slab[Query]
+	subs    slab[SubqueryExpr]
+	calls   slab[Call]
+	idents  slab[Ident]
+	nums    slab[NumberLit]
+	strs    slab[StringLit]
+	bins    slab[BinaryExpr]
+	unaries slab[UnaryExpr]
+	fields  slab[FieldExpr]
+	sets    slab[SetLit]
+	exprs   slab[Expr]
+	decls   slab[Decl]
+	conds   slab[Cond]
+}
+
+// slab hands out values from a block that only fills: a full block is
+// replaced, never resliced or grown, so nothing handed out moves or is
+// handed out twice. The first block holds want values, a later one what is
+// asked.
+type slab[T any] struct {
+	free []T
+	want int
+}
+
+// list copies l, gathered on the parser's stack, into the slab (nil if
+// empty).
+func (s *slab[T]) list(l ...T) []T {
+	if len(l) == 0 {
+		return nil
+	}
+	if len(s.free) < len(l) {
+		s.free, s.want = make([]T, max(len(l), s.want)), 0
+	}
+	b := s.free[:len(l):len(l)]
+	s.free = s.free[len(l):]
+	copy(b, l)
+	return b
+}
+
+// node returns v in the slab.
+func (s *slab[T]) node(v T) *T { return &s.list(v)[0] }
+
+// census reads the statement ahead to its ';', on a copy of the lexer, and
+// counts the nodes and list elements parsing it makes (exactly, for one that
+// parses) as its slabs' first sizes. A statement that starts in text an
+// earlier census read is not counted again: the source is lexed at most
+// twice.
+func (p *parser) census() {
+	a, lx, t := &p.a, p.lx, p.peek()
+	first, prev := t.Kind, Kind(0)
+	bin := &a.bins.want
+	count := [...]*int{TokSelect: &a.queries.want, TokWhere: &a.conds.want, TokAnd: &a.conds.want,
+		TokNumber: &a.nums.want, TokString: &a.strs.want, TokDot: &a.fields.want, TokLBrace: &a.sets.want,
+		TokLess: bin, TokLessEq: bin, TokGreater: bin, TokGreaterEq: bin, TokNotEq: bin, TokEquals: bin,
+		TokPlus: bin, TokStar: bin, TokSlash: bin, TokOf: nil}
+	var header, from bool // in a definition's 'create … as'; in a from clause
+	var headerIdents, declIdents int
+	for t.Kind != TokEOF && t.Kind != TokSemicolon {
+		next := lx.next()
+		if c := count[t.Kind]; c != nil {
+			*c++
+		}
+		header = header && t.Kind != TokAs || t.Kind == TokCreate
+		from = from && (t.Kind == TokIdent || t.Kind == TokComma || t.Kind == TokBag || t.Kind == TokOf) || t.Kind == TokFrom
+		switch k := t.Kind; {
+		case k == TokSelect:
+			a.subs.want++
+		case k == TokLBrace && next.Kind != TokRBrace, k == TokComma && !header && !from,
+			k == TokLParen && prev == TokIdent && !header && next.Kind != TokRParen:
+			a.exprs.want++
+		case k == TokMinus && (prev == TokNumber || prev == TokString || prev == TokIdent || prev == TokRParen || prev == TokRBrace):
+			a.bins.want++
+		case k == TokMinus:
+			a.unaries.want++
+		case k != TokIdent || prev == TokDot: // a field's name is no node
+		case header:
+			headerIdents++
+		case from:
+			declIdents++
+		case next.Kind == TokLParen:
+			a.calls.want++
+		default:
+			a.idents.want++
+		}
+		prev, t = t.Kind, next
+	}
+	// A decl is two identifiers; a header also names the function and its
+	// result type.
+	a.decls.want = declIdents/2 + max(headerIdents-2, 0)/2
+	if first == TokSelect || first == TokCreate {
+		a.subs.want-- // the statement's own query is no subquery
+	} else {
+		a.queries.want++ // a bare expression is wrapped in one
+	}
+	p.scanned = lx.i
 }

@@ -1,6 +1,7 @@
 package scsql
 
 import (
+	"reflect"
 	"regexp"
 	"slices"
 	"strings"
@@ -133,32 +134,91 @@ func TestLexPositionsCountRunes(t *testing.T) {
 	}
 }
 
-// TestParseAllocs pins what parsing one of the paper's queries allocates: the
-// AST, and nothing per token — the parser pulls tokens one at a time, every
-// text a slice of the source, and a keyword or a builtin's name in upper
-// case is looked up without a lower-case copy.
+// TestParseAllocs pins what parsing one of the paper's queries allocates: a
+// block per AST node type and list type the statement uses, the Statement
+// and ParseAll's slice — nothing per node and nothing per token. The parser
+// pulls tokens one at a time, every text a slice of the source, and a
+// keyword or a builtin's name in upper case is looked up without a
+// lower-case copy.
 func TestParseAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	src, err := InboundQuery(6, 8, 1000, 1)
+	q6, err := InboundQuery(6, 8, 1000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 75 while Lex built a token slice first; 86 in upper case while
-	// keywords were looked up through strings.ToLower; 94 for the whole
-	// statement in upper case while every function and type name was
-	// lower-cased through strings.ToLower.
-	const pin = 74
-	upper := regexp.MustCompile(`\b(select|from|where|and|in|bag|of)\b`).ReplaceAllStringFunc(src, strings.ToUpper)
-	for _, src := range []string{src, upper, strings.ToUpper(src)} {
-		got := testing.AllocsPerRun(100, func() {
-			if _, err := Parse(src); err != nil {
-				t.Fatal(err)
+	// Query 6 took 74 while every node was an object of its own (75 while
+	// Lex built a token slice first; 86 in upper case while keywords were
+	// looked up through strings.ToLower; 94 for the whole statement in upper
+	// case while every function and type name was lower-cased through
+	// strings.ToLower); Figure 5 took 38.
+	for _, c := range []struct {
+		src string
+		pin float64
+	}{{q6, 12}, {Figure5Query(300000, 20), 11}} {
+		upper := regexp.MustCompile(`\b(select|from|where|and|in|bag|of)\b`).ReplaceAllStringFunc(c.src, strings.ToUpper)
+		for _, src := range []string{c.src, upper, strings.ToUpper(c.src)} {
+			got := testing.AllocsPerRun(100, func() {
+				if _, err := Parse(src); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if got > c.pin {
+				t.Errorf("Parse allocated %v times, want at most %v:\n%s", got, c.pin, src)
 			}
-		})
-		if got > pin {
-			t.Errorf("Parse allocated %v times, want at most %d:\n%s", got, pin, src)
+		}
+	}
+}
+
+// TestCensusSizesEverySlab: the census counts exactly what parsing a
+// statement takes from each slab — on the paper's corpus and on statements
+// that use every node type — so each slab the statement uses is one block,
+// filled: a slab left with room was over-counted, and one block more than
+// the slabs counted means one was under-counted.
+func TestCensusSizesEverySlab(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	srcs := []string{
+		Figure5Query(3_000_000, 100), MergeQuery([]int{1, 4, 7}, 300_000, 10), GrepQuery("needle", 4), Radix2Def,
+		`select n.node from stream n where n in sys_nodes() and n.cluster = 'bg' and n.x = 0;`,
+		`select -x * (2 - -x) / 4 + n.y - 1 from integer x, stream n where x in iota(1, 8) and x <> 3 and x >= -2;`,
+		`merge({a, b});`,
+		`create function two(integer n, bag of sp p, string s) -> stream as select extract(a) from sp a where a=sp(iota(1,n), 'be');`,
+		`create function none() -> stream as select count(sys_nodes()) from integer i;`,
+	}
+	for q := 1; q <= 6; q++ {
+		src, err := InboundQuery(q, 4, 300_000, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs = append(srcs, src)
+	}
+	for _, src := range srcs {
+		counted := &parser{lx: newLexer(src)}
+		counted.census()
+		blocks := 2.0 // the Statement and ParseAll's slice
+		if counted.peek().Kind == TokCreate {
+			blocks++ // the FuncDef
+		}
+		slabs := reflect.ValueOf(counted.a)
+		for i := range slabs.NumField() {
+			if slabs.Field(i).FieldByName("want").Int() > 0 {
+				blocks++
+			}
+		}
+		p := &parser{lx: newLexer(src)}
+		if _, err := p.statement(); err != nil {
+			t.Fatalf("%v\n%s", err, src)
+		}
+		for i := range slabs.NumField() {
+			if s := reflect.ValueOf(p.a).Field(i); s.FieldByName("free").Len() > 0 || s.FieldByName("want").Int() > 0 {
+				t.Errorf("slab %s over-counted:\n%s", slabs.Type().Field(i).Name, src)
+			}
+		}
+		if got := testing.AllocsPerRun(10, func() { _, _ = Parse(src) }); got != blocks {
+			t.Errorf("Parse allocated %v times, want %v (a slab under-counted):\n%s", got, blocks, src)
 		}
 	}
 }

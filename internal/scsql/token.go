@@ -69,44 +69,32 @@ const (
 	TokOf
 )
 
-var kindNames = map[Kind]string{
-	TokEOF:       "end of input",
-	TokIdent:     "identifier",
-	TokNumber:    "number",
-	TokString:    "string",
-	TokLParen:    "'('",
-	TokRParen:    "')'",
-	TokLBrace:    "'{'",
-	TokRBrace:    "'}'",
-	TokComma:     "','",
-	TokSemicolon: "';'",
-	TokEquals:    "'='",
-	TokArrow:     "'->'",
-	TokLess:      "'<'",
-	TokLessEq:    "'<='",
-	TokGreater:   "'>'",
-	TokGreaterEq: "'>='",
-	TokNotEq:     "'<>'",
-	TokPlus:      "'+'",
-	TokMinus:     "'-'",
-	TokStar:      "'*'",
-	TokSlash:     "'/'",
-	TokDot:       "'.'",
-	TokSelect:    "'select'",
-	TokFrom:      "'from'",
-	TokWhere:     "'where'",
-	TokAnd:       "'and'",
-	TokIn:        "'in'",
-	TokCreate:    "'create'",
-	TokFunction:  "'function'",
-	TokAs:        "'as'",
-	TokBag:       "'bag'",
-	TokOf:        "'of'",
-}
-
 func (k Kind) String() string {
-	if s, ok := kindNames[k]; ok {
-		return s
+	switch k {
+	case TokEOF:
+		return "end of input"
+	case TokIdent:
+		return "identifier"
+	case TokNumber:
+		return "number"
+	case TokString:
+		return "string"
+	}
+	// The rest is spelled as the lexer reads it.
+	for text, kk := range twoRune {
+		if kk == k {
+			return "'" + text + "'"
+		}
+	}
+	for r, kk := range punct {
+		if kk == k {
+			return "'" + string(rune(r)) + "'"
+		}
+	}
+	for word, kk := range keywords {
+		if kk == k {
+			return "'" + word + "'"
+		}
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }

@@ -123,46 +123,57 @@ func TestPipelinedSessions(t *testing.T) {
 	}
 	defer cli.Close()
 
+	// pipeline submits n copies of stmt at once and returns their session
+	// ids, failing unless every copy returns the same one row.
 	const n = 8
-	var wg sync.WaitGroup
-	vals := make([]int64, n)
-	errs := make([]error, n)
-	ids := make([]string, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			h, err := cli.Submit(`select count(sys_nodes());`, 0)
-			if err != nil {
-				errs[i] = err
-				return
+	pipeline := func(stmt string) []string {
+		var wg sync.WaitGroup
+		vals := make([]int64, n)
+		errs := make([]error, n)
+		ids := make([]string, n)
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				h, err := cli.Submit(stmt, 0)
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				ids[i] = h.ID
+				rows, done, err := h.Wait()
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				if len(rows) != 1 || done.State != "done" {
+					errs[i] = fmt.Errorf("rows=%d done=%+v", len(rows), done)
+					return
+				}
+				vals[i], _ = rows[0].Value.(int64)
+			}(i)
+		}
+		wg.Wait()
+		for i := 0; i < n; i++ {
+			if errs[i] != nil {
+				t.Fatalf("%s session %d: %v", stmt, i, errs[i])
 			}
-			ids[i] = h.ID
-			rows, done, err := h.Wait()
-			if err != nil {
-				errs[i] = err
-				return
+			if vals[i] <= 0 || vals[i] != vals[0] {
+				t.Fatalf("%s session %d value %d, session 0 %d", stmt, i, vals[i], vals[0])
 			}
-			if len(rows) != 1 || done.State != "done" {
-				errs[i] = fmt.Errorf("rows=%d done=%+v", len(rows), done)
-				return
-			}
-			vals[i], _ = rows[0].Value.(int64)
-		}(i)
+		}
+		return ids
 	}
-	wg.Wait()
+	// A finished catalog read hands its id back, so two reads that do not
+	// overlap may share one: only their values are checked.
+	pipeline(`select count(sys_nodes());`)
+	// A statement that opens a query keeps its id.
 	seen := map[string]bool{}
-	for i := 0; i < n; i++ {
-		if errs[i] != nil {
-			t.Fatalf("session %d: %v", i, errs[i])
+	for _, id := range pipeline(`select count(extract(a)) from sp a where a=sp(iota(1,3), 'be');`) {
+		if seen[id] {
+			t.Fatalf("session id %s assigned twice", id)
 		}
-		if vals[i] != vals[0] {
-			t.Fatalf("session %d value %d != %d", i, vals[i], vals[0])
-		}
-		if seen[ids[i]] {
-			t.Fatalf("session id %s assigned twice", ids[i])
-		}
-		seen[ids[i]] = true
+		seen[id] = true
 	}
 }
 

@@ -151,9 +151,17 @@ func (k *Kernel) wait() {
 }
 
 // Join adds a process of query owner, which hands every time it emits to
-// emit (nil: nowhere). The agent takes no turn until Go.
-func (k *Kernel) Join(owner string, emit func(Time)) *Agent {
-	return &Agent{k: k, owner: owner, emit: emit}
+// emit (nil: nowhere), in the fresh memory passed after emit if any. The
+// agent takes no turn until Go.
+func (k *Kernel) Join(owner string, emit func(Time), into ...*Agent) *Agent {
+	var a *Agent
+	if len(into) > 0 {
+		a = into[0]
+	} else {
+		a = new(Agent)
+	}
+	*a = Agent{k: k, owner: owner, emit: emit}
+	return a
 }
 
 // Pause stops the kernel resuming anybody until the matching Resume, and
