@@ -19,7 +19,7 @@ import (
 )
 
 // runSoak is the seeded chaos-soak figure: one full soak run per seed, every
-// failure path armed (deadlines, shedding, cancels, node kills). The full
+// failure path armed (cancels, node kills, a full admission queue). The full
 // sizing runs the acceptance seed plus two independent ones; Tiny runs the
 // acceptance seed alone. A run that violates a terminal invariant (leaked
 // lease, leaked goroutine, accounting drift) is an error, not a row: the
@@ -42,8 +42,7 @@ func runSoak(s Sizing) ([]Point, error) {
 		n := func(series string, v int) Point { return reading(x, series, "count", float64(v)) }
 		pts = append(pts,
 			n("sessions", res.Sessions), n("done", res.Tally.Done), n("failed", res.Tally.Failed),
-			n("cancelled", res.Tally.Cancelled), n("expired", res.Tally.Expired), n("shed", res.Tally.Shed),
-			n("rejected", res.Tally.Rejected),
+			n("cancelled", res.Tally.Cancelled), n("rejected", res.Tally.Rejected),
 			reading(x, "wait-p50", "us", float64(res.QueueWaitP50.Microseconds())),
 			reading(x, "wait-p99", "us", float64(res.QueueWaitP99.Microseconds())),
 			reading(x, "wall", "ms", float64(res.Wall.Microseconds())/1e3))
@@ -61,13 +60,10 @@ const soakBGNodes = 8
 type soakConfig struct {
 	Seed    int64
 	Rounds  int
-	Victims int // priority-0 sessions submitted per round
-	Extras  int // priority-1 sessions submitted into the full queue (shed drivers)
+	Victims int // sessions submitted per round behind the hog
 
-	QueueCap  int  // admission queue capacity
+	QueueCap  int  // admission queue capacity; victims beyond it are refused
 	Chaos     bool // barriered node kills per round
-	Deadlines bool // queue TTLs on some victims, run TTLs on some hogs
-	Shedding  bool // priority load shedding
 	RateFault bool // frame delay faults on top of the crash schedule
 
 	// DrainTimeout bounds the wall-clock wait for a round to reach
@@ -77,25 +73,22 @@ type soakConfig struct {
 }
 
 // defaultSoakConfig is the acceptance-test configuration: ≥200 sessions with
-// chaos, deadlines and shedding all on.
+// chaos on and a full queue in every round.
 func defaultSoakConfig(seed int64) soakConfig {
 	return soakConfig{
-		Seed:      seed,
-		Rounds:    12,
-		Victims:   14,
-		Extras:    2,
-		QueueCap:  14,
-		Chaos:     true,
-		Deadlines: true,
-		Shedding:  true,
+		Seed:     seed,
+		Rounds:   12,
+		Victims:  18,
+		QueueCap: 16,
+		Chaos:    true,
 	}
 }
 
 // soakTally counts terminal session states. It is the determinism witness:
 // same seed, same tally.
 type soakTally struct {
-	Done, Failed, Cancelled, Expired, Shed int
-	Rejected                               int // submissions refused at the queue (no session)
+	Done, Failed, Cancelled int
+	Rejected                int // submissions refused at the queue (no session)
 }
 
 // soakResult is one soak run's outcome and invariant audit.
@@ -125,7 +118,7 @@ func (r *soakResult) check() error {
 	if !r.AccountingOK {
 		bad = append(bad, "vtime owner accounting does not sum to busy time")
 	}
-	if got := r.Tally.Done + r.Tally.Failed + r.Tally.Cancelled + r.Tally.Expired + r.Tally.Shed; got != r.Sessions {
+	if got := r.Tally.Done + r.Tally.Failed + r.Tally.Cancelled; got != r.Sessions {
 		bad = append(bad, fmt.Sprintf("terminal states %d != sessions %d", got, r.Sessions))
 	}
 	if len(bad) == 0 {
@@ -229,8 +222,8 @@ and   a=sp(gen_array(30000,2), 'bg', %d);`, to, from)
 }
 
 // soak is the seeded chaos soak harness: it drives many concurrent
-// scheduler sessions through submission, cancellation, virtual-time expiry,
-// priority shedding and barriered node crashes, then audits the terminal
+// scheduler sessions through submission, refusal at a full queue,
+// cancellation and barriered node crashes, then audits the terminal
 // invariants every failure path promises:
 //
 //   - every session reaches a terminal state;
@@ -244,16 +237,13 @@ and   a=sp(gen_array(30000,2), 'bg', %d);`, to, from)
 // starts on a whole partition.
 //
 // Determinism: the schedule — which sessions are submitted with which node
-// pairs, TTLs and priorities, which are cancelled, which node is killed — is
-// a pure function of soakConfig.Seed, and every policy decision the scheduler
-// makes runs on its virtual clock. Rounds are barriered: a gate-blocked hog
-// query pins the entire BlueGene partition, so nothing progresses and the
-// driver's ticks alone move the clock while victims are provably still
-// queued and the driver cancels, sheds or expires them; only after those
-// phases does the round release the gate and let the survivors run (and
-// their own progress tick the clock). Two runs with the same seed therefore
-// produce the identical terminal-state tally, whatever the wall-clock
-// interleaving.
+// pairs, which are cancelled, which node is killed — is a pure function of
+// soakConfig.Seed. Rounds are barriered: a gate-blocked hog query pins the
+// entire BlueGene partition, so nothing progresses while victims are
+// provably still queued and the harness fills the queue, cancels and kills;
+// only after those phases does the round release the gate and let the
+// survivors run. Two runs with the same seed therefore produce the identical
+// terminal-state tally, whatever the wall-clock interleaving.
 func soak(cfg soakConfig) (*soakResult, error) {
 	if cfg.Rounds <= 0 || cfg.Victims <= 0 {
 		return nil, fmt.Errorf("soak: config needs positive Rounds and Victims")
@@ -306,30 +296,15 @@ func soakRound(cfg soakConfig, r int, rng *rand.Rand, res *soakResult, waits *[]
 	if err != nil {
 		return err
 	}
-	s := sched.New(eng, nil, sched.Config{QueueCap: cfg.QueueCap, LoadShedding: cfg.Shedding})
-
-	// tick lets d of virtual time pass from wherever the clock stands, in a
-	// turn of its own, as the engine's processes tick it in theirs.
-	tick := func(d vtime.Duration) {
-		env.Kernel().Pause()
-		s.ObserveVTime(s.VNow().Add(d))
-		env.Kernel().Resume()
-	}
-	const maxTTL = 4 * vtime.Millisecond
+	s := sched.New(eng, nil, sched.Config{QueueCap: cfg.QueueCap})
 
 	var round []*sched.Query
 	runErr := func() error {
 		gate.arm()
 
-		// Phase 1: the hog pins the whole partition. In deadline rounds
-		// it sometimes carries a run TTL and expires mid-round instead of
-		// completing — either way the gate is released at the barrier.
-		var hogCfg sched.SubmitConfig
-		hogExpires := cfg.Deadlines && rng.Intn(3) == 0
-		if hogExpires {
-			hogCfg.RunTTL = maxTTL / 2
-		}
-		hog, err := s.Submit(hogSrc(), hogCfg)
+		// Phase 1: the hog pins the whole partition until the barrier
+		// releases the gate.
+		hog, err := s.Submit(hogSrc())
 		if err != nil {
 			return fmt.Errorf("round %d: submit hog: %w", r, err)
 		}
@@ -341,16 +316,12 @@ func soakRound(cfg soakConfig, r int, rng *rand.Rand, res *soakResult, waits *[]
 			time.Sleep(50 * time.Microsecond)
 		}
 
-		// Phase 2: victims on prescribed node pairs; all queue behind
-		// the hog. Some carry queue TTLs.
+		// Phase 2: victims on prescribed node pairs, all queued behind
+		// the hog until the queue is full; the rest are refused.
 		for v := 0; v < cfg.Victims; v++ {
 			from := rng.Intn(soakBGNodes)
 			to := (from + 1 + rng.Intn(soakBGNodes-1)) % soakBGNodes
-			var victimCfg sched.SubmitConfig
-			if cfg.Deadlines && rng.Intn(3) == 0 {
-				victimCfg.QueueTTL = vtime.Duration(1+rng.Intn(int(maxTTL/vtime.Millisecond))) * vtime.Millisecond
-			}
-			q, err := s.Submit(victimSrc(from, to), victimCfg)
+			q, err := s.Submit(victimSrc(from, to))
 			if err != nil {
 				if !errors.Is(err, sched.ErrQueueFull) {
 					return fmt.Errorf("round %d: submit victim: %w", r, err)
@@ -361,78 +332,39 @@ func soakRound(cfg soakConfig, r int, rng *rand.Rand, res *soakResult, waits *[]
 			round = append(round, q)
 		}
 
-		// Phase 3: priority-1 extras hit the queue while it is still
-		// full; with shedding on each one evicts the youngest queued
-		// priority-0 victim, with shedding off it is refused outright.
-		for x := 0; x < cfg.Extras; x++ {
-			from := rng.Intn(soakBGNodes)
-			to := (from + 1 + rng.Intn(soakBGNodes-1)) % soakBGNodes
-			q, err := s.Submit(victimSrc(from, to), sched.SubmitConfig{Priority: 1})
-			if err != nil {
-				if !errors.Is(err, sched.ErrQueueFull) {
-					return fmt.Errorf("round %d: submit extra: %w", r, err)
-				}
-				res.Tally.Rejected++
-				continue
-			}
-			round = append(round, q)
-		}
-
-		// Phase 4: cancel a seeded subset of the round's sessions while
-		// they are provably queued (cancelling an already-shed session is
-		// a deliberate no-op: the driver races real clients do).
+		// Phase 3: cancel a seeded subset of the round's sessions while
+		// they are provably queued.
 		for _, q := range round[1:] {
 			if rng.Intn(4) == 0 {
 				_ = s.Cancel(q.ID())
 			}
 		}
 
-		// Phase 5: expire. One tick past the longest TTL fires every
-		// queue deadline of this round (and the hog's run deadline, if
-		// armed) — all affected sessions are still queued/running
-		// because the partition is still pinned.
-		if cfg.Deadlines {
-			tick(maxTTL + vtime.Millisecond)
-		}
-
-		// Phase 6: barriered crash. Killing any node fails the RP the hog
+		// Phase 4: barriered crash. Killing any node fails the RP the hog
 		// has there (it has one everywhere), and so the hog, and the node
 		// stays dead for the rest of the round: a victim placed on it fails
-		// its admission once nothing else runs. The kill is skipped in
-		// hog-expiring rounds: there the hog's leases freed at the phase-5
-		// tick and victims are already running, so which of them the kill
-		// meets would race their progress — the barrier argument needs the
-		// hog still pinning the partition when the node dies. hogExpires is
-		// seed-pure, so the skip is too.
-		if cfg.Chaos && !hogExpires && rng.Intn(2) == 0 {
+		// its admission once nothing else runs.
+		if cfg.Chaos && rng.Intn(2) == 0 {
 			inj.KillNode(hw.BlueGene, 1+rng.Intn(soakBGNodes-1))
 		}
 
 		// Barrier: release the gate and drain the round.
 		gate.release()
-		deadline := time.Now().Add(cfg.DrainTimeout)
-		for {
-			live := 0
-			for _, q := range round {
-				if !q.State().Final() {
-					live++
-				}
-			}
-			if live == 0 {
-				return nil
-			}
-			if time.Now().After(deadline) {
+		timeout := time.After(cfg.DrainTimeout)
+		for _, q := range round {
+			select {
+			case <-q.Done():
+			case <-timeout:
 				var states []string
 				for _, q := range round {
 					if st := q.State(); !st.Final() {
 						states = append(states, fmt.Sprintf("%s=%v", q.ID(), st))
 					}
 				}
-				return fmt.Errorf("round %d: %d sessions not terminal after %v: %v", r, live, cfg.DrainTimeout, states)
+				return fmt.Errorf("round %d: %d sessions not terminal after %v: %v", r, len(states), cfg.DrainTimeout, states)
 			}
-			tick(vtime.Millisecond)
-			time.Sleep(200 * time.Microsecond)
 		}
+		return nil
 	}()
 
 	for _, q := range round {
@@ -444,10 +376,6 @@ func soakRound(cfg soakConfig, r int, rng *rand.Rand, res *soakResult, waits *[]
 			res.Tally.Failed++
 		case sched.Cancelled:
 			res.Tally.Cancelled++
-		case sched.Expired:
-			res.Tally.Expired++
-		case sched.Shed:
-			res.Tally.Shed++
 		}
 		if w := q.AdmissionWait(); w > 0 {
 			*waits = append(*waits, w)

@@ -5,18 +5,15 @@ import (
 )
 
 // TestSoakDeterministicTally is the bit-determinism witness: two full soak
-// runs with the same seed — chaos, deadlines and shedding all on —
+// runs with the same seed — chaos on, the queue filled past its cap —
 // must produce the identical terminal-state tally.
 func TestSoakDeterministicTally(t *testing.T) {
 	cfg := soakConfig{
-		Seed:      7,
-		Rounds:    3,
-		Victims:   6,
-		Extras:    2,
-		QueueCap:  6,
-		Chaos:     true,
-		Deadlines: true,
-		Shedding:  true,
+		Seed:     7,
+		Rounds:   3,
+		Victims:  8,
+		QueueCap: 6,
+		Chaos:    true,
 	}
 	r1, err := soak(cfg)
 	if err != nil {
@@ -57,8 +54,8 @@ func TestSoakAcceptance(t *testing.T) {
 	if res.Sessions < 200 {
 		t.Fatalf("acceptance soak needs >=200 sessions, got %d", res.Sessions)
 	}
-	// The seeded schedule must exercise every terminal path.
-	if res.Tally.Done == 0 || res.Tally.Failed == 0 || res.Tally.Cancelled == 0 || res.Tally.Expired == 0 || res.Tally.Shed == 0 {
+	// The seeded schedule must exercise every terminal path and the refusal.
+	if res.Tally.Done == 0 || res.Tally.Failed == 0 || res.Tally.Cancelled == 0 || res.Tally.Rejected == 0 {
 		t.Fatalf("schedule did not exercise all terminal paths: %+v", res.Tally)
 	}
 	t.Logf("sessions=%d tally=%+v waitP50=%v waitP99=%v wall=%v",
@@ -76,7 +73,6 @@ func TestSoakRateFaultsStayDeterministic(t *testing.T) {
 		Victims:   5,
 		QueueCap:  5,
 		Chaos:     true,
-		Deadlines: true,
 		RateFault: true,
 	}
 	r1, err := soak(cfg)
@@ -95,9 +91,9 @@ func TestSoakRateFaultsStayDeterministic(t *testing.T) {
 	}
 }
 
-// TestSoakFeaturesOffStillTerminates runs the harness with every resilience
-// feature disabled: no session may wedge, and with no deadlines, shedding or
-// chaos the only terminal states are Done and Cancelled.
+// TestSoakFeaturesOffStillTerminates runs the harness with chaos off and a
+// queue that holds every victim: no session may wedge, and the only terminal states are Done and
+// Cancelled.
 func TestSoakFeaturesOffStillTerminates(t *testing.T) {
 	cfg := soakConfig{
 		Seed:    3,
@@ -111,7 +107,7 @@ func TestSoakFeaturesOffStillTerminates(t *testing.T) {
 	if err := res.check(); err != nil {
 		t.Fatalf("invariants: %v", err)
 	}
-	if res.Tally.Expired != 0 || res.Tally.Shed != 0 || res.Tally.Failed != 0 {
-		t.Fatalf("features off but tally has resilience outcomes: %+v", res.Tally)
+	if res.Tally.Failed != 0 || res.Tally.Rejected != 0 {
+		t.Fatalf("features off but tally has failures or refusals: %+v", res.Tally)
 	}
 }

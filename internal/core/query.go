@@ -412,7 +412,7 @@ type QueryScheduler interface {
 }
 
 // VTimeObserver is optionally implemented by an attached scheduler whose
-// policy clock (deadlines, live sys_* streams) runs on
+// policy clock (sys_sessions' age_ns, live sys_* streams) runs on
 // virtual time. The clock runs on the engine's own progress, always: the
 // time of every element any stream process emits is reported, on the
 // kernel's one timeline (observe). No decision reads the wall clock.

@@ -8,9 +8,8 @@ import (
 )
 
 // TestZeroConfigIsTheDefault pins what each zero field of Config means: a
-// 64-session admission queue, no shedding, no admission retry, greedy
-// placement — the scheduler New built with no options before it took a
-// Config. A negative cap, which the root's WithAdmissionQueueCap(0) sets, is
+// 64-session admission queue and greedy placement — the scheduler New built
+// with no options before it took a Config. A negative cap, which the root's WithAdmissionQueueCap(0) sets, is
 // unbounded.
 func TestZeroConfigIsTheDefault(t *testing.T) {
 	for _, tc := range []struct {
@@ -23,8 +22,8 @@ func TestZeroConfigIsTheDefault(t *testing.T) {
 		e, release := gatedEngine(t)
 		s := New(e, nil, tc.cfg)
 		if tc.cfg == (Config{}) {
-			if s.cfg.LoadShedding || s.cfg.Placement != nil || s.planner != nil {
-				t.Errorf("zero Config: %+v, planner %v; want no shedding or planner", s.cfg, s.planner)
+			if s.cfg.Placement != nil || s.planner != nil {
+				t.Errorf("zero Config: %+v, planner %v; want no planner", s.cfg, s.planner)
 			}
 		}
 		if _, err := s.Submit(gateHogSrc); err != nil {

@@ -54,7 +54,7 @@ import (
 type State int
 
 // Session lifecycle. Queued, Admitted and Running are live states; Done,
-// Failed, Cancelled, Expired and Shed are final.
+// Failed and Cancelled are final.
 const (
 	Queued    State = iota + 1 // parsed, waiting for node reservations
 	Admitted                   // nodes reserved, SP graph built, about to stream
@@ -62,8 +62,6 @@ const (
 	Done                       // completed, result available
 	Failed                     // build or runtime error
 	Cancelled                  // cancelled by the user (queued or mid-stream)
-	Expired                    // virtual-time deadline elapsed (queued or mid-stream)
-	Shed                       // evicted from the queue to make room for higher priority
 )
 
 func (s State) String() string {
@@ -80,10 +78,6 @@ func (s State) String() string {
 		return "failed"
 	case Cancelled:
 		return "cancelled"
-	case Expired:
-		return "expired"
-	case Shed:
-		return "shed"
 	}
 	return "unknown"
 }
@@ -91,7 +85,7 @@ func (s State) String() string {
 // Final reports whether the state is terminal.
 func (s State) Final() bool {
 	switch s {
-	case Done, Failed, Cancelled, Expired, Shed:
+	case Done, Failed, Cancelled:
 		return true
 	}
 	return false
@@ -118,14 +112,6 @@ var (
 	// ErrCancelled aliases the engine's cancellation cause for callers that
 	// only import sched.
 	ErrCancelled = core.ErrQueryCancelled
-	// ErrDeadlineExceeded is the terminal cause of sessions that ran out of
-	// virtual time: queued past their queue deadline, or running past their
-	// run deadline. Deadlines live on the scheduler's virtual clock, so the
-	// same schedule expires the same sessions on every run.
-	ErrDeadlineExceeded = errors.New("sched: virtual-time deadline exceeded")
-	// ErrShed is the terminal cause of queued sessions evicted by the load
-	// shedder to admit a higher-priority submission into a full queue.
-	ErrShed = errors.New("sched: shed from admission queue by higher-priority submission")
 	// ErrUnsatisfiablePlan says why a session is ErrUnsatisfiable: the
 	// allocation sequence exceeds what the topology offers — its nodes do
 	// not exist, or are dead, which no node comes back from — so no amount
@@ -134,17 +120,11 @@ var (
 )
 
 // Config configures New. Its zero value is the default scheduler: a
-// 64-session admission queue, no shedding and greedy placement; each field left zero keeps its default.
+// 64-session admission queue and greedy placement; each field left zero keeps its default.
 type Config struct {
 	// QueueCap bounds the number of queued (not yet admitted) sessions;
 	// Submit returns ErrQueueFull beyond it (zero: 64; negative: unbounded).
 	QueueCap int
-	// LoadShedding enables priority load shedding: when the admission queue
-	// is full, a submission of strictly higher priority evicts the
-	// lowest-priority, youngest queued session (terminal state Shed, cause
-	// ErrShed) instead of being rejected. Off by default — shedding changes
-	// which sessions survive, so it is strictly opt-in.
-	LoadShedding bool
 	// Placement attaches a cost-model placement planner to the engine for
 	// the lifetime of this scheduler: admissions are placed to maximize
 	// estimated aggregate throughput across live sessions instead of
@@ -160,27 +140,15 @@ type Option interface{ apply(*Config) }
 
 func (c Config) apply(dst *Config) {
 	dst.QueueCap = cmp.Or(c.QueueCap, dst.QueueCap)
-	dst.LoadShedding = cmp.Or(c.LoadShedding, dst.LoadShedding)
 	dst.Placement = cmp.Or(c.Placement, dst.Placement)
 }
 
 // SubmitConfig configures one Submit. Its zero value is a priority-0
-// session with no deadlines.
+// session.
 type SubmitConfig struct {
 	// Priority is the session's admission priority (higher admits first;
 	// zero: 0). Within a priority level admission is FIFO.
 	Priority int
-	// QueueTTL bounds how long the session may wait for admission, in
-	// virtual time from submission. A session still queued when
-	// the scheduler's virtual clock passes the deadline is finalized Expired
-	// with ErrDeadlineExceeded. Zero means no queue deadline.
-	QueueTTL vtime.Duration
-	// RunTTL bounds how long the session may run, in virtual time from
-	// admission. A session still streaming when the clock passes the
-	// deadline is cancelled through the engine's poison path — leases
-	// release exactly once, exactly as a user cancel — and finalized Expired
-	// with ErrDeadlineExceeded. Zero means no run deadline.
-	RunTTL vtime.Duration
 }
 
 // SubmitOption configures one Submit. A SubmitConfig is one: each of its
@@ -189,8 +157,6 @@ type SubmitOption interface{ apply(*SubmitConfig) }
 
 func (c SubmitConfig) apply(dst *SubmitConfig) {
 	dst.Priority = cmp.Or(c.Priority, dst.Priority)
-	dst.QueueTTL = cmp.Or(c.QueueTTL, dst.QueueTTL)
-	dst.RunTTL = cmp.Or(c.RunTTL, dst.RunTTL)
 }
 
 // finishedWindow is how many finished sessions the session table keeps rows
@@ -215,11 +181,12 @@ type Scheduler struct {
 	cfg     Config         // defaults filled in
 	planner *place.Planner // built in installPlanner when cfg.Placement is set
 
-	// alarms is the scheduler's virtual policy clock: a monotone time raised
-	// by the engine's progress (via ObserveVTime) plus the deadline/backoff
-	// wake schedule. Policy decisions — expiry — read this clock and never
-	// the wall clock.
-	alarms *vtime.Alarms
+	// clock is the scheduler's virtual policy clock, a vtime.Time: raised to
+	// every element time the engine's processes emit (ObserveVTime) and to
+	// the kernel's time at each admission, never lowered, never read from
+	// the wall clock. It dates sys_sessions' age_ns and paces the live
+	// streamof(sys_*) streams.
+	clock atomic.Int64
 
 	// admitMu serializes admission attempts; the build itself is further
 	// serialized engine-wide by core.BuildAs.
@@ -237,7 +204,6 @@ type Scheduler struct {
 
 	mSubmitted, mAdmitted, mCompleted *metrics.Counter
 	mFailed, mCancelled, mRejected    *metrics.Counter
-	mExpired, mShed                   *metrics.Counter
 	gQueued, gRunning                 *metrics.Gauge
 
 	// subMu guards the virtual-time tick subscribers (see SubscribeVTime in
@@ -255,10 +221,9 @@ type Scheduler struct {
 // its policy clock and whose streamof(sys_*) streams it paces.
 func New(eng *core.Engine, cat *scsql.Catalog, opts ...Option) *Scheduler {
 	s := &Scheduler{
-		eng:    eng,
-		ev:     scsql.NewEvaluator(eng, cat),
-		table:  make(map[string]*entry),
-		alarms: vtime.NewAlarms(),
+		eng:   eng,
+		ev:    scsql.NewEvaluator(eng, cat),
+		table: make(map[string]*entry),
 	}
 	for _, o := range opts {
 		o.apply(&s.cfg)
@@ -271,8 +236,6 @@ func New(eng *core.Engine, cat *scsql.Catalog, opts ...Option) *Scheduler {
 	s.mFailed = reg.Counter("sched.failed")
 	s.mCancelled = reg.Counter("sched.cancelled")
 	s.mRejected = reg.Counter("sched.rejected")
-	s.mExpired = reg.Counter("sched.expired")
-	s.mShed = reg.Counter("sched.shed")
 	s.gQueued = reg.Gauge("rt.sched.queued")
 	s.gRunning = reg.Gauge("rt.sched.running")
 	eng.SetQueryScheduler(s)
@@ -296,18 +259,12 @@ type Query struct {
 	// hands its id back if no query was opened since.
 	reader bool
 
-	// sub is fixed at Submit; the absolute deadlines its TTLs induce are
-	// anchored on the scheduler's virtual clock (queue deadline at
-	// submission, run deadline at admission).
-	sub SubmitConfig
+	sub SubmitConfig // fixed at Submit
 
-	mu            sync.Mutex
-	state         State
-	cancelReq     bool
-	expireReq     bool       // run deadline fired; terminal state is Expired
-	queueDeadline vtime.Time // 0 = none; set at submission
-	runDeadline   vtime.Time // 0 = none; set at admission
-	enterV        vtime.Time // virtual instant the current state was entered
+	mu        sync.Mutex
+	state     State
+	cancelReq bool
+	enterV    vtime.Time // policy-clock instant the current state was entered
 	// stmt and stream reach the session's plan and SP graph; finalize drops
 	// both. cq is the session's engine scope, retired when the session leaves
 	// the finished window.
@@ -416,11 +373,9 @@ func (s *Scheduler) Submit(src string, opts ...SubmitOption) (*Query, error) {
 		s.mu.Unlock()
 		return nil, ErrClosed
 	}
-	if stmt.Query != nil && !reader && s.cfg.QueueCap > 0 && len(s.pending) >= s.cfg.QueueCap &&
-		s.shedVictimLocked(cfg.Priority) == nil {
-		// Fast-path rejection only when shedding could not possibly make
-		// room; the authoritative decision is re-made in the enqueue critical
-		// section below.
+	if stmt.Query != nil && !reader && s.fullLocked() {
+		// Fast-path rejection; the authoritative decision is re-made in the
+		// enqueue critical section below.
 		s.mu.Unlock()
 		s.mRejected.Inc()
 		return nil, fmt.Errorf("%w (cap %d)", ErrQueueFull, s.cfg.QueueCap)
@@ -461,25 +416,14 @@ func (s *Scheduler) Submit(src string, opts ...SubmitOption) (*Query, error) {
 		cq.Retire()
 		return nil, ErrClosed
 	}
-	var victim *Query
-	if !direct && s.cfg.QueueCap > 0 && len(s.pending) >= s.cfg.QueueCap {
+	if !direct && s.fullLocked() {
 		// Re-check in the critical section that enqueues: the early check
 		// above is only a fast path, and concurrent Submits may have filled
-		// the queue while this one was in BeginQuery. A full queue sheds its
-		// lowest-priority, youngest session when the newcomer strictly
-		// outranks it (and shedding is on); otherwise the newcomer is
-		// rejected.
-		victim = s.shedVictimLocked(q.sub.Priority)
-		if victim == nil {
-			s.mu.Unlock()
-			cq.Retire()
-			s.mRejected.Inc()
-			return nil, fmt.Errorf("%w (cap %d)", ErrQueueFull, s.cfg.QueueCap)
-		}
-		// Claim the victim by removing it from the queue under s.mu: from
-		// here this Submit owns its finalization (a concurrent Cancel finds
-		// it gone and defers, exactly as with an admission claim).
-		s.unqueueLocked(victim)
+		// the queue while this one was in BeginQuery.
+		s.mu.Unlock()
+		cq.Retire()
+		s.mRejected.Inc()
+		return nil, fmt.Errorf("%w (cap %d)", ErrQueueFull, s.cfg.QueueCap)
 	}
 	s.seq++
 	q.seq = s.seq
@@ -503,38 +447,17 @@ func (s *Scheduler) Submit(src string, opts ...SubmitOption) (*Query, error) {
 		}
 		return q, nil
 	}
-	if q.sub.QueueTTL > 0 {
-		q.queueDeadline = s.alarms.Now().Add(q.sub.QueueTTL)
-	}
-	q.enterV = s.alarms.Now()
+	q.enterV = s.now()
 	s.enqueueLocked(q)
 	s.mu.Unlock()
-	if q.queueDeadline > 0 {
-		s.alarms.Set(q.queueDeadline, q.ID())
-	}
-	if victim != nil {
-		s.finishQueued(victim, Shed, fmt.Errorf("%w (by %s, priority %d)", ErrShed, q.ID(), q.sub.Priority), s.mShed)
-	}
 	s.mSubmitted.Inc()
 	s.admit()
 	return q, nil
 }
 
-// shedVictimLocked returns the queued session a priority-prio submission may
-// evict from the full admission queue: the lowest-priority, youngest queued
-// session, provided it ranks strictly below the newcomer. Nil when shedding
-// is disabled or no session qualifies. s.mu held.
-func (s *Scheduler) shedVictimLocked(prio int) *Query {
-	if !s.cfg.LoadShedding || len(s.pending) == 0 {
-		return nil
-	}
-	// The queue is sorted priority desc then seq asc, so the last element is
-	// exactly the lowest-priority, youngest session.
-	v := s.pending[len(s.pending)-1]
-	if v.sub.Priority >= prio {
-		return nil
-	}
-	return v
+// fullLocked reports whether the admission queue is at its cap. s.mu held.
+func (s *Scheduler) fullLocked() bool {
+	return s.cfg.QueueCap > 0 && len(s.pending) >= s.cfg.QueueCap
 }
 
 // enqueueLocked inserts q into the admission queue keeping it sorted by
@@ -575,22 +498,15 @@ func (s *Scheduler) unqueueLocked(q *Query) bool {
 //
 // admit takes a turn from the kernel for the loop, like a process: it pauses
 // the kernel, which waits for the holder to park, so no process runs while
-// sessions are built and started. A process must not call it; the policy
-// clock, which runs in the holder's turn, calls admitInTurn.
+// sessions are built and started. A process must not call it. The policy
+// clock first rises to the kernel's time, where a session starts.
 func (s *Scheduler) admit() {
 	k := s.eng.Env().Kernel()
 	k.Pause()
 	defer k.Resume()
-	s.admitInTurn()
-}
-
-// admitInTurn is the admission loop, run in a turn the caller holds. The
-// policy clock first rises to the kernel's time, where a session starts.
-func (s *Scheduler) admitInTurn() {
 	s.admitMu.Lock()
 	defer s.admitMu.Unlock()
-	s.alarms.Advance(s.eng.Env().Kernel().Now())
-	s.sweep()
+	s.raise(k.Now())
 	for {
 		s.mu.Lock()
 		if len(s.pending) == 0 {
@@ -654,21 +570,13 @@ func (s *Scheduler) admitInTurn() {
 		s.gRunning.Set(int64(s.running))
 		s.mu.Unlock()
 
-		vnow := s.alarms.Now()
 		q.mu.Lock()
 		q.state = Admitted
 		q.admitWait = time.Since(q.submitted)
-		q.enterV = vnow
-		if q.sub.RunTTL > 0 {
-			q.runDeadline = vnow.Add(q.sub.RunTTL)
-		}
-		runDeadline := q.runDeadline
+		q.enterV = s.now()
 		wait := q.admitWait
 		cancelled = q.cancelReq
 		q.mu.Unlock()
-		if runDeadline > 0 {
-			s.alarms.Set(runDeadline, q.ID())
-		}
 
 		s.mAdmitted.Inc()
 		q.cq.Metrics().Block(waitFamily, q.id).Gauge(0).Set(wait.Microseconds())
@@ -682,7 +590,7 @@ func (s *Scheduler) admitInTurn() {
 		// The stream drains from here, in the kernel's order: the session
 		// runs from its admission.
 		q.mu.Lock()
-		q.state, q.enterV = Running, s.alarms.Now()
+		q.state, q.enterV = Running, s.now()
 		q.mu.Unlock()
 		q.stream.Start()
 		go s.run(q)
@@ -782,7 +690,7 @@ func (s *Scheduler) finalize(q *Query, st State, err error) {
 func (s *Scheduler) run(q *Query) {
 	q.mu.Lock()
 	if q.reader { // never admitted: it runs from here
-		q.state, q.enterV = Running, s.alarms.Now()
+		q.state, q.enterV = Running, s.now()
 	}
 	stream := q.stream
 	q.mu.Unlock()
@@ -792,15 +700,9 @@ func (s *Scheduler) run(q *Query) {
 	q.mu.Lock()
 	q.makespan = stream.Makespan()
 	cancelled := q.cancelReq
-	expired := q.expireReq
 	q.mu.Unlock()
 	st := Done
 	switch {
-	case expired && err != nil:
-		// The run deadline fired and tore the stream down through the
-		// cancel/poison path; a user cancel racing the same window yields to
-		// the deadline (both causes are in err's chain regardless).
-		st = Expired
 	case cancelled && err != nil:
 		st = Cancelled
 	case err != nil:
@@ -819,8 +721,6 @@ func (s *Scheduler) run(q *Query) {
 		s.mFailed.Inc()
 	case Cancelled:
 		s.mCancelled.Inc()
-	case Expired:
-		s.mExpired.Inc()
 	}
 	s.finalize(q, st, err)
 	if q.reader {
@@ -890,10 +790,6 @@ type Info struct {
 	Statement     string
 	Nodes         int // node reservations currently held
 	AdmissionWait time.Duration
-	// Deadline is the absolute virtual-time deadline governing the current
-	// state — the queue deadline while queued, the run deadline while
-	// admitted/running; zero when none (or the state is final).
-	Deadline vtime.Time
 	// Age is the virtual time spent in the current state so far (zero for
 	// final states, and until the scheduler's clock first advances).
 	Age vtime.Duration
@@ -909,12 +805,6 @@ func (q *Query) rowLocked(vnow vtime.Time) Info {
 		Statement:     q.src,
 		AdmissionWait: q.admitWait,
 	}
-	switch q.state {
-	case Queued:
-		in.Deadline = q.queueDeadline
-	case Admitted, Running:
-		in.Deadline = q.runDeadline
-	}
 	if !q.state.Final() && vnow > q.enterV {
 		in.Age = vnow.Sub(q.enterV)
 	}
@@ -924,7 +814,7 @@ func (q *Query) rowLocked(vnow vtime.Time) Info {
 // List returns the live sessions and the finished window, in submission
 // order.
 func (s *Scheduler) List() []Info {
-	vnow := s.alarms.Now()
+	vnow := s.now()
 	s.mu.Lock()
 	out := make([]Info, 0, len(s.order))
 	for _, en := range s.order {

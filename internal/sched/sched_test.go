@@ -222,11 +222,14 @@ func TestQueueCapRejects(t *testing.T) {
 	if _, err := s.Submit(scsql.Figure5Query(30_000, 2)); err != nil {
 		t.Fatalf("submit b: %v", err)
 	}
-	if _, err := s.Submit(scsql.Figure5Query(30_000, 2)); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("err = %v, want ErrQueueFull", err)
+	// A full queue refuses a newcomer whatever its priority.
+	for _, prio := range []int{0, 1} {
+		if _, err := s.Submit(scsql.Figure5Query(30_000, 2), SubmitConfig{Priority: prio}); !errors.Is(err, ErrQueueFull) {
+			t.Fatalf("priority %d: err = %v, want ErrQueueFull", prio, err)
+		}
 	}
-	if got := e.MetricsSnapshot().Counters["sched.rejected"]; got != 1 {
-		t.Fatalf("sched.rejected = %d, want 1", got)
+	if got := e.MetricsSnapshot().Counters["sched.rejected"]; got != 2 {
+		t.Fatalf("sched.rejected = %d, want 2", got)
 	}
 	release()
 	_, _ = a.Wait()

@@ -1,8 +1,9 @@
 package sched
 
 // syscat.go is the scheduler's contribution to the queryable system
-// catalog: the sys_sessions table and the virtual-time tick subscription that
-// paces streamof(sys_*) live-delta streams on the engine's progress.
+// catalog: the sys_sessions table, the virtual policy clock that dates its
+// rows, and the tick subscription that paces streamof(sys_*) live-delta
+// streams on the engine's progress.
 
 import (
 	"scsq/internal/catalog"
@@ -16,7 +17,6 @@ var sysSessionsSchema = catalog.Schema{
 	{Name: "priority", Type: catalog.TInt},
 	{Name: "nodes", Type: catalog.TInt},
 	{Name: "statement", Type: catalog.TString},
-	{Name: "deadline_ns", Type: catalog.TInt},
 	{Name: "age_ns", Type: catalog.TInt},
 }
 
@@ -26,7 +26,7 @@ var sysSessionsSchema = catalog.Schema{
 func (s *Scheduler) registerSysSessions() {
 	t := &catalog.Table{
 		Name:   "sys_sessions",
-		Doc:    "scheduler sessions: lifecycle, priority, leases, deadlines",
+		Doc:    "scheduler sessions: lifecycle, priority, leases, age",
 		Schema: sysSessionsSchema,
 	}
 	t.Snap = func(string) ([]catalog.Tuple, error) {
@@ -34,7 +34,7 @@ func (s *Scheduler) registerSysSessions() {
 		rows := make([]catalog.Tuple, 0, len(infos))
 		for _, in := range infos {
 			rows = append(rows, t.Row(in.ID, in.State.String(), int64(in.Priority),
-				int64(in.Nodes), in.Statement, int64(in.Deadline), int64(in.Age)))
+				int64(in.Nodes), in.Statement, int64(in.Age)))
 		}
 		return rows, nil
 	}
@@ -43,9 +43,39 @@ func (s *Scheduler) registerSysSessions() {
 	}
 }
 
+// ObserveVTime implements core.VTimeObserver: the engine reports the time of
+// every element its processes emit, on the kernel's one timeline and with no
+// locks held. It raises the policy clock to t and, when the clock moved,
+// wakes the live-delta catalog streams (streamof over sys_* tables). The
+// sends are non-blocking, so a slow or abandoned subscriber cannot
+// back-pressure the emitting process; with nobody subscribed an observation
+// touches atomics only.
+func (s *Scheduler) ObserveVTime(t vtime.Time) {
+	if s.raise(t) {
+		s.tickSubscribers()
+	}
+}
+
+// raise lifts the policy clock to t and reports whether it moved: an older t
+// never rewinds it, and concurrent raises leave it at their maximum.
+func (s *Scheduler) raise(t vtime.Time) bool {
+	for {
+		now := s.clock.Load()
+		if int64(t) <= now {
+			return false
+		}
+		if s.clock.CompareAndSwap(now, int64(t)) {
+			return true
+		}
+	}
+}
+
+// now is the policy clock's current instant.
+func (s *Scheduler) now() vtime.Time { return vtime.Time(s.clock.Load()) }
+
 // SubscribeVTime returns a channel that receives a (coalesced) tick each
-// time the scheduler's virtual policy clock advances — as queries progress,
-// or on a harness tick — plus a cancel function. agent is the live stream's
+// time the scheduler's virtual policy clock advances — as queries progress —
+// plus a cancel function. agent is the live stream's
 // process, which each tick wakes by name (nil: no process). The channel is
 // closed when cancelled or when the scheduler closes, so a live-delta stream
 // blocked on it terminates cleanly.

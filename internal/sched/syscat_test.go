@@ -2,6 +2,7 @@ package sched
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"scsq/internal/catalog"
 	"scsq/internal/scsql"
 	"scsq/internal/sqep"
+	"scsq/internal/vtime"
 )
 
 // TestSysSessionsSnapshot pins the registered table against the scheduler's
@@ -246,4 +248,129 @@ func TestCatalogReadSkipsAdmission(t *testing.T) {
 	if err != nil || lastValue(t, els) != int64(3) {
 		t.Fatalf("blocked session after the reads: %v, %v; want the count 3", els, err)
 	}
+}
+
+// TestPolicyClockIsMonotone: an older observation never rewinds the policy
+// clock and wakes no live stream, and observers racing each other leave it
+// at the largest time any of them saw, never lower on the way.
+func TestPolicyClockIsMonotone(t *testing.T) {
+	e := newTestEngine(t)
+	s := New(e, nil)
+	defer s.Close()
+	tick, cancel := s.SubscribeVTime(nil)
+	defer cancel()
+
+	s.ObserveVTime(50)
+	<-tick
+	s.ObserveVTime(20)
+	if now := s.now(); now != 50 {
+		t.Fatalf("clock = %v after observing 50 then 20, want 50", now)
+	}
+	select {
+	case <-tick:
+		t.Fatal("an observation older than the clock woke the live streams")
+	default:
+	}
+
+	// Each observer climbs through its own interleaved times, so the
+	// observers keep overtaking one another.
+	const observers, each = 4, 50_000
+	at := func(g, i int) vtime.Time { return vtime.Time(100 + i*observers + g) }
+	want := at(observers-1, each-1)
+	stop := make(chan struct{})
+	read := make(chan error)
+	go func() {
+		var last vtime.Time
+		for {
+			select {
+			case <-stop:
+				read <- nil
+				return
+			default:
+			}
+			now := s.now()
+			if now < last {
+				read <- fmt.Errorf("clock went back from %v to %v", last, now)
+				return
+			}
+			last = now
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := range observers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range each {
+				s.ObserveVTime(at(g, i))
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	if err := <-read; err != nil {
+		t.Fatal(err)
+	}
+	if now := s.now(); now != want {
+		t.Fatalf("clock = %v after concurrent observers, want their maximum %v", now, want)
+	}
+}
+
+// TestAdmissionRaisesPolicyClock: a session that streams arrays out to the
+// client ends with its last element well after its RP's last emit, so the
+// kernel then stands past the policy clock, which sees only what RPs emit.
+// Admission first raises the clock to the kernel's time, so once the next
+// session is admitted the clock stands at or past the first session's last
+// element, and the second session's age_ns counts from its own start, not
+// from the gap.
+func TestAdmissionRaisesPolicyClock(t *testing.T) {
+	e, release := gatedEngine(t)
+	defer release()
+	s := New(e, nil)
+	defer s.Close()
+
+	first, err := s.Submit(`select extract(a) from sp a where a=sp(gen_array(300000,3),'bg',1);`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	els, err := first.Wait()
+	if err != nil {
+		t.Fatalf("first: %v", err)
+	}
+	var last vtime.Time
+	for _, el := range els {
+		last = max(last, el.At)
+	}
+
+	second, err := s.Submit(gateHogSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := second.State(); st != Running {
+		t.Fatalf("second = %v, want running behind its gate", st)
+	}
+	start := s.now()
+	if start < last {
+		t.Fatalf("clock %v after admission, want at or past the first session's last element %v", start, last)
+	}
+	s.ObserveVTime(start.Add(vtime.Millisecond))
+	tab, _ := e.SystemCatalog().Lookup("sys_sessions")
+	rows, err := tab.Snap("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range rows {
+		if id, _ := row.Field("id"); id != second.ID() {
+			continue
+		}
+		if age, _ := row.Field("age_ns"); age != int64(vtime.Millisecond) {
+			t.Fatalf("second's age_ns = %v one millisecond after its start, want %d", age, int64(vtime.Millisecond))
+		}
+		release()
+		if _, err := second.Wait(); err != nil {
+			t.Fatalf("second: %v", err)
+		}
+		return
+	}
+	t.Fatalf("sys_sessions %v has no row for %s", rows, second.ID())
 }

@@ -13,7 +13,7 @@ import (
 )
 
 var goldenSysSchemas = map[string]string{
-	"sys_sessions":  "(id string, state string, priority int, nodes int, statement string, deadline_ns int, age_ns int)",
+	"sys_sessions":  "(id string, state string, priority int, nodes int, statement string, age_ns int)",
 	"sys_nodes":     "(cluster string, node int, x int, y int, z int, pset int, io_node int, alive int, rps int, owners string)",
 	"sys_links":     "(carrier string, query string, producer string, consumer string, from_cluster string, from_node int, to_cluster string, to_node int, frames int, bytes int, drops int)",
 	"sys_rps":       "(id string, query string, cluster string, node int, elements_out int, bytes_out int, frames_out int, last_out_ns int, recv_frames int, recv_bytes int, inbox_depth_hw int, state string, frontier_ns int)",

@@ -81,10 +81,6 @@ func TestPSListsSessions(t *testing.T) {
 			if got := field("nodes"); got != int64(0) {
 				t.Fatalf("nodes for finished %s = %v, want 0", q.ID(), got)
 			}
-			// No TTL: the deadline column is present but zero.
-			if d := field("deadline_ns"); d != int64(0) {
-				t.Fatalf("deadline column for %s = %v, want 0", q.ID(), d)
-			}
 		}
 	}
 	if !found {
@@ -110,8 +106,8 @@ func metricRows(t *testing.T, rows []sqep.Element) map[string]int64 {
 
 // TestMonitorSchedPrefixLike pins the SQL-LIKE spelling of the scheduler
 // counters: sys_metrics('sched.%') strips the trailing '%' and matches the
-// "sched." prefix, including the resilience counters (expired/shed
-// are bound eagerly, so they report zero rather than being absent).
+// "sched." prefix, including the outcome counters no session has bumped yet
+// (they are bound eagerly, so they report zero rather than being absent).
 func TestMonitorSchedPrefixLike(t *testing.T) {
 	_, s, ev := newSchedEngine(t)
 
@@ -132,9 +128,9 @@ func TestMonitorSchedPrefixLike(t *testing.T) {
 	if got["sched.submitted"] != 1 || got["sched.completed"] != 1 {
 		t.Fatalf("sched counters = %v, want submitted=1 completed=1", got)
 	}
-	for _, name := range []string{"sched.expired", "sched.shed"} {
+	for _, name := range []string{"sched.failed", "sched.cancelled", "sched.rejected"} {
 		if v, ok := got[name]; !ok || v != 0 {
-			t.Fatalf("resilience counter %s = %d (present=%v), want 0 present", name, v, ok)
+			t.Fatalf("outcome counter %s = %d (present=%v), want 0 present", name, v, ok)
 		}
 	}
 }

@@ -69,7 +69,7 @@ type Row struct {
 // Done is the terminal record of a remote session.
 type Done struct {
 	// State is the session's final scheduler state ("done", "cancelled",
-	// "failed", "expired").
+	// "failed").
 	State string
 	// Err is the terminal error message, empty for a clean finish.
 	Err string

@@ -49,7 +49,6 @@ import (
 	"scsq/internal/sched"
 	"scsq/internal/scsql"
 	"scsq/internal/sqep"
-	"scsq/internal/vtime"
 )
 
 // Engine is a SCSQ instance: a client manager, three cluster coordinators
@@ -191,18 +190,6 @@ func WithAdmissionQueueCap(n int) Option {
 			n = -1
 		}
 		c.sched.QueueCap = n
-		return nil
-	}
-}
-
-// WithLoadShedding makes a full admission queue shed its lowest-priority,
-// youngest session (terminal state SessionShed, error ErrShed) when a
-// strictly higher-priority submission arrives, instead of rejecting the
-// newcomer with ErrQueueFull. Off by default: shedding changes which
-// sessions survive, so it is opt-in.
-func WithLoadShedding() Option {
-	return func(c *config) error {
-		c.sched.LoadShedding = true
 		return nil
 	}
 }
@@ -430,24 +417,8 @@ type SessionOption = sched.SubmitOption
 // first; default 0). Within a priority level admission is FIFO.
 func WithPriority(p int) SessionOption { return sched.SubmitConfig{Priority: p} }
 
-// WithQueueTTL bounds how long the session may wait for admission, in
-// virtual time: if the scheduler's virtual clock passes the deadline while
-// the session is still queued, it is
-// finalized SessionExpired with ErrDeadlineExceeded. Zero means no queue
-// deadline.
-func WithQueueTTL(d time.Duration) SessionOption {
-	return sched.SubmitConfig{QueueTTL: vtime.Duration(d)}
-}
-
-// WithRunTTL bounds the session's virtual running time, measured from
-// admission: past the deadline its streams unwind exactly as a cancel —
-// leases release once — and the session is finalized SessionExpired with
-// ErrDeadlineExceeded. Zero means no run deadline.
-func WithRunTTL(d time.Duration) SessionOption { return sched.SubmitConfig{RunTTL: vtime.Duration(d)} }
-
 // SessionState is a session's lifecycle state as reported by the scheduler:
-// "queued", "admitted", "running", "done", "failed", "cancelled", "expired"
-// or "shed".
+// "queued", "admitted", "running", "done", "failed" or "cancelled".
 type SessionState = sched.State
 
 // Session states.
@@ -458,22 +429,14 @@ const (
 	SessionDone      = sched.Done
 	SessionFailed    = sched.Failed
 	SessionCancelled = sched.Cancelled
-	SessionExpired   = sched.Expired // virtual-time deadline elapsed
-	SessionShed      = sched.Shed    // evicted by a higher-priority submission
 )
 
 // Terminal and admission errors of the session scheduler.
 var (
 	// ErrCancelled is the terminal error of a cancelled session.
 	ErrCancelled = sched.ErrCancelled
-	// ErrDeadlineExceeded is the terminal error of sessions whose queue or
-	// run TTL elapsed on the virtual clock (state SessionExpired).
-	ErrDeadlineExceeded = sched.ErrDeadlineExceeded
-	// ErrShed is the terminal error of queued sessions evicted by the load
-	// shedder (state SessionShed; requires WithLoadShedding).
-	ErrShed = sched.ErrShed
 	// ErrQueueFull is returned by Submit when the admission queue is at
-	// capacity and load shedding does not apply.
+	// capacity.
 	ErrQueueFull = sched.ErrQueueFull
 	// ErrUnsatisfiablePlan reports a plan the node pool cannot satisfy even
 	// on an otherwise idle engine (its nodes do not exist or are dead); it

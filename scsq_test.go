@@ -513,60 +513,6 @@ and   a=sp(gen_array(30000,8), 'bg');`
 	}
 }
 
-// TestLoadSheddingPublicAPI drives the resilience options through the public
-// surface: with a capacity-1 admission queue and shedding on, a
-// higher-priority submission evicts the queued session (SessionShed,
-// ErrShed) instead of being refused, and the resilience columns ride along
-// in sys_sessions().
-func TestLoadSheddingPublicAPI(t *testing.T) {
-	eng := newEngine(t,
-		WithAdmissionQueueCap(1),
-		WithLoadShedding())
-	// All three sessions contend for the same explicit node, so admission
-	// order is forced regardless of pool size.
-	src := `
-select extract(b)
-from sp a, sp b
-where b=sp(streamof(count(extract(a))), 'bg', 1)
-and   a=sp(gen_array(30000,5000), 'bg', 0);`
-	hold, err := eng.Submit(src)
-	if err != nil {
-		t.Fatalf("submit hold: %v", err)
-	}
-	victim, err := eng.Submit(src, WithQueueTTL(time.Hour))
-	if err != nil {
-		t.Fatalf("submit victim: %v", err)
-	}
-	winner, err := eng.Submit(src, WithPriority(1))
-	if err != nil {
-		t.Fatalf("submit winner: %v", err)
-	}
-	if _, err := victim.Wait(); !errors.Is(err, ErrShed) {
-		t.Fatalf("victim err = %v, want ErrShed", err)
-	}
-	if st := victim.State(); st != SessionShed {
-		t.Fatalf("victim state = %v, want shed", st)
-	}
-	if err := eng.CancelSession(hold.ID()); err != nil {
-		t.Fatalf("cancel hold: %v", err)
-	}
-	if els, err := winner.Wait(); err != nil {
-		t.Fatalf("winner: %v", err)
-	} else if got := els[len(els)-1].Value; got != int64(5000) {
-		t.Fatalf("winner count = %v, want 5000", got)
-	}
-	for _, in := range sysRows(t, eng, `select sys_sessions();`) {
-		// A terminal session's deadline column reads zero (deadlines govern
-		// the current state only) — just the state must survive.
-		if id, _ := in.Field("id"); id != victim.ID() {
-			continue
-		}
-		if st, _ := in.Field("state"); st != SessionShed.String() {
-			t.Fatalf("sys_sessions() reports %v for shed session", st)
-		}
-	}
-}
-
 func TestResetRefusesWhileSessionLive(t *testing.T) {
 	eng := newEngine(t)
 	s, err := eng.Submit(`
