@@ -101,14 +101,43 @@ type Link struct {
 	torn   atomic.Bool
 	closed atomic.Bool
 	seq    atomic.Uint64 // the next frame's sequence number
+
+	// contended is the state of the route's contended stage (Contend).
+	contended struct {
+		base, penalty, service func(int) vtime.Duration
+		arg                    int
+		read                   vtime.Duration // the penalty; -1 until the first frame
+	}
+}
+
+// Contend arms l's contended stage, the one whose service reads contention
+// multiplicities: base(s) plus penalty(arg), read at the first frame to reach
+// it, in the sender's turn. It returns the stage's service, built once per
+// Link object; NewLink keeps it and the state it reads, which each dial
+// re-arms, so a recycled link reads its penalty afresh.
+func (l *Link) Contend(base, penalty func(int) vtime.Duration, arg int) func(int) vtime.Duration {
+	c := &l.contended
+	c.base, c.penalty, c.arg, c.read = base, penalty, arg, -1
+	if c.service == nil {
+		c.service = l.contendedService
+	}
+	return c.service
+}
+
+func (l *Link) contendedService(s int) vtime.Duration {
+	c := &l.contended
+	if c.read < 0 {
+		c.read = c.penalty(c.arg)
+	}
+	return c.base(s) + c.read
 }
 
 // NewLink opens l, fresh or recycled (Reuse), as a connection over r into
-// inbox: every field is set again. A recycled link keeps its abort channel
-// unless it was torn, which closed it. faults, if
-// non-nil, is consulted on every send (pass chaos.Injector.Faults); reg, if
-// non-nil, records the per-link frame/byte/drop counters and the carrier's
-// delivery-latency histogram.
+// inbox: every field is set again but its contended stage (Contend), and a
+// recycled link keeps its abort channel unless it was torn, which closed it.
+// faults, if non-nil, is consulted on every send (chaos.Injector.Faults);
+// reg, if non-nil, records the per-link frame/byte/drop counters and the
+// carrier's delivery-latency histogram.
 func NewLink(l *Link, r Route, inbox Inbox, faults Faults, reg *metrics.Registry) *Link {
 	// The label identifies the link's metrics block (names are composed from
 	// it when the registry is read). It is spelled on the stack and becomes a
@@ -118,20 +147,21 @@ func NewLink(l *Link, r Route, inbox Inbox, faults Faults, reg *metrics.Registry
 	spelled = appendRef(append(spelled, ':'), r.Src)
 	spelled = appendRef(append(spelled, "->"...), r.Dst)
 	b, label := reg.SharedBytes(linkFamily, spelled)
-	abort := l.abort
+	abort, contended := l.abort, l.contended
 	if abort == nil || l.torn.Load() {
 		abort = make(chan struct{})
 	}
 	*l = Link{
-		route:    r,
-		label:    label,
-		inbox:    inbox,
-		faults:   faults,
-		mFrames:  b.Counter(0),
-		mBytes:   b.Counter(1),
-		mDrops:   b.Counter(2),
-		hDeliver: reg.Shared(kindFamily, r.Kind).Histogram(0),
-		abort:    abort,
+		route:     r,
+		label:     label,
+		inbox:     inbox,
+		faults:    faults,
+		mFrames:   b.Counter(0),
+		mBytes:    b.Counter(1),
+		mDrops:    b.Counter(2),
+		hDeliver:  reg.Shared(kindFamily, r.Kind).Histogram(0),
+		abort:     abort,
+		contended: contended,
 	}
 	return l
 }

@@ -23,7 +23,7 @@ func TestHopsUnderInjectedDelay(t *testing.T) {
 	tcp := func(src, dst tcpcar.Endpoint) dialer {
 		return func(env *hw.Env, inj *chaos.Injector, inbox carrier.Inbox) (carrier.Conn, error) {
 			f := tcpcar.NewFabric(env)
-			f.SetInjector(inj)
+			f.Injector = inj
 			return f.Dial(src, dst, inbox)
 		}
 	}
@@ -34,7 +34,7 @@ func TestHopsUnderInjectedDelay(t *testing.T) {
 	}{
 		{"mpi routed", func(env *hw.Env, inj *chaos.Injector, inbox carrier.Inbox) (carrier.Conn, error) {
 			f := mpicar.NewFabric(env)
-			f.SetInjector(inj)
+			f.Injector = inj
 			return f.Dial(10, 0, carrier.DoubleBuffered, inbox)
 		}, []string{"fwd bg:9", "fwd bg:8", "fwd bg:4", "coproc bg:0"}},
 		{"tcp into bg", tcp(be(1), bg(0)), []string{"nic be:1", "iofwd io:0", "tree io:0"}},
@@ -45,7 +45,7 @@ func TestHopsUnderInjectedDelay(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			f.SetInjector(inj)
+			f.Injector = inj
 			return f.Dial(be(1), bg(0), inbox)
 		}, []string{"nic be:1", "iofwd io:0", "tree io:0"}},
 	}

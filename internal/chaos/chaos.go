@@ -74,12 +74,6 @@ func DropRate(p float64) Option {
 	return func(i *Injector) { i.dropRate = p }
 }
 
-// CorruptRate flips one deterministic payload byte in a fraction p of
-// non-final frames.
-func CorruptRate(p float64) Option {
-	return func(i *Injector) { i.corruptRate = p }
-}
-
 // DelayRate adds up to maxDelay of virtual delivery latency to a fraction p
 // of frames.
 func DelayRate(p float64, maxDelay vtime.Duration) Option {

@@ -218,3 +218,9 @@ func (i *Injector) NodeDead(cluster hw.ClusterName, node int) bool {
 	defer i.mu.Unlock()
 	return i.dead[NodeRef{Cluster: cluster, Node: node}]
 }
+
+// CorruptRate flips one deterministic payload byte in a fraction p of
+// non-final frames.
+func CorruptRate(p float64) Option {
+	return func(i *Injector) { i.corruptRate = p }
+}

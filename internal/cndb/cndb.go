@@ -49,16 +49,11 @@ func NewSequence(ids ...int) (*Sequence, error) {
 	return &Sequence{ids: ids}, nil
 }
 
+// Reset makes s, which the caller owns, cycle over ids from the first.
+func (s *Sequence) Reset(ids []int) { s.ids, s.pos = ids, 0 }
+
 // IDs returns one full cycle of the sequence, which nobody may write.
 func (s *Sequence) IDs() []int { return s.ids }
-
-// Pos returns the cursor position: the index of the candidate the next
-// selection probes first. Tests use it to prove probing is side-effect-free.
-func (s *Sequence) Pos() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.pos
-}
 
 // DB is one cluster's compute node database. BlueGene compute nodes are
 // exclusive (CNK runs a single process, so each RP needs a fresh node);

@@ -150,3 +150,11 @@ func TestConcurrentSelectReleaseNoSpuriousFailure(t *testing.T) {
 		t.Fatalf("leases leaked after hammer: %d", n)
 	}
 }
+
+// Pos returns the cursor position: the index of the candidate the next
+// selection probes first. The cursor tests read it to prove probing is side-effect-free.
+func (s *Sequence) Pos() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.pos
+}

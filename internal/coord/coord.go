@@ -12,26 +12,18 @@
 package coord
 
 import (
-	"fmt"
-	"sync"
-
 	"scsq/internal/cndb"
 	"scsq/internal/hw"
 	"scsq/internal/metrics"
-	"scsq/internal/rp"
 )
 
-// Coordinator is one cluster's coordinator.
+// Coordinator is one cluster's coordinator. The processes it placed are the
+// engine's to track: a query holds its own (core).
 type Coordinator struct {
 	cluster hw.ClusterName
-	env     *hw.Env
 	db      *cndb.DB
 
-	mu  sync.Mutex
-	rps map[string]*rp.RP
-
 	// mKills is bound by SetMetrics; a nil-safe no-op without a registry.
-	// Guarded by mu alongside the state it counts.
 	mKills *metrics.Counter
 
 	// bg is the BlueGene coordinator NewBGPoller links a front-end one to
@@ -45,24 +37,14 @@ func New(env *hw.Env, c hw.ClusterName) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Coordinator{
-		cluster: c,
-		env:     env,
-		db:      db,
-		rps:     make(map[string]*rp.RP),
-	}, nil
+	return &Coordinator{cluster: c, db: db}, nil
 }
 
 // SetMetrics attaches a telemetry registry: the coordinator counts node
-// kills per cluster. Nil disables recording.
+// kills per cluster. Nil disables recording. Call it before the first kill.
 func (c *Coordinator) SetMetrics(reg *metrics.Registry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.mKills = reg.Counter("coord.node_kills." + string(c.cluster))
 }
-
-// Cluster returns the coordinator's cluster.
-func (c *Coordinator) Cluster() hw.ClusterName { return c.cluster }
 
 // DB returns the coordinator's compute node database.
 func (c *Coordinator) DB() *cndb.DB { return c.db }
@@ -78,53 +60,9 @@ func (c *Coordinator) PlaceFor(owner string, seq *cndb.Sequence) (int, error) {
 // ReleaseFor returns a node allocation held under the given owner's lease.
 func (c *Coordinator) ReleaseFor(owner string, node int) { c.db.ReleaseFor(owner, node) }
 
-// Register records a started RP with its coordinator.
-func (c *Coordinator) Register(p *rp.RP) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.rps[p.ID()] = p
-}
-
-// Unregister removes a terminated RP.
-func (c *Coordinator) Unregister(id string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.rps, id)
-}
-
-// KillNode marks a compute node of this cluster failed and kills every RP
-// registered on it with cause. It returns the ids of the killed RPs.
-func (c *Coordinator) KillNode(node int, cause error) []string {
+// KillNode marks a compute node of this cluster failed: no selection takes
+// it again. The engine fails the processes it hosts.
+func (c *Coordinator) KillNode(node int) {
 	c.db.MarkDead(node)
-	c.mu.Lock()
 	c.mKills.Inc()
-	var victims []*rp.RP
-	for _, p := range c.rps {
-		if p.Node() == node {
-			victims = append(victims, p)
-		}
-	}
-	c.mu.Unlock()
-	ids := make([]string, 0, len(victims))
-	for _, p := range victims {
-		// Fail outside the lock: it aborts connections and may resolve
-		// waiters synchronously.
-		p.Fail(fmt.Errorf("coord: node %s:%d failed: %w", c.cluster, node, cause))
-		ids = append(ids, p.ID())
-	}
-	return ids
-}
-
-// RPs returns a snapshot of the currently registered RPs, captured under
-// one acquisition of the coordinator lock. The slice is the caller's; the
-// pointed-to RPs stay live and must only be read through their own
-// accessors. It backs the sys_rps system catalog table.
-func (c *Coordinator) RPs() []*rp.RP {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]*rp.RP, 0, len(c.rps))
-	for _, p := range c.rps {
-		out = append(out, p)
-	}
-	return out
 }

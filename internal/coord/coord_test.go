@@ -6,8 +6,6 @@ import (
 
 	"scsq/internal/cndb"
 	"scsq/internal/hw"
-	"scsq/internal/rp"
-	"scsq/internal/sqep"
 )
 
 func testEnv(t *testing.T) *hw.Env {
@@ -57,25 +55,6 @@ func TestDirectPlacement(t *testing.T) {
 	cc.ReleaseFor("q1", 3)
 	if got := cc.DB().AllocatedCount(3); got != 0 {
 		t.Errorf("after release, count = %d", got)
-	}
-}
-
-func TestRPRegistry(t *testing.T) {
-	env := testEnv(t)
-	cc := newCoord(t, env, hw.BackEnd)
-	node, err := env.Node(hw.BackEnd, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := sqep.Ctx{CPU: node.CPU, Cost: &env.Cost}
-	p := rp.New("rp-1", hw.BackEnd, 0, ctx, sqep.NewIota(1, 1), nil)
-	cc.Register(p)
-	if got := len(cc.RPs()); got != 1 {
-		t.Errorf("rp count = %d, want 1", got)
-	}
-	cc.Unregister("rp-1")
-	if got := len(cc.RPs()); got != 0 {
-		t.Errorf("after unregister, rp count = %d", got)
 	}
 }
 

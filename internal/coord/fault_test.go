@@ -6,40 +6,21 @@ import (
 
 	"scsq/internal/cndb"
 	"scsq/internal/hw"
-	"scsq/internal/rp"
-	"scsq/internal/sqep"
 )
 
-func idleRP(id string, node int) *rp.RP {
-	return rp.New(id, hw.BlueGene, node, sqep.Ctx{}, sqep.NewIota(1, 1), nil)
-}
-
-func TestKillNodeFailsResidentRPs(t *testing.T) {
+// TestKillNodeMarksTheNodeDead: a killed node takes no placement again, and
+// a sequence that names it moves on to the next.
+func TestKillNodeMarksTheNodeDead(t *testing.T) {
 	bg := newCoord(t, testEnv(t), hw.BlueGene)
-	victim := idleRP("victim", 3)
-	bystander := idleRP("bystander", 4)
-	bg.Register(victim)
-	bg.Register(bystander)
-
-	cause := errors.New("power lost")
-	ids := bg.KillNode(3, cause)
-	if len(ids) != 1 || ids[0] != "victim" {
-		t.Fatalf("killed = %v, want [victim]", ids)
-	}
+	bg.KillNode(3)
 	if !bg.DB().Dead(3) {
 		t.Fatal("node 3 not marked dead in the cndb")
 	}
-	if err := victim.Wait(); !errors.Is(err, cause) {
-		t.Fatalf("victim error = %v, want the kill cause", err)
-	}
-	if err := bystander.Start(); err != nil {
-		t.Fatalf("RP on a different node was killed: %v", err)
-	}
-	if err := bystander.Wait(); err != nil {
-		t.Fatalf("bystander: %v", err)
-	}
 	if _, err := bg.PlaceFor("q1", mustSeqOf(t, 3)); !errors.Is(err, cndb.ErrNoAvailableNode) {
 		t.Fatalf("placement on the dead node = %v, want ErrNoAvailableNode", err)
+	}
+	if node, err := bg.PlaceFor("q1", mustSeqOf(t, 3, 4)); err != nil || node != 4 {
+		t.Fatalf("placement past the dead node = %d, %v; want node 4", node, err)
 	}
 }
 

@@ -152,3 +152,34 @@ func TestResetKeepsKilledNodeDead(t *testing.T) {
 		t.Fatalf("drain = %d elements, %v; want 3", len(els), err)
 	}
 }
+
+// TestNodeKillFailsOnlyItsResidents: a node death marks the node dead, counts
+// the kill, and fails with the death's cause the processes the engine placed
+// on it, from its own table of them; a process on another node runs on.
+func TestNodeKillFailsOnlyItsResidents(t *testing.T) {
+	inj := chaos.New(1)
+	e, err := NewEngine(Config{Chaos: inj})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	q := beginQuery(t, e)
+	defer q.Retire()
+	victim, bystander := genSP(t, q, 3, 1000, 1), genSP(t, q, 4, 1000, 1)
+	inj.KillNode(hw.BlueGene, 3)
+	if err := victim.rp.Wait(); !errors.Is(err, carrier.ErrNodeDown) {
+		t.Fatalf("victim error = %v, want the node death", err)
+	}
+	if !e.coords[hw.BlueGene].DB().Dead(3) {
+		t.Fatal("node 3 not marked dead in the cndb")
+	}
+	if n := e.MetricsSnapshot().Counters["coord.node_kills.bg"]; n != 1 {
+		t.Fatalf("coord.node_kills.bg = %d, want 1", n)
+	}
+	if err := bystander.Start(); err != nil {
+		t.Fatalf("the process on node 4 was killed: %v", err)
+	}
+	if err := bystander.rp.Wait(); err != nil {
+		t.Fatalf("bystander: %v", err)
+	}
+}

@@ -74,6 +74,12 @@ type Engine struct {
 	// planner is the optional placement planner hook, an atomic: planning
 	// happens on the placement path, which must not contend with e.mu.
 	planner atomic.Pointer[PlacementPlanner]
+	// placing is the planner's order and the sequence a placement walks.
+	placing struct {
+		sync.Mutex
+		order []int
+		walk  cndb.Sequence
+	}
 
 	mu      sync.Mutex
 	queries map[string]*queryCtx // every query scope not yet retired, by id
@@ -254,11 +260,9 @@ func NewEngine(opts ...Option) (*Engine, error) {
 		syscat:  catalog.NewRegistry(),
 	}
 	e.advance = e.observe
-	e.mpi.SetMetrics(e.reg)
-	e.tcp.SetMetrics(e.reg)
+	e.mpi.Injector, e.mpi.Metrics = e.inj, e.reg
+	e.tcp.Injector, e.tcp.Metrics = e.inj, e.reg
 	if e.inj != nil {
-		e.mpi.SetInjector(e.inj)
-		e.tcp.SetInjector(e.inj)
 		e.inj.SetMetrics(e.reg)
 		e.inj.OnCrash(e.handleCrash)
 	}
@@ -275,8 +279,7 @@ func NewEngine(opts ...Option) (*Engine, error) {
 		if err != nil {
 			return nil, err
 		}
-		uf.SetInjector(e.inj)
-		uf.SetMetrics(e.reg)
+		uf.Injector, uf.Metrics = e.inj, e.reg
 		e.udp = uf
 	}
 	e.registerCatalog()
@@ -356,17 +359,23 @@ func (e *Engine) Reset() error {
 	return nil
 }
 
-// handleCrash is the injector's crash listener: it relays a node death to
-// the node's cluster coordinator — marking the node dead in the CNDB and
-// killing its resident RPs — and poisons the inboxes feeding consumers on
-// that node, so a receiver blocked on a silent inbox observes the failure.
-// A killed RP poisons the inboxes it feeds itself, as it exits (SP.Exited).
+// handleCrash is the injector's crash listener: it marks the node dead in
+// its cluster's CNDB (the coordinator's KillNode), kills the RPs resident on
+// it, and poisons the inboxes feeding consumers on that node, so a receiver
+// blocked on a silent inbox observes the failure. A killed RP poisons the
+// inboxes it feeds itself, as it exits (SP.Exited).
 func (e *Engine) handleCrash(ref chaos.NodeRef) {
 	cause := fmt.Errorf("chaos: node %s crashed: %w", ref, carrier.ErrNodeDown)
 	if cc, ok := e.coords[ref.Cluster]; ok {
-		cc.KillNode(ref.Node, cause)
+		cc.KillNode(ref.Node)
 	}
-	for _, sp := range e.allSPs() {
+	sps := e.allSPs()
+	for _, sp := range sps {
+		if sp.cluster == ref.Cluster && sp.node == ref.Node {
+			sp.rp.Fail(fmt.Errorf("core: node %s failed: %w", ref, cause))
+		}
+	}
+	for _, sp := range sps {
 		sp.poison("coordinator", cause, ref.Cluster, ref.Node)
 	}
 }
@@ -412,14 +421,14 @@ func (e *Engine) Edges() []Edge {
 // PlacementPlanner is the optional admission-time placement hook (see
 // internal/place): given the candidate node ids a placement's allocation
 // sequence allows (nil for a naive whole-cluster placement), which it reads
-// and neither keeps nor writes, and the batch size of the request, it returns
-// the order lease acquisition should probe instead, in a slice of its own
-// that becomes the planned sequence's. Implementations must be deterministic
+// and neither keeps nor writes, and the batch size of the request, it appends
+// the order lease acquisition should probe instead to order, the caller's,
+// which the planned sequence walks. Implementations must be deterministic
 // pure functions of the cluster snapshot — planning happens under the
 // engine's build serialization and is part of the admission schedule. ok=false (or an empty order) keeps
 // the original sequence order: the fallback semantics of DESIGN.md §15.
 type PlacementPlanner interface {
-	PlanPlacement(owner string, c hw.ClusterName, candidates []int, batch int) ([]int, bool)
+	AppendPlacement(order []int, owner string, c hw.ClusterName, candidates []int, batch int) ([]int, bool)
 }
 
 // SetPlacementPlanner installs (nil: removes) the engine's placement
@@ -428,9 +437,10 @@ type PlacementPlanner interface {
 func (e *Engine) SetPlacementPlanner(p PlacementPlanner) { e.planner.Store(&p) }
 
 // planned returns the allocation sequence a placement should actually walk:
-// the planner's reordering when one is installed and admissible, the
-// original sequence otherwise. The original sequence object is never
-// mutated, nor are its ids copied.
+// the planner's reordering, in e.placing, which the caller holds while it
+// walks it, when one is installed and admissible, the original sequence
+// otherwise. The original sequence object is never mutated, nor are its ids
+// copied.
 func (e *Engine) planned(owner string, c hw.ClusterName, seq *cndb.Sequence, batch int) *cndb.Sequence {
 	pp := e.planner.Load()
 	if pp == nil || *pp == nil {
@@ -441,15 +451,14 @@ func (e *Engine) planned(owner string, c hw.ClusterName, seq *cndb.Sequence, bat
 	if seq != nil {
 		candidates = seq.IDs()
 	}
-	ids, ok := p.PlanPlacement(owner, c, candidates, batch)
+	pl := &e.placing
+	ids, ok := p.AppendPlacement(pl.order[:0], owner, c, candidates, batch)
 	if !ok || len(ids) == 0 {
 		return seq
 	}
-	planned, err := cndb.NewSequence(ids...)
-	if err != nil {
-		return seq
-	}
-	return planned
+	pl.order = ids
+	pl.walk.Reset(ids)
+	return &pl.walk
 }
 
 // place allocates a compute node in cluster c under the owning query's
@@ -460,6 +469,8 @@ func (e *Engine) place(owner string, c hw.ClusterName, seq *cndb.Sequence) (int,
 	if !ok {
 		return 0, fmt.Errorf("core: unknown cluster %q", c)
 	}
+	e.placing.Lock()
+	defer e.placing.Unlock()
 	return cc.PlaceFor(owner, e.planned(owner, c, seq, 1))
 }
 
@@ -473,7 +484,7 @@ func (q *Query) SP(sub Subquery, c hw.ClusterName, seq *cndb.Sequence) (*SP, err
 	if err != nil {
 		return nil, fmt.Errorf("core: sp(%q): %w", c, err)
 	}
-	return e.newPlacedSP(q.qc, func(_ int, b *PlanBuilder) (sqep.Operator, error) { return sub(b) }, 0, c, node)
+	return e.newPlacedSP(q.qc, func(_ int, b *PlanBuilder) (sqep.Operator, error) { return sub(b) }, 0, c, node, &rpIDs{})
 }
 
 // spBlock is one stream process's host objects, allocated as one: its
@@ -487,10 +498,11 @@ type spBlock struct {
 }
 
 // newPlacedSP compiles build's subquery i for an already allocated node,
-// wraps it in a process and registers it — the shared tail of SP and the
-// batch-placed SPV. On error the node allocation is released.
-func (e *Engine) newPlacedSP(qc *queryCtx, build func(int, *PlanBuilder) (sqep.Operator, error), i int, c hw.ClusterName, node int) (*SP, error) {
-	id, blk := qc.newRPID(string(c)), new(spBlock)
+// wraps it in a process, whose id it takes from ids, and adds it to the
+// query — the shared tail of SP and the batch-placed SPV. On error the node
+// allocation is released.
+func (e *Engine) newPlacedSP(qc *queryCtx, build func(int, *PlanBuilder) (sqep.Operator, error), i int, c hw.ClusterName, node int, ids *rpIDs) (*SP, error) {
+	id, blk := qc.newRPID(string(c), ids), new(spBlock)
 	ctx, err := e.process(qc, c, node, id, e.advance, &blk.agent, &blk.b)
 	var op sqep.Operator
 	if err == nil {
@@ -501,9 +513,9 @@ func (e *Engine) newPlacedSP(qc *queryCtx, build func(int, *PlanBuilder) (sqep.O
 		return nil, err
 	}
 	sp := &blk.sp
-	*sp = SP{eng: e, qc: qc, cluster: c, id: id, node: node, rp: rp.New(id, c, node, ctx, op, sp, &blk.rp)}
+	*sp = SP{qc: qc, cluster: c, id: id, node: node, rp: rp.New(id, c, node, ctx, op, sp, &blk.rp)}
+	sp.wirings = sp.wiring1[:0]
 	sp.rp.SetMetrics(qc.metrics)
-	e.coords[c].Register(sp.rp)
 	qc.mu.Lock()
 	qc.sps = append(qc.sps, sp)
 	qc.mu.Unlock()
@@ -536,13 +548,14 @@ func (q *Query) SPV(n int, build func(i int, b *PlanBuilder) (sqep.Operator, err
 	if c == hw.BlueGene && n > 1 {
 		return e.spvBG(qc, n, build, seq)
 	}
+	ids := rpIDs{n: n}
 	sps := make([]*SP, 0, n)
 	for i := range n {
 		node, err := e.place(qc.id, c, seq)
 		if err != nil {
 			return nil, fmt.Errorf("core: spv[%d]: core: sp(%q): %w", i, c, err)
 		}
-		sp, err := e.newPlacedSP(qc, build, i, c, node)
+		sp, err := e.newPlacedSP(qc, build, i, c, node, &ids)
 		if err != nil {
 			return nil, fmt.Errorf("core: spv[%d]: %w", i, err)
 		}
@@ -559,24 +572,27 @@ func (q *Query) SPV(n int, build func(i int, b *PlanBuilder) (sqep.Operator, err
 // released once.
 func (e *Engine) spvBG(qc *queryCtx, n int, build func(int, *PlanBuilder) (sqep.Operator, error), seq *cndb.Sequence) ([]*SP, error) {
 	bg := e.coords[hw.BlueGene]
-	walk := e.planned(qc.id, hw.BlueGene, seq, n)
 	nodes := make([]int, 0, n)
 	release := func(nodes []int) {
 		for _, n := range nodes {
 			bg.ReleaseFor(qc.id, n)
 		}
 	}
+	e.placing.Lock()
+	walk := e.planned(qc.id, hw.BlueGene, seq, n)
 	for i := range n {
 		node, err := bg.PlaceFor(qc.id, walk)
 		if err != nil {
+			e.placing.Unlock()
 			release(nodes)
 			return nil, fmt.Errorf("core: spv[%d]: core: sp(%q): %w", i, hw.BlueGene, err)
 		}
 		nodes = append(nodes, node)
 	}
-	sps := make([]*SP, 0, n)
+	e.placing.Unlock()
+	ids, sps := rpIDs{n: n}, make([]*SP, 0, n)
 	for i, node := range nodes {
-		sp, err := e.newPlacedSP(qc, build, i, hw.BlueGene, node)
+		sp, err := e.newPlacedSP(qc, build, i, hw.BlueGene, node, &ids)
 		if err != nil {
 			release(nodes[i+1:])
 			return nil, fmt.Errorf("core: spv[%d]: %w", i, err)
@@ -589,7 +605,6 @@ func (e *Engine) spvBG(qc *queryCtx, n int, build func(int, *PlanBuilder) (sqep.
 // SP is a stream process: a first-class handle to a continuous subquery
 // assigned to a compute node.
 type SP struct {
-	eng     *Engine
 	qc      *queryCtx // owning query
 	cluster hw.ClusterName
 	id      string
@@ -598,7 +613,8 @@ type SP struct {
 
 	mu      sync.Mutex
 	started bool
-	wirings []wiring
+	wirings []wiring // starts on wiring1: a first wiring allocates nothing
+	wiring1 [1]wiring
 }
 
 // wiring records one outgoing subscription of an SP: where the consumer is,

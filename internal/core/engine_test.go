@@ -208,8 +208,8 @@ func TestSPVBagLargerThanFreeBGNodes(t *testing.T) {
 	if n := q.SPCount(); n != 0 {
 		t.Errorf("failed bag holds %d processes", n)
 	}
-	if n := len(bg.RPs()); n != size-free {
-		t.Errorf("%d processes registered on the BlueGene, want the holder's %d", n, size-free)
+	if n := len(e.allSPs()); n != size-free {
+		t.Errorf("%d processes live on the engine, want the holder's %d", n, size-free)
 	}
 	if n := bg.DB().LeaseCount(holder.ID()); n != size-free {
 		t.Errorf("holder keeps %d leases, want %d", n, size-free)

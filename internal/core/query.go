@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 
 	"scsq/internal/carrier"
@@ -98,11 +99,38 @@ func (qc *queryCtx) snapshot() []*SP {
 	return append([]*SP(nil), qc.sps...)
 }
 
-func (qc *queryCtx) newRPID(cluster string) string {
+// rpIDs spells a batch of n process ids back to back in one string at its
+// first, and takes each as a slice of it; an id out of step (a build in
+// between took one) is spelled alone.
+type rpIDs struct {
+	n, next int
+	rest    string // the ids from next on
+}
+
+// newRPID returns the query's next process id, "<q>/rp-<cluster>-<k>".
+func (qc *queryCtx) newRPID(cluster string, ids *rpIDs) string {
 	qc.mu.Lock()
-	defer qc.mu.Unlock()
 	qc.nextID++
-	return qc.id + "/rp-" + cluster + "-" + strconv.Itoa(qc.nextID)
+	k := qc.nextID
+	qc.mu.Unlock()
+	var digits [20]byte
+	pre := len(qc.id) + len("/rp-") + len(cluster) + 1
+	if ids.rest == "" || ids.next != k {
+		n := max(ids.n, 1)
+		var b strings.Builder
+		b.Grow(n * (pre + len(strconv.AppendInt(digits[:0], int64(k+n-1), 10))))
+		for i := range n {
+			b.WriteString(qc.id)
+			b.WriteString("/rp-")
+			b.WriteString(cluster)
+			b.WriteByte('-')
+			b.Write(strconv.AppendInt(digits[:0], int64(k+i), 10))
+		}
+		ids.n, ids.rest, ids.next = 0, b.String(), k
+	}
+	id := ids.rest[:pre+len(strconv.AppendInt(digits[:0], int64(k), 10))]
+	ids.rest, ids.next = ids.rest[len(id):], k+1
+	return id
 }
 
 // charge records a device the query's operators will be charged on.
@@ -150,9 +178,7 @@ func (qc *queryCtx) finish(clean bool) {
 	}
 	qc.mu.Unlock()
 	for _, sp := range sps {
-		cc := e.coords[sp.cluster]
-		cc.ReleaseFor(qc.id, sp.Node())
-		cc.Unregister(sp.id)
+		e.coords[sp.cluster].ReleaseFor(qc.id, sp.node)
 	}
 	if !clean {
 		return

@@ -62,9 +62,28 @@ func countExtract(t *testing.T, q *Query, ps []*SP, n int) *ClientStream {
 	return cs
 }
 
+// mergeInto counts, on BlueGene node into, the merged streams of a
+// generator of 8 arrays of 3 000 B on each of nodes of cluster c.
+func mergeInto(t *testing.T, q *Query, c hw.ClusterName, nodes []int, into int) *ClientStream {
+	t.Helper()
+	ps := make([]*SP, len(nodes))
+	for i, n := range nodes {
+		sp, err := q.SP(func(*PlanBuilder) (sqep.Operator, error) { return sqep.NewGenArray(3000, 8), nil }, c, mustSeq(t, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps[i] = sp
+	}
+	return countExtract(t, q, ps, into)
+}
+
 // cleanStatements are the clean sessions of TestRecycledConnectionsReadAsFresh:
-// a Query 6 at n = 8, a Figure 5 point to point, a two-producer merge and a
-// client limit that stops before its producer does.
+// a Query 6 at n = 8, a Figure 5 point to point, a two-producer merge, a
+// client limit that stops before its producer does, and merges of 2 and then
+// 4 streams into one node, over MPI and from the back-end: the second takes
+// links the first handed back, which read their multiplicities afresh (the
+// receiving co-processor's producers, the I/O node's streams and back-end
+// peers).
 var cleanStatements = []statement{
 	{"query6", func(t *testing.T, e *Engine, q *Query) *ClientStream {
 		return buildQuery6(t, e, q, 8, 1000, 3, nil)
@@ -88,6 +107,18 @@ var cleanStatements = []statement{
 			t.Fatal(err)
 		}
 		return cs
+	}},
+	{"mpi merge of 2", func(t *testing.T, e *Engine, q *Query) *ClientStream {
+		return mergeInto(t, q, hw.BlueGene, []int{21, 22}, 20)
+	}},
+	{"mpi merge of 4", func(t *testing.T, e *Engine, q *Query) *ClientStream {
+		return mergeInto(t, q, hw.BlueGene, []int{21, 22, 23, 24}, 20)
+	}},
+	{"inbound merge of 2", func(t *testing.T, e *Engine, q *Query) *ClientStream {
+		return mergeInto(t, q, hw.BackEnd, []int{0, 1}, 16)
+	}},
+	{"inbound merge of 4", func(t *testing.T, e *Engine, q *Query) *ClientStream {
+		return mergeInto(t, q, hw.BackEnd, []int{0, 1, 2, 3}, 16)
 	}},
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"reflect"
-	"strings"
 	"testing"
 
 	"scsq/internal/carrier"
@@ -203,12 +202,8 @@ func TestEveryExitRetiresOnce(t *testing.T) {
 			if n := e.LeaseCount(qid); n != 0 {
 				t.Errorf("%d leases left", n)
 			}
-			for _, cl := range clusterOrder {
-				for _, p := range e.Coordinator(cl).RPs() {
-					if strings.HasPrefix(p.ID(), qid+"/") {
-						t.Errorf("%s coordinator still registers %s", cl, p.ID())
-					}
-				}
+			if n := q.SPCount(); n != 0 {
+				t.Errorf("%s still holds %d processes", qid, n)
 			}
 			for _, ed := range e.Edges() {
 				if ed.Query == qid {

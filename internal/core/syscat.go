@@ -12,7 +12,6 @@ package core
 import (
 	"maps"
 	"slices"
-	"sort"
 	"strings"
 
 	"scsq/internal/catalog"
@@ -157,21 +156,16 @@ func (e *Engine) sysRPsTable() *catalog.Table {
 	}
 	t.Snap = func(string) ([]catalog.Tuple, error) {
 		snap := e.reg.Snapshot()
+		sps := e.allSPs()
+		slices.SortFunc(sps, func(a, b *SP) int { return strings.Compare(a.id, b.id) })
 		var rows []catalog.Tuple
 		for _, c := range clusterOrder {
-			cc := e.coords[c]
-			if cc == nil {
-				continue
-			}
-			procs := cc.RPs()
-			sort.Slice(procs, func(i, j int) bool { return procs[i].ID() < procs[j].ID() })
-			for _, p := range procs {
-				id := p.ID()
-				qid := ""
-				if i := strings.IndexByte(id, '/'); i > 0 {
-					qid = id[:i]
+			for _, sp := range sps {
+				if sp.cluster != c {
+					continue
 				}
-				rows = append(rows, t.Row(id, qid, string(p.Cluster()), int64(p.Node()),
+				id, p := sp.id, sp.rp
+				rows = append(rows, t.Row(id, sp.qc.id, string(c), int64(sp.node),
 					snap.Counters["rp.elements_out."+id], snap.Counters["rp.bytes_out."+id],
 					snap.Counters["rp.frames_out."+id], snap.Gauges["rp.last_out."+id],
 					snap.Counters["recv.frames."+id], snap.Counters["recv.bytes."+id],

@@ -187,14 +187,15 @@ func TestMetricNamesGolden(t *testing.T) {
 	}
 }
 
-// runSession6 takes one 17-SP Query 6 session through its whole life on e —
-// build, drain, retire — as a served engine does per statement.
-func runSession6(tb testing.TB, e *Engine) {
+// runSession6 takes one Query 6 session of n streams (2n + 1 SPs) through
+// its whole life on e — build, drain, retire — as a served engine does per
+// statement.
+func runSession6(tb testing.TB, e *Engine, n int) {
 	q, err := e.BeginQuery()
 	if err != nil {
 		tb.Fatal(err)
 	}
-	cs := buildQuery6(tb, e, q, 8, 1000, 1, nil)
+	cs := buildQuery6(tb, e, q, n, 1000, 1, nil)
 	if _, err := cs.Drain(); err != nil {
 		tb.Fatalf("drain: %v", err)
 	}
@@ -210,11 +211,11 @@ func BenchmarkSessionBuild(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer e.Close()
-	runSession6(b, e) // the links' hardware-keyed blocks exist from here on
+	runSession6(b, e, 8) // the links' hardware-keyed blocks exist from here on
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runSession6(b, e)
+		runSession6(b, e, 8)
 	}
 }
 
@@ -251,11 +252,14 @@ func metricsAllocs() int64 {
 
 // TestSessionWiringAllocs is the control plane's allocation budget. A session
 // of 17 SPs, 17 links and 10 receivers — built, drained, retired on a warm
-// engine — stays under a committed ceiling, the 230 measured once the
-// statement's AST came from per-statement slabs, each process (its handle,
-// RP, agent and plan builder) and the drain's agent and builder were one
-// allocation each, a recycled link kept its abort channel and an
-// allocation sequence stopped copying its ids (304 before, once a session
+// engine — stays under a committed ceiling, the 142 measured once a
+// process's first subscriber, first wiring and id came to live in or beside
+// its block, a recycled link kept its stage state, a planned placement
+// walked a sequence the engine holds and gen_array kept its boxed template
+// (230 before, once the statement's AST came from per-statement slabs, each
+// process (its handle, RP, agent and plan builder) and the drain's agent and
+// builder were one allocation each, a recycled link kept its abort channel
+// and an allocation sequence stopped copying its ids; 304 before, once a session
 // that finished clean handed its receivers, senders and links to the next;
 // 414 before that, once wiring a stream allocated each record once; 456 before
 // that, with every edge appended to one slice and a closure per stateless
@@ -276,10 +280,10 @@ func TestSessionWiringAllocs(t *testing.T) {
 	}
 	defer e.Close()
 	for i := 0; i < 5; i++ {
-		runSession6(t, e)
+		runSession6(t, e, 8)
 	}
-	const ceiling = 230
-	got := testing.AllocsPerRun(20, func() { runSession6(t, e) })
+	const ceiling = 142
+	got := testing.AllocsPerRun(20, func() { runSession6(t, e, 8) })
 	if got > ceiling {
 		t.Errorf("a 17-SP session allocates %.0f objects, ceiling %d", got, ceiling)
 	}
@@ -290,17 +294,74 @@ func TestSessionWiringAllocs(t *testing.T) {
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 	runtime.MemProfileRate = 1
 	for i := 0; i < 40; i++ {
-		runSession6(t, e)
+		runSession6(t, e, 8)
 	}
 	const sessions = 20
 	before := metricsAllocs()
 	for i := 0; i < sessions; i++ {
-		runSession6(t, e)
+		runSession6(t, e, 8)
 	}
 	per := float64(metricsAllocs()-before) / sessions
 	t.Logf("%.0f allocations per session, %.1f of them telemetry", got, per)
 	if per > 1 {
 		t.Errorf("telemetry allocates %.1f objects per session, want at most the scope itself", per)
+	}
+}
+
+// TestAllocsPerProcess pins what one more stream process costs a session on
+// a warm engine: a Query 6 of 8 streams runs 8 processes more than one of 4
+// (a producer and its counter per stream), and the difference of the two
+// sessions' allocations, per added process, stays at the ceiling measured
+// once a process's first subscriber, first wiring and id came to live in or
+// beside its block and a recycled link kept its stage state (12 before).
+// Among what is left are the block itself, the RP's done channel (ROADMAP
+// item 16), the plan's operators and a consumer's inbox; a first subscriber
+// or a first wiring appended to a slice of its own again adds one
+// allocation per process.
+func TestAllocsPerProcess(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	e, err := NewEngine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	for range 5 {
+		runSession6(t, e, 8)
+		runSession6(t, e, 4)
+	}
+	at := func(n int) float64 { return testing.AllocsPerRun(20, func() { runSession6(t, e, n) }) }
+	const ceiling = 6.5
+	per := (at(8) - at(4)) / 8
+	t.Logf("%.3f allocations per added process", per)
+	if per > ceiling {
+		t.Errorf("an added process allocates %.3f objects, ceiling %.3f", per, ceiling)
+	}
+}
+
+// TestBatchIDsReadAsOneStringEach: the ids an spv bag takes as slices of
+// one string read as one string per process spelled them, across a digit
+// boundary, and when a nested build takes an id between two of the bag's.
+func TestBatchIDsReadAsOneStringEach(t *testing.T) {
+	e, err := NewEngine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	qc := beginQuery(t, e).qc
+	qc.nextID = 7
+	bag := rpIDs{n: 5}
+	var got, want []string
+	for _, step := range []struct {
+		cluster string
+		ids     *rpIDs
+	}{{"bg", &bag}, {"bg", &bag}, {"bg", &bag}, {"be", &rpIDs{}}, {"bg", &bag}, {"bg", &bag}} {
+		got = append(got, qc.newRPID(step.cluster, step.ids))
+		want = append(want, fmt.Sprintf("%s/rp-%s-%d", qc.id, step.cluster, qc.nextID))
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("ids %q, want %q", got, want)
 	}
 }
 

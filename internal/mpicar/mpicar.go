@@ -13,10 +13,9 @@
 // producers — the mechanism behind the paper's stream-merging results
 // (Figure 8). Those devices are the stages of the carrier.Route that Dial
 // builds; charging, fault injection, tracing and link metrics are
-// carrier.Link's. The sender's and the intermediate co-processors' services
-// are pure functions of the cost model, built once per Fabric; only the
-// receiver's, which reads its node's producer count at the link's first
-// frame, is built per link.
+// carrier.Link's. Every service is built once per Fabric but the
+// receiver's: it reads its node's producer count at the link's first frame,
+// and so is the link's contended stage (carrier.Link.Contend).
 package mpicar
 
 import (
@@ -36,34 +35,42 @@ import (
 // whichever fabric dialed it.
 type Fabric struct {
 	env *hw.Env
-	inj *chaos.Injector
-	reg *metrics.Registry
+	// Injector, if set, is consulted on every dial and send; Metrics, if
+	// set, records every link's frame/byte/drop counters and delivery
+	// histograms. Set them before the first Dial.
+	Injector *chaos.Injector
+	Metrics  *metrics.Registry
 	// The services that hold no per-link state are the fabric's, built once:
 	// the sender's co-processor's by buffering mode and an intermediate
-	// node's.
-	send    [carrier.DoubleBuffered + 1]func(int) vtime.Duration
-	forward func(int) vtime.Duration
+	// node's; receive and switching are the receiver's base service and its
+	// penalty for a node.
+	send                        [carrier.DoubleBuffered + 1]func(int) vtime.Duration
+	forward, receive, switching func(int) vtime.Duration
 }
 
 // NewFabric returns a fabric over env.
 func NewFabric(env *hw.Env) *Fabric {
 	m := &env.Cost
-	f := &Fabric{env: env, forward: func(s int) vtime.Duration { return packets(m, s, m.FwdFactor) }}
+	f := &Fabric{env: env,
+		forward: func(s int) vtime.Duration { return packets(m, s, m.FwdFactor) },
+		receive: func(s int) vtime.Duration { return packets(m, s, m.RecvFactor) },
+		// The single-threaded co-processor switches between its p producers
+		// at the expected alternation rate (p-1)/p. p counts every stream
+		// opened into the node since hw.Env.Reset: it does not drop when a
+		// producer finishes, because the virtual-time model must not depend
+		// on wall-clock completion order.
+		switching: func(dst int) vtime.Duration {
+			if p := env.ProducersOn(dst); p > 1 {
+				return scaleDur(m.CoprocSwitchCost, float64(p-1)/float64(p))
+			}
+			return 0
+		},
+	}
 	for _, mode := range []carrier.Buffering{carrier.SingleBuffered, carrier.DoubleBuffered} {
 		f.send[mode] = func(s int) vtime.Duration { return send(m, s, mode == carrier.DoubleBuffered) }
 	}
 	return f
 }
-
-// SetInjector attaches a chaos injector consulted on every dial and send.
-// It must be called before the first Dial; a nil injector disables
-// injection.
-func (f *Fabric) SetInjector(inj *chaos.Injector) { f.inj = inj }
-
-// SetMetrics attaches a telemetry registry: every connection records
-// per-link frame/byte/drop counters and torus delivery-latency histograms.
-// It must be called before the first Dial; nil disables recording.
-func (f *Fabric) SetMetrics(reg *metrics.Registry) { f.reg = reg }
 
 // Dial opens an MPI connection from BG compute node src to dst, delivering
 // frames into inbox. mode selects single or double buffering of the MPI
@@ -79,7 +86,7 @@ func (f *Fabric) Dial(src, dst int, mode carrier.Buffering, inbox carrier.Inbox,
 	}
 	srcRef := carrier.NodeRef{Cluster: hw.BlueGene, Node: src}
 	dstRef := carrier.NodeRef{Cluster: hw.BlueGene, Node: dst}
-	if err := f.inj.Dial(srcRef, dstRef); err != nil {
+	if err := f.Injector.Dial(srcRef, dstRef); err != nil {
 		return nil, fmt.Errorf("mpicar: %w", err)
 	}
 	// hops lists the intermediate nodes followed by the destination.
@@ -96,25 +103,6 @@ func (f *Fabric) Dial(src, dst int, mode carrier.Buffering, inbox carrier.Inbox,
 	if err != nil {
 		return nil, fmt.Errorf("mpicar: %w", err)
 	}
-	m := &f.env.Cost
-	// Receiver co-processor, with the merge switching penalty: the
-	// single-threaded co-processor switches between its p producers at the
-	// expected alternation rate (p-1)/p. p is read once, at the first frame
-	// to reach dst, in the sender's turn — a query's first frame comes after
-	// its whole build, and admission builds in a turn of its own — and counts
-	// every stream opened into dst since hw.Env.Reset: it does not drop when
-	// a producer finishes, because the virtual-time model must not depend on
-	// wall-clock completion order.
-	switching := vtime.Duration(-1)
-	receive := func(s int) vtime.Duration {
-		if switching < 0 {
-			switching = 0
-			if p := f.env.ProducersOn(dst); p > 1 {
-				switching = scaleDur(m.CoprocSwitchCost, float64(p-1)/float64(p))
-			}
-		}
-		return packets(m, s, m.RecvFactor) + switching
-	}
 	// The frame starts on the sender's co-processor, which is therefore not
 	// a hop and carries no trace label.
 	l := carrier.Reuse(into)
@@ -127,9 +115,14 @@ func (f *Fabric) Dial(src, dst int, mode carrier.Buffering, inbox carrier.Inbox,
 		}
 		stages = append(stages, vtime.Stage{Resource: node.Coproc, Service: f.forward, Label: node.FwdHop})
 	}
+	// The receiver's co-processor pays the merge switching penalty, read at
+	// the first frame to reach dst, in the sender's turn: a query's first
+	// frame comes after its whole build, and admission builds in a turn of
+	// its own.
+	receive := l.Contend(f.receive, f.switching, dst)
 	stages = append(stages, vtime.Stage{Resource: dstNode.Coproc, Service: receive, Label: dstNode.Hop})
 	f.env.RegisterProducer(dst)
-	return carrier.NewLink(l, carrier.Route{Kind: "mpi", Src: srcRef, Dst: dstRef, Stages: stages}, inbox, f.inj.Faults(), f.reg), nil
+	return carrier.NewLink(l, carrier.Route{Kind: "mpi", Src: srcRef, Dst: dstRef, Stages: stages}, inbox, f.Injector.Faults(), f.Metrics), nil
 }
 
 // send is the sender co-processor's time for an s-byte frame: k packets,

@@ -132,7 +132,7 @@ type Planner struct {
 	leases     []cndb.Lease
 	admissible []int
 	seen       []bool
-	keys       []scoreKey
+	keys       []float64
 	cost       []float64
 }
 
@@ -167,15 +167,20 @@ func (p *Planner) record(d Decision) {
 	}
 }
 
-// PlanPlacement implements core's PlacementPlanner hook: it returns the
-// node order admission should probe for a request by owner of batch
-// placements on cluster c, constrained to candidates (nil means the whole
-// cluster, the naive case). The order contains every admissible candidate —
-// the planned batch picks first, the rest ranked behind them — so lease
-// acquisition still has a full cycle to probe if the cluster moved between
-// planning and probing. ok=false means nothing was admissible and the
-// caller must fall back to the original sequence order.
+// PlanPlacement returns the node order admission should probe for a request
+// by owner of batch placements on cluster c, constrained to candidates (nil
+// means the whole cluster, the naive case). The order contains every
+// admissible candidate — the planned batch picks first, the rest ranked
+// behind them — so lease acquisition still has a full cycle to probe if the
+// cluster moved between planning and probing. ok=false means nothing was
+// admissible and the caller must fall back to the original sequence order.
 func (p *Planner) PlanPlacement(owner string, c hw.ClusterName, candidates []int, batch int) ([]int, bool) {
+	return p.AppendPlacement(nil, owner, c, candidates, batch)
+}
+
+// AppendPlacement implements core's PlacementPlanner hook: PlanPlacement's
+// order, appended to order.
+func (p *Planner) AppendPlacement(order []int, owner string, c hw.ClusterName, candidates []int, batch int) ([]int, bool) {
 	db := p.dbs[c]
 	if db == nil {
 		return nil, false
@@ -201,8 +206,8 @@ func (p *Planner) PlanPlacement(owner string, c hw.ClusterName, candidates []int
 	// allocation-free (HopCount arithmetic, keys cached outside the sort
 	// comparator); only the refineWidth best candidates of each slot pay the
 	// route walk for the foreign-congestion term.
-	considered := len(admissible)
-	order := make([]int, 0, considered) // the caller's: the only slice built per call
+	considered, planned := len(admissible), len(order)
+	order = slices.Grow(order, considered) // the caller's
 	score := 0.0
 	remaining := admissible
 	p.keys = slices.Grow(p.keys[:0], len(remaining))
@@ -213,16 +218,16 @@ func (p *Planner) PlanPlacement(owner string, c hw.ClusterName, candidates []int
 		// small sorted insertion buffer — no full sort per slot.
 		top = top[:0]
 		for i := range remaining {
-			keys[i] = p.scoreKey(v, remaining[i])
+			keys[i] = p.score(v, remaining[i])
 			if len(top) == refineWidth {
 				worst := top[len(top)-1]
-				if !keys[i].less(keys[worst], remaining[i], remaining[worst]) {
+				if !less(keys[i], keys[worst], remaining[i], remaining[worst]) {
 					continue
 				}
 				top = top[:len(top)-1]
 			}
 			pos := len(top)
-			for pos > 0 && keys[i].less(keys[top[pos-1]], remaining[i], remaining[top[pos-1]]) {
+			for pos > 0 && less(keys[i], keys[top[pos-1]], remaining[i], remaining[top[pos-1]]) {
 				pos--
 			}
 			top = append(top, 0)
@@ -230,14 +235,14 @@ func (p *Planner) PlanPlacement(owner string, c hw.ClusterName, candidates []int
 			top[pos] = i
 		}
 		best := -1
-		var bestKey scoreKey
+		var bestKey float64
 		for _, i := range top {
 			k := p.refine(v, remaining[i], keys[i])
-			if best < 0 || k.less(bestKey, remaining[i], remaining[best]) {
+			if best < 0 || less(k, bestKey, remaining[i], remaining[best]) {
 				best, bestKey = i, k
 			}
 		}
-		score += bestKey.cost
+		score += bestKey
 		order = append(order, remaining[best])
 		v.take(remaining[best])
 		remaining = slices.Delete(remaining, best, best+1)
@@ -248,14 +253,14 @@ func (p *Planner) PlanPlacement(owner string, c hw.ClusterName, candidates []int
 	cost := resized(p.cost, v.size) // by node id
 	p.cost = cost
 	for _, n := range remaining {
-		cost[n] = p.scoreKey(v, n).cost
+		cost[n] = p.score(v, n)
 	}
 	slices.SortFunc(remaining, func(a, b int) int {
 		return cmp.Or(cmp.Compare(cost[a], cost[b]), a-b)
 	})
 	order = append(order, remaining...)
 
-	chosen := order
+	chosen := order[planned:]
 	if len(chosen) > batch {
 		chosen = chosen[:batch]
 	}
@@ -265,16 +270,12 @@ func (p *Planner) PlanPlacement(owner string, c hw.ClusterName, candidates []int
 	return order, true
 }
 
-// scoreKey is one candidate's cached ordering key: its estimated per-byte
-// cost (also what Decision.Score sums), node id as the caller-supplied tie
-// break.
-type scoreKey struct {
-	cost float64
-}
-
-func (k scoreKey) less(o scoreKey, n, on int) bool {
-	if k.cost != o.cost {
-		return k.cost < o.cost
+// less orders candidate n of estimated per-byte cost k (what Decision.Score
+// sums) before candidate on of cost o: the cheaper first, ties to the lower
+// node id.
+func less(k, o float64, n, on int) bool {
+	if k != o {
+		return k < o
 	}
 	return n < on
 }
@@ -289,7 +290,7 @@ const refineWidth = 32
 // co-processors on the candidate's route to the session's nearest placed
 // node — the one scoring term that walks a route, paid only for the top
 // candidates of a slot.
-func (p *Planner) refine(v *view, n int, base scoreKey) scoreKey {
+func (p *Planner) refine(v *view, n int, base float64) float64 {
 	if !v.bg || len(v.ownNodes) == 0 {
 		return base
 	}
@@ -299,13 +300,13 @@ func (p *Planner) refine(v *view, n int, base scoreKey) scoreKey {
 		return base
 	}
 	m := p.env.Cost
-	base.cost += float64(m.PacketCost) / float64(m.TorusPacketBytes) * m.FwdFactor * float64(busy)
+	base += float64(m.PacketCost) / float64(m.TorusPacketBytes) * m.FwdFactor * float64(busy)
 	return base
 }
 
-// scoreKey estimates the marginal per-byte cost of candidate n under the
+// score estimates the marginal per-byte cost of candidate n under the
 // view's current simulated state.
-func (p *Planner) scoreKey(v *view, n int) scoreKey {
+func (p *Planner) score(v *view, n int) float64 {
 	m := p.env.Cost
 	if v.bg {
 		// Forwarder sharing: every foreign lease in the pset serializes its
@@ -316,13 +317,13 @@ func (p *Planner) scoreKey(v *view, n int) scoreKey {
 			perByteHop := float64(m.PacketCost) / float64(m.TorusPacketBytes)
 			cost += perByteHop * float64(hops)
 		}
-		return scoreKey{cost}
+		return cost
 	}
 	nic := m.BeNICByte
 	if v.cluster == hw.FrontEnd {
 		nic = m.FENICByte
 	}
-	return scoreKey{nic * float64(v.rps[n]+v.simOwn[n])}
+	return nic * float64(v.rps[n]+v.simOwn[n])
 }
 
 // view is the planner's per-call snapshot of one cluster, plus the

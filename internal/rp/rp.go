@@ -44,7 +44,8 @@ type RP struct {
 	ctx     sqep.Ctx // ctx.ID is the RP's identity
 
 	mu      sync.Mutex
-	subs    []*Sender
+	subs    []*Sender // starts on sub1: a first subscriber allocates nothing
+	sub1    [1]*Sender
 	started bool
 	err     error
 	exiter  Exiter
@@ -72,6 +73,7 @@ func New(id string, cluster hw.ClusterName, node int, ctx sqep.Ctx, plan sqep.Op
 	ctx.ID = id
 	r := carrier.Reuse(into)
 	*r = RP{cluster: cluster, node: node, plan: plan, ctx: ctx, exiter: exiter, done: make(chan struct{})}
+	r.subs = r.sub1[:0]
 	return r
 }
 

@@ -199,6 +199,7 @@ type Scheduler struct {
 	order    []*entry          // the same lines in submission order, for List
 	finished []*entry          // the finished window, oldest first
 	pending  []*Query          // admission queue: priority desc, then submission asc
+	claimed  bool              // an admission took pending's head and may put it back
 	running  int
 	live     int // sessions in the table not yet finalized
 
@@ -499,9 +500,18 @@ func (s *Scheduler) unqueueLocked(q *Query) bool {
 // admit takes a turn from the kernel for the loop, like a process: it pauses
 // the kernel, which waits for the holder to park, so no process runs while
 // sessions are built and started. A process must not call it. The policy
-// clock first rises to the kernel's time, where a session starts.
+// clock first rises to the kernel's time, where a session starts. With no
+// session queued or claimed by an admission that may put it back, the
+// kernel runs on.
 func (s *Scheduler) admit() {
 	k := s.eng.Env().Kernel()
+	s.mu.Lock()
+	quiet := len(s.pending) == 0 && !s.claimed
+	s.mu.Unlock()
+	if quiet {
+		s.raise(k.Now())
+		return
+	}
 	k.Pause()
 	defer k.Resume()
 	s.admitMu.Lock()
@@ -510,6 +520,7 @@ func (s *Scheduler) admit() {
 	for {
 		s.mu.Lock()
 		if len(s.pending) == 0 {
+			s.claimed = false
 			s.mu.Unlock()
 			return
 		}
@@ -519,7 +530,7 @@ func (s *Scheduler) admit() {
 		// claimed (sets cancelReq and leaves finalization to this loop) —
 		// never both, so each session is finalized exactly once.
 		q := s.pending[0]
-		s.pending = slices.Delete(s.pending, 0, 1)
+		s.pending, s.claimed = slices.Delete(s.pending, 0, 1), true
 		s.gQueued.Set(int64(len(s.pending)))
 		idle := s.running == 0
 		s.mu.Unlock()
@@ -556,6 +567,7 @@ func (s *Scheduler) admit() {
 				continue
 			}
 			s.enqueueLocked(q)
+			s.claimed = false
 			q.mu.Unlock()
 			s.mu.Unlock()
 			return

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -148,6 +149,78 @@ func TestAdmissionQueuesThenAdmits(t *testing.T) {
 	}
 	if b.AdmissionWait() <= 0 {
 		t.Fatal("queued session recorded no admission wait")
+	}
+}
+
+// heldFiles is a file table whose Name, once armed, tells entered and waits
+// for release: the build that names a file then stops there, inside its
+// admission, with the session it builds claimed from the queue.
+type heldFiles struct {
+	armed            atomic.Bool
+	entered, release chan struct{}
+}
+
+func (f *heldFiles) Name(int64) (string, error) {
+	if f.armed.CompareAndSwap(true, false) {
+		close(f.entered)
+		<-f.release
+	}
+	return "f", nil
+}
+
+func (f *heldFiles) Read(string) (string, error) { return "x\n", nil }
+
+// TestAdmitWaitsForAClaimedHead: an admission that finds the queue empty
+// while another holds its head, claimed for a build that may fail and put it
+// back, waits for that one and admits the head itself. Passing over it
+// strands the session when its build failed on nodes a session that just
+// ended had released in between: that session's admission was the last. The
+// claimed build is held at a plan-time gate (filename), as a session's end
+// admits.
+func TestAdmitWaitsForAClaimedHead(t *testing.T) {
+	files := &heldFiles{entered: make(chan struct{}), release: make(chan struct{})}
+	e, release := gatedEngine(t, core.Config{Files: files})
+	defer release()
+	s := New(e, nil)
+	defer s.Close()
+
+	hog, err := s.Submit(gateHogSrc)
+	if err != nil {
+		t.Fatalf("submit hog: %v", err)
+	}
+	// The head names a file before it asks for the hog's node 0.
+	q, err := s.Submit(`select extract(b) from sp b, string f where b=sp(grep('x', f), 'bg', 0) and f=filename(1);`)
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	if st := q.State(); st != Queued {
+		t.Fatalf("state beside the hog = %v, want queued", st)
+	}
+	files.armed.Store(true)
+	claimed := make(chan struct{})
+	go func() { s.admit(); close(claimed) }()
+	<-files.entered
+	ended := make(chan struct{})
+	go func() { s.admit(); close(ended) }()
+	select {
+	case <-ended:
+		t.Error("an admission returned while another held the queue's head")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(files.release)
+	<-claimed
+	<-ended
+	release()
+	if _, err := hog.Wait(); err != nil {
+		t.Fatalf("hog: %v", err)
+	}
+	select {
+	case <-q.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("the head was never admitted")
+	}
+	if els, err := q.Wait(); err != nil || len(els) != 1 {
+		t.Fatalf("head: %v, %v; want the one line", els, err)
 	}
 }
 

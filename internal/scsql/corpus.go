@@ -93,16 +93,6 @@ and   a=spv(%s, 'be', %s)
 and   n=%d;`, counters, gen, producers, n), nil
 }
 
-// GrepQuery is the distributed-grep mapreduce query (paper §2.4) with a
-// configurable degree of parallelism (the paper uses 1000).
-func GrepQuery(pattern string, parallel int) string {
-	return fmt.Sprintf(`
-merge(spv(
-    select grep('%s', filename(i))
-    from integer i
-    where i in iota(1,%d), 'be', urr('be')));`, pattern, parallel)
-}
-
 // Radix2Def is the radix-2 FFT query function definition (paper §2.4).
 const Radix2Def = `
 create function radix2(string s)

@@ -485,14 +485,16 @@ func (ev *Evaluator) evalDomain(e Expr, env *scope) ([]any, error) {
 	}
 }
 
-// evalCluster evaluates a cluster-name argument.
+// evalCluster evaluates a cluster-name argument; a literal is read without
+// boxing it.
 func (ev *Evaluator) evalCluster(e Expr, env *scope) (hw.ClusterName, error) {
-	v, err := ev.evalScalar(e, env)
-	if err != nil {
+	lit, ok := e.(*StringLit)
+	s := ""
+	if ok {
+		s = lit.Value
+	} else if v, err := ev.evalScalar(e, env); err != nil {
 		return "", err
-	}
-	s, ok := v.(string)
-	if !ok {
+	} else if s, ok = v.(string); !ok {
 		return "", errorfAt(e.ePos(), "cluster argument must be a string, got %T", v)
 	}
 	c := hw.ClusterName(strings.ToLower(s))
@@ -601,11 +603,7 @@ func (ev *Evaluator) evalScalar(e Expr, env *scope) (any, error) {
 			}
 			return f, nil
 		}
-		n, err := strconv.ParseInt(x.Text, 10, 64)
-		if err != nil {
-			return nil, errorfAt(x.Pos, "bad number %q", x.Text)
-		}
-		return n, nil
+		return intLit(x)
 	case *StringLit:
 		return x.Value, nil
 	case *Ident:
@@ -648,7 +646,12 @@ func (ev *Evaluator) intArgs(call *Call, env *scope) (a, b int64, err error) {
 	return a, b, err
 }
 
+// evalInt evaluates an integer argument; a literal is read without boxing
+// it.
 func (ev *Evaluator) evalInt(e Expr, env *scope) (int64, error) {
+	if x, ok := e.(*NumberLit); ok && !strings.Contains(x.Text, ".") {
+		return intLit(x)
+	}
 	v, err := ev.evalScalar(e, env)
 	if err != nil {
 		return 0, err
@@ -656,6 +659,14 @@ func (ev *Evaluator) evalInt(e Expr, env *scope) (int64, error) {
 	n, ok := v.(int64)
 	if !ok {
 		return 0, errorfAt(e.ePos(), "expected an integer, got %T", v)
+	}
+	return n, nil
+}
+
+func intLit(x *NumberLit) (int64, error) {
+	n, err := strconv.ParseInt(x.Text, 10, 64)
+	if err != nil {
+		return 0, errorfAt(x.Pos, "bad number %q", x.Text)
 	}
 	return n, nil
 }

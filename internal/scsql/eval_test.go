@@ -276,3 +276,13 @@ where b=sp(streamof(count(extract(a))), 'bg', 0) and a=sp(gen_array(30000,n), 'b
 		t.Fatalf("pair(7) = %v in %v over %v, on a fresh engine %v in %v over %v", v, span, edges, wantV, wantSpan, wantEdges)
 	}
 }
+
+// GrepQuery is the distributed-grep mapreduce query (paper §2.4) with a
+// configurable degree of parallelism (the paper uses 1000).
+func GrepQuery(pattern string, parallel int) string {
+	return fmt.Sprintf(`
+merge(spv(
+    select grep('%s', filename(i))
+    from integer i
+    where i in iota(1,%d), 'be', urr('be')));`, pattern, parallel)
+}

@@ -13,8 +13,8 @@ import (
 // count numerical arrays of size bytes each. Generating an array charges the
 // producing node's CPU (GenByte per byte), so a producer cannot emit faster
 // than its CPU allows. Every element's Value is one interface value holding
-// the size's shared template, boxed once per Open: Next allocates nothing,
-// and Encoding still recognises the array inside it.
+// the size's shared template, boxed once beside it: Open and Next allocate
+// nothing, and Encoding still recognises the array inside it.
 type GenArray struct {
 	SizeBytes int
 	Count     int
@@ -22,7 +22,7 @@ type GenArray struct {
 	ctx     *Ctx
 	emitted int
 	now     vtime.Time
-	// template is the process-wide []float64 of its size, boxed by Open.
+	// template is the process-wide []float64 of its size, boxed.
 	// Reusing one array mirrors the paper's workload, where array content is
 	// irrelevant to the communication measurements.
 	template any
@@ -47,35 +47,37 @@ var genTemplates struct {
 	m     map[int]genTemplate
 }
 
-// genTemplate is one template and its encoding (nil on big-endian hosts).
+// genTemplate is one template, boxed, and its encoding (nil on big-endian
+// hosts).
 type genTemplate struct {
-	arr []float64
-	enc []byte
+	arr   []float64
+	boxed any
+	enc   []byte
 }
 
 // sharedTemplate returns the template of n elements, capped at n so an append
-// cannot write behind it.
-func sharedTemplate(n int) []float64 {
+// cannot write behind it, boxed.
+func sharedTemplate(n int) any {
 	c := &genTemplates
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if t, ok := c.m[n]; ok {
-		return t.arr
+		return t.boxed
 	}
 	arr, enc := marshal.NewArray(n)
 	for i := range arr {
 		arr[i] = float64(i % 997)
 	}
-	size := 8 * (n + 1)
+	size, boxed := 8*(n+1), any(arr)
 	if size > genCacheBytes {
-		return arr
+		return boxed
 	}
 	if c.m == nil || c.bytes+size > genCacheBytes {
 		c.m, c.bytes = map[int]genTemplate{}, 0
 	}
-	c.m[n] = genTemplate{arr, enc}
+	c.m[n] = genTemplate{arr, boxed, enc}
 	c.bytes += size
-	return arr
+	return boxed
 }
 
 // Encoding returns the wire encoding of x when x is a cached gen_array
@@ -116,7 +118,7 @@ func (g *GenArray) Open(ctx *Ctx) error {
 	if n < 1 {
 		n = 1
 	}
-	g.template = sharedTemplate(n) // boxed here, not per element
+	g.template = sharedTemplate(n)
 	return nil
 }
 

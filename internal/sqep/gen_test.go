@@ -75,7 +75,7 @@ func TestGenArrayConcurrentOpensShareOneTemplate(t *testing.T) {
 			t.Fatalf("gen_array(%d): len %d cap %d, want both %d", size, len(v), cap(v), want)
 		}
 		checkTemplate(t, v)
-		if again := sharedTemplate(len(v)); &again[0] != &v[0] {
+		if again := sharedTemplate(len(v)).([]float64); &again[0] != &v[0] {
 			t.Errorf("gen_array(%d): a second open got another array", size)
 		}
 		enc, ok := Encoding(v)
@@ -106,14 +106,14 @@ func TestGenArrayConcurrentOpensShareOneTemplate(t *testing.T) {
 	if _, ok := Encoding(early); ok {
 		t.Error("Encoding took a view from before the restart for a template")
 	}
-	if _, ok := Encoding(sharedTemplate(len(early))); !ok {
+	if _, ok := Encoding(sharedTemplate(len(early)).([]float64)); !ok {
 		t.Error("Encoding rejected the new template of a size seen before the restart")
 	}
 	checkCacheBound(t)
 
 	// An array larger than the bound is made for its gen_array and never
 	// cached.
-	huge := sharedTemplate(genCacheBytes / 8)
+	huge := sharedTemplate(genCacheBytes / 8).([]float64)
 	checkTemplate(t, huge)
 	if _, ok := Encoding(huge); ok {
 		t.Error("Encoding took an array past the cache's bound for a template")
@@ -162,7 +162,7 @@ func checkCacheBound(t *testing.T) {
 // runs over elements that all alias one array, which must come out as it went
 // in.
 func TestArrayOperatorsLeaveTheirInputAlone(t *testing.T) {
-	shared := sharedTemplate(16)
+	shared := sharedTemplate(16).([]float64)
 	pristine := slices.Clone(shared)
 	input := func() Operator {
 		var els []Element

@@ -15,10 +15,10 @@
 // Streams leaving the BlueGene traverse the same stages outward; streams
 // between Linux nodes use the two NICs. Dial builds the path as a
 // carrier.Route; charging, fault injection, tracing and link metrics are
-// carrier.Link's. The NIC, tree and outbound forwarder services are pure
-// functions of the cost model, built once per Fabric; only the inbound
-// forwarder's, which reads its multiplicities at the link's first frame, is
-// built per link. UDPFabric (udp.go) loses datagrams on the inbound route.
+// carrier.Link's. Every service is built once per Fabric; the inbound
+// forwarder, which reads its multiplicities at the link's first frame, is
+// the link's contended stage (carrier.Link.Contend). UDPFabric (udp.go)
+// loses datagrams on the inbound route.
 package tcpcar
 
 import (
@@ -34,15 +34,20 @@ import (
 // Fabric charges TCP transfers against a hardware environment.
 type Fabric struct {
 	env *hw.Env
-	inj *chaos.Injector
-	reg *metrics.Registry
+	// Injector, if set, is consulted on every dial and send; Metrics, if
+	// set, records every link's frame/byte/drop counters and delivery
+	// histograms. Set them before the first Dial.
+	Injector *chaos.Injector
+	Metrics  *metrics.Registry
 	// The services that hold no per-link state are the fabric's, built once.
 	// nic[c][msg] is a Linux NIC's, which serialises the frame at its
 	// cluster's GbE rate (c 1 for the back-end) and, when msg is 1, pays the
-	// per-message TCP overhead, once per path; tree and out are the tree's
-	// and the outbound I/O-node forwarder's.
+	// per-message TCP overhead, once per path; tree and fwd are the tree's
+	// and an I/O-node forwarder's. penalty[fromBE] is what the inbound
+	// forwarder of an I/O node adds, fromBE 1 for a back-end stream.
 	nic       [2][2]func(int) vtime.Duration
-	tree, out func(int) vtime.Duration
+	tree, fwd func(int) vtime.Duration
+	penalty   [2]func(int) vtime.Duration
 }
 
 // NewFabric returns a fabric over env.
@@ -50,7 +55,23 @@ func NewFabric(env *hw.Env) *Fabric {
 	m := &env.Cost
 	f := &Fabric{env: env,
 		tree: func(s int) vtime.Duration { return byteDur(m.TreeByte, s) },
-		out:  func(s int) vtime.Duration { return byteDur(m.IOByte, s) },
+		fwd:  func(s int) vtime.Duration { return byteDur(m.IOByte, s) },
+	}
+	for fromBE := range f.penalty {
+		f.penalty[fromBE] = func(io int) (penalty vtime.Duration) {
+			// Connection-switching penalty when the I/O node forwards
+			// several concurrent streams, charged at the expected
+			// alternation rate (p-1)/p of p symmetric streams.
+			if p := env.StreamsOnIO(io); p > 1 {
+				penalty += vtime.Duration(float64(m.IOSwitchCost) * float64(p-1) / float64(p))
+			}
+			if fromBE == 1 {
+				if peers := env.DistinctBeNodes(); peers > 1 {
+					penalty += vtime.Duration(peers-1) * m.CiodPeerCost
+				}
+			}
+			return penalty
+		}
 	}
 	for c, perByte := range [2]*float64{&m.FENICByte, &m.BeNICByte} {
 		f.nic[c] = [2]func(int) vtime.Duration{
@@ -60,16 +81,6 @@ func NewFabric(env *hw.Env) *Fabric {
 	}
 	return f
 }
-
-// SetInjector attaches a chaos injector consulted on every dial and send.
-// It must be called before the first Dial; a nil injector disables
-// injection.
-func (f *Fabric) SetInjector(inj *chaos.Injector) { f.inj = inj }
-
-// SetMetrics attaches a telemetry registry: every connection records
-// per-link frame/byte/drop counters and delivery-latency histograms. It
-// must be called before the first Dial; nil disables recording.
-func (f *Fabric) SetMetrics(reg *metrics.Registry) { f.reg = reg }
 
 // Endpoint names one side of a TCP connection.
 type Endpoint = carrier.NodeRef
@@ -95,7 +106,7 @@ func (f *Fabric) dialAs(kind string, src, dst Endpoint, inbox carrier.Inbox, int
 	if src.Cluster == hw.BlueGene && dst.Cluster == hw.BlueGene {
 		return nil, fmt.Errorf("tcpcar: MPI is the only allowed protocol inside the BlueGene (use mpicar)")
 	}
-	if err := f.inj.Dial(src, dst); err != nil {
+	if err := f.Injector.Dial(src, dst); err != nil {
 		return nil, fmt.Errorf("tcpcar: %w", err)
 	}
 	srcNode, err := f.env.Node(src.Cluster, src.Node)
@@ -106,7 +117,7 @@ func (f *Fabric) dialAs(kind string, src, dst Endpoint, inbox carrier.Inbox, int
 	if err != nil {
 		return nil, fmt.Errorf("tcpcar: %w", err)
 	}
-	env, m := f.env, &f.env.Cost
+	env := f.env
 	nic := func(n *hw.Node, msg int) vtime.Stage {
 		c := 0
 		if n.Cluster == hw.BackEnd {
@@ -127,45 +138,29 @@ func (f *Fabric) dialAs(kind string, src, dst Endpoint, inbox carrier.Inbox, int
 		}
 		// Front-end connections (e.g. control results) do not model the
 		// back-end coordination penalty, but still consume I/O-node capacity.
-		fromBE := src.Cluster == hw.BackEnd
-		if fromBE {
+		fromBE := 0
+		if src.Cluster == hw.BackEnd {
+			fromBE = 1
 			env.RegisterInbound(src.Node, ion.ID)
 		}
 		// The multiplicities the forwarder charges for are read once, at the
 		// link's first frame to reach it, in the sender's turn: a query's
 		// first frame comes after its whole build, and admission builds in a
 		// turn of its own (vtime.Kernel.Pause).
-		penalty := vtime.Duration(-1)
-		forwarder := vtime.Stage{Resource: ion.Forwarder, Label: ion.FwdHop, Service: func(s int) vtime.Duration {
-			if penalty < 0 {
-				penalty = 0
-				// Connection-switching penalty when the I/O node forwards
-				// several concurrent streams, charged at the expected
-				// alternation rate (p-1)/p of p symmetric streams.
-				if p := env.StreamsOnIO(ion.ID); p > 1 {
-					penalty += vtime.Duration(float64(m.IOSwitchCost) * float64(p-1) / float64(p))
-				}
-				if fromBE {
-					if peers := env.DistinctBeNodes(); peers > 1 {
-						penalty += vtime.Duration(peers-1) * m.CiodPeerCost
-					}
-				}
-			}
-			return byteDur(m.IOByte, s) + penalty
-		}}
+		forwarder := vtime.Stage{Resource: ion.Forwarder, Label: ion.FwdHop, Service: l.Contend(f.fwd, f.penalty[fromBE], ion.ID)}
 		stages = append(stages, nic(srcNode, 1), forwarder, tree(ion))
 	case src.Cluster == hw.BlueGene:
 		ion, err := env.IONodeFor(src.Node)
 		if err != nil {
 			return nil, fmt.Errorf("tcpcar: %w", err)
 		}
-		forwarder := vtime.Stage{Resource: ion.Forwarder, Label: ion.FwdHop, Service: f.out}
+		forwarder := vtime.Stage{Resource: ion.Forwarder, Label: ion.FwdHop, Service: f.fwd}
 		stages = append(stages, tree(ion), forwarder, nic(dstNode, 1))
 	default:
 		stages = append(stages, nic(srcNode, 1), nic(dstNode, 0))
 	}
 	r := carrier.Route{Kind: kind, Src: src, Dst: dst, Stages: stages, ViaTCP: true}
-	return carrier.NewLink(l, r, inbox, f.inj.Faults(), f.reg), nil
+	return carrier.NewLink(l, r, inbox, f.Injector.Faults(), f.Metrics), nil
 }
 
 func byteDur(perByte float64, n int) vtime.Duration {

@@ -16,8 +16,8 @@ import (
 // arrays observes the loss directly.
 //
 // Datagrams cross the devices of the TCP carrier's inbound route (back-end
-// NIC → I/O-node forwarder → tree network), so a UDPFabric is a Fabric (Env,
-// SetInjector and SetMetrics are that fabric's) whose links lose datagrams: a
+// NIC → I/O-node forwarder → tree network), so a UDPFabric is a Fabric (its
+// Injector and Metrics are that fabric's) whose links lose datagrams: a
 // dropped frame consumes the sender-side costs but never reaches the
 // receiver. Loss is deterministic — a hash of the connection id and frame
 // sequence number against the configured loss rate — so experiments are

@@ -19,7 +19,7 @@ func testUDPFabric(t *testing.T, loss float64) (*UDPFabric, *metrics.Registry) {
 		t.Fatal(err)
 	}
 	reg := metrics.NewRegistry()
-	f.SetMetrics(reg)
+	f.Metrics = reg
 	return f, reg
 }
 
