@@ -20,12 +20,12 @@ import (
 // and each number only goes down. Raising a limit here is a design decision
 // to argue for, not a fix.
 const (
-	maxWithOptions       = 14    // exported With* functions outside _test.go (target ≤ 30)
+	maxWithOptions       = 13    // exported With* functions outside _test.go (target ≤ 30)
 	maxInternalPackages  = 21    // directories directly under internal/ with non-test .go files (target ≤ 22)
 	maxWireMessages      = 13    // Msg* constants of internal/server/wire
 	maxEngineMethods     = 10    // exported methods of (*scsq.Engine)
 	maxCoreEngineMethods = 17    // exported methods of (*core.Engine); building is on core.Query
-	maxNonTestLines      = 19806 // lines of the non-test .go files outside benchmark/
+	maxNonTestLines      = 19063 // lines of the non-test .go files outside benchmark/
 )
 
 // grantSelectors are vtime's unkeyed ways to grant virtual time. Outside

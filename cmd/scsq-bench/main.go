@@ -13,9 +13,8 @@
 //	scsq-bench -fig udp               # extension: inbound streaming over lossy UDP
 //	scsq-bench -fig place             # k concurrent tenants: planner vs greedy vs serialized on the 6144-node torus
 //	scsq-bench -fig sysq              # system catalog: snapshot/query latency + non-perturbation gate
-//	scsq-bench -fig serve             # serving layer: 1000 concurrent TCP conns, frame accounting gate
 //	scsq-bench -fig soak              # seeded chaos soak, every failure path armed
-//	scsq-bench -fig soak -tiny        # smoke sizing (6 and 8 from 3 kB buffers up; place at k = 2 on 256 nodes; sysq, serve, soak)
+//	scsq-bench -fig soak -tiny        # smoke sizing (6 and 8 from 3 kB buffers up; place at k = 2 on 256 nodes; sysq, soak)
 //	scsq-bench -fig all -csv          # every figure above, machine readable under one header
 //	scsq-bench -fig place -out BENCH_place.json   # also write the JSON report
 //	scsq-bench -metrics m.json        # instrumented run → metrics snapshot JSON

@@ -94,7 +94,6 @@ var Figures = []Figure{
 	// Tiny reads k = 2 alone on a 256-node torus (runPlace).
 	{"place", "Cost-model placement — planner vs greedy vs serialized for k concurrent Query-1 instances on the 6144-node torus, by tenants k", runPlace},
 	{"sysq", "System catalog — snapshot and query latency by table; Figure 6 wall time bare vs observed by MPI buffer size", runSysq},
-	{"serve", "Serving layer — concurrent connections over TCP with exact frame accounting, by connections", runServe},
 	{"soak", "Chaos soak — seeded schedules, every failure path armed, by seed", runSoak},
 }
 

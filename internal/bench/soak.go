@@ -399,3 +399,12 @@ func soakRound(cfg soakConfig, r int, rng *rand.Rand, res *soakResult, waits *[]
 	}
 	return runErr
 }
+
+// percentileDur reads the p-quantile from an ascending sample slice.
+func percentileDur(sorted []time.Duration, p float64) time.Duration {
+	if len(sorted) == 0 {
+		return 0
+	}
+	idx := int(p * float64(len(sorted)-1))
+	return sorted[idx]
+}

@@ -63,11 +63,17 @@ type DB struct {
 	exclusive bool
 
 	mu        sync.Mutex
-	allocated map[int]int            // node id -> RP count
-	leases    map[string]map[int]int // owner (query id) -> node id -> RP count
+	allocated map[int]int   // node id -> RP count
+	leases    map[lease]int // (owner, node) -> RP count
 	dead      map[int]bool
 	size      int
 	rr        int
+}
+
+// lease keys the lease table: one owner's reservations on one node.
+type lease struct {
+	owner string
+	node  int
 }
 
 // Lease is one owner's reservation count on one node, as reported by AppendState.
@@ -87,7 +93,7 @@ func New(env *hw.Env, c hw.ClusterName) (*DB, error) {
 		cluster:   c,
 		exclusive: c == hw.BlueGene,
 		allocated: make(map[int]int),
-		leases:    make(map[string]map[int]int),
+		leases:    make(map[lease]int),
 		dead:      make(map[int]bool),
 		size:      n,
 	}, nil
@@ -168,12 +174,7 @@ func (db *DB) selectNaive(owner string) (int, error) {
 // grant records an allocation and its lease. db.mu must be held.
 func (db *DB) grant(owner string, id int) {
 	db.allocated[id]++
-	m := db.leases[owner]
-	if m == nil {
-		m = make(map[int]int)
-		db.leases[owner] = m
-	}
-	m[id]++
+	db.leases[lease{owner, id}]++
 }
 
 // ReleaseFor returns a node allocation held under the given owner's lease.
@@ -189,14 +190,10 @@ func (db *DB) ReleaseFor(owner string, id int) {
 			delete(db.allocated, id)
 		}
 	}
-	if m := db.leases[owner]; m[id] > 0 {
-		m[id]--
-		if m[id] == 0 {
-			delete(m, id)
-		}
-		if len(m) == 0 {
-			delete(db.leases, owner)
-		}
+	if k := (lease{owner, id}); db.leases[k] > 1 {
+		db.leases[k]--
+	} else {
+		delete(db.leases, k)
 	}
 }
 
@@ -232,10 +229,8 @@ func (db *DB) AppendState(loads []NodeLoad, leases []Lease) ([]NodeLoad, []Lease
 			loads = append(loads, NodeLoad{Node: id, Dead: true})
 		}
 	}
-	for owner, m := range db.leases {
-		for id, n := range m {
-			leases = append(leases, Lease{Owner: owner, Node: id, Count: n})
-		}
+	for k, n := range db.leases {
+		leases = append(leases, Lease{Owner: k.owner, Node: k.node, Count: n})
 	}
 	return loads, leases
 }
@@ -247,10 +242,8 @@ func (db *DB) NodeStates() []NodeState {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	owners := make(map[int][]string)
-	for owner, m := range db.leases {
-		for id := range m {
-			owners[id] = append(owners[id], owner)
-		}
+	for k := range db.leases {
+		owners[k.node] = append(owners[k.node], k.owner)
 	}
 	out := make([]NodeState, db.size)
 	for id := 0; id < db.size; id++ {
@@ -266,8 +259,10 @@ func (db *DB) LeaseCount(owner string) int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	n := 0
-	for _, c := range db.leases[owner] {
-		n += c
+	for k, c := range db.leases {
+		if k.owner == owner {
+			n += c
+		}
 	}
 	return n
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"scsq/internal/hw"
+	"scsq/internal/race"
 )
 
 func TestLeaseTableTracksOwners(t *testing.T) {
@@ -97,5 +98,44 @@ func TestReleaseForUnleasedIsTolerant(t *testing.T) {
 	}
 	if got := db.LeaseCount(""); got != 1 {
 		t.Errorf("anonymous LeaseCount = %d, want 1 (untouched by q9 release)", got)
+	}
+}
+
+// TestLeaseCycleAllocatesNothing: the lease table is keyed by (owner, node),
+// so a query's first lease and its last release neither make nor drop a
+// table of its own, and a warm cycle of several queries leasing and
+// releasing nodes allocates nothing.
+func TestLeaseCycleAllocatesNothing(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	db := newDB(t, hw.BlueGene)
+	seq, err := NewSequence(0, 1, 2, 3, 4, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owners := []string{"q1", "q2", "q3"}
+	ids := make([]int, 0, 2*len(owners))
+	cycle := func() {
+		ids = ids[:0]
+		for _, owner := range owners {
+			for range 2 {
+				id, err := db.SelectFor(owner, seq)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids = append(ids, id)
+			}
+		}
+		for i, id := range ids {
+			db.ReleaseFor(owners[i/2], id)
+		}
+	}
+	cycle()
+	if got := testing.AllocsPerRun(100, cycle); got != 0 {
+		t.Errorf("a warm lease-and-release cycle allocates %v objects, want 0", got)
+	}
+	if got := db.Leases(); len(got) != 0 {
+		t.Errorf("leases after the cycles: %v, want none", got)
 	}
 }

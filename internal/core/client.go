@@ -49,25 +49,6 @@ func (s *ClientStream) QueryID() string { return s.qc.id }
 // if no query was opened since.
 func (s *ClientStream) OwnQuery() { s.sole = true }
 
-// Extract returns the client-side stream of process p's output (the
-// top-level extract(p) of q).
-func (q *Query) Extract(p *SP) (*ClientStream, error) {
-	return q.ClientPlan(func(b *PlanBuilder) (sqep.Operator, error) {
-		return b.Extract(p)
-	})
-}
-
-// MergeExtract returns the client-side merged stream of the given processes
-// (a top-level merge(...) of q).
-func (q *Query) MergeExtract(ps []*SP) (*ClientStream, error) {
-	if len(ps) == 0 {
-		return nil, errors.New("core: extract of empty process bag")
-	}
-	return q.ClientPlan(func(b *PlanBuilder) (sqep.Operator, error) {
-		return b.Merge(ps)
-	})
-}
-
 // ClientPlan builds q's result plan, executing in the client manager on the
 // front-end cluster. The top-level select expression of a query —
 // extract(c), merge(spv(...)), radixcombine(merge({a,b})), ... — compiles to

@@ -7,9 +7,9 @@
 // cluster c; spv(s, c) assigns each subquery of a set to a new stream
 // process; extract(p) requests the elements of p's subquery; merge(p)
 // combines the streams of a set of processes. Query.SP, Query.SPV,
-// PlanBuilder.Extract/Merge and Query.Extract/MergeExtract are these
-// functions' programmatic form; the SCSQL front end (internal/scsql) lowers
-// parsed queries onto them.
+// PlanBuilder.Extract/Merge and Query.ClientPlan are these functions'
+// programmatic form; the SCSQL front end (internal/scsql) lowers parsed
+// queries onto them.
 package core
 
 import (
@@ -41,9 +41,9 @@ import (
 // it leaves behind (edges, metric keys, busy time) — so several continuous
 // queries can build, run, cancel, and be retired concurrently. There is one
 // way to build: BeginQuery opens a query, and its SPs and client plan are
-// placed through that Query (SP/SPV, ClientPlan/Extract/MergeExtract) inside
-// BuildAs — a synchronous SCSQL statement (scsql.Evaluator.Exec) and a
-// scheduled session (internal/sched) differ only in who holds the handle.
+// placed through that Query (SP/SPV, ClientPlan) inside BuildAs — a
+// synchronous SCSQL statement (scsql.Evaluator.Exec) and a scheduled session
+// (internal/sched) differ only in who holds the handle.
 type Engine struct {
 	env    *hw.Env
 	mpi    *mpicar.Fabric

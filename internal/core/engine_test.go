@@ -267,3 +267,22 @@ func TestSPVBagLargerThanFreeBGNodes(t *testing.T) {
 func spv(q *Query, subs []Subquery, c hw.ClusterName, seq *cndb.Sequence) ([]*SP, error) {
 	return q.SPV(len(subs), func(i int, b *PlanBuilder) (sqep.Operator, error) { return subs[i](b) }, c, seq)
 }
+
+// Extract returns the client-side stream of process p's output (the
+// top-level extract(p) of q).
+func (q *Query) Extract(p *SP) (*ClientStream, error) {
+	return q.ClientPlan(func(b *PlanBuilder) (sqep.Operator, error) {
+		return b.Extract(p)
+	})
+}
+
+// MergeExtract returns the client-side merged stream of the given processes
+// (a top-level merge(...) of q).
+func (q *Query) MergeExtract(ps []*SP) (*ClientStream, error) {
+	if len(ps) == 0 {
+		return nil, errors.New("core: extract of empty process bag")
+	}
+	return q.ClientPlan(func(b *PlanBuilder) (sqep.Operator, error) {
+		return b.Merge(ps)
+	})
+}

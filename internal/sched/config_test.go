@@ -9,8 +9,7 @@ import (
 
 // TestZeroConfigIsTheDefault pins what each zero field of Config means: a
 // 64-session admission queue and greedy placement — the scheduler New built
-// with no options before it took a Config. A negative cap, which the root's WithAdmissionQueueCap(0) sets, is
-// unbounded.
+// with no options before it took a Config. A negative cap is unbounded.
 func TestZeroConfigIsTheDefault(t *testing.T) {
 	for _, tc := range []struct {
 		cfg    Config

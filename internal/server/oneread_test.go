@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -250,7 +251,7 @@ func TestOneReadPath(t *testing.T) {
 // session parked at the queue head for lack of nodes, the queue at its cap,
 // the server draining — promptly, and with the blocked session in the answer.
 func TestCatalogReadAnswersWhenCongested(t *testing.T) {
-	_, srv, addr := newServer(t, server.Config{}, scsq.WithAdmissionQueueCap(1))
+	_, srv, addr := newServer(t, server.Config{})
 	cli, err := client.Dial(addr, client.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -258,23 +259,38 @@ func TestCatalogReadAnswersWhenCongested(t *testing.T) {
 	defer cli.Close()
 
 	// Every session names the same two nodes: the first holds them until it
-	// is cancelled below, the second waits at the queue head, which fills the
-	// queue.
+	// is cancelled below, and the next 64 — the scheduler's default cap —
+	// wait behind it, which fills the queue. They are submitted and
+	// cancelled at once: one at a time, each round trip waits its turn
+	// behind the running hog, seconds on one core under the race detector.
 	const hogSrc = `
 select extract(b)
 from sp a, sp b
 where b=sp(count(extract(a)), 'bg', 1)
 and   a=sp(gen_array(64,1000000000), 'bg', 0);`
+	const queueCap = 64
 	hog, err := cli.Submit(hogSrc, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocked, err := cli.Submit(hogSrc, 0)
-	if err != nil {
-		t.Fatal(err)
+	queued := make([]*client.SessionHandle, queueCap)
+	var wg sync.WaitGroup
+	for i := range queued {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var err error
+			if queued[i], err = cli.Submit(hogSrc, 0); err != nil {
+				t.Errorf("queued session %d: %v", i+1, err)
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
 	}
 	if _, err := cli.Submit(hogSrc, 0); err == nil || !strings.Contains(err.Error(), "queue full") {
-		t.Fatalf("third session: %v, want the admission queue full", err)
+		t.Fatalf("session %d: %v, want the admission queue full", queueCap+2, err)
 	}
 
 	// read runs a catalog read over the wire, failing if no answer comes.
@@ -317,8 +333,16 @@ and   a=sp(gen_array(64,1000000000), 'bg', 0);`
 		}
 		return m
 	}
-	if st := states(); len(st) != 3 || st[blocked.ID] != "queued" || st[hog.ID] == "queued" {
-		t.Errorf("sys_sessions = %v, want %s holding the nodes, %s queued and the reader", st, hog.ID, blocked.ID)
+	allQueued := func(st map[any]any) bool {
+		for _, h := range queued {
+			if st[h.ID] != "queued" {
+				return false
+			}
+		}
+		return true
+	}
+	if st := states(); len(st) != queueCap+2 || !allQueued(st) || st[hog.ID] == "queued" {
+		t.Errorf("sys_sessions = %v, want %s holding the nodes, %d queued and the reader", st, hog.ID, queueCap)
 	}
 
 	drained := make(chan error, 1)
@@ -328,8 +352,8 @@ and   a=sp(gen_array(64,1000000000), 'bg', 0);`
 	case <-time.After(10 * time.Second):
 		t.Fatal("no Draining frame")
 	}
-	if st := states(); st[blocked.ID] != "queued" {
-		t.Errorf("sys_sessions while draining = %v, want %s still queued", st, blocked.ID)
+	if st := states(); !allQueued(st) {
+		t.Errorf("sys_sessions while draining = %v, want %d still queued", st, queueCap)
 	}
 	if rows := read(`select sys_conns();`); len(rows) != 1 || rows[0][2] != "draining" {
 		t.Errorf("sys_conns while draining = %v, want this connection, draining", rows)
@@ -339,9 +363,16 @@ and   a=sp(gen_array(64,1000000000), 'bg', 0);`
 	}
 
 	// The drain ends as soon as its sessions do.
-	if err := blocked.Cancel(); err != nil {
-		t.Error(err)
+	for _, h := range queued {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := h.Cancel(); err != nil {
+				t.Error(err)
+			}
+		}()
 	}
+	wg.Wait()
 	if err := hog.Cancel(); err != nil {
 		t.Error(err)
 	}

@@ -13,14 +13,6 @@ func TestOptionsKeepTheirZeros(t *testing.T) {
 		}
 		return c
 	}
-	for _, n := range []int{0, -3} {
-		if c := apply(WithAdmissionQueueCap(n)); c.sched.QueueCap >= 0 {
-			t.Errorf("WithAdmissionQueueCap(%d) set sched.Config.QueueCap %d, want negative (unbounded)", n, c.sched.QueueCap)
-		}
-	}
-	if c := apply(WithAdmissionQueueCap(5)); c.sched.QueueCap != 5 {
-		t.Errorf("WithAdmissionQueueCap(5) set QueueCap %d", c.sched.QueueCap)
-	}
 	if c := apply(WithUDPInbound(0)); c.core.UDPInbound == nil || *c.core.UDPInbound != 0 {
 		t.Errorf("WithUDPInbound(0) set UDPInbound %v, want UDP at zero loss", c.core.UDPInbound)
 	}

@@ -181,19 +181,6 @@ func WithTracing(limit int) Option {
 	}
 }
 
-// WithAdmissionQueueCap bounds how many submitted sessions may wait for
-// admission; Submit fails once the queue is full (default 64; <= 0 means
-// unbounded).
-func WithAdmissionQueueCap(n int) Option {
-	return func(c *config) error {
-		if n <= 0 { // sched.Config: zero is the default cap, negative unbounded
-			n = -1
-		}
-		c.sched.QueueCap = n
-		return nil
-	}
-}
-
 // PlacementObjective selects what the placement planner optimizes; see
 // WithPlacementPlanner.
 type PlacementObjective = place.Objective
