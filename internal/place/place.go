@@ -152,19 +152,25 @@ func (p *Planner) Decisions() []Decision {
 	oldest := p.seq % len(p.decisions) // 0 until the ring is full
 	out := make([]Decision, 0, len(p.decisions))
 	out = append(out, p.decisions[oldest:]...)
-	return append(out, p.decisions[:oldest]...)
+	out = append(out, p.decisions[:oldest]...)
+	for i := range out {
+		out[i].Chosen = slices.Clone(out[i].Chosen) // the slot's is reused
+	}
+	return out
 }
 
 // record adds one decision to the log, overwriting the oldest once it holds
-// maxDecisions. p.mu must be held.
+// maxDecisions. The slot keeps its Chosen array and copies d.Chosen into it,
+// so a full log records without allocating. p.mu must be held.
 func (p *Planner) record(d Decision) {
 	p.seq++
 	d.ID = p.seq
 	if len(p.decisions) < maxDecisions {
-		p.decisions = append(p.decisions, d)
-	} else {
-		p.decisions[(p.seq-1)%maxDecisions] = d
+		p.decisions = append(p.decisions, Decision{})
 	}
+	slot := &p.decisions[(p.seq-1)%maxDecisions]
+	d.Chosen = append(slot.Chosen[:0], d.Chosen...)
+	*slot = d
 }
 
 // PlanPlacement returns the node order admission should probe for a request
@@ -265,7 +271,7 @@ func (p *Planner) AppendPlacement(order []int, owner string, c hw.ClusterName, c
 		chosen = chosen[:batch]
 	}
 	p.record(Decision{Owner: owner, Cluster: string(c), Batch: batch,
-		Objective: p.cfg.Objective, Chosen: append([]int(nil), chosen...),
+		Objective: p.cfg.Objective, Chosen: chosen,
 		Score: score, Considered: considered})
 	return order, true
 }

@@ -2,10 +2,12 @@ package place
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"scsq/internal/cndb"
 	"scsq/internal/hw"
+	"scsq/internal/race"
 )
 
 // harness builds an environment plus its bg/be databases and a planner.
@@ -275,4 +277,59 @@ func mustSeq(t *testing.T, id int) *cndb.Sequence {
 		t.Fatal(err)
 	}
 	return seq
+}
+
+// Once the decision log is full, a plan records into the slot it overwrites
+// and keeps that slot's Chosen array: a warm AppendPlacement allocates
+// nothing.
+func TestWarmPlanAllocatesNothing(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	_, dbs, p := harness(t, Config{})
+	lease(t, dbs[hw.BlueGene], "q1", 0)
+	var order []int
+	for i := 0; i < maxDecisions; i++ {
+		order, _ = p.AppendPlacement(order[:0], "q2", hw.BlueGene, nil, 2)
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		order, _ = p.AppendPlacement(order[:0], "q2", hw.BlueGene, nil, 2)
+	}); a != 0 {
+		t.Errorf("warm AppendPlacement with a full decision log: %v allocs, want 0", a)
+	}
+}
+
+// A sys_placements reader runs beside planning: the decisions it got keep
+// their Chosen nodes however many plans reuse the slots they came from.
+func TestDecisionsOutliveTheirSlots(t *testing.T) {
+	_, _, p := harness(t, Config{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var order []int
+		for i := 0; i < 3*maxDecisions; i++ {
+			// Each plan chooses among nodes of its own, so a reused slot
+			// reads differently.
+			n := 3 * (i % 10)
+			order, _ = p.AppendPlacement(order[:0], "q1", hw.BlueGene, []int{n, n + 1, n + 2}, 1+i%3)
+		}
+	}()
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false
+		default:
+		}
+		ds := p.Decisions()
+		chosen := make([]string, len(ds))
+		for i, d := range ds {
+			chosen[i] = d.ChosenString()
+		}
+		runtime.Gosched()
+		for i, d := range ds {
+			if len(d.Chosen) != d.Batch || d.ChosenString() != chosen[i] {
+				t.Fatalf("decision %d of batch %d read %q, now %q", d.ID, d.Batch, chosen[i], d.ChosenString())
+			}
+		}
+	}
 }

@@ -9,14 +9,14 @@ import (
 
 // TestZeroConfigIsTheDefault pins what each zero field of Config means: a
 // 64-session admission queue and greedy placement — the scheduler New built
-// with no options before it took a Config. A negative cap is unbounded.
+// with no options before it took a Config. A negative cap reads as zero.
 func TestZeroConfigIsTheDefault(t *testing.T) {
 	for _, tc := range []struct {
 		cfg    Config
 		reject bool // the 65th queued session is refused
 	}{
 		{Config{}, true},
-		{Config{QueueCap: -1}, false},
+		{Config{QueueCap: -1}, true},
 	} {
 		e, release := gatedEngine(t)
 		s := New(e, nil, tc.cfg)

@@ -123,7 +123,7 @@ var (
 // 64-session admission queue and greedy placement; each field left zero keeps its default.
 type Config struct {
 	// QueueCap bounds the number of queued (not yet admitted) sessions;
-	// Submit returns ErrQueueFull beyond it (zero: 64; negative: unbounded).
+	// Submit returns ErrQueueFull beyond it (zero or negative: 64).
 	QueueCap int
 	// Placement attaches a cost-model placement planner to the engine for
 	// the lifetime of this scheduler: admissions are placed to maximize
@@ -229,7 +229,7 @@ func New(eng *core.Engine, cat *scsql.Catalog, opts ...Option) *Scheduler {
 	for _, o := range opts {
 		o.apply(&s.cfg)
 	}
-	s.cfg.QueueCap = cmp.Or(s.cfg.QueueCap, 64)
+	s.cfg.QueueCap = cmp.Or(max(s.cfg.QueueCap, 0), 64)
 	reg := eng.Metrics()
 	s.mSubmitted = reg.Counter("sched.submitted")
 	s.mAdmitted = reg.Counter("sched.admitted")
@@ -458,7 +458,7 @@ func (s *Scheduler) Submit(src string, opts ...SubmitOption) (*Query, error) {
 
 // fullLocked reports whether the admission queue is at its cap. s.mu held.
 func (s *Scheduler) fullLocked() bool {
-	return s.cfg.QueueCap > 0 && len(s.pending) >= s.cfg.QueueCap
+	return len(s.pending) >= s.cfg.QueueCap
 }
 
 // enqueueLocked inserts q into the admission queue keeping it sorted by

@@ -16,7 +16,6 @@
 package client
 
 import (
-	"bytes"
 	"crypto/tls"
 	"errors"
 	"fmt"
@@ -98,22 +97,26 @@ type SessionHandle struct {
 	head int
 
 	mu        sync.Mutex
-	cond      sync.Cond // on mu: the reader waits for room, the consumer for rows
+	cond      sync.Cond // on mu: the reader waits for room, the consumer for rows, Submit for ack
 	pending   []Row     // handed over by the reader, at most recvBuf rows
 	ended     bool      // nothing more will be handed over
 	cancelled bool
-	fin       *Done
+	ack       reply // the server's answer to the Submit; zero until it lands
+	fin       *Done // &done once the server's Done record landed
+	done      Done
 }
 
 // Client is one connection to an scsq-server.
 type Client struct {
 	nc net.Conn
 
-	wmu sync.Mutex // serializes writers (Submit, Cancel, Ping, ...)
+	wmu  sync.Mutex // serializes writers (Submit, Cancel, Ping, ...)
+	wbuf []byte     // under wmu: the frame being written
 
 	mu       sync.Mutex
+	cond     sync.Cond // on mu: a Cancel waits for its reply
 	sessions map[int64]*SessionHandle
-	waiters  map[int64]chan result // tag → one-shot reply (Submitted/OK/Error)
+	cancels  map[int64]*reply // tag → the reply a Cancel waits for; zero until it lands
 	tagSeq   int64
 	err      error
 	closed   bool
@@ -137,11 +140,17 @@ type Client struct {
 	pongs     chan int64
 }
 
-// result is a one-shot reply to a tagged request.
-type result struct {
-	frame wire.Frame
-	err   error
+// reply is the decoded answer to a tagged request: Submitted carries the
+// session id, Error its message as err, OK nothing.
+type reply struct {
+	typ  byte
+	text string
+	err  error // the server's, or the frame was unreadable
 }
+
+// finalStates are the states a Done record carries: its state field reads
+// as one of them without a copy.
+var finalStates = []string{"done", "cancelled", "failed"}
 
 // Dial connects, handshakes, and starts the reader.
 func Dial(addr string, opts Options) (*Client, error) {
@@ -173,7 +182,18 @@ func handshake(nc net.Conn, opts Options) (*Client, error) {
 	if opts.RecvBuffer <= 0 {
 		opts.RecvBuffer = 256
 	}
-	if err := wire.WriteFrame(nc, wire.MsgHello, wire.MustBag(int64(wire.ProtoVersion), opts.Token)); err != nil {
+	c := &Client{
+		nc:         nc,
+		sessions:   make(map[int64]*SessionHandle),
+		cancels:    make(map[int64]*reply),
+		readerDone: make(chan struct{}),
+		recvBuf:    opts.RecvBuffer,
+		Draining:   make(chan struct{}),
+		pongs:      make(chan int64, 8),
+	}
+	c.cond.L = &c.mu
+	e := c.begin(wire.MsgHello)
+	if err := c.flush(e.Int(wire.ProtoVersion).Str(opts.Token)); err != nil {
 		return nil, err
 	}
 	r := wire.NewReader(nc, opts.MaxFrame)
@@ -183,28 +203,18 @@ func handshake(nc net.Conn, opts Options) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrRejected, err)
 	}
-	c := &Client{
-		nc:         nc,
-		sessions:   make(map[int64]*SessionHandle),
-		waiters:    make(map[int64]chan result),
-		readerDone: make(chan struct{}),
-		recvBuf:    opts.RecvBuffer,
-		Draining:   make(chan struct{}),
-		pongs:      make(chan int64, 8),
-	}
+	fs := wire.Fields(f.Payload, 2)
+	fs.Int() // Accepted's version, Error's tag
 	switch f.Type {
 	case wire.MsgAccepted:
-		fields, err := wire.DecodeBag(f.Payload, 3)
-		if err != nil {
+		c.ServerName, c.ConnID = fs.Str(), fs.Str()
+		if err := fs.Err(); err != nil {
 			return nil, err
 		}
-		c.ServerName, _ = wire.Str(fields, 1)
-		c.ConnID, _ = wire.Str(fields, 2)
 	case wire.MsgError:
-		fields, err := wire.DecodeBag(f.Payload, 2)
-		msg := "unreadable error"
-		if err == nil {
-			msg, _ = wire.Str(fields, 1)
+		msg := fs.Str()
+		if fs.Err() != nil {
+			msg = "unreadable error"
 		}
 		return nil, fmt.Errorf("%w: %s", ErrRejected, msg)
 	default:
@@ -225,40 +235,35 @@ func (c *Client) Submit(stmt string, priority int) (*SessionHandle, error) {
 		return nil, fmt.Errorf("%w: %v", ErrClosed, err)
 	}
 	c.tagSeq++
-	tag := c.tagSeq
-	h := &SessionHandle{c: c, tag: tag}
+	h := &SessionHandle{c: c, tag: c.tagSeq}
 	h.cond.L = &h.mu
-	ack := make(chan result, 1)
-	c.sessions[tag] = h
-	c.waiters[tag] = ack
+	c.sessions[h.tag] = h
 	c.mu.Unlock()
 
-	if err := c.write(wire.MsgSubmit, wire.MustBag(tag, stmt, int64(priority))); err != nil {
-		c.dropSession(tag)
-		return nil, err
+	e := c.begin(wire.MsgSubmit)
+	err := c.flush(e.Int(h.tag).Str(stmt).Int(int64(priority)))
+	h.mu.Lock() // the reader hands the server's answer over here
+	for err == nil && h.ack.typ == 0 && !h.ended {
+		h.cond.Wait()
 	}
-	res, err := c.await(ack)
-	if err != nil {
-		c.dropSession(tag)
-		return nil, err
-	}
-	c.removeWaiter(tag) // the one reply is taken
-	switch res.frame.Type {
-	case wire.MsgSubmitted:
-		fields, err := wire.DecodeBag(res.frame.Payload, 2)
-		if err != nil {
-			c.dropSession(tag)
-			return nil, err
-		}
-		h.ID, _ = wire.Str(fields, 1)
+	r := h.ack
+	h.mu.Unlock()
+	switch {
+	case err != nil:
+	case r.typ == wire.MsgSubmitted && r.err == nil:
+		h.ID = r.text
 		return h, nil
-	case wire.MsgError:
-		c.dropSession(tag)
-		return nil, remoteErr(res.frame)
+	case r.typ == 0:
+		err = fmt.Errorf("%w: %v", ErrClosed, c.Err())
+	case r.typ == wire.MsgOK:
+		err = fmt.Errorf("client: unexpected reply %#x to submit", r.typ)
 	default:
-		c.dropSession(tag)
-		return nil, fmt.Errorf("client: unexpected reply %#x to submit", res.frame.Type)
+		err = r.err
 	}
+	c.mu.Lock()
+	delete(c.sessions, h.tag)
+	c.mu.Unlock()
+	return nil, err
 }
 
 // Recv returns the session's next result row. ok reports false at the end
@@ -338,7 +343,10 @@ func (h *SessionHandle) deliver(run []Row) {
 // connection died first).
 func (h *SessionHandle) end(fin *Done) {
 	h.mu.Lock()
-	h.fin, h.ended = fin, true
+	if fin != nil {
+		h.done, h.fin = *fin, &h.done
+	}
+	h.ended = true
 	h.mu.Unlock()
 	h.cond.Broadcast()
 }
@@ -350,7 +358,7 @@ func (h *SessionHandle) Cancel() error {
 	h.cancelled = true
 	h.mu.Unlock()
 	h.cond.Broadcast() // a reader blocked on this session's full queue drops instead
-	return h.c.request(wire.MsgCancel, wire.MustBag(h.tag, ""))
+	return h.c.cancel(h.tag, "")
 }
 
 // CancelID cancels one of this connection's sessions by its server-side
@@ -358,13 +366,14 @@ func (h *SessionHandle) Cancel() error {
 // the lookup to the issuing connection: a client cannot cancel another
 // connection's queries.
 func (c *Client) CancelID(id string) error {
-	return c.request(wire.MsgCancel, wire.MustBag(int64(-1), id))
+	return c.cancel(-1, id)
 }
 
 // Ping round-trips a nonce through the server.
 func (c *Client) Ping() error {
 	nonce := time.Now().UnixNano()
-	if err := c.write(wire.MsgPing, wire.MustBag(nonce)); err != nil {
+	e := c.begin(wire.MsgPing)
+	if err := c.flush(e.Int(nonce)); err != nil {
 		return err
 	}
 	select {
@@ -399,9 +408,8 @@ func (c *Client) Kill() {
 // Close sends a Goodbye and closes the connection. In-flight sessions end
 // with ErrClosed-style terminal records.
 func (c *Client) Close() error {
-	c.wmu.Lock()
-	wire.WriteFrame(c.nc, wire.MsgGoodbye, wire.MustBag())
-	c.wmu.Unlock()
+	e := c.begin(wire.MsgGoodbye)
+	c.flush(&e)
 	err := c.nc.Close()
 	<-c.readerDone
 	return err
@@ -409,75 +417,52 @@ func (c *Client) Close() error {
 
 // --- internals ---
 
-// write serializes one frame onto the connection.
-func (c *Client) write(typ byte, payload []byte) error {
+// begin takes the write lock and opens a frame of type typ in the client's
+// write buffer; the caller appends its fields and calls flush.
+func (c *Client) begin(typ byte) wire.Encoder {
 	c.wmu.Lock()
+	return wire.Begin(c.wbuf[:0], typ)
+}
+
+// flush seals the frame begin opened, writes it and releases the lock. A
+// buffer grown by a long statement is not kept.
+func (c *Client) flush(e *wire.Encoder) error {
 	defer c.wmu.Unlock()
-	if err := wire.WriteFrame(c.nc, typ, payload); err != nil {
+	c.wbuf = e.End()
+	_, err := c.nc.Write(c.wbuf)
+	if cap(c.wbuf) > 64<<10 {
+		c.wbuf = nil
+	}
+	if err != nil {
 		c.fail(err)
 		return fmt.Errorf("%w: %v", ErrClosed, err)
 	}
 	return nil
 }
 
-// request sends a frame whose reply is a tagged OK/Error.
-func (c *Client) request(typ byte, payload []byte) error {
-	fields, err := wire.DecodeBag(payload, 1)
-	if err != nil {
-		return err
-	}
-	tag, _ := wire.Int(fields, 0)
-	ack := c.addWaiter(tag)
-	defer c.removeWaiter(tag)
-	if err := c.write(typ, payload); err != nil {
-		return err
-	}
-	res, err := c.await(ack)
-	if err != nil {
-		return err
-	}
-	if res.frame.Type == wire.MsgError {
-		return remoteErr(res.frame)
-	}
-	return nil
-}
-
-func (c *Client) addWaiter(tag int64) chan result {
-	ch := make(chan result, 1)
+// cancel sends a Cancel by tag or, with tag -1, by session id and waits for
+// the tagged OK or Error. A reply that landed before the connection died
+// wins.
+func (c *Client) cancel(tag int64, id string) error {
+	var r reply
 	c.mu.Lock()
-	c.waiters[tag] = ch
+	c.cancels[tag] = &r
 	c.mu.Unlock()
-	return ch
-}
-
-func (c *Client) removeWaiter(tag int64) {
+	e := c.begin(wire.MsgCancel)
+	err := c.flush(e.Int(tag).Str(id))
 	c.mu.Lock()
-	delete(c.waiters, tag)
-	c.mu.Unlock()
-}
-
-// await blocks for a one-shot reply or connection death. A reply that
-// arrived before the connection died wins: select alone would pick between
-// the two at random.
-func (c *Client) await(ch chan result) (result, error) {
-	select {
-	case res := <-ch:
-		return res, res.err
-	case <-c.readerDone:
-		select {
-		case res := <-ch:
-			return res, res.err
-		default:
-			return result{}, fmt.Errorf("%w: %v", ErrClosed, c.Err())
-		}
+	defer c.mu.Unlock()
+	for err == nil && r.typ == 0 && !c.closed {
+		c.cond.Wait()
 	}
-}
-
-func (c *Client) dropSession(tag int64) {
-	c.mu.Lock()
-	delete(c.sessions, tag)
-	delete(c.waiters, tag)
-	c.mu.Unlock()
+	delete(c.cancels, tag)
+	switch {
+	case err != nil:
+		return err
+	case r.typ == 0:
+		return fmt.Errorf("%w: %v", ErrClosed, c.err)
+	}
+	return r.err
 }
 
 // fail records the terminal error once.
@@ -490,9 +475,9 @@ func (c *Client) fail(err error) {
 }
 
 // readLoop dispatches inbound frames until the connection dies, then
-// finalizes every outstanding session and waiter. Row frames are collected
-// into a run — consecutive rows of one session — and handed over by flush
-// (see the package comment for when).
+// finalizes every outstanding session and wakes every Cancel. Row frames
+// are collected into a run — consecutive rows of one session — and handed
+// over by flush (see the package comment for when).
 func (c *Client) readLoop(r *wire.Reader) {
 	var (
 		run  []Row
@@ -515,18 +500,10 @@ func (c *Client) readLoop(r *wire.Reader) {
 		}
 		sessions := c.sessions
 		c.sessions = make(map[int64]*SessionHandle)
-		waiters := c.waiters
-		c.waiters = make(map[int64]chan result)
-		err := c.err
 		c.mu.Unlock()
+		c.cond.Broadcast()
 		for _, h := range sessions {
 			h.end(nil)
-		}
-		for _, ch := range waiters {
-			select {
-			case ch <- result{err: fmt.Errorf("%w: %v", ErrClosed, err)}:
-			default:
-			}
 		}
 		close(c.readerDone)
 	}()
@@ -563,10 +540,10 @@ func (c *Client) readLoop(r *wire.Reader) {
 		runH = nil // which retires it
 		switch f.Type {
 		case wire.MsgDone:
-			c.dispatchDone(f)
+			c.dispatchDone(f.Payload)
 		case wire.MsgPong:
-			if fields, err := wire.DecodeBag(f.Payload, 1); err == nil {
-				nonce, _ := wire.Int(fields, 0)
+			fs := wire.Fields(f.Payload, 1)
+			if nonce := fs.Int(); fs.Err() == nil {
 				select {
 				case c.pongs <- nonce:
 				default:
@@ -575,15 +552,15 @@ func (c *Client) readLoop(r *wire.Reader) {
 		case wire.MsgDraining:
 			c.drainOnce.Do(func() { close(c.Draining) })
 		case wire.MsgSubmitted, wire.MsgOK, wire.MsgError:
-			fields, err := wire.DecodeBag(f.Payload, 1)
-			if err != nil {
-				continue
+			fs := wire.Fields(f.Payload, 1)
+			tag, r := fs.Int(), reply{typ: f.Type}
+			if f.Type != wire.MsgOK {
+				r.text = fs.Str() // the session id, the message
 			}
-			tag, err := wire.Int(fields, 0)
-			if err != nil {
-				continue
+			if r.err = fs.Err(); r.err == nil && f.Type == wire.MsgError {
+				r.err = fmt.Errorf("server: %s", r.text)
 			}
-			c.deliver(tag, result{frame: f})
+			c.deliver(tag, r) // an unreadable tag reads as 0: nobody's
 		}
 	}
 }
@@ -619,53 +596,40 @@ func (c *Client) putRows(rows []Row) {
 	}
 }
 
-// deliver hands a one-shot reply to its waiter (dropped if none: a late
-// reply to an abandoned request). The waiter reads the frame after the
-// reader has moved on, so it gets a copy of the payload, which otherwise
-// lives in the reader's buffer only until the next frame.
-func (c *Client) deliver(tag int64, res result) {
+// deliver hands a one-shot reply to the Cancel waiting for it, or else to the
+// Submit of the tag's session; a late reply to an abandoned request is
+// dropped.
+func (c *Client) deliver(tag int64, r reply) {
 	c.mu.Lock()
-	ch := c.waiters[tag]
+	w, h := c.cancels[tag], c.sessions[tag]
+	if w != nil && w.typ == 0 {
+		*w = r
+		c.cond.Broadcast()
+	}
 	c.mu.Unlock()
-	if ch != nil {
-		res.frame.Payload = bytes.Clone(res.frame.Payload)
-		select {
-		case ch <- res:
-		default:
+	if w == nil && h != nil {
+		h.mu.Lock()
+		if h.ack.typ == 0 {
+			h.ack = r
 		}
+		h.mu.Unlock()
+		h.cond.Broadcast()
 	}
 }
 
 // dispatchDone finalizes a session with its terminal record.
-func (c *Client) dispatchDone(f wire.Frame) {
-	fields, err := wire.DecodeBag(f.Payload, 5)
-	if err != nil {
+func (c *Client) dispatchDone(payload []byte) {
+	fs := wire.Fields(payload, 5)
+	tag := fs.Int()
+	fin := Done{State: fs.Intern(finalStates), Err: fs.Str(), Makespan: time.Duration(fs.Int()), Rows: fs.Int()}
+	if fs.Err() != nil {
 		return
 	}
-	tag, err := wire.Int(fields, 0)
-	if err != nil {
-		return
-	}
-	state, _ := wire.Str(fields, 1)
-	msg, _ := wire.Str(fields, 2)
-	makespan, _ := wire.Int(fields, 3)
-	rows, _ := wire.Int(fields, 4)
 	c.mu.Lock()
 	h := c.sessions[tag]
 	delete(c.sessions, tag)
 	c.mu.Unlock()
-	if h == nil {
-		return
+	if h != nil {
+		h.end(&fin)
 	}
-	h.end(&Done{State: state, Err: msg, Makespan: time.Duration(makespan), Rows: rows})
-}
-
-// remoteErr converts an Error frame into an error.
-func remoteErr(f wire.Frame) error {
-	fields, err := wire.DecodeBag(f.Payload, 2)
-	if err != nil {
-		return err
-	}
-	msg, _ := wire.Str(fields, 1)
-	return fmt.Errorf("server: %s", msg)
 }

@@ -49,7 +49,7 @@ func (p *peer) expectSubmit() int64 {
 	if len(fields) < 3 {
 		return -1
 	}
-	tag, _ := wire.Int(fields, 0)
+	tag, _ := fields[0].(int64)
 	return tag
 }
 
@@ -628,7 +628,8 @@ func TestRowSlicesRecycled(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantValues(t, "first read", recvValues(t, h, 2), 1, 2)
-		c.write(wire.MsgPing, wire.MustBag(int64(0))) // lets the peer go on
+		ping := c.begin(wire.MsgPing) // lets the peer go on
+		c.flush(ping.Int(0))
 		wantValues(t, "second read", recvValues(t, h, 1), 3)
 		if s > 0 && len(free()) != 0 {
 			t.Fatalf("session %d: %d slices still free while it holds two", s, len(free()))
@@ -696,7 +697,7 @@ func TestSubmitLeavesNoWaiter(t *testing.T) {
 		}
 	}
 	c.mu.Lock()
-	waiters, open := len(c.waiters), len(c.sessions)
+	waiters, open := len(c.cancels), len(c.sessions)
 	c.mu.Unlock()
 	if waiters != 0 || open != 0 {
 		t.Errorf("after %d finished sessions the client holds %d waiters and %d sessions, want none", sessions, waiters, open)

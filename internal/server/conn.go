@@ -23,16 +23,7 @@ const (
 )
 
 func (s connState) String() string {
-	switch s {
-	case connHandshake:
-		return "handshake"
-	case connOpen:
-		return "open"
-	case connDraining:
-		return "draining"
-	default:
-		return "closed"
-	}
+	return [...]string{"handshake", "open", "draining", "closed"}[s]
 }
 
 // chunk is one queued unit of outbound bytes: whole frames, back to back,
@@ -178,33 +169,24 @@ func (c *conn) sendChunk(ch *chunk) bool {
 	}
 }
 
-// frameChunk wraps one control frame in a chunk.
-func frameChunk(typ byte, payload []byte) *chunk {
+// control opens a control frame of type typ in a chunk of its own; the
+// caller appends its fields and hands both to send.
+func control(typ byte) (*chunk, wire.Encoder) {
 	ch := getChunk()
-	ch.buf = wire.AppendFrame(ch.buf, typ, payload)
 	ch.frames = 1
-	return ch
+	return ch, wire.Begin(ch.buf, typ)
 }
 
-// send queues one control frame; see sendChunk.
-func (c *conn) send(typ byte, payload []byte) bool {
-	return c.sendChunk(frameChunk(typ, payload))
-}
-
-// trySend queues a frame only if there is room — used for advisory frames
-// (Draining) that must never block the server's control flow.
-func (c *conn) trySend(typ byte, payload []byte) {
-	ch := frameChunk(typ, payload)
-	select {
-	case c.out <- ch:
-	default:
-		putChunk(ch)
-	}
+// send seals a control frame and queues it; see sendChunk.
+func (c *conn) send(ch *chunk, e *wire.Encoder) bool {
+	ch.buf = e.End()
+	return c.sendChunk(ch)
 }
 
 // sendErr queues an Error frame for the given tag (-1: connection-level).
 func (c *conn) sendErr(tag int64, err error) {
-	c.send(wire.MsgError, wire.MustBag(tag, err.Error()))
+	ch, e := control(wire.MsgError)
+	c.send(ch, e.Int(tag).Str(err.Error()))
 }
 
 // writeChunk puts one chunk on the transport with a single Write and, only
@@ -270,10 +252,9 @@ func (c *conn) readLoop() {
 		// client is guaranteed the diagnostic before the deferred close
 		// tears the transport down.
 		c.nc.SetWriteDeadline(time.Now().Add(time.Second))
-		if wire.WriteFrame(c.nc, wire.MsgError, wire.MustBag(int64(-1), err.Error())) == nil {
-			c.nFramesOut.Add(1)
-			c.srv.mFramesOut.Inc()
-		}
+		ch, e := control(wire.MsgError)
+		ch.buf = e.Int(-1).Str(err.Error()).End()
+		c.writeChunk(ch)
 		return
 	}
 	c.state.Store(int32(connOpen))
@@ -296,9 +277,10 @@ func (c *conn) readLoop() {
 		case wire.MsgCancel:
 			c.handleCancel(f.Payload)
 		case wire.MsgPing:
-			if fields, err := wire.DecodeBag(f.Payload, 1); err == nil {
-				nonce, _ := wire.Int(fields, 0)
-				c.send(wire.MsgPong, wire.MustBag(nonce))
+			fs := wire.Fields(f.Payload, 1)
+			if nonce := fs.Int(); fs.Err() == nil {
+				ch, e := control(wire.MsgPong)
+				c.send(ch, e.Int(nonce))
 			}
 		case wire.MsgGoodbye:
 			return
@@ -322,27 +304,21 @@ func (c *conn) handshake(r *wire.Reader) error {
 	if f.Type != wire.MsgHello {
 		return wire.ErrNotHello
 	}
-	fields, err := wire.DecodeBag(f.Payload, 2)
-	if err != nil {
-		return err
-	}
-	version, err := wire.Int(fields, 0)
-	if err != nil {
+	fs := wire.Fields(f.Payload, 2)
+	version, token := fs.Int(), fs.Str()
+	if err := fs.Err(); err != nil {
 		return err
 	}
 	if version != wire.ProtoVersion {
 		return fmt.Errorf("%w: client %d, server %d", wire.ErrVersionMismatch, version, wire.ProtoVersion)
-	}
-	token, err := wire.Str(fields, 1)
-	if err != nil {
-		return err
 	}
 	if c.srv.cfg.Auth != nil {
 		if err := c.srv.cfg.Auth(token); err != nil {
 			return fmt.Errorf("%w: %v", ErrAuthFailed, err)
 		}
 	}
-	c.send(wire.MsgAccepted, wire.MustBag(int64(wire.ProtoVersion), c.srv.cfg.Name, fmt.Sprintf("c%d", c.id)))
+	ch, e := control(wire.MsgAccepted)
+	c.send(ch, e.Int(wire.ProtoVersion).Str(c.srv.cfg.Name).Str(fmt.Sprintf("c%d", c.id)))
 	return nil
 }
 
@@ -350,16 +326,10 @@ func (c *conn) handshake(r *wire.Reader) error {
 // its result pump. Returns false only on malformed payloads (framing is
 // intact but the peer is confused; drop the connection).
 func (c *conn) handleSubmit(payload []byte) bool {
-	fields, err := wire.DecodeBag(payload, 3)
-	if err != nil {
+	fs := wire.Fields(payload, 3)
+	tag, stmt, prio := fs.Int(), fs.Str(), fs.Int()
+	if err := fs.Err(); err != nil {
 		c.sendErr(-1, err)
-		return false
-	}
-	tag, err1 := wire.Int(fields, 0)
-	stmt, err2 := wire.Str(fields, 1)
-	prio, err3 := wire.Int(fields, 2)
-	if err1 != nil || err2 != nil || err3 != nil {
-		c.sendErr(-1, wire.ErrBadPayload)
 		return false
 	}
 	if c.srv.isDraining() && !c.srv.catalogRead(stmt) {
@@ -396,7 +366,8 @@ func (c *conn) handleSubmit(payload []byte) bool {
 	c.sessions[tag] = cs
 	c.pumps.Add(1)
 	c.mu.Unlock()
-	c.send(wire.MsgSubmitted, wire.MustBag(tag, sess.ID()))
+	ch, e := control(wire.MsgSubmitted)
+	c.send(ch, e.Int(tag).Str(sess.ID()))
 
 	c.srv.wg.Add(1)
 	go func() {
@@ -424,17 +395,17 @@ func (c *conn) pump(cs *connSession, submitted time.Time) {
 	for {
 		batch, ok, err := cs.sess.NextBatch()
 		if !ok {
-			state := cs.sess.State().String()
 			msg := ""
 			if err != nil {
 				msg = err.Error()
 			}
+			ch, e := control(wire.MsgDone)
+			e.Int(cs.tag).Str(cs.sess.State().String()).Str(msg).Int(cs.sess.Makespan().Nanoseconds()).Int(rows)
 			// The tag is free before the client can know the session is over
 			// (it may reuse it the moment it reads the Done frame); the
 			// session counts as live until the frame is queued.
 			cs.done.Store(true)
-			c.send(wire.MsgDone, wire.MustBag(cs.tag, state, msg,
-				cs.sess.Makespan().Nanoseconds(), rows))
+			c.send(ch, &e)
 			// Evict: this handle is the last the server holds, so the
 			// finished session's result log goes with it.
 			c.mu.Lock()
@@ -457,7 +428,8 @@ func (c *conn) pump(cs *connSession, submitted time.Time) {
 				// Only a value past the format's u32 length fields gets
 				// here; reported in-band, in stream order, rather than
 				// panicking the server.
-				ch.buf = wire.AppendFrame(ch.buf, wire.MsgError, wire.MustBag(cs.tag, encErr.Error()))
+				e := wire.Begin(ch.buf, wire.MsgError)
+				ch.buf = e.Int(cs.tag).Str(encErr.Error()).End()
 				ch.frames++
 				continue
 			}
@@ -481,58 +453,54 @@ func (c *conn) pump(cs *connSession, submitted time.Time) {
 // may cancel only what it submitted, never another connection's queries
 // (the engine-wide cancel stays an in-process shell affordance).
 func (c *conn) handleCancel(payload []byte) {
-	fields, err := wire.DecodeBag(payload, 2)
-	if err != nil {
+	fs := wire.Fields(payload, 2)
+	tag, id := fs.Int(), fs.Str()
+	if err := fs.Err(); err != nil {
 		c.sendErr(-1, err)
-		return
-	}
-	tag, err1 := wire.Int(fields, 0)
-	id, err2 := wire.Str(fields, 1)
-	if err1 != nil || err2 != nil {
-		c.sendErr(-1, wire.ErrBadPayload)
-		return
-	}
-	if tag >= 0 {
-		c.mu.Lock()
-		cs := c.sessions[tag]
-		c.mu.Unlock()
-		if cs == nil {
-			c.sendErr(tag, fmt.Errorf("server: no session with tag %d", tag))
-			return
-		}
-		if err := cs.sess.Cancel(); err != nil {
-			c.sendErr(tag, err)
-			return
-		}
-		c.send(wire.MsgOK, wire.MustBag(tag))
 		return
 	}
 	var target *connSession
 	c.mu.Lock()
-	for _, cs := range c.sessions {
-		// A finished catalog read hands its id back, so until its Done frame
-		// evicts it, it may share the id with a later session: prefer the
-		// one still running.
-		if cs.sess.ID() == id && (target == nil || !cs.sess.State().Final()) {
-			target = cs
+	if tag >= 0 {
+		target = c.sessions[tag]
+	} else {
+		for _, cs := range c.sessions {
+			// A finished catalog read hands its id back, so until its Done
+			// frame evicts it, it may share the id with a later session:
+			// prefer the one still running.
+			if cs.sess.ID() == id && (target == nil || !cs.sess.State().Final()) {
+				target = cs
+			}
 		}
 	}
 	c.mu.Unlock()
-	if target == nil {
-		c.sendErr(tag, fmt.Errorf("server: no session %q on this connection", id))
-		return
+	var err error
+	switch {
+	case target == nil && tag >= 0:
+		err = fmt.Errorf("server: no session with tag %d", tag)
+	case target == nil:
+		err = fmt.Errorf("server: no session %q on this connection", id)
+	default:
+		err = target.sess.Cancel()
 	}
-	if err := target.sess.Cancel(); err != nil {
+	if err != nil {
 		c.sendErr(tag, err)
 		return
 	}
-	c.send(wire.MsgOK, wire.MustBag(tag))
+	ch, e := control(wire.MsgOK)
+	c.send(ch, e.Int(tag))
 }
 
 // announceDrain tells the client the server is draining (best-effort).
 func (c *conn) announceDrain(grace time.Duration) {
 	c.state.Store(int32(connDraining))
-	c.trySend(wire.MsgDraining, wire.MustBag(grace.Nanoseconds()))
+	ch, e := control(wire.MsgDraining)
+	ch.buf = e.Int(grace.Nanoseconds()).End()
+	select { // never blocks the server's control flow
+	case c.out <- ch:
+	default:
+		putChunk(ch)
+	}
 }
 
 // cancelSessions cancels every session of this connection that has not

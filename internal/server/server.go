@@ -110,7 +110,7 @@ type Server struct {
 
 // New returns a server over eng, registers its counters in the engine's
 // metrics registry and its sys_conns table in the system catalog. The
-// server does not listen until Listen (or Serve) is called.
+// server does not listen until Listen is called.
 func New(eng *scsq.Engine, cfg Config) *Server {
 	if cfg.Addr == "" {
 		cfg.Addr = "127.0.0.1:0"
@@ -171,16 +171,6 @@ func (s *Server) Listen() (net.Addr, error) {
 		s.acceptLoop(ln)
 	}()
 	return ln.Addr(), nil
-}
-
-// Addr returns the bound listen address, nil before Listen.
-func (s *Server) Addr() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return nil
-	}
-	return s.ln.Addr()
 }
 
 // acceptLoop accepts until the listener closes, shedding connections over

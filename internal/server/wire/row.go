@@ -1,45 +1,33 @@
 package wire
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"scsq/internal/catalog"
 	"scsq/internal/marshal"
 )
 
-// Result rows are nearly all of a serving connection's traffic, so MsgRow
-// has a codec of its own that builds no intermediate values: AppendRow
-// writes the bytes AppendFrame(MsgRow, EncodeBag(tag, at, src, WireValue(v)))
-// would, RowDecoder.DecodeRow reads them as DecodeBag would. Every other
-// message is a control frame and keeps the generic bag path.
+// Result rows are nearly all of a serving connection's traffic. They take
+// the typed codec every message takes, Encoder and Cursor, plus the value:
+// AppendRow writes the bytes AppendFrame(MsgRow, EncodeBag(tag, at, src,
+// WireValue(v))) would, RowDecoder.DecodeRow reads them as DecodeBag would,
+// and neither builds an intermediate value.
 
 // AppendRow encodes one MsgRow frame — length prefix, type byte and the
 // positional bag [tag, at_ns, source, value] — onto buf and returns the
 // extended slice. value is an engine result value, lowered as WireValue
 // lowers it, in place. On error (a value the u32 length fields cannot
-// carry) buf is returned at its old length.
+// carry) buf is returned at its old length; src is a process name, and one
+// that long panics, as Encoder.Str does.
 func AppendRow(buf []byte, tag, atNs int64, src string, value any) ([]byte, error) {
-	frame, err := appendRow(buf, tag, atNs, src, value)
-	if err != nil {
+	e := Begin(buf, MsgRow)
+	e.Int(tag).Int(atNs).Str(src)
+	var err error
+	if e.buf, err = appendValue(e.buf, value); err != nil {
 		return buf, err
 	}
-	binary.LittleEndian.PutUint32(frame[len(buf):], uint32(len(frame)-len(buf)-4))
-	return frame, nil
-}
-
-func appendRow(buf []byte, tag, atNs int64, src string, value any) ([]byte, error) {
-	buf = append(buf, 0, 0, 0, 0, MsgRow) // length patched by AppendRow
-	buf, err := marshal.AppendBagHeader(buf, 4)
-	if err != nil {
-		return nil, err
-	}
-	buf = marshal.AppendInt(buf, tag)
-	buf = marshal.AppendInt(buf, atNs)
-	if buf, err = marshal.AppendString(buf, src); err != nil {
-		return nil, err
-	}
-	return appendValue(buf, value)
+	e.n++
+	return e.End(), nil
 }
 
 // appendValue is marshal.Append(buf, WireValue(v)) without the lowered copy.
@@ -90,44 +78,24 @@ type RowDecoder struct {
 // is not an integer. An at_ns or source of another type reads as zero, as a
 // field a newer peer redefined would.
 func (d *RowDecoder) DecodeRow(payload []byte) (Row, error) {
-	n, off, ok := marshal.BagHeader(payload)
-	if !ok {
-		return Row{}, fmt.Errorf("%w: payload is not a bag", ErrBadPayload)
-	}
-	var row Row
-	for i := 0; i < n; i++ {
-		field := payload[off:]
-		var used int
-		var err error
-		if i == 3 {
-			row.Value, used, err = d.boxes.Decode(field)
-		} else {
-			used, err = marshal.Skip(field)
-		}
+	c := Fields(payload, 4)
+	row := Row{Tag: c.Int()}
+	row.AtNs, _ = marshal.AsInt(c.next(0))
+	src := c.next(0)
+	if c.i < c.n { // the value, checked and materialized in one pass
+		v, used, err := d.boxes.Decode(c.p[c.off:])
 		if err != nil {
 			return Row{}, fmt.Errorf("%w: %v", ErrBadPayload, err)
 		}
-		switch i {
-		case 0:
-			if row.Tag, ok = marshal.AsInt(field); !ok {
-				return Row{}, fmt.Errorf("%w: tag field is not an int", ErrBadPayload)
-			}
-		case 1:
-			row.AtNs, _ = marshal.AsInt(field)
-		case 2:
-			// Comparing the bytes as a string allocates nothing.
-			if field[0] != marshal.TagString || string(field[5:used]) != d.source {
-				d.source, _ = marshal.AsString(field)
-			}
-			row.Source = d.source
-		}
-		off += used
+		row.Value, c.off, c.i = v, c.off+used, c.i+1
 	}
-	if off != len(payload) {
-		return Row{}, fmt.Errorf("%w: %d trailing bytes after message", ErrBadPayload, len(payload)-off)
+	if err := c.Err(); err != nil {
+		return Row{}, err
 	}
-	if n < 4 {
-		return Row{}, fmt.Errorf("%w: %d fields, want at least 4", ErrBadPayload, n)
+	// Comparing the bytes as a string allocates nothing.
+	if src[0] != marshal.TagString || string(src[5:]) != d.source {
+		d.source, _ = marshal.AsString(src)
 	}
+	row.Source = d.source
 	return row, nil
 }

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -24,18 +25,18 @@ func refRow(tag, atNs int64, src string, v any) ([]byte, error) {
 }
 
 // refDecodeRow is what the client's row dispatch did before RowDecoder: the
-// generic bag decode plus its field accessors.
+// generic bag decode plus a type check of the tag.
 func refDecodeRow(p []byte) (Row, error) {
 	fields, err := DecodeBag(p, 4)
 	if err != nil {
 		return Row{}, err
 	}
-	tag, err := Int(fields, 0)
-	if err != nil {
-		return Row{}, err
+	tag, ok := fields[0].(int64)
+	if !ok {
+		return Row{}, fmt.Errorf("%w: tag is %T", ErrBadPayload, fields[0])
 	}
-	atNs, _ := Int(fields, 1)
-	src, _ := Str(fields, 2)
+	atNs, _ := fields[1].(int64)
+	src, _ := fields[2].(string)
 	return Row{Tag: tag, AtNs: atNs, Source: src, Value: fields[3]}, nil
 }
 

@@ -14,18 +14,12 @@ import (
 // whole result frame: the wire is a reporting surface, not a type system.
 func WireValue(v any) any {
 	switch x := v.(type) {
-	case nil, bool, int64, float64, string:
+	case nil, bool, int64, float64, string, []float64:
 		return x
 	case int:
 		return int64(x)
-	case []float64:
-		return x
 	case catalog.Tuple:
-		out := make([]any, len(x.Vals))
-		for i, f := range x.Vals {
-			out[i] = WireValue(f)
-		}
-		return out
+		return WireValue(x.Vals)
 	case []any:
 		out := make([]any, len(x))
 		for i, e := range x {

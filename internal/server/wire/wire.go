@@ -11,8 +11,10 @@
 // (internal/marshal): the protocol reuses the codec the simulation ships
 // stream objects with, so result values cross the network in the same
 // encoding they had inside the simulated BG/L torus. Message payloads are
-// marshal bags ([]any) whose fields are positional; unknown trailing fields
-// are ignored, which is how the protocol grows without a version bump.
+// marshal bags whose fields are positional, written by an Encoder and read
+// by a Cursor in place, with no []any between; unknown trailing fields are
+// ignored, which is how the protocol grows without a version bump. The bag
+// codec (EncodeBag, DecodeBag) is the reference the typed one is tested by.
 //
 // The conversation starts with a handshake — client sends Hello carrying
 // the protocol version (and an optional auth token), server answers Accepted
@@ -27,6 +29,7 @@ package wire
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -108,6 +111,7 @@ var (
 	// ErrNotHello reports a first frame that is not MsgHello — garbage, or
 	// a peer speaking some other protocol.
 	ErrNotHello = errors.New("wire: connection must open with Hello")
+	errNotBag   = fmt.Errorf("%w: payload is not a bag", ErrBadPayload)
 )
 
 // Frame is one decoded protocol frame. A frame returned by Reader.Next
@@ -121,11 +125,8 @@ type Frame struct {
 // AppendFrame encodes one frame onto buf and returns the extended slice.
 // payload is the already-marshaled message body.
 func AppendFrame(buf []byte, typ byte, payload []byte) []byte {
-	var hdr [5]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(1+len(payload)))
-	hdr[4] = typ
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(1+len(payload)))
+	return append(append(buf, typ), payload...)
 }
 
 // WriteFrame writes one frame to w.
@@ -152,9 +153,7 @@ type Reader struct {
 // NewReader returns a frame reader over r. maxFrame bounds the length
 // field; 0 means DefaultMaxFrame.
 func NewReader(r io.Reader, maxFrame int) *Reader {
-	if maxFrame <= 0 {
-		maxFrame = DefaultMaxFrame
-	}
+	maxFrame = cmp.Or(max(maxFrame, 0), DefaultMaxFrame)
 	return &Reader{br: bufio.NewReader(r), max: uint32(maxFrame)}
 }
 
@@ -241,20 +240,124 @@ func DecodeBag(payload []byte, want int) ([]any, error) {
 	return fields, nil
 }
 
-// Int extracts field i of a decoded bag as an int64.
-func Int(fields []any, i int) (int64, error) {
-	x, ok := fields[i].(int64)
-	if !ok {
-		return 0, fmt.Errorf("%w: field %d is %T, want int", ErrBadPayload, i, fields[i])
-	}
-	return x, nil
+// Encoder writes one frame straight into the caller's buffer, the bytes
+// AppendFrame(typ, MustBag(fields...)) would: Begin opens the frame, Int and
+// Str append its fields in order (each returns the Encoder, so they chain),
+// End seals it.
+type Encoder struct {
+	buf []byte
+	at  int    // where the frame starts in buf
+	n   uint32 // fields appended
 }
 
-// Str extracts field i of a decoded bag as a string.
-func Str(fields []any, i int) (string, error) {
-	s, ok := fields[i].(string)
-	if !ok {
-		return "", fmt.Errorf("%w: field %d is %T, want string", ErrBadPayload, i, fields[i])
+// Begin opens a frame of type typ on buf: length, type byte and bag header,
+// whose length and count End fills in.
+func Begin(buf []byte, typ byte) Encoder {
+	return Encoder{buf: append(buf, 0, 0, 0, 0, typ, marshal.TagBag, 0, 0, 0, 0), at: len(buf)}
+}
+
+// Int appends an integer field.
+func (e *Encoder) Int(x int64) *Encoder {
+	e.buf, e.n = marshal.AppendInt(e.buf, x), e.n+1
+	return e
+}
+
+// Str appends a string field. Like MustBag it panics on the programming
+// error of a string too long for the format's u32 length field.
+func (e *Encoder) Str(s string) *Encoder {
+	buf, err := marshal.AppendString(e.buf, s)
+	if err != nil {
+		panic(fmt.Sprintf("wire: unencodable message field: %v", err))
 	}
-	return s, nil
+	e.buf, e.n = buf, e.n+1
+	return e
+}
+
+// End seals the frame and returns the extended buffer.
+func (e *Encoder) End() []byte {
+	binary.LittleEndian.PutUint32(e.buf[e.at:], uint32(len(e.buf)-e.at-4))
+	binary.LittleEndian.PutUint32(e.buf[e.at+6:], e.n)
+	return e.buf
+}
+
+// Cursor reads the fields of one message payload in order and in place:
+// Fields opens it, Int and Str read its fields, Err ends the reading with
+// the verdict DecodeBag(payload, want) and a type check of every field read
+// would give. A field of another type, or one past the last, reads as zero;
+// the first failure sticks.
+type Cursor struct {
+	p          []byte
+	off        int // the next field
+	i, n, want int // fields read, fields in the bag, fields required
+	err        error
+}
+
+// Fields opens a cursor on the first field of payload.
+func Fields(payload []byte, want int) Cursor {
+	n, off, ok := marshal.BagHeader(payload)
+	if !ok {
+		return Cursor{err: errNotBag}
+	}
+	return Cursor{p: payload, off: off, n: n, want: want}
+}
+
+// Err steps over the fields not read and reports the first failure: a
+// field read as the wrong type, a malformed field, bytes after the bag, or
+// fewer than want fields.
+func (c *Cursor) Err() error {
+	for c.i < c.n {
+		c.next(0)
+	}
+	if c.off != len(c.p) {
+		c.err = cmp.Or(c.err, fmt.Errorf("%w: %d trailing bytes after message", ErrBadPayload, len(c.p)-c.off))
+	}
+	if c.n < c.want {
+		c.err = cmp.Or(c.err, fmt.Errorf("%w: %d fields, want at least %d", ErrBadPayload, c.n, c.want))
+	}
+	return c.err
+}
+
+// next steps over the next field and returns its encoding, or nil — and
+// fails — past the last field, at a malformed one or at one not of type tag
+// (0: any).
+func (c *Cursor) next(tag byte) []byte {
+	if c.i == c.n {
+		c.err = cmp.Or(c.err, fmt.Errorf("%w: %d fields, read past the last", ErrBadPayload, c.n))
+		return nil
+	}
+	used, err := marshal.Skip(c.p[c.off:])
+	if err != nil {
+		c.n, c.off = c.i, len(c.p) // nothing past it can be read
+		c.err = cmp.Or(c.err, fmt.Errorf("%w: %v", ErrBadPayload, err))
+		return nil
+	}
+	f := c.p[c.off : c.off+used]
+	c.off, c.i = c.off+used, c.i+1
+	if tag != 0 && f[0] != tag {
+		c.err = cmp.Or(c.err, fmt.Errorf("%w: field %d has tag %d, want %d", ErrBadPayload, c.i-1, f[0], tag))
+		return nil
+	}
+	return f
+}
+
+// Int reads the next field as an integer.
+func (c *Cursor) Int() int64 {
+	x, _ := marshal.AsInt(c.next(marshal.TagInt))
+	return x
+}
+
+// Str reads the next field as a string, a copy of its bytes.
+func (c *Cursor) Str() string { return c.Intern(nil) }
+
+// Intern is Str for a field that is usually one of known: a field equal to
+// one reads as that string, copying nothing.
+func (c *Cursor) Intern(known []string) string {
+	f := c.next(marshal.TagString)
+	for _, s := range known {
+		if f != nil && string(f[5:]) == s {
+			return s
+		}
+	}
+	s, _ := marshal.AsString(f)
+	return s
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"strings"
 	"testing"
 
 	"scsq/internal/catalog"
@@ -24,15 +25,9 @@ func TestFrameRoundTrip(t *testing.T) {
 	if f.Type != MsgSubmit || !bytes.Equal(f.Payload, payload) {
 		t.Fatalf("frame = %#v, want type %#x payload %x", f, MsgSubmit, payload)
 	}
-	fields, err := DecodeBag(f.Payload, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tag, _ := Int(fields, 0); tag != 7 {
-		t.Fatalf("tag = %d, want 7", tag)
-	}
-	if stmt, _ := Str(fields, 1); stmt != "select 1;" {
-		t.Fatalf("stmt = %q", stmt)
+	fs := Fields(f.Payload, 3)
+	if tag, stmt := fs.Int(), fs.Str(); tag != 7 || stmt != "select 1;" || fs.Err() != nil {
+		t.Fatalf("tag = %d, stmt = %q, err %v; want 7, \"select 1;\"", tag, stmt, fs.Err())
 	}
 	if _, err := r.Next(); err != io.EOF {
 		t.Fatalf("after last frame err = %v, want io.EOF", err)
@@ -52,12 +47,9 @@ func TestFramePipelined(t *testing.T) {
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		fields, err := DecodeBag(f.Payload, 1)
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		if n, _ := Int(fields, 0); n != int64(i) {
-			t.Fatalf("frame %d carries nonce %d", i, n)
+		fs := Fields(f.Payload, 1)
+		if n := fs.Int(); n != int64(i) || fs.Err() != nil {
+			t.Fatalf("frame %d carries nonce %d, err %v", i, n, fs.Err())
 		}
 	}
 }
@@ -202,16 +194,41 @@ func TestDecodeBagRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestFieldAccessors: a Cursor reads fields in order; a field of another
+// type, or one past the last, reads as zero and fails the Cursor, whose
+// first failure sticks. Err steps over what was not read and checks it.
 func TestFieldAccessors(t *testing.T) {
-	fields, err := DecodeBag(MustBag(int64(42), "hi"), 2)
-	if err != nil {
-		t.Fatal(err)
+	p := MustBag(int64(42), "hi")
+	fs := Fields(p, 2)
+	if n, s := fs.Int(), fs.Str(); n != 42 || s != "hi" || fs.Err() != nil {
+		t.Fatalf("read %d, %q, %v", n, s, fs.Err())
 	}
-	if _, err := Int(fields, 1); err == nil {
-		t.Fatal("Int on a string field did not error")
+	if n := fs.Int(); n != 0 || !errors.Is(fs.Err(), ErrBadPayload) {
+		t.Fatalf("a read past the last field: %d, %v", n, fs.Err())
 	}
-	if _, err := Str(fields, 0); err == nil {
-		t.Fatal("Str on an int field did not error")
+	fs = Fields(p, 2)
+	if s, hi := fs.Str(), fs.Str(); s != "" || hi != "hi" || !errors.Is(fs.Err(), ErrBadPayload) {
+		t.Fatalf("Str on an int field, then on a string: %q, %q, %v", s, hi, fs.Err())
+	}
+	if first := fs.Err(); !strings.Contains(first.Error(), "field 0") || fs.Err() != first {
+		t.Fatalf("the first failure did not stick: %v", first)
+	}
+	fs = Fields(p, 2)
+	if n, zero := fs.Int(), fs.Int(); n != 42 || zero != 0 || !errors.Is(fs.Err(), ErrBadPayload) {
+		t.Fatalf("Int on a string field: %v", fs.Err())
+	}
+	malformed := MustBag(int64(42), "hi", int64(1))
+	malformed[len(malformed)-9] = 0xff // the third field's tag
+	for name, p := range map[string][]byte{
+		"short":     MustBag(int64(42), "hi"),
+		"malformed": malformed,
+		"trailing":  append(MustBag(int64(42), "hi", 2.5), 0),
+		"not a bag": MustBag(int64(42))[5:],
+	} {
+		fs := Fields(p, 3)
+		if n := fs.Int(); n != 42 && name != "not a bag" || !errors.Is(fs.Err(), ErrBadPayload) {
+			t.Fatalf("%s payload: read %d, err %v", name, n, fs.Err())
+		}
 	}
 }
 
