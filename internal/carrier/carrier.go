@@ -70,9 +70,8 @@ type Frame struct {
 	// pool.go). Whoever consumes the frame's bytes last must hand the
 	// payload back via Recycle; a frame whose payload outlives the consumer
 	// must be sent with Pooled false — the sender driver sends a window of an
-	// immutable gen_array template so. Nobody writes a payload but a Link
-	// injecting corruption, and it first moves an unpooled one into a pooled
-	// copy.
+	// immutable gen_array template so. Nobody writes a payload once it is
+	// sent.
 	Pooled bool
 	// Down marks a failure-propagation frame: the producer (or the engine,
 	// speaking for a dead node) declares the stream failed.
@@ -82,10 +81,6 @@ type Frame struct {
 	// frame does not need sits behind Note: a frame fills every inbox slot
 	// and every staged batch entry.)
 	Down bool
-	// Offset is the cumulative count of payload bytes the sender shipped on
-	// this stream before this frame. A receiver tracking offsets
-	// (rp.ReceiverConfig.TrackOffsets) discards bytes it already ingested.
-	Offset uint64
 	// Seq keys the frame's requests: the sender driver draws it from its
 	// producer's request counter (sqep.Ctx.Seq), so it repeats on none of
 	// the producer's links and meets none of its CPU requests. Stage i of

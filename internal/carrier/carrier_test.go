@@ -34,10 +34,10 @@ func TestFrameZeroValue(t *testing.T) {
 // healthy, untraced frame does not need stays behind Frame.Note. The bounds
 // are bytes on a 64-bit host; a 32-bit one reads less.
 func TestDeliveredStaysSmall(t *testing.T) {
-	if n := unsafe.Sizeof(Frame{}); n > 80 {
-		t.Errorf("a frame takes %d bytes, want at most 80", n)
+	if n := unsafe.Sizeof(Frame{}); n > 72 {
+		t.Errorf("a frame takes %d bytes, want at most 72", n)
 	}
-	if n := unsafe.Sizeof(Delivered{}); n > 96 {
-		t.Errorf("a delivery takes %d bytes, want at most 96", n)
+	if n := unsafe.Sizeof(Delivered{}); n > 88 {
+		t.Errorf("a delivery takes %d bytes, want at most 88", n)
 	}
 }

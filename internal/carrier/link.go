@@ -37,8 +37,8 @@ type Route struct {
 	ViaTCP bool
 }
 
-// Verdict is the fault decision about one frame send. The zero value with
-// CorruptByte -1 is "no fault".
+// Verdict is the fault decision about one frame send. The zero value is
+// "no fault".
 type Verdict struct {
 	// Err, if non-nil, fails the send without delivering the frame. It
 	// wraps carrier.ErrNodeDown.
@@ -48,15 +48,12 @@ type Verdict struct {
 	Drop bool
 	// Delay is extra delivery latency added to the frame's arrival time.
 	Delay vtime.Duration
-	// CorruptByte, if >= 0, is the payload index whose byte the link must
-	// flip before delivery.
-	CorruptByte int
 }
 
 // Faults decides the fate of every frame a link sends. chaos.Injector is the
 // implementation; the interface exists because chaos imports this package.
 type Faults interface {
-	OnSend(src, dst NodeRef, seq uint64, ready vtime.Time, payloadLen int, last bool) Verdict
+	OnSend(src, dst NodeRef, seq uint64, ready vtime.Time, last bool) Verdict
 }
 
 // linkFamily keys a connection's counters by its label, kindFamily a
@@ -217,23 +214,13 @@ func (l *Link) Send(fr Frame) (vtime.Time, error) {
 		return 0, l.aborted()
 	}
 	s := len(fr.Payload)
-	v := Verdict{CorruptByte: -1}
+	var v Verdict
 	if l.faults != nil {
-		v = l.faults.OnSend(l.route.Src, l.route.Dst, seq, fr.Ready, s, fr.Last)
+		v = l.faults.OnSend(l.route.Src, l.route.Dst, seq, fr.Ready, fr.Last)
 	}
 	if v.Err != nil {
 		Recycle(&fr)
 		return 0, v.Err
-	}
-	if v.CorruptByte >= 0 {
-		// The one write to a payload: an unpooled one may be borrowed from
-		// storage other frames still read, so the flip lands on a pooled copy.
-		if !fr.Pooled {
-			b := GetBuf(s)
-			copy(b, fr.Payload)
-			fr.Payload, fr.Pooled = b, true
-		}
-		fr.Payload[v.CorruptByte] ^= 0xff
 	}
 	lost := v.Drop || (l.Lose != nil && !fr.Last && l.Lose(seq))
 

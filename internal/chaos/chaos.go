@@ -1,7 +1,7 @@
 // Package chaos provides seeded, deterministic fault injection for the SCSQ
 // engine. The paper's coordinators own node placement on a 768-node
-// BlueGene partition (§2.2); at that scale lost, corrupted and late frames
-// and whole-node crashes are the steady state, not the exception. An
+// BlueGene partition (§2.2); at that scale lost and late frames and
+// whole-node crashes are the steady state, not the exception. An
 // Injector is consulted by the carriers (mpicar, and tcpcar with its UDP
 // variant) on every dial and every frame send, and decides — purely from
 // the seed and the (source, destination, sequence) coordinates of the
@@ -9,13 +9,12 @@
 // fault schedule run after run, which is what makes chaos tests assertable:
 // a killed node is killed at the same frame of the same stream every time.
 //
-// Faults come in two families. Rate faults (frame drops, corruption, added
-// latency) fire per-event from a hash of the seed and the event
-// coordinates. Crash schedules (CrashAfterSends, CrashAtVTime) kill a whole
-// compute node at a deterministic point of its own traffic; a dead node
-// refuses dials, fails every send touching it, and is reported to crash
-// listeners so the engine can mark it dead in the compute node database and
-// kill its resident RPs. Nothing revives a node: the sessions on it fail.
+// Faults come in two families. Rate faults (frame drops, added latency)
+// fire per-event from a hash of the seed and the event coordinates. Crash
+// schedules (CrashAfterSends, CrashAtVTime) kill a whole compute node at a
+// deterministic point of its own traffic; a dead node refuses dials, fails
+// every send touching it, and is reported to crash listeners so the engine
+// can mark it dead in the compute node database and kill its resident RPs. Nothing revives a node: the sessions on it fail.
 package chaos
 
 import (
@@ -43,10 +42,9 @@ var _ carrier.Faults = (*Injector)(nil)
 type Injector struct {
 	seed int64
 
-	dropRate    float64
-	corruptRate float64
-	delayRate   float64
-	maxDelay    vtime.Duration
+	dropRate  float64
+	delayRate float64
+	maxDelay  vtime.Duration
 
 	mu              sync.Mutex
 	dead            map[NodeRef]bool
@@ -62,7 +60,6 @@ type Injector struct {
 	cSendDead *metrics.Counter
 	cCrash    *metrics.Counter
 	cDrop     *metrics.Counter
-	cCorrupt  *metrics.Counter
 	cDelay    *metrics.Counter
 }
 
@@ -127,7 +124,6 @@ func (i *Injector) SetMetrics(reg *metrics.Registry) {
 	i.cSendDead = reg.Counter("chaos.send_dead")
 	i.cCrash = reg.Counter("chaos.crash")
 	i.cDrop = reg.Counter("chaos.drop")
-	i.cCorrupt = reg.Counter("chaos.corrupt")
 	i.cDelay = reg.Counter("chaos.delay")
 }
 
@@ -190,14 +186,13 @@ func (i *Injector) Dial(src, dst NodeRef) error {
 	return nil
 }
 
-// Hash salts keep the per-fault decision streams independent.
+// Hash salts keep the per-fault decision streams independent. A retired
+// fault's salt is not reused, so the others keep their streams: 1 was the
+// dial rate's, 2 the reset's, 4 and 7 byte corruption's.
 const (
-	_ = iota + 2 // the retired dial-rate and reset salts: the others keep their streams
-	saltDrop
-	saltCorrupt
-	saltDelay
-	saltDelayLen
-	saltCorruptIdx
+	saltDrop     = 3
+	saltDelay    = 5
+	saltDelayLen = 6
 )
 
 // OnSend decides the fate of frame seq from src to dst, ready at the given
@@ -206,8 +201,8 @@ const (
 // faults — the engine's termination protocol runs over the reliable control
 // channel the paper's RPs maintain — but not from dead nodes: a crashed
 // node sends nothing.
-func (i *Injector) OnSend(src, dst NodeRef, seq uint64, ready vtime.Time, payloadLen int, last bool) Verdict {
-	v := Verdict{CorruptByte: -1}
+func (i *Injector) OnSend(src, dst NodeRef, seq uint64, ready vtime.Time, last bool) Verdict {
+	var v Verdict
 	if i == nil {
 		return v
 	}
@@ -228,7 +223,7 @@ func (i *Injector) OnSend(src, dst NodeRef, seq uint64, ready vtime.Time, payloa
 	i.cCrash.Add(int64(len(crashed)))
 	deadSrc, deadDst := i.dead[src], i.dead[dst]
 	listeners := i.snapshotListenersLocked()
-	cSendDead, cDrop, cCorrupt, cDelay := i.cSendDead, i.cDrop, i.cCorrupt, i.cDelay
+	cSendDead, cDrop, cDelay := i.cSendDead, i.cDrop, i.cDelay
 	i.mu.Unlock()
 
 	for _, ref := range crashed {
@@ -254,10 +249,6 @@ func (i *Injector) OnSend(src, dst NodeRef, seq uint64, ready vtime.Time, payloa
 		cDrop.Inc()
 		v.Drop = true
 		return v
-	}
-	if i.corruptRate > 0 && payloadLen > 0 && i.chance(saltCorrupt, key, seq) < i.corruptRate {
-		cCorrupt.Inc()
-		v.CorruptByte = int(i.hash(saltCorruptIdx, key, seq) % uint64(payloadLen))
 	}
 	if i.delayRate > 0 && i.maxDelay > 0 && i.chance(saltDelay, key, seq) < i.delayRate {
 		cDelay.Inc()

@@ -17,8 +17,8 @@ func TestNilInjectorInjectsNothing(t *testing.T) {
 	if err := inj.Dial(ref(0), ref(1)); err != nil {
 		t.Fatalf("nil injector dial: %v", err)
 	}
-	v := inj.OnSend(ref(0), ref(1), 0, 0, 100, false)
-	if v.Err != nil || v.Drop || v.Delay != 0 || v.CorruptByte >= 0 {
+	v := inj.OnSend(ref(0), ref(1), 0, 0, false)
+	if v.Err != nil || v.Drop || v.Delay != 0 {
 		t.Fatalf("nil injector verdict = %+v, want none", v)
 	}
 	if inj.NodeDead(hw.BlueGene, 0) {
@@ -29,10 +29,10 @@ func TestNilInjectorInjectsNothing(t *testing.T) {
 
 func TestSameSeedSameFaultSchedule(t *testing.T) {
 	verdicts := func(seed int64) []Verdict {
-		inj := New(seed, DropRate(0.1), CorruptRate(0.1), DelayRate(0.1, vtime.Millisecond))
+		inj := New(seed, DropRate(0.1), DelayRate(0.1, vtime.Millisecond))
 		out := make([]Verdict, 0, 200)
 		for seq := uint64(0); seq < 200; seq++ {
-			out = append(out, inj.OnSend(ref(1), ref(2), seq, 0, 64, false))
+			out = append(out, inj.OnSend(ref(1), ref(2), seq, 0, false))
 		}
 		return out
 	}
@@ -40,7 +40,7 @@ func TestSameSeedSameFaultSchedule(t *testing.T) {
 	for i := range a {
 		av, bv := a[i], b[i]
 		if (av.Err == nil) != (bv.Err == nil) || av.Drop != bv.Drop ||
-			av.Delay != bv.Delay || av.CorruptByte != bv.CorruptByte {
+			av.Delay != bv.Delay {
 			t.Fatalf("seq %d: same seed diverged: %+v vs %+v", i, av, bv)
 		}
 	}
@@ -48,7 +48,7 @@ func TestSameSeedSameFaultSchedule(t *testing.T) {
 	same := true
 	for i := range a {
 		if (a[i].Err == nil) != (c[i].Err == nil) || a[i].Drop != c[i].Drop ||
-			a[i].Delay != c[i].Delay || a[i].CorruptByte != c[i].CorruptByte {
+			a[i].Delay != c[i].Delay {
 			same = false
 			break
 		}
@@ -59,30 +59,30 @@ func TestSameSeedSameFaultSchedule(t *testing.T) {
 }
 
 func TestRateFaultsActuallyFire(t *testing.T) {
-	inj := New(7, DropRate(0.2), CorruptRate(0.2))
-	var drops, corrupts int
+	inj := New(7, DropRate(0.2), DelayRate(0.2, vtime.Millisecond))
+	var drops, delays int
 	for seq := uint64(0); seq < 500; seq++ {
-		v := inj.OnSend(ref(1), ref(2), seq, 0, 64, false)
+		v := inj.OnSend(ref(1), ref(2), seq, 0, false)
 		if v.Err != nil {
 			t.Fatalf("seq %d: a rate fault failed the send: %v", seq, v.Err)
 		}
 		if v.Drop {
 			drops++
 		}
-		if v.CorruptByte >= 0 {
-			corrupts++
+		if v.Delay > 0 {
+			delays++
 		}
 	}
-	if drops == 0 || corrupts == 0 {
-		t.Fatalf("drops=%d corrupts=%d over 500 sends at 20%%: rates never fired", drops, corrupts)
+	if drops == 0 || delays == 0 {
+		t.Fatalf("drops=%d delays=%d over 500 sends at 20%%: rates never fired", drops, delays)
 	}
 }
 
 func TestLastFramesExemptFromRateFaults(t *testing.T) {
-	inj := New(7, DropRate(0.9), CorruptRate(0.9))
+	inj := New(7, DropRate(0.9), DelayRate(0.9, vtime.Millisecond))
 	for seq := uint64(0); seq < 100; seq++ {
-		v := inj.OnSend(ref(1), ref(2), seq, 0, 64, true)
-		if v.Err != nil || v.Drop || v.CorruptByte >= 0 {
+		v := inj.OnSend(ref(1), ref(2), seq, 0, true)
+		if v.Err != nil || v.Drop || v.Delay != 0 {
 			t.Fatalf("seq %d: Last frame drew a rate fault: %+v", seq, v)
 		}
 	}
@@ -94,11 +94,11 @@ func TestCrashAfterSends(t *testing.T) {
 	inj.OnCrash(func(n NodeRef) { crashed = append(crashed, n) })
 
 	for seq := uint64(0); seq < 3; seq++ {
-		if v := inj.OnSend(ref(1), ref(2), seq, 0, 64, false); v.Err != nil {
+		if v := inj.OnSend(ref(1), ref(2), seq, 0, false); v.Err != nil {
 			t.Fatalf("send %d before crash point failed: %v", seq, v.Err)
 		}
 	}
-	v := inj.OnSend(ref(1), ref(2), 3, 0, 64, false)
+	v := inj.OnSend(ref(1), ref(2), 3, 0, false)
 	if !errors.Is(v.Err, carrier.ErrNodeDown) {
 		t.Fatalf("send past crash point: err = %v, want ErrNodeDown", v.Err)
 	}
@@ -113,7 +113,7 @@ func TestCrashAfterSends(t *testing.T) {
 	if err := inj.Dial(ref(0), ref(1)); !errors.Is(err, carrier.ErrNodeDown) {
 		t.Fatalf("dial to dead node: %v, want ErrNodeDown", err)
 	}
-	if v := inj.OnSend(ref(0), ref(1), 0, 0, 64, true); !errors.Is(v.Err, carrier.ErrNodeDown) {
+	if v := inj.OnSend(ref(0), ref(1), 0, 0, true); !errors.Is(v.Err, carrier.ErrNodeDown) {
 		t.Fatalf("Last frame to dead node: %v, want ErrNodeDown", v.Err)
 	}
 	// Killing again does not re-notify.
@@ -125,36 +125,16 @@ func TestCrashAfterSends(t *testing.T) {
 
 func TestCrashAtVTime(t *testing.T) {
 	inj := New(1, CrashAtVTime(hw.BlueGene, 2, vtime.Time(1000)))
-	if v := inj.OnSend(ref(1), ref(2), 0, 999, 64, false); v.Err != nil {
+	if v := inj.OnSend(ref(1), ref(2), 0, 999, false); v.Err != nil {
 		t.Fatalf("send before crash vtime failed: %v", v.Err)
 	}
 	// Node 2 is the destination here; it dies the moment traffic at or past
 	// the deadline touches it.
-	if v := inj.OnSend(ref(1), ref(2), 1, 1000, 64, false); !errors.Is(v.Err, carrier.ErrNodeDown) {
+	if v := inj.OnSend(ref(1), ref(2), 1, 1000, false); !errors.Is(v.Err, carrier.ErrNodeDown) {
 		t.Fatalf("send at crash vtime: %v, want ErrNodeDown", v.Err)
 	}
 	if !inj.NodeDead(hw.BlueGene, 2) {
 		t.Fatal("node 2 should be dead")
-	}
-}
-
-func TestCorruptByteInRange(t *testing.T) {
-	inj := New(11, CorruptRate(0.5))
-	fired := false
-	for seq := uint64(0); seq < 100; seq++ {
-		v := inj.OnSend(ref(1), ref(2), seq, 0, 33, false)
-		if v.Err != nil || v.Drop {
-			continue
-		}
-		if v.CorruptByte >= 33 {
-			t.Fatalf("seq %d: corrupt index %d out of payload range 33", seq, v.CorruptByte)
-		}
-		if v.CorruptByte >= 0 {
-			fired = true
-		}
-	}
-	if !fired {
-		t.Fatal("corruption never fired at 50%")
 	}
 }
 
@@ -165,17 +145,14 @@ func TestFaultCountersExported(t *testing.T) {
 	nilInj.SetMetrics(metrics.NewRegistry()) // must not panic
 
 	reg := metrics.NewRegistry()
-	inj := New(7, DropRate(0.2), CorruptRate(0.2), DelayRate(0.2, vtime.Millisecond))
+	inj := New(7, DropRate(0.2), DelayRate(0.2, vtime.Millisecond))
 	inj.SetMetrics(reg)
 
-	var drops, corrupts, delays int64
+	var drops, delays int64
 	for seq := uint64(0); seq < 500; seq++ {
-		v := inj.OnSend(ref(1), ref(2), seq, 0, 64, false)
+		v := inj.OnSend(ref(1), ref(2), seq, 0, false)
 		if v.Drop {
 			drops++
-		}
-		if v.CorruptByte >= 0 {
-			corrupts++
 		}
 		if v.Delay > 0 {
 			delays++
@@ -186,14 +163,13 @@ func TestFaultCountersExported(t *testing.T) {
 	if err := inj.Dial(ref(0), ref(3)); err == nil {
 		t.Fatal("dial to dead node succeeded")
 	}
-	if v := inj.OnSend(ref(0), ref(3), 0, 0, 64, false); v.Err == nil {
+	if v := inj.OnSend(ref(0), ref(3), 0, 0, false); v.Err == nil {
 		t.Fatal("send to dead node succeeded")
 	}
 
 	snap := reg.Snapshot()
 	want := map[string]int64{
 		"chaos.drop":      drops,
-		"chaos.corrupt":   corrupts,
 		"chaos.delay":     delays,
 		"chaos.crash":     1,
 		"chaos.dial_dead": 1,
@@ -204,8 +180,8 @@ func TestFaultCountersExported(t *testing.T) {
 			t.Fatalf("%s = %d, want %d (snapshot %v)", name, got, v, snap.Counters)
 		}
 	}
-	if drops == 0 || corrupts == 0 || delays == 0 {
-		t.Fatalf("rate faults never fired: drops=%d corrupts=%d delays=%d", drops, corrupts, delays)
+	if drops == 0 || delays == 0 {
+		t.Fatalf("rate faults never fired: drops=%d delays=%d", drops, delays)
 	}
 }
 
@@ -217,10 +193,4 @@ func (i *Injector) NodeDead(cluster hw.ClusterName, node int) bool {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	return i.dead[NodeRef{Cluster: cluster, Node: node}]
-}
-
-// CorruptRate flips one deterministic payload byte in a fraction p of
-// non-final frames.
-func CorruptRate(p float64) Option {
-	return func(i *Injector) { i.corruptRate = p }
 }

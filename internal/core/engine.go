@@ -84,12 +84,11 @@ type Engine struct {
 	mu      sync.Mutex
 	queries map[string]*queryCtx // every query scope not yet retired, by id
 	qSeq    int                  // query id allocator; Reset never rewinds it (only an unused id returns, see Drain)
-	sched   QueryScheduler       // attached multi-tenant scheduler, or nil
 	closed  bool
-	// clock is the attached scheduler's policy clock, or nil. Every element
-	// of every query reads it (observe), so it is an atomic rather than a
-	// field behind e.mu.
-	clock atomic.Pointer[VTimeObserver]
+	// sched is the attached multi-tenant scheduler, or nil. Every element of
+	// every query feeds its policy clock (observe), so it is an atomic
+	// rather than a field behind e.mu.
+	sched atomic.Pointer[QueryScheduler]
 	// advance is observe, bound once: the emit func of every RP's agent.
 	advance func(vtime.Time)
 
@@ -745,16 +744,13 @@ func (e *Engine) connectAs(qc *queryCtx, producers []*SP, cc hw.ClusterName, cn 
 	qc.edges = append(qc.edges, make([]Edge, 0, len(producers)))
 	qc.mu.Unlock()
 	rcfg := rp.ReceiverConfig{
-		Producers:  len(producers),
-		MPIPerByte: e.env.Cost.BGMarshalByte,
-		CPU:        consNode.CPU,
-		// Engine-wired streams track offsets: they are contiguous unless UDP
-		// loses a frame, and no producer replays a stream.
-		TrackOffsets: true,
-		BatchFrames:  e.cfg.kernelBatch,
-		Metrics:      qc.metrics,
-		Tracer:       e.cfg.Tracer,
-		Consumer:     consumer,
+		Producers:   len(producers),
+		MPIPerByte:  e.env.Cost.BGMarshalByte,
+		CPU:         consNode.CPU,
+		BatchFrames: e.cfg.kernelBatch,
+		Metrics:     qc.metrics,
+		Tracer:      e.cfg.Tracer,
+		Consumer:    consumer,
 	}
 	switch cc {
 	case hw.BlueGene:

@@ -435,14 +435,10 @@ type QueryScheduler interface {
 	// agent, and a func that ends the subscription. It paces the live-delta
 	// streams of streamof(sys_*).
 	SubscribeVTime(agent *vtime.Agent) (<-chan struct{}, func())
-}
-
-// VTimeObserver is optionally implemented by an attached scheduler whose
-// policy clock (sys_sessions' age_ns, live sys_* streams) runs on
-// virtual time. The clock runs on the engine's own progress, always: the
-// time of every element any stream process emits is reported, on the
-// kernel's one timeline (observe). No decision reads the wall clock.
-type VTimeObserver interface {
+	// ObserveVTime feeds the policy clock (sys_sessions' age_ns, live sys_*
+	// streams), which runs on the engine's own progress: the time of every
+	// element any stream process emits, on the kernel's one timeline
+	// (observe). No decision reads the wall clock.
 	ObserveVTime(t vtime.Time)
 }
 
@@ -450,30 +446,23 @@ type VTimeObserver interface {
 // time goes to the attached scheduler's policy clock as it is. The feed
 // takes no lock.
 func (e *Engine) observe(at vtime.Time) {
-	if p := e.clock.Load(); p != nil {
+	if p := e.sched.Load(); p != nil {
 		(*p).ObserveVTime(at)
 	}
 }
 
-// SetQueryScheduler attaches a scheduler to the engine, making it the pacing
-// source of streamof(sys_*) (its sessions are read through the sys_sessions
-// table it registers). If the scheduler implements VTimeObserver, the
-// engine's progress drives its policy clock from here on; attaching nil (or a
-// non-observer) detaches the feed.
+// SetQueryScheduler attaches a scheduler (not nil) to the engine, making it
+// the pacing source of streamof(sys_*) (its sessions are read through the
+// sys_sessions table it registers) and the engine's progress the driver of
+// its policy clock.
 func (e *Engine) SetQueryScheduler(s QueryScheduler) {
-	e.mu.Lock()
-	e.sched = s
-	e.mu.Unlock()
-	if vo, ok := s.(VTimeObserver); ok {
-		e.clock.Store(&vo)
-	} else {
-		e.clock.Store(nil)
-	}
+	e.sched.Store(&s)
 }
 
 // Scheduler returns the attached query scheduler, or nil.
 func (e *Engine) Scheduler() QueryScheduler {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.sched
+	if p := e.sched.Load(); p != nil {
+		return *p
+	}
+	return nil
 }

@@ -309,20 +309,14 @@ func materialize(buf []byte, b *Boxes) (any, int, error) {
 		}
 		return buf[1] != 0, 2, nil
 	case TagString:
-		if len(buf) < 5 {
-			return nil, 0, ErrTruncated
-		}
-		n := int(binary.LittleEndian.Uint32(buf[1:5]))
-		if len(buf) < 5+n {
+		n, ok := fits(buf, 1)
+		if !ok {
 			return nil, 0, ErrTruncated
 		}
 		return string(buf[5 : 5+n]), 5 + n, nil
 	case TagArray:
-		if len(buf) < 5 {
-			return nil, 0, ErrTruncated
-		}
-		n := int(binary.LittleEndian.Uint32(buf[1:5]))
-		if len(buf) < 5+8*n {
+		n, ok := fits(buf, 8)
+		if !ok {
 			return nil, 0, ErrTruncated
 		}
 		arr := make([]float64, n)
@@ -332,18 +326,14 @@ func materialize(buf []byte, b *Boxes) (any, int, error) {
 		if len(buf) < 5 {
 			return nil, 0, ErrTruncated
 		}
-		n := int(binary.LittleEndian.Uint32(buf[1:5]))
+		n := binary.LittleEndian.Uint32(buf[1:5])
 		off := 5
 		// Cap the initial allocation by what the buffer could possibly
 		// hold (every element is at least one byte): a crafted length
 		// prefix must not force a giant allocation before the element
 		// bytes are checked.
-		capHint := n
-		if rest := len(buf) - 5; capHint > rest {
-			capHint = rest
-		}
-		bag := make([]any, 0, capHint)
-		for i := 0; i < n; i++ {
+		bag := make([]any, 0, min(uint64(n), uint64(len(buf)-5)))
+		for i := uint32(0); i < n; i++ {
 			v, used, err := materialize(buf[off:], b)
 			if err != nil {
 				return nil, 0, err
@@ -373,27 +363,30 @@ func Skip(buf []byte) (int, error) {
 		n = 9
 	case TagBool:
 		n = 2
-	case TagString, TagArray, TagBag:
+	case TagString:
+		if count, ok := fits(buf, 1); ok {
+			return 5 + count, nil
+		}
+		return 0, ErrTruncated
+	case TagArray:
+		if count, ok := fits(buf, 8); ok {
+			return 5 + 8*count, nil
+		}
+		return 0, ErrTruncated
+	case TagBag:
 		if len(buf) < 5 {
 			return 0, ErrTruncated
 		}
-		count := int(binary.LittleEndian.Uint32(buf[1:5]))
-		switch buf[0] {
-		case TagString:
-			n = 5 + count
-		case TagArray:
-			n = 5 + 8*count
-		default:
-			off := 5
-			for i := 0; i < count; i++ {
-				used, err := Skip(buf[off:])
-				if err != nil {
-					return 0, err
-				}
-				off += used
+		count := binary.LittleEndian.Uint32(buf[1:5])
+		off := 5
+		for i := uint32(0); i < count; i++ {
+			used, err := Skip(buf[off:])
+			if err != nil {
+				return 0, err
 			}
-			return off, nil
+			off += used
 		}
+		return off, nil
 	default:
 		return 0, fmt.Errorf("%w: 0x%02x", ErrUnknownTag, buf[0])
 	}
@@ -415,7 +408,8 @@ func BagHeader(buf []byte) (n, off int, ok bool) {
 	if len(buf) < 5 || buf[0] != TagBag {
 		return 0, 0, false
 	}
-	return int(binary.LittleEndian.Uint32(buf[1:5])), 5, true
+	n = int(binary.LittleEndian.Uint32(buf[1:5]))
+	return n, 5, n >= 0 // a count past a 32-bit int cannot be wholly here
 }
 
 // AsInt returns the integer at the front of buf.
@@ -428,14 +422,27 @@ func AsInt(buf []byte) (x int64, ok bool) {
 
 // AsString returns a copy of the string at the front of buf.
 func AsString(buf []byte) (s string, ok bool) {
-	if len(buf) < 5 || buf[0] != TagString {
-		return "", false
-	}
-	n := int(binary.LittleEndian.Uint32(buf[1:5]))
-	if len(buf) < 5+n {
+	n, ok := fits(buf, 1)
+	if !ok || buf[0] != TagString {
 		return "", false
 	}
 	return string(buf[5 : 5+n]), true
+}
+
+// fits returns the element count of the string or array at the front of
+// buf, whose elements take size bytes each, and whether its header and all
+// its elements are in buf. The u32 count is compared with the bytes present
+// as a 64-bit length: converted to an int first, it turns negative where an
+// int has 32 bits.
+func fits(buf []byte, size uint64) (int, bool) {
+	if len(buf) < 5 {
+		return 0, false
+	}
+	n := binary.LittleEndian.Uint32(buf[1:5])
+	if uint64(len(buf)-5) < size*uint64(n) {
+		return 0, false
+	}
+	return int(n), true
 }
 
 // fillArray copies len(dst) float64 elements out of their raw little-endian

@@ -1,7 +1,9 @@
 package marshal
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -305,6 +307,41 @@ func TestNewArrayIsItsEncoding(t *testing.T) {
 		}
 		if !reflect.DeepEqual(enc, want) {
 			t.Fatalf("NewArray(%d): enc %x, want %x", n, enc, want)
+		}
+	}
+}
+
+// TestOversizedLengthIsTruncated: a string, array or bag header may claim up
+// to 2³²−1 elements. Converted to an int where an int has 32 bits, a claim
+// of 2³¹ or more turns negative and passes a length check, and slicing or
+// sizing by it panics. Every reader reports such a value cut short instead,
+// on any word size.
+func TestOversizedLengthIsTruncated(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		tag  byte
+	}{{"string", TagString}, {"array", TagArray}, {"bag", TagBag}} {
+		for _, claim := range []uint32{0x80000000, 0xFFFFFFFF} {
+			// The header, then an integer and a null: 10 bytes of what it claims.
+			buf := binary.LittleEndian.AppendUint32([]byte{tc.tag}, claim)
+			buf = append(AppendInt(buf, 1), TagNull)
+			at := fmt.Sprintf("%s claiming %#x", tc.name, claim)
+			if _, err := Skip(buf); !errors.Is(err, ErrTruncated) {
+				t.Errorf("%s: Skip: %v, want ErrTruncated", at, err)
+			}
+			if _, _, err := Decode(buf); !errors.Is(err, ErrTruncated) {
+				t.Errorf("%s: Decode: %v, want ErrTruncated", at, err)
+			}
+			var arr []float64
+			if _, _, err := DecodeInto(buf, &arr); !errors.Is(err, ErrTruncated) {
+				t.Errorf("%s: DecodeInto: %v, want ErrTruncated", at, err)
+			}
+			if _, _, err := materialize(buf, nil); !errors.Is(err, ErrTruncated) {
+				t.Errorf("%s: materialize: %v, want ErrTruncated", at, err)
+			}
+			if _, ok := AsString(buf); ok {
+				t.Errorf("%s: AsString read a string", at)
+			}
 		}
 	}
 }

@@ -40,9 +40,8 @@ type SenderConfig struct {
 	FlushPerElement bool
 	// CPU is the sending node's CPU resource.
 	CPU *vtime.Resource
-	// Metrics receives the driver's telemetry (frames/bytes flushed, marshal
-	// and flush latency in virtual time), keyed by Link and
-	// its carrier kind. Nil disables.
+	// Metrics receives the driver's marshal and flush latency in virtual
+	// time, keyed by the carrier kind of Link. Nil disables.
 	Metrics *metrics.Registry
 	// Tracer, if non-nil, enables frame-level tracing: the driver assigns
 	// each flushed frame a deterministic trace ID and emits its flush span.
@@ -53,11 +52,11 @@ type SenderConfig struct {
 	Link string
 }
 
-// The drivers' metric families. A sender's counters are keyed by its link's
-// label and its latency histograms by the carrier kind, like the carrier's own
-// link.* metrics; a receiver's block by its consumer's id in the query's scope.
+// The drivers' metric families. A sender's latency histograms are keyed by
+// the carrier kind, like the carrier's link.deliver_vt.*: what it flushes is
+// what its link counts (link.frames, link.bytes, link.drops). A receiver's
+// block is keyed by its consumer's id in the query's scope.
 var (
-	sendFamily     = &metrics.Family{Counters: []string{"send.frames.", "send.bytes."}}
 	sendKindFamily = &metrics.Family{Hists: []string{"send.marshal_vt.", "send.flush_vt."}}
 	recvFamily     = &metrics.Family{
 		Counters: []string{"recv.frames.", "recv.bytes."},
@@ -112,8 +111,6 @@ type Sender struct {
 	// deterministic trace-ID base: a hash of the stream identity, combined
 	// with the frame sequence number per flush, so trace IDs never depend
 	// on goroutine scheduling the way a shared counter would.
-	mFrames   *metrics.Counter
-	mBytes    *metrics.Counter
 	hMarshal  *metrics.Histogram
 	hFlush    *metrics.Histogram
 	traceBase uint64
@@ -132,8 +129,6 @@ func (d *Sender) init(source string, conn carrier.Conn, cfg SenderConfig) error 
 		cfg.MarshalPerByte *= cfg.Cost.CacheFactor(cfg.BufBytes)
 	}
 	*d = Sender{cfg: cfg, conn: conn, source: source, seq: &d.ownSeq, pending: d.pending[:0]}
-	link := cfg.Metrics.Shared(sendFamily, cfg.Link)
-	d.mFrames, d.mBytes = link.Counter(0), link.Counter(1)
 	kind, _, _ := strings.Cut(cfg.Link, ":")
 	byKind := cfg.Metrics.Shared(sendKindFamily, kind)
 	d.hMarshal, d.hFlush = byKind.Histogram(0), byKind.Histogram(1)
@@ -238,8 +233,7 @@ func (d *Sender) flushFrame(n int, last bool) error {
 	// pooled payload — so the frame is a pooled copy of the bytes still
 	// sitting in pending and in the array being flushed, unless it lies
 	// wholly inside an immutable array's encoding: then it borrows that
-	// window of it, unpooled. The frame's Offset is the cumulative payload
-	// bytes flushed before it.
+	// window of it, unpooled.
 	var traceID uint64
 	if d.cfg.Tracer != nil {
 		traceID = d.traceBase ^ uint64(d.framesOut+1)
@@ -260,7 +254,6 @@ func (d *Sender) flushFrame(n int, last bool) error {
 		Source:  d.source,
 		Payload: payload,
 		Ready:   d.pendReady,
-		Offset:  uint64(d.bytesOut),
 		Seq:     *d.seq,
 		Last:    last,
 		Pooled:  pooled,
@@ -275,8 +268,6 @@ func (d *Sender) flushFrame(n int, last bool) error {
 	if err != nil {
 		return err
 	}
-	d.mFrames.Inc()
-	d.mBytes.Add(int64(n))
 	d.hFlush.Observe(free.Sub(d.pendReady))
 	if traceID != 0 {
 		d.cfg.Tracer.Span(d.cfg.Link, "send", "flush", traceID, d.pendReady, free, int64(n))
@@ -300,7 +291,6 @@ func (d *Sender) finishDown(cause error) error {
 	_, err := d.conn.Send(carrier.Frame{
 		Source: d.source,
 		Ready:  d.pendReady,
-		Offset: uint64(d.bytesOut),
 		Seq:    *d.seq - 1,
 		Last:   true,
 		Down:   true,
@@ -334,11 +324,9 @@ type ReceiverConfig struct {
 	MergeSwitchCost vtime.Duration
 	// CPU is the receiving node's CPU resource.
 	CPU *vtime.Resource
-	// TrackOffsets enables replay deduplication: a frame whose bytes were
-	// already ingested (by their cumulative stream offset) is discarded
-	// without charge, a partial overlap trimmed to the unseen suffix; offsets
-	// may jump forward (UDP loss). The engine enables it, though none of its
-	// producers replays a stream (ROADMAP item 11).
+	// TrackOffsets has no effect: no producer replays a stream, so a receiver
+	// ingests every frame it pulls. It stays only for callers that still set
+	// it (ROADMAP item 11).
 	TrackOffsets bool
 	// BatchFrames bounds how many inbox frames are drained and charged per
 	// kernel commit: after one blocking receive, up to BatchFrames-1 further
@@ -388,7 +376,7 @@ type Receiver struct {
 	// decoded: data is its byte stream (the payload, or the producer's
 	// non-empty reassembly buffer with the payload appended) and off the
 	// decode cursor; data is nil until the frame's first value is asked for.
-	batch []pendingFrame
+	batch []carrier.Delivered
 	reqs  []vtime.Request
 	cur   int
 	data  []byte
@@ -452,13 +440,11 @@ func (r *Receiver) Open(ctx *sqep.Ctx) error {
 // (merge). It is leased from the frame pool at the producer's first split
 // object, moves up one size class at a time as the object's bytes arrive, and
 // goes back when the producer's stream ends or the receiver is closed.
-// nextOff is the stream offset one past the last ingested payload byte
-// (TrackOffsets), skip an unread value split over frames.
+// skip is an unread value split over frames.
 type producer struct {
-	src     string
-	buf     []byte
-	nextOff uint64
-	skip    skipping
+	src  string
+	buf  []byte
+	skip skipping
 }
 
 // producer returns src's slot, adding one at src's first frame.
@@ -472,22 +458,14 @@ func (r *Receiver) producer(src string) *producer {
 	return &r.prods[r.hit]
 }
 
-// pendingFrame is one drained frame awaiting its turn to be decoded.
-type pendingFrame struct {
-	fr   carrier.Delivered
-	skip int // leading payload bytes a replay already delivered
-}
-
-// payload is the frame's payload minus its already-ingested prefix.
-func (p *pendingFrame) payload() []byte { return p.fr.Payload[p.skip:] }
-
 // UseValues implements sqep.ValueUser.
 func (r *Receiver) UseValues(u sqep.ValueUse) {
 	r.reuse, r.unread = u == sqep.Borrowed, u == sqep.Unread
 }
 
-// skipping is an unread value split over frames: have bytes came, left are to come.
-type skipping struct{ have, left int }
+// skipping is an unread value split over frames: have bytes came, left are
+// to come. They count in 64 bits: an array header may claim 2³⁵ bytes.
+type skipping struct{ have, left int64 }
 
 // Next implements sqep.Operator. It blocks until an element is available or
 // the stream ends (all producers sent their Last frame).
@@ -533,28 +511,30 @@ func (r *Receiver) fill() error {
 		return errInboxClosed
 	}
 	maxBatch := max(r.cfg.BatchFrames, 1)
-	// The pulled frames wait in the batch's own slots; preprocess then
-	// stages each in place, never past the slot it was read from.
-	r.batch = append(r.batch, pendingFrame{fr: fr})
+	r.batch = append(r.batch, fr)
 	// An empty inbox ends the drain; a closed one surfaces at the next fill,
 	// once the frames staged before it are decoded.
 	for !fr.Last && !fr.Down && len(r.batch) < maxBatch {
 		if fr, ok = vtime.Recv(r.agent, vtime.Running, r.inbox, nil); !ok {
 			break
 		}
-		r.batch = append(r.batch, pendingFrame{fr: fr})
+		r.batch = append(r.batch, fr)
 	}
-	// A final frame stays last; preprocess fails only on a Down frame.
-	pulled, n := r.batch, len(r.batch)
-	if last := &pulled[n-1].fr; last.Last || last.Down {
+	// A final frame stays last; a Down one is not staged.
+	n := len(r.batch)
+	if last := &r.batch[n-1]; last.Last || last.Down {
 		n--
 	}
-	inKeyOrder(pulled[:n])
-	r.batch = r.batch[:0]
-	for i := range pulled {
-		r.deferred = r.preprocess(&pulled[i])
+	inKeyOrder(r.batch[:n])
+	if down := &r.batch[len(r.batch)-1]; down.Down {
+		r.deferred = fmt.Errorf("rp: producer %q failed: %s: %w", down.Source, down.Note.DownErr, ErrUpstreamDown)
+		carrier.Recycle(&down.Frame)
+		*down = carrier.Delivered{}
+		r.batch = r.batch[:len(r.batch)-1]
 	}
-	clear(pulled[len(r.batch):])
+	for i := range r.batch {
+		r.price(&r.batch[i])
+	}
 	r.ingestBatch()
 	return nil
 }
@@ -562,10 +542,10 @@ func (r *Receiver) fill() error {
 // inKeyOrder sorts frames by (arrival, producer) without moving one past a
 // frame of its own producer, so each producer's frames keep their key order:
 // an insertion sort, as a batch holds a handful.
-func inKeyOrder(fs []pendingFrame) {
+func inKeyOrder(fs []carrier.Delivered) {
 	for i := 1; i < len(fs); i++ {
 		for j := i; j > 0; j-- {
-			a, b := &fs[j-1].fr, &fs[j].fr
+			a, b := &fs[j-1], &fs[j]
 			if a.Source == b.Source || a.At < b.At || a.At == b.At && a.Source < b.Source {
 				break
 			}
@@ -576,44 +556,9 @@ func inKeyOrder(fs []pendingFrame) {
 
 var errInboxClosed = errors.New("rp: inbox closed before end of stream")
 
-// preprocess validates, de-duplicates, and prices one pulled frame, staging
-// it in the current batch: in its own slot, unless a frame before it was
-// dropped. Duplicate replayed frames are recycled here without charge; Down
-// frames surface as an error.
-func (r *Receiver) preprocess(p *pendingFrame) error {
-	fr := &p.fr
-	if fr.Down {
-		carrier.Recycle(&fr.Frame)
-		return fmt.Errorf("rp: producer %q failed: %s: %w", fr.Source, fr.Note.DownErr, ErrUpstreamDown)
-	}
-
+// price counts one staged frame in and queues its de-marshal request.
+func (r *Receiver) price(fr *carrier.Delivered) {
 	payload := fr.Payload
-	if r.cfg.TrackOffsets && len(payload) > 0 {
-		pr := r.producer(fr.Source)
-		next := pr.nextOff
-		end := fr.Offset + uint64(len(payload))
-		if end <= next {
-			// A full duplicate: a producer replaying its stream from
-			// offset zero. No charge — the bytes were paid for when they
-			// first arrived. A replayed final frame still terminates.
-			carrier.Recycle(&fr.Frame)
-			if fr.Last {
-				r.countLast()
-			}
-			return nil
-		}
-		if fr.Offset < next {
-			// Partial overlap: ingest only the unseen suffix; the prefix
-			// continues the byte stream already sitting in the reassembly
-			// buffer.
-			p.skip = int(next - fr.Offset)
-			payload = payload[p.skip:]
-		}
-		// Offsets may jump forward past a gap: UDP drops are real losses,
-		// not replays.
-		pr.nextOff = end
-	}
-
 	r.framesIn++
 	r.mFrames.Inc()
 	r.mBytes.Add(int64(len(payload)))
@@ -630,12 +575,7 @@ func (r *Receiver) preprocess(p *pendingFrame) error {
 			svc = vtime.Duration(float64(svc) * r.cfg.Cost.CacheFactor(len(payload)))
 		}
 	}
-	r.batch = r.batch[:len(r.batch)+1]
-	if s := &r.batch[len(r.batch)-1]; s != p {
-		*s = *p
-	}
 	r.reqs = append(r.reqs, vtime.Request{Resource: r.cfg.CPU, Stream: fr.Source, Seq: fr.Seq, Ready: fr.At, Service: svc})
-	return nil
 }
 
 // ingestBatch submits the staged frames' de-marshal requests on the node CPU
@@ -658,13 +598,13 @@ func (r *Receiver) ingestBatch() {
 var netLanes = [2]string{"net-0", "net-1"}
 
 // observe records the de-marshal span of the n-th frame ingested.
-func (r *Receiver) observe(p *pendingFrame, q *vtime.Request, n int64) {
+func (r *Receiver) observe(fr *carrier.Delivered, q *vtime.Request, n int64) {
 	r.hDemarshal.Observe(q.End.Sub(q.Ready))
 
-	if t := r.cfg.Tracer; t != nil && p.fr.Note != nil && p.fr.Note.TraceID != 0 {
+	if t := r.cfg.Tracer; t != nil && fr.Note != nil && fr.Note.TraceID != 0 {
 		// The frame's journey renders in the lane its sender named in
 		// Hops[0].
-		fr, note := &p.fr, p.fr.Note
+		note := fr.Note
 		proc := fr.Source
 		if len(note.Hops) > 0 {
 			proc = note.Hops[0].Name
@@ -673,7 +613,7 @@ func (r *Receiver) observe(p *pendingFrame, q *vtime.Request, n int64) {
 		for _, h := range note.Hops[1:] {
 			t.Instant(proc, "hops", h.Name, note.TraceID, h.At)
 		}
-		t.Span(proc, r.demarshalLane, "demarshal", note.TraceID, q.Ready, q.End, int64(len(p.payload())))
+		t.Span(proc, r.demarshalLane, "demarshal", note.TraceID, q.Ready, q.End, int64(len(fr.Payload)))
 	}
 }
 
@@ -683,23 +623,23 @@ func (r *Receiver) observe(p *pendingFrame, q *vtime.Request, n int64) {
 // undecoded remainder moves to the producer's reassembly buffer, the payload
 // is recycled, a Last frame is counted, and the next staged frame is current.
 func (r *Receiver) decodeNext() (el sqep.Element, ok bool, err error) {
-	p := &r.batch[r.cur]
-	src := p.fr.Source
+	fr := &r.batch[r.cur]
+	src := fr.Source
 	if r.data == nil {
 		// With no partial object pending from this producer, decode straight
 		// out of the frame payload; otherwise it continues a value being
 		// skipped, or the reassembly buffer and can go back to the pool.
-		r.data = p.payload()
+		r.data = fr.Payload
 		if pr := r.producer(src); pr.skip.left > 0 {
-			r.off = min(pr.skip.left, len(r.data))
-			ok = r.off == pr.skip.left
-			pr.skip = skipping{pr.skip.have + r.off, pr.skip.left - r.off}
+			r.off = int(min(pr.skip.left, int64(len(r.data))))
+			ok = int64(r.off) == pr.skip.left
+			pr.skip = skipping{pr.skip.have + int64(r.off), pr.skip.left - int64(r.off)}
 		} else if len(pr.buf) > 0 {
 			// The old lease may be back in the pool: forget it before
 			// anything fails.
-			r.data = appendLease(pr.buf, p.payload())
+			r.data = appendLease(pr.buf, fr.Payload)
 			pr.buf = r.data
-			carrier.Recycle(&p.fr.Frame)
+			carrier.Recycle(&fr.Frame)
 		}
 	}
 	if !ok && r.off < len(r.data) {
@@ -723,7 +663,7 @@ func (r *Receiver) decodeNext() (el sqep.Element, ok bool, err error) {
 	pr := r.producer(src)
 	if size := r.skipSize(rest); size > 0 {
 		// An unread value's missing bytes are counted off, not kept.
-		pr.skip = skipping{len(rest), size - len(rest)}
+		pr.skip = skipping{int64(len(rest)), size - int64(len(rest))}
 		rest = rest[:0]
 	}
 	if len(pr.buf) > 0 {
@@ -734,12 +674,12 @@ func (r *Receiver) decodeNext() (el sqep.Element, ok bool, err error) {
 		// Copy out of the (possibly pooled) payload before it is recycled.
 		pr.buf = appendLease(pr.buf, rest)
 	}
-	last := p.fr.Last
+	last := fr.Last
 	r.popStaged()
 	if last {
 		carrier.PutBuf(pr.buf)
 		pr.buf = nil
-		undecoded := len(rest)
+		undecoded := int64(len(rest))
 		if pr.skip.left > 0 {
 			undecoded = pr.skip.have
 		}
@@ -775,8 +715,9 @@ func (r *Receiver) decode(buf []byte) (any, int, error) {
 // skipSize is, for an Unread consumer, the encoded size of the value cut
 // short at the front of rest when what arrived of it tells: a scalar's tag
 // does, an array's or a string's 5-byte header does. It is 0 for a bag, whose
-// elements size it, for a cut header, and for nothing at all.
-func (r *Receiver) skipSize(rest []byte) int {
+// elements size it, for a cut header, and for nothing at all. The u32 length
+// is widened before it is scaled: an int may have 32 bits.
+func (r *Receiver) skipSize(rest []byte) int64 {
 	switch {
 	case !r.unread || len(rest) == 0:
 	case rest[0] == marshal.TagInt || rest[0] == marshal.TagFloat:
@@ -785,9 +726,9 @@ func (r *Receiver) skipSize(rest []byte) int {
 		return 2
 	case len(rest) < 5:
 	case rest[0] == marshal.TagString:
-		return 5 + int(binary.LittleEndian.Uint32(rest[1:5]))
+		return 5 + int64(binary.LittleEndian.Uint32(rest[1:5]))
 	case rest[0] == marshal.TagArray:
-		return 5 + 8*int(binary.LittleEndian.Uint32(rest[1:5]))
+		return 5 + 8*int64(binary.LittleEndian.Uint32(rest[1:5]))
 	}
 	return 0
 }
@@ -824,8 +765,8 @@ func (r *Receiver) release() {
 // popStaged recycles the current staged frame and makes the next one
 // current.
 func (r *Receiver) popStaged() {
-	carrier.Recycle(&r.batch[r.cur].fr.Frame)
-	r.batch[r.cur] = pendingFrame{}
+	carrier.Recycle(&r.batch[r.cur].Frame)
+	r.batch[r.cur] = carrier.Delivered{}
 	r.data, r.off = nil, 0
 	if r.cur++; r.cur == len(r.batch) {
 		r.batch, r.reqs, r.cur = r.batch[:0], r.reqs[:0], 0

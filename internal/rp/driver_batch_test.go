@@ -92,15 +92,13 @@ func TestReceiverBatchAllocatesNothing(t *testing.T) {
 	inbox := make(carrier.Inbox, batch)
 	r := NewReceiver(inbox, ReceiverConfig{
 		Producers: 1, MPIPerByte: 1.5, CPU: vtime.NewResource("cpu"),
-		TrackOffsets: true, BatchFrames: batch, Consumer: "q1/rp-bg-0",
+		BatchFrames: batch, Consumer: "q1/rp-bg-0",
 	})
-	var off uint64
 	n := testing.AllocsPerRun(20, func() {
 		for i := 0; i < batch; i++ {
 			payload := carrier.GetBuf(len(enc))
 			copy(payload, enc)
-			inbox <- carrier.Delivered{Frame: carrier.Frame{Source: "q1/rp-bg-1", Payload: payload, Pooled: true, Offset: off}}
-			off += uint64(len(enc))
+			inbox <- carrier.Delivered{Frame: carrier.Frame{Source: "q1/rp-bg-1", Payload: payload, Pooled: true}}
 		}
 		for i := 0; i < batch; i++ {
 			if _, ok, err := r.Next(); !ok || err != nil {

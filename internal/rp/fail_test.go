@@ -10,7 +10,6 @@ import (
 	"scsq/internal/carrier"
 	"scsq/internal/hw"
 	"scsq/internal/marshal"
-	"scsq/internal/metrics"
 	"scsq/internal/sqep"
 	"scsq/internal/vtime"
 )
@@ -105,85 +104,6 @@ func encInt(t *testing.T, v int64) []byte {
 		t.Fatal(err)
 	}
 	return b
-}
-
-func TestReceiverOffsetDedupAndTrim(t *testing.T) {
-	b1, b2, b3 := encInt(t, 1), encInt(t, 2), encInt(t, 3)
-	inbox := make(carrier.Inbox, 8)
-	reg := metrics.NewRegistry()
-	r := NewReceiver(inbox, ReceiverConfig{Producers: 1, TrackOffsets: true, Metrics: reg.OpenScope("q1"), Consumer: "q1/c"})
-
-	frame := func(off uint64, payload []byte, last bool) carrier.Delivered {
-		buf := carrier.GetBuf(len(payload))
-		copy(buf, payload)
-		return carrier.Delivered{Frame: carrier.Frame{
-			Source: "p", Payload: buf, Pooled: true, Offset: off, Last: last,
-		}}
-	}
-	cat := func(parts ...[]byte) []byte {
-		var out []byte
-		for _, p := range parts {
-			out = append(out, p...)
-		}
-		return out
-	}
-
-	inbox <- frame(0, b1, false)                      // original
-	inbox <- frame(0, b1, false)                      // full replay duplicate: discarded
-	inbox <- frame(0, cat(b1, b2), false)             // partial overlap: trimmed to b2
-	inbox <- frame(uint64(len(b1)+len(b2)), b3, true) // contiguous tail
-
-	var got []int64
-	for {
-		el, ok, err := r.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		got = append(got, el.Value.(int64))
-	}
-	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Fatalf("elements = %v, want [1 2 3] (replayed bytes must be ingested exactly once)", got)
-	}
-	// The full duplicate was discarded without charge, so only three frames
-	// count as ingested.
-	snap := reg.Snapshot()
-	if got := snap.Counters["recv.frames.q1/c"]; got != 3 {
-		t.Fatalf("frames in = %d, want 3", got)
-	}
-	// Ingested bytes count each stream byte once, despite the replays.
-	if got, want := snap.Counters["recv.bytes.q1/c"], int64(len(b1)+len(b2)+len(b3)); got != want {
-		t.Fatalf("bytes in = %d, want %d", got, want)
-	}
-}
-
-func TestReceiverDuplicateLastStillTerminates(t *testing.T) {
-	b1 := encInt(t, 7)
-	inbox := make(carrier.Inbox, 4)
-	r := NewReceiver(inbox, ReceiverConfig{Producers: 2, TrackOffsets: true})
-
-	// Producer q replays its whole (tiny) stream including the Last frame:
-	// the duplicate carries no new bytes but its Last must still count, or
-	// the merge never terminates.
-	inbox <- carrier.Delivered{Frame: carrier.Frame{Source: "q", Payload: b1, Offset: 0, Last: true}}
-	inbox <- carrier.Delivered{Frame: carrier.Frame{Source: "q", Payload: b1, Offset: 0, Last: true}}
-
-	var got []int64
-	for {
-		el, ok, err := r.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		got = append(got, el.Value.(int64))
-	}
-	if len(got) != 1 || got[0] != 7 {
-		t.Fatalf("elements = %v, want [7]", got)
-	}
 }
 
 // TestReceiverCloseRecyclesDrainedFrames: a frame queued before a consumer

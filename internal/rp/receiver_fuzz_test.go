@@ -13,16 +13,15 @@ import (
 
 // FuzzReceiverUnreadMatchesMaterializing: a receiver decodes untrusted frame
 // bytes. Whatever values 1–3 producers send (arrays, strings, scalars, nulls,
-// nested bags, raw garbage), however their streams are cut into frames,
-// interleaved and replayed, count() over a receiver it told it reads no value
+// nested bags, raw garbage), however their streams are cut into frames and
+// interleaved, count() over a receiver it told it reads no value
 // must read what count() over a materializing one reads — the same count and
 // final timestamp, or an error on both. Neither panics, and every pooled
 // payload and reassembly buffer goes back to its pool exactly once.
 //
 // prog drives the values: its first byte picks the producer count, then each
 // pair of bytes is one value (kind, argument). cuts drives the frames: each
-// byte in turn sizes a frame, picks whose frame is delivered next and, with
-// its top bit, delivers that frame twice.
+// byte in turn sizes a frame or picks whose frame is delivered next.
 func FuzzReceiverUnreadMatchesMaterializing(f *testing.F) {
 	f.Add([]byte{1, 0, 30, 1, 9, 2, 7, 6, 3}, []byte{40, 7, 130, 22})
 	f.Add([]byte{2, 0, 39, 0x40, 39, 0x80, 5, 0x46, 2, 3, 1}, []byte{5, 17, 1, 200, 33, 4})
@@ -91,14 +90,13 @@ func fuzzStreams(t *testing.T, prog []byte) [][]byte {
 // fuzzFrame is one frame of a fuzzed stream.
 type fuzzFrame struct {
 	src     string
-	off     uint64
 	payload []byte
 	last    bool
 }
 
 // fuzzFrames cuts each stream into frames of 1–48 bytes, the last one Last
 // (an empty Last frame for an empty stream), and interleaves them as cuts
-// says, replaying some. It stops at 20 deliveries: the pool keeps at most 32
+// says. It stops at 20 deliveries: the pool keeps at most 32
 // free buffers a class, and the accounting must find every one it returned.
 func fuzzFrames(streams [][]byte, cuts []byte) []fuzzFrame {
 	k := 0
@@ -110,7 +108,7 @@ func fuzzFrames(streams [][]byte, cuts []byte) []fuzzFrame {
 		off := 0
 		for {
 			n := min(1+int(next())%48, len(s)-off)
-			own = append(own, fuzzFrame{src: src, off: uint64(off), payload: s[off : off+n], last: off+n == len(s)})
+			own = append(own, fuzzFrame{src: src, payload: s[off : off+n], last: off+n == len(s)})
 			if off += n; off == len(s) {
 				break
 			}
@@ -119,12 +117,8 @@ func fuzzFrames(streams [][]byte, cuts []byte) []fuzzFrame {
 	}
 	var out []fuzzFrame
 	for len(perSrc) > 0 && len(out) < 20 {
-		c := next()
-		i := int(c) % len(perSrc)
+		i := int(next()) % len(perSrc)
 		out = append(out, perSrc[i][0])
-		if c&0x80 != 0 {
-			out = append(out, perSrc[i][0])
-		}
 		if perSrc[i] = perSrc[i][1:]; len(perSrc[i]) == 0 {
 			perSrc = append(perSrc[:i], perSrc[i+1:]...)
 		}
@@ -156,7 +150,7 @@ func fuzzCount(t *testing.T, frames []fuzzFrame, producers, batch int, use sqep.
 	bufs := map[*byte]int{}
 	inbox := make(carrier.Inbox, len(frames))
 	for i, f := range frames {
-		fr := carrier.Frame{Source: f.src, Offset: f.off, Last: f.last}
+		fr := carrier.Frame{Source: f.src, Last: f.last}
 		if len(f.payload) > 0 {
 			fr.Payload, fr.Pooled = carrier.GetBuf(len(f.payload)), true
 			copy(fr.Payload, f.payload)
@@ -165,7 +159,7 @@ func fuzzCount(t *testing.T, frames []fuzzFrame, producers, batch int, use sqep.
 		inbox <- carrier.Delivered{Frame: fr, At: vtime.Time(10 * (i + 1))}
 	}
 	close(inbox)
-	r := NewReceiver(inbox, ReceiverConfig{Producers: producers, TCPPerByte: 0.5, TrackOffsets: true, BatchFrames: batch})
+	r := NewReceiver(inbox, ReceiverConfig{Producers: producers, TCPPerByte: 0.5, BatchFrames: batch})
 	probe := &leaseProbe{Receiver: r, leases: bufs}
 	var in sqep.Operator = probe
 	if use == sqep.Owned {

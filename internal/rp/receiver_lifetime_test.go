@@ -321,12 +321,10 @@ func TestReceiverUnreadShortStreamFails(t *testing.T) {
 	} {
 		run := func(use sqep.ValueUse) (int, error) {
 			inbox := make(carrier.Inbox, len(tc.frames))
-			var off uint64
 			for i, p := range tc.frames {
-				inbox <- carrier.Delivered{Frame: carrier.Frame{Source: "p", Payload: p, Offset: off, Last: i == len(tc.frames)-1}}
-				off += uint64(len(p))
+				inbox <- carrier.Delivered{Frame: carrier.Frame{Source: "p", Payload: p, Last: i == len(tc.frames)-1}}
 			}
-			r := NewReceiver(inbox, ReceiverConfig{Producers: 1, TrackOffsets: true})
+			r := NewReceiver(inbox, ReceiverConfig{Producers: 1})
 			r.UseValues(use)
 			els, err := sqep.Drain(r)
 			return len(els), err
@@ -445,7 +443,7 @@ func inPool[T any](get func(int) []T, put func([]T), ptrs map[*T]int) int {
 
 // TestReceiverRecycleExactlyOnce: whatever ends a receiver while frames are
 // staged — the consumer closing, a bad payload, a Down frame, a closed inbox —
-// and whatever the dedup discards, every pooled payload and every lease of the
+// every pooled payload and every lease of the
 // receiver's own (the reassembly buffer the split array of each case goes
 // through, the array a non-retaining consumer's values live in) returns to its
 // pool once (a second return panics), no lease returns while the value the
@@ -454,7 +452,7 @@ func inPool[T any](get func(int) []T, put func([]T), ptrs map[*T]int) int {
 func TestReceiverRecycleExactlyOnce(t *testing.T) {
 	bufs, arrs := map[*byte]int{}, map[*float64]int{}
 	bufsInPool := func() int { return inPool(carrier.GetBuf, carrier.PutBuf, bufs) }
-	pooled := func(off uint64, last bool, values ...any) carrier.Delivered {
+	pooled := func(last bool, values ...any) carrier.Delivered {
 		var enc []byte
 		for _, v := range values {
 			if b, ok := v.([]byte); ok {
@@ -466,7 +464,7 @@ func TestReceiverRecycleExactlyOnce(t *testing.T) {
 		buf := carrier.GetBuf(len(enc))
 		copy(buf, enc)
 		bufs[&buf[0]] = cap(buf)
-		return carrier.Delivered{Frame: carrier.Frame{Source: "p", Payload: buf, Pooled: true, Offset: off, Last: last}}
+		return carrier.Delivered{Frame: carrier.Frame{Source: "p", Payload: buf, Pooled: true, Last: last}}
 	}
 	// Every case cuts this 37-byte array, which the consumer sees as 100, in
 	// two.
@@ -485,31 +483,27 @@ func TestReceiverRecycleExactlyOnce(t *testing.T) {
 	}{
 		{name: "close mid-batch", pulls: 3, want: []int64{1, 100, 2},
 			frames: func() []carrier.Delivered {
-				return []carrier.Delivered{pooled(0, false, 1, head), pooled(29, false, tail, 2, 3), pooled(64, false, 4), pooled(73, false, 5), pooled(82, true, 6)}
+				return []carrier.Delivered{pooled(false, 1, head), pooled(false, tail, 2, 3), pooled(false, 4), pooled(false, 5), pooled(true, 6)}
 			}},
 		{name: "decode error in frame 3 of 5", want: []int64{1, 100}, wantErr: "marshal: unknown tag: 0xff",
 			frames: func() []carrier.Delivered {
-				return []carrier.Delivered{pooled(0, false, 1, head), pooled(29, false, tail), pooled(46, false, []byte{0xff, 0, 0}), pooled(49, false, 3), pooled(58, true, 4)}
+				return []carrier.Delivered{pooled(false, 1, head), pooled(false, tail), pooled(false, []byte{0xff, 0, 0}), pooled(false, 3), pooled(true, 4)}
 			}},
 		{name: "down frame after 3 staged frames", want: []int64{1, 100, 2},
 			wantErr: `rp: producer "p" failed: boom: rp: upstream producer down`,
 			frames: func() []carrier.Delivered {
-				down := pooled(55, true, 9)
+				down := pooled(true, 9)
 				down.Down, down.Note = true, &carrier.Note{DownErr: "boom"}
-				return []carrier.Delivered{pooled(0, false, 1, head), pooled(29, false, tail), pooled(46, false, 2), down}
+				return []carrier.Delivered{pooled(false, 1, head), pooled(false, tail), pooled(false, 2), down}
 			}},
 		{name: "inbox closed mid-drain, half an array pending", closeInbox: true, want: []int64{1, 100, 2},
 			wantErr: "rp: inbox closed before end of stream",
 			frames: func() []carrier.Delivered {
-				return []carrier.Delivered{pooled(0, false, 1, head), pooled(29, false, tail, 2), pooled(55, false, head)}
+				return []carrier.Delivered{pooled(false, 1, head), pooled(false, tail, 2), pooled(false, head)}
 			}},
 		{name: "an array ends the stream", want: []int64{1, 100, 100},
 			frames: func() []carrier.Delivered {
-				return []carrier.Delivered{pooled(0, false, 1, head), pooled(29, false, tail, head), pooled(66, true, tail)}
-			}},
-		{name: "duplicate and partial-overlap replay", want: []int64{1, 100, 3},
-			frames: func() []carrier.Delivered {
-				return []carrier.Delivered{pooled(0, false, 1, head), pooled(0, false, 1, head), pooled(0, false, 1, head, tail[:5]), pooled(34, true, tail[5:], 3)}
+				return []carrier.Delivered{pooled(false, 1, head), pooled(false, tail, head), pooled(true, tail)}
 			}},
 	}
 	for _, tc := range cases {
@@ -521,7 +515,7 @@ func TestReceiverRecycleExactlyOnce(t *testing.T) {
 			if tc.closeInbox {
 				close(inbox)
 			}
-			r := NewReceiver(inbox, ReceiverConfig{Producers: 1, TrackOffsets: true, BatchFrames: batch})
+			r := NewReceiver(inbox, ReceiverConfig{Producers: 1, BatchFrames: batch})
 			r.UseValues(sqep.Borrowed)
 			var got []int64
 			var err error
@@ -581,16 +575,14 @@ func TestReceiverRecycleExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestReceiverMergeReplayedPrefix: a receiver merging three producers keeps
-// one slot per producer — its reassembly lease, its stream offset, its
+// TestReceiverMergeKeepsOneSlotPerProducer: a receiver merging three
+// producers keeps one slot per producer — its reassembly lease, its
 // counted-off value — whatever the order their frames come in. Every array
-// straddles frames, and producer b fails after three frames: its replacement
-// replays the whole stream in frames cut elsewhere, so the replay starts with
-// duplicates, then one frame overlaps what arrived, then the rest is new.
-// Each consumer — materializing, borrowing, reading nothing — sees every
-// producer's arrays once and in order, and every payload and lease goes back
-// to its pool exactly once.
-func TestReceiverMergeReplayedPrefix(t *testing.T) {
+// straddles frames, and producer b cuts its stream into frames of another
+// size. Each consumer — materializing, borrowing, reading nothing — sees
+// every producer's arrays once and in order, and every payload and lease
+// goes back to its pool exactly once.
+func TestReceiverMergeKeepsOneSlotPerProducer(t *testing.T) {
 	for _, use := range []sqep.ValueUse{sqep.Owned, sqep.Borrowed, sqep.Unread} {
 		for _, batch := range []int{1, 16} {
 			want := map[string][][]float64{}
@@ -599,23 +591,8 @@ func TestReceiverMergeReplayedPrefix(t *testing.T) {
 				for i := range 4 {
 					want[src] = append(want[src], goldenArray(10+p, 10*p+i))
 				}
-				perSrc = append(perSrc, producerFrames(t, src, 64, want[src]))
+				perSrc = append(perSrc, producerFrames(t, src, []int{64, 40, 64}[p], want[src]))
 			}
-			// b's first three frames came before it failed; the rest are
-			// never sent, and go back to the pool here.
-			const sent = 3
-			for i := range perSrc[1][sent:] {
-				carrier.Recycle(&perSrc[1][sent+i].Frame)
-			}
-			seen := perSrc[1][sent-1].Offset + uint64(len(perSrc[1][sent-1].Payload))
-			replay := producerFrames(t, "b", 40, want["b"])
-			overlaps := slices.ContainsFunc(replay, func(d carrier.Delivered) bool {
-				return d.Offset < seen && seen < d.Offset+uint64(len(d.Payload))
-			})
-			if !overlaps {
-				t.Fatalf("no replayed frame straddles offset %d", seen)
-			}
-			perSrc[1] = append(perSrc[1][:sent], replay...)
 
 			bufs := map[*byte]int{}
 			var frames []carrier.Delivered
@@ -630,7 +607,7 @@ func TestReceiverMergeReplayedPrefix(t *testing.T) {
 					perSrc = append(perSrc[:k], perSrc[k+1:]...)
 				}
 			}
-			r := NewReceiver(inboxOf(frames), ReceiverConfig{Producers: 3, TrackOffsets: true, BatchFrames: batch})
+			r := NewReceiver(inboxOf(frames), ReceiverConfig{Producers: 3, BatchFrames: batch})
 			r.UseValues(use)
 			got := map[string][][]float64{}
 			for {
@@ -758,7 +735,7 @@ func BenchmarkReceiverCount(b *testing.B) {
 			inbox := make(carrier.Inbox, len(payload)/1000+1)
 			for off := 0; off < len(payload); off += 1000 {
 				end := min(off+1000, len(payload))
-				inbox <- carrier.Delivered{Frame: carrier.Frame{Source: "p", Payload: payload[off:end], Offset: uint64(off), Last: end == len(payload)}}
+				inbox <- carrier.Delivered{Frame: carrier.Frame{Source: "p", Payload: payload[off:end], Last: end == len(payload)}}
 			}
 			return inbox
 		}},

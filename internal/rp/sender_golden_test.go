@@ -29,7 +29,7 @@ func (c *recConn) Send(f carrier.Frame) (vtime.Time, error) {
 	h := fnv.New64a()
 	_, _ = h.Write(f.Payload)
 	n := len(f.Payload)
-	fmt.Fprintf(&c.log, "off=%d len=%d last=%t ready=%d fnv=%016x\n", f.Offset, n, f.Last, f.Ready, h.Sum64())
+	fmt.Fprintf(&c.log, "len=%d last=%t ready=%d fnv=%016x\n", n, f.Last, f.Ready, h.Sum64())
 	carrier.Recycle(&f) // the carrier owns the frame
 	at := max(f.Ready, c.free).Add(vtime.Duration(n) * c.perByte)
 	c.free = at

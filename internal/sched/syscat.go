@@ -43,7 +43,7 @@ func (s *Scheduler) registerSysSessions() {
 	}
 }
 
-// ObserveVTime implements core.VTimeObserver: the engine reports the time of
+// ObserveVTime implements core.QueryScheduler: the engine reports the time of
 // every element its processes emit, on the kernel's one timeline and with no
 // locks held. It raises the policy clock to t and, when the clock moved,
 // wakes the live-delta catalog streams (streamof over sys_* tables). The

@@ -41,7 +41,7 @@ type chunk struct {
 const (
 	// chunkFlush is the size past which a pump hands its chunk to the
 	// writer without waiting for the batch to end: it bounds what one
-	// session can hold back and what WriteQueue chunks can pin.
+	// session can hold back and what writeQueue chunks can pin.
 	chunkFlush = 16 << 10
 	// maxPooledChunk keeps a buffer grown by one large row (a 300 kB array)
 	// out of the pool, where it would be pinned behind 40-byte frames.
@@ -134,7 +134,7 @@ func newConn(s *Server, id int64, nc net.Conn) *conn {
 		srv:      s,
 		id:       id,
 		nc:       nc,
-		out:      make(chan *chunk, s.cfg.WriteQueue),
+		out:      make(chan *chunk, writeQueue),
 		dead:     make(chan struct{}),
 		wrDone:   make(chan struct{}),
 		sessions: make(map[int64]*connSession),
@@ -293,7 +293,7 @@ func (c *conn) readLoop() {
 // handshake enforces the Hello exchange under the handshake deadline:
 // version match, then the optional auth hook.
 func (c *conn) handshake(r *wire.Reader) error {
-	c.nc.SetReadDeadline(time.Now().Add(c.srv.cfg.HandshakeTimeout))
+	c.nc.SetReadDeadline(time.Now().Add(handshakeTimeout))
 	defer c.nc.SetReadDeadline(time.Time{})
 	f, err := r.Next()
 	if err != nil {
@@ -318,7 +318,7 @@ func (c *conn) handshake(r *wire.Reader) error {
 		}
 	}
 	ch, e := control(wire.MsgAccepted)
-	c.send(ch, e.Int(wire.ProtoVersion).Str(c.srv.cfg.Name).Str(fmt.Sprintf("c%d", c.id)))
+	c.send(ch, e.Int(wire.ProtoVersion).Str(serverName).Str(fmt.Sprintf("c%d", c.id)))
 	return nil
 }
 

@@ -54,14 +54,6 @@ type Config struct {
 	MaxConns int
 	// MaxFrame bounds a single protocol frame. 0 means wire.DefaultMaxFrame.
 	MaxFrame int
-	// WriteQueue is the length of the per-connection outbound queue, in
-	// chunks: a control frame, or up to 16 KiB of a session's rows. Result
-	// pumps block when it fills — backpressure toward the session, not the
-	// engine. 0 means DefaultWriteQueue.
-	WriteQueue int
-	// HandshakeTimeout bounds how long a fresh connection may take to
-	// complete the Hello exchange. 0 means DefaultHandshakeTimeout.
-	HandshakeTimeout time.Duration
 	// IdleTimeout, when positive, closes a connection that sends no frame
 	// for the duration. Long-lived streaming sessions keep their results
 	// flowing regardless; the deadline applies to the client's read side
@@ -74,15 +66,22 @@ type Config struct {
 	// TLS, when set, wraps the listener (scsq-server plumbs -tls-cert/-key
 	// here). Nil serves plaintext.
 	TLS *tls.Config
-	// Name is reported in the Accepted frame ("scsq-server/1").
-	Name string
 }
 
-// Defaults for Config zero fields.
+// DefaultMaxConns is MaxConns when Config leaves it zero.
+const DefaultMaxConns = 1024
+
 const (
-	DefaultMaxConns         = 1024
-	DefaultWriteQueue       = 256
-	DefaultHandshakeTimeout = 10 * time.Second
+	// writeQueue is the length of the per-connection outbound queue, in
+	// chunks: a control frame, or up to 16 KiB of a session's rows. Result
+	// pumps block when it fills — backpressure toward the session, not the
+	// engine.
+	writeQueue = 256
+	// handshakeTimeout bounds how long a fresh connection may take to
+	// complete the Hello exchange.
+	handshakeTimeout = 10 * time.Second
+	// serverName is reported in the Accepted frame.
+	serverName = "scsq-server/1"
 )
 
 // Server serves one engine over one listener.
@@ -120,15 +119,6 @@ func New(eng *scsq.Engine, cfg Config) *Server {
 	}
 	if cfg.MaxFrame <= 0 {
 		cfg.MaxFrame = wire.DefaultMaxFrame
-	}
-	if cfg.WriteQueue <= 0 {
-		cfg.WriteQueue = DefaultWriteQueue
-	}
-	if cfg.HandshakeTimeout <= 0 {
-		cfg.HandshakeTimeout = DefaultHandshakeTimeout
-	}
-	if cfg.Name == "" {
-		cfg.Name = "scsq-server/1"
 	}
 	reg := eng.MetricsRegistry()
 	s := &Server{

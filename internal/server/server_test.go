@@ -184,7 +184,7 @@ func TestVersionMismatchRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	if err := wire.WriteFrame(nc, wire.MsgHello, wire.MustBag(int64(99), "")); err != nil {
+	if _, err := nc.Write(wire.AppendFrame(nil, wire.MsgHello, wire.MustBag(int64(99), ""))); err != nil {
 		t.Fatal(err)
 	}
 	r := wire.NewReader(nc, 0)
@@ -570,7 +570,7 @@ func TestTagReusableAfterDone(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	if err := wire.WriteFrame(nc, wire.MsgHello, wire.MustBag(int64(wire.ProtoVersion), "")); err != nil {
+	if _, err := nc.Write(wire.AppendFrame(nil, wire.MsgHello, wire.MustBag(int64(wire.ProtoVersion), ""))); err != nil {
 		t.Fatal(err)
 	}
 	r := wire.NewReader(nc, 0)
@@ -580,7 +580,7 @@ func TestTagReusableAfterDone(t *testing.T) {
 	}
 	const tag = int64(7)
 	for round := 0; round < 2; round++ {
-		if err := wire.WriteFrame(nc, wire.MsgSubmit, wire.MustBag(tag, `select count(sys_nodes());`, int64(0))); err != nil {
+		if _, err := nc.Write(wire.AppendFrame(nil, wire.MsgSubmit, wire.MustBag(tag, `select count(sys_nodes());`, int64(0)))); err != nil {
 			t.Fatal(err)
 		}
 		sawSubmitted, sawDone := false, false
@@ -704,7 +704,7 @@ func rawConn(t *testing.T, addr string) net.Conn {
 	}
 	t.Cleanup(func() { nc.Close() })
 	nc.SetDeadline(time.Now().Add(20 * time.Second))
-	if err := wire.WriteFrame(nc, wire.MsgHello, wire.MustBag(int64(wire.ProtoVersion), "")); err != nil {
+	if _, err := nc.Write(wire.AppendFrame(nil, wire.MsgHello, wire.MustBag(int64(wire.ProtoVersion), ""))); err != nil {
 		t.Fatal(err)
 	}
 	return nc
@@ -741,7 +741,7 @@ func TestOutboundByteStreamGolden(t *testing.T) {
 		wire.MustBag(int64(wire.ProtoVersion), "scsq-server/1", "c1")))
 	for i, stmt := range stmts {
 		tag := int64(40 + i)
-		if err := wire.WriteFrame(nc, wire.MsgSubmit, wire.MustBag(tag, stmt, int64(0))); err != nil {
+		if _, err := nc.Write(wire.AppendFrame(nil, wire.MsgSubmit, wire.MustBag(tag, stmt, int64(0)))); err != nil {
 			t.Fatal(err)
 		}
 		// Sessions alternate wire, reference: q1, q2, q3, q4.

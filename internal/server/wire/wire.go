@@ -129,12 +129,6 @@ func AppendFrame(buf []byte, typ byte, payload []byte) []byte {
 	return append(append(buf, typ), payload...)
 }
 
-// WriteFrame writes one frame to w.
-func WriteFrame(w io.Writer, typ byte, payload []byte) error {
-	_, err := w.Write(AppendFrame(nil, typ, payload))
-	return err
-}
-
 // maxKeptFrame is the largest frame buffer a Reader keeps between frames.
 // A bigger frame (an array row) gets a buffer of its
 // own that the next call of Next lets go, so an idle connection pins at

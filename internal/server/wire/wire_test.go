@@ -13,11 +13,7 @@ import (
 
 func TestFrameRoundTrip(t *testing.T) {
 	payload := MustBag(int64(7), "select 1;", int64(0))
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, MsgSubmit, payload); err != nil {
-		t.Fatal(err)
-	}
-	r := NewReader(&buf, 0)
+	r := NewReader(bytes.NewReader(AppendFrame(nil, MsgSubmit, payload)), 0)
 	f, err := r.Next()
 	if err != nil {
 		t.Fatal(err)
@@ -35,13 +31,11 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestFramePipelined(t *testing.T) {
-	var buf bytes.Buffer
+	var stream []byte
 	for i := 0; i < 10; i++ {
-		if err := WriteFrame(&buf, MsgPing, MustBag(int64(i))); err != nil {
-			t.Fatal(err)
-		}
+		stream = AppendFrame(stream, MsgPing, MustBag(int64(i)))
 	}
-	r := NewReader(&buf, 0)
+	r := NewReader(bytes.NewReader(stream), 0)
 	for i := 0; i < 10; i++ {
 		f, err := r.Next()
 		if err != nil {
