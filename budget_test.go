@@ -23,9 +23,9 @@ const (
 	maxWithOptions       = 13    // exported With* functions outside _test.go (target ≤ 30)
 	maxInternalPackages  = 21    // directories directly under internal/ with non-test .go files (target ≤ 22)
 	maxWireMessages      = 13    // Msg* constants of internal/server/wire
-	maxEngineMethods     = 10    // exported methods of (*scsq.Engine)
+	maxEngineMethods     = 9     // exported methods of (*scsq.Engine)
 	maxCoreEngineMethods = 17    // exported methods of (*core.Engine); building is on core.Query
-	maxNonTestLines      = 18946 // lines of the non-test .go files outside benchmark/
+	maxNonTestLines      = 18890 // lines of the non-test .go files outside benchmark/
 )
 
 // grantSelectors are vtime's unkeyed ways to grant virtual time. Outside

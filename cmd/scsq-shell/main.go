@@ -7,16 +7,18 @@
 //	scsq-shell                        # REPL on an in-process engine
 //	scsq-shell -connect 10.0.0.7:9292 # REPL against a remote scsq-server
 //
-// With -connect the shell speaks the SCSQL wire protocol to an scsq-server
-// instead of embedding an engine: statements run as remote scheduler
-// sessions with results streamed back incrementally. Engine-construction
-// flags (-mpibuf, -single) and the per-statement -utilization and
-// -explain reports apply only to the in-process mode.
+// The shell is a client of the SCSQL wire protocol in both modes: with
+// -connect, of an scsq-server; without it, of a server it puts in front of
+// an engine of its own and reaches over an in-process pipe, with no socket
+// and no token. Only the engine-construction flags (-mpibuf, -single) are
+// in-process only; the in-process engine is reset after every statement.
 //
-// Every statement runs as a session of the scheduler, in process as over
-// -connect, and prints its result elements, one summary line (element
-// count, virtual makespan, session id and state) and — with -payload — the
-// measured streaming bandwidth, the same in both modes.
+// Every statement runs as a session of the scheduler and prints its result
+// elements as they stream back, one summary line (element count, virtual
+// makespan, session id and state) and — with -payload — the measured
+// streaming bandwidth. -utilization N and -explain then print the
+// statement's own N busiest simulated resources (busy time, which may
+// exceed the makespan) and its communication topology.
 //
 // Backslash meta commands inspect the engine between statements. Each is a
 // statement over the system catalog (the same sys_* tables SCSQL queries
@@ -27,15 +29,16 @@
 //	\stats [pattern] select sys_metrics('pattern'); SQL-LIKE ('%' anywhere; a
 //	                 plain string is a prefix), or a session id ("\stats q3",
 //	                 "\stats @q3") for that query's own metrics
-//	\cancel <qid>    cancels a session (over -connect: one of this connection's)
+//	\cancel <qid>    cancels one of this connection's sessions
 //
 // and -utilization and -explain are `select sys_resources();` and
-// `select sys_links();` after each statement. A reader is itself a session,
-// so \ps lists its own `select sys_sessions();` as running — as SHOW
-// PROCESSLIST lists itself. It is a session that leases no node: it skips
-// the admission queue (and the server runs it while draining), so \ps
-// answers when the system is congested, and as it ends it leaves the session
-// table and hands its id back: reading numbers no query. In process, a
+// `select sys_links();` after each statement, of which they print the
+// statement's own rows. A reader is itself a session, so \ps lists its own
+// `select sys_sessions();` as running — as SHOW PROCESSLIST lists itself.
+// It is a session that leases no node: it skips the admission queue (and
+// the server runs it while draining), so \ps answers when the system is
+// congested, and as it ends it leaves the session table and hands its id
+// back: reading numbers no query. In process, a
 // statement run by the shell is retired by the Reset that follows it, which
 // folds its per-RP metric keys into "…retired"; keys that name no query
 // (link.*, sched.*) and totals by prefix survive, so \stats after a query
@@ -48,6 +51,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"os"
 	"regexp"
 	"slices"
@@ -56,8 +60,8 @@ import (
 
 	"scsq"
 	"scsq/internal/catalog"
+	"scsq/internal/server"
 	"scsq/internal/server/client"
-	"scsq/internal/server/wire"
 )
 
 func main() {
@@ -80,27 +84,33 @@ func run() error {
 	)
 	flag.Parse()
 
-	sh := &shell{out: os.Stdout}
+	var (
+		eng   *scsq.Engine
+		cli   *client.Client
+		where = "the in-process engine"
+		err   error
+	)
 	if *connect != "" {
-		cli, err := client.Dial(*connect, client.Options{Token: *token})
-		if err != nil {
+		if cli, err = client.Dial(*connect, client.Options{Token: *token}); err != nil {
 			return err
 		}
-		defer cli.Close()
-		sh.exec = &remoteExec{cli: cli, payload: *payload}
-		sh.banner = fmt.Sprintf("connected to %s (%s) as %s", *connect, cli.ServerName, cli.ConnID)
+		where = *connect
 	} else {
 		opts := []scsq.Option{scsq.WithMPIBufferBytes(*mpiBuf)}
 		if *single {
 			opts = append(opts, scsq.WithSingleBuffering())
 		}
-		eng, err := scsq.New(opts...)
-		if err != nil {
+		if eng, err = scsq.New(opts...); err != nil {
 			return err
 		}
 		defer eng.Close()
-		sh = newLocalShell(eng, *payload, *util, *explain, os.Stdout)
 	}
+	sh, err := newShell(eng, cli, *payload, *util, *explain, os.Stdout)
+	if err != nil {
+		return err
+	}
+	defer sh.close()
+	sh.banner = fmt.Sprintf("connected to %s (%s) as %s", where, sh.cli.ServerName, sh.cli.ConnID)
 
 	if *exec != "" {
 		return sh.runSource(*exec)
@@ -120,33 +130,47 @@ func run() error {
 	return sh.repl(os.Stdin)
 }
 
-// executor abstracts where statements run — the in-process engine or a
-// remote scsq-server. Everything the shell reads it reads by statement, so
-// the REPL and the meta commands are mode-agnostic by construction.
-type executor interface {
-	// Execute runs one SCSQL statement and writes its results to out.
-	Execute(stmt string, out io.Writer) error
-	// query is the shell's own read: one catalog table, by the statement
-	// `select <table>([arg]);`, as its column names and its rows lowered the
-	// way the wire lowers them (a catalog tuple becomes its values) — so both
-	// modes render from the same data. The engine is left as it is: no Reset
-	// follows, and the read itself leaves nothing behind.
-	query(table, arg string) (cols []string, rows [][]any, err error)
-	// Cancel cancels a scheduler session by id.
-	Cancel(id string) error
-}
-
+// shell runs statements and meta commands through one client of a server.
 type shell struct {
-	exec   executor
-	banner string
-	out    io.Writer
+	cli *client.Client
+	// eng and srv are the shell's own engine and the server in front of it;
+	// both nil over -connect.
+	eng     *scsq.Engine
+	srv     *server.Server
+	banner  string
+	out     io.Writer
+	payload int64
+	util    int
+	explain bool
+	cols    map[string][]string // column names by table, filled by columns
 }
 
-// newLocalShell wires a shell around an in-process engine.
-func newLocalShell(eng *scsq.Engine, payload int64, util int, explain bool, out io.Writer) *shell {
-	return &shell{
-		exec: &localExec{eng: eng, payload: payload, util: util, explain: explain},
-		out:  out,
+// newShell returns a shell that runs every statement, and every read of its
+// own, as a session of a server through one client. Exactly one of eng and
+// cli is non-nil: cli is connected to an scsq-server; eng is the shell's own
+// engine, which it puts behind a server of its own and reaches over an
+// in-process pipe — no socket, no token, nothing outside the process can
+// reach it — and resets after every statement.
+func newShell(eng *scsq.Engine, cli *client.Client, payload int64, util int, explain bool, out io.Writer) (*shell, error) {
+	sh := &shell{cli: cli, out: out, payload: payload, util: util, explain: explain}
+	if cli == nil {
+		sh.eng, sh.srv = eng, server.New(eng, server.Config{})
+		cliEnd, srvEnd := net.Pipe()
+		sh.srv.Serve(srvEnd)
+		var err error
+		if sh.cli, err = client.New(cliEnd, client.Options{}); err != nil {
+			sh.srv.Close()
+			return nil, err
+		}
+	}
+	return sh, nil
+}
+
+// close ends the client and, in process, the shell's server.
+func (s *shell) close() {
+	s.cli.Close()
+	if s.srv != nil {
+		s.srv.Close()
 	}
 }
 
@@ -196,8 +220,8 @@ func (s *shell) repl(r io.Reader) error {
 	return scanner.Err()
 }
 
-// execute runs one statement and prints its outcome.
-func (s *shell) execute(stmt string) error {
+// execute runs one statement or meta command and prints its outcome.
+func (s *shell) execute(stmt string) (err error) {
 	stmt = strings.TrimSpace(stmt)
 	if stmt == "" {
 		return nil
@@ -205,135 +229,75 @@ func (s *shell) execute(stmt string) error {
 	if strings.HasPrefix(stmt, `\`) {
 		return s.meta(stmt)
 	}
-	return s.exec.Execute(stmt, s.out)
-}
-
-// localExec runs statements as sessions of an embedded engine, one at a
-// time with a reset in between.
-type localExec struct {
-	eng     *scsq.Engine
-	payload int64
-	util    int
-	explain bool
-}
-
-func (l *localExec) Execute(stmt string, out io.Writer) (err error) {
-	// Every exit resets: what a statement reads must not depend on how the
-	// one before it ended.
-	defer func() {
-		if rerr := l.eng.Reset(); rerr != nil && err == nil {
-			err = fmt.Errorf("reset after statement: %w", rerr)
-		}
-	}()
-	sess, err := l.eng.Submit(stmt + ";")
-	if err != nil {
-		return err
+	if s.eng != nil {
+		// Every exit resets the shell's own engine: what a statement reads
+		// must not depend on how the one before it ended.
+		defer func() {
+			if rerr := s.eng.Reset(); rerr != nil && err == nil {
+				err = fmt.Errorf("reset after statement: %w", rerr)
+			}
+		}()
 	}
-	els, err := sess.Wait()
-	for _, el := range els {
-		fmt.Fprintf(out, "%v\n", formatValue(el.Value))
-	}
-	if err != nil {
-		return fmt.Errorf("session %s %s: %w", sess.ID(), sess.State(), err)
-	}
-	printSummary(out, len(els), sess.Makespan(), sess.ID(), sess.State().String(), l.payload)
-	if l.util > 0 {
-		if err := printUtilization(out, l, sess.Makespan(), l.util); err != nil {
-			return err
-		}
-	}
-	if l.explain {
-		return printTopology(out, l)
-	}
-	return nil
-}
-
-func (l *localExec) query(table, arg string) ([]string, [][]any, error) {
-	sess, err := l.eng.Submit(selectStmt(table, arg))
-	if err != nil {
-		return nil, nil, err
-	}
-	els, err := sess.Wait()
-	if err != nil {
-		return nil, nil, err
-	}
-	var cols []string
-	rows := make([][]any, len(els))
-	for i, el := range els {
-		tup, ok := el.Value.(catalog.Tuple)
-		if !ok {
-			return nil, nil, fmt.Errorf("%s() row %d is %T, want a tuple", table, i, el.Value)
-		}
-		cols, rows[i] = tup.Schema.Names(), wire.WireValue(tup).([]any)
-	}
-	return cols, rows, nil
-}
-
-func (l *localExec) Cancel(id string) error { return l.eng.CancelSession(id) }
-
-// remoteExec runs statements as sessions of a remote scsq-server; results
-// stream back incrementally and print as they arrive.
-type remoteExec struct {
-	cli     *client.Client
-	payload int64
-	// cols caches the column names of the tables read so far: rows cross the
-	// wire as bare values, so the names come from one sys_tables read.
-	cols map[string][]string
-}
-
-func (r *remoteExec) Execute(stmt string, out io.Writer) error {
-	h, err := r.cli.Submit(stmt+";", 0)
+	h, err := s.cli.Submit(stmt+";", 0)
 	if err != nil {
 		return err
 	}
 	n := 0
-	for {
-		row, ok, fin := h.Recv()
-		if ok {
-			fmt.Fprintf(out, "%v\n", formatValue(row.Value))
-			n++
-			continue
-		}
-		if fin == nil {
-			return fmt.Errorf("connection lost mid-stream: %v", r.cli.Err())
-		}
-		if fin.Err != "" {
-			return fmt.Errorf("session %s %s: %s", h.ID, fin.State, fin.Err)
-		}
-		printSummary(out, n, fin.Makespan, h.ID, fin.State, r.payload)
-		return nil
+	row, ok, fin := h.Recv()
+	for ; ok; row, ok, fin = h.Recv() {
+		fmt.Fprintf(s.out, "%v\n", formatValue(row.Value))
+		n++
 	}
+	switch {
+	case fin == nil:
+		return fmt.Errorf("connection lost mid-stream: %v", s.cli.Err())
+	case fin.Err != "":
+		return fmt.Errorf("session %s %s: %s", h.ID, fin.State, fin.Err)
+	}
+	fmt.Fprintf(s.out, "-- %d element(s), virtual makespan %v, session %s %s\n", n, fin.Makespan, h.ID, fin.State)
+	if s.payload > 0 && fin.Makespan > 0 {
+		mbps := float64(s.payload) * 8 / fin.Makespan.Seconds() / 1e6
+		fmt.Fprintf(s.out, "-- bandwidth %.1f Mbps over %d payload bytes\n", mbps, s.payload)
+	}
+	if s.util > 0 {
+		if err := s.printUtilization(h.ID); err != nil {
+			return err
+		}
+	}
+	if s.explain {
+		return s.printTopology(h.ID)
+	}
+	return nil
 }
 
-func (r *remoteExec) query(table, arg string) ([]string, [][]any, error) {
-	rows, err := r.read(table, arg)
-	if err != nil {
-		return nil, nil, err
-	}
-	if _, known := r.cols[table]; !known {
-		tabs := rows
-		if table != "sys_tables" {
-			if tabs, err = r.read("sys_tables", ""); err != nil {
-				return nil, nil, err
-			}
+// columns returns the column names of a catalog table. Rows cross the wire
+// as bare values, so the names come from a sys_tables read, cached until a
+// table it did not list is asked for.
+func (s *shell) columns(table string) ([]string, error) {
+	if _, known := s.cols[table]; !known {
+		tabs, err := s.read("sys_tables", "")
+		if err != nil {
+			return nil, err
 		}
-		r.cols = make(map[string][]string, len(tabs))
+		s.cols = make(map[string][]string, len(tabs))
 		for _, t := range tabs { // name, doc, columns, takes_pattern
 			name, _ := t[0].(string)
 			columns, _ := t[2].(string)
 			sch, err := catalog.ParseSchema(columns)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
-			r.cols[name] = sch.Names()
+			s.cols[name] = sch.Names()
 		}
 	}
-	return r.cols[table], rows, nil
+	return s.cols[table], nil
 }
 
-// read runs one catalog read as a session and returns its rows.
-func (r *remoteExec) read(table, arg string) ([][]any, error) {
-	h, err := r.cli.Submit(selectStmt(table, arg), 0)
+// read is the shell's own read of one catalog table, by the statement
+// `select <table>([arg]);`, as a session: it returns the table's rows,
+// leaves nothing behind, and no Reset follows it.
+func (s *shell) read(table, arg string) ([][]any, error) {
+	h, err := s.cli.Submit(selectStmt(table, arg), 0)
 	if err != nil {
 		return nil, err
 	}
@@ -355,19 +319,6 @@ func (r *remoteExec) read(table, arg string) ([][]any, error) {
 	return rows, nil
 }
 
-func (r *remoteExec) Cancel(id string) error { return r.cli.CancelID(id) }
-
-// printSummary writes the line that ends a statement's output in both
-// modes — its element count, virtual makespan and session — and, given a
-// payload, the bandwidth the makespan measured.
-func printSummary(out io.Writer, n int, makespan time.Duration, id, state string, payload int64) {
-	fmt.Fprintf(out, "-- %d element(s), virtual makespan %v, session %s %s\n", n, makespan, id, state)
-	if payload > 0 && makespan > 0 {
-		mbps := float64(payload) * 8 / makespan.Seconds() / 1e6
-		fmt.Fprintf(out, "-- bandwidth %.1f Mbps over %d payload bytes\n", mbps, payload)
-	}
-}
-
 // selectStmt spells the read of one catalog table, quoting its argument.
 func selectStmt(table, arg string) string {
 	if arg != "" {
@@ -383,7 +334,7 @@ func selectStmt(table, arg string) string {
 // describe renders the catalog's own listing, sys_tables: every table on one
 // line each, or the one named with its schema as the registry spells it.
 func (s *shell) describe(name string) error {
-	_, rows, err := s.exec.query("sys_tables", "")
+	rows, err := s.read("sys_tables", "")
 	if err != nil {
 		return err
 	}
@@ -432,7 +383,7 @@ func (s *shell) meta(cmd string) error {
 		if len(fields) != 2 {
 			return fmt.Errorf(`\cancel takes one query id (try \ps)`)
 		}
-		if err := s.exec.Cancel(arg); err != nil {
+		if err := s.cli.CancelID(arg); err != nil {
 			return err
 		}
 		fmt.Fprintf(s.out, "-- cancelled %s\n", arg)
@@ -445,7 +396,11 @@ func (s *shell) meta(cmd string) error {
 // printTable renders one catalog table as name=value rows, the names being
 // the table's own columns — the backing of \ps.
 func (s *shell) printTable(table string) error {
-	cols, rows, err := s.exec.query(table, "")
+	rows, err := s.read(table, "")
+	if err != nil {
+		return err
+	}
+	cols, err := s.columns(table)
 	if err != nil {
 		return err
 	}
@@ -475,7 +430,7 @@ func (s *shell) printStats(pattern string) error {
 	if qidRe.MatchString(pattern) {
 		pattern = "@" + pattern
 	}
-	_, rows, err := s.exec.query("sys_metrics", pattern)
+	rows, err := s.read("sys_metrics", pattern)
 	if err != nil {
 		return err
 	}
@@ -507,46 +462,38 @@ func (s *shell) printStats(pattern string) error {
 // qidRe recognizes a bare session id of the engine's "q<n>" form.
 var qidRe = regexp.MustCompile(`^q\d+$`)
 
-// printUtilization reports the top busiest simulated devices from
-// sys_resources — each device's busy time summed over its owners — with
-// their share of the statement's makespan.
-func printUtilization(out io.Writer, ex executor, makespan time.Duration, top int) error {
-	_, rows, err := ex.query("sys_resources", "")
+// printUtilization reports the top busiest simulated devices of session id:
+// its own sys_resources rows, one per device it was charged on. Busy time
+// is no share of the makespan: a device may be busy past the last element
+// (the NIC carries the end-of-stream frame after it).
+func (s *shell) printUtilization(id string) error {
+	rows, err := s.read("sys_resources", "")
 	if err != nil {
 		return err
 	}
-	busy := make(map[string]int64)
-	var names []string
-	for _, r := range rows { // resource, owner, busy_ns
-		name := r[0].(string)
-		if _, seen := busy[name]; !seen {
-			names = append(names, name)
-		}
-		busy[name] += r[2].(int64)
-	}
-	slices.SortFunc(names, func(a, b string) int {
-		return cmp.Or(cmp.Compare(busy[b], busy[a]), strings.Compare(a, b))
+	rows = slices.DeleteFunc(rows, func(r []any) bool { return r[1] != id }) // resource, owner, busy_ns
+	slices.SortFunc(rows, func(a, b []any) int {
+		return cmp.Or(cmp.Compare(b[2].(int64), a[2].(int64)), strings.Compare(a[0].(string), b[0].(string)))
 	})
-	fmt.Fprintf(out, "-- busiest resources:\n")
-	for _, name := range names[:min(top, len(names))] {
-		share := 0.0
-		if makespan > 0 {
-			share = float64(busy[name]) / float64(makespan)
-		}
-		fmt.Fprintf(out, "--   %-12s %12v %6.1f%%\n", name, time.Duration(busy[name]), share*100)
+	fmt.Fprintf(s.out, "-- busiest resources:\n")
+	for _, r := range rows[:min(s.util, len(rows))] {
+		fmt.Fprintf(s.out, "--   %-12s %12v\n", r[0], time.Duration(r[2].(int64)))
 	}
 	return nil
 }
 
-// printTopology reports the wired producer→consumer edges from sys_links.
-func printTopology(out io.Writer, ex executor) error {
-	_, rows, err := ex.query("sys_links", "")
+// printTopology reports session id's wired producer→consumer edges from
+// sys_links.
+func (s *shell) printTopology(id string) error {
+	rows, err := s.read("sys_links", "")
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "-- communication topology:\n")
+	fmt.Fprintf(s.out, "-- communication topology:\n")
 	for _, r := range rows { // carrier, query, producer, consumer, from_cluster, from_node, to_cluster, to_node, ...
-		fmt.Fprintf(out, "--   %-12s (%s:%d) --%s--> %s (%s:%d)\n", r[2], r[4], r[5], r[0], r[3], r[6], r[7])
+		if r[1] == id {
+			fmt.Fprintf(s.out, "--   %-12s (%s:%d) --%s--> %s (%s:%d)\n", r[2], r[4], r[5], r[0], r[3], r[6], r[7])
+		}
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -9,6 +10,16 @@ import (
 	"scsq/internal/server"
 	"scsq/internal/server/client"
 )
+
+// mustShell is newShell for a test.
+func mustShell(t *testing.T, eng *scsq.Engine, cli *client.Client, payload int64, util int, explain bool, out io.Writer) *shell {
+	t.Helper()
+	sh, err := newShell(eng, cli, payload, util, explain, out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sh
+}
 
 func TestSplitStatements(t *testing.T) {
 	tests := []struct {
@@ -45,7 +56,8 @@ func TestShellExecute(t *testing.T) {
 	}
 	defer eng.Close()
 	var sb strings.Builder
-	sh := newLocalShell(eng, 1000, 2, false, &sb)
+	sh := mustShell(t, eng, nil, 1000, 2, false, &sb)
+	defer sh.close()
 	err = sh.runSource(`
 create function f(integer n) -> stream as select extract(a) from sp a where a=sp(iota(1,n), 'be');
 select f(2);`)
@@ -67,7 +79,8 @@ func TestShellREPLRecoversFromErrors(t *testing.T) {
 	}
 	defer eng.Close()
 	var sb strings.Builder
-	sh := newLocalShell(eng, 0, 0, false, &sb)
+	sh := mustShell(t, eng, nil, 0, 0, false, &sb)
+	defer sh.close()
 	input := "select nonsense(;\nselect extract(a) from sp a where a=sp(iota(1,1), 'be');\n"
 	if err := sh.repl(strings.NewReader(input)); err != nil {
 		t.Fatal(err)
@@ -133,7 +146,8 @@ func TestShellStatsMeta(t *testing.T) {
 	}
 	defer eng.Close()
 	var sb strings.Builder
-	sh := newLocalShell(eng, 0, 0, false, &sb)
+	sh := mustShell(t, eng, nil, 0, 0, false, &sb)
+	defer sh.close()
 
 	// \stats on a fresh engine: nothing recorded yet.
 	if err := sh.execute(`\stats link.`); err != nil {
@@ -180,7 +194,8 @@ func TestShellPSAndQueryScopedStats(t *testing.T) {
 	}
 	defer eng.Close()
 	var sb strings.Builder
-	sh := newLocalShell(eng, 0, 0, false, &sb)
+	sh := mustShell(t, eng, nil, 0, 0, false, &sb)
+	defer sh.close()
 
 	ses, err := eng.Submit(`select extract(a) from sp a where a=sp(iota(1,3), 'be');`)
 	if err != nil {
@@ -223,7 +238,8 @@ func TestShellDescribeMeta(t *testing.T) {
 	}
 	defer eng.Close()
 	var sb strings.Builder
-	sh := newLocalShell(eng, 0, 0, false, &sb)
+	sh := mustShell(t, eng, nil, 0, 0, false, &sb)
+	defer sh.close()
 
 	// \d lists every catalog table from the live registry.
 	if err := sh.execute(`\d`); err != nil {
@@ -268,7 +284,8 @@ func TestShellRemoteMode(t *testing.T) {
 	}
 	defer cli.Close()
 	var sb strings.Builder
-	sh := &shell{exec: &remoteExec{cli: cli, payload: 1000}, out: &sb}
+	sh := mustShell(t, nil, cli, 1000, 0, false, &sb)
+	defer sh.close()
 
 	// Statements run as remote sessions with incremental results.
 	err = sh.runSource(`select extract(a) from sp a where a=sp(iota(1,3), 'be');`)
@@ -301,13 +318,14 @@ func TestShellRemoteMode(t *testing.T) {
 	sb.Reset()
 
 	// One read path: every meta command is a statement over the catalog, so
-	// the in-process shell and the remote one print the same lines for the
-	// same engine — except that a remote reader is itself a session (a local
-	// one runs on the synchronous evaluator), so \ps over the wire also lists
-	// its own sys_sessions() read, running, as SHOW PROCESSLIST would. No
-	// earlier read is there: a reader leaves the session table as it ends.
+	// a shell on its own server and one over -connect print the same lines
+	// for the same engine — except that each reader is itself a session, so
+	// each \ps lists its own sys_sessions() read, running, as SHOW
+	// PROCESSLIST would. No earlier read is there: a reader leaves the
+	// session table as it ends.
 	var lb strings.Builder
-	local := newLocalShell(eng, 0, 0, false, &lb)
+	local := mustShell(t, eng, nil, 0, 0, false, &lb)
+	defer local.close()
 	lines := func(out string) []string {
 		var kept []string
 		for _, l := range strings.Split(out, "\n") {
@@ -364,7 +382,8 @@ func TestShellReadsNumberNoQuery(t *testing.T) {
 	}
 	defer eng.Close()
 	var sb strings.Builder
-	sh := newLocalShell(eng, 0, 2, true, &sb)
+	sh := mustShell(t, eng, nil, 0, 2, true, &sb)
+	defer sh.close()
 	const stmt = `select extract(b) from sp a, sp b where b=sp(count(extract(a)), 'bg') and a=sp(iota(1,6), 'be')`
 	for _, want := range []string{"q1/rp-be-1", "q2/rp-be-1", "q3/rp-be-1"} {
 		sb.Reset()
@@ -382,4 +401,78 @@ func TestShellReadsNumberNoQuery(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestShellModesAgree: the shell is a client of a server in both modes, so a
+// script prints the same bytes on its own engine as over -connect — the
+// -utilization and -explain reports and the meta commands included.
+func TestShellModesAgree(t *testing.T) {
+	const def = "create function f(integer n) -> stream as select extract(a) from sp a where a=sp(iota(1,n), 'be');\n"
+	script := def + "select f(2);\n\\ps\n\\d sys_links\n"
+	outputs := make([]string, 2)
+	for i, remote := range []bool{false, true} {
+		eng, err := scsq.New()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		own, cli := eng, (*client.Client)(nil)
+		if remote {
+			own, cli = nil, dial(t, eng)
+		}
+		var sb strings.Builder
+		sh := mustShell(t, own, cli, 1000, 2, true, &sb)
+		defer sh.close()
+		if err := sh.repl(strings.NewReader(script)); err != nil {
+			t.Fatal(err)
+		}
+		outputs[i] = sb.String()
+	}
+	for _, want := range []string{"2 element(s)", "bandwidth", "busiest resources:\n--   be0.nic", "--tcp-->", "statement=select f(2);", "sys_links (carrier string"} {
+		if !strings.Contains(outputs[0], want) {
+			t.Errorf("output missing %q:\n%s", want, outputs[0])
+		}
+	}
+	if outputs[0] != outputs[1] {
+		t.Errorf("the modes differ:\n-- in process:\n%s\n-- over -connect:\n%s", outputs[0], outputs[1])
+	}
+
+	// A warm server keeps every session's busy time: a statement reports its
+	// own, not the running sum of all.
+	eng, err := scsq.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	var sb strings.Builder
+	sh := mustShell(t, nil, dial(t, eng), 0, 2, false, &sb)
+	defer sh.close()
+	if err := sh.runSource(def + "select f(2); select f(2);"); err != nil {
+		t.Fatal(err)
+	}
+	var busy []string
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 3 && strings.HasSuffix(f[1], ".nic") {
+			busy = append(busy, f[2])
+		}
+	}
+	if len(busy) != 4 || busy[0] != busy[2] || busy[1] != busy[3] {
+		t.Errorf("two identical statements report busy times %v:\n%s", busy, sb.String())
+	}
+}
+
+// dial puts eng behind a listening server and connects a client to it.
+func dial(t *testing.T, eng *scsq.Engine) *client.Client {
+	t.Helper()
+	srv := server.New(eng, server.Config{})
+	t.Cleanup(func() { srv.Close() })
+	addr, err := srv.Listen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli, err := client.Dial(addr.String(), client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cli
 }

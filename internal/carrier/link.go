@@ -43,9 +43,6 @@ type Verdict struct {
 	// Err, if non-nil, fails the send without delivering the frame. It
 	// wraps carrier.ErrNodeDown.
 	Err error
-	// Drop silently loses the frame: the sender is charged and told the
-	// send succeeded, but the receiver never sees it.
-	Drop bool
 	// Delay is extra delivery latency added to the frame's arrival time.
 	Delay vtime.Duration
 }
@@ -222,7 +219,7 @@ func (l *Link) Send(fr Frame) (vtime.Time, error) {
 		Recycle(&fr)
 		return 0, v.Err
 	}
-	lost := v.Drop || (l.Lose != nil && !fr.Last && l.Lose(seq))
+	lost := l.Lose != nil && !fr.Last && l.Lose(seq)
 
 	stages := l.route.Stages
 	if lost {

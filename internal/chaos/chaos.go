@@ -1,6 +1,6 @@
 // Package chaos provides seeded, deterministic fault injection for the SCSQ
 // engine. The paper's coordinators own node placement on a 768-node
-// BlueGene partition (§2.2); at that scale lost and late frames and
+// BlueGene partition (§2.2); at that scale late frames and
 // whole-node crashes are the steady state, not the exception. An
 // Injector is consulted by the carriers (mpicar, and tcpcar with its UDP
 // variant) on every dial and every frame send, and decides — purely from
@@ -9,12 +9,14 @@
 // fault schedule run after run, which is what makes chaos tests assertable:
 // a killed node is killed at the same frame of the same stream every time.
 //
-// Faults come in two families. Rate faults (frame drops, added latency)
-// fire per-event from a hash of the seed and the event coordinates. Crash
+// Faults come in two families. The rate fault (added latency) fires
+// per-event from a hash of the seed and the event coordinates. Crash
 // schedules (CrashAfterSends, CrashAtVTime) kill a whole compute node at a
 // deterministic point of its own traffic; a dead node refuses dials, fails
 // every send touching it, and is reported to crash listeners so the engine
-// can mark it dead in the compute node database and kill its resident RPs. Nothing revives a node: the sessions on it fail.
+// can mark it dead in the compute node database and kill its resident RPs.
+// Nothing revives a node: the sessions on it fail. A lost frame is UDP's
+// (tcpcar), not a fault of this package.
 package chaos
 
 import (
@@ -42,7 +44,6 @@ var _ carrier.Faults = (*Injector)(nil)
 type Injector struct {
 	seed int64
 
-	dropRate  float64
 	delayRate float64
 	maxDelay  vtime.Duration
 
@@ -59,17 +60,11 @@ type Injector struct {
 	cDialDead *metrics.Counter
 	cSendDead *metrics.Counter
 	cCrash    *metrics.Counter
-	cDrop     *metrics.Counter
 	cDelay    *metrics.Counter
 }
 
 // Option configures an Injector.
 type Option func(*Injector)
-
-// DropRate silently loses a fraction p of non-final frames.
-func DropRate(p float64) Option {
-	return func(i *Injector) { i.dropRate = p }
-}
 
 // DelayRate adds up to maxDelay of virtual delivery latency to a fraction p
 // of frames.
@@ -123,7 +118,6 @@ func (i *Injector) SetMetrics(reg *metrics.Registry) {
 	i.cDialDead = reg.Counter("chaos.dial_dead")
 	i.cSendDead = reg.Counter("chaos.send_dead")
 	i.cCrash = reg.Counter("chaos.crash")
-	i.cDrop = reg.Counter("chaos.drop")
 	i.cDelay = reg.Counter("chaos.delay")
 }
 
@@ -188,9 +182,8 @@ func (i *Injector) Dial(src, dst NodeRef) error {
 
 // Hash salts keep the per-fault decision streams independent. A retired
 // fault's salt is not reused, so the others keep their streams: 1 was the
-// dial rate's, 2 the reset's, 4 and 7 byte corruption's.
+// dial rate's, 2 the reset's, 3 the drop rate's, 4 and 7 byte corruption's.
 const (
-	saltDrop     = 3
 	saltDelay    = 5
 	saltDelayLen = 6
 )
@@ -223,7 +216,7 @@ func (i *Injector) OnSend(src, dst NodeRef, seq uint64, ready vtime.Time, last b
 	i.cCrash.Add(int64(len(crashed)))
 	deadSrc, deadDst := i.dead[src], i.dead[dst]
 	listeners := i.snapshotListenersLocked()
-	cSendDead, cDrop, cDelay := i.cSendDead, i.cDrop, i.cDelay
+	cSendDead, cDelay := i.cSendDead, i.cDelay
 	i.mu.Unlock()
 
 	for _, ref := range crashed {
@@ -245,11 +238,6 @@ func (i *Injector) OnSend(src, dst NodeRef, seq uint64, ready vtime.Time, last b
 	}
 
 	key := src.String() + ">" + dst.String()
-	if i.dropRate > 0 && i.chance(saltDrop, key, seq) < i.dropRate {
-		cDrop.Inc()
-		v.Drop = true
-		return v
-	}
 	if i.delayRate > 0 && i.maxDelay > 0 && i.chance(saltDelay, key, seq) < i.delayRate {
 		cDelay.Inc()
 		v.Delay = vtime.Duration(i.hash(saltDelayLen, key, seq) % uint64(i.maxDelay))

@@ -18,7 +18,7 @@ func TestNilInjectorInjectsNothing(t *testing.T) {
 		t.Fatalf("nil injector dial: %v", err)
 	}
 	v := inj.OnSend(ref(0), ref(1), 0, 0, false)
-	if v.Err != nil || v.Drop || v.Delay != 0 {
+	if v.Err != nil || v.Delay != 0 {
 		t.Fatalf("nil injector verdict = %+v, want none", v)
 	}
 	if inj.NodeDead(hw.BlueGene, 0) {
@@ -29,7 +29,7 @@ func TestNilInjectorInjectsNothing(t *testing.T) {
 
 func TestSameSeedSameFaultSchedule(t *testing.T) {
 	verdicts := func(seed int64) []Verdict {
-		inj := New(seed, DropRate(0.1), DelayRate(0.1, vtime.Millisecond))
+		inj := New(seed, DelayRate(0.1, vtime.Millisecond))
 		out := make([]Verdict, 0, 200)
 		for seq := uint64(0); seq < 200; seq++ {
 			out = append(out, inj.OnSend(ref(1), ref(2), seq, 0, false))
@@ -39,16 +39,14 @@ func TestSameSeedSameFaultSchedule(t *testing.T) {
 	a, b := verdicts(42), verdicts(42)
 	for i := range a {
 		av, bv := a[i], b[i]
-		if (av.Err == nil) != (bv.Err == nil) || av.Drop != bv.Drop ||
-			av.Delay != bv.Delay {
+		if (av.Err == nil) != (bv.Err == nil) || av.Delay != bv.Delay {
 			t.Fatalf("seq %d: same seed diverged: %+v vs %+v", i, av, bv)
 		}
 	}
 	c := verdicts(43)
 	same := true
 	for i := range a {
-		if (a[i].Err == nil) != (c[i].Err == nil) || a[i].Drop != c[i].Drop ||
-			a[i].Delay != c[i].Delay {
+		if (a[i].Err == nil) != (c[i].Err == nil) || a[i].Delay != c[i].Delay {
 			same = false
 			break
 		}
@@ -59,30 +57,27 @@ func TestSameSeedSameFaultSchedule(t *testing.T) {
 }
 
 func TestRateFaultsActuallyFire(t *testing.T) {
-	inj := New(7, DropRate(0.2), DelayRate(0.2, vtime.Millisecond))
-	var drops, delays int
+	inj := New(7, DelayRate(0.2, vtime.Millisecond))
+	var delays int
 	for seq := uint64(0); seq < 500; seq++ {
 		v := inj.OnSend(ref(1), ref(2), seq, 0, false)
 		if v.Err != nil {
 			t.Fatalf("seq %d: a rate fault failed the send: %v", seq, v.Err)
 		}
-		if v.Drop {
-			drops++
-		}
 		if v.Delay > 0 {
 			delays++
 		}
 	}
-	if drops == 0 || delays == 0 {
-		t.Fatalf("drops=%d delays=%d over 500 sends at 20%%: rates never fired", drops, delays)
+	if delays == 0 {
+		t.Fatal("no delay over 500 sends at 20%: the rate never fired")
 	}
 }
 
 func TestLastFramesExemptFromRateFaults(t *testing.T) {
-	inj := New(7, DropRate(0.9), DelayRate(0.9, vtime.Millisecond))
+	inj := New(7, DelayRate(0.9, vtime.Millisecond))
 	for seq := uint64(0); seq < 100; seq++ {
 		v := inj.OnSend(ref(1), ref(2), seq, 0, true)
-		if v.Err != nil || v.Drop || v.Delay != 0 {
+		if v.Err != nil || v.Delay != 0 {
 			t.Fatalf("seq %d: Last frame drew a rate fault: %+v", seq, v)
 		}
 	}
@@ -145,15 +140,12 @@ func TestFaultCountersExported(t *testing.T) {
 	nilInj.SetMetrics(metrics.NewRegistry()) // must not panic
 
 	reg := metrics.NewRegistry()
-	inj := New(7, DropRate(0.2), DelayRate(0.2, vtime.Millisecond))
+	inj := New(7, DelayRate(0.2, vtime.Millisecond))
 	inj.SetMetrics(reg)
 
-	var drops, delays int64
+	var delays int64
 	for seq := uint64(0); seq < 500; seq++ {
 		v := inj.OnSend(ref(1), ref(2), seq, 0, false)
-		if v.Drop {
-			drops++
-		}
 		if v.Delay > 0 {
 			delays++
 		}
@@ -169,7 +161,6 @@ func TestFaultCountersExported(t *testing.T) {
 
 	snap := reg.Snapshot()
 	want := map[string]int64{
-		"chaos.drop":      drops,
 		"chaos.delay":     delays,
 		"chaos.crash":     1,
 		"chaos.dial_dead": 1,
@@ -180,8 +171,11 @@ func TestFaultCountersExported(t *testing.T) {
 			t.Fatalf("%s = %d, want %d (snapshot %v)", name, got, v, snap.Counters)
 		}
 	}
-	if drops == 0 || delays == 0 {
-		t.Fatalf("rate faults never fired: drops=%d delays=%d", drops, delays)
+	if delays == 0 {
+		t.Fatal("the delay rate never fired")
+	}
+	if _, ok := snap.Counters["chaos.drop"]; ok {
+		t.Fatal("chaos.drop is exported: the injector drops no frame, UDP does")
 	}
 }
 

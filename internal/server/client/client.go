@@ -1,8 +1,8 @@
 // Package client is the typed Go client of the SCSQL wire protocol: the
-// programmatic face of scsq-server used by the remote shell, the serve
-// load generator, and the server's own tests. One Client multiplexes any
-// number of pipelined sessions over a single connection; a background
-// reader dispatches tagged frames to per-session queues.
+// programmatic face of scsq-server used by the shell (in both of its
+// modes), the serve load generator, and the server's own tests. One Client
+// multiplexes any number of pipelined sessions over a single connection; a
+// background reader dispatches tagged frames to per-session queues.
 //
 // Result rows move in runs. The reader decodes the consecutive Row frames of
 // one session into a run and hands the run to the session's queue under one
@@ -152,10 +152,10 @@ type reply struct {
 // as one of them without a copy.
 var finalStates = []string{"done", "cancelled", "failed"}
 
-// Dial connects, handshakes, and starts the reader.
+// Dial connects and hands the connection to New.
 func Dial(addr string, opts Options) (*Client, error) {
 	if opts.DialTimeout <= 0 {
-		opts.DialTimeout = 10 * time.Second
+		opts.DialTimeout = defaultDialTimeout
 	}
 	var nc net.Conn
 	var err error
@@ -167,18 +167,25 @@ func Dial(addr string, opts Options) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c, err := handshake(nc, opts)
-	if err != nil {
-		nc.Close()
-		return nil, err
-	}
-	return c, nil
+	return New(nc, opts)
 }
 
-// handshake runs the Hello exchange over an established transport and
-// starts the reader. opts.DialTimeout bounds the wait for the server's
-// answer. On error the caller closes nc.
-func handshake(nc net.Conn, opts Options) (*Client, error) {
+// defaultDialTimeout is Options.DialTimeout when it is left zero.
+const defaultDialTimeout = 10 * time.Second
+
+// New runs the Hello exchange over an established transport — a dialled
+// socket, or one end of an in-process pipe to Server.Serve — and starts
+// the reader. opts.DialTimeout bounds the wait for the server's answer;
+// opts.TLS is not consulted. On error New closes nc.
+func New(nc net.Conn, opts Options) (_ *Client, err error) {
+	defer func() {
+		if err != nil {
+			nc.Close()
+		}
+	}()
+	if opts.DialTimeout <= 0 {
+		opts.DialTimeout = defaultDialTimeout
+	}
 	if opts.RecvBuffer <= 0 {
 		opts.RecvBuffer = 256
 	}

@@ -102,11 +102,7 @@ func dialPipe(t *testing.T, opts Options, script func(p *peer)) (*Client, error)
 		<-done
 	})
 	opts.DialTimeout = 10 * time.Second
-	c, err := handshake(cliEnd, opts)
-	if err != nil {
-		cliEnd.Close()
-	}
-	return c, err
+	return New(cliEnd, opts)
 }
 
 func accepted() []byte {

@@ -450,8 +450,7 @@ func (c *conn) pump(cs *connSession, submitted time.Time) {
 
 // handleCancel cancels by tag or, when tag is negative, by session id.
 // Both forms are scoped to the issuing connection's own sessions: a client
-// may cancel only what it submitted, never another connection's queries
-// (the engine-wide cancel stays an in-process shell affordance).
+// may cancel only what it submitted, never another connection's queries.
 func (c *conn) handleCancel(payload []byte) {
 	fs := wire.Fields(payload, 2)
 	tag, id := fs.Int(), fs.Str()

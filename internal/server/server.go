@@ -1,8 +1,8 @@
 // Package server is the SCSQL network serving layer: it binds an scsq
-// Engine to a TCP (optionally TLS) listener and speaks the wire protocol of
-// internal/server/wire, so every SCSQL surface — statements, sys_* snapshots,
-// streamof() live streams — works over the network, and a connection cancels
-// its own sessions.
+// Engine to a TCP (optionally TLS) listener, or to any connection handed to
+// Serve, and speaks the wire protocol of internal/server/wire, so every
+// SCSQL surface — statements, sys_* snapshots, streamof() live streams —
+// works over the network, and a connection cancels its own sessions.
 //
 // Each connection runs a reader/writer goroutine pair; every submitted
 // statement becomes one scheduler session whose result elements stream back
@@ -109,7 +109,7 @@ type Server struct {
 
 // New returns a server over eng, registers its counters in the engine's
 // metrics registry and its sys_conns table in the system catalog. The
-// server does not listen until Listen is called.
+// server serves nothing until Listen or Serve is called.
 func New(eng *scsq.Engine, cfg Config) *Server {
 	if cfg.Addr == "" {
 		cfg.Addr = "127.0.0.1:0"
@@ -163,36 +163,46 @@ func (s *Server) Listen() (net.Addr, error) {
 	return ln.Addr(), nil
 }
 
-// acceptLoop accepts until the listener closes, shedding connections over
-// the cap: the paper's admission-control stance applied to the transport —
-// refuse at the door rather than degrade everyone inside.
+// acceptLoop accepts until the listener closes and serves every accepted
+// connection.
 func (s *Server) acceptLoop(ln net.Listener) {
 	for {
 		nc, err := ln.Accept()
 		if err != nil {
 			return // listener closed (Drain/Close) or fatal accept error
 		}
-		s.mu.Lock()
-		over := len(s.conns) >= s.cfg.MaxConns
-		drain := s.draining || s.closed
-		if !over && !drain {
-			s.connSeq++
-			c := newConn(s, s.connSeq, nc)
-			s.conns[c.id] = c
-			s.gOpen.Set(int64(len(s.conns)))
-			s.mu.Unlock()
-			s.mAccepted.Inc()
-			s.wg.Add(2)
-			go func() { defer s.wg.Done(); c.readLoop() }()
-			go func() { defer s.wg.Done(); c.writeLoop() }()
-			continue
-		}
+		s.Serve(nc)
+	}
+}
+
+// Serve serves one established connection — accepted by Listen's loop, or
+// one end of an in-process pipe — in the background and returns at once.
+// A connection over MaxConns is shed, and one that arrives while the server
+// drains is refused: both are closed immediately, the paper's
+// admission-control stance applied to the transport — refuse at the door
+// rather than degrade everyone inside.
+func (s *Server) Serve(nc net.Conn) {
+	s.mu.Lock()
+	over := len(s.conns) >= s.cfg.MaxConns
+	if over || s.draining || s.closed {
 		s.mu.Unlock()
 		if over {
 			s.mShed.Inc()
 		}
 		nc.Close()
+		return
 	}
+	s.connSeq++
+	c := newConn(s, s.connSeq, nc)
+	s.conns[c.id] = c
+	s.gOpen.Set(int64(len(s.conns)))
+	// Counted under mu, which a drain takes before it waits: a connection
+	// is either refused or waited for.
+	s.wg.Add(2)
+	s.mu.Unlock()
+	s.mAccepted.Inc()
+	go func() { defer s.wg.Done(); c.readLoop() }()
+	go func() { defer s.wg.Done(); c.writeLoop() }()
 }
 
 // removeConn unregisters a finished connection.

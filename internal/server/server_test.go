@@ -279,6 +279,42 @@ func TestShedOverMaxConns(t *testing.T) {
 	}
 }
 
+// TestServeOverPipe: a connection handed to Serve is served as an accepted
+// one — no listener needed — and shed over the cap or refused once the
+// server drains, as the accept loop's are.
+func TestServeOverPipe(t *testing.T) {
+	eng, err := scsq.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	srv := server.New(eng, server.Config{MaxConns: 1})
+	serve := func() (*client.Client, error) {
+		cliEnd, srvEnd := net.Pipe()
+		srv.Serve(srvEnd)
+		return client.New(cliEnd, client.Options{DialTimeout: 2 * time.Second})
+	}
+	cli, err := serve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := cli.Submit(`select x from integer x where x in iota(1,3);`, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows, fin, err := h.Wait(); err != nil || fin.State != "done" || len(rows) != 3 {
+		t.Fatalf("session over a pipe: %d rows, %+v, %v", len(rows), fin, err)
+	}
+	if _, err := serve(); err == nil {
+		t.Fatal("a connection over the cap was served")
+	}
+	cli.Close()
+	srv.Close()
+	if _, err := serve(); err == nil {
+		t.Fatal("a closed server served a connection")
+	}
+}
+
 func TestSysConnsOverWire(t *testing.T) {
 	_, _, addr := newServer(t, server.Config{})
 	cli, err := client.Dial(addr, client.Options{})

@@ -438,8 +438,7 @@ type Session struct {
 }
 
 // ID returns the session id ("q1", "q2", ...) — the tag of its processes,
-// node leases and metrics, the argument of Engine.CancelSession and the id
-// column of sys_sessions() rows.
+// node leases and metrics and the id column of sys_sessions() rows.
 func (s *Session) ID() string { return s.q.ID() }
 
 // State returns the session's current lifecycle state.
@@ -544,6 +543,3 @@ func (e *Engine) Submit(statement string, opts ...SessionOption) (*Session, erro
 	}
 	return &Session{q: q}, nil
 }
-
-// CancelSession cancels the identified session (see Session.Cancel).
-func (e *Engine) CancelSession(id string) error { return e.sched.Cancel(id) }

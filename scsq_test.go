@@ -526,7 +526,7 @@ and   a=sp(gen_array(30000,500), 'bg');`)
 	if err := eng.Reset(); err == nil {
 		t.Fatal("Reset succeeded under a live session")
 	}
-	if err := eng.CancelSession(s.ID()); err != nil {
+	if err := s.Cancel(); err != nil {
 		t.Fatalf("cancel: %v", err)
 	}
 	if _, err := s.Wait(); err == nil {
