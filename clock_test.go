@@ -23,15 +23,17 @@ func TestLiveSysSessionsStreamGrows(t *testing.T) {
 	t.Cleanup(func() { close(done) }) // before newEngine's Close ends the stream
 	go func() {
 		for {
-			el, ok, _ := live.Next()
+			b, ok, _ := live.NextBatch()
 			if !ok {
 				close(rows)
 				return
 			}
-			select {
-			case rows <- el.Value.(catalog.Tuple):
-			case <-done:
-				return
+			for i := range b.Len() {
+				select {
+				case rows <- b.At(i).Value.(catalog.Tuple):
+				case <-done:
+					return
+				}
 			}
 		}
 	}()

@@ -131,7 +131,7 @@ func TestResetKeepsKilledNodeDead(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sp without a node id: %v", err)
 	}
-	if a.Node() == 1 {
+	if a.node == 1 {
 		t.Fatal("naive placement chose the killed node")
 	}
 	cs, err := q.Extract(a)

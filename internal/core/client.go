@@ -32,12 +32,11 @@ type ClientStream struct {
 
 // SetElementObserver registers fn to be invoked synchronously from Drain's
 // consumption loop with each result element as it reaches the client
-// manager. The observer takes the elements over: Drain then keeps no copy
-// and returns a nil slice (as do Values and One), so a session's rows live
-// once, in the observer's buffer. It is how the scheduler streams a
-// session's results incrementally (Session.Results, the network serving
-// layer) without waiting for the terminal state. It must be set before
-// Drain; fn must not call back into the stream.
+// manager, lent (sqep.Borrowed): fn copies what it keeps before it returns.
+// Drain then keeps no copy and returns a nil slice, as does One. It is how
+// the scheduler streams a session's results into its result log without
+// waiting for the terminal state. It must be set before Drain; fn must not
+// call back into the stream.
 func (s *ClientStream) SetElementObserver(fn func(sqep.Element)) { s.obs = fn }
 
 // QueryID returns the id of the query this stream consumes ("q1", ...).
@@ -100,6 +99,9 @@ func (d *drain) Run() {
 		if err := qc.spAt(i).Start(); err != nil {
 			s.errs = append(s.errs, err)
 		}
+	}
+	if s.obs != nil {
+		sqep.UseValues(s.recv, sqep.Borrowed) // the observer copies each element
 	}
 	if err := s.recv.Open(&s.ctx); err != nil {
 		s.errs = append(s.errs, err)

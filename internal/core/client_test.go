@@ -153,11 +153,11 @@ func TestResetReleasesNodesAndEdges(t *testing.T) {
 	if _, err := q.Extract(a); err != nil {
 		t.Fatal(err)
 	}
-	if e.Coordinator(hw.BlueGene).DB().AllocatedCount(a.Node()) == 0 {
+	if e.Coordinator(hw.BlueGene).DB().AllocatedCount(a.node) == 0 {
 		t.Fatal("node should be allocated")
 	}
 	e.Reset()
-	if e.Coordinator(hw.BlueGene).DB().AllocatedCount(a.Node()) != 0 {
+	if e.Coordinator(hw.BlueGene).DB().AllocatedCount(a.node) != 0 {
 		t.Error("Reset must release node allocations")
 	}
 	if len(e.Edges()) != 0 {

@@ -73,7 +73,7 @@ func TestDynamicRPCreation(t *testing.T) {
 	const workers = 3
 	q := beginQuery(t, e)
 	parent, err := q.SP(func(pb *PlanBuilder) (sqep.Operator, error) {
-		return &dynSplitter{eng: e, query: pb.Query(), cluster: pb.Cluster(), node: pb.Node(), workers: workers}, nil
+		return &dynSplitter{eng: e, query: pb.Query(), cluster: pb.cluster, node: pb.node, workers: workers}, nil
 	}, hw.BlueGene, nil)
 	if err != nil {
 		t.Fatal(err)

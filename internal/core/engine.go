@@ -512,7 +512,7 @@ func (e *Engine) newPlacedSP(qc *queryCtx, build func(int, *PlanBuilder) (sqep.O
 		return nil, err
 	}
 	sp := &blk.sp
-	*sp = SP{qc: qc, cluster: c, id: id, node: node, rp: rp.New(id, c, node, ctx, op, sp, &blk.rp)}
+	*sp = SP{qc: qc, cluster: c, id: id, node: node, rp: rp.New(id, ctx, op, sp, &blk.rp)}
 	sp.wirings = sp.wiring1[:0]
 	sp.rp.SetMetrics(qc.metrics)
 	qc.mu.Lock()
@@ -631,9 +631,6 @@ type wiring struct {
 // ID returns the SP's unique identity.
 func (s *SP) ID() string { return s.id }
 
-// Node returns the compute node the SP is assigned to.
-func (s *SP) Node() int { return s.node }
-
 // poison injects cause, as Down frames from source, into the consumer
 // inboxes s feeds: those on node (cc, cn), or every one if cc is "".
 func (s *SP) poison(source string, cause error, cc hw.ClusterName, cn int) {
@@ -697,12 +694,6 @@ type PlanBuilder struct {
 	spID    string
 	agent   *vtime.Agent // the process the plan runs in
 }
-
-// Cluster returns the cluster of the SP being built.
-func (b *PlanBuilder) Cluster() hw.ClusterName { return b.cluster }
-
-// Node returns the node of the SP being built.
-func (b *PlanBuilder) Node() int { return b.node }
 
 // Query returns the query of the plan being built, so an operator that
 // spawns stream processes while it runs (paper §2.2) grows that query.

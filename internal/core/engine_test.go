@@ -161,13 +161,13 @@ func TestInboundQuery1Shape(t *testing.T) {
 	}
 	// All generators were placed on back-end node 1.
 	for _, sp := range a {
-		if sp.Node() != 1 {
-			t.Errorf("generator %s on node %d, want 1", sp.ID(), sp.Node())
+		if sp.node != 1 {
+			t.Errorf("generator %s on node %d, want 1", sp.ID(), sp.node)
 		}
 	}
 	// b and c went to distinct BG nodes (naive next-available selection).
-	if b.Node() == c.Node() {
-		t.Errorf("b and c share BG node %d; CNK allows one process per node", b.Node())
+	if b.node == c.node {
+		t.Errorf("b and c share BG node %d; CNK allows one process per node", b.node)
 	}
 }
 
@@ -236,7 +236,7 @@ func TestSPVBagLargerThanFreeBGNodes(t *testing.T) {
 		}
 		var ids []int
 		for _, sp := range place(beginQuery(t, e), seq) {
-			ids = append(ids, sp.Node())
+			ids = append(ids, sp.node)
 		}
 		return ids
 	}

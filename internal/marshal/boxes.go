@@ -1,6 +1,7 @@
 package marshal
 
 import (
+	"encoding/binary"
 	"math"
 	"sync"
 	"unsafe"
@@ -55,9 +56,7 @@ func (b *Boxes) Decode(buf []byte) (any, int, error) {
 	return materialize(buf, b)
 }
 
-// box writes bits into the next free slab word and returns an interface of
-// like's type whose data word points at it: the runtime's eface layout,
-// {type, data}.
+// box writes bits into the next free slab word and returns it through Word.
 func (b *Boxes) box(like any, bits, left uint64) any {
 	if len(b.slab) == cap(b.slab) {
 		n := firstSlabWords
@@ -70,7 +69,54 @@ func (b *Boxes) box(like any, bits, left uint64) any {
 		b.slab = make([]uint64, 0, n)
 	}
 	b.slab = append(b.slab, bits)
+	return Word(like, &b.slab[len(b.slab)-1])
+}
+
+// Word returns like, an int64 or float64, as an interface whose data word is
+// w (the eface layout, {type, data}): it reads *w, and keeps w's storage alive.
+func Word(like any, w *uint64) any {
 	e := (*[2]unsafe.Pointer)(unsafe.Pointer(&like))
-	e[1] = unsafe.Pointer(&b.slab[len(b.slab)-1])
+	e[1] = unsafe.Pointer(w)
 	return like
+}
+
+// Loan lends a consumer that copies each value before the next (sqep.Borrowed)
+// one word and one array, which each call overwrites: an int64 or float64
+// from 256 up reads through Word (a smaller one keeps its static box), and a
+// top-level array lands in Arr, the caller's lease, replaced if too short.
+type Loan struct {
+	_    [0]sync.Mutex // go vet rejects a copy: it would lend another word
+	word uint64
+	Arr  []float64
+}
+
+// Int returns v as an any valid until the loan's next call.
+func (l *Loan) Int(v int64) any {
+	if uint64(v) < 256 {
+		return v
+	}
+	l.word = uint64(v)
+	return Word(int64(0), &l.word)
+}
+
+// Decode is Decode with the value's scalar or top-level array lent.
+func (l *Loan) Decode(buf []byte) (any, int, error) {
+	size, err := Skip(buf)
+	switch {
+	case err != nil:
+		return nil, 0, err
+	case buf[0] == TagInt:
+		return l.Int(int64(binary.LittleEndian.Uint64(buf[1:9]))), size, nil
+	case buf[0] == TagFloat && binary.LittleEndian.Uint64(buf[1:9]) >= 256:
+		l.word = binary.LittleEndian.Uint64(buf[1:9])
+		return Word(float64(0), &l.word), size, nil
+	case buf[0] == TagArray:
+		if cap(l.Arr) < (size-5)/8 {
+			l.Arr = make([]float64, (size-5)/8)
+		}
+		l.Arr = l.Arr[:(size-5)/8]
+		fillArray(l.Arr, buf[5:size])
+		return l.Arr, size, nil
+	}
+	return materialize(buf, nil)
 }

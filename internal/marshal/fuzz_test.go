@@ -13,9 +13,9 @@ import (
 // Decode must never panic (crafted length prefixes, unknown tags, truncated
 // payloads), and any value it does produce must re-encode and decode to the
 // same value. Skip must agree with Decode on every input (same accept/reject,
-// same bytes consumed), and so must DecodeInto, whose result additionally
-// never shares memory with the input and lives in the caller's array: one
-// that is too short is replaced, a longer one keeps its capacity. A decoded
+// same bytes consumed), and so must Loan.Decode, whose result additionally
+// never shares memory with the input, and whose array lives in the loan's:
+// one that is too short is replaced, a longer one keeps its capacity. A decoded
 // array is also cut into windows by CopyArray, each of which must be the
 // bytes AppendArray puts at that offset. Decode through one Boxes kept
 // across inputs returns the same value, length and error as Decode.
@@ -44,7 +44,7 @@ func FuzzDecodeRoundTrip(f *testing.F) {
 		v, n, err := Decode(data) // must not panic
 		checkBoxedDecode(t, &boxes, data, v, n, err)
 		for _, have := range []int{0, 1, 4096} {
-			checkDecodeInto(t, data, have, v, n, err)
+			checkLoanDecode(t, data, have, v, n, err)
 		}
 		if ns, errs := Skip(data); (err == nil) != (errs == nil) || ns != n {
 			t.Fatalf("Decode = (%d, %v) but Skip = (%d, %v)", n, err, ns, errs)
@@ -135,16 +135,16 @@ func checkBoxedDecode(t *testing.T, boxes *Boxes, data []byte, v any, n int, err
 	}
 }
 
-// checkDecodeInto holds DecodeInto, handed an array of have elements, to
+// checkLoanDecode holds Loan.Decode, its Arr an array of have elements, to
 // Decode's verdict (v, n, err) on data.
-func checkDecodeInto(t *testing.T, data []byte, have int, v any, n int, err error) {
+func checkLoanDecode(t *testing.T, data []byte, have int, v any, n int, err error) {
 	t.Helper()
-	arr := make([]float64, have)
-	before := arr
+	l := Loan{Arr: make([]float64, have)}
+	before := l.Arr
 	in := bytes.Clone(data)
-	vi, ni, erri := DecodeInto(in, &arr)
+	vi, ni, erri := l.Decode(in)
 	if ni != n || fmt.Sprint(erri) != fmt.Sprint(err) {
-		t.Fatalf("have=%d: Decode = (%d, %v) but DecodeInto = (%d, %v)", have, n, err, ni, erri)
+		t.Fatalf("have=%d: Decode = (%d, %v) but Loan.Decode = (%d, %v)", have, n, err, ni, erri)
 	}
 	if err != nil {
 		return
@@ -156,19 +156,19 @@ func checkDecodeInto(t *testing.T, data []byte, have int, v any, n int, err erro
 	enc, _ := Append(nil, v)
 	encI, errI := Append(nil, vi)
 	if errI != nil || !bytes.Equal(enc, encI) {
-		t.Fatalf("have=%d: Decode and DecodeInto disagree: %x vs %x (%v)", have, enc, encI, errI)
+		t.Fatalf("have=%d: Decode and Loan.Decode disagree: %x vs %x (%v)", have, enc, encI, errI)
 	}
 	got, isArr := vi.([]float64)
 	if !isArr {
 		return
 	}
-	if grown := len(got) > have; grown && cap(arr) != len(got) {
-		t.Fatalf("have=%d: array of %d grown to cap %d, want exactly its length", have, len(got), cap(arr))
-	} else if !grown && (cap(arr) != have || (have > 0 && &arr[:1][0] != &before[0])) {
-		t.Fatalf("have=%d: array of %d replaced the caller's storage", have, len(got))
+	if grown := len(got) > have; grown && cap(l.Arr) != len(got) {
+		t.Fatalf("have=%d: array of %d grown to cap %d, want exactly its length", have, len(got), cap(l.Arr))
+	} else if !grown && (cap(l.Arr) != have || (have > 0 && &l.Arr[:1][0] != &before[0])) {
+		t.Fatalf("have=%d: array of %d replaced the loan's storage", have, len(got))
 	}
-	if len(arr) != len(got) || (len(got) > 0 && &got[0] != &arr[0]) {
-		t.Fatalf("have=%d: result does not live in the caller's array", have)
+	if len(l.Arr) != len(got) || (len(got) > 0 && &got[0] != &l.Arr[0]) {
+		t.Fatalf("have=%d: result does not live in the loan's array", have)
 	}
 }
 

@@ -18,8 +18,9 @@
 // Numerical arrays — the dominant payload in the paper's experiments — are
 // encoded as raw IEEE-754 bits so marshaling cost is a single copy: on
 // little-endian hosts the encoder and decoder move the raw bits with one
-// bulk copy instead of a per-element load/store loop. DecodeInto goes one
-// step further and moves a top-level array into storage the caller reuses;
+// bulk copy instead of a per-element load/store loop. Loan.Decode goes one
+// step further and moves a top-level array, or a scalar, into storage the
+// caller reuses;
 // CopyArray does the same for a sender, cutting any window of an array's
 // encoding straight into a frame. NewArray removes even that copy for an
 // array that is never written: it lays the array out behind its own header,
@@ -260,28 +261,6 @@ func AppendString(buf []byte, x string) ([]byte, error) {
 // before the truncation is found.
 func Decode(buf []byte) (any, int, error) {
 	return (*Boxes)(nil).Decode(buf)
-}
-
-// DecodeInto decodes like Decode, except that a top-level array is copied
-// into *arr instead of a fresh slice: *arr is replaced by one of exactly the
-// value's length when it is nil or too short, and otherwise keeps its
-// capacity. The returned array is valid until the caller next passes arr;
-// it never aliases buf. Every other value is materialized by Decode.
-func DecodeInto(buf []byte, arr *[]float64) (any, int, error) {
-	if len(buf) == 0 || buf[0] != TagArray {
-		return Decode(buf)
-	}
-	size, err := Skip(buf)
-	if err != nil {
-		return nil, 0, err
-	}
-	if n := (size - 5) / 8; *arr == nil || cap(*arr) < n {
-		*arr = make([]float64, n)
-	} else {
-		*arr = (*arr)[:n]
-	}
-	fillArray(*arr, buf[5:size])
-	return *arr, size, nil
 }
 
 // materialize decodes the checked value at the front of buf, boxing its

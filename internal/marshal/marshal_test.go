@@ -332,9 +332,9 @@ func TestOversizedLengthIsTruncated(t *testing.T) {
 			if _, _, err := Decode(buf); !errors.Is(err, ErrTruncated) {
 				t.Errorf("%s: Decode: %v, want ErrTruncated", at, err)
 			}
-			var arr []float64
-			if _, _, err := DecodeInto(buf, &arr); !errors.Is(err, ErrTruncated) {
-				t.Errorf("%s: DecodeInto: %v, want ErrTruncated", at, err)
+			var l Loan
+			if _, _, err := l.Decode(buf); !errors.Is(err, ErrTruncated) {
+				t.Errorf("%s: Loan.Decode: %v, want ErrTruncated", at, err)
 			}
 			if _, _, err := materialize(buf, nil); !errors.Is(err, ErrTruncated) {
 				t.Errorf("%s: materialize: %v, want ErrTruncated", at, err)

@@ -50,11 +50,12 @@ type Counter struct {
 	v atomic.Int64
 }
 
-// Inc adds one.
-func (c *Counter) Inc() {
-	if c != nil {
-		c.v.Add(1)
+// Inc adds one and returns the new count (0 on a nil counter).
+func (c *Counter) Inc() int64 {
+	if c == nil {
+		return 0
 	}
+	return c.v.Add(1)
 }
 
 // Add adds n (n must be non-negative to keep the counter monotone).

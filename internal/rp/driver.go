@@ -384,16 +384,15 @@ type Receiver struct {
 	// deferred is the Down or closed-inbox error that cut the current batch
 	// short; it surfaces once the frames staged before it are consumed.
 	deferred error
-	// reuse is set by a consumer that borrows values: top-level arrays are
-	// then materialized into arr, which the next one overwrites. arr is
-	// leased from the pool at the first array and goes back once the
-	// consumer has been told the stream is over, or closes the receiver.
+	// reuse is set by a consumer that borrows values: loan then lends it
+	// each scalar and top-level array, which the next one overwrites.
+	// loan.Arr is leased from the pool at the first array and goes back once
+	// the consumer has been told the stream is over, or closes the receiver.
 	// unread is set by one that reads no value: a value split over frames
 	// is then counted off (producer.skip) instead of reassembled.
-	reuse, unread bool
-	arr           []float64
-	lastsSeen     int
-	done          bool
+	reuse, unread, done bool
+	loan                marshal.Loan
+	lastsSeen           int
 	// boxes holds the integers and floats an Owned consumer is handed.
 	boxes marshal.Boxes
 
@@ -411,7 +410,7 @@ var _ sqep.Operator = (*Receiver)(nil)
 
 // NewReceiver opens a receiver over inbox, fresh or the one passed after cfg
 // (carrier.Reuse): every field is set again but the capacity of its tables.
-// What a consumer may still read — the boxes, a leased arr — is not reused.
+// What a consumer may still read — the boxes, a leased loan.Arr — is not reused.
 func NewReceiver(inbox carrier.Inbox, cfg ReceiverConfig, into ...*Receiver) *Receiver {
 	if cfg.Producers < 1 {
 		cfg.Producers = 1
@@ -692,9 +691,9 @@ func (r *Receiver) decodeNext() (el sqep.Element, ok bool, err error) {
 }
 
 // decode materializes the value at the front of buf; for an Unread consumer
-// it only checks it (marshal.Skip). For a borrowing consumer a top-level
-// array lands in the leased arr, which is sized by arrays that are wholly
-// here: a header alone, whatever it claims, leases nothing.
+// it only checks it (marshal.Skip), and to a borrowing one it lends it: a
+// top-level array lands in the leased loan.Arr, which is sized by arrays
+// that are wholly here: a header alone, whatever it claims, leases nothing.
 func (r *Receiver) decode(buf []byte) (any, int, error) {
 	if r.unread {
 		n, err := marshal.Skip(buf)
@@ -704,12 +703,12 @@ func (r *Receiver) decode(buf []byte) (any, int, error) {
 		return r.boxes.Decode(buf)
 	}
 	if len(buf) > 0 && buf[0] == marshal.TagArray {
-		if size, err := marshal.Skip(buf); err == nil && cap(r.arr) < (size-5)/8 {
-			carrier.PutFloats(r.arr)
-			r.arr = carrier.GetFloats((size - 5) / 8)
+		if size, err := marshal.Skip(buf); err == nil && cap(r.loan.Arr) < (size-5)/8 {
+			carrier.PutFloats(r.loan.Arr)
+			r.loan.Arr = carrier.GetFloats((size - 5) / 8)
 		}
 	}
-	return marshal.DecodeInto(buf, &r.arr)
+	return r.loan.Decode(buf)
 }
 
 // skipSize is, for an Unread consumer, the encoded size of the value cut
@@ -752,14 +751,14 @@ var leaseBuf = carrier.GetBuf
 
 // release returns the receiver's leases to the pool. Nothing a consumer can
 // still read lives in them: reassembly bytes never leave the receiver, and
-// arr's last value died when the consumer asked for the next one or closed.
+// the loan's last value died when the consumer asked for the next or closed.
 func (r *Receiver) release() {
 	for i := range r.prods {
 		carrier.PutBuf(r.prods[i].buf)
 		r.prods[i].buf = nil
 	}
-	carrier.PutFloats(r.arr)
-	r.arr = nil
+	carrier.PutFloats(r.loan.Arr)
+	r.loan.Arr = nil
 }
 
 // popStaged recycles the current staged frame and makes the next one

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"scsq/internal/carrier"
-	"scsq/internal/hw"
 	"scsq/internal/marshal"
 	"scsq/internal/sqep"
 	"scsq/internal/vtime"
@@ -46,7 +45,7 @@ func (c *blockConn) Abort() { c.abortOnce.Do(func() { close(c.abort) }) }
 
 func TestFailBeforeStartResolvesWait(t *testing.T) {
 	cause := errors.New("node went dark")
-	p := New("rp-dead", hw.BackEnd, 0, testCtx(t), sqep.NewIota(1, 5), nil)
+	p := New("rp-dead", testCtx(t), sqep.NewIota(1, 5), nil)
 	p.Fail(cause)
 	select {
 	case <-p.done:
@@ -71,7 +70,7 @@ func TestFailBeforeStartResolvesWait(t *testing.T) {
 
 func TestFailUnblocksSenderStalledInSend(t *testing.T) {
 	conn := newBlockConn()
-	p := New("rp-stuck", hw.BackEnd, 0, testCtx(t), sqep.NewGenArray(256, 8), nil)
+	p := New("rp-stuck", testCtx(t), sqep.NewGenArray(256, 8), nil)
 	// A tiny buffer flushes on the first element, driving the run loop into
 	// the stalled Send.
 	if err := p.Subscribe(conn, SenderConfig{BufBytes: 64, Mode: carrier.SingleBuffered}); err != nil {

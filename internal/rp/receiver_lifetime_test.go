@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"scsq/internal/carrier"
-	"scsq/internal/hw"
 	"scsq/internal/marshal"
 	"scsq/internal/race"
 	"scsq/internal/sqep"
@@ -190,7 +189,7 @@ func TestReceiverLifetimeRelay(t *testing.T) {
 		}
 		inbox, _, _ = s.build(t)
 		up := NewReceiver(inbox, ReceiverConfig{Producers: producers, BatchFrames: 16})
-		relay := New("relay", hw.BlueGene, 0, testCtx(t), up, nil)
+		relay := New("relay", testCtx(t), up, nil)
 		out := make(carrier.Inbox, 1024)
 		if err := relay.Subscribe(&loopConn{inbox: out}, SenderConfig{BufBytes: 1000, Mode: carrier.DoubleBuffered}); err != nil {
 			t.Fatal(err)
@@ -296,6 +295,66 @@ func TestReceiverLifetimeSumBorrows(t *testing.T) {
 	}
 }
 
+// TestReceiverLendsBorrowedInts: a borrowing consumer — a relaying RP's plan
+// root, which rp.run tells Borrowed, and sum() — is lent every integer in
+// the receiver's one word: thousands of ints from 256 up, many to a frame,
+// cost no allocation apiece.
+func TestReceiverLendsBorrowedInts(t *testing.T) {
+	const n = 4096
+	frames := func() carrier.Inbox {
+		inbox := make(carrier.Inbox, 64)
+		d, err := newSenderDriver("a", &loopConn{inbox: inbox, perByte: 1}, SenderConfig{BufBytes: 1000, Mode: carrier.SingleBuffered})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			if err := d.push(sqep.Element{Value: int64(1000 + i), At: vtime.Time(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := d.finish(); err != nil {
+			t.Fatal(err)
+		}
+		return inbox
+	}
+	const want = n*1000 + n*(n-1)/2
+	for _, c := range []struct {
+		name string
+		root func(*Receiver) sqep.Operator
+	}{
+		{"relay", func(r *Receiver) sqep.Operator { sqep.UseValues(r, sqep.Borrowed); return r }},
+		{"sum", func(r *Receiver) sqep.Operator { return sqep.NewSum(r) }},
+	} {
+		r := NewReceiver(frames(), ReceiverConfig{Producers: 1})
+		op := c.root(r)
+		if err := op.Open(&sqep.Ctx{Cost: &zeroCost}); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		procs := runtime.GOMAXPROCS(1)
+		runtime.ReadMemStats(&before)
+		var total int64
+		for {
+			el, ok, err := op.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			total += el.Value.(int64)
+		}
+		runtime.ReadMemStats(&after)
+		runtime.GOMAXPROCS(procs)
+		if total != want || !r.reuse {
+			t.Fatalf("%s: read %d, reuse=%t; want %d, borrowed", c.name, total, r.reuse, int64(want))
+		}
+		if allocs := after.Mallocs - before.Mallocs; !race.Enabled && allocs > n/64 {
+			t.Errorf("%s: %d ints allocated %d times, want at most %d", c.name, n, allocs, n/64)
+		}
+	}
+}
+
 // TestReceiverUnreadShortStreamFails: a Last frame that leaves a value
 // incomplete ends the stream with the materializing path's complaint, and
 // the same count of undecoded bytes, whether the unread receiver was
@@ -386,8 +445,8 @@ func TestReceiverLifetimeCountAllocates(t *testing.T) {
 				if err != nil || el.Value != int64(arrays) {
 					t.Fatalf("%s: count = %v, %v", s.name, el.Value, err)
 				}
-				if leased = leases.Load() - leased; r.arr != nil || leased != 0 {
-					t.Errorf("%s: leased an array of %d floats, %d reassembly buffers; want neither", s.name, cap(r.arr), leased)
+				if leased = leases.Load() - leased; r.loan.Arr != nil || leased != 0 {
+					t.Errorf("%s: leased an array of %d floats, %d reassembly buffers; want neither", s.name, cap(r.loan.Arr), leased)
 				}
 				allocated = min(allocated, after.TotalAlloc-before.TotalAlloc)
 			}
@@ -528,8 +587,8 @@ func TestReceiverRecycleExactlyOnce(t *testing.T) {
 					bufs[&b[:1][0]] = cap(b)
 					reassembled = true
 				}
-				if cap(r.arr) > 0 {
-					arrs[&r.arr[:1][0]] = cap(r.arr)
+				if cap(r.loan.Arr) > 0 {
+					arrs[&r.loan.Arr[:1][0]] = cap(r.loan.Arr)
 				}
 				if err = nerr; err != nil || !ok {
 					break
@@ -663,8 +722,8 @@ func TestReceiverHeaderBombAllocatesLittle(t *testing.T) {
 		if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
 			t.Errorf("use=%d: a 105-byte stream allocated %d B, want < 64 kB", use, got)
 		}
-		if use == sqep.Unread && (r.arr != nil || leased != 0) {
-			t.Errorf("unread: leased an array of %d floats, %d reassembly buffers", cap(r.arr), leased)
+		if use == sqep.Unread && (r.loan.Arr != nil || leased != 0) {
+			t.Errorf("unread: leased an array of %d floats, %d reassembly buffers", cap(r.loan.Arr), leased)
 		}
 		if err := r.Close(); err != nil {
 			t.Fatal(err)

@@ -28,7 +28,6 @@ import (
 	"sync/atomic"
 
 	"scsq/internal/carrier"
-	"scsq/internal/hw"
 	"scsq/internal/marshal"
 	"scsq/internal/metrics"
 	"scsq/internal/sqep"
@@ -38,10 +37,8 @@ import (
 // RP is a running process executing one continuous subquery on one compute
 // node.
 type RP struct {
-	cluster hw.ClusterName
-	node    int
-	plan    sqep.Operator
-	ctx     sqep.Ctx // ctx.ID is the RP's identity
+	plan sqep.Operator
+	ctx  sqep.Ctx // ctx.ID is the RP's identity
 
 	mu      sync.Mutex
 	subs    []*Sender // starts on sub1: a first subscriber allocates nothing
@@ -69,10 +66,10 @@ type RP struct {
 // engine wired in beforehand. exiter, if non-nil, is its exit hook. The RP
 // does not run (nor open plan) until Start is called; subscribers must be
 // attached before then.
-func New(id string, cluster hw.ClusterName, node int, ctx sqep.Ctx, plan sqep.Operator, exiter Exiter, into ...*RP) *RP {
+func New(id string, ctx sqep.Ctx, plan sqep.Operator, exiter Exiter, into ...*RP) *RP {
 	ctx.ID = id
 	r := carrier.Reuse(into)
-	*r = RP{cluster: cluster, node: node, plan: plan, ctx: ctx, exiter: exiter, done: make(chan struct{})}
+	*r = RP{plan: plan, ctx: ctx, exiter: exiter, done: make(chan struct{})}
 	r.subs = r.sub1[:0]
 	return r
 }
@@ -93,15 +90,6 @@ func (r *RP) SetMetrics(scope *metrics.Scope) {
 	defer r.mu.Unlock()
 	r.mElems, r.mBytes, r.mFrames, r.mLast = b.Counter(0), b.Counter(1), b.Counter(2), b.Gauge(0)
 }
-
-// ID returns the RP's identity.
-func (r *RP) ID() string { return r.ctx.ID }
-
-// Cluster returns the cluster the RP runs in.
-func (r *RP) Cluster() hw.ClusterName { return r.cluster }
-
-// Node returns the compute-node id the RP was placed on.
-func (r *RP) Node() int { return r.node }
 
 // Agent returns the RP's agent in the engine's kernel (sqep.Ctx.Agent):
 // where it is parked and how far it has emitted.

@@ -295,9 +295,9 @@ func TestReceiverMergeSwitchChargesTCPOnly(t *testing.T) {
 
 func TestRPLifecycle(t *testing.T) {
 	ctx := testCtx(t)
-	p := New("rp-x", hw.BackEnd, 0, ctx, sqep.NewIota(1, 5), nil)
-	if p.ID() != "rp-x" || p.Cluster() != hw.BackEnd || p.Node() != 0 {
-		t.Errorf("identity = %s/%s/%d", p.ID(), p.Cluster(), p.Node())
+	p := New("rp-x", ctx, sqep.NewIota(1, 5), nil)
+	if p.ctx.ID != "rp-x" {
+		t.Errorf("identity = %s", p.ctx.ID)
 	}
 	reg := metrics.NewRegistry()
 	p.SetMetrics(reg.OpenScope("q1"))
@@ -353,7 +353,7 @@ func (failingOpen) Close() error                      { return nil }
 func TestRPPlanErrorStillTerminatesStream(t *testing.T) {
 	ctx := testCtx(t)
 	wantErr := errors.New("boom")
-	p := New("rp-err", hw.BackEnd, 0, ctx, failingOpen{wantErr}, nil)
+	p := New("rp-err", ctx, failingOpen{wantErr}, nil)
 	inbox := make(carrier.Inbox, 4)
 	conn := &loopConn{inbox: inbox}
 	if err := p.Subscribe(conn, SenderConfig{BufBytes: 64, Mode: carrier.SingleBuffered}); err != nil {
@@ -376,7 +376,7 @@ func TestRPPlanErrorStillTerminatesStream(t *testing.T) {
 
 func TestRPOperatorErrorPropagates(t *testing.T) {
 	ctx := testCtx(t)
-	p := New("rp-operr", hw.BackEnd, 0, ctx, sqep.NewMapFn("fail", sqep.NewIota(1, 3), func(any) (any, vtime.Duration, error) {
+	p := New("rp-operr", ctx, sqep.NewMapFn("fail", sqep.NewIota(1, 3), func(any) (any, vtime.Duration, error) {
 		return nil, 0, errors.New("map exploded")
 	}), nil)
 	if err := p.Start(); err != nil {

@@ -7,23 +7,25 @@ package sched
 import (
 	"errors"
 	"math"
+	"reflect"
 	"runtime"
 	"slices"
 	"testing"
 	"time"
 	"unsafe"
 
+	"scsq/internal/marshal"
 	"scsq/internal/race"
 	"scsq/internal/sqep"
 	"scsq/internal/vtime"
 )
 
-// logQuery is a session as far as the result log is concerned; it has no
-// scheduler, so its log allocates every segment and recycles none.
-func logQuery() *Query { return &Query{done: make(chan struct{})} }
-
 // pooledQuery is a session of s, whose free list its log shares.
-func pooledQuery(s *Scheduler) *Query { return &Query{s: s, done: make(chan struct{})} }
+func pooledQuery(s *Scheduler) *Query {
+	q := &Query{s: s, done: make(chan struct{})}
+	q.initResults()
+	return q
+}
 
 // finish ends q's stream the way Scheduler.finalize does.
 func (q *Query) finish(err error) {
@@ -40,25 +42,50 @@ func logEl(i int) sqep.Element {
 	return sqep.Element{Value: i % 200, At: vtime.Time(i), Src: "s"}
 }
 
-func sameEl(a, b sqep.Element) bool {
-	return a.Value == b.Value && a.At == b.At && a.Src == b.Src
+// lentEl is element i of a sequence as a borrowing drain hands it over: a
+// small int, then an int64 and a float64 from 256 up and an array, each of
+// the last three lent by l, which the next one overwrites.
+func lentEl(l *marshal.Loan, i int) sqep.Element {
+	el := ownEl(i)
+	if i%4 != 0 {
+		buf, _ := marshal.Append(nil, el.Value)
+		el.Value, _, _ = l.Decode(buf)
+	}
+	return el
 }
 
-// pushBytes pushes rows elements into a fresh log and returns the bytes
+// ownEl is element i of lentEl's sequence as a reader must see it.
+func ownEl(i int) sqep.Element {
+	el := logEl(i)
+	switch i % 4 {
+	case 1:
+		el.Value = int64(256 + i)
+	case 2:
+		el.Value = float64(i) + 0.5
+	case 3:
+		el.Value = []float64{float64(i), -1}
+	}
+	return el
+}
+
+func sameEl(a, b sqep.Element) bool {
+	return reflect.DeepEqual(a.Value, b.Value) && a.At == b.At && a.Src == b.Src
+}
+
+// pushBytes pushes rows elements el(i) into a fresh log and returns the bytes
 // allocated meanwhile. The allocation counters are the process's: another
 // goroutine of the test binary that allocates meanwhile (an earlier test's
 // engine winding down) would count as the log's. The pushes run alone on
 // one P, and the least of five readings is taken.
-func pushBytes(rows int) uint64 {
+func pushBytes(rows int, el func(int) sqep.Element) uint64 {
 	least := uint64(math.MaxUint64)
 	for range 5 {
-		q := logQuery()
-		q.results() // the log's fixed part is not the rows' cost
+		q := pooledQuery(&Scheduler{}) // nothing is read, so nothing recycles
 		var before, after runtime.MemStats
 		procs := runtime.GOMAXPROCS(1)
 		runtime.ReadMemStats(&before)
 		for i := 0; i < rows; i++ {
-			q.pushResult(logEl(i))
+			q.pushResult(el(i))
 		}
 		runtime.ReadMemStats(&after)
 		runtime.GOMAXPROCS(procs)
@@ -71,31 +98,44 @@ func pushBytes(rows int) uint64 {
 // TestResultLogNeverRegrows: a session's rows cost their own bytes once. Any
 // regrowth copy of the log — append doubling one slice spends three times
 // the rows' size — breaks the first bound; a first segment sized for a big
-// session breaks the second.
+// session breaks the second. Lent scalars from 256 up cost the log one word
+// each, in the segment's words, and nothing else: one heap box per row
+// breaks the third.
 func TestResultLogNeverRegrows(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	const rows = 100_000
 	elSize := uint64(unsafe.Sizeof(sqep.Element{}))
-	if got, limit := pushBytes(rows), rows*elSize*115/100; got > limit {
+	if got, limit := pushBytes(rows, logEl), rows*elSize*115/100; got > limit {
 		t.Errorf("%d rows allocated %d bytes in pushResult, want at most %d (1.15 × %d × %d)",
 			rows, got, limit, rows, elSize)
 	}
-	if got := pushBytes(1); got > 512 {
+	if got := pushBytes(1, logEl); got > 512 {
 		t.Errorf("a one-row session allocated %d bytes in pushResult, want at most 512", got)
+	}
+	var loan marshal.Loan
+	lent := func(i int) sqep.Element { return sqep.Element{Value: loan.Int(int64(256 + i))} }
+	if got, limit := pushBytes(rows, lent), rows*(elSize+8)*115/100; got > limit {
+		t.Errorf("%d rows of lent int64s allocated %d bytes in pushResult, want at most %d (1.15 × %d × (%d + 8))",
+			rows, got, limit, rows, elSize)
 	}
 }
 
 // TestBatchStaysValid: a Batch is a view of the log, intact until the next
 // read of the session — later pushes, into the very segment the batch views,
 // leave it element for element as it was, and an append to it cannot reach
-// the log. Wait then returns the rows no read has taken.
+// the log. Wait then returns the rows no read has taken, and they stay as
+// they were when the next session takes the recycled segments. The drain
+// lends every scalar from 256 up and every array in storage it overwrites
+// at the next element (lentEl): a log that keeps what it is lent fails.
 func TestBatchStaysValid(t *testing.T) {
-	q := pooledQuery(&Scheduler{})
+	s := &Scheduler{}
+	q := pooledQuery(s)
+	var loan marshal.Loan
 	const early = 7 // ends inside the second segment
 	for i := 0; i < early; i++ {
-		q.pushResult(logEl(i))
+		q.pushResult(lentEl(&loan, i))
 	}
 	if b, ok, err := q.NextBatch(); !ok || err != nil || len(b) != firstSegment {
 		t.Fatalf("first NextBatch = %d elements, ok=%v err=%v; want the first segment's %d", len(b), ok, err, firstSegment)
@@ -108,43 +148,46 @@ func TestBatchStaysValid(t *testing.T) {
 	if cap(b) != len(b) {
 		t.Fatalf("the batch has room for %d more: an append would write into the log", cap(b)-len(b))
 	}
-	check := func(when string) {
+	check := func(when string, els []sqep.Element, from int) {
 		t.Helper()
-		for i, el := range b {
-			if want := logEl(firstSegment + i); !sameEl(el, want) {
-				t.Fatalf("%s: batch element %d = %+v, want %+v", when, i, el, want)
+		for i, el := range els {
+			if want := ownEl(from + i); !sameEl(el, want) {
+				t.Fatalf("%s: element %d = %+v, want %+v", when, from+i, el, want)
 			}
 		}
 	}
-	check("at once")
+	check("the batch at once", b, firstSegment)
 	for i := early; i < early+10_000; i++ {
-		q.pushResult(logEl(i))
+		q.pushResult(lentEl(&loan, i))
 	}
-	check("after 10 000 later pushes")
+	check("the batch after 10 000 later pushes", b, firstSegment)
 	q.finish(nil)
-	check("after the session ended")
+	check("the batch after the session ended", b, firstSegment)
 	els, err := q.Wait()
 	if err != nil || len(els) != 10_000 {
 		t.Fatalf("Wait = %d elements, %v; want the 10 000 unread", len(els), err)
 	}
-	for i, el := range els {
-		if want := logEl(early + i); !sameEl(el, want) {
-			t.Fatalf("Wait element %d = %+v, want %+v", i, el, want)
-		}
+	check("Wait", els, early)
+	next := pooledQuery(s)
+	for i := 0; i < 10_000; i++ {
+		next.pushResult(sqep.Element{Value: loan.Int(-1 - int64(i))}) // a word in every slot
 	}
+	check("Wait after the next session took its segments", els, early)
 }
 
-// TestOneReaderRacesTheDrain: one reader, mixing Next and NextBatch, races
-// the drain on a log whose segments are recycled as it reads. It must see
-// every row once and in order, then the terminal error — again on a read
-// past the end — and Wait finds nothing left.
+// TestOneReaderRacesTheDrain: one reader races the drain on a log whose
+// segments, and the words that hold the scalars the drain lends, are
+// recycled as it reads. It must see every row once and in order, then the
+// terminal error — again on a read past the end — and Wait finds nothing
+// left.
 func TestOneReaderRacesTheDrain(t *testing.T) {
 	const rows = 30_000
 	errBoom := errors.New("boom")
 	q := pooledQuery(&Scheduler{})
 	go func() {
+		var loan marshal.Loan
 		for i := 0; i < rows; i++ {
-			q.pushResult(logEl(i))
+			q.pushResult(lentEl(&loan, i))
 			if i%64 == 0 {
 				runtime.Gosched() // let the reader park and catch up in turns
 			}
@@ -152,16 +195,7 @@ func TestOneReaderRacesTheDrain(t *testing.T) {
 		q.finish(errBoom)
 	}()
 	for n := 0; ; {
-		var els []sqep.Element
-		var ok bool
-		var err error
-		if n%3 == 0 {
-			var el sqep.Element
-			el, ok, err = q.Next()
-			els = []sqep.Element{el}
-		} else {
-			els, ok, err = q.NextBatch()
-		}
+		els, ok, err := q.NextBatch()
 		if !ok {
 			if n != rows || !errors.Is(err, errBoom) {
 				t.Fatalf("stream ended after %d of %d elements with %v", n, rows, err)
@@ -172,13 +206,13 @@ func TestOneReaderRacesTheDrain(t *testing.T) {
 			t.Fatalf("empty batch at element %d", n)
 		}
 		for _, el := range els {
-			if !sameEl(el, logEl(n)) {
-				t.Fatalf("element %d = %+v, want %+v", n, el, logEl(n))
+			if !sameEl(el, ownEl(n)) {
+				t.Fatalf("element %d = %+v, want %+v", n, el, ownEl(n))
 			}
 			n++
 		}
 	}
-	if _, ok, err := q.Next(); ok || !errors.Is(err, errBoom) {
+	if _, ok, err := q.NextBatch(); ok || !errors.Is(err, errBoom) {
 		t.Fatalf("a second read past the end: ok=%v err=%v", ok, err)
 	}
 	if els, err := q.Wait(); len(els) != 0 || !errors.Is(err, errBoom) {
@@ -188,7 +222,7 @@ func TestOneReaderRacesTheDrain(t *testing.T) {
 
 // segments counts the segments q's log holds.
 func (q *Query) segments() int {
-	r := q.results()
+	r := &q.res
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	n := 0
@@ -266,12 +300,12 @@ func TestRecycledSegmentPinsNothing(t *testing.T) {
 	for i := 1; i <= firstSegment; i++ { // the rest of the first segment and one row past it
 		q.pushResult(logEl(i))
 	}
-	first := q.results().head
+	first := q.res.head
 	if b, ok, err := q.NextBatch(); !ok || err != nil || len(b) != firstSegment {
 		t.Fatalf("NextBatch = %d elements, ok=%v err=%v", len(b), ok, err)
 	}
-	if _, ok, err := q.Next(); !ok || err != nil { // passes the first segment
-		t.Fatalf("Next: ok=%v err=%v", ok, err)
+	if _, ok, err := q.NextBatch(); !ok || err != nil { // passes the first segment
+		t.Fatalf("second NextBatch: ok=%v err=%v", ok, err)
 	}
 	if !slices.Contains(s.segments.free[0], first) {
 		t.Fatal("the segment the reader passed is not on the free list")
@@ -287,7 +321,7 @@ func TestRecycledSegmentPinsNothing(t *testing.T) {
 	v, collected = probe()
 	next.pushResult(sqep.Element{Value: v})
 	v = nil
-	if next.results().head != first || len(s.segments.free[0]) != 0 {
+	if next.res.head != first || len(s.segments.free[0]) != 0 {
 		t.Fatal("a new session did not take its first segment from the free list")
 	}
 	next, first = nil, nil

@@ -2,17 +2,17 @@ package sched_test
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
 	"scsq/internal/core"
 	"scsq/internal/sched"
-	"scsq/internal/sqep"
 )
 
 // TestResultsPartialBeforeCompletion proves the incremental contract the
 // serving layer depends on: elements of a live session are readable through
-// Next strictly before the session reaches a terminal state. A
+// NextBatch strictly before the session reaches a terminal state. A
 // streamof(sys_sessions()) live-delta stream never terminates on its own,
 // so observing even one element while State() is non-final is a
 // deterministic assertion, not a race.
@@ -29,11 +29,11 @@ func TestResultsPartialBeforeCompletion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	el, ok, err := q.Next()
+	b, ok, err := q.NextBatch()
 	if err != nil || !ok {
-		t.Fatalf("Next: ok=%v err=%v, want a first element", ok, err)
+		t.Fatalf("NextBatch: ok=%v err=%v, want a first element", ok, err)
 	}
-	if el.Value == nil {
+	if b[0].Value == nil {
 		t.Fatalf("first element has no value")
 	}
 	if st := q.State(); st.Final() {
@@ -46,7 +46,7 @@ func TestResultsPartialBeforeCompletion(t *testing.T) {
 		t.Fatalf("cancel: %v", err)
 	}
 	for {
-		_, ok, err := q.Next()
+		_, ok, err := q.NextBatch()
 		if ok {
 			continue // deltas raced the cancel; keep draining
 		}
@@ -60,8 +60,8 @@ func TestResultsPartialBeforeCompletion(t *testing.T) {
 	}
 }
 
-// TestResultsMatchWait proves that Next and Wait share one read of an
-// ordinary finite query's stream: Wait returns what Next has not
+// TestResultsMatchWait proves that NextBatch and Wait share one read of an
+// ordinary finite query's stream: Wait returns what NextBatch has not
 // taken, in order, and afterwards nothing is left to read.
 func TestResultsMatchWait(t *testing.T) {
 	e, err := core.NewEngine()
@@ -76,27 +76,24 @@ func TestResultsMatchWait(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var els []sqep.Element
-	for i := 0; i < 3; i++ {
-		el, ok, err := q.Next()
-		if err != nil || !ok {
-			t.Fatalf("element %d: ok=%v err=%v", i, ok, err)
-		}
-		els = append(els, el)
+	b, ok, err := q.NextBatch()
+	if err != nil || !ok {
+		t.Fatalf("NextBatch: ok=%v err=%v", ok, err)
 	}
+	els := slices.Clone(b) // the batch is valid until the next read
 	rest, err := q.Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if els = append(els, rest...); len(els) != 8 {
-		t.Fatalf("Next and Wait returned %d + %d elements, want 8", 3, len(rest))
+		t.Fatalf("NextBatch and Wait returned %d + %d elements, want 8", len(b), len(rest))
 	}
 	for i := 1; i < len(els); i++ {
 		if els[i].At < els[i-1].At {
 			t.Fatalf("element %d at %v precedes element %d at %v", i, els[i].At, i-1, els[i-1].At)
 		}
 	}
-	if _, ok, err := q.Next(); ok || err != nil {
+	if _, ok, err := q.NextBatch(); ok || err != nil {
 		t.Fatalf("a read after Wait: ok=%v err=%v, want a clean end", ok, err)
 	}
 	if again, err := q.Wait(); len(again) != 0 || err != nil {
@@ -122,7 +119,7 @@ func TestResultsEndWithoutRunning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := def.Next(); ok || err != nil {
+	if _, ok, err := def.NextBatch(); ok || err != nil {
 		t.Fatalf("definition read: ok=%v err=%v, want empty clean end", ok, err)
 	}
 
@@ -134,7 +131,7 @@ func TestResultsEndWithoutRunning(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := bad.Next()
+		_, _, err := bad.NextBatch()
 		done <- err
 	}()
 	select {

@@ -43,6 +43,7 @@ import (
 
 	"scsq/internal/cndb"
 	"scsq/internal/core"
+	"scsq/internal/marshal"
 	"scsq/internal/metrics"
 	"scsq/internal/place"
 	"scsq/internal/scsql"
@@ -280,9 +281,8 @@ type Query struct {
 	done      chan struct{}
 
 	// res holds the result elements the drain delivered and no read has
-	// taken yet — their only copy (results.go). Lazily built.
-	resOnce sync.Once
-	res     *resultsState
+	// taken yet — their only copy (results.go).
+	res resultsState
 }
 
 // ID returns the engine-assigned session id ("q1", "q2", ...). It tags the
@@ -295,9 +295,6 @@ var (
 	nodesFamily = &metrics.Family{Gauges: []string{"sched.nodes."}}
 	waitFamily  = &metrics.Family{Gauges: []string{metrics.RTPrefix + "sched.admission_wait_us."}}
 )
-
-// Statement returns the submitted SCSQL source.
-func (q *Query) Statement() string { return q.src }
 
 // State returns the session's current lifecycle state.
 func (q *Query) State() State {
@@ -315,8 +312,17 @@ func (q *Query) Done() <-chan struct{} { return q.done }
 // cancelled before running).
 func (q *Query) Wait() (out []sqep.Element, err error) {
 	<-q.done
-	for els, ok := []sqep.Element(nil), true; ok; out = append(out, els...) {
-		els, ok, err = q.read(-1)
+	var boxes marshal.Boxes // the scalars outlive the segments they are read from
+	for els, ok := []sqep.Element(nil), true; ok; els, ok, err = q.NextBatch() {
+		for _, el := range els {
+			switch v := el.Value.(type) {
+			case int64:
+				el.Value = boxes.Int(v, 0)
+			case float64:
+				el.Value = boxes.Float(v)
+			}
+			out = append(out, el)
+		}
 	}
 	return out, err
 }
@@ -399,6 +405,7 @@ func (s *Scheduler) Submit(src string, opts ...SubmitOption) (*Query, error) {
 		submitted: time.Now(),
 		done:      make(chan struct{}),
 	}
+	q.initResults()
 
 	// A definition touches only the catalog and a catalog read leases no node:
 	// neither has anything to be admitted for, so both run here, whatever the

@@ -34,7 +34,7 @@ func TestFinishedWindowEvicts(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit live stream: %v", err)
 	}
-	if _, ok, err := live.Next(); !ok || err != nil {
+	if _, ok, err := live.NextBatch(); !ok || err != nil {
 		t.Fatalf("live stream's opening snapshot: ok=%v err=%v", ok, err)
 	}
 
@@ -85,7 +85,7 @@ func TestFinishedWindowEvicts(t *testing.T) {
 	if err != nil || len(els) != 3 || els[0].Value != int64(1) || els[2].Value != int64(3) {
 		t.Errorf("evicted handle's Wait = %v, %v; want its three rows", els, err)
 	}
-	if _, ok, err := first.Next(); ok || err != nil {
+	if _, ok, err := first.NextBatch(); ok || err != nil {
 		t.Errorf("a read after Wait: ok=%v err=%v, want a clean end", ok, err)
 	}
 	if first.State() != Done || first.Nodes() != 0 {
@@ -101,17 +101,17 @@ func TestFinishedWindowEvicts(t *testing.T) {
 	}
 	s.ObserveVTime(vtime.Time(vtime.Millisecond))
 	last := held[total-1].ID()
-	for {
-		el, ok, err := live.Next()
+	for reported := false; !reported; {
+		b, ok, err := live.NextBatch()
 		if !ok || err != nil {
 			t.Fatalf("live stream ended before reporting %s: ok=%v err=%v", last, ok, err)
 		}
-		id, _ := el.Value.(catalog.Tuple).Field("id")
-		if evicted[id.(string)] {
-			t.Errorf("live stream reported evicted session %v", id)
-		}
-		if id == last {
-			break
+		for _, el := range b {
+			id, _ := el.Value.(catalog.Tuple).Field("id")
+			if evicted[id.(string)] {
+				t.Errorf("live stream reported evicted session %v", id)
+			}
+			reported = reported || id == last
 		}
 	}
 	if err := live.Cancel(); err != nil {
@@ -223,7 +223,7 @@ func TestFinishedSessionPinsNoResults(t *testing.T) {
 			t.Fatal(err)
 		}
 		<-q.Done()
-		head := q.results().head.els
+		head := q.res.head.els
 		if len(head) == 0 {
 			t.Fatal("the session logged no rows")
 		}

@@ -196,7 +196,7 @@ func TestRemovedBuiltinsAreUnknown(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	if _, ok, err := q.Next(); !ok || err != nil {
+	if _, ok, err := q.NextBatch(); !ok || err != nil {
 		t.Fatalf("opening snapshot: ok=%v err=%v", ok, err)
 	}
 	for _, src := range []string{`select ps();`, `select monitor('sched.');`, `select cancel('` + q.ID() + `');`} {

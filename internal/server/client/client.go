@@ -565,7 +565,7 @@ func (c *Client) readLoop(r *wire.Reader) {
 				r.text = fs.Str() // the session id, the message
 			}
 			if r.err = fs.Err(); r.err == nil && f.Type == wire.MsgError {
-				r.err = fmt.Errorf("server: %s", r.text)
+				r.err = errors.New(r.text) // "server: …" where the server is the cause
 			}
 			c.deliver(tag, r) // an unreadable tag reads as 0: nobody's
 		}

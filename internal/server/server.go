@@ -92,13 +92,12 @@ type Server struct {
 	mu       sync.Mutex
 	ln       net.Listener
 	conns    map[int64]*conn
-	connSeq  int64
 	draining bool
 	closed   bool
 
 	wg sync.WaitGroup // accept loop + every connection goroutine
 
-	mAccepted  *metrics.Counter
+	mAccepted  *metrics.Counter // the engine's: it numbers every server's connections
 	mShed      *metrics.Counter
 	mSubmits   *metrics.Counter
 	mFramesIn  *metrics.Counter
@@ -192,15 +191,13 @@ func (s *Server) Serve(nc net.Conn) {
 		nc.Close()
 		return
 	}
-	s.connSeq++
-	c := newConn(s, s.connSeq, nc)
+	c := newConn(s, s.mAccepted.Inc(), nc)
 	s.conns[c.id] = c
 	s.gOpen.Set(int64(len(s.conns)))
 	// Counted under mu, which a drain takes before it waits: a connection
 	// is either refused or waited for.
 	s.wg.Add(2)
 	s.mu.Unlock()
-	s.mAccepted.Inc()
 	go func() { defer s.wg.Done(); c.readLoop() }()
 	go func() { defer s.wg.Done(); c.writeLoop() }()
 }
@@ -324,25 +321,31 @@ var SysConnsSchema = catalog.Schema{
 }
 
 // registerSysConns installs the sys_conns provider: one row per open
-// connection. Registered only when a server is attached to the engine, so
-// engines without one keep the golden seven-table catalog (and the schema
-// drift guard of internal/scsql).
+// connection of the engine. Registered only when a server is attached to the
+// engine, so engines without one keep the golden seven-table catalog (and the
+// schema drift guard of internal/scsql). A second server on one engine lists
+// the first one's rows too, through the table it replaces.
 func (s *Server) registerSysConns() {
+	cat := s.eng.SystemCatalog()
+	prev, _ := cat.Lookup("sys_conns")
 	t := &catalog.Table{
 		Name:   "sys_conns",
 		Doc:    "open server connections: per-conn sessions, rows and frame counts",
 		Schema: SysConnsSchema,
 	}
-	t.Snap = func(string) ([]catalog.Tuple, error) {
-		conns := s.snapshotConns()
-		rows := make([]catalog.Tuple, 0, len(conns))
-		for _, c := range conns {
+	t.Snap = func(pattern string) (rows []catalog.Tuple, err error) {
+		if prev != nil {
+			if rows, err = prev.Snap(pattern); err != nil {
+				return nil, err
+			}
+		}
+		for _, c := range s.snapshotConns() {
 			id, remote, state, sess, sub, rowsOut, fin, fout := c.stats()
 			rows = append(rows, t.Row(id, remote, state, sess, sub, rowsOut, fin, fout))
 		}
 		return rows, nil
 	}
-	if err := s.eng.SystemCatalog().Register(t); err != nil {
+	if err := cat.Register(t); err != nil {
 		panic(fmt.Sprintf("server: register sys_conns: %v", err))
 	}
 }

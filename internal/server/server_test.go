@@ -683,6 +683,65 @@ func TestCancelByIDScopedToConnection(t *testing.T) {
 	}
 }
 
+// pipeClient serves one end of a net.Pipe on srv, as the shell serves its own
+// engine, and returns a client of the other end.
+func pipeClient(t *testing.T, srv *server.Server) *client.Client {
+	t.Helper()
+	cliEnd, srvEnd := net.Pipe()
+	srv.Serve(srvEnd)
+	cli, err := client.New(cliEnd, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cli.Close() })
+	return cli
+}
+
+// TestServerErrorNamesTheServerOnce: an Error frame reaches the caller as
+// the server wrote it — a server-made message says "server: " once, the
+// client adds no second prefix.
+func TestServerErrorNamesTheServerOnce(t *testing.T) {
+	eng, err := scsq.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	srv := server.New(eng, server.Config{})
+	defer srv.Close()
+	err = pipeClient(t, srv).CancelID("q9")
+	if err == nil || strings.Count(err.Error(), "server: ") != 1 || !strings.Contains(err.Error(), `no session "q9"`) {
+		t.Fatalf("cancel of an unknown session: %v, want one %q before the server's message", err, "server: ")
+	}
+}
+
+// TestServersOfOneEngineShareSysConns: a second server on an engine neither
+// hides the first one's connections nor numbers its own from c1 again —
+// connection ids are the engine's, and each server's sys_conns lists every
+// connection of the engine.
+func TestServersOfOneEngineShareSysConns(t *testing.T) {
+	eng, _, addr := newServer(t, server.Config{})
+	tcp, err := client.Dial(addr, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tcp.Close()
+	second := server.New(eng, server.Config{})
+	defer second.Close()
+	pipe := pipeClient(t, second)
+	if tcp.ConnID == pipe.ConnID {
+		t.Fatalf("both servers numbered their connection %s", tcp.ConnID)
+	}
+	for _, cli := range []*client.Client{tcp, pipe} {
+		ids := map[any]bool{}
+		for _, row := range remoteRows(t, cli, `select sys_conns();`) {
+			ids[row[0]] = true
+		}
+		if len(ids) != 2 || !ids[tcp.ConnID] || !ids[pipe.ConnID] {
+			t.Errorf("sys_conns read through %s lists %v, want %s and %s", cli.ConnID, ids, tcp.ConnID, pipe.ConnID)
+		}
+	}
+}
+
 // TestCancelStatementCannotReachAnotherConnection: a statement is no way to
 // cancel a session. `select cancel('qN');` from a second connection fails,
 // and the first connection's session runs on until its owner cancels it.
@@ -865,29 +924,31 @@ func TestRowDeliveredWithoutWaitingForNext(t *testing.T) {
 
 // TestRowPathAllocations is the end-to-end allocation guard of the serving
 // fast path: a 2 000-row session over loopback — engine, pump, writer,
-// client reader, Recv — stays within a quarter of an allocation and 40 bytes
-// per row on a warm connection. The result log writes each element into a
-// segment the scheduler recycles once the pump has read it, so a warm
-// session's log allocates nothing; every integer of 256 or more takes a word
-// of a shared slab where it is produced (iota, 8 B) and again where it is
-// decoded (the client's row decoder, and the client manager's receiver when
-// an SP produced it); the client reuses the last row's Source when the next
+// client reader, Recv — stays within a quarter of an allocation and 12 bytes
+// (engine) or 40 bytes (sp) per row on a warm connection. The result log
+// writes each element into a segment the scheduler recycles once the pump
+// has read it, and each integer of 256 or more into that segment's word for
+// it, so a warm session's log allocates nothing; iota and the client
+// manager's receiver lend the drain each integer in one word of their own
+// (sqep.Borrowed), so only the client's row decoder takes a word of a shared
+// slab for it (8 B); the client reuses the last row's Source when the next
 // is the same, and hands rows over in recycled slices. What is left per row
-// is the slabs' and the session's fixed costs spread over 2 000 rows (best
-// of 30: ≈ 16 B for engine, ≈ 26 B for sp). A log that keeps its segments
-// (59–69 B/row), one regrown by append or a row queue allocated per Submit
-// each break the bytes bound on their own; a value boxed on the heap again,
-// or a Source copied per row, breaks the count. Under the race detector, whose
-// instrumentation allocates, the sessions run and nothing is counted: the
-// slab words written by iota, the receiver and the client's reader are read
-// on other goroutines.
+// is that slab and the session's fixed costs spread over 2 000 rows (best of
+// 30: ≈ 9 B for engine, ≈ 10 B for sp). The engine bound is that plus 3 B,
+// less than the 7 B per row (1 745 words of 8 B) that boxing the integers on
+// the server again adds. A log that keeps its segments (59–69 B/row), one
+// regrown by append or a row queue allocated per Submit each break the bytes
+// bound on their own; a value boxed on the heap again, or a Source copied
+// per row, breaks the count. Under the race detector, whose instrumentation
+// allocates, the sessions run and nothing is counted: the words the result
+// log and the client's reader write are read on other goroutines.
 func TestRowPathAllocations(t *testing.T) {
 	const rows = 2000
 	for _, c := range []struct {
 		name, query string
 		maxBytes    float64
 	}{
-		{"engine", fmt.Sprintf(`select i from integer i where i in iota(1,%d);`, rows), 40},
+		{"engine", fmt.Sprintf(`select i from integer i where i in iota(1,%d);`, rows), 12},
 		{"sp", fmt.Sprintf(`select extract(a) from sp a where a=sp(iota(1,%d),'bg',0);`, rows), 40},
 	} {
 		t.Run(c.name, func(t *testing.T) { checkRowPathAllocations(t, c.query, rows, c.maxBytes) })

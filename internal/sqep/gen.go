@@ -138,16 +138,22 @@ func (g *GenArray) Close() error { return nil }
 
 // Iota implements iota(n, m): the stream of integers n..m inclusive
 // (paper §2.4). An empty stream results when m < n. Values box into the
-// operator's slabs, each sized by what the stream still has to emit.
+// operator's slabs, each sized by what the stream still has to emit — or
+// are lent in one word to a Borrowed consumer, and nil to an Unread one.
 type Iota struct {
 	From, To int64
 
 	next  int64
 	done  bool
+	use   ValueUse
 	boxes marshal.Boxes
+	loan  marshal.Loan
 }
 
 var _ Operator = (*Iota)(nil)
+
+// UseValues implements ValueUser.
+func (i *Iota) UseValues(u ValueUse) { i.use = u }
 
 // NewIota returns an iota operator.
 func NewIota(from, to int64) *Iota { return &Iota{From: from, To: to} }
@@ -166,6 +172,12 @@ func (i *Iota) Next() (Element, bool, error) {
 	}
 	v := i.next
 	i.done, i.next = v == i.To, v+1 // v+1 wraps only past math.MaxInt64, once done
+	switch i.use {
+	case Unread:
+		return Element{}, true, nil
+	case Borrowed:
+		return Element{Value: i.loan.Int(v)}, true, nil
+	}
 	// To-v is exact as a uint64 even across the whole int64 range; the
 	// count still to emit, v included, saturates instead of wrapping to 0.
 	left := min(uint64(i.To-v), math.MaxUint64-1) + 1

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"scsq/internal/hw"
@@ -110,6 +111,69 @@ func TestIota(t *testing.T) {
 	if got := drainValues(t, NewIota(-2, 1), nil); len(got) != 4 {
 		t.Errorf("iota(-2,1) = %v, want 4 elements", got)
 	}
+}
+
+// TestIotaHonoursValueUse: a Borrowed consumer is lent one word and costs
+// nothing per element; an Unread one gets nil values, as many as there are
+// integers; an Owned one keeps every value past the Nexts that follow it.
+func TestIotaHonoursValueUse(t *testing.T) {
+	const from, to = 1000, 1999
+	open := func(use ValueUse) *Iota {
+		it := NewIota(from, to)
+		UseValues(it, use)
+		if err := it.Open(testCtx()); err != nil {
+			t.Fatal(err)
+		}
+		return it
+	}
+	t.Run("borrowed", func(t *testing.T) {
+		it, want := open(Borrowed), int64(from)
+		next := func() {
+			if el, ok, err := it.Next(); !ok || err != nil || el.Value != want {
+				t.Fatalf("element = %v, %t, %v; want %d", el.Value, ok, err, want)
+			}
+			want++
+		}
+		if race.Enabled {
+			next()
+			return
+		}
+		// Counted over all 500, not per call as AllocsPerRun rounds: one
+		// slab of boxes a few hundred values long must show.
+		var before, after runtime.MemStats
+		procs := runtime.GOMAXPROCS(1)
+		runtime.ReadMemStats(&before)
+		for range 500 {
+			next()
+		}
+		runtime.ReadMemStats(&after)
+		runtime.GOMAXPROCS(procs)
+		if n := after.Mallocs - before.Mallocs; n != 0 {
+			t.Errorf("500 borrowed Nexts allocated %d times, want 0", n)
+		}
+	})
+	t.Run("unread", func(t *testing.T) {
+		els, err := Drain(open(Unread))
+		if err != nil || len(els) != to-from+1 {
+			t.Fatalf("unread iota = %d elements, %v; want %d", len(els), err, to-from+1)
+		}
+		for i, el := range els {
+			if el.Value != nil {
+				t.Fatalf("unread element %d = %v, want nil", i, el.Value)
+			}
+		}
+	})
+	t.Run("owned", func(t *testing.T) {
+		els, err := Drain(open(Owned))
+		if err != nil || len(els) != to-from+1 {
+			t.Fatalf("owned iota = %d elements, %v", len(els), err)
+		}
+		for i, el := range els {
+			if el.Value != int64(from+i) {
+				t.Fatalf("owned element %d = %v after later Nexts, want %d", i, el.Value, from+i)
+			}
+		}
+	})
 }
 
 // TestIotaEndsAtTheInt64Bounds: a range reaching either end of int64 emits

@@ -444,52 +444,36 @@ func (s *Session) ID() string { return s.q.ID() }
 // State returns the session's current lifecycle state.
 func (s *Session) State() SessionState { return s.q.State() }
 
-// Statement returns the submitted SCSQL source.
-func (s *Session) Statement() string { return s.q.Statement() }
-
-// Wait blocks until the session finishes and returns the result elements no
-// read has taken, and the session's terminal error — a session that ends in
-// error returns the rows it produced before it too. It is NextBatch, read to
-// the end of the stream.
+// Wait blocks until the session finishes and returns, in elements of the
+// caller's own, the result elements no read has taken, and the session's
+// terminal error — a session that ends in error returns the rows it produced
+// before it too.
 func (s *Session) Wait() (out []Element, err error) {
-	for batch, ok := (Batch{}), true; ok; batch, ok, err = s.NextBatch() {
-		for i := range batch.Len() {
-			out = append(out, batch.At(i))
-		}
+	els, err := s.q.Wait()
+	for _, el := range els {
+		out = append(out, publicElement(el))
 	}
 	return out, err
 }
 
-// Next blocks until another element is available or the session is
-// terminal, and takes it off the session's results. It returns each element
-// as soon as the simulation delivers it to the client manager — before the
-// session reaches a terminal state — which is what lets the network serving
-// layer stream result frames while the query is still running. A session's
-// results are read once: Next, NextBatch and Wait take elements off its one
-// read position, and one goroutine reads them. ok is false at the end of the
-// stream; err is then the session's terminal error (nil for a completed
-// session).
-func (s *Session) Next() (Element, bool, error) {
-	el, ok, err := s.q.Next()
-	if !ok || err != nil {
-		return Element{}, false, err
-	}
-	return publicElement(el), true, nil
-}
-
-// NextBatch blocks like Next and then returns the unread elements the
-// session has already produced — at least one, at most one segment of the
-// result log — at the cost of one Next. When the log is
-// exhausted the next call blocks: a consumer that forwards elements (the
-// serving layer) flushes after every batch, so batching never delays a row.
+// NextBatch blocks until another element is available or the session is
+// terminal, then returns the unread elements already produced — at least
+// one, at most a segment of the result log — as soon as the simulation
+// delivers them to the client manager, so the serving layer streams rows
+// while the query runs. NextBatch and Wait take elements off the session's
+// one read position, read by one goroutine. ok is false at the end of the
+// stream, with the session's terminal error (nil once completed). When the
+// log is exhausted the next call blocks: a consumer that forwards elements
+// flushes after every batch, so batching never delays a row.
 func (s *Session) NextBatch() (Batch, bool, error) {
 	els, ok, err := s.q.NextBatch()
 	return Batch{els}, ok, err
 }
 
 // Batch is a read-only run of consecutive result elements, a view of one
-// segment of the session's result log: it costs no copy and is valid until
-// the next read of the session, which may recycle the segment.
+// segment of the session's result log: it costs no copy, and its elements
+// and their scalar values are valid until the next read of the session,
+// which may recycle the segment.
 type Batch struct {
 	els []sqep.Element
 }
@@ -524,9 +508,6 @@ func (s *Session) Makespan() time.Duration {
 func (s *Session) BandwidthMbps(payloadBytes int64) float64 {
 	return bandwidthMbps(payloadBytes, s.Makespan())
 }
-
-// AdmissionWait returns how long the session waited for admission.
-func (s *Session) AdmissionWait() time.Duration { return s.q.AdmissionWait() }
 
 // Nodes returns how many node reservations the session currently holds.
 func (s *Session) Nodes() int { return s.q.Nodes() }
