@@ -22,7 +22,7 @@ const fig5Makespan = 238_481_732 * time.Nanosecond
 // two identical sessions on one server report equal makespans in their Done
 // frames. Those stream out of the BlueGene, to the client: a stream into a
 // BG node registers a producer that the next session on that node is still
-// charged for until Reset (EXPERIMENTS.md, ROADMAP item 5).
+// charged for until Reset (EXPERIMENTS.md, ROADMAP item 29).
 func TestReadingIndependentOfHistory(t *testing.T) {
 	src := scsql.Figure5Query(300_000, 20)
 	const earlier = `

@@ -382,6 +382,8 @@ func soakRound(cfg soakConfig, r int, rng *rand.Rand, res *soakResult, waits *[]
 		}
 		res.LeakedLeases += eng.LeaseCount(q.ID())
 	}
+	k := env.Kernel()
+	k.Lock()
 	for _, rsc := range env.Resources() {
 		var sum vtime.Duration
 		for _, d := range rsc.OwnerBusy() {
@@ -391,6 +393,7 @@ func soakRound(cfg soakConfig, r int, rng *rand.Rand, res *soakResult, waits *[]
 			res.AccountingOK = false
 		}
 	}
+	k.Unlock()
 
 	_ = s.Close()
 	gate.release() // idempotent; frees any straggling gate RP

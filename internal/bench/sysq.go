@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"scsq"
+	"scsq/internal/core"
+	"scsq/internal/sched"
 	"scsq/internal/scsql"
 	"scsq/internal/vtime"
 )
@@ -16,7 +18,7 @@ import (
 //
 //  1. Snapshot latency: wall-clock ns per Snap() of every registered sys_*
 //     table on a populated engine — the raw price of one coherent read
-//     under the owning subsystem's locks.
+//     under the owning subsystem's locks, in a turn (vtime.Kernel.Lock).
 //  2. Catalog-query latency: `select count(sys_X());` end to end as a
 //     session (parse, plan, client drain, session table), the price a
 //     dashboard pays per poll.
@@ -108,12 +110,14 @@ func observedFigure6Run(w workload, bufBytes int, observe bool) (vtime.Time, tim
 func sysq(cfg sysqConfig) ([]Point, error) {
 	// A populated engine for the latency sections: one finished session so
 	// every table has real rows (sessions, edges, RP stats, link counters).
-	eng, err := scsq.New()
+	eng, err := core.NewEngine()
 	if err != nil {
 		return nil, err
 	}
 	defer eng.Close()
-	sess, err := eng.Submit(scsql.Figure5Query(cfg.w.ArrayBytes, cfg.w.ArrayCount))
+	s := sched.New(eng, nil, sched.Config{})
+	defer s.Close()
+	sess, err := s.Submit(scsql.Figure5Query(cfg.w.ArrayBytes, cfg.w.ArrayCount))
 	if err != nil {
 		return nil, err
 	}
@@ -124,6 +128,7 @@ func sysq(cfg sysqConfig) ([]Point, error) {
 	// 1. Raw snapshot latency per table, before the catalog queries below add
 	// their own sessions to the tables.
 	var pts []Point
+	k := eng.Env().Kernel()
 	for _, name := range sysqTables {
 		tab, ok := eng.SystemCatalog().Lookup(name)
 		if !ok {
@@ -132,7 +137,9 @@ func sysq(cfg sysqConfig) ([]Point, error) {
 		rows := 0
 		t0 := time.Now()
 		for i := 0; i < cfg.snapIters; i++ {
+			k.Lock()
 			rs, err := tab.Snap("")
+			k.Unlock()
 			if err != nil {
 				return nil, fmt.Errorf("bench: %s snap: %w", name, err)
 			}
@@ -147,7 +154,7 @@ func sysq(cfg sysqConfig) ([]Point, error) {
 		src := fmt.Sprintf("select count(%s());", name)
 		t0 := time.Now()
 		for i := 0; i < cfg.queryIters; i++ {
-			sess, err := eng.Submit(src)
+			sess, err := s.Submit(src)
 			if err != nil {
 				return nil, fmt.Errorf("bench: %s query: %w", name, err)
 			}
@@ -157,7 +164,7 @@ func sysq(cfg sysqConfig) ([]Point, error) {
 		}
 		pts = append(pts, perOp(name, "query", time.Since(t0), cfg.queryIters))
 	}
-	if err := eng.Close(); err != nil {
+	if err := errors.Join(s.Close(), eng.Close()); err != nil {
 		return nil, err
 	}
 

@@ -44,14 +44,10 @@ const (
 )
 
 func (b Buffering) String() string {
-	switch b {
-	case SingleBuffered:
-		return "single"
-	case DoubleBuffered:
-		return "double"
-	default:
+	if b != SingleBuffered && b != DoubleBuffered {
 		return "unknown"
 	}
+	return [...]string{"single", "double"}[b-SingleBuffered]
 }
 
 // Frame is one flushed send buffer.

@@ -55,10 +55,11 @@ type Faults interface {
 
 // linkFamily keys a connection's counters by its label, kindFamily a
 // carrier's delivery histogram by its kind. Both are hardware-keyed: every
-// query that dials the same connection counts into the same block.
+// query that dials the same connection counts into the same block. Only a
+// sender in its turn writes them (metrics.Family.Turn).
 var (
-	linkFamily = &metrics.Family{Counters: []string{"link.frames.", "link.bytes.", "link.drops."}}
-	kindFamily = &metrics.Family{Hists: []string{"link.deliver_vt."}}
+	linkFamily = &metrics.Family{Counters: []string{"link.frames.", "link.bytes.", "link.drops."}, Turn: true}
+	kindFamily = &metrics.Family{Hists: []string{"link.deliver_vt."}, Turn: true}
 )
 
 // Link is an open connection over a Route. Its Send is the one place a
@@ -85,16 +86,16 @@ type Link struct {
 	Receiver *vtime.Agent
 
 	// Metric handles are resolved once at NewLink: the per-frame path is
-	// atomic adds (nil-safe no-ops without a registry).
+	// plain adds in the sender's turn (nil-safe no-ops without a registry).
 	mFrames  *metrics.Counter
 	mBytes   *metrics.Counter
 	mDrops   *metrics.Counter
 	hDeliver *metrics.Histogram
 
 	abort  chan struct{}
-	torn   atomic.Bool
-	closed atomic.Bool
-	seq    atomic.Uint64 // the next frame's sequence number
+	torn   atomic.Bool // Abort comes from outside the kernel
+	closed atomic.Bool // and so does Close
+	seq    uint64      // the next frame's sequence number, read in the sender's turn
 
 	// contended is the state of the route's contended stage (Contend).
 	contended struct {
@@ -205,7 +206,8 @@ func (l *Link) Send(fr Frame) (vtime.Time, error) {
 		Recycle(&fr)
 		return 0, ErrClosed
 	}
-	seq := l.seq.Add(1) - 1
+	seq := l.seq
+	l.seq++
 	if l.torn.Load() {
 		Recycle(&fr)
 		return 0, l.aborted()

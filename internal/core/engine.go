@@ -209,12 +209,12 @@ func (c Config) apply(dst *Config) {
 	dst.kernelBatch = cmp.Or(c.kernelBatch, dst.kernelBatch)
 }
 
-// WithEnv is Config{Env: env}. Only benchmark/ calls it; ROADMAP item 8
-// moves that caller to Config and deletes it.
+// WithEnv is Config{Env: env}. Only benchmark/ calls it; ROADMAP item 10,
+// step 1, moves that caller to Config and deletes it.
 func WithEnv(env *hw.Env) Option { return Config{Env: env} }
 
 // WithMPIBufferBytes is Config{MPIBufferBytes: n}. Only benchmark/ calls
-// it; ROADMAP item 8 moves that caller to Config and deletes it.
+// it; ROADMAP item 10, step 1, moves that caller to Config and deletes it.
 func WithMPIBufferBytes(n int) Option { return Config{MPIBufferBytes: n} }
 
 // DefaultKernelBatch is the default receiver-side kernel batch: up to this
@@ -299,8 +299,13 @@ func (e *Engine) Metrics() *metrics.Registry { return e.reg }
 func (e *Engine) Tracer() *metrics.Tracer { return e.cfg.Tracer }
 
 // MetricsSnapshot captures the current state of every engine metric as a
-// JSON-serializable snapshot.
-func (e *Engine) MetricsSnapshot() metrics.Snapshot { return e.reg.Snapshot() }
+// JSON-serializable snapshot, in a turn of its own (vtime.Kernel.Lock).
+func (e *Engine) MetricsSnapshot() metrics.Snapshot {
+	k := e.env.Kernel()
+	k.Lock()
+	defer k.Unlock()
+	return e.reg.Snapshot()
+}
 
 // Coordinator returns the cluster coordinator for c (nil for unknown
 // clusters).
@@ -354,6 +359,9 @@ func (e *Engine) Reset() error {
 	for _, cc := range e.coords {
 		cc.DB().Reset()
 	}
+	k := e.env.Kernel()
+	k.Lock()
+	defer k.Unlock()
 	e.env.Reset()
 	return nil
 }

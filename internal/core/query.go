@@ -205,8 +205,9 @@ func (qc *queryCtx) finish(clean bool) {
 // (metrics.Scope.Fold), its busy time on the devices it charged into
 // vtime.RetiredOwner, and its id stops resolving. Totals — counter sums by
 // prefix, every resource's Σ owners == BusyTime — are unchanged, and the
-// cost is what the query touched, not what the machine has. Retiring twice
-// is a no-op: every step finds nothing left to do.
+// cost is what the query touched, not what the machine has. The folds take
+// a turn of their own (vtime.Kernel.Lock), so no process may retire.
+// Retiring twice is a no-op: every step finds nothing left to do.
 func (qc *queryCtx) retire() {
 	qc.finish(false)
 	qc.mu.Lock()
@@ -214,11 +215,14 @@ func (qc *queryCtx) retire() {
 	charged := qc.charged
 	qc.charged, qc.edges = nil, nil
 	qc.mu.Unlock()
+	e := qc.eng
+	k := e.env.Kernel()
+	k.Lock()
 	qc.metrics.Fold()
 	for _, r := range charged {
 		r.FoldOwner(qc.id)
 	}
-	e := qc.eng
+	k.Unlock()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.queries[qc.id] == qc {

@@ -13,6 +13,7 @@ package hw
 import (
 	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 
 	"scsq/internal/torus"
@@ -73,10 +74,11 @@ type Env struct {
 	Cost  CostModel
 	Torus *torus.Torus
 
-	bg []*Node
-	be []*Node
-	fe []*Node
-	io []*IONode
+	bg  []*Node
+	be  []*Node
+	fe  []*Node
+	io  []*IONode
+	res []*vtime.Resource // every resource, in Resources' order
 
 	psetSize int
 
@@ -180,6 +182,12 @@ func NewLOFAR(opts ...Option) (*Env, error) {
 	for i := 0; i < cfg.FrontEndNodes; i++ {
 		env.fe = append(env.fe, newNode(FrontEnd, i))
 	}
+	for _, n := range slices.Concat(env.bg, env.be, env.fe) {
+		env.res = append(env.res, n.CPU, cmp.Or(n.Coproc, n.NIC))
+	}
+	for _, n := range env.io {
+		env.res = append(env.res, n.Forwarder, n.Tree)
+	}
 	return env, nil
 }
 
@@ -197,33 +205,29 @@ func newNode(c ClusterName, id int) *Node {
 	return n
 }
 
-// ClusterSize returns the number of compute nodes in cluster c (0 for an
-// unknown cluster).
-func (e *Env) ClusterSize(c ClusterName) int {
+// nodes returns the compute nodes of cluster c (nil for an unknown cluster).
+func (e *Env) nodes(c ClusterName) []*Node {
 	switch c {
 	case BlueGene:
-		return len(e.bg)
+		return e.bg
 	case BackEnd:
-		return len(e.be)
+		return e.be
 	case FrontEnd:
-		return len(e.fe)
+		return e.fe
 	}
-	return 0
+	return nil
 }
+
+// ClusterSize returns the number of compute nodes in cluster c (0 for an
+// unknown cluster).
+func (e *Env) ClusterSize(c ClusterName) int { return len(e.nodes(c)) }
 
 // Node returns the node with the given id in cluster c.
 func (e *Env) Node(c ClusterName, id int) (*Node, error) {
-	var nodes []*Node
-	switch c {
-	case BlueGene:
-		nodes = e.bg
-	case BackEnd:
-		nodes = e.be
-	case FrontEnd:
-		nodes = e.fe
-	default:
+	if !c.Valid() {
 		return nil, fmt.Errorf("hw: unknown cluster %q", c)
 	}
+	nodes := e.nodes(c)
 	if id < 0 || id >= len(nodes) {
 		return nil, fmt.Errorf("hw: node %d out of range for cluster %q (size %d)", id, c, len(nodes))
 	}
@@ -331,23 +335,9 @@ func (e *Env) ProducersOn(dst int) int {
 // Resources returns every virtual-time resource in the environment, in the
 // deterministic order bg (CPU, coprocessor), be (CPU, NIC), fe (CPU, NIC),
 // io (forwarder, tree). The soak harness audits these: after a run every
-// resource's per-owner busy accounting must still sum to its total.
-func (e *Env) Resources() []*vtime.Resource {
-	var out []*vtime.Resource
-	for _, n := range e.bg {
-		out = append(out, n.CPU, n.Coproc)
-	}
-	for _, n := range e.be {
-		out = append(out, n.CPU, n.NIC)
-	}
-	for _, n := range e.fe {
-		out = append(out, n.CPU, n.NIC)
-	}
-	for _, n := range e.io {
-		out = append(out, n.Forwarder, n.Tree)
-	}
-	return out
-}
+// resource's per-owner busy accounting must still sum to its total. The
+// slice is the environment's own: callers read it and change nothing.
+func (e *Env) Resources() []*vtime.Resource { return e.res }
 
 // Kernel returns the virtual-time kernel the processes on this hardware take
 // their turns in.
@@ -357,21 +347,8 @@ func (e *Env) Kernel() *vtime.Kernel { return &e.kernel }
 // experiment repetitions. The kernel's clock goes on: the next run starts
 // where the last one ended, on devices nothing has reserved.
 func (e *Env) Reset() {
-	for _, n := range e.bg {
-		n.CPU.Reset()
-		n.Coproc.Reset()
-	}
-	for _, n := range e.be {
-		n.CPU.Reset()
-		n.NIC.Reset()
-	}
-	for _, n := range e.fe {
-		n.CPU.Reset()
-		n.NIC.Reset()
-	}
-	for _, n := range e.io {
-		n.Forwarder.Reset()
-		n.Tree.Reset()
+	for _, r := range e.res {
+		r.Reset()
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -20,7 +20,8 @@
 //     depth), which by convention carry the name prefix "rt." and are
 //     excluded by Snapshot.Deterministic.
 //
-// All hot-path operations are single atomic instructions; registry lookups
+// A data-plane family's cells (Family.Turn) are plain memory, locked by the
+// kernel's token; every other metric is atomic. Registry lookups
 // happen once per connection or process at wiring time, and the handles are
 // cached: a process takes all of its metrics as one Block, by its identity
 // (Family, id) — names exist only in what Snapshot returns. A nil *Registry
@@ -45,9 +46,21 @@ import (
 const RTPrefix = "rt."
 
 // Counter is a monotonically increasing count. The zero value is usable; a
-// nil *Counter records nothing.
+// nil *Counter records nothing. A counter or histogram of a Turn family is
+// plain memory; any other is atomic.
 type Counter struct {
-	v atomic.Int64
+	v     int64
+	plain bool
+}
+
+// add adds n to *p and returns the sum: a plain add in a cell of a Turn
+// family, an atomic one otherwise.
+func add(p *int64, n int64, plain bool) int64 {
+	if plain {
+		*p += n
+		return *p
+	}
+	return atomic.AddInt64(p, n)
 }
 
 // Inc adds one and returns the new count (0 on a nil counter).
@@ -55,13 +68,13 @@ func (c *Counter) Inc() int64 {
 	if c == nil {
 		return 0
 	}
-	return c.v.Add(1)
+	return add(&c.v, 1, c.plain)
 }
 
 // Add adds n (n must be non-negative to keep the counter monotone).
 func (c *Counter) Add(n int64) {
 	if c != nil && n > 0 {
-		c.v.Add(n)
+		add(&c.v, n, c.plain)
 	}
 }
 
@@ -70,7 +83,7 @@ func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
-	return c.v.Load()
+	return atomic.LoadInt64(&c.v)
 }
 
 // Gauge is a last-value or high-water-mark observation. The zero value is
@@ -83,6 +96,13 @@ type Gauge struct {
 func (g *Gauge) Set(v int64) {
 	if g != nil {
 		g.v.Store(v)
+	}
+}
+
+// Add adds n, which may be negative: a count of what is open.
+func (g *Gauge) Add(n int64) {
+	if g != nil {
+		g.v.Add(n)
 	}
 }
 
@@ -113,17 +133,18 @@ func (g *Gauge) Value() int64 {
 // 2^(i-1) <= d < 2^i nanoseconds.
 const histBuckets = 65
 
-// Histogram aggregates virtual durations into power-of-two buckets. All
-// operations are atomic and order-independent, so concurrent recording is
-// deterministic; the count is the buckets' sum, read with them. The zero
-// value is usable and empty; a nil *Histogram records nothing.
+// Histogram aggregates virtual durations into power-of-two buckets. Sums,
+// buckets and bounds are order-independent, so recording is deterministic;
+// the count is the buckets' sum, read with them. The zero value is usable
+// and empty; a nil *Histogram records nothing.
 type Histogram struct {
-	sum atomic.Int64
+	sum int64
 	// lo and hi only grow: lo is MaxInt64 XOR the least duration observed,
 	// hi MinInt64 XOR the greatest, both read unsigned, so zero stands for
 	// "none yet" (+∞ and −∞).
-	lo, hi  atomic.Uint64
-	buckets [histBuckets]atomic.Int64
+	lo, hi  uint64
+	buckets [histBuckets]int64
+	plain   bool
 }
 
 // bucketIndex maps a duration to its bucket.
@@ -134,9 +155,13 @@ func bucketIndex(d vtime.Duration) int {
 	return bits.Len64(uint64(d))
 }
 
-// raise sets a to v if v is greater.
-func raise(a *atomic.Uint64, v uint64) {
-	for cur := a.Load(); v > cur && !a.CompareAndSwap(cur, v); cur = a.Load() {
+// raise sets *p to v if v is greater, plain or atomic as add.
+func raise(p *uint64, v uint64, plain bool) {
+	if plain {
+		*p = max(*p, v)
+		return
+	}
+	for cur := atomic.LoadUint64(p); v > cur && !atomic.CompareAndSwapUint64(p, cur, v); cur = atomic.LoadUint64(p) {
 	}
 }
 
@@ -146,27 +171,27 @@ func (h *Histogram) Observe(d vtime.Duration) {
 		return
 	}
 	// The bucket goes last: a reader that counts it sees the bounds.
-	h.sum.Add(int64(d))
-	raise(&h.lo, uint64(d)^math.MaxInt64)
-	raise(&h.hi, uint64(d)^1<<63)
-	h.buckets[bucketIndex(d)].Add(1)
+	add(&h.sum, int64(d), h.plain)
+	raise(&h.lo, uint64(d)^math.MaxInt64, h.plain)
+	raise(&h.hi, uint64(d)^1<<63, h.plain)
+	add(&h.buckets[bucketIndex(d)], 1, h.plain)
 }
 
 // merge adds o's observations into h. o must be quiescent.
 func (h *Histogram) merge(o *Histogram) {
-	h.sum.Add(o.sum.Load())
+	add(&h.sum, o.sum, h.plain)
 	for i := range h.buckets {
-		h.buckets[i].Add(o.buckets[i].Load())
+		add(&h.buckets[i], o.buckets[i], h.plain)
 	}
-	raise(&h.lo, o.lo.Load())
-	raise(&h.hi, o.hi.Load())
+	raise(&h.lo, o.lo, h.plain)
+	raise(&h.hi, o.hi, h.plain)
 }
 
 // snapshot folds the histogram into its serializable form.
 func (h *Histogram) snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{SumNs: h.sum.Load()}
+	s := HistogramSnapshot{SumNs: atomic.LoadInt64(&h.sum)}
 	for i := 0; i < histBuckets; i++ {
-		if n := h.buckets[i].Load(); n > 0 {
+		if n := atomic.LoadInt64(&h.buckets[i]); n > 0 {
 			upper := int64(0)
 			if i > 0 && i < 64 {
 				upper = int64(1) << i
@@ -178,8 +203,8 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 		}
 	}
 	if s.Count > 0 {
-		s.MinNs = int64(h.lo.Load() ^ math.MaxInt64)
-		s.MaxNs = int64(h.hi.Load() ^ 1<<63)
+		s.MinNs = int64(atomic.LoadUint64(&h.lo) ^ math.MaxInt64)
+		s.MaxNs = int64(atomic.LoadUint64(&h.hi) ^ 1<<63)
 	}
 	return s
 }
@@ -192,6 +217,9 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 // names; a Block has room for three counters, one gauge and two histograms.
 type Family struct {
 	Counters, Gauges, Hists []string
+	// Turn marks a family only the kernel's token holder writes: its
+	// counters and histograms are plain memory.
+	Turn bool
 }
 
 // Block holds every metric of one process: one small allocation (plus one per
@@ -208,18 +236,20 @@ type Block struct {
 }
 
 func newBlock(f *Family, id string) *Block {
-	b := &Block{fam: f, id: id}
+	b := &Block{fam: f}
 	for i := range f.Hists {
 		b.h[i] = new(Histogram)
 	}
+	b.reset(id)
 	return b
 }
 
 // reset zeroes b's values and gives it identity id, keeping its histograms.
 func (b *Block) reset(id string) {
-	b.id, b.c, b.g = id, [3]Counter{}, [1]Gauge{}
+	plain := b.fam.Turn
+	b.id, b.c, b.g = id, [3]Counter{{plain: plain}, {plain: plain}, {plain: plain}}, [1]Gauge{}
 	for i := range b.fam.Hists {
-		*b.h[i] = Histogram{}
+		*b.h[i] = Histogram{plain: plain}
 	}
 }
 
@@ -485,16 +515,16 @@ func newSnapshot() Snapshot {
 	}
 }
 
-// Snapshot captures the registry's current state. It is safe to call while
-// writers are recording; each individual metric is read atomically. An
-// empty snapshot is returned for a nil registry.
+// Snapshot captures the registry's current state, in a turn of its kernel
+// (vtime.Kernel.Lock) if the caller is no process. An empty snapshot is
+// returned for a nil registry.
 func (r *Registry) Snapshot() Snapshot {
 	s := newSnapshot()
 	if r == nil {
 		return s
 	}
-	// Values are read under the lock: each is one atomic load (a histogram,
-	// one per bucket), and it spares a copy of the handle maps.
+	// Values are read under the lock, which Fold takes to fold a scope, and
+	// it spares a copy of the handle maps.
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, b := range r.shared {

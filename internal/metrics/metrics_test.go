@@ -2,7 +2,10 @@ package metrics
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -295,5 +298,50 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	}
 	if back.Counters["c"] != 42 || back.Gauges["g"] != -3 || back.Histograms["h"].Count != 1 {
 		t.Fatalf("round trip lost data: %+v", back)
+	}
+}
+
+// TestTurnFamilyReadsAsAtomic: a Turn family's cells are plain memory, and
+// they read exactly as an atomic family's fed the same records — live,
+// folded into the retired aggregate and in a block handed out again, which
+// keeps its family's kind of cell.
+func TestTurnFamilyReadsAsAtomic(t *testing.T) {
+	plain := &Family{Counters: []string{"p.n."}, Gauges: []string{"p.hw."}, Hists: []string{"p.vt."}, Turn: true}
+	atom := &Family{Counters: []string{"a.n."}, Gauges: []string{"a.hw."}, Hists: []string{"a.vt."}}
+	reg := NewRegistry()
+	rng := rand.New(rand.NewSource(66))
+	same := func(s Snapshot, id string) {
+		t.Helper()
+		if p, a := s.Counters["p.n."+id], s.Counters["a.n."+id]; p != a {
+			t.Errorf("%s: counter %d, atomic %d", id, p, a)
+		}
+		if p, a := s.Gauges["p.hw."+id], s.Gauges["a.hw."+id]; p != a {
+			t.Errorf("%s: gauge %d, atomic %d", id, p, a)
+		}
+		if p, a := s.Histograms["p.vt."+id], s.Histograms["a.vt."+id]; !reflect.DeepEqual(p, a) {
+			t.Errorf("%s: histogram %+v, atomic %+v", id, p, a)
+		}
+	}
+	for round := range 3 {
+		sc := reg.OpenScope(fmt.Sprintf("q%d", round+1))
+		id := fmt.Sprintf("q%d/rp", round+1)
+		bp, ba := sc.Block(plain, id), sc.Block(atom, id)
+		for _, b := range []*Block{bp, ba} {
+			if b.c[0].plain != b.fam.Turn || b.h[0].plain != b.fam.Turn {
+				t.Fatalf("round %d: a block of %v has plain cells %v, %v", round, b.fam.Hists, b.c[0].plain, b.h[0].plain)
+			}
+		}
+		for range 200 {
+			n, d := int64(rng.Intn(100)), vtime.Duration(rng.Intn(1<<20)-1000)
+			for _, b := range []*Block{bp, ba} {
+				b.Counter(0).Add(n)
+				b.Counter(0).Inc()
+				b.Gauge(0).SetMax(n)
+				b.Histogram(0).Observe(d)
+			}
+		}
+		same(reg.Snapshot(), id)
+		sc.Fold()
+		same(reg.Snapshot(), retiredSuffix)
 	}
 }

@@ -304,11 +304,11 @@ func zeroed(b *Block) bool {
 		}
 	}
 	for _, h := range b.h[:len(b.fam.Hists)] {
-		if h.sum.Load() != 0 || h.lo.Load() != 0 || h.hi.Load() != 0 {
+		if h.sum != 0 || h.lo != 0 || h.hi != 0 {
 			return false
 		}
 		for i := range h.buckets {
-			if h.buckets[i].Load() != 0 {
+			if h.buckets[i] != 0 {
 				return false
 			}
 		}

@@ -55,15 +55,17 @@ type SenderConfig struct {
 // The drivers' metric families. A sender's latency histograms are keyed by
 // the carrier kind, like the carrier's link.deliver_vt.*: what it flushes is
 // what its link counts (link.frames, link.bytes, link.drops). A receiver's
-// block is keyed by its consumer's id in the query's scope.
+// block is keyed by its consumer's id in the query's scope. Only the driving
+// process writes them, in its turn.
 var (
-	sendKindFamily = &metrics.Family{Hists: []string{"send.marshal_vt.", "send.flush_vt."}}
+	sendKindFamily = &metrics.Family{Hists: []string{"send.marshal_vt.", "send.flush_vt."}, Turn: true}
 	recvFamily     = &metrics.Family{
 		Counters: []string{"recv.frames.", "recv.bytes."},
 		// Instantaneous queue depth depends on wall-clock scheduling, not the
 		// virtual schedule: rt. marks it out of the determinism guarantee.
 		Gauges: []string{metrics.RTPrefix + "inbox_depth."},
 		Hists:  []string{"recv.demarshal_vt."},
+		Turn:   true,
 	}
 )
 

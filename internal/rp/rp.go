@@ -75,10 +75,11 @@ func New(id string, ctx sqep.Ctx, plan sqep.Operator, exiter Exiter, into ...*RP
 }
 
 // rpFamily is an RP's metrics block, keyed by the RP's id in its query's
-// scope.
+// scope. Only the RP writes it, in its turn.
 var rpFamily = &metrics.Family{
 	Counters: []string{"rp.elements_out.", "rp.bytes_out.", "rp.frames_out."},
 	Gauges:   []string{"rp.last_out."},
+	Turn:     true,
 }
 
 // SetMetrics takes the RP's monitoring counters from its query's scope (the

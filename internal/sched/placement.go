@@ -19,7 +19,7 @@ import (
 )
 
 // WithPlacementPlanner is Config{Placement: &cfg}. Only benchmark/ calls
-// it; ROADMAP item 8 moves that caller to Config and deletes it.
+// it; ROADMAP item 10, step 1, moves that caller to Config and deletes it.
 func WithPlacementPlanner(cfg place.Config) Option { return Config{Placement: &cfg} }
 
 // Planner returns the planner installed by Config.Placement, or nil.

@@ -66,31 +66,14 @@ const (
 )
 
 func (s State) String() string {
-	switch s {
-	case Queued:
-		return "queued"
-	case Admitted:
-		return "admitted"
-	case Running:
-		return "running"
-	case Done:
-		return "done"
-	case Failed:
-		return "failed"
-	case Cancelled:
-		return "cancelled"
+	if s < Queued || s > Cancelled {
+		return "unknown"
 	}
-	return "unknown"
+	return [...]string{"queued", "admitted", "running", "done", "failed", "cancelled"}[s-Queued]
 }
 
 // Final reports whether the state is terminal.
-func (s State) Final() bool {
-	switch s {
-	case Done, Failed, Cancelled:
-		return true
-	}
-	return false
-}
+func (s State) Final() bool { return s >= Done && s <= Cancelled }
 
 // Scheduler errors.
 var (

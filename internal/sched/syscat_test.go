@@ -51,11 +51,13 @@ func TestSysSessionsSnapshot(t *testing.T) {
 // goroutines while a k=2 multi-tenant run is in flight, its progress ticking
 // the policy clock concurrently. Run under -race this is the catalog
 // determinism guard: snapshots must never race with the scheduler,
-// coordinators, cndb or the metrics registry.
+// coordinators, cndb or the metrics registry. The readers are no processes:
+// each takes a turn of its own (vtime.Kernel.Lock).
 func TestCatalogSnapshotsUnderLoad(t *testing.T) {
 	e := newTestEngine(t)
 	s := New(e, nil)
 	defer s.Close()
+	k := e.Env().Kernel()
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -72,7 +74,10 @@ func TestCatalogSnapshotsUnderLoad(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					if _, err := tab.Snap(""); err != nil {
+					k.Lock()
+					_, err := tab.Snap("")
+					k.Unlock()
+					if err != nil {
 						t.Errorf("%s snap: %v", tab.Name, err)
 						return
 					}

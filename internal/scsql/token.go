@@ -70,15 +70,8 @@ const (
 )
 
 func (k Kind) String() string {
-	switch k {
-	case TokEOF:
-		return "end of input"
-	case TokIdent:
-		return "identifier"
-	case TokNumber:
-		return "number"
-	case TokString:
-		return "string"
+	if k >= TokEOF && k <= TokString {
+		return [...]string{"end of input", "identifier", "number", "string"}[k-TokEOF]
 	}
 	// The rest is spelled as the lexer reads it.
 	for text, kk := range twoRune {

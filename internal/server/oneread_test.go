@@ -104,6 +104,21 @@ func TestOneReadPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer idle.Close()
+	// Its writer counts the Accepted frame once the write returns, and its
+	// reader marks it open after queueing that frame, either of which may be
+	// after Dial has returned: no door reads before its row shows both.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		accepted := false
+		for _, row := range localRows(t, eng, `select sys_conns();`) {
+			accepted = accepted || row[0] == idle.ConnID && row[2] == "open" && row[7] == int64(1)
+		}
+		if accepted {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the idle connection %s never counted its Accepted frame", idle.ConnID)
+		}
+	}
 
 	// Something to read: a finished Figure 5 session (edges, metric keys,
 	// busy time, a placement decision).

@@ -102,7 +102,7 @@ type Server struct {
 	mSubmits   *metrics.Counter
 	mFramesIn  *metrics.Counter
 	mFramesOut *metrics.Counter
-	gOpen      *metrics.Gauge
+	gOpen      *metrics.Gauge     // the engine's too: each server adds its own
 	hTTFB      *metrics.Histogram // rt.: wall-clock submit→first-row latency
 }
 
@@ -193,7 +193,7 @@ func (s *Server) Serve(nc net.Conn) {
 	}
 	c := newConn(s, s.mAccepted.Inc(), nc)
 	s.conns[c.id] = c
-	s.gOpen.Set(int64(len(s.conns)))
+	s.gOpen.Add(1)
 	// Counted under mu, which a drain takes before it waits: a connection
 	// is either refused or waited for.
 	s.wg.Add(2)
@@ -206,7 +206,7 @@ func (s *Server) Serve(nc net.Conn) {
 func (s *Server) removeConn(c *conn) {
 	s.mu.Lock()
 	delete(s.conns, c.id)
-	s.gOpen.Set(int64(len(s.conns)))
+	s.gOpen.Add(-1)
 	s.mu.Unlock()
 }
 

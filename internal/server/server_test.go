@@ -16,6 +16,7 @@ import (
 
 	"scsq"
 	"scsq/internal/catalog"
+	"scsq/internal/metrics"
 	"scsq/internal/race"
 	"scsq/internal/scsql"
 	"scsq/internal/server"
@@ -738,6 +739,27 @@ func TestServersOfOneEngineShareSysConns(t *testing.T) {
 		}
 		if len(ids) != 2 || !ids[tcp.ConnID] || !ids[pipe.ConnID] {
 			t.Errorf("sys_conns read through %s lists %v, want %s and %s", cli.ConnID, ids, tcp.ConnID, pipe.ConnID)
+		}
+	}
+}
+
+// TestServersOfOneEngineCountOpenConnections: rt.server.conns.open is the
+// engine's gauge, so two servers that each hold one connection read 2, and
+// it falls back to 0 as both close.
+func TestServersOfOneEngineCountOpenConnections(t *testing.T) {
+	eng, first, _ := newServer(t, server.Config{})
+	second := server.New(eng, server.Config{})
+	defer second.Close()
+	open := func() int64 { return eng.MetricsSnapshot().Gauges[metrics.RTPrefix+"server.conns.open"] }
+	a, b := pipeClient(t, first), pipeClient(t, second)
+	if got := open(); got != 2 {
+		t.Fatalf("two servers holding one connection each: conns.open = %d, want 2", got)
+	}
+	a.Close()
+	b.Close()
+	for deadline := time.Now().Add(10 * time.Second); open() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("conns.open = %d after both connections closed, want 0", open())
 		}
 	}
 }

@@ -19,20 +19,10 @@ const (
 )
 
 func (k WindowKind) String() string {
-	switch k {
-	case WindowCount:
-		return "count"
-	case WindowSum:
-		return "sum"
-	case WindowAvg:
-		return "avg"
-	case WindowMin:
-		return "min"
-	case WindowMax:
-		return "max"
-	default:
+	if k < WindowCount || k > WindowMax {
 		return "unknown"
 	}
+	return [...]string{"count", "sum", "avg", "min", "max"}[k-WindowCount]
 }
 
 // Window implements count-based window aggregation over a numeric stream —

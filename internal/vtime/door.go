@@ -64,6 +64,7 @@ const idleWorkers = 20 * time.Millisecond
 // The zero value is a kernel at time zero with no agents.
 type Kernel struct {
 	mu      sync.Mutex // guards the kernel and where its agents are parked
+	turn    sync.Mutex // held through an outsider's turn (Lock)
 	runq    []entry    // runnable agents, sorted by key, the least last
 	live    []*Agent   // started and not done
 	paused  int        // Pause nesting: nobody is resumed
@@ -184,6 +185,21 @@ func (k *Kernel) Resume() {
 	k.paused--
 	k.cond.Broadcast()
 	k.mu.Unlock()
+}
+
+// Lock takes a turn for a caller that is no process: it waits for every
+// other Lock to end, then pauses the kernel, so until Unlock it alone
+// touches what only the token's holder writes — resources, the data plane's
+// metric cells. A process must not call it, nor a caller that holds it.
+func (k *Kernel) Lock() {
+	k.turn.Lock()
+	k.Pause()
+}
+
+// Unlock ends the caller's turn.
+func (k *Kernel) Unlock() {
+	k.Resume()
+	k.turn.Unlock()
 }
 
 // Go runs p as the agent's process: runnable now, at the kernel's time — its

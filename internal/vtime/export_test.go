@@ -4,7 +4,5 @@ package vtime
 // before it are clamped forward to it, as the gaps behind the floor have
 // been forgotten and are treated as solid busy time.
 func (r *Resource) PruneFloor() Time {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.floor
 }

@@ -7,13 +7,14 @@ import (
 )
 
 // TestResourceStressUseFreeReset hammers one resource from many goroutines
-// mixing UseAs, Txn commits, FreeAt/BusyTime reads, and Reset — the
-// race-detector gate for the batched kernel (run with -race). Grants are
-// not asserted against each other here (Reset legitimately rewinds the
-// schedule mid-flight); the invariants checked are per-call sanity and
-// race-freedom.
+// mixing UseAs, Txn commits, FreeAt/BusyTime reads, and Reset, each call in
+// a turn of its own (Kernel.Lock) — the race-detector gate for a resource
+// whose token is its lock (run with -race). Grants are not asserted against
+// each other here (Reset legitimately rewinds the schedule mid-flight); the
+// invariants checked are per-call sanity and race-freedom.
 func TestResourceStressUseFreeReset(t *testing.T) {
 	r := NewResource("stress")
+	var k Kernel
 	const (
 		workers = 8
 		each    = 400
@@ -27,36 +28,11 @@ func TestResourceStressUseFreeReset(t *testing.T) {
 			owner := string(rune('a' + w))
 			txn := r.Txn(owner)
 			for i := 0; i < each; i++ {
-				switch rng.Intn(8) {
-				case 0:
-					if w == 0 && i%64 == 63 {
-						r.Reset()
-						txn = r.Txn(owner) // the old chain tail is stale after Reset
-					} else {
-						_ = r.FreeAt()
-					}
-				case 1:
-					_ = r.BusyTime()
-					_ = r.OwnerBusy()[owner]
-				case 2:
-					_ = r.OwnerBusy()
-				case 3, 4:
-					ready := Time(rng.Intn(10000))
-					s, e := r.UseAs(owner, ready, Duration(rng.Intn(50)+1))
-					if s < 0 || e < s {
-						t.Errorf("UseAs granted invalid [%v,%v)", s, e)
-						return
-					}
-				default:
-					for n := rng.Intn(6) + 1; n > 0; n-- {
-						txn.Reserve(Time(rng.Intn(10000)), Duration(rng.Intn(50)-2))
-					}
-					for _, g := range txn.Commit() {
-						if g.Start < 0 || g.End < g.Start {
-							t.Errorf("Commit granted invalid [%v,%v)", g.Start, g.End)
-							return
-						}
-					}
+				k.Lock()
+				ok := stressStep(t, r, &txn, rng, w, i, owner)
+				k.Unlock()
+				if !ok {
+					return
 				}
 			}
 		}(w)
@@ -64,11 +40,49 @@ func TestResourceStressUseFreeReset(t *testing.T) {
 	wg.Wait()
 }
 
+// stressStep is one call of TestResourceStressUseFreeReset's worker w; it
+// reports false on an invalid grant.
+func stressStep(t *testing.T, r *Resource, txn **Txn, rng *rand.Rand, w, i int, owner string) bool {
+	switch rng.Intn(8) {
+	case 0:
+		if w == 0 && i%64 == 63 {
+			r.Reset()
+			*txn = r.Txn(owner) // the old chain tail is stale after Reset
+		} else {
+			_ = r.FreeAt()
+		}
+	case 1:
+		_ = r.BusyTime()
+		_ = r.OwnerBusy()[owner]
+	case 2:
+		_ = r.OwnerBusy()
+	case 3, 4:
+		ready := Time(rng.Intn(10000))
+		s, e := r.UseAs(owner, ready, Duration(rng.Intn(50)+1))
+		if s < 0 || e < s {
+			t.Errorf("UseAs granted invalid [%v,%v)", s, e)
+			return false
+		}
+	default:
+		for n := rng.Intn(6) + 1; n > 0; n-- {
+			(*txn).Reserve(Time(rng.Intn(10000)), Duration(rng.Intn(50)-2))
+		}
+		for _, g := range (*txn).Commit() {
+			if g.Start < 0 || g.End < g.Start {
+				t.Errorf("Commit granted invalid [%v,%v)", g.Start, g.End)
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // TestResourceConcurrentTxnNoOverlap checks overlap-freedom of batched
-// commits under concurrency (no Reset in the mix, so all grants belong to
-// one schedule).
+// commits from concurrent goroutines, each commit in a turn (no Reset in the
+// mix, so all grants belong to one schedule).
 func TestResourceConcurrentTxnNoOverlap(t *testing.T) {
 	r := NewResource("shared")
+	var k Kernel
 	const (
 		workers = 8
 		chains  = 60
@@ -85,7 +99,9 @@ func TestResourceConcurrentTxnNoOverlap(t *testing.T) {
 				for n := rng.Intn(8) + 1; n > 0; n-- {
 					txn.Reserve(Time(rng.Intn(10000)), Duration(rng.Intn(20)+1))
 				}
+				k.Lock()
 				results[w] = append(results[w], append([]Request(nil), txn.Commit()...)...)
+				k.Unlock()
 			}
 		}(w)
 	}

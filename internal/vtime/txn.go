@@ -5,7 +5,7 @@ package vtime
 // Within a chain, link i becomes ready no earlier than the end of link i-1
 // (the transaction's tail), exactly as if the owner had called UseAs once per
 // link and threaded each grant's end into the next request's ready time.
-// Batching changes how often the lock is taken, not what is decided under it.
+// Batching changes how requests reach Submit, not what it decides.
 //
 // A Txn is owned by one goroutine and must not be shared. The zero value is
 // not usable; obtain transactions from Resource.Txn.
@@ -31,7 +31,7 @@ func (t *Txn) Reserve(ext Time, service Duration) {
 
 // Commit submits every staged link as one chain and returns them, granted,
 // in staging order; the slice is valid until the next Reserve. Committing an
-// empty transaction returns nothing without locking.
+// empty transaction returns nothing.
 func (t *Txn) Commit() []Request {
 	staged := t.reqs
 	if len(staged) == 0 {

@@ -58,8 +58,9 @@ func TestTxnChainMatchesSerialUseAs(t *testing.T) {
 	}
 }
 
-// TestRecorderReplayReproducesSchedule drives a resource concurrently
-// through a mix of serial UseAs calls and batched Txn commits while a
+// TestRecorderReplayReproducesSchedule drives a resource from concurrent
+// goroutines, each call in a turn (Kernel.Lock), through a mix of serial
+// UseAs calls and batched Txn commits while a
 // recorder captures the commit-order placement log, then replays the log
 // through serial UseAs on a fresh reference resource: the replay must
 // reproduce every grant bit-identically. This is the cross-check that the
@@ -79,6 +80,7 @@ func TestRecorderReplayReproducesSchedule(t *testing.T) {
 	})
 
 	const workers = 6
+	var k Kernel
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -90,14 +92,19 @@ func TestRecorderReplayReproducesSchedule(t *testing.T) {
 			for i := 0; i < 120; i++ {
 				if w%2 == 0 {
 					// Serial path.
-					r.UseAs(owner, Time(rng.Intn(5000)), Duration(rng.Intn(120)+1))
+					ready, svc := Time(rng.Intn(5000)), Duration(rng.Intn(120)+1)
+					k.Lock()
+					r.UseAs(owner, ready, svc)
+					k.Unlock()
 					continue
 				}
 				// Batched path: small chains.
 				for n := rng.Intn(5) + 1; n > 0; n-- {
 					txn.Reserve(Time(rng.Intn(5000)), Duration(rng.Intn(120)+1))
 				}
+				k.Lock()
 				txn.Commit()
+				k.Unlock()
 			}
 		}(w)
 	}

@@ -26,7 +26,6 @@ package vtime
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -80,8 +79,11 @@ func (d Duration) String() string { return time.Duration(d).String() }
 // This bounds the busy list by what the live processes can still reach
 // instead of the experiment's total reservation count. A resource only ever
 // granted outside a kernel is never pruned.
+//
+// A Resource has no lock but its kernel's token: a caller that is no process
+// touches it in a turn of its own (Kernel.Lock), as do the users of a
+// resource in no kernel, unless there is one.
 type Resource struct {
-	mu   sync.Mutex
 	name string
 	busy []interval // busy[head:] = live sorted, non-overlapping, merged reservations
 	head int        // busy[:head] are dead (pruned or vacated) slots
@@ -159,8 +161,7 @@ type Request struct {
 // Submit grants the chain reqs in order on behalf of owner: request i becomes
 // ready at max(0, reqs[i].Ready, reqs[i-1].End) and is placed earliest-fit on
 // its Resource, which charges its Service to owner. Consecutive requests on
-// one resource are granted under one lock acquisition and one owner-account
-// update. A nil Resource grants [ready, ready+Service) without contention; a
+// one resource are granted as one run, with one owner-account update. A nil Resource grants [ready, ready+Service) without contention; a
 // non-positive Service yields the empty grant [ready, ready) and is not
 // charged. Each request's effective Ready, Start and End are filled in place.
 // A long chain may be submitted in runs, each run's first Ready the End of
@@ -185,18 +186,10 @@ func submit(owner string, reqs []Request, floor Time) {
 // from prev, after pruning at floor; it returns the end of the last. It is
 // the one place a placement is decided, accounted and recorded.
 func (r *Resource) grant(owner string, reqs []Request, prev, floor Time) Time {
-	var total Duration
-	for i := range reqs {
-		total += max(reqs[i].Service, 0)
-	}
-	locked := r != nil && total > 0
-	if locked {
-		r.mu.Lock()
+	if r != nil {
 		if owner != r.owner {
 			r.settle(owner)
 		}
-		r.used += total
-		r.owed += total
 		r.prune(floor)
 	}
 	for i := range reqs {
@@ -209,20 +202,19 @@ func (r *Resource) grant(owner string, reqs []Request, prev, floor Time) Time {
 			q.End = q.Ready.Add(q.Service)
 		default:
 			q.Start, q.End = r.place(q.Ready, q.Service)
+			r.used += q.Service
+			r.owed += q.Service
 			if r.recorder != nil {
 				r.recorder(owner, *q)
 			}
 		}
 		prev = q.End
 	}
-	if locked {
-		r.mu.Unlock()
-	}
 	return prev
 }
 
 // settle folds what the latest owner is owed into usedBy and makes owner
-// the latest. r.mu must be held.
+// the latest.
 func (r *Resource) settle(owner string) {
 	if r.owed > 0 {
 		if r.usedBy == nil {
@@ -234,7 +226,7 @@ func (r *Resource) settle(owner string) {
 	r.owner = owner
 }
 
-// SetRecorder installs fn, invoked under the resource's lock for every
+// SetRecorder installs fn, invoked in the granting turn for every
 // placed request in grant order, with its owner, key, effective ready time
 // (before the prune floor clamp), service and grant. Placement is a
 // deterministic function of the busy list and the effective ready time, so
@@ -242,12 +234,10 @@ func (r *Resource) settle(owner string) {
 // Resource reproduces the grants. A nil fn uninstalls the recorder; fn must
 // not call back into the Resource.
 func (r *Resource) SetRecorder(fn func(owner string, q Request)) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.recorder = fn
 }
 
-// place grants one contiguous earliest-fit reservation. r.mu must be held.
+// place grants one contiguous earliest-fit reservation.
 //
 // The search starts at the first live reservation that ends after ready, as
 // earlier ones cannot constrain the placement. A request mostly lands at or
@@ -314,7 +304,7 @@ func (r *Resource) insert(i int, iv interval) {
 // prune advances the prune floor to f and drops reservations wholly before
 // it. Dropping is an index advance; the dead prefix is compacted away once
 // it dominates the slice, keeping inserts' memmoves and the slice's memory
-// bounded by what lies after the floor. r.mu must be held.
+// bounded by what lies after the floor.
 func (r *Resource) prune(f Time) {
 	if f <= r.floor {
 		return
@@ -333,15 +323,11 @@ func (r *Resource) prune(f Time) {
 // FreeAt reports the end of the last reservation (the earliest instant at
 // which the resource is certainly available).
 func (r *Resource) FreeAt() Time {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.lastEnd
 }
 
 // BusyTime reports the total virtual time the resource has been in use.
 func (r *Resource) BusyTime() Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.used
 }
 
@@ -349,8 +335,6 @@ func (r *Resource) BusyTime() Duration {
 // id) to total virtual service time. Reservations of no query appear under
 // AnonymousOwner; the values sum to BusyTime.
 func (r *Resource) OwnerBusy() map[string]Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.settle(r.owner)
 	if len(r.usedBy) == 0 {
 		return nil
@@ -367,8 +351,6 @@ func (r *Resource) OwnerBusy() map[string]Duration {
 // bounded by the owners still of interest while the per-owner values keep
 // summing to BusyTime. Folding an unknown owner is a no-op.
 func (r *Resource) FoldOwner(owner string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.settle(r.owner)
 	if d, ok := r.usedBy[owner]; ok {
 		delete(r.usedBy, owner)
@@ -381,8 +363,6 @@ func (r *Resource) FoldOwner(owner string) {
 // emptied, not dropped, so the next run's first grant by an owner seen
 // before allocates nothing.
 func (r *Resource) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.busy = r.busy[:0]
 	r.head = 0
 	r.used = 0

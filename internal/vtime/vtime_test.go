@@ -137,10 +137,11 @@ func TestResourceGrantsNeverOverlap(t *testing.T) {
 	}
 }
 
-// TestResourceConcurrentUse checks race-freedom and overlap-freedom under
-// concurrent access (run with -race).
+// TestResourceConcurrentUse checks race-freedom and overlap-freedom of
+// grants from concurrent goroutines, each in a turn (run with -race).
 func TestResourceConcurrentUse(t *testing.T) {
 	r := NewResource("shared")
+	var k Kernel
 	const (
 		workers = 8
 		each    = 200
@@ -154,7 +155,9 @@ func TestResourceConcurrentUse(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < each; i++ {
 				ready := Time(rng.Intn(10000))
+				k.Lock()
 				s, e := r.UseAs("q1", ready, Duration(rng.Intn(20)+1))
+				k.Unlock()
 				results[w] = append(results[w], s, e)
 			}
 		}(w)
