@@ -267,13 +267,6 @@ func (db *DB) LeaseCount(owner string) int {
 	return n
 }
 
-// AllocatedCount reports how many RPs are currently placed on node id.
-func (db *DB) AllocatedCount(id int) int {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.allocated[id]
-}
-
 // MarkDead records that a node has failed: it is skipped by every subsequent
 // selection, across Reset too. Allocations already on the node stay recorded so
 // their eventual Release is balanced.

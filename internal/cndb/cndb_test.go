@@ -91,8 +91,8 @@ func TestNaiveSelectionShared(t *testing.T) {
 			t.Fatalf("round robin = %v, want %v", got, want)
 		}
 	}
-	if db.AllocatedCount(0) != 2 {
-		t.Errorf("node 0 count = %d, want 2 (shared nodes host several RPs)", db.AllocatedCount(0))
+	if db.NodeStates()[0].RPs != 2 {
+		t.Errorf("node 0 count = %d, want 2 (shared nodes host several RPs)", db.NodeStates()[0].RPs)
 	}
 }
 
@@ -291,7 +291,7 @@ func TestReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.Reset()
-	if got := db.AllocatedCount(0); got != 0 {
+	if got := db.NodeStates()[0].RPs; got != 0 {
 		t.Errorf("after reset, node 0 count = %d, want 0", got)
 	}
 	id, err := db.SelectFor("q1", nil)
@@ -306,7 +306,7 @@ func TestReset(t *testing.T) {
 func TestReleaseUnallocatedIsNoop(t *testing.T) {
 	db := newDB(t, hw.BlueGene)
 	db.ReleaseFor("q1", 3) // must not panic or underflow
-	if got := db.AllocatedCount(3); got != 0 {
+	if got := db.NodeStates()[3].RPs; got != 0 {
 		t.Errorf("count = %d, want 0", got)
 	}
 }

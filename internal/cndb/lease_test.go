@@ -93,8 +93,8 @@ func TestReleaseForUnleasedIsTolerant(t *testing.T) {
 	// Releasing under the wrong owner leaves the lease table alone but still
 	// returns the aggregate allocation (Release's historic tolerance).
 	db.ReleaseFor("q9", 0)
-	if got := db.AllocatedCount(0); got != 0 {
-		t.Errorf("AllocatedCount(0) = %d, want 0", got)
+	if got := db.NodeStates()[0].RPs; got != 0 {
+		t.Errorf("node 0 hosts %d RPs, want 0", got)
 	}
 	if got := db.LeaseCount(""); got != 1 {
 		t.Errorf("anonymous LeaseCount = %d, want 1 (untouched by q9 release)", got)

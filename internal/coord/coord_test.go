@@ -53,7 +53,7 @@ func TestDirectPlacement(t *testing.T) {
 		t.Errorf("sequence placement = %d, want 3", node)
 	}
 	cc.ReleaseFor("q1", 3)
-	if got := cc.DB().AllocatedCount(3); got != 0 {
+	if got := cc.DB().NodeStates()[3].RPs; got != 0 {
 		t.Errorf("after release, count = %d", got)
 	}
 }

@@ -153,11 +153,11 @@ func TestResetReleasesNodesAndEdges(t *testing.T) {
 	if _, err := q.Extract(a); err != nil {
 		t.Fatal(err)
 	}
-	if e.Coordinator(hw.BlueGene).DB().AllocatedCount(a.node) == 0 {
+	if e.Coordinator(hw.BlueGene).DB().NodeStates()[a.node].RPs == 0 {
 		t.Fatal("node should be allocated")
 	}
 	e.Reset()
-	if e.Coordinator(hw.BlueGene).DB().AllocatedCount(a.node) != 0 {
+	if e.Coordinator(hw.BlueGene).DB().NodeStates()[a.node].RPs != 0 {
 		t.Error("Reset must release node allocations")
 	}
 	if len(e.Edges()) != 0 {
@@ -320,7 +320,7 @@ func TestSubscribeViaBuilderOnly(t *testing.T) {
 	if _, err := cs.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.ConnectLive(a, nil, hw.FrontEnd, 0); err == nil {
+	if _, err := e.connectAs(a.qc, []*SP{a}, hw.FrontEnd, 0, "dynamic@fe:0", nil); err == nil {
 		t.Error("wiring to a started RP should fail")
 	}
 }

@@ -39,7 +39,7 @@ func (d *dynSplitter) Open(ctx *sqep.Ctx) error {
 	var merged sqep.Operator
 	var err2 error
 	if d.workers == 1 {
-		merged, err2 = d.eng.ConnectLive(spawned[0], ctx.Agent, d.cluster, d.node)
+		merged, err2 = d.eng.connectAs(spawned[0].qc, spawned, d.cluster, d.node, fmt.Sprintf("dynamic@%s:%d", d.cluster, d.node), ctx.Agent)
 	} else {
 		merged, err2 = d.eng.connectAs(spawned[0].qc, spawned, d.cluster, d.node, "client", ctx.Agent)
 	}
@@ -92,7 +92,7 @@ func TestDynamicRPCreation(t *testing.T) {
 	}
 
 	// The quiescence loop released everything.
-	if leftover := len(e.allSPs()); leftover != 0 {
+	if leftover := spCount(e); leftover != 0 {
 		t.Errorf("%d stream processes leaked after drain", leftover)
 	}
 }

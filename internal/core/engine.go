@@ -95,30 +95,34 @@ type Engine struct {
 	spares spares // what queries that finished clean handed back (finish)
 }
 
-// spares are connection ends for later builds to open in place, each list
-// at most maxSpares long (as metrics.maxFree bounds a family's free blocks).
+// spares are processes, connection ends and edge lists for later builds to
+// open in place, each list at most maxSpares long (as metrics.maxFree bounds
+// a family's free blocks).
 type spares struct {
 	mu    sync.Mutex
+	sps   []*SP
 	recvs []*rp.Receiver
 	sends []*rp.Sender
 	links []*carrier.Link
+	edges [][]Edge
 }
 
 const maxSpares = 64
 
-// take pops a spare from list, or returns nil: carrier.Reuse allocates then.
-func take[T any](s *spares, list *[]*T) (x *T) {
+// take pops a spare from list, or returns the zero T: a nil one is
+// allocated afresh (carrier.Reuse).
+func take[T any](s *spares, list *[]T) (x T) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if n := len(*list); n > 0 {
-		x, (*list)[n-1], *list = (*list)[n-1], nil, (*list)[:n-1]
+		x, (*list)[n-1], *list = (*list)[n-1], *new(T), (*list)[:n-1]
 	}
 	return x
 }
 
 // keep puts x on list while it has room; s.mu must be held.
-func keep[T any](list *[]*T, x *T) {
-	if x != nil && len(*list) < maxSpares {
+func keep[T any](list *[]T, x T) {
+	if len(*list) < maxSpares {
 		*list = append(*list, x)
 	}
 }
@@ -370,13 +374,18 @@ func (e *Engine) Reset() error {
 // its cluster's CNDB (the coordinator's KillNode), kills the RPs resident on
 // it, and poisons the inboxes feeding consumers on that node, so a receiver
 // blocked on a silent inbox observes the failure. A killed RP poisons the
-// inboxes it feeds itself, as it exits (SP.Exited).
+// inboxes it feeds itself, as it exits (SP.Exited). A query whose processes
+// it takes is marked crashed as it takes them: finish hands none back.
 func (e *Engine) handleCrash(ref chaos.NodeRef) {
 	cause := fmt.Errorf("chaos: node %s crashed: %w", ref, carrier.ErrNodeDown)
 	if cc, ok := e.coords[ref.Cluster]; ok {
 		cc.KillNode(ref.Node)
 	}
-	sps := e.allSPs()
+	var sps []*SP
+	e.eachSP(func(qc *queryCtx, sp *SP) {
+		qc.crashed = true
+		sps = append(sps, sp)
+	})
 	for _, sp := range sps {
 		if sp.cluster == ref.Cluster && sp.node == ref.Node {
 			sp.rp.Fail(fmt.Errorf("core: node %s failed: %w", ref, cause))
@@ -417,9 +426,7 @@ func (e *Engine) Edges() []Edge {
 	var out []Edge
 	for _, qc := range qcs {
 		qc.mu.Lock()
-		for _, chunk := range qc.edges {
-			out = append(out, chunk...)
-		}
+		out = append(out, qc.edges...)
 		qc.mu.Unlock()
 	}
 	return out
@@ -494,34 +501,29 @@ func (q *Query) SP(sub Subquery, c hw.ClusterName, seq *cndb.Sequence) (*SP, err
 	return e.newPlacedSP(q.qc, func(_ int, b *PlanBuilder) (sqep.Operator, error) { return sub(b) }, 0, c, node, &rpIDs{})
 }
 
-// spBlock is one stream process's host objects, allocated as one: its
-// handle, running process, agent and plan builder. It is never recycled:
-// it lives while anything points into it.
-type spBlock struct {
-	sp    SP
-	rp    rp.RP
-	agent vtime.Agent
-	b     PlanBuilder
-}
-
 // newPlacedSP compiles build's subquery i for an already allocated node,
 // wraps it in a process, whose id it takes from ids, and adds it to the
-// query — the shared tail of SP and the batch-placed SPV. On error the node
-// allocation is released.
+// query — the shared tail of SP and the batch-placed SPV. It opens in an SP
+// a clean query handed back, or a fresh one. On error the node allocation is
+// released.
 func (e *Engine) newPlacedSP(qc *queryCtx, build func(int, *PlanBuilder) (sqep.Operator, error), i int, c hw.ClusterName, node int, ids *rpIDs) (*SP, error) {
-	id, blk := qc.newRPID(string(c), ids), new(spBlock)
-	ctx, err := e.process(qc, c, node, id, e.advance, &blk.agent, &blk.b)
+	id, sp := qc.newRPID(string(c), ids), take(&e.spares, &e.spares.sps)
+	if sp == nil {
+		sp = new(SP)
+	}
+	ctx, err := e.process(qc, c, node, id, e.advance, &sp.agent, &sp.b)
 	var op sqep.Operator
 	if err == nil {
-		op, err = build(i, &blk.b)
+		op, err = build(i, &sp.b)
 	}
 	if err != nil {
 		e.coords[c].ReleaseFor(qc.id, node)
 		return nil, err
 	}
-	sp := &blk.sp
-	*sp = SP{qc: qc, cluster: c, id: id, node: node, rp: rp.New(id, ctx, op, sp, &blk.rp)}
+	sp.qc, sp.cluster, sp.id, sp.node, sp.started = qc, c, id, node, false
+	sp.wiring1 = [1]wiring{}
 	sp.wirings = sp.wiring1[:0]
+	rp.New(id, ctx, op, sp, &sp.rp)
 	sp.rp.SetMetrics(qc.metrics)
 	qc.mu.Lock()
 	qc.sps = append(qc.sps, sp)
@@ -610,18 +612,22 @@ func (e *Engine) spvBG(qc *queryCtx, n int, build func(int, *PlanBuilder) (sqep.
 }
 
 // SP is a stream process: a first-class handle to a continuous subquery
-// assigned to a compute node.
+// assigned to a compute node, one allocation with its process, agent and
+// plan builder, which a query that finished clean hands back (DESIGN.md §10).
 type SP struct {
 	qc      *queryCtx // owning query
 	cluster hw.ClusterName
 	id      string
-	rp      *rp.RP // the running process; set at build and never changed
 	node    int
 
 	mu      sync.Mutex
 	started bool
 	wirings []wiring // starts on wiring1: a first wiring allocates nothing
 	wiring1 [1]wiring
+
+	rp    rp.RP // the running process
+	agent vtime.Agent
+	b     PlanBuilder
 }
 
 // wiring records one outgoing subscription of an SP: where the consumer is,
@@ -667,8 +673,8 @@ func (s *SP) Exited(err error) {
 // query's Drain. It is the second half of dynamic RP creation (paper §2.2:
 // "an RP can dynamically start new RPs by requesting them from the cluster
 // coordinator"): a running RP builds a new SP of its own query with
-// PlanBuilder.Query().SP, wires itself to it with Engine.ConnectLive, then
-// starts it. Starting twice is a no-op.
+// PlanBuilder.Query().SP, wires itself to it with its builder's Extract,
+// then starts it. Starting twice is a no-op.
 func (s *SP) Start() error {
 	s.mu.Lock()
 	if s.started {
@@ -731,17 +737,17 @@ func (b *PlanBuilder) Merge(ps []*SP) (sqep.Operator, error) {
 // operator. All producers share one inbox, which is how merge() interleaves
 // their frames by arrival; to is the consuming process.
 func (e *Engine) connectAs(qc *queryCtx, producers []*SP, cc hw.ClusterName, cn int, consumer string, to *vtime.Agent) (sqep.Operator, error) {
-	inbox := make(carrier.Inbox, e.cfg.window)
 	consNode, err := e.env.Node(cc, cn)
 	if err != nil {
 		return nil, err
 	}
-	qc.mu.Lock()
-	if qc.edges == nil {
-		qc.edges = make([][]Edge, 0, 8) // one allocation for a query's first eight chunks
+	// A spare receiver brings the inbox it read, empty: every inbox of the
+	// engine holds window frames.
+	spare := take(&e.spares, &e.spares.recvs)
+	inbox := spare.Inbox()
+	if inbox == nil {
+		inbox = make(carrier.Inbox, e.cfg.window)
 	}
-	qc.edges = append(qc.edges, make([]Edge, 0, len(producers)))
-	qc.mu.Unlock()
 	rcfg := rp.ReceiverConfig{
 		Producers:   len(producers),
 		MPIPerByte:  e.env.Cost.BGMarshalByte,
@@ -761,7 +767,7 @@ func (e *Engine) connectAs(qc *queryCtx, producers []*SP, cc hw.ClusterName, cn 
 	case hw.FrontEnd:
 		rcfg.TCPPerByte = e.env.Cost.FECPUByte
 	}
-	recv := rp.NewReceiver(inbox, rcfg, take(&e.spares, &e.spares.recvs))
+	recv := rp.NewReceiver(inbox, rcfg, spare)
 	for i, p := range producers {
 		w := wiring{cc: cc, cn: cn, inbox: inbox, consumer: consumer, to: to}
 		if i == 0 {
@@ -833,15 +839,6 @@ func (e *Engine) wireProducer(p *SP, w wiring) error {
 	p.wirings = append(p.wirings, w)
 	p.mu.Unlock()
 	return nil
-}
-
-// ConnectLive wires a new input stream from producer p to consumer, the
-// process at (cc, cn), while the query is already running — the carrier half
-// of dynamic RP creation. The producer must not have started yet (wire
-// first, then SP.Start); the returned operator plugs into the consumer's
-// SQEP.
-func (e *Engine) ConnectLive(p *SP, consumer *vtime.Agent, cc hw.ClusterName, cn int) (sqep.Operator, error) {
-	return e.connectAs(p.qc, []*SP{p}, cc, cn, fmt.Sprintf("dynamic@%s:%d", cc, cn), consumer)
 }
 
 // marshalRate returns the per-byte marshal cost of a node in cluster c.

@@ -208,7 +208,7 @@ func TestSPVBagLargerThanFreeBGNodes(t *testing.T) {
 	if n := q.SPCount(); n != 0 {
 		t.Errorf("failed bag holds %d processes", n)
 	}
-	if n := len(e.allSPs()); n != size-free {
+	if n := spCount(e); n != size-free {
 		t.Errorf("%d processes live on the engine, want the holder's %d", n, size-free)
 	}
 	if n := bg.DB().LeaseCount(holder.ID()); n != size-free {
@@ -216,7 +216,7 @@ func TestSPVBagLargerThanFreeBGNodes(t *testing.T) {
 	}
 	allocated := 0
 	for id := 0; id < size; id++ {
-		allocated += bg.DB().AllocatedCount(id)
+		allocated += bg.DB().NodeStates()[id].RPs
 	}
 	if allocated != size-free {
 		t.Errorf("%d BlueGene nodes allocated, want %d", allocated, size-free)
@@ -285,4 +285,10 @@ func (q *Query) MergeExtract(ps []*SP) (*ClientStream, error) {
 	return q.ClientPlan(func(b *PlanBuilder) (sqep.Operator, error) {
 		return b.Merge(ps)
 	})
+}
+
+// spCount counts the stream processes of every query on e.
+func spCount(e *Engine) (n int) {
+	e.eachSP(func(*queryCtx, *SP) { n++ })
+	return n
 }

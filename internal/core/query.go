@@ -52,9 +52,9 @@ type queryCtx struct {
 	mu     sync.Mutex
 	sps    []*SP // only grows until finish: an index into it is a cursor
 	nextID int   // per-query RP counter, so ids don't depend on admission order
-	// edges holds the wired edges in wiring order, a chunk per connectAs
-	// sized to its producers.
-	edges [][]Edge
+	// edges holds the wired edges in wiring order, in a list a query that
+	// finished clean handed back at its retire, or a fresh one.
+	edges []Edge
 	// charged lists, once each, the devices that may carry busy time under
 	// the query's id: the CPUs of its nodes and every stage of the routes it
 	// dialed.
@@ -62,7 +62,10 @@ type queryCtx struct {
 	started   bool
 	finished  bool
 	cancelled bool
-	cause     error
+	// crashed: a node crash took the processes (handleCrash); recycled: a
+	// clean finish handed them back. The two exclude each other under mu.
+	crashed, recycled bool
+	cause             error
 	// cancelCh closes when the query is cancelled. Poisoning inboxes only
 	// reaches operators blocked on stream frames; client-plan operators
 	// parked elsewhere (a live-delta stream waiting on a vtime tick) wait
@@ -142,16 +145,14 @@ func (qc *queryCtx) charge(r *vtime.Resource) {
 	}
 }
 
-// wired records a dialed connection of the query: its edge, in the last
-// chunk if it has room (else in one of its own), and
-// every stage of its route as a device the query's frames are charged on.
+// wired records a dialed connection of the query: its edge, and every stage
+// of its route as a device the query's frames are charged on.
 func (qc *queryCtx) wired(link *carrier.Link, ed Edge) {
 	qc.mu.Lock()
-	last := len(qc.edges) - 1
-	if last < 0 || len(qc.edges[last]) == cap(qc.edges[last]) {
-		qc.edges, last = append(qc.edges, nil), last+1
+	if qc.edges == nil {
+		qc.edges = take(&qc.eng.spares, &qc.eng.spares.edges)
 	}
-	qc.edges[last] = append(qc.edges[last], ed)
+	qc.edges = append(qc.edges, ed)
 	qc.mu.Unlock()
 	for _, st := range link.Stages() {
 		qc.charge(st.Resource)
@@ -163,14 +164,16 @@ func (qc *queryCtx) wired(link *carrier.Link, ed Edge) {
 // and coordinator registration go, and the SP graph with them, so a second
 // call finds nothing to release. Edges, metrics and busy time stay queryable
 // until retire. The processes must have resolved or never started. A clean
-// drain (every process exited nil) of a query never cancelled recycles:
-// decided under qc.mu, as cancel's snapshot is, the two exclude each other.
+// drain (every process exited nil) of a query that no cancel and no crash
+// reached recycles: decided under qc.mu, as cancel's and handleCrash's
+// snapshots are, each excludes the other (DESIGN.md §10).
 func (qc *queryCtx) finish(clean bool) {
 	e := qc.eng
 	qc.mu.Lock()
 	sps := qc.sps
 	qc.sps = nil
-	clean = clean && qc.started && !qc.finished && !qc.cancelled
+	clean = clean && qc.started && !qc.finished && !qc.cancelled && !qc.crashed
+	qc.recycled = qc.recycled || clean
 	if qc.started {
 		// Not so a rolled-back build: it never started, and its identity
 		// stays open for the next attempt.
@@ -184,8 +187,8 @@ func (qc *queryCtx) finish(clean bool) {
 		return
 	}
 	// Nothing is reused before every process gave up its senders (Detach,
-	// which a late Fail cannot pass). Agents, processes and channels are not
-	// recycled: a coordinator or a poisoning goroutine may still hold them.
+	// which a late Fail cannot pass). No reader finds the processes any more
+	// (qc.sps): they, their receivers, inboxes and links go to later queries.
 	s := &e.spares
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -194,14 +197,19 @@ func (qc *queryCtx) finish(clean bool) {
 			keep(&s.sends, d)
 		}
 		for _, w := range sp.wirings {
+			w.link.Sender, w.link.Receiver = nil, nil // a spare link names no agent
 			keep(&s.links, w.link)
-			keep(&s.recvs, w.recv)
+			if w.recv != nil {
+				keep(&s.recvs, w.recv)
+			}
 		}
+		keep(&s.sps, sp)
 	}
 }
 
 // retire removes the query from the engine: finish, then its edges are
-// dropped, its metric keys folded into the per-prefix retired aggregates
+// dropped — their list goes to a later query if this one finished clean —,
+// its metric keys folded into the per-prefix retired aggregates
 // (metrics.Scope.Fold), its busy time on the devices it charged into
 // vtime.RetiredOwner, and its id stops resolving. Totals — counter sums by
 // prefix, every resource's Σ owners == BusyTime — are unchanged, and the
@@ -210,12 +218,18 @@ func (qc *queryCtx) finish(clean bool) {
 // Retiring twice is a no-op: every step finds nothing left to do.
 func (qc *queryCtx) retire() {
 	qc.finish(false)
+	e := qc.eng
 	qc.mu.Lock()
 	qc.finished = true
+	if s := &e.spares; qc.recycled && qc.edges != nil {
+		clear(qc.edges)
+		s.mu.Lock()
+		keep(&s.edges, qc.edges[:0])
+		s.mu.Unlock()
+	}
 	charged := qc.charged
 	qc.charged, qc.edges = nil, nil
 	qc.mu.Unlock()
-	e := qc.eng
 	k := e.env.Kernel()
 	k.Lock()
 	qc.metrics.Fold()
@@ -384,16 +398,20 @@ func (e *Engine) LeaseCount(qid string) int {
 	return n
 }
 
-// allSPs snapshots every query's stream processes — the engine-wide view
-// crash handling needs (a node failure hits all tenants resident on it).
-func (e *Engine) allSPs() []*SP {
+// eachSP calls fn with every query's stream processes, under the query's
+// lock — the engine-wide view crash handling and sys_rps need (a node
+// failure hits all tenants resident on it). A finish takes that lock to hand
+// the processes back, so fn reads none that a later query opened in place.
+func (e *Engine) eachSP(fn func(*queryCtx, *SP)) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	var out []*SP
 	for _, qc := range e.queries {
-		out = append(out, qc.snapshot()...)
+		qc.mu.Lock()
+		for _, sp := range qc.sps {
+			fn(qc, sp)
+		}
+		qc.mu.Unlock()
 	}
-	return out
 }
 
 // activeLocked reports a query whose streams may still be moving: started by

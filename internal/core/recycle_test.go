@@ -391,3 +391,101 @@ func TestFailedSessionRecyclesNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestLateFailureReachesNoRecycledProcess races a Cancel, then a node kill,
+// against the clean finish of a session. Each lands at one of three points,
+// in turn: as the session's one row reaches the client (before the finish),
+// from a goroutine that starts once the client's drain is done and yields
+// a random number of times (racing the finish), or once Drain has returned
+// (after it). Whichever wins, the 20 sessions that follow on the engine
+// read the makespan and the deterministic metric rows of a fresh engine, and
+// none opens a process in one that a cancel or a crash reached: a Down frame
+// or a Fail of the raced session reaches no process of theirs.
+func TestLateFailureReachesNoRecycledProcess(t *testing.T) {
+	want := make(map[string]reading)
+	for _, st := range cleanStatements {
+		fresh, err := NewEngine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[st.name] = runStatement(t, fresh, st)
+		fresh.Close()
+	}
+	inj := chaos.New(1)
+	e, err := NewEngine(Config{Chaos: inj})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+
+	// reached holds the processes of raced sessions a cancel or crash took.
+	reached := make(map[*SP]bool)
+	// Node pairs none of cleanStatements places on: a killed one stays dead.
+	pairs := [][2]int{{12, 13}, {14, 15}, {18, 19}, {26, 27}, {28, 29}, {30, 31}}
+	for round := range 2 * len(pairs) {
+		prod, cons := pairs[round/2][0], pairs[round/2][1]
+		q := beginQuery(t, e)
+		cs := countExtract(t, q, []*SP{genSP(t, q, prod, 1000, 40)}, cons)
+		sps := q.qc.snapshot()
+		interfere := func() {
+			if round%2 == 0 {
+				q.Cancel(nil)
+			} else {
+				inj.KillNode(hw.BlueGene, prod)
+			}
+		}
+		var wg sync.WaitGroup
+		switch round / 2 % 3 {
+		case 0:
+			cs.SetElementObserver(func(sqep.Element) { interfere() })
+		case 1:
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for cs.ctx.Agent.State() != vtime.Done {
+					runtime.Gosched()
+				}
+				for range rand.IntN(4) {
+					runtime.Gosched()
+				}
+				interfere()
+			}()
+		}
+		_, derr := cs.Drain()
+		wg.Wait()
+		if round/2%3 == 2 {
+			interfere()
+		}
+		q.qc.mu.Lock()
+		if q.qc.cancelled || q.qc.crashed || derr != nil {
+			for _, sp := range sps {
+				reached[sp] = true
+			}
+		}
+		q.qc.mu.Unlock()
+		if err := e.Reset(); err != nil {
+			t.Fatal(err)
+		}
+
+		for i := range 20 {
+			st := cleanStatements[(round+i)%len(cleanStatements)]
+			q := beginQuery(t, e)
+			cs := st.build(t, e, q)
+			for _, sp := range q.qc.snapshot() {
+				if reached[sp] {
+					t.Fatalf("round %d: %s opens %s in a process of a session a cancel or crash reached", round, st.name, sp.id)
+				}
+			}
+			if _, err := cs.Drain(); err != nil {
+				t.Fatalf("round %d, %s: %v", round, st.name, err)
+			}
+			got := reading{cs.Makespan(), sessionMetricRows(t, e, q.ID())}
+			if w := want[st.name]; got.makespan != w.makespan || !slices.Equal(got.rows, w.rows) {
+				t.Errorf("round %d, %s after a raced finish: makespan %v, rows\n%v\nfresh: %v, rows\n%v", round, st.name, got.makespan, got.rows, w.makespan, w.rows)
+			}
+			if err := e.Reset(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}

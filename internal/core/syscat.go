@@ -10,6 +10,7 @@ package core
 // sys_sessions into the same registry when it attaches (internal/sched).
 
 import (
+	"cmp"
 	"maps"
 	"slices"
 	"strings"
@@ -156,23 +157,20 @@ func (e *Engine) sysRPsTable() *catalog.Table {
 	}
 	t.Snap = func(string) ([]catalog.Tuple, error) {
 		snap := e.reg.Snapshot()
-		sps := e.allSPs()
-		slices.SortFunc(sps, func(a, b *SP) int { return strings.Compare(a.id, b.id) })
 		var rows []catalog.Tuple
-		for _, c := range clusterOrder {
-			for _, sp := range sps {
-				if sp.cluster != c {
-					continue
-				}
-				id, p := sp.id, sp.rp
-				rows = append(rows, t.Row(id, sp.qc.id, string(c), int64(sp.node),
-					snap.Counters["rp.elements_out."+id], snap.Counters["rp.bytes_out."+id],
-					snap.Counters["rp.frames_out."+id], snap.Gauges["rp.last_out."+id],
-					snap.Counters["recv.frames."+id], snap.Counters["recv.bytes."+id],
-					snap.Gauges[metrics.RTPrefix+"inbox_depth."+id],
-					p.Agent().State().String(), int64(p.Agent().Frontier())))
-			}
-		}
+		e.eachSP(func(qc *queryCtx, sp *SP) {
+			id := sp.id
+			rows = append(rows, t.Row(id, qc.id, string(sp.cluster), int64(sp.node),
+				snap.Counters["rp.elements_out."+id], snap.Counters["rp.bytes_out."+id],
+				snap.Counters["rp.frames_out."+id], snap.Gauges["rp.last_out."+id],
+				snap.Counters["recv.frames."+id], snap.Counters["recv.bytes."+id],
+				snap.Gauges[metrics.RTPrefix+"inbox_depth."+id],
+				sp.agent.State().String(), int64(sp.agent.Frontier())))
+		})
+		rank := func(r catalog.Tuple) int { return slices.Index(clusterOrder, hw.ClusterName(r.Vals[2].(string))) }
+		slices.SortFunc(rows, func(a, b catalog.Tuple) int {
+			return cmp.Or(rank(a)-rank(b), strings.Compare(a.Vals[0].(string), b.Vals[0].(string)))
+		})
 		return rows, nil
 	}
 	return t

@@ -252,13 +252,15 @@ func metricsAllocs() int64 {
 
 // TestSessionWiringAllocs is the control plane's allocation budget. A session
 // of 17 SPs, 17 links and 10 receivers — built, drained, retired on a warm
-// engine — stays under a committed ceiling, the 142 measured once a
-// process's first subscriber, first wiring and id came to live in or beside
-// its block, a recycled link kept its stage state, a planned placement
-// walked a sequence the engine holds and gen_array kept its boxed template
-// (230 before, once the statement's AST came from per-statement slabs, each
-// process (its handle, RP, agent and plan builder) and the drain's agent and
-// builder were one allocation each, a recycled link kept its abort channel
+// engine — stays under a committed ceiling, the 69 measured once a session
+// that finished clean handed its processes, its receivers' inboxes and its
+// edge list to the next (142 before, once a process's first subscriber,
+// first wiring and id came to live in or beside its block, a recycled link
+// kept its stage state, a planned placement walked a sequence the engine
+// holds and gen_array kept its boxed template; 230 before that, once the
+// statement's AST came from per-statement slabs, each process (its handle,
+// RP, agent and plan builder) and the drain's agent and builder were one
+// allocation each, a recycled link kept its abort channel
 // and an allocation sequence stopped copying its ids; 304 before, once a session
 // that finished clean handed its receivers, senders and links to the next;
 // 414 before that, once wiring a stream allocated each record once; 456 before
@@ -282,7 +284,7 @@ func TestSessionWiringAllocs(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		runSession6(t, e, 8)
 	}
-	const ceiling = 142
+	const ceiling = 69
 	got := testing.AllocsPerRun(20, func() { runSession6(t, e, 8) })
 	if got > ceiling {
 		t.Errorf("a 17-SP session allocates %.0f objects, ceiling %d", got, ceiling)
@@ -312,12 +314,12 @@ func TestSessionWiringAllocs(t *testing.T) {
 // a warm engine: a Query 6 of 8 streams runs 8 processes more than one of 4
 // (a producer and its counter per stream), and the difference of the two
 // sessions' allocations, per added process, stays at the ceiling measured
-// once a process's first subscriber, first wiring and id came to live in or
-// beside its block and a recycled link kept its stage state (12 before).
-// Among what is left are the block itself, the RP's done channel (ROADMAP
-// item 16), the plan's operators and a consumer's inbox; a first subscriber
-// or a first wiring appended to a slice of its own again adds one
-// allocation per process.
+// once a session that finished clean handed its processes, with their done
+// latches, and its receivers' inboxes to the next (6.5 before, once a
+// process's first subscriber, first wiring and id came to live in or beside
+// its block and a recycled link kept its stage state; 12 before that). What
+// is left is the plan's operators; a first subscriber or a first wiring
+// appended to a slice of its own again adds one allocation per process.
 func TestAllocsPerProcess(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates on its own")
@@ -332,7 +334,7 @@ func TestAllocsPerProcess(t *testing.T) {
 		runSession6(t, e, 4)
 	}
 	at := func(n int) float64 { return testing.AllocsPerRun(20, func() { runSession6(t, e, n) }) }
-	const ceiling = 6.5
+	const ceiling = 2.5
 	per := (at(8) - at(4)) / 8
 	t.Logf("%.3f allocations per added process", per)
 	if per > ceiling {
@@ -388,7 +390,8 @@ func sessionMetricRows(t *testing.T, e *Engine, qid string) []string {
 // TestReusedBlocksReadAsFresh: a session cancelled mid-stream hands its
 // metric blocks back when it is retired, and the next session on the same
 // warm engine takes them; that session's rows read exactly as the same
-// session's on a fresh engine.
+// session's on a fresh engine. So do the rows of a third session, which
+// opens its processes in the ones the second, clean, handed back.
 func TestReusedBlocksReadAsFresh(t *testing.T) {
 	fresh, err := NewEngine()
 	if err != nil {
@@ -437,21 +440,50 @@ func TestReusedBlocksReadAsFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	cs = buildQuery6(t, warm, q, 8, 1000, 3, nil)
+	handed := make(map[*SP]bool)
+	for _, sp := range q.qc.snapshot() {
+		handed[sp] = true
+	}
 	if _, err := cs.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	got := sessionMetricRows(t, warm, q.ID())
 	if cs.start == 0 {
 		t.Fatal("the session on the warm engine started at time 0")
 	}
-	if len(got) != len(want) {
-		t.Fatalf("a session on a warm engine has %d rows, on a fresh engine %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Errorf("a session on a warm engine reads %s, on a fresh engine %s", got[i], want[i])
+	readsFresh := func(q *Query) {
+		t.Helper()
+		got := sessionMetricRows(t, warm, q.ID())
+		if len(got) != len(want) {
+			t.Fatalf("a session on a warm engine has %d rows, on a fresh engine %d", len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Errorf("a session on a warm engine reads %s, on a fresh engine %s", got[i], want[i])
+			}
 		}
 	}
+	readsFresh(q)
+	if err := warm.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	q, err = warm.BeginQuery()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs = buildQuery6(t, warm, q, 8, 1000, 3, nil)
+	reused := 0
+	for _, sp := range q.qc.snapshot() {
+		if handed[sp] {
+			reused++
+		}
+	}
+	if len(handed) != 17 || reused != len(handed) {
+		t.Fatalf("the third session opens %d of its processes in the %d the second handed back", reused, len(handed))
+	}
+	if _, err := cs.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	readsFresh(q)
 }
 
 // TestEdgesKeepWiringOrder: a Query 6 at n = 8 lists its 17 edges in the

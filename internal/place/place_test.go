@@ -231,7 +231,7 @@ func TestPlannedPlacementsAlwaysAdmissible(t *testing.T) {
 			if db.Dead(n) {
 				t.Fatalf("iter %d: dead node %d proposed", iter, n)
 			}
-			if db.Exclusive() && db.AllocatedCount(n) > 0 {
+			if db.Exclusive() && db.NodeStates()[n].RPs > 0 {
 				t.Fatalf("iter %d: occupied exclusive node %d proposed", iter, n)
 			}
 		}

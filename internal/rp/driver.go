@@ -427,6 +427,16 @@ func NewReceiver(inbox carrier.Inbox, cfg ReceiverConfig, into ...*Receiver) *Re
 	return r
 }
 
+// Inbox returns the inbox r read to the end of every stream, for a receiver
+// opened in its place (NewReceiver with it and r), or nil: r is nil, a
+// stream did not end (Close may have shut the inbox), or a frame is left.
+func (r *Receiver) Inbox() carrier.Inbox {
+	if r == nil || r.lastsSeen < r.cfg.Producers || len(r.inbox) > 0 {
+		return nil
+	}
+	return r.inbox
+}
+
 // Open implements sqep.Operator.
 func (r *Receiver) Open(ctx *sqep.Ctx) error {
 	if ctx != nil {

@@ -47,9 +47,11 @@ func TestFailBeforeStartResolvesWait(t *testing.T) {
 	cause := errors.New("node went dark")
 	p := New("rp-dead", testCtx(t), sqep.NewIota(1, 5), nil)
 	p.Fail(cause)
+	waited := make(chan struct{})
+	go func() { p.Wait(); close(waited) }()
 	select {
-	case <-p.done:
-	default:
+	case <-waited:
+	case <-time.After(10 * time.Second):
 		t.Fatal("failing a never-started RP must resolve Wait")
 	}
 	if err := p.Wait(); !errors.Is(err, cause) {

@@ -47,8 +47,8 @@ type RP struct {
 	err     error
 	exiter  Exiter
 
-	done   chan struct{}
-	killed atomic.Bool // set once, by the first Fail
+	done   sync.WaitGroup // the exit latch: one count, released by exit
+	killed atomic.Bool    // set once, by the first Fail
 
 	// Monitoring counters live in the block SetMetrics took from the query's
 	// scope (the registry reads them as "rp.elements_out.<id>" and friends)
@@ -60,7 +60,8 @@ type RP struct {
 	mLast   *metrics.Gauge
 }
 
-// New creates an RP, in the fresh memory passed after exiter if any, with
+// New creates an RP, in the memory passed after exiter if any — fresh, or an
+// RP whose Wait has returned to every caller — with
 // the given identity and execution context, whose CPU requests it keys by
 // id, running plan: the RP's compiled subquery, whose receiver leaves the
 // engine wired in beforehand. exiter, if non-nil, is its exit hook. The RP
@@ -69,8 +70,9 @@ type RP struct {
 func New(id string, ctx sqep.Ctx, plan sqep.Operator, exiter Exiter, into ...*RP) *RP {
 	ctx.ID = id
 	r := carrier.Reuse(into)
-	*r = RP{plan: plan, ctx: ctx, exiter: exiter, done: make(chan struct{})}
+	*r = RP{plan: plan, ctx: ctx, exiter: exiter}
 	r.subs = r.sub1[:0]
+	r.done.Add(1)
 	return r
 }
 
@@ -197,7 +199,7 @@ func (r *RP) Fail(cause error) {
 // Wait blocks until the RP has terminated and returns its execution error,
 // if any.
 func (r *RP) Wait() error {
-	<-r.done
+	r.done.Wait()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.err
@@ -212,8 +214,8 @@ func (r *RP) setErr(err error) {
 }
 
 // exit is the RP's exit protocol, in this order: the agent retires (it
-// holds nobody back), then the exit hook runs, and only then does done
-// close, unblocking Wait.
+// holds nobody back), then the exit hook runs, and only then is the done
+// latch released, unblocking Wait.
 func (r *RP) exit() {
 	r.ctx.Agent.Done()
 	r.mu.Lock()
@@ -222,7 +224,7 @@ func (r *RP) exit() {
 	if x != nil {
 		x.Exited(err)
 	}
-	close(r.done)
+	r.done.Done()
 }
 
 // run interprets the SQEP and pushes results to every subscriber. On any

@@ -54,7 +54,7 @@ func TestChaosConnectSubmitCancelDisconnect(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed + int64(w)))
 			for round := 0; round < rounds; round++ {
-				cli, err := client.Dial(addr.String(), client.Options{})
+				cli, kill, err := dialKillable(addr.String())
 				if err != nil {
 					errs <- fmt.Errorf("worker %d round %d dial: %v", w, round, err)
 					return
@@ -69,7 +69,7 @@ func TestChaosConnectSubmitCancelDisconnect(t *testing.T) {
 					h, err := cli.Submit(stmt, rng.Intn(3))
 					if err != nil {
 						errs <- fmt.Errorf("worker %d round %d submit: %v", w, round, err)
-						cli.Kill()
+						kill()
 						return
 					}
 					handles = append(handles, h)
@@ -87,16 +87,15 @@ func TestChaosConnectSubmitCancelDisconnect(t *testing.T) {
 				case 1:
 					// Abrupt mid-stream disconnect: the server must cancel
 					// and release on its own.
-					cli.Kill()
+					kill()
 				case 2:
 					// Read a little, then vanish.
 					for _, h := range handles {
 						h.Recv()
 					}
-					cli.Kill()
+					kill()
 				default:
-					// Ping, cancel by server-wide id, then close cleanly.
-					_ = cli.Ping()
+					// Cancel by server-wide id, then close cleanly.
 					for _, h := range handles {
 						_ = cli.CancelID(h.ID)
 					}

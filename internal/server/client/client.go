@@ -110,7 +110,7 @@ type SessionHandle struct {
 type Client struct {
 	nc net.Conn
 
-	wmu  sync.Mutex // serializes writers (Submit, Cancel, Ping, ...)
+	wmu  sync.Mutex // serializes writers (Submit, Cancel, Close)
 	wbuf []byte     // under wmu: the frame being written
 
 	mu       sync.Mutex
@@ -137,7 +137,6 @@ type Client struct {
 	// Draining is closed when the server announces a drain.
 	Draining  chan struct{}
 	drainOnce sync.Once
-	pongs     chan int64
 }
 
 // reply is the decoded answer to a tagged request: Submitted carries the
@@ -196,7 +195,6 @@ func New(nc net.Conn, opts Options) (_ *Client, err error) {
 		readerDone: make(chan struct{}),
 		recvBuf:    opts.RecvBuffer,
 		Draining:   make(chan struct{}),
-		pongs:      make(chan int64, 8),
 	}
 	c.cond.L = &c.mu
 	e := c.begin(wire.MsgHello)
@@ -376,40 +374,11 @@ func (c *Client) CancelID(id string) error {
 	return c.cancel(-1, id)
 }
 
-// Ping round-trips a nonce through the server.
-func (c *Client) Ping() error {
-	nonce := time.Now().UnixNano()
-	e := c.begin(wire.MsgPing)
-	if err := c.flush(e.Int(nonce)); err != nil {
-		return err
-	}
-	select {
-	case got := <-c.pongs:
-		if got != nonce {
-			return fmt.Errorf("client: pong nonce %d != %d", got, nonce)
-		}
-		return nil
-	case <-c.readerDone:
-		return c.Err()
-	case <-time.After(30 * time.Second):
-		return errors.New("client: ping timeout")
-	}
-}
-
 // Err returns the connection's terminal error (nil while healthy).
 func (c *Client) Err() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.err
-}
-
-// Kill closes the transport abruptly — no Goodbye, mid-frame if a write is
-// in flight. This is the misbehaving-client path the server must survive
-// (chaos and disconnect tests); in-flight sessions end with nil terminal
-// records.
-func (c *Client) Kill() {
-	c.nc.Close()
-	<-c.readerDone
 }
 
 // Close sends a Goodbye and closes the connection. In-flight sessions end
@@ -548,14 +517,6 @@ func (c *Client) readLoop(r *wire.Reader) {
 		switch f.Type {
 		case wire.MsgDone:
 			c.dispatchDone(f.Payload)
-		case wire.MsgPong:
-			fs := wire.Fields(f.Payload, 1)
-			if nonce := fs.Int(); fs.Err() == nil {
-				select {
-				case c.pongs <- nonce:
-				default:
-				}
-			}
 		case wire.MsgDraining:
 			c.drainOnce.Do(func() { close(c.Draining) })
 		case wire.MsgSubmitted, wire.MsgOK, wire.MsgError:

@@ -15,7 +15,7 @@ import (
 // TestClientOutboundGolden pins the client's wire format the way
 // TestOutboundByteStreamGolden pins the server's: over a raw listener, every
 // frame the client writes — Hello, Submits with tags above 255, Cancel by
-// tag and by id, Ping, Goodbye — equals, byte for byte, the frame the
+// tag and by id, Goodbye — equals, byte for byte, the frame the
 // generic codec (MustBag, AppendFrame) builds from the same fields.
 func TestClientOutboundGolden(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -62,22 +62,6 @@ func TestClientOutboundGolden(t *testing.T) {
 		reply(wire.MsgOK, int64(300))
 		expect("cancel by id", wire.AppendFrame(nil, wire.MsgCancel, wire.MustBag(int64(-1), "q2")))
 		reply(wire.MsgOK, int64(-1))
-		// The nonce is the clock's: the frame must be what the codec makes
-		// of the nonce it carries.
-		f, err := r.Next()
-		if err != nil || f.Type != wire.MsgPing {
-			t.Errorf("ping: frame %#x, %v", f.Type, err)
-			return
-		}
-		fields, err := wire.DecodeBag(f.Payload, 1)
-		if err != nil {
-			t.Errorf("ping: %v", err)
-			return
-		}
-		if got, want := wire.AppendFrame(nil, f.Type, f.Payload), wire.AppendFrame(nil, wire.MsgPing, wire.MustBag(fields[0])); !bytes.Equal(got, want) {
-			t.Errorf("ping: the client wrote\n %x\nwant %x", got, want)
-		}
-		reply(wire.MsgPong, fields[0])
 		expect("goodbye", wire.AppendFrame(nil, wire.MsgGoodbye, wire.MustBag()))
 		if _, err := r.Next(); err == nil {
 			t.Errorf("the client wrote past its Goodbye")
@@ -102,9 +86,6 @@ func TestClientOutboundGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := c.CancelID("q2"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Ping(); err != nil {
 		t.Fatal(err)
 	}
 	c.Close()

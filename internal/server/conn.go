@@ -257,7 +257,6 @@ func (c *conn) readLoop() {
 		c.writeChunk(ch)
 		return
 	}
-	c.state.Store(int32(connOpen))
 
 	for {
 		if c.srv.cfg.IdleTimeout > 0 {
@@ -291,7 +290,7 @@ func (c *conn) readLoop() {
 }
 
 // handshake enforces the Hello exchange under the handshake deadline:
-// version match, then the optional auth hook.
+// version match, then the optional auth hook; it opens the connection.
 func (c *conn) handshake(r *wire.Reader) error {
 	c.nc.SetReadDeadline(time.Now().Add(handshakeTimeout))
 	defer c.nc.SetReadDeadline(time.Time{})
@@ -317,6 +316,9 @@ func (c *conn) handshake(r *wire.Reader) error {
 			return fmt.Errorf("%w: %v", ErrAuthFailed, err)
 		}
 	}
+	// Open before Accepted is queued: a client whose Dial returned reads
+	// its connection open.
+	c.state.Store(int32(connOpen))
 	ch, e := control(wire.MsgAccepted)
 	c.send(ch, e.Int(wire.ProtoVersion).Str(serverName).Str(fmt.Sprintf("c%d", c.id)))
 	return nil

@@ -85,6 +85,29 @@ func remoteRows(t *testing.T, cli *client.Client, stmt string) [][]any {
 	return lowerRows(t, stmt, vals)
 }
 
+// TestDialedConnectionReadsOpen: a connection is open before its Accepted
+// frame is queued, so the sys_conns row of a client whose Dial returned
+// reads open at once, through any door.
+func TestDialedConnectionReadsOpen(t *testing.T) {
+	eng, _, addr := newServer(t, server.Config{})
+	for range 10 {
+		cli, err := client.Dial(addr, client.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		state := "no row"
+		for _, row := range localRows(t, eng, `select sys_conns();`) {
+			if row[0] == cli.ConnID {
+				state = row[2].(string)
+			}
+		}
+		cli.Close()
+		if state != "open" {
+			t.Fatalf("right after Dial, sys_conns reads %s's connection %s, want open", cli.ConnID, state)
+		}
+	}
+}
+
 // TestOneReadPath: every fact is a sys_* table and every reader a statement,
 // so the three doors of a statement must agree on every table the catalog
 // lists — and the catalog must list itself.
@@ -104,9 +127,8 @@ func TestOneReadPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer idle.Close()
-	// Its writer counts the Accepted frame once the write returns, and its
-	// reader marks it open after queueing that frame, either of which may be
-	// after Dial has returned: no door reads before its row shows both.
+	// Its writer counts the Accepted frame once the write returns, which may
+	// be after Dial has returned: no door reads before its row shows it.
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
 		accepted := false
 		for _, row := range localRows(t, eng, `select sys_conns();`) {

@@ -90,9 +90,6 @@ func TestHandshakeSubmitStream(t *testing.T) {
 	if cli.ServerName == "" || cli.ConnID == "" {
 		t.Fatalf("Accepted frame incomplete: name=%q conn=%q", cli.ServerName, cli.ConnID)
 	}
-	if err := cli.Ping(); err != nil {
-		t.Fatalf("ping: %v", err)
-	}
 	h, err := cli.Submit(`select count(sys_nodes());`, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -432,9 +429,24 @@ func TestCancelInFlight(t *testing.T) {
 	}
 }
 
+// dialKillable dials addr as client.Dial does and returns kill, which drops
+// the transport under the client — no Goodbye, mid-frame if a write is in
+// flight: the misbehaving-client path the server must survive — and waits
+// for the client's reader to end.
+func dialKillable(addr string) (cli *client.Client, kill func(), err error) {
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		return nil, nil, err
+	}
+	if cli, err = client.New(nc, client.Options{}); err != nil {
+		return nil, nil, err
+	}
+	return cli, func() { nc.Close(); cli.Close() }, nil
+}
+
 func TestMidStreamDisconnectReleasesLeases(t *testing.T) {
 	eng, srv, addr := newServer(t, server.Config{})
-	cli, err := client.Dial(addr, client.Options{})
+	cli, kill, err := dialKillable(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,7 +471,7 @@ func TestMidStreamDisconnectReleasesLeases(t *testing.T) {
 		t.Fatalf("session %s is not in the session table", h.ID)
 		return
 	}
-	cli.Kill() // abrupt: no Goodbye, transport just dies
+	kill() // abrupt: no Goodbye, transport just dies
 
 	deadline := time.Now().Add(15 * time.Second)
 	for time.Now().Before(deadline) {
@@ -856,6 +868,11 @@ func TestOutboundByteStreamGolden(t *testing.T) {
 	}
 	expect("handshake", wire.AppendFrame(nil, wire.MsgAccepted,
 		wire.MustBag(int64(wire.ProtoVersion), "scsq-server/1", "c1")))
+	// A Ping is answered by a Pong of its nonce.
+	if _, err := nc.Write(wire.AppendFrame(nil, wire.MsgPing, wire.MustBag(int64(-7)))); err != nil {
+		t.Fatal(err)
+	}
+	expect("ping", wire.AppendFrame(nil, wire.MsgPong, wire.MustBag(int64(-7))))
 	for i, stmt := range stmts {
 		tag := int64(40 + i)
 		if _, err := nc.Write(wire.AppendFrame(nil, wire.MsgSubmit, wire.MustBag(tag, stmt, int64(0)))); err != nil {

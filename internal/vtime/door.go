@@ -152,12 +152,18 @@ func (k *Kernel) wait() {
 }
 
 // Join adds a process of query owner, which hands every time it emits to
-// emit (nil: nowhere), in the fresh memory passed after emit if any. The
-// agent takes no turn until Go.
+// emit (nil: nowhere), in the memory passed after emit if any: fresh, or a
+// done agent of k, once its worker let go of it (drive). The agent takes no
+// turn until Go.
 func (k *Kernel) Join(owner string, emit func(Time), into ...*Agent) *Agent {
 	var a *Agent
 	if len(into) > 0 {
 		a = into[0]
+		k.mu.Lock()
+		for a.w != nil {
+			k.wait()
+		}
+		k.mu.Unlock()
 	} else {
 		a = new(Agent)
 	}
@@ -417,6 +423,7 @@ func (k *Kernel) drive() {
 		if w.a == nil {
 			a.w = nil
 			k.idle = append(k.idle, w)
+			k.cond.Broadcast() // a Join into a may wait for this
 		}
 	}
 }
