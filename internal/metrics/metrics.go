@@ -49,6 +49,7 @@ const RTPrefix = "rt."
 // nil *Counter records nothing. A counter or histogram of a Turn family is
 // plain memory; any other is atomic.
 type Counter struct {
+	_     [0]atomic.Int64 // 8-byte aligned, for v's atomics on 32-bit hosts
 	v     int64
 	plain bool
 }

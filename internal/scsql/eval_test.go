@@ -263,7 +263,7 @@ where b=sp(streamof(count(extract(a))), 'bg', 0) and a=sp(gen_array(30000,n), 'b
 		`select -n.x * 2 from stream n where n in sys_nodes() and n.x <> 0;`,
 		`select (((`, `select f(1,`, `create function g(integer) -> stream as 1;`, `select {}`, `'unterminated`}
 	for i := range 1000 {
-		_, _ = ParseAll(others[i%len(others)])
+		_, _, _ = parseAll(others[i%len(others)])
 		if i%100 == 0 {
 			runtime.GC()
 		}

@@ -13,9 +13,11 @@ import (
 // panic and no runaway recursion; exactly one of a statement and an error;
 // and the bytes allocated stay within a constant per input byte, so a frame
 // of the wire's maximum size cannot cost more than a fixed multiple of
-// itself. The seeds are the paper's queries as corpus.go generates them, the
-// sys_* statements of this package's tests, and the deep nestings that
-// overflowed the stack before the parser bounded them.
+// itself. A statement parsed twice is one statement, the one parseAll makes
+// of its text (one under 64 KiB always fits Parse's cache). The seeds are
+// the paper's queries as corpus.go generates them, the sys_* statements of
+// this package's tests, and the deep nestings that overflowed the stack
+// before the parser bounded them.
 func FuzzParse(f *testing.F) {
 	f.Add(Figure5Query(3_000_000, 100))
 	f.Add(MergeQuery([]int{1, 2}, 300_000, 10))
@@ -56,6 +58,16 @@ func FuzzParse(f *testing.F) {
 		const perByte, floor = 512, 64 << 10
 		if got := after.TotalAlloc - before.TotalAlloc; got > perByte*uint64(len(src))+floor {
 			t.Fatalf("Parse allocated %d bytes for %d bytes of input", got, len(src))
+		}
+		if stmt == nil {
+			return
+		}
+		again, _ := Parse(src)
+		if again != stmt && len(src) < 1<<16 {
+			t.Fatalf("Parse(%q) twice returned two statements", src)
+		}
+		if fresh, _, err := parseAll(src); err != nil || StatementText(again) != StatementText(fresh[0]) {
+			t.Fatalf("Parse(%q) reads %s, parseAll's %v, %v", src, StatementText(again), fresh, err)
 		}
 	})
 }

@@ -4,32 +4,66 @@ import (
 	"cmp"
 	"slices"
 	"strings"
+	"sync"
+	"unsafe"
 )
 
+// parseCacheBytes bounds what Parse's cache holds, each statement's text and
+// the slab bytes its census sized: thousands of the paper's queries (a Query
+// 6 is ≈ 330 B of text and ≈ 3 kB of nodes).
+const parseCacheBytes = 4 << 20
+
+// parsed caches Parse's statements by their exact text, the idiom of sqep's
+// gen_array templates. Nothing writes an AST after parsing, so every session
+// and engine of the process shares one statement. A statement that would take
+// the cache past its bound restarts it empty (statements handed out stay
+// valid); one that fails to parse is never stored.
+var parsed struct {
+	mu    sync.Mutex
+	bytes int
+	m     map[string]*Statement
+}
+
 // Parse parses one SCSQL statement (query or function definition),
-// terminated by ';' or end of input.
+// terminated by ';' or end of input. The caller must not modify it.
 func Parse(src string) (*Statement, error) {
-	stmts, err := ParseAll(src)
+	c := &parsed
+	c.mu.Lock()
+	stmt, ok := c.m[src]
+	c.mu.Unlock()
+	if ok {
+		return stmt, nil
+	}
+	stmts, size, err := parseAll(src)
+	if err == nil && len(stmts) != 1 {
+		err = errorfAt(Pos{1, 1}, "expected exactly one statement, got %d", len(stmts))
+	}
 	if err != nil {
 		return nil, err
 	}
-	if len(stmts) != 1 {
-		return nil, errorfAt(Pos{1, 1}, "expected exactly one statement, got %d", len(stmts))
+	if size += len(src); size <= parseCacheBytes {
+		c.mu.Lock()
+		if c.m == nil || c.bytes+size > parseCacheBytes {
+			c.m, c.bytes = map[string]*Statement{}, 0
+		}
+		c.m[src], c.bytes = stmts[0], c.bytes+size
+		c.mu.Unlock()
 	}
 	return stmts[0], nil
 }
 
-// ParseAll parses a ';'-separated sequence of statements. Tokens are lexed as
-// the parser reads them, so the first error in source order wins: a lexical
-// error ends the input where it stands and is reported in place of what the
-// parser makes of that end, and one past a syntax error is never reached.
-func ParseAll(src string) ([]*Statement, error) {
+// parseAll parses a ';'-separated sequence of statements, uncached, and
+// returns the slab bytes their census sized. Tokens are lexed as the parser
+// reads them, so the first error in source order wins: a lexical error ends
+// the input where it stands and is reported in place of what the parser
+// makes of that end, and one past a syntax error is never reached.
+func parseAll(src string) ([]*Statement, int, error) {
 	p := &parser{lx: newLexer(src)}
 	var stmts []*Statement
 	for p.peek().Kind != TokEOF {
 		stmt, err := p.statement()
 		if err != nil {
-			return nil, cmp.Or(p.lx.err, err)
+			return nil, 0, cmp.Or(p.lx.err, err)
 		}
 		stmts = append(stmts, stmt)
 		if p.peek().Kind == TokSemicolon {
@@ -38,11 +72,11 @@ func ParseAll(src string) ([]*Statement, error) {
 	}
 	switch {
 	case p.lx.err != nil:
-		return nil, p.lx.err
+		return nil, 0, p.lx.err
 	case len(stmts) == 0:
-		return nil, errorfAt(p.peek().Pos, "empty input")
+		return nil, 0, errorfAt(p.peek().Pos, "empty input")
 	}
-	return stmts, nil
+	return stmts, p.bytes, nil
 }
 
 type parser struct {
@@ -52,6 +86,7 @@ type parser struct {
 	depth   int   // unaryExpr calls on the stack
 	a       arena // the statement's nodes
 	scanned int   // the byte offset census has read to
+	bytes   int   // the slab bytes census sized
 }
 
 // maxNesting bounds how deep expressions and subqueries may nest. The
@@ -90,16 +125,10 @@ func (p *parser) statement() (*Statement, error) {
 	switch first.Kind {
 	case TokCreate:
 		def, err := p.funcDef()
-		if err != nil {
-			return nil, err
-		}
-		return &Statement{Def: def}, nil
+		return &Statement{Def: def}, err
 	case TokSelect:
 		q, err := p.query()
-		if err != nil {
-			return nil, err
-		}
-		return &Statement{Query: q}, nil
+		return &Statement{Query: q}, err
 	default:
 		// A bare expression statement, e.g. the paper's 1000-way grep:
 		// merge(spv(select grep(...) from integer i where i in iota(1,1000)));
@@ -126,28 +155,14 @@ func (p *parser) funcDef() (*FuncDef, error) {
 		return nil, err
 	}
 	var buf [4]Decl
-	params := buf[:0]
-	for p.peek().Kind != TokRParen {
-		if len(params) > 0 {
-			if _, err := p.expect(TokComma); err != nil {
-				return nil, err
-			}
-		}
-		d, err := p.decl()
-		if err != nil {
-			return nil, err
-		}
-		params = append(params, d)
-	}
-	p.next() // ')'
-	if _, err := p.expect(TokArrow); err != nil {
-		return nil, err
-	}
-	resTok, err := p.expect(TokIdent)
+	params, err := list(p, TokRParen, buf[:0], p.decl)
 	if err != nil {
 		return nil, err
 	}
-	resType, err := declTypeOf(resTok)
+	if _, err := p.expect(TokArrow); err != nil {
+		return nil, err
+	}
+	resType, err := declTypeOf(p.expect(TokIdent))
 	if err != nil {
 		return nil, err
 	}
@@ -158,13 +173,7 @@ func (p *parser) funcDef() (*FuncDef, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &FuncDef{
-		Name:   lower(name.Text),
-		Params: p.a.decls.list(params...),
-		Result: resType,
-		Body:   body,
-		Pos:    start.Pos,
-	}, nil
+	return &FuncDef{Name: lower(name.Text), Params: p.a.decls.list(params...), Result: resType, Body: body, Pos: start.Pos}, nil
 }
 
 // query := 'select' expr 'from' decl {',' decl} ['where' cond {'and' cond}]
@@ -182,30 +191,14 @@ func (p *parser) query() (*Query, error) {
 	from, where := decls[:0], conds[:0]
 	if p.peek().Kind == TokFrom {
 		p.next()
-		for {
-			d, err := p.decl()
-			if err != nil {
-				return nil, err
-			}
-			from = append(from, d)
-			if p.peek().Kind != TokComma {
-				break
-			}
-			p.next()
+		if from, err = items(p, TokComma, from, p.decl); err != nil {
+			return nil, err
 		}
 	}
 	if p.peek().Kind == TokWhere {
 		p.next()
-		for {
-			c, err := p.cond()
-			if err != nil {
-				return nil, err
-			}
-			where = append(where, c)
-			if p.peek().Kind != TokAnd {
-				break
-			}
-			p.next()
+		if where, err = items(p, TokAnd, where, p.cond); err != nil {
+			return nil, err
 		}
 	}
 	return p.a.queries.node(Query{Select: sel, From: p.a.decls.list(from...), Where: p.a.conds.list(where...), Pos: start.Pos}), nil
@@ -214,6 +207,7 @@ func (p *parser) query() (*Query, error) {
 // decl := ['bag' 'of'] type IDENT
 func (p *parser) decl() (Decl, error) {
 	var d Decl
+	var err error
 	t := p.peek()
 	d.Pos = t.Pos
 	if t.Kind == TokBag {
@@ -223,23 +217,19 @@ func (p *parser) decl() (Decl, error) {
 		}
 		d.Bag = true
 	}
-	typTok, err := p.expect(TokIdent)
-	if err != nil {
-		return d, err
-	}
-	d.Type, err = declTypeOf(typTok)
-	if err != nil {
+	if d.Type, err = declTypeOf(p.expect(TokIdent)); err != nil {
 		return d, err
 	}
 	nameTok, err := p.expect(TokIdent)
-	if err != nil {
-		return d, err
-	}
 	d.Name = nameTok.Text
-	return d, nil
+	return d, err
 }
 
-func declTypeOf(t Token) (DeclType, error) {
+// declTypeOf reads a type's name, the token expect returned.
+func declTypeOf(t Token, err error) (DeclType, error) {
+	if err != nil {
+		return 0, err
+	}
 	name := lower(t.Text)
 	if name == "charstring" {
 		return DeclString, nil
@@ -374,30 +364,17 @@ func (p *parser) primaryExpr() (Expr, error) {
 	case TokLParen:
 		p.next()
 		inner, err := p.expr()
-		if err != nil {
-			return nil, err
+		if err == nil {
+			_, err = p.expect(TokRParen)
 		}
-		if _, err := p.expect(TokRParen); err != nil {
-			return nil, err
-		}
-		return inner, nil
+		return inner, err
 	case TokLBrace:
 		p.next()
 		var buf [8]Expr
-		elems := buf[:0]
-		for p.peek().Kind != TokRBrace {
-			if len(elems) > 0 {
-				if _, err := p.expect(TokComma); err != nil {
-					return nil, err
-				}
-			}
-			e, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			elems = append(elems, e)
+		elems, err := list(p, TokRBrace, buf[:0], p.expr)
+		if err != nil {
+			return nil, err
 		}
-		p.next() // '}'
 		if len(elems) == 0 {
 			return nil, errorfAt(t.Pos, "empty set literal")
 		}
@@ -409,23 +386,47 @@ func (p *parser) primaryExpr() (Expr, error) {
 		}
 		p.next() // '('
 		var buf [8]Expr
-		args := buf[:0]
-		for p.peek().Kind != TokRParen {
-			if len(args) > 0 {
-				if _, err := p.expect(TokComma); err != nil {
-					return nil, err
-				}
-			}
-			a, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			args = append(args, a)
+		args, err := list(p, TokRParen, buf[:0], p.expr)
+		if err != nil {
+			return nil, err
 		}
-		p.next() // ')'
 		return p.a.calls.node(Call{Name: lower(t.Text), Args: p.a.exprs.list(args...), Pos: t.Pos}), nil
 	default:
 		return nil, errorfAt(t.Pos, "expected expression, found %s %q", t.Kind, t.Text)
+	}
+}
+
+// list parses items separated by ',' up to close, which it consumes, into
+// buf, which the caller gathers on its stack.
+func list[T any](p *parser, close Kind, buf []T, item func() (T, error)) ([]T, error) {
+	for p.peek().Kind != close {
+		if len(buf) > 0 {
+			if _, err := p.expect(TokComma); err != nil {
+				return nil, err
+			}
+		}
+		x, err := item()
+		if err != nil {
+			return nil, err
+		}
+		buf = append(buf, x)
+	}
+	p.next()
+	return buf, nil
+}
+
+// items parses item {sep item} into buf, which the caller gathers on its
+// stack.
+func items[T any](p *parser, sep Kind, buf []T, item func() (T, error)) ([]T, error) {
+	for {
+		x, err := item()
+		if err != nil {
+			return nil, err
+		}
+		if buf = append(buf, x); p.peek().Kind != sep {
+			return buf, nil
+		}
+		p.next()
 	}
 }
 
@@ -472,6 +473,9 @@ func (s *slab[T]) list(l ...T) []T {
 	copy(b, l)
 	return b
 }
+
+// bytes is what the slab's first block holds.
+func (s *slab[T]) bytes() int { return s.want * int(unsafe.Sizeof(*new(T))) }
 
 // node returns v in the slab.
 func (s *slab[T]) node(v T) *T { return &s.list(v)[0] }
@@ -529,4 +533,7 @@ func (p *parser) census() {
 		a.queries.want++ // a bare expression is wrapped in one
 	}
 	p.scanned = lx.i
+	p.bytes += a.queries.bytes() + a.subs.bytes() + a.calls.bytes() + a.idents.bytes() + a.nums.bytes() +
+		a.strs.bytes() + a.bins.bytes() + a.unaries.bytes() + a.fields.bytes() + a.sets.bytes() +
+		a.exprs.bytes() + a.decls.bytes() + a.conds.bytes()
 }

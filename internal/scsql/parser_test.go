@@ -87,8 +87,8 @@ func TestParseReportsTheFirstError(t *testing.T) {
 		"select (; @":                        `scsql: 1:9: expected expression, found ';' ";"`,
 		"create function f() -> nope as @":   `scsql: 1:24: unknown type "nope"`,
 	} {
-		if _, err := ParseAll(src); err == nil || err.Error() != want {
-			t.Errorf("ParseAll(%q) = %v, want %s", src, err, want)
+		if _, _, err := parseAll(src); err == nil || err.Error() != want {
+			t.Errorf("parseAll(%q) = %v, want %s", src, err, want)
 		}
 	}
 }
@@ -136,10 +136,12 @@ func TestLexPositionsCountRunes(t *testing.T) {
 
 // TestParseAllocs pins what parsing one of the paper's queries allocates: a
 // block per AST node type and list type the statement uses, the Statement
-// and ParseAll's slice — nothing per node and nothing per token. The parser
+// and parseAll's slice — nothing per node and nothing per token. The parser
 // pulls tokens one at a time, every text a slice of the source, and a
 // keyword or a builtin's name in upper case is looked up without a
-// lower-case copy.
+// lower-case copy. Parse allocates what parseAll does for a text it has not
+// seen (its cache's map grows by less than an allocation per text) and
+// nothing for one it has.
 func TestParseAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -160,15 +162,34 @@ func TestParseAllocs(t *testing.T) {
 		upper := regexp.MustCompile(`\b(select|from|where|and|in|bag|of)\b`).ReplaceAllStringFunc(c.src, strings.ToUpper)
 		for _, src := range []string{c.src, upper, strings.ToUpper(c.src)} {
 			got := testing.AllocsPerRun(100, func() {
-				if _, err := Parse(src); err != nil {
+				if _, _, err := parseAll(src); err != nil {
 					t.Fatal(err)
 				}
 			})
 			if got > c.pin {
-				t.Errorf("Parse allocated %v times, want at most %v:\n%s", got, c.pin, src)
+				t.Errorf("parseAll allocated %v times, want at most %v:\n%s", got, c.pin, src)
+			}
+			unseen := make([]string, 101) // AllocsPerRun's warm-up and 100 runs
+			for i := range unseen {
+				unseen[i] = src + strings.Repeat(" ", i+1)
+			}
+			forgetParsed()
+			i := 0
+			if miss := testing.AllocsPerRun(100, func() { _, _ = Parse(unseen[i]); i++ }); miss != got {
+				t.Errorf("Parse of an unseen text allocated %v times, parseAll %v:\n%s", miss, got, src)
+			}
+			if hit := testing.AllocsPerRun(100, func() { _, _ = Parse(src) }); hit != 0 {
+				t.Errorf("Parse of a parsed text allocated %v times, want 0:\n%s", hit, src)
 			}
 		}
 	}
+}
+
+// forgetParsed empties Parse's cache.
+func forgetParsed() {
+	parsed.mu.Lock()
+	parsed.m, parsed.bytes = nil, 0
+	parsed.mu.Unlock()
 }
 
 // TestCensusSizesEverySlab: the census counts exactly what parsing a
@@ -198,7 +219,7 @@ func TestCensusSizesEverySlab(t *testing.T) {
 	for _, src := range srcs {
 		counted := &parser{lx: newLexer(src)}
 		counted.census()
-		blocks := 2.0 // the Statement and ParseAll's slice
+		blocks := 2.0 // the Statement and parseAll's slice
 		if counted.peek().Kind == TokCreate {
 			blocks++ // the FuncDef
 		}
@@ -217,8 +238,8 @@ func TestCensusSizesEverySlab(t *testing.T) {
 				t.Errorf("slab %s over-counted:\n%s", slabs.Type().Field(i).Name, src)
 			}
 		}
-		if got := testing.AllocsPerRun(10, func() { _, _ = Parse(src) }); got != blocks {
-			t.Errorf("Parse allocated %v times, want %v (a slab under-counted):\n%s", got, blocks, src)
+		if got := testing.AllocsPerRun(10, func() { _, _, _ = parseAll(src) }); got != blocks {
+			t.Errorf("parseAll allocated %v times, want %v (a slab under-counted):\n%s", got, blocks, src)
 		}
 	}
 }
@@ -304,7 +325,7 @@ func TestParseSetLiteral(t *testing.T) {
 }
 
 func TestParseAllMultipleStatements(t *testing.T) {
-	stmts, err := ParseAll(Radix2Def + "\nselect radix2('x');")
+	stmts, _, err := parseAll(Radix2Def + "\nselect radix2('x');")
 	if err != nil {
 		t.Fatal(err)
 	}

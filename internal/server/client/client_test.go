@@ -61,8 +61,18 @@ func (p *peer) write(b []byte) {
 	}
 }
 
+// mustBag is EncodeBag for fields known statically to encode; it panics on
+// the programming error of an unencodable field.
+func mustBag(fields ...any) []byte {
+	b, err := wire.EncodeBag(fields...)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
 func frame(typ byte, fields ...any) []byte {
-	return wire.AppendFrame(nil, typ, wire.MustBag(fields...))
+	return wire.AppendFrame(nil, typ, mustBag(fields...))
 }
 
 func row(tag, value int64) []byte {

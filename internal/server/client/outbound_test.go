@@ -16,7 +16,7 @@ import (
 // TestOutboundByteStreamGolden pins the server's: over a raw listener, every
 // frame the client writes — Hello, Submits with tags above 255, Cancel by
 // tag and by id, Goodbye — equals, byte for byte, the frame the
-// generic codec (MustBag, AppendFrame) builds from the same fields.
+// generic codec (mustBag, AppendFrame) builds from the same fields.
 func TestClientOutboundGolden(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -50,19 +50,19 @@ func TestClientOutboundGolden(t *testing.T) {
 			}
 			return f
 		}
-		reply := func(typ byte, fields ...any) { nc.Write(wire.AppendFrame(nil, typ, wire.MustBag(fields...))) }
+		reply := func(typ byte, fields ...any) { nc.Write(wire.AppendFrame(nil, typ, mustBag(fields...))) }
 
-		expect("hello", wire.AppendFrame(nil, wire.MsgHello, wire.MustBag(int64(wire.ProtoVersion), token)))
+		expect("hello", wire.AppendFrame(nil, wire.MsgHello, mustBag(int64(wire.ProtoVersion), token)))
 		reply(wire.MsgAccepted, int64(wire.ProtoVersion), "raw/1", "c1")
-		expect("submit 300", wire.AppendFrame(nil, wire.MsgSubmit, wire.MustBag(int64(300), stmts[0], int64(7))))
+		expect("submit 300", wire.AppendFrame(nil, wire.MsgSubmit, mustBag(int64(300), stmts[0], int64(7))))
 		reply(wire.MsgSubmitted, int64(300), "q1")
-		expect("submit 301", wire.AppendFrame(nil, wire.MsgSubmit, wire.MustBag(int64(301), stmts[1], int64(-3))))
+		expect("submit 301", wire.AppendFrame(nil, wire.MsgSubmit, mustBag(int64(301), stmts[1], int64(-3))))
 		reply(wire.MsgSubmitted, int64(301), "q2")
-		expect("cancel by tag", wire.AppendFrame(nil, wire.MsgCancel, wire.MustBag(int64(300), "")))
+		expect("cancel by tag", wire.AppendFrame(nil, wire.MsgCancel, mustBag(int64(300), "")))
 		reply(wire.MsgOK, int64(300))
-		expect("cancel by id", wire.AppendFrame(nil, wire.MsgCancel, wire.MustBag(int64(-1), "q2")))
+		expect("cancel by id", wire.AppendFrame(nil, wire.MsgCancel, mustBag(int64(-1), "q2")))
 		reply(wire.MsgOK, int64(-1))
-		expect("goodbye", wire.AppendFrame(nil, wire.MsgGoodbye, wire.MustBag()))
+		expect("goodbye", wire.AppendFrame(nil, wire.MsgGoodbye, mustBag()))
 		if _, err := r.Next(); err == nil {
 			t.Errorf("the client wrote past its Goodbye")
 		}

@@ -24,6 +24,16 @@ import (
 	"scsq/internal/server/wire"
 )
 
+// mustBag is EncodeBag for fields known statically to encode; it panics on
+// the programming error of an unencodable field.
+func mustBag(fields ...any) []byte {
+	b, err := wire.EncodeBag(fields...)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
 // newServer spins up an engine and a listening server on an ephemeral port.
 func newServer(t *testing.T, cfg server.Config, opts ...scsq.Option) (*scsq.Engine, *server.Server, string) {
 	t.Helper()
@@ -182,7 +192,7 @@ func TestVersionMismatchRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	if _, err := nc.Write(wire.AppendFrame(nil, wire.MsgHello, wire.MustBag(int64(99), ""))); err != nil {
+	if _, err := nc.Write(wire.AppendFrame(nil, wire.MsgHello, mustBag(int64(99), ""))); err != nil {
 		t.Fatal(err)
 	}
 	r := wire.NewReader(nc, 0)
@@ -212,9 +222,9 @@ func TestVersionMismatchRejected(t *testing.T) {
 func TestGarbageBeforeHandshake(t *testing.T) {
 	_, _, addr := newServer(t, server.Config{})
 	for _, garbage := range [][]byte{
-		[]byte("GET / HTTP/1.1\r\nHost: x\r\n\r\n"),                                          // not our protocol
-		{0xff, 0xff, 0xff, 0x7f, 0x01},                                                       // absurd length field
-		wire.AppendFrame(nil, wire.MsgSubmit, wire.MustBag(int64(0), "select 1;", int64(0))), // valid frame, not Hello
+		[]byte("GET / HTTP/1.1\r\nHost: x\r\n\r\n"),                                     // not our protocol
+		{0xff, 0xff, 0xff, 0x7f, 0x01},                                                  // absurd length field
+		wire.AppendFrame(nil, wire.MsgSubmit, mustBag(int64(0), "select 1;", int64(0))), // valid frame, not Hello
 	} {
 		nc, err := net.Dial("tcp", addr)
 		if err != nil {
@@ -619,7 +629,7 @@ func TestTagReusableAfterDone(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	if _, err := nc.Write(wire.AppendFrame(nil, wire.MsgHello, wire.MustBag(int64(wire.ProtoVersion), ""))); err != nil {
+	if _, err := nc.Write(wire.AppendFrame(nil, wire.MsgHello, mustBag(int64(wire.ProtoVersion), ""))); err != nil {
 		t.Fatal(err)
 	}
 	r := wire.NewReader(nc, 0)
@@ -629,7 +639,7 @@ func TestTagReusableAfterDone(t *testing.T) {
 	}
 	const tag = int64(7)
 	for round := 0; round < 2; round++ {
-		if _, err := nc.Write(wire.AppendFrame(nil, wire.MsgSubmit, wire.MustBag(tag, `select count(sys_nodes());`, int64(0)))); err != nil {
+		if _, err := nc.Write(wire.AppendFrame(nil, wire.MsgSubmit, mustBag(tag, `select count(sys_nodes());`, int64(0)))); err != nil {
 			t.Fatal(err)
 		}
 		sawSubmitted, sawDone := false, false
@@ -833,7 +843,7 @@ func rawConn(t *testing.T, addr string) net.Conn {
 	}
 	t.Cleanup(func() { nc.Close() })
 	nc.SetDeadline(time.Now().Add(20 * time.Second))
-	if _, err := nc.Write(wire.AppendFrame(nil, wire.MsgHello, wire.MustBag(int64(wire.ProtoVersion), ""))); err != nil {
+	if _, err := nc.Write(wire.AppendFrame(nil, wire.MsgHello, mustBag(int64(wire.ProtoVersion), ""))); err != nil {
 		t.Fatal(err)
 	}
 	return nc
@@ -867,19 +877,19 @@ func TestOutboundByteStreamGolden(t *testing.T) {
 		}
 	}
 	expect("handshake", wire.AppendFrame(nil, wire.MsgAccepted,
-		wire.MustBag(int64(wire.ProtoVersion), "scsq-server/1", "c1")))
+		mustBag(int64(wire.ProtoVersion), "scsq-server/1", "c1")))
 	// A Ping is answered by a Pong of its nonce.
-	if _, err := nc.Write(wire.AppendFrame(nil, wire.MsgPing, wire.MustBag(int64(-7)))); err != nil {
+	if _, err := nc.Write(wire.AppendFrame(nil, wire.MsgPing, mustBag(int64(-7)))); err != nil {
 		t.Fatal(err)
 	}
-	expect("ping", wire.AppendFrame(nil, wire.MsgPong, wire.MustBag(int64(-7))))
+	expect("ping", wire.AppendFrame(nil, wire.MsgPong, mustBag(int64(-7))))
 	for i, stmt := range stmts {
 		tag := int64(40 + i)
-		if _, err := nc.Write(wire.AppendFrame(nil, wire.MsgSubmit, wire.MustBag(tag, stmt, int64(0)))); err != nil {
+		if _, err := nc.Write(wire.AppendFrame(nil, wire.MsgSubmit, mustBag(tag, stmt, int64(0)))); err != nil {
 			t.Fatal(err)
 		}
 		// Sessions alternate wire, reference: q1, q2, q3, q4.
-		expect(stmt, wire.AppendFrame(nil, wire.MsgSubmitted, wire.MustBag(tag, fmt.Sprintf("q%d", 2*i+1))))
+		expect(stmt, wire.AppendFrame(nil, wire.MsgSubmitted, mustBag(tag, fmt.Sprintf("q%d", 2*i+1))))
 		// The reference: the same statement in process. Neither statement
 		// spawns a stream process, so elements and makespan repeat exactly.
 		ref, err := eng.Submit(stmt)
@@ -896,10 +906,10 @@ func TestOutboundByteStreamGolden(t *testing.T) {
 		var want []byte
 		for _, el := range els {
 			want = wire.AppendFrame(want, wire.MsgRow,
-				wire.MustBag(tag, el.At.Nanoseconds(), el.Source, wire.WireValue(el.Value)))
+				mustBag(tag, el.At.Nanoseconds(), el.Source, wire.WireValue(el.Value)))
 		}
 		expect(stmt, wire.AppendFrame(want, wire.MsgDone,
-			wire.MustBag(tag, "done", "", ref.Makespan().Nanoseconds(), int64(len(els)))))
+			mustBag(tag, "done", "", ref.Makespan().Nanoseconds(), int64(len(els)))))
 	}
 	// Nothing follows the last Done.
 	nc.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
@@ -1057,8 +1067,9 @@ func checkRowPathAllocations(t *testing.T, query string, rows int, maxBytes floa
 // (Submit, Submitted, Done) are written by Encoders into pooled chunks and
 // the client's kept write buffer and read by Cursors in place, so of them
 // only the statement and the session id are allocated; the rest is the
-// session itself. A Done frame built through MustBag again costs about seven
-// allocations more and breaks the bound. Under the race detector the
+// session itself, whose text Parse's cache does not parse again. A Done
+// frame built through the bag codec again costs about seven allocations
+// more and breaks the bound. Under the race detector the
 // sessions run and nothing is counted.
 func TestSessionControlAllocations(t *testing.T) {
 	_, _, addr := newServer(t, server.Config{})
@@ -1093,8 +1104,9 @@ func TestSessionControlAllocations(t *testing.T) {
 		session()
 	}
 	runtime.ReadMemStats(&after)
-	// 37.1–37.2 at GOMAXPROCS 1, 2 and 4 (78.2 with the bag codec).
-	const maxAllocs = 38
+	// 26.1–26.2 at GOMAXPROCS 1, 2 and 4 (37.1–37.2 while every session
+	// parsed its text again, 78.2 with the bag codec).
+	const maxAllocs = 27
 	if n := float64(after.Mallocs-before.Mallocs) / sessions; n > maxAllocs {
 		t.Fatalf("%.1f allocations per one-row session end to end, want at most %d", n, maxAllocs)
 	}

@@ -203,16 +203,6 @@ func EncodeBag(fields ...any) ([]byte, error) {
 	return marshal.Append(nil, fields)
 }
 
-// MustBag is EncodeBag for fields known statically to encode; it panics on
-// the programming error of an unencodable field.
-func MustBag(fields ...any) []byte {
-	b, err := EncodeBag(fields...)
-	if err != nil {
-		panic(fmt.Sprintf("wire: unencodable message fields: %v", err))
-	}
-	return b
-}
-
 // DecodeBag unmarshals a message payload into its positional fields,
 // requiring at least want fields (trailing extras are allowed and ignored:
 // a newer peer may append fields).
@@ -235,7 +225,7 @@ func DecodeBag(payload []byte, want int) ([]any, error) {
 }
 
 // Encoder writes one frame straight into the caller's buffer, the bytes
-// AppendFrame(typ, MustBag(fields...)) would: Begin opens the frame, Int and
+// AppendFrame(typ, EncodeBag(fields...)) would: Begin opens the frame, Int and
 // Str append its fields in order (each returns the Encoder, so they chain),
 // End seals it.
 type Encoder struct {
@@ -256,8 +246,8 @@ func (e *Encoder) Int(x int64) *Encoder {
 	return e
 }
 
-// Str appends a string field. Like MustBag it panics on the programming
-// error of a string too long for the format's u32 length field.
+// Str appends a string field. It panics on the programming error of a
+// string too long for the format's u32 length field.
 func (e *Encoder) Str(s string) *Encoder {
 	buf, err := marshal.AppendString(e.buf, s)
 	if err != nil {

@@ -11,6 +11,16 @@ import (
 	"scsq/internal/catalog"
 )
 
+// MustBag is EncodeBag for fields known statically to encode; it panics on
+// the programming error of an unencodable field.
+func MustBag(fields ...any) []byte {
+	b, err := EncodeBag(fields...)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	payload := MustBag(int64(7), "select 1;", int64(0))
 	r := NewReader(bytes.NewReader(AppendFrame(nil, MsgSubmit, payload)), 0)
