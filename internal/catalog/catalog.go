@@ -31,7 +31,6 @@ type Type string
 const (
 	TString Type = "string"
 	TInt    Type = "int"
-	TFloat  Type = "float"
 )
 
 // Column is one named, typed column of a system table.

@@ -278,13 +278,6 @@ func (db *DB) MarkDead(id int) {
 	}
 }
 
-// Dead reports whether node id has been marked failed.
-func (db *DB) Dead(id int) bool {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.dead[id]
-}
-
 // Reset releases every allocation and rewinds the round-robin cursor. The
 // tables are emptied, not dropped: the next run's grants reuse what this
 // one sized. Dead nodes stay dead: a death comes from the chaos injector,

@@ -10,8 +10,8 @@ import (
 func TestMarkDeadSkippedBySequence(t *testing.T) {
 	db := newDB(t, hw.BlueGene)
 	db.MarkDead(1)
-	if !db.Dead(1) || db.Dead(2) {
-		t.Fatalf("dead bookkeeping: Dead(1)=%v Dead(2)=%v", db.Dead(1), db.Dead(2))
+	if states := db.NodeStates(); !states[1].Dead || states[2].Dead {
+		t.Fatalf("dead bookkeeping: node 1 dead=%v, node 2 dead=%v", states[1].Dead, states[2].Dead)
 	}
 
 	seq, err := NewSequence(1, 2, 3)
@@ -94,7 +94,7 @@ func TestResetKeepsDeadNodesDead(t *testing.T) {
 	db := newDB(t, hw.BlueGene)
 	db.MarkDead(1)
 	db.Reset()
-	if !db.Dead(1) {
+	if !db.NodeStates()[1].Dead {
 		t.Fatal("Reset revived dead node 1")
 	}
 	seq, err := NewSequence(1)
@@ -113,9 +113,11 @@ func TestMarkDeadOutOfRangeIsNoop(t *testing.T) {
 	db := newDB(t, hw.BlueGene)
 	db.MarkDead(-1)
 	db.MarkDead(db.Size())
-	for n := -1; n <= db.Size(); n++ {
-		if db.Dead(n) {
-			t.Fatalf("out-of-range MarkDead marked node %d dead", n)
+	// AppendState reports every id the dead set holds, in range or not.
+	loads, _ := db.AppendState(nil, nil)
+	for _, l := range loads {
+		if l.Dead {
+			t.Fatalf("out-of-range MarkDead marked node %d dead", l.Node)
 		}
 	}
 }

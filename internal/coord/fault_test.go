@@ -13,7 +13,7 @@ import (
 func TestKillNodeMarksTheNodeDead(t *testing.T) {
 	bg := newCoord(t, testEnv(t), hw.BlueGene)
 	bg.KillNode(3)
-	if !bg.DB().Dead(3) {
+	if !bg.DB().NodeStates()[3].Dead {
 		t.Fatal("node 3 not marked dead in the cndb")
 	}
 	if _, err := bg.PlaceFor("q1", mustSeqOf(t, 3)); !errors.Is(err, cndb.ErrNoAvailableNode) {

@@ -160,7 +160,7 @@ func TestNodeKillFailsOnlyItsResidents(t *testing.T) {
 	if err := victim.rp.Wait(); !errors.Is(err, carrier.ErrNodeDown) {
 		t.Fatalf("victim error = %v, want the node death", err)
 	}
-	if !e.coords[hw.BlueGene].DB().Dead(3) {
+	if !e.coords[hw.BlueGene].DB().NodeStates()[3].Dead {
 		t.Fatal("node 3 not marked dead in the cndb")
 	}
 	if n := e.MetricsSnapshot().Counters["coord.node_kills.bg"]; n != 1 {

@@ -228,7 +228,7 @@ func TestPlannedPlacementsAlwaysAdmissible(t *testing.T) {
 			if candidates != nil && !allowed[n] {
 				t.Fatalf("iter %d: node %d not in candidate set", iter, n)
 			}
-			if db.Dead(n) {
+			if db.NodeStates()[n].Dead {
 				t.Fatalf("iter %d: dead node %d proposed", iter, n)
 			}
 			if db.Exclusive() && db.NodeStates()[n].RPs > 0 {

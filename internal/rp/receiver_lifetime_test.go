@@ -28,6 +28,20 @@ func init() {
 	}
 }
 
+// drainAll pulls every element from op, which must already be open, and
+// closes it.
+func drainAll(op sqep.Operator) ([]sqep.Element, error) {
+	defer op.Close()
+	var out []sqep.Element
+	for {
+		el, ok, err := op.Next()
+		if err != nil || !ok {
+			return out, err
+		}
+		out = append(out, el)
+	}
+}
+
 // held lists the reassembly buffers r holds now, one per producer slot.
 func held(r *Receiver) [][]byte {
 	var bufs [][]byte
@@ -123,7 +137,7 @@ func TestReceiverLifetimeRetainingConsumer(t *testing.T) {
 	for _, s := range lifetimeShapes {
 		for _, batch := range []int{1, 16} {
 			inbox, producers, want := s.build(t)
-			els, err := sqep.Drain(NewReceiver(inbox, ReceiverConfig{Producers: producers, BatchFrames: batch}))
+			els, err := drainAll(NewReceiver(inbox, ReceiverConfig{Producers: producers, BatchFrames: batch}))
 			if err != nil {
 				t.Fatalf("%s: %v", s.name, err)
 			}
@@ -161,7 +175,7 @@ func TestReceiverLifetimeRadixCombineQueues(t *testing.T) {
 		if err := op.Open(&sqep.Ctx{Cost: &zeroCost}); err != nil {
 			t.Fatal(err)
 		}
-		els, err := sqep.Drain(op)
+		els, err := drainAll(op)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,7 +197,7 @@ func TestReceiverLifetimeRadixCombineQueues(t *testing.T) {
 func TestReceiverLifetimeRelay(t *testing.T) {
 	for _, s := range lifetimeShapes {
 		inbox, producers, _ := s.build(t)
-		want, err := sqep.Drain(NewReceiver(inbox, ReceiverConfig{Producers: producers, BatchFrames: 16}))
+		want, err := drainAll(NewReceiver(inbox, ReceiverConfig{Producers: producers, BatchFrames: 16}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +214,7 @@ func TestReceiverLifetimeRelay(t *testing.T) {
 		if err := relay.Wait(); err != nil {
 			t.Fatal(err)
 		}
-		got, err := sqep.Drain(NewReceiver(out, ReceiverConfig{Producers: 1, BatchFrames: 16}))
+		got, err := drainAll(NewReceiver(out, ReceiverConfig{Producers: 1, BatchFrames: 16}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,7 +239,7 @@ func TestReceiverLifetimeCountMatchesMaterializing(t *testing.T) {
 		if err := op.Open(&sqep.Ctx{Cost: &zeroCost}); err != nil {
 			t.Fatal(err)
 		}
-		els, err := sqep.Drain(op)
+		els, err := drainAll(op)
 		if err != nil || len(els) != 1 {
 			t.Fatalf("count: %v, %v", els, err)
 		}
@@ -235,7 +249,7 @@ func TestReceiverLifetimeCountMatchesMaterializing(t *testing.T) {
 		cfg := ReceiverConfig{TCPPerByte: 0.5, MPIPerByte: 0.25, BatchFrames: 16}
 		var inbox carrier.Inbox
 		inbox, cfg.Producers, _ = s.build(t)
-		kept, err := sqep.Drain(NewReceiver(inbox, cfg))
+		kept, err := drainAll(NewReceiver(inbox, cfg))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -276,13 +290,13 @@ func TestReceiverLifetimeSumBorrows(t *testing.T) {
 		if err := op.Open(&sqep.Ctx{Cost: &zeroCost}); err != nil {
 			t.Fatal(err)
 		}
-		els, err := sqep.Drain(op)
+		els, err := drainAll(op)
 		if err != nil || len(els) != 1 {
 			t.Fatalf("sum: %v, %v", els, err)
 		}
 		return els[0]
 	}
-	kept, err := sqep.Drain(NewReceiver(frames(), ReceiverConfig{Producers: 1, TCPPerByte: 0.5}))
+	kept, err := drainAll(NewReceiver(frames(), ReceiverConfig{Producers: 1, TCPPerByte: 0.5}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +399,7 @@ func TestReceiverUnreadShortStreamFails(t *testing.T) {
 			}
 			r := NewReceiver(inbox, ReceiverConfig{Producers: 1})
 			r.UseValues(use)
-			els, err := sqep.Drain(r)
+			els, err := drainAll(r)
 			return len(els), err
 		}
 		n, err := run(sqep.Owned)

@@ -51,7 +51,7 @@ func TestLimitClosesInputEarly(t *testing.T) {
 	if err := l.Open(ctx); err != nil {
 		t.Fatal(err)
 	}
-	els, err := Drain(l)
+	els, err := drain(l)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -173,23 +173,6 @@ func (s *Slice) Next() (Element, bool, error) {
 // Close implements Operator.
 func (s *Slice) Close() error { return nil }
 
-// Drain pulls every element from op (which must already be Open) and
-// returns them, closing the operator afterwards.
-func Drain(op Operator) ([]Element, error) {
-	defer op.Close()
-	var out []Element
-	for {
-		el, ok, err := op.Next()
-		if err != nil {
-			return out, err
-		}
-		if !ok {
-			return out, nil
-		}
-		out = append(out, el)
-	}
-}
-
 // typeErrorf builds a consistent operator type error.
 func typeErrorf(op string, v any) error {
 	return fmt.Errorf("sqep: %s: unsupported value type %T", op, v)

@@ -17,6 +17,20 @@ func testCtx() *Ctx {
 	return &Ctx{CPU: vtime.NewResource("cpu"), Cost: &cost}
 }
 
+// drain pulls every element from op, which must already be open, and closes
+// it.
+func drain(op Operator) ([]Element, error) {
+	defer op.Close()
+	var out []Element
+	for {
+		el, ok, err := op.Next()
+		if err != nil || !ok {
+			return out, err
+		}
+		out = append(out, el)
+	}
+}
+
 func drainValues(t *testing.T, op Operator, ctx *Ctx) []any {
 	t.Helper()
 	if ctx == nil {
@@ -25,7 +39,7 @@ func drainValues(t *testing.T, op Operator, ctx *Ctx) []any {
 	if err := op.Open(ctx); err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	els, err := Drain(op)
+	els, err := drain(op)
 	if err != nil {
 		t.Fatalf("drain: %v", err)
 	}
@@ -58,7 +72,7 @@ func TestGenArray(t *testing.T) {
 	if err := g.Open(ctx); err != nil {
 		t.Fatal(err)
 	}
-	els, err := Drain(g)
+	els, err := drain(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +167,7 @@ func TestIotaHonoursValueUse(t *testing.T) {
 		}
 	})
 	t.Run("unread", func(t *testing.T) {
-		els, err := Drain(open(Unread))
+		els, err := drain(open(Unread))
 		if err != nil || len(els) != to-from+1 {
 			t.Fatalf("unread iota = %d elements, %v; want %d", len(els), err, to-from+1)
 		}
@@ -164,7 +178,7 @@ func TestIotaHonoursValueUse(t *testing.T) {
 		}
 	})
 	t.Run("owned", func(t *testing.T) {
-		els, err := Drain(open(Owned))
+		els, err := drain(open(Owned))
 		if err != nil || len(els) != to-from+1 {
 			t.Fatalf("owned iota = %d elements, %v", len(els), err)
 		}
